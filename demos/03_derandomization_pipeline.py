@@ -14,7 +14,6 @@ pinned, the light remainder concentrates simultaneously for all distributions.
 import numpy as np
 
 import multidist as md
-from multidist.harness import masked_error_terms
 
 eps = delta = 0.15
 
@@ -40,8 +39,9 @@ print(f"bias table size |T| = {len(result.table)} of {fam.domain.size} points\n"
 # the error splits exactly into the pinned part and the rounded part
 inside = np.zeros(fam.domain.size, dtype=bool)
 inside[result.table.points()] = True
-t_terms = masked_error_terms(result.classifier, fam, inside)
-o_terms = masked_error_terms(result.classifier, fam, ~inside)
+plus = (result.classifier.label_vector() == 1).astype(float)  # Pr[f(x) = +1]
+t_terms = md.error_matrix(plus, fam, inside)
+o_terms = md.error_matrix(plus, fam, ~inside)
 print("per-distribution error = pinned-points term + rounded-points term:")
 for i in range(fam.k):
     print(f"  D_{i}: {det.per_distribution[i]:.4f} = {t_terms[i]:.4f} + {o_terms[i]:.4f}")

@@ -22,6 +22,7 @@ from .model import (
 )
 from .metrics import (
     ErrorReport,
+    error_matrix,
     error_on_distribution,
     worst_case_error,
     randomized_worst_case_error,

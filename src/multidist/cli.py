@@ -52,6 +52,7 @@ from .hashing import (
 from .instances import GenSpec, generate
 from .learner import HedgeConfig, SampleOracle, hedge_learn
 from .metrics import ErrorReport, opt_bruteforce, randomized_per_distribution, worst_case_error
+from .model import full_labeling_class
 
 
 def _out_dir(path_arg: str | None) -> Path:
@@ -187,7 +188,7 @@ def cmd_disc(args) -> int:
         return 0
     if args.disc_cmd == "reduce":
         rf = ReductionFamily(matrix)
-        serialize.save_instance(args.output, rf.family, _full_class_for(matrix.n))
+        serialize.save_instance(args.output, rf.family, full_labeling_class(matrix.n))
         print(f"wrote {2 * matrix.n}-member reduction family to {args.output}")
         return 0
     if args.disc_cmd == "distinguish":
@@ -197,12 +198,6 @@ def cmd_disc(args) -> int:
         print(f"worst-case error {err} -> {verdict.value}")
         return 0 if verdict == Verdict.ZERO_DISCREPANCY_LIKELY else 1
     raise ValueError(f"unknown disc subcommand {args.disc_cmd!r}")
-
-
-def _full_class_for(n: int):
-    from .model import full_labeling_class
-
-    return full_labeling_class(n)
 
 
 def cmd_trial(args) -> int:
@@ -389,8 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one verb. Bad input (a malformed file, an out-of-range value)
+    prints its error and exits 2, a code no verb returns on its own."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

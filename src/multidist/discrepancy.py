@@ -24,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .metrics import label_vector_of
 from .model import DistributionFamily, Domain, LabeledDistribution
 
 BRUTEFORCE_LIMIT = 20
@@ -82,17 +83,10 @@ class Coloring:
 
 
 def _as_label_array(labels, n: int) -> np.ndarray:
+    """The +-1 labels of exactly n points, as int64 for exact dot products."""
     if isinstance(labels, Coloring):
-        arr = labels.z
-    elif hasattr(labels, "labels"):
-        arr = labels.labels
-    elif hasattr(labels, "label_vector"):
-        arr = labels.label_vector()
-    else:
-        arr = np.asarray(labels, dtype=np.int8)
-    if arr.shape[0] < n:
-        raise ValueError(f"labeling covers {arr.shape[0]} points, need {n}")
-    return arr[:n].astype(np.int64)
+        labels = labels.z
+    return label_vector_of(labels, n).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,11 @@ import numpy as np
 
 from .model import DistributionFamily, HypothesisClass
 from .metrics import (
-    error_contributions,
+    error_matrix,
     heavy_mask,
+    label_vector_of,
     opt_bruteforce,
+    plus_rows,
     randomized_per_distribution,
     worst_case_error,
 )
@@ -70,26 +72,6 @@ class TrialReport:
         ]
 
 
-def masked_error_terms(f, fam: DistributionFamily, mask: np.ndarray) -> np.ndarray:
-    """Per-member error restricted to the masked points: the T / outside-T
-    split of the error is exact, term by term."""
-    return np.array(
-        [float(error_contributions(f, m)[mask].sum()) for m in fam.members]
-    )
-
-
-def randomized_masked_terms(f_rand, fam: DistributionFamily, mask: np.ndarray) -> np.ndarray:
-    """Per-member expected masked error under a mixture draw:
-    sum_x D_i(x) * (m1(x)(1 - eta(x)) + (1 - m1(x)) eta(x)) over masked x."""
-    m1 = f_rand.marginals
-    out = []
-    for member in fam.members:
-        eta = member.label_one_prob
-        per_point = m1 * (1.0 - eta) + (1.0 - m1) * eta
-        out.append(float((member.mass * per_point)[mask].sum()))
-    return np.array(out)
-
-
 def rounding_deviation(f_hat, f_rand, fam: DistributionFamily, table: BiasTable | set) -> float:
     """max over members of |outside-T error of the rounded classifier minus
     the mixture's expected outside-T error|."""
@@ -97,8 +79,8 @@ def rounding_deviation(f_hat, f_rand, fam: DistributionFamily, table: BiasTable 
     points = table.points() if isinstance(table, BiasTable) else np.array(sorted(table), dtype=np.int64)
     if len(points):
         outside[points] = False
-    got = masked_error_terms(f_hat, fam, outside)
-    want = randomized_masked_terms(f_rand, fam, outside)
+    rows = np.stack([plus_rows(label_vector_of(f_hat)), f_rand.marginals])
+    got, want = error_matrix(rows, fam, outside)
     return float(np.abs(got - want).max())
 
 
@@ -169,7 +151,6 @@ class CampaignConfig:
     derand: DerandConfig = DerandConfig(eps=0.15, delta=0.15, mode="calibrated",
                                         m_override=5000)
     master_seed: int = 0
-    fresh_instance_per_trial: bool = True
     required_fractions: dict = field(default_factory=dict)
 
 
@@ -227,10 +208,7 @@ def _campaign_worker(args) -> tuple[int, TrialReport | None, str | None]:
     cfg, trial_index, measure_time = args
     try:
         seed = trial_seed(cfg.master_seed, trial_index)
-        spec = cfg.gen_spec
-        if cfg.fresh_instance_per_trial:
-            spec = dataclasses.replace(spec, seed=trial_seed(cfg.master_seed, trial_index) ^ 0x5EED)
-        fam, cls, _ = generate(spec)
+        fam, cls, _ = generate(dataclasses.replace(cfg.gen_spec, seed=seed ^ 0x5EED))
         report = run_trial(fam, cls, cfg.hedge, cfg.derand, seed,
                            trial_id=trial_index, measure_time=measure_time)
         return trial_index, report, None

@@ -19,12 +19,11 @@ import numpy as np
 
 from .model import (
     DistributionFamily,
-    Hypothesis,
     HypothesisClass,
     LabeledDistribution,
     RandomizedClassifier,
 )
-from .metrics import error_on_distribution
+from .metrics import error_matrix, plus_rows
 
 
 @dataclass(frozen=True)
@@ -189,7 +188,9 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: f
     """Run Hedge for T rounds and return the uniform mixture over the chosen
     hypotheses (duplicate choices merged by summing weights).
 
-    In exact mode the procedure is deterministic; in sampling mode each round
+    In exact mode the procedure is deterministic: the |H| x k error matrix E
+    is computed once, and each round's best response is argmin_h (E @ w)[h],
+    the exact ERM over the w-weighted mixture. In sampling mode each round
     draws cfg.erm_sample_size fresh samples per member from the oracle's
     stream, and both the ERM and the weight update use the resulting empirical
     measures. delta only enters through the caller's contract—Hedge itself has
@@ -203,17 +204,14 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: f
     rounds, eta = cfg.resolve(k, eps)
 
     if oracle.exact:
-        # (|H|, k) matrix of exact per-hypothesis, per-member errors
-        err_matrix = np.array(
-            [[error_on_distribution(h, m) for m in fam.members] for h in cls.hypotheses]
-        )
+        err_matrix = error_matrix(plus_rows(cls.label_matrix), fam)
 
     w = np.full(k, 1.0 / k)
     counts: dict[int, int] = {}
     for t in range(rounds):
         if oracle.exact:
-            mixture = _mixture(fam, w)
-            h_idx = erm(cls, mixture)
+            # np.argmin breaks ties to the lowest index, as erm does
+            h_idx = int(np.argmin(err_matrix @ w))
             errs = err_matrix[h_idx]
         else:
             empiricals = [
@@ -222,9 +220,7 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: f
             ]
             emp_fam = DistributionFamily(fam.domain, tuple(empiricals))
             h_idx = erm(cls, _mixture(emp_fam, w))
-            errs = np.array(
-                [error_on_distribution(cls.hypotheses[h_idx], e) for e in empiricals]
-            )
+            errs = error_matrix(plus_rows(cls.label_matrix[h_idx]), emp_fam)
         counts[h_idx] = counts.get(h_idx, 0) + 1
         if trace is not None:
             trace.append(HedgeRound(t, h_idx, tuple(float(e) for e in errs), tuple(float(v) for v in w)))

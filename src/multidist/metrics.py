@@ -31,32 +31,63 @@ def label_vector_of(f, domain_size: int | None = None) -> np.ndarray:
     """Coerce a classifier-like object to its +-1 label vector.
 
     Accepts Hypothesis, ExplicitClassifier, anything with label_vector()
-    (e.g. the compact hash classifier), or a raw array.
+    (e.g. the compact hash classifier), or a raw array, whose entries must be
+    exactly -1 or +1. With domain_size given, the vector must have exactly
+    that length.
     """
     if isinstance(f, (Hypothesis, ExplicitClassifier)):
-        return f.labels
-    if hasattr(f, "label_vector"):
-        return f.label_vector()
-    arr = np.asarray(f)
-    if arr.ndim != 1:
-        raise ValueError("classifier label vector must be one-dimensional")
-    return arr.astype(np.int8)
+        labels = f.labels
+    elif hasattr(f, "label_vector"):
+        labels = f.label_vector()
+    else:
+        arr = np.asarray(f)
+        if arr.ndim != 1:
+            raise ValueError("classifier label vector must be one-dimensional")
+        if not np.all((arr == 1) | (arr == -1)):
+            raise ValueError("label entries must be exactly -1 or +1")
+        labels = arr.astype(np.int8)
+    if domain_size is not None and labels.shape[0] != domain_size:
+        raise ValueError(f"labeling covers {labels.shape[0]} points, expected {domain_size}")
+    return labels
 
 
-def error_contributions(f, dist: LabeledDistribution) -> np.ndarray:
-    """Per-point error mass: D(x) * Pr_y[f(x) != y]."""
-    labels = label_vector_of(f)
-    if labels.shape[0] != dist.domain_size:
-        raise ValueError(
-            f"domain size mismatch: classifier {labels.shape[0]}, distribution {dist.domain_size}"
-        )
-    eta = dist.label_one_prob
-    per_point = np.where(labels == -1, eta, 1.0 - eta)
-    return dist.mass * per_point
+def plus_rows(labels) -> np.ndarray:
+    """Pr[f(x) = +1] of +-1 labels: 1.0 where the label is +1, 0.0 elsewhere."""
+    return (np.asarray(labels) == 1).astype(np.float64)
+
+
+def error_matrix(plus: np.ndarray, fam: DistributionFamily | LabeledDistribution,
+                 mask: np.ndarray | None = None) -> np.ndarray:
+    """Exact errors of labelings on every member: the (r, k) core of every
+    error in the package.
+
+    Each row of the (r, n) array plus is one labeling as Pr[f(x) = +1]: 0/1
+    for a deterministic classifier, the marginals for a mixture. Entry (j, i)
+    is sum_x D_i(x) * (plus_j(x) (1 - eta_i(x)) + (1 - plus_j(x)) eta_i(x)),
+    summed over the masked points only when a boolean mask is given. A
+    one-dimensional plus gives a (k,) vector; a single distribution counts as
+    a one-member family.
+    """
+    plus = np.asarray(plus, dtype=np.float64)
+    members = fam.members if isinstance(fam, DistributionFamily) else (fam,)
+    n = members[0].domain_size
+    if plus.shape[-1] != n:
+        raise ValueError(f"domain size mismatch: classifier {plus.shape[-1]}, distribution {n}")
+    minus = 1.0 - plus
+    out = []
+    for m in members:
+        eta = m.label_one_prob
+        terms = m.mass * (plus * (1.0 - eta) + minus * eta)
+        if mask is not None:
+            # a[:, mask] is F-ordered; summing it contiguous keeps the order
+            # in which each row accumulates the same as for a single row
+            terms = np.ascontiguousarray(terms[..., mask])
+        out.append(terms.sum(axis=-1))
+    return np.stack(out, axis=-1)
 
 
 def error_on_distribution(f, dist: LabeledDistribution) -> float:
-    return float(error_contributions(f, dist).sum())
+    return float(error_matrix(plus_rows(label_vector_of(f)), dist)[0])
 
 
 @dataclass(frozen=True)
@@ -90,7 +121,7 @@ class ErrorReport:
 
 
 def worst_case_error(f, fam: DistributionFamily) -> ErrorReport:
-    return ErrorReport.from_errors(error_on_distribution(f, m) for m in fam.members)
+    return ErrorReport.from_errors(error_matrix(plus_rows(label_vector_of(f)), fam))
 
 
 def _check_weights(f_rand: RandomizedClassifier) -> None:
@@ -103,13 +134,7 @@ def _check_weights(f_rand: RandomizedClassifier) -> None:
 def randomized_per_distribution(f_rand: RandomizedClassifier, fam: DistributionFamily) -> np.ndarray:
     """E_{f~F}[er_{D_i}(f)] for every member i, by linearity of expectation."""
     _check_weights(f_rand)
-    errs = np.array(
-        [
-            [error_on_distribution(Hypothesis(labels), m) for m in fam.members]
-            for labels in f_rand.support_label_matrix
-        ]
-    )
-    return f_rand.weights @ errs
+    return f_rand.weights @ error_matrix(plus_rows(f_rand.support_label_matrix), fam)
 
 
 def randomized_worst_case_error(f_rand: RandomizedClassifier, fam: DistributionFamily) -> float:
@@ -119,31 +144,21 @@ def randomized_worst_case_error(f_rand: RandomizedClassifier, fam: DistributionF
 def support_worst_case(f_rand: RandomizedClassifier, fam: DistributionFamily) -> float:
     """max over f in the support of worst_case_error(f) — what a single
     unlucky draw from the mixture can cost."""
-    return max(
-        worst_case_error(Hypothesis(labels), fam).worst_case
-        for labels in f_rand.support_label_matrix
-    )
+    return float(error_matrix(plus_rows(f_rand.support_label_matrix), fam).max())
 
 
 def exceedance_probability(f_rand: RandomizedClassifier, dist: LabeledDistribution, level: float) -> float:
     """Pr over a single draw f~F that er_D(f) >= level."""
     _check_weights(f_rand)
-    total = 0.0
-    for w, labels in zip(f_rand.weights, f_rand.support_label_matrix):
-        if error_on_distribution(Hypothesis(labels), dist) >= level:
-            total += float(w)
-    return total
+    errs = error_matrix(plus_rows(f_rand.support_label_matrix), dist)[:, 0]
+    return float(f_rand.weights[errs >= level].sum())
 
 
 def opt_bruteforce(cls: HypothesisClass, fam: DistributionFamily) -> tuple[float, int]:
     """Exhaustive min over the class of the worst-case error; lowest index on ties."""
-    best_val = math.inf
-    best_idx = 0
-    for i, h in enumerate(cls.hypotheses):
-        v = worst_case_error(h, fam).worst_case
-        if v < best_val:
-            best_val, best_idx = v, i
-    return best_val, best_idx
+    worst = error_matrix(plus_rows(cls.label_matrix), fam).max(axis=1)
+    idx = int(np.argmin(worst))
+    return float(worst[idx]), idx
 
 
 def bayes_labels(fam: DistributionFamily) -> np.ndarray:

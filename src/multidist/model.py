@@ -55,9 +55,6 @@ class Domain:
         if self.size < 1:
             raise ValueError(f"domain size must be >= 1, got {self.size}")
 
-    def points(self) -> np.ndarray:
-        return np.arange(self.size)
-
 
 @dataclass(frozen=True)
 class LabeledDistribution:

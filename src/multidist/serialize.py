@@ -23,6 +23,7 @@ from .model import (
     HypothesisClass,
     LabeledDistribution,
     RandomizedClassifier,
+    validate_family,
 )
 from .discrepancy import BinaryMatrix
 
@@ -58,6 +59,10 @@ def instance_from_dict(doc: dict) -> tuple[DistributionFamily, HypothesisClass, 
             raise ValueError("distribution entry lacks label_one_prob and no shared vector given")
         members.append(LabeledDistribution(entry["mass"], eta))
     fam = DistributionFamily(Domain(n), tuple(members))
+    report = validate_family(fam)
+    if not report.ok:
+        raise ValueError("invalid instance: " + "; ".join(
+            f"{v.location}: {v.message}" for v in report.violations))
     hyps = tuple(Hypothesis(np.asarray(row, dtype=np.int8)) for row in doc["hypotheses"])
     cls = HypothesisClass(hyps, vc_dim=doc.get("vc_dim"))
     spec = GenSpec(**doc["gen_spec"]) if "gen_spec" in doc else None

@@ -117,3 +117,45 @@ def test_trial_outdir_from_environment(tmp_path, monkeypatch):
                "--seed", "9", "--no-timing"])
     assert rc == 0
     assert (tmp_path / "envout" / "trials.csv").exists()
+
+
+def test_distinguish_rejects_labels_of_wrong_length(tmp_path, capsys):
+    mat = tmp_path / "m4.txt"
+    serialize.save_matrix(mat, md.BinaryMatrix(np.eye(4, dtype=np.int8)))
+    rc = main(["disc", "distinguish", str(mat), "--labels=1,1,1,1,-1,-1,-1", "--eps", "0.1"])
+    assert rc == 2
+    assert "labeling covers 7 points, expected 4" in capsys.readouterr().err
+    rc = main(["disc", "distinguish", str(mat), "--labels=1,1,0,1", "--eps", "0.1"])
+    assert rc == 2
+    assert "-1 or +1" in capsys.readouterr().err
+
+
+def test_eval_rejects_unnormalized_instance(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--domain-size", "10", "-k", "2", "--hypotheses", "4",
+                 "--seed", "1", "-o", str(inst)]) == 0
+    fam, cls, _ = serialize.load_instance(inst)
+    clf = tmp_path / "clf.json"
+    serialize.save_classifier(clf, md.ExplicitClassifier(cls.hypotheses[0].labels))
+    doc = json.loads(inst.read_text())
+    doc["distributions"][1]["mass"] = [m * 0.9 for m in doc["distributions"][1]["mass"]]
+    inst.write_text(json.dumps(doc))
+    assert main(["eval", str(clf), str(inst)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid instance" in err and "member 1: mass sum" in err
+
+
+def test_eval_rejects_classifier_of_other_domain_size(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    main(["gen", "--domain-size", "15", "-k", "2", "--hypotheses", "4",
+          "--seed", "3", "-o", str(inst)])
+    clf = tmp_path / "clf.json"
+    assert main(["derand", str(inst), "--eps", "0.25", "--delta", "0.25",
+                 "--mode", "calibrated", "--m-override", "800",
+                 "--rounding", "hash", "--seed", "4", "-o", str(clf)]) == 0
+    doc = json.loads(clf.read_text())
+    doc["domain_size"] = 12
+    doc["t_table"] = [entry for entry in doc["t_table"] if entry[0] < 12]
+    clf.write_text(json.dumps(doc))
+    assert main(["eval", str(clf), str(inst)]) == 2
+    assert "domain size mismatch: classifier 12, distribution 15" in capsys.readouterr().err

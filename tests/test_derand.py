@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import binom
 
 import multidist as md
+from multidist.metrics import plus_rows
 
 
 def test_empirical_rho_examples():
@@ -200,15 +201,13 @@ def test_rounding_unbiasedness_of_outside_term():
     outside = np.ones(12, dtype=bool)
     outside[[0, 7]] = False
 
-    from multidist.harness import masked_error_terms, randomized_masked_terms
-
-    want = randomized_masked_terms(F, fam, outside)
+    want = md.error_matrix(F.marginals, fam, outside)
     reps = 10_000
     acc = np.zeros(fam.k)
     per_run = np.zeros((reps, fam.k))
     for i in range(reps):
         labels = md.round_outside_t(F, table, 12, rng)
-        per_run[i] = masked_error_terms(md.ExplicitClassifier(labels), fam, outside)
+        per_run[i] = md.error_matrix(plus_rows(labels), fam, outside)
     mean = per_run.mean(axis=0)
     sem = per_run.std(axis=0, ddof=1) / math.sqrt(reps)
     assert np.all(np.abs(mean - want) <= 3 * sem + 1e-12)
@@ -253,8 +252,6 @@ def test_derandomize_rejects_inconsistent_family():
 
 
 def test_error_decomposition_is_exact():
-    from multidist.harness import masked_error_terms
-
     fam, cls = _small_instance(6)
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=1500, seed=3)
     result = md.derandomize_with_details(md.SampleOracle.exact_mode(fam), cls,
@@ -262,16 +259,15 @@ def test_error_decomposition_is_exact():
     inside = np.zeros(fam.domain.size, dtype=bool)
     if len(result.table):
         inside[result.table.points()] = True
-    t_terms = masked_error_terms(result.classifier, fam, inside)
-    o_terms = masked_error_terms(result.classifier, fam, ~inside)
+    plus = plus_rows(result.classifier.label_vector())
+    t_terms = md.error_matrix(plus, fam, inside)
+    o_terms = md.error_matrix(plus, fam, ~inside)
     report = md.worst_case_error(result.classifier, fam)
     for i in range(fam.k):
         assert t_terms[i] + o_terms[i] == pytest.approx(report.per_distribution[i], abs=1e-12)
 
 
 def test_table_term_attains_pointwise_minimum_when_signs_correct():
-    from multidist.harness import masked_error_terms
-
     fam, cls = _small_instance(7)
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=2500, seed=11)
     result = md.derandomize_with_details(md.SampleOracle.exact_mode(fam), cls,
@@ -285,7 +281,7 @@ def test_table_term_attains_pointwise_minimum_when_signs_correct():
         pytest.skip("a table sign came out wrong on this seed; optimality only holds when signs are correct")
     inside = np.zeros(fam.domain.size, dtype=bool)
     inside[points] = True
-    t_terms = masked_error_terms(result.classifier, fam, inside)
+    t_terms = md.error_matrix(plus_rows(result.classifier.label_vector()), fam, inside)
     for i, m in enumerate(fam.members):
         floor = float((m.mass * np.minimum(eta, 1 - eta))[inside].sum())
         assert t_terms[i] == pytest.approx(floor, abs=1e-12)

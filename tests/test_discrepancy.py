@@ -295,3 +295,18 @@ def test_dummy_point_float_family_matches_exact_errors():
     h = md.Hypothesis(v)
     for member, e in zip(fam.members, exact):
         assert md.error_on_distribution(h, member) == pytest.approx(float(e), abs=1e-12)
+
+
+def test_labels_of_wrong_length_or_values_rejected():
+    A = md.BinaryMatrix(np.eye(4, dtype=np.int8))
+    rf = md.matrix_to_family(A)
+    for labels in ([1, 1, 1, 1, -1, -1, -1], [1, 1, -1]):
+        with pytest.raises(ValueError, match="expected 4"):
+            md.distinguisher(A, np.array(labels), Fraction(1, 10))
+        with pytest.raises(ValueError, match="expected 4"):
+            md.coloring_error(labels, rf)
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        md.distinguisher(A, np.array([1, 0, 1, -1]), Fraction(1, 10))
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        rf.member_errors([1, 2, 1, -1])
+    assert md.coloring_error(md.Coloring([1, -1, 1, -1]), rf) == 1

@@ -11,10 +11,9 @@ from multidist.harness import (
     PREDICATE_OPT,
     heavy_coverage,
     rounding_deviation,
-    masked_error_terms,
-    randomized_masked_terms,
     write_trials_csv,
 )
+from multidist.metrics import plus_rows
 
 
 def small_campaign(seed=0, **derand_kwargs):
@@ -33,8 +32,8 @@ def test_masked_terms_partition_total_error():
     h = cls.hypotheses[0]
     mask = np.zeros(10, dtype=bool)
     mask[[1, 4, 7]] = True
-    inside = masked_error_terms(h, fam, mask)
-    outside = masked_error_terms(h, fam, ~mask)
+    inside = md.error_matrix(plus_rows(h.labels), fam, mask)
+    outside = md.error_matrix(plus_rows(h.labels), fam, ~mask)
     for i, m in enumerate(fam.members):
         assert inside[i] + outside[i] == pytest.approx(md.error_on_distribution(h, m), abs=1e-14)
 
@@ -45,9 +44,9 @@ def test_randomized_masked_terms_match_weighted_average():
     w = np.array([0.4, 0.6])
     F = md.RandomizedClassifier(cls, (0, 1), w)
     mask = np.array([True] * 4 + [False] * 4)
-    got = randomized_masked_terms(F, fam, mask)
-    want = (w[0] * masked_error_terms(cls.hypotheses[0], fam, mask)
-            + w[1] * masked_error_terms(cls.hypotheses[1], fam, mask))
+    got = md.error_matrix(F.marginals, fam, mask)
+    terms = md.error_matrix(plus_rows(cls.label_matrix[:2]), fam, mask)
+    want = w[0] * terms[0] + w[1] * terms[1]
     assert got == pytest.approx(want.tolist(), abs=1e-14)
 
 

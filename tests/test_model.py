@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from multidist import serialize
 def test_domain_requires_positive_size():
     with pytest.raises(ValueError):
         md.Domain(0)
-    assert md.Domain(3).points().tolist() == [0, 1, 2]
+    assert md.Domain(3).size == 3
 
 
 def test_validate_uniform_family_ok():
@@ -179,3 +181,16 @@ def test_matrix_round_trip(tmp_path):
     B = serialize.load_matrix(path)
     assert np.array_equal(A.entries, B.entries)
     assert path.read_text().splitlines()[0] == "3"
+
+
+def test_load_instance_rejects_invalid_family(tmp_path):
+    fam = md.family_from_arrays([[0.5, 0.5], [0.25, 0.75]], [[0.2, 0.4], [0.2, 0.4]])
+    doc = serialize.instance_to_dict(fam, md.HypothesisClass((md.Hypothesis([1, -1]),)))
+    doc["distributions"][0]["mass"] = [0.5, 0.4]
+    doc["distributions"][1]["mass"] = [-0.25, 1.25]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        serialize.load_instance(path)
+    msg = str(info.value)
+    assert "member 0: mass sum" in msg and "member 1, point 0: negative mass" in msg
