@@ -14,6 +14,7 @@ import numpy as np
 
 import multidist as md
 from multidist import serialize
+from multidist.hashing import _plus_decision_vector, coefficient_matrix_eval
 
 eps = delta = 0.15
 spec = md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=5)
@@ -39,17 +40,16 @@ opt, _ = md.opt_bruteforce(cls, fam)
 print(f"worst-case error {det.worst_case:.4f} vs OPT + eps = {opt + eps:.4f}\n")
 
 # the rounding law: over fresh hash draws, Pr[label = +1] = floor(m*p)/p
-# (probe the untabled point whose marginal is most mixed)
+# (probe the untabled point whose marginal is most mixed); each row of coeffs
+# is one hash draw, evaluated and rounded as the classifier does
 outside = [x for x in range(fam.domain.size) if x not in clf.t_table]
-x = min(outside, key=lambda x: abs(md.marginal_one_probability(clf.f_rand, x) - 0.5))
-marginal = md.marginal_one_probability(clf.f_rand, x)
+x = min(outside, key=lambda x: abs(clf.f_rand.marginals[x] - 0.5))
+marginal = float(clf.f_rand.marginals[x])
 rng = np.random.default_rng(0)
 draws = 50_000
-hits = 0
-for _ in range(draws):
-    q = md.sample_hash(p, r, rng)
-    probe = md.CompactClassifier(q, clf.t_table, clf.f_rand, clf.domain_size, p)
-    hits += probe.label(x) == 1
+coeffs = rng.integers(0, p, size=(draws, r))
+q_vals = coefficient_matrix_eval(coeffs, np.array([x]), p)[:, 0]
+hits = int(_plus_decision_vector(q_vals, np.full(draws, marginal), p).sum())
 law = md.plus_probability(marginal, p)
 print(f"rounding law at point {x}: marginal {marginal:.6f}")
 print(f"  empirical Pr[+1] over {draws} hash draws: {hits / draws:.6f}")

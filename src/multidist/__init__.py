@@ -66,8 +66,6 @@ from .hashing import (
     is_prime,
     next_prime,
     sample_hash,
-    eval_hash,
-    marginal_one_probability,
     plus_probability,
     choose_hash_params,
     TailCheckConfig,

@@ -45,6 +45,7 @@ from .harness import (
 )
 from .hashing import (
     TailCheckConfig,
+    _plus_decision_vector,
     coefficient_matrix_eval,
     empirical_tail_bound_check,
     plus_probability,
@@ -245,7 +246,7 @@ def cmd_hashcheck(args) -> int:
         p7 = 7
         coeffs = rng.integers(0, p7, size=(args.draws, 2))
         vals = coefficient_matrix_eval(coeffs, np.array([3]), p7)[:, 0]
-        plus = np.mean(vals + 1 <= marginal * p7)
+        plus = np.mean(_plus_decision_vector(vals, np.full(args.draws, marginal), p7))
         want = float(plus_probability(marginal, p7))
         sigma = max((want * (1 - want) / args.draws) ** 0.5, 1e-12)
         if abs(plus - want) > 3 * sigma + 1e-12:

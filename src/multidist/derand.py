@@ -81,9 +81,6 @@ class DerandConfig:
     def scale(self) -> float:
         return self.threshold_scale if self.mode == "calibrated" else 1.0
 
-    def variant(self) -> str:
-        return "hash" if self.rounding == "hash" else "explicit"
-
 
 @dataclass(frozen=True)
 class BiasEntry:

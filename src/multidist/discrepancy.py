@@ -182,6 +182,36 @@ def _colorings_block(n: int, start: int, stop: int) -> np.ndarray:
     return z
 
 
+def _min_scaled_imbalance(scaled: np.ndarray, block: int) -> tuple[int, np.ndarray]:
+    """min over colorings z with z[0] = -1 of max_i |scaled_i . z|, and the
+    lexicographically first minimizer; stops at the first 0 found.
+
+    The rows of scaled are matrix rows times a positive integer row scale, so
+    |scaled_i . z| = scale_i * |a_i . z| exactly. Colorings are scanned in
+    blocks of 2^b codes (2^b <= block) that share their high rows, so each
+    block's products are the products of the low rows, computed once, plus
+    one column for the high rows.
+    """
+    n = scaled.shape[0]
+    if n > BRUTEFORCE_LIMIT:
+        raise ValueError(f"brute force limited to n <= {BRUTEFORCE_LIMIT}, got {n}")
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
+    b = min(n - 1, int(block).bit_length() - 1)
+    low = scaled[:, n - b :] @ _colorings_block(b + 1, 0, 1 << b)[1:]
+    az = np.empty_like(low)
+    best, best_code = None, None
+    for high in range(1 << (n - 1 - b)):
+        column = scaled[:, : n - b] @ _colorings_block(n - b, high, high + 1)
+        vals = np.abs(np.add(low, column, out=az), out=az).max(axis=0)
+        idx = int(np.argmin(vals))
+        if best is None or int(vals[idx]) < best:
+            best, best_code = int(vals[idx]), (high << b) | idx
+            if best == 0:
+                break
+    return best, _colorings_block(n, best_code, best_code + 1)[:, 0]
+
+
 def bruteforce_min_discrepancy(matrix: BinaryMatrix,
                                block: int = 1 << 14) -> tuple[Coloring, int, float]:
     """Exhaustive coloring minimizing the max row imbalance |Az|_inf.
@@ -192,24 +222,8 @@ def bruteforce_min_discrepancy(matrix: BinaryMatrix,
     Ties beyond that would fall to the 2-norm, which the lex rule already
     pins down. Returns (coloring, inf_norm, two_norm).
     """
-    n = matrix.n
-    if n > BRUTEFORCE_LIMIT:
-        raise ValueError(f"brute force limited to n <= {BRUTEFORCE_LIMIT}, got {n}")
     a = matrix.entries.astype(np.int64)
-    total = 1 << (n - 1) if n > 1 else 1
-    best_inf = None
-    best_z = None
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        z_block = _colorings_block(n, start, stop)
-        az = a @ z_block
-        inf_norms = np.abs(az).max(axis=0)
-        idx = int(np.argmin(inf_norms))
-        if best_inf is None or int(inf_norms[idx]) < best_inf:
-            best_inf = int(inf_norms[idx])
-            best_z = z_block[:, idx].copy()
-            if best_inf == 0:
-                break
+    best_inf, best_z = _min_scaled_imbalance(a, block)
     az_best = a @ best_z
     two_norm = math.sqrt(float(az_best @ az_best))
     return Coloring(best_z.astype(np.int8)), best_inf, two_norm
@@ -222,24 +236,10 @@ def min_deterministic_error(rf: ReductionFamily, block: int = 1 << 14) -> Fracti
     Per-row weights 1/(2 m_i) are put over the common denominator
     2 * lcm(m_i) so the inner max/min runs in integer arithmetic.
     """
-    n = rf.n
-    if n > BRUTEFORCE_LIMIT:
-        raise ValueError(f"brute force limited to n <= {BRUTEFORCE_LIMIT}, got {n}")
-    a = rf.matrix.entries.astype(np.int64)
     m = [int(v) for v in rf.matrix.row_ones]
     l = 2 * math.lcm(*m)
     row_scale = np.array([l // (2 * mi) for mi in m], dtype=np.int64)
-    total = 1 << (n - 1) if n > 1 else 1
-    best = None
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        z_block = _colorings_block(n, start, stop)
-        scaled = np.abs(a @ z_block) * row_scale[:, None]
-        val = int(scaled.max(axis=0).min())
-        if best is None or val < best:
-            best = val
-            if best == 0:
-                break
+    best, _ = _min_scaled_imbalance(rf.matrix.entries.astype(np.int64) * row_scale[:, None], block)
     return Fraction(1, 2) + Fraction(best, l)
 
 

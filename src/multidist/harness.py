@@ -121,7 +121,7 @@ def run_trial_detailed(fam: DistributionFamily, cls: HypothesisClass, hedge_cfg:
     rand_err = float(randomized_per_distribution(f_rand, fam).max())
     det_err = worst_case_error(f_hat, fam).worst_case
     covered = heavy_coverage(table, fam, derand_cfg.eps, derand_cfg.delta,
-                             derand_cfg.variant(), derand_cfg.c_prime)
+                             derand_cfg.rounding, derand_cfg.c_prime)
     deviation = rounding_deviation(f_hat, f_rand, fam, table)
     wall = (time.perf_counter() - t0) if measure_time else 0.0
     report = TrialReport(trial_id, seed, opt, rand_err, det_err, len(table),

@@ -29,7 +29,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact over the 64-bit range."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
     d = n - 1
@@ -105,46 +105,25 @@ def sample_hash(p: int, r: int, rng: np.random.Generator, *,
     return PolyHash(p, coeffs)
 
 
-def eval_hash(q: PolyHash, x: int) -> int:
-    """Horner evaluation with reduction at every step; Python integers, so no
-    intermediate overflow."""
-    if not 0 <= x < q.prime:
-        raise ValueError(f"key {x} outside [0, {q.prime})")
-    acc = 0
-    for c in reversed(q.coefficients):
-        acc = (acc * x + c) % q.prime
-    return acc
+def coefficient_matrix_eval(coeffs, xs, p: int) -> np.ndarray:
+    """Evaluate many polynomials (rows of coeffs in [0, p), constant term
+    first) at many keys in [0, p): returns (n_polys, n_keys) int64 values.
 
-
-def eval_hash_vector(q: PolyHash, xs: np.ndarray) -> np.ndarray:
-    """Vectorized Horner over int64 (safe: products stay below 2^62 for
-    p < 2^31, which choose_hash_params keeps to at desk scale)."""
-    p = q.prime
-    if p >= 1 << 31:
-        return np.array([eval_hash(q, int(x)) for x in xs], dtype=np.int64)
-    xs = np.asarray(xs, dtype=np.int64)
+    Horner with a reduction at every step, so no intermediate exceeds
+    (p - 1)^2 + (p - 1) = p(p - 1). That fits int64 when p(p - 1) < 2^63
+    (p up to about 3.04e9); above it the same loop runs on Python integers in
+    an object array, which cannot overflow.
+    """
+    p = int(p)
+    dtype = np.int64 if p * (p - 1) < 1 << 63 else object
+    coeffs = np.asarray(coeffs, dtype=dtype)
+    xs = np.asarray(xs, dtype=dtype)
     if np.any((xs < 0) | (xs >= p)):
         raise ValueError(f"keys outside [0, {p})")
-    acc = np.zeros_like(xs)
-    for c in reversed(q.coefficients):
-        acc = (acc * xs + c) % p
-    return acc
-
-
-def coefficient_matrix_eval(coeffs: np.ndarray, xs: np.ndarray, p: int) -> np.ndarray:
-    """Evaluate many polynomials (rows of coeffs, constant term first) at many
-    keys: returns (n_polys, n_keys). Used by the Monte-Carlo harnesses."""
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    xs = np.asarray(xs, dtype=np.int64)
-    acc = np.zeros((coeffs.shape[0], xs.shape[0]), dtype=np.int64)
+    acc = np.zeros((coeffs.shape[0], xs.shape[0]), dtype=dtype)
     for j in range(coeffs.shape[1] - 1, -1, -1):
         acc = (acc * xs[None, :] + coeffs[:, j : j + 1]) % p
-    return acc
-
-
-def marginal_one_probability(f_rand: RandomizedClassifier, x: int) -> float:
-    """Pr over a draw from the mixture that the label at x is +1."""
-    return float(f_rand.marginals[x])
+    return np.asarray(acc, dtype=np.int64)
 
 
 def plus_probability(marginal: float, p: int) -> Fraction:
@@ -157,24 +136,28 @@ def plus_probability(marginal: float, p: int) -> Fraction:
     return Fraction(math.floor(scaled), p)
 
 
-def _plus_decision(q_value: int, marginal: float, p: int) -> bool:
-    # +1 iff q(x) <= marginal * p - 1, i.e. q(x) + 1 <= marginal * p exactly.
-    return Fraction(q_value + 1) <= Fraction(marginal) * p
-
-
 def _plus_decision_vector(q_values: np.ndarray, marginals: np.ndarray, p: int) -> np.ndarray:
-    """Vectorized rounding decision with an exact check near the boundary.
+    """The rounding decision q(x) + 1 <= marginal * p, exact for every prime
+    below PRIME_LIMIT: floats decide, and comparisons in a window around the
+    boundary are redone in exact rational arithmetic.
 
-    The float product marginal*p is within p * 2^-53 < 1e-6 of the exact
-    rational value, so only comparisons inside that window can be decided
-    wrongly by floats; those are re-done in exact arithmetic.
+    Why the window |lhs - rhs| <= p * 2^-50 suffices, with u = 2^-53 the unit
+    roundoff: the float sides lhs = fl(fl(q) + 1) and rhs = fl(marginal * fl(p))
+    each pass through two roundings to nearest, so each is within a relative
+    2u + u^2 of its exact value, A = q + 1 <= p or B = marginal * p. Where the
+    float and the exact comparisons disagree, lhs - rhs and A - B do not have
+    the same strict sign, so |lhs - rhs| <= |lhs - A| + |rhs - B|, and B is
+    below p(1 + 5u) (either B < A, or B is within rounding of rhs < lhs). The
+    sum is then below 4.01 u p < p * 2^-50. For p <= 2^53 the argument is
+    simpler: q + 1 and p are floats, so lhs = A exactly, and round-to-nearest
+    is monotone, so a wrong float answer needs rhs == lhs. Above 2^53,
+    fl(q) + 1 is no longer exact, so the window has to grow with p.
     """
     lhs = q_values.astype(np.float64) + 1.0
     rhs = marginals * float(p)
     out = lhs <= rhs
-    near = np.abs(lhs - rhs) < 1e-6
-    for idx in np.nonzero(near)[0]:
-        out[idx] = _plus_decision(int(q_values[idx]), float(marginals[idx]), p)
+    for idx in np.nonzero(np.abs(lhs - rhs) <= p * 2.0**-50)[0]:
+        out[idx] = Fraction(int(q_values[idx]) + 1) <= Fraction(float(marginals[idx])) * p
     return out
 
 
@@ -205,15 +188,14 @@ class CompactClassifier:
                 raise ValueError(f"table label at {x} must be -1 or +1")
 
     def label(self, x: int) -> int:
-        if x in self.t_table:
-            return self.t_table[x]
-        marginal = marginal_one_probability(self.f_rand, x)
-        return 1 if _plus_decision(eval_hash(self.hash, x), marginal, self.range_size) else -1
+        if not 0 <= x < self.domain_size:
+            raise ValueError(f"point {x} outside the domain")
+        return int(self.label_vector()[x])
 
     @cached_property
     def _label_vector(self) -> np.ndarray:
-        xs = np.arange(self.domain_size)
-        q_vals = eval_hash_vector(self.hash, xs)
+        q_vals = coefficient_matrix_eval([self.hash.coefficients], np.arange(self.domain_size),
+                                         self.hash.prime)[0]
         plus = _plus_decision_vector(q_vals, self.f_rand.marginals[: self.domain_size], self.range_size)
         labels = np.where(plus, 1, -1).astype(np.int8)
         for x, lab in self.t_table.items():
@@ -315,8 +297,12 @@ def empirical_tail_bound_check(cfg: TailCheckConfig) -> TailCheckReport:
     """
     cfg = cfg.resolved()
     p, thr = cfg.prime, cfg.threshold
+    if p >= PRIME_LIMIT or not is_prime(p):
+        raise ValueError(f"tail-check prime {p} is not a prime below 2^62")
     if p <= cfg.n:
         raise ValueError("prime must exceed the number of keys")
+    if not 0 <= thr <= p:
+        raise ValueError(f"threshold {thr} outside [0, {p}]")
     rng = np.random.default_rng(cfg.seed)
     mu_one = thr / p
     mean = cfg.n * mu_one

@@ -86,7 +86,10 @@ def randomized_to_dict(f_rand: RandomizedClassifier) -> dict:
 
 
 def randomized_from_dict(doc: dict, cls: HypothesisClass) -> RandomizedClassifier:
-    return RandomizedClassifier(cls, tuple(doc["support_indices"]), np.asarray(doc["weights"]))
+    f_rand = RandomizedClassifier(cls, tuple(doc["support_indices"]), np.asarray(doc["weights"]))
+    if not f_rand.weight_sum_ok():
+        raise ValueError(f"mixture weights sum to {float(f_rand.weights.sum())!r}, expected 1")
+    return f_rand
 
 
 def save_randomized(path, f_rand: RandomizedClassifier) -> None:

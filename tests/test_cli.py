@@ -159,3 +159,18 @@ def test_eval_rejects_classifier_of_other_domain_size(tmp_path, capsys):
     clf.write_text(json.dumps(doc))
     assert main(["eval", str(clf), str(inst)]) == 2
     assert "domain size mismatch: classifier 12, distribution 15" in capsys.readouterr().err
+
+
+def test_eval_rejects_classifier_with_unnormalized_mixture(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    main(["gen", "--domain-size", "15", "-k", "2", "--hypotheses", "4",
+          "--seed", "3", "-o", str(inst)])
+    clf = tmp_path / "clf.json"
+    assert main(["derand", str(inst), "--eps", "0.25", "--delta", "0.25",
+                 "--mode", "calibrated", "--m-override", "800",
+                 "--rounding", "hash", "--seed", "4", "-o", str(clf)]) == 0
+    doc = json.loads(clf.read_text())
+    doc["randomized"]["weights"] = [0.3 * w for w in doc["randomized"]["weights"]]
+    clf.write_text(json.dumps(doc))
+    assert main(["eval", str(clf), str(inst)]) == 2
+    assert "multidist: error: mixture weights sum to 0.3" in capsys.readouterr().err

@@ -161,6 +161,20 @@ def test_bruteforce_returns_lex_smallest_minimizer():
         assert tuple(zc.z.tolist()) == best_z
 
 
+
+def test_oracles_agree_across_block_sizes():
+    # blocks of 1, 3 and 5 colorings split the 64 colorings of n = 7 into many
+    # blocks, the last one partial; the minimizer must not depend on the split
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        matrix = random_matrix(rng, 7)
+        rf = md.matrix_to_family(matrix)
+        zc, inf_n, two_n = md.bruteforce_min_discrepancy(matrix)
+        for block in (1, 3, 5):
+            zb, inf_b, two_b = md.bruteforce_min_discrepancy(matrix, block=block)
+            assert (zb.z.tolist(), inf_b, two_b) == (zc.z.tolist(), inf_n, two_n)
+            assert md.min_deterministic_error(rf, block=block) == md.min_deterministic_error(rf)
+
 def test_bruteforce_size_limit():
     with pytest.raises(ValueError):
         md.bruteforce_min_discrepancy(md.BinaryMatrix(np.eye(21, dtype=np.int8)))

@@ -5,14 +5,29 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multidist as md
 from multidist.hashing import (
+    PRIME_LIMIT,
     coefficient_matrix_eval,
-    eval_hash_vector,
     limited_independence_tail_bound,
     standard_hoeffding_bound,
 )
+
+
+def _horner(coeffs, x: int, p: int) -> int:
+    """Reference evaluation in Python integers, which never overflow."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + int(c)) % p
+    return acc
+
+
+def _eval(q: md.PolyHash, x: int) -> int:
+    """The package evaluator at one key."""
+    return int(coefficient_matrix_eval([q.coefficients], [x], q.prime)[0, 0])
 
 
 def test_is_prime_against_sympy():
@@ -48,7 +63,7 @@ def test_polyhash_validation():
     with pytest.raises(ValueError):
         md.PolyHash(5, ())
     q = md.PolyHash(5, (0, 0))  # all-zero coefficients are a legal draw
-    assert md.eval_hash(q, 3) == 0
+    assert _eval(q, 3) == 0
 
 
 def test_sample_hash_requires_even_degree():
@@ -57,7 +72,7 @@ def test_sample_hash_requires_even_degree():
         md.sample_hash(5, 3, rng)
     q = md.sample_hash(5, 1, rng, allow_degenerate=True)
     assert q.degree_r == 1  # constant polynomial, testing only
-    assert all(md.eval_hash(q, x) == q.coefficients[0] for x in range(5))
+    assert all(_eval(q, x) == q.coefficients[0] for x in range(5))
 
 
 def test_sample_hash_coefficient_uniformity():
@@ -75,13 +90,18 @@ def test_sample_hash_coefficient_uniformity():
 
 def test_eval_hash_example():
     q = md.PolyHash(7, (3, 2))
-    assert md.eval_hash(q, 4) == (3 + 2 * 4) % 7
+    assert _eval(q, 4) == (3 + 2 * 4) % 7
 
 
 def test_eval_hash_bounds():
     q = md.PolyHash(7, (1, 1))
     with pytest.raises(ValueError):
-        md.eval_hash(q, 7)
+        _eval(q, 7)
+    # both arithmetic paths, negative keys, and a bad key among good ones
+    for p in (7, md.next_prime(2**40)):
+        for key in (-1, p):
+            with pytest.raises(ValueError, match="outside"):
+                coefficient_matrix_eval([[1, 1]], [0, key], p)
 
 
 def test_eval_hash_against_bigint_oracle():
@@ -92,15 +112,15 @@ def test_eval_hash_against_bigint_oracle():
         q = md.PolyHash(p, coeffs)
         x = int(rng.integers(0, p))
         oracle = sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p
-        assert md.eval_hash(q, x) == oracle
+        assert _eval(q, x) == oracle
 
 
 def test_eval_hash_vector_matches_scalar():
     rng = np.random.default_rng(5)
     q = md.sample_hash(211, 6, rng)
     xs = rng.integers(0, 211, size=100)
-    vec = eval_hash_vector(q, xs)
-    assert vec.tolist() == [md.eval_hash(q, int(x)) for x in xs]
+    vec = coefficient_matrix_eval([q.coefficients], xs, q.prime)[0]
+    assert vec.tolist() == [_horner(q.coefficients, int(x), q.prime) for x in xs]
 
 
 def test_pairwise_independence_exhaustive_p5():
@@ -115,7 +135,7 @@ def test_pairwise_independence_exhaustive_p5():
             for a0 in range(p):
                 for a1 in range(p):
                     q = md.PolyHash(p, (a0, a1))
-                    images.add((md.eval_hash(q, x1), md.eval_hash(q, x2)))
+                    images.add((_eval(q, x1), _eval(q, x2)))
             assert len(images) == p * p
 
 
@@ -132,10 +152,10 @@ def test_threewise_independence_exhaustive_p7():
 def test_marginal_one_probability():
     fam, cls, F = md.gen_gap_example(5)
     for j in range(5):
-        assert md.marginal_one_probability(F, j) == pytest.approx(1 - 1 / 5, abs=1e-15)
+        assert F.marginals[j] == pytest.approx(1 - 1 / 5, abs=1e-15)
     single = md.RandomizedClassifier(cls, (2,), np.array([1.0]))
-    assert md.marginal_one_probability(single, 2) == 0.0
-    assert md.marginal_one_probability(single, 0) == 1.0
+    assert single.marginals[2] == 0.0
+    assert single.marginals[0] == 1.0
 
 
 def test_plus_probability_floor_law():
@@ -212,9 +232,88 @@ def test_compact_vector_boundary_matches_exact_decision():
         F = md.RandomizedClassifier(cls, (0, 1), np.array([marginal, 1 - marginal]))
         clf = md.CompactClassifier(q, {}, F, n, p)
         for x in range(n):
-            want = 1 if Fraction(md.eval_hash(q, x) + 1) <= Fraction(marginal) * p else -1
+            want = 1 if Fraction(_horner(q.coefficients, x, p) + 1) <= Fraction(marginal) * p else -1
             assert clf.label(x) == want
         assert clf.label_vector().tolist() == [clf.label(x) for x in range(n)]
+
+
+def _primes_of_bits(lo: int, hi: int):
+    """Primes at every scale from 2^lo to 2^hi: a bit length, then the next
+    prime after a number of that length (2^62 - 57 is the last prime below
+    PRIME_LIMIT)."""
+    return st.integers(lo, hi).flatmap(lambda b: st.integers(1 << b, (1 << (b + 1)) - 1)).map(
+        lambda n: md.next_prime(min(n, PRIME_LIMIT - 57)))
+
+
+primes = _primes_of_bits(1, 61)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), primes, st.integers(1, 12))
+def test_evaluator_matches_python_int_horner(data, p, r):
+    rows = data.draw(st.integers(1, 4))
+    coeffs = [[data.draw(st.integers(0, p - 1)) for _ in range(r)] for _ in range(rows)]
+    xs = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6))
+    got = coefficient_matrix_eval(coeffs, xs, p)
+    assert got.dtype == np.int64 and got.shape == (rows, len(xs))
+    assert got.tolist() == [[_horner(row, x, p) for x in xs] for row in coeffs]
+
+
+def test_evaluator_exact_where_int64_products_overflow():
+    # (p - 1)^2 is about 2^80 here: int64 Horner wraps without an error
+    p = md.next_prime(2**40)
+    x = 2**30 + 7
+    coeffs = np.random.default_rng(10).integers(0, p, size=(50, 4))
+    got = coefficient_matrix_eval(coeffs, [x], p)[:, 0]
+    assert got.tolist() == [_horner(row, x, p) for row in coeffs]
+
+
+def _constant_hash_classifier(p: int, q0: int, marginal: float, n: int = 3):
+    """q(x) = q0 at every point and mixture marginal `marginal` everywhere."""
+    cls = md.HypothesisClass((md.Hypothesis(np.ones(n, dtype=np.int8)),
+                              md.Hypothesis(-np.ones(n, dtype=np.int8))))
+    F = md.RandomizedClassifier(cls, (0, 1), np.array([marginal, 1.0 - marginal]))
+    return md.CompactClassifier(md.PolyHash(p, (q0, 0)), {}, F, n, p)
+
+
+def _fraction_rule(q_value: int, marginal: float, p: int) -> int:
+    return 1 if Fraction(q_value + 1) <= Fraction(marginal) * p else -1
+
+
+# above 2^53 neither q + 1 nor p need be a float, so those primes are drawn
+# twice as often; floats() favours simple values, so uniform ones are mixed in
+@settings(max_examples=300, deadline=None)
+@given(_primes_of_bits(2, 61) | _primes_of_bits(53, 61),
+       st.floats(0.0, 1.0) | st.integers(0, 2**32 - 1).map(
+           lambda seed: float(np.random.default_rng(seed).random())),
+       st.integers(-2, 1))
+def test_label_vector_matches_fraction_rule(p, marginal, step):
+    # q0 + 1 within two of marginal * p, on both sides of the boundary
+    q0 = min(max(math.floor(Fraction(marginal) * p) + step, 0), p - 1)
+    clf = _constant_hash_classifier(p, q0, marginal)
+    want = _fraction_rule(q0, float(clf.f_rand.marginals[0]), p)
+    assert clf.label_vector().tolist() == [want] * 3
+    assert clf.label(0) == want
+
+
+def test_label_vector_exact_at_float_tie_above_2_53():
+    # q0 = 2^53 + 81 sits halfway between floats, so fl(fl(q0) + 1) = q0 - 1,
+    # while m * p = q0 + 1/2 rounds up to q0 + 1: floats say +1, the rule -1
+    p = md.next_prime(2**54 + 1)
+    q0 = 9007199254741073
+    marginal = 0.5 + 2.0**-53  # the float after 0.5
+    assert abs(Fraction(marginal) * p - q0 - Fraction(1, 2)) < Fraction(1, 100)
+    clf = _constant_hash_classifier(p, q0, marginal)
+    assert _fraction_rule(q0, float(clf.f_rand.marginals[0]), p) == -1
+    assert clf.label(0) == -1
+    assert clf.label_vector().tolist() == [-1, -1, -1]
+
+
+def test_compact_label_rejects_points_outside_domain():
+    clf = _constant_hash_classifier(7, 3, 0.5)
+    for x in (-1, 3):
+        with pytest.raises(ValueError, match="outside the domain"):
+            clf.label(x)
 
 
 def test_choose_hash_params_examples():
@@ -263,6 +362,25 @@ def test_tail_check_hash_mode_within_bound():
     thr = report.config.threshold
     assert report.mean == 64 * thr / p
     assert report.variance == pytest.approx(64 * (thr / p) * (1 - thr / p))
+
+
+def test_tail_check_rejects_composite_prime():
+    with pytest.raises(ValueError, match="65 is not a prime"):
+        md.empirical_tail_bound_check(md.TailCheckConfig(n=16, prime=65, draws=10))
+
+
+def test_tail_check_rejects_prime_at_or_above_limit():
+    assert sympy.isprime(PRIME_LIMIT + 135)
+    with pytest.raises(ValueError, match="not a prime below 2\\^62"):
+        md.empirical_tail_bound_check(md.TailCheckConfig(n=16, prime=PRIME_LIMIT + 135,
+                                                         draws=10))
+
+
+def test_tail_check_rejects_threshold_outside_range():
+    for threshold in (-1, 18):
+        with pytest.raises(ValueError, match="threshold"):
+            md.empirical_tail_bound_check(md.TailCheckConfig(n=16, prime=17, threshold=threshold,
+                                                             draws=10))
 
 
 def test_tail_check_independent_mode_cross_check():
