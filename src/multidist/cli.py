@@ -226,6 +226,7 @@ def cmd_trial(args) -> int:
 
 
 def cmd_hashcheck(args) -> int:
+    tail_cfg = TailCheckConfig(n=args.n, r=args.r, draws=args.draws, seed=args.seed).resolved()
     failures = []
 
     # exhaustive pairwise independence at p=5 (all coefficient pairs, all key pairs)
@@ -254,8 +255,7 @@ def cmd_hashcheck(args) -> int:
             failures.append(f"rounding law off at marginal {marginal}")
     print(f"rounding law p=7: {'ok' if law_fail == 0 else 'FAILED'}")
 
-    report = empirical_tail_bound_check(TailCheckConfig(
-        n=args.n, r=args.r, draws=args.draws, seed=args.seed))
+    report = empirical_tail_bound_check(tail_cfg)
     for row in report.rows:
         status = "ok" if row.ok else "VIOLATION"
         print(f"tail T={row.t:.3f}: observed={row.observed:.6f} bound={row.bound:.6f} {status}")

@@ -21,6 +21,8 @@ import numpy as np
 from .model import RandomizedClassifier
 
 PRIME_LIMIT = 1 << 62
+# Hash values per block of the tail check: 2 MiB of int64, small enough to stay in cache.
+TAIL_BLOCK_VALUES = 1 << 18
 # Witnesses making Miller-Rabin deterministic for all n < 3.3e24 (covers 64-bit).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -109,20 +111,46 @@ def coefficient_matrix_eval(coeffs, xs, p: int) -> np.ndarray:
     """Evaluate many polynomials (rows of coeffs in [0, p), constant term
     first) at many keys in [0, p): returns (n_polys, n_keys) int64 values.
 
-    Horner with a reduction at every step, so no intermediate exceeds
-    (p - 1)^2 + (p - 1) = p(p - 1). That fits int64 when p(p - 1) < 2^63
-    (p up to about 3.04e9); above it the same loop runs on Python integers in
-    an object array, which cannot overflow.
+    Horner in place, starting from the leading coefficients, with lazy
+    reduction. Invariant: every entry of acc lies in [0, bound]. bound is
+    p - 1 at the start and after each reduction (coefficients and keys are
+    checked to lie in [0, p)), and a step acc * x + c turns it into
+    bound * (p - 1) + (p - 1). acc is reduced mod p only before a step whose
+    new bound would exceed `cap`, and once at the end. Why this is exact: no
+    entry ever exceeds `cap`, so every product and sum is computed without
+    overflow, and (a mod p) * x + c = a * x + c (mod p), so reducing at some
+    steps instead of all of them leaves the final residue unchanged.
+
+    In int64, `cap` is 2^63 - 1, so at p = 67 and r = 4 the loop reduces only
+    at the end. A reduced acc steps to at most p(p - 1), which fits int64
+    while p(p - 1) < 2^63 (p up to about 3.04e9). Above that the same loop
+    runs on Python integers in an object array, which cannot overflow; there
+    `cap` is p(p - 1), so it reduces at every step and the integers stay
+    small.
     """
     p = int(p)
     dtype = np.int64 if p * (p - 1) < 1 << 63 else object
+    cap = (1 << 63) - 1 if dtype is np.int64 else p * (p - 1)
     coeffs = np.asarray(coeffs, dtype=dtype)
     xs = np.asarray(xs, dtype=dtype)
+    if coeffs.ndim != 2 or coeffs.shape[1] < 1:
+        raise ValueError(f"coefficients must be a 2-D array with at least one column, "
+                         f"got shape {coeffs.shape}")
+    if np.any((coeffs < 0) | (coeffs >= p)):
+        raise ValueError(f"coefficients outside [0, {p})")
     if np.any((xs < 0) | (xs >= p)):
         raise ValueError(f"keys outside [0, {p})")
-    acc = np.zeros((coeffs.shape[0], xs.shape[0]), dtype=dtype)
-    for j in range(coeffs.shape[1] - 1, -1, -1):
-        acc = (acc * xs[None, :] + coeffs[:, j : j + 1]) % p
+    acc = np.empty((coeffs.shape[0], xs.shape[0]), dtype=dtype)
+    acc[...] = coeffs[:, -1:]
+    bound = p - 1
+    for j in range(coeffs.shape[1] - 2, -1, -1):
+        if bound * (p - 1) + (p - 1) > cap:
+            np.remainder(acc, p, out=acc)
+            bound = p - 1
+        np.multiply(acc, xs, out=acc)
+        np.add(acc, coeffs[:, j : j + 1], out=acc)
+        bound = bound * (p - 1) + (p - 1)
+    np.remainder(acc, p, out=acc)
     return np.asarray(acc, dtype=np.int64)
 
 
@@ -259,8 +287,22 @@ class TailCheckConfig:
     seed: int = 0
 
     def resolved(self) -> "TailCheckConfig":
+        """This config with its defaults filled in; raises ValueError on a
+        config the check cannot run, before any work is done."""
+        if self.n < 1:
+            raise ValueError(f"tail check needs n >= 1 keys, got {self.n}")
+        if self.draws < 1:
+            raise ValueError(f"tail check needs draws >= 1, got {self.draws}")
+        if not self.independent and (self.r < 2 or self.r % 2 != 0):
+            raise ValueError(f"tail-check degree r must be an even integer >= 2, got {self.r}")
         p = self.prime if self.prime is not None else next_prime(self.n + 1)
         thr = self.threshold if self.threshold is not None else p // 2
+        if p >= PRIME_LIMIT or not is_prime(p):
+            raise ValueError(f"tail-check prime {p} is not a prime below 2^62")
+        if p <= self.n:
+            raise ValueError("prime must exceed the number of keys")
+        if not 0 <= thr <= p:
+            raise ValueError(f"threshold {thr} outside [0, {p}]")
         ts = self.t_values or tuple(c * math.sqrt(self.n) for c in (0.5, 1.0, 2.0))
         return TailCheckConfig(self.n, self.r, self.draws, ts, p, thr, self.independent, self.seed)
 
@@ -291,29 +333,33 @@ def empirical_tail_bound_check(cfg: TailCheckConfig) -> TailCheckReport:
     compare against the limited-independence tail bound (or plain Hoeffding in
     independent mode, as a harness cross-check).
 
+    The draws stream in blocks of about TAIL_BLOCK_VALUES hash values, each
+    reduced at once to its per-draw counts Z, so memory stays bounded
+    whatever the number of draws.
+
     Each indicator has exactly known mean threshold/p, so mu and sigma^2 are
     exact. A row fails only if the observed frequency exceeds the bound by
     more than 3 binomial standard errors.
     """
     cfg = cfg.resolved()
     p, thr = cfg.prime, cfg.threshold
-    if p >= PRIME_LIMIT or not is_prime(p):
-        raise ValueError(f"tail-check prime {p} is not a prime below 2^62")
-    if p <= cfg.n:
-        raise ValueError("prime must exceed the number of keys")
-    if not 0 <= thr <= p:
-        raise ValueError(f"threshold {thr} outside [0, {p}]")
     rng = np.random.default_rng(cfg.seed)
     mu_one = thr / p
     mean = cfg.n * mu_one
     variance = cfg.n * mu_one * (1.0 - mu_one)
 
-    if cfg.independent:
-        values = rng.integers(0, p, size=(cfg.draws, cfg.n))
-    else:
-        coeffs = rng.integers(0, p, size=(cfg.draws, cfg.r))
-        values = coefficient_matrix_eval(coeffs, np.arange(cfg.n), p)
-    z = (values < thr).sum(axis=1)
+    # Chunked int64 draws continue the generator's stream exactly, so the
+    # blocks see the same values as one (draws, r) or (draws, n) call would.
+    keys = np.arange(cfg.n)
+    block = max(1, TAIL_BLOCK_VALUES // cfg.n)
+    z = np.empty(cfg.draws, dtype=np.int64)
+    for start in range(0, cfg.draws, block):
+        b = min(block, cfg.draws - start)
+        if cfg.independent:
+            values = rng.integers(0, p, size=(b, cfg.n))
+        else:
+            values = coefficient_matrix_eval(rng.integers(0, p, size=(b, cfg.r)), keys, p)
+        z[start : start + b] = np.count_nonzero(values < thr, axis=1)
 
     rows = []
     for t in cfg.t_values:

@@ -109,6 +109,16 @@ def test_hashcheck_cli():
     assert main(["hashcheck", "--draws", "20000", "--seed", "0"]) == 0
 
 
+def test_hashcheck_rejects_bad_tail_config_before_any_check(capsys):
+    for flags, message in ((["--draws", "0"], "draws >= 1"),
+                           (["--r", "3", "--draws", "1000"], "got 3"),
+                           (["--n", "0"], "n >= 1")):
+        assert main(["hashcheck", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("multidist: error: ") and message in err
+
+
 def test_trial_outdir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("MULTIDIST_OUTDIR", str(tmp_path / "envout"))
     rc = main(["trial", "--domain-size", "15", "-k", "2", "--hypotheses", "4",

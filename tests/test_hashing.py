@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 import multidist as md
 from multidist.hashing import (
     PRIME_LIMIT,
+    TAIL_BLOCK_VALUES,
+    TailCheckReport,
+    TailCheckRow,
     coefficient_matrix_eval,
     limited_independence_tail_bound,
     standard_hoeffding_bound,
@@ -259,6 +262,53 @@ def test_evaluator_matches_python_int_horner(data, p, r):
     assert got.tolist() == [[_horner(row, x, p) for x in xs] for row in coeffs]
 
 
+# the largest prime with p(p - 1) < 2^63 and the next one, on the two sides of
+# the int64 / Python-integer split
+SPLIT_PRIMES = (3037000493, 3037000507)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _primes_of_bits(1, 20) | st.sampled_from(SPLIT_PRIMES), st.integers(1, 40))
+def test_lazy_reduction_matches_python_int_horner(data, p, r):
+    # at small p the int64 loop skips several reductions, then reduces in mid-loop
+    rows = data.draw(st.integers(1, 3))
+    coeffs = [[data.draw(st.integers(0, p - 1)) for _ in range(r)] for _ in range(rows)]
+    xs = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=5))
+    got = coefficient_matrix_eval(coeffs, xs, p)
+    assert got.tolist() == [[_horner(row, x, p) for x in xs] for row in coeffs]
+
+
+def test_lazy_reduction_exact_at_worst_case_bound():
+    # every coefficient and the key p - 1 make each step reach its bound, so a
+    # reduction skipped once too often overflows int64
+    for p in (2, 3, 5, 7, 11, 67, 1009, 65537, 2**31 - 1, *SPLIT_PRIMES):
+        for r in range(1, 41):
+            coeffs = [[p - 1] * r, [p - 1] * (r - 1) + [1]]
+            xs = [p - 1, p - 2, 1, 0]
+            got = coefficient_matrix_eval(coeffs, xs, p)
+            assert got.tolist() == [[_horner(row, x, p) for x in xs] for row in coeffs], (p, r)
+
+
+def test_split_primes_straddle_int64_products():
+    below, above = SPLIT_PRIMES
+    assert sympy.isprime(below) and sympy.isprime(above)
+    assert sympy.nextprime(below) == above
+    assert below * (below - 1) < 2**63 <= above * (above - 1)
+
+
+def test_evaluator_rejects_unreduced_coefficients():
+    for p in (7, md.next_prime(2**40)):
+        for coeffs in ([[p + 2, 1]], [[1, p]], [[-1, 1]], [[1, 2], [3, p + 2]]):
+            with pytest.raises(ValueError, match="coefficients outside"):
+                coefficient_matrix_eval(coeffs, [0, 1], p)
+
+
+def test_evaluator_rejects_coefficients_not_2d_with_a_column():
+    for coeffs in ([1, 2], 3, np.zeros((3, 0), dtype=np.int64), np.zeros((1, 2, 2), dtype=np.int64)):
+        with pytest.raises(ValueError, match="2-D array with at least one column"):
+            coefficient_matrix_eval(coeffs, [0, 1], 7)
+
+
 def test_evaluator_exact_where_int64_products_overflow():
     # (p - 1)^2 is about 2^80 here: int64 Horner wraps without an error
     p = md.next_prime(2**40)
@@ -381,6 +431,71 @@ def test_tail_check_rejects_threshold_outside_range():
         with pytest.raises(ValueError, match="threshold"):
             md.empirical_tail_bound_check(md.TailCheckConfig(n=16, prime=17, threshold=threshold,
                                                              draws=10))
+
+
+def test_tail_check_rejects_odd_or_zero_degree_before_any_work(monkeypatch):
+    def no_evaluation(*args):
+        raise AssertionError("the hashes were evaluated before the config was checked")
+
+    monkeypatch.setattr(md.hashing, "coefficient_matrix_eval", no_evaluation)
+    for r in (3, 0, -2):
+        with pytest.raises(ValueError, match=f"degree r must be an even integer >= 2, got {r}"):
+            md.empirical_tail_bound_check(md.TailCheckConfig(n=16, r=r, draws=1000))
+
+
+def test_tail_check_rejects_no_draws():
+    for draws in (0, -1):
+        with pytest.raises(ValueError, match="draws >= 1"):
+            md.empirical_tail_bound_check(md.TailCheckConfig(n=16, draws=draws))
+
+
+def test_tail_check_rejects_no_keys():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n >= 1"):
+            md.empirical_tail_bound_check(md.TailCheckConfig(n=n, draws=100))
+
+
+def _one_shot_report(cfg: md.TailCheckConfig) -> TailCheckReport:
+    """The tail check with every draw in one matrix: one rng call, the whole
+    (draws, n) matrix of hash values, then the same rows."""
+    cfg = cfg.resolved()
+    p, thr = cfg.prime, cfg.threshold
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.independent:
+        values = rng.integers(0, p, size=(cfg.draws, cfg.n))
+    else:
+        values = coefficient_matrix_eval(rng.integers(0, p, size=(cfg.draws, cfg.r)),
+                                         np.arange(cfg.n), p)
+    z = (values < thr).sum(axis=1)
+    mu_one = thr / p
+    mean, variance = cfg.n * mu_one, cfg.n * mu_one * (1.0 - mu_one)
+    rows = []
+    for t in cfg.t_values:
+        observed = float(np.mean(np.abs(z - mean) >= t))
+        if cfg.independent:
+            bound = standard_hoeffding_bound(t, cfg.n)
+        else:
+            bound = limited_independence_tail_bound(t, cfg.r, max(cfg.r, variance))
+        capped = min(bound, 1.0)
+        slack = 3.0 * math.sqrt(capped * (1.0 - capped) / cfg.draws)
+        rows.append(TailCheckRow(t, observed, bound, slack, observed <= capped + slack))
+    return TailCheckReport(cfg, mean, variance, tuple(rows))
+
+
+@pytest.mark.parametrize("independent", [False, True])
+@pytest.mark.parametrize("n, draws, prime", [
+    (64, 1000, None),           # fewer draws than one block of 4096
+    (64, 9001, None),           # two full blocks and a partial one
+    (64, 5000, 1009),
+    (64, 5000, 2**40 + 15),
+    (2**18 + 3, 3, None),       # more keys than a block holds: one draw per block
+    (16, 700, md.next_prime(2**32)),  # Python-integer evaluation
+])
+def test_streamed_tail_check_equals_one_shot(n, draws, prime, independent):
+    assert TAIL_BLOCK_VALUES == 2**18
+    cfg = md.TailCheckConfig(n=n, r=4, draws=draws, prime=prime, independent=independent,
+                             seed=draws + n)
+    assert md.empirical_tail_bound_check(cfg) == _one_shot_report(cfg)
 
 
 def test_tail_check_independent_mode_cross_check():
