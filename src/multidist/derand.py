@@ -54,8 +54,10 @@ class DerandConfig:
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0 and 0.0 < self.delta < 1.0):
             raise ValueError("eps and delta must lie in (0, 1)")
-        if self.c_const <= 0 or self.c_prime <= 0:
-            raise ValueError("constants must be positive")
+        for name in ("c_const", "c_prime", "threshold_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.mode not in ("theory", "calibrated"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.rounding not in ("explicit", "hash"):
@@ -63,8 +65,6 @@ class DerandConfig:
         if self.mode == "calibrated":
             if self.m_override is None or self.m_override < 1:
                 raise ValueError("calibrated mode needs a positive m_override")
-            if self.threshold_scale <= 0:
-                raise ValueError("threshold_scale must be positive")
 
     def gamma(self, k: int) -> float:
         return self.c_const * k / (self.eps * self.delta)

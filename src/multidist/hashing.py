@@ -136,6 +136,8 @@ def coefficient_matrix_eval(coeffs, xs, p: int) -> np.ndarray:
     if coeffs.ndim != 2 or coeffs.shape[1] < 1:
         raise ValueError(f"coefficients must be a 2-D array with at least one column, "
                          f"got shape {coeffs.shape}")
+    if xs.ndim != 1:
+        raise ValueError(f"keys must be a 1-D array, got shape {xs.shape}")
     if np.any((coeffs < 0) | (coeffs >= p)):
         raise ValueError(f"coefficients outside [0, {p})")
     if np.any((xs < 0) | (xs >= p)):

@@ -41,6 +41,8 @@ class EmpiricalSample:
             raise ValueError("xs and ys must be parallel one-dimensional arrays")
         if not np.all((ys == 1) | (ys == -1)):
             raise ValueError("labels must be -1 or +1")
+        if np.any((xs < 0) | (xs >= self.domain_size)):
+            raise ValueError(f"sample points must lie in [0, {self.domain_size})")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
@@ -57,16 +59,28 @@ class EmpiricalSample:
         return LabeledDistribution(counts / len(self), eta)
 
 
+def _draw(cum_mass: np.ndarray, label_one_prob: np.ndarray, size: int,
+          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """size i.i.d. draws from each of r members, given as (r, n) cumulative
+    masses and label probabilities: (r, size) points by inverse CDF, and
+    (r, size) booleans, True where the conditional label coin gives +1.
+
+    One rng.random((r, 2, size)) call fills member 0's point uniforms, then
+    its label uniforms, then member 1's, and so on: the stream is used
+    exactly as r consecutive pairs of rng.random(size) calls use it.
+    """
+    u = rng.random((cum_mass.shape[0], 2, size))
+    xs = np.stack([np.searchsorted(cum, ui, side="right") for cum, ui in zip(cum_mass, u[:, 0])])
+    np.minimum(xs, cum_mass.shape[1] - 1, out=xs)
+    return xs, u[:, 1] < np.take_along_axis(label_one_prob, xs, axis=1)
+
+
 def draw_batch(member: LabeledDistribution, size: int, rng: np.random.Generator
                ) -> tuple[np.ndarray, np.ndarray]:
     """size i.i.d. draws (x, y): inverse-CDF over the mass vector, then a
     conditional label coin per draw."""
-    cum = np.cumsum(member.mass)
-    u = rng.random(size)
-    xs = np.searchsorted(cum, u, side="right")
-    np.clip(xs, 0, member.domain_size - 1, out=xs)
-    ys = np.where(rng.random(size) < member.label_one_prob[xs], 1, -1).astype(np.int8)
-    return xs.astype(np.int64), ys
+    xs, plus = _draw(np.cumsum(member.mass)[None], member.label_one_prob[None], size, rng)
+    return xs[0].astype(np.int64), np.where(plus[0], 1, -1).astype(np.int8)
 
 
 def draw_sample(member: LabeledDistribution, rng: np.random.Generator) -> tuple[int, int]:
@@ -134,8 +148,8 @@ class HedgeConfig:
     def resolve(self, k: int, eps: float) -> tuple[int, float]:
         if self.rounds is not None and self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.eta is not None and self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
         if self.erm_sample_size < 1:
             raise ValueError("erm_sample_size must be >= 1")
         # k = 1 would give eta = 0; ln 2 keeps eta positive and is otherwise
@@ -146,13 +160,14 @@ class HedgeConfig:
         return rounds, eta
 
 
-def _mixture(fam: DistributionFamily, w: np.ndarray) -> LabeledDistribution:
-    """The w-weighted mixture as a labeled distribution. Its error against any
-    h equals sum_i w_i er_{D_i}(h)."""
-    mass = w @ fam.mass_matrix
-    numer = w @ (fam.mass_matrix * fam.label_prob_matrix)
-    eta = np.divide(numer, mass, out=np.full(fam.domain.size, 0.5), where=mass > 0)
-    return LabeledDistribution(mass / mass.sum(), eta)
+def _mixture(mass: np.ndarray, label_one_prob: np.ndarray, w: np.ndarray) -> LabeledDistribution:
+    """The w-weighted mixture of the members given as (k, n) mass and label
+    probability arrays, as a labeled distribution. Its error against any h
+    equals sum_i w_i er_{D_i}(h)."""
+    mix = w @ mass
+    numer = w @ (mass * label_one_prob)
+    eta = np.divide(numer, mix, out=np.full(mass.shape[1], 0.5), where=mix > 0)
+    return LabeledDistribution(mix / mix.sum(), eta)
 
 
 def erm(cls: HypothesisClass, data: LabeledDistribution | EmpiricalSample) -> int:
@@ -189,47 +204,61 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: f
     hypotheses (duplicate choices merged by summing weights).
 
     In exact mode the procedure is deterministic: the |H| x k error matrix E
-    is computed once, and each round's best response is argmin_h (E @ w)[h],
-    the exact ERM over the w-weighted mixture. In sampling mode each round
-    draws cfg.erm_sample_size fresh samples per member from the oracle's
-    stream, and both the ERM and the weight update use the resulting empirical
-    measures. delta only enters through the caller's contract—Hedge itself has
-    no failure branch in exact mode.
+    and its update factors exp(eta * E) are computed once, and each round's
+    best response is argmin_h (E @ w)[h], the exact ERM over the w-weighted
+    mixture. In sampling mode each round draws cfg.erm_sample_size fresh
+    samples per member from the oracle's stream (in one batch, using the
+    stream as k consecutive draw calls would), and both the ERM and the
+    weight update use the resulting empirical measures. delta only enters
+    through the caller's contract—Hedge itself has no failure branch in
+    exact mode.
     """
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
         raise ValueError("eps and delta must lie in (0, 1)")
     cfg = cfg or HedgeConfig()
     fam = oracle.family
-    k = fam.k
+    k, n = fam.k, fam.domain.size
     rounds, eta = cfg.resolve(k, eps)
+    plus = plus_rows(cls.label_matrix)
 
     if oracle.exact:
-        err_matrix = error_matrix(plus_rows(cls.label_matrix), fam)
+        err_matrix = error_matrix(plus, fam)
+        # row h is np.exp(eta * err_matrix[h]) element for element
+        factors = np.exp(eta * err_matrix)
+        scores = np.empty(len(cls))
+    else:
+        m = cfg.erm_sample_size
+        cum_mass = np.cumsum(fam.mass_matrix, axis=1)
+        cell_offsets = np.arange(k)[:, None] * n
 
     w = np.full(k, 1.0 / k)
-    counts: dict[int, int] = {}
+    chosen = np.empty(rounds, dtype=np.intp)
     for t in range(rounds):
         if oracle.exact:
-            # np.argmin breaks ties to the lowest index, as erm does
-            h_idx = int(np.argmin(err_matrix @ w))
-            errs = err_matrix[h_idx]
+            np.dot(err_matrix, w, out=scores)
+            # argmin breaks ties to the lowest index, as erm does
+            h_idx = int(scores.argmin())
+            errs, factor = err_matrix[h_idx], factors[h_idx]
         else:
-            empiricals = [
-                EmpiricalSample(*oracle.draw(i, cfg.erm_sample_size), fam.domain.size).to_distribution()
-                for i in range(k)
-            ]
-            emp_fam = DistributionFamily(fam.domain, tuple(empiricals))
-            h_idx = erm(cls, _mixture(emp_fam, w))
-            errs = error_matrix(plus_rows(cls.label_matrix[h_idx]), emp_fam)
-        counts[h_idx] = counts.get(h_idx, 0) + 1
+            # m fresh draws per member, tallied into (k, n) point and +1 counts
+            xs, positive = _draw(cum_mass, fam.label_prob_matrix, m, oracle.rng)
+            xs += cell_offsets
+            counts = np.bincount(xs.ravel(), minlength=k * n).reshape(k, n).astype(np.float64)
+            pos = np.bincount(xs[positive], minlength=k * n).reshape(k, n).astype(np.float64)
+            emp_mass = counts / m
+            emp_eta = np.divide(pos, counts, out=np.full((k, n), 0.5), where=counts > 0)
+            h_idx = erm(cls, _mixture(emp_mass, emp_eta, w))
+            errs = error_matrix(plus[h_idx], (emp_mass, emp_eta))
+            factor = np.exp(eta * errs)
+        chosen[t] = h_idx
         if trace is not None:
-            trace.append(HedgeRound(t, h_idx, tuple(float(e) for e in errs), tuple(float(v) for v in w)))
-        w = w * np.exp(eta * errs)
-        w = w / w.sum()
+            trace.append(HedgeRound(t, h_idx, tuple(errs.tolist()), tuple(w.tolist())))
+        np.multiply(w, factor, out=w)
+        np.divide(w, np.add.reduce(w), out=w)
 
-    support = tuple(sorted(counts))
-    weights = np.array([counts[i] / rounds for i in support])
-    return RandomizedClassifier(cls, support, weights)
+    picks = np.bincount(chosen, minlength=len(cls))
+    support = np.flatnonzero(picks)
+    return RandomizedClassifier(cls, tuple(support.tolist()), picks[support] / rounds)
 
 
 def make_hedge_learner(cfg: HedgeConfig | None = None):

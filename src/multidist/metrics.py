@@ -56,7 +56,8 @@ def plus_rows(labels) -> np.ndarray:
     return (np.asarray(labels) == 1).astype(np.float64)
 
 
-def error_matrix(plus: np.ndarray, fam: DistributionFamily | LabeledDistribution,
+def error_matrix(plus: np.ndarray,
+                 fam: DistributionFamily | LabeledDistribution | tuple[np.ndarray, np.ndarray],
                  mask: np.ndarray | None = None) -> np.ndarray:
     """Exact errors of labelings on every member: the (r, k) core of every
     error in the package.
@@ -65,25 +66,51 @@ def error_matrix(plus: np.ndarray, fam: DistributionFamily | LabeledDistribution
     for a deterministic classifier, the marginals for a mixture. Entry (j, i)
     is sum_x D_i(x) * (plus_j(x) (1 - eta_i(x)) + (1 - plus_j(x)) eta_i(x)),
     summed over the masked points only when a boolean mask is given. A
-    one-dimensional plus gives a (k,) vector; a single distribution counts as
-    a one-member family.
+    one-dimensional plus gives a (k,) vector. The members are a family, a
+    single distribution (a one-member family), or a pair (mass, eta) of
+    (k, n) arrays.
+
+    The loop runs over the labelings or over the members, whichever are
+    fewer, and reuses two (max(r, k), n) work buffers. Each entry takes the
+    same operations in either order: every term is the same product, and
+    each entry sums one contiguous row of n (or masked) terms.
     """
     plus = np.asarray(plus, dtype=np.float64)
-    members = fam.members if isinstance(fam, DistributionFamily) else (fam,)
-    n = members[0].domain_size
+    if isinstance(fam, DistributionFamily):
+        mass, eta = fam.mass_matrix, fam.label_prob_matrix
+    elif isinstance(fam, LabeledDistribution):
+        mass, eta = fam.mass[None], fam.label_one_prob[None]
+    else:
+        mass, eta = (np.asarray(a, dtype=np.float64) for a in fam)
+        if mass.ndim != 2 or mass.shape != eta.shape:
+            raise ValueError(f"member arrays must be two (k, n) arrays of one shape, "
+                             f"got {mass.shape} and {eta.shape}")
+    k, n = mass.shape
     if plus.shape[-1] != n:
         raise ValueError(f"domain size mismatch: classifier {plus.shape[-1]}, distribution {n}")
-    minus = 1.0 - plus
-    out = []
-    for m in members:
-        eta = m.label_one_prob
-        terms = m.mass * (plus * (1.0 - eta) + minus * eta)
-        if mask is not None:
+    rows = plus.reshape(-1, n)
+    r = rows.shape[0]
+    minus, eta_minus = 1.0 - rows, 1.0 - eta
+    out = np.empty((r, k))
+    if r < k:  # one labeling against every member per step
+        steps = ((out[j], rows[j], minus[j], mass, eta, eta_minus) for j in range(r))
+    else:  # every labeling against one member per step
+        steps = ((out[:, i], rows, minus, mass[i], eta[i], eta_minus[i]) for i in range(k))
+    # in-place buffers: per-step temporaries of this size would each cost
+    # fresh pages from the allocator
+    terms, tmp = np.empty((2, max(r, k), n))
+    for dest, p, q, d, e, e_minus in steps:
+        np.multiply(p, e_minus, out=terms)
+        np.multiply(q, e, out=tmp)
+        np.add(terms, tmp, out=terms)
+        np.multiply(d, terms, out=terms)
+        if mask is None:
+            dest[...] = terms.sum(axis=-1)
+        else:
             # a[:, mask] is F-ordered; summing it contiguous keeps the order
             # in which each row accumulates the same as for a single row
-            terms = np.ascontiguousarray(terms[..., mask])
-        out.append(terms.sum(axis=-1))
-    return np.stack(out, axis=-1)
+            dest[...] = np.ascontiguousarray(terms[:, mask]).sum(axis=-1)
+    return out if plus.ndim > 1 else out[0]
 
 
 def error_on_distribution(f, dist: LabeledDistribution) -> float:

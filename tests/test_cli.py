@@ -184,3 +184,25 @@ def test_eval_rejects_classifier_with_unnormalized_mixture(tmp_path, capsys):
     clf.write_text(json.dumps(doc))
     assert main(["eval", str(clf), str(inst)]) == 2
     assert "multidist: error: mixture weights sum to 0.3" in capsys.readouterr().err
+
+
+def test_learn_and_derand_reject_non_finite_constants(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--domain-size", "15", "-k", "2", "--hypotheses", "4",
+                 "--seed", "3", "-o", str(inst)]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "out.json")
+    derand = ["derand", str(inst), "--eps", "0.3", "--delta", "0.3",
+              "--mode", "calibrated", "--m-override", "500", "-o", out]
+    for argv, message in (
+            (["learn", str(inst), "--eps", "0.3", "--eta", "nan", "-o", out], "eta"),
+            (["learn", str(inst), "--eps", "0.3", "--eta", "inf", "-o", out], "eta"),
+            (derand + ["--threshold-scale", "nan"], "threshold_scale"),
+            (derand + ["--c-const", "nan"], "c_const"),
+            (derand + ["--c-prime", "inf", "--rounding", "hash"], "c_prime")):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("multidist: error: ")
+        assert f"{message} must be finite and positive" in captured.err
+    assert not (tmp_path / "out.json").exists()

@@ -57,6 +57,11 @@ def test_derand_config_validation():
                         threshold_scale=0.0)
     with pytest.raises(ValueError):
         md.DerandConfig(eps=0.1, delta=0.1, rounding="magic")
+    for name in ("c_const", "c_prime", "threshold_scale"):
+        for value in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                md.DerandConfig(eps=0.1, delta=0.1, mode="calibrated", m_override=100,
+                                **{name: value})
 
 
 def test_table_collects_sure_labels():

@@ -1,5 +1,6 @@
-"""The error-matrix core against exact rational sums and against the
-per-member loops it replaced, which stay here as references."""
+"""The error-matrix core against exact rational sums, and the error matrix
+and the Hedge rounds against the per-member loops they replaced, which stay
+here as references."""
 
 from fractions import Fraction
 
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multidist as md
-from multidist.learner import _mixture
 from multidist.metrics import plus_rows
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
@@ -56,6 +56,10 @@ def test_error_matrix_equals_exact_fraction_sums(problem):
     got = md.error_matrix(plus, fam, mask)
     assert got.shape == (plus.shape[0], fam.k)
     assert np.allclose(got, fraction_errors(plus, fam, mask), rtol=0.0, atol=1e-12)
+    # the same members as (k, n) arrays, and one labeling at a time
+    assert np.array_equal(md.error_matrix(plus, (fam.mass_matrix, fam.label_prob_matrix), mask),
+                          got)
+    assert np.array_equal(np.array([md.error_matrix(row, fam, mask) for row in plus]), got)
 
 
 def test_error_matrix_shapes_and_domain_check():
@@ -64,6 +68,8 @@ def test_error_matrix_shapes_and_domain_check():
     assert md.error_matrix(np.array([[1.0, 0.0]]), fam.members[1]).tolist() == [[1.0 - 0.3]]
     with pytest.raises(ValueError, match="domain size mismatch"):
         md.error_matrix(np.ones(3), fam)
+    with pytest.raises(ValueError, match="two \\(k, n\\) arrays of one shape"):
+        md.error_matrix(np.ones(2), (fam.mass_matrix, fam.label_prob_matrix[0]))
 
 
 def loop_error_terms(labels, member):
@@ -79,6 +85,14 @@ def loop_error_table(cls, fam, mask=None):
                      for h in cls.hypotheses])
 
 
+def loop_mixture(fam, w):
+    """The former mixture of a family's members as a labeled distribution."""
+    mass = w @ fam.mass_matrix
+    numer = w @ (fam.mass_matrix * fam.label_prob_matrix)
+    eta = np.divide(numer, mass, out=np.full(fam.domain.size, 0.5), where=mass > 0)
+    return md.LabeledDistribution(mass / mass.sum(), eta)
+
+
 def loop_hedge(fam, cls, eps):
     """The former exact Hedge: build the weighted mixture every round and
     best-respond with the exhaustive ERM."""
@@ -87,7 +101,7 @@ def loop_hedge(fam, cls, eps):
     w = np.full(fam.k, 1.0 / fam.k)
     counts = {}
     for _ in range(rounds):
-        h = md.erm(cls, _mixture(fam, w))
+        h = md.erm(cls, loop_mixture(fam, w))
         counts[h] = counts.get(h, 0) + 1
         w = w * np.exp(eta * table[h])
         w = w / w.sum()
@@ -132,3 +146,131 @@ def test_ties_go_to_the_lowest_index():
     md.hedge_learn(md.SampleOracle.exact_mode(gap_fam), gap_cls, 0.5, 0.1, trace=trace)
     assert trace[0].hypothesis_index == 0
     assert md.opt_bruteforce(gap_cls, gap_fam) == (1.0, 0)
+
+
+def loop_draw(member, size, rng):
+    """The former per-member draw: inverse CDF over a fresh cumsum, then one
+    label coin per draw."""
+    xs = np.searchsorted(np.cumsum(member.mass), rng.random(size), side="right")
+    np.clip(xs, 0, member.domain_size - 1, out=xs)
+    return xs, np.where(rng.random(size) < member.label_one_prob[xs], 1, -1).astype(np.int8)
+
+
+def test_draw_batch_matches_the_former_draw():
+    fam, _ = md.gen_random_label_consistent(md.GenSpec(**CLI_WIDE, seed=9))
+    # masses summing to a little under 1, so some uniforms land past the last
+    # cumulative mass and are clipped to the last point
+    short = md.LabeledDistribution([0.25, 0.25, 0.5 - 1e-3], [0.1, 0.9, 0.5])
+    for seed, member in enumerate(fam.members[:3] + (short,)):
+        got = md.draw_batch(member, 5000, np.random.default_rng(seed))
+        want = loop_draw(member, 5000, np.random.default_rng(seed))
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+    assert np.any(np.random.default_rng(seed).random(5000) >= np.cumsum(short.mass)[-1])
+
+
+def round_hedge(fam, cls, eps, cfg, rng=None):
+    """The former Hedge rounds, for both modes: the exact mode recomputes
+    exp(eta * errors) every round; the sampling mode (rng given) draws
+    each member in turn, builds k empirical distributions, their mixture, and
+    a per-member error loop. Returns the support, the weights and the trace
+    rows as (hypothesis, errors, weights)."""
+    rounds, eta = cfg.resolve(fam.k, eps)
+    table = loop_error_table(cls, fam) if rng is None else None
+    w = np.full(fam.k, 1.0 / fam.k)
+    counts, rows = {}, []
+    for _ in range(rounds):
+        if rng is None:
+            h = int(np.argmin(table @ w))
+            errs = table[h]
+        else:
+            members = tuple(
+                md.EmpiricalSample(*loop_draw(m, cfg.erm_sample_size, rng),
+                                   fam.domain.size).to_distribution()
+                for m in fam.members)
+            emp = md.DistributionFamily(fam.domain, members)
+            h = md.erm(cls, loop_mixture(emp, w))
+            errs = np.array([loop_error_terms(cls.hypotheses[h].labels, m).sum()
+                             for m in members])
+        counts[h] = counts.get(h, 0) + 1
+        rows.append((h, errs, w))
+        w = w * np.exp(eta * errs)
+        w = w / w.sum()
+    support = tuple(sorted(counts))
+    return support, np.array([counts[i] / rounds for i in support]), rows
+
+
+C06 = dict(domain_size=40, k=6, hypothesis_count=16)
+CLI_WIDE = dict(domain_size=1000, k=24, hypothesis_count=128)
+ONE_MEMBER = dict(domain_size=30, k=1, hypothesis_count=8)
+# (shape, eps, HedgeConfig fields, seed, sampling, every hypothesis twice);
+# the exact C06 cases run at the derandomizer's eps/2, the cli_wide ones at
+# the eps the CLI session uses (learn --sampling at 0.6, derand at 0.6 / 2)
+LEAN_CASES = (
+    [(C06, 0.075, {}, seed, False, False) for seed in range(4)]
+    + [(CLI_WIDE, 0.3, {}, 0, False, False),
+       (C06, 0.2, {}, 5, False, True),
+       (ONE_MEMBER, 0.2, {}, 6, False, False),
+       (C06, 0.3, dict(rounds=57, eta=0.9), 7, False, False),
+       (C06, 0.6, {}, 0, True, False),
+       (C06, 0.4, {}, 1, True, False),
+       (CLI_WIDE, 0.6, {}, 2, True, False),
+       (CLI_WIDE, 0.4, dict(erm_sample_size=50), 3, True, False),
+       (C06, 0.4, {}, 4, True, True),
+       (ONE_MEMBER, 0.3, {}, 5, True, False),
+       (C06, 0.3, dict(rounds=40, eta=2.5, erm_sample_size=37), 6, True, False)])
+
+
+def lean_id(case):
+    shape, eps, fields, seed, sampling, doubled = case
+    return "-".join([("sampling" if sampling else "exact"),
+                     f"n{shape['domain_size']}k{shape['k']}", f"eps{eps}", f"seed{seed}"]
+                    + [f"{key}{value}" for key, value in fields.items()]
+                    + (["doubled"] if doubled else []))
+
+
+@pytest.mark.parametrize("shape,eps,fields,seed,sampling,doubled", LEAN_CASES,
+                         ids=[lean_id(case) for case in LEAN_CASES])
+def test_lean_rounds_match_the_former_rounds(shape, eps, fields, seed, sampling, doubled):
+    fam, cls = md.gen_random_label_consistent(md.GenSpec(**shape, seed=seed))
+    if doubled:
+        cls = md.HypothesisClass(cls.hypotheses + cls.hypotheses)
+    cfg = md.HedgeConfig(**fields)
+    if sampling:
+        oracle = md.SampleOracle.sampling_mode(fam, np.random.default_rng(seed))
+        want = round_hedge(fam, cls, eps, cfg, np.random.default_rng(seed))
+    else:
+        oracle = md.SampleOracle.exact_mode(fam)
+        want = round_hedge(fam, cls, eps, cfg)
+    trace = []
+    F = md.hedge_learn(oracle, cls, eps, 0.1, cfg, trace=trace)
+    support, weights, rows = want
+    assert F.support == support
+    assert np.array_equal(F.weights, weights)
+    assert len(trace) == len(rows)
+    for t, (got, (h, errs, w)) in enumerate(zip(trace, rows)):
+        assert (got.round_index, got.hypothesis_index) == (t, h)
+        assert np.array_equal(got.per_distribution_errors, errs)
+        assert np.array_equal(got.weights, w)
+    if doubled:
+        assert max(support) < len(cls) // 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 40), st.floats(1e-6, 50.0),
+       st.integers(0, 2**32 - 1))
+def test_exp_table_rows_equal_exp_of_each_row(rows, k, eta, seed):
+    errors = np.random.default_rng(seed).random((rows, k))
+    table = np.exp(eta * errors)
+    for h in range(rows):
+        assert np.array_equal(table[h].view(np.int64), np.exp(eta * errors[h]).view(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_one_batched_draw_uses_the_stream_as_k_pairs_of_draws(k, m, seed):
+    batched = np.random.default_rng(seed).random((k, 2, m))
+    rng = np.random.default_rng(seed)
+    pairs = np.array([[rng.random(m), rng.random(m)] for _ in range(k)])
+    assert np.array_equal(batched, pairs)
+    # and both leave the stream at the same place
+    assert rng.random() == np.random.default_rng(seed).random(2 * k * m + 1)[-1]

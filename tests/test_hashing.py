@@ -105,6 +105,10 @@ def test_eval_hash_bounds():
         for key in (-1, p):
             with pytest.raises(ValueError, match="outside"):
                 coefficient_matrix_eval([[1, 1]], [0, key], p)
+        # a scalar key and a 2-D key array
+        for keys in (3, [[1, 2], [3, 4]]):
+            with pytest.raises(ValueError, match="keys must be a 1-D array"):
+                coefficient_matrix_eval([[1, 2]], keys, p)
 
 
 def test_eval_hash_against_bigint_oracle():

@@ -44,7 +44,7 @@ def test_erm_picks_zero_error_hypothesis():
 def test_erm_gap_example_tie_breaks_low():
     fam, cls, _ = md.gen_gap_example(4)
     w = np.full(4, 0.25)
-    mixture = _mixture(fam, w)
+    mixture = _mixture(fam.mass_matrix, fam.label_prob_matrix, w)
     # every h_i has mixture error 1/k; lowest index wins
     assert md.erm(cls, mixture) == 0
 
@@ -76,6 +76,14 @@ def test_erm_empirical_sample_equals_empirical_distribution():
     assert md.erm(cls, sample) == md.erm(cls, sample.to_distribution())
 
 
+def test_empirical_sample_rejects_points_outside_the_domain():
+    for point in (5, 7, -1):
+        with pytest.raises(ValueError, match=r"sample points must lie in \[0, 5\)"):
+            md.EmpiricalSample([0, point], [1, 1], 5)
+    assert md.EmpiricalSample([0, 4], [1, -1], 5).to_distribution().mass.tolist() == [
+        0.5, 0.0, 0.0, 0.0, 0.5]
+
+
 def test_erm_rejects_empty_sample():
     sample = md.EmpiricalSample(np.array([], dtype=int), np.array([], dtype=np.int8), 3)
     cls = md.HypothesisClass((md.Hypothesis([1, 1, 1]),))
@@ -90,7 +98,7 @@ def test_mixture_error_is_weighted_member_error():
     fam = md.family_from_arrays(masses, rng.random((3, 6)))
     w = rng.random(3)
     w /= w.sum()
-    mixture = _mixture(fam, w)
+    mixture = _mixture(fam.mass_matrix, fam.label_prob_matrix, w)
     labels = md.Hypothesis(np.where(rng.random(6) < 0.5, 1, -1).astype(np.int8))
     direct = sum(wi * md.error_on_distribution(labels, m) for wi, m in zip(w, fam.members))
     assert md.error_on_distribution(labels, mixture) == pytest.approx(direct, abs=1e-13)
@@ -103,8 +111,9 @@ def test_hedge_config_defaults():
     assert eta == pytest.approx(math.sqrt(8 * math.log(6) / rounds))
     with pytest.raises(ValueError):
         md.HedgeConfig(rounds=0).resolve(6, 0.15)
-    with pytest.raises(ValueError):
-        md.HedgeConfig(eta=-1.0).resolve(6, 0.15)
+    for eta in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
+            md.HedgeConfig(eta=eta).resolve(6, 0.15)
 
 
 def test_hedge_realizable_instance():
