@@ -26,7 +26,7 @@ eps = 1.0 / (2.0 * (n**0.5))
 
 print("=== planted balanced instance ===")
 A, z = md.planted_zero_matrix(n, density=0.5, rng=rng)
-rf = md.matrix_to_family(A)
+rf = md.ReductionFamily(A)
 print(f"n={n}, family of k={rf.k} distributions; planted coloring balances all rows:")
 print("  Az =", (A.entries.astype(int) @ z.z.astype(int)).tolist())
 print("  exact worst-case error of the planted coloring:", md.coloring_error(z, rf))
@@ -39,7 +39,7 @@ print("  distinguisher on the best labeling:",
 
 print("\n=== unbalanceable instance (pair-row gadget) ===")
 H = md.planted_high_discrepancy_matrix(n, rng)
-rfh = md.matrix_to_family(H)
+rfh = md.ReductionFamily(H)
 zh, inf_h, _ = md.bruteforce_min_discrepancy(H)
 print(f"  brute-force certifies inf_norm = {inf_h} >= 2")
 print("  exact best deterministic error:", md.min_deterministic_error(rfh),
@@ -68,7 +68,7 @@ print("\n=== what naive rounding loses here (reported, not asserted) ===")
 # 1/2 whenever any row comes out imbalanced
 n_small = 10
 A_small, _ = md.planted_zero_matrix(n_small, density=0.5, rng=rng)
-rf_small = md.matrix_to_family(A_small)
+rf_small = md.ReductionFamily(A_small)
 full_cls = md.full_labeling_class(n_small)
 F = md.hedge_learn(md.SampleOracle.exact_mode(rf_small.family), full_cls, 0.1, 0.1)
 rand_err = md.randomized_worst_case_error(F, rf_small.family)

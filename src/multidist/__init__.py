@@ -15,15 +15,12 @@ from .model import (
     ExplicitClassifier,
     LabelConsistencyError,
     validate_family,
-    validate_hypothesis_class,
     is_label_consistent,
-    family_from_arrays,
     full_labeling_class,
 )
 from .metrics import (
     ErrorReport,
     error_matrix,
-    error_on_distribution,
     worst_case_error,
     randomized_worst_case_error,
     randomized_per_distribution,
@@ -31,18 +28,13 @@ from .metrics import (
     exceedance_probability,
     opt_bruteforce,
     bayes_labels,
-    bias,
     heavy_bias_threshold,
-    is_heavily_biased,
     heavy_mask,
-    shattering_check,
-    vc_dim_bruteforce,
 )
 from .learner import (
     SampleOracle,
     EmpiricalSample,
     HedgeConfig,
-    draw_sample,
     draw_batch,
     erm,
     hedge_learn,
@@ -53,8 +45,6 @@ from .derand import (
     BiasTable,
     BiasEntry,
     DerandResult,
-    empirical_rho,
-    threshold_test,
     build_bias_table,
     round_outside_t,
     derandomize,
@@ -77,7 +67,6 @@ from .discrepancy import (
     Coloring,
     ReductionFamily,
     Verdict,
-    matrix_to_family,
     row_identity_errors,
     coloring_error,
     bruteforce_min_discrepancy,
@@ -86,7 +75,6 @@ from .discrepancy import (
     planted_high_discrepancy_matrix,
     distinguisher,
     dummy_point_variant,
-    dummy_member_errors,
     dummy_min_deterministic_error,
 )
 from .instances import (

@@ -87,8 +87,7 @@ def _add_derand_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _hedge_cfg(args) -> HedgeConfig:
-    return HedgeConfig(rounds=args.rounds, eta=args.eta,
-                       erm_sample_size=args.erm_samples, seed=args.seed)
+    return HedgeConfig(rounds=args.rounds, eta=args.eta, erm_sample_size=args.erm_samples)
 
 
 def _derand_cfg(args) -> DerandConfig:
@@ -169,8 +168,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_disc(args) -> int:
-    rng = np.random.default_rng(args.seed)
     if args.disc_cmd == "gen":
+        rng = np.random.default_rng(args.seed)
         if args.planted == "zero":
             matrix, coloring = planted_zero_matrix(args.n, args.density, rng)
             serialize.save_matrix(args.output, matrix)
@@ -336,11 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_disc)
     s = dsub.add_parser("solve", help="brute-force minimum discrepancy")
     s.add_argument("matrix", help="matrix file")
-    s.add_argument("--seed", type=int, default=0, help="unused; accepted for uniformity")
     s.set_defaults(func=cmd_disc)
     r = dsub.add_parser("reduce", help="matrix -> instance file")
     r.add_argument("matrix", help="matrix file")
-    r.add_argument("--seed", type=int, default=0, help="unused; accepted for uniformity")
     r.add_argument("-o", "--output", required=True, help="instance file to write")
     r.set_defaults(func=cmd_disc)
     d = dsub.add_parser(
@@ -351,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--labels", required=True,
                    help="comma-separated -1/+1 labels (use --labels=-1,1,... form)")
     d.add_argument("--eps", type=float, required=True, help="verdict threshold offset")
-    d.add_argument("--seed", type=int, default=0, help="unused; accepted for uniformity")
     d.set_defaults(func=cmd_disc)
 
     p = sub.add_parser("trial", help="Monte-Carlo campaign")

@@ -65,6 +65,11 @@ class DerandConfig:
         if self.mode == "calibrated":
             if self.m_override is None or self.m_override < 1:
                 raise ValueError("calibrated mode needs a positive m_override")
+        # gamma(k) >= c_const / (eps * delta), and the table threshold
+        # sqrt(ln(gamma) / count) needs gamma > 1
+        if self.c_const <= self.eps * self.delta:
+            raise ValueError(f"c_const must exceed eps * delta so that gamma > 1, "
+                             f"got {self.c_const!r}")
 
     def gamma(self, k: int) -> float:
         return self.c_const * k / (self.eps * self.delta)
@@ -113,26 +118,6 @@ class BiasTable:
 
     def label_of(self, x: int) -> int:
         return self.entries[x].label
-
-
-def empirical_rho(ys: np.ndarray) -> tuple[float, int]:
-    """Signed label skew of a batch of labels at one point:
-    (#positive - #negative) / count."""
-    ys = np.asarray(ys)
-    count = ys.shape[0]
-    if count == 0:
-        raise ValueError("empirical_rho needs at least one sample")
-    pos = int(np.count_nonzero(ys == 1))
-    return (2 * pos - count) / count, count
-
-
-def threshold_test(rho: float, count: int, gamma: float, scale: float = 1.0) -> bool:
-    """True iff |rho| strictly exceeds sqrt(ln(gamma)/count) (times scale)."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if gamma <= 1.0:
-        raise ValueError("gamma must exceed 1")
-    return abs(rho) > scale * math.sqrt(math.log(gamma) / count)
 
 
 def _sign(v: float) -> int:

@@ -135,10 +135,6 @@ class ReductionFamily:
         return out
 
 
-def matrix_to_family(matrix: BinaryMatrix) -> ReductionFamily:
-    return ReductionFamily(matrix)
-
-
 def row_identity_errors(rf: ReductionFamily, labels, i: int) -> tuple[Fraction, Fraction, int]:
     """(error on the -sigma member, error on the sigma member, sigma) for row i,
     via the exact identity 1/2 +- |v . a_i| / (2 m_i)."""
@@ -252,8 +248,8 @@ def planted_zero_matrix(n: int, density: float, rng: np.random.Generator
     count of +1-positions and -1-positions of z, so a_i . z = 0 by
     construction. density steers the expected row support size.
     """
-    if n % 2 != 0:
-        raise ValueError("planted instances need even n")
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"planted instances need an even n >= 2, got {n}")
     if not 0.0 < density <= 1.0:
         raise ValueError("density must lie in (0, 1]")
     while True:
@@ -339,18 +335,6 @@ def dummy_point_variant(rf: ReductionFamily, opt_prime) -> DistributionFamily:
         members.append(LabeledDistribution(mass, eta_plus))
         members.append(LabeledDistribution(mass, eta_minus))
     return DistributionFamily(Domain(n + 1), tuple(members))
-
-
-def dummy_member_errors(rf: ReductionFamily, opt_prime, labels) -> list[Fraction]:
-    """Exact per-member errors on the dummy-point family for a labeling of all
-    n+1 points (dummy last)."""
-    q = Fraction(opt_prime)
-    if not Fraction(0) < q <= Fraction(1, 2):
-        raise ValueError("opt_prime must lie in (0, 1/2]")
-    v = _as_label_array(labels, rf.n + 1)
-    dummy_err = (1 - 2 * q) if v[rf.n] == -1 else Fraction(0)
-    base = rf.member_errors(v[: rf.n])
-    return [dummy_err + 2 * q * e for e in base]
 
 
 def dummy_min_deterministic_error(rf: ReductionFamily, opt_prime) -> Fraction:

@@ -72,13 +72,11 @@ class TrialReport:
         ]
 
 
-def rounding_deviation(f_hat, f_rand, fam: DistributionFamily, table: BiasTable | set) -> float:
+def rounding_deviation(f_hat, f_rand, fam: DistributionFamily, table: BiasTable) -> float:
     """max over members of |outside-T error of the rounded classifier minus
     the mixture's expected outside-T error|."""
     outside = np.ones(fam.domain.size, dtype=bool)
-    points = table.points() if isinstance(table, BiasTable) else np.array(sorted(table), dtype=np.int64)
-    if len(points):
-        outside[points] = False
+    outside[table.points()] = False
     rows = np.stack([plus_rows(label_vector_of(f_hat)), f_rand.marginals])
     got, want = error_matrix(rows, fam, outside)
     return float(np.abs(got - want).max())
@@ -228,9 +226,11 @@ def run_campaign(cfg: CampaignConfig, trials: int, parallelism: int = 1,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     jobs = [(cfg, t, measure_time) for t in range(trials)]
     results: list[tuple[int, TrialReport | None, str | None]] = []
-    if parallelism <= 1:
+    if parallelism == 1:
         results = [_campaign_worker(j) for j in jobs]
     else:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:

@@ -71,8 +71,8 @@ class PolyHash:
     """q(x) = sum_{i=0}^{r-1} coefficients[i] * x^i mod prime.
 
     Degree r = len(coefficients) gives r-wise independence for r >= 2 with
-    uniform coefficients. r = 1 (a constant) is structurally allowed for unit
-    tests only; sample_hash refuses to produce it without the testing flag.
+    uniform coefficients. r = 1 (a constant) is structurally allowed;
+    sample_hash never draws it.
     """
 
     prime: int
@@ -93,16 +93,12 @@ class PolyHash:
         return len(self.coefficients)
 
 
-def sample_hash(p: int, r: int, rng: np.random.Generator, *,
-                allow_degenerate: bool = False) -> PolyHash:
-    """r i.i.d. uniform coefficients in [0, p). r must be even and >= 2 unless
-    the degenerate testing flag is set."""
+def sample_hash(p: int, r: int, rng: np.random.Generator) -> PolyHash:
+    """r i.i.d. uniform coefficients in [0, p); r must be even and >= 2."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if not allow_degenerate and (r < 2 or r % 2 != 0):
+    if r < 2 or r % 2 != 0:
         raise ValueError(f"degree r must be an even integer >= 2, got {r}")
-    if allow_degenerate and r < 1:
-        raise ValueError("degree r must be >= 1")
     coeffs = tuple(int(c) for c in rng.integers(0, p, size=r))
     return PolyHash(p, coeffs)
 

@@ -35,8 +35,12 @@ class EmpiricalSample:
     domain_size: int
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=np.int64)
-        ys = np.asarray(self.ys, dtype=np.int8)
+        xs = np.asarray(self.xs)
+        # checked before the int64 cast, which would truncate 2.7 to 2
+        if xs.dtype.kind == "f" and not np.all(np.isfinite(xs) & (np.floor(xs) == xs)):
+            raise ValueError("sample points must be integers")
+        xs = xs.astype(np.int64)
+        ys = np.asarray(self.ys)
         if xs.shape != ys.shape or xs.ndim != 1:
             raise ValueError("xs and ys must be parallel one-dimensional arrays")
         if not np.all((ys == 1) | (ys == -1)):
@@ -44,7 +48,7 @@ class EmpiricalSample:
         if np.any((xs < 0) | (xs >= self.domain_size)):
             raise ValueError(f"sample points must lie in [0, {self.domain_size})")
         object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "ys", ys.astype(np.int8))
 
     def __len__(self) -> int:
         return self.xs.shape[0]
@@ -83,11 +87,6 @@ def draw_batch(member: LabeledDistribution, size: int, rng: np.random.Generator
     return xs[0].astype(np.int64), np.where(plus[0], 1, -1).astype(np.int8)
 
 
-def draw_sample(member: LabeledDistribution, rng: np.random.Generator) -> tuple[int, int]:
-    xs, ys = draw_batch(member, 1, rng)
-    return int(xs[0]), int(ys[0])
-
-
 @dataclass(frozen=True)
 class SampleOracle:
     """Access to a distribution family, either with known masses ("exact") or
@@ -117,11 +116,6 @@ class SampleOracle:
     def domain_size(self) -> int:
         return self.family.domain.size
 
-    def exact_family(self) -> DistributionFamily:
-        if not self.exact:
-            raise ValueError("masses are not readable through a sampling oracle")
-        return self.family
-
     def draw(self, member_index: int, size: int,
              rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Draw i.i.d. (x, y) pairs from one member. A sampling oracle always
@@ -143,7 +137,6 @@ class HedgeConfig:
     rounds: int | None = None
     eta: float | None = None
     erm_sample_size: int = 200
-    seed: int = 0
 
     def resolve(self, k: int, eps: float) -> tuple[int, float]:
         if self.rounds is not None and self.rounds < 1:

@@ -1,4 +1,4 @@
-"""Exact error functionals over distribution families, plus VC utilities.
+"""Exact error functionals over distribution families.
 
 Everything here is a closed-form expectation over known masses; nothing
 samples. er_D(f) = Pr_{(x,y)~D}[f(x) != y] = sum_x D(x) * (eta(x) if f(x) = -1
@@ -7,7 +7,6 @@ else 1 - eta(x)) with eta(x) = Pr[y = +1 | x].
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,8 +22,6 @@ from .model import (
     WEIGHT_TOL,
     require_label_consistent,
 )
-
-VC_BRUTEFORCE_LIMIT = 20
 
 
 def label_vector_of(f, domain_size: int | None = None) -> np.ndarray:
@@ -113,10 +110,6 @@ def error_matrix(plus: np.ndarray,
     return out if plus.ndim > 1 else out[0]
 
 
-def error_on_distribution(f, dist: LabeledDistribution) -> float:
-    return float(error_matrix(plus_rows(label_vector_of(f)), dist)[0])
-
-
 @dataclass(frozen=True)
 class ErrorReport:
     """Per-member errors plus their maximum (lowest index on ties)."""
@@ -195,16 +188,6 @@ def bayes_labels(fam: DistributionFamily) -> np.ndarray:
     return np.where(2.0 * eta - 1.0 >= 0.0, 1, -1).astype(np.int8)
 
 
-def bias(x: int, fam: DistributionFamily) -> float:
-    """Label bias of point x: Pr[y = +1 | x] - 1/2 under the shared conditional.
-
-    Requires a label-consistent family; the conditional is read from the first
-    member supporting x (member 0 if none does).
-    """
-    require_label_consistent(fam)
-    return float(fam.shared_label_one_prob[x]) - 0.5
-
-
 def heavy_bias_threshold(eps: float, delta: float, k: int, variant: str = "explicit",
                          c_prime: float = 4.0) -> float:
     """The per-point heaviness threshold on beta_x^2 * D_i(x).
@@ -231,41 +214,3 @@ def heavy_mask(fam: DistributionFamily, eps: float, delta: float, variant: str =
     beta = fam.shared_label_one_prob - 0.5
     stat = (beta**2)[None, :] * fam.mass_matrix
     return np.any(stat > thresh, axis=0)
-
-
-def is_heavily_biased(x: int, fam: DistributionFamily, eps: float, delta: float,
-                      variant: str = "explicit", c_prime: float = 4.0) -> bool:
-    return bool(heavy_mask(fam, eps, delta, variant, c_prime)[x])
-
-
-def shattering_check(cls: HypothesisClass, points) -> bool:
-    """True iff every +-1 labeling of the given points is realized by some
-    hypothesis. Exhaustive over 2^|points| labelings; |points| <= 20."""
-    points = list(points)
-    if len(points) > VC_BRUTEFORCE_LIMIT:
-        raise ValueError(f"shattering check limited to {VC_BRUTEFORCE_LIMIT} points")
-    if len(points) == 0:
-        return True
-    realized = {tuple(row) for row in cls.label_matrix[:, points]}
-    return len(realized) == 2 ** len(points)
-
-
-def vc_dim_bruteforce(cls: HypothesisClass) -> int:
-    """Largest shattered subset size, by exhaustive search (|X| <= 20)."""
-    n = cls.domain_size
-    if n > VC_BRUTEFORCE_LIMIT:
-        raise ValueError(f"vc_dim_bruteforce limited to domains of size {VC_BRUTEFORCE_LIMIT}")
-    best = 0
-    for size in range(1, n + 1):
-        if len(cls) < 2**size:
-            break  # not enough distinct labelings to shatter this many points
-        found = False
-        for subset in itertools.combinations(range(n), size):
-            if shattering_check(cls, subset):
-                found = True
-                break
-        if found:
-            best = size
-        else:
-            break
-    return best

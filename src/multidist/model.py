@@ -35,12 +35,13 @@ def _frozen_float_array(values, name: str) -> np.ndarray:
 
 
 def _frozen_label_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int8)
+    arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    # checked before the int8 cast, which would turn 1.5 into 1 and 255 into -1
     if not np.all((arr == 1) | (arr == -1)):
         raise ValueError(f"{name} entries must be exactly -1 or +1")
-    arr = arr.copy()
+    arr = arr.astype(np.int8)
     arr.flags.writeable = False
     return arr
 
@@ -135,18 +136,6 @@ class DistributionFamily:
         return out
 
 
-def family_from_arrays(mass_matrix, label_prob_matrix) -> DistributionFamily:
-    mass_matrix = np.asarray(mass_matrix, dtype=np.float64)
-    label_prob_matrix = np.asarray(label_prob_matrix, dtype=np.float64)
-    if label_prob_matrix.ndim == 1:
-        label_prob_matrix = np.broadcast_to(label_prob_matrix, mass_matrix.shape)
-    members = tuple(
-        LabeledDistribution(mass_matrix[i], label_prob_matrix[i])
-        for i in range(mass_matrix.shape[0])
-    )
-    return DistributionFamily(Domain(mass_matrix.shape[1]), members)
-
-
 @dataclass(frozen=True)
 class Hypothesis:
     """A total labeling of the domain with values in {-1, +1}."""
@@ -168,8 +157,8 @@ class Hypothesis:
 class HypothesisClass:
     """A finite, explicitly enumerated set of hypotheses.
 
-    vc_dim is optional metadata; it is only populated by brute force on small
-    instances and never trusted by algorithms.
+    vc_dim is optional metadata, set by full_labeling_class and carried by
+    instance files; algorithms never trust it.
     """
 
     hypotheses: tuple[Hypothesis, ...]
@@ -199,13 +188,6 @@ class HypothesisClass:
         out = np.stack([h.labels for h in self.hypotheses])
         out.flags.writeable = False
         return out
-
-    def duplicate_groups(self) -> list[tuple[int, ...]]:
-        """Groups of indices with structurally identical labelings (size >= 2)."""
-        seen: dict[bytes, list[int]] = {}
-        for i, h in enumerate(self.hypotheses):
-            seen.setdefault(h.labels.tobytes(), []).append(i)
-        return [tuple(g) for g in seen.values() if len(g) > 1]
 
 
 def full_labeling_class(n: int) -> HypothesisClass:
@@ -289,22 +271,13 @@ class ExplicitClassifier:
 
 @dataclass(frozen=True)
 class ValidationIssue:
-    severity: str  # "violation" | "warning"
     location: str
     message: str
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    issues: tuple[ValidationIssue, ...] = ()
-
-    @property
-    def violations(self) -> tuple[ValidationIssue, ...]:
-        return tuple(i for i in self.issues if i.severity == "violation")
-
-    @property
-    def warnings(self) -> tuple[ValidationIssue, ...]:
-        return tuple(i for i in self.issues if i.severity == "warning")
+    violations: tuple[ValidationIssue, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -320,41 +293,31 @@ def validate_family(fam: DistributionFamily, tol: float = MASS_TOL) -> Validatio
     issues: list[ValidationIssue] = []
     for i, m in enumerate(fam.members):
         if np.any(~np.isfinite(m.mass)):
-            issues.append(ValidationIssue("violation", f"member {i}", "non-finite mass entries"))
+            issues.append(ValidationIssue(f"member {i}", "non-finite mass entries"))
             continue
         neg = np.nonzero(m.mass < 0)[0]
         for x in neg:
             issues.append(
-                ValidationIssue("violation", f"member {i}, point {x}", f"negative mass {m.mass[x]}")
+                ValidationIssue(f"member {i}, point {x}", f"negative mass {m.mass[x]}")
             )
         total = float(m.mass.sum())
         if abs(total - 1.0) > tol:
             issues.append(
-                ValidationIssue("violation", f"member {i}", f"mass sum {total!r} != 1")
+                ValidationIssue(f"member {i}", f"mass sum {total!r} != 1")
             )
         if np.any(~np.isfinite(m.label_one_prob)):
             issues.append(
-                ValidationIssue("violation", f"member {i}", "non-finite label_one_prob entries")
+                ValidationIssue(f"member {i}", "non-finite label_one_prob entries")
             )
             continue
         bad = np.nonzero((m.label_one_prob < 0.0) | (m.label_one_prob > 1.0))[0]
         for x in bad:
             issues.append(
                 ValidationIssue(
-                    "violation",
                     f"member {i}, point {x}",
                     f"label_one_prob {m.label_one_prob[x]} outside [0, 1]",
                 )
             )
-    return ValidationReport(tuple(issues))
-
-
-def validate_hypothesis_class(cls: HypothesisClass) -> ValidationReport:
-    """Flag duplicate hypotheses (permitted, but worth knowing about)."""
-    issues = [
-        ValidationIssue("warning", f"hypotheses {group}", "structurally identical labelings")
-        for group in cls.duplicate_groups()
-    ]
     return ValidationReport(tuple(issues))
 
 

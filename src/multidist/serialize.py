@@ -28,6 +28,13 @@ from .model import (
 from .discrepancy import BinaryMatrix
 
 
+def _field(doc: dict, key: str, what: str):
+    """doc[key], or a ValueError that names the missing key."""
+    if key not in doc:
+        raise ValueError(f"{what} lacks the {key!r} field")
+    return doc[key]
+
+
 def instance_to_dict(fam: DistributionFamily, cls: HypothesisClass,
                      gen_spec: GenSpec | None = None) -> dict:
     probs = fam.label_prob_matrix
@@ -50,22 +57,27 @@ def instance_to_dict(fam: DistributionFamily, cls: HypothesisClass,
 
 
 def instance_from_dict(doc: dict) -> tuple[DistributionFamily, HypothesisClass, GenSpec | None]:
-    n = int(doc["domain_size"])
+    n = int(_field(doc, "domain_size", "instance"))
     shared = doc.get("shared_label_one_prob")
     members = []
-    for entry in doc["distributions"]:
+    for entry in _field(doc, "distributions", "instance"):
         eta = entry.get("label_one_prob", shared)
         if eta is None:
             raise ValueError("distribution entry lacks label_one_prob and no shared vector given")
-        members.append(LabeledDistribution(entry["mass"], eta))
+        members.append(LabeledDistribution(_field(entry, "mass", "distribution entry"), eta))
     fam = DistributionFamily(Domain(n), tuple(members))
     report = validate_family(fam)
     if not report.ok:
         raise ValueError("invalid instance: " + "; ".join(
             f"{v.location}: {v.message}" for v in report.violations))
-    hyps = tuple(Hypothesis(np.asarray(row, dtype=np.int8)) for row in doc["hypotheses"])
+    hyps = tuple(Hypothesis(row) for row in _field(doc, "hypotheses", "instance"))
     cls = HypothesisClass(hyps, vc_dim=doc.get("vc_dim"))
-    spec = GenSpec(**doc["gen_spec"]) if "gen_spec" in doc else None
+    spec = None
+    if "gen_spec" in doc:
+        unknown = set(doc["gen_spec"]) - {f.name for f in dataclasses.fields(GenSpec)}
+        if unknown:
+            raise ValueError(f"gen_spec has unknown fields {sorted(unknown)}")
+        spec = GenSpec(**doc["gen_spec"])
     return fam, cls, spec
 
 
@@ -86,7 +98,8 @@ def randomized_to_dict(f_rand: RandomizedClassifier) -> dict:
 
 
 def randomized_from_dict(doc: dict, cls: HypothesisClass) -> RandomizedClassifier:
-    f_rand = RandomizedClassifier(cls, tuple(doc["support_indices"]), np.asarray(doc["weights"]))
+    f_rand = RandomizedClassifier(cls, tuple(_field(doc, "support_indices", "mixture")),
+                                  np.asarray(_field(doc, "weights", "mixture")))
     if not f_rand.weight_sum_ok():
         raise ValueError(f"mixture weights sum to {float(f_rand.weights.sum())!r}, expected 1")
     return f_rand
@@ -118,19 +131,23 @@ def classifier_to_dict(clf) -> dict:
 
 
 def classifier_from_dict(doc: dict, cls: HypothesisClass | None = None):
-    kind = doc["kind"]
+    def field(key):
+        return _field(doc, key, "classifier")
+
+    kind = field("kind")
     if kind == "explicit":
-        return ExplicitClassifier(np.asarray(doc["labels"], dtype=np.int8))
+        return ExplicitClassifier(field("labels"))
     if kind == "compact":
         if cls is None:
             raise ValueError("loading a compact classifier needs the hypothesis class")
-        coeffs = doc["coefficients"]
-        if len(coeffs) != doc["degree_r"]:
+        coeffs = field("coefficients")
+        if len(coeffs) != field("degree_r"):
             raise ValueError("degree_r does not match the coefficient count")
-        q = PolyHash(int(doc["prime"]), tuple(int(c) for c in coeffs))
-        f_rand = randomized_from_dict(doc["randomized"], cls)
-        table = {int(x): int(l) for x, l in doc["t_table"]}
-        return CompactClassifier(q, table, f_rand, int(doc["domain_size"]), int(doc["range_size"]))
+        q = PolyHash(int(field("prime")), tuple(int(c) for c in coeffs))
+        f_rand = randomized_from_dict(field("randomized"), cls)
+        table = {int(x): int(l) for x, l in field("t_table")}
+        return CompactClassifier(q, table, f_rand, int(field("domain_size")),
+                                 int(field("range_size")))
     raise ValueError(f"unknown classifier kind {kind!r}")
 
 

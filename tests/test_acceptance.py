@@ -88,7 +88,7 @@ def test_c02_row_identity_exact():
     ok = True
     for _ in range(100):
         matrix = _random_nonzero_matrix(rng, 12)
-        rf = md.matrix_to_family(matrix)
+        rf = md.ReductionFamily(matrix)
         v = np.where(rng.random(12) < 0.5, 1, -1).astype(np.int8)
         direct = _definition_member_errors(matrix, v)
         for i in range(12):
@@ -110,7 +110,7 @@ def test_c03_zero_discrepancy_half_error():
     details = []
     for _ in range(20):
         A, z = md.planted_zero_matrix(12, 0.5, rng)
-        rf = md.matrix_to_family(A)
+        rf = md.ReductionFamily(A)
         ok &= md.coloring_error(z, rf) == Fraction(1, 2)
         _, inf_n, _ = md.bruteforce_min_discrepancy(A)
         ok &= inf_n == 0

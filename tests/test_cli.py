@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -206,3 +210,49 @@ def test_learn_and_derand_reject_non_finite_constants(tmp_path, capsys):
         assert captured.err.startswith("multidist: error: ")
         assert f"{message} must be finite and positive" in captured.err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_disc_gen_rejects_n_zero_without_hanging(tmp_path):
+    # an empty planted coloring never has both signs, so n = 0 once redrew it
+    # forever; the subprocess lets a timeout stop a regression
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "multidist.cli", "disc", "gen", "--n", "0",
+                           "-o", str(tmp_path / "A.txt")],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert "planted instances need an even n >= 2, got 0" in proc.stderr
+
+
+def test_trial_rejects_parallelism_below_one(tmp_path, capsys):
+    for value in ("0", "-3"):
+        rc = main(["trial", "--trials", "2", "--eps", "0.2", "--delta", "0.2",
+                   "--mode", "calibrated", "--m-override", "400", "--no-timing",
+                   "--parallelism", value, "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert f"parallelism must be >= 1, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_bad_files_name_the_missing_or_unknown_key(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--domain-size", "10", "-k", "2", "--hypotheses", "4",
+                 "--seed", "1", "-o", str(inst)]) == 0
+    doc = json.loads(inst.read_text())
+    fam, cls, _ = serialize.load_instance(inst)
+    clf = tmp_path / "clf.json"
+    serialize.save_classifier(clf, md.ExplicitClassifier(cls.hypotheses[0].labels))
+    no_kind = tmp_path / "no_kind.json"
+    no_kind.write_text(json.dumps({"labels": cls.hypotheses[0].labels.tolist()}))
+    no_hyps = tmp_path / "no_hyps.json"
+    no_hyps.write_text(json.dumps({k: v for k, v in doc.items() if k != "hypotheses"}))
+    bogus_spec = tmp_path / "bogus_spec.json"
+    bogus_spec.write_text(json.dumps({**doc, "gen_spec": {**doc["gen_spec"], "bogus": 1}}))
+    capsys.readouterr()
+    for classifier, instance, message in (
+            (clf, no_hyps, "instance lacks the 'hypotheses' field"),
+            (no_kind, inst, "classifier lacks the 'kind' field"),
+            (clf, bogus_spec, "gen_spec has unknown fields ['bogus']")):
+        assert main(["eval", str(classifier), str(instance)]) == 2
+        assert f"multidist: error: {message}" in capsys.readouterr().err

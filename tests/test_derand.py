@@ -7,34 +7,68 @@ from scipy.stats import binom
 import multidist as md
 from multidist.metrics import plus_rows
 
+from helpers import family_from_arrays
+
+
+class FixedDraws:
+    """A one-member sampling-oracle stand-in whose draws are fixed arrays, so
+    a test sets every point's label counts."""
+
+    exact = False
+
+    def __init__(self, xs, ys, n):
+        self.family = family_from_arrays([np.full(n, 1.0 / n)], np.full(n, 0.5))
+        self.xs, self.ys = xs, ys
+
+    def draw(self, member_index, size, rng=None):
+        assert (member_index, size) == (0, len(self.xs))
+        return self.xs, self.ys
+
+
+def table_of(counts, gamma, scale=1.0):
+    """The bias table when point x gets counts[x] = (#+1, #-1) draws, at the
+    given gamma (k = 1, eps = delta = 1/2)."""
+    xs = np.repeat(np.arange(len(counts)), [p + q for p, q in counts])
+    ys = np.concatenate([[1] * p + [-1] * q for p, q in counts]).astype(np.int8)
+    cfg = md.DerandConfig(eps=0.5, delta=0.5, c_const=gamma / 4.0, mode="calibrated",
+                          m_override=len(xs), threshold_scale=scale)
+    assert cfg.gamma(1) == gamma
+    return md.build_bias_table(FixedDraws(xs, ys, len(counts)), cfg)
+
 
 def test_empirical_rho_examples():
-    assert md.empirical_rho(np.ones(10, dtype=np.int8)) == (1.0, 10)
-    assert md.empirical_rho(np.array([1] * 5 + [-1] * 5)) == (0.0, 10)
-    assert md.empirical_rho(np.array([1] * 7 + [-1] * 3)) == (0.4, 10)
-    with pytest.raises(ValueError):
-        md.empirical_rho(np.array([]))
+    # rho = (#positive - #negative) / count; rho 0 never clears the threshold
+    table = table_of([(10, 0), (5, 5), (7, 3), (0, 0)], 2.0, scale=1e-6)
+    assert sorted(table.entries) == [0, 2]
+    assert (table.entries[0].rho, table.entries[0].count, table.entries[0].label) == (1.0, 10, 1)
+    assert (table.entries[2].rho, table.entries[2].count) == (0.4, 10)
+    assert table_of([(3, 7)], 2.0, scale=1e-6).entries[0].rho == -0.4
 
 
 def test_threshold_test_derived_example():
     # sqrt(ln(100)/100) ~ 0.2146
     assert math.sqrt(math.log(100) / 100) == pytest.approx(0.2145966026, abs=1e-9)
-    assert md.threshold_test(1.0, 100, 100.0)
-    assert not md.threshold_test(0.2, 100, 100.0)
+    table = table_of([(100, 0), (60, 40)], 100.0)  # rho 1.0 and 0.2
+    assert sorted(table.entries) == [0]
 
 
 def test_threshold_test_zero_rho_and_boundary():
-    assert not md.threshold_test(0.0, 17, 50.0)
-    boundary = math.sqrt(math.log(50.0) / 17)
-    assert not md.threshold_test(boundary, 17, 50.0)  # strict inequality
-    assert md.threshold_test(boundary * (1 + 1e-12), 17, 50.0)
+    assert len(table_of([(9, 8), (8, 9)], 50.0, scale=1e-9)) == 2
+    assert len(table_of([(8, 8)], 50.0, scale=1e-9)) == 0
+    # a scale that puts the threshold bit-exactly on rho = 1 for count 16
+    threshold = math.sqrt(math.log(50.0) / 16)
+    scale = next(s for s in (math.nextafter(1 / threshold, 0), 1 / threshold,
+                             math.nextafter(1 / threshold, 2)) if s * threshold == 1.0)
+    assert len(table_of([(16, 0)], 50.0, scale)) == 0  # strict inequality
+    assert len(table_of([(16, 0)], 50.0, scale * (1 - 1e-12))) == 1
 
 
 def test_threshold_test_rejects_bad_args():
-    with pytest.raises(ValueError):
-        md.threshold_test(0.5, 0, 10.0)
-    with pytest.raises(ValueError):
-        md.threshold_test(0.5, 5, 1.0)
+    # ln(gamma) must be positive, and gamma >= c_const / (eps * delta)
+    for c_const in (0.25, 0.1):
+        with pytest.raises(ValueError, match="c_const must exceed eps \\* delta"):
+            md.DerandConfig(eps=0.5, delta=0.5, c_const=c_const)
+    assert md.DerandConfig(eps=0.5, delta=0.5, c_const=0.26).gamma(1) > 1.0
 
 
 def test_derand_config_formulas():
@@ -67,7 +101,7 @@ def test_derand_config_validation():
 def test_table_collects_sure_labels():
     # all labels +1, small domain, sample count >> ln(gamma): every point lands
     # in the table with label +1
-    fam = md.family_from_arrays([[0.4, 0.3, 0.2, 0.1]], [1.0, 1.0, 1.0, 1.0])
+    fam = family_from_arrays([[0.4, 0.3, 0.2, 0.1]], [1.0, 1.0, 1.0, 1.0])
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=4000)
     table = md.build_bias_table(md.SampleOracle.exact_mode(fam), cfg,
                                 np.random.default_rng(0))
@@ -82,7 +116,7 @@ def test_table_insertion_rate_matches_binomial_tail():
     d = 8
     m = 400
     runs = 400
-    fam = md.family_from_arrays([np.full(d, 1.0 / d)], np.full(d, 0.5))
+    fam = family_from_arrays([np.full(d, 1.0 / d)], np.full(d, 0.5))
     cfg = md.DerandConfig(eps=0.3, delta=0.3, mode="calibrated", m_override=m)
     gamma = cfg.gamma(1)
     oracle = md.SampleOracle.exact_mode(fam)
@@ -119,9 +153,9 @@ def test_table_heavy_point_nearly_always_caught():
     # single point with mass 1 and bias 0.4 under theory-mode sampling: the
     # coverage guarantee says it lands in the table with the right sign in at
     # least 1 - delta/4 of runs; here it is essentially always
-    fam = md.family_from_arrays([[1.0, 0.0]], [[0.9, 0.5]])
+    fam = family_from_arrays([[1.0, 0.0]], [[0.9, 0.5]])
     cfg = md.DerandConfig(eps=0.1, delta=0.1, c_const=4.0, mode="theory")
-    assert md.is_heavily_biased(0, fam, 0.1, 0.1)
+    assert md.heavy_mask(fam, 0.1, 0.1)[0]
     oracle = md.SampleOracle.exact_mode(fam)
     hits = 0
     runs = 300
@@ -134,7 +168,7 @@ def test_table_heavy_point_nearly_always_caught():
 
 def test_table_skips_points_in_earlier_iterations():
     # both members sample point 0 heavily; the entry must credit member 0
-    fam = md.family_from_arrays(
+    fam = family_from_arrays(
         [[0.9, 0.1], [0.9, 0.1]],
         [0.95, 0.5],
     )
@@ -146,7 +180,7 @@ def test_table_skips_points_in_earlier_iterations():
 
 
 def test_table_rejects_inconsistent_family_in_exact_mode():
-    rf = md.matrix_to_family(md.BinaryMatrix(np.array([[1, 1], [1, 1]])))
+    rf = md.ReductionFamily(md.BinaryMatrix(np.array([[1, 1], [1, 1]])))
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=100)
     with pytest.raises(md.LabelConsistencyError):
         md.build_bias_table(md.SampleOracle.exact_mode(rf.family), cfg,
@@ -249,7 +283,7 @@ def test_derandomize_hash_mode_returns_compact():
 
 
 def test_derandomize_rejects_inconsistent_family():
-    rf = md.matrix_to_family(md.BinaryMatrix(np.array([[1, 1], [1, 0]])))
+    rf = md.ReductionFamily(md.BinaryMatrix(np.array([[1, 1], [1, 0]])))
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=100)
     with pytest.raises(md.LabelConsistencyError):
         md.derandomize(md.SampleOracle.exact_mode(rf.family), md.full_labeling_class(2),
@@ -333,7 +367,7 @@ def test_realizable_instance_reaches_low_error():
     masses = rng.random((3, 15))
     masses /= masses.sum(axis=1, keepdims=True)
     target = np.where(rng.random(15) < 0.5, 1, -1).astype(np.int8)
-    fam = md.family_from_arrays(masses, (target == 1).astype(float))
+    fam = family_from_arrays(masses, (target == 1).astype(float))
     cls = md.HypothesisClass((
         md.Hypothesis(np.where(rng.random(15) < 0.5, 1, -1).astype(np.int8)),
         md.Hypothesis(target),

@@ -19,6 +19,15 @@ def random_labels(rng, n):
     return np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
 
 
+def dummy_member_errors(rf, opt_prime, labels):
+    """Exact per-member errors on the dummy-point family of a labeling of all
+    n + 1 points (dummy last): the dummy point costs 1 - 2q where it is
+    labeled -1, and the original points keep their errors scaled by 2q."""
+    q = Fraction(opt_prime)
+    dummy_err = (1 - 2 * q) if labels[rf.n] == -1 else Fraction(0)
+    return [dummy_err + 2 * q * e for e in rf.member_errors(labels[: rf.n])]
+
+
 def oracle_member_errors(matrix, v):
     """Definition-based oracle: error of the +/- member of each row is the
     fraction of its support the labeling gets wrong."""
@@ -46,7 +55,7 @@ def test_coloring_validation():
 
 
 def test_all_ones_2x2_reduction():
-    rf = md.matrix_to_family(md.BinaryMatrix(np.ones((2, 2), dtype=np.int8)))
+    rf = md.ReductionFamily(md.BinaryMatrix(np.ones((2, 2), dtype=np.int8)))
     fam = rf.family
     assert fam.k == 4
     for member in fam.members:
@@ -57,7 +66,7 @@ def test_all_ones_2x2_reduction():
 
 
 def test_identity_reduction_gives_point_masses():
-    rf = md.matrix_to_family(md.BinaryMatrix(np.eye(3, dtype=np.int8)))
+    rf = md.ReductionFamily(md.BinaryMatrix(np.eye(3, dtype=np.int8)))
     for i in range(3):
         assert rf.family.members[2 * i].mass.tolist() == [float(j == i) for j in range(3)]
 
@@ -65,7 +74,7 @@ def test_identity_reduction_gives_point_masses():
 def test_reduction_family_never_label_consistent():
     rng = np.random.default_rng(0)
     for _ in range(5):
-        rf = md.matrix_to_family(random_matrix(rng, 6))
+        rf = md.ReductionFamily(random_matrix(rng, 6))
         assert not md.is_label_consistent(rf.family)
 
 
@@ -73,7 +82,7 @@ def test_row_identity_matches_direct_summation():
     rng = np.random.default_rng(1)
     for _ in range(50):
         matrix = random_matrix(rng, 8)
-        rf = md.matrix_to_family(matrix)
+        rf = md.ReductionFamily(matrix)
         v = random_labels(rng, 8)
         direct = oracle_member_errors(matrix, v)
         for i in range(8):
@@ -92,7 +101,7 @@ def test_row_identity_matches_direct_summation():
 
 def test_sigma_convention_at_zero_dot():
     matrix = md.BinaryMatrix(np.ones((2, 2), dtype=np.int8))
-    rf = md.matrix_to_family(matrix)
+    rf = md.ReductionFamily(matrix)
     er_ms, er_s, sigma = md.row_identity_errors(rf, np.array([1, -1]), 0)
     assert sigma == 1
     assert er_ms == er_s == Fraction(1, 2)
@@ -101,14 +110,14 @@ def test_sigma_convention_at_zero_dot():
 def test_coloring_error_examples():
     rng = np.random.default_rng(2)
     A, z = md.planted_zero_matrix(8, 0.5, rng)
-    rf = md.matrix_to_family(A)
+    rf = md.ReductionFamily(A)
     assert md.coloring_error(z, rf) == Fraction(1, 2)
 
-    ones = md.matrix_to_family(md.BinaryMatrix(np.ones((4, 4), dtype=np.int8)))
+    ones = md.ReductionFamily(md.BinaryMatrix(np.ones((4, 4), dtype=np.int8)))
     balanced = np.array([1, 1, -1, -1], dtype=np.int8)
     assert md.coloring_error(balanced, ones) == Fraction(1, 2)
 
-    ident = md.matrix_to_family(md.BinaryMatrix(np.eye(3, dtype=np.int8)))
+    ident = md.ReductionFamily(md.BinaryMatrix(np.eye(3, dtype=np.int8)))
     for v in itertools.product((-1, 1), repeat=3):
         assert md.coloring_error(np.array(v, dtype=np.int8), ident) == 1
 
@@ -117,7 +126,7 @@ def test_coloring_error_floor_property():
     rng = np.random.default_rng(3)
     for _ in range(20):
         matrix = random_matrix(rng, 7)
-        rf = md.matrix_to_family(matrix)
+        rf = md.ReductionFamily(matrix)
         v = random_labels(rng, 7)
         err = md.coloring_error(v, rf)
         assert err >= Fraction(1, 2)
@@ -168,7 +177,7 @@ def test_oracles_agree_across_block_sizes():
     rng = np.random.default_rng(11)
     for _ in range(5):
         matrix = random_matrix(rng, 7)
-        rf = md.matrix_to_family(matrix)
+        rf = md.ReductionFamily(matrix)
         zc, inf_n, two_n = md.bruteforce_min_discrepancy(matrix)
         for block in (1, 3, 5):
             zb, inf_b, two_b = md.bruteforce_min_discrepancy(matrix, block=block)
@@ -194,8 +203,8 @@ def test_norm_bridge_inf_vs_two():
 def test_min_deterministic_error_planted_and_identity():
     rng = np.random.default_rng(7)
     A, _ = md.planted_zero_matrix(10, 0.5, rng)
-    assert md.min_deterministic_error(md.matrix_to_family(A)) == Fraction(1, 2)
-    ident = md.matrix_to_family(md.BinaryMatrix(np.eye(4, dtype=np.int8)))
+    assert md.min_deterministic_error(md.ReductionFamily(A)) == Fraction(1, 2)
+    ident = md.ReductionFamily(md.BinaryMatrix(np.eye(4, dtype=np.int8)))
     assert md.min_deterministic_error(ident) == 1
 
 
@@ -203,7 +212,7 @@ def test_min_deterministic_error_matches_independent_enumeration():
     rng = np.random.default_rng(8)
     for _ in range(5):
         matrix = random_matrix(rng, 8)
-        rf = md.matrix_to_family(matrix)
+        rf = md.ReductionFamily(matrix)
         got = md.min_deterministic_error(rf)
         best = min(
             max(oracle_member_errors(matrix, np.array(v, dtype=np.int8)))
@@ -227,7 +236,7 @@ def test_planted_high_discrepancy_construction():
         H = md.planted_high_discrepancy_matrix(10, rng)
         _, inf_n, _ = md.bruteforce_min_discrepancy(H)
         assert inf_n >= 2
-        assert md.min_deterministic_error(md.matrix_to_family(H)) == 1
+        assert md.min_deterministic_error(md.ReductionFamily(H)) == 1
 
 
 def test_distinguisher_verdicts():
@@ -255,7 +264,7 @@ def test_distinguisher_verdicts():
 def test_dummy_point_variant_boundary_recovers_original():
     rng = np.random.default_rng(12)
     A, _ = md.planted_zero_matrix(8, 0.5, rng)
-    rf = md.matrix_to_family(A)
+    rf = md.ReductionFamily(A)
     fam = md.dummy_point_variant(rf, Fraction(1, 2))
     assert fam.domain.size == 9
     for i, member in enumerate(fam.members):
@@ -267,13 +276,13 @@ def test_dummy_point_variant_boundary_recovers_original():
 def test_dummy_point_minimum_error_by_bruteforce():
     rng = np.random.default_rng(13)
     A, _ = md.planted_zero_matrix(8, 0.5, rng)
-    rf = md.matrix_to_family(A)
+    rf = md.ReductionFamily(A)
     q = Fraction(1, 4)
     got = md.dummy_min_deterministic_error(rf, q)
     assert got == q
     # independent brute force over all 2^(n+1) labelings
     best = min(
-        max(md.dummy_member_errors(rf, q, np.array(v, dtype=np.int8)))
+        max(dummy_member_errors(rf, q, np.array(v, dtype=np.int8)))
         for v in itertools.product((-1, 1), repeat=9)
     )
     assert best == got
@@ -282,17 +291,17 @@ def test_dummy_point_minimum_error_by_bruteforce():
 def test_dummy_point_minus_label_costs_everywhere():
     rng = np.random.default_rng(14)
     A, _ = md.planted_zero_matrix(6, 0.5, rng)
-    rf = md.matrix_to_family(A)
+    rf = md.ReductionFamily(A)
     q = Fraction(1, 5)
     v = np.append(random_labels(rng, 6), -1).astype(np.int8)
-    errors = md.dummy_member_errors(rf, q, v)
+    errors = dummy_member_errors(rf, q, v)
     assert all(e >= 1 - 2 * q for e in errors)
 
 
 def test_dummy_point_rejects_out_of_range():
     rng = np.random.default_rng(15)
     A, _ = md.planted_zero_matrix(6, 0.5, rng)
-    rf = md.matrix_to_family(A)
+    rf = md.ReductionFamily(A)
     for bad in (0, Fraction(3, 5), 0.75):
         with pytest.raises(ValueError):
             md.dummy_point_variant(rf, bad)
@@ -301,19 +310,18 @@ def test_dummy_point_rejects_out_of_range():
 def test_dummy_point_float_family_matches_exact_errors():
     rng = np.random.default_rng(16)
     A, _ = md.planted_zero_matrix(6, 0.5, rng)
-    rf = md.matrix_to_family(A)
+    rf = md.ReductionFamily(A)
     q = Fraction(1, 4)
     fam = md.dummy_point_variant(rf, q)
     v = np.append(random_labels(rng, 6), 1).astype(np.int8)
-    exact = md.dummy_member_errors(rf, q, v)
-    h = md.Hypothesis(v)
-    for member, e in zip(fam.members, exact):
-        assert md.error_on_distribution(h, member) == pytest.approx(float(e), abs=1e-12)
+    exact = dummy_member_errors(rf, q, v)
+    got = md.worst_case_error(v, fam).per_distribution
+    assert got == pytest.approx([float(e) for e in exact], abs=1e-12)
 
 
 def test_labels_of_wrong_length_or_values_rejected():
     A = md.BinaryMatrix(np.eye(4, dtype=np.int8))
-    rf = md.matrix_to_family(A)
+    rf = md.ReductionFamily(A)
     for labels in ([1, 1, 1, 1, -1, -1, -1], [1, 1, -1]):
         with pytest.raises(ValueError, match="expected 4"):
             md.distinguisher(A, np.array(labels), Fraction(1, 10))

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 import multidist as md
 from multidist.metrics import plus_rows
 
+from helpers import family_from_arrays
+
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
 
@@ -63,7 +65,7 @@ def test_error_matrix_equals_exact_fraction_sums(problem):
 
 
 def test_error_matrix_shapes_and_domain_check():
-    fam = md.family_from_arrays([[0.5, 0.5], [1.0, 0.0]], [[1.0, 0.0], [0.3, 0.3]])
+    fam = family_from_arrays([[0.5, 0.5], [1.0, 0.0]], [[1.0, 0.0], [0.3, 0.3]])
     assert md.error_matrix(np.array([1.0, 0.0]), fam).tolist() == [0.0, 1.0 - 0.3]
     assert md.error_matrix(np.array([[1.0, 0.0]]), fam.members[1]).tolist() == [[1.0 - 0.3]]
     with pytest.raises(ValueError, match="domain size mismatch"):

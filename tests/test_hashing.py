@@ -73,8 +73,10 @@ def test_sample_hash_requires_even_degree():
     rng = np.random.default_rng(2)
     with pytest.raises(ValueError):
         md.sample_hash(5, 3, rng)
-    q = md.sample_hash(5, 1, rng, allow_degenerate=True)
-    assert q.degree_r == 1  # constant polynomial, testing only
+    with pytest.raises(ValueError):
+        md.sample_hash(5, 1, rng)
+    q = md.PolyHash(5, (3,))
+    assert q.degree_r == 1  # a constant polynomial
     assert all(_eval(q, x) == q.coefficients[0] for x in range(5))
 
 

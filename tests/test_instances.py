@@ -57,10 +57,8 @@ def test_heavy_probe_separates_points():
     assert md.validate_family(fam).ok and md.is_label_consistent(fam)
     mask = md.heavy_mask(fam, 0.1, 0.1)
     assert mask[:3].all() and not mask[3:].any()
-    for x in range(3):
-        assert md.is_heavily_biased(x, fam, 0.1, 0.1)
     # bias signs alternate
-    assert md.bias(0, fam) > 0 > md.bias(1, fam)
+    assert fam.shared_label_one_prob[0] > 0.5 > fam.shared_label_one_prob[1]
 
 
 def test_heavy_probe_all_fair_has_no_heavy_points():

@@ -5,14 +5,17 @@ import pytest
 
 import multidist as md
 from multidist.learner import _mixture
+from multidist.metrics import plus_rows
+
+from helpers import family_from_arrays
 
 
 def test_draw_point_mass_always_hits():
     dist = md.LabeledDistribution([0, 0, 0, 1.0], [0.5, 0.5, 0.5, 1.0])
     rng = np.random.default_rng(0)
     for _ in range(50):
-        x, y = md.draw_sample(dist, rng)
-        assert (x, y) == (3, 1)
+        xs, ys = md.draw_batch(dist, 1, rng)
+        assert (xs.tolist(), ys.tolist()) == ([3], [1])
 
 
 def test_draw_label_zero_prob_gives_minus():
@@ -61,7 +64,7 @@ def test_erm_matches_enumeration_oracle():
             md.Hypothesis(np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8))
             for _ in range(8)
         ))
-        errors = [md.error_on_distribution(h, mixture) for h in cls.hypotheses]
+        errors = md.error_matrix(plus_rows(cls.label_matrix), mixture)[:, 0]
         assert md.erm(cls, mixture) == int(np.argmin(errors))
 
 
@@ -84,6 +87,15 @@ def test_empirical_sample_rejects_points_outside_the_domain():
         0.5, 0.0, 0.0, 0.0, 0.5]
 
 
+def test_empirical_sample_rejects_non_integer_points_and_labels():
+    for xs in ([2.7, 0.2], [np.nan, 1], [np.inf, 1]):
+        with pytest.raises(ValueError, match="sample points must be integers"):
+            md.EmpiricalSample(xs, [1, 1], 5)
+    with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+        md.EmpiricalSample([0, 1], [1.5, -1], 5)
+    assert md.EmpiricalSample([2.0, 0.0], [1, -1], 5).xs.tolist() == [2, 0]
+
+
 def test_erm_rejects_empty_sample():
     sample = md.EmpiricalSample(np.array([], dtype=int), np.array([], dtype=np.int8), 3)
     cls = md.HypothesisClass((md.Hypothesis([1, 1, 1]),))
@@ -95,13 +107,13 @@ def test_mixture_error_is_weighted_member_error():
     rng = np.random.default_rng(7)
     masses = rng.random((3, 6))
     masses /= masses.sum(axis=1, keepdims=True)
-    fam = md.family_from_arrays(masses, rng.random((3, 6)))
+    fam = family_from_arrays(masses, rng.random((3, 6)))
     w = rng.random(3)
     w /= w.sum()
     mixture = _mixture(fam.mass_matrix, fam.label_prob_matrix, w)
-    labels = md.Hypothesis(np.where(rng.random(6) < 0.5, 1, -1).astype(np.int8))
-    direct = sum(wi * md.error_on_distribution(labels, m) for wi, m in zip(w, fam.members))
-    assert md.error_on_distribution(labels, mixture) == pytest.approx(direct, abs=1e-13)
+    plus = plus_rows(np.where(rng.random(6) < 0.5, 1, -1))
+    direct = w @ md.error_matrix(plus, fam)
+    assert md.error_matrix(plus, mixture)[0] == pytest.approx(direct, abs=1e-13)
 
 
 def test_hedge_config_defaults():
@@ -121,7 +133,7 @@ def test_hedge_realizable_instance():
     rng = np.random.default_rng(7)
     masses = rng.random((3, 10))
     masses /= masses.sum(axis=1, keepdims=True)
-    fam = md.family_from_arrays(masses, np.ones(10))
+    fam = family_from_arrays(masses, np.ones(10))
     cls = md.HypothesisClass((
         md.Hypothesis(np.where(rng.random(10) < 0.5, 1, -1).astype(np.int8)),
         md.Hypothesis(np.ones(10, dtype=np.int8)),
@@ -227,7 +239,7 @@ def test_hedge_sampling_mode_learns_realizable():
     rng = np.random.default_rng(15)
     masses = rng.random((3, 8))
     masses /= masses.sum(axis=1, keepdims=True)
-    fam = md.family_from_arrays(masses, np.ones(8))
+    fam = family_from_arrays(masses, np.ones(8))
     cls = md.HypothesisClass((
         md.Hypothesis(np.where(rng.random(8) < 0.5, 1, -1).astype(np.int8)),
         md.Hypothesis(np.ones(8, dtype=np.int8)),
@@ -237,13 +249,14 @@ def test_hedge_sampling_mode_learns_realizable():
     assert md.randomized_worst_case_error(F, fam) <= 0.2
 
 
-def test_sampling_oracle_hides_masses():
-    fam, _, _ = md.gen_gap_example(3)
-    oracle = md.SampleOracle.sampling_mode(fam, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        oracle.exact_family()
-    xs, ys = oracle.draw(0, 10)
-    assert np.all(xs == 0) and np.all(ys == 1)
+def test_sampling_oracle_draws_from_its_own_stream():
+    fam, _ = md.gen_random_label_consistent(md.GenSpec(domain_size=12, k=2, seed=4))
+    a = md.SampleOracle.sampling_mode(fam, np.random.default_rng(0))
+    b = md.SampleOracle.sampling_mode(fam, np.random.default_rng(0))
+    xs, ys = a.draw(1, 50)
+    # the caller's rng is ignored
+    xs_b, ys_b = b.draw(1, 50, rng=np.random.default_rng(99))
+    assert np.array_equal(xs, xs_b) and np.array_equal(ys, ys_b)
 
 
 def test_exact_oracle_requires_caller_rng():

@@ -5,6 +5,8 @@ import pytest
 
 import multidist as md
 
+from helpers import family_from_arrays
+
 
 def oracle_error(labels, dist):
     """Independent oracle: enumerate every (x, y) outcome directly."""
@@ -21,21 +23,22 @@ def random_family(rng, n=9, k=3, shared=True):
     masses /= masses.sum(axis=1, keepdims=True)
     if shared:
         eta = rng.random(n)
-        return md.family_from_arrays(masses, eta)
-    return md.family_from_arrays(masses, rng.random((k, n)))
+        return family_from_arrays(masses, eta)
+    return family_from_arrays(masses, rng.random((k, n)))
 
 
 def test_error_point_mass_examples():
     fam, cls, _ = md.gen_gap_example(4)
     # h_i on its own point-mass distribution errs surely; on others never
-    assert md.error_on_distribution(cls.hypotheses[0], fam.members[0]) == 1.0
-    assert md.error_on_distribution(cls.hypotheses[1], fam.members[0]) == 0.0
+    assert md.worst_case_error(cls.hypotheses[0], fam).per_distribution == (1.0, 0.0, 0.0, 0.0)
+    assert md.worst_case_error(cls.hypotheses[1], fam).per_distribution[0] == 0.0
 
 
 def test_error_half_labels_give_half():
-    fam = md.family_from_arrays([[0.2, 0.3, 0.5]], [[0.5, 0.5, 0.5]])
+    fam = family_from_arrays([[0.2, 0.3, 0.5]], [[0.5, 0.5, 0.5]])
     for labels in ([1, 1, 1], [-1, -1, -1], [1, -1, 1]):
-        assert md.error_on_distribution(md.Hypothesis(labels), fam.members[0]) == pytest.approx(0.5, abs=1e-15)
+        assert md.worst_case_error(md.Hypothesis(labels), fam).worst_case == pytest.approx(
+            0.5, abs=1e-15)
 
 
 def test_error_matches_independent_oracle():
@@ -43,16 +46,15 @@ def test_error_matches_independent_oracle():
     for _ in range(25):
         fam = random_family(rng, shared=False)
         labels = np.where(rng.random(9) < 0.5, 1, -1).astype(np.int8)
-        h = md.Hypothesis(labels)
-        for member in fam.members:
-            assert md.error_on_distribution(h, member) == pytest.approx(
-                oracle_error(labels, member), abs=1e-14)
+        errors = md.worst_case_error(md.Hypothesis(labels), fam).per_distribution
+        for e, member in zip(errors, fam.members):
+            assert e == pytest.approx(oracle_error(labels, member), abs=1e-14)
 
 
 def test_error_domain_mismatch():
-    fam = md.family_from_arrays([[1.0]], [[1.0]])
+    fam = family_from_arrays([[1.0]], [[1.0]])
     with pytest.raises(ValueError):
-        md.error_on_distribution(md.Hypothesis([1, 1]), fam.members[0])
+        md.worst_case_error(md.Hypothesis([1, 1]), fam)
 
 
 def test_worst_case_gap_example():
@@ -62,7 +64,7 @@ def test_worst_case_gap_example():
 
 
 def test_worst_case_realizable_zero():
-    fam = md.family_from_arrays([[0.5, 0.5], [0.1, 0.9]], [1.0, 1.0])
+    fam = family_from_arrays([[0.5, 0.5], [0.1, 0.9]], [1.0, 1.0])
     assert md.worst_case_error(md.Hypothesis([1, 1]), fam).worst_case == 0.0
 
 
@@ -99,7 +101,7 @@ def test_randomized_error_singleton_equals_plain():
 
 
 def test_randomized_error_two_point_brute_force():
-    fam = md.family_from_arrays([[0.4, 0.6]], [[0.8, 0.1]])
+    fam = family_from_arrays([[0.4, 0.6]], [[0.8, 0.1]])
     cls = md.HypothesisClass((md.Hypothesis([1, -1]), md.Hypothesis([-1, 1])))
     F = md.RandomizedClassifier(cls, (0, 1), np.array([0.3, 0.7]))
     # brute force over support x domain x labels
@@ -112,7 +114,7 @@ def test_randomized_error_two_point_brute_force():
 def test_randomized_error_rejects_bad_weights():
     cls = md.HypothesisClass((md.Hypothesis([1]),))
     F = md.RandomizedClassifier(cls, (0,), np.array([0.5]))
-    fam = md.family_from_arrays([[1.0]], [[1.0]])
+    fam = family_from_arrays([[1.0]], [[1.0]])
     with pytest.raises(ValueError):
         md.randomized_worst_case_error(F, fam)
 
@@ -123,7 +125,7 @@ def test_randomized_error_linear_in_weights():
     cls = md.HypothesisClass(tuple(
         md.Hypothesis(np.where(rng.random(8) < 0.5, 1, -1).astype(np.int8)) for _ in range(5)
     ))
-    err_matrix = np.array([[md.error_on_distribution(h, m) for m in fam.members]
+    err_matrix = np.array([[oracle_error(h.labels, m) for m in fam.members]
                            for h in cls.hypotheses])
     w = rng.random(5)
     w /= w.sum()
@@ -180,39 +182,41 @@ def test_opt_matches_independent_enumeration():
 
 
 def test_bias_values():
-    fam = md.family_from_arrays([[0.25, 0.25, 0.5]], [[1.0, 0.5, 0.8]])
-    assert md.bias(0, fam) == 0.5
-    assert md.bias(1, fam) == 0.0
-    assert md.bias(2, fam) == pytest.approx(0.3, abs=1e-12)
+    # biases 1/2, 0 and 0.3 under masses 1/4, 1/4 and 1/2 give beta^2 * mass
+    # 0.0625, 0 and 0.045, so the mask follows a threshold between them
+    fam = family_from_arrays([[0.25, 0.25, 0.5]], [[1.0, 0.5, 0.8]])
+    assert 0.045 < md.heavy_bias_threshold(0.9, 0.1, 1, "hash", c_prime=1.0) < 0.0625
+    assert md.heavy_mask(fam, 0.9, 0.1, "hash", c_prime=1.0).tolist() == [True, False, False]
+    assert md.heavy_mask(fam, 0.9, 0.1, "hash", c_prime=4.0).tolist() == [True, False, True]
 
 
 def test_bias_rejects_inconsistent_family():
     A = md.BinaryMatrix(np.array([[1, 1], [1, 0]]))
-    rf = md.matrix_to_family(A)
+    rf = md.ReductionFamily(A)
     with pytest.raises(md.LabelConsistencyError):
-        md.bias(0, rf.family)
+        md.heavy_mask(rf.family, 0.1, 0.1)
 
 
 def test_heavy_bias_zero_bias_never_heavy():
-    fam = md.family_from_arrays([[1.0]], [[0.5]])
-    assert not md.is_heavily_biased(0, fam, 0.1, 0.1)
+    fam = family_from_arrays([[1.0]], [[0.5]])
+    assert not md.heavy_mask(fam, 0.1, 0.1)[0]
 
 
 def test_heavy_bias_derived_example():
     # beta = 1/2, D_1(x) = 1, k = 1: 0.25 > 0.01 / (8 ln 40)
-    fam = md.family_from_arrays([[1.0]], [[1.0]])
+    fam = family_from_arrays([[1.0]], [[1.0]])
     rhs = 0.1**2 / (8.0 * math.log(4 * 1 / 0.1))
     assert 0.25 > rhs
-    assert md.is_heavily_biased(0, fam, 0.1, 0.1)
+    assert md.heavy_mask(fam, 0.1, 0.1)[0]
 
 
 def test_heavy_bias_boundary_is_strict():
     # mass chosen so beta^2 * mass equals the threshold bit-exactly
     thresh = md.heavy_bias_threshold(0.1, 0.1, 1)
     mass = thresh * 4.0  # beta = 1/2 -> beta^2 = 0.25, exact in floats
-    fam = md.family_from_arrays([[mass, 1.0 - mass]], [[1.0, 0.5]])
+    fam = family_from_arrays([[mass, 1.0 - mass]], [[1.0, 0.5]])
     assert (0.5**2) * fam.members[0].mass[0] == thresh
-    assert not md.is_heavily_biased(0, fam, 0.1, 0.1)
+    assert not md.heavy_mask(fam, 0.1, 0.1)[0]
 
 
 def test_heavy_bias_hash_variant_threshold():
@@ -229,9 +233,9 @@ def test_bayes_labeling_is_optimal_for_single_distribution():
     mass = rng.random(n)
     mass /= mass.sum()
     eta = rng.random(n)
-    fam = md.family_from_arrays([mass], eta)
+    fam = family_from_arrays([mass], eta)
     bayes = md.bayes_labels(fam)
-    bayes_err = md.error_on_distribution(md.Hypothesis(bayes), fam.members[0])
+    bayes_err = md.worst_case_error(bayes, fam).worst_case
     # enumerate all 2^n labelings
     best = min(
         oracle_error(np.array([1 if (code >> j) & 1 else -1 for j in range(n)]), fam.members[0])
@@ -243,23 +247,18 @@ def test_bayes_labeling_is_optimal_for_single_distribution():
 def test_bayes_labeling_attains_pointwise_floor_per_member():
     rng = np.random.default_rng(13)
     fam = random_family(rng, n=10, k=4)
-    bayes = md.Hypothesis(md.bayes_labels(fam))
+    errors = md.worst_case_error(md.bayes_labels(fam), fam).per_distribution
     eta = fam.shared_label_one_prob
-    for m in fam.members:
+    for e, m in zip(errors, fam.members):
         floor = float((m.mass * np.minimum(eta, 1.0 - eta)).sum())
-        assert md.error_on_distribution(bayes, m) == pytest.approx(floor, abs=1e-12)
+        assert e == pytest.approx(floor, abs=1e-12)
 
 
 def test_shattering_full_class():
     cls = md.full_labeling_class(3)
-    assert md.shattering_check(cls, [0, 1, 2])
-    assert md.vc_dim_bruteforce(cls) == 3
-
-
-def test_constant_class_vc_zero():
-    cls = md.HypothesisClass((md.Hypothesis([1, 1, 1]),))
-    assert md.vc_dim_bruteforce(cls) == 0
-    assert not md.shattering_check(cls, [0])
+    # all 2^3 labelings of the three points, each once
+    assert len({tuple(row) for row in cls.label_matrix}) == len(cls) == 8
+    assert cls.vc_dim == 3
 
 
 def test_gap_class_shatters_no_pair():
@@ -267,11 +266,4 @@ def test_gap_class_shatters_no_pair():
     # no hypothesis assigns -1 to two points, so (-1, -1) is never realized
     for i in range(5):
         for j in range(i + 1, 5):
-            assert not md.shattering_check(cls, [i, j])
-    assert md.vc_dim_bruteforce(cls) == 1
-
-
-def test_shattering_size_limits():
-    cls = md.full_labeling_class(2)
-    with pytest.raises(ValueError):
-        md.shattering_check(cls, list(range(21)))
+            assert len({tuple(row) for row in cls.label_matrix[:, [i, j]]}) < 4

@@ -6,6 +6,8 @@ import pytest
 import multidist as md
 from multidist import serialize
 
+from helpers import family_from_arrays
+
 
 def test_domain_requires_positive_size():
     with pytest.raises(ValueError):
@@ -14,33 +16,36 @@ def test_domain_requires_positive_size():
 
 
 def test_validate_uniform_family_ok():
-    fam = md.family_from_arrays([[0.25] * 4], [[1.0] * 4])
+    fam = family_from_arrays([[0.25] * 4], [[1.0] * 4])
     report = md.validate_family(fam)
-    assert report.ok and not report.issues
+    assert report.ok and not report.violations
 
 
 def test_validate_reports_mass_sum_violation():
-    fam = md.family_from_arrays([[0.5, 0.6]], [[1.0, 1.0]])
+    fam = family_from_arrays([[0.5, 0.6]], [[1.0, 1.0]])
     report = md.validate_family(fam)
     assert not report.ok
     assert any("mass sum" in issue.message for issue in report.violations)
 
 
 def test_validate_reports_probability_range_violation():
-    fam = md.family_from_arrays([[0.5, 0.5]], [[0.3, 1.2]])
+    fam = family_from_arrays([[0.5, 0.5]], [[0.3, 1.2]])
     report = md.validate_family(fam)
     assert not report.ok
     assert any("point 1" in issue.location for issue in report.violations)
 
 
 def test_validate_reports_negative_mass_with_index():
-    fam = md.family_from_arrays([[-0.1, 1.1]], [[0.5, 0.5]])
+    fam = family_from_arrays([[-0.1, 1.1]], [[0.5, 0.5]])
     assert any("point 0" in i.location for i in md.validate_family(fam).violations)
 
 
 def test_hypothesis_rejects_non_sign_labels():
-    with pytest.raises(ValueError):
-        md.Hypothesis([1, 0, -1])
+    # 1.5 and 255 would pass as 1 and -1 if cast to int8 before the check
+    for labels in ([1, 0, -1], [1.5, -1], np.array([255, -1])):
+        for make in (md.Hypothesis, md.ExplicitClassifier):
+            with pytest.raises(ValueError, match="exactly -1 or \\+1"):
+                make(labels)
 
 
 def test_family_rejects_mismatched_domain():
@@ -67,33 +72,31 @@ def test_label_consistency_shared_vector():
     eta = rng.random(6)
     masses = rng.random((3, 6))
     masses /= masses.sum(axis=1, keepdims=True)
-    fam = md.family_from_arrays(masses, eta)
+    fam = family_from_arrays(masses, eta)
     assert md.is_label_consistent(fam)
 
 
 def test_label_consistency_fails_on_reduction_family():
     A = md.BinaryMatrix(np.array([[1, 1], [0, 1]]))
-    rf = md.matrix_to_family(A)
+    rf = md.ReductionFamily(A)
     assert not md.is_label_consistent(rf.family)
 
 
 def test_label_consistency_ignores_disjoint_supports():
-    fam = md.family_from_arrays(
+    fam = family_from_arrays(
         [[1.0, 0.0], [0.0, 1.0]],
         [[1.0, 1.0], [0.0, 0.0]],  # conditionals differ only off-support
     )
     assert md.is_label_consistent(fam)
 
 
-def test_duplicate_hypotheses_flagged_not_rejected():
+def test_duplicate_hypotheses_accepted():
     cls = md.HypothesisClass((md.Hypothesis([1, -1]), md.Hypothesis([1, -1])))
-    report = md.validate_hypothesis_class(cls)
-    assert report.ok  # warnings only
-    assert report.warnings
+    assert len(cls) == 2 and cls.label_matrix.tolist() == [[1, -1], [1, -1]]
 
 
 def test_shared_label_one_prob_uses_first_supporting_member():
-    fam = md.family_from_arrays(
+    fam = family_from_arrays(
         [[0.0, 1.0], [1.0, 0.0]],
         [[0.9, 0.3], [0.7, 0.1]],
     )
@@ -102,7 +105,7 @@ def test_shared_label_one_prob_uses_first_supporting_member():
 
 
 def test_types_are_immutable():
-    fam = md.family_from_arrays([[0.5, 0.5]], [[1.0, 0.0]])
+    fam = family_from_arrays([[0.5, 0.5]], [[1.0, 0.0]])
     with pytest.raises(ValueError):
         fam.members[0].mass[0] = 0.9
     h = md.Hypothesis([1, -1])
@@ -124,7 +127,7 @@ def test_instance_round_trip_bit_exact(tmp_path):
 
 
 def test_instance_round_trip_per_member_conditionals(tmp_path):
-    fam = md.family_from_arrays(
+    fam = family_from_arrays(
         [[1.0, 0.0], [0.0, 1.0]],
         [[1.0, 1.0], [0.0, 0.0]],
     )
@@ -184,7 +187,7 @@ def test_matrix_round_trip(tmp_path):
 
 
 def test_load_instance_rejects_invalid_family(tmp_path):
-    fam = md.family_from_arrays([[0.5, 0.5], [0.25, 0.75]], [[0.2, 0.4], [0.2, 0.4]])
+    fam = family_from_arrays([[0.5, 0.5], [0.25, 0.75]], [[0.2, 0.4], [0.2, 0.4]])
     doc = serialize.instance_to_dict(fam, md.HypothesisClass((md.Hypothesis([1, -1]),)))
     doc["distributions"][0]["mass"] = [0.5, 0.4]
     doc["distributions"][1]["mass"] = [-0.25, 1.25]
