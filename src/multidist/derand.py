@@ -86,6 +86,11 @@ class DerandConfig:
     def scale(self) -> float:
         return self.threshold_scale if self.mode == "calibrated" else 1.0
 
+    def learner_eps_delta(self) -> tuple[float, float]:
+        """The precision and failure probability the learner is run at: half
+        of this configuration's own."""
+        return self.eps / 2.0, self.delta / 2.0
+
 
 @dataclass(frozen=True)
 class BiasEntry:
@@ -213,7 +218,7 @@ def derandomize_with_details(oracle: SampleOracle, cls: HypothesisClass, learner
     table_rng, round_rng = rng.spawn(2)
 
     if f_rand is None:
-        f_rand = learner(oracle, cls, cfg.eps / 2.0, cfg.delta / 2.0)
+        f_rand = learner(oracle, cls, *cfg.learner_eps_delta())
     table = build_bias_table(oracle, cfg, table_rng)
 
     if cfg.rounding == "explicit":

@@ -5,6 +5,11 @@ intervals.
 All randomness flows from the master seed; per-trial streams are derived from
 (master seed, trial index), so campaign output is independent of worker
 scheduling and can be reproduced exactly.
+
+A campaign runs in chunks of consecutive trials. A chunk generates its
+instances, learns all of their mixtures in one stacked exact-Hedge loop, and
+then finishes each trial with run_trial. Each run of the stack is bit for bit
+the run hedge_learn makes alone, so the chunking changes no output.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import DistributionFamily, HypothesisClass
+from .model import DistributionFamily, HypothesisClass, RandomizedClassifier
 from .metrics import (
     error_matrix,
     heavy_mask,
@@ -30,12 +35,22 @@ from .metrics import (
     randomized_per_distribution,
     worst_case_error,
 )
-from .learner import HedgeConfig, SampleOracle, make_hedge_learner
+from .learner import (
+    HedgeConfig,
+    SampleOracle,
+    exact_hedge,
+    make_hedge_learner,
+    uniform_mixture,
+)
 from .derand import BiasTable, DerandConfig, derandomize_with_details
 from .instances import GenSpec, generate
 
 PREDICATE_OPT = "er_le_opt_plus_eps"
 PREDICATE_CONDITIONAL = "er_le_randomized_plus_half_eps"
+
+# Most trials in one campaign chunk. A chunk holds its instances in memory
+# until their mixtures are learned, so this bounds a long campaign's memory.
+CHUNK_TRIALS = 256
 
 
 @dataclass(frozen=True)
@@ -100,19 +115,20 @@ def heavy_coverage(table: BiasTable, fam: DistributionFamily, eps: float, delta:
 
 def run_trial_detailed(fam: DistributionFamily, cls: HypothesisClass, hedge_cfg: HedgeConfig,
                        derand_cfg: DerandConfig, seed: int, trial_id: int = 0,
-                       measure_time: bool = True):
+                       measure_time: bool = True, f_rand: RandomizedClassifier | None = None):
     """One full pipeline run, deterministic given the seed; returns the report
     together with the derandomization result.
 
-    The mixture is learned first (exact-mode oracle), then the bias table and
-    rounding consume streams derived from the trial seed.
+    The mixture is learned first (exact-mode oracle) unless f_rand passes one
+    in, then the bias table and rounding consume streams derived from the
+    trial seed.
     """
     t0 = time.perf_counter() if measure_time else 0.0
     oracle = SampleOracle.exact_mode(fam)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     result = derandomize_with_details(oracle, cls, make_hedge_learner(hedge_cfg),
-                                      derand_cfg, rng=rng)
+                                      derand_cfg, rng=rng, f_rand=f_rand)
     f_hat, f_rand, table = result.classifier, result.f_rand, result.table
 
     opt, _ = opt_bruteforce(cls, fam)
@@ -129,9 +145,10 @@ def run_trial_detailed(fam: DistributionFamily, cls: HypothesisClass, hedge_cfg:
 
 def run_trial(fam: DistributionFamily, cls: HypothesisClass, hedge_cfg: HedgeConfig,
               derand_cfg: DerandConfig, seed: int, trial_id: int = 0,
-              measure_time: bool = True) -> TrialReport:
+              measure_time: bool = True,
+              f_rand: RandomizedClassifier | None = None) -> TrialReport:
     report, _ = run_trial_detailed(fam, cls, hedge_cfg, derand_cfg, seed, trial_id,
-                                   measure_time)
+                                   measure_time, f_rand)
     return report
 
 
@@ -202,23 +219,60 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] & 0x7FFFFFFFFFFFFFFF)
 
 
-def _campaign_worker(args) -> tuple[int, TrialReport | None, str | None]:
-    cfg, trial_index, measure_time = args
+def _learn_mixtures(cfg: CampaignConfig, instances) -> list:
+    """The exact-mode Hedge mixture of each (family, class) pair, at the
+    precision the derandomizer asks of its learner, learned in one stacked
+    loop. A spec gives every instance the same k and |H|, so they stack."""
+    eps, _ = cfg.derand.learner_eps_delta()
+    rounds, eta = cfg.hedge.resolve(instances[0][0].k, eps)
+    errors = np.stack([error_matrix(plus_rows(cls.label_matrix), fam) for fam, cls in instances])
+    chosen = exact_hedge(errors, rounds, eta)
+    return [uniform_mixture(cls, chosen[:, b]) for b, (_, cls) in enumerate(instances)]
+
+
+def _failed(trial_index: int, exc: Exception) -> tuple[int, None, str]:
+    return trial_index, None, f"{type(exc).__name__}: {exc}"
+
+
+def _campaign_worker(args) -> list[tuple[int, TrialReport | None, str | None]]:
+    """Run one chunk of trials. Under measure_time a trial's wall_time is its
+    own run_trial time plus an equal share of the chunk's learning time.
+    Errors are recorded per trial, and the chunk continues past them."""
+    cfg, indices, measure_time = args
+    results, instances = [], []
+    for i in indices:
+        try:
+            seed = trial_seed(cfg.master_seed, i)
+            fam, cls, _ = generate(dataclasses.replace(cfg.gen_spec, seed=seed ^ 0x5EED))
+            instances.append((i, seed, fam, cls))
+        except Exception as exc:  # recorded, campaign continues
+            results.append(_failed(i, exc))
+    if not instances:
+        return results
+    t0 = time.perf_counter()
     try:
-        seed = trial_seed(cfg.master_seed, trial_index)
-        fam, cls, _ = generate(dataclasses.replace(cfg.gen_spec, seed=seed ^ 0x5EED))
-        report = run_trial(fam, cls, cfg.hedge, cfg.derand, seed,
-                           trial_id=trial_index, measure_time=measure_time)
-        return trial_index, report, None
-    except Exception as exc:  # recorded, campaign continues
-        return trial_index, None, f"{type(exc).__name__}: {exc}"
+        mixtures = _learn_mixtures(cfg, [(fam, cls) for _, _, fam, cls in instances])
+    except Exception as exc:  # a learning error is every trial's error
+        return results + [_failed(i, exc) for i, *_ in instances]
+    share = (time.perf_counter() - t0) / len(instances)
+    for (i, seed, fam, cls), f_rand in zip(instances, mixtures):
+        try:
+            # through the module attribute, which a caller may wrap
+            report = run_trial(fam, cls, cfg.hedge, cfg.derand, seed, trial_id=i,
+                               measure_time=measure_time, f_rand=f_rand)
+            if measure_time:
+                report = dataclasses.replace(report, wall_time=report.wall_time + share)
+            results.append((i, report, None))
+        except Exception as exc:  # recorded, campaign continues
+            results.append(_failed(i, exc))
+    return results
 
 
 def run_campaign(cfg: CampaignConfig, trials: int, parallelism: int = 1,
                  out_dir=None, measure_time: bool = True
                  ) -> tuple[CampaignSummary, list[TrialReport]]:
-    """Run trials (optionally in a process pool), write one CSV row per trial
-    plus a JSON summary stanza, and aggregate predicate pass rates.
+    """Run trials in chunks (optionally in a process pool), write one CSV row
+    per trial plus a JSON summary stanza, and aggregate predicate pass rates.
 
     Trial errors are recorded and skipped; the summary is then flagged
     partial. Output is sorted by trial id, so content is identical for any
@@ -228,14 +282,17 @@ def run_campaign(cfg: CampaignConfig, trials: int, parallelism: int = 1,
         raise ValueError("trials must be >= 1")
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    jobs = [(cfg, t, measure_time) for t in range(trials)]
-    results: list[tuple[int, TrialReport | None, str | None]] = []
+    # parallelism equal chunks, so that every worker stays busy, of at most
+    # CHUNK_TRIALS trials each
+    size = min(CHUNK_TRIALS, -(-trials // parallelism))
+    jobs = [(cfg, range(start, min(start + size, trials)), measure_time)
+            for start in range(0, trials, size)]
     if parallelism == 1:
-        results = [_campaign_worker(j) for j in jobs]
+        chunks = [_campaign_worker(j) for j in jobs]
     else:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_campaign_worker, jobs))
-    results.sort(key=lambda r: r[0])
+            chunks = list(pool.map(_campaign_worker, jobs))
+    results = sorted((r for chunk in chunks for r in chunk), key=lambda r: r[0])
 
     reports = [r for _, r, err in results if r is not None]
     errors = [(idx, err) for idx, r, err in results if err is not None]

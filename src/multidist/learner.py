@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -176,7 +177,7 @@ def erm(cls: HypothesisClass, data: LabeledDistribution | EmpiricalSample) -> in
     if data.domain_size != cls.domain_size:
         raise ValueError("domain size mismatch between class and data")
     # err(h) = 0.5 - 0.5 * sum_x mass[x] * h(x) * (2 eta[x] - 1); argmin err = argmax score
-    score = cls.label_matrix.astype(np.float64) @ (data.mass * (2.0 * data.label_one_prob - 1.0))
+    score = cls.float_label_matrix @ (data.mass * (2.0 * data.label_one_prob - 1.0))
     return int(np.argmax(score))
 
 
@@ -190,6 +191,72 @@ class HedgeRound:
     weights: tuple[float, ...]
 
 
+def exact_hedge(errors: np.ndarray, rounds: int, eta: float,
+                weights_log: list | None = None) -> np.ndarray:
+    """Exact-mode Hedge on a stack of B error matrices, shaped (B, |H|, k):
+    B independent runs of the same rounds and eta, advanced together.
+
+    Each round best-responds with argmin_h (E_b @ w_b)[h] (ties to the lowest
+    index, as erm breaks them), multiplies w_b by row h of the precomputed
+    exp(eta * E_b) and renormalizes. Returns the (rounds, B) chosen indices:
+    intp for one run, and for a stack the smallest unsigned dtype that holds
+    |H| - 1, so that a long stack's choices stay small. With weights_log
+    given, each round appends a copy of the (B, k) weights it starts from.
+
+    Every operation acts on each run's own rows in the order a one-run loop
+    uses, so run b's weights and choices do not depend on the rest of the
+    stack; tests pin this bit for bit against a per-run loop.
+    """
+    B, H, k = errors.shape
+    # row b * H + h is np.exp(eta * errors[b, h]) element for element
+    factors = np.exp(eta * errors).reshape(B * H, k)
+    w = np.full((B, k), 1.0 / k)
+    scores = np.empty((B, H, 1))
+    if B == 1:
+        # the same product without matmul's per-call set-up
+        product = partial(errors[0].dot, w[0], scores[0, :, 0])
+    else:
+        product = partial(np.matmul, errors, w[:, :, None], scores)
+    best = np.empty((B, 1), dtype=np.intp)
+    offsets = np.arange(B)[:, None] * H
+    rows = np.empty((B, 1), dtype=np.intp)
+    factor = np.empty((B, 1, k))
+    factor_row, w_flat = factor[:, 0], w.reshape(-1)
+    total = np.empty((B, 1))
+    chosen = np.empty((rounds, B), dtype=np.intp if B == 1 else np.min_scalar_type(H - 1))
+    # Call set-up, not arithmetic, is the cost on these small arrays: method
+    # calls with positional arguments and the B == 1 branches (whose choice
+    # row is written by argmin and read by take directly) keep a one-run
+    # round at the cost of a plain np.dot loop.
+    for choice in chosen[:, :, None]:
+        product()
+        if B == 1:
+            scores.argmin(1, choice)
+            factors.take(choice, 0, factor, "clip")
+        else:
+            scores.argmin(1, best)
+            choice[...] = best
+            np.add(best, offsets, rows)
+            factors.take(rows, 0, factor, "clip")
+        if weights_log is not None:
+            weights_log.append(w.copy())
+        np.multiply(w, factor_row, w)
+        if B == 1:
+            np.divide(w, np.add.reduce(w_flat), w)
+        else:
+            np.add.reduce(w, 1, None, total, True)
+            np.divide(w, total, w)
+    return chosen
+
+
+def uniform_mixture(cls: HypothesisClass, chosen: np.ndarray) -> RandomizedClassifier:
+    """The uniform mixture over one run's chosen hypothesis indices, with
+    duplicate choices merged by summing their weights."""
+    picks = np.bincount(chosen, minlength=len(cls))
+    support = np.flatnonzero(picks)
+    return RandomizedClassifier(cls, tuple(support.tolist()), picks[support] / len(chosen))
+
+
 def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: float,
                 cfg: HedgeConfig | None = None,
                 trace: list | None = None) -> RandomizedClassifier:
@@ -197,14 +264,12 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: f
     hypotheses (duplicate choices merged by summing weights).
 
     In exact mode the procedure is deterministic: the |H| x k error matrix E
-    and its update factors exp(eta * E) are computed once, and each round's
-    best response is argmin_h (E @ w)[h], the exact ERM over the w-weighted
-    mixture. In sampling mode each round draws cfg.erm_sample_size fresh
-    samples per member from the oracle's stream (in one batch, using the
-    stream as k consecutive draw calls would), and both the ERM and the
-    weight update use the resulting empirical measures. delta only enters
-    through the caller's contract—Hedge itself has no failure branch in
-    exact mode.
+    is computed once and exact_hedge runs it as a stack of one. In sampling
+    mode each round draws cfg.erm_sample_size fresh samples per member from
+    the oracle's stream (in one batch, using the stream as k consecutive draw
+    calls would), and both the ERM and the weight update use the resulting
+    empirical measures. delta only enters through the caller's
+    contract—Hedge itself has no failure branch in exact mode.
     """
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
         raise ValueError("eps and delta must lie in (0, 1)")
@@ -215,43 +280,35 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: f
     plus = plus_rows(cls.label_matrix)
 
     if oracle.exact:
-        err_matrix = error_matrix(plus, fam)
-        # row h is np.exp(eta * err_matrix[h]) element for element
-        factors = np.exp(eta * err_matrix)
-        scores = np.empty(len(cls))
-    else:
-        m = cfg.erm_sample_size
-        cum_mass = np.cumsum(fam.mass_matrix, axis=1)
-        cell_offsets = np.arange(k)[:, None] * n
+        errors = error_matrix(plus, fam)
+        weights_log = None if trace is None else []
+        chosen = exact_hedge(errors[None], rounds, eta, weights_log)[:, 0]
+        if trace is not None:
+            trace.extend(HedgeRound(t, int(h), tuple(errors[h].tolist()), tuple(w[0].tolist()))
+                         for t, (h, w) in enumerate(zip(chosen, weights_log)))
+        return uniform_mixture(cls, chosen)
 
+    m = cfg.erm_sample_size
+    cum_mass = np.cumsum(fam.mass_matrix, axis=1)
+    cell_offsets = np.arange(k)[:, None] * n
     w = np.full(k, 1.0 / k)
     chosen = np.empty(rounds, dtype=np.intp)
     for t in range(rounds):
-        if oracle.exact:
-            np.dot(err_matrix, w, out=scores)
-            # argmin breaks ties to the lowest index, as erm does
-            h_idx = int(scores.argmin())
-            errs, factor = err_matrix[h_idx], factors[h_idx]
-        else:
-            # m fresh draws per member, tallied into (k, n) point and +1 counts
-            xs, positive = _draw(cum_mass, fam.label_prob_matrix, m, oracle.rng)
-            xs += cell_offsets
-            counts = np.bincount(xs.ravel(), minlength=k * n).reshape(k, n).astype(np.float64)
-            pos = np.bincount(xs[positive], minlength=k * n).reshape(k, n).astype(np.float64)
-            emp_mass = counts / m
-            emp_eta = np.divide(pos, counts, out=np.full((k, n), 0.5), where=counts > 0)
-            h_idx = erm(cls, _mixture(emp_mass, emp_eta, w))
-            errs = error_matrix(plus[h_idx], (emp_mass, emp_eta))
-            factor = np.exp(eta * errs)
+        # m fresh draws per member, tallied into (k, n) point and +1 counts
+        xs, positive = _draw(cum_mass, fam.label_prob_matrix, m, oracle.rng)
+        xs += cell_offsets
+        counts = np.bincount(xs.ravel(), minlength=k * n).reshape(k, n).astype(np.float64)
+        pos = np.bincount(xs[positive], minlength=k * n).reshape(k, n).astype(np.float64)
+        emp_mass = counts / m
+        emp_eta = np.divide(pos, counts, out=np.full((k, n), 0.5), where=counts > 0)
+        h_idx = erm(cls, _mixture(emp_mass, emp_eta, w))
+        errs = error_matrix(plus[h_idx], (emp_mass, emp_eta))
         chosen[t] = h_idx
         if trace is not None:
             trace.append(HedgeRound(t, h_idx, tuple(errs.tolist()), tuple(w.tolist())))
-        np.multiply(w, factor, out=w)
+        np.multiply(w, np.exp(eta * errs), out=w)
         np.divide(w, np.add.reduce(w), out=w)
-
-    picks = np.bincount(chosen, minlength=len(cls))
-    support = np.flatnonzero(picks)
-    return RandomizedClassifier(cls, tuple(support.tolist()), picks[support] / rounds)
+    return uniform_mixture(cls, chosen)
 
 
 def make_hedge_learner(cfg: HedgeConfig | None = None):

@@ -10,6 +10,7 @@ inspected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,7 +27,10 @@ class LabelConsistencyError(ValueError):
 
 
 def _frozen_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except TypeError as exc:  # e.g. a JSON object among the numbers
+        raise ValueError(f"{name} must hold numbers: {exc}") from None
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     arr = arr.copy()
@@ -44,6 +48,17 @@ def _frozen_label_array(values, name: str) -> np.ndarray:
     arr = arr.astype(np.int8)
     arr.flags.writeable = False
     return arr
+
+
+def require_integer(value, name: str) -> int:
+    """value as an int: an integer, or a float with an integral value. Any
+    other value (2.7, True, "3") is a ValueError naming the field, where
+    int() would truncate or convert it silently."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_)):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and math.isfinite(value) and value == int(value):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -189,6 +204,13 @@ class HypothesisClass:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def float_label_matrix(self) -> np.ndarray:
+        """label_matrix as float64 (an exact cast), kept for matrix products."""
+        out = self.label_matrix.astype(np.float64)
+        out.flags.writeable = False
+        return out
+
 
 def full_labeling_class(n: int) -> HypothesisClass:
     """All 2^n labelings of an n-point domain (n <= 16)."""
@@ -213,7 +235,8 @@ class RandomizedClassifier:
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "support", tuple(int(i) for i in self.support))
+        object.__setattr__(self, "support",
+                           tuple(require_integer(i, "support index") for i in self.support))
         object.__setattr__(self, "weights", _frozen_float_array(self.weights, "weights"))
         if len(self.support) == 0:
             raise ValueError("randomized classifier must have nonempty support")

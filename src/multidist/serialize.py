@@ -23,16 +23,43 @@ from .model import (
     HypothesisClass,
     LabeledDistribution,
     RandomizedClassifier,
+    require_integer,
     validate_family,
 )
 from .discrepancy import BinaryMatrix
 
 
-def _field(doc: dict, key: str, what: str):
-    """doc[key], or a ValueError that names the missing key."""
+_JSON_NAMES = {list: "list", dict: "object"}
+
+
+def _field(doc: dict, key: str, what: str, kind: type | None = None):
+    """doc[key], or a ValueError that names the missing key, or the key
+    whose value is not of the JSON kind given (list or dict)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
     if key not in doc:
         raise ValueError(f"{what} lacks the {key!r} field")
+    if kind is not None and not isinstance(doc[key], kind):
+        raise ValueError(f"{what} field {key!r} must be a {_JSON_NAMES[kind]}, "
+                         f"got {type(doc[key]).__name__}")
     return doc[key]
+
+
+# the JSON values each GenSpec field annotation accepts (bool never counts)
+_GEN_SPEC_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
+def _gen_spec_from_dict(doc) -> GenSpec:
+    if not isinstance(doc, dict):
+        raise ValueError(f"gen_spec must be a JSON object, got {type(doc).__name__}")
+    types = {f.name: f.type for f in dataclasses.fields(GenSpec)}
+    unknown = set(doc) - set(types)
+    if unknown:
+        raise ValueError(f"gen_spec has unknown fields {sorted(unknown)}")
+    for key, value in doc.items():
+        if isinstance(value, bool) or not isinstance(value, _GEN_SPEC_TYPES[types[key]]):
+            raise ValueError(f"gen_spec field {key!r} must be {types[key]}, got {value!r}")
+    return GenSpec(**doc)
 
 
 def instance_to_dict(fam: DistributionFamily, cls: HypothesisClass,
@@ -57,27 +84,29 @@ def instance_to_dict(fam: DistributionFamily, cls: HypothesisClass,
 
 
 def instance_from_dict(doc: dict) -> tuple[DistributionFamily, HypothesisClass, GenSpec | None]:
-    n = int(_field(doc, "domain_size", "instance"))
-    shared = doc.get("shared_label_one_prob")
+    n = require_integer(_field(doc, "domain_size", "instance"), "instance field 'domain_size'")
+    shared = None
+    if "shared_label_one_prob" in doc:
+        shared = _field(doc, "shared_label_one_prob", "instance", list)
     members = []
-    for entry in _field(doc, "distributions", "instance"):
-        eta = entry.get("label_one_prob", shared)
+    for entry in _field(doc, "distributions", "instance", list):
+        mass = _field(entry, "mass", "distribution entry", list)
+        eta = (_field(entry, "label_one_prob", "distribution entry", list)
+               if "label_one_prob" in entry else shared)
         if eta is None:
             raise ValueError("distribution entry lacks label_one_prob and no shared vector given")
-        members.append(LabeledDistribution(_field(entry, "mass", "distribution entry"), eta))
+        members.append(LabeledDistribution(mass, eta))
     fam = DistributionFamily(Domain(n), tuple(members))
     report = validate_family(fam)
     if not report.ok:
         raise ValueError("invalid instance: " + "; ".join(
             f"{v.location}: {v.message}" for v in report.violations))
-    hyps = tuple(Hypothesis(row) for row in _field(doc, "hypotheses", "instance"))
-    cls = HypothesisClass(hyps, vc_dim=doc.get("vc_dim"))
-    spec = None
-    if "gen_spec" in doc:
-        unknown = set(doc["gen_spec"]) - {f.name for f in dataclasses.fields(GenSpec)}
-        if unknown:
-            raise ValueError(f"gen_spec has unknown fields {sorted(unknown)}")
-        spec = GenSpec(**doc["gen_spec"])
+    hyps = tuple(Hypothesis(row) for row in _field(doc, "hypotheses", "instance", list))
+    vc_dim = doc.get("vc_dim")
+    if vc_dim is not None:
+        vc_dim = require_integer(vc_dim, "instance field 'vc_dim'")
+    cls = HypothesisClass(hyps, vc_dim=vc_dim)
+    spec = _gen_spec_from_dict(doc["gen_spec"]) if "gen_spec" in doc else None
     return fam, cls, spec
 
 
@@ -98,8 +127,8 @@ def randomized_to_dict(f_rand: RandomizedClassifier) -> dict:
 
 
 def randomized_from_dict(doc: dict, cls: HypothesisClass) -> RandomizedClassifier:
-    f_rand = RandomizedClassifier(cls, tuple(_field(doc, "support_indices", "mixture")),
-                                  np.asarray(_field(doc, "weights", "mixture")))
+    f_rand = RandomizedClassifier(cls, tuple(_field(doc, "support_indices", "mixture", list)),
+                                  np.asarray(_field(doc, "weights", "mixture", list)))
     if not f_rand.weight_sum_ok():
         raise ValueError(f"mixture weights sum to {float(f_rand.weights.sum())!r}, expected 1")
     return f_rand
@@ -131,23 +160,31 @@ def classifier_to_dict(clf) -> dict:
 
 
 def classifier_from_dict(doc: dict, cls: HypothesisClass | None = None):
-    def field(key):
-        return _field(doc, key, "classifier")
+    def field(key, kind=None):
+        return _field(doc, key, "classifier", kind)
+
+    def integer(key):
+        return require_integer(field(key), f"classifier field {key!r}")
 
     kind = field("kind")
     if kind == "explicit":
-        return ExplicitClassifier(field("labels"))
+        return ExplicitClassifier(field("labels", list))
     if kind == "compact":
         if cls is None:
             raise ValueError("loading a compact classifier needs the hypothesis class")
-        coeffs = field("coefficients")
-        if len(coeffs) != field("degree_r"):
+        coeffs = field("coefficients", list)
+        if len(coeffs) != integer("degree_r"):
             raise ValueError("degree_r does not match the coefficient count")
-        q = PolyHash(int(field("prime")), tuple(int(c) for c in coeffs))
-        f_rand = randomized_from_dict(field("randomized"), cls)
-        table = {int(x): int(l) for x, l in field("t_table")}
-        return CompactClassifier(q, table, f_rand, int(field("domain_size")),
-                                 int(field("range_size")))
+        q = PolyHash(integer("prime"),
+                     tuple(require_integer(c, "hash coefficient") for c in coeffs))
+        f_rand = randomized_from_dict(field("randomized", dict), cls)
+        table = {}
+        for entry in field("t_table", list):
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise ValueError(f"t_table entries must be [point, label] pairs, got {entry!r}")
+            x = require_integer(entry[0], "t_table point")
+            table[x] = require_integer(entry[1], "t_table label")
+        return CompactClassifier(q, table, f_rand, integer("domain_size"), integer("range_size"))
     raise ValueError(f"unknown classifier kind {kind!r}")
 
 

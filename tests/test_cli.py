@@ -256,3 +256,80 @@ def test_bad_files_name_the_missing_or_unknown_key(tmp_path, capsys):
             (clf, bogus_spec, "gen_spec has unknown fields ['bogus']")):
         assert main(["eval", str(classifier), str(instance)]) == 2
         assert f"multidist: error: {message}" in capsys.readouterr().err
+
+
+def test_classifier_files_reject_non_integer_values(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    main(["gen", "--domain-size", "15", "-k", "2", "--hypotheses", "4",
+          "--seed", "3", "-o", str(inst)])
+    clf = tmp_path / "clf.json"
+    assert main(["derand", str(inst), "--eps", "0.25", "--delta", "0.25",
+                 "--mode", "calibrated", "--m-override", "800",
+                 "--rounding", "hash", "--seed", "4", "-o", str(clf)]) == 0
+    doc = json.loads(clf.read_text())
+    assert main(["eval", str(clf), str(inst)]) == 0
+    capsys.readouterr()
+    # int() would load these as point 3 with label 1, support (0,), a prime
+    # of 17 and so on, and the CLI would exit 0
+    bad = tmp_path / "bad.json"
+    for edit, message in (
+            (dict(t_table=[[3.7, 1.5]]), "t_table point must be an integer, got 3.7"),
+            (dict(t_table=[[3, 1.5]]), "t_table label must be an integer, got 1.5"),
+            (dict(t_table=[[3, 1, 0]]), "t_table entries must be [point, label] pairs"),
+            (dict(randomized={**doc["randomized"], "support_indices": [0.9]}),
+             "support index must be an integer, got 0.9"),
+            (dict(prime=doc["prime"] + 0.5), "classifier field 'prime' must be an integer"),
+            (dict(domain_size="15"), "classifier field 'domain_size' must be an integer"),
+            (dict(coefficients=[c + 0.25 for c in doc["coefficients"]]),
+             "hash coefficient must be an integer"),
+            (dict(degree_r=True), "classifier field 'degree_r' must be an integer"),
+            (dict(t_table={}), "classifier field 't_table' must be a list, got dict")):
+        bad.write_text(json.dumps({**doc, **edit}))
+        assert main(["eval", str(bad), str(inst)]) == 2
+        assert f"multidist: error: {message}" in capsys.readouterr().err
+    # integral floats carry no fraction to lose, so they still load
+    bad.write_text(json.dumps({**doc, "domain_size": 15.0}))
+    assert main(["eval", str(bad), str(inst)]) == 0
+
+
+def test_instance_files_check_json_value_types(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--domain-size", "10", "-k", "2", "--hypotheses", "4",
+                 "--seed", "1", "-o", str(inst)]) == 0
+    doc = json.loads(inst.read_text())
+    fam, cls, _ = serialize.load_instance(inst)
+    clf = tmp_path / "clf.json"
+    serialize.save_classifier(clf, md.ExplicitClassifier(cls.hypotheses[0].labels))
+    spec = doc["gen_spec"]
+    mass = doc["distributions"][0]["mass"]
+    bad = tmp_path / "bad.json"
+    capsys.readouterr()
+    for edit, message in (
+            (dict(gen_spec={**spec, "domain_size": "10"}),
+             "gen_spec field 'domain_size' must be int, got '10'"),
+            (dict(gen_spec={**spec, "k": 2.0}), "gen_spec field 'k' must be int, got 2.0"),
+            (dict(gen_spec={**spec, "eps": None}), "gen_spec field 'eps' must be float"),
+            (dict(gen_spec={**spec, "kind": 3}), "gen_spec field 'kind' must be str, got 3"),
+            (dict(gen_spec={**spec, "seed": True}), "gen_spec field 'seed' must be int"),
+            (dict(gen_spec=[1, 2]), "gen_spec must be a JSON object, got list"),
+            (dict(hypotheses="abc"), "instance field 'hypotheses' must be a list, got str"),
+            (dict(hypotheses=7), "instance field 'hypotheses' must be a list, got int"),
+            (dict(domain_size="10"), "instance field 'domain_size' must be an integer"),
+            (dict(domain_size=10.5), "instance field 'domain_size' must be an integer"),
+            (dict(vc_dim="2"), "instance field 'vc_dim' must be an integer"),
+            (dict(distributions={}), "instance field 'distributions' must be a list"),
+            (dict(distributions=[mass]), "distribution entry must be a JSON object, got list"),
+            (dict(distributions=[{"mass": {}}]),
+             "distribution entry field 'mass' must be a list, got dict"),
+            (dict(distributions=[{"mass": [{}] * 10}]), "mass must hold numbers"),
+            (dict(shared_label_one_prob=0.5),
+             "instance field 'shared_label_one_prob' must be a list, got float")):
+        bad.write_text(json.dumps({**doc, **edit}))
+        assert main(["eval", str(clf), str(bad)]) == 2
+        assert f"multidist: error: {message}" in capsys.readouterr().err
+    bad.write_text(json.dumps([doc]))
+    assert main(["eval", str(clf), str(bad)]) == 2
+    assert "instance must be a JSON object, got list" in capsys.readouterr().err
+    # a float field given an int is still a number of the right kind
+    bad.write_text(json.dumps({**doc, "gen_spec": {**spec, "eps": 1}}))
+    assert main(["eval", str(clf), str(bad)]) == 0

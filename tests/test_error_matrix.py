@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multidist as md
+from multidist.learner import exact_hedge
 from multidist.metrics import plus_rows
 
 from helpers import family_from_arrays
@@ -255,6 +256,48 @@ def test_lean_rounds_match_the_former_rounds(shape, eps, fields, seed, sampling,
         assert np.array_equal(got.weights, w)
     if doubled:
         assert max(support) < len(cls) // 2
+
+
+# (|H|, k, B): the C06 campaign stack, wider classes and more members, one
+# member, one hypothesis, and |H| = 256 and 257 on either side of the
+# uint8/uint16 choice dtype
+STACKS = [(16, 6, 50), (128, 24, 8), (64, 16, 16), (4, 2, 20), (7, 1, 5), (256, 50, 4),
+          (257, 3, 4), (1, 3, 4)]
+BLAS_MESSAGE = ("with this numpy/BLAS build a stacked matmul is not bitwise equal to np.dot, "
+                "so a chunked campaign would not reproduce hedge_learn's mixtures")
+LOOP_MESSAGE = ("the stacked exact-Hedge loop is not bit for bit the one-run loop, so a "
+                "chunked campaign would not reproduce hedge_learn's mixtures")
+
+
+@pytest.mark.parametrize("H,k,B", STACKS, ids=[f"H{h}-k{k}-B{b}" for h, k, b in STACKS])
+def test_stacked_exact_hedge_is_bitwise_the_one_run_loop(H, k, B):
+    eps = 0.075 if (H, k) == (16, 6) else 0.3
+    cfg = md.HedgeConfig()
+    rounds, eta = cfg.resolve(k, eps)
+    instances = [md.gen_random_label_consistent(md.GenSpec(domain_size=30, k=k,
+                                                           hypothesis_count=H, seed=seed))
+                 for seed in range(B)]
+    errors = np.stack([md.error_matrix(plus_rows(cls.label_matrix), fam)
+                       for fam, cls in instances])
+    log = []
+    chosen = exact_hedge(errors, rounds, eta, log)
+    assert chosen.shape == (rounds, B) and len(log) == rounds
+    assert chosen.dtype == (np.uint8 if H <= 256 else np.uint16)
+    # the product itself, on the weights of the first rounds: a stacked
+    # matmul that differs from np.dot in the last bit can flip a near-tie
+    for w in log[:50]:
+        stacked = np.matmul(errors, w[:, :, None])[:, :, 0]
+        assert all(np.array_equal(stacked[b], np.dot(errors[b], w[b])) for b in range(B)), \
+            BLAS_MESSAGE
+    for b, (fam, cls) in enumerate(instances):
+        _, _, rows = round_hedge(fam, cls, eps, cfg)
+        alone_log = []
+        alone = exact_hedge(errors[b:b + 1], rounds, eta, alone_log)
+        for got, got_log in ((chosen[:, b], [w[b] for w in log]),
+                             (alone[:, 0], [w[0] for w in alone_log])):
+            assert np.array_equal(got, [h for h, _, _ in rows]), LOOP_MESSAGE
+            assert all(np.array_equal(w, want) for w, (_, _, want) in zip(got_log, rows)), \
+                LOOP_MESSAGE
 
 
 @settings(max_examples=200, deadline=None)

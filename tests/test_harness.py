@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import multidist as md
+from multidist import harness
 from multidist.harness import (
     PREDICATE_CONDITIONAL,
     PREDICATE_OPT,
@@ -165,3 +166,48 @@ def test_write_trials_csv_round_trip(tmp_path):
     write_trials_csv(path, reports)
     rows = list(csv.reader(path.open()))
     assert rows[1][2] == repr(0.3)
+
+
+def test_chunk_reports_a_failed_generation_for_its_own_trial(tmp_path, monkeypatch):
+    cfg = small_campaign(seed=5)
+    md.run_campaign(cfg, trials=5, out_dir=tmp_path / "whole", measure_time=False)
+    broken_seed = md.trial_seed(cfg.master_seed, 2) ^ 0x5EED
+    generate = harness.generate
+
+    def failing_generate(spec):
+        if spec.seed == broken_seed:
+            raise ValueError("generator broke")
+        return generate(spec)
+
+    monkeypatch.setattr(harness, "generate", failing_generate)
+    summary, reports = md.run_campaign(cfg, trials=5, out_dir=tmp_path / "broken",
+                                       measure_time=False)
+    assert summary.errors == 1 and summary.partial
+    assert [r.trial_id for r in reports] == [0, 1, 3, 4]
+    stanza = json.loads((tmp_path / "broken/summary.json").read_text())
+    assert stanza["trial_errors"] == [{"trial_id": 2, "error": "ValueError: generator broke"}]
+    whole = (tmp_path / "whole/trials.csv").read_text().splitlines()
+    assert (tmp_path / "broken/trials.csv").read_text().splitlines() == whole[:3] + whole[4:]
+
+
+def test_a_learning_error_is_every_trial_error(tmp_path):
+    cfg = dataclasses.replace(small_campaign(seed=6), hedge=md.HedgeConfig(rounds=0))
+    summary, reports = md.run_campaign(cfg, trials=3, out_dir=tmp_path, measure_time=False)
+    assert summary.errors == 3 and reports == []
+    errors = json.loads((tmp_path / "summary.json").read_text())["trial_errors"]
+    assert errors == [{"trial_id": i, "error": "ValueError: rounds must be >= 1"}
+                      for i in range(3)]
+
+
+def test_campaign_over_the_chunk_cap_matches_one_chunk(tmp_path, monkeypatch):
+    cfg = small_campaign(seed=7)
+    _, one_chunk = md.run_campaign(cfg, trials=7, out_dir=tmp_path / "one", measure_time=False)
+    monkeypatch.setattr(harness, "CHUNK_TRIALS", 3)
+    _, capped = md.run_campaign(cfg, trials=7, out_dir=tmp_path / "capped", measure_time=False)
+    assert capped == one_chunk
+    assert (tmp_path / "capped/trials.csv").read_bytes() == \
+        (tmp_path / "one/trials.csv").read_bytes()
+    # timed, each trial is charged its own run plus a share of its chunk's learning
+    _, timed = md.run_campaign(cfg, trials=7, measure_time=True)
+    assert all(r.wall_time > 0.0 for r in timed)
+    assert [dataclasses.replace(r, wall_time=0.0) for r in timed] == one_chunk

@@ -65,6 +65,11 @@ def test_randomized_classifier_structural_checks():
     f = md.RandomizedClassifier(cls, (0, 1), np.array([0.25, 0.75]))
     assert f.weight_sum_ok()
     assert f.marginals.tolist() == [0.25, 1.0]
+    # support indices are integers: int() would truncate these silently
+    for bad in (0.9, True, "1"):
+        with pytest.raises(ValueError, match="support index must be an integer"):
+            md.RandomizedClassifier(cls, (bad,), np.array([1.0]))
+    assert md.RandomizedClassifier(cls, (1.0, np.int64(0)), np.array([0.5, 0.5])).support == (1, 0)
 
 
 def test_label_consistency_shared_vector():
@@ -111,6 +116,13 @@ def test_types_are_immutable():
     h = md.Hypothesis([1, -1])
     with pytest.raises(ValueError):
         h.labels[0] = -1
+    cls = md.HypothesisClass((h, md.Hypothesis([1, 1])))
+    # the float copy erm multiplies with is cached, read-only and exact
+    assert cls.float_label_matrix is cls.float_label_matrix
+    assert cls.float_label_matrix.dtype == np.float64
+    assert np.array_equal(cls.float_label_matrix, cls.label_matrix)
+    with pytest.raises(ValueError):
+        cls.float_label_matrix[0, 0] = 0.0
 
 
 def test_instance_round_trip_bit_exact(tmp_path):
