@@ -38,9 +38,8 @@ from .metrics import (
 from .learner import (
     HedgeConfig,
     SampleOracle,
-    exact_hedge,
+    exact_mixtures,
     make_hedge_learner,
-    uniform_mixture,
 )
 from .derand import BiasTable, DerandConfig, derandomize_with_details
 from .instances import GenSpec, generate
@@ -219,15 +218,13 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] & 0x7FFFFFFFFFFFFFFF)
 
 
-def _learn_mixtures(cfg: CampaignConfig, instances) -> list:
-    """The exact-mode Hedge mixture of each (family, class) pair, at the
-    precision the derandomizer asks of its learner, learned in one stacked
-    loop. A spec gives every instance the same k and |H|, so they stack."""
-    eps, _ = cfg.derand.learner_eps_delta()
-    rounds, eta = cfg.hedge.resolve(instances[0][0].k, eps)
-    errors = np.stack([error_matrix(plus_rows(cls.label_matrix), fam) for fam, cls in instances])
-    chosen = exact_hedge(errors, rounds, eta)
-    return [uniform_mixture(cls, chosen[:, b]) for b, (_, cls) in enumerate(instances)]
+def _chunks(trials: int, parallelism: int) -> list[range]:
+    """Consecutive trial ranges: a multiple of parallelism of them, the fewest
+    that keeps each within CHUNK_TRIALS, with sizes that differ by at most one,
+    so that every worker gets the same share."""
+    count = parallelism * -(-trials // (parallelism * CHUNK_TRIALS))
+    bounds = [trials * j // count for j in range(count + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
 def _failed(trial_index: int, exc: Exception) -> tuple[int, None, str]:
@@ -251,7 +248,9 @@ def _campaign_worker(args) -> list[tuple[int, TrialReport | None, str | None]]:
         return results
     t0 = time.perf_counter()
     try:
-        mixtures = _learn_mixtures(cfg, [(fam, cls) for _, _, fam, cls in instances])
+        # a spec gives every instance the same k and |H|, so they stack
+        mixtures = exact_mixtures([(fam, cls) for _, _, fam, cls in instances],
+                                  cfg.derand.learner_eps_delta()[0], cfg.hedge)
     except Exception as exc:  # a learning error is every trial's error
         return results + [_failed(i, exc) for i, *_ in instances]
     share = (time.perf_counter() - t0) / len(instances)
@@ -282,11 +281,7 @@ def run_campaign(cfg: CampaignConfig, trials: int, parallelism: int = 1,
         raise ValueError("trials must be >= 1")
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    # parallelism equal chunks, so that every worker stays busy, of at most
-    # CHUNK_TRIALS trials each
-    size = min(CHUNK_TRIALS, -(-trials // parallelism))
-    jobs = [(cfg, range(start, min(start + size, trials)), measure_time)
-            for start in range(0, trials, size)]
+    jobs = [(cfg, chunk, measure_time) for chunk in _chunks(trials, parallelism)]
     if parallelism == 1:
         chunks = [_campaign_worker(j) for j in jobs]
     else:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -198,10 +197,10 @@ def exact_hedge(errors: np.ndarray, rounds: int, eta: float,
 
     Each round best-responds with argmin_h (E_b @ w_b)[h] (ties to the lowest
     index, as erm breaks them), multiplies w_b by row h of the precomputed
-    exp(eta * E_b) and renormalizes. Returns the (rounds, B) chosen indices:
-    intp for one run, and for a stack the smallest unsigned dtype that holds
-    |H| - 1, so that a long stack's choices stay small. With weights_log
-    given, each round appends a copy of the (B, k) weights it starts from.
+    exp(eta * E_b) and renormalizes. Returns the (rounds, B) chosen indices in
+    the smallest unsigned dtype that holds |H| - 1, so that a long stack's
+    choices stay small. With weights_log given, each round appends a copy of
+    the (B, k) weights it starts from.
 
     Every operation acts on each run's own rows in the order a one-run loop
     uses, so run b's weights and choices do not depend on the rest of the
@@ -211,41 +210,28 @@ def exact_hedge(errors: np.ndarray, rounds: int, eta: float,
     # row b * H + h is np.exp(eta * errors[b, h]) element for element
     factors = np.exp(eta * errors).reshape(B * H, k)
     w = np.full((B, k), 1.0 / k)
+    w_column = w[:, :, None]
     scores = np.empty((B, H, 1))
-    if B == 1:
-        # the same product without matmul's per-call set-up
-        product = partial(errors[0].dot, w[0], scores[0, :, 0])
-    else:
-        product = partial(np.matmul, errors, w[:, :, None], scores)
-    best = np.empty((B, 1), dtype=np.intp)
-    offsets = np.arange(B)[:, None] * H
-    rows = np.empty((B, 1), dtype=np.intp)
-    factor = np.empty((B, 1, k))
-    factor_row, w_flat = factor[:, 0], w.reshape(-1)
+    flat_scores = scores[:, :, 0]
+    best = np.empty(B, dtype=np.intp)
+    offsets = np.arange(B) * H
+    rows = np.empty(B, dtype=np.intp)
+    factor = np.empty((B, k))
     total = np.empty((B, 1))
-    chosen = np.empty((rounds, B), dtype=np.intp if B == 1 else np.min_scalar_type(H - 1))
-    # Call set-up, not arithmetic, is the cost on these small arrays: method
-    # calls with positional arguments and the B == 1 branches (whose choice
-    # row is written by argmin and read by take directly) keep a one-run
-    # round at the cost of a plain np.dot loop.
-    for choice in chosen[:, :, None]:
-        product()
-        if B == 1:
-            scores.argmin(1, choice)
-            factors.take(choice, 0, factor, "clip")
-        else:
-            scores.argmin(1, best)
-            choice[...] = best
-            np.add(best, offsets, rows)
-            factors.take(rows, 0, factor, "clip")
+    chosen = np.empty((rounds, B), dtype=np.min_scalar_type(H - 1))
+    # Call set-up, not arithmetic, is the cost on these small arrays, so every
+    # call writes into a preallocated buffer.
+    for choice in chosen:
+        np.matmul(errors, w_column, scores)
+        flat_scores.argmin(1, best)
+        choice[...] = best
+        np.add(best, offsets, rows)
+        factors.take(rows, 0, factor, "clip")
         if weights_log is not None:
             weights_log.append(w.copy())
-        np.multiply(w, factor_row, w)
-        if B == 1:
-            np.divide(w, np.add.reduce(w_flat), w)
-        else:
-            np.add.reduce(w, 1, None, total, True)
-            np.divide(w, total, w)
+        np.multiply(w, factor, w)
+        np.add.reduce(w, 1, None, total, True)
+        np.divide(w, total, w)
     return chosen
 
 
@@ -257,6 +243,23 @@ def uniform_mixture(cls: HypothesisClass, chosen: np.ndarray) -> RandomizedClass
     return RandomizedClassifier(cls, tuple(support.tolist()), picks[support] / len(chosen))
 
 
+def exact_mixtures(pairs: list, eps: float, cfg: HedgeConfig | None = None,
+                   trace: list | None = None) -> list[RandomizedClassifier]:
+    """The exact-mode Hedge mixture of each (family, class) pair, learned in
+    one exact_hedge call with T and eta resolved from (k, eps). The pairs must
+    share k and |H|. With trace given, each round appends the first pair's
+    HedgeRound."""
+    cfg = cfg or HedgeConfig()
+    rounds, eta = cfg.resolve(pairs[0][0].k, eps)
+    errors = np.stack([error_matrix(plus_rows(cls.label_matrix), fam) for fam, cls in pairs])
+    weights_log = None if trace is None else []
+    chosen = exact_hedge(errors, rounds, eta, weights_log)
+    if trace is not None:
+        trace.extend(HedgeRound(t, int(h), tuple(errors[0, h].tolist()), tuple(w[0].tolist()))
+                     for t, (h, w) in enumerate(zip(chosen[:, 0], weights_log)))
+    return [uniform_mixture(cls, chosen[:, b]) for b, (_, cls) in enumerate(pairs)]
+
+
 def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: float,
                 cfg: HedgeConfig | None = None,
                 trace: list | None = None) -> RandomizedClassifier:
@@ -264,7 +267,7 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: f
     hypotheses (duplicate choices merged by summing weights).
 
     In exact mode the procedure is deterministic: the |H| x k error matrix E
-    is computed once and exact_hedge runs it as a stack of one. In sampling
+    is computed once and exact_mixtures runs it as a stack of one. In sampling
     mode each round draws cfg.erm_sample_size fresh samples per member from
     the oracle's stream (in one batch, using the stream as k consecutive draw
     calls would), and both the ERM and the weight update use the resulting
@@ -275,19 +278,12 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: f
         raise ValueError("eps and delta must lie in (0, 1)")
     cfg = cfg or HedgeConfig()
     fam = oracle.family
+    if oracle.exact:
+        return exact_mixtures([(fam, cls)], eps, cfg, trace)[0]
+
     k, n = fam.k, fam.domain.size
     rounds, eta = cfg.resolve(k, eps)
     plus = plus_rows(cls.label_matrix)
-
-    if oracle.exact:
-        errors = error_matrix(plus, fam)
-        weights_log = None if trace is None else []
-        chosen = exact_hedge(errors[None], rounds, eta, weights_log)[:, 0]
-        if trace is not None:
-            trace.extend(HedgeRound(t, int(h), tuple(errors[h].tolist()), tuple(w[0].tolist()))
-                         for t, (h, w) in enumerate(zip(chosen, weights_log)))
-        return uniform_mixture(cls, chosen)
-
     m = cfg.erm_sample_size
     cum_mass = np.cumsum(fam.mass_matrix, axis=1)
     cell_offsets = np.arange(k)[:, None] * n

@@ -207,7 +207,24 @@ def test_campaign_over_the_chunk_cap_matches_one_chunk(tmp_path, monkeypatch):
     assert capped == one_chunk
     assert (tmp_path / "capped/trials.csv").read_bytes() == \
         (tmp_path / "one/trials.csv").read_bytes()
+    assert [len(c) for c in harness._chunks(7, 1)] == [2, 2, 3]
     # timed, each trial is charged its own run plus a share of its chunk's learning
     _, timed = md.run_campaign(cfg, trials=7, measure_time=True)
     assert all(r.wall_time > 0.0 for r in timed)
     assert [dataclasses.replace(r, wall_time=0.0) for r in timed] == one_chunk
+
+
+def test_chunks_are_equal_and_a_multiple_of_parallelism():
+    # 600 trials at parallelism 2 over the 256-trial cap: four chunks of 150
+    assert [(c.start, c.stop) for c in harness._chunks(600, 2)] == \
+        [(0, 150), (150, 300), (300, 450), (450, 600)]
+    assert [len(c) for c in harness._chunks(300, 2)] == [150, 150]
+    assert [len(c) for c in harness._chunks(513, 1)] == [171, 171, 171]
+    assert [len(c) for c in harness._chunks(5, 2)] == [2, 3]
+    # fewer trials than workers: no empty chunk
+    assert [len(c) for c in harness._chunks(3, 4)] == [1, 1, 1]
+    for trials, parallelism in [(1, 1), (256, 1), (257, 1), (1000, 3), (7, 2)]:
+        chunks = harness._chunks(trials, parallelism)
+        assert [i for c in chunks for i in c] == list(range(trials))
+        sizes = [len(c) for c in chunks]
+        assert max(sizes) <= harness.CHUNK_TRIALS and max(sizes) - min(sizes) <= 1
