@@ -6,10 +6,12 @@ All randomness flows from the master seed; per-trial streams are derived from
 (master seed, trial index), so campaign output is independent of worker
 scheduling and can be reproduced exactly.
 
-A campaign runs in chunks of consecutive trials. A chunk generates its
-instances, learns all of their mixtures in one stacked exact-Hedge loop, and
-then finishes each trial with run_trial. Each run of the stack is bit for bit
-the run hedge_learn makes alone, so the chunking changes no output.
+A campaign's workers take trial indices one at a time from a shared counter.
+Each worker feeds its instances, as it generates them, through one rolling
+exact-Hedge stack (learner.rolling_mixtures) and finishes each trial with
+run_trial as its mixture comes out, so every trial costs about the same. Each
+run of the stack is bit for bit the run hedge_learn makes alone, so which
+worker or stack a trial lands in changes no output.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import csv
 import dataclasses
 import json
 import math
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -35,21 +38,12 @@ from .metrics import (
     randomized_per_distribution,
     worst_case_error,
 )
-from .learner import (
-    HedgeConfig,
-    SampleOracle,
-    exact_mixtures,
-    make_hedge_learner,
-)
+from .learner import HedgeConfig, SampleOracle, make_hedge_learner, rolling_mixtures
 from .derand import BiasTable, DerandConfig, derandomize_with_details
 from .instances import GenSpec, generate
 
 PREDICATE_OPT = "er_le_opt_plus_eps"
 PREDICATE_CONDITIONAL = "er_le_randomized_plus_half_eps"
-
-# Most trials in one campaign chunk. A chunk holds its instances in memory
-# until their mixtures are learned, so this bounds a long campaign's memory.
-CHUNK_TRIALS = 256
 
 
 @dataclass(frozen=True)
@@ -218,13 +212,27 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] & 0x7FFFFFFFFFFFFFFF)
 
 
-def _chunks(trials: int, parallelism: int) -> list[range]:
-    """Consecutive trial ranges: a multiple of parallelism of them, the fewest
-    that keeps each within CHUNK_TRIALS, with sizes that differ by at most one,
-    so that every worker gets the same share."""
-    count = parallelism * -(-trials // (parallelism * CHUNK_TRIALS))
-    bounds = [trials * j // count for j in range(count + 1)]
-    return [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+# In a campaign's worker process: the counter, shared by all of the
+# campaign's workers, that holds the index of the next trial to run. The
+# pool's initializer sets it.
+_next_trial = None
+
+
+def _share_next_trial(counter) -> None:
+    global _next_trial
+    _next_trial = counter
+
+
+def _pulled_trials(trials: int):
+    """Trial indices below trials, each taken once from the shared counter,
+    so that a worker on a faster CPU takes more of them."""
+    while True:
+        with _next_trial.get_lock():
+            i = _next_trial.value
+            _next_trial.value = i + 1
+        if i >= trials:
+            return
+        yield i
 
 
 def _failed(trial_index: int, exc: Exception) -> tuple[int, None, str]:
@@ -232,46 +240,58 @@ def _failed(trial_index: int, exc: Exception) -> tuple[int, None, str]:
 
 
 def _campaign_worker(args) -> list[tuple[int, TrialReport | None, str | None]]:
-    """Run one chunk of trials. Under measure_time a trial's wall_time is its
-    own run_trial time plus an equal share of the chunk's learning time.
-    Errors are recorded per trial, and the chunk continues past them."""
-    cfg, indices, measure_time = args
-    results, instances = [], []
-    for i in indices:
-        try:
-            seed = trial_seed(cfg.master_seed, i)
-            fam, cls, _ = generate(dataclasses.replace(cfg.gen_spec, seed=seed ^ 0x5EED))
-            instances.append((i, seed, fam, cls))
-        except Exception as exc:  # recorded, campaign continues
-            results.append(_failed(i, exc))
-    if not instances:
-        return results
-    t0 = time.perf_counter()
+    """Run trials until none is left: every trial of a one-process campaign,
+    or those this worker takes from the shared counter. Their mixtures are
+    learned by rolling_mixtures as their instances are generated. Under
+    measure_time a trial's wall_time is its own run_trial time plus an equal
+    share of this worker's learning time. Errors are recorded per trial, and
+    the worker continues past them; a learning error is the error of every
+    trial not yet finished."""
+    cfg, trials, measure_time = args
+    indices = iter(range(trials)) if _next_trial is None else _pulled_trials(trials)
+    results, taken = [], []
+
+    def instances():
+        for i in indices:
+            taken.append(i)
+            try:
+                seed = trial_seed(cfg.master_seed, i)
+                fam, cls, _ = generate(dataclasses.replace(cfg.gen_spec, seed=seed ^ 0x5EED))
+            except Exception as exc:  # recorded, campaign continues
+                results.append(_failed(i, exc))
+                continue
+            yield (i, seed), fam, cls
+
+    learning = 0.0
     try:
-        # a spec gives every instance the same k and |H|, so they stack
-        mixtures = exact_mixtures([(fam, cls) for _, _, fam, cls in instances],
-                                  cfg.derand.learner_eps_delta()[0], cfg.hedge)
-    except Exception as exc:  # a learning error is every trial's error
-        return results + [_failed(i, exc) for i, *_ in instances]
-    share = (time.perf_counter() - t0) / len(instances)
-    for (i, seed, fam, cls), f_rand in zip(instances, mixtures):
-        try:
-            # through the module attribute, which a caller may wrap
-            report = run_trial(fam, cls, cfg.hedge, cfg.derand, seed, trial_id=i,
-                               measure_time=measure_time, f_rand=f_rand)
-            if measure_time:
-                report = dataclasses.replace(report, wall_time=report.wall_time + share)
-            results.append((i, report, None))
-        except Exception as exc:  # recorded, campaign continues
-            results.append(_failed(i, exc))
+        # a spec gives every instance the same k and |H|, so they share a stack
+        for (i, seed), fam, cls, f_rand, spent in rolling_mixtures(
+                instances(), cfg.derand.learner_eps_delta()[0], cfg.hedge):
+            learning += spent
+            try:
+                # through the module attribute, which a caller may wrap
+                report = run_trial(fam, cls, cfg.hedge, cfg.derand, seed, trial_id=i,
+                                   measure_time=measure_time, f_rand=f_rand)
+                results.append((i, report, None))
+            except Exception as exc:  # recorded, campaign continues
+                results.append(_failed(i, exc))
+    except Exception as exc:  # a learning error, see above
+        done = {r[0] for r in results}
+        results += [_failed(i, exc) for i in [*taken, *indices] if i not in done]
+    if measure_time:
+        reports = [r for _, r, _ in results if r is not None]
+        share = learning / len(reports) if reports else 0.0
+        results = [(i, r if r is None else dataclasses.replace(r, wall_time=r.wall_time + share),
+                     err) for i, r, err in results]
     return results
 
 
 def run_campaign(cfg: CampaignConfig, trials: int, parallelism: int = 1,
                  out_dir=None, measure_time: bool = True
                  ) -> tuple[CampaignSummary, list[TrialReport]]:
-    """Run trials in chunks (optionally in a process pool), write one CSV row
-    per trial plus a JSON summary stanza, and aggregate predicate pass rates.
+    """Run trials (optionally in a process pool whose workers take them one at
+    a time), write one CSV row per trial plus a JSON summary stanza, and
+    aggregate predicate pass rates.
 
     Trial errors are recorded and skipped; the summary is then flagged
     partial. Output is sorted by trial id, so content is identical for any
@@ -281,13 +301,15 @@ def run_campaign(cfg: CampaignConfig, trials: int, parallelism: int = 1,
         raise ValueError("trials must be >= 1")
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    jobs = [(cfg, chunk, measure_time) for chunk in _chunks(trials, parallelism)]
+    job = (cfg, trials, measure_time)
     if parallelism == 1:
-        chunks = [_campaign_worker(j) for j in jobs]
+        shares = [_campaign_worker(job)]
     else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            chunks = list(pool.map(_campaign_worker, jobs))
-    results = sorted((r for chunk in chunks for r in chunk), key=lambda r: r[0])
+        counter = multiprocessing.Value("q", 0)
+        with ProcessPoolExecutor(max_workers=parallelism, initializer=_share_next_trial,
+                                 initargs=(counter,)) as pool:
+            shares = list(pool.map(_campaign_worker, [job] * parallelism))
+    results = sorted((r for share in shares for r in share), key=lambda r: r[0])
 
     reports = [r for _, r, err in results if r is not None]
     errors = [(idx, err) for idx, r, err in results if err is not None]

@@ -13,6 +13,8 @@ the best single hypothesis's worst-case error in exact mode.
 from __future__ import annotations
 
 import math
+import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,49 +192,86 @@ class HedgeRound:
     weights: tuple[float, ...]
 
 
-def exact_hedge(errors: np.ndarray, rounds: int, eta: float,
-                weights_log: list | None = None) -> np.ndarray:
-    """Exact-mode Hedge on a stack of B error matrices, shaped (B, |H|, k):
-    B independent runs of the same rounds and eta, advanced together.
+# Most runs one rolling_mixtures stack holds at once. Past a few dozen runs a
+# round costs little less per run, and the stack's ramp-up (the rounds before
+# the first run leaves) grows with it.
+STACK_RUNS = 32
 
-    Each round best-responds with argmin_h (E_b @ w_b)[h] (ties to the lowest
-    index, as erm breaks them), multiplies w_b by row h of the precomputed
-    exp(eta * E_b) and renormalizes. Returns the (rounds, B) chosen indices in
-    the smallest unsigned dtype that holds |H| - 1, so that a long stack's
-    choices stay small. With weights_log given, each round appends a copy of
-    the (B, k) weights it starts from.
 
-    Every operation acts on each run's own rows in the order a one-run loop
-    uses, so run b's weights and choices do not depend on the rest of the
-    stack; tests pin this bit for bit against a per-run loop.
+class HedgeStack:
+    """Exact-mode Hedge runs in the S slots of one (S, |H|, k) stack of error
+    matrices, all with the same eta, advanced together one round at a time.
+
+    load() starts a run in a slot at uniform weights, advance() plays rounds
+    on the first `active` slots, and choices() reads back a slot's chosen
+    indices over a span of rounds. Each round best-responds with
+    argmin_h (E_s @ w_s)[h] (ties to the lowest index, as erm breaks them),
+    multiplies w_s by row h of the precomputed exp(eta * E_s) and
+    renormalizes. The choices of the last `horizon` rounds are kept, in the
+    smallest unsigned dtype that holds |H| - 1.
+
+    Every operation acts on each slot's own rows in the order a one-run loop
+    uses, so a run's weights and choices depend neither on the other slots
+    nor on the round it entered at; tests pin this bit for bit against a
+    per-run loop.
     """
-    B, H, k = errors.shape
-    # row b * H + h is np.exp(eta * errors[b, h]) element for element
-    factors = np.exp(eta * errors).reshape(B * H, k)
-    w = np.full((B, k), 1.0 / k)
-    w_column = w[:, :, None]
-    scores = np.empty((B, H, 1))
-    flat_scores = scores[:, :, 0]
-    best = np.empty(B, dtype=np.intp)
-    offsets = np.arange(B) * H
-    rows = np.empty(B, dtype=np.intp)
-    factor = np.empty((B, k))
-    total = np.empty((B, 1))
-    chosen = np.empty((rounds, B), dtype=np.min_scalar_type(H - 1))
-    # Call set-up, not arithmetic, is the cost on these small arrays, so every
-    # call writes into a preallocated buffer.
-    for choice in chosen:
-        np.matmul(errors, w_column, scores)
-        flat_scores.argmin(1, best)
-        choice[...] = best
-        np.add(best, offsets, rows)
-        factors.take(rows, 0, factor, "clip")
-        if weights_log is not None:
-            weights_log.append(w.copy())
-        np.multiply(w, factor, w)
-        np.add.reduce(w, 1, None, total, True)
-        np.divide(w, total, w)
-    return chosen
+
+    def __init__(self, slots: int, hypotheses: int, k: int, eta: float, horizon: int):
+        self.eta, self.horizon, self.rounds = eta, horizon, 0
+        self.errors = np.zeros((slots, hypotheses, k))
+        # row s * |H| + h is np.exp(eta * errors[s, h]) element for element
+        self._factors = np.ones((slots * hypotheses, k))
+        self.weights = np.full((slots, k), 1.0 / k)
+        self._scores = np.empty((slots, hypotheses, 1))
+        self._best = np.empty(slots, dtype=np.intp)
+        self._offsets = np.arange(slots) * hypotheses
+        self._rows = np.empty(slots, dtype=np.intp)
+        self._factor = np.empty((slots, k))
+        self._total = np.empty((slots, 1))
+        self.chosen = np.zeros((horizon, slots), dtype=np.min_scalar_type(hypotheses - 1))
+
+    def load(self, slot: int, errors: np.ndarray) -> None:
+        """Start a run on the (|H|, k) error matrix in the given slot."""
+        H = self.errors.shape[1]
+        self.errors[slot] = errors
+        np.exp(self.eta * errors, out=self._factors[slot * H:(slot + 1) * H])
+        self.weights[slot] = 1.0 / errors.shape[1]
+
+    def advance(self, rounds: int, active: int | None = None,
+                weights_log: list | None = None) -> None:
+        """Play rounds on the first `active` slots (all by default). With
+        weights_log given, each round appends a copy of the (active, k)
+        weights it starts from."""
+        n = len(self.weights) if active is None else active
+        errors, w, scores = self.errors[:n], self.weights[:n], self._scores[:n]
+        w_column, flat_scores, factors = w[:, :, None], scores[:, :, 0], self._factors
+        best, offsets, rows = self._best[:n], self._offsets[:n], self._rows[:n]
+        factor, total = self._factor[:n], self._total[:n]
+        while rounds > 0:
+            start = self.rounds % self.horizon
+            stop = min(self.horizon, start + rounds)
+            # Call set-up, not arithmetic, is the cost on these small arrays,
+            # so every call writes into a preallocated buffer.
+            for choice in self.chosen[start:stop, :n]:
+                np.matmul(errors, w_column, scores)
+                flat_scores.argmin(1, best)
+                choice[...] = best
+                np.add(best, offsets, rows)
+                factors.take(rows, 0, factor, "clip")
+                if weights_log is not None:
+                    weights_log.append(w.copy())
+                np.multiply(w, factor, w)
+                np.add.reduce(w, 1, None, total, True)
+                np.divide(w, total, w)
+            rounds -= stop - start
+            self.rounds += stop - start
+
+    def choices(self, slot: int, first: int, rounds: int) -> np.ndarray:
+        """The slot's choices in rounds first, ..., first + rounds - 1, all
+        played and still within the last `horizon` rounds."""
+        if not first + rounds <= self.rounds <= first + self.horizon:
+            raise ValueError("those rounds are not played yet, or have left the horizon")
+        return self.chosen[np.arange(first, first + rounds) % self.horizon, slot]
 
 
 def uniform_mixture(cls: HypothesisClass, chosen: np.ndarray) -> RandomizedClassifier:
@@ -243,21 +282,58 @@ def uniform_mixture(cls: HypothesisClass, chosen: np.ndarray) -> RandomizedClass
     return RandomizedClassifier(cls, tuple(support.tolist()), picks[support] / len(chosen))
 
 
-def exact_mixtures(pairs: list, eps: float, cfg: HedgeConfig | None = None,
-                   trace: list | None = None) -> list[RandomizedClassifier]:
-    """The exact-mode Hedge mixture of each (family, class) pair, learned in
-    one exact_hedge call with T and eta resolved from (k, eps). The pairs must
-    share k and |H|. With trace given, each round appends the first pair's
-    HedgeRound."""
+def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None,
+                     runs: int | None = None, trace: list | None = None):
+    """The exact-mode Hedge mixture of each (key, family, class) item, learned
+    in one HedgeStack that runs enter and leave at staggered rounds, with T
+    and eta resolved from (k, eps). Yields (key, family, class, mixture,
+    seconds) as runs finish, in the order the items came; seconds is the
+    learning time since the previous yield. The items must share k and |H|.
+
+    The stack holds at most `runs` runs (STACK_RUNS by default). Each step
+    takes the next item into the stack and plays ceil(T / slots) rounds, so
+    that a run has had its T rounds after `slots` steps: once the stack is
+    full, one mixture comes out for each item taken in, and learning costs
+    the same at every step instead of arriving in one block before the first
+    mixture. Only the items in the stack are held in memory. With trace
+    given, each of the first run's rounds appends its HedgeRound.
+    """
     cfg = cfg or HedgeConfig()
-    rounds, eta = cfg.resolve(pairs[0][0].k, eps)
-    errors = np.stack([error_matrix(plus_rows(cls.label_matrix), fam) for fam, cls in pairs])
+    items = iter(items)
+    item = next(items, None)
+    if item is None:
+        return
+    t0 = time.perf_counter()
+    rounds, eta = cfg.resolve(item[1].k, eps)
+    step = -(-rounds // (runs or STACK_RUNS))
+    slots = -(-rounds // step)
+    stack = HedgeStack(slots, len(item[2]), item[1].k, eta, slots * step)
     weights_log = None if trace is None else []
-    chosen = exact_hedge(errors, rounds, eta, weights_log)
-    if trace is not None:
-        trace.extend(HedgeRound(t, int(h), tuple(errors[0, h].tolist()), tuple(w[0].tolist()))
-                     for t, (h, w) in enumerate(zip(chosen[:, 0], weights_log)))
-    return [uniform_mixture(cls, chosen[:, b]) for b, (_, cls) in enumerate(pairs)]
+    queue, loads, spent = deque(), 0, 0.0  # queue: (slot, first round, item)
+    while item is not None or queue:
+        if item is not None:
+            slot = loads % slots
+            stack.load(slot, error_matrix(plus_rows(item[2].label_matrix), item[1]))
+            queue.append((slot, stack.rounds, item))
+            loads += 1
+        stack.advance(step, min(loads, slots), weights_log)
+        finished = stack.rounds - queue[0][1] >= rounds
+        if finished:
+            slot, first, (key, fam, cls) = queue.popleft()
+            chosen = stack.choices(slot, first, rounds)
+            if weights_log is not None:
+                errors = stack.errors[slot]
+                trace.extend(HedgeRound(t, int(h), tuple(errors[h].tolist()),
+                                        tuple(w[slot].tolist()))
+                             for t, (h, w) in enumerate(zip(chosen, weights_log)))
+                weights_log = None
+            mixture = uniform_mixture(cls, chosen)
+        spent += time.perf_counter() - t0
+        if finished:
+            yield key, fam, cls, mixture, spent
+            spent = 0.0
+        item = next(items, None)
+        t0 = time.perf_counter()
 
 
 def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: float,
@@ -267,7 +343,7 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: f
     hypotheses (duplicate choices merged by summing weights).
 
     In exact mode the procedure is deterministic: the |H| x k error matrix E
-    is computed once and exact_mixtures runs it as a stack of one. In sampling
+    is computed once and rolling_mixtures runs it in a stack of one. In sampling
     mode each round draws cfg.erm_sample_size fresh samples per member from
     the oracle's stream (in one batch, using the stream as k consecutive draw
     calls would), and both the ERM and the weight update use the resulting
@@ -279,7 +355,7 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: f
     cfg = cfg or HedgeConfig()
     fam = oracle.family
     if oracle.exact:
-        return exact_mixtures([(fam, cls)], eps, cfg, trace)[0]
+        return next(rolling_mixtures([(None, fam, cls)], eps, cfg, 1, trace))[3]
 
     k, n = fam.k, fam.domain.size
     rounds, eta = cfg.resolve(k, eps)

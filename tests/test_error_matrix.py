@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multidist as md
-from multidist.learner import exact_hedge
+from multidist.learner import HedgeStack, rolling_mixtures
 from multidist.metrics import plus_rows
 
 from helpers import family_from_arrays
@@ -258,6 +258,17 @@ def test_lean_rounds_match_the_former_rounds(shape, eps, fields, seed, sampling,
         assert max(support) < len(cls) // 2
 
 
+def exact_hedge(errors, rounds, eta, weights_log=None):
+    """B exact-Hedge runs on a (B, |H|, k) stack, all started together:
+    the (rounds, B) choices, and each round's (B, k) weights in weights_log."""
+    B, H, k = errors.shape
+    stack = HedgeStack(B, H, k, eta, rounds)
+    for b in range(B):
+        stack.load(b, errors[b])
+    stack.advance(rounds, weights_log=weights_log)
+    return stack.chosen
+
+
 # (|H|, k, B): the C06 campaign stack, wider classes and more members, one
 # member, one hypothesis, and |H| = 256 and 257 on either side of the
 # uint8/uint16 choice dtype
@@ -298,6 +309,45 @@ def test_stacked_exact_hedge_is_bitwise_the_one_run_loop(H, k, B):
             assert np.array_equal(got, [h for h, _, _ in rows]), LOOP_MESSAGE
             assert all(np.array_equal(w, want) for w, (_, _, want) in zip(got_log, rows)), \
                 LOOP_MESSAGE
+
+
+@pytest.mark.parametrize("H,k,B", [(16, 6, 5), (257, 3, 3)], ids=["H16-k6-B5", "H257-k3-B3"])
+def test_runs_entering_a_stack_late_are_bitwise_runs_alone(H, k, B):
+    # 3 * B runs through B slots, each entering `step` rounds after the one
+    # before, so slots are reused and the choice ring wraps
+    cfg = md.HedgeConfig()
+    rounds, eta = cfg.resolve(k, 0.3)
+    step = -(-rounds // B)
+    errors = [md.error_matrix(plus_rows(cls.label_matrix), fam) for fam, cls in
+              (md.gen_random_label_consistent(md.GenSpec(domain_size=30, k=k,
+                                                         hypothesis_count=H, seed=seed))
+               for seed in range(3 * B))]
+    stack = HedgeStack(B, H, k, eta, B * step)
+    for j, e in enumerate(errors):
+        stack.load(j % B, e)
+        stack.advance(step)
+        if j >= B - 1:
+            first = (j - B + 1) * step
+            alone = exact_hedge(errors[j - B + 1][None], rounds, eta)[:, 0]
+            assert np.array_equal(stack.choices((j + 1) % B, first, rounds), alone), LOOP_MESSAGE
+    with pytest.raises(ValueError, match="horizon"):
+        stack.choices(0, 0, rounds)
+
+
+def test_rolling_mixtures_are_hedge_learn_alone():
+    cfg = md.HedgeConfig()
+    instances = [md.gen_random_label_consistent(md.GenSpec(domain_size=40, k=6, seed=seed))
+                 for seed in range(9)]
+    want = [md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.2, 0.1, cfg)
+            for fam, cls in instances]
+    for runs in (1, 4, 32):
+        got = list(rolling_mixtures(((j, fam, cls) for j, (fam, cls) in enumerate(instances)),
+                                    0.2, cfg, runs))
+        assert [key for key, *_ in got] == list(range(9))
+        assert all(seconds >= 0.0 for *_, seconds in got)
+        for (_, _, _, F, _), G in zip(got, want):
+            assert F.support == G.support and np.array_equal(F.weights, G.weights)
+    assert list(rolling_mixtures([], 0.2, cfg)) == []
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import multidist as md
-from multidist import harness
+from multidist import harness, learner
 from multidist.harness import (
     PREDICATE_CONDITIONAL,
     PREDICATE_OPT,
@@ -168,7 +168,7 @@ def test_write_trials_csv_round_trip(tmp_path):
     assert rows[1][2] == repr(0.3)
 
 
-def test_chunk_reports_a_failed_generation_for_its_own_trial(tmp_path, monkeypatch):
+def test_a_failed_generation_is_reported_for_its_own_trial(tmp_path, monkeypatch):
     cfg = small_campaign(seed=5)
     md.run_campaign(cfg, trials=5, out_dir=tmp_path / "whole", measure_time=False)
     broken_seed = md.trial_seed(cfg.master_seed, 2) ^ 0x5EED
@@ -199,32 +199,29 @@ def test_a_learning_error_is_every_trial_error(tmp_path):
                       for i in range(3)]
 
 
-def test_campaign_over_the_chunk_cap_matches_one_chunk(tmp_path, monkeypatch):
+def test_campaign_through_a_small_rolling_stack_matches_a_wide_one(tmp_path, monkeypatch):
     cfg = small_campaign(seed=7)
-    _, one_chunk = md.run_campaign(cfg, trials=7, out_dir=tmp_path / "one", measure_time=False)
-    monkeypatch.setattr(harness, "CHUNK_TRIALS", 3)
-    _, capped = md.run_campaign(cfg, trials=7, out_dir=tmp_path / "capped", measure_time=False)
-    assert capped == one_chunk
-    assert (tmp_path / "capped/trials.csv").read_bytes() == \
-        (tmp_path / "one/trials.csv").read_bytes()
-    assert [len(c) for c in harness._chunks(7, 1)] == [2, 2, 3]
-    # timed, each trial is charged its own run plus a share of its chunk's learning
-    _, timed = md.run_campaign(cfg, trials=7, measure_time=True)
+    monkeypatch.setattr(learner, "STACK_RUNS", 64)
+    _, wide = md.run_campaign(cfg, trials=7, out_dir=tmp_path / "wide", measure_time=False)
+    # two slots: each is reused three times, and the choice ring wraps
+    monkeypatch.setattr(learner, "STACK_RUNS", 2)
+    _, small = md.run_campaign(cfg, trials=7, out_dir=tmp_path / "small", measure_time=False)
+    assert small == wide
+    assert (tmp_path / "small/trials.csv").read_bytes() == \
+        (tmp_path / "wide/trials.csv").read_bytes()
+    # timed, each trial is charged its own run plus a share of its worker's learning
+    _, timed = md.run_campaign(cfg, trials=7, parallelism=2, measure_time=True)
     assert all(r.wall_time > 0.0 for r in timed)
-    assert [dataclasses.replace(r, wall_time=0.0) for r in timed] == one_chunk
+    assert [dataclasses.replace(r, wall_time=0.0) for r in timed] == wide
 
 
-def test_chunks_are_equal_and_a_multiple_of_parallelism():
-    # 600 trials at parallelism 2 over the 256-trial cap: four chunks of 150
-    assert [(c.start, c.stop) for c in harness._chunks(600, 2)] == \
-        [(0, 150), (150, 300), (300, 450), (450, 600)]
-    assert [len(c) for c in harness._chunks(300, 2)] == [150, 150]
-    assert [len(c) for c in harness._chunks(513, 1)] == [171, 171, 171]
-    assert [len(c) for c in harness._chunks(5, 2)] == [2, 3]
-    # fewer trials than workers: no empty chunk
-    assert [len(c) for c in harness._chunks(3, 4)] == [1, 1, 1]
-    for trials, parallelism in [(1, 1), (256, 1), (257, 1), (1000, 3), (7, 2)]:
-        chunks = harness._chunks(trials, parallelism)
-        assert [i for c in chunks for i in c] == list(range(trials))
-        sizes = [len(c) for c in chunks]
-        assert max(sizes) <= harness.CHUNK_TRIALS and max(sizes) - min(sizes) <= 1
+def test_pooled_workers_match_one_process_and_share_a_learning_error(tmp_path):
+    cfg = small_campaign(seed=8)
+    _, serial = md.run_campaign(cfg, trials=9, out_dir=tmp_path / "p1", measure_time=False)
+    _, pooled = md.run_campaign(cfg, trials=9, parallelism=3, out_dir=tmp_path / "p3",
+                                measure_time=False)
+    assert pooled == serial
+    assert (tmp_path / "p3/trials.csv").read_bytes() == (tmp_path / "p1/trials.csv").read_bytes()
+    broken = dataclasses.replace(cfg, hedge=md.HedgeConfig(rounds=0))
+    summary, reports = md.run_campaign(broken, trials=5, parallelism=2, measure_time=False)
+    assert summary.errors == 5 and reports == []
