@@ -26,7 +26,7 @@ from .model import (
     HypothesisClass,
     require_label_consistent,
 )
-from .learner import SampleOracle
+from .learner import SampleOracle, _tally
 from .hashing import CompactClassifier, choose_hash_params, sample_hash
 
 
@@ -137,34 +137,36 @@ def build_bias_table(oracle: SampleOracle, cfg: DerandConfig,
     Points already in the table are skipped in later member iterations. Even
     with an exact-mode oracle this procedure samples — the table's guarantees
     are statements about its sampling randomness, so reading the masses would
-    test nothing.
+    test nothing. All members are drawn in one oracle.draw_family call, which
+    uses the stream as k consecutive per-member draws would.
     """
     fam = oracle.family
     if oracle.exact:
         require_label_consistent(fam)
         if rng is None:
             rng = np.random.default_rng(cfg.seed)
-    n = fam.domain.size
-    gamma = cfg.gamma(fam.k)
-    m = cfg.sample_size(fam.k)
+    k, n = fam.k, fam.domain.size
+    gamma = cfg.gamma(k)
+    m = cfg.sample_size(k)
     scale = cfg.scale()
     ln_gamma = math.log(gamma)
 
-    entries: dict[int, BiasEntry] = {}
-    for i in range(fam.k):
-        xs, ys = oracle.draw(i, m, rng=rng)
-        counts = np.bincount(xs, minlength=n)
-        pos = np.bincount(xs[ys == 1], minlength=n)
-        with np.errstate(invalid="ignore"):
-            rho = np.where(counts > 0, (2.0 * pos - counts) / np.maximum(counts, 1), 0.0)
-        passing = np.zeros(n, dtype=bool)
-        seen = counts > 0
-        passing[seen] = np.abs(rho[seen]) > scale * np.sqrt(ln_gamma / counts[seen])
-        for x in np.nonzero(passing)[0]:
-            if int(x) in entries:  # added by an earlier member; skipped per the x in X\T guard
-                continue
-            entries[int(x)] = BiasEntry(_sign(rho[x]), i, float(rho[x]), int(counts[x]))
-    return BiasTable(entries)
+    xs, ys = oracle.draw_family(m, rng=rng)
+    counts, pos = _tally(xs, ys == 1, n)
+    with np.errstate(invalid="ignore"):
+        rho = np.where(counts > 0, (2.0 * pos - counts) / np.maximum(counts, 1), 0.0)
+    passing = np.zeros((k, n), dtype=bool)
+    seen = counts > 0
+    passing[seen] = np.abs(rho[seen]) > scale * np.sqrt(ln_gamma / counts[seen])
+
+    # a point an earlier member put in the table is skipped (the x in X\T
+    # guard), so each point's entry comes from the first member it passes for;
+    # entries go in member by member, points ascending
+    first = passing & (np.cumsum(passing, axis=0) == 1)
+    members, points = np.nonzero(first)
+    return BiasTable({x: BiasEntry(_sign(r), i, r, c) for i, x, r, c in
+                      zip(members.tolist(), points.tolist(), rho[first].tolist(),
+                          counts[first].tolist())})
 
 
 def round_outside_t(f_rand: RandomizedClassifier, table: BiasTable, domain_size: int,

@@ -108,13 +108,16 @@ def heavy_coverage(table: BiasTable, fam: DistributionFamily, eps: float, delta:
 
 def run_trial_detailed(fam: DistributionFamily, cls: HypothesisClass, hedge_cfg: HedgeConfig,
                        derand_cfg: DerandConfig, seed: int, trial_id: int = 0,
-                       measure_time: bool = True, f_rand: RandomizedClassifier | None = None):
+                       measure_time: bool = True, f_rand: RandomizedClassifier | None = None,
+                       errors: np.ndarray | None = None):
     """One full pipeline run, deterministic given the seed; returns the report
     together with the derandomization result.
 
     The mixture is learned first (exact-mode oracle) unless f_rand passes one
     in, then the bias table and rounding consume streams derived from the
-    trial seed.
+    trial seed. errors, if the caller has it, is the class's (|H|, k) error
+    matrix on fam, error_matrix(plus_rows(cls.label_matrix), fam); OPT and
+    the mixture's errors are read from it, computed here otherwise.
     """
     t0 = time.perf_counter() if measure_time else 0.0
     oracle = SampleOracle.exact_mode(fam)
@@ -124,8 +127,10 @@ def run_trial_detailed(fam: DistributionFamily, cls: HypothesisClass, hedge_cfg:
                                       derand_cfg, rng=rng, f_rand=f_rand)
     f_hat, f_rand, table = result.classifier, result.f_rand, result.table
 
-    opt, _ = opt_bruteforce(cls, fam)
-    rand_err = float(randomized_per_distribution(f_rand, fam).max())
+    if errors is None:
+        errors = error_matrix(plus_rows(cls.label_matrix), fam)
+    opt, _ = opt_bruteforce(cls, fam, errors)
+    rand_err = float(randomized_per_distribution(f_rand, fam, errors).max())
     det_err = worst_case_error(f_hat, fam).worst_case
     covered = heavy_coverage(table, fam, derand_cfg.eps, derand_cfg.delta,
                              derand_cfg.rounding, derand_cfg.c_prime)
@@ -138,10 +143,10 @@ def run_trial_detailed(fam: DistributionFamily, cls: HypothesisClass, hedge_cfg:
 
 def run_trial(fam: DistributionFamily, cls: HypothesisClass, hedge_cfg: HedgeConfig,
               derand_cfg: DerandConfig, seed: int, trial_id: int = 0,
-              measure_time: bool = True,
-              f_rand: RandomizedClassifier | None = None) -> TrialReport:
+              measure_time: bool = True, f_rand: RandomizedClassifier | None = None,
+              errors: np.ndarray | None = None) -> TrialReport:
     report, _ = run_trial_detailed(fam, cls, hedge_cfg, derand_cfg, seed, trial_id,
-                                   measure_time, f_rand)
+                                   measure_time, f_rand, errors)
     return report
 
 
@@ -265,13 +270,13 @@ def _campaign_worker(args) -> list[tuple[int, TrialReport | None, str | None]]:
     learning = 0.0
     try:
         # a spec gives every instance the same k and |H|, so they share a stack
-        for (i, seed), fam, cls, f_rand, spent in rolling_mixtures(
+        for (i, seed), fam, cls, f_rand, errors, spent in rolling_mixtures(
                 instances(), cfg.derand.learner_eps_delta()[0], cfg.hedge):
             learning += spent
             try:
                 # through the module attribute, which a caller may wrap
                 report = run_trial(fam, cls, cfg.hedge, cfg.derand, seed, trial_id=i,
-                                   measure_time=measure_time, f_rand=f_rand)
+                                   measure_time=measure_time, f_rand=f_rand, errors=errors)
                 results.append((i, report, None))
             except Exception as exc:  # recorded, campaign continues
                 results.append(_failed(i, exc))

@@ -65,28 +65,110 @@ class EmpiricalSample:
         return LabeledDistribution(counts / len(self), eta)
 
 
-def _draw(cum_mass: np.ndarray, label_one_prob: np.ndarray, size: int,
+def _bucket_table(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse-CDF table of r members given as (r, n) masses: the
+    cumulative masses times G, and an (r, G + 1) bucket index over [0, 1)
+    whose first G columns are the buckets, G = the smallest power of two
+    >= 8n.
+
+    G is a power of two, so u * G and cum * G are exact (a cumulative mass
+    past the largest float / G becomes inf, still above every key), and a
+    key u lies in bucket j = floor(u * G) iff j/G <= u < (j + 1)/G. Where no
+    cum * G lies strictly inside (j, j + 1), every key in bucket j has the
+    same answer, #{cum * G <= j} = #{ceil(cum * G) <= j}, and the index holds
+    it; where one does, the bucket straddles a cumulative mass and the index
+    holds -1.
+
+    Masses that are negative or do not sum to a finite number would make the
+    cumulative mass non-monotone, so they are a ValueError.
+    """
+    r, n = mass.shape
+    G = 1 << (8 * n - 1).bit_length()
+    # an overflowing sum is rejected below, and an overflowing cum * G is inf
+    with np.errstate(over="ignore"):
+        cum = np.cumsum(mass, axis=1)
+        if not (np.all(mass >= 0.0) and np.all(np.isfinite(cum[:, -1]))):
+            raise ValueError("masses must be finite and nonnegative to be sampled")
+        cum *= G
+    # column G counts the cumulative masses above every bucket; no key reads it
+    cells = np.minimum(np.ceil(cum), G).astype(np.intp)
+    cells += np.arange(r)[:, None] * (G + 1)
+    guide = np.bincount(cells.ravel(), minlength=r * (G + 1)).reshape(r, G + 1)
+    np.cumsum(guide, axis=1, out=guide)
+    lower = np.floor(cum)
+    straddled = (lower != cum) & (lower < G)
+    guide[np.nonzero(straddled)[0], lower[straddled].astype(np.intp)] = -1
+    return cum, guide
+
+
+def _draw(table: tuple[np.ndarray, np.ndarray], label_one_prob: np.ndarray, size: int,
           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """size i.i.d. draws from each of r members, given as (r, n) cumulative
-    masses and label probabilities: (r, size) points by inverse CDF, and
+    """size i.i.d. draws from each of r members, given as their _bucket_table
+    and (r, n) label probabilities: (r, size) points by inverse CDF, and
     (r, size) booleans, True where the conditional label coin gives +1.
+
+    A point is #{cum <= u} for its uniform u, clipped to n - 1 (masses may
+    sum short of 1), as np.searchsorted(cum, u, side="right") gives it: read
+    from the bucket index, or, for keys in a straddling bucket (at most about
+    one in eight), searched on the member's own row of cum * G with u * G.
 
     One rng.random((r, 2, size)) call fills member 0's point uniforms, then
     its label uniforms, then member 1's, and so on: the stream is used
     exactly as r consecutive pairs of rng.random(size) calls use it.
     """
-    u = rng.random((cum_mass.shape[0], 2, size))
-    xs = np.stack([np.searchsorted(cum, ui, side="right") for cum, ui in zip(cum_mass, u[:, 0])])
-    np.minimum(xs, cum_mass.shape[1] - 1, out=xs)
-    return xs, u[:, 1] < np.take_along_axis(label_one_prob, xs, axis=1)
+    scaled_cum, guide = table
+    r, n = scaled_cum.shape
+    u = rng.random((r, 2, size))
+    scaled = u[:, 0]
+    scaled *= guide.shape[1] - 1
+    keys = scaled.astype(np.intp)
+    keys += np.arange(r)[:, None] * guide.shape[1]
+    xs = guide.take(keys)
+    del keys  # each temporary is the size of xs: hold at most one besides u and xs
+    missed = np.flatnonzero(xs < 0)
+    if missed.size:
+        # missed is sorted, so member i's keys are the slice of it that
+        # starts at bounds[i]; draw i * size + c reads u[i, 0, c]
+        bounds = np.searchsorted(missed, np.arange(r + 1) * size).tolist()
+        missed_u = u.reshape(-1).take(missed + missed // size * size)
+        found = np.empty_like(missed)
+        for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            if start < stop:
+                found[start:stop] = scaled_cum[i].searchsorted(missed_u[start:stop], "right")
+        xs.put(missed, found)
+    np.minimum(xs, n - 1, out=xs)
+    # each draw's cell in the flattened (r, n) label probabilities
+    offsets = np.arange(r)[:, None] * n
+    xs += offsets
+    threshold = label_one_prob.take(xs)
+    xs -= offsets
+    return xs, u[:, 1] < threshold
+
+
+def _tally(xs: np.ndarray, plus: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k, n) counts of each member's draws of each point, and of those whose
+    label is +1, from (k, size) points and +1 flags, in one bincount."""
+    k = xs.shape[0]
+    # member i's point x with flag b is cell 2 * (i * n + x) + b
+    cells = xs + np.arange(k)[:, None] * n
+    cells <<= 1
+    cells += plus
+    both = np.bincount(cells.ravel(), minlength=2 * k * n).reshape(k, n, 2)
+    # a sum over the length-2 axis is a slow strided reduction; add the halves
+    return both[:, :, 0] + both[:, :, 1], both[:, :, 1]
+
+
+def _signs(plus: np.ndarray) -> np.ndarray:
+    """+1 where plus is True and -1 elsewhere, as int8."""
+    return plus.view(np.int8) * np.int8(2) - np.int8(1)
 
 
 def draw_batch(member: LabeledDistribution, size: int, rng: np.random.Generator
                ) -> tuple[np.ndarray, np.ndarray]:
     """size i.i.d. draws (x, y): inverse-CDF over the mass vector, then a
     conditional label coin per draw."""
-    xs, plus = _draw(np.cumsum(member.mass)[None], member.label_one_prob[None], size, rng)
-    return xs[0].astype(np.int64), np.where(plus[0], 1, -1).astype(np.int8)
+    xs, plus = _draw(_bucket_table(member.mass[None]), member.label_one_prob[None], size, rng)
+    return xs[0].astype(np.int64), _signs(plus[0])
 
 
 @dataclass(frozen=True)
@@ -118,17 +200,30 @@ class SampleOracle:
     def domain_size(self) -> int:
         return self.family.domain.size
 
+    def _stream(self, rng: np.random.Generator | None) -> np.random.Generator:
+        if not self.exact:
+            return self.rng
+        if rng is None:
+            raise ValueError("exact-mode draws need the caller's rng")
+        return rng
+
     def draw(self, member_index: int, size: int,
              rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Draw i.i.d. (x, y) pairs from one member. A sampling oracle always
         uses its own stream; an exact oracle synthesizes draws from the known
         masses with the caller's rng."""
-        member = self.family.members[member_index]
-        if self.exact:
-            if rng is None:
-                raise ValueError("exact-mode draws need the caller's rng")
-            return draw_batch(member, size, rng)
-        return draw_batch(member, size, self.rng)
+        return draw_batch(self.family.members[member_index], size, self._stream(rng))
+
+    def draw_family(self, size: int, rng: np.random.Generator | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw size i.i.d. (x, y) pairs from every member, as (k, size)
+        arrays with row i from member i. The stream is used exactly as the k
+        calls draw(0, size, rng), ..., draw(k - 1, size, rng) use it, and
+        row i equals what call i returns."""
+        fam = self.family
+        xs, plus = _draw(_bucket_table(fam.mass_matrix), fam.label_prob_matrix, size,
+                         self._stream(rng))
+        return xs, _signs(plus)
 
 
 @dataclass(frozen=True)
@@ -287,8 +382,9 @@ def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None,
     """The exact-mode Hedge mixture of each (key, family, class) item, learned
     in one HedgeStack that runs enter and leave at staggered rounds, with T
     and eta resolved from (k, eps). Yields (key, family, class, mixture,
-    seconds) as runs finish, in the order the items came; seconds is the
-    learning time since the previous yield. The items must share k and |H|.
+    errors, seconds) as runs finish, in the order the items came: errors is
+    the run's (|H|, k) error matrix, and seconds is the learning time since
+    the previous yield. The items must share k and |H|.
 
     The stack holds at most `runs` runs (STACK_RUNS by default). Each step
     takes the next item into the stack and plays ceil(T / slots) rounds, so
@@ -321,8 +417,8 @@ def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None,
         if finished:
             slot, first, (key, fam, cls) = queue.popleft()
             chosen = stack.choices(slot, first, rounds)
+            errors = stack.errors[slot].copy()
             if weights_log is not None:
-                errors = stack.errors[slot]
                 trace.extend(HedgeRound(t, int(h), tuple(errors[h].tolist()),
                                         tuple(w[slot].tolist()))
                              for t, (h, w) in enumerate(zip(chosen, weights_log)))
@@ -330,7 +426,7 @@ def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None,
             mixture = uniform_mixture(cls, chosen)
         spent += time.perf_counter() - t0
         if finished:
-            yield key, fam, cls, mixture, spent
+            yield key, fam, cls, mixture, errors, spent
             spent = 0.0
         item = next(items, None)
         t0 = time.perf_counter()
@@ -361,16 +457,13 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: f
     rounds, eta = cfg.resolve(k, eps)
     plus = plus_rows(cls.label_matrix)
     m = cfg.erm_sample_size
-    cum_mass = np.cumsum(fam.mass_matrix, axis=1)
-    cell_offsets = np.arange(k)[:, None] * n
+    table = _bucket_table(fam.mass_matrix)
     w = np.full(k, 1.0 / k)
     chosen = np.empty(rounds, dtype=np.intp)
     for t in range(rounds):
         # m fresh draws per member, tallied into (k, n) point and +1 counts
-        xs, positive = _draw(cum_mass, fam.label_prob_matrix, m, oracle.rng)
-        xs += cell_offsets
-        counts = np.bincount(xs.ravel(), minlength=k * n).reshape(k, n).astype(np.float64)
-        pos = np.bincount(xs[positive], minlength=k * n).reshape(k, n).astype(np.float64)
+        xs, positive = _draw(table, fam.label_prob_matrix, m, oracle.rng)
+        counts, pos = (a.astype(np.float64) for a in _tally(xs, positive, n))
         emp_mass = counts / m
         emp_eta = np.divide(pos, counts, out=np.full((k, n), 0.5), where=counts > 0)
         h_idx = erm(cls, _mixture(emp_mass, emp_eta, w))

@@ -151,10 +151,17 @@ def _check_weights(f_rand: RandomizedClassifier) -> None:
         )
 
 
-def randomized_per_distribution(f_rand: RandomizedClassifier, fam: DistributionFamily) -> np.ndarray:
-    """E_{f~F}[er_{D_i}(f)] for every member i, by linearity of expectation."""
+def randomized_per_distribution(f_rand: RandomizedClassifier, fam: DistributionFamily,
+                                errors: np.ndarray | None = None) -> np.ndarray:
+    """E_{f~F}[er_{D_i}(f)] for every member i, by linearity of expectation.
+
+    errors, if the caller has it, is the class's (|H|, k) error matrix on
+    fam; its support rows are the ones error_matrix gives the support alone.
+    """
     _check_weights(f_rand)
-    return f_rand.weights @ error_matrix(plus_rows(f_rand.support_label_matrix), fam)
+    if errors is None:
+        return f_rand.weights @ error_matrix(plus_rows(f_rand.support_label_matrix), fam)
+    return f_rand.weights @ errors[list(f_rand.support)]
 
 
 def randomized_worst_case_error(f_rand: RandomizedClassifier, fam: DistributionFamily) -> float:
@@ -174,9 +181,14 @@ def exceedance_probability(f_rand: RandomizedClassifier, dist: LabeledDistributi
     return float(f_rand.weights[errs >= level].sum())
 
 
-def opt_bruteforce(cls: HypothesisClass, fam: DistributionFamily) -> tuple[float, int]:
-    """Exhaustive min over the class of the worst-case error; lowest index on ties."""
-    worst = error_matrix(plus_rows(cls.label_matrix), fam).max(axis=1)
+def opt_bruteforce(cls: HypothesisClass, fam: DistributionFamily,
+                   errors: np.ndarray | None = None) -> tuple[float, int]:
+    """Exhaustive min over the class of the worst-case error; lowest index on
+    ties. errors, if the caller has it, is the class's (|H|, k) error matrix
+    on fam."""
+    if errors is None:
+        errors = error_matrix(plus_rows(cls.label_matrix), fam)
+    worst = errors.max(axis=1)
     idx = int(np.argmin(worst))
     return float(worst[idx]), idx
 

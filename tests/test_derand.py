@@ -20,9 +20,9 @@ class FixedDraws:
         self.family = family_from_arrays([np.full(n, 1.0 / n)], np.full(n, 0.5))
         self.xs, self.ys = xs, ys
 
-    def draw(self, member_index, size, rng=None):
-        assert (member_index, size) == (0, len(self.xs))
-        return self.xs, self.ys
+    def draw_family(self, size, rng=None):
+        assert size == len(self.xs)
+        return self.xs[None], self.ys[None]
 
 
 def table_of(counts, gamma, scale=1.0):

@@ -1,6 +1,6 @@
-"""The error-matrix core against exact rational sums, and the error matrix
-and the Hedge rounds against the per-member loops they replaced, which stay
-here as references."""
+"""The error-matrix core against exact rational sums; the error matrix, the
+Hedge rounds, the bucket-table draws and the one-pass bias table against the
+per-member loops they replaced, which stay here as references."""
 
 from fractions import Fraction
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multidist as md
-from multidist.learner import HedgeStack, rolling_mixtures
+from multidist.learner import HedgeStack, _bucket_table, _draw, rolling_mixtures
 from multidist.metrics import plus_rows
 
 from helpers import family_from_arrays
@@ -169,6 +169,129 @@ def test_draw_batch_matches_the_former_draw():
         want = loop_draw(member, 5000, np.random.default_rng(seed))
         assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
     assert np.any(np.random.default_rng(seed).random(5000) >= np.cumsum(short.mass)[-1])
+
+
+class FixedUniforms:
+    """An rng stand-in whose one random() call returns the given (r, 2, size)
+    uniforms, so a test chooses every key."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u.copy()
+
+
+def buckets_of(n):
+    return 1 << (8 * n - 1).bit_length()
+
+
+@st.composite
+def bucket_problems(draw):
+    """(r, n) masses built from runs of zeros, multiples of 1/G (cumulative
+    masses on bucket edges), subnormals and arbitrary floats, summing short
+    of 1 or a little over it; and keys that include uniform floats, the
+    cumulative masses, their neighbours and the bucket edges."""
+    n = draw(st.integers(1, 40))
+    r = draw(st.integers(1, 3))
+    G = buckets_of(n)
+    piece = st.one_of(
+        st.just(0.0),
+        st.integers(1, G // n).map(lambda a: a / G),
+        st.integers(1, 1 << 20).map(lambda a: a * 5e-324),
+        st.floats(0.0, 1.5 / n, allow_nan=False),
+    )
+    mass = np.array([draw(st.lists(piece, min_size=n, max_size=n)) for _ in range(r)])
+    cum = np.cumsum(mass, axis=1)
+    special = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.random((r, 2, special + draw(st.integers(0, 60))))
+    for i in range(r):
+        pool = np.concatenate([cum[i], np.nextafter(cum[i], 0.0), np.nextafter(cum[i], 2.0),
+                               np.arange(G) / G])
+        pool = pool[pool < 1.0]
+        u[i, 0, :special] = draw(st.lists(st.sampled_from(pool.tolist()),
+                                          min_size=special, max_size=special))
+    probs = np.array([draw(st.lists(unit, min_size=n, max_size=n)) for _ in range(r)])
+    return mass, probs, u
+
+
+@settings(max_examples=200, deadline=None)
+@given(bucket_problems())
+def test_bucket_lookup_is_searchsorted_then_clip(problem):
+    mass, probs, u = problem
+    r, n = mass.shape
+    xs, plus = _draw(_bucket_table(mass), probs, u.shape[2], FixedUniforms(u))
+    cum = np.cumsum(mass, axis=1)
+    for i in range(r):
+        want = np.minimum(np.searchsorted(cum[i], u[i, 0], side="right"), n - 1)
+        assert np.array_equal(xs[i], want)
+        assert np.array_equal(plus[i], u[i, 1] < probs[i, want])
+
+
+def test_bucket_lookup_edge_cases():
+    # a subnormal mass followed by a run of zero masses; a cumulative mass
+    # exactly on a bucket edge; masses summing short of 1; keys equal to
+    # every cumulative mass; and n = 1
+    G = buckets_of(5)
+    mass = np.array([[5e-324, 0.0, 0.0, 1 / G, 0.5]])
+    cum = np.cumsum(mass, axis=1)
+    keys = np.concatenate([cum[0], [0.0, np.nextafter(1 / G, 0.0), 0.75]])
+    u = np.stack([keys, np.full(keys.size, 0.5)])[None]
+    xs, _ = _draw(_bucket_table(mass), np.full((1, 5), 0.5), keys.size, FixedUniforms(u))
+    want = np.minimum(np.searchsorted(cum[0], keys, side="right"), 4)
+    assert np.array_equal(xs[0], want)
+    assert xs[0].tolist() == [3, 3, 3, 4, 4, 0, 3, 4]
+    xs, _ = _draw(_bucket_table(np.array([[0.3]])), np.array([[1.0]]), 3,
+                  FixedUniforms(np.array([[[0.0, 0.3, 0.9], [0.0, 0.0, 0.0]]])))
+    assert xs.tolist() == [[0, 0, 0]]
+    # two cumulative masses inside the last bucket, [31/32, 1)
+    keys = np.array([[[0.97, 0.993, 0.995, 0.999], [0.0] * 4]])
+    xs, _ = _draw(_bucket_table(np.array([[0.5, 0.5 - 1 / 128, 1 / 256]])),
+                  np.zeros((1, 3)), 4, FixedUniforms(keys))
+    assert xs.tolist() == [[1, 2, 2, 2]]
+
+
+def loop_bias_table(fam, cfg, rng):
+    """The former build_bias_table: one loop_draw per member, each member's
+    tallies on their own, entries in member order."""
+    n, m = fam.domain.size, cfg.sample_size(fam.k)
+    threshold = cfg.scale() * np.sqrt(np.log(cfg.gamma(fam.k)))
+    entries = {}
+    for i, member in enumerate(fam.members):
+        xs, ys = loop_draw(member, m, rng)
+        counts = np.bincount(xs, minlength=n)
+        pos = np.bincount(xs[ys == 1], minlength=n)
+        for x in range(n):
+            if counts[x] == 0 or x in entries:
+                continue
+            rho = (2.0 * pos[x] - counts[x]) / counts[x]
+            if abs(rho) > threshold / np.sqrt(counts[x]):
+                entries[x] = md.BiasEntry(1 if rho >= 0 else -1, i, float(rho), int(counts[x]))
+    return entries
+
+
+@pytest.mark.parametrize("sampling", [False, True])
+def test_one_pass_bias_table_is_the_member_loop(sampling):
+    cases = [(md.GenSpec(**C06, seed=s), 5000, 1.0) for s in range(3)]
+    cases += [(md.GenSpec(**CLI_WIDE, seed=3), 500, 0.3),
+              (md.GenSpec(kind="heavy_point_probe", domain_size=60, k=4, seed=4), 2000, 1.0)]
+    for seed, (spec, m, scale) in enumerate(cases):
+        fam, _, _ = md.generate(spec)
+        cfg = md.DerandConfig(eps=0.15, delta=0.15, mode="calibrated", m_override=m,
+                              threshold_scale=scale)
+        rng = np.random.default_rng(seed)
+        if sampling:
+            oracle = md.SampleOracle.sampling_mode(fam, rng)
+            table = md.build_bias_table(oracle, cfg)
+        else:
+            table = md.build_bias_table(md.SampleOracle.exact_mode(fam), cfg, rng)
+        ref_rng = np.random.default_rng(seed)
+        want = loop_bias_table(fam, cfg, ref_rng)
+        assert len(want) > 0
+        assert table.entries == want and list(table.entries) == list(want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def round_hedge(fam, cls, eps, cfg, rng=None):
@@ -345,8 +468,9 @@ def test_rolling_mixtures_are_hedge_learn_alone():
                                     0.2, cfg, runs))
         assert [key for key, *_ in got] == list(range(9))
         assert all(seconds >= 0.0 for *_, seconds in got)
-        for (_, _, _, F, _), G in zip(got, want):
+        for (_, fam, cls, F, errors, _), G in zip(got, want):
             assert F.support == G.support and np.array_equal(F.weights, G.weights)
+            assert np.array_equal(errors, md.error_matrix(plus_rows(cls.label_matrix), fam))
     assert list(rolling_mixtures([], 0.2, cfg)) == []
 
 

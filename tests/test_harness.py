@@ -92,6 +92,27 @@ def test_run_trial_deterministic():
     assert c.seed != a.seed
 
 
+def test_campaign_trials_match_opt_and_mixture_errors_computed_afresh(tmp_path):
+    # a campaign trial reads OPT and its mixture's errors from the matrix
+    # its learner loaded; recomputing them gives the same floats
+    cfg = md.CampaignConfig(
+        gen_spec=md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=0),
+        derand=md.DerandConfig(eps=0.15, delta=0.15, mode="calibrated", m_override=500),
+        master_seed=606)
+    _, reports = md.run_campaign(cfg, trials=8, out_dir=tmp_path, measure_time=False)
+    rows = []
+    for r in reports:
+        fam, cls, _ = md.generate(dataclasses.replace(cfg.gen_spec, seed=r.seed ^ 0x5EED))
+        F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls,
+                           *cfg.derand.learner_eps_delta(), cfg.hedge)
+        assert r.opt == md.opt_bruteforce(cls, fam)[0]
+        assert r.randomized_error == float(md.randomized_per_distribution(F, fam).max())
+        rows.append(md.run_trial(fam, cls, cfg.hedge, cfg.derand, r.seed, trial_id=r.trial_id,
+                                 measure_time=False, f_rand=F))
+    write_trials_csv(tmp_path / "afresh.csv", rows)
+    assert (tmp_path / "afresh.csv").read_bytes() == (tmp_path / "trials.csv").read_bytes()
+
+
 def test_wilson_interval_contains_point_estimate():
     for succ, n in [(0, 10), (5, 10), (10, 10), (199, 200)]:
         lo, hi = md.wilson_interval(succ, n)

@@ -259,6 +259,43 @@ def test_sampling_oracle_draws_from_its_own_stream():
     assert np.array_equal(xs, xs_b) and np.array_equal(ys, ys_b)
 
 
+@pytest.mark.parametrize("mass", [[0.25, math.nan, 0.5], [0.25, math.inf, 0.5],
+                                  [0.25, -0.25, 0.5], [1e308, 1e308, 0.0]])
+def test_bad_masses_are_rejected_before_any_draw(mass):
+    # built directly, so no constructor or validate_family stands in the way;
+    # the last masses are finite but their sum is not
+    dist = md.LabeledDistribution(mass, [0.5, 0.5, 0.5])
+    fam = md.DistributionFamily(md.Domain(3), (md.LabeledDistribution([0.5, 0.25, 0.25],
+                                                                      [0.5] * 3), dist))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        md.draw_batch(dist, 10, rng)
+    for oracle in (md.SampleOracle.exact_mode(fam), md.SampleOracle.sampling_mode(fam, rng)):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            oracle.draw(1, 10, rng)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            oracle.draw_family(10, rng)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        md.hedge_learn(md.SampleOracle.sampling_mode(fam, rng), md.HypothesisClass(
+            (md.Hypothesis([1, 1, 1]),)), 0.3, 0.1)
+    assert rng.bit_generator.state == state
+
+
+def test_draw_family_rows_are_consecutive_member_draws():
+    fam, _ = md.gen_random_label_consistent(md.GenSpec(domain_size=12, k=3, seed=5))
+    for oracle, rng in ((md.SampleOracle.exact_mode(fam), np.random.default_rng(1)),
+                        (md.SampleOracle.sampling_mode(fam, np.random.default_rng(1)), None)):
+        xs, ys = oracle.draw_family(40, rng)
+        replay = np.random.default_rng(1)
+        for i in range(fam.k):
+            want = md.draw_batch(fam.members[i], 40, replay)
+            assert np.array_equal(xs[i], want[0]) and np.array_equal(ys[i], want[1])
+            assert ys.dtype == want[1].dtype
+    with pytest.raises(ValueError, match="caller's rng"):
+        md.SampleOracle.exact_mode(fam).draw_family(5)
+
+
 def test_exact_oracle_requires_caller_rng():
     fam, _, _ = md.gen_gap_example(3)
     oracle = md.SampleOracle.exact_mode(fam)

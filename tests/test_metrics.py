@@ -181,6 +181,25 @@ def test_opt_matches_independent_enumeration():
         assert opt <= md.worst_case_error(h, fam).worst_case + 1e-15
 
 
+def test_the_class_error_matrix_gives_opt_and_mixture_errors_bitwise():
+    # support rows taken from the class's matrix equal the support's own
+    # matrix for supports smaller than k (one labeling per step) and not
+    # (one member per step)
+    rng = np.random.default_rng(52)
+    fam = random_family(rng, n=30, k=5, shared=False)
+    cls = md.HypothesisClass(tuple(
+        md.Hypothesis(np.where(rng.random(30) < 0.5, 1, -1).astype(np.int8)) for _ in range(12)
+    ))
+    errors = md.error_matrix((cls.label_matrix == 1).astype(np.float64), fam)
+    assert md.opt_bruteforce(cls, fam, errors) == md.opt_bruteforce(cls, fam)
+    for size in (1, 3, 5, 9, 12):
+        support = tuple(sorted(rng.choice(12, size, replace=False).tolist()))
+        weights = rng.random(size)
+        F = md.RandomizedClassifier(cls, support, weights / weights.sum())
+        want = md.randomized_per_distribution(F, fam)
+        assert np.array_equal(md.randomized_per_distribution(F, fam, errors), want)
+
+
 def test_bias_values():
     # biases 1/2, 0 and 0.3 under masses 1/4, 1/4 and 1/2 give beta^2 * mass
     # 0.0625, 0 and 0.045, so the mask follows a threshold between them
