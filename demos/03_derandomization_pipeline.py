@@ -25,10 +25,11 @@ opt, opt_idx = md.opt_bruteforce(cls, fam)
 print(f"instance: |X|={fam.domain.size}, k={fam.k}, |H|={len(cls)}")
 print(f"brute-force OPT = {opt:.4f} (hypothesis {opt_idx})\n")
 
+# the black-box learner runs at eps/2, delta/2; its mixture is the input
 oracle = md.SampleOracle.exact_mode(fam)
-learner = md.make_hedge_learner()
-cfg = md.DerandConfig(eps=eps, delta=delta, mode="calibrated", m_override=5000, seed=11)
-result = md.derandomize_with_details(oracle, cls, learner, cfg)
+cfg = md.DerandConfig(eps=eps, delta=delta, mode="calibrated", m_override=5000)
+f_rand = md.hedge_learn(oracle, cls, *cfg.learner_eps_delta())
+result = md.derandomize(oracle, f_rand, cfg, np.random.default_rng(11))
 
 rand_err = md.randomized_worst_case_error(result.f_rand, fam)
 det = md.worst_case_error(result.classifier, fam)

@@ -20,7 +20,6 @@ eps = delta = 0.15
 spec = md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=5)
 fam, cls = md.gen_random_label_consistent(spec)
 oracle = md.SampleOracle.exact_mode(fam)
-learner = md.make_hedge_learner()
 
 r, p = md.choose_hash_params(fam.k, eps, delta, fam.domain.size)
 print(f"hash parameters for k={fam.k}, eps={eps}, delta={delta}, |X|={fam.domain.size}:")
@@ -28,8 +27,9 @@ print(f"  degree r = {r} (smallest even integer >= 2 ln(4k/delta))")
 print(f"  prime p = {p} (exceeds the domain and both range-size floors)\n")
 
 cfg = md.DerandConfig(eps=eps, delta=delta, mode="calibrated", m_override=5000,
-                      rounding="hash", seed=3)
-result = md.derandomize_with_details(oracle, cls, learner, cfg)
+                      rounding="hash")
+f_rand = md.hedge_learn(oracle, cls, *cfg.learner_eps_delta())
+result = md.derandomize(oracle, f_rand, cfg, np.random.default_rng(3))
 clf = result.classifier
 print(f"compact classifier: polynomial of {clf.hash.degree_r} coefficients mod {clf.hash.prime}, "
       f"table of {len(clf.t_table)} pinned labels, mixture of {len(clf.f_rand.support)} hypotheses")
@@ -55,12 +55,15 @@ print(f"rounding law at point {x}: marginal {marginal:.6f}")
 print(f"  empirical Pr[+1] over {draws} hash draws: {hits / draws:.6f}")
 print(f"  exact law floor(m*p)/p              : {float(law):.6f}")
 
-# both rounding styles keep the same guarantee and essentially the same error
+# both rounding styles keep the same guarantee and essentially the same error;
+# each trial derandomizes the one mixture learned above, and reads OPT and
+# the mixture's errors from the class's (|H|, k) error matrix
+errors = md.error_matrix((cls.label_matrix == 1).astype(float), fam)
 errs = {}
 for rounding in ("explicit", "hash"):
     cfg_r = md.DerandConfig(eps=eps, delta=delta, mode="calibrated", m_override=5000,
                             rounding=rounding)
-    runs = [md.run_trial(fam, cls, md.HedgeConfig(), cfg_r, seed=s, measure_time=False)
+    runs = [md.run_trial(fam, cls, f_rand, errors, cfg_r, seed=s, measure_time=False)
             for s in range(60)]
     errs[rounding] = np.mean([t.deterministic_error for t in runs])
 print(f"\nmean worst-case error over 60 seeds: explicit {errs['explicit']:.4f}, "

@@ -38,7 +38,6 @@ from .learner import (
     draw_batch,
     erm,
     hedge_learn,
-    make_hedge_learner,
 )
 from .derand import (
     DerandConfig,
@@ -48,7 +47,6 @@ from .derand import (
     build_bias_table,
     round_outside_t,
     derandomize,
-    derandomize_with_details,
 )
 from .hashing import (
     PolyHash,

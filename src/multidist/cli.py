@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +51,15 @@ from .hashing import (
     plus_probability,
 )
 from .instances import GenSpec, generate
-from .learner import HedgeConfig, SampleOracle, hedge_learn
-from .metrics import ErrorReport, opt_bruteforce, randomized_per_distribution, worst_case_error
+from .learner import HedgeConfig, SampleOracle, hedge_learn, rolling_mixtures
+from .metrics import (
+    ErrorReport,
+    error_matrix,
+    opt_bruteforce,
+    plus_rows,
+    randomized_per_distribution,
+    worst_case_error,
+)
 from .model import full_labeling_class
 
 
@@ -93,8 +100,7 @@ def _hedge_cfg(args) -> HedgeConfig:
 def _derand_cfg(args) -> DerandConfig:
     return DerandConfig(eps=args.eps, delta=args.delta, c_const=args.c_const,
                         c_prime=args.c_prime, mode=args.mode, m_override=args.m_override,
-                        threshold_scale=args.threshold_scale, rounding=args.rounding,
-                        seed=args.seed)
+                        threshold_scale=args.threshold_scale, rounding=args.rounding)
 
 
 def cmd_gen(args) -> int:
@@ -119,8 +125,9 @@ def cmd_learn(args) -> int:
     trace = [] if args.trace else None
     f_rand = hedge_learn(oracle, cls, args.eps, args.delta, cfg, trace=trace)
     serialize.save_randomized(args.output, f_rand)
-    errs = randomized_per_distribution(f_rand, fam)
-    opt, _ = opt_bruteforce(cls, fam)
+    errors = error_matrix(plus_rows(cls.label_matrix), fam)
+    errs = randomized_per_distribution(f_rand, fam, errors)
+    opt, _ = opt_bruteforce(cls, fam, errors)
     print(f"mixture over {len(f_rand.support)} hypotheses; "
           f"worst-case expected error {errs.max():.6f} (OPT {opt:.6f})")
     if trace is not None:
@@ -140,8 +147,11 @@ def cmd_learn(args) -> int:
 def cmd_derand(args) -> int:
     fam, cls, _ = serialize.load_instance(args.instance)
     derand_cfg = _derand_cfg(args)
-    hedge_cfg = _hedge_cfg(args)
-    report, result = run_trial_detailed(fam, cls, hedge_cfg, derand_cfg, seed=args.seed)
+    # exact-mode Hedge, as hedge_learn runs it, keeping the error matrix
+    _, _, _, f_rand, errors, learning = next(rolling_mixtures(
+        [(None, fam, cls)], derand_cfg.learner_eps_delta()[0], _hedge_cfg(args), 1))
+    report, result = run_trial_detailed(fam, cls, f_rand, errors, derand_cfg, args.seed)
+    report = dataclasses.replace(report, wall_time=report.wall_time + learning)
     serialize.save_classifier(args.output, result.classifier)
     if args.report:
         write_trials_csv(args.report, [report])
@@ -193,7 +203,7 @@ def cmd_disc(args) -> int:
         return 0
     if args.disc_cmd == "distinguish":
         labels = np.array([int(v) for v in args.labels.split(",")], dtype=np.int8)
-        verdict = distinguisher(matrix, labels, Fraction(args.eps))
+        verdict = distinguisher(matrix, labels, args.eps)
         err = coloring_error(labels, ReductionFamily(matrix))
         print(f"worst-case error {err} -> {verdict.value}")
         return 0 if verdict == Verdict.ZERO_DISCREPANCY_LIKELY else 1

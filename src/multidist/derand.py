@@ -1,11 +1,12 @@
 """Turning a hypothesis mixture into a single deterministic classifier.
 
-The procedure: run the black-box randomized learner at precision eps/2 and
-confidence delta/2 to get a mixture F; then, sampling each distribution in
-turn, collect every point whose empirical label skew clears a
-sqrt(ln(gamma)/count) threshold into a table T and pin its majority label;
-finally label every remaining point by an independent draw from F (or, in
-compact mode, by the hash rounding rule, which needs no per-point storage).
+The procedure takes the mixture F that a black-box randomized learner gave
+at precision eps/2 and confidence delta/2 (DerandConfig.learner_eps_delta);
+then, sampling each distribution in turn, it collects every point whose
+empirical label skew clears a sqrt(ln(gamma)/count) threshold into a table T
+and pins its majority label; finally it labels every remaining point by an
+independent draw from F (or, in compact mode, by the hash rounding rule,
+which needs no per-point storage).
 
 Points with strong bias under some distribution land in T with the correct
 sign with high probability; the rest have so little bias that the independent
@@ -20,12 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    ExplicitClassifier,
-    RandomizedClassifier,
-    HypothesisClass,
-    require_label_consistent,
-)
+from .model import ExplicitClassifier, RandomizedClassifier, require_label_consistent
 from .learner import SampleOracle, _tally
 from .hashing import CompactClassifier, choose_hash_params, sample_hash
 
@@ -49,7 +45,6 @@ class DerandConfig:
     m_override: int | None = None
     threshold_scale: float = 1.0
     rounding: str = "explicit"  # "explicit" | "hash"
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0 and 0.0 < self.delta < 1.0):
@@ -138,13 +133,12 @@ def build_bias_table(oracle: SampleOracle, cfg: DerandConfig,
     with an exact-mode oracle this procedure samples — the table's guarantees
     are statements about its sampling randomness, so reading the masses would
     test nothing. All members are drawn in one oracle.draw_family call, which
-    uses the stream as k consecutive per-member draws would.
+    uses the stream as k consecutive per-member draws would: rng's for an
+    exact-mode oracle, which needs it, and the oracle's own otherwise.
     """
     fam = oracle.family
     if oracle.exact:
         require_label_consistent(fam)
-        if rng is None:
-            rng = np.random.default_rng(cfg.seed)
     k, n = fam.k, fam.domain.size
     gamma = cfg.gamma(k)
     m = cfg.sample_size(k)
@@ -200,27 +194,19 @@ class DerandResult:
     table: BiasTable
 
 
-def derandomize_with_details(oracle: SampleOracle, cls: HypothesisClass, learner,
-                             cfg: DerandConfig,
-                             rng: np.random.Generator | None = None,
-                             f_rand: RandomizedClassifier | None = None) -> DerandResult:
-    """Run the full pipeline and return the classifier plus its ingredients.
+def derandomize(oracle: SampleOracle, f_rand: RandomizedClassifier, cfg: DerandConfig,
+                rng: np.random.Generator) -> DerandResult:
+    """Round the mixture f_rand to one deterministic classifier
+    (ExplicitClassifier or CompactClassifier per cfg.rounding), returned with
+    the mixture and the bias table behind it.
 
-    learner is any callable (oracle, cls, eps, delta) -> RandomizedClassifier
-    meeting the mixture contract; it is invoked at precision eps/2 and failure
-    probability delta/2 before any table samples are drawn, so the mixture
-    never sees them. Pass f_rand to reuse an already learned mixture (the
-    remaining randomness is still table sampling + rounding).
+    f_rand is the black-box learner's mixture, learned at
+    cfg.learner_eps_delta() before any table samples are drawn, so it never
+    sees them; the table sampling and the rounding consume two streams
+    spawned from rng.
     """
     fam = oracle.family
-    if oracle.exact:
-        require_label_consistent(fam)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     table_rng, round_rng = rng.spawn(2)
-
-    if f_rand is None:
-        f_rand = learner(oracle, cls, *cfg.learner_eps_delta())
     table = build_bias_table(oracle, cfg, table_rng)
 
     if cfg.rounding == "explicit":
@@ -231,11 +217,3 @@ def derandomize_with_details(oracle: SampleOracle, cls: HypothesisClass, learner
     q = sample_hash(p, r, round_rng)
     return DerandResult(CompactClassifier(q, table.labels(), f_rand, fam.domain.size, p),
                         f_rand, table)
-
-
-def derandomize(oracle: SampleOracle, cls: HypothesisClass, learner, cfg: DerandConfig,
-                rng: np.random.Generator | None = None,
-                f_rand: RandomizedClassifier | None = None):
-    """As derandomize_with_details, returning only the deterministic classifier
-    (ExplicitClassifier or CompactClassifier per cfg.rounding)."""
-    return derandomize_with_details(oracle, cls, learner, cfg, rng, f_rand).classifier

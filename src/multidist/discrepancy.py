@@ -280,6 +280,8 @@ def planted_high_discrepancy_matrix(n: int, rng: np.random.Generator,
     """
     if n < 3:
         raise ValueError("need n >= 3 for the pair-row gadget")
+    if not 0.0 < density <= 1.0:
+        raise ValueError("density must lie in (0, 1]")
     tri = rng.choice(n, size=3, replace=False)
     rows = np.zeros((n, n), dtype=np.int8)
     pairs = [(tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])]
@@ -303,7 +305,10 @@ class Verdict(enum.Enum):
 def distinguisher(matrix: BinaryMatrix, labels, eps) -> Verdict:
     """Evaluate a classifier on the matrix's points and threshold its exact
     worst-case error at 1/2 + eps: below means a zero-discrepancy coloring
-    plausibly exists, at-or-above means high discrepancy."""
+    plausibly exists, at-or-above means high discrepancy. eps must be
+    finite."""
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps!r}")
     rf = ReductionFamily(matrix)
     err = coloring_error(labels, rf)
     if err < Fraction(1, 2) + Fraction(eps):

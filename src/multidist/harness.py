@@ -38,8 +38,8 @@ from .metrics import (
     randomized_per_distribution,
     worst_case_error,
 )
-from .learner import HedgeConfig, SampleOracle, make_hedge_learner, rolling_mixtures
-from .derand import BiasTable, DerandConfig, derandomize_with_details
+from .learner import HedgeConfig, SampleOracle, rolling_mixtures
+from .derand import BiasTable, DerandConfig, derandomize
 from .instances import GenSpec, generate
 
 PREDICATE_OPT = "er_le_opt_plus_eps"
@@ -106,29 +106,26 @@ def heavy_coverage(table: BiasTable, fam: DistributionFamily, eps: float, delta:
     return True
 
 
-def run_trial_detailed(fam: DistributionFamily, cls: HypothesisClass, hedge_cfg: HedgeConfig,
+def run_trial_detailed(fam: DistributionFamily, cls: HypothesisClass,
+                       f_rand: RandomizedClassifier, errors: np.ndarray,
                        derand_cfg: DerandConfig, seed: int, trial_id: int = 0,
-                       measure_time: bool = True, f_rand: RandomizedClassifier | None = None,
-                       errors: np.ndarray | None = None):
-    """One full pipeline run, deterministic given the seed; returns the report
-    together with the derandomization result.
+                       measure_time: bool = True):
+    """One derandomization of the mixture f_rand, learned on fam by the
+    caller, deterministic given the seed; returns the report together with
+    the derandomization result.
 
-    The mixture is learned first (exact-mode oracle) unless f_rand passes one
-    in, then the bias table and rounding consume streams derived from the
-    trial seed. errors, if the caller has it, is the class's (|H|, k) error
-    matrix on fam, error_matrix(plus_rows(cls.label_matrix), fam); OPT and
-    the mixture's errors are read from it, computed here otherwise.
+    The bias table and rounding consume streams derived from the trial seed
+    (exact-mode oracle). errors is the class's (|H|, k) error matrix on fam,
+    error_matrix(plus_rows(cls.label_matrix), fam), which the exact-mode
+    learner has computed; OPT and the mixture's errors are read from it.
     """
     t0 = time.perf_counter() if measure_time else 0.0
     oracle = SampleOracle.exact_mode(fam)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
-    result = derandomize_with_details(oracle, cls, make_hedge_learner(hedge_cfg),
-                                      derand_cfg, rng=rng, f_rand=f_rand)
-    f_hat, f_rand, table = result.classifier, result.f_rand, result.table
+    result = derandomize(oracle, f_rand, derand_cfg, rng)
+    f_hat, table = result.classifier, result.table
 
-    if errors is None:
-        errors = error_matrix(plus_rows(cls.label_matrix), fam)
     opt, _ = opt_bruteforce(cls, fam, errors)
     rand_err = float(randomized_per_distribution(f_rand, fam, errors).max())
     det_err = worst_case_error(f_hat, fam).worst_case
@@ -141,12 +138,11 @@ def run_trial_detailed(fam: DistributionFamily, cls: HypothesisClass, hedge_cfg:
     return report, result
 
 
-def run_trial(fam: DistributionFamily, cls: HypothesisClass, hedge_cfg: HedgeConfig,
-              derand_cfg: DerandConfig, seed: int, trial_id: int = 0,
-              measure_time: bool = True, f_rand: RandomizedClassifier | None = None,
-              errors: np.ndarray | None = None) -> TrialReport:
-    report, _ = run_trial_detailed(fam, cls, hedge_cfg, derand_cfg, seed, trial_id,
-                                   measure_time, f_rand, errors)
+def run_trial(fam: DistributionFamily, cls: HypothesisClass, f_rand: RandomizedClassifier,
+              errors: np.ndarray, derand_cfg: DerandConfig, seed: int, trial_id: int = 0,
+              measure_time: bool = True) -> TrialReport:
+    report, _ = run_trial_detailed(fam, cls, f_rand, errors, derand_cfg, seed, trial_id,
+                                   measure_time)
     return report
 
 
@@ -275,8 +271,8 @@ def _campaign_worker(args) -> list[tuple[int, TrialReport | None, str | None]]:
             learning += spent
             try:
                 # through the module attribute, which a caller may wrap
-                report = run_trial(fam, cls, cfg.hedge, cfg.derand, seed, trial_id=i,
-                                   measure_time=measure_time, f_rand=f_rand, errors=errors)
+                report = run_trial(fam, cls, f_rand, errors, cfg.derand, seed, trial_id=i,
+                                   measure_time=measure_time)
                 results.append((i, report, None))
             except Exception as exc:  # recorded, campaign continues
                 results.append(_failed(i, exc))

@@ -475,13 +475,3 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: f
         np.divide(w, np.add.reduce(w), out=w)
     return uniform_mixture(cls, chosen)
 
-
-def make_hedge_learner(cfg: HedgeConfig | None = None):
-    """Adapter giving hedge_learn the (oracle, cls, eps, delta) -> F shape the
-    derandomizer expects of any black-box learner."""
-
-    def learner(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: float
-                ) -> RandomizedClassifier:
-        return hedge_learn(oracle, cls, eps, delta, cfg)
-
-    return learner

@@ -151,6 +151,16 @@ def _check_weights(f_rand: RandomizedClassifier) -> None:
         )
 
 
+def _class_errors(errors, cls: HypothesisClass, fam: DistributionFamily) -> np.ndarray:
+    """errors, checked to have the shape (|H|, k) of the class's error matrix
+    on fam; a transposed or foreign matrix would give wrong numbers silently."""
+    errors = np.asarray(errors)
+    if errors.shape != (len(cls), fam.k):
+        raise ValueError(f"errors must be the class's (|H|, k) = {(len(cls), fam.k)} error "
+                         f"matrix, got shape {errors.shape}")
+    return errors
+
+
 def randomized_per_distribution(f_rand: RandomizedClassifier, fam: DistributionFamily,
                                 errors: np.ndarray | None = None) -> np.ndarray:
     """E_{f~F}[er_{D_i}(f)] for every member i, by linearity of expectation.
@@ -161,6 +171,7 @@ def randomized_per_distribution(f_rand: RandomizedClassifier, fam: DistributionF
     _check_weights(f_rand)
     if errors is None:
         return f_rand.weights @ error_matrix(plus_rows(f_rand.support_label_matrix), fam)
+    errors = _class_errors(errors, f_rand.hypothesis_class, fam)
     return f_rand.weights @ errors[list(f_rand.support)]
 
 
@@ -188,6 +199,8 @@ def opt_bruteforce(cls: HypothesisClass, fam: DistributionFamily,
     on fam."""
     if errors is None:
         errors = error_matrix(plus_rows(cls.label_matrix), fam)
+    else:
+        errors = _class_errors(errors, cls, fam)
     worst = errors.max(axis=1)
     idx = int(np.argmin(worst))
     return float(worst[idx]), idx

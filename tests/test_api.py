@@ -13,13 +13,13 @@ PUBLIC_NAMES = [
     "LabeledDistribution", "PolyHash", "RandomizedClassifier", "ReductionFamily",
     "SampleOracle", "TailCheckConfig", "TailCheckReport", "TrialReport", "Verdict",
     "bayes_labels", "bruteforce_min_discrepancy", "build_bias_table", "choose_hash_params",
-    "coloring_error", "derandomize", "derandomize_with_details", "distinguisher",
-    "draw_batch", "dummy_min_deterministic_error", "dummy_point_variant",
+    "coloring_error", "derandomize", "distinguisher", "draw_batch",
+    "dummy_min_deterministic_error", "dummy_point_variant",
     "empirical_tail_bound_check", "erm", "error_matrix", "exceedance_probability",
     "full_labeling_class", "gen_gap_example", "gen_heavy_point_probe",
     "gen_random_label_consistent", "generate", "heavy_bias_threshold", "heavy_mask",
-    "hedge_learn", "is_label_consistent", "is_prime", "make_hedge_learner",
-    "min_deterministic_error", "next_prime", "opt_bruteforce",
+    "hedge_learn", "is_label_consistent", "is_prime", "min_deterministic_error",
+    "next_prime", "opt_bruteforce",
     "planted_high_discrepancy_matrix", "planted_zero_matrix", "plus_probability",
     "randomized_per_distribution", "randomized_worst_case_error", "round_outside_t",
     "row_identity_errors", "run_campaign", "run_trial", "sample_hash",

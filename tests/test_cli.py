@@ -212,6 +212,27 @@ def test_learn_and_derand_reject_non_finite_constants(tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_disc_rejects_non_finite_eps_and_bad_density(tmp_path, capsys):
+    # --eps inf once ended in an OverflowError traceback and exit 1
+    mat = tmp_path / "A.txt"
+    assert main(["disc", "gen", "--n", "4", "--seed", "1", "-o", str(mat)]) == 0
+    capsys.readouterr()
+    distinguish = ["disc", "distinguish", str(mat), "--labels=1,1,-1,-1"]
+    for argv, message in (
+            (distinguish + ["--eps=inf"], "eps must be finite, got inf"),
+            (distinguish + ["--eps=-inf"], "eps must be finite, got -inf"),
+            (distinguish + ["--eps=nan"], "eps must be finite, got nan"),
+            (["disc", "gen", "--planted", "high", "--density", "7",
+              "-o", str(tmp_path / "H.txt")], "density must lie in (0, 1]"),
+            (["disc", "gen", "--planted", "high", "--density", "0",
+              "-o", str(tmp_path / "H.txt")], "density must lie in (0, 1]")):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("multidist: error: ") and message in captured.err
+    assert not (tmp_path / "H.txt").exists()
+
+
 def test_disc_gen_rejects_n_zero_without_hanging(tmp_path):
     # an empty planted coloring never has both signs, so n = 0 once redrew it
     # forever; the subprocess lets a timeout stop a regression

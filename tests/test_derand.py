@@ -7,7 +7,7 @@ from scipy.stats import binom
 import multidist as md
 from multidist.metrics import plus_rows
 
-from helpers import family_from_arrays
+from helpers import family_from_arrays, learned
 
 
 class FixedDraws:
@@ -257,22 +257,26 @@ def _small_instance(seed=0):
         md.GenSpec(domain_size=20, k=3, hypothesis_count=8, seed=seed))
 
 
+def _derandomized(fam, cls, cfg, seed):
+    """Learn the mixture, then derandomize it with streams from seed."""
+    f_rand, _ = learned(fam, cls, cfg)
+    return md.derandomize(md.SampleOracle.exact_mode(fam), f_rand, cfg,
+                          np.random.default_rng(seed))
+
+
 def test_derandomize_deterministic_given_seed():
     fam, cls = _small_instance(4)
-    cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=1500, seed=99)
-    oracle = md.SampleOracle.exact_mode(fam)
-    learner = md.make_hedge_learner()
-    a = md.derandomize(oracle, cls, learner, cfg)
-    b = md.derandomize(oracle, cls, learner, cfg)
+    cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=1500)
+    a = _derandomized(fam, cls, cfg, 99).classifier
+    b = _derandomized(fam, cls, cfg, 99).classifier
     assert np.array_equal(a.labels, b.labels)
 
 
 def test_derandomize_hash_mode_returns_compact():
     fam, cls = _small_instance(5)
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=1500,
-                          rounding="hash", seed=7)
-    result = md.derandomize_with_details(md.SampleOracle.exact_mode(fam), cls,
-                                         md.make_hedge_learner(), cfg)
+                          rounding="hash")
+    result = _derandomized(fam, cls, cfg, 7)
     clf = result.classifier
     assert isinstance(clf, md.CompactClassifier)
     assert clf.t_table == result.table.labels()
@@ -285,16 +289,23 @@ def test_derandomize_hash_mode_returns_compact():
 def test_derandomize_rejects_inconsistent_family():
     rf = md.ReductionFamily(md.BinaryMatrix(np.array([[1, 1], [1, 0]])))
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=100)
+    f_rand = md.RandomizedClassifier(md.full_labeling_class(2), (0,), [1.0])
     with pytest.raises(md.LabelConsistencyError):
-        md.derandomize(md.SampleOracle.exact_mode(rf.family), md.full_labeling_class(2),
-                       md.make_hedge_learner(), cfg)
+        md.derandomize(md.SampleOracle.exact_mode(rf.family), f_rand, cfg,
+                       np.random.default_rng(0))
+
+
+def test_exact_oracle_table_needs_the_callers_rng():
+    fam, _ = _small_instance(4)
+    cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=100)
+    with pytest.raises(ValueError, match="exact-mode draws need the caller's rng"):
+        md.build_bias_table(md.SampleOracle.exact_mode(fam), cfg)
 
 
 def test_error_decomposition_is_exact():
     fam, cls = _small_instance(6)
-    cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=1500, seed=3)
-    result = md.derandomize_with_details(md.SampleOracle.exact_mode(fam), cls,
-                                         md.make_hedge_learner(), cfg)
+    cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=1500)
+    result = _derandomized(fam, cls, cfg, 3)
     inside = np.zeros(fam.domain.size, dtype=bool)
     if len(result.table):
         inside[result.table.points()] = True
@@ -308,9 +319,8 @@ def test_error_decomposition_is_exact():
 
 def test_table_term_attains_pointwise_minimum_when_signs_correct():
     fam, cls = _small_instance(7)
-    cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=2500, seed=11)
-    result = md.derandomize_with_details(md.SampleOracle.exact_mode(fam), cls,
-                                         md.make_hedge_learner(), cfg)
+    cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=2500)
+    result = _derandomized(fam, cls, cfg, 11)
     eta = fam.shared_label_one_prob
     beta_sign = np.where(eta - 0.5 >= 0, 1, -1)
     points = result.table.points()
@@ -336,10 +346,11 @@ def test_rounding_deviation_small_on_light_instance():
         for s in range(6)
     ))
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=2000)
+    f_rand, errors = learned(fam, cls, cfg)
     ok = 0
     runs = 120
     for run in range(runs):
-        rep = md.run_trial(fam, cls, md.HedgeConfig(), cfg, seed=run, measure_time=False)
+        rep = md.run_trial(fam, cls, f_rand, errors, cfg, seed=run, measure_time=False)
         if rep.rounding_deviation <= 0.1:
             ok += 1
     assert ok / runs >= 1 - 0.2 / 4 - 0.05
@@ -350,9 +361,8 @@ def test_derandomize_gap_family_trivially_meets_contract():
     # guarantee er <= OPT + eps holds trivially because OPT = 1 here
     fam, cls, _ = md.gen_gap_example(5)
     assert md.is_label_consistent(fam)
-    cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=500, seed=1)
-    clf = md.derandomize(md.SampleOracle.exact_mode(fam), cls,
-                         md.make_hedge_learner(), cfg)
+    cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=500)
+    clf = _derandomized(fam, cls, cfg, 1).classifier
     opt, _ = md.opt_bruteforce(cls, fam)
     report = md.worst_case_error(clf, fam)
     assert opt == 1.0
@@ -375,10 +385,11 @@ def test_realizable_instance_reaches_low_error():
     opt, _ = md.opt_bruteforce(cls, fam)
     assert opt == 0.0
     cfg = md.DerandConfig(eps=0.15, delta=0.15, mode="calibrated", m_override=3000)
+    f_rand, errors = learned(fam, cls, cfg)
     good = 0
     runs = 80
     for run in range(runs):
-        rep = md.run_trial(fam, cls, md.HedgeConfig(), cfg, seed=run, measure_time=False)
+        rep = md.run_trial(fam, cls, f_rand, errors, cfg, seed=run, measure_time=False)
         if rep.deterministic_error <= 0.15:
             good += 1
     assert good / runs >= 1 - 0.15

@@ -239,6 +239,22 @@ def test_planted_high_discrepancy_construction():
         assert md.min_deterministic_error(md.ReductionFamily(H)) == 1
 
 
+def test_planted_matrices_reject_a_density_outside_zero_one_before_drawing():
+    for density in (0.0, -0.5, 7.0, float("nan"), float("inf")):
+        for make in (lambda rng: md.planted_zero_matrix(10, density, rng),
+                     lambda rng: md.planted_high_discrepancy_matrix(10, rng, density)):
+            rng = np.random.default_rng(12)
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError, match=r"density must lie in \(0, 1\]"):
+                make(rng)
+            assert rng.bit_generator.state == state
+    # density 1 is allowed, and the default keeps its stream
+    md.planted_high_discrepancy_matrix(10, np.random.default_rng(12), 1.0)
+    a = md.planted_high_discrepancy_matrix(10, np.random.default_rng(13))
+    b = md.planted_high_discrepancy_matrix(10, np.random.default_rng(13), 0.5)
+    assert np.array_equal(a.entries, b.entries)
+
+
 def test_distinguisher_verdicts():
     rng = np.random.default_rng(11)
     A, z = md.planted_zero_matrix(10, 0.5, rng)

@@ -16,7 +16,7 @@ from multidist.harness import (
 )
 from multidist.metrics import plus_rows
 
-from helpers import family_from_arrays
+from helpers import family_from_arrays, learned
 
 
 def small_campaign(seed=0, **derand_kwargs):
@@ -85,10 +85,11 @@ def test_run_trial_deterministic():
     fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=20, k=3,
                                                          hypothesis_count=8, seed=5))
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=1000)
-    a = md.run_trial(fam, cls, md.HedgeConfig(), cfg, seed=42, measure_time=False)
-    b = md.run_trial(fam, cls, md.HedgeConfig(), cfg, seed=42, measure_time=False)
+    f_rand, errors = learned(fam, cls, cfg)
+    a = md.run_trial(fam, cls, f_rand, errors, cfg, seed=42, measure_time=False)
+    b = md.run_trial(fam, cls, f_rand, errors, cfg, seed=42, measure_time=False)
     assert a == b
-    c = md.run_trial(fam, cls, md.HedgeConfig(), cfg, seed=43, measure_time=False)
+    c = md.run_trial(fam, cls, f_rand, errors, cfg, seed=43, measure_time=False)
     assert c.seed != a.seed
 
 
@@ -103,12 +104,11 @@ def test_campaign_trials_match_opt_and_mixture_errors_computed_afresh(tmp_path):
     rows = []
     for r in reports:
         fam, cls, _ = md.generate(dataclasses.replace(cfg.gen_spec, seed=r.seed ^ 0x5EED))
-        F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls,
-                           *cfg.derand.learner_eps_delta(), cfg.hedge)
+        F, errors = learned(fam, cls, cfg.derand, cfg.hedge)
         assert r.opt == md.opt_bruteforce(cls, fam)[0]
         assert r.randomized_error == float(md.randomized_per_distribution(F, fam).max())
-        rows.append(md.run_trial(fam, cls, cfg.hedge, cfg.derand, r.seed, trial_id=r.trial_id,
-                                 measure_time=False, f_rand=F))
+        rows.append(md.run_trial(fam, cls, F, errors, cfg.derand, r.seed, trial_id=r.trial_id,
+                                 measure_time=False))
     write_trials_csv(tmp_path / "afresh.csv", rows)
     assert (tmp_path / "afresh.csv").read_bytes() == (tmp_path / "trials.csv").read_bytes()
 

@@ -200,6 +200,23 @@ def test_the_class_error_matrix_gives_opt_and_mixture_errors_bitwise():
         assert np.array_equal(md.randomized_per_distribution(F, fam, errors), want)
 
 
+def test_an_error_matrix_of_the_wrong_shape_is_rejected():
+    # a transposed (k, |H|) matrix once named a hypothesis outside the class
+    # as OPT's and gave |H| "per-distribution" errors for k members
+    rng = np.random.default_rng(53)
+    fam = random_family(rng, n=10, k=6, shared=False)
+    cls = md.HypothesisClass(tuple(
+        md.Hypothesis(np.where(rng.random(10) < 0.5, 1, -1).astype(np.int8)) for _ in range(4)
+    ))
+    errors = md.error_matrix((cls.label_matrix == 1).astype(np.float64), fam)
+    F = md.RandomizedClassifier(cls, (0, 3), [0.5, 0.5])
+    for bad in (errors.T, errors[:3], errors[:, :5], errors[None], errors[0]):
+        with pytest.raises(ValueError, match=r"\(\|H\|, k\) = \(4, 6\)"):
+            md.opt_bruteforce(cls, fam, bad)
+        with pytest.raises(ValueError, match=r"\(\|H\|, k\) = \(4, 6\)"):
+            md.randomized_per_distribution(F, fam, bad)
+
+
 def test_bias_values():
     # biases 1/2, 0 and 0.3 under masses 1/4, 1/4 and 1/2 give beta^2 * mass
     # 0.0625, 0 and 0.045, so the mask follows a threshold between them
