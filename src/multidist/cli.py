@@ -51,7 +51,13 @@ from .hashing import (
     plus_probability,
 )
 from .instances import GenSpec, generate
-from .learner import HedgeConfig, SampleOracle, hedge_learn, rolling_mixtures
+from .learner import (
+    HedgeConfig,
+    SampleOracle,
+    check_eps_delta,
+    hedge_learn,
+    rolling_mixtures,
+)
 from .metrics import (
     ErrorReport,
     error_matrix,
@@ -118,14 +124,17 @@ def cmd_gen(args) -> int:
 def cmd_learn(args) -> int:
     fam, cls, _ = serialize.load_instance(args.instance)
     cfg = _hedge_cfg(args)
+    trace = [] if args.trace else None
     if args.sampling:
         oracle = SampleOracle.sampling_mode(fam, np.random.default_rng(args.seed))
+        f_rand = hedge_learn(oracle, cls, args.eps, args.delta, cfg, trace=trace)
+        errors = error_matrix(plus_rows(cls.label_matrix), fam)
     else:
-        oracle = SampleOracle.exact_mode(fam)
-    trace = [] if args.trace else None
-    f_rand = hedge_learn(oracle, cls, args.eps, args.delta, cfg, trace=trace)
+        # exact-mode Hedge, as hedge_learn runs it, keeping the error matrix
+        check_eps_delta(args.eps, args.delta)
+        _, _, _, f_rand, errors, _ = next(rolling_mixtures(
+            [(None, fam, cls)], args.eps, cfg, 1, trace))
     serialize.save_randomized(args.output, f_rand)
-    errors = error_matrix(plus_rows(cls.label_matrix), fam)
     errs = randomized_per_distribution(f_rand, fam, errors)
     opt, _ = opt_bruteforce(cls, fam, errors)
     print(f"mixture over {len(f_rand.support)} hypotheses; "

@@ -432,6 +432,12 @@ def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None,
         t0 = time.perf_counter()
 
 
+def check_eps_delta(eps: float, delta: float) -> None:
+    """A ValueError unless the learner's eps and delta both lie in (0, 1)."""
+    if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
+        raise ValueError("eps and delta must lie in (0, 1)")
+
+
 def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: float,
                 cfg: HedgeConfig | None = None,
                 trace: list | None = None) -> RandomizedClassifier:
@@ -446,8 +452,7 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: f
     empirical measures. delta only enters through the caller's
     contract—Hedge itself has no failure branch in exact mode.
     """
-    if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
-        raise ValueError("eps and delta must lie in (0, 1)")
+    check_eps_delta(eps, delta)
     cfg = cfg or HedgeConfig()
     fam = oracle.family
     if oracle.exact:

@@ -10,7 +10,6 @@ inspected.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,12 +50,16 @@ def _frozen_label_array(values, name: str) -> np.ndarray:
 
 
 def require_integer(value, name: str) -> int:
-    """value as an int: an integer, or a float with an integral value. Any
-    other value (2.7, True, "3") is a ValueError naming the field, where
-    int() would truncate or convert it silently."""
+    """value as an int: an integer, or a float with an integral value below
+    2^53 in magnitude. Any other value (2.7, True, "3", 1e30) is a ValueError
+    naming the field, where int() would truncate or convert it silently. A
+    float at or above 2^53 may be a rounded integer: a file's integer outside
+    64 bits is parsed as the nearest float, so 10**30 would load as
+    1000000000000000019884624838656."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_)):
         return int(value)
-    if isinstance(value, (float, np.floating)) and math.isfinite(value) and value == int(value):
+    if (isinstance(value, (float, np.floating)) and abs(value) < 2.0 ** 53
+            and value == int(value)):
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
 

@@ -1,8 +1,10 @@
 """Instance, classifier, and matrix file formats.
 
 Instances and classifiers are JSON (numbers as decimal text, arrays in domain
-index order). Matrices use a plain text format: first line n, then n lines of
-n characters from {0,1}.
+index order), written by `json` with indent=1 and read by orjson, which
+parses a float to the same double as `json` and rejects NaN and Infinity
+literals. Matrices use a plain text format: first line n, then n lines of n
+characters from {0,1}.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+from orjson import loads as orjson_loads
 
 from .hashing import CompactClassifier, PolyHash
 from .instances import GenSpec
@@ -110,13 +113,19 @@ def instance_from_dict(doc: dict) -> tuple[DistributionFamily, HypothesisClass, 
     return fam, cls, spec
 
 
+def _read_json(path):
+    """The JSON value in the file; malformed JSON is an orjson.JSONDecodeError,
+    which is a ValueError."""
+    return orjson_loads(Path(path).read_bytes())
+
+
 def save_instance(path, fam: DistributionFamily, cls: HypothesisClass,
                   gen_spec: GenSpec | None = None) -> None:
     Path(path).write_text(json.dumps(instance_to_dict(fam, cls, gen_spec), indent=1))
 
 
 def load_instance(path) -> tuple[DistributionFamily, HypothesisClass, GenSpec | None]:
-    return instance_from_dict(json.loads(Path(path).read_text()))
+    return instance_from_dict(_read_json(path))
 
 
 def randomized_to_dict(f_rand: RandomizedClassifier) -> dict:
@@ -139,7 +148,7 @@ def save_randomized(path, f_rand: RandomizedClassifier) -> None:
 
 
 def load_randomized(path, cls: HypothesisClass) -> RandomizedClassifier:
-    return randomized_from_dict(json.loads(Path(path).read_text()), cls)
+    return randomized_from_dict(_read_json(path), cls)
 
 
 def classifier_to_dict(clf) -> dict:
@@ -179,9 +188,13 @@ def classifier_from_dict(doc: dict, cls: HypothesisClass | None = None):
                      tuple(require_integer(c, "hash coefficient") for c in coeffs))
         f_rand = randomized_from_dict(field("randomized", dict), cls)
         table = {}
-        for entry in field("t_table", list):
+        for i, entry in enumerate(field("t_table", list)):
             if not (isinstance(entry, list) and len(entry) == 2):
-                raise ValueError(f"t_table entries must be [point, label] pairs, got {entry!r}")
+                # named by index and type: the repr of a deeply nested entry recurses
+                what = (f"a list of {len(entry)}" if isinstance(entry, list)
+                        else f"a {type(entry).__name__}")
+                raise ValueError(f"t_table entries must be [point, label] pairs, "
+                                 f"entry {i} is {what}")
             x = require_integer(entry[0], "t_table point")
             table[x] = require_integer(entry[1], "t_table label")
         return CompactClassifier(q, table, f_rand, integer("domain_size"), integer("range_size"))
@@ -193,7 +206,7 @@ def save_classifier(path, clf) -> None:
 
 
 def load_classifier(path, cls: HypothesisClass | None = None):
-    return classifier_from_dict(json.loads(Path(path).read_text()), cls)
+    return classifier_from_dict(_read_json(path), cls)
 
 
 def save_matrix(path, matrix: BinaryMatrix) -> None:

@@ -304,6 +304,13 @@ def test_classifier_files_reject_non_integer_values(tmp_path, capsys):
             (dict(coefficients=[c + 0.25 for c in doc["coefficients"]]),
              "hash coefficient must be an integer"),
             (dict(degree_r=True), "classifier field 'degree_r' must be an integer"),
+            # integers outside 64 bits parse as floats that may have been rounded
+            (dict(randomized={**doc["randomized"], "support_indices":
+                              [2**70] + doc["randomized"]["support_indices"][1:]}),
+             "support index must be an integer, got 1.1805916207174113e+21"),
+            (dict(t_table=[[10**30, 1]]), "t_table point must be an integer, got 1e+30"),
+            (dict(coefficients=[2**70] + doc["coefficients"][1:]),
+             "hash coefficient must be an integer, got 1.1805916207174113e+21"),
             (dict(t_table={}), "classifier field 't_table' must be a list, got dict")):
         bad.write_text(json.dumps({**doc, **edit}))
         assert main(["eval", str(bad), str(inst)]) == 2
@@ -338,6 +345,7 @@ def test_instance_files_check_json_value_types(tmp_path, capsys):
             (dict(domain_size="10"), "instance field 'domain_size' must be an integer"),
             (dict(domain_size=10.5), "instance field 'domain_size' must be an integer"),
             (dict(vc_dim="2"), "instance field 'vc_dim' must be an integer"),
+            (dict(vc_dim=10**30), "instance field 'vc_dim' must be an integer, got 1e+30"),
             (dict(distributions={}), "instance field 'distributions' must be a list"),
             (dict(distributions=[mass]), "distribution entry must be a JSON object, got list"),
             (dict(distributions=[{"mass": {}}]),
@@ -354,3 +362,59 @@ def test_instance_files_check_json_value_types(tmp_path, capsys):
     # a float field given an int is still a number of the right kind
     bad.write_text(json.dumps({**doc, "gen_spec": {**spec, "eps": 1}}))
     assert main(["eval", str(clf), str(bad)]) == 0
+    # a seed of 2^64 would parse back as a float, so gen refuses to write it
+    gen = ["gen", "--domain-size", "10", "-o", str(bad), "--seed"]
+    assert main(gen + [str(2**64 - 1)]) == 0
+    assert main(["eval", str(clf), str(bad)]) == 0
+    assert main(gen + [str(2**64)]) == 2
+    assert "seed must lie in [0, 2^64), got 18446744073709551616" in capsys.readouterr().err
+
+
+def test_deeply_nested_files_exit_2_in_every_verb(tmp_path, capsys):
+    # json.loads recursed on these, so every verb ended in a RecursionError
+    # traceback; the repr of a deep t_table entry in its message recursed too
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--domain-size", "15", "-k", "2", "--hypotheses", "4",
+                 "--seed", "3", "-o", str(inst)]) == 0
+    clf = tmp_path / "clf.json"
+    assert main(["derand", str(inst), "--eps", "0.25", "--delta", "0.25",
+                 "--mode", "calibrated", "--m-override", "800",
+                 "--rounding", "hash", "--seed", "4", "-o", str(clf)]) == 0
+    doc, clf_doc = json.loads(inst.read_text()), json.loads(clf.read_text())
+    depth = 100_000
+    deep = "[" * depth + "]" * depth
+
+    def with_deep(doc, *keys):
+        """doc's text with the value at the key path replaced by `deep`."""
+        doc = json.loads(json.dumps(doc))
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = "DEEP"
+        return json.dumps(doc).replace('"DEEP"', deep)
+
+    bad_inst, bad_clf = tmp_path / "bad_inst.json", tmp_path / "bad_clf.json"
+    out = str(tmp_path / "out")
+    verbs = (["learn", str(bad_inst), "--eps", "0.3", "-o", out],
+             ["derand", str(bad_inst), "--eps", "0.3", "--delta", "0.3", "-o", out],
+             ["eval", str(clf), str(bad_inst)])
+    capsys.readouterr()
+    for text, message in (
+            (deep, "instance must be a JSON object, got list"),
+            (with_deep(doc, "hypotheses", 0), "setting an array element with a sequence"),
+            (with_deep(doc, "distributions", 0, "mass"),
+             "setting an array element with a sequence")):
+        bad_inst.write_text(text)
+        for argv in verbs:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("multidist: error: ") and message in err
+    for text, message in (
+            (deep, "classifier must be a JSON object, got list"),
+            (with_deep(clf_doc, "t_table", 0),
+             "t_table entries must be [point, label] pairs, entry 0 is a list of 1")):
+        bad_clf.write_text(text)
+        assert main(["eval", str(bad_clf), str(inst)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("multidist: error: ") and message in err
+    assert not Path(out).exists()
