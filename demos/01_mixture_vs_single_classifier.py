@@ -45,7 +45,7 @@ bad = 0
 cum = np.cumsum(mixture.weights)
 for _ in range(draws):
     h = mixture.support[int(np.searchsorted(cum, rng.random()))]
-    if md.worst_case_error(cls.hypotheses[h], fam).worst_case == 1.0:
+    if md.worst_case_error(cls.label_matrix[h], fam).worst_case == 1.0:
         bad += 1
 print(f"\nsimulated {draws} single draws: {bad}/{draws} had worst-case error 1 "
       "(all of them, as predicted)")

@@ -14,7 +14,6 @@ import numpy as np
 from .model import (
     DistributionFamily,
     Domain,
-    Hypothesis,
     HypothesisClass,
     LabeledDistribution,
     RandomizedClassifier,
@@ -80,30 +79,26 @@ def _random_mass(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def _bias_profile_eta(spec: GenSpec, rng: np.random.Generator) -> np.ndarray:
     n = spec.domain_size
-    n_det = round(spec.det_fraction * n)
-    n_fair = round(spec.fair_fraction * n)
-    n_det = min(n_det, n)
-    n_fair = min(n_fair, n - n_det)
-    kinds = np.array(["mid"] * n, dtype=object)
+    n_det = min(round(spec.det_fraction * n), n)
+    n_fair = min(round(spec.fair_fraction * n), n - n_det)
     order = rng.permutation(n)
-    kinds[order[:n_det]] = "det"
-    kinds[order[n_det : n_det + n_fair]] = "fair"
-
-    eta = np.empty(n)
-    for x in range(n):
-        if kinds[x] == "det":
-            beta = rng.uniform(spec.det_beta_lo, spec.det_beta_hi)
-            eta[x] = 0.5 + beta * (1 if rng.random() < 0.5 else -1)
-        elif kinds[x] == "fair":
-            eta[x] = 0.5 + rng.uniform(-spec.fair_beta_max, spec.fair_beta_max)
-        else:
-            eta[x] = rng.uniform(0.2, 0.8)
+    det, fair = order[:n_det], order[n_det : n_det + n_fair]
+    # numpy's uniform(low, high) is low + (high - low) * u, here element-wise
+    low, high, base = np.full(n, 0.2), np.full(n, 0.8), np.zeros(n)
+    low[det], high[det], base[det] = spec.det_beta_lo, spec.det_beta_hi, 0.5
+    low[fair], high[fair], base[fair] = -spec.fair_beta_max, spec.fair_beta_max, 0.5
+    # the doubles go to the points in index order, one each, and a det point
+    # takes a second one for its sign
+    is_det = np.bincount(det, minlength=n)
+    first = np.arange(n) + np.cumsum(is_det) - is_det
+    u = rng.random(n + n_det)
+    sign = np.where((is_det == 1) & (u[first + is_det] >= 0.5), -1.0, 1.0)
+    eta = base + (low + (high - low) * u[first]) * sign
     return np.clip(eta, 0.0, 1.0)
 
 
-def _random_hypotheses(n: int, count: int, rng: np.random.Generator) -> list[Hypothesis]:
-    labels = np.where(rng.random((count, n)) < 0.5, 1, -1).astype(np.int8)
-    return [Hypothesis(row) for row in labels]
+def _random_hypotheses(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    return np.where(rng.random((count, n)) < 0.5, 1, -1).astype(np.int8)
 
 
 def gen_random_label_consistent(spec: GenSpec) -> tuple[DistributionFamily, HypothesisClass]:
@@ -116,10 +111,10 @@ def gen_random_label_consistent(spec: GenSpec) -> tuple[DistributionFamily, Hypo
         LabeledDistribution(_random_mass(spec.domain_size, rng), eta) for _ in range(spec.k)
     )
     fam = DistributionFamily(Domain(spec.domain_size), members)
-    hyps = _random_hypotheses(spec.domain_size, spec.hypothesis_count, rng)
+    labels = _random_hypotheses(spec.domain_size, spec.hypothesis_count, rng)
     if spec.kind == "bayes_in_class":
-        hyps.append(Hypothesis(bayes_labels(fam)))
-    return fam, HypothesisClass(tuple(hyps))
+        labels = np.vstack([labels, bayes_labels(fam)])
+    return fam, HypothesisClass(labels)
 
 
 def gen_gap_example(k: int) -> tuple[DistributionFamily, HypothesisClass, RandomizedClassifier]:
@@ -129,17 +124,9 @@ def gen_gap_example(k: int) -> tuple[DistributionFamily, HypothesisClass, Random
     and everything else +1."""
     if k < 2:
         raise ValueError("the gap example needs k >= 2")
-    members = []
-    hyps = []
-    for i in range(k):
-        mass = np.zeros(k)
-        mass[i] = 1.0
-        members.append(LabeledDistribution(mass, np.ones(k)))
-        labels = np.ones(k, dtype=np.int8)
-        labels[i] = -1
-        hyps.append(Hypothesis(labels))
-    fam = DistributionFamily(Domain(k), tuple(members))
-    cls = HypothesisClass(tuple(hyps))
+    members = tuple(LabeledDistribution(mass, np.ones(k)) for mass in np.eye(k))
+    fam = DistributionFamily(Domain(k), members)
+    cls = HypothesisClass(1 - 2 * np.eye(k, dtype=np.int8))
     f_rand = RandomizedClassifier(cls, tuple(range(k)), np.full(k, 1.0 / k))
     return fam, cls, f_rand
 
@@ -211,6 +198,6 @@ def generate(spec: GenSpec):
         return gen_gap_example(spec.k)
     if spec.kind == "heavy_point_probe":
         fam = gen_heavy_point_probe(spec)
-        cls = HypothesisClass((Hypothesis(np.ones(spec.domain_size, dtype=np.int8)),))
+        cls = HypothesisClass(np.ones((1, spec.domain_size), dtype=np.int8))
         return fam, cls, None
     raise ValueError(f"unknown generator kind {spec.kind!r}")

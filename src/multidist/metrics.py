@@ -21,6 +21,7 @@ from .model import (
     RandomizedClassifier,
     WEIGHT_TOL,
     require_label_consistent,
+    _frozen_label_array,
 )
 
 
@@ -37,12 +38,7 @@ def label_vector_of(f, domain_size: int | None = None) -> np.ndarray:
     elif hasattr(f, "label_vector"):
         labels = f.label_vector()
     else:
-        arr = np.asarray(f)
-        if arr.ndim != 1:
-            raise ValueError("classifier label vector must be one-dimensional")
-        if not np.all((arr == 1) | (arr == -1)):
-            raise ValueError("label entries must be exactly -1 or +1")
-        labels = arr.astype(np.int8)
+        labels = _frozen_label_array(f, "label")
     if domain_size is not None and labels.shape[0] != domain_size:
         raise ValueError(f"labeling covers {labels.shape[0]} points, expected {domain_size}")
     return labels

@@ -28,7 +28,7 @@ class LabelConsistencyError(ValueError):
 def _frozen_float_array(values, name: str) -> np.ndarray:
     try:
         arr = np.asarray(values, dtype=np.float64)
-    except TypeError as exc:  # e.g. a JSON object among the numbers
+    except (TypeError, ValueError) as exc:  # a JSON object among the numbers, a ragged list
         raise ValueError(f"{name} must hold numbers: {exc}") from None
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
@@ -37,16 +37,40 @@ def _frozen_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
-def _frozen_label_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+def _frozen_labels(arr: np.ndarray, name: str) -> np.ndarray:
     # checked before the int8 cast, which would turn 1.5 into 1 and 255 into -1
     if not np.all((arr == 1) | (arr == -1)):
         raise ValueError(f"{name} entries must be exactly -1 or +1")
     arr = arr.astype(np.int8)
     arr.flags.writeable = False
     return arr
+
+
+def _frozen_label_array(values, name: str) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    return _frozen_labels(arr, name)
+
+
+def _frozen_label_matrix(rows) -> np.ndarray:
+    try:
+        arr = np.asarray(rows)
+    except ValueError:  # ragged; numpy's message names no row
+        width = None
+        for i, row in enumerate(rows):
+            try:
+                (w,) = np.shape(row)
+            except ValueError:  # a single value, or a ragged or nested row
+                raise ValueError(f"hypothesis row {i} must be a flat list of labels") from None
+            if width not in (None, w):
+                raise ValueError(f"hypothesis row {i} has {w} labels, expected {width}") from None
+            width = w
+        raise
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError(f"hypothesis class must be a nonempty 2-D label matrix, "
+                         f"got shape {arr.shape}")
+    return _frozen_labels(arr, "hypothesis label")
 
 
 def require_integer(value, name: str) -> int:
@@ -148,10 +172,27 @@ class DistributionFamily:
         probs = self.label_prob_matrix
         supported = masses > 0.0
         first = np.argmax(supported, axis=0)  # 0 when nothing supports x
-        out = probs[first, np.arange(self.domain.size)]
-        out = out.copy()
+        out = probs[first, np.arange(self.domain.size)]  # a copy
         out.flags.writeable = False
         return out
+
+    @cached_property
+    def label_consistent(self) -> bool:
+        """True iff all members that support a point agree on its conditional
+        label law, to within LABEL_CONSISTENCY_TOL; computed once per family.
+
+        A member's conditional at a point it gives zero mass is ignored: only
+        points supported by at least two members can witness a disagreement.
+        """
+        supported = self.mass_matrix > 0.0
+        multi = supported.sum(axis=0) >= 2
+        if not np.any(multi):
+            return True
+        sub = self.label_prob_matrix[:, multi]
+        sup = supported[:, multi]
+        hi = np.where(sup, sub, -np.inf).max(axis=0)
+        lo = np.where(sup, sub, np.inf).min(axis=0)
+        return bool(np.all(hi - lo <= LABEL_CONSISTENCY_TOL))
 
 
 @dataclass(frozen=True)
@@ -173,39 +214,28 @@ class Hypothesis:
 
 @dataclass(frozen=True)
 class HypothesisClass:
-    """A finite, explicitly enumerated set of hypotheses.
+    """A finite, explicitly enumerated set of hypotheses: the read-only int8
+    (|H|, |X|) matrix whose row h holds hypothesis h's labels, checked once
+    when the class is built.
 
     vc_dim is optional metadata, set by full_labeling_class and carried by
     instance files; algorithms never trust it.
     """
 
-    hypotheses: tuple[Hypothesis, ...]
+    label_matrix: np.ndarray
     vc_dim: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
-        if len(self.hypotheses) < 1:
-            raise ValueError("hypothesis class must be nonempty")
-        n = self.hypotheses[0].domain_size
-        for i, h in enumerate(self.hypotheses):
-            if h.domain_size != n:
-                raise ValueError(f"hypothesis {i} has domain size {h.domain_size}, expected {n}")
+        object.__setattr__(self, "label_matrix", _frozen_label_matrix(self.label_matrix))
         if self.vc_dim is not None and self.vc_dim < 0:
             raise ValueError("vc_dim must be nonnegative")
 
     def __len__(self) -> int:
-        return len(self.hypotheses)
+        return self.label_matrix.shape[0]
 
     @property
     def domain_size(self) -> int:
-        return self.hypotheses[0].domain_size
-
-    @cached_property
-    def label_matrix(self) -> np.ndarray:
-        """(|H|, |X|) matrix of labels."""
-        out = np.stack([h.labels for h in self.hypotheses])
-        out.flags.writeable = False
-        return out
+        return self.label_matrix.shape[1]
 
     @cached_property
     def float_label_matrix(self) -> np.ndarray:
@@ -219,10 +249,8 @@ def full_labeling_class(n: int) -> HypothesisClass:
     """All 2^n labelings of an n-point domain (n <= 16)."""
     if n > 16:
         raise ValueError(f"full labeling class limited to n <= 16, got {n}")
-    codes = np.arange(2**n, dtype=np.int64)
-    bits = (codes[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    labels = np.where(bits == 1, 1, -1).astype(np.int8)
-    return HypothesisClass(tuple(Hypothesis(row) for row in labels), vc_dim=n)
+    bits = (np.arange(2**n, dtype=np.int64)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return HypothesisClass(np.where(bits == 1, 1, -1), vc_dim=n)
 
 
 @dataclass(frozen=True)
@@ -249,7 +277,8 @@ class RandomizedClassifier:
             raise ValueError("weights must be nonnegative")
         for i in self.support:
             if not 0 <= i < len(self.hypothesis_class):
-                raise IndexError(f"support index {i} outside hypothesis class")
+                raise ValueError(f"support index {i} outside hypothesis class "
+                                 f"of {len(self.hypothesis_class)}")
 
     @property
     def domain_size(self) -> int:
@@ -261,8 +290,7 @@ class RandomizedClassifier:
     @cached_property
     def support_label_matrix(self) -> np.ndarray:
         """(|support|, |X|) labels of the supported hypotheses."""
-        out = self.hypothesis_class.label_matrix[list(self.support)]
-        out = out.copy()
+        out = self.hypothesis_class.label_matrix[list(self.support)]  # a copy
         out.flags.writeable = False
         return out
 
@@ -347,27 +375,13 @@ def validate_family(fam: DistributionFamily, tol: float = MASS_TOL) -> Validatio
     return ValidationReport(tuple(issues))
 
 
-def is_label_consistent(fam: DistributionFamily, tol: float = LABEL_CONSISTENCY_TOL) -> bool:
-    """True iff all members that support a point agree on its conditional label law.
-
-    A member's conditional at a point it gives zero mass is ignored: only
-    points supported by at least two members can witness a disagreement.
-    """
-    masses = fam.mass_matrix
-    probs = fam.label_prob_matrix
-    supported = masses > 0.0
-    multi = supported.sum(axis=0) >= 2
-    if not np.any(multi):
-        return True
-    sub = probs[:, multi]
-    sup = supported[:, multi]
-    hi = np.where(sup, sub, -np.inf).max(axis=0)
-    lo = np.where(sup, sub, np.inf).min(axis=0)
-    return bool(np.all(hi - lo <= tol))
+def is_label_consistent(fam: DistributionFamily) -> bool:
+    """The family's verdict, computed once: see DistributionFamily.label_consistent."""
+    return fam.label_consistent
 
 
-def require_label_consistent(fam: DistributionFamily, tol: float = LABEL_CONSISTENCY_TOL) -> None:
-    if not is_label_consistent(fam, tol):
+def require_label_consistent(fam: DistributionFamily) -> None:
+    if not fam.label_consistent:
         raise LabelConsistencyError(
             "operation requires a label-consistent family "
             "(all members must share the conditional label law on shared support)"

@@ -22,7 +22,6 @@ from .model import (
     DistributionFamily,
     Domain,
     ExplicitClassifier,
-    Hypothesis,
     HypothesisClass,
     LabeledDistribution,
     RandomizedClassifier,
@@ -78,7 +77,7 @@ def instance_to_dict(fam: DistributionFamily, cls: HypothesisClass,
             {"mass": m.mass.tolist(), "label_one_prob": m.label_one_prob.tolist()}
             for m in fam.members
         ]
-    doc["hypotheses"] = [h.labels.tolist() for h in cls.hypotheses]
+    doc["hypotheses"] = cls.label_matrix.tolist()
     if cls.vc_dim is not None:
         doc["vc_dim"] = cls.vc_dim
     if gen_spec is not None:
@@ -104,11 +103,13 @@ def instance_from_dict(doc: dict) -> tuple[DistributionFamily, HypothesisClass, 
     if not report.ok:
         raise ValueError("invalid instance: " + "; ".join(
             f"{v.location}: {v.message}" for v in report.violations))
-    hyps = tuple(Hypothesis(row) for row in _field(doc, "hypotheses", "instance", list))
     vc_dim = doc.get("vc_dim")
     if vc_dim is not None:
         vc_dim = require_integer(vc_dim, "instance field 'vc_dim'")
-    cls = HypothesisClass(hyps, vc_dim=vc_dim)
+    cls = HypothesisClass(_field(doc, "hypotheses", "instance", list), vc_dim=vc_dim)
+    if cls.domain_size != n:
+        # every row has the class's width, so row 0 is the first wrong one
+        raise ValueError(f"hypothesis row 0 has {cls.domain_size} labels, expected domain_size {n}")
     spec = _gen_spec_from_dict(doc["gen_spec"]) if "gen_spec" in doc else None
     return fam, cls, spec
 

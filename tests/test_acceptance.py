@@ -214,10 +214,7 @@ def test_c08_light_rounding_deviation():
     assert not md.heavy_mask(fam, eps, delta).any()
     assert np.all(np.abs(fam.shared_label_one_prob - 0.5) <= 0.05)
     rng_h = np.random.default_rng(8080)
-    cls = md.HypothesisClass(tuple(
-        md.Hypothesis(np.where(rng_h.random(30) < 0.5, 1, -1).astype(np.int8))
-        for _ in range(8)
-    ))
+    cls = md.HypothesisClass([np.where(rng_h.random(30) < 0.5, 1, -1) for _ in range(8)])
     oracle = md.SampleOracle.exact_mode(fam)
     F = md.hedge_learn(oracle, cls, eps / 2, delta / 2)
     cfg = md.DerandConfig(eps=eps, delta=delta, mode="calibrated", m_override=2500)

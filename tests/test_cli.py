@@ -150,7 +150,7 @@ def test_eval_rejects_unnormalized_instance(tmp_path, capsys):
                  "--seed", "1", "-o", str(inst)]) == 0
     fam, cls, _ = serialize.load_instance(inst)
     clf = tmp_path / "clf.json"
-    serialize.save_classifier(clf, md.ExplicitClassifier(cls.hypotheses[0].labels))
+    serialize.save_classifier(clf, md.ExplicitClassifier(cls.label_matrix[0]))
     doc = json.loads(inst.read_text())
     doc["distributions"][1]["mass"] = [m * 0.9 for m in doc["distributions"][1]["mass"]]
     inst.write_text(json.dumps(doc))
@@ -173,6 +173,25 @@ def test_eval_rejects_classifier_of_other_domain_size(tmp_path, capsys):
     clf.write_text(json.dumps(doc))
     assert main(["eval", str(clf), str(inst)]) == 2
     assert "domain size mismatch: classifier 12, distribution 15" in capsys.readouterr().err
+
+
+def test_eval_rejects_support_index_outside_the_class(tmp_path, capsys):
+    # an IndexError here once ended eval in a traceback and exit 1
+    inst = tmp_path / "inst.json"
+    main(["gen", "--domain-size", "15", "-k", "2", "--hypotheses", "3",
+          "--seed", "3", "-o", str(inst)])
+    clf = tmp_path / "clf.json"
+    assert main(["derand", str(inst), "--eps", "0.25", "--delta", "0.25",
+                 "--mode", "calibrated", "--m-override", "800",
+                 "--rounding", "hash", "--seed", "4", "-o", str(clf)]) == 0
+    doc = json.loads(clf.read_text())
+    support = doc["randomized"]["support_indices"]
+    doc["randomized"]["support_indices"] = [99] + support[1:]
+    clf.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", str(clf), str(inst)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "multidist: error: support index 99 outside hypothesis class of 3")
 
 
 def test_eval_rejects_classifier_with_unnormalized_mixture(tmp_path, capsys):
@@ -263,9 +282,9 @@ def test_bad_files_name_the_missing_or_unknown_key(tmp_path, capsys):
     doc = json.loads(inst.read_text())
     fam, cls, _ = serialize.load_instance(inst)
     clf = tmp_path / "clf.json"
-    serialize.save_classifier(clf, md.ExplicitClassifier(cls.hypotheses[0].labels))
+    serialize.save_classifier(clf, md.ExplicitClassifier(cls.label_matrix[0]))
     no_kind = tmp_path / "no_kind.json"
-    no_kind.write_text(json.dumps({"labels": cls.hypotheses[0].labels.tolist()}))
+    no_kind.write_text(json.dumps({"labels": cls.label_matrix[0].tolist()}))
     no_hyps = tmp_path / "no_hyps.json"
     no_hyps.write_text(json.dumps({k: v for k, v in doc.items() if k != "hypotheses"}))
     bogus_spec = tmp_path / "bogus_spec.json"
@@ -327,9 +346,10 @@ def test_instance_files_check_json_value_types(tmp_path, capsys):
     doc = json.loads(inst.read_text())
     fam, cls, _ = serialize.load_instance(inst)
     clf = tmp_path / "clf.json"
-    serialize.save_classifier(clf, md.ExplicitClassifier(cls.hypotheses[0].labels))
+    serialize.save_classifier(clf, md.ExplicitClassifier(cls.label_matrix[0]))
     spec = doc["gen_spec"]
     mass = doc["distributions"][0]["mass"]
+    rows = doc["hypotheses"]
     bad = tmp_path / "bad.json"
     capsys.readouterr()
     for edit, message in (
@@ -351,6 +371,13 @@ def test_instance_files_check_json_value_types(tmp_path, capsys):
             (dict(distributions=[{"mass": {}}]),
              "distribution entry field 'mass' must be a list, got dict"),
             (dict(distributions=[{"mass": [{}] * 10}]), "mass must hold numbers"),
+            (dict(distributions=[{"mass": mass[:9] + [[0.1, 0.2]]}]), "mass must hold numbers"),
+            (dict(hypotheses=rows[:2] + [rows[2][:9]] + rows[3:]),
+             "hypothesis row 2 has 9 labels, expected 10"),
+            (dict(hypotheses=rows[:3] + [1]), "hypothesis row 3 must be a flat list of labels"),
+            (dict(hypotheses=[row[:9] for row in rows]),
+             "hypothesis row 0 has 9 labels, expected domain_size 10"),
+            (dict(hypotheses=[]), "hypothesis class must be a nonempty 2-D label matrix"),
             (dict(shared_label_one_prob=0.5),
              "instance field 'shared_label_one_prob' must be a list, got float")):
         bad.write_text(json.dumps({**doc, **edit}))
@@ -401,7 +428,7 @@ def test_deeply_nested_files_exit_2_in_every_verb(tmp_path, capsys):
     capsys.readouterr()
     for text, message in (
             (deep, "instance must be a JSON object, got list"),
-            (with_deep(doc, "hypotheses", 0), "setting an array element with a sequence"),
+            (with_deep(doc, "hypotheses", 0), "hypothesis row 0 must be a flat list of labels"),
             (with_deep(doc, "distributions", 0, "mass"),
              "setting an array element with a sequence")):
         bad_inst.write_text(text)

@@ -188,14 +188,14 @@ def test_table_rejects_inconsistent_family_in_exact_mode():
 
 
 def test_round_outside_t_singleton_copies_hypothesis():
-    cls = md.HypothesisClass((md.Hypothesis([1, -1, 1, -1]),))
+    cls = md.HypothesisClass([[1, -1, 1, -1]])
     F = md.RandomizedClassifier(cls, (0,), np.array([1.0]))
     labels = md.round_outside_t(F, md.BiasTable({}), 4, np.random.default_rng(0))
     assert labels.tolist() == [1, -1, 1, -1]
 
 
 def test_round_outside_t_respects_table():
-    cls = md.HypothesisClass((md.Hypothesis([1, 1, 1]),))
+    cls = md.HypothesisClass([[1, 1, 1]])
     F = md.RandomizedClassifier(cls, (0,), np.array([1.0]))
     table = md.BiasTable({1: md.BiasEntry(-1, 0, -1.0, 10)})
     labels = md.round_outside_t(F, table, 3, np.random.default_rng(0))
@@ -204,10 +204,7 @@ def test_round_outside_t_respects_table():
 
 def test_round_outside_t_balanced_mixture_frequency():
     n = 10_000
-    cls = md.HypothesisClass((
-        md.Hypothesis(np.ones(n, dtype=np.int8)),
-        md.Hypothesis(-np.ones(n, dtype=np.int8)),
-    ))
+    cls = md.HypothesisClass([np.ones(n), -np.ones(n)])
     F = md.RandomizedClassifier(cls, (0, 1), np.array([0.5, 0.5]))
     labels = md.round_outside_t(F, md.BiasTable({}), n, np.random.default_rng(5))
     assert abs(np.mean(labels == 1) - 0.5) < 0.02
@@ -341,10 +338,8 @@ def test_rounding_deviation_small_on_light_instance():
     spec = md.GenSpec(kind="heavy_point_probe", domain_size=30, k=3, heavy_count=0,
                       light_beta_max=0.05, eps=0.2, delta=0.2, seed=21)
     fam = md.gen_heavy_point_probe(spec)
-    cls = md.HypothesisClass(tuple(
-        md.Hypothesis(np.where(np.random.default_rng(s).random(30) < 0.5, 1, -1).astype(np.int8))
-        for s in range(6)
-    ))
+    cls = md.HypothesisClass([np.where(np.random.default_rng(s).random(30) < 0.5, 1, -1)
+                              for s in range(6)])
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=2000)
     f_rand, errors = learned(fam, cls, cfg)
     ok = 0
@@ -378,10 +373,7 @@ def test_realizable_instance_reaches_low_error():
     masses /= masses.sum(axis=1, keepdims=True)
     target = np.where(rng.random(15) < 0.5, 1, -1).astype(np.int8)
     fam = family_from_arrays(masses, (target == 1).astype(float))
-    cls = md.HypothesisClass((
-        md.Hypothesis(np.where(rng.random(15) < 0.5, 1, -1).astype(np.int8)),
-        md.Hypothesis(target),
-    ))
+    cls = md.HypothesisClass([np.where(rng.random(15) < 0.5, 1, -1), target])
     opt, _ = md.opt_bruteforce(cls, fam)
     assert opt == 0.0
     cfg = md.DerandConfig(eps=0.15, delta=0.15, mode="calibrated", m_override=3000)

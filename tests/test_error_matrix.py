@@ -84,8 +84,8 @@ def loop_error_terms(labels, member):
 def loop_error_table(cls, fam, mask=None):
     """The former |H| x k table: one loop iteration per (hypothesis, member)."""
     keep = slice(None) if mask is None else mask
-    return np.array([[float(loop_error_terms(h.labels, m)[keep].sum()) for m in fam.members]
-                     for h in cls.hypotheses])
+    return np.array([[float(loop_error_terms(h, m)[keep].sum()) for m in fam.members]
+                     for h in cls.label_matrix])
 
 
 def loop_mixture(fam, w):
@@ -136,7 +136,7 @@ def test_error_matrix_and_hedge_match_the_loops(shape, eps, seed):
 def test_ties_go_to_the_lowest_index():
     fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=12, k=3,
                                                          hypothesis_count=5, seed=8))
-    doubled = md.HypothesisClass(cls.hypotheses + cls.hypotheses)
+    doubled = md.HypothesisClass(np.vstack([cls.label_matrix] * 2))
     assert md.opt_bruteforce(doubled, fam) == md.opt_bruteforce(cls, fam)
     oracle = md.SampleOracle.exact_mode(fam)
     F = md.hedge_learn(oracle, doubled, 0.2, 0.1)
@@ -315,7 +315,7 @@ def round_hedge(fam, cls, eps, cfg, rng=None):
                 for m in fam.members)
             emp = md.DistributionFamily(fam.domain, members)
             h = md.erm(cls, loop_mixture(emp, w))
-            errs = np.array([loop_error_terms(cls.hypotheses[h].labels, m).sum()
+            errs = np.array([loop_error_terms(cls.label_matrix[h], m).sum()
                              for m in members])
         counts[h] = counts.get(h, 0) + 1
         rows.append((h, errs, w))
@@ -359,7 +359,7 @@ def lean_id(case):
 def test_lean_rounds_match_the_former_rounds(shape, eps, fields, seed, sampling, doubled):
     fam, cls = md.gen_random_label_consistent(md.GenSpec(**shape, seed=seed))
     if doubled:
-        cls = md.HypothesisClass(cls.hypotheses + cls.hypotheses)
+        cls = md.HypothesisClass(np.vstack([cls.label_matrix] * 2))
     cfg = md.HedgeConfig(**fields)
     if sampling:
         oracle = md.SampleOracle.sampling_mode(fam, np.random.default_rng(seed))

@@ -32,11 +32,11 @@ def small_campaign(seed=0, **derand_kwargs):
 
 def test_masked_terms_partition_total_error():
     fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=10, k=3, seed=1))
-    h = cls.hypotheses[0]
+    h = cls.label_matrix[0]
     mask = np.zeros(10, dtype=bool)
     mask[[1, 4, 7]] = True
-    inside = md.error_matrix(plus_rows(h.labels), fam, mask)
-    outside = md.error_matrix(plus_rows(h.labels), fam, ~mask)
+    inside = md.error_matrix(plus_rows(h), fam, mask)
+    outside = md.error_matrix(plus_rows(h), fam, ~mask)
     total = md.worst_case_error(h, fam).per_distribution
     assert (inside + outside).tolist() == pytest.approx(total, abs=1e-14)
 
@@ -58,7 +58,7 @@ def test_rounding_deviation_zero_for_exact_marginal_copy():
     fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=8, k=2,
                                                          hypothesis_count=3, seed=3))
     F = md.RandomizedClassifier(cls, (1,), np.array([1.0]))
-    f_hat = md.ExplicitClassifier(cls.hypotheses[1].labels)
+    f_hat = md.ExplicitClassifier(cls.label_matrix[1])
     assert rounding_deviation(f_hat, F, fam, md.BiasTable({})) == 0.0
 
 
@@ -246,3 +246,20 @@ def test_pooled_workers_match_one_process_and_share_a_learning_error(tmp_path):
     broken = dataclasses.replace(cfg, hedge=md.HedgeConfig(rounds=0))
     summary, reports = md.run_campaign(broken, trials=5, parallelism=2, measure_time=False)
     assert summary.errors == 5 and reports == []
+
+
+def test_a_trial_checks_label_consistency_once(tmp_path, monkeypatch):
+    # the bias table and heavy_mask both require a label-consistent family;
+    # the family computes its verdict once and both read it
+    prop = md.DistributionFamily.__dict__["label_consistent"]
+    checked = []
+
+    def counted(fam, check=prop.func):
+        checked.append(id(fam))
+        return check(fam)
+
+    monkeypatch.setattr(prop, "func", counted)
+    cfg = md.CampaignConfig(gen_spec=md.GenSpec(), master_seed=606)  # the C06 shape
+    summary, _ = md.run_campaign(cfg, trials=5, out_dir=tmp_path, measure_time=False)
+    assert summary.errors == 0
+    assert len(checked) == len(set(checked)) == 5

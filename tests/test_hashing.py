@@ -186,8 +186,7 @@ def test_floor_law_sandwich_property():
 def _compact(marginal: float, p: int, q: md.PolyHash, n: int) -> md.CompactClassifier:
     labels = np.ones(n, dtype=np.int8) if marginal >= 1 else -np.ones(n, dtype=np.int8)
     # a two-hypothesis class whose mixture marginal is exactly `marginal` everywhere
-    cls = md.HypothesisClass((md.Hypothesis(np.ones(n, dtype=np.int8)),
-                              md.Hypothesis(-np.ones(n, dtype=np.int8))))
+    cls = md.HypothesisClass([np.ones(n), -np.ones(n)])
     F = md.RandomizedClassifier(cls, (0, 1), np.array([marginal, 1.0 - marginal]))
     return md.CompactClassifier(q, {}, F, n, p)
 
@@ -215,9 +214,7 @@ def test_compact_evaluate_matches_floor_law_frequency():
 def test_compact_evaluate_pure_and_total():
     rng = np.random.default_rng(9)
     n = 200
-    cls = md.HypothesisClass(tuple(
-        md.Hypothesis(np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)) for _ in range(3)
-    ))
+    cls = md.HypothesisClass([np.where(rng.random(n) < 0.5, 1, -1) for _ in range(3)])
     F = md.RandomizedClassifier(cls, (0, 1, 2), np.array([0.2, 0.5, 0.3]))
     q = md.sample_hash(md.next_prime(n + 1), 4, rng)
     clf = md.CompactClassifier(q, {5: 1, 9: -1}, F, n, q.prime)
@@ -234,8 +231,7 @@ def test_compact_vector_boundary_matches_exact_decision():
     p = 7
     q = md.PolyHash(p, (1, 1))  # q(x) = 1 + x
     n = 6
-    cls = md.HypothesisClass((md.Hypothesis(np.ones(n, dtype=np.int8)),
-                              md.Hypothesis(-np.ones(n, dtype=np.int8))))
+    cls = md.HypothesisClass([np.ones(n), -np.ones(n)])
     for num in range(p + 1):
         marginal = num / p  # marginal*p is exactly num up to float rounding
         F = md.RandomizedClassifier(cls, (0, 1), np.array([marginal, 1 - marginal]))
@@ -326,8 +322,7 @@ def test_evaluator_exact_where_int64_products_overflow():
 
 def _constant_hash_classifier(p: int, q0: int, marginal: float, n: int = 3):
     """q(x) = q0 at every point and mixture marginal `marginal` everywhere."""
-    cls = md.HypothesisClass((md.Hypothesis(np.ones(n, dtype=np.int8)),
-                              md.Hypothesis(-np.ones(n, dtype=np.int8))))
+    cls = md.HypothesisClass([np.ones(n), -np.ones(n)])
     F = md.RandomizedClassifier(cls, (0, 1), np.array([marginal, 1.0 - marginal]))
     return md.CompactClassifier(md.PolyHash(p, (q0, 0)), {}, F, n, p)
 

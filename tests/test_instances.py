@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multidist as md
+from multidist.instances import _bias_profile_eta
 
 
 def test_generators_are_deterministic():
@@ -26,7 +29,7 @@ def test_bayes_in_class_appends_bayes_hypothesis():
                       hypothesis_count=4, seed=1)
     fam, cls = md.gen_random_label_consistent(spec)
     assert len(cls) == 5
-    assert np.array_equal(cls.hypotheses[-1].labels, md.bayes_labels(fam))
+    assert np.array_equal(cls.label_matrix[-1], md.bayes_labels(fam))
 
 
 def test_gap_example_quantities():
@@ -101,3 +104,55 @@ def test_gen_spec_validation():
         md.GenSpec(det_fraction=0.8, fair_fraction=0.5)
     with pytest.raises(ValueError):
         md.GenSpec(det_beta_lo=0.4, det_beta_hi=0.2)
+
+
+def scalar_bias_profile_eta(spec, rng):
+    """The former per-point loop: one scalar draw per point, in point order,
+    and a second for a det point's sign."""
+    n = spec.domain_size
+    n_det = min(round(spec.det_fraction * n), n)
+    n_fair = min(round(spec.fair_fraction * n), n - n_det)
+    kinds = np.array(["mid"] * n, dtype=object)
+    order = rng.permutation(n)
+    kinds[order[:n_det]] = "det"
+    kinds[order[n_det : n_det + n_fair]] = "fair"
+    eta = np.empty(n)
+    for x in range(n):
+        if kinds[x] == "det":
+            beta = rng.uniform(spec.det_beta_lo, spec.det_beta_hi)
+            eta[x] = 0.5 + beta * (1 if rng.random() < 0.5 else -1)
+        elif kinds[x] == "fair":
+            eta[x] = 0.5 + rng.uniform(-spec.fair_beta_max, spec.fair_beta_max)
+        else:
+            eta[x] = rng.uniform(0.2, 0.8)
+    return np.clip(eta, 0.0, 1.0)
+
+
+@st.composite
+def bias_specs(draw):
+    base = draw(st.sampled_from([
+        dict(),  # C06
+        dict(domain_size=1000, k=24, hypothesis_count=128),  # cli_wide
+        dict(det_fraction=0.0),
+        dict(det_fraction=1.0, fair_fraction=0.0),
+        dict(det_beta_lo=0.4, det_beta_hi=0.4, fair_beta_max=0.0),
+        dict(domain_size=7),
+    ]))
+    if draw(st.booleans()):
+        lo = draw(st.floats(0.0, 0.5))
+        det = draw(st.floats(0.0, 1.0))
+        base = dict(domain_size=draw(st.integers(1, 60)), det_fraction=det,
+                    fair_fraction=draw(st.floats(0.0, 1.0 - det)),
+                    det_beta_lo=lo, det_beta_hi=draw(st.floats(lo, 0.5)),
+                    fair_beta_max=draw(st.floats(0.0, 0.5)))
+    return md.GenSpec(**base, seed=draw(st.integers(0, 2**64 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bias_specs())
+def test_bias_profile_draws_match_the_scalar_loop_bitwise(spec):
+    rng, ref = np.random.default_rng(spec.seed), np.random.default_rng(spec.seed)
+    eta = _bias_profile_eta(spec, rng)
+    want = scalar_bias_profile_eta(spec, ref)
+    assert eta.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state

@@ -40,7 +40,7 @@ def test_draw_label_frequency_matches_eta():
 
 def test_erm_picks_zero_error_hypothesis():
     mixture = md.LabeledDistribution([0.5, 0.5], [1.0, 1.0])
-    cls = md.HypothesisClass((md.Hypothesis([-1, 1]), md.Hypothesis([1, 1])))
+    cls = md.HypothesisClass([[-1, 1], [1, 1]])
     assert md.erm(cls, mixture) == 1
 
 
@@ -60,10 +60,7 @@ def test_erm_matches_enumeration_oracle():
         mass /= mass.sum()
         eta = rng.random(n)
         mixture = md.LabeledDistribution(mass, eta)
-        cls = md.HypothesisClass(tuple(
-            md.Hypothesis(np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8))
-            for _ in range(8)
-        ))
+        cls = md.HypothesisClass([np.where(rng.random(n) < 0.5, 1, -1) for _ in range(8)])
         errors = md.error_matrix(plus_rows(cls.label_matrix), mixture)[:, 0]
         assert md.erm(cls, mixture) == int(np.argmin(errors))
 
@@ -73,9 +70,7 @@ def test_erm_empirical_sample_equals_empirical_distribution():
     xs = rng.integers(0, 5, size=100)
     ys = np.where(rng.random(100) < 0.5, 1, -1).astype(np.int8)
     sample = md.EmpiricalSample(xs, ys, 5)
-    cls = md.HypothesisClass(tuple(
-        md.Hypothesis(np.where(rng.random(5) < 0.5, 1, -1).astype(np.int8)) for _ in range(6)
-    ))
+    cls = md.HypothesisClass([np.where(rng.random(5) < 0.5, 1, -1) for _ in range(6)])
     assert md.erm(cls, sample) == md.erm(cls, sample.to_distribution())
 
 
@@ -98,7 +93,7 @@ def test_empirical_sample_rejects_non_integer_points_and_labels():
 
 def test_erm_rejects_empty_sample():
     sample = md.EmpiricalSample(np.array([], dtype=int), np.array([], dtype=np.int8), 3)
-    cls = md.HypothesisClass((md.Hypothesis([1, 1, 1]),))
+    cls = md.HypothesisClass([[1, 1, 1]])
     with pytest.raises(ValueError):
         md.erm(cls, sample)
 
@@ -134,10 +129,7 @@ def test_hedge_realizable_instance():
     masses = rng.random((3, 10))
     masses /= masses.sum(axis=1, keepdims=True)
     fam = family_from_arrays(masses, np.ones(10))
-    cls = md.HypothesisClass((
-        md.Hypothesis(np.where(rng.random(10) < 0.5, 1, -1).astype(np.int8)),
-        md.Hypothesis(np.ones(10, dtype=np.int8)),
-    ))
+    cls = md.HypothesisClass([np.where(rng.random(10) < 0.5, 1, -1), np.ones(10)])
     F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.1, 0.1)
     assert md.randomized_worst_case_error(F, fam) <= 0.1
 
@@ -191,9 +183,8 @@ def test_hedge_monotone_under_class_superset():
     fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=25, k=4,
                                                          hypothesis_count=8, seed=14))
     rng = np.random.default_rng(100)
-    extra = tuple(md.Hypothesis(np.where(rng.random(25) < 0.5, 1, -1).astype(np.int8))
-                  for _ in range(4))
-    bigger = md.HypothesisClass(cls.hypotheses + extra)
+    extra = [np.where(rng.random(25) < 0.5, 1, -1) for _ in range(4)]
+    bigger = md.HypothesisClass(np.vstack([cls.label_matrix, *extra]))
     opt_small, _ = md.opt_bruteforce(cls, fam)
     opt_big, _ = md.opt_bruteforce(bigger, fam)
     assert opt_big <= opt_small
@@ -240,10 +231,7 @@ def test_hedge_sampling_mode_learns_realizable():
     masses = rng.random((3, 8))
     masses /= masses.sum(axis=1, keepdims=True)
     fam = family_from_arrays(masses, np.ones(8))
-    cls = md.HypothesisClass((
-        md.Hypothesis(np.where(rng.random(8) < 0.5, 1, -1).astype(np.int8)),
-        md.Hypothesis(np.ones(8, dtype=np.int8)),
-    ))
+    cls = md.HypothesisClass([np.where(rng.random(8) < 0.5, 1, -1), np.ones(8)])
     oracle = md.SampleOracle.sampling_mode(fam, np.random.default_rng(16))
     F = md.hedge_learn(oracle, cls, 0.2, 0.1, md.HedgeConfig(erm_sample_size=100))
     assert md.randomized_worst_case_error(F, fam) <= 0.2
@@ -278,7 +266,7 @@ def test_bad_masses_are_rejected_before_any_draw(mass):
             oracle.draw_family(10, rng)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         md.hedge_learn(md.SampleOracle.sampling_mode(fam, rng), md.HypothesisClass(
-            (md.Hypothesis([1, 1, 1]),)), 0.3, 0.1)
+            [[1, 1, 1]]), 0.3, 0.1)
     assert rng.bit_generator.state == state
 
 

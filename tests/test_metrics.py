@@ -30,8 +30,8 @@ def random_family(rng, n=9, k=3, shared=True):
 def test_error_point_mass_examples():
     fam, cls, _ = md.gen_gap_example(4)
     # h_i on its own point-mass distribution errs surely; on others never
-    assert md.worst_case_error(cls.hypotheses[0], fam).per_distribution == (1.0, 0.0, 0.0, 0.0)
-    assert md.worst_case_error(cls.hypotheses[1], fam).per_distribution[0] == 0.0
+    assert md.worst_case_error(cls.label_matrix[0], fam).per_distribution == (1.0, 0.0, 0.0, 0.0)
+    assert md.worst_case_error(cls.label_matrix[1], fam).per_distribution[0] == 0.0
 
 
 def test_error_half_labels_give_half():
@@ -59,7 +59,7 @@ def test_error_domain_mismatch():
 
 def test_worst_case_gap_example():
     fam, cls, _ = md.gen_gap_example(5)
-    for h in cls.hypotheses:
+    for h in cls.label_matrix:
         assert md.worst_case_error(h, fam).worst_case == 1.0
 
 
@@ -94,25 +94,25 @@ def test_randomized_error_singleton_equals_plain():
     rng = np.random.default_rng(4)
     fam = random_family(rng)
     labels = np.where(rng.random(9) < 0.5, 1, -1).astype(np.int8)
-    cls = md.HypothesisClass((md.Hypothesis(labels),))
+    cls = md.HypothesisClass([labels])
     F = md.RandomizedClassifier(cls, (0,), np.array([1.0]))
     assert md.randomized_worst_case_error(F, fam) == pytest.approx(
-        md.worst_case_error(cls.hypotheses[0], fam).worst_case, abs=1e-15)
+        md.worst_case_error(cls.label_matrix[0], fam).worst_case, abs=1e-15)
 
 
 def test_randomized_error_two_point_brute_force():
     fam = family_from_arrays([[0.4, 0.6]], [[0.8, 0.1]])
-    cls = md.HypothesisClass((md.Hypothesis([1, -1]), md.Hypothesis([-1, 1])))
+    cls = md.HypothesisClass([[1, -1], [-1, 1]])
     F = md.RandomizedClassifier(cls, (0, 1), np.array([0.3, 0.7]))
     # brute force over support x domain x labels
     expected = 0.0
-    for w, h in zip((0.3, 0.7), cls.hypotheses):
-        expected += w * oracle_error(h.labels, fam.members[0])
+    for w, h in zip((0.3, 0.7), cls.label_matrix):
+        expected += w * oracle_error(h, fam.members[0])
     assert md.randomized_worst_case_error(F, fam) == pytest.approx(expected, abs=1e-15)
 
 
 def test_randomized_error_rejects_bad_weights():
-    cls = md.HypothesisClass((md.Hypothesis([1]),))
+    cls = md.HypothesisClass([[1]])
     F = md.RandomizedClassifier(cls, (0,), np.array([0.5]))
     fam = family_from_arrays([[1.0]], [[1.0]])
     with pytest.raises(ValueError):
@@ -122,11 +122,9 @@ def test_randomized_error_rejects_bad_weights():
 def test_randomized_error_linear_in_weights():
     rng = np.random.default_rng(17)
     fam = random_family(rng, n=8, k=4)
-    cls = md.HypothesisClass(tuple(
-        md.Hypothesis(np.where(rng.random(8) < 0.5, 1, -1).astype(np.int8)) for _ in range(5)
-    ))
-    err_matrix = np.array([[oracle_error(h.labels, m) for m in fam.members]
-                           for h in cls.hypotheses])
+    cls = md.HypothesisClass([np.where(rng.random(8) < 0.5, 1, -1) for _ in range(5)])
+    err_matrix = np.array([[oracle_error(h, m) for m in fam.members]
+                           for h in cls.label_matrix])
     w = rng.random(5)
     w /= w.sum()
     F = md.RandomizedClassifier(cls, tuple(range(5)), w)
@@ -137,9 +135,7 @@ def test_support_dominates_mixture_property():
     rng = np.random.default_rng(9)
     for _ in range(10):
         fam = random_family(rng, n=6, k=3)
-        cls = md.HypothesisClass(tuple(
-            md.Hypothesis(np.where(rng.random(6) < 0.5, 1, -1).astype(np.int8)) for _ in range(4)
-        ))
+        cls = md.HypothesisClass([np.where(rng.random(6) < 0.5, 1, -1) for _ in range(4)])
         w = rng.random(4)
         w /= w.sum()
         F = md.RandomizedClassifier(cls, tuple(range(4)), w)
@@ -170,14 +166,12 @@ def test_opt_bayes_in_class_attains_bayes():
 def test_opt_matches_independent_enumeration():
     rng = np.random.default_rng(51)
     fam = random_family(rng, n=8, k=3, shared=False)
-    cls = md.HypothesisClass(tuple(
-        md.Hypothesis(np.where(rng.random(8) < 0.5, 1, -1).astype(np.int8)) for _ in range(16)
-    ))
+    cls = md.HypothesisClass([np.where(rng.random(8) < 0.5, 1, -1) for _ in range(16)])
     opt, idx = md.opt_bruteforce(cls, fam)
-    reports = [max(oracle_error(h.labels, m) for m in fam.members) for h in cls.hypotheses]
+    reports = [max(oracle_error(h, m) for m in fam.members) for h in cls.label_matrix]
     assert opt == pytest.approx(min(reports), abs=1e-14)
     assert idx == int(np.argmin(reports))
-    for h in cls.hypotheses:
+    for h in cls.label_matrix:
         assert opt <= md.worst_case_error(h, fam).worst_case + 1e-15
 
 
@@ -187,9 +181,7 @@ def test_the_class_error_matrix_gives_opt_and_mixture_errors_bitwise():
     # (one member per step)
     rng = np.random.default_rng(52)
     fam = random_family(rng, n=30, k=5, shared=False)
-    cls = md.HypothesisClass(tuple(
-        md.Hypothesis(np.where(rng.random(30) < 0.5, 1, -1).astype(np.int8)) for _ in range(12)
-    ))
+    cls = md.HypothesisClass([np.where(rng.random(30) < 0.5, 1, -1) for _ in range(12)])
     errors = md.error_matrix((cls.label_matrix == 1).astype(np.float64), fam)
     assert md.opt_bruteforce(cls, fam, errors) == md.opt_bruteforce(cls, fam)
     for size in (1, 3, 5, 9, 12):
@@ -205,9 +197,7 @@ def test_an_error_matrix_of_the_wrong_shape_is_rejected():
     # as OPT's and gave |H| "per-distribution" errors for k members
     rng = np.random.default_rng(53)
     fam = random_family(rng, n=10, k=6, shared=False)
-    cls = md.HypothesisClass(tuple(
-        md.Hypothesis(np.where(rng.random(10) < 0.5, 1, -1).astype(np.int8)) for _ in range(4)
-    ))
+    cls = md.HypothesisClass([np.where(rng.random(10) < 0.5, 1, -1) for _ in range(4)])
     errors = md.error_matrix((cls.label_matrix == 1).astype(np.float64), fam)
     F = md.RandomizedClassifier(cls, (0, 3), [0.5, 0.5])
     for bad in (errors.T, errors[:3], errors[:, :5], errors[None], errors[0]):

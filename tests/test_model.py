@@ -48,6 +48,35 @@ def test_hypothesis_rejects_non_sign_labels():
                 make(labels)
 
 
+def test_hypothesis_class_checks_its_matrix_once():
+    # 1.5 and 255 would pass as 1 and -1 if cast to int8 before the check
+    for rows in ([[1, 1.5]], [[1, -1], [255, 1]], np.array([[255, -1]]), [[1, 0]]):
+        with pytest.raises(ValueError, match="exactly -1 or \\+1"):
+            md.HypothesisClass(rows)
+    for rows in ([1, -1], [], [[]], np.ones((0, 3)), [[[1, -1]], [[1, 1]]]):
+        with pytest.raises(ValueError, match="must be a nonempty 2-D label matrix"):
+            md.HypothesisClass(rows)
+    # a ragged or non-list row is named by its index, not by numpy's message
+    for rows, message in (
+            ([[1, 1], [1, 1], [1, -1], [1]], "hypothesis row 3 has 1 labels, expected 2"),
+            ([[1, 1], [1, 1, 1]], "hypothesis row 1 has 3 labels, expected 2"),
+            ([[1, 1], 1], "hypothesis row 1 must be a flat list of labels"),
+            ([[1, 1], [1, [1]]], "hypothesis row 1 must be a flat list of labels")):
+        with pytest.raises(ValueError, match=message):
+            md.HypothesisClass(rows)
+    labels = np.array([[1, -1, 1], [-1, -1, 1]])
+    cls = md.HypothesisClass(labels, vc_dim=1)
+    assert len(cls) == 2 and cls.domain_size == 3 and cls.vc_dim == 1
+    assert cls.label_matrix.dtype == np.int8 and np.array_equal(cls.label_matrix, labels)
+    # the class holds its own read-only copy
+    labels[0, 0] = -1
+    assert cls.label_matrix[0, 0] == 1
+    with pytest.raises(ValueError):
+        cls.label_matrix[0, 0] = -1
+    with pytest.raises(ValueError, match="vc_dim must be nonnegative"):
+        md.HypothesisClass(labels, vc_dim=-1)
+
+
 def test_family_rejects_mismatched_domain():
     d = md.LabeledDistribution([1.0], [0.5])
     with pytest.raises(ValueError):
@@ -55,12 +84,12 @@ def test_family_rejects_mismatched_domain():
 
 
 def test_randomized_classifier_structural_checks():
-    cls = md.HypothesisClass((md.Hypothesis([1, 1]), md.Hypothesis([-1, 1])))
+    cls = md.HypothesisClass([[1, 1], [-1, 1]])
     with pytest.raises(ValueError):
         md.RandomizedClassifier(cls, (), np.array([]))
     with pytest.raises(ValueError):
         md.RandomizedClassifier(cls, (0,), np.array([-0.5]))
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="support index 5 outside hypothesis class of 2"):
         md.RandomizedClassifier(cls, (5,), np.array([1.0]))
     f = md.RandomizedClassifier(cls, (0, 1), np.array([0.25, 0.75]))
     assert f.weight_sum_ok()
@@ -96,7 +125,7 @@ def test_label_consistency_ignores_disjoint_supports():
 
 
 def test_duplicate_hypotheses_accepted():
-    cls = md.HypothesisClass((md.Hypothesis([1, -1]), md.Hypothesis([1, -1])))
+    cls = md.HypothesisClass([[1, -1], [1, -1]])
     assert len(cls) == 2 and cls.label_matrix.tolist() == [[1, -1], [1, -1]]
 
 
@@ -116,7 +145,7 @@ def test_types_are_immutable():
     h = md.Hypothesis([1, -1])
     with pytest.raises(ValueError):
         h.labels[0] = -1
-    cls = md.HypothesisClass((h, md.Hypothesis([1, 1])))
+    cls = md.HypothesisClass([h.labels, [1, 1]])
     # the float copy erm multiplies with is cached, read-only and exact
     assert cls.float_label_matrix is cls.float_label_matrix
     assert cls.float_label_matrix.dtype == np.float64
@@ -143,7 +172,7 @@ def test_instance_round_trip_per_member_conditionals(tmp_path):
         [[1.0, 0.0], [0.0, 1.0]],
         [[1.0, 1.0], [0.0, 0.0]],
     )
-    cls = md.HypothesisClass((md.Hypothesis([1, 1]),), vc_dim=0)
+    cls = md.HypothesisClass([[1, 1]], vc_dim=0)
     path = tmp_path / "inst.json"
     serialize.save_instance(path, fam, cls)
     fam2, cls2, spec2 = serialize.load_instance(path)
@@ -164,9 +193,7 @@ def test_compact_classifier_round_trip(tmp_path):
     # exhaustive evaluation equality over a 10^4-point domain
     rng = np.random.default_rng(5)
     n = 10_000
-    cls = md.HypothesisClass(tuple(
-        md.Hypothesis(np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)) for _ in range(4)
-    ))
+    cls = md.HypothesisClass([np.where(rng.random(n) < 0.5, 1, -1) for _ in range(4)])
     f_rand = md.RandomizedClassifier(cls, (0, 2, 3), np.array([0.5, 0.25, 0.25]))
     q = md.sample_hash(md.next_prime(n + 1), 4, rng)
     clf = md.CompactClassifier(q, {3: -1, 17: 1, 9999: 1}, f_rand, n, q.prime)
@@ -180,7 +207,7 @@ def test_compact_classifier_round_trip(tmp_path):
 
 
 def test_randomized_round_trip(tmp_path):
-    cls = md.HypothesisClass((md.Hypothesis([1, 1]), md.Hypothesis([-1, 1])))
+    cls = md.HypothesisClass([[1, 1], [-1, 1]])
     f = md.RandomizedClassifier(cls, (0, 1), np.array([1.0 / 3.0, 2.0 / 3.0]))
     path = tmp_path / "rand.json"
     serialize.save_randomized(path, f)
@@ -200,7 +227,7 @@ def test_matrix_round_trip(tmp_path):
 
 def test_load_instance_rejects_invalid_family(tmp_path):
     fam = family_from_arrays([[0.5, 0.5], [0.25, 0.75]], [[0.2, 0.4], [0.2, 0.4]])
-    doc = serialize.instance_to_dict(fam, md.HypothesisClass((md.Hypothesis([1, -1]),)))
+    doc = serialize.instance_to_dict(fam, md.HypothesisClass([[1, -1]]))
     doc["distributions"][0]["mass"] = [0.5, 0.4]
     doc["distributions"][1]["mass"] = [-0.25, 1.25]
     path = tmp_path / "bad.json"

@@ -55,7 +55,7 @@ def instances(draw):
         md.LabeledDistribution(draw(masses(n)), np.array(e)) for e in eta))
     labels = draw(st.lists(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n),
                            min_size=h, max_size=h))
-    cls = md.HypothesisClass(tuple(md.Hypothesis(row) for row in labels),
+    cls = md.HypothesisClass(labels,
                              vc_dim=draw(st.one_of(st.none(), st.integers(0, 2**63 - 1))))
     spec = None
     if draw(st.booleans()):
@@ -70,7 +70,7 @@ def instances(draw):
 @st.composite
 def mixtures(draw):
     n, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    cls = md.HypothesisClass(tuple(md.Hypothesis(np.ones(n, dtype=np.int8)) for _ in range(h)))
+    cls = md.HypothesisClass(np.ones((h, n)))
     support = draw(st.lists(st.integers(0, h - 1), min_size=1, max_size=h, unique=True))
     return md.RandomizedClassifier(cls, tuple(support), draw(masses(len(support))))
 
