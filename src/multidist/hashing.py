@@ -18,10 +18,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import RandomizedClassifier
+from .model import RandomizedClassifier, is_integer, require_integer
 
 PRIME_LIMIT = 1 << 62
-# Hash values per block of the tail check: 2 MiB of int64, small enough to stay in cache.
+# Hash values per block of the tail check, small enough to stay in cache: 512 KiB
+# in int16 (the default prime while n <= 180), 1 MiB in int32, 2 MiB in int64.
 TAIL_BLOCK_VALUES = 1 << 18
 # Witnesses making Miller-Rabin deterministic for all n < 3.3e24 (covers 64-bit).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -103,32 +104,74 @@ def sample_hash(p: int, r: int, rng: np.random.Generator) -> PolyHash:
     return PolyHash(p, coeffs)
 
 
+def _integer_array(values, name: str) -> np.ndarray:
+    """values as an array, with no cast: an integer ndarray as it is, anything
+    else element by element as objects. A bool, a float or any other
+    non-integer is a ValueError naming `name`, before a narrowing cast could
+    hide it (np.asarray([1, True]) would read True as 1)."""
+    arr = np.asarray(values, dtype=None if isinstance(values, np.ndarray) else object)
+    if arr.dtype == object:
+        bad = next((v for v in arr.flat if not is_integer(v)), None)
+        if bad is not None:
+            raise ValueError(f"{name} must be integers, got {bad!r}")
+    elif arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got an array of {arr.dtype}")
+    return arr
+
+
+def _reduce(acc: np.ndarray, p: int, quot: np.ndarray) -> None:
+    """acc -= acc // p * p in place, with quot as the buffer for acc // p:
+    acc mod p wherever acc >= 0."""
+    np.floor_divide(acc, p, out=quot)
+    quot *= p
+    acc -= quot
+
+
+# The evaluator's working dtypes, narrowest first; past int64 it works on
+# Python integers in an object array.
+_HORNER_DTYPES = (np.int16, np.int32, np.int64)
+
+
 def coefficient_matrix_eval(coeffs, xs, p: int) -> np.ndarray:
-    """Evaluate many polynomials (rows of coeffs in [0, p), constant term
-    first) at many keys in [0, p): returns (n_polys, n_keys) int64 values.
+    """Evaluate many polynomials (rows of integer coeffs in [0, p), constant
+    term first) at many integer keys in [0, p): returns the (n_polys, n_keys)
+    values in the working dtype below, or int64 past int64.
 
     Horner in place, starting from the leading coefficients, with lazy
     reduction. Invariant: every entry of acc lies in [0, bound]. bound is
     p - 1 at the start and after each reduction (coefficients and keys are
-    checked to lie in [0, p)), and a step acc * x + c turns it into
-    bound * (p - 1) + (p - 1). acc is reduced mod p only before a step whose
-    new bound would exceed `cap`, and once at the end. Why this is exact: no
-    entry ever exceeds `cap`, so every product and sum is computed without
-    overflow, and (a mod p) * x + c = a * x + c (mod p), so reducing at some
-    steps instead of all of them leaves the final residue unchanged.
+    checked to lie in [0, p) before any cast), and a step acc * x + c turns
+    it into bound * (p - 1) + (p - 1). acc is reduced mod p only before a
+    step whose new bound would exceed `cap`, and once at the end. Every
+    reduction is acc -= acc // p * p: for a >= 0 and p > 0, a // p * p <= a,
+    so it cannot overflow, and a - (a // p) * p = a mod p. Why the loop is
+    exact: no entry ever exceeds `cap`, so every product and sum is computed
+    without overflow, and (a mod p) * x + c = a * x + c (mod p), so reducing
+    at some steps instead of all of them leaves the final residue unchanged.
 
-    In int64, `cap` is 2^63 - 1, so at p = 67 and r = 4 the loop reduces only
-    at the end. A reduced acc steps to at most p(p - 1), which fits int64
-    while p(p - 1) < 2^63 (p up to about 3.04e9). Above that the same loop
-    runs on Python integers in an object array, which cannot overflow; there
-    `cap` is p(p - 1), so it reduces at every step and the integers stay
-    small.
+    The loop runs in the narrowest signed dtype whose maximum, `cap`, is at
+    least p(p - 1) + (p - 1), so a reduced acc can always take one step:
+
+    ========  ===================  ========
+    dtype     primes               cap
+    ========  ===================  ========
+    int16     p <= 181             2^15 - 1
+    int32     p <= 46337           2^31 - 1
+    int64     p <= 3037000493      2^63 - 1
+    object    larger p             p(p - 1)
+    ========  ===================  ========
+
+    3037000493 is the largest prime with p(p - 1) < 2^63. At p = 67 and
+    r = 4 the int16 loop reduces before the last two steps and at the end.
+    Above int64 the loop runs on Python integers, which cannot overflow;
+    there `cap` is p(p - 1), so it reduces at every step and the integers
+    stay small. Floor division is what makes the narrow dtypes pay: numpy
+    divides by a scalar with a precomputed multiplier (libdivide), while its
+    remainder has no such path.
     """
     p = int(p)
-    dtype = np.int64 if p * (p - 1) < 1 << 63 else object
-    cap = (1 << 63) - 1 if dtype is np.int64 else p * (p - 1)
-    coeffs = np.asarray(coeffs, dtype=dtype)
-    xs = np.asarray(xs, dtype=dtype)
+    coeffs = _integer_array(coeffs, "coefficients")
+    xs = _integer_array(xs, "keys")
     if coeffs.ndim != 2 or coeffs.shape[1] < 1:
         raise ValueError(f"coefficients must be a 2-D array with at least one column, "
                          f"got shape {coeffs.shape}")
@@ -138,18 +181,24 @@ def coefficient_matrix_eval(coeffs, xs, p: int) -> np.ndarray:
         raise ValueError(f"coefficients outside [0, {p})")
     if np.any((xs < 0) | (xs >= p)):
         raise ValueError(f"keys outside [0, {p})")
+    dtype = next((dt for dt in _HORNER_DTYPES if np.iinfo(dt).max >= p * (p - 1) + (p - 1)),
+                 object)
+    cap = p * (p - 1) if dtype is object else int(np.iinfo(dtype).max)
+    coeffs = coeffs.astype(dtype)
+    xs = xs.astype(dtype)
     acc = np.empty((coeffs.shape[0], xs.shape[0]), dtype=dtype)
+    quot = np.empty_like(acc)
     acc[...] = coeffs[:, -1:]
     bound = p - 1
     for j in range(coeffs.shape[1] - 2, -1, -1):
         if bound * (p - 1) + (p - 1) > cap:
-            np.remainder(acc, p, out=acc)
+            _reduce(acc, p, quot)
             bound = p - 1
         np.multiply(acc, xs, out=acc)
         np.add(acc, coeffs[:, j : j + 1], out=acc)
         bound = bound * (p - 1) + (p - 1)
-    np.remainder(acc, p, out=acc)
-    return np.asarray(acc, dtype=np.int64)
+    _reduce(acc, p, quot)
+    return acc.astype(np.int64) if dtype is object else acc
 
 
 def plus_probability(marginal: float, p: int) -> Fraction:
@@ -285,24 +334,31 @@ class TailCheckConfig:
     seed: int = 0
 
     def resolved(self) -> "TailCheckConfig":
-        """This config with its defaults filled in; raises ValueError on a
-        config the check cannot run, before any work is done."""
-        if self.n < 1:
-            raise ValueError(f"tail check needs n >= 1 keys, got {self.n}")
-        if self.draws < 1:
-            raise ValueError(f"tail check needs draws >= 1, got {self.draws}")
-        if not self.independent and (self.r < 2 or self.r % 2 != 0):
-            raise ValueError(f"tail-check degree r must be an even integer >= 2, got {self.r}")
-        p = self.prime if self.prime is not None else next_prime(self.n + 1)
-        thr = self.threshold if self.threshold is not None else p // 2
+        """This config with its defaults filled in and its integer fields as
+        ints (67.0 is 67); raises ValueError on a config the check cannot run,
+        such as a threshold of 33.5 or n=True, before any work is done."""
+        n = require_integer(self.n, "tail-check n")
+        r = require_integer(self.r, "tail-check degree r")
+        draws = require_integer(self.draws, "tail-check draws")
+        seed = require_integer(self.seed, "tail-check seed")
+        if n < 1:
+            raise ValueError(f"tail check needs n >= 1 keys, got {n}")
+        if draws < 1:
+            raise ValueError(f"tail check needs draws >= 1, got {draws}")
+        if not self.independent and (r < 2 or r % 2 != 0):
+            raise ValueError(f"tail-check degree r must be an even integer >= 2, got {r}")
+        p = (require_integer(self.prime, "tail-check prime") if self.prime is not None
+             else next_prime(n + 1))
+        thr = (require_integer(self.threshold, "tail-check threshold")
+               if self.threshold is not None else p // 2)
         if p >= PRIME_LIMIT or not is_prime(p):
             raise ValueError(f"tail-check prime {p} is not a prime below 2^62")
-        if p <= self.n:
+        if p <= n:
             raise ValueError("prime must exceed the number of keys")
         if not 0 <= thr <= p:
             raise ValueError(f"threshold {thr} outside [0, {p}]")
-        ts = self.t_values or tuple(c * math.sqrt(self.n) for c in (0.5, 1.0, 2.0))
-        return TailCheckConfig(self.n, self.r, self.draws, ts, p, thr, self.independent, self.seed)
+        ts = self.t_values or tuple(c * math.sqrt(n) for c in (0.5, 1.0, 2.0))
+        return TailCheckConfig(n, r, draws, ts, p, thr, self.independent, seed)
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,12 @@ def _frozen_label_matrix(rows) -> np.ndarray:
     return _frozen_labels(arr, "hypothesis label")
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for a bool, which is an int
+    subclass, and for anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
+
+
 def require_integer(value, name: str) -> int:
     """value as an int: an integer, or a float with an integral value below
     2^53 in magnitude. Any other value (2.7, True, "3", 1e30) is a ValueError
@@ -80,7 +86,7 @@ def require_integer(value, name: str) -> int:
     float at or above 2^53 may be a rounded integer: a file's integer outside
     64 bits is parsed as the nearest float, so 10**30 would load as
     1000000000000000019884624838656."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_)):
+    if is_integer(value):
         return int(value)
     if (isinstance(value, (float, np.floating)) and abs(value) < 2.0 ** 53
             and value == int(value)):

@@ -252,6 +252,21 @@ def _primes_of_bits(lo: int, hi: int):
 
 primes = _primes_of_bits(1, 61)
 
+# The primes on the two sides of each switch of the evaluator's working dtype:
+# the largest prime p with p(p - 1) + (p - 1) <= 2^15 - 1 and the next one
+# (int16 / int32), the same for 2^31 - 1 (int32 / int64), and the largest
+# prime with p(p - 1) < 2^63 and the next one (int64 / Python integers).
+INT16_SPLIT_PRIMES = (181, 191)
+INT32_SPLIT_PRIMES = (46337, 46349)
+SPLIT_PRIMES = (3037000493, 3037000507)
+DTYPE_SPLIT_PRIMES = INT16_SPLIT_PRIMES + INT32_SPLIT_PRIMES + SPLIT_PRIMES
+
+
+def _result_dtype(p: int):
+    """The evaluator's documented result dtype at p: its working dtype, and
+    int64 for the Python-integer path."""
+    return np.int16 if p <= 181 else np.int32 if p <= 46337 else np.int64
+
 
 @settings(max_examples=300, deadline=None)
 @given(st.data(), primes, st.integers(1, 12))
@@ -260,34 +275,31 @@ def test_evaluator_matches_python_int_horner(data, p, r):
     coeffs = [[data.draw(st.integers(0, p - 1)) for _ in range(r)] for _ in range(rows)]
     xs = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6))
     got = coefficient_matrix_eval(coeffs, xs, p)
-    assert got.dtype == np.int64 and got.shape == (rows, len(xs))
+    assert got.dtype == _result_dtype(p) and got.shape == (rows, len(xs))
     assert got.tolist() == [[_horner(row, x, p) for x in xs] for row in coeffs]
 
 
-# the largest prime with p(p - 1) < 2^63 and the next one, on the two sides of
-# the int64 / Python-integer split
-SPLIT_PRIMES = (3037000493, 3037000507)
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.data(), _primes_of_bits(1, 20) | st.sampled_from(SPLIT_PRIMES), st.integers(1, 40))
+@given(st.data(), _primes_of_bits(1, 20) | st.sampled_from(DTYPE_SPLIT_PRIMES), st.integers(1, 40))
 def test_lazy_reduction_matches_python_int_horner(data, p, r):
-    # at small p the int64 loop skips several reductions, then reduces in mid-loop
+    # at small p the loop skips several reductions, then reduces in mid-loop
     rows = data.draw(st.integers(1, 3))
     coeffs = [[data.draw(st.integers(0, p - 1)) for _ in range(r)] for _ in range(rows)]
     xs = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=5))
     got = coefficient_matrix_eval(coeffs, xs, p)
+    assert got.dtype == _result_dtype(p)
     assert got.tolist() == [[_horner(row, x, p) for x in xs] for row in coeffs]
 
 
 def test_lazy_reduction_exact_at_worst_case_bound():
     # every coefficient and the key p - 1 make each step reach its bound, so a
-    # reduction skipped once too often overflows int64
-    for p in (2, 3, 5, 7, 11, 67, 1009, 65537, 2**31 - 1, *SPLIT_PRIMES):
+    # reduction skipped once too often overflows the working dtype
+    for p in (2, 3, 5, 7, 11, 67, 1009, 65537, 2**31 - 1, *DTYPE_SPLIT_PRIMES):
         for r in range(1, 41):
             coeffs = [[p - 1] * r, [p - 1] * (r - 1) + [1]]
             xs = [p - 1, p - 2, 1, 0]
             got = coefficient_matrix_eval(coeffs, xs, p)
+            assert got.dtype == _result_dtype(p)
             assert got.tolist() == [[_horner(row, x, p) for x in xs] for row in coeffs], (p, r)
 
 
@@ -298,10 +310,39 @@ def test_split_primes_straddle_int64_products():
     assert below * (below - 1) < 2**63 <= above * (above - 1)
 
 
+def test_split_primes_straddle_each_dtype():
+    for (below, above), dtype in ((INT16_SPLIT_PRIMES, np.int16), (INT32_SPLIT_PRIMES, np.int32),
+                                  (SPLIT_PRIMES, np.int64)):
+        assert sympy.isprime(below) and sympy.isprime(above)
+        assert sympy.nextprime(below) == above
+        top = np.iinfo(dtype).max
+        assert below * (below - 1) + (below - 1) <= top < above * (above - 1) + (above - 1)
+
+
 def test_evaluator_rejects_unreduced_coefficients():
     for p in (7, md.next_prime(2**40)):
         for coeffs in ([[p + 2, 1]], [[1, p]], [[-1, 1]], [[1, 2], [3, p + 2]]):
             with pytest.raises(ValueError, match="coefficients outside"):
+                coefficient_matrix_eval(coeffs, [0, 1], p)
+    # at p = 67 the loop runs in int16, where 65537 and -65535 would wrap to 1
+    for coeffs in ([[65537, 1]], [[1, -65535]], np.array([[65537, -65535]])):
+        with pytest.raises(ValueError, match="coefficients outside"):
+            coefficient_matrix_eval(coeffs, [0, 1], 67)
+    for keys in ([65537], [0, -65535], np.array([65537, 1])):
+        with pytest.raises(ValueError, match="keys outside"):
+            coefficient_matrix_eval([[1, 1]], keys, 67)
+
+
+def test_evaluator_rejects_non_integer_keys_and_coefficients():
+    # a cast would evaluate key 2.7 as 2, coefficient 1.5 as 1 and True as 1
+    for p in (7, 67, md.next_prime(2**40)):
+        for keys in ([2.7], [0, 2.0], [True], [0, True], np.array([2.0]), np.array([True, False]),
+                     ["3"]):
+            with pytest.raises(ValueError, match="keys must be integers"):
+                coefficient_matrix_eval([[1, 2]], keys, p)
+        for coeffs in ([[1.5, 2]], [[1, 2], [3, 2.0]], [[True, 2]], np.array([[1.0, 2.0]]),
+                       np.array([[True, False]])):
+            with pytest.raises(ValueError, match="coefficients must be integers"):
                 coefficient_matrix_eval(coeffs, [0, 1], p)
 
 
@@ -434,6 +475,29 @@ def test_tail_check_rejects_threshold_outside_range():
                                                              draws=10))
 
 
+def test_tail_check_rejects_non_integer_fields():
+    # threshold 33.5 would count q < 33.5, so the true mean is 34 * 64 / 67,
+    # not the reported 64 * 33.5 / 67 = 32.0; n=True would run with one key
+    cases = [("threshold", 33.5, "threshold"), ("n", True, "n"), ("n", 16.5, "n"),
+             ("draws", 10.5, "draws"), ("r", 4.5, "degree r"), ("prime", 67.5, "prime"),
+             ("seed", 0.5, "seed"), ("draws", "10", "draws"), ("threshold", True, "threshold")]
+    for field, value, name in cases:
+        cfg = md.TailCheckConfig(**{"n": 64, "draws": 10, field: value})
+        with pytest.raises(ValueError, match=f"tail-check {name} must be an integer, got {value!r}"):
+            md.empirical_tail_bound_check(cfg)
+
+
+def test_tail_check_takes_integral_floats_as_ints():
+    as_floats = md.TailCheckConfig(n=64.0, r=4.0, draws=500.0, prime=67.0, threshold=33.0,
+                                   seed=3.0)
+    as_ints = md.TailCheckConfig(n=64, r=4, draws=500, prime=67, threshold=33, seed=3)
+    resolved = as_floats.resolved()
+    assert resolved == as_ints.resolved()
+    assert all(type(v) is int for v in (resolved.n, resolved.r, resolved.draws, resolved.prime,
+                                        resolved.threshold, resolved.seed))
+    assert md.empirical_tail_bound_check(as_floats) == md.empirical_tail_bound_check(as_ints)
+
+
 def test_tail_check_rejects_odd_or_zero_degree_before_any_work(monkeypatch):
     def no_evaluation(*args):
         raise AssertionError("the hashes were evaluated before the config was checked")
@@ -456,19 +520,9 @@ def test_tail_check_rejects_no_keys():
             md.empirical_tail_bound_check(md.TailCheckConfig(n=n, draws=100))
 
 
-def _one_shot_report(cfg: md.TailCheckConfig) -> TailCheckReport:
-    """The tail check with every draw in one matrix: one rng call, the whole
-    (draws, n) matrix of hash values, then the same rows."""
-    cfg = cfg.resolved()
-    p, thr = cfg.prime, cfg.threshold
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.independent:
-        values = rng.integers(0, p, size=(cfg.draws, cfg.n))
-    else:
-        values = coefficient_matrix_eval(rng.integers(0, p, size=(cfg.draws, cfg.r)),
-                                         np.arange(cfg.n), p)
-    z = (values < thr).sum(axis=1)
-    mu_one = thr / p
+def _report_from_counts(cfg: md.TailCheckConfig, z: np.ndarray) -> TailCheckReport:
+    """The report of a resolved config from its per-draw counts z."""
+    mu_one = cfg.threshold / cfg.prime
     mean, variance = cfg.n * mu_one, cfg.n * mu_one * (1.0 - mu_one)
     rows = []
     for t in cfg.t_values:
@@ -483,11 +537,43 @@ def _one_shot_report(cfg: md.TailCheckConfig) -> TailCheckReport:
     return TailCheckReport(cfg, mean, variance, tuple(rows))
 
 
+def _one_shot_report(cfg: md.TailCheckConfig) -> TailCheckReport:
+    """The tail check with every draw in one matrix: one rng call, the whole
+    (draws, n) matrix of hash values, then the same rows."""
+    cfg = cfg.resolved()
+    p, thr = cfg.prime, cfg.threshold
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.independent:
+        values = rng.integers(0, p, size=(cfg.draws, cfg.n))
+    else:
+        values = coefficient_matrix_eval(rng.integers(0, p, size=(cfg.draws, cfg.r)),
+                                         np.arange(cfg.n), p)
+    return _report_from_counts(cfg, (values < thr).sum(axis=1))
+
+
+@pytest.mark.parametrize("prime", [67, 191, 46349])
+def test_tail_check_counts_match_python_int_horner(prime):
+    # the same draws as the check, each hash evaluated in Python integers; the
+    # t values are every deviation |z - mean| the reference reaches, so equal
+    # reports mean equal histograms of the deviations
+    n, draws = 16, 400
+    cfg = md.TailCheckConfig(n=n, r=4, draws=draws, prime=prime, seed=prime).resolved()
+    coeffs = np.random.default_rng(cfg.seed).integers(0, prime, size=(draws, cfg.r)).tolist()
+    z = np.array([sum(_horner(row, x, prime) < cfg.threshold for x in range(n)) for row in coeffs])
+    deviations = tuple(sorted({float(d) for d in np.abs(z - n * cfg.threshold / prime)}))
+    assert len(deviations) > 3
+    cfg = md.TailCheckConfig(n=n, r=4, draws=draws, t_values=deviations, prime=prime,
+                             seed=prime).resolved()
+    assert md.empirical_tail_bound_check(cfg) == _report_from_counts(cfg, z)
+
+
 @pytest.mark.parametrize("independent", [False, True])
 @pytest.mark.parametrize("n, draws, prime", [
     (64, 1000, None),           # fewer draws than one block of 4096
     (64, 9001, None),           # two full blocks and a partial one
+    (64, 5000, 191),            # int32 evaluation
     (64, 5000, 1009),
+    (64, 5000, 46349),          # int64 evaluation
     (64, 5000, 2**40 + 15),
     (2**18 + 3, 3, None),       # more keys than a block holds: one draw per block
     (16, 700, md.next_prime(2**32)),  # Python-integer evaluation
