@@ -25,28 +25,30 @@ from functools import cached_property
 import numpy as np
 
 from .metrics import label_vector_of
-from .model import DistributionFamily, Domain, LabeledDistribution
+from .model import DistributionFamily, Domain, LabeledDistribution, integer_array, require_integer
 
 BRUTEFORCE_LIMIT = 20
 
 
 @dataclass(frozen=True)
 class BinaryMatrix:
-    """A square 0/1 matrix with no all-zero rows."""
+    """A nonempty square 0/1 matrix with no all-zero rows. Entries are
+    checked before the int8 cast, so 0.5, True or 257 is an error, not a
+    truncated or wrapped value."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.int8)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {arr.shape}")
+        arr = integer_array(self.entries, "matrix entries")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+            raise ValueError(f"matrix must be square and nonempty, got shape {arr.shape}")
         if not np.all((arr == 0) | (arr == 1)):
             raise ValueError("entries must be 0 or 1")
+        arr = arr.astype(np.int8)
         row_ones = arr.sum(axis=1)
         zero_rows = np.nonzero(row_ones == 0)[0]
         if zero_rows.size:
             raise ValueError(f"rows {zero_rows.tolist()} are all zero")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
@@ -178,27 +180,68 @@ def _colorings_block(n: int, start: int, stop: int) -> np.ndarray:
     return z
 
 
+# The scan's working dtypes, narrowest first.
+_SCAN_DTYPES = (np.int8, np.int16, np.int32, np.int64)
+
+
 def _min_scaled_imbalance(scaled: np.ndarray, block: int) -> tuple[int, np.ndarray]:
     """min over colorings z with z[0] = -1 of max_i |scaled_i . z|, and the
     lexicographically first minimizer; stops at the first 0 found.
 
     The rows of scaled are matrix rows times a positive integer row scale, so
     |scaled_i . z| = scale_i * |a_i . z| exactly. Colorings are scanned in
-    blocks of 2^b codes (2^b <= block) that share their high rows, so each
-    block's products are the products of the low rows, computed once, plus
-    one column for the high rows.
+    blocks of 2^b codes (2^b <= block) that share their high coordinates, so
+    each block's products are the products of the b low coordinates, built
+    once, plus one column for the high ones.
+
+    The low products are built by sign doubling: from one zero column, each
+    low coordinate j, last to first, turns the w columns built so far into
+    2w, the left half prev - scaled[:, j] and the right half
+    prev + scaled[:, j]. Column c then holds the products of the code c
+    colorings in lexicographic order (-1 before +1, the first coordinate
+    most significant), so argmin's first minimizer is the lex-first one.
+
+    Why the scan is exact: let cap = max_i sum_j |scaled_ij|. Every value the
+    scan holds (a doubling's partial sum, a high column, their sum and its
+    absolute value) is a sum of +-scaled_ij over some j of one row i, so it
+    lies in [-cap, cap]. The scan runs in the narrowest signed dtype whose
+    maximum is at least cap, so nothing overflows, and abs never meets the
+    dtype's minimum:
+
+    ========  =====================
+    dtype     cap
+    ========  =====================
+    int8      cap <= 2^7 - 1
+    int16     cap <= 2^15 - 1
+    int32     cap <= 2^31 - 1
+    int64     cap <= 2^63 - 1
+    ========  =====================
+
+    A 0/1 matrix has cap <= n <= 20, so bruteforce_min_discrepancy scans in
+    int8. min_deterministic_error scales row i by lcm(m) / m_i, so its cap
+    is at most lcm(1..20) = 232792560 < 2^31, and it scans in int32 at most.
     """
     n = scaled.shape[0]
     if n > BRUTEFORCE_LIMIT:
         raise ValueError(f"brute force limited to n <= {BRUTEFORCE_LIMIT}, got {n}")
+    block = require_integer(block, "block")
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
-    b = min(n - 1, int(block).bit_length() - 1)
-    low = scaled[:, n - b :] @ _colorings_block(b + 1, 0, 1 << b)[1:]
+    cap = max(sum(map(abs, row)) for row in scaled.tolist())
+    dtype = next((dt for dt in _SCAN_DTYPES if np.iinfo(dt).max >= cap), None)
+    if dtype is None:
+        raise ValueError(f"row sums of |scaled| reach {cap}, past int64")
+    b = min(n - 1, block.bit_length() - 1)
+    low = np.zeros((n, 1 << b), dtype=dtype)
+    for j in range(n - 1, n - 1 - b, -1):
+        width = 1 << (n - 1 - j)
+        col = scaled[:, j : j + 1].astype(dtype)
+        np.add(low[:, :width], col, out=low[:, width : 2 * width])
+        low[:, :width] -= col
     az = np.empty_like(low)
     best, best_code = None, None
     for high in range(1 << (n - 1 - b)):
-        column = scaled[:, : n - b] @ _colorings_block(n - b, high, high + 1)
+        column = (scaled[:, : n - b] @ _colorings_block(n - b, high, high + 1)).astype(dtype)
         vals = np.abs(np.add(low, column, out=az), out=az).max(axis=0)
         idx = int(np.argmin(vals))
         if best is None or int(vals[idx]) < best:
@@ -217,6 +260,10 @@ def bruteforce_min_discrepancy(matrix: BinaryMatrix,
     the first minimizer found the lexicographically smallest one overall.
     Ties beyond that would fall to the 2-norm, which the lex rule already
     pins down. Returns (coloring, inf_norm, two_norm).
+
+    The scan (_min_scaled_imbalance) runs in int8: every |a_i . z| and every
+    partial sum is at most cap = max_i m_i <= n <= 20 < 2^7. At n = 18 and
+    the default block it takes about 1 ms.
     """
     a = matrix.entries.astype(np.int64)
     best_inf, best_z = _min_scaled_imbalance(a, block)
@@ -231,6 +278,12 @@ def min_deterministic_error(rf: ReductionFamily, block: int = 1 << 14) -> Fracti
 
     Per-row weights 1/(2 m_i) are put over the common denominator
     2 * lcm(m_i) so the inner max/min runs in integer arithmetic.
+
+    Row i is scaled by lcm(m) / m_i, so the scan's cap is lcm(m) <=
+    lcm(1..20) = 232792560 < 2^31: it runs in int8 while lcm(m) <= 127 (every
+    m_i in {1, 2, 4}, say), int16 while lcm(m) <= 32767, and int32 beyond;
+    see _min_scaled_imbalance for the table. At n = 18 and the default block
+    it takes about 1.5 ms.
     """
     m = [int(v) for v in rf.matrix.row_ones]
     l = 2 * math.lcm(*m)

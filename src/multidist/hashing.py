@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import RandomizedClassifier, is_integer, require_integer
+from .model import RandomizedClassifier, integer_array, require_integer
 
 PRIME_LIMIT = 1 << 62
 # Hash values per block of the tail check, small enough to stay in cache: 512 KiB
@@ -104,21 +104,6 @@ def sample_hash(p: int, r: int, rng: np.random.Generator) -> PolyHash:
     return PolyHash(p, coeffs)
 
 
-def _integer_array(values, name: str) -> np.ndarray:
-    """values as an array, with no cast: an integer ndarray as it is, anything
-    else element by element as objects. A bool, a float or any other
-    non-integer is a ValueError naming `name`, before a narrowing cast could
-    hide it (np.asarray([1, True]) would read True as 1)."""
-    arr = np.asarray(values, dtype=None if isinstance(values, np.ndarray) else object)
-    if arr.dtype == object:
-        bad = next((v for v in arr.flat if not is_integer(v)), None)
-        if bad is not None:
-            raise ValueError(f"{name} must be integers, got {bad!r}")
-    elif arr.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be integers, got an array of {arr.dtype}")
-    return arr
-
-
 def _reduce(acc: np.ndarray, p: int, quot: np.ndarray) -> None:
     """acc -= acc // p * p in place, with quot as the buffer for acc // p:
     acc mod p wherever acc >= 0."""
@@ -169,9 +154,9 @@ def coefficient_matrix_eval(coeffs, xs, p: int) -> np.ndarray:
     divides by a scalar with a precomputed multiplier (libdivide), while its
     remainder has no such path.
     """
-    p = int(p)
-    coeffs = _integer_array(coeffs, "coefficients")
-    xs = _integer_array(xs, "keys")
+    p = require_integer(p, "modulus")
+    coeffs = integer_array(coeffs, "coefficients")
+    xs = integer_array(xs, "keys")
     if coeffs.ndim != 2 or coeffs.shape[1] < 1:
         raise ValueError(f"coefficients must be a 2-D array with at least one column, "
                          f"got shape {coeffs.shape}")

@@ -94,6 +94,21 @@ def require_integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def integer_array(values, name: str) -> np.ndarray:
+    """values as an array, with no cast: an integer ndarray as it is, anything
+    else element by element as objects. A bool, a float or any other
+    non-integer is a ValueError naming `name`, before a narrowing cast could
+    hide it (np.asarray([1, True]) would read True as 1)."""
+    arr = np.asarray(values, dtype=None if isinstance(values, np.ndarray) else object)
+    if arr.dtype == object:
+        bad = next((v for v in arr.flat if not is_integer(v)), None)
+        if bad is not None:
+            raise ValueError(f"{name} must be integers, got {bad!r}")
+    elif arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got an array of {arr.dtype}")
+    return arr
+
+
 @dataclass(frozen=True)
 class Domain:
     """A finite input domain; points are the dense indices 0..size-1."""

@@ -66,11 +66,12 @@ def _gen_spec_from_dict(doc) -> GenSpec:
 
 def instance_to_dict(fam: DistributionFamily, cls: HypothesisClass,
                      gen_spec: GenSpec | None = None) -> dict:
-    probs = fam.label_prob_matrix
-    shared = bool(np.all(probs == probs[0]))
+    # rows compared bit for bit, so a -0.0 is not written as another row's 0.0
+    bits = fam.label_prob_matrix.view(np.uint64)
+    shared = bool(np.all(bits == bits[0]))
     doc: dict = {"domain_size": fam.domain.size}
     if shared:
-        doc["shared_label_one_prob"] = probs[0].tolist()
+        doc["shared_label_one_prob"] = fam.members[0].label_one_prob.tolist()
         doc["distributions"] = [{"mass": m.mass.tolist()} for m in fam.members]
     else:
         doc["distributions"] = [

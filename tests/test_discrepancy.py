@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import multidist as md
+from multidist.discrepancy import _colorings_block, _min_scaled_imbalance
 
 
 def random_matrix(rng, n, density=0.5):
@@ -47,6 +49,24 @@ def test_matrix_validation():
         md.BinaryMatrix(np.array([[1, 0, 1], [0, 1, 0]]))  # not square
     with pytest.raises(ValueError):
         md.BinaryMatrix(np.array([[2, 0], [0, 1]]))
+
+
+def test_matrix_entries_are_checked_before_the_int8_cast():
+    # the cast would read 0.5 as 0, True as 1 and 257 as 1 (or overflow)
+    for entries in ([[1, 0.5], [1, 1]], [[1, 1.0], [1, 1]], np.array([[1.0, 0.0], [1.0, 1.0]]),
+                    [[True, 1], [1, 1]], np.array([[True, False], [True, True]])):
+        with pytest.raises(ValueError, match="matrix entries must be integers"):
+            md.BinaryMatrix(entries)
+    for entries in ([[1, 257], [1, 1]], np.array([[1, 257], [1, 1]]), [[1, -1], [1, 1]]):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            md.BinaryMatrix(entries)
+    for entries in (np.zeros((0, 0), dtype=np.int8), [], [[]]):
+        with pytest.raises(ValueError, match="square and nonempty"):
+            md.BinaryMatrix(entries)
+    # integer lists and any integer dtype load, as int8
+    for entries in ([[1, 0], [1, 1]], np.array([[1, 0], [1, 1]], dtype=np.uint64)):
+        loaded = md.BinaryMatrix(entries).entries
+        assert loaded.dtype == np.int8 and loaded.tolist() == [[1, 0], [1, 1]]
 
 
 def test_coloring_validation():
@@ -172,8 +192,8 @@ def test_bruteforce_returns_lex_smallest_minimizer():
 
 
 def test_oracles_agree_across_block_sizes():
-    # blocks of 1, 3 and 5 colorings split the 64 colorings of n = 7 into many
-    # blocks, the last one partial; the minimizer must not depend on the split
+    # blocks of 1, 3 and 5 (scanned as 1, 2 and 4 colorings) split the 64
+    # colorings of n = 7 into many blocks; the minimizer must not depend on it
     rng = np.random.default_rng(11)
     for _ in range(5):
         matrix = random_matrix(rng, 7)
@@ -183,6 +203,128 @@ def test_oracles_agree_across_block_sizes():
             zb, inf_b, two_b = md.bruteforce_min_discrepancy(matrix, block=block)
             assert (zb.z.tolist(), inf_b, two_b) == (zc.z.tolist(), inf_n, two_n)
             assert md.min_deterministic_error(rf, block=block) == md.min_deterministic_error(rf)
+
+
+def test_oracles_reject_a_non_integer_block():
+    # int() would run 2.7 as 2 and True as 1
+    matrix = md.BinaryMatrix(np.eye(4, dtype=np.int8))
+    rf = md.ReductionFamily(matrix)
+    for block in (2.7, True, "4", float("nan")):
+        with pytest.raises(ValueError, match="block must be an integer"):
+            md.bruteforce_min_discrepancy(matrix, block=block)
+        with pytest.raises(ValueError, match="block must be an integer"):
+            md.min_deterministic_error(rf, block=block)
+    for block in (0, -3):
+        with pytest.raises(ValueError, match="block must be >= 1"):
+            md.bruteforce_min_discrepancy(matrix, block=block)
+    assert md.bruteforce_min_discrepancy(matrix, block=4.0)[1] == 1
+
+
+def lex_scan(scaled):
+    """Definition-based scan: every coloring of all n coordinates in
+    itertools.product order (-1 before +1, first coordinate most
+    significant) with Python integers; the first minimizer of
+    max_i |scaled_i . z| and its value."""
+    rows = [[int(v) for v in row] for row in scaled]
+    best, best_z = None, None
+    for z in itertools.product((-1, 1), repeat=len(rows)):
+        val = max(abs(sum(s * zj for s, zj in zip(row, z))) for row in rows)
+        if best is None or val < best:
+            best, best_z = val, z
+    return best, list(best_z)
+
+
+def lcm_scaled(matrix):
+    """The rows min_deterministic_error scans: row i times lcm(m) / m_i."""
+    m = [int(v) for v in matrix.row_ones]
+    l = math.lcm(*m)
+    return matrix.entries.astype(np.int64) * np.array([l // mi for mi in m])[:, None], 2 * l
+
+
+@st.composite
+def scan_inputs(draw):
+    n = draw(st.integers(2, 10))
+    if draw(st.booleans()):
+        # planted zero: the scan stops at the first zero-imbalance block
+        matrix, _ = md.planted_zero_matrix(n - n % 2, draw(st.sampled_from([0.2, 0.5, 1.0])),
+                                           np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    else:
+        rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+        matrix = md.BinaryMatrix([row if any(row) else [1] + row[1:] for row in rows])
+    block = draw(st.one_of(st.just(1), st.integers(1, 2 ** (matrix.n - 1) + 3)))
+    return matrix, block
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(scan_inputs())
+def test_narrow_scan_equals_a_lex_order_product_scan(inputs):
+    matrix, block = inputs
+    # unit scale: the discrepancy oracle
+    best, best_z = lex_scan(matrix.entries)
+    got_z, got_inf, got_two = md.bruteforce_min_discrepancy(matrix, block=block)
+    assert (got_inf, got_z.z.tolist()) == (best, best_z)
+    az = matrix.entries.astype(int) @ np.array(best_z)
+    assert got_two == math.sqrt(float(az @ az))
+    # lcm scale: the deterministic-error oracle
+    scaled, denom = lcm_scaled(matrix)
+    best, best_z = lex_scan(scaled)
+    value, z = _min_scaled_imbalance(scaled, block)
+    assert (value, z.tolist()) == (best, best_z)
+    assert md.min_deterministic_error(md.ReductionFamily(matrix), block=block) == \
+        Fraction(1, 2) + Fraction(best, denom)
+
+
+@pytest.mark.parametrize("cap", [2**7 - 1, 2**7, 2**15 - 1, 2**15, 2**31 - 1, 2**31])
+def test_narrow_scan_at_each_side_of_a_dtype_switch(cap):
+    # row 0 reaches +-cap at the first coloring and is 0 or 1 elsewhere, so a
+    # dtype one step too narrow wraps cap to its minimum, whose abs stays
+    # negative, and the first coloring would look best
+    a = cap // 2
+    scaled = np.array([[a, cap - a, 0], [0, 0, 1], [1, 0, 0]], dtype=np.int64)
+    for sign in (1, -1):
+        for block in (1, 2, 4):
+            value, z = _min_scaled_imbalance(sign * scaled, block)
+            assert (value, z.tolist()) == lex_scan(sign * scaled) == (1, [-1, 1, -1])
+    # past int64 the scan refuses rather than wraps
+    with pytest.raises(ValueError, match="past int64"):
+        _min_scaled_imbalance(np.array([[2**62, 2**62], [1, 0]], dtype=np.int64), 4)
+
+
+def int64_scan(scaled, block):
+    """The scan as it was before it ran in narrow dtypes, kept as the
+    reference: int64 sign matrices and an integer matmul for the low rows."""
+    n = scaled.shape[0]
+    b = min(n - 1, int(block).bit_length() - 1)
+    low = scaled[:, n - b :] @ _colorings_block(b + 1, 0, 1 << b)[1:]
+    az = np.empty_like(low)
+    best, best_code = None, None
+    for high in range(1 << (n - 1 - b)):
+        column = scaled[:, : n - b] @ _colorings_block(n - b, high, high + 1)
+        vals = np.abs(np.add(low, column, out=az), out=az).max(axis=0)
+        idx = int(np.argmin(vals))
+        if best is None or int(vals[idx]) < best:
+            best, best_code = int(vals[idx]), (high << b) | idx
+            if best == 0:
+                break
+    return best, _colorings_block(n, best_code, best_code + 1)[:, 0]
+
+
+def test_narrow_scan_matches_the_int64_scan_at_n18():
+    for seed in range(10):
+        matrix = md.planted_high_discrepancy_matrix(18, np.random.default_rng([1818, seed]))
+        best, best_z = int64_scan(matrix.entries.astype(np.int64), 1 << 14)
+        got_z, got_inf, got_two = md.bruteforce_min_discrepancy(matrix)
+        assert got_inf == best >= 2 and np.array_equal(got_z.z, best_z)
+        az = matrix.entries.astype(np.int64) @ best_z
+        assert got_two == math.sqrt(float(az @ az))
+        scaled, denom = lcm_scaled(matrix)
+        best, best_z = int64_scan(scaled, 1 << 14)
+        value, z = _min_scaled_imbalance(scaled, 1 << 14)
+        assert value == best and z.dtype == best_z.dtype and np.array_equal(z, best_z)
+        assert md.min_deterministic_error(md.ReductionFamily(matrix)) == \
+            Fraction(1, 2) + Fraction(best, denom) == 1
+
 
 def test_bruteforce_size_limit():
     with pytest.raises(ValueError):

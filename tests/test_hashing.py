@@ -346,6 +346,16 @@ def test_evaluator_rejects_non_integer_keys_and_coefficients():
                 coefficient_matrix_eval(coeffs, [0, 1], p)
 
 
+def test_evaluator_rejects_a_non_integer_modulus():
+    # int() would run 7.9 as mod 7 and True as mod 1
+    for p in (7.9, 66.5, True, "7", np.float64(67.5)):
+        with pytest.raises(ValueError, match="modulus must be an integer"):
+            coefficient_matrix_eval([[1, 2]], [3], p)
+    # an integral float is the integer it names
+    assert np.array_equal(coefficient_matrix_eval([[1, 2]], [3], 7.0),
+                          coefficient_matrix_eval([[1, 2]], [3], 7))
+
+
 def test_evaluator_rejects_coefficients_not_2d_with_a_column():
     for coeffs in ([1, 2], 3, np.zeros((3, 0), dtype=np.int64), np.zeros((1, 2, 2), dtype=np.int64)):
         with pytest.raises(ValueError, match="2-D array with at least one column"):

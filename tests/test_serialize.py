@@ -140,6 +140,19 @@ def test_instance_files_load_as_json_loads_reads_them(tmp_path, inst):
     assert _same(_instance_values(got), _instance_values(inst))
 
 
+def test_instance_files_keep_the_sign_of_a_zero_label_probability(tmp_path):
+    # 0.0 == -0.0, so a value comparison would write both rows as one shared
+    # vector and load the -0.0 back as 0.0
+    fam = md.DistributionFamily(md.Domain(1), (
+        md.LabeledDistribution(np.array([1.0]), np.array([0.0])),
+        md.LabeledDistribution(np.array([1.0]), np.array([-0.0]))))
+    inst = (fam, md.HypothesisClass(np.array([[-1]], dtype=np.int8)), None)
+    path = tmp_path / "inst.json"
+    serialize.save_instance(path, *inst)
+    assert "shared_label_one_prob" not in json.loads(path.read_text())
+    assert _same(_instance_values(serialize.load_instance(path)), _instance_values(inst))
+
+
 @PARITY
 @given(mixtures())
 def test_mixture_files_load_as_json_loads_reads_them(tmp_path, f_rand):
