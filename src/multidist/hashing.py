@@ -12,6 +12,7 @@ which makes Pr over the hash choice of a +1 equal to floor(marginal * p) / p.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,6 +24,9 @@ from .model import RandomizedClassifier, integer_array, require_integer
 PRIME_LIMIT = 1 << 62
 # Hash values per block of the tail check, small enough to stay in cache: 512 KiB
 # in int16 (the default prime while n <= 180), 1 MiB in int32, 2 MiB in int64.
+# The evaluator holds two such arrays, the key-major sum and the buffer for its
+# quotients and products, and the count one byte per value for the mask
+# q(x) < threshold.
 TAIL_BLOCK_VALUES = 1 << 18
 # Witnesses making Miller-Rabin deterministic for all n < 3.3e24 (covers 64-bit).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -80,7 +84,9 @@ class PolyHash:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(int(c) for c in self.coefficients))
+        object.__setattr__(self, "prime", require_integer(self.prime, "hash prime"))
+        object.__setattr__(self, "coefficients", tuple(
+            require_integer(c, "hash coefficient") for c in self.coefficients))
         if not is_prime(self.prime):
             raise ValueError(f"{self.prime} is not prime")
         if len(self.coefficients) < 1:
@@ -96,6 +102,8 @@ class PolyHash:
 
 def sample_hash(p: int, r: int, rng: np.random.Generator) -> PolyHash:
     """r i.i.d. uniform coefficients in [0, p); r must be even and >= 2."""
+    p = require_integer(p, "hash prime")
+    r = require_integer(r, "hash degree r")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 2 or r % 2 != 0:
@@ -114,7 +122,7 @@ def _reduce(acc: np.ndarray, p: int, quot: np.ndarray) -> None:
 
 # The evaluator's working dtypes, narrowest first; past int64 it works on
 # Python integers in an object array.
-_HORNER_DTYPES = (np.int16, np.int32, np.int64)
+_EVAL_DTYPES = (np.int16, np.int32, np.int64)
 
 
 def coefficient_matrix_eval(coeffs, xs, p: int) -> np.ndarray:
@@ -122,20 +130,25 @@ def coefficient_matrix_eval(coeffs, xs, p: int) -> np.ndarray:
     term first) at many integer keys in [0, p): returns the (n_polys, n_keys)
     values in the working dtype below, or int64 past int64.
 
-    Horner in place, starting from the leading coefficients, with lazy
-    reduction. Invariant: every entry of acc lies in [0, bound]. bound is
-    p - 1 at the start and after each reduction (coefficients and keys are
-    checked to lie in [0, p) before any cast), and a step acc * x + c turns
-    it into bound * (p - 1) + (p - 1). acc is reduced mod p only before a
-    step whose new bound would exceed `cap`, and once at the end. Every
-    reduction is acc -= acc // p * p: for a >= 0 and p > 0, a // p * p <= a,
-    so it cannot overflow, and a - (a // p) * p = a mod p. Why the loop is
-    exact: no entry ever exceeds `cap`, so every product and sum is computed
-    without overflow, and (a mod p) * x + c = a * x + c (mod p), so reducing
-    at some steps instead of all of them leaves the final residue unchanged.
+    Key-major in the power basis, with lazy reduction. First the (r, n_keys)
+    table of x^i mod p: each row is the previous one times x, reduced at
+    once, so its products are at most (p - 1)^2. Then the sum
+    acc (n_keys, n_polys) = sum_i (x^i mod p)[:, None] * c_i, a term at a
+    time. Invariant: every entry of acc lies in [0, bound]. bound is p - 1
+    after the constant term and after each reduction (coefficients and keys
+    are checked to lie in [0, p) before any cast), and a term adds at most
+    (p - 1)^2 to it. acc is reduced mod p only before a term that would take
+    bound past `cap`, and once at the end. Every reduction is
+    a -= a // p * p: for a >= 0 and p > 0, a // p * p <= a, so it cannot
+    overflow, and a - (a // p) * p = a mod p. Why the sum is exact: no entry
+    ever exceeds `cap`, so every product and sum is computed without
+    overflow, and reducing a partial sum mod p leaves its residue unchanged,
+    so reducing before some terms instead of all of them leaves the final
+    residue unchanged.
 
-    The loop runs in the narrowest signed dtype whose maximum, `cap`, is at
-    least p(p - 1) + (p - 1), so a reduced acc can always take one step:
+    The sum runs in the narrowest signed dtype whose maximum, `cap`, is at
+    least p(p - 1) + (p - 1) = p^2 - 1. A term needs less: a reduced acc
+    plus one product is at most (p - 1) + (p - 1)^2 = p(p - 1) <= p^2 - 1.
 
     ========  ===================  ========
     dtype     primes               cap
@@ -147,12 +160,14 @@ def coefficient_matrix_eval(coeffs, xs, p: int) -> np.ndarray:
     ========  ===================  ========
 
     3037000493 is the largest prime with p(p - 1) < 2^63. At p = 67 and
-    r = 4 the int16 loop reduces before the last two steps and at the end.
-    Above int64 the loop runs on Python integers, which cannot overflow;
-    there `cap` is p(p - 1), so it reduces at every step and the integers
-    stay small. Floor division is what makes the narrow dtypes pay: numpy
-    divides by a scalar with a precomputed multiplier (libdivide), while its
-    remainder has no such path.
+    r = 4 the int16 sum reaches at most 66 + 3 * 66^2 = 13134, so it reduces
+    once, at the end. Above int64 the sum runs on Python integers, which
+    cannot overflow; there `cap` is p(p - 1), so it reduces before every
+    other term and the integers stay small. Floor division is what makes the
+    narrow dtypes pay: numpy divides by a scalar with a precomputed
+    multiplier (libdivide), while its remainder has no such path. acc is
+    key-major so that each term scales a contiguous row of coefficients by
+    one power; the result is its transpose, a view.
     """
     p = require_integer(p, "modulus")
     coeffs = integer_array(coeffs, "coefficients")
@@ -166,24 +181,30 @@ def coefficient_matrix_eval(coeffs, xs, p: int) -> np.ndarray:
         raise ValueError(f"coefficients outside [0, {p})")
     if np.any((xs < 0) | (xs >= p)):
         raise ValueError(f"keys outside [0, {p})")
-    dtype = next((dt for dt in _HORNER_DTYPES if np.iinfo(dt).max >= p * (p - 1) + (p - 1)),
+    dtype = next((dt for dt in _EVAL_DTYPES if np.iinfo(dt).max >= p * (p - 1) + (p - 1)),
                  object)
     cap = p * (p - 1) if dtype is object else int(np.iinfo(dtype).max)
-    coeffs = coeffs.astype(dtype)
+    terms = np.ascontiguousarray(coeffs.T, dtype=dtype)  # row i holds every c_i
     xs = xs.astype(dtype)
-    acc = np.empty((coeffs.shape[0], xs.shape[0]), dtype=dtype)
-    quot = np.empty_like(acc)
-    acc[...] = coeffs[:, -1:]
+    powers = np.empty((terms.shape[0], xs.shape[0]), dtype=dtype)
+    powers[0] = 1
+    row_quot = np.empty_like(xs)
+    for i in range(1, terms.shape[0]):
+        np.multiply(powers[i - 1], xs, out=powers[i])
+        _reduce(powers[i], p, row_quot)
+    acc = np.empty((xs.shape[0], terms.shape[1]), dtype=dtype)
+    quot = np.empty_like(acc)  # also holds each term's product
+    acc[...] = terms[0]
     bound = p - 1
-    for j in range(coeffs.shape[1] - 2, -1, -1):
-        if bound * (p - 1) + (p - 1) > cap:
+    for i in range(1, terms.shape[0]):
+        if bound + (p - 1) ** 2 > cap:
             _reduce(acc, p, quot)
             bound = p - 1
-        np.multiply(acc, xs, out=acc)
-        np.add(acc, coeffs[:, j : j + 1], out=acc)
-        bound = bound * (p - 1) + (p - 1)
+        np.multiply(powers[i][:, None], terms[i], out=quot)
+        acc += quot
+        bound += (p - 1) ** 2
     _reduce(acc, p, quot)
-    return acc.astype(np.int64) if dtype is object else acc
+    return acc.T.astype(np.int64) if dtype is object else acc.T
 
 
 def plus_probability(marginal: float, p: int) -> Fraction:
@@ -321,7 +342,8 @@ class TailCheckConfig:
     def resolved(self) -> "TailCheckConfig":
         """This config with its defaults filled in and its integer fields as
         ints (67.0 is 67); raises ValueError on a config the check cannot run,
-        such as a threshold of 33.5 or n=True, before any work is done."""
+        such as a threshold of 33.5, n=True or a t value of 0 or NaN, before
+        any work is done."""
         n = require_integer(self.n, "tail-check n")
         r = require_integer(self.r, "tail-check degree r")
         draws = require_integer(self.draws, "tail-check draws")
@@ -343,6 +365,10 @@ class TailCheckConfig:
         if not 0 <= thr <= p:
             raise ValueError(f"threshold {thr} outside [0, {p}]")
         ts = self.t_values or tuple(c * math.sqrt(n) for c in (0.5, 1.0, 2.0))
+        for t in ts:
+            if (not isinstance(t, numbers.Real) or isinstance(t, (bool, np.bool_))
+                    or not (math.isfinite(t) and t > 0)):
+                raise ValueError(f"tail-check t values must be finite positive numbers, got {t!r}")
         return TailCheckConfig(n, r, draws, ts, p, thr, self.independent, seed)
 
 
@@ -374,7 +400,9 @@ def empirical_tail_bound_check(cfg: TailCheckConfig) -> TailCheckReport:
 
     The draws stream in blocks of about TAIL_BLOCK_VALUES hash values, each
     reduced at once to its per-draw counts Z, so memory stays bounded
-    whatever the number of draws.
+    whatever the number of draws. A block's counts are sums along its keys
+    axis, which the evaluator lays out as the outer one, in the narrowest
+    unsigned dtype that holds n.
 
     Each indicator has exactly known mean threshold/p, so mu and sigma^2 are
     exact. A row fails only if the observed frequency exceeds the bound by
@@ -390,6 +418,7 @@ def empirical_tail_bound_check(cfg: TailCheckConfig) -> TailCheckReport:
     # Chunked int64 draws continue the generator's stream exactly, so the
     # blocks see the same values as one (draws, r) or (draws, n) call would.
     keys = np.arange(cfg.n)
+    count_dtype = np.min_scalar_type(cfg.n)  # a count is at most n
     block = max(1, TAIL_BLOCK_VALUES // cfg.n)
     z = np.empty(cfg.draws, dtype=np.int64)
     for start in range(0, cfg.draws, block):
@@ -398,7 +427,8 @@ def empirical_tail_bound_check(cfg: TailCheckConfig) -> TailCheckReport:
             values = rng.integers(0, p, size=(b, cfg.n))
         else:
             values = coefficient_matrix_eval(rng.integers(0, p, size=(b, cfg.r)), keys, p)
-        z[start : start + b] = np.count_nonzero(values < thr, axis=1)
+        z[start : start + b] = np.add.reduce(np.less(values.T, thr).view(np.uint8), axis=0,
+                                             dtype=count_dtype)
 
     rows = []
     for t in cfg.t_values:

@@ -67,6 +67,25 @@ def test_polyhash_validation():
         md.PolyHash(5, ())
     q = md.PolyHash(5, (0, 0))  # all-zero coefficients are a legal draw
     assert _eval(q, 3) == 0
+    # int() would read 2.7 as 2, True as 1 and "5" as 5
+    for coeffs in ((2.7, 3), (True, 3), ("5", 3), (np.float64(1.5), 3)):
+        with pytest.raises(ValueError, match="hash coefficient must be an integer"):
+            md.PolyHash(67, coeffs)
+    rng = np.random.default_rng(2)
+    for prime in (67.5, True, "67", np.float64(66.5)):
+        with pytest.raises(ValueError, match="hash prime must be an integer"):
+            md.PolyHash(prime, (1, 2))
+        with pytest.raises(ValueError, match="hash prime must be an integer"):
+            md.sample_hash(prime, 4, rng)
+    for r in (4.5, True, "4"):
+        with pytest.raises(ValueError, match="hash degree r must be an integer"):
+            md.sample_hash(67, r, rng)
+    # an integral float is the integer it names, and draws the same hash
+    q = md.PolyHash(67.0, (2.0, np.int64(3)))
+    assert q == md.PolyHash(67, (2, 3))
+    assert type(q.prime) is int and all(type(c) is int for c in q.coefficients)
+    assert (md.sample_hash(67.0, 4.0, np.random.default_rng(3))
+            == md.sample_hash(67, 4, np.random.default_rng(3)))
 
 
 def test_sample_hash_requires_even_degree():
@@ -303,6 +322,49 @@ def test_lazy_reduction_exact_at_worst_case_bound():
             assert got.tolist() == [[_horner(row, x, p) for x in xs] for row in coeffs], (p, r)
 
 
+def _cap(p: int) -> int:
+    """The largest value the evaluator lets a partial sum reach at p."""
+    return p * (p - 1) if p > SPLIT_PRIMES[0] else int(np.iinfo(_result_dtype(p)).max)
+
+
+def _terms_per_reduction(p: int) -> int:
+    """How many terms the evaluator adds to a reduced sum before it reduces
+    again: the most k with (p - 1) + k (p - 1)^2 <= cap."""
+    return (_cap(p) - (p - 1)) // (p - 1) ** 2
+
+
+def _keys_with_heavy_powers(p: int, run: int, count: int = 3) -> list[int]:
+    """The keys x whose powers x, x^2, ..., x^run mod p sum to the most,
+    searched over all of [0, p) for p <= 4096 and over 4096 seeded draws
+    above: with every coefficient p - 1, they bring a sum of `run` terms
+    closest to its bound."""
+    candidates = (range(p) if p <= 4096
+                  else np.random.default_rng(p).integers(0, p, size=4096).tolist())
+    return sorted(candidates, key=lambda x: sum(pow(x, i, p) for i in range(1, run + 1)))[-count:]
+
+
+@pytest.mark.parametrize("p", (67, *DTYPE_SPLIT_PRIMES))
+def test_lazy_reduction_exact_where_consecutive_powers_are_heavy(p):
+    # the key p - 1 has powers 1, p - 1, 1, ..., so a run of terms never
+    # nears its bound; these keys make each of the first k + 1 terms nearly
+    # (p - 1)^2, where k terms are what the schedule adds between reductions
+    k = _terms_per_reduction(p)
+    keys = _keys_with_heavy_powers(p, min(k + 1, 40))
+    for r in range(1, 41):
+        coeffs = [[p - 1] * r, [p - 1] * (r - 1) + [1]]
+        got = coefficient_matrix_eval(coeffs, keys, p)
+        assert got.dtype == _result_dtype(p)
+        assert got.tolist() == [[_horner(row, x, p) for x in keys] for row in coeffs], (p, r)
+    # where one reduction is all that stands between a term and an overflow,
+    # the first k + 1 terms overflow at some key: a schedule one term too
+    # lazy fails here. At 67 (k = 7) the heaviest eight powers sum to 376,
+    # and 66 * (1 + 376) < 2^15, so one term too lazy is still exact there;
+    # at the looser primes no r up to 40 nears the cap.
+    if k == 1 and p <= SPLIT_PRIMES[0]:
+        heaviest = max((p - 1) * (1 + x + pow(x, 2, p)) for x in keys)
+        assert heaviest > _cap(p)
+
+
 def test_split_primes_straddle_int64_products():
     below, above = SPLIT_PRIMES
     assert sympy.isprime(below) and sympy.isprime(above)
@@ -518,6 +580,21 @@ def test_tail_check_rejects_odd_or_zero_degree_before_any_work(monkeypatch):
             md.empirical_tail_bound_check(md.TailCheckConfig(n=16, r=r, draws=1000))
 
 
+def test_tail_check_rejects_bad_t_values_before_any_work(monkeypatch):
+    # unchecked, "a" would fail after every draw, NaN would give a row with a
+    # NaN bound, and a t of 0 or below would pass with a bound of inf
+    def no_evaluation(*args):
+        raise AssertionError("the hashes were evaluated before the config was checked")
+
+    monkeypatch.setattr(md.hashing, "coefficient_matrix_eval", no_evaluation)
+    for t in ("a", math.nan, math.inf, -math.inf, -1.0, 0.0, 0, True, np.bool_(True), None, 1j):
+        cfg = md.TailCheckConfig(n=16, draws=1000, t_values=(2.0, t))
+        with pytest.raises(ValueError, match="t values must be finite positive numbers"):
+            md.empirical_tail_bound_check(cfg)
+    resolved = md.TailCheckConfig(n=16, t_values=(3, 2.5, np.float64(4.0), np.int64(5))).resolved()
+    assert resolved.t_values == (3, 2.5, 4.0, 5)
+
+
 def test_tail_check_rejects_no_draws():
     for draws in (0, -1):
         with pytest.raises(ValueError, match="draws >= 1"):
@@ -587,11 +664,26 @@ def test_tail_check_counts_match_python_int_horner(prime):
     (64, 5000, 2**40 + 15),
     (2**18 + 3, 3, None),       # more keys than a block holds: one draw per block
     (16, 700, md.next_prime(2**32)),  # Python-integer evaluation
+    (255, 3000, None),          # the last n counted in uint8
+    (256, 3000, None),          # the first n counted in uint16
 ])
 def test_streamed_tail_check_equals_one_shot(n, draws, prime, independent):
     assert TAIL_BLOCK_VALUES == 2**18
     cfg = md.TailCheckConfig(n=n, r=4, draws=draws, prime=prime, independent=independent,
                              seed=draws + n)
+    assert md.empirical_tail_bound_check(cfg) == _one_shot_report(cfg)
+
+
+@pytest.mark.parametrize("independent", [False, True])
+@pytest.mark.parametrize("n, threshold", [(255, 257), (256, 257), (256, 256)])
+def test_streamed_tail_check_counts_reach_n_at_the_count_dtype_switch(n, threshold, independent):
+    # at the default threshold p // 2 a count near n never happens; at
+    # threshold p every count is n, at p - 1 about a third of them at n = 256,
+    # so a count type too narrow for n wraps
+    assert np.min_scalar_type(255) == np.uint8 and np.min_scalar_type(256) == np.uint16
+    cfg = md.TailCheckConfig(n=n, r=4, draws=3000, threshold=threshold, independent=independent,
+                             seed=n)
+    assert cfg.resolved().prime == 257
     assert md.empirical_tail_bound_check(cfg) == _one_shot_report(cfg)
 
 
