@@ -19,7 +19,7 @@ eps = delta = 0.15
 
 spec = md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=7)
 fam, cls = md.gen_random_label_consistent(spec)
-assert md.is_label_consistent(fam)
+assert fam.label_consistent
 
 opt, opt_idx = md.opt_bruteforce(cls, fam)
 print(f"instance: |X|={fam.domain.size}, k={fam.k}, |H|={len(cls)}")

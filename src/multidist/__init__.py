@@ -9,13 +9,11 @@ from .model import (
     Domain,
     LabeledDistribution,
     DistributionFamily,
-    Hypothesis,
     HypothesisClass,
     RandomizedClassifier,
     ExplicitClassifier,
     LabelConsistencyError,
     validate_family,
-    is_label_consistent,
     full_labeling_class,
 )
 from .metrics import (

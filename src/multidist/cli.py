@@ -54,7 +54,6 @@ from .instances import GenSpec, generate
 from .learner import (
     HedgeConfig,
     SampleOracle,
-    check_eps_delta,
     hedge_learn,
     rolling_mixtures,
 )
@@ -62,11 +61,10 @@ from .metrics import (
     ErrorReport,
     error_matrix,
     opt_bruteforce,
-    plus_rows,
     randomized_per_distribution,
     worst_case_error,
 )
-from .model import full_labeling_class
+from .model import check_eps_delta, full_labeling_class, plus_rows
 
 
 def _out_dir(path_arg: str | None) -> Path:
@@ -211,7 +209,7 @@ def cmd_disc(args) -> int:
         print(f"wrote {2 * matrix.n}-member reduction family to {args.output}")
         return 0
     if args.disc_cmd == "distinguish":
-        labels = np.array([int(v) for v in args.labels.split(",")], dtype=np.int8)
+        labels = [int(v) for v in args.labels.split(",")]
         verdict = distinguisher(matrix, labels, args.eps)
         err = coloring_error(labels, ReductionFamily(matrix))
         print(f"worst-case error {err} -> {verdict.value}")

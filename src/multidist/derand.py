@@ -21,7 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ExplicitClassifier, RandomizedClassifier, require_label_consistent
+from .model import (
+    ExplicitClassifier,
+    RandomizedClassifier,
+    check_eps_delta,
+    require_label_consistent,
+    require_unit_weights,
+)
 from .learner import SampleOracle, _tally
 from .hashing import CompactClassifier, choose_hash_params, sample_hash
 
@@ -47,8 +53,7 @@ class DerandConfig:
     rounding: str = "explicit"  # "explicit" | "hash"
 
     def __post_init__(self):
-        if not (0.0 < self.eps < 1.0 and 0.0 < self.delta < 1.0):
-            raise ValueError("eps and delta must lie in (0, 1)")
+        check_eps_delta(self.eps, self.delta)
         for name in ("c_const", "c_prime", "threshold_scale"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -168,8 +173,7 @@ def round_outside_t(f_rand: RandomizedClassifier, table: BiasTable, domain_size:
     """Full label vector: table labels where fixed, and one independent draw
     from the mixture per remaining point (a fresh draw per point, never one
     shared hypothesis)."""
-    if not f_rand.weight_sum_ok():
-        raise ValueError("mixture weights must sum to 1")
+    require_unit_weights(f_rand)
     labels = np.empty(domain_size, dtype=np.int8)
     outside = np.ones(domain_size, dtype=bool)
     for x, entry in table.entries.items():

@@ -25,7 +25,14 @@ from functools import cached_property
 import numpy as np
 
 from .metrics import label_vector_of
-from .model import DistributionFamily, Domain, LabeledDistribution, integer_array, require_integer
+from .model import (
+    DistributionFamily,
+    Domain,
+    LabeledDistribution,
+    _frozen_label_array,
+    integer_array,
+    require_integer,
+)
 
 BRUTEFORCE_LIMIT = 20
 
@@ -70,14 +77,7 @@ class Coloring:
     z: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.z, dtype=np.int8)
-        if arr.ndim != 1:
-            raise ValueError("coloring must be one-dimensional")
-        if not np.all((arr == 1) | (arr == -1)):
-            raise ValueError("coloring entries must be -1 or +1")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "z", arr)
+        object.__setattr__(self, "z", _frozen_label_array(self.z, "coloring"))
 
     @property
     def n(self) -> int:

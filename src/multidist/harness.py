@@ -28,13 +28,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import DistributionFamily, HypothesisClass, RandomizedClassifier
+from .model import DistributionFamily, HypothesisClass, RandomizedClassifier, plus_rows
 from .metrics import (
     error_matrix,
     heavy_mask,
     label_vector_of,
     opt_bruteforce,
-    plus_rows,
     randomized_per_distribution,
     worst_case_error,
 )

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import RandomizedClassifier, integer_array, require_integer
+from .model import RandomizedClassifier, check_eps_delta, integer_array, require_integer
 
 PRIME_LIMIT = 1 << 62
 # Hash values per block of the tail check, small enough to stay in cache: 512 KiB
@@ -260,6 +260,9 @@ class CompactClassifier:
         object.__setattr__(self, "t_table", dict(self.t_table))
         if self.range_size != self.hash.prime:
             raise ValueError("range_size must equal the hash prime")
+        if self.domain_size != self.f_rand.domain_size:
+            raise ValueError(f"domain size mismatch: classifier domain_size {self.domain_size}, "
+                             f"mixture class width {self.f_rand.domain_size}")
         if self.hash.prime <= self.domain_size:
             raise ValueError("hash prime must exceed the domain size")
         for x, label in self.t_table.items():
@@ -268,16 +271,11 @@ class CompactClassifier:
             if label not in (-1, 1):
                 raise ValueError(f"table label at {x} must be -1 or +1")
 
-    def label(self, x: int) -> int:
-        if not 0 <= x < self.domain_size:
-            raise ValueError(f"point {x} outside the domain")
-        return int(self.label_vector()[x])
-
     @cached_property
     def _label_vector(self) -> np.ndarray:
         q_vals = coefficient_matrix_eval([self.hash.coefficients], np.arange(self.domain_size),
                                          self.hash.prime)[0]
-        plus = _plus_decision_vector(q_vals, self.f_rand.marginals[: self.domain_size], self.range_size)
+        plus = _plus_decision_vector(q_vals, self.f_rand.marginals, self.range_size)
         labels = np.where(plus, 1, -1).astype(np.int8)
         for x, lab in self.t_table.items():
             labels[x] = lab
@@ -298,8 +296,7 @@ def choose_hash_params(k: int, eps: float, delta: float, domain_size: int,
     alpha = 2 eps / (ln(4k/delta) sqrt(c_prime)) — because the stated bounds
     disagree in magnitude and the max is safe.
     """
-    if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
-        raise ValueError("eps and delta must lie in (0, 1)")
+    check_eps_delta(eps, delta)
     log_term = math.log(4.0 * k / delta)
     r = max(2, 2 * math.ceil(log_term))  # smallest even integer >= 2*log_term
     alpha = 2.0 * eps / (log_term * math.sqrt(c_prime))

@@ -24,8 +24,10 @@ from .model import (
     HypothesisClass,
     LabeledDistribution,
     RandomizedClassifier,
+    check_eps_delta,
+    plus_rows,
 )
-from .metrics import error_matrix, plus_rows
+from .metrics import error_matrix
 
 
 @dataclass(frozen=True)
@@ -430,12 +432,6 @@ def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None,
             spent = 0.0
         item = next(items, None)
         t0 = time.perf_counter()
-
-
-def check_eps_delta(eps: float, delta: float) -> None:
-    """A ValueError unless the learner's eps and delta both lie in (0, 1)."""
-    if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
-        raise ValueError("eps and delta must lie in (0, 1)")
 
 
 def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: float,

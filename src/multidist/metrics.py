@@ -14,39 +14,30 @@ import numpy as np
 
 from .model import (
     DistributionFamily,
-    ExplicitClassifier,
-    Hypothesis,
     HypothesisClass,
     LabeledDistribution,
     RandomizedClassifier,
-    WEIGHT_TOL,
+    check_eps_delta,
+    plus_rows,
     require_label_consistent,
+    require_unit_weights,
     _frozen_label_array,
 )
 
 
 def label_vector_of(f, domain_size: int | None = None) -> np.ndarray:
-    """Coerce a classifier-like object to its +-1 label vector.
-
-    Accepts Hypothesis, ExplicitClassifier, anything with label_vector()
-    (e.g. the compact hash classifier), or a raw array, whose entries must be
-    exactly -1 or +1. With domain_size given, the vector must have exactly
-    that length.
+    """The +-1 label vector of a classifier: f.label_vector() where f has one
+    (ExplicitClassifier, CompactClassifier), else f itself as an array whose
+    entries must be exactly -1 or +1. With domain_size given, the vector must
+    have exactly that length.
     """
-    if isinstance(f, (Hypothesis, ExplicitClassifier)):
-        labels = f.labels
-    elif hasattr(f, "label_vector"):
+    if hasattr(f, "label_vector"):
         labels = f.label_vector()
     else:
         labels = _frozen_label_array(f, "label")
     if domain_size is not None and labels.shape[0] != domain_size:
         raise ValueError(f"labeling covers {labels.shape[0]} points, expected {domain_size}")
     return labels
-
-
-def plus_rows(labels) -> np.ndarray:
-    """Pr[f(x) = +1] of +-1 labels: 1.0 where the label is +1, 0.0 elsewhere."""
-    return (np.asarray(labels) == 1).astype(np.float64)
 
 
 def error_matrix(plus: np.ndarray,
@@ -140,13 +131,6 @@ def worst_case_error(f, fam: DistributionFamily) -> ErrorReport:
     return ErrorReport.from_errors(error_matrix(plus_rows(label_vector_of(f)), fam))
 
 
-def _check_weights(f_rand: RandomizedClassifier) -> None:
-    if not f_rand.weight_sum_ok(WEIGHT_TOL):
-        raise ValueError(
-            f"randomized classifier weights sum to {float(f_rand.weights.sum())!r}, expected 1"
-        )
-
-
 def _class_errors(errors, cls: HypothesisClass, fam: DistributionFamily) -> np.ndarray:
     """errors, checked to have the shape (|H|, k) of the class's error matrix
     on fam; a transposed or foreign matrix would give wrong numbers silently."""
@@ -164,7 +148,7 @@ def randomized_per_distribution(f_rand: RandomizedClassifier, fam: DistributionF
     errors, if the caller has it, is the class's (|H|, k) error matrix on
     fam; its support rows are the ones error_matrix gives the support alone.
     """
-    _check_weights(f_rand)
+    require_unit_weights(f_rand)
     if errors is None:
         return f_rand.weights @ error_matrix(plus_rows(f_rand.support_label_matrix), fam)
     errors = _class_errors(errors, f_rand.hypothesis_class, fam)
@@ -183,7 +167,7 @@ def support_worst_case(f_rand: RandomizedClassifier, fam: DistributionFamily) ->
 
 def exceedance_probability(f_rand: RandomizedClassifier, dist: LabeledDistribution, level: float) -> float:
     """Pr over a single draw f~F that er_D(f) >= level."""
-    _check_weights(f_rand)
+    require_unit_weights(f_rand)
     errs = error_matrix(plus_rows(f_rand.support_label_matrix), dist)[:, 0]
     return float(f_rand.weights[errs >= level].sum())
 
@@ -216,8 +200,7 @@ def heavy_bias_threshold(eps: float, delta: float, k: int, variant: str = "expli
     variant "explicit": eps^2 / (8 ln(4k/delta)); variant "hash" (compact
     rounding): eps^2 / (c_prime * ln^2(4k/delta)).
     """
-    if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
-        raise ValueError("eps and delta must lie in (0, 1)")
+    check_eps_delta(eps, delta)
     log_term = math.log(4.0 * k / delta)
     if variant == "explicit":
         return eps**2 / (8.0 * log_term)

@@ -38,8 +38,9 @@ def _frozen_float_array(values, name: str) -> np.ndarray:
 
 
 def _frozen_labels(arr: np.ndarray, name: str) -> np.ndarray:
-    # checked before the int8 cast, which would turn 1.5 into 1 and 255 into -1
-    if not np.all((arr == 1) | (arr == -1)):
+    # checked before the int8 cast, which would turn 1.5 into 1 and 255 into
+    # -1; a bool equals 1 or 0 but is no label
+    if arr.dtype == np.bool_ or not np.all((arr == 1) | (arr == -1)):
         raise ValueError(f"{name} entries must be exactly -1 or +1")
     arr = arr.astype(np.int8)
     arr.flags.writeable = False
@@ -47,9 +48,14 @@ def _frozen_labels(arr: np.ndarray, name: str) -> np.ndarray:
 
 
 def _frozen_label_array(values, name: str) -> np.ndarray:
+    """values as a read-only int8 vector of +-1 labels: the one check of a
+    labeling, whatever type holds it."""
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    # np.asarray reads the True in [True, -1] as 1, so a list's entries are read too
+    if not isinstance(values, np.ndarray) and {bool, np.bool_} & set(map(type, values)):
+        raise ValueError(f"{name} entries must be exactly -1 or +1")
     return _frozen_labels(arr, name)
 
 
@@ -73,6 +79,11 @@ def _frozen_label_matrix(rows) -> np.ndarray:
     return _frozen_labels(arr, "hypothesis label")
 
 
+def plus_rows(labels) -> np.ndarray:
+    """Pr[f(x) = +1] of +-1 labels: 1.0 where the label is +1, 0.0 elsewhere."""
+    return (np.asarray(labels) == 1).astype(np.float64)
+
+
 def is_integer(value) -> bool:
     """True for a Python or numpy integer; False for a bool, which is an int
     subclass, and for anything else."""
@@ -92,6 +103,12 @@ def require_integer(value, name: str) -> int:
             and value == int(value)):
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_eps_delta(eps: float, delta: float) -> None:
+    """A ValueError unless eps and delta both lie in (0, 1)."""
+    if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
+        raise ValueError("eps and delta must lie in (0, 1)")
 
 
 def integer_array(values, name: str) -> np.ndarray:
@@ -187,7 +204,7 @@ class DistributionFamily:
         """Per-point conditional +1 probability taken from the first member
         that supports the point (member 0 where no member does).
 
-        Meaningful for label-consistent families; see is_label_consistent.
+        Meaningful for label-consistent families; see label_consistent.
         """
         masses = self.mass_matrix
         probs = self.label_prob_matrix
@@ -214,23 +231,6 @@ class DistributionFamily:
         hi = np.where(sup, sub, -np.inf).max(axis=0)
         lo = np.where(sup, sub, np.inf).min(axis=0)
         return bool(np.all(hi - lo <= LABEL_CONSISTENCY_TOL))
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    """A total labeling of the domain with values in {-1, +1}."""
-
-    labels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", _frozen_label_array(self.labels, "labels"))
-
-    @property
-    def domain_size(self) -> int:
-        return self.labels.shape[0]
-
-    def label(self, x: int) -> int:
-        return int(self.labels[x])
 
 
 @dataclass(frozen=True)
@@ -318,15 +318,15 @@ class RandomizedClassifier:
     @cached_property
     def marginals(self) -> np.ndarray:
         """Per-point probability of label +1 under a draw from the mixture."""
-        plus = (self.support_label_matrix == 1).astype(np.float64)
-        out = self.weights @ plus
+        out = self.weights @ plus_rows(self.support_label_matrix)
         out.flags.writeable = False
         return out
 
 
 @dataclass(frozen=True)
 class ExplicitClassifier:
-    """A deterministic classifier stored as a full label table."""
+    """A deterministic classifier, or any total labeling of the domain, stored
+    as its +-1 label vector."""
 
     labels: np.ndarray
 
@@ -336,9 +336,6 @@ class ExplicitClassifier:
     @property
     def domain_size(self) -> int:
         return self.labels.shape[0]
-
-    def label(self, x: int) -> int:
-        return int(self.labels[x])
 
     def label_vector(self) -> np.ndarray:
         return self.labels
@@ -396,9 +393,10 @@ def validate_family(fam: DistributionFamily, tol: float = MASS_TOL) -> Validatio
     return ValidationReport(tuple(issues))
 
 
-def is_label_consistent(fam: DistributionFamily) -> bool:
-    """The family's verdict, computed once: see DistributionFamily.label_consistent."""
-    return fam.label_consistent
+def require_unit_weights(f_rand: RandomizedClassifier) -> None:
+    """A ValueError unless the mixture's weights sum to 1 within WEIGHT_TOL."""
+    if not f_rand.weight_sum_ok():
+        raise ValueError(f"mixture weights sum to {float(f_rand.weights.sum())!r}, expected 1")
 
 
 def require_label_consistent(fam: DistributionFamily) -> None:

@@ -26,6 +26,7 @@ from .model import (
     LabeledDistribution,
     RandomizedClassifier,
     require_integer,
+    require_unit_weights,
     validate_family,
 )
 from .discrepancy import BinaryMatrix
@@ -140,8 +141,7 @@ def randomized_to_dict(f_rand: RandomizedClassifier) -> dict:
 def randomized_from_dict(doc: dict, cls: HypothesisClass) -> RandomizedClassifier:
     f_rand = RandomizedClassifier(cls, tuple(_field(doc, "support_indices", "mixture", list)),
                                   np.asarray(_field(doc, "weights", "mixture", list)))
-    if not f_rand.weight_sum_ok():
-        raise ValueError(f"mixture weights sum to {float(f_rand.weights.sum())!r}, expected 1")
+    require_unit_weights(f_rand)
     return f_rand
 
 

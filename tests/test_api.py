@@ -9,7 +9,7 @@ PUBLIC_NAMES = [
     "BiasEntry", "BiasTable", "BinaryMatrix", "CampaignConfig", "CampaignSummary",
     "Coloring", "CompactClassifier", "DerandConfig", "DerandResult", "DistributionFamily",
     "Domain", "EmpiricalSample", "ErrorReport", "ExplicitClassifier", "GenSpec",
-    "HedgeConfig", "Hypothesis", "HypothesisClass", "LabelConsistencyError",
+    "HedgeConfig", "HypothesisClass", "LabelConsistencyError",
     "LabeledDistribution", "PolyHash", "RandomizedClassifier", "ReductionFamily",
     "SampleOracle", "TailCheckConfig", "TailCheckReport", "TrialReport", "Verdict",
     "bayes_labels", "bruteforce_min_discrepancy", "build_bias_table", "choose_hash_params",
@@ -18,7 +18,7 @@ PUBLIC_NAMES = [
     "empirical_tail_bound_check", "erm", "error_matrix", "exceedance_probability",
     "full_labeling_class", "gen_gap_example", "gen_heavy_point_probe",
     "gen_random_label_consistent", "generate", "heavy_bias_threshold", "heavy_mask",
-    "hedge_learn", "is_label_consistent", "is_prime", "min_deterministic_error",
+    "hedge_learn", "is_prime", "min_deterministic_error",
     "next_prime", "opt_bruteforce",
     "planted_high_discrepancy_matrix", "planted_zero_matrix", "plus_probability",
     "randomized_per_distribution", "randomized_worst_case_error", "round_outside_t",

@@ -139,9 +139,11 @@ def test_distinguish_rejects_labels_of_wrong_length(tmp_path, capsys):
     rc = main(["disc", "distinguish", str(mat), "--labels=1,1,1,1,-1,-1,-1", "--eps", "0.1"])
     assert rc == 2
     assert "labeling covers 7 points, expected 4" in capsys.readouterr().err
-    rc = main(["disc", "distinguish", str(mat), "--labels=1,1,0,1", "--eps", "0.1"])
-    assert rc == 2
-    assert "-1 or +1" in capsys.readouterr().err
+    # 255 is checked as it is, not cast to int8 first (an OverflowError)
+    for labels in ("1,1,0,1", "255,1,1,1"):
+        rc = main(["disc", "distinguish", str(mat), f"--labels={labels}", "--eps", "0.1"])
+        assert rc == 2
+        assert "label entries must be exactly -1 or +1" in capsys.readouterr().err
 
 
 def test_eval_rejects_unnormalized_instance(tmp_path, capsys):
@@ -168,11 +170,15 @@ def test_eval_rejects_classifier_of_other_domain_size(tmp_path, capsys):
                  "--mode", "calibrated", "--m-override", "800",
                  "--rounding", "hash", "--seed", "4", "-o", str(clf)]) == 0
     doc = json.loads(clf.read_text())
-    doc["domain_size"] = 12
-    doc["t_table"] = [entry for entry in doc["t_table"] if entry[0] < 12]
-    clf.write_text(json.dumps(doc))
-    assert main(["eval", str(clf), str(inst)]) == 2
-    assert "domain size mismatch: classifier 12, distribution 15" in capsys.readouterr().err
+    # a compact classifier's domain is its mixture's, on either side
+    for size in (12, 16):
+        doc["domain_size"] = size
+        doc["t_table"] = [entry for entry in doc["t_table"] if entry[0] < size]
+        clf.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", str(clf), str(inst)]) == 2
+        assert (f"domain size mismatch: classifier domain_size {size}, mixture class width 15"
+                in capsys.readouterr().err)
 
 
 def test_eval_rejects_support_index_outside_the_class(tmp_path, capsys):

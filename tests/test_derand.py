@@ -355,7 +355,7 @@ def test_derandomize_gap_family_trivially_meets_contract():
     # point-mass members: each table iteration samples a single point; the
     # guarantee er <= OPT + eps holds trivially because OPT = 1 here
     fam, cls, _ = md.gen_gap_example(5)
-    assert md.is_label_consistent(fam)
+    assert fam.label_consistent
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=500)
     clf = _derandomized(fam, cls, cfg, 1).classifier
     opt, _ = md.opt_bruteforce(cls, fam)

@@ -95,7 +95,7 @@ def test_reduction_family_never_label_consistent():
     rng = np.random.default_rng(0)
     for _ in range(5):
         rf = md.ReductionFamily(random_matrix(rng, 6))
-        assert not md.is_label_consistent(rf.family)
+        assert not rf.family.label_consistent
 
 
 def test_row_identity_matches_direct_summation():

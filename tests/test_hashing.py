@@ -237,11 +237,10 @@ def test_compact_evaluate_pure_and_total():
     F = md.RandomizedClassifier(cls, (0, 1, 2), np.array([0.2, 0.5, 0.3]))
     q = md.sample_hash(md.next_prime(n + 1), 4, rng)
     clf = md.CompactClassifier(q, {5: 1, 9: -1}, F, n, q.prime)
-    first = [clf.label(x) for x in range(n)]
-    second = [clf.label(x) for x in range(n)]
-    assert first == second
-    assert first == clf.label_vector().tolist()
-    assert clf.label(5) == 1 and clf.label(9) == -1
+    first = clf.label_vector().tolist()
+    second = md.CompactClassifier(q, {5: 1, 9: -1}, F, n, q.prime).label_vector().tolist()
+    assert first == second and len(first) == n
+    assert first[5] == 1 and first[9] == -1
 
 
 def test_compact_vector_boundary_matches_exact_decision():
@@ -257,8 +256,7 @@ def test_compact_vector_boundary_matches_exact_decision():
         clf = md.CompactClassifier(q, {}, F, n, p)
         for x in range(n):
             want = 1 if Fraction(_horner(q.coefficients, x, p) + 1) <= Fraction(marginal) * p else -1
-            assert clf.label(x) == want
-        assert clf.label_vector().tolist() == [clf.label(x) for x in range(n)]
+            assert clf.label_vector()[x] == want
 
 
 def _primes_of_bits(lo: int, hi: int):
@@ -457,7 +455,6 @@ def test_label_vector_matches_fraction_rule(p, marginal, step):
     clf = _constant_hash_classifier(p, q0, marginal)
     want = _fraction_rule(q0, float(clf.f_rand.marginals[0]), p)
     assert clf.label_vector().tolist() == [want] * 3
-    assert clf.label(0) == want
 
 
 def test_label_vector_exact_at_float_tie_above_2_53():
@@ -469,15 +466,7 @@ def test_label_vector_exact_at_float_tie_above_2_53():
     assert abs(Fraction(marginal) * p - q0 - Fraction(1, 2)) < Fraction(1, 100)
     clf = _constant_hash_classifier(p, q0, marginal)
     assert _fraction_rule(q0, float(clf.f_rand.marginals[0]), p) == -1
-    assert clf.label(0) == -1
     assert clf.label_vector().tolist() == [-1, -1, -1]
-
-
-def test_compact_label_rejects_points_outside_domain():
-    clf = _constant_hash_classifier(7, 3, 0.5)
-    for x in (-1, 3):
-        with pytest.raises(ValueError, match="outside the domain"):
-            clf.label(x)
 
 
 def test_choose_hash_params_examples():

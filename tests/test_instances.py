@@ -20,7 +20,7 @@ def test_random_instances_are_valid_and_consistent():
     for seed in range(5):
         fam, cls = md.gen_random_label_consistent(md.GenSpec(seed=seed))
         assert md.validate_family(fam).ok
-        assert md.is_label_consistent(fam)
+        assert fam.label_consistent
         assert len(cls) == 16
 
 
@@ -57,7 +57,7 @@ def test_heavy_probe_separates_points():
                       heavy_beta=0.4, heavy_mass=0.25, light_beta_max=0.05,
                       eps=0.1, delta=0.1, seed=4)
     fam = md.gen_heavy_point_probe(spec)
-    assert md.validate_family(fam).ok and md.is_label_consistent(fam)
+    assert md.validate_family(fam).ok and fam.label_consistent
     mask = md.heavy_mask(fam, 0.1, 0.1)
     assert mask[:3].all() and not mask[3:].any()
     # bias signs alternate

@@ -37,7 +37,7 @@ def test_error_point_mass_examples():
 def test_error_half_labels_give_half():
     fam = family_from_arrays([[0.2, 0.3, 0.5]], [[0.5, 0.5, 0.5]])
     for labels in ([1, 1, 1], [-1, -1, -1], [1, -1, 1]):
-        assert md.worst_case_error(md.Hypothesis(labels), fam).worst_case == pytest.approx(
+        assert md.worst_case_error(md.ExplicitClassifier(labels), fam).worst_case == pytest.approx(
             0.5, abs=1e-15)
 
 
@@ -46,7 +46,7 @@ def test_error_matches_independent_oracle():
     for _ in range(25):
         fam = random_family(rng, shared=False)
         labels = np.where(rng.random(9) < 0.5, 1, -1).astype(np.int8)
-        errors = md.worst_case_error(md.Hypothesis(labels), fam).per_distribution
+        errors = md.worst_case_error(md.ExplicitClassifier(labels), fam).per_distribution
         for e, member in zip(errors, fam.members):
             assert e == pytest.approx(oracle_error(labels, member), abs=1e-14)
 
@@ -54,7 +54,7 @@ def test_error_matches_independent_oracle():
 def test_error_domain_mismatch():
     fam = family_from_arrays([[1.0]], [[1.0]])
     with pytest.raises(ValueError):
-        md.worst_case_error(md.Hypothesis([1, 1]), fam)
+        md.worst_case_error(md.ExplicitClassifier([1, 1]), fam)
 
 
 def test_worst_case_gap_example():
@@ -65,14 +65,14 @@ def test_worst_case_gap_example():
 
 def test_worst_case_realizable_zero():
     fam = family_from_arrays([[0.5, 0.5], [0.1, 0.9]], [1.0, 1.0])
-    assert md.worst_case_error(md.Hypothesis([1, 1]), fam).worst_case == 0.0
+    assert md.worst_case_error(md.ExplicitClassifier([1, 1]), fam).worst_case == 0.0
 
 
 def test_worst_case_matches_oracle_on_random_instance():
     rng = np.random.default_rng(33)
     fam = random_family(rng, n=7, k=3, shared=False)
     labels = np.where(rng.random(7) < 0.5, 1, -1).astype(np.int8)
-    report = md.worst_case_error(md.Hypothesis(labels), fam)
+    report = md.worst_case_error(md.ExplicitClassifier(labels), fam)
     direct = [oracle_error(labels, m) for m in fam.members]
     assert list(report.per_distribution) == pytest.approx(direct, abs=1e-14)
     assert report.worst_case == max(report.per_distribution)

@@ -41,16 +41,24 @@ def test_validate_reports_negative_mass_with_index():
 
 
 def test_hypothesis_rejects_non_sign_labels():
-    # 1.5 and 255 would pass as 1 and -1 if cast to int8 before the check
-    for labels in ([1, 0, -1], [1.5, -1], np.array([255, -1])):
-        for make in (md.Hypothesis, md.ExplicitClassifier):
+    # a classifier's labels and a coloring pass one check: 1.5 and 255 would
+    # pass as 1 and -1 if cast to int8 before it, and True as 1
+    for make in (md.ExplicitClassifier, md.Coloring):
+        for labels in ([1, 0, -1], [1.5, -1], [255, -1], np.array([255, -1]),
+                       [True, -1], np.array([True, True])):
             with pytest.raises(ValueError, match="exactly -1 or \\+1"):
                 make(labels)
+        for labels in (True, 0, np.array([[1, -1], [-1, 1]])):
+            with pytest.raises(ValueError, match="must be one-dimensional"):
+                make(labels)
+    for vector in (md.ExplicitClassifier([1, -1, 1]).labels, md.Coloring([1, -1, 1]).z):
+        assert vector.dtype == np.int8 and vector.tolist() == [1, -1, 1]
 
 
 def test_hypothesis_class_checks_its_matrix_once():
     # 1.5 and 255 would pass as 1 and -1 if cast to int8 before the check
-    for rows in ([[1, 1.5]], [[1, -1], [255, 1]], np.array([[255, -1]]), [[1, 0]]):
+    for rows in ([[1, 1.5]], [[1, -1], [255, 1]], np.array([[255, -1]]), [[1, 0]],
+                 np.array([[True, True]])):
         with pytest.raises(ValueError, match="exactly -1 or \\+1"):
             md.HypothesisClass(rows)
     for rows in ([1, -1], [], [[]], np.ones((0, 3)), [[[1, -1]], [[1, 1]]]):
@@ -107,13 +115,13 @@ def test_label_consistency_shared_vector():
     masses = rng.random((3, 6))
     masses /= masses.sum(axis=1, keepdims=True)
     fam = family_from_arrays(masses, eta)
-    assert md.is_label_consistent(fam)
+    assert fam.label_consistent
 
 
 def test_label_consistency_fails_on_reduction_family():
     A = md.BinaryMatrix(np.array([[1, 1], [0, 1]]))
     rf = md.ReductionFamily(A)
-    assert not md.is_label_consistent(rf.family)
+    assert not rf.family.label_consistent
 
 
 def test_label_consistency_ignores_disjoint_supports():
@@ -121,7 +129,7 @@ def test_label_consistency_ignores_disjoint_supports():
         [[1.0, 0.0], [0.0, 1.0]],
         [[1.0, 1.0], [0.0, 0.0]],  # conditionals differ only off-support
     )
-    assert md.is_label_consistent(fam)
+    assert fam.label_consistent
 
 
 def test_duplicate_hypotheses_accepted():
@@ -142,7 +150,7 @@ def test_types_are_immutable():
     fam = family_from_arrays([[0.5, 0.5]], [[1.0, 0.0]])
     with pytest.raises(ValueError):
         fam.members[0].mass[0] = 0.9
-    h = md.Hypothesis([1, -1])
+    h = md.ExplicitClassifier([1, -1])
     with pytest.raises(ValueError):
         h.labels[0] = -1
     cls = md.HypothesisClass([h.labels, [1, 1]])

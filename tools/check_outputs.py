@@ -1,0 +1,154 @@
+"""Check that two source trees give byte-identical outputs on one fixed suite.
+
+    python3 tools/check_outputs.py --parent ../parent-checkout
+
+Each tree runs the suite below in one fresh interpreter, with that tree's src
+first on PYTHONPATH, in an empty work directory of its own, so every output
+path is the same relative path in both runs (eval.csv's path columns match).
+Every file the suite leaves is then compared byte for byte; a command's
+stdout and stderr, followed by its exit code, are kept as <name>.out. The
+script prints the outputs it compared and exits 0 when all are identical,
+or exits 1 listing each that differs or exists in one tree only. The suite:
+
+- demos 01-05, stdout;
+- trial: a 200-trial C06 campaign (n = 40, k = 6, |H| = 16, calibrated
+  eps = delta = 0.15, m = 5000, seed 606, --no-timing) at parallelism 1
+  and 2: stdout, trials.csv and the summary;
+- on a gen --domain-size 1000 -k 24 --hypotheses 128 instance: learn, exact
+  and --sampling, with --trace; derand, explicit and --rounding hash, with
+  the report row less its wall_time column; eval of both classifiers;
+- hashcheck, stdout;
+- disc gen (planted zero, n = 12), then solve, reduce and distinguish (with
+  the planted coloring) on that matrix.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import io
+import os
+import runpy
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ("01_mixture_vs_single_classifier", "02_hardness_from_discrepancy",
+         "03_derandomization_pipeline", "04_compact_hash_classifier", "05_tail_bound_check")
+C06 = ["--domain-size", "40", "-k", "6", "--hypotheses", "16", "--eps", "0.15",
+       "--delta", "0.15", "--mode", "calibrated", "--m-override", "5000", "--seed", "606",
+       "--no-timing"]
+DERAND = ["--mode", "calibrated", "--m-override", "5000", "--eps", "0.6", "--delta", "0.2",
+          "--seed", "7"]
+
+
+def run_suite(tree: Path) -> None:
+    """Run the suite in the current directory, importing multidist from tree."""
+    import multidist
+    from multidist import cli
+
+    if Path(multidist.__file__).resolve().parent != (tree / "src" / "multidist").resolve():
+        raise SystemExit(f"imported multidist from {multidist.__file__}, not from {tree}")
+
+    def record(name: str, call) -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            try:
+                code = call()
+            except SystemExit as exc:  # argparse, or a demo's exit
+                code = exc.code
+        Path(f"{name}.out").write_text(f"{out.getvalue()}exit {code}\n")
+        return out.getvalue()
+
+    def verb(name: str, *argv: str) -> str:
+        return record(name, lambda: cli.main(list(argv)))
+
+    def demo(name: str) -> int:
+        runpy.run_path(str(tree / "demos" / f"{name}.py"), run_name="__main__")
+        return 0
+
+    for name in DEMOS:
+        record(f"demo_{name[:2]}", lambda: demo(name))
+    for par in ("1", "2"):
+        verb(f"trial_p{par}", "trial", "--trials", "200", "--parallelism", par,
+             "--outdir", f"trial_p{par}", *C06)
+    verb("gen", "gen", "--domain-size", "1000", "-k", "24", "--hypotheses", "128",
+         "--seed", "5", "-o", "inst.json")
+    verb("learn_exact", "learn", "inst.json", "--eps", "0.6", "--seed", "7",
+         "--trace", "learn_exact_trace.csv", "-o", "mix_exact.json")
+    verb("learn_sampling", "learn", "inst.json", "--sampling", "--eps", "0.6", "--seed", "7",
+         "--trace", "learn_sampling_trace.csv", "-o", "mix_sampling.json")
+    for rounding in ("explicit", "hash"):
+        report = Path(f"derand_{rounding}_row.csv")
+        verb(f"derand_{rounding}", "derand", "inst.json", "--rounding", rounding, *DERAND,
+             "--report", str(report), "-o", f"clf_{rounding}.json")
+        if report.exists():
+            with report.open(newline="") as fh:
+                rows = list(csv.reader(fh))
+            keep = [i for i, col in enumerate(rows[0]) if col != "wall_time"]
+            with report.open("w", newline="") as fh:
+                csv.writer(fh).writerows([row[i] for i in keep] for row in rows)
+        verb(f"eval_{rounding}", "eval", f"clf_{rounding}.json", "inst.json",
+             "-o", f"eval_{rounding}.csv")
+    verb("hashcheck", "hashcheck")
+    planted = verb("disc_gen", "disc", "gen", "--n", "12", "--planted", "zero", "--seed", "2",
+                   "-o", "A.txt")
+    # a tree that prints no planted coloring still runs distinguish; disc_gen.out
+    # shows the difference
+    coloring = next((line.split(":", 1)[1].split() for line in planted.splitlines()
+                     if line.startswith("planted coloring:")), ["1"] * 12)
+    verb("disc_solve", "disc", "solve", "A.txt")
+    verb("disc_reduce", "disc", "reduce", "A.txt", "-o", "reduction.json")
+    verb("disc_distinguish", "disc", "distinguish", "A.txt", f"--labels={','.join(coloring)}",
+         "--eps", "0.144")
+
+
+def run_child(tree: Path, work: Path) -> None:
+    work.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    subprocess.run([sys.executable, __file__, "--child", str(tree)], cwd=work, env=env,
+                   check=True)
+
+
+def first_difference(a: bytes, b: bytes) -> str:
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    for i, (x, y) in enumerate(zip(lines_a, lines_b)):
+        if x != y:
+            return f"line {i + 1}"
+    return f"{len(lines_a)} vs {len(lines_b)} lines"
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", type=Path, required=True,
+                   help="root of the source tree to compare against")
+    args = p.parse_args(argv)
+    trees = {"change": ROOT, "parent": args.parent.resolve()}
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for side, tree in trees.items():
+            run_child(tree, Path(tmp) / side)
+            files[side] = {f.relative_to(Path(tmp) / side).as_posix(): f.read_bytes()
+                           for f in sorted((Path(tmp) / side).rglob("*")) if f.is_file()}
+    status = {}
+    for name in sorted(set(files["change"]) | set(files["parent"])):
+        a, b = files["change"].get(name), files["parent"].get(name)
+        status[name] = ("only in parent" if a is None else "only in change" if b is None
+                        else None if a == b else f"differs at {first_difference(a, b)}")
+        print(f"{'DIFFERS' if status[name] else 'same   '} {name}")
+    differ = [f"{name}: {problem}" for name, problem in status.items() if problem]
+    if differ:
+        print(f"\n{len(differ)} of {len(status)} outputs differ:", *differ, sep="\n  ")
+        return 1
+    print(f"\nall {len(status)} outputs byte-identical")
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:  # one suite interpreter, started by run_child
+        run_suite(Path(sys.argv[2]))
+    else:
+        sys.exit(main())
