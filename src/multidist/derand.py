@@ -25,6 +25,7 @@ from .model import (
     ExplicitClassifier,
     RandomizedClassifier,
     check_eps_delta,
+    require_integer,
     require_label_consistent,
     require_unit_weights,
 )
@@ -62,6 +63,8 @@ class DerandConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.rounding not in ("explicit", "hash"):
             raise ValueError(f"unknown rounding {self.rounding!r}")
+        if self.m_override is not None:
+            object.__setattr__(self, "m_override", require_integer(self.m_override, "m_override"))
         if self.mode == "calibrated":
             if self.m_override is None or self.m_override < 1:
                 raise ValueError("calibrated mode needs a positive m_override")
@@ -76,7 +79,7 @@ class DerandConfig:
 
     def sample_size(self, k: int) -> int:
         if self.mode == "calibrated":
-            return int(self.m_override)
+            return self.m_override
         ln_gamma = math.log(self.gamma(k))
         m = self.c_const * ln_gamma**2 / self.eps**2
         if self.rounding == "hash":
@@ -151,7 +154,7 @@ def build_bias_table(oracle: SampleOracle, cfg: DerandConfig,
     ln_gamma = math.log(gamma)
 
     xs, ys = oracle.draw_family(m, rng=rng)
-    counts, pos = _tally(xs, ys == 1, n)
+    counts, pos = _tally(xs + np.arange(k)[:, None] * n, ys == 1, k, n)
     with np.errstate(invalid="ignore"):
         rho = np.where(counts > 0, (2.0 * pos - counts) / np.maximum(counts, 1), 0.0)
     passing = np.zeros((k, n), dtype=bool)
@@ -165,7 +168,7 @@ def build_bias_table(oracle: SampleOracle, cfg: DerandConfig,
     members, points = np.nonzero(first)
     return BiasTable({x: BiasEntry(_sign(r), i, r, c) for i, x, r, c in
                       zip(members.tolist(), points.tolist(), rho[first].tolist(),
-                          counts[first].tolist())})
+                          counts[first].astype(np.int64).tolist())})
 
 
 def round_outside_t(f_rand: RandomizedClassifier, table: BiasTable, domain_size: int,

@@ -26,6 +26,7 @@ from .model import (
     RandomizedClassifier,
     check_eps_delta,
     plus_rows,
+    require_integer,
 )
 from .metrics import error_matrix
 
@@ -71,15 +72,19 @@ def _bucket_table(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The inverse-CDF table of r members given as (r, n) masses: the
     cumulative masses times G, and an (r, G + 1) bucket index over [0, 1)
     whose first G columns are the buckets, G = the smallest power of two
-    >= 8n.
+    >= 8n. The index is held in the narrowest signed integer type that holds
+    -n (int16 up to n = 32768).
 
     G is a power of two, so u * G and cum * G are exact (a cumulative mass
     past the largest float / G becomes inf, still above every key), and a
-    key u lies in bucket j = floor(u * G) iff j/G <= u < (j + 1)/G. Where no
-    cum * G lies strictly inside (j, j + 1), every key in bucket j has the
-    same answer, #{cum * G <= j} = #{ceil(cum * G) <= j}, and the index holds
-    it; where one does, the bucket straddles a cumulative mass and the index
-    holds -1.
+    key u lies in bucket j = floor(u * G) iff j/G <= u < (j + 1)/G. A key's
+    answer is #{cum * G <= u * G}, clipped to n - 1 (masses may sum short of
+    1). Where no cum * G lies strictly inside (j, j + 1), every key in bucket
+    j has the answer #{cum * G <= j}, clipped, and the index holds it. Where
+    exactly one does, it is the row's entry b = #{cum * G <= j}, a key's
+    answer is b + (cum * G[b] <= u * G), and the index holds ~b; b = n - 1
+    would clip both answers to n - 1, so the index holds n - 1 there. Where
+    two or more do, the index holds ~(n - 1), and such keys are searched.
 
     Masses that are negative or do not sum to a finite number would make the
     cumulative mass non-monotone, so they are a ValueError.
@@ -92,72 +97,96 @@ def _bucket_table(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not (np.all(mass >= 0.0) and np.all(np.isfinite(cum[:, -1]))):
             raise ValueError("masses must be finite and nonnegative to be sampled")
         cum *= G
+    ceil = np.minimum(np.ceil(cum), G).astype(np.intp)
+    # strictly inside bucket ceil - 1: cum * G on a bucket edge equals ceil,
+    # and one past every bucket exceeds it
+    inside = cum < ceil
     # column G counts the cumulative masses above every bucket; no key reads it
-    cells = np.minimum(np.ceil(cum), G).astype(np.intp)
-    cells += np.arange(r)[:, None] * (G + 1)
-    guide = np.bincount(cells.ravel(), minlength=r * (G + 1)).reshape(r, G + 1)
-    np.cumsum(guide, axis=1, out=guide)
-    lower = np.floor(cum)
-    straddled = (lower != cum) & (lower < G)
-    guide[np.nonzero(straddled)[0], lower[straddled].astype(np.intp)] = -1
+    ceil += np.arange(r)[:, None] * (G + 1)
+    # counted over all entries but the last, #{cum * G <= j} comes out
+    # clipped to n - 1
+    guide = np.bincount(ceil[:, :-1].ravel(), minlength=r * (G + 1)).reshape(r, G + 1)
+    guide = np.cumsum(guide, axis=1, dtype=np.min_scalar_type(-n))
+    # cum is sorted, so the entries inside one bucket are neighbours, the
+    # first being entry b = guide[bucket]
+    shared = inside[:, 1:] & (ceil[:, 1:] == ceil[:, :-1])
+    several = np.zeros((r, n), dtype=bool)
+    several[:, :-1] = shared
+    several[:, 1:] |= shared
+    one = inside & ~several
+    one[:, -1] = False
+    flat = guide.reshape(-1)
+    at = ceil[one] - 1
+    flat[at] = ~flat[at]
+    flat[ceil[several] - 1] = ~(n - 1)
     return cum, guide
 
 
 def _draw(table: tuple[np.ndarray, np.ndarray], label_one_prob: np.ndarray, size: int,
-          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """size i.i.d. draws from each of r members, given as their _bucket_table
-    and (r, n) label probabilities: (r, size) points by inverse CDF, and
-    (r, size) booleans, True where the conditional label coin gives +1.
+          rng: np.random.Generator, rounds: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """size i.i.d. draws from each of r members, in each of `rounds` rounds,
+    given the members' _bucket_table and (r, n) label probabilities:
+    (rounds, r, size) cells, the draw's point x of member i as the flat index
+    i * n + x into (r, n) arrays, and (rounds, r, size) booleans, True where
+    the conditional label coin gives +1.
 
-    A point is #{cum <= u} for its uniform u, clipped to n - 1 (masses may
-    sum short of 1), as np.searchsorted(cum, u, side="right") gives it: read
-    from the bucket index, or, for keys in a straddling bucket (at most about
-    one in eight), searched on the member's own row of cum * G with u * G.
+    A point is #{cum <= u} for its uniform u, clipped to n - 1, as
+    np.searchsorted(cum, u, side="right") gives it: read from the bucket
+    index, decided by one comparison for a key in a bucket with one
+    cumulative mass inside, or, for a key in a bucket with several (under
+    one key in 100 on the benchmark's instances), searched on the member's
+    own row of cum * G with u * G.
 
-    One rng.random((r, 2, size)) call fills member 0's point uniforms, then
-    its label uniforms, then member 1's, and so on: the stream is used
-    exactly as r consecutive pairs of rng.random(size) calls use it.
+    One rng.random((rounds, r, 2, size)) call fills round 0's member 0's
+    point uniforms, then its label uniforms, then member 1's, and so on:
+    the stream is used exactly as rounds * r consecutive pairs of
+    rng.random(size) calls use it.
     """
     scaled_cum, guide = table
     r, n = scaled_cum.shape
-    u = rng.random((r, 2, size))
-    scaled = u[:, 0]
+    u = rng.random((rounds, r, 2, size))
+    scaled = u[:, :, 0]
     scaled *= guide.shape[1] - 1
     keys = scaled.astype(np.intp)
     keys += np.arange(r)[:, None] * guide.shape[1]
     xs = guide.take(keys)
-    del keys  # each temporary is the size of xs: hold at most one besides u and xs
+    # the cells overwrite the keys, so that besides u (16 bytes a draw) the
+    # call holds at most two arrays of 8 bytes a draw and the narrow xs
+    cells = np.add(xs, np.arange(r)[:, None] * n, out=keys)
     missed = np.flatnonzero(xs < 0)
     if missed.size:
-        # missed is sorted, so member i's keys are the slice of it that
-        # starts at bounds[i]; draw i * size + c reads u[i, 0, c]
-        bounds = np.searchsorted(missed, np.arange(r + 1) * size).tolist()
-        missed_u = u.reshape(-1).take(missed + missed // size * size)
-        found = np.empty_like(missed)
-        for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
-            if start < stop:
-                found[start:stop] = scaled_cum[i].searchsorted(missed_u[start:stop], "right")
-        xs.put(missed, found)
-    np.minimum(xs, n - 1, out=xs)
-    # each draw's cell in the flattened (r, n) label probabilities
-    offsets = np.arange(r)[:, None] * n
-    xs += offsets
-    threshold = label_one_prob.take(xs)
-    xs -= offsets
-    return xs, u[:, 1] < threshold
+        # draw f is row f // size of the (rounds * r, size) keys, of member
+        # row % r, and its key is u.flat[f + row * size]
+        row = missed // size
+        first = row % r * n
+        scaled = u.take(missed + row * size)
+        found = ~xs.take(missed).astype(np.intp)
+        several = np.flatnonzero(found == n - 1)
+        found += scaled_cum.take(first + found) <= scaled
+        if several.size:
+            member = row.take(several) % r
+            order = np.argsort(member, kind="stable")
+            several, member = several[order], member[order]
+            bounds = np.searchsorted(member, np.arange(r + 1)).tolist()
+            for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+                if start < stop:
+                    at = several[start:stop]
+                    found[at] = scaled_cum[i].searchsorted(scaled.take(at), "right")
+            np.minimum(found, n - 1, out=found)
+        found += first
+        cells.put(missed, found)
+    del xs
+    return cells, u[:, :, 1] < label_one_prob.take(cells)
 
 
-def _tally(xs: np.ndarray, plus: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(k, n) counts of each member's draws of each point, and of those whose
-    label is +1, from (k, size) points and +1 flags, in one bincount."""
-    k = xs.shape[0]
-    # member i's point x with flag b is cell 2 * (i * n + x) + b
-    cells = xs + np.arange(k)[:, None] * n
-    cells <<= 1
-    cells += plus
-    both = np.bincount(cells.ravel(), minlength=2 * k * n).reshape(k, n, 2)
-    # a sum over the length-2 axis is a slow strided reduction; add the halves
-    return both[:, :, 0] + both[:, :, 1], both[:, :, 1]
+def _tally(cells: np.ndarray, plus: np.ndarray, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k, n) counts, as floats, of the draws in each cell i * n + x (member
+    i's point x), and of those whose label is +1, from cells and +1 flags of
+    one shape."""
+    cells = cells.ravel()
+    counts = np.bincount(cells, minlength=k * n).astype(np.float64)
+    pos = np.bincount(cells, weights=plus.ravel(), minlength=k * n)
+    return counts.reshape(k, n), pos.reshape(k, n)
 
 
 def _signs(plus: np.ndarray) -> np.ndarray:
@@ -169,8 +198,8 @@ def draw_batch(member: LabeledDistribution, size: int, rng: np.random.Generator
                ) -> tuple[np.ndarray, np.ndarray]:
     """size i.i.d. draws (x, y): inverse-CDF over the mass vector, then a
     conditional label coin per draw."""
-    xs, plus = _draw(_bucket_table(member.mass[None]), member.label_one_prob[None], size, rng)
-    return xs[0].astype(np.int64), _signs(plus[0])
+    cells, plus = _draw(_bucket_table(member.mass[None]), member.label_one_prob[None], size, rng)
+    return cells[0, 0].astype(np.int64), _signs(plus[0, 0])
 
 
 @dataclass(frozen=True)
@@ -223,9 +252,11 @@ class SampleOracle:
         calls draw(0, size, rng), ..., draw(k - 1, size, rng) use it, and
         row i equals what call i returns."""
         fam = self.family
-        xs, plus = _draw(_bucket_table(fam.mass_matrix), fam.label_prob_matrix, size,
-                         self._stream(rng))
-        return xs, _signs(plus)
+        cells, plus = _draw(_bucket_table(fam.mass_matrix), fam.label_prob_matrix, size,
+                            self._stream(rng))
+        xs = cells[0]
+        xs -= np.arange(fam.k)[:, None] * fam.domain.size
+        return xs, _signs(plus[0])
 
 
 @dataclass(frozen=True)
@@ -237,10 +268,19 @@ class HedgeConfig:
     eta: float | None = None
     erm_sample_size: int = 200
 
+    def __post_init__(self):
+        # a bool or 10.5 would run as 1 or fail deep in the rounds; their
+        # ranges are checked by resolve
+        if self.rounds is not None:
+            object.__setattr__(self, "rounds", require_integer(self.rounds, "rounds"))
+        object.__setattr__(self, "erm_sample_size",
+                           require_integer(self.erm_sample_size, "erm_sample_size"))
+
     def resolve(self, k: int, eps: float) -> tuple[int, float]:
         if self.rounds is not None and self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0):
+        if self.eta is not None and (isinstance(self.eta, (bool, np.bool_)) or not (
+                math.isfinite(self.eta) and self.eta > 0)):
             raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
         if self.erm_sample_size < 1:
             raise ValueError("erm_sample_size must be >= 1")
@@ -288,6 +328,13 @@ class HedgeRound:
     per_distribution_errors: tuple[float, ...]
     weights: tuple[float, ...]
 
+
+# Draws per block of sampling-mode Hedge rounds, which take their k * m draws
+# a round from one _draw call: the calls' fixed costs and the searches of
+# keys in buckets with several cumulative masses are paid once per block,
+# and the call's arrays (at most about 34 bytes a draw) stay near 1 MB. On the
+# cli_wide learn shape (6 rounds a block), 2^14 and 2^16 were no faster.
+BLOCK_DRAWS = 1 << 15
 
 # Most runs one rolling_mixtures stack holds at once. Past a few dozen runs a
 # round costs little less per run, and the stack's ramp-up (the rounds before
@@ -443,10 +490,11 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: f
     In exact mode the procedure is deterministic: the |H| x k error matrix E
     is computed once and rolling_mixtures runs it in a stack of one. In sampling
     mode each round draws cfg.erm_sample_size fresh samples per member from
-    the oracle's stream (in one batch, using the stream as k consecutive draw
-    calls would), and both the ERM and the weight update use the resulting
-    empirical measures. delta only enters through the caller's
-    contract—Hedge itself has no failure branch in exact mode.
+    the oracle's stream (a block of rounds at a time, using the stream as
+    each round's k consecutive draw calls would), and both the ERM and the
+    weight update use the resulting empirical measures. delta only enters
+    through the caller's contract—Hedge itself has no failure branch in
+    exact mode.
     """
     check_eps_delta(eps, delta)
     cfg = cfg or HedgeConfig()
@@ -459,14 +507,21 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: f
     plus = plus_rows(cls.label_matrix)
     m = cfg.erm_sample_size
     table = _bucket_table(fam.mass_matrix)
+    block = max(1, BLOCK_DRAWS // (k * m))
     w = np.full(k, 1.0 / k)
     chosen = np.empty(rounds, dtype=np.intp)
+    emp_mass, emp_eta = np.empty((2, k, n))
     for t in range(rounds):
+        if t % block == 0:
+            cells, positive = _draw(table, fam.label_prob_matrix, m, oracle.rng,
+                                    min(block, rounds - t))
         # m fresh draws per member, tallied into (k, n) point and +1 counts
-        xs, positive = _draw(table, fam.label_prob_matrix, m, oracle.rng)
-        counts, pos = (a.astype(np.float64) for a in _tally(xs, positive, n))
-        emp_mass = counts / m
-        emp_eta = np.divide(pos, counts, out=np.full((k, n), 0.5), where=counts > 0)
+        counts, pos = _tally(cells[t % block], positive[t % block], k, n)
+        np.divide(counts, m, out=emp_mass)
+        # a point without draws has emp_mass +0.0, which zeroes every term its
+        # eta enters, so 0 / 1 there gives the bits a masked 0.5 would
+        np.maximum(counts, 1.0, out=counts)
+        np.divide(pos, counts, out=emp_eta)
         h_idx = erm(cls, _mixture(emp_mass, emp_eta, w))
         errs = error_matrix(plus[h_idx], (emp_mass, emp_eta))
         chosen[t] = h_idx

@@ -60,8 +60,26 @@ def _frozen_label_array(values, name: str) -> np.ndarray:
 
 
 def _frozen_label_matrix(rows) -> np.ndarray:
+    message = "hypothesis label entries must be exactly -1 or +1"
+    kinds = set()
+    if not isinstance(rows, np.ndarray):
+        # np.asarray reads the True in [True, -1] as 1, so the entries' types
+        # are read first
+        for row in rows:
+            if isinstance(row, np.ndarray):
+                kinds.add(row.dtype.type)
+            elif isinstance(row, (list, tuple)):
+                kinds.update(map(type, row))
+            else:
+                kinds.add(type(row))
+        if kinds & {bool, np.bool_}:
+            raise ValueError(message)
     try:
-        arr = np.asarray(rows)
+        # Python ints outside int8 raise OverflowError; any other entry is
+        # read as it is and checked before its cast
+        arr = np.array(rows, dtype=np.int8) if kinds == {int} else np.asarray(rows)
+    except OverflowError:
+        raise ValueError(message) from None
     except ValueError:  # ragged; numpy's message names no row
         width = None
         for i, row in enumerate(rows):

@@ -384,6 +384,10 @@ def test_instance_files_check_json_value_types(tmp_path, capsys):
             (dict(hypotheses=[row[:9] for row in rows]),
              "hypothesis row 0 has 9 labels, expected domain_size 10"),
             (dict(hypotheses=[]), "hypothesis class must be a nonempty 2-D label matrix"),
+            (dict(hypotheses=rows[:1] + [[True] + rows[1][1:]] + rows[2:]),
+             "hypothesis label entries must be exactly -1 or +1"),
+            (dict(hypotheses=rows[:1] + [[255] + rows[1][1:]] + rows[2:]),
+             "hypothesis label entries must be exactly -1 or +1"),
             (dict(shared_label_one_prob=0.5),
              "instance field 'shared_label_one_prob' must be a list, got float")):
         bad.write_text(json.dumps({**doc, **edit}))

@@ -91,6 +91,12 @@ def test_derand_config_validation():
                         threshold_scale=0.0)
     with pytest.raises(ValueError):
         md.DerandConfig(eps=0.1, delta=0.1, rounding="magic")
+    # a bool would draw 1 sample and 50.5 would draw 50
+    for value in (True, 50.5, "50"):
+        with pytest.raises(ValueError, match="m_override must be an integer"):
+            md.DerandConfig(eps=0.1, delta=0.1, mode="calibrated", m_override=value)
+    cfg = md.DerandConfig(eps=0.1, delta=0.1, mode="calibrated", m_override=50.0)
+    assert cfg.sample_size(3) == 50 and type(cfg.sample_size(3)) is int
     for name in ("c_const", "c_prime", "threshold_scale"):
         for value in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite and positive"):

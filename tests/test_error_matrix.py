@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multidist as md
-from multidist.learner import HedgeStack, _bucket_table, _draw, rolling_mixtures
+from multidist.learner import (BLOCK_DRAWS, HedgeStack, _bucket_table, _draw,
+                               rolling_mixtures)
 from multidist.metrics import plus_rows
 
 from helpers import family_from_arrays
@@ -172,8 +173,8 @@ def test_draw_batch_matches_the_former_draw():
 
 
 class FixedUniforms:
-    """An rng stand-in whose one random() call returns the given (r, 2, size)
-    uniforms, so a test chooses every key."""
+    """An rng stand-in whose one random() call returns the given
+    (rounds, r, 2, size) uniforms, so a test chooses every key."""
 
     def __init__(self, u):
         self.u = u
@@ -190,15 +191,19 @@ def buckets_of(n):
 @st.composite
 def bucket_problems(draw):
     """(r, n) masses built from runs of zeros, multiples of 1/G (cumulative
-    masses on bucket edges), subnormals and arbitrary floats, summing short
-    of 1 or a little over it; and keys that include uniform floats, the
-    cumulative masses, their neighbours and the bucket edges."""
+    masses on bucket edges), slivers of a bucket (several cumulative masses
+    inside one bucket), subnormals and arbitrary floats, summing short of 1
+    or a little over it; and one to three rounds of keys that include uniform
+    floats, the cumulative masses, their neighbours and the bucket edges."""
     n = draw(st.integers(1, 40))
     r = draw(st.integers(1, 3))
+    rounds = draw(st.integers(1, 3))
     G = buckets_of(n)
     piece = st.one_of(
         st.just(0.0),
         st.integers(1, G // n).map(lambda a: a / G),
+        st.integers(1, 63).map(lambda a: a / (64 * G)),
+        st.floats(0.0, 1.0 / G, allow_nan=False),
         st.integers(1, 1 << 20).map(lambda a: a * 5e-324),
         st.floats(0.0, 1.5 / n, allow_nan=False),
     )
@@ -206,13 +211,14 @@ def bucket_problems(draw):
     cum = np.cumsum(mass, axis=1)
     special = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    u = rng.random((r, 2, special + draw(st.integers(0, 60))))
-    for i in range(r):
-        pool = np.concatenate([cum[i], np.nextafter(cum[i], 0.0), np.nextafter(cum[i], 2.0),
-                               np.arange(G) / G])
-        pool = pool[pool < 1.0]
-        u[i, 0, :special] = draw(st.lists(st.sampled_from(pool.tolist()),
-                                          min_size=special, max_size=special))
+    u = rng.random((rounds, r, 2, special + draw(st.integers(0, 60))))
+    for t in range(rounds):
+        for i in range(r):
+            pool = np.concatenate([cum[i], np.nextafter(cum[i], 0.0),
+                                   np.nextafter(cum[i], 2.0), np.arange(G) / G])
+            pool = pool[pool < 1.0]
+            u[t, i, 0, :special] = draw(st.lists(st.sampled_from(pool.tolist()),
+                                                 min_size=special, max_size=special))
     probs = np.array([draw(st.lists(unit, min_size=n, max_size=n)) for _ in range(r)])
     return mass, probs, u
 
@@ -221,13 +227,16 @@ def bucket_problems(draw):
 @given(bucket_problems())
 def test_bucket_lookup_is_searchsorted_then_clip(problem):
     mass, probs, u = problem
-    r, n = mass.shape
-    xs, plus = _draw(_bucket_table(mass), probs, u.shape[2], FixedUniforms(u))
+    rounds, r, _, size = u.shape
+    n = mass.shape[1]
+    cells, plus = _draw(_bucket_table(mass), probs, size, FixedUniforms(u), rounds)
+    xs = cells - np.arange(r)[:, None] * n
     cum = np.cumsum(mass, axis=1)
-    for i in range(r):
-        want = np.minimum(np.searchsorted(cum[i], u[i, 0], side="right"), n - 1)
-        assert np.array_equal(xs[i], want)
-        assert np.array_equal(plus[i], u[i, 1] < probs[i, want])
+    for t in range(rounds):
+        for i in range(r):
+            want = np.minimum(np.searchsorted(cum[i], u[t, i, 0], side="right"), n - 1)
+            assert np.array_equal(xs[t, i], want)
+            assert np.array_equal(plus[t, i], u[t, i, 1] < probs[i, want])
 
 
 def test_bucket_lookup_edge_cases():
@@ -238,19 +247,59 @@ def test_bucket_lookup_edge_cases():
     mass = np.array([[5e-324, 0.0, 0.0, 1 / G, 0.5]])
     cum = np.cumsum(mass, axis=1)
     keys = np.concatenate([cum[0], [0.0, np.nextafter(1 / G, 0.0), 0.75]])
-    u = np.stack([keys, np.full(keys.size, 0.5)])[None]
-    xs, _ = _draw(_bucket_table(mass), np.full((1, 5), 0.5), keys.size, FixedUniforms(u))
+    u = np.stack([keys, np.full(keys.size, 0.5)])[None, None]
+    cells, _ = _draw(_bucket_table(mass), np.full((1, 5), 0.5), keys.size, FixedUniforms(u))
     want = np.minimum(np.searchsorted(cum[0], keys, side="right"), 4)
-    assert np.array_equal(xs[0], want)
-    assert xs[0].tolist() == [3, 3, 3, 4, 4, 0, 3, 4]
-    xs, _ = _draw(_bucket_table(np.array([[0.3]])), np.array([[1.0]]), 3,
-                  FixedUniforms(np.array([[[0.0, 0.3, 0.9], [0.0, 0.0, 0.0]]])))
-    assert xs.tolist() == [[0, 0, 0]]
+    assert np.array_equal(cells[0, 0], want)
+    assert cells[0, 0].tolist() == [3, 3, 3, 4, 4, 0, 3, 4]
+    cells, _ = _draw(_bucket_table(np.array([[0.3]])), np.array([[1.0]]), 3,
+                     FixedUniforms(np.array([[[[0.0, 0.3, 0.9], [0.0, 0.0, 0.0]]]])))
+    assert cells.tolist() == [[[0, 0, 0]]]
     # two cumulative masses inside the last bucket, [31/32, 1)
-    keys = np.array([[[0.97, 0.993, 0.995, 0.999], [0.0] * 4]])
-    xs, _ = _draw(_bucket_table(np.array([[0.5, 0.5 - 1 / 128, 1 / 256]])),
-                  np.zeros((1, 3)), 4, FixedUniforms(keys))
-    assert xs.tolist() == [[1, 2, 2, 2]]
+    keys = np.array([[[[0.97, 0.993, 0.995, 0.999], [0.0] * 4]]])
+    cells, _ = _draw(_bucket_table(np.array([[0.5, 0.5 - 1 / 128, 1 / 256]])),
+                     np.zeros((1, 3)), 4, FixedUniforms(keys))
+    assert cells.tolist() == [[[1, 2, 2, 2]]]
+    # one cumulative mass inside a bucket, as entry 0 and as the last entry,
+    # whose answers past it clip to n - 1; and two equal ones (a zero mass)
+    # inside one bucket, searched
+    G = buckets_of(3)
+    for mass, keys, want in (
+            ([0.5 / G, 0.5, 0.25], [0.0, 0.25 / G, 0.5 / G, 0.75 / G, 0.9], [0, 0, 1, 1, 2]),
+            ([0.25, 0.5, 0.1 / G], [0.75, 0.75 + 0.05 / G, 0.75 + 0.1 / G, 0.99], [2, 2, 2, 2]),
+            ([0.5 / G, 0.0, 0.5], [0.25 / G, 0.5 / G, 0.75 / G, 0.5 + 0.5 / G], [0, 2, 2, 2])):
+        u = np.stack([keys, np.zeros(len(keys))])[None, None]
+        cells, _ = _draw(_bucket_table(np.array([mass])), np.zeros((1, 3)), len(keys),
+                         FixedUniforms(u))
+        assert cells.tolist() == [[want]]
+        assert np.array_equal(want, np.minimum(np.searchsorted(np.cumsum(mass), keys, "right"), 2))
+
+
+C06 = dict(domain_size=40, k=6, hypothesis_count=16)
+CLI_WIDE = dict(domain_size=1000, k=24, hypothesis_count=128)
+ONE_MEMBER = dict(domain_size=30, k=1, hypothesis_count=8)
+
+
+def block_of(shape, m=200):
+    """The rounds sampling-mode Hedge draws in one _draw call at this shape."""
+    return max(1, BLOCK_DRAWS // (shape["k"] * m))
+
+
+@pytest.mark.parametrize("shape", [C06, CLI_WIDE], ids=["C06", "cli_wide"])
+def test_block_draws_are_the_per_round_draws(shape):
+    fam, _ = md.gen_random_label_consistent(md.GenSpec(**shape, seed=3))
+    table = _bucket_table(fam.mass_matrix)
+    probs = fam.label_prob_matrix
+    block = block_of(shape)
+    for rounds in (1, block - 1, block, block + 1, 57):
+        rng, per_round = np.random.default_rng(rounds), np.random.default_rng(rounds)
+        cells, plus = _draw(table, probs, 200, rng, rounds)
+        assert cells.shape == plus.shape == (rounds, fam.k, 200)
+        for t in range(rounds):
+            want_cells, want_plus = _draw(table, probs, 200, per_round)
+            assert np.array_equal(cells[t], want_cells[0])
+            assert np.array_equal(plus[t], want_plus[0])
+        assert rng.bit_generator.state == per_round.bit_generator.state
 
 
 def loop_bias_table(fam, cfg, rng):
@@ -325,9 +374,6 @@ def round_hedge(fam, cls, eps, cfg, rng=None):
     return support, np.array([counts[i] / rounds for i in support]), rows
 
 
-C06 = dict(domain_size=40, k=6, hypothesis_count=16)
-CLI_WIDE = dict(domain_size=1000, k=24, hypothesis_count=128)
-ONE_MEMBER = dict(domain_size=30, k=1, hypothesis_count=8)
 # (shape, eps, HedgeConfig fields, seed, sampling, every hypothesis twice);
 # the exact C06 cases run at the derandomizer's eps/2, the cli_wide ones at
 # the eps the CLI session uses (learn --sampling at 0.6, derand at 0.6 / 2)
@@ -343,7 +389,9 @@ LEAN_CASES = (
        (CLI_WIDE, 0.4, dict(erm_sample_size=50), 3, True, False),
        (C06, 0.4, {}, 4, True, True),
        (ONE_MEMBER, 0.3, {}, 5, True, False),
-       (C06, 0.3, dict(rounds=40, eta=2.5, erm_sample_size=37), 6, True, False)])
+       (C06, 0.3, dict(rounds=40, eta=2.5, erm_sample_size=37), 6, True, False)]
+    # sampling rounds that end one short of a draw block, on it, and one past it
+    + [(C06, 0.4, dict(rounds=block_of(C06) + d), 7 + d, True, False) for d in (-1, 0, 1)])
 
 
 def lean_id(case):
@@ -363,7 +411,8 @@ def test_lean_rounds_match_the_former_rounds(shape, eps, fields, seed, sampling,
     cfg = md.HedgeConfig(**fields)
     if sampling:
         oracle = md.SampleOracle.sampling_mode(fam, np.random.default_rng(seed))
-        want = round_hedge(fam, cls, eps, cfg, np.random.default_rng(seed))
+        replay = np.random.default_rng(seed)
+        want = round_hedge(fam, cls, eps, cfg, replay)
     else:
         oracle = md.SampleOracle.exact_mode(fam)
         want = round_hedge(fam, cls, eps, cfg)
@@ -379,6 +428,8 @@ def test_lean_rounds_match_the_former_rounds(shape, eps, fields, seed, sampling,
         assert np.array_equal(got.weights, w)
     if doubled:
         assert max(support) < len(cls) // 2
+    if sampling:
+        assert oracle.rng.bit_generator.state == replay.bit_generator.state
 
 
 def exact_hedge(errors, rounds, eta, weights_log=None):

@@ -118,9 +118,18 @@ def test_hedge_config_defaults():
     assert eta == pytest.approx(math.sqrt(8 * math.log(6) / rounds))
     with pytest.raises(ValueError):
         md.HedgeConfig(rounds=0).resolve(6, 0.15)
-    for eta in (-1.0, 0.0, math.nan, math.inf):
+    for eta in (-1.0, 0.0, math.nan, math.inf, True, np.True_):
         with pytest.raises(ValueError, match="eta must be finite and positive"):
             md.HedgeConfig(eta=eta).resolve(6, 0.15)
+    # a bool would run as 1 round or 1 sample, and a fraction would fail deep
+    # in the sampling rounds; an integral float names its integer
+    for field in ("rounds", "erm_sample_size"):
+        for value in (True, 10.5, "10", math.inf):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                md.HedgeConfig(**{field: value})
+        assert getattr(md.HedgeConfig(**{field: 10.0}), field) == 10
+    cfg = md.HedgeConfig(rounds=np.int64(12), erm_sample_size=30.0)
+    assert cfg.resolve(6, 0.15)[0] == 12 and type(cfg.erm_sample_size) is int
 
 
 def test_hedge_realizable_instance():

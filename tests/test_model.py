@@ -56,9 +56,11 @@ def test_hypothesis_rejects_non_sign_labels():
 
 
 def test_hypothesis_class_checks_its_matrix_once():
-    # 1.5 and 255 would pass as 1 and -1 if cast to int8 before the check
+    # 1.5 and 255 would pass as 1 and -1 if cast to int8 before the check,
+    # and np.asarray would read a bool among ints as 1
     for rows in ([[1, 1.5]], [[1, -1], [255, 1]], np.array([[255, -1]]), [[1, 0]],
-                 np.array([[True, True]])):
+                 np.array([[True, True]]), [[True, -1], [1, 1]], [[1, -1], [1, np.True_]],
+                 [np.array([True, False]), [1, -1]], [[1, -1], [1, 2**70]], [[-129, 1]]):
         with pytest.raises(ValueError, match="exactly -1 or \\+1"):
             md.HypothesisClass(rows)
     for rows in ([1, -1], [], [[]], np.ones((0, 3)), [[[1, -1]], [[1, 1]]]):

@@ -1,4 +1,4 @@
-"""Time the hashing and discrepancy layers of two source trees back to back.
+"""Time the sampling, loading, hashing and discrepancy layers of two source trees back to back.
 
     python3 tools/bench_layers.py --parent ../parent-checkout -o BENCH_REV.json
 
@@ -15,7 +15,14 @@ tree holding this script) and their ratio. The layers:
   for the cli_wide benchmark instance, labelled by its compact classifier);
 - tail_check: empirical_tail_bound_check at n = 64, r = 4, 100,000 draws;
 - bruteforce_min_discrepancy and min_deterministic_error on a planted
-  high-discrepancy n = 18 matrix (no early exit).
+  high-discrepancy n = 18 matrix (no early exit);
+- hedge_sampling: sampling-mode hedge_learn at the cli_wide learn shape
+  (n = 1000, k = 24, |H| = 128, seed 5; eps 0.6, so 71 rounds of 200 draws
+  per member);
+- draw_family_24x1000x5000 and draw_family_6x40x5000: one exact-mode
+  draw_family of 5000 draws per member, the bias-table draw of derand on the
+  cli_wide instance and of a C06 campaign trial;
+- load_instance: serialize.load_instance of the cli_wide instance file.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -35,7 +43,8 @@ ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 11
 # repetitions per layer within one interpreter
 REPS = {"eval_block": 40, "eval_one_poly": 100, "tail_check": 5, "bruteforce_min_discrepancy": 15,
-        "min_deterministic_error": 15}
+        "min_deterministic_error": 15, "hedge_sampling": 15, "draw_family_24x1000x5000": 30,
+        "draw_family_6x40x5000": 200, "load_instance": 15}
 
 
 def time_layers(src: str) -> dict:
@@ -44,6 +53,7 @@ def time_layers(src: str) -> dict:
     import numpy as np
 
     import multidist as md
+    from multidist import serialize
     from multidist.hashing import coefficient_matrix_eval
 
     coeffs = np.random.default_rng(0).integers(0, 67, size=(4096, 4))
@@ -53,12 +63,27 @@ def time_layers(src: str) -> dict:
     matrix = md.planted_high_discrepancy_matrix(18, np.random.default_rng([1, 0]))
     family = md.ReductionFamily(matrix)
     tail = md.TailCheckConfig(n=64, r=4, draws=100_000, seed=1)
+    wide_fam, wide_cls = md.gen_random_label_consistent(
+        md.GenSpec(domain_size=1000, k=24, hypothesis_count=128, seed=5))
+    c06_fam, _ = md.gen_random_label_consistent(
+        md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=5))
+    tmp = tempfile.TemporaryDirectory()
+    instance = Path(tmp.name) / "inst.json"
+    serialize.save_instance(instance, wide_fam, wide_cls)
+    draw_rng = np.random.default_rng(2)
     calls = {
         "eval_block": lambda: coefficient_matrix_eval(coeffs, keys, 67),
         "eval_one_poly": lambda: coefficient_matrix_eval(one_poly, domain, 1009),
         "tail_check": lambda: md.empirical_tail_bound_check(tail),
         "bruteforce_min_discrepancy": lambda: md.bruteforce_min_discrepancy(matrix),
         "min_deterministic_error": lambda: md.min_deterministic_error(family),
+        "hedge_sampling": lambda: md.hedge_learn(
+            md.SampleOracle.sampling_mode(wide_fam, np.random.default_rng(7)), wide_cls, 0.6, 0.1),
+        "draw_family_24x1000x5000": lambda: md.SampleOracle.exact_mode(wide_fam).draw_family(
+            5000, draw_rng),
+        "draw_family_6x40x5000": lambda: md.SampleOracle.exact_mode(c06_fam).draw_family(
+            5000, draw_rng),
+        "load_instance": lambda: serialize.load_instance(instance),
     }
     out = {}
     for name, call in calls.items():
@@ -69,6 +94,7 @@ def time_layers(src: str) -> dict:
             call()
             times.append(perf_counter() - start)
         out[name] = statistics.median(times)
+    tmp.cleanup()
     return out
 
 

@@ -17,6 +17,10 @@ or exits 1 listing each that differs or exists in one tree only. The suite:
 - on a gen --domain-size 1000 -k 24 --hypotheses 128 instance: learn, exact
   and --sampling, with --trace; derand, explicit and --rounding hash, with
   the report row less its wall_time column; eval of both classifiers;
+- learn --sampling --trace --rounds 57 --erm-samples 37 (rounds that are not
+  a whole number of draw blocks) on a C06-shape gen instance and on a gen
+  --kind heavy_point_probe --heavy-count 2 instance, whose members other
+  than the first put zero mass on the heavy points;
 - hashcheck, stdout;
 - disc gen (planted zero, n = 12), then solve, reduce and distinguish (with
   the planted coloring) on that matrix.
@@ -81,6 +85,11 @@ def run_suite(tree: Path) -> None:
          "--trace", "learn_exact_trace.csv", "-o", "mix_exact.json")
     verb("learn_sampling", "learn", "inst.json", "--sampling", "--eps", "0.6", "--seed", "7",
          "--trace", "learn_sampling_trace.csv", "-o", "mix_sampling.json")
+    for name, kind in (("c06", []), ("heavy", ["--kind", "heavy_point_probe", "--heavy-count", "2"])):
+        verb(f"gen_{name}", "gen", *kind, "--seed", "3", "-o", f"{name}.json")
+        verb(f"learn_{name}_sampling", "learn", f"{name}.json", "--sampling", "--eps", "0.3",
+             "--rounds", "57", "--erm-samples", "37", "--seed", "7",
+             "--trace", f"learn_{name}_sampling_trace.csv", "-o", f"mix_{name}_sampling.json")
     for rounding in ("explicit", "hash"):
         report = Path(f"derand_{rounding}_row.csv")
         verb(f"derand_{rounding}", "derand", "inst.json", "--rounding", rounding, *DERAND,
