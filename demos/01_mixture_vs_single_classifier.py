@@ -27,7 +27,8 @@ print(f"gap factor: {single_err / rand_err:.0f}x\n")
 
 # per distribution, a single draw is terrible with probability exactly 1/k
 for i in (0, k - 1):
-    p = md.exceedance_probability(mixture, fam.members[i], 1.0)
+    member = md.LabeledDistribution(fam.mass_matrix[i], fam.label_prob_matrix[i])
+    p = md.exceedance_probability(mixture, member, 1.0)
     print(f"Pr over one draw that the error on distribution {i} equals 1 : {p:.4f}")
 
 # the only generic single-draw guarantee is Markov + union bound:

@@ -22,7 +22,7 @@ fam, cls = md.gen_random_label_consistent(spec)
 assert fam.label_consistent
 
 opt, opt_idx = md.opt_bruteforce(cls, fam)
-print(f"instance: |X|={fam.domain.size}, k={fam.k}, |H|={len(cls)}")
+print(f"instance: |X|={fam.domain_size}, k={fam.k}, |H|={len(cls)}")
 print(f"brute-force OPT = {opt:.4f} (hypothesis {opt_idx})\n")
 
 # the black-box learner runs at eps/2, delta/2; its mixture is the input
@@ -35,10 +35,10 @@ rand_err = md.randomized_worst_case_error(result.f_rand, fam)
 det = md.worst_case_error(result.classifier, fam)
 print(f"mixture worst-case expected error : {rand_err:.4f}  (target OPT + eps/2 = {opt + eps/2:.4f})")
 print(f"derandomized worst-case error     : {det.worst_case:.4f}  (target OPT + eps = {opt + eps:.4f})")
-print(f"bias table size |T| = {len(result.table)} of {fam.domain.size} points\n")
+print(f"bias table size |T| = {len(result.table)} of {fam.domain_size} points\n")
 
 # the error splits exactly into the pinned part and the rounded part
-inside = np.zeros(fam.domain.size, dtype=bool)
+inside = np.zeros(fam.domain_size, dtype=bool)
 inside[result.table.points()] = True
 plus = (result.classifier.label_vector() == 1).astype(float)  # Pr[f(x) = +1]
 t_terms = md.error_matrix(plus, fam, inside)

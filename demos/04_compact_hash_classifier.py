@@ -21,8 +21,8 @@ spec = md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=5)
 fam, cls = md.gen_random_label_consistent(spec)
 oracle = md.SampleOracle.exact_mode(fam)
 
-r, p = md.choose_hash_params(fam.k, eps, delta, fam.domain.size)
-print(f"hash parameters for k={fam.k}, eps={eps}, delta={delta}, |X|={fam.domain.size}:")
+r, p = md.choose_hash_params(fam.k, eps, delta, fam.domain_size)
+print(f"hash parameters for k={fam.k}, eps={eps}, delta={delta}, |X|={fam.domain_size}:")
 print(f"  degree r = {r} (smallest even integer >= 2 ln(4k/delta))")
 print(f"  prime p = {p} (exceeds the domain and both range-size floors)\n")
 
@@ -42,7 +42,7 @@ print(f"worst-case error {det.worst_case:.4f} vs OPT + eps = {opt + eps:.4f}\n")
 # the rounding law: over fresh hash draws, Pr[label = +1] = floor(m*p)/p
 # (probe the untabled point whose marginal is most mixed); each row of coeffs
 # is one hash draw, evaluated and rounded as the classifier does
-outside = [x for x in range(fam.domain.size) if x not in clf.t_table]
+outside = [x for x in range(fam.domain_size) if x not in clf.t_table]
 x = min(outside, key=lambda x: abs(clf.f_rand.marginals[x] - 0.5))
 marginal = float(clf.f_rand.marginals[x])
 rng = np.random.default_rng(0)

@@ -6,7 +6,6 @@ binary-matrix hard-instance machinery with exact rational accounting.
 """
 
 from .model import (
-    Domain,
     LabeledDistribution,
     DistributionFamily,
     HypothesisClass,
@@ -33,7 +32,6 @@ from .learner import (
     SampleOracle,
     EmpiricalSample,
     HedgeConfig,
-    draw_batch,
     erm,
     hedge_learn,
 )

@@ -115,7 +115,7 @@ def cmd_gen(args) -> int:
                    eps=args.eps, delta=args.delta, seed=args.seed)
     fam, cls, _ = generate(spec)
     serialize.save_instance(args.output, fam, cls, spec)
-    print(f"wrote instance ({fam.domain.size} points, k={fam.k}, |H|={len(cls)}) to {args.output}")
+    print(f"wrote instance ({fam.domain_size} points, k={fam.k}, |H|={len(cls)}) to {args.output}")
     return 0
 
 

@@ -25,6 +25,7 @@ from .model import (
     ExplicitClassifier,
     RandomizedClassifier,
     check_eps_delta,
+    is_positive_real,
     require_integer,
     require_label_consistent,
     require_unit_weights,
@@ -57,7 +58,7 @@ class DerandConfig:
         check_eps_delta(self.eps, self.delta)
         for name in ("c_const", "c_prime", "threshold_scale"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not is_positive_real(value):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.mode not in ("theory", "calibrated"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -147,7 +148,7 @@ def build_bias_table(oracle: SampleOracle, cfg: DerandConfig,
     fam = oracle.family
     if oracle.exact:
         require_label_consistent(fam)
-    k, n = fam.k, fam.domain.size
+    k, n = fam.k, fam.domain_size
     gamma = cfg.gamma(k)
     m = cfg.sample_size(k)
     scale = cfg.scale()
@@ -217,10 +218,10 @@ def derandomize(oracle: SampleOracle, f_rand: RandomizedClassifier, cfg: DerandC
     table = build_bias_table(oracle, cfg, table_rng)
 
     if cfg.rounding == "explicit":
-        labels = round_outside_t(f_rand, table, fam.domain.size, round_rng)
+        labels = round_outside_t(f_rand, table, fam.domain_size, round_rng)
         return DerandResult(ExplicitClassifier(labels), f_rand, table)
 
-    r, p = choose_hash_params(fam.k, cfg.eps, cfg.delta, fam.domain.size, cfg.c_prime)
+    r, p = choose_hash_params(fam.k, cfg.eps, cfg.delta, fam.domain_size, cfg.c_prime)
     q = sample_hash(p, r, round_rng)
-    return DerandResult(CompactClassifier(q, table.labels(), f_rand, fam.domain.size, p),
+    return DerandResult(CompactClassifier(q, table.labels(), f_rand, fam.domain_size, p),
                         f_rand, table)

@@ -27,8 +27,6 @@ import numpy as np
 from .metrics import label_vector_of
 from .model import (
     DistributionFamily,
-    Domain,
-    LabeledDistribution,
     _frozen_label_array,
     integer_array,
     require_integer,
@@ -113,13 +111,10 @@ class ReductionFamily:
     @cached_property
     def family(self) -> DistributionFamily:
         """Float-mass view for interop with the learner and metrics modules."""
-        members = []
-        a = self.matrix.entries
-        for i in range(self.n):
-            mass = a[i].astype(np.float64) / float(self.matrix.row_ones[i])
-            members.append(LabeledDistribution(mass, np.ones(self.n)))
-            members.append(LabeledDistribution(mass, np.zeros(self.n)))
-        return DistributionFamily(Domain(self.n), tuple(members))
+        mass = self.matrix.entries / self.matrix.row_ones[:, None].astype(np.float64)
+        # each row's + member labels everything +1, its - member -1
+        return DistributionFamily(np.repeat(mass, 2, axis=0),
+                                  np.tile([[1.0], [0.0]], (self.n, self.n)))
 
     def member_errors(self, labels) -> list[Fraction]:
         """Exact per-member errors of a labeling, by direct summation: the +
@@ -382,17 +377,11 @@ def dummy_point_variant(rf: ReductionFamily, opt_prime) -> DistributionFamily:
     if not Fraction(0) < q <= Fraction(1, 2):
         raise ValueError("opt_prime must lie in (0, 1/2]")
     n = rf.n
-    a = rf.matrix.entries
-    dummy_mass = float(1 - 2 * q)
-    members = []
-    for i in range(n):
-        scale = float(2 * q / int(rf.matrix.row_ones[i]))
-        mass = np.append(a[i].astype(np.float64) * scale, dummy_mass)
-        eta_plus = np.append(np.ones(n), 1.0)
-        eta_minus = np.append(np.zeros(n), 1.0)
-        members.append(LabeledDistribution(mass, eta_plus))
-        members.append(LabeledDistribution(mass, eta_minus))
-    return DistributionFamily(Domain(n + 1), tuple(members))
+    scale = np.array([float(2 * q / int(m)) for m in rf.matrix.row_ones])
+    mass = np.hstack([rf.matrix.entries * scale[:, None], np.full((n, 1), float(1 - 2 * q))])
+    eta = np.tile([[1.0], [0.0]], (n, n + 1))
+    eta[:, n] = 1.0
+    return DistributionFamily(np.repeat(mass, 2, axis=0), eta)
 
 
 def dummy_min_deterministic_error(rf: ReductionFamily, opt_prime) -> Fraction:

@@ -82,7 +82,7 @@ class TrialReport:
 def rounding_deviation(f_hat, f_rand, fam: DistributionFamily, table: BiasTable) -> float:
     """max over members of |outside-T error of the rounded classifier minus
     the mixture's expected outside-T error|."""
-    outside = np.ones(fam.domain.size, dtype=bool)
+    outside = np.ones(fam.domain_size, dtype=bool)
     outside[table.points()] = False
     rows = np.stack([plus_rows(label_vector_of(f_hat)), f_rand.marginals])
     got, want = error_matrix(rows, fam, outside)

@@ -12,14 +12,14 @@ which makes Pr over the hash choice of a +1 equal to floor(marginal * p) / p.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .model import RandomizedClassifier, check_eps_delta, integer_array, require_integer
+from .model import (RandomizedClassifier, check_eps_delta, integer_array, is_positive_real,
+                    require_integer)
 
 PRIME_LIMIT = 1 << 62
 # Hash values per block of the tail check, small enough to stay in cache: 512 KiB
@@ -363,8 +363,7 @@ class TailCheckConfig:
             raise ValueError(f"threshold {thr} outside [0, {p}]")
         ts = self.t_values or tuple(c * math.sqrt(n) for c in (0.5, 1.0, 2.0))
         for t in ts:
-            if (not isinstance(t, numbers.Real) or isinstance(t, (bool, np.bool_))
-                    or not (math.isfinite(t) and t > 0)):
+            if not is_positive_real(t):
                 raise ValueError(f"tail-check t values must be finite positive numbers, got {t!r}")
         return TailCheckConfig(n, r, draws, ts, p, thr, self.independent, seed)
 

@@ -13,9 +13,7 @@ import numpy as np
 
 from .model import (
     DistributionFamily,
-    Domain,
     HypothesisClass,
-    LabeledDistribution,
     RandomizedClassifier,
 )
 from .metrics import bayes_labels, heavy_bias_threshold
@@ -71,10 +69,11 @@ class GenSpec:
             raise ValueError("fair_beta_max must lie in [0, 1/2]")
 
 
-def _random_mass(n: int, rng: np.random.Generator) -> np.ndarray:
-    # exponential draws normalized = symmetric Dirichlet(1)
-    raw = rng.exponential(1.0, size=n)
-    return raw / raw.sum()
+def _random_mass(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
+    # exponential draws normalized per row = symmetric Dirichlet(1) rows; the
+    # stream fills the rows in order, as one draw per row would
+    raw = rng.exponential(1.0, size=shape)
+    return raw / raw.sum(axis=1, keepdims=True)
 
 
 def _bias_profile_eta(spec: GenSpec, rng: np.random.Generator) -> np.ndarray:
@@ -107,10 +106,8 @@ def gen_random_label_consistent(spec: GenSpec) -> tuple[DistributionFamily, Hypo
     kind "bayes_in_class", the pointwise-majority labeling as the last one)."""
     rng = np.random.default_rng(spec.seed)
     eta = _bias_profile_eta(spec, rng)
-    members = tuple(
-        LabeledDistribution(_random_mass(spec.domain_size, rng), eta) for _ in range(spec.k)
-    )
-    fam = DistributionFamily(Domain(spec.domain_size), members)
+    masses = _random_mass((spec.k, spec.domain_size), rng)
+    fam = DistributionFamily(masses, np.broadcast_to(eta, masses.shape))
     labels = _random_hypotheses(spec.domain_size, spec.hypothesis_count, rng)
     if spec.kind == "bayes_in_class":
         labels = np.vstack([labels, bayes_labels(fam)])
@@ -124,8 +121,7 @@ def gen_gap_example(k: int) -> tuple[DistributionFamily, HypothesisClass, Random
     and everything else +1."""
     if k < 2:
         raise ValueError("the gap example needs k >= 2")
-    members = tuple(LabeledDistribution(mass, np.ones(k)) for mass in np.eye(k))
-    fam = DistributionFamily(Domain(k), members)
+    fam = DistributionFamily(np.eye(k), np.ones((k, k)))
     cls = HypothesisClass(1 - 2 * np.eye(k, dtype=np.int8))
     f_rand = RandomizedClassifier(cls, tuple(range(k)), np.full(k, 1.0 / k))
     return fam, cls, f_rand
@@ -159,18 +155,11 @@ def gen_heavy_point_probe(spec: GenSpec) -> DistributionFamily:
     eta[:h] = 0.5 + spec.heavy_beta * signs
     eta[h:] = 0.5 + rng.uniform(-spec.light_beta_max, spec.light_beta_max, size=n - h)
 
-    members = []
-    mass0 = np.zeros(n)
-    mass0[heavy_points] = spec.heavy_mass
-    rest = 1.0 - spec.heavy_mass * h
-    spread = _random_mass(light_points.size, rng) * rest
-    mass0[light_points] = spread
-    members.append(LabeledDistribution(mass0, eta))
-    for _ in range(1, k):
-        mass = np.zeros(n)
-        mass[light_points] = _random_mass(light_points.size, rng)
-        members.append(LabeledDistribution(mass, eta))
-    fam = DistributionFamily(Domain(n), tuple(members))
+    masses = np.zeros((k, n))
+    masses[:, light_points] = _random_mass((k, light_points.size), rng)
+    masses[0, light_points] *= 1.0 - spec.heavy_mass * h
+    masses[0, heavy_points] = spec.heavy_mass
+    fam = DistributionFamily(masses, np.broadcast_to(eta, masses.shape))
 
     thresh = heavy_bias_threshold(spec.eps, spec.delta, k, spec.variant, spec.c_prime)
     beta = eta - 0.5

@@ -25,6 +25,7 @@ from .model import (
     LabeledDistribution,
     RandomizedClassifier,
     check_eps_delta,
+    is_positive_real,
     plus_rows,
     require_integer,
 )
@@ -194,14 +195,6 @@ def _signs(plus: np.ndarray) -> np.ndarray:
     return plus.view(np.int8) * np.int8(2) - np.int8(1)
 
 
-def draw_batch(member: LabeledDistribution, size: int, rng: np.random.Generator
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """size i.i.d. draws (x, y): inverse-CDF over the mass vector, then a
-    conditional label coin per draw."""
-    cells, plus = _draw(_bucket_table(member.mass[None]), member.label_one_prob[None], size, rng)
-    return cells[0, 0].astype(np.int64), _signs(plus[0, 0])
-
-
 @dataclass(frozen=True)
 class SampleOracle:
     """Access to a distribution family, either with known masses ("exact") or
@@ -223,14 +216,6 @@ class SampleOracle:
     def sampling_mode(cls, family: DistributionFamily, rng: np.random.Generator) -> "SampleOracle":
         return cls(family, exact=False, rng=rng)
 
-    @property
-    def k(self) -> int:
-        return self.family.k
-
-    @property
-    def domain_size(self) -> int:
-        return self.family.domain.size
-
     def _stream(self, rng: np.random.Generator | None) -> np.random.Generator:
         if not self.exact:
             return self.rng
@@ -242,8 +227,12 @@ class SampleOracle:
              rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Draw i.i.d. (x, y) pairs from one member. A sampling oracle always
         uses its own stream; an exact oracle synthesizes draws from the known
-        masses with the caller's rng."""
-        return draw_batch(self.family.members[member_index], size, self._stream(rng))
+        masses with the caller's rng: inverse-CDF over the member's masses,
+        then a conditional label coin per draw."""
+        fam = self.family
+        cells, plus = _draw(_bucket_table(fam.mass_matrix[member_index][None]),
+                            fam.label_prob_matrix[member_index][None], size, self._stream(rng))
+        return cells[0, 0].astype(np.int64), _signs(plus[0, 0])
 
     def draw_family(self, size: int, rng: np.random.Generator | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
@@ -255,7 +244,7 @@ class SampleOracle:
         cells, plus = _draw(_bucket_table(fam.mass_matrix), fam.label_prob_matrix, size,
                             self._stream(rng))
         xs = cells[0]
-        xs -= np.arange(fam.k)[:, None] * fam.domain.size
+        xs -= np.arange(fam.k)[:, None] * fam.domain_size
         return xs, _signs(plus[0])
 
 
@@ -279,8 +268,7 @@ class HedgeConfig:
     def resolve(self, k: int, eps: float) -> tuple[int, float]:
         if self.rounds is not None and self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.eta is not None and (isinstance(self.eta, (bool, np.bool_)) or not (
-                math.isfinite(self.eta) and self.eta > 0)):
+        if self.eta is not None and not is_positive_real(self.eta):
             raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
         if self.erm_sample_size < 1:
             raise ValueError("erm_sample_size must be >= 1")
@@ -502,7 +490,7 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: f
     if oracle.exact:
         return next(rolling_mixtures([(None, fam, cls)], eps, cfg, 1, trace))[3]
 
-    k, n = fam.k, fam.domain.size
+    k, n = fam.k, fam.domain_size
     rounds, eta = cfg.resolve(k, eps)
     plus = plus_rows(cls.label_matrix)
     m = cfg.erm_sample_size

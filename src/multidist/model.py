@@ -1,4 +1,5 @@
-"""Core value types: domains, labeled distributions, hypothesis classes and classifiers.
+"""Core value types: labeled distributions and their families, hypothesis
+classes and classifiers.
 
 All types are immutable after construction (arrays are frozen read-only) and
 safe to share across threads. Constructors enforce structural sanity (shapes,
@@ -10,6 +11,8 @@ inspected.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,14 +28,60 @@ class LabelConsistencyError(ValueError):
     applied to a family whose members disagree on some supported point."""
 
 
-def _frozen_float_array(values, name: str) -> np.ndarray:
+def _entry_types(values) -> set:
+    """The types of the entries of a list, or of a list of rows, and the
+    scalar type of an array's dtype (the entries' own types in an object
+    array): np.asarray would read the True in [True, -1] as 1 and the "0.5"
+    in ["0.5", 0.3] as 0.5, so callers check the entries' types before any
+    cast."""
+    if isinstance(values, np.ndarray):
+        return set(map(type, values.flat)) if values.dtype == object else {values.dtype.type}
+    kinds = set()
+    if isinstance(values, (list, tuple)):
+        for v in values:
+            if isinstance(v, np.ndarray):
+                kinds |= _entry_types(v)
+            elif isinstance(v, (list, tuple)):
+                kinds.update(map(type, v))
+            else:
+                kinds.add(type(v))
+    return kinds
+
+
+def _check_row_widths(rows, what: str, unit: str) -> None:
+    """A ValueError naming the first of rows that is not a flat sequence, or
+    whose length differs from the first row's; numpy's message for a ragged
+    list names no row."""
+    width = None
+    for i, row in enumerate(rows):
+        try:
+            (w,) = np.shape(row)
+        except ValueError:  # a single value, or a ragged or nested row
+            raise ValueError(f"{what} row {i} must be a flat list of {unit}") from None
+        if width not in (None, w):
+            raise ValueError(f"{what} row {i} has {w} {unit}, expected {width}") from None
+        width = w
+
+
+_NOT_NUMBERS = {bool, np.bool_, str, np.str_, bytes, np.bytes_}
+
+
+def _frozen_float_array(values, name: str, ndim: int = 1) -> np.ndarray:
+    """values as a read-only, C-contiguous float64 copy with ndim axes: the one
+    check of a vector or matrix of floats. A bool or a string among the
+    entries is a ValueError naming `name`, not a 1.0 or a parsed number."""
+    bad = _entry_types(values) & _NOT_NUMBERS
+    if bad:
+        raise ValueError(f"{name} must hold numbers, got {bad.pop().__name__}")
     try:
-        arr = np.asarray(values, dtype=np.float64)
+        arr = np.array(values, dtype=np.float64, order="C")
     except (TypeError, ValueError) as exc:  # a JSON object among the numbers, a ragged list
+        if ndim == 2:
+            _check_row_widths(values, name, "numbers")
         raise ValueError(f"{name} must hold numbers: {exc}") from None
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    arr = arr.copy()
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {('one', 'two')[ndim - 1]}-dimensional, "
+                         f"got shape {arr.shape}")
     arr.flags.writeable = False
     return arr
 
@@ -53,43 +102,24 @@ def _frozen_label_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    # np.asarray reads the True in [True, -1] as 1, so a list's entries are read too
-    if not isinstance(values, np.ndarray) and {bool, np.bool_} & set(map(type, values)):
+    if _entry_types(values) & {bool, np.bool_}:
         raise ValueError(f"{name} entries must be exactly -1 or +1")
     return _frozen_labels(arr, name)
 
 
 def _frozen_label_matrix(rows) -> np.ndarray:
     message = "hypothesis label entries must be exactly -1 or +1"
-    kinds = set()
-    if not isinstance(rows, np.ndarray):
-        # np.asarray reads the True in [True, -1] as 1, so the entries' types
-        # are read first
-        for row in rows:
-            if isinstance(row, np.ndarray):
-                kinds.add(row.dtype.type)
-            elif isinstance(row, (list, tuple)):
-                kinds.update(map(type, row))
-            else:
-                kinds.add(type(row))
-        if kinds & {bool, np.bool_}:
-            raise ValueError(message)
+    kinds = _entry_types(rows)
+    if kinds & {bool, np.bool_}:
+        raise ValueError(message)
     try:
         # Python ints outside int8 raise OverflowError; any other entry is
         # read as it is and checked before its cast
         arr = np.array(rows, dtype=np.int8) if kinds == {int} else np.asarray(rows)
     except OverflowError:
         raise ValueError(message) from None
-    except ValueError:  # ragged; numpy's message names no row
-        width = None
-        for i, row in enumerate(rows):
-            try:
-                (w,) = np.shape(row)
-            except ValueError:  # a single value, or a ragged or nested row
-                raise ValueError(f"hypothesis row {i} must be a flat list of labels") from None
-            if width not in (None, w):
-                raise ValueError(f"hypothesis row {i} has {w} labels, expected {width}") from None
-            width = w
+    except ValueError:  # ragged
+        _check_row_widths(rows, "hypothesis", "labels")
         raise
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"hypothesis class must be a nonempty 2-D label matrix, "
@@ -106,6 +136,13 @@ def is_integer(value) -> bool:
     """True for a Python or numpy integer; False for a bool, which is an int
     subclass, and for anything else."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
+
+
+def is_positive_real(value) -> bool:
+    """True for a finite positive real number; False for a bool, which is an
+    int subclass, and for anything else."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+            and math.isfinite(value) and value > 0)
 
 
 def require_integer(value, name: str) -> int:
@@ -145,17 +182,6 @@ def integer_array(values, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Domain:
-    """A finite input domain; points are the dense indices 0..size-1."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"domain size must be >= 1, got {self.size}")
-
-
-@dataclass(frozen=True)
 class LabeledDistribution:
     """A distribution over (point, label) pairs on a finite domain.
 
@@ -184,38 +210,33 @@ class LabeledDistribution:
 
 @dataclass(frozen=True)
 class DistributionFamily:
-    """k labeled distributions over one shared domain."""
+    """k labeled distributions over one domain of n points, the dense indices
+    0..n-1, as two (k, n) matrices: row i of mass_matrix holds member i's
+    point masses, row i of label_prob_matrix its conditional probabilities of
+    label +1. Both are read-only, C-contiguous float64 copies made when the
+    family is built."""
 
-    domain: Domain
-    members: tuple[LabeledDistribution, ...]
+    mass_matrix: np.ndarray
+    label_prob_matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        if len(self.members) < 1:
-            raise ValueError("a distribution family needs at least one member")
-        for i, m in enumerate(self.members):
-            if m.domain_size != self.domain.size:
-                raise ValueError(
-                    f"member {i} has domain size {m.domain_size}, expected {self.domain.size}"
-                )
+        mass = _frozen_float_array(self.mass_matrix, "mass", ndim=2)
+        eta = _frozen_float_array(self.label_prob_matrix, "label_one_prob", ndim=2)
+        if mass.shape != eta.shape:
+            raise ValueError(f"mass and label_one_prob shapes differ: {mass.shape} vs {eta.shape}")
+        if mass.size == 0:
+            raise ValueError(f"a distribution family needs at least one member and one point, "
+                             f"got shape {mass.shape}")
+        object.__setattr__(self, "mass_matrix", mass)
+        object.__setattr__(self, "label_prob_matrix", eta)
 
     @property
     def k(self) -> int:
-        return len(self.members)
+        return self.mass_matrix.shape[0]
 
-    @cached_property
-    def mass_matrix(self) -> np.ndarray:
-        """(k, |X|) matrix of point masses."""
-        out = np.stack([m.mass for m in self.members])
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def label_prob_matrix(self) -> np.ndarray:
-        """(k, |X|) matrix of conditional +1 probabilities."""
-        out = np.stack([m.label_one_prob for m in self.members])
-        out.flags.writeable = False
-        return out
+    @property
+    def domain_size(self) -> int:
+        return self.mass_matrix.shape[1]
 
     @cached_property
     def shared_label_one_prob(self) -> np.ndarray:
@@ -228,7 +249,7 @@ class DistributionFamily:
         probs = self.label_prob_matrix
         supported = masses > 0.0
         first = np.argmax(supported, axis=0)  # 0 when nothing supports x
-        out = probs[first, np.arange(self.domain.size)]  # a copy
+        out = probs[first, np.arange(self.domain_size)]  # a copy
         out.flags.writeable = False
         return out
 
@@ -380,34 +401,29 @@ def validate_family(fam: DistributionFamily, tol: float = MASS_TOL) -> Validatio
     Returns a report listing all violations with their member/point indices;
     the report is empty iff the family satisfies the numeric invariants.
     """
+    masses, etas = fam.mass_matrix, fam.label_prob_matrix
+    # one pass over the matrices picks the rows to report on (a NaN fails
+    # every comparison); each sum of a C-contiguous row is the row's own sum
+    with np.errstate(invalid="ignore", over="ignore"):
+        ok = ((masses >= 0.0).all(axis=1) & (np.abs(masses.sum(axis=1) - 1.0) <= tol)
+              & ((etas >= 0.0) & (etas <= 1.0)).all(axis=1))
     issues: list[ValidationIssue] = []
-    for i, m in enumerate(fam.members):
-        if np.any(~np.isfinite(m.mass)):
+    for i in np.nonzero(~ok)[0]:
+        mass, eta = masses[i], etas[i]
+        if np.any(~np.isfinite(mass)):
             issues.append(ValidationIssue(f"member {i}", "non-finite mass entries"))
             continue
-        neg = np.nonzero(m.mass < 0)[0]
-        for x in neg:
-            issues.append(
-                ValidationIssue(f"member {i}, point {x}", f"negative mass {m.mass[x]}")
-            )
-        total = float(m.mass.sum())
+        for x in np.nonzero(mass < 0)[0]:
+            issues.append(ValidationIssue(f"member {i}, point {x}", f"negative mass {mass[x]}"))
+        total = float(mass.sum())
         if abs(total - 1.0) > tol:
-            issues.append(
-                ValidationIssue(f"member {i}", f"mass sum {total!r} != 1")
-            )
-        if np.any(~np.isfinite(m.label_one_prob)):
-            issues.append(
-                ValidationIssue(f"member {i}", "non-finite label_one_prob entries")
-            )
+            issues.append(ValidationIssue(f"member {i}", f"mass sum {total!r} != 1"))
+        if np.any(~np.isfinite(eta)):
+            issues.append(ValidationIssue(f"member {i}", "non-finite label_one_prob entries"))
             continue
-        bad = np.nonzero((m.label_one_prob < 0.0) | (m.label_one_prob > 1.0))[0]
-        for x in bad:
-            issues.append(
-                ValidationIssue(
-                    f"member {i}, point {x}",
-                    f"label_one_prob {m.label_one_prob[x]} outside [0, 1]",
-                )
-            )
+        for x in np.nonzero((eta < 0.0) | (eta > 1.0))[0]:
+            issues.append(ValidationIssue(f"member {i}, point {x}",
+                                          f"label_one_prob {eta[x]} outside [0, 1]"))
     return ValidationReport(tuple(issues))
 
 

@@ -20,11 +20,10 @@ from .hashing import CompactClassifier, PolyHash
 from .instances import GenSpec
 from .model import (
     DistributionFamily,
-    Domain,
     ExplicitClassifier,
     HypothesisClass,
-    LabeledDistribution,
     RandomizedClassifier,
+    _frozen_float_array,
     require_integer,
     require_unit_weights,
     validate_family,
@@ -70,15 +69,14 @@ def instance_to_dict(fam: DistributionFamily, cls: HypothesisClass,
     # rows compared bit for bit, so a -0.0 is not written as another row's 0.0
     bits = fam.label_prob_matrix.view(np.uint64)
     shared = bool(np.all(bits == bits[0]))
-    doc: dict = {"domain_size": fam.domain.size}
+    masses, etas = fam.mass_matrix.tolist(), fam.label_prob_matrix.tolist()
+    doc: dict = {"domain_size": fam.domain_size}
     if shared:
-        doc["shared_label_one_prob"] = fam.members[0].label_one_prob.tolist()
-        doc["distributions"] = [{"mass": m.mass.tolist()} for m in fam.members]
+        doc["shared_label_one_prob"] = etas[0]
+        doc["distributions"] = [{"mass": mass} for mass in masses]
     else:
-        doc["distributions"] = [
-            {"mass": m.mass.tolist(), "label_one_prob": m.label_one_prob.tolist()}
-            for m in fam.members
-        ]
+        doc["distributions"] = [{"mass": mass, "label_one_prob": eta}
+                                for mass, eta in zip(masses, etas)]
     doc["hypotheses"] = cls.label_matrix.tolist()
     if cls.vc_dim is not None:
         doc["vc_dim"] = cls.vc_dim
@@ -91,16 +89,21 @@ def instance_from_dict(doc: dict) -> tuple[DistributionFamily, HypothesisClass, 
     n = require_integer(_field(doc, "domain_size", "instance"), "instance field 'domain_size'")
     shared = None
     if "shared_label_one_prob" in doc:
-        shared = _field(doc, "shared_label_one_prob", "instance", list)
-    members = []
+        # read once, and given as that one array to every member without one
+        shared = _frozen_float_array(_field(doc, "shared_label_one_prob", "instance", list),
+                                     "shared_label_one_prob")
+    masses, etas = [], []
     for entry in _field(doc, "distributions", "instance", list):
-        mass = _field(entry, "mass", "distribution entry", list)
+        masses.append(_field(entry, "mass", "distribution entry", list))
         eta = (_field(entry, "label_one_prob", "distribution entry", list)
                if "label_one_prob" in entry else shared)
         if eta is None:
             raise ValueError("distribution entry lacks label_one_prob and no shared vector given")
-        members.append(LabeledDistribution(mass, eta))
-    fam = DistributionFamily(Domain(n), tuple(members))
+        etas.append(eta)
+    fam = DistributionFamily(masses, etas)
+    if fam.domain_size != n:
+        # every row has the family's width, so row 0 is the first wrong one
+        raise ValueError(f"mass row 0 has {fam.domain_size} numbers, expected domain_size {n}")
     report = validate_family(fam)
     if not report.ok:
         raise ValueError("invalid instance: " + "; ".join(
@@ -140,7 +143,7 @@ def randomized_to_dict(f_rand: RandomizedClassifier) -> dict:
 
 def randomized_from_dict(doc: dict, cls: HypothesisClass) -> RandomizedClassifier:
     f_rand = RandomizedClassifier(cls, tuple(_field(doc, "support_indices", "mixture", list)),
-                                  np.asarray(_field(doc, "weights", "mixture", list)))
+                                  _field(doc, "weights", "mixture", list))
     require_unit_weights(f_rand)
     return f_rand
 

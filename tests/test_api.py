@@ -8,12 +8,12 @@ import multidist as md
 PUBLIC_NAMES = [
     "BiasEntry", "BiasTable", "BinaryMatrix", "CampaignConfig", "CampaignSummary",
     "Coloring", "CompactClassifier", "DerandConfig", "DerandResult", "DistributionFamily",
-    "Domain", "EmpiricalSample", "ErrorReport", "ExplicitClassifier", "GenSpec",
+    "EmpiricalSample", "ErrorReport", "ExplicitClassifier", "GenSpec",
     "HedgeConfig", "HypothesisClass", "LabelConsistencyError",
     "LabeledDistribution", "PolyHash", "RandomizedClassifier", "ReductionFamily",
     "SampleOracle", "TailCheckConfig", "TailCheckReport", "TrialReport", "Verdict",
     "bayes_labels", "bruteforce_min_discrepancy", "build_bias_table", "choose_hash_params",
-    "coloring_error", "derandomize", "distinguisher", "draw_batch",
+    "coloring_error", "derandomize", "distinguisher",
     "dummy_min_deterministic_error", "dummy_point_variant",
     "empirical_tail_bound_check", "erm", "error_matrix", "exceedance_probability",
     "full_labeling_class", "gen_gap_example", "gen_heavy_point_probe",

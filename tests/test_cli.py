@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import multidist as md
 from multidist import serialize
@@ -355,6 +356,7 @@ def test_instance_files_check_json_value_types(tmp_path, capsys):
     serialize.save_classifier(clf, md.ExplicitClassifier(cls.label_matrix[0]))
     spec = doc["gen_spec"]
     mass = doc["distributions"][0]["mass"]
+    shared = doc["shared_label_one_prob"]
     rows = doc["hypotheses"]
     bad = tmp_path / "bad.json"
     capsys.readouterr()
@@ -377,7 +379,14 @@ def test_instance_files_check_json_value_types(tmp_path, capsys):
             (dict(distributions=[{"mass": {}}]),
              "distribution entry field 'mass' must be a list, got dict"),
             (dict(distributions=[{"mass": [{}] * 10}]), "mass must hold numbers"),
-            (dict(distributions=[{"mass": mass[:9] + [[0.1, 0.2]]}]), "mass must hold numbers"),
+            (dict(distributions=[{"mass": mass[:9] + [[0.1, 0.2]]}]),
+             "mass row 0 must be a flat list of numbers"),
+            (dict(distributions=[{"mass": mass}, {"mass": mass[:9]}]),
+             "mass row 1 has 9 numbers, expected 10"),
+            (dict(distributions=[{"mass": mass[:9]}]),
+             "mass and label_one_prob shapes differ: (1, 9) vs (1, 10)"),
+            (dict(distributions=[{"mass": mass[:9]}], shared_label_one_prob=shared[:9]),
+             "mass row 0 has 9 numbers, expected domain_size 10"),
             (dict(hypotheses=rows[:2] + [rows[2][:9]] + rows[3:]),
              "hypothesis row 2 has 9 labels, expected 10"),
             (dict(hypotheses=rows[:3] + [1]), "hypothesis row 3 must be a flat list of labels"),
@@ -405,6 +414,34 @@ def test_instance_files_check_json_value_types(tmp_path, capsys):
     assert main(["eval", str(clf), str(bad)]) == 0
     assert main(gen + [str(2**64)]) == 2
     assert "seed must lie in [0, 2^64), got 18446744073709551616" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("file, path, value, message", [
+    ("instance", ["shared_label_one_prob", 0], True,
+     "shared_label_one_prob must hold numbers, got bool"),
+    ("instance", ["distributions", 0, "mass"], [True, False], "mass must hold numbers, got bool"),
+    ("instance", ["distributions", 0, "mass"], ["0.5", "0.5"], "mass must hold numbers, got str"),
+    ("classifier", ["randomized"], {"support_indices": [0], "weights": [True]},
+     "weights must hold numbers, got bool"),
+])
+def test_files_reject_bool_and_string_numbers(tmp_path, capsys, file, path, value, message):
+    # np.asarray would read these as 1.0, [1.0, 0.0], [0.5, 0.5] and [1.0]
+    paths = {"instance": tmp_path / "inst.json", "classifier": tmp_path / "clf.json"}
+    assert main(["gen", "--domain-size", "2", "-k", "2", "--hypotheses", "2",
+                 "--seed", "1", "-o", str(paths["instance"])]) == 0
+    assert main(["derand", str(paths["instance"]), "--eps", "0.25", "--delta", "0.25",
+                 "--mode", "calibrated", "--m-override", "100", "--rounding", "hash",
+                 "--seed", "4", "-o", str(paths["classifier"])]) == 0
+    assert main(["eval", str(paths["classifier"]), str(paths["instance"])]) == 0
+    doc = json.loads(paths[file].read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    paths[file].write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", str(paths["classifier"]), str(paths["instance"])]) == 2
+    assert f"multidist: error: {message}" in capsys.readouterr().err
 
 
 def test_deeply_nested_files_exit_2_in_every_verb(tmp_path, capsys):
@@ -440,7 +477,7 @@ def test_deeply_nested_files_exit_2_in_every_verb(tmp_path, capsys):
             (deep, "instance must be a JSON object, got list"),
             (with_deep(doc, "hypotheses", 0), "hypothesis row 0 must be a flat list of labels"),
             (with_deep(doc, "distributions", 0, "mass"),
-             "setting an array element with a sequence")):
+             "mass row 0 must be a flat list of numbers")):
         bad_inst.write_text(text)
         for argv in verbs:
             assert main(argv) == 2

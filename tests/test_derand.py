@@ -7,7 +7,7 @@ from scipy.stats import binom
 import multidist as md
 from multidist.metrics import plus_rows
 
-from helpers import family_from_arrays, learned
+from helpers import learned
 
 
 class FixedDraws:
@@ -17,7 +17,7 @@ class FixedDraws:
     exact = False
 
     def __init__(self, xs, ys, n):
-        self.family = family_from_arrays([np.full(n, 1.0 / n)], np.full(n, 0.5))
+        self.family = md.DistributionFamily([np.full(n, 1.0 / n)], [np.full(n, 0.5)])
         self.xs, self.ys = xs, ys
 
     def draw_family(self, size, rng=None):
@@ -97,8 +97,9 @@ def test_derand_config_validation():
             md.DerandConfig(eps=0.1, delta=0.1, mode="calibrated", m_override=value)
     cfg = md.DerandConfig(eps=0.1, delta=0.1, mode="calibrated", m_override=50.0)
     assert cfg.sample_size(3) == 50 and type(cfg.sample_size(3)) is int
+    # a bool would run as 1.0, as HedgeConfig's eta would
     for name in ("c_const", "c_prime", "threshold_scale"):
-        for value in (0.0, -1.0, math.nan, math.inf):
+        for value in (0.0, -1.0, math.nan, math.inf, True, np.True_, "4"):
             with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
                 md.DerandConfig(eps=0.1, delta=0.1, mode="calibrated", m_override=100,
                                 **{name: value})
@@ -107,7 +108,7 @@ def test_derand_config_validation():
 def test_table_collects_sure_labels():
     # all labels +1, small domain, sample count >> ln(gamma): every point lands
     # in the table with label +1
-    fam = family_from_arrays([[0.4, 0.3, 0.2, 0.1]], [1.0, 1.0, 1.0, 1.0])
+    fam = md.DistributionFamily([[0.4, 0.3, 0.2, 0.1]], [[1.0, 1.0, 1.0, 1.0]])
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=4000)
     table = md.build_bias_table(md.SampleOracle.exact_mode(fam), cfg,
                                 np.random.default_rng(0))
@@ -122,7 +123,7 @@ def test_table_insertion_rate_matches_binomial_tail():
     d = 8
     m = 400
     runs = 400
-    fam = family_from_arrays([np.full(d, 1.0 / d)], np.full(d, 0.5))
+    fam = md.DistributionFamily([np.full(d, 1.0 / d)], [np.full(d, 0.5)])
     cfg = md.DerandConfig(eps=0.3, delta=0.3, mode="calibrated", m_override=m)
     gamma = cfg.gamma(1)
     oracle = md.SampleOracle.exact_mode(fam)
@@ -159,7 +160,7 @@ def test_table_heavy_point_nearly_always_caught():
     # single point with mass 1 and bias 0.4 under theory-mode sampling: the
     # coverage guarantee says it lands in the table with the right sign in at
     # least 1 - delta/4 of runs; here it is essentially always
-    fam = family_from_arrays([[1.0, 0.0]], [[0.9, 0.5]])
+    fam = md.DistributionFamily([[1.0, 0.0]], [[0.9, 0.5]])
     cfg = md.DerandConfig(eps=0.1, delta=0.1, c_const=4.0, mode="theory")
     assert md.heavy_mask(fam, 0.1, 0.1)[0]
     oracle = md.SampleOracle.exact_mode(fam)
@@ -174,9 +175,9 @@ def test_table_heavy_point_nearly_always_caught():
 
 def test_table_skips_points_in_earlier_iterations():
     # both members sample point 0 heavily; the entry must credit member 0
-    fam = family_from_arrays(
+    fam = md.DistributionFamily(
         [[0.9, 0.1], [0.9, 0.1]],
-        [0.95, 0.5],
+        [[0.95, 0.5]] * 2,
     )
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=2000)
     table = md.build_bias_table(md.SampleOracle.exact_mode(fam), cfg,
@@ -284,7 +285,7 @@ def test_derandomize_hash_mode_returns_compact():
     assert isinstance(clf, md.CompactClassifier)
     assert clf.t_table == result.table.labels()
     assert clf.hash.degree_r % 2 == 0
-    assert clf.hash.prime > fam.domain.size
+    assert clf.hash.prime > fam.domain_size
     # evaluation total over the domain
     assert set(np.unique(clf.label_vector())) <= {-1, 1}
 
@@ -309,7 +310,7 @@ def test_error_decomposition_is_exact():
     fam, cls = _small_instance(6)
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=1500)
     result = _derandomized(fam, cls, cfg, 3)
-    inside = np.zeros(fam.domain.size, dtype=bool)
+    inside = np.zeros(fam.domain_size, dtype=bool)
     if len(result.table):
         inside[result.table.points()] = True
     plus = plus_rows(result.classifier.label_vector())
@@ -331,11 +332,11 @@ def test_table_term_attains_pointwise_minimum_when_signs_correct():
     correct = all(result.table.label_of(int(x)) == beta_sign[x] for x in points)
     if not correct:
         pytest.skip("a table sign came out wrong on this seed; optimality only holds when signs are correct")
-    inside = np.zeros(fam.domain.size, dtype=bool)
+    inside = np.zeros(fam.domain_size, dtype=bool)
     inside[points] = True
     t_terms = md.error_matrix(plus_rows(result.classifier.label_vector()), fam, inside)
-    for i, m in enumerate(fam.members):
-        floor = float((m.mass * np.minimum(eta, 1 - eta))[inside].sum())
+    for i, mass in enumerate(fam.mass_matrix):
+        floor = float((mass * np.minimum(eta, 1 - eta))[inside].sum())
         assert t_terms[i] == pytest.approx(floor, abs=1e-12)
 
 
@@ -378,7 +379,7 @@ def test_realizable_instance_reaches_low_error():
     masses = rng.random((3, 15))
     masses /= masses.sum(axis=1, keepdims=True)
     target = np.where(rng.random(15) < 0.5, 1, -1).astype(np.int8)
-    fam = family_from_arrays(masses, (target == 1).astype(float))
+    fam = md.DistributionFamily(masses, np.broadcast_to(target == 1, masses.shape).astype(float))
     cls = md.HypothesisClass([np.where(rng.random(15) < 0.5, 1, -1), target])
     opt, _ = md.opt_bruteforce(cls, fam)
     assert opt == 0.0

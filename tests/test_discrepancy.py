@@ -78,17 +78,15 @@ def test_all_ones_2x2_reduction():
     rf = md.ReductionFamily(md.BinaryMatrix(np.ones((2, 2), dtype=np.int8)))
     fam = rf.family
     assert fam.k == 4
-    for member in fam.members:
-        assert member.mass.tolist() == [0.5, 0.5]
-    assert fam.members[0].label_one_prob.tolist() == [1.0, 1.0]
-    assert fam.members[1].label_one_prob.tolist() == [0.0, 0.0]
+    assert fam.mass_matrix.tolist() == [[0.5, 0.5]] * 4
+    assert fam.label_prob_matrix.tolist() == [[1.0, 1.0], [0.0, 0.0]] * 2
     assert md.validate_family(fam).ok
 
 
 def test_identity_reduction_gives_point_masses():
     rf = md.ReductionFamily(md.BinaryMatrix(np.eye(3, dtype=np.int8)))
     for i in range(3):
-        assert rf.family.members[2 * i].mass.tolist() == [float(j == i) for j in range(3)]
+        assert rf.family.mass_matrix[2 * i].tolist() == [float(j == i) for j in range(3)]
 
 
 def test_reduction_family_never_label_consistent():
@@ -424,10 +422,9 @@ def test_dummy_point_variant_boundary_recovers_original():
     A, _ = md.planted_zero_matrix(8, 0.5, rng)
     rf = md.ReductionFamily(A)
     fam = md.dummy_point_variant(rf, Fraction(1, 2))
-    assert fam.domain.size == 9
-    for i, member in enumerate(fam.members):
-        assert member.mass[8] == 0.0
-        assert np.allclose(member.mass[:8], rf.family.members[i].mass, atol=1e-15)
+    assert fam.domain_size == 9
+    assert np.all(fam.mass_matrix[:, 8] == 0.0)
+    assert np.allclose(fam.mass_matrix[:, :8], rf.family.mass_matrix, atol=1e-15)
     assert md.validate_family(fam).ok
 
 
@@ -475,6 +472,27 @@ def test_dummy_point_float_family_matches_exact_errors():
     exact = dummy_member_errors(rf, q, v)
     got = md.worst_case_error(v, fam).per_distribution
     assert got == pytest.approx([float(e) for e in exact], abs=1e-12)
+
+
+def test_reduction_families_are_the_per_member_builds_bitwise():
+    # row i gives a + member and a - member with masses 1/m_i on its ones;
+    # the dummy-point variant scales them to 2q/m_i and puts 1 - 2q, labelled
+    # +1, on the extra point
+    A = md.planted_high_discrepancy_matrix(7, np.random.default_rng(17))
+    rf = md.ReductionFamily(A)
+    q = Fraction(1, 3)
+    a, n = A.entries, A.n
+    plain, dummy = [], []
+    for i in range(n):
+        m_i = int(A.row_ones[i])
+        mass = a[i].astype(np.float64) / float(m_i)
+        plain += [(mass, np.ones(n)), (mass, np.zeros(n))]
+        mass = np.append(a[i].astype(np.float64) * float(2 * q / m_i), float(1 - 2 * q))
+        dummy += [(mass, np.append(np.ones(n), 1.0)), (mass, np.append(np.zeros(n), 1.0))]
+    for fam, members in ((rf.family, plain), (md.dummy_point_variant(rf, q), dummy)):
+        mass, eta = (np.array(rows) for rows in zip(*members))
+        assert fam.mass_matrix.tobytes() == mass.tobytes()
+        assert fam.label_prob_matrix.tobytes() == eta.tobytes()
 
 
 def test_labels_of_wrong_length_or_values_rejected():

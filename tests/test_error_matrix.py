@@ -14,9 +14,15 @@ from multidist.learner import (BLOCK_DRAWS, HedgeStack, _bucket_table, _draw,
                                rolling_mixtures)
 from multidist.metrics import plus_rows
 
-from helpers import family_from_arrays
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+def members(fam):
+    """The family's rows, one labeled distribution per member, for the
+    per-member references below."""
+    return [md.LabeledDistribution(mass, eta)
+            for mass, eta in zip(fam.mass_matrix, fam.label_prob_matrix)]
 
 
 @st.composite
@@ -24,12 +30,9 @@ def error_problems(draw):
     n = draw(st.integers(1, 8))
     k = draw(st.integers(1, 4))
     r = draw(st.integers(1, 5))
-    members = tuple(
-        md.LabeledDistribution(draw(st.lists(unit, min_size=n, max_size=n)),
-                               draw(st.lists(unit, min_size=n, max_size=n)))
-        for _ in range(k)
-    )
-    fam = md.DistributionFamily(md.Domain(n), members)
+    rows = [(draw(st.lists(unit, min_size=n, max_size=n)),
+             draw(st.lists(unit, min_size=n, max_size=n))) for _ in range(k)]
+    fam = md.DistributionFamily(*zip(*rows))
     if draw(st.booleans()):
         plus = np.array(draw(st.lists(st.lists(st.sampled_from([0.0, 1.0]), min_size=n,
                                                 max_size=n), min_size=r, max_size=r)))
@@ -41,10 +44,10 @@ def error_problems(draw):
 
 
 def fraction_errors(plus, fam, mask):
-    points = range(fam.domain.size) if mask is None else np.nonzero(mask)[0]
+    points = range(fam.domain_size) if mask is None else np.nonzero(mask)[0]
     out = np.empty((plus.shape[0], fam.k))
     for j, row in enumerate(plus):
-        for i, m in enumerate(fam.members):
+        for i, m in enumerate(members(fam)):
             total = Fraction(0)
             for x in points:
                 p, eta = Fraction(row[x]), Fraction(m.label_one_prob[x])
@@ -67,9 +70,9 @@ def test_error_matrix_equals_exact_fraction_sums(problem):
 
 
 def test_error_matrix_shapes_and_domain_check():
-    fam = family_from_arrays([[0.5, 0.5], [1.0, 0.0]], [[1.0, 0.0], [0.3, 0.3]])
+    fam = md.DistributionFamily([[0.5, 0.5], [1.0, 0.0]], [[1.0, 0.0], [0.3, 0.3]])
     assert md.error_matrix(np.array([1.0, 0.0]), fam).tolist() == [0.0, 1.0 - 0.3]
-    assert md.error_matrix(np.array([[1.0, 0.0]]), fam.members[1]).tolist() == [[1.0 - 0.3]]
+    assert md.error_matrix(np.array([[1.0, 0.0]]), members(fam)[1]).tolist() == [[1.0 - 0.3]]
     with pytest.raises(ValueError, match="domain size mismatch"):
         md.error_matrix(np.ones(3), fam)
     with pytest.raises(ValueError, match="two \\(k, n\\) arrays of one shape"):
@@ -85,7 +88,7 @@ def loop_error_terms(labels, member):
 def loop_error_table(cls, fam, mask=None):
     """The former |H| x k table: one loop iteration per (hypothesis, member)."""
     keep = slice(None) if mask is None else mask
-    return np.array([[float(loop_error_terms(h, m)[keep].sum()) for m in fam.members]
+    return np.array([[float(loop_error_terms(h, m)[keep].sum()) for m in members(fam)]
                      for h in cls.label_matrix])
 
 
@@ -93,7 +96,7 @@ def loop_mixture(fam, w):
     """The former mixture of a family's members as a labeled distribution."""
     mass = w @ fam.mass_matrix
     numer = w @ (fam.mass_matrix * fam.label_prob_matrix)
-    eta = np.divide(numer, mass, out=np.full(fam.domain.size, 0.5), where=mass > 0)
+    eta = np.divide(numer, mass, out=np.full(fam.domain_size, 0.5), where=mass > 0)
     return md.LabeledDistribution(mass / mass.sum(), eta)
 
 
@@ -124,7 +127,7 @@ def test_error_matrix_and_hedge_match_the_loops(shape, eps, seed):
     plus = plus_rows(cls.label_matrix)
     table = loop_error_table(cls, fam)
     assert np.array_equal(md.error_matrix(plus, fam), table)
-    mask = np.random.default_rng(seed).random(fam.domain.size) < 0.5
+    mask = np.random.default_rng(seed).random(fam.domain_size) < 0.5
     assert np.array_equal(md.error_matrix(plus, fam, mask), loop_error_table(cls, fam, mask))
 
     F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, eps, 0.1)
@@ -160,13 +163,15 @@ def loop_draw(member, size, rng):
     return xs, np.where(rng.random(size) < member.label_one_prob[xs], 1, -1).astype(np.int8)
 
 
-def test_draw_batch_matches_the_former_draw():
+def test_oracle_draw_matches_the_former_draw():
     fam, _ = md.gen_random_label_consistent(md.GenSpec(**CLI_WIDE, seed=9))
     # masses summing to a little under 1, so some uniforms land past the last
     # cumulative mass and are clipped to the last point
     short = md.LabeledDistribution([0.25, 0.25, 0.5 - 1e-3], [0.1, 0.9, 0.5])
-    for seed, member in enumerate(fam.members[:3] + (short,)):
-        got = md.draw_batch(member, 5000, np.random.default_rng(seed))
+    cases = [(fam, i, member) for i, member in enumerate(members(fam)[:3])]
+    cases.append((md.DistributionFamily([short.mass], [short.label_one_prob]), 0, short))
+    for seed, (family, i, member) in enumerate(cases):
+        got = md.SampleOracle.exact_mode(family).draw(i, 5000, np.random.default_rng(seed))
         want = loop_draw(member, 5000, np.random.default_rng(seed))
         assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
     assert np.any(np.random.default_rng(seed).random(5000) >= np.cumsum(short.mass)[-1])
@@ -305,10 +310,10 @@ def test_block_draws_are_the_per_round_draws(shape):
 def loop_bias_table(fam, cfg, rng):
     """The former build_bias_table: one loop_draw per member, each member's
     tallies on their own, entries in member order."""
-    n, m = fam.domain.size, cfg.sample_size(fam.k)
+    n, m = fam.domain_size, cfg.sample_size(fam.k)
     threshold = cfg.scale() * np.sqrt(np.log(cfg.gamma(fam.k)))
     entries = {}
-    for i, member in enumerate(fam.members):
+    for i, member in enumerate(members(fam)):
         xs, ys = loop_draw(member, m, rng)
         counts = np.bincount(xs, minlength=n)
         pos = np.bincount(xs[ys == 1], minlength=n)
@@ -358,14 +363,15 @@ def round_hedge(fam, cls, eps, cfg, rng=None):
             h = int(np.argmin(table @ w))
             errs = table[h]
         else:
-            members = tuple(
+            empirical = [
                 md.EmpiricalSample(*loop_draw(m, cfg.erm_sample_size, rng),
-                                   fam.domain.size).to_distribution()
-                for m in fam.members)
-            emp = md.DistributionFamily(fam.domain, members)
+                                   fam.domain_size).to_distribution()
+                for m in members(fam)]
+            emp = md.DistributionFamily([m.mass for m in empirical],
+                                        [m.label_one_prob for m in empirical])
             h = md.erm(cls, loop_mixture(emp, w))
             errs = np.array([loop_error_terms(cls.label_matrix[h], m).sum()
-                             for m in members])
+                             for m in empirical])
         counts[h] = counts.get(h, 0) + 1
         rows.append((h, errs, w))
         w = w * np.exp(eta * errs)

@@ -16,7 +16,7 @@ from multidist.harness import (
 )
 from multidist.metrics import plus_rows
 
-from helpers import family_from_arrays, learned
+from helpers import learned
 
 
 def small_campaign(seed=0, **derand_kwargs):
@@ -63,7 +63,7 @@ def test_rounding_deviation_zero_for_exact_marginal_copy():
 
 
 def test_heavy_coverage_flag():
-    fam = family_from_arrays([[0.9, 0.1]], [[0.9, 0.5]])
+    fam = md.DistributionFamily([[0.9, 0.1]], [[0.9, 0.5]])
     assert md.heavy_mask(fam, 0.1, 0.1).tolist() == [True, False]
     good = md.BiasTable({0: md.BiasEntry(1, 0, 0.8, 50)})
     bad_sign = md.BiasTable({0: md.BiasEntry(-1, 0, -0.8, 50)})

@@ -16,6 +16,34 @@ def test_generators_are_deterministic():
     assert np.array_equal(cls1.label_matrix, cls2.label_matrix)
 
 
+def test_generated_masses_are_per_member_draws_bitwise():
+    # one Dirichlet(1) mass vector per member, drawn from the stream member
+    # by member after the label vector; a heavy probe's member 0 scales its
+    # light masses to what the heavy points leave
+    def member_mass(rng, size):
+        raw = rng.exponential(1.0, size=size)
+        return raw / raw.sum()
+
+    spec = md.GenSpec(domain_size=37, k=5, seed=9)
+    rng = np.random.default_rng(spec.seed)
+    eta = _bias_profile_eta(spec, rng)
+    want = np.array([member_mass(rng, 37) for _ in range(5)])
+    fam, _ = md.gen_random_label_consistent(spec)
+    assert fam.mass_matrix.tobytes() == want.tobytes()
+    assert fam.label_prob_matrix.tobytes() == np.array([eta] * 5).tobytes()
+
+    spec = md.GenSpec(kind="heavy_point_probe", domain_size=30, k=4, heavy_count=2,
+                      heavy_mass=0.3, eps=0.3, delta=0.3, seed=4)
+    rng = np.random.default_rng(spec.seed)
+    rng.uniform(-spec.light_beta_max, spec.light_beta_max, size=28)
+    want = np.zeros((4, 30))
+    want[0, :2] = 0.3
+    want[0, 2:] = member_mass(rng, 28) * (1.0 - 0.3 * 2)
+    for i in range(1, 4):
+        want[i, 2:] = member_mass(rng, 28)
+    assert md.gen_heavy_point_probe(spec).mass_matrix.tobytes() == want.tobytes()
+
+
 def test_random_instances_are_valid_and_consistent():
     for seed in range(5):
         fam, cls = md.gen_random_label_consistent(md.GenSpec(seed=seed))
@@ -36,7 +64,8 @@ def test_gap_example_quantities():
     fam, cls, F = md.gen_gap_example(8)
     assert md.randomized_worst_case_error(F, fam) == pytest.approx(1 / 8, abs=1e-15)
     assert md.support_worst_case(F, fam) == 1.0
-    for member in fam.members:
+    for mass, eta in zip(fam.mass_matrix, fam.label_prob_matrix):
+        member = md.LabeledDistribution(mass, eta)
         assert md.exceedance_probability(F, member, 1.0) == pytest.approx(1 / 8, abs=1e-15)
     with pytest.raises(ValueError):
         md.gen_gap_example(1)

@@ -7,33 +7,33 @@ import multidist as md
 from multidist.learner import _mixture
 from multidist.metrics import plus_rows
 
-from helpers import family_from_arrays
+
+def one_member(mass, label_one_prob) -> md.SampleOracle:
+    """An exact-mode oracle over the one-member family (mass, label_one_prob)."""
+    return md.SampleOracle.exact_mode(md.DistributionFamily([mass], [label_one_prob]))
 
 
 def test_draw_point_mass_always_hits():
-    dist = md.LabeledDistribution([0, 0, 0, 1.0], [0.5, 0.5, 0.5, 1.0])
+    oracle = one_member([0, 0, 0, 1.0], [0.5, 0.5, 0.5, 1.0])
     rng = np.random.default_rng(0)
     for _ in range(50):
-        xs, ys = md.draw_batch(dist, 1, rng)
+        xs, ys = oracle.draw(0, 1, rng)
         assert (xs.tolist(), ys.tolist()) == ([3], [1])
 
 
 def test_draw_label_zero_prob_gives_minus():
-    dist = md.LabeledDistribution([0.5, 0.5], [0.0, 0.0])
-    xs, ys = md.draw_batch(dist, 200, np.random.default_rng(1))
+    xs, ys = one_member([0.5, 0.5], [0.0, 0.0]).draw(0, 200, np.random.default_rng(1))
     assert np.all(ys == -1)
 
 
 def test_draw_uniform_frequencies():
-    dist = md.LabeledDistribution([0.25] * 4, [0.5] * 4)
-    xs, _ = md.draw_batch(dist, 100_000, np.random.default_rng(2))
+    xs, _ = one_member([0.25] * 4, [0.5] * 4).draw(0, 100_000, np.random.default_rng(2))
     freqs = np.bincount(xs, minlength=4) / 100_000
     assert np.all(np.abs(freqs - 0.25) < 0.01)  # ~7 sigma at this sample size
 
 
 def test_draw_label_frequency_matches_eta():
-    dist = md.LabeledDistribution([1.0], [0.7])
-    _, ys = md.draw_batch(dist, 100_000, np.random.default_rng(3))
+    _, ys = one_member([1.0], [0.7]).draw(0, 100_000, np.random.default_rng(3))
     sigma = math.sqrt(0.7 * 0.3 / 100_000)
     assert abs(np.mean(ys == 1) - 0.7) < 3 * sigma + 1e-9
 
@@ -102,7 +102,7 @@ def test_mixture_error_is_weighted_member_error():
     rng = np.random.default_rng(7)
     masses = rng.random((3, 6))
     masses /= masses.sum(axis=1, keepdims=True)
-    fam = family_from_arrays(masses, rng.random((3, 6)))
+    fam = md.DistributionFamily(masses, rng.random((3, 6)))
     w = rng.random(3)
     w /= w.sum()
     mixture = _mixture(fam.mass_matrix, fam.label_prob_matrix, w)
@@ -137,7 +137,7 @@ def test_hedge_realizable_instance():
     rng = np.random.default_rng(7)
     masses = rng.random((3, 10))
     masses /= masses.sum(axis=1, keepdims=True)
-    fam = family_from_arrays(masses, np.ones(10))
+    fam = md.DistributionFamily(masses, np.ones((3, 10)))
     cls = md.HypothesisClass([np.where(rng.random(10) < 0.5, 1, -1), np.ones(10)])
     F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.1, 0.1)
     assert md.randomized_worst_case_error(F, fam) <= 0.1
@@ -239,7 +239,7 @@ def test_hedge_sampling_mode_learns_realizable():
     rng = np.random.default_rng(15)
     masses = rng.random((3, 8))
     masses /= masses.sum(axis=1, keepdims=True)
-    fam = family_from_arrays(masses, np.ones(8))
+    fam = md.DistributionFamily(masses, np.ones((3, 8)))
     cls = md.HypothesisClass([np.where(rng.random(8) < 0.5, 1, -1), np.ones(8)])
     oracle = md.SampleOracle.sampling_mode(fam, np.random.default_rng(16))
     F = md.hedge_learn(oracle, cls, 0.2, 0.1, md.HedgeConfig(erm_sample_size=100))
@@ -261,13 +261,11 @@ def test_sampling_oracle_draws_from_its_own_stream():
 def test_bad_masses_are_rejected_before_any_draw(mass):
     # built directly, so no constructor or validate_family stands in the way;
     # the last masses are finite but their sum is not
-    dist = md.LabeledDistribution(mass, [0.5, 0.5, 0.5])
-    fam = md.DistributionFamily(md.Domain(3), (md.LabeledDistribution([0.5, 0.25, 0.25],
-                                                                      [0.5] * 3), dist))
+    fam = md.DistributionFamily([[0.5, 0.25, 0.25], mass], [[0.5] * 3] * 2)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        md.draw_batch(dist, 10, rng)
+        one_member(mass, [0.5] * 3).draw(0, 10, rng)
     for oracle in (md.SampleOracle.exact_mode(fam), md.SampleOracle.sampling_mode(fam, rng)):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             oracle.draw(1, 10, rng)
@@ -286,7 +284,7 @@ def test_draw_family_rows_are_consecutive_member_draws():
         xs, ys = oracle.draw_family(40, rng)
         replay = np.random.default_rng(1)
         for i in range(fam.k):
-            want = md.draw_batch(fam.members[i], 40, replay)
+            want = md.SampleOracle.exact_mode(fam).draw(i, 40, replay)
             assert np.array_equal(xs[i], want[0]) and np.array_equal(ys[i], want[1])
             assert ys.dtype == want[1].dtype
     with pytest.raises(ValueError, match="caller's rng"):

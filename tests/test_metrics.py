@@ -5,17 +5,22 @@ import pytest
 
 import multidist as md
 
-from helpers import family_from_arrays
 
-
-def oracle_error(labels, dist):
-    """Independent oracle: enumerate every (x, y) outcome directly."""
+def oracle_error(labels, member):
+    """Independent oracle: enumerate every (x, y) outcome directly. member is
+    one row of the family, as a pair (mass, label_one_prob)."""
+    mass, eta = member
     total = 0.0
-    for x in range(dist.domain_size):
-        for y, p_y in ((1, dist.label_one_prob[x]), (-1, 1.0 - dist.label_one_prob[x])):
+    for x in range(len(mass)):
+        for y, p_y in ((1, eta[x]), (-1, 1.0 - eta[x])):
             if labels[x] != y:
-                total += dist.mass[x] * p_y
+                total += mass[x] * p_y
     return total
+
+
+def members(fam):
+    """The family's rows as (mass, label_one_prob) pairs, member by member."""
+    return list(zip(fam.mass_matrix, fam.label_prob_matrix))
 
 
 def random_family(rng, n=9, k=3, shared=True):
@@ -23,8 +28,8 @@ def random_family(rng, n=9, k=3, shared=True):
     masses /= masses.sum(axis=1, keepdims=True)
     if shared:
         eta = rng.random(n)
-        return family_from_arrays(masses, eta)
-    return family_from_arrays(masses, rng.random((k, n)))
+        return md.DistributionFamily(masses, np.broadcast_to(eta, masses.shape))
+    return md.DistributionFamily(masses, rng.random((k, n)))
 
 
 def test_error_point_mass_examples():
@@ -35,7 +40,7 @@ def test_error_point_mass_examples():
 
 
 def test_error_half_labels_give_half():
-    fam = family_from_arrays([[0.2, 0.3, 0.5]], [[0.5, 0.5, 0.5]])
+    fam = md.DistributionFamily([[0.2, 0.3, 0.5]], [[0.5, 0.5, 0.5]])
     for labels in ([1, 1, 1], [-1, -1, -1], [1, -1, 1]):
         assert md.worst_case_error(md.ExplicitClassifier(labels), fam).worst_case == pytest.approx(
             0.5, abs=1e-15)
@@ -47,12 +52,12 @@ def test_error_matches_independent_oracle():
         fam = random_family(rng, shared=False)
         labels = np.where(rng.random(9) < 0.5, 1, -1).astype(np.int8)
         errors = md.worst_case_error(md.ExplicitClassifier(labels), fam).per_distribution
-        for e, member in zip(errors, fam.members):
+        for e, member in zip(errors, members(fam)):
             assert e == pytest.approx(oracle_error(labels, member), abs=1e-14)
 
 
 def test_error_domain_mismatch():
-    fam = family_from_arrays([[1.0]], [[1.0]])
+    fam = md.DistributionFamily([[1.0]], [[1.0]])
     with pytest.raises(ValueError):
         md.worst_case_error(md.ExplicitClassifier([1, 1]), fam)
 
@@ -64,7 +69,7 @@ def test_worst_case_gap_example():
 
 
 def test_worst_case_realizable_zero():
-    fam = family_from_arrays([[0.5, 0.5], [0.1, 0.9]], [1.0, 1.0])
+    fam = md.DistributionFamily([[0.5, 0.5], [0.1, 0.9]], [[1.0, 1.0]] * 2)
     assert md.worst_case_error(md.ExplicitClassifier([1, 1]), fam).worst_case == 0.0
 
 
@@ -73,7 +78,7 @@ def test_worst_case_matches_oracle_on_random_instance():
     fam = random_family(rng, n=7, k=3, shared=False)
     labels = np.where(rng.random(7) < 0.5, 1, -1).astype(np.int8)
     report = md.worst_case_error(md.ExplicitClassifier(labels), fam)
-    direct = [oracle_error(labels, m) for m in fam.members]
+    direct = [oracle_error(labels, m) for m in members(fam)]
     assert list(report.per_distribution) == pytest.approx(direct, abs=1e-14)
     assert report.worst_case == max(report.per_distribution)
     assert report.argmax_index == int(np.argmax(direct))
@@ -101,20 +106,20 @@ def test_randomized_error_singleton_equals_plain():
 
 
 def test_randomized_error_two_point_brute_force():
-    fam = family_from_arrays([[0.4, 0.6]], [[0.8, 0.1]])
+    fam = md.DistributionFamily([[0.4, 0.6]], [[0.8, 0.1]])
     cls = md.HypothesisClass([[1, -1], [-1, 1]])
     F = md.RandomizedClassifier(cls, (0, 1), np.array([0.3, 0.7]))
     # brute force over support x domain x labels
     expected = 0.0
     for w, h in zip((0.3, 0.7), cls.label_matrix):
-        expected += w * oracle_error(h, fam.members[0])
+        expected += w * oracle_error(h, members(fam)[0])
     assert md.randomized_worst_case_error(F, fam) == pytest.approx(expected, abs=1e-15)
 
 
 def test_randomized_error_rejects_bad_weights():
     cls = md.HypothesisClass([[1]])
     F = md.RandomizedClassifier(cls, (0,), np.array([0.5]))
-    fam = family_from_arrays([[1.0]], [[1.0]])
+    fam = md.DistributionFamily([[1.0]], [[1.0]])
     with pytest.raises(ValueError):
         md.randomized_worst_case_error(F, fam)
 
@@ -123,7 +128,7 @@ def test_randomized_error_linear_in_weights():
     rng = np.random.default_rng(17)
     fam = random_family(rng, n=8, k=4)
     cls = md.HypothesisClass([np.where(rng.random(8) < 0.5, 1, -1) for _ in range(5)])
-    err_matrix = np.array([[oracle_error(h, m) for m in fam.members]
+    err_matrix = np.array([[oracle_error(h, m) for m in members(fam)]
                            for h in cls.label_matrix])
     w = rng.random(5)
     w /= w.sum()
@@ -144,7 +149,8 @@ def test_support_dominates_mixture_property():
 
 def test_exceedance_probability_gap():
     fam, cls, F = md.gen_gap_example(8)
-    for member in fam.members:
+    for mass, eta in members(fam):
+        member = md.LabeledDistribution(mass, eta)
         assert md.exceedance_probability(F, member, 1.0) == pytest.approx(0.125, abs=1e-15)
 
 
@@ -157,8 +163,8 @@ def test_opt_gap_example_is_one():
 def test_opt_bayes_in_class_attains_bayes():
     spec = md.GenSpec(kind="bayes_in_class", domain_size=10, k=1, hypothesis_count=5, seed=2)
     fam, cls = md.gen_random_label_consistent(spec)
-    eta = fam.members[0].label_one_prob
-    bayes_err = float((fam.members[0].mass * np.minimum(eta, 1.0 - eta)).sum())
+    eta = fam.label_prob_matrix[0]
+    bayes_err = float((fam.mass_matrix[0] * np.minimum(eta, 1.0 - eta)).sum())
     opt, _ = md.opt_bruteforce(cls, fam)
     assert opt == pytest.approx(bayes_err, abs=1e-12)
 
@@ -168,7 +174,7 @@ def test_opt_matches_independent_enumeration():
     fam = random_family(rng, n=8, k=3, shared=False)
     cls = md.HypothesisClass([np.where(rng.random(8) < 0.5, 1, -1) for _ in range(16)])
     opt, idx = md.opt_bruteforce(cls, fam)
-    reports = [max(oracle_error(h, m) for m in fam.members) for h in cls.label_matrix]
+    reports = [max(oracle_error(h, m) for m in members(fam)) for h in cls.label_matrix]
     assert opt == pytest.approx(min(reports), abs=1e-14)
     assert idx == int(np.argmin(reports))
     for h in cls.label_matrix:
@@ -210,7 +216,7 @@ def test_an_error_matrix_of_the_wrong_shape_is_rejected():
 def test_bias_values():
     # biases 1/2, 0 and 0.3 under masses 1/4, 1/4 and 1/2 give beta^2 * mass
     # 0.0625, 0 and 0.045, so the mask follows a threshold between them
-    fam = family_from_arrays([[0.25, 0.25, 0.5]], [[1.0, 0.5, 0.8]])
+    fam = md.DistributionFamily([[0.25, 0.25, 0.5]], [[1.0, 0.5, 0.8]])
     assert 0.045 < md.heavy_bias_threshold(0.9, 0.1, 1, "hash", c_prime=1.0) < 0.0625
     assert md.heavy_mask(fam, 0.9, 0.1, "hash", c_prime=1.0).tolist() == [True, False, False]
     assert md.heavy_mask(fam, 0.9, 0.1, "hash", c_prime=4.0).tolist() == [True, False, True]
@@ -224,13 +230,13 @@ def test_bias_rejects_inconsistent_family():
 
 
 def test_heavy_bias_zero_bias_never_heavy():
-    fam = family_from_arrays([[1.0]], [[0.5]])
+    fam = md.DistributionFamily([[1.0]], [[0.5]])
     assert not md.heavy_mask(fam, 0.1, 0.1)[0]
 
 
 def test_heavy_bias_derived_example():
     # beta = 1/2, D_1(x) = 1, k = 1: 0.25 > 0.01 / (8 ln 40)
-    fam = family_from_arrays([[1.0]], [[1.0]])
+    fam = md.DistributionFamily([[1.0]], [[1.0]])
     rhs = 0.1**2 / (8.0 * math.log(4 * 1 / 0.1))
     assert 0.25 > rhs
     assert md.heavy_mask(fam, 0.1, 0.1)[0]
@@ -240,8 +246,8 @@ def test_heavy_bias_boundary_is_strict():
     # mass chosen so beta^2 * mass equals the threshold bit-exactly
     thresh = md.heavy_bias_threshold(0.1, 0.1, 1)
     mass = thresh * 4.0  # beta = 1/2 -> beta^2 = 0.25, exact in floats
-    fam = family_from_arrays([[mass, 1.0 - mass]], [[1.0, 0.5]])
-    assert (0.5**2) * fam.members[0].mass[0] == thresh
+    fam = md.DistributionFamily([[mass, 1.0 - mass]], [[1.0, 0.5]])
+    assert (0.5**2) * fam.mass_matrix[0, 0] == thresh
     assert not md.heavy_mask(fam, 0.1, 0.1)[0]
 
 
@@ -259,12 +265,12 @@ def test_bayes_labeling_is_optimal_for_single_distribution():
     mass = rng.random(n)
     mass /= mass.sum()
     eta = rng.random(n)
-    fam = family_from_arrays([mass], eta)
+    fam = md.DistributionFamily([mass], [eta])
     bayes = md.bayes_labels(fam)
     bayes_err = md.worst_case_error(bayes, fam).worst_case
     # enumerate all 2^n labelings
     best = min(
-        oracle_error(np.array([1 if (code >> j) & 1 else -1 for j in range(n)]), fam.members[0])
+        oracle_error(np.array([1 if (code >> j) & 1 else -1 for j in range(n)]), members(fam)[0])
         for code in range(2**n)
     )
     assert bayes_err == pytest.approx(best, abs=1e-12)
@@ -275,8 +281,8 @@ def test_bayes_labeling_attains_pointwise_floor_per_member():
     fam = random_family(rng, n=10, k=4)
     errors = md.worst_case_error(md.bayes_labels(fam), fam).per_distribution
     eta = fam.shared_label_one_prob
-    for e, m in zip(errors, fam.members):
-        floor = float((m.mass * np.minimum(eta, 1.0 - eta)).sum())
+    for e, mass in zip(errors, fam.mass_matrix):
+        floor = float((mass * np.minimum(eta, 1.0 - eta)).sum())
         assert e == pytest.approx(floor, abs=1e-12)
 
 

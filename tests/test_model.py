@@ -1,43 +1,100 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multidist as md
 from multidist import serialize
 
-from helpers import family_from_arrays
-
 
 def test_domain_requires_positive_size():
-    with pytest.raises(ValueError):
-        md.Domain(0)
-    assert md.Domain(3).size == 3
+    # a family needs a member and a point; k and n are its matrices' shape
+    for shape in ((0, 3), (2, 0)):
+        with pytest.raises(ValueError, match="needs at least one member and one point"):
+            md.DistributionFamily(np.zeros(shape), np.zeros(shape))
+    fam = md.DistributionFamily([[0.5, 0.5, 0.0]] * 2, [[0.5] * 3] * 2)
+    assert (fam.k, fam.domain_size) == (2, 3)
 
 
 def test_validate_uniform_family_ok():
-    fam = family_from_arrays([[0.25] * 4], [[1.0] * 4])
+    fam = md.DistributionFamily([[0.25] * 4], [[1.0] * 4])
     report = md.validate_family(fam)
     assert report.ok and not report.violations
 
 
 def test_validate_reports_mass_sum_violation():
-    fam = family_from_arrays([[0.5, 0.6]], [[1.0, 1.0]])
+    fam = md.DistributionFamily([[0.5, 0.6]], [[1.0, 1.0]])
     report = md.validate_family(fam)
     assert not report.ok
     assert any("mass sum" in issue.message for issue in report.violations)
 
 
 def test_validate_reports_probability_range_violation():
-    fam = family_from_arrays([[0.5, 0.5]], [[0.3, 1.2]])
+    fam = md.DistributionFamily([[0.5, 0.5]], [[0.3, 1.2]])
     report = md.validate_family(fam)
     assert not report.ok
     assert any("point 1" in issue.location for issue in report.violations)
 
 
 def test_validate_reports_negative_mass_with_index():
-    fam = family_from_arrays([[-0.1, 1.1]], [[0.5, 0.5]])
+    fam = md.DistributionFamily([[-0.1, 1.1]], [[0.5, 0.5]])
     assert any("point 0" in i.location for i in md.validate_family(fam).violations)
+
+
+def loop_validation(mass, eta, tol):
+    """The former validate_family, one member at a time, as (location,
+    message) pairs."""
+    out = []
+    for i in range(mass.shape[0]):
+        m, e = mass[i].copy(), eta[i].copy()
+        if np.any(~np.isfinite(m)):
+            out.append((f"member {i}", "non-finite mass entries"))
+            continue
+        for x in np.nonzero(m < 0)[0]:
+            out.append((f"member {i}, point {x}", f"negative mass {m[x]}"))
+        total = float(m.sum())
+        if abs(total - 1.0) > tol:
+            out.append((f"member {i}", f"mass sum {total!r} != 1"))
+        if np.any(~np.isfinite(e)):
+            out.append((f"member {i}", "non-finite label_one_prob entries"))
+            continue
+        for x in np.nonzero((e < 0.0) | (e > 1.0))[0]:
+            out.append((f"member {i}, point {x}", f"label_one_prob {e[x]} outside [0, 1]"))
+    return out
+
+
+@st.composite
+def planted_families(draw):
+    """(k, n) masses normalized row by row and label probabilities in [0, 1],
+    with planted violations: negative or non-finite entries, probabilities
+    outside [0, 1], and rows scaled off a unit sum by more or less than the
+    tolerance."""
+    k, n = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    unit = st.floats(0.0, 1.0)
+    mass = np.array(draw(st.lists(unit, min_size=k * n, max_size=k * n))).reshape(k, n) + 0.01
+    mass /= mass.sum(axis=1, keepdims=True)
+    eta = np.array(draw(st.lists(unit, min_size=k * n, max_size=k * n))).reshape(k, n)
+    special = st.sampled_from([-0.25, -1e-300, -0.0, np.nan, np.inf, -np.inf, 1.5, 1.0 + 2**-52])
+    for _ in range(draw(st.integers(0, 6))):
+        i, x = draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["mass", "eta", "scale"]))
+        if kind == "scale":
+            mass[i] *= draw(st.sampled_from([1.0 + 1e-13, 1.0 - 1e-11, 0.5, 3.0]))
+        else:
+            (mass if kind == "mass" else eta)[i, x] = draw(special)
+    return mass, eta, draw(st.sampled_from([md.model.MASS_TOL, 1e-9, 0.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_families())
+def test_validate_family_reports_as_the_member_loop(case):
+    mass, eta, tol = case
+    report = md.validate_family(md.DistributionFamily(mass, eta), tol)
+    assert [(v.location, v.message) for v in report.violations] == loop_validation(mass, eta, tol)
+    assert report.ok == (not loop_validation(mass, eta, tol))
 
 
 def test_hypothesis_rejects_non_sign_labels():
@@ -60,7 +117,8 @@ def test_hypothesis_class_checks_its_matrix_once():
     # and np.asarray would read a bool among ints as 1
     for rows in ([[1, 1.5]], [[1, -1], [255, 1]], np.array([[255, -1]]), [[1, 0]],
                  np.array([[True, True]]), [[True, -1], [1, 1]], [[1, -1], [1, np.True_]],
-                 [np.array([True, False]), [1, -1]], [[1, -1], [1, 2**70]], [[-129, 1]]):
+                 [np.array([True, False]), [1, -1]], [[1, -1], [1, 2**70]], [[-129, 1]],
+                 np.array([[True, -1]], dtype=object)):
         with pytest.raises(ValueError, match="exactly -1 or \\+1"):
             md.HypothesisClass(rows)
     for rows in ([1, -1], [], [[]], np.ones((0, 3)), [[[1, -1]], [[1, 1]]]):
@@ -88,9 +146,37 @@ def test_hypothesis_class_checks_its_matrix_once():
 
 
 def test_family_rejects_mismatched_domain():
-    d = md.LabeledDistribution([1.0], [0.5])
-    with pytest.raises(ValueError):
-        md.DistributionFamily(md.Domain(2), (d,))
+    with pytest.raises(ValueError, match=r"shapes differ: \(1, 1\) vs \(1, 2\)"):
+        md.DistributionFamily([[1.0]], [[0.5, 0.5]])
+    with pytest.raises(ValueError, match=r"shapes differ: \(1, 2\) vs \(2, 2\)"):
+        md.DistributionFamily([[0.5, 0.5]], [[0.5, 0.5]] * 2)
+    # one shared label vector is broadcast by the caller, not by the family
+    with pytest.raises(ValueError, match=r"label_one_prob must be two-dimensional, got shape \(2,\)"):
+        md.DistributionFamily([[0.5, 0.5]], [0.5, 0.5])
+    for rows, message in (([[0.5, 0.5], [1.0]], "mass row 1 has 1 numbers, expected 2"),
+                          ([[0.5, [0.5]]], "mass row 0 must be a flat list of numbers")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            md.DistributionFamily(rows, [[0.5, 0.5]] * len(rows))
+
+
+def test_float_entries_must_be_numbers():
+    # np.asarray would read True as 1.0 and "0.5" as 0.5, in a list or an array
+    bad = ([1.0, True], [np.False_, 1.0], ["0.5", 0.5], np.array([True, False]),
+           np.array(["0.5", "0.5"]), np.array([0.5, True], dtype=object))
+    for values in bad:
+        with pytest.raises(ValueError, match="mass must hold numbers, got (bool|str)"):
+            md.LabeledDistribution(values, [0.5, 0.5])
+        with pytest.raises(ValueError, match="mass must hold numbers, got (bool|str)"):
+            md.DistributionFamily([[0.5, 0.5], values], [[0.5, 0.5]] * 2)
+        with pytest.raises(ValueError, match="label_one_prob must hold numbers, got (bool|str)"):
+            md.DistributionFamily([[0.5, 0.5]] * 2, [[0.5, 0.5], values])
+        with pytest.raises(ValueError, match="weights must hold numbers, got (bool|str)"):
+            md.RandomizedClassifier(md.HypothesisClass([[1, 1], [1, -1]]), (0, 1), values)
+    with pytest.raises(ValueError, match="mass must hold numbers, got bool"):
+        md.DistributionFamily(np.array([[True, False]]), [[0.5, 0.5]])
+    # integers, numpy scalars and integer arrays are numbers
+    fam = md.DistributionFamily([[1, 0], np.array([0, 1])], [[np.float32(0.5), 1], [0, 1]])
+    assert fam.mass_matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_randomized_classifier_structural_checks():
@@ -116,7 +202,7 @@ def test_label_consistency_shared_vector():
     eta = rng.random(6)
     masses = rng.random((3, 6))
     masses /= masses.sum(axis=1, keepdims=True)
-    fam = family_from_arrays(masses, eta)
+    fam = md.DistributionFamily(masses, np.broadcast_to(eta, masses.shape))
     assert fam.label_consistent
 
 
@@ -127,7 +213,7 @@ def test_label_consistency_fails_on_reduction_family():
 
 
 def test_label_consistency_ignores_disjoint_supports():
-    fam = family_from_arrays(
+    fam = md.DistributionFamily(
         [[1.0, 0.0], [0.0, 1.0]],
         [[1.0, 1.0], [0.0, 0.0]],  # conditionals differ only off-support
     )
@@ -140,7 +226,7 @@ def test_duplicate_hypotheses_accepted():
 
 
 def test_shared_label_one_prob_uses_first_supporting_member():
-    fam = family_from_arrays(
+    fam = md.DistributionFamily(
         [[0.0, 1.0], [1.0, 0.0]],
         [[0.9, 0.3], [0.7, 0.1]],
     )
@@ -149,9 +235,15 @@ def test_shared_label_one_prob_uses_first_supporting_member():
 
 
 def test_types_are_immutable():
-    fam = family_from_arrays([[0.5, 0.5]], [[1.0, 0.0]])
-    with pytest.raises(ValueError):
-        fam.members[0].mass[0] = 0.9
+    mass = np.asfortranarray([[0.5, 0.5], [0.25, 0.75]])
+    fam = md.DistributionFamily(mass, np.broadcast_to([1.0, 0.0], (2, 2)))
+    for matrix in (fam.mass_matrix, fam.label_prob_matrix):
+        assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.9
+    # the family holds its own copy
+    mass[0, 0] = 0.9
+    assert fam.mass_matrix[0, 0] == 0.5
     h = md.ExplicitClassifier([1, -1])
     with pytest.raises(ValueError):
         h.labels[0] = -1
@@ -171,14 +263,13 @@ def test_instance_round_trip_bit_exact(tmp_path):
     serialize.save_instance(path, fam, cls, spec)
     fam2, cls2, spec2 = serialize.load_instance(path)
     assert spec2 == spec
-    for a, b in zip(fam.members, fam2.members):
-        assert np.array_equal(a.mass, b.mass)
-        assert np.array_equal(a.label_one_prob, b.label_one_prob)
+    assert np.array_equal(fam.mass_matrix, fam2.mass_matrix)
+    assert np.array_equal(fam.label_prob_matrix, fam2.label_prob_matrix)
     assert np.array_equal(cls.label_matrix, cls2.label_matrix)
 
 
 def test_instance_round_trip_per_member_conditionals(tmp_path):
-    fam = family_from_arrays(
+    fam = md.DistributionFamily(
         [[1.0, 0.0], [0.0, 1.0]],
         [[1.0, 1.0], [0.0, 0.0]],
     )
@@ -236,7 +327,7 @@ def test_matrix_round_trip(tmp_path):
 
 
 def test_load_instance_rejects_invalid_family(tmp_path):
-    fam = family_from_arrays([[0.5, 0.5], [0.25, 0.75]], [[0.2, 0.4], [0.2, 0.4]])
+    fam = md.DistributionFamily([[0.5, 0.5], [0.25, 0.75]], [[0.2, 0.4], [0.2, 0.4]])
     doc = serialize.instance_to_dict(fam, md.HypothesisClass([[1, -1]]))
     doc["distributions"][0]["mass"] = [0.5, 0.4]
     doc["distributions"][1]["mass"] = [-0.25, 1.25]

@@ -51,8 +51,7 @@ def instances(draw):
     eta = [draw(st.lists(probabilities(), min_size=n, max_size=n))]
     eta = eta * k if shared else eta + [draw(st.lists(probabilities(), min_size=n, max_size=n))
                                         for _ in range(k - 1)]
-    fam = md.DistributionFamily(md.Domain(n), tuple(
-        md.LabeledDistribution(draw(masses(n)), np.array(e)) for e in eta))
+    fam = md.DistributionFamily([draw(masses(n)) for _ in eta], eta)
     labels = draw(st.lists(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n),
                            min_size=h, max_size=h))
     cls = md.HypothesisClass(labels,
@@ -121,7 +120,7 @@ def _classifier_values(clf):
 
 def _instance_values(loaded):
     fam, cls, spec = loaded
-    return ([(m.mass, m.label_one_prob) for m in fam.members], fam.domain.size,
+    return (fam.mass_matrix, fam.label_prob_matrix, fam.domain_size,
             cls.label_matrix, cls.vc_dim, spec and spec.__dict__)
 
 
@@ -143,9 +142,7 @@ def test_instance_files_load_as_json_loads_reads_them(tmp_path, inst):
 def test_instance_files_keep_the_sign_of_a_zero_label_probability(tmp_path):
     # 0.0 == -0.0, so a value comparison would write both rows as one shared
     # vector and load the -0.0 back as 0.0
-    fam = md.DistributionFamily(md.Domain(1), (
-        md.LabeledDistribution(np.array([1.0]), np.array([0.0])),
-        md.LabeledDistribution(np.array([1.0]), np.array([-0.0]))))
+    fam = md.DistributionFamily([[1.0], [1.0]], [[0.0], [-0.0]])
     inst = (fam, md.HypothesisClass(np.array([[-1]], dtype=np.int8)), None)
     path = tmp_path / "inst.json"
     serialize.save_instance(path, *inst)

@@ -6,7 +6,9 @@ Each round runs one fresh interpreter per tree, alternating which tree goes
 first, and each interpreter reports the median time of every layer below over
 a few repetitions. The file written holds, per layer, the median over the
 rounds for each tree ("parent" is the tree given by --parent, "change" the
-tree holding this script) and their ratio. The layers:
+tree holding this script), the first and third quartiles of those rounds, and
+the ratio of the medians. A ratio whose quartile ranges overlap is within the
+spread between interpreters of one tree. The layers:
 
 - eval_block: coefficient_matrix_eval on a (4096, 4) block of coefficients at
   the 64 keys 0..63, p = 67 (one block of the default tail check);
@@ -22,7 +24,11 @@ tree holding this script) and their ratio. The layers:
 - draw_family_24x1000x5000 and draw_family_6x40x5000: one exact-mode
   draw_family of 5000 draws per member, the bias-table draw of derand on the
   cli_wide instance and of a C06 campaign trial;
-- load_instance: serialize.load_instance of the cli_wide instance file.
+- load_instance: serialize.load_instance of the cli_wide instance file;
+- generate_c06: md.generate at the C06 campaign spec (n = 40, k = 6,
+  |H| = 16, seed 5);
+- reduction_family: a fresh ReductionFamily(matrix).family of the n = 18
+  matrix above (36 members).
 """
 
 from __future__ import annotations
@@ -44,7 +50,8 @@ ROUNDS = 11
 # repetitions per layer within one interpreter
 REPS = {"eval_block": 40, "eval_one_poly": 100, "tail_check": 5, "bruteforce_min_discrepancy": 15,
         "min_deterministic_error": 15, "hedge_sampling": 15, "draw_family_24x1000x5000": 30,
-        "draw_family_6x40x5000": 200, "load_instance": 15}
+        "draw_family_6x40x5000": 200, "load_instance": 15, "generate_c06": 200,
+        "reduction_family": 200}
 
 
 def time_layers(src: str) -> dict:
@@ -65,8 +72,8 @@ def time_layers(src: str) -> dict:
     tail = md.TailCheckConfig(n=64, r=4, draws=100_000, seed=1)
     wide_fam, wide_cls = md.gen_random_label_consistent(
         md.GenSpec(domain_size=1000, k=24, hypothesis_count=128, seed=5))
-    c06_fam, _ = md.gen_random_label_consistent(
-        md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=5))
+    c06_spec = md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=5)
+    c06_fam, _ = md.gen_random_label_consistent(c06_spec)
     tmp = tempfile.TemporaryDirectory()
     instance = Path(tmp.name) / "inst.json"
     serialize.save_instance(instance, wide_fam, wide_cls)
@@ -84,6 +91,8 @@ def time_layers(src: str) -> dict:
         "draw_family_6x40x5000": lambda: md.SampleOracle.exact_mode(c06_fam).draw_family(
             5000, draw_rng),
         "load_instance": lambda: serialize.load_instance(instance),
+        "generate_c06": lambda: md.generate(c06_spec),
+        "reduction_family": lambda: md.ReductionFamily(matrix).family,
     }
     out = {}
     for name, call in calls.items():
@@ -120,13 +129,16 @@ def main(argv=None) -> int:
 
     layers = {}
     for name in REPS:
-        row = {f"{side}_ms": round(1e3 * statistics.median(r[name] for r in runs[side]), 4)
-               for side in trees}
+        row = {}
+        for side in trees:
+            q1, median, q3 = statistics.quantiles([1e3 * r[name] for r in runs[side]], n=4)
+            row[f"{side}_ms"] = round(median, 4)
+            row[f"{side}_quartiles_ms"] = [round(q1, 4), round(q3, 4)]
         row["parent_over_change"] = round(row["parent_ms"] / row["change_ms"], 3)
         layers[name] = row
     report = {
-        "how": f"median over {ROUNDS} interpreters per tree, alternating which runs "
-               "first; each interpreter reports the median of its repetitions",
+        "how": f"median and quartiles over {ROUNDS} interpreters per tree, alternating "
+               "which runs first; each interpreter reports the median of its repetitions",
         "repetitions": REPS,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
                    f"Python {platform.python_version()}, numpy {np.__version__}",

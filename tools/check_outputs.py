@@ -21,6 +21,8 @@ or exits 1 listing each that differs or exists in one tree only. The suite:
   a whole number of draw blocks) on a C06-shape gen instance and on a gen
   --kind heavy_point_probe --heavy-count 2 instance, whose members other
   than the first put zero mass on the heavy points;
+- gen --kind gap_example -k 5 and gen --kind bayes_in_class, the instance
+  files;
 - hashcheck, stdout;
 - disc gen (planted zero, n = 12), then solve, reduce and distinguish (with
   the planted coloring) on that matrix.
@@ -102,6 +104,8 @@ def run_suite(tree: Path) -> None:
                 csv.writer(fh).writerows([row[i] for i in keep] for row in rows)
         verb(f"eval_{rounding}", "eval", f"clf_{rounding}.json", "inst.json",
              "-o", f"eval_{rounding}.csv")
+    verb("gen_gap", "gen", "--kind", "gap_example", "-k", "5", "-o", "gap.json")
+    verb("gen_bayes", "gen", "--kind", "bayes_in_class", "--seed", "4", "-o", "bayes.json")
     verb("hashcheck", "hashcheck")
     planted = verb("disc_gen", "disc", "gen", "--n", "12", "--planted", "zero", "--seed", "2",
                    "-o", "A.txt")
