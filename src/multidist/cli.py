@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -285,7 +286,10 @@ def cmd_hashcheck(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built once per process: parsing leaves it
+    unchanged, and main runs verb X as cmd_X."""
     parser = argparse.ArgumentParser(prog="multidist", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -313,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="confidence the probe's heavy/light split targets")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("-o", "--output", required=True, help="instance file to write")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("learn", help="run the Hedge learner")
     p.add_argument("instance", help="instance file")
@@ -324,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hedge_flags(p)
     p.add_argument("--trace", default=None, help="per-round trace CSV path")
     p.add_argument("-o", "--output", required=True, help="mixture file to write")
-    p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("derand", help="learn and derandomize")
     p.add_argument("instance", help="instance file")
@@ -332,13 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hedge_flags(p)
     p.add_argument("--report", default=None, help="trial-report CSV path")
     p.add_argument("-o", "--output", required=True, help="classifier file to write")
-    p.set_defaults(func=cmd_derand)
 
     p = sub.add_parser("eval", help="exact error report for a classifier")
     p.add_argument("classifier", help="classifier file")
     p.add_argument("instance", help="instance file")
     p.add_argument("-o", "--output", default=None, help="error-report CSV to write")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("disc", help="binary-matrix tooling")
     dsub = p.add_subparsers(dest="disc_cmd", required=True)
@@ -349,14 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--density", type=float, default=0.5, help="target row density")
     g.add_argument("--seed", type=int, default=0, help="generator seed")
     g.add_argument("-o", "--output", required=True, help="matrix file to write")
-    g.set_defaults(func=cmd_disc)
     s = dsub.add_parser("solve", help="brute-force minimum discrepancy")
     s.add_argument("matrix", help="matrix file")
-    s.set_defaults(func=cmd_disc)
     r = dsub.add_parser("reduce", help="matrix -> instance file")
     r.add_argument("matrix", help="matrix file")
     r.add_argument("-o", "--output", required=True, help="instance file to write")
-    r.set_defaults(func=cmd_disc)
     d = dsub.add_parser(
         "distinguish",
         help="threshold a labeling's exact error at 1/2 + eps "
@@ -365,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--labels", required=True,
                    help="comma-separated -1/+1 labels (use --labels=-1,1,... form)")
     d.add_argument("--eps", type=float, required=True, help="verdict threshold offset")
-    d.set_defaults(func=cmd_disc)
 
     p = sub.add_parser("trial", help="Monte-Carlo campaign")
     p.add_argument("--kind", default="random_label_consistent",
@@ -385,26 +381,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", default=None, help="output directory (or MULTIDIST_OUTDIR)")
     _add_derand_flags(p)
     _add_hedge_flags(p)
-    p.set_defaults(func=cmd_trial)
 
     p = sub.add_parser("hashcheck", help="hash independence and tail-bound suites")
     p.add_argument("--n", type=int, default=64, help="indicator count for the tail check")
     p.add_argument("--r", type=int, default=4, help="hash degree for the tail check")
     p.add_argument("--draws", type=int, default=100_000, help="Monte-Carlo draws")
     p.add_argument("--seed", type=int, default=0, help="rng seed")
-    p.set_defaults(func=cmd_hashcheck)
 
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one verb. Bad input (a malformed file, an out-of-range value)
-    prints its error and exits 2, a code no verb returns on its own."""
+    """Run one verb, as cmd_<verb> of this module at the time of the call.
+    Bad input (a malformed file, an out-of-range value) and a file that
+    cannot be read or written (missing, a directory, in a missing directory)
+    print their error and exit 2, a code no verb returns on its own. An
+    OSError that names no file is the system's, not the input's, and is
+    raised."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ValueError as exc:
+        return globals()[f"cmd_{args.command}"](args)
+    except (ValueError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -141,9 +141,9 @@ def build_bias_table(oracle: SampleOracle, cfg: DerandConfig,
     Points already in the table are skipped in later member iterations. Even
     with an exact-mode oracle this procedure samples — the table's guarantees
     are statements about its sampling randomness, so reading the masses would
-    test nothing. All members are drawn in one oracle.draw_family call, which
-    uses the stream as k consecutive per-member draws would: rng's for an
-    exact-mode oracle, which needs it, and the oracle's own otherwise.
+    test nothing. All members are drawn in one call, as cells and +1 flags,
+    which uses the stream as k consecutive per-member draws would: rng's for
+    an exact-mode oracle, which needs it, and the oracle's own otherwise.
     """
     fam = oracle.family
     if oracle.exact:
@@ -154,8 +154,7 @@ def build_bias_table(oracle: SampleOracle, cfg: DerandConfig,
     scale = cfg.scale()
     ln_gamma = math.log(gamma)
 
-    xs, ys = oracle.draw_family(m, rng=rng)
-    counts, pos = _tally(xs + np.arange(k)[:, None] * n, ys == 1, k, n)
+    counts, pos = _tally(*oracle._draw_cells(m, rng=rng), k, n)
     with np.errstate(invalid="ignore"):
         rho = np.where(counts > 0, (2.0 * pos - counts) / np.maximum(counts, 1), 0.0)
     passing = np.zeros((k, n), dtype=bool)

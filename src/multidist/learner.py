@@ -234,18 +234,25 @@ class SampleOracle:
                             fam.label_prob_matrix[member_index][None], size, self._stream(rng))
         return cells[0, 0].astype(np.int64), _signs(plus[0, 0])
 
+    def _draw_cells(self, size: int, rng: np.random.Generator | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw size i.i.d. (x, y) pairs from every member, as _draw gives
+        them: (k, size) cells i * n + x with row i from member i, and
+        (k, size) booleans, True where y = +1."""
+        fam = self.family
+        cells, plus = _draw(_bucket_table(fam.mass_matrix), fam.label_prob_matrix, size,
+                            self._stream(rng))
+        return cells[0], plus[0]
+
     def draw_family(self, size: int, rng: np.random.Generator | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw size i.i.d. (x, y) pairs from every member, as (k, size)
         arrays with row i from member i. The stream is used exactly as the k
         calls draw(0, size, rng), ..., draw(k - 1, size, rng) use it, and
         row i equals what call i returns."""
-        fam = self.family
-        cells, plus = _draw(_bucket_table(fam.mass_matrix), fam.label_prob_matrix, size,
-                            self._stream(rng))
-        xs = cells[0]
-        xs -= np.arange(fam.k)[:, None] * fam.domain_size
-        return xs, _signs(plus[0])
+        xs, plus = self._draw_cells(size, rng)
+        xs -= np.arange(self.family.k)[:, None] * self.family.domain_size
+        return xs, _signs(plus)
 
 
 @dataclass(frozen=True)

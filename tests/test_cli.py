@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -9,8 +10,17 @@ import numpy as np
 import pytest
 
 import multidist as md
-from multidist import serialize
+from multidist import cli, serialize
 from multidist.cli import main
+
+
+def run_cli_process(argv, cwd=None):
+    """argv run as a fresh `python -m multidist.cli` process on this tree's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "multidist.cli", *argv], capture_output=True,
+                          text=True, timeout=60, env=env, cwd=cwd)
 
 
 def test_gen_learn_derand_eval_pipeline(tmp_path):
@@ -262,12 +272,7 @@ def test_disc_rejects_non_finite_eps_and_bad_density(tmp_path, capsys):
 def test_disc_gen_rejects_n_zero_without_hanging(tmp_path):
     # an empty planted coloring never has both signs, so n = 0 once redrew it
     # forever; the subprocess lets a timeout stop a regression
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "multidist.cli", "disc", "gen", "--n", "0",
-                           "-o", str(tmp_path / "A.txt")],
-                          capture_output=True, text=True, timeout=60, env=env)
+    proc = run_cli_process(["disc", "gen", "--n", "0", "-o", str(tmp_path / "A.txt")])
     assert proc.returncode == 2
     assert "planted instances need an even n >= 2, got 0" in proc.stderr
 
@@ -492,3 +497,71 @@ def test_deeply_nested_files_exit_2_in_every_verb(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("multidist: error: ") and message in err
     assert not Path(out).exists()
+
+
+def test_unreadable_files_exit_2(tmp_path, capsys, monkeypatch):
+    # each of these printed an OSError traceback and exited 1
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--domain-size", "12", "-k", "2", "--hypotheses", "4",
+                 "--seed", "3", "-o", str(inst)]) == 0
+    clf = tmp_path / "clf.json"
+    assert main(["derand", str(inst), "--eps", "0.3", "--delta", "0.3", "--mode", "calibrated",
+                 "--m-override", "200", "-o", str(clf)]) == 0
+    missing = tmp_path / "missing.json"
+    into_missing_dir = tmp_path / "no_such_dir" / "mix.json"
+    capsys.readouterr()
+    for argv, path in (
+            (["learn", str(missing), "--eps", "0.3", "-o", str(tmp_path / "x.json")], missing),
+            (["derand", str(tmp_path), "--eps", "0.3", "--delta", "0.3", "-o",
+              str(tmp_path / "x.json")], tmp_path),
+            (["eval", str(missing), str(inst)], missing),
+            (["learn", str(inst), "--eps", "0.3", "-o", str(into_missing_dir)],
+             into_missing_dir)):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("multidist: error: ") and str(path) in err
+    assert not (tmp_path / "x.json").exists() and not into_missing_dir.parent.exists()
+    # an OSError that names no file is not the input's fault: it is raised
+
+    def out_of_descriptors(args):
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    monkeypatch.setattr(cli, "cmd_learn", out_of_descriptors)
+    with pytest.raises(OSError, match="Too many open files"):
+        main(["learn", str(inst), "--eps", "0.3", "-o", str(tmp_path / "x.json")])
+
+
+def test_one_process_runs_verbs_as_fresh_processes_do(tmp_path, capsys, monkeypatch):
+    # main reuses one parser for every call in a process; a call must still
+    # see only its own arguments (the first learn's --trace is not the
+    # second's), and a verb that exits 2 must not disturb the next
+    source = tmp_path / "inst.json"
+    assert main(["gen", "--domain-size", "30", "-k", "3", "--hypotheses", "8",
+                 "--seed", "2", "-o", str(source)]) == 0
+    commands = (
+        ["learn", "inst.json", "--eps", "0.3", "--trace", "trace.csv", "-o", "mix.json"],
+        ["derand", "inst.json", "--eps", "0.4", "--delta", "0.3", "--mode", "calibrated",
+         "--m-override", "500", "--rounding", "hash", "--seed", "4", "-o", "clf.json"],
+        ["eval", "clf.json", "inst.json", "-o", "eval.csv"],
+        ["learn", "inst.json", "--eps", "0", "-o", "bad.json"],
+        ["learn", "inst.json", "--eps", "0.3", "--sampling", "--seed", "1", "-o", "mix2.json"],
+    )
+    one, fresh = tmp_path / "one", tmp_path / "fresh"
+    for d in (one, fresh):
+        d.mkdir()
+        (d / "inst.json").write_bytes(source.read_bytes())
+    monkeypatch.chdir(one)
+    capsys.readouterr()
+    in_process = []
+    for argv in commands:
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    processes = [run_cli_process(argv, cwd=fresh) for argv in commands]
+    assert in_process == [(p.returncode, p.stdout, p.stderr) for p in processes]
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 2, 0]
+    names = sorted(p.name for p in one.iterdir())
+    assert names == sorted(p.name for p in fresh.iterdir())
+    assert names == ["clf.json", "eval.csv", "inst.json", "mix.json", "mix2.json", "trace.csv"]
+    for name in names:
+        assert (one / name).read_bytes() == (fresh / name).read_bytes(), name

@@ -20,9 +20,9 @@ class FixedDraws:
         self.family = md.DistributionFamily([np.full(n, 1.0 / n)], [np.full(n, 0.5)])
         self.xs, self.ys = xs, ys
 
-    def draw_family(self, size, rng=None):
+    def _draw_cells(self, size, rng=None):
         assert size == len(self.xs)
-        return self.xs[None], self.ys[None]
+        return self.xs[None], self.ys[None] == 1
 
 
 def table_of(counts, gamma, scale=1.0):

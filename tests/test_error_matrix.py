@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import multidist as md
 from multidist.learner import (BLOCK_DRAWS, HedgeStack, _bucket_table, _draw,
                                rolling_mixtures)
-from multidist.metrics import plus_rows
+from multidist.metrics import BUDGET, plus_rows
 
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
@@ -77,6 +77,82 @@ def test_error_matrix_shapes_and_domain_check():
         md.error_matrix(np.ones(3), fam)
     with pytest.raises(ValueError, match="two \\(k, n\\) arrays of one shape"):
         md.error_matrix(np.ones(2), (fam.mass_matrix, fam.label_prob_matrix[0]))
+
+
+def test_error_matrix_rejects_a_mask_that_is_not_a_boolean_vector_of_length_n():
+    fam = md.DistributionFamily([[0.2, 0.3, 0.5]], [[0.1, 0.9, 0.4]])
+    plus = np.array([[1.0, 0.0, 1.0], [0.5, 0.5, 0.5]])
+    # an int array used to fancy-index columns 1, 0, 1 and return numbers
+    with pytest.raises(ValueError, match=r"mask must be a boolean vector of length 3, "
+                                         r"got int64 of shape \(3,\)"):
+        md.error_matrix(plus, fam, np.array([1, 0, 1]))
+    # a boolean mask of the wrong length used to raise IndexError
+    for mask in (np.array([True, False]), np.ones((3, 1), dtype=bool), np.bool_(True)):
+        with pytest.raises(ValueError, match="mask must be a boolean vector of length 3"):
+            md.error_matrix(plus, fam, mask)
+    # a list of bools is a mask
+    assert np.array_equal(md.error_matrix(plus, fam, [True, False, True]),
+                          md.error_matrix(plus, fam, np.array([True, False, True])))
+
+
+def entry_loop(plus, mass, eta, mask=None):
+    """The (r, k) error matrix one (labeling, member) entry at a time: the
+    four products of the entry, then one contiguous sum of its (masked) row."""
+    out = np.empty((plus.shape[0], mass.shape[0]))
+    for j, p in enumerate(plus):
+        for i, (d, e) in enumerate(zip(mass, eta)):
+            terms = d * (p * (1.0 - e) + (1.0 - p) * e)
+            out[j, i] = (terms if mask is None else terms[mask]).sum()
+    return out
+
+
+@st.composite
+def blocked_problems(draw):
+    """An error-matrix problem with fewer labelings than members, with at
+    least as many in one block of the budget, or in several blocks (the last
+    one ragged when the block size does not divide r); 0/1 or fractional
+    labelings, with or without a mask."""
+    steps = draw(st.sampled_from(["r < k", "one block", "several blocks"]))
+    if steps == "r < k":
+        k = draw(st.integers(2, 6))
+        r, n = draw(st.integers(1, k - 1)), draw(st.integers(1, 60))
+    elif steps == "one block":
+        k = draw(st.integers(1, 6))
+        r, n = draw(st.integers(k, 12)), draw(st.integers(1, 60))
+        assert r <= BUDGET // n
+    else:
+        # blocks of 2, 2 and 1 labelings at n = 2^14 or 11,000; of 1 at 40,000
+        r, n = draw(st.integers(3, 5)), draw(st.sampled_from([1 << 14, 11_000, 40_000]))
+        k = draw(st.integers(1, r))
+        assert max(1, BUDGET // n) < r
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mass = rng.random((k, n))
+    mass /= mass.sum(axis=1, keepdims=True)
+    eta = rng.random((k, n))
+    plus = rng.random((r, n))
+    if draw(st.booleans()):
+        plus = (plus < 0.5).astype(np.float64)
+    mask = rng.random(n) < 0.6 if draw(st.booleans()) else None
+    return plus, (mass, eta), mask
+
+
+@settings(max_examples=120, deadline=None)
+@given(blocked_problems())
+def test_blocked_error_matrix_is_bitwise_the_entry_loop(problem):
+    plus, (mass, eta), mask = problem
+    assert np.array_equal(md.error_matrix(plus, (mass, eta), mask),
+                          entry_loop(plus, mass, eta, mask))
+
+
+def test_error_matrix_at_the_cli_wide_shape_is_bitwise_the_entry_loop():
+    fam, cls = md.gen_random_label_consistent(
+        md.GenSpec(domain_size=1000, k=24, hypothesis_count=128, seed=5))
+    mass, eta = fam.mass_matrix, fam.label_prob_matrix
+    plus = plus_rows(cls.label_matrix)
+    mixture = np.random.default_rng(5).dirichlet(np.ones(128)) @ plus
+    mask = np.random.default_rng(6).random(1000) < 0.5
+    for rows, keep in ((plus, None), (plus, mask), (mixture[None], mask)):
+        assert np.array_equal(md.error_matrix(rows, fam, keep), entry_loop(rows, mass, eta, keep))
 
 
 def loop_error_terms(labels, member):

@@ -28,7 +28,16 @@ spread between interpreters of one tree. The layers:
 - generate_c06: md.generate at the C06 campaign spec (n = 40, k = 6,
   |H| = 16, seed 5);
 - reduction_family: a fresh ReductionFamily(matrix).family of the n = 18
-  matrix above (36 members).
+  matrix above (36 members);
+- error_matrix_128x24x1000 and error_matrix_16x6x40: error_matrix of the
+  whole class on the cli_wide and C06 instances above (the OPT and Hedge
+  matrices of learn, derand and a campaign trial);
+- error_matrix_1x24x1000: error_matrix of the cli_wide class's first
+  labeling (eval's one classifier);
+- error_matrix_masked_2x24x1000: error_matrix of two rows, that labeling
+  and the class's mean labeling, over a random 90% of the points (the
+  outside-T rounding deviation of a derand report);
+- build_parser: cli.build_parser, once per call of cli.main.
 """
 
 from __future__ import annotations
@@ -51,7 +60,8 @@ ROUNDS = 11
 REPS = {"eval_block": 40, "eval_one_poly": 100, "tail_check": 5, "bruteforce_min_discrepancy": 15,
         "min_deterministic_error": 15, "hedge_sampling": 15, "draw_family_24x1000x5000": 30,
         "draw_family_6x40x5000": 200, "load_instance": 15, "generate_c06": 200,
-        "reduction_family": 200}
+        "reduction_family": 200, "error_matrix_128x24x1000": 30, "error_matrix_16x6x40": 500,
+        "error_matrix_1x24x1000": 300, "error_matrix_masked_2x24x1000": 300, "build_parser": 100}
 
 
 def time_layers(src: str) -> dict:
@@ -60,7 +70,7 @@ def time_layers(src: str) -> dict:
     import numpy as np
 
     import multidist as md
-    from multidist import serialize
+    from multidist import cli, serialize
     from multidist.hashing import coefficient_matrix_eval
 
     coeffs = np.random.default_rng(0).integers(0, 67, size=(4096, 4))
@@ -73,7 +83,11 @@ def time_layers(src: str) -> dict:
     wide_fam, wide_cls = md.gen_random_label_consistent(
         md.GenSpec(domain_size=1000, k=24, hypothesis_count=128, seed=5))
     c06_spec = md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=5)
-    c06_fam, _ = md.gen_random_label_consistent(c06_spec)
+    c06_fam, c06_cls = md.gen_random_label_consistent(c06_spec)
+    wide_plus = (wide_cls.label_matrix == 1).astype(np.float64)
+    c06_plus = (c06_cls.label_matrix == 1).astype(np.float64)
+    two_rows = np.stack([wide_plus[0], wide_plus.mean(axis=0)])
+    outside = np.random.default_rng(3).random(1000) < 0.9
     tmp = tempfile.TemporaryDirectory()
     instance = Path(tmp.name) / "inst.json"
     serialize.save_instance(instance, wide_fam, wide_cls)
@@ -93,6 +107,11 @@ def time_layers(src: str) -> dict:
         "load_instance": lambda: serialize.load_instance(instance),
         "generate_c06": lambda: md.generate(c06_spec),
         "reduction_family": lambda: md.ReductionFamily(matrix).family,
+        "error_matrix_128x24x1000": lambda: md.error_matrix(wide_plus, wide_fam),
+        "error_matrix_16x6x40": lambda: md.error_matrix(c06_plus, c06_fam),
+        "error_matrix_1x24x1000": lambda: md.error_matrix(wide_plus[:1], wide_fam),
+        "error_matrix_masked_2x24x1000": lambda: md.error_matrix(two_rows, wide_fam, outside),
+        "build_parser": cli.build_parser,
     }
     out = {}
     for name, call in calls.items():
