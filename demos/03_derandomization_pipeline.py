@@ -39,7 +39,7 @@ print(f"bias table size |T| = {len(result.table)} of {fam.domain_size} points\n"
 
 # the error splits exactly into the pinned part and the rounded part
 inside = np.zeros(fam.domain_size, dtype=bool)
-inside[result.table.points()] = True
+inside[result.table.points] = True
 plus = (result.classifier.label_vector() == 1).astype(float)  # Pr[f(x) = +1]
 t_terms = md.error_matrix(plus, fam, inside)
 o_terms = md.error_matrix(plus, fam, ~inside)

@@ -32,7 +32,7 @@ f_rand = md.hedge_learn(oracle, cls, *cfg.learner_eps_delta())
 result = md.derandomize(oracle, f_rand, cfg, np.random.default_rng(3))
 clf = result.classifier
 print(f"compact classifier: polynomial of {clf.hash.degree_r} coefficients mod {clf.hash.prime}, "
-      f"table of {len(clf.t_table)} pinned labels, mixture of {len(clf.f_rand.support)} hypotheses")
+      f"table of {len(clf.t_points)} pinned labels, mixture of {len(clf.f_rand.support)} hypotheses")
 print(serialize.hash_stanza(clf.hash))
 
 det = md.worst_case_error(clf, fam)
@@ -42,7 +42,7 @@ print(f"worst-case error {det.worst_case:.4f} vs OPT + eps = {opt + eps:.4f}\n")
 # the rounding law: over fresh hash draws, Pr[label = +1] = floor(m*p)/p
 # (probe the untabled point whose marginal is most mixed); each row of coeffs
 # is one hash draw, evaluated and rounded as the classifier does
-outside = [x for x in range(fam.domain_size) if x not in clf.t_table]
+outside = [x for x in range(fam.domain_size) if x not in clf.t_points]
 x = min(outside, key=lambda x: abs(clf.f_rand.marginals[x] - 0.5))
 marginal = float(clf.f_rand.marginals[x])
 rng = np.random.default_rng(0)

@@ -38,7 +38,6 @@ from .learner import (
 from .derand import (
     DerandConfig,
     BiasTable,
-    BiasEntry,
     DerandResult,
     build_bias_table,
     round_outside_t,

@@ -17,7 +17,7 @@ members.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .model import (
     ExplicitClassifier,
     RandomizedClassifier,
     check_eps_delta,
+    frozen_pins,
     is_positive_real,
     require_integer,
     require_label_consistent,
@@ -40,8 +41,8 @@ class DerandConfig:
 
     Theory mode derives gamma = c_const * k / (eps * delta) and a per-member
     sample count m = ceil(c_const * ln^2(gamma) / eps^2) (times an extra
-    c_prime * ln(gamma) factor for hash rounding). Calibrated mode overrides m
-    directly and scales the table threshold, because the "large enough"
+    c_prime * ln(gamma) factor for hash rounding). Only calibrated mode takes
+    m_override (its m) and threshold_scale, because the "large enough"
     constants make theory-mode m impractical for tight eps at desk scale.
     """
 
@@ -69,6 +70,8 @@ class DerandConfig:
         if self.mode == "calibrated":
             if self.m_override is None or self.m_override < 1:
                 raise ValueError("calibrated mode needs a positive m_override")
+        elif self.m_override is not None or self.threshold_scale != 1.0:
+            raise ValueError("m_override and threshold_scale apply only in calibrated mode")
         # gamma(k) >= c_const / (eps * delta), and the table threshold
         # sqrt(ln(gamma) / count) needs gamma > 1
         if self.c_const <= self.eps * self.delta:
@@ -87,9 +90,6 @@ class DerandConfig:
             m *= self.c_prime * ln_gamma
         return math.ceil(m)
 
-    def scale(self) -> float:
-        return self.threshold_scale if self.mode == "calibrated" else 1.0
-
     def learner_eps_delta(self) -> tuple[float, float]:
         """The precision and failure probability the learner is run at: half
         of this configuration's own."""
@@ -97,40 +97,31 @@ class DerandConfig:
 
 
 @dataclass(frozen=True)
-class BiasEntry:
-    label: int
-    member: int  # distribution whose samples triggered the insertion
-    rho: float
-    count: int
-
-
-@dataclass(frozen=True)
 class BiasTable:
-    """Points with empirically certain label bias, and the label fixed for each."""
+    """Points with empirically certain label bias, as read-only arrays of one
+    length: the points, ascending; the +-1 label pinned at each; the member
+    whose samples put it in; its empirical skew rho and its sample count
+    under that member."""
 
-    entries: dict[int, BiasEntry] = field(default_factory=dict)
+    points: np.ndarray = ()
+    labels: np.ndarray = ()
+    members: np.ndarray = ()
+    rho: np.ndarray = ()
+    counts: np.ndarray = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", dict(self.entries))
+        points, labels = frozen_pins(self.points, self.labels, "table")
+        for name, arr in (("points", points), ("labels", labels),
+                          ("members", np.array(self.members, dtype=np.int64)),
+                          ("rho", np.array(self.rho, dtype=np.float64)),
+                          ("counts", np.array(self.counts, dtype=np.int64))):
+            if arr.shape != points.shape:
+                raise ValueError(f"table {name} has shape {arr.shape}, points {points.shape}")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.entries
-
-    def points(self) -> np.ndarray:
-        return np.array(sorted(self.entries), dtype=np.int64)
-
-    def labels(self) -> dict[int, int]:
-        return {x: e.label for x, e in self.entries.items()}
-
-    def label_of(self, x: int) -> int:
-        return self.entries[x].label
-
-
-def _sign(v: float) -> int:
-    return 1 if v >= 0 else -1
+        return len(self.points)
 
 
 def build_bias_table(oracle: SampleOracle, cfg: DerandConfig,
@@ -149,26 +140,18 @@ def build_bias_table(oracle: SampleOracle, cfg: DerandConfig,
     if oracle.exact:
         require_label_consistent(fam)
     k, n = fam.k, fam.domain_size
-    gamma = cfg.gamma(k)
-    m = cfg.sample_size(k)
-    scale = cfg.scale()
-    ln_gamma = math.log(gamma)
-
-    counts, pos = _tally(*oracle._draw_cells(m, rng=rng), k, n)
-    with np.errstate(invalid="ignore"):
-        rho = np.where(counts > 0, (2.0 * pos - counts) / np.maximum(counts, 1), 0.0)
-    passing = np.zeros((k, n), dtype=bool)
-    seen = counts > 0
-    passing[seen] = np.abs(rho[seen]) > scale * np.sqrt(ln_gamma / counts[seen])
+    ln_gamma = math.log(cfg.gamma(k))
+    counts, pos = _tally(*oracle._draw_cells(cfg.sample_size(k), rng=rng), k, n)
+    drawn = np.maximum(counts, 1)  # a cell with no draws gets rho 0, which never passes
+    rho = (2.0 * pos - counts) / drawn
+    passing = np.abs(rho) > cfg.threshold_scale * np.sqrt(ln_gamma / drawn)
 
     # a point an earlier member put in the table is skipped (the x in X\T
-    # guard), so each point's entry comes from the first member it passes for;
-    # entries go in member by member, points ascending
+    # guard), so each point's entry comes from the first member it passes for
     first = passing & (np.cumsum(passing, axis=0) == 1)
-    members, points = np.nonzero(first)
-    return BiasTable({x: BiasEntry(_sign(r), i, r, c) for i, x, r, c in
-                      zip(members.tolist(), points.tolist(), rho[first].tolist(),
-                          counts[first].astype(np.int64).tolist())})
+    points, members = np.nonzero(first.T)
+    r = rho[members, points]
+    return BiasTable(points, np.where(r >= 0, 1, -1), members, r, counts[members, points])
 
 
 def round_outside_t(f_rand: RandomizedClassifier, table: BiasTable, domain_size: int,
@@ -178,16 +161,11 @@ def round_outside_t(f_rand: RandomizedClassifier, table: BiasTable, domain_size:
     shared hypothesis)."""
     require_unit_weights(f_rand)
     labels = np.empty(domain_size, dtype=np.int8)
-    outside = np.ones(domain_size, dtype=bool)
-    for x, entry in table.entries.items():
-        labels[x] = entry.label
-        outside[x] = False
-    idx_outside = np.nonzero(outside)[0]
-    if idx_outside.size:
-        cum = np.cumsum(f_rand.weights)
-        picks = np.searchsorted(cum, rng.random(idx_outside.size), side="right")
-        np.clip(picks, 0, len(f_rand.support) - 1, out=picks)
-        labels[idx_outside] = f_rand.support_label_matrix[picks, idx_outside]
+    labels[table.points] = table.labels
+    idx_outside = np.delete(np.arange(domain_size), table.points)
+    picks = np.searchsorted(np.cumsum(f_rand.weights), rng.random(idx_outside.size), side="right")
+    np.clip(picks, 0, len(f_rand.support) - 1, out=picks)
+    labels[idx_outside] = f_rand.support_label_matrix[picks, idx_outside]
     return labels
 
 
@@ -222,5 +200,5 @@ def derandomize(oracle: SampleOracle, f_rand: RandomizedClassifier, cfg: DerandC
 
     r, p = choose_hash_params(fam.k, cfg.eps, cfg.delta, fam.domain_size, cfg.c_prime)
     q = sample_hash(p, r, round_rng)
-    return DerandResult(CompactClassifier(q, table.labels(), f_rand, fam.domain_size, p),
-                        f_rand, table)
+    clf = CompactClassifier(q, table.points, table.labels, f_rand, fam.domain_size, p)
+    return DerandResult(clf, f_rand, table)

@@ -83,7 +83,7 @@ def rounding_deviation(f_hat, f_rand, fam: DistributionFamily, table: BiasTable)
     """max over members of |outside-T error of the rounded classifier minus
     the mixture's expected outside-T error|."""
     outside = np.ones(fam.domain_size, dtype=bool)
-    outside[table.points()] = False
+    outside[table.points] = False
     rows = np.stack([plus_rows(label_vector_of(f_hat)), f_rand.marginals])
     got, want = error_matrix(rows, fam, outside)
     return float(np.abs(got - want).max())
@@ -94,15 +94,10 @@ def heavy_coverage(table: BiasTable, fam: DistributionFamily, eps: float, delta:
     """True iff every heavily biased point is in the table with the sign of
     its bias (sign of zero taken as +1)."""
     mask = heavy_mask(fam, eps, delta, variant, c_prime)
-    beta = fam.shared_label_one_prob - 0.5
-    for x in np.nonzero(mask)[0]:
-        x = int(x)
-        if x not in table:
-            return False
-        want = 1 if beta[x] >= 0 else -1
-        if table.label_of(x) != want:
-            return False
-    return True
+    pinned = np.zeros(fam.domain_size, dtype=np.int8)  # 0 off the table
+    pinned[table.points] = table.labels
+    want = np.where(fam.shared_label_one_prob[mask] >= 0.5, 1, -1)
+    return bool(np.all(pinned[mask] == want))
 
 
 def run_trial_detailed(fam: DistributionFamily, cls: HypothesisClass,

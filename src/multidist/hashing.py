@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import (RandomizedClassifier, check_eps_delta, integer_array, is_positive_real,
-                    require_integer)
+from .model import (RandomizedClassifier, check_eps_delta, frozen_pins, integer_array,
+                    is_positive_real, require_integer)
 
 PRIME_LIMIT = 1 << 62
 # Hash values per block of the tail check, small enough to stay in cache: 512 KiB
@@ -246,18 +246,22 @@ def _plus_decision_vector(q_values: np.ndarray, marginals: np.ndarray, p: int) -
 class CompactClassifier:
     """Deterministic classifier stored as (hash, override table, mixture).
 
-    Points in t_table carry fixed labels; any other point is labeled +1 iff
-    q(x) + 1 <= Pr_{f~F}[f(x)=1] * range_size, evaluated exactly.
+    Points t_points (distinct, ascending) carry fixed labels t_labels; any
+    other point is labeled +1 iff q(x) + 1 <= Pr_{f~F}[f(x)=1] * range_size,
+    evaluated exactly.
     """
 
     hash: PolyHash
-    t_table: dict[int, int]
+    t_points: np.ndarray
+    t_labels: np.ndarray
     f_rand: RandomizedClassifier
     domain_size: int
     range_size: int
 
     def __post_init__(self):
-        object.__setattr__(self, "t_table", dict(self.t_table))
+        points, labels = frozen_pins(self.t_points, self.t_labels, "t_table")
+        object.__setattr__(self, "t_points", points)
+        object.__setattr__(self, "t_labels", labels)
         if self.range_size != self.hash.prime:
             raise ValueError("range_size must equal the hash prime")
         if self.domain_size != self.f_rand.domain_size:
@@ -265,11 +269,8 @@ class CompactClassifier:
                              f"mixture class width {self.f_rand.domain_size}")
         if self.hash.prime <= self.domain_size:
             raise ValueError("hash prime must exceed the domain size")
-        for x, label in self.t_table.items():
-            if not 0 <= x < self.domain_size:
-                raise ValueError(f"table key {x} outside the domain")
-            if label not in (-1, 1):
-                raise ValueError(f"table label at {x} must be -1 or +1")
+        if points.size and points[-1] >= self.domain_size:
+            raise ValueError(f"table key {points[-1]} outside the domain")
 
     @cached_property
     def _label_vector(self) -> np.ndarray:
@@ -277,8 +278,7 @@ class CompactClassifier:
                                          self.hash.prime)[0]
         plus = _plus_decision_vector(q_vals, self.f_rand.marginals, self.range_size)
         labels = np.where(plus, 1, -1).astype(np.int8)
-        for x, lab in self.t_table.items():
-            labels[x] = lab
+        labels[self.t_points] = self.t_labels
         labels.flags.writeable = False
         return labels
 

@@ -54,6 +54,8 @@ class GenSpec:
     def __post_init__(self):
         if self.domain_size < 1 or self.k < 1 or self.hypothesis_count < 1:
             raise ValueError("counts must be positive")
+        if self.heavy_count < 0:
+            raise ValueError(f"heavy_count must be nonnegative, got {self.heavy_count}")
         # an instance file's integers must fit in 64 bits to load again
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")

@@ -181,6 +181,25 @@ def integer_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def frozen_pins(points, labels, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Points and the +-1 label pinned at each, as read-only int64 and int8
+    vectors of one length: the one check of a table of pinned labels, whose
+    points must be nonnegative, distinct and ascending."""
+    try:
+        pts = integer_array(points, f"{name} points").astype(np.int64)
+    except OverflowError:  # a file's integer of 2^63 or more
+        raise ValueError(f"{name} points must fit in 64 bits") from None
+    lab = _frozen_label_array(labels, f"{name} label")
+    if pts.shape != lab.shape:
+        raise ValueError(f"{name} has points of shape {pts.shape}, labels {lab.shape}")
+    if pts.size and (pts[0] < 0 or np.any(pts[1:] <= pts[:-1])):
+        # prepending -1 also flags a negative first point
+        x = pts[np.flatnonzero(np.diff(pts, prepend=-1) <= 0)[0]]
+        raise ValueError(f"{name} point {x} is negative, repeated or out of order")
+    pts.flags.writeable = False
+    return pts, lab
+
+
 @dataclass(frozen=True)
 class LabeledDistribution:
     """A distribution over (point, label) pairs on a finite domain.

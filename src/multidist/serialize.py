@@ -167,7 +167,7 @@ def classifier_to_dict(clf) -> dict:
             "coefficients": list(clf.hash.coefficients),
             "range_size": clf.range_size,
             "domain_size": clf.domain_size,
-            "t_table": sorted([int(x), int(l)] for x, l in clf.t_table.items()),
+            "t_table": np.column_stack([clf.t_points, clf.t_labels]).tolist(),
             "randomized": randomized_to_dict(clf.f_rand),
         }
     raise TypeError(f"cannot serialize classifier of type {type(clf).__name__}")
@@ -192,7 +192,7 @@ def classifier_from_dict(doc: dict, cls: HypothesisClass | None = None):
         q = PolyHash(integer("prime"),
                      tuple(require_integer(c, "hash coefficient") for c in coeffs))
         f_rand = randomized_from_dict(field("randomized", dict), cls)
-        table = {}
+        table = []
         for i, entry in enumerate(field("t_table", list)):
             if not (isinstance(entry, list) and len(entry) == 2):
                 # named by index and type: the repr of a deeply nested entry recurses
@@ -200,9 +200,12 @@ def classifier_from_dict(doc: dict, cls: HypothesisClass | None = None):
                         else f"a {type(entry).__name__}")
                 raise ValueError(f"t_table entries must be [point, label] pairs, "
                                  f"entry {i} is {what}")
-            x = require_integer(entry[0], "t_table point")
-            table[x] = require_integer(entry[1], "t_table label")
-        return CompactClassifier(q, table, f_rand, integer("domain_size"), integer("range_size"))
+            table.append((require_integer(entry[0], "t_table point"),
+                          require_integer(entry[1], "t_table label")))
+        # entries may come in any order; a repeated point is rejected
+        table.sort()
+        return CompactClassifier(q, [x for x, _ in table], [lab for _, lab in table], f_rand,
+                                 integer("domain_size"), integer("range_size"))
     raise ValueError(f"unknown classifier kind {kind!r}")
 
 
@@ -224,6 +227,8 @@ def load_matrix(path) -> BinaryMatrix:
     lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix file")
+    if not (lines[0].isascii() and lines[0].isdigit()):
+        raise ValueError(f"matrix header must be the row count in decimal digits, got {lines[0]!r}")
     n = int(lines[0])
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")

@@ -6,7 +6,7 @@ import types
 import multidist as md
 
 PUBLIC_NAMES = [
-    "BiasEntry", "BiasTable", "BinaryMatrix", "CampaignConfig", "CampaignSummary",
+    "BiasTable", "BinaryMatrix", "CampaignConfig", "CampaignSummary",
     "Coloring", "CompactClassifier", "DerandConfig", "DerandResult", "DistributionFamily",
     "EmpiricalSample", "ErrorReport", "ExplicitClassifier", "GenSpec",
     "HedgeConfig", "HypothesisClass", "LabelConsistencyError",

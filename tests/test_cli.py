@@ -342,13 +342,26 @@ def test_classifier_files_reject_non_integer_values(tmp_path, capsys):
             (dict(t_table=[[10**30, 1]]), "t_table point must be an integer, got 1e+30"),
             (dict(coefficients=[2**70] + doc["coefficients"][1:]),
              "hash coefficient must be an integer, got 1.1805916207174113e+21"),
-            (dict(t_table={}), "classifier field 't_table' must be a list, got dict")):
+            (dict(t_table={}), "classifier field 't_table' must be a list, got dict"),
+            # loaded as {0: -1} once, the last entry winning
+            (dict(t_table=[[0, 1], [0, -1]]), "t_table point 0 is negative, repeated or out"),
+            (dict(t_table=[[3, 1], [0, -1], [3, 1]]), "t_table point 3 is negative, repeated"),
+            (dict(t_table=[[-1, 1]]), "t_table point -1 is negative, repeated or out of order"),
+            (dict(t_table=[[2**63, 1]]), "t_table points must fit in 64 bits")):
         bad.write_text(json.dumps({**doc, **edit}))
         assert main(["eval", str(bad), str(inst)]) == 2
         assert f"multidist: error: {message}" in capsys.readouterr().err
     # integral floats carry no fraction to lose, so they still load
     bad.write_text(json.dumps({**doc, "domain_size": 15.0}))
     assert main(["eval", str(bad), str(inst)]) == 0
+    # distinct points load in any order, as the sorted table does
+    assert len(doc["t_table"]) >= 2
+    capsys.readouterr()
+    assert main(["eval", str(clf), str(inst)]) == 0
+    want = capsys.readouterr().out
+    bad.write_text(json.dumps({**doc, "t_table": doc["t_table"][::-1]}))
+    assert main(["eval", str(bad), str(inst)]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_instance_files_check_json_value_types(tmp_path, capsys):

@@ -39,17 +39,19 @@ def table_of(counts, gamma, scale=1.0):
 def test_empirical_rho_examples():
     # rho = (#positive - #negative) / count; rho 0 never clears the threshold
     table = table_of([(10, 0), (5, 5), (7, 3), (0, 0)], 2.0, scale=1e-6)
-    assert sorted(table.entries) == [0, 2]
-    assert (table.entries[0].rho, table.entries[0].count, table.entries[0].label) == (1.0, 10, 1)
-    assert (table.entries[2].rho, table.entries[2].count) == (0.4, 10)
-    assert table_of([(3, 7)], 2.0, scale=1e-6).entries[0].rho == -0.4
+    assert table.points.tolist() == [0, 2]
+    assert table.rho.tolist() == [1.0, 0.4]
+    assert table.counts.tolist() == [10, 10]
+    assert table.labels.tolist() == [1, 1]
+    minus = table_of([(3, 7)], 2.0, scale=1e-6)
+    assert minus.rho.tolist() == [-0.4] and minus.labels.tolist() == [-1]
 
 
 def test_threshold_test_derived_example():
     # sqrt(ln(100)/100) ~ 0.2146
     assert math.sqrt(math.log(100) / 100) == pytest.approx(0.2145966026, abs=1e-9)
     table = table_of([(100, 0), (60, 40)], 100.0)  # rho 1.0 and 0.2
-    assert sorted(table.entries) == [0]
+    assert table.points.tolist() == [0]
 
 
 def test_threshold_test_zero_rho_and_boundary():
@@ -105,6 +107,37 @@ def test_derand_config_validation():
                                 **{name: value})
 
 
+def test_theory_mode_rejects_calibrated_knobs():
+    # theory mode ignored both: sample_size(4) stayed 3590 and the threshold
+    # scale 1.0
+    for knobs in (dict(m_override=7, threshold_scale=3.0), dict(m_override=7),
+                  dict(threshold_scale=3.0)):
+        with pytest.raises(ValueError, match="m_override and threshold_scale apply only "
+                                             "in calibrated mode"):
+            md.DerandConfig(eps=0.2, delta=0.2, **knobs)
+    # the positivity check comes first
+    with pytest.raises(ValueError, match="threshold_scale must be finite and positive"):
+        md.DerandConfig(eps=0.2, delta=0.2, threshold_scale=math.nan)
+    cfg = md.DerandConfig(eps=0.2, delta=0.2, threshold_scale=1.0)
+    assert cfg.sample_size(4) == 3590 and cfg.threshold_scale == 1.0
+
+
+def test_bias_table_is_arrays_of_one_length():
+    table = md.BiasTable([2, 5], [1, -1], [0, 1], [0.5, -0.25], [8, 4])
+    assert len(table) == 2 and table.labels.dtype == np.int8
+    assert not any(getattr(table, name).flags.writeable
+                   for name in ("points", "labels", "members", "rho", "counts"))
+    for args, message in (
+            (([5, 2], [1, -1], [0, 1], [0.5, -0.25], [8, 4]), "point 2 is negative, repeated"),
+            (([2, 2], [1, -1], [0, 1], [0.5, -0.25], [8, 4]), "point 2 is negative, repeated"),
+            (([-1], [1], [0], [0.5], [8]), "point -1 is negative"),
+            (([2, 5], [1, 0], [0, 1], [0.5, -0.25], [8, 4]), "label entries must be exactly"),
+            (([2, 5], [1], [0, 1], [0.5, -0.25], [8, 4]), "points of shape \\(2,\\), labels"),
+            (([2, 5], [1, -1], [0, 1], [0.5], [8, 4]), "table rho has shape \\(1,\\)")):
+        with pytest.raises(ValueError, match=message):
+            md.BiasTable(*args)
+
+
 def test_table_collects_sure_labels():
     # all labels +1, small domain, sample count >> ln(gamma): every point lands
     # in the table with label +1
@@ -113,7 +146,7 @@ def test_table_collects_sure_labels():
     table = md.build_bias_table(md.SampleOracle.exact_mode(fam), cfg,
                                 np.random.default_rng(0))
     assert len(table) == 4
-    assert all(e.label == 1 for e in table.entries.values())
+    assert table.labels.tolist() == [1, 1, 1, 1]
 
 
 def test_table_insertion_rate_matches_binomial_tail():
@@ -138,7 +171,7 @@ def test_table_insertion_rate_matches_binomial_tail():
         counts = np.bincount(xs, minlength=d)
         for x in range(d):
             if counts[x] > 0:
-                by_count.setdefault(int(counts[x]), []).append(int(x in table))
+                by_count.setdefault(int(counts[x]), []).append(int(x in table.points))
 
     checked = 0
     for n, flags in by_count.items():
@@ -168,7 +201,7 @@ def test_table_heavy_point_nearly_always_caught():
     runs = 300
     for run in range(runs):
         table = md.build_bias_table(oracle, cfg, np.random.default_rng(run))
-        if 0 in table and table.label_of(0) == 1:
+        if table.labels[table.points == 0].tolist() == [1]:
             hits += 1
     assert hits / runs >= 1.0 - 0.1 / 4 - 0.05
 
@@ -182,8 +215,7 @@ def test_table_skips_points_in_earlier_iterations():
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=2000)
     table = md.build_bias_table(md.SampleOracle.exact_mode(fam), cfg,
                                 np.random.default_rng(3))
-    assert 0 in table
-    assert table.entries[0].member == 0
+    assert table.members[table.points == 0].tolist() == [0]
 
 
 def test_table_rejects_inconsistent_family_in_exact_mode():
@@ -197,14 +229,14 @@ def test_table_rejects_inconsistent_family_in_exact_mode():
 def test_round_outside_t_singleton_copies_hypothesis():
     cls = md.HypothesisClass([[1, -1, 1, -1]])
     F = md.RandomizedClassifier(cls, (0,), np.array([1.0]))
-    labels = md.round_outside_t(F, md.BiasTable({}), 4, np.random.default_rng(0))
+    labels = md.round_outside_t(F, md.BiasTable(), 4, np.random.default_rng(0))
     assert labels.tolist() == [1, -1, 1, -1]
 
 
 def test_round_outside_t_respects_table():
     cls = md.HypothesisClass([[1, 1, 1]])
     F = md.RandomizedClassifier(cls, (0,), np.array([1.0]))
-    table = md.BiasTable({1: md.BiasEntry(-1, 0, -1.0, 10)})
+    table = md.BiasTable([1], [-1], [0], [-1.0], [10])
     labels = md.round_outside_t(F, table, 3, np.random.default_rng(0))
     assert labels.tolist() == [1, -1, 1]
 
@@ -213,7 +245,7 @@ def test_round_outside_t_balanced_mixture_frequency():
     n = 10_000
     cls = md.HypothesisClass([np.ones(n), -np.ones(n)])
     F = md.RandomizedClassifier(cls, (0, 1), np.array([0.5, 0.5]))
-    labels = md.round_outside_t(F, md.BiasTable({}), n, np.random.default_rng(5))
+    labels = md.round_outside_t(F, md.BiasTable(), n, np.random.default_rng(5))
     assert abs(np.mean(labels == 1) - 0.5) < 0.02
 
 
@@ -224,7 +256,7 @@ def test_round_outside_t_gap_marginal_frequency():
     minus_counts = np.zeros(k)
     reps = 12_500  # k points per rep -> 1e5 observations
     for _ in range(reps):
-        labels = md.round_outside_t(F, md.BiasTable({}), k, rng)
+        labels = md.round_outside_t(F, md.BiasTable(), k, rng)
         minus_counts += labels == -1
     freq = minus_counts / reps
     sigma = math.sqrt((1 / k) * (1 - 1 / k) / reps)
@@ -240,7 +272,7 @@ def test_rounding_unbiasedness_of_outside_term():
     w = rng.random(4)
     w /= w.sum()
     F = md.RandomizedClassifier(cls, (0, 2, 3, 5), w)
-    table = md.BiasTable({0: md.BiasEntry(1, 0, 1.0, 5), 7: md.BiasEntry(-1, 1, -1.0, 9)})
+    table = md.BiasTable([0, 7], [1, -1], [0, 1], [1.0, -1.0], [5, 9])
     outside = np.ones(12, dtype=bool)
     outside[[0, 7]] = False
 
@@ -283,7 +315,8 @@ def test_derandomize_hash_mode_returns_compact():
     result = _derandomized(fam, cls, cfg, 7)
     clf = result.classifier
     assert isinstance(clf, md.CompactClassifier)
-    assert clf.t_table == result.table.labels()
+    assert np.array_equal(clf.t_points, result.table.points)
+    assert np.array_equal(clf.t_labels, result.table.labels)
     assert clf.hash.degree_r % 2 == 0
     assert clf.hash.prime > fam.domain_size
     # evaluation total over the domain
@@ -312,7 +345,7 @@ def test_error_decomposition_is_exact():
     result = _derandomized(fam, cls, cfg, 3)
     inside = np.zeros(fam.domain_size, dtype=bool)
     if len(result.table):
-        inside[result.table.points()] = True
+        inside[result.table.points] = True
     plus = plus_rows(result.classifier.label_vector())
     t_terms = md.error_matrix(plus, fam, inside)
     o_terms = md.error_matrix(plus, fam, ~inside)
@@ -327,9 +360,9 @@ def test_table_term_attains_pointwise_minimum_when_signs_correct():
     result = _derandomized(fam, cls, cfg, 11)
     eta = fam.shared_label_one_prob
     beta_sign = np.where(eta - 0.5 >= 0, 1, -1)
-    points = result.table.points()
+    points = result.table.points
     assert len(points) > 0
-    correct = all(result.table.label_of(int(x)) == beta_sign[x] for x in points)
+    correct = np.array_equal(result.table.labels, beta_sign[points])
     if not correct:
         pytest.skip("a table sign came out wrong on this seed; optimality only holds when signs are correct")
     inside = np.zeros(fam.domain_size, dtype=bool)

@@ -385,9 +385,10 @@ def test_block_draws_are_the_per_round_draws(shape):
 
 def loop_bias_table(fam, cfg, rng):
     """The former build_bias_table: one loop_draw per member, each member's
-    tallies on their own, entries in member order."""
+    tallies on their own; point -> (label, member, rho, count), in member
+    order."""
     n, m = fam.domain_size, cfg.sample_size(fam.k)
-    threshold = cfg.scale() * np.sqrt(np.log(cfg.gamma(fam.k)))
+    threshold = cfg.threshold_scale * np.sqrt(np.log(cfg.gamma(fam.k)))
     entries = {}
     for i, member in enumerate(members(fam)):
         xs, ys = loop_draw(member, m, rng)
@@ -398,7 +399,7 @@ def loop_bias_table(fam, cfg, rng):
                 continue
             rho = (2.0 * pos[x] - counts[x]) / counts[x]
             if abs(rho) > threshold / np.sqrt(counts[x]):
-                entries[x] = md.BiasEntry(1 if rho >= 0 else -1, i, float(rho), int(counts[x]))
+                entries[x] = (1 if rho >= 0 else -1, i, float(rho), int(counts[x]))
     return entries
 
 
@@ -420,7 +421,11 @@ def test_one_pass_bias_table_is_the_member_loop(sampling):
         ref_rng = np.random.default_rng(seed)
         want = loop_bias_table(fam, cfg, ref_rng)
         assert len(want) > 0
-        assert table.entries == want and list(table.entries) == list(want)
+        points = sorted(want)
+        columns = [list(column) for column in zip(*(want[x] for x in points))]
+        assert table.points.tolist() == points
+        assert [table.labels.tolist(), table.members.tolist(), table.rho.tolist(),
+                table.counts.tolist()] == columns
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

@@ -59,15 +59,15 @@ def test_rounding_deviation_zero_for_exact_marginal_copy():
                                                          hypothesis_count=3, seed=3))
     F = md.RandomizedClassifier(cls, (1,), np.array([1.0]))
     f_hat = md.ExplicitClassifier(cls.label_matrix[1])
-    assert rounding_deviation(f_hat, F, fam, md.BiasTable({})) == 0.0
+    assert rounding_deviation(f_hat, F, fam, md.BiasTable()) == 0.0
 
 
 def test_heavy_coverage_flag():
     fam = md.DistributionFamily([[0.9, 0.1]], [[0.9, 0.5]])
     assert md.heavy_mask(fam, 0.1, 0.1).tolist() == [True, False]
-    good = md.BiasTable({0: md.BiasEntry(1, 0, 0.8, 50)})
-    bad_sign = md.BiasTable({0: md.BiasEntry(-1, 0, -0.8, 50)})
-    empty = md.BiasTable({})
+    good = md.BiasTable([0], [1], [0], [0.8], [50])
+    bad_sign = md.BiasTable([0], [-1], [0], [-0.8], [50])
+    empty = md.BiasTable()
     assert heavy_coverage(good, fam, 0.1, 0.1, "explicit", 4.0)
     assert not heavy_coverage(bad_sign, fam, 0.1, 0.1, "explicit", 4.0)
     assert not heavy_coverage(empty, fam, 0.1, 0.1, "explicit", 4.0)

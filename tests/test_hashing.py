@@ -207,7 +207,7 @@ def _compact(marginal: float, p: int, q: md.PolyHash, n: int) -> md.CompactClass
     # a two-hypothesis class whose mixture marginal is exactly `marginal` everywhere
     cls = md.HypothesisClass([np.ones(n), -np.ones(n)])
     F = md.RandomizedClassifier(cls, (0, 1), np.array([marginal, 1.0 - marginal]))
-    return md.CompactClassifier(q, {}, F, n, p)
+    return md.CompactClassifier(q, (), (), F, n, p)
 
 
 def test_compact_evaluate_extreme_marginals():
@@ -236,9 +236,9 @@ def test_compact_evaluate_pure_and_total():
     cls = md.HypothesisClass([np.where(rng.random(n) < 0.5, 1, -1) for _ in range(3)])
     F = md.RandomizedClassifier(cls, (0, 1, 2), np.array([0.2, 0.5, 0.3]))
     q = md.sample_hash(md.next_prime(n + 1), 4, rng)
-    clf = md.CompactClassifier(q, {5: 1, 9: -1}, F, n, q.prime)
+    clf = md.CompactClassifier(q, [5, 9], [1, -1], F, n, q.prime)
     first = clf.label_vector().tolist()
-    second = md.CompactClassifier(q, {5: 1, 9: -1}, F, n, q.prime).label_vector().tolist()
+    second = md.CompactClassifier(q, [5, 9], [1, -1], F, n, q.prime).label_vector().tolist()
     assert first == second and len(first) == n
     assert first[5] == 1 and first[9] == -1
 
@@ -253,7 +253,7 @@ def test_compact_vector_boundary_matches_exact_decision():
     for num in range(p + 1):
         marginal = num / p  # marginal*p is exactly num up to float rounding
         F = md.RandomizedClassifier(cls, (0, 1), np.array([marginal, 1 - marginal]))
-        clf = md.CompactClassifier(q, {}, F, n, p)
+        clf = md.CompactClassifier(q, (), (), F, n, p)
         for x in range(n):
             want = 1 if Fraction(_horner(q.coefficients, x, p) + 1) <= Fraction(marginal) * p else -1
             assert clf.label_vector()[x] == want
@@ -435,7 +435,7 @@ def _constant_hash_classifier(p: int, q0: int, marginal: float, n: int = 3):
     """q(x) = q0 at every point and mixture marginal `marginal` everywhere."""
     cls = md.HypothesisClass([np.ones(n), -np.ones(n)])
     F = md.RandomizedClassifier(cls, (0, 1), np.array([marginal, 1.0 - marginal]))
-    return md.CompactClassifier(md.PolyHash(p, (q0, 0)), {}, F, n, p)
+    return md.CompactClassifier(md.PolyHash(p, (q0, 0)), (), (), F, n, p)
 
 
 def _fraction_rule(q_value: int, marginal: float, p: int) -> int:
@@ -515,6 +515,52 @@ def test_tail_check_hash_mode_within_bound():
     thr = report.config.threshold
     assert report.mean == 64 * thr / p
     assert report.variance == pytest.approx(64 * (thr / p) * (1 - thr / p))
+
+
+def exact_z_distribution(cfg: md.TailCheckConfig) -> list[Fraction]:
+    """Pr[Z = z] for z = 0..n, exactly, for the resolved config's indicators
+    Z_x = 1{q(x) < threshold} over the keys 0..n-1.
+
+    Hash mode enumerates every polynomial of degree < r mod p: for each
+    non-constant part g, the histogram of g(x) mod p over the keys; then Z
+    for the constant c0 is the number of keys with (g(x) + c0) mod p below
+    the threshold, one cyclic window sum of that histogram. Independent mode
+    is Binomial(n, threshold / p), with exact rational masses."""
+    n, p, thr = cfg.n, cfg.prime, cfg.threshold
+    if cfg.independent:
+        return [Fraction(math.comb(n, z) * thr**z * (p - thr) ** (n - z), p**n)
+                for z in range(n + 1)]
+    parts = np.indices((p,) * (cfg.r - 1)).reshape(cfg.r - 1, -1).T  # (p^(r-1), r-1)
+    powers = np.array([[pow(x, j, p) for x in range(n)] for j in range(1, cfg.r)])
+    g = (parts @ powers) % p  # (p^(r-1), n), sums below r p^2
+    rows = np.arange(len(parts))[:, None]
+    hist = np.bincount((rows * p + g).ravel(), minlength=len(parts) * p).reshape(-1, p)
+    # the window {(u - c0) mod p : 0 <= u < thr} starts at s = -c0 mod p
+    cum = np.concatenate([np.zeros((len(parts), 1), dtype=np.int64),
+                          np.cumsum(np.hstack([hist, hist]), axis=1)], axis=1)
+    starts = -np.arange(p) % p
+    z = cum[:, starts + thr] - cum[:, starts]  # (p^(r-1), p): one Z per hash
+    counts = np.bincount(z.ravel(), minlength=n + 1)
+    return [Fraction(int(c), p**cfg.r) for c in counts]
+
+
+@pytest.mark.parametrize("n,r,independent", [(16, 4, False), (32, 4, False), (32, 2, False),
+                                             (16, 4, True), (32, 4, True)])
+def test_tail_check_matches_the_exact_tail(n, r, independent):
+    report = md.empirical_tail_bound_check(md.TailCheckConfig(
+        n=n, r=r, draws=100_000, independent=independent, seed=0))
+    cfg = report.config
+    pz = exact_z_distribution(cfg)
+    assert sum(pz) == 1
+    mean = sum(z * q for z, q in enumerate(pz))
+    variance = sum(z * z * q for z, q in enumerate(pz)) - mean**2
+    assert report.mean == pytest.approx(float(mean), rel=1e-14)
+    assert report.variance == pytest.approx(float(variance), rel=1e-14)
+    for row in report.rows:
+        # the report's own test of a count z, so `observed` estimates `exact`
+        exact = float(sum(q for z, q in enumerate(pz) if abs(z - report.mean) >= row.t))
+        assert exact <= row.bound
+        assert abs(row.observed - exact) <= 4 * math.sqrt(exact * (1 - exact) / cfg.draws)
 
 
 def test_tail_check_rejects_composite_prime():

@@ -133,6 +133,9 @@ def test_gen_spec_validation():
         md.GenSpec(det_fraction=0.8, fair_fraction=0.5)
     with pytest.raises(ValueError):
         md.GenSpec(det_beta_lo=0.4, det_beta_hi=0.2)
+    # numpy once failed to broadcast deep in gen_heavy_point_probe instead
+    with pytest.raises(ValueError, match="heavy_count must be nonnegative, got -1"):
+        md.GenSpec(kind="heavy_point_probe", heavy_count=-1)
 
 
 def scalar_bias_profile_eta(spec, rng):

@@ -297,12 +297,13 @@ def test_compact_classifier_round_trip(tmp_path):
     cls = md.HypothesisClass([np.where(rng.random(n) < 0.5, 1, -1) for _ in range(4)])
     f_rand = md.RandomizedClassifier(cls, (0, 2, 3), np.array([0.5, 0.25, 0.25]))
     q = md.sample_hash(md.next_prime(n + 1), 4, rng)
-    clf = md.CompactClassifier(q, {3: -1, 17: 1, 9999: 1}, f_rand, n, q.prime)
+    clf = md.CompactClassifier(q, [3, 17, 9999], [-1, 1, 1], f_rand, n, q.prime)
     path = tmp_path / "clf.json"
     serialize.save_classifier(path, clf)
     clf2 = serialize.load_classifier(path, cls)
     assert clf2.hash == clf.hash
-    assert clf2.t_table == clf.t_table
+    assert np.array_equal(clf2.t_points, clf.t_points)
+    assert np.array_equal(clf2.t_labels, clf.t_labels)
     assert clf2.range_size == clf.range_size
     assert np.array_equal(clf.label_vector(), clf2.label_vector())
 
@@ -324,6 +325,18 @@ def test_matrix_round_trip(tmp_path):
     B = serialize.load_matrix(path)
     assert np.array_equal(A.entries, B.entries)
     assert path.read_text().splitlines()[0] == "3"
+
+
+def test_matrix_header_must_be_decimal_digits(tmp_path):
+    # int() reads each of these headers as 2, so the file loaded as a 2 x 2 matrix
+    path = tmp_path / "A.txt"
+    for header in ("0_2", "+2", "\uff12", "\u0662", "2.0"):
+        path.write_text(f"{header}\n01\n10\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"matrix header must be the row count in decimal digits, got {header!r}")):
+            serialize.load_matrix(path)
+    path.write_text(" 2 \n01\n10\n")
+    assert serialize.load_matrix(path).entries.tolist() == [[0, 1], [1, 0]]
 
 
 def test_load_instance_rejects_invalid_family(tmp_path):

@@ -88,7 +88,9 @@ def classifiers(draw):
     p = draw(st.sampled_from(PRIMES))
     coeffs = draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=6))
     table = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from([-1, 1])))
-    return md.CompactClassifier(md.PolyHash(p, tuple(coeffs)), table, f_rand, n, p), cls
+    points = sorted(table)
+    return md.CompactClassifier(md.PolyHash(p, tuple(coeffs)), points,
+                                [table[x] for x in points], f_rand, n, p), cls
 
 
 def _same(a, b) -> bool:
@@ -114,7 +116,7 @@ def _mixture_values(f: md.RandomizedClassifier):
 def _classifier_values(clf):
     if isinstance(clf, md.ExplicitClassifier):
         return clf.labels
-    return (clf.hash.prime, clf.hash.coefficients, clf.t_table, clf.domain_size,
+    return (clf.hash.prime, clf.hash.coefficients, clf.t_points, clf.t_labels, clf.domain_size,
             clf.range_size, _mixture_values(clf.f_rand))
 
 

@@ -37,12 +37,21 @@ spread between interpreters of one tree. The layers:
 - error_matrix_masked_2x24x1000: error_matrix of two rows, that labeling
   and the class's mean labeling, over a random 90% of the points (the
   outside-T rounding deviation of a derand report);
-- build_parser: cli.build_parser, once per call of cli.main.
+- build_parser: cli.build_parser, once per call of cli.main;
+- build_bias_table_24x1000x5000 and build_bias_table_6x40x5000: an exact-mode
+  build_bias_table of 5000 draws per member on the cli_wide and C06
+  instances above (eps 0.6, delta 0.2 as derand on the cli_wide benchmark
+  instance, about 440 points pinned; eps = delta = 0.15 as a C06 campaign
+  trial);
+- compact_label_vector_24x1000: a fresh copy of the compact classifier that
+  derand --rounding hash makes from a three-hypothesis mixture on the
+  cli_wide instance (m = 5000), constructed and labelled over the domain.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -61,7 +70,9 @@ REPS = {"eval_block": 40, "eval_one_poly": 100, "tail_check": 5, "bruteforce_min
         "min_deterministic_error": 15, "hedge_sampling": 15, "draw_family_24x1000x5000": 30,
         "draw_family_6x40x5000": 200, "load_instance": 15, "generate_c06": 200,
         "reduction_family": 200, "error_matrix_128x24x1000": 30, "error_matrix_16x6x40": 500,
-        "error_matrix_1x24x1000": 300, "error_matrix_masked_2x24x1000": 300, "build_parser": 100}
+        "error_matrix_1x24x1000": 300, "error_matrix_masked_2x24x1000": 300, "build_parser": 100,
+        "build_bias_table_24x1000x5000": 30, "build_bias_table_6x40x5000": 200,
+        "compact_label_vector_24x1000": 100}
 
 
 def time_layers(src: str) -> dict:
@@ -92,6 +103,12 @@ def time_layers(src: str) -> dict:
     instance = Path(tmp.name) / "inst.json"
     serialize.save_instance(instance, wide_fam, wide_cls)
     draw_rng = np.random.default_rng(2)
+    wide_table_cfg = md.DerandConfig(eps=0.6, delta=0.2, mode="calibrated", m_override=5000)
+    c06_table_cfg = md.DerandConfig(eps=0.15, delta=0.15, mode="calibrated", m_override=5000)
+    wide_mixture = md.RandomizedClassifier(wide_cls, (0, 1, 2), [0.5, 0.3, 0.2])
+    compact = md.derandomize(md.SampleOracle.exact_mode(wide_fam), wide_mixture,
+                             dataclasses.replace(wide_table_cfg, rounding="hash"),
+                             np.random.default_rng(4)).classifier
     calls = {
         "eval_block": lambda: coefficient_matrix_eval(coeffs, keys, 67),
         "eval_one_poly": lambda: coefficient_matrix_eval(one_poly, domain, 1009),
@@ -112,6 +129,12 @@ def time_layers(src: str) -> dict:
         "error_matrix_1x24x1000": lambda: md.error_matrix(wide_plus[:1], wide_fam),
         "error_matrix_masked_2x24x1000": lambda: md.error_matrix(two_rows, wide_fam, outside),
         "build_parser": cli.build_parser,
+        "build_bias_table_24x1000x5000": lambda: md.build_bias_table(
+            md.SampleOracle.exact_mode(wide_fam), wide_table_cfg, draw_rng),
+        "build_bias_table_6x40x5000": lambda: md.build_bias_table(
+            md.SampleOracle.exact_mode(c06_fam), c06_table_cfg, draw_rng),
+        # a copy, since a classifier caches its label vector
+        "compact_label_vector_24x1000": lambda: dataclasses.replace(compact).label_vector(),
     }
     out = {}
     for name, call in calls.items():
