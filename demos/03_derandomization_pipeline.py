@@ -25,13 +25,13 @@ opt, opt_idx = md.opt_bruteforce(cls, fam)
 print(f"instance: |X|={fam.domain_size}, k={fam.k}, |H|={len(cls)}")
 print(f"brute-force OPT = {opt:.4f} (hypothesis {opt_idx})\n")
 
-# the black-box learner runs at eps/2, delta/2; its mixture is the input
+# the black-box learner runs at eps/2; its mixture is the input
 oracle = md.SampleOracle.exact_mode(fam)
 cfg = md.DerandConfig(eps=eps, delta=delta, mode="calibrated", m_override=5000)
-f_rand = md.hedge_learn(oracle, cls, *cfg.learner_eps_delta())
+f_rand = md.hedge_learn(oracle, cls, cfg.learner_eps())
 result = md.derandomize(oracle, f_rand, cfg, np.random.default_rng(11))
 
-rand_err = md.randomized_worst_case_error(result.f_rand, fam)
+rand_err = md.randomized_worst_case_error(f_rand, fam)
 det = md.worst_case_error(result.classifier, fam)
 print(f"mixture worst-case expected error : {rand_err:.4f}  (target OPT + eps/2 = {opt + eps/2:.4f})")
 print(f"derandomized worst-case error     : {det.worst_case:.4f}  (target OPT + eps = {opt + eps:.4f})")

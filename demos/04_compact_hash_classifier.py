@@ -28,7 +28,7 @@ print(f"  prime p = {p} (exceeds the domain and both range-size floors)\n")
 
 cfg = md.DerandConfig(eps=eps, delta=delta, mode="calibrated", m_override=5000,
                       rounding="hash")
-f_rand = md.hedge_learn(oracle, cls, *cfg.learner_eps_delta())
+f_rand = md.hedge_learn(oracle, cls, cfg.learner_eps())
 result = md.derandomize(oracle, f_rand, cfg, np.random.default_rng(3))
 clf = result.classifier
 print(f"compact classifier: polynomial of {clf.hash.degree_r} coefficients mod {clf.hash.prime}, "

@@ -65,7 +65,7 @@ from .metrics import (
     randomized_per_distribution,
     worst_case_error,
 )
-from .model import check_eps_delta, full_labeling_class, plus_rows
+from .model import full_labeling_class, plus_rows
 
 
 def _out_dir(path_arg: str | None) -> Path:
@@ -78,8 +78,6 @@ def _out_dir(path_arg: str | None) -> Path:
 def _add_hedge_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rounds", type=int, default=None, help="Hedge rounds (default from k, eps)")
     p.add_argument("--eta", type=float, default=None, help="Hedge learning rate (default from rounds)")
-    p.add_argument("--erm-samples", type=int, default=200,
-                   help="fresh draws per member per round in sampling mode")
     p.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
 
 
@@ -87,7 +85,7 @@ def _add_derand_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float, required=True, help="target excess error")
     p.add_argument("--delta", type=float, required=True, help="failure probability budget")
     p.add_argument("--c-const", type=float, default=4.0, help="sample-count constant")
-    p.add_argument("--c-prime", type=float, default=4.0, help="hash-variant constant")
+    p.add_argument("--c-prime", type=float, default=4.0, help="hash-rounding constant")
     p.add_argument("--mode", choices=["theory", "calibrated"], default="theory",
                    help="derive the sample count from the formulas, or override it")
     p.add_argument("--m-override", type=int, default=None,
@@ -99,7 +97,7 @@ def _add_derand_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _hedge_cfg(args) -> HedgeConfig:
-    return HedgeConfig(rounds=args.rounds, eta=args.eta, erm_sample_size=args.erm_samples)
+    return HedgeConfig(rounds=args.rounds, eta=args.eta)
 
 
 def _derand_cfg(args) -> DerandConfig:
@@ -122,15 +120,14 @@ def cmd_gen(args) -> int:
 
 def cmd_learn(args) -> int:
     fam, cls, _ = serialize.load_instance(args.instance)
-    cfg = _hedge_cfg(args)
+    cfg = dataclasses.replace(_hedge_cfg(args), erm_sample_size=args.erm_samples)
     trace = [] if args.trace else None
     if args.sampling:
         oracle = SampleOracle.sampling_mode(fam, np.random.default_rng(args.seed))
-        f_rand = hedge_learn(oracle, cls, args.eps, args.delta, cfg, trace=trace)
+        f_rand = hedge_learn(oracle, cls, args.eps, cfg=cfg, trace=trace)
         errors = error_matrix(plus_rows(cls.label_matrix), fam)
     else:
         # exact-mode Hedge, as hedge_learn runs it, keeping the error matrix
-        check_eps_delta(args.eps, args.delta)
         _, _, _, f_rand, errors, _ = next(rolling_mixtures(
             [(None, fam, cls)], args.eps, cfg, 1, trace))
     serialize.save_randomized(args.output, f_rand)
@@ -157,7 +154,7 @@ def cmd_derand(args) -> int:
     derand_cfg = _derand_cfg(args)
     # exact-mode Hedge, as hedge_learn runs it, keeping the error matrix
     _, _, _, f_rand, errors, learning = next(rolling_mixtures(
-        [(None, fam, cls)], derand_cfg.learner_eps_delta()[0], _hedge_cfg(args), 1))
+        [(None, fam, cls)], derand_cfg.learner_eps(), _hedge_cfg(args), 1))
     report, result = run_trial_detailed(fam, cls, f_rand, errors, derand_cfg, args.seed)
     report = dataclasses.replace(report, wall_time=report.wall_time + learning)
     serialize.save_classifier(args.output, result.classifier)
@@ -321,10 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn", help="run the Hedge learner")
     p.add_argument("instance", help="instance file")
     p.add_argument("--eps", type=float, required=True, help="target excess error")
-    p.add_argument("--delta", type=float, default=0.1, help="failure probability budget")
     p.add_argument("--sampling", action="store_true",
                    help="draw samples instead of reading exact masses")
     _add_hedge_flags(p)
+    p.add_argument("--erm-samples", type=int, default=200,
+                   help="fresh draws per member per round in sampling mode")
     p.add_argument("--trace", default=None, help="per-round trace CSV path")
     p.add_argument("-o", "--output", required=True, help="mixture file to write")
 

@@ -1,12 +1,13 @@
 """Turning a hypothesis mixture into a single deterministic classifier.
 
 The procedure takes the mixture F that a black-box randomized learner gave
-at precision eps/2 and confidence delta/2 (DerandConfig.learner_eps_delta);
-then, sampling each distribution in turn, it collects every point whose
-empirical label skew clears a sqrt(ln(gamma)/count) threshold into a table T
-and pins its majority label; finally it labels every remaining point by an
-independent draw from F (or, in compact mode, by the hash rounding rule,
-which needs no per-point storage).
+at precision eps/2 (DerandConfig.learner_eps); its delta/2 is the caller's
+accounting, which exact-mode Hedge meets with probability 1. Then, sampling
+each distribution in turn, it collects every point whose empirical label
+skew clears a sqrt(ln(gamma)/count) threshold into a table T and pins its
+majority label; finally it labels every remaining point by an independent
+draw from F (or, in compact mode, by the hash rounding rule, which needs no
+per-point storage).
 
 Points with strong bias under some distribution land in T with the correct
 sign with high probability; the rest have so little bias that the independent
@@ -43,7 +44,8 @@ class DerandConfig:
     sample count m = ceil(c_const * ln^2(gamma) / eps^2) (times an extra
     c_prime * ln(gamma) factor for hash rounding). Only calibrated mode takes
     m_override (its m) and threshold_scale, because the "large enough"
-    constants make theory-mode m impractical for tight eps at desk scale.
+    constants make theory-mode m impractical for tight eps at desk scale, and
+    only hash rounding takes a c_prime other than 4.0.
     """
 
     eps: float
@@ -72,6 +74,8 @@ class DerandConfig:
                 raise ValueError("calibrated mode needs a positive m_override")
         elif self.m_override is not None or self.threshold_scale != 1.0:
             raise ValueError("m_override and threshold_scale apply only in calibrated mode")
+        if self.rounding != "hash" and self.c_prime != 4.0:
+            raise ValueError(f"c_prime applies only to hash rounding, got {self.c_prime!r}")
         # gamma(k) >= c_const / (eps * delta), and the table threshold
         # sqrt(ln(gamma) / count) needs gamma > 1
         if self.c_const <= self.eps * self.delta:
@@ -90,10 +94,9 @@ class DerandConfig:
             m *= self.c_prime * ln_gamma
         return math.ceil(m)
 
-    def learner_eps_delta(self) -> tuple[float, float]:
-        """The precision and failure probability the learner is run at: half
-        of this configuration's own."""
-        return self.eps / 2.0, self.delta / 2.0
+    def learner_eps(self) -> float:
+        """The precision the learner is run at: half of this configuration's."""
+        return self.eps / 2.0
 
 
 @dataclass(frozen=True)
@@ -171,11 +174,10 @@ def round_outside_t(f_rand: RandomizedClassifier, table: BiasTable, domain_size:
 
 @dataclass(frozen=True)
 class DerandResult:
-    """The produced classifier together with the mixture and table behind it,
-    for reporting and diagnostics."""
+    """The produced classifier together with the table behind it, for
+    reporting and diagnostics."""
 
     classifier: object  # ExplicitClassifier | CompactClassifier
-    f_rand: RandomizedClassifier
     table: BiasTable
 
 
@@ -183,10 +185,10 @@ def derandomize(oracle: SampleOracle, f_rand: RandomizedClassifier, cfg: DerandC
                 rng: np.random.Generator) -> DerandResult:
     """Round the mixture f_rand to one deterministic classifier
     (ExplicitClassifier or CompactClassifier per cfg.rounding), returned with
-    the mixture and the bias table behind it.
+    the bias table behind it.
 
     f_rand is the black-box learner's mixture, learned at
-    cfg.learner_eps_delta() before any table samples are drawn, so it never
+    cfg.learner_eps() before any table samples are drawn, so it never
     sees them; the table sampling and the rounding consume two streams
     spawned from rng.
     """
@@ -196,9 +198,8 @@ def derandomize(oracle: SampleOracle, f_rand: RandomizedClassifier, cfg: DerandC
 
     if cfg.rounding == "explicit":
         labels = round_outside_t(f_rand, table, fam.domain_size, round_rng)
-        return DerandResult(ExplicitClassifier(labels), f_rand, table)
+        return DerandResult(ExplicitClassifier(labels), table)
 
     r, p = choose_hash_params(fam.k, cfg.eps, cfg.delta, fam.domain_size, cfg.c_prime)
     q = sample_hash(p, r, round_rng)
-    clf = CompactClassifier(q, table.points, table.labels, f_rand, fam.domain_size, p)
-    return DerandResult(clf, f_rand, table)
+    return DerandResult(CompactClassifier(q, table.points, table.labels, f_rand), table)

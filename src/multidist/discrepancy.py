@@ -104,10 +104,6 @@ class ReductionFamily:
     def k(self) -> int:
         return 2 * self.n
 
-    @property
-    def points(self) -> tuple[int, ...]:
-        return tuple(range(self.n))
-
     @cached_property
     def family(self) -> DistributionFamily:
         """Float-mass view for interop with the learner and metrics modules."""

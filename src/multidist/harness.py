@@ -189,10 +189,11 @@ class CampaignSummary:
         }
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval; always contains the point estimate."""
     if n == 0:
         return 0.0, 1.0
+    z = 1.959963984540054  # the standard normal's 97.5% quantile
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -261,7 +262,7 @@ def _campaign_worker(args) -> list[tuple[int, TrialReport | None, str | None]]:
     try:
         # a spec gives every instance the same k and |H|, so they share a stack
         for (i, seed), fam, cls, f_rand, errors, spent in rolling_mixtures(
-                instances(), cfg.derand.learner_eps_delta()[0], cfg.hedge):
+                instances(), cfg.derand.learner_eps(), cfg.hedge):
             learning += spent
             try:
                 # through the module attribute, which a caller may wrap

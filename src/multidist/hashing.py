@@ -247,36 +247,33 @@ class CompactClassifier:
     """Deterministic classifier stored as (hash, override table, mixture).
 
     Points t_points (distinct, ascending) carry fixed labels t_labels; any
-    other point is labeled +1 iff q(x) + 1 <= Pr_{f~F}[f(x)=1] * range_size,
-    evaluated exactly.
+    other point is labeled +1 iff q(x) + 1 <= Pr_{f~F}[f(x)=1] * p for the
+    hash's prime p, evaluated exactly. The domain is the mixture's class's.
     """
 
     hash: PolyHash
     t_points: np.ndarray
     t_labels: np.ndarray
     f_rand: RandomizedClassifier
-    domain_size: int
-    range_size: int
 
     def __post_init__(self):
         points, labels = frozen_pins(self.t_points, self.t_labels, "t_table")
         object.__setattr__(self, "t_points", points)
         object.__setattr__(self, "t_labels", labels)
-        if self.range_size != self.hash.prime:
-            raise ValueError("range_size must equal the hash prime")
-        if self.domain_size != self.f_rand.domain_size:
-            raise ValueError(f"domain size mismatch: classifier domain_size {self.domain_size}, "
-                             f"mixture class width {self.f_rand.domain_size}")
         if self.hash.prime <= self.domain_size:
             raise ValueError("hash prime must exceed the domain size")
         if points.size and points[-1] >= self.domain_size:
             raise ValueError(f"table key {points[-1]} outside the domain")
 
+    @property
+    def domain_size(self) -> int:
+        return self.f_rand.domain_size
+
     @cached_property
     def _label_vector(self) -> np.ndarray:
         q_vals = coefficient_matrix_eval([self.hash.coefficients], np.arange(self.domain_size),
                                          self.hash.prime)[0]
-        plus = _plus_decision_vector(q_vals, self.f_rand.marginals, self.range_size)
+        plus = _plus_decision_vector(q_vals, self.f_rand.marginals, self.hash.prime)
         labels = np.where(plus, 1, -1).astype(np.int8)
         labels[self.t_points] = self.t_labels
         labels.flags.writeable = False

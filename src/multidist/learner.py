@@ -24,7 +24,6 @@ from .model import (
     HypothesisClass,
     LabeledDistribution,
     RandomizedClassifier,
-    check_eps_delta,
     is_positive_real,
     plus_rows,
     require_integer,
@@ -258,7 +257,8 @@ class SampleOracle:
 @dataclass(frozen=True)
 class HedgeConfig:
     """Knobs for the Hedge learner. rounds/eta default from (k, eps):
-    T = ceil(8 ln(k) / eps^2) (minimum 1), eta = sqrt(8 ln(k) / T)."""
+    T = ceil(8 ln(k) / eps^2) (minimum 1), eta = sqrt(8 ln(k) / T). Hedge's
+    guarantee depends on k and eps alone, so the learner takes no delta."""
 
     rounds: int | None = None
     eta: float | None = None
@@ -273,6 +273,9 @@ class HedgeConfig:
                            require_integer(self.erm_sample_size, "erm_sample_size"))
 
     def resolve(self, k: int, eps: float) -> tuple[int, float]:
+        """(T, eta) for k members at precision eps, which must lie in (0, 1)."""
+        if not 0.0 < eps < 1.0:
+            raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
         if self.rounds is not None and self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.eta is not None and not is_positive_real(self.eta):
@@ -476,7 +479,7 @@ def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None,
         t0 = time.perf_counter()
 
 
-def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: float,
+def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, *,
                 cfg: HedgeConfig | None = None,
                 trace: list | None = None) -> RandomizedClassifier:
     """Run Hedge for T rounds and return the uniform mixture over the chosen
@@ -487,11 +490,8 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, delta: f
     mode each round draws cfg.erm_sample_size fresh samples per member from
     the oracle's stream (a block of rounds at a time, using the stream as
     each round's k consecutive draw calls would), and both the ERM and the
-    weight update use the resulting empirical measures. delta only enters
-    through the caller's contract—Hedge itself has no failure branch in
-    exact mode.
+    weight update use the resulting empirical measures.
     """
-    check_eps_delta(eps, delta)
     cfg = cfg or HedgeConfig()
     fam = oracle.family
     if oracle.exact:

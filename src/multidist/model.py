@@ -363,8 +363,8 @@ class RandomizedClassifier:
     def domain_size(self) -> int:
         return self.hypothesis_class.domain_size
 
-    def weight_sum_ok(self, tol: float = WEIGHT_TOL) -> bool:
-        return abs(float(self.weights.sum()) - 1.0) <= tol
+    def weight_sum_ok(self) -> bool:
+        return abs(float(self.weights.sum()) - 1.0) <= WEIGHT_TOL
 
     @cached_property
     def support_label_matrix(self) -> np.ndarray:

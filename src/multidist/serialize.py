@@ -165,7 +165,7 @@ def classifier_to_dict(clf) -> dict:
             "prime": clf.hash.prime,
             "degree_r": clf.hash.degree_r,
             "coefficients": list(clf.hash.coefficients),
-            "range_size": clf.range_size,
+            "range_size": clf.hash.prime,
             "domain_size": clf.domain_size,
             "t_table": np.column_stack([clf.t_points, clf.t_labels]).tolist(),
             "randomized": randomized_to_dict(clf.f_rand),
@@ -204,8 +204,14 @@ def classifier_from_dict(doc: dict, cls: HypothesisClass | None = None):
                           require_integer(entry[1], "t_table label")))
         # entries may come in any order; a repeated point is rejected
         table.sort()
-        return CompactClassifier(q, [x for x, _ in table], [lab for _, lab in table], f_rand,
-                                 integer("domain_size"), integer("range_size"))
+        # written for the file's readers, and checked against what the classifier derives
+        domain_size, range_size = integer("domain_size"), integer("range_size")
+        if range_size != q.prime:
+            raise ValueError("range_size must equal the hash prime")
+        if domain_size != f_rand.domain_size:
+            raise ValueError(f"domain size mismatch: classifier domain_size {domain_size}, "
+                             f"mixture class width {f_rand.domain_size}")
+        return CompactClassifier(q, [x for x, _ in table], [lab for _, lab in table], f_rand)
     raise ValueError(f"unknown classifier kind {kind!r}")
 
 

@@ -156,7 +156,7 @@ def test_c05_hedge_contract():
     for seed in range(50):
         fam, cls = md.gen_random_label_consistent(
             md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=seed))
-        F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, eps, 0.1)
+        F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, eps)
         opt, _ = md.opt_bruteforce(cls, fam)
         if md.randomized_worst_case_error(F, fam) <= opt + eps:
             wins += 1
@@ -219,7 +219,7 @@ def test_c08_light_rounding_deviation():
     rng_h = np.random.default_rng(8080)
     cls = md.HypothesisClass([np.where(rng_h.random(30) < 0.5, 1, -1) for _ in range(8)])
     oracle = md.SampleOracle.exact_mode(fam)
-    F = md.hedge_learn(oracle, cls, eps / 2, delta / 2)
+    F = md.hedge_learn(oracle, cls, eps / 2)
     cfg = md.DerandConfig(eps=eps, delta=delta, mode="calibrated", m_override=2500)
     runs, hits = 500, 0
     for run in range(runs):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import errno
 import json
@@ -248,6 +249,41 @@ def test_learn_and_derand_reject_non_finite_constants(tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_verbs_take_no_flag_that_changes_nothing(tmp_path, capsys):
+    # learn's --delta, and the --erm-samples of derand and trial, which learn
+    # by exact Hedge, were read by nothing but validation, and explicit
+    # rounding never read --c-prime: each left every output byte-identical
+    parsers = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+    settable = {verb: [a.dest for a in parsers[verb]._actions if a.dest != "help"]
+                for verb in ("learn", "derand", "trial")}
+    assert {verb: len(dests) for verb, dests in settable.items()} == {
+        "learn": 9, "derand": 14, "trial": 21}
+    assert "delta" not in settable["learn"] and "erm_samples" in settable["learn"]
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--domain-size", "15", "-k", "2", "--hypotheses", "4",
+                 "--seed", "3", "-o", str(inst)]) == 0
+    out = tmp_path / "out.json"
+    derand = ["derand", str(inst), "--eps", "0.3", "--delta", "0.3",
+              "--mode", "calibrated", "--m-override", "500", "-o", str(out)]
+    capsys.readouterr()
+    for argv in (["learn", str(inst), "--eps", "0.3", "--delta", "0.1", "-o", str(out)],
+                 derand + ["--erm-samples", "5"],
+                 ["trial", "--trials", "2", "--eps", "0.2", "--delta", "0.2",
+                  "--mode", "calibrated", "--m-override", "400", "--erm-samples", "5",
+                  "--outdir", str(tmp_path)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(derand + ["--c-prime", "8"]) == 2
+    assert "multidist: error: c_prime applies only to hash rounding, got 8.0" in (
+        capsys.readouterr().err)
+    assert not out.exists() and not (tmp_path / "summary.json").exists()
+    assert main(derand + ["--c-prime", "8", "--rounding", "hash"]) == 0
+    assert json.loads(out.read_text())["kind"] == "compact"
+
+
 def test_disc_rejects_non_finite_eps_and_bad_density(tmp_path, capsys):
     # --eps inf once ended in an OverflowError traceback and exit 1
     mat = tmp_path / "A.txt"
@@ -332,6 +368,8 @@ def test_classifier_files_reject_non_integer_values(tmp_path, capsys):
              "support index must be an integer, got 0.9"),
             (dict(prime=doc["prime"] + 0.5), "classifier field 'prime' must be an integer"),
             (dict(domain_size="15"), "classifier field 'domain_size' must be an integer"),
+            # written from the hash's prime, and checked against it on loading
+            (dict(range_size=doc["prime"] + 2), "range_size must equal the hash prime"),
             (dict(coefficients=[c + 0.25 for c in doc["coefficients"]]),
              "hash coefficient must be an integer"),
             (dict(degree_r=True), "classifier field 'degree_r' must be an integer"),

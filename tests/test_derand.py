@@ -120,6 +120,11 @@ def test_theory_mode_rejects_calibrated_knobs():
         md.DerandConfig(eps=0.2, delta=0.2, threshold_scale=math.nan)
     cfg = md.DerandConfig(eps=0.2, delta=0.2, threshold_scale=1.0)
     assert cfg.sample_size(4) == 3590 and cfg.threshold_scale == 1.0
+    # explicit rounding ignored c_prime: sample_size(4) stayed 3590
+    with pytest.raises(ValueError, match="c_prime applies only to hash rounding, got 100.0"):
+        md.DerandConfig(eps=0.2, delta=0.2, c_prime=100.0)
+    assert md.DerandConfig(eps=0.2, delta=0.2, c_prime=4.0).learner_eps() == 0.1
+    assert md.DerandConfig(eps=0.2, delta=0.2, c_prime=100.0, rounding="hash").c_prime == 100.0
 
 
 def test_bias_table_is_arrays_of_one_length():

@@ -206,7 +206,7 @@ def test_error_matrix_and_hedge_match_the_loops(shape, eps, seed):
     mask = np.random.default_rng(seed).random(fam.domain_size) < 0.5
     assert np.array_equal(md.error_matrix(plus, fam, mask), loop_error_table(cls, fam, mask))
 
-    F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, eps, 0.1)
+    F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, eps)
     support, weights = loop_hedge(fam, cls, eps)
     assert F.support == support
     assert np.array_equal(F.weights, weights)
@@ -219,14 +219,14 @@ def test_ties_go_to_the_lowest_index():
     doubled = md.HypothesisClass(np.vstack([cls.label_matrix] * 2))
     assert md.opt_bruteforce(doubled, fam) == md.opt_bruteforce(cls, fam)
     oracle = md.SampleOracle.exact_mode(fam)
-    F = md.hedge_learn(oracle, doubled, 0.2, 0.1)
-    F_once = md.hedge_learn(oracle, cls, 0.2, 0.1)
+    F = md.hedge_learn(oracle, doubled, 0.2)
+    F_once = md.hedge_learn(oracle, cls, 0.2)
     assert F.support == F_once.support and np.array_equal(F.weights, F_once.weights)
 
     # gap example: under uniform weights every h_i errs 1/k; the first round takes h_0
     gap_fam, gap_cls, _ = md.gen_gap_example(4)
     trace = []
-    md.hedge_learn(md.SampleOracle.exact_mode(gap_fam), gap_cls, 0.5, 0.1, trace=trace)
+    md.hedge_learn(md.SampleOracle.exact_mode(gap_fam), gap_cls, 0.5, trace=trace)
     assert trace[0].hypothesis_index == 0
     assert md.opt_bruteforce(gap_cls, gap_fam) == (1.0, 0)
 
@@ -504,7 +504,7 @@ def test_lean_rounds_match_the_former_rounds(shape, eps, fields, seed, sampling,
         oracle = md.SampleOracle.exact_mode(fam)
         want = round_hedge(fam, cls, eps, cfg)
     trace = []
-    F = md.hedge_learn(oracle, cls, eps, 0.1, cfg, trace=trace)
+    F = md.hedge_learn(oracle, cls, eps, cfg=cfg, trace=trace)
     support, weights, rows = want
     assert F.support == support
     assert np.array_equal(F.weights, weights)
@@ -599,7 +599,7 @@ def test_rolling_mixtures_are_hedge_learn_alone():
     cfg = md.HedgeConfig()
     instances = [md.gen_random_label_consistent(md.GenSpec(domain_size=40, k=6, seed=seed))
                  for seed in range(9)]
-    want = [md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.2, 0.1, cfg)
+    want = [md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.2, cfg=cfg)
             for fam, cls in instances]
     for runs in (1, 4, 32):
         got = list(rolling_mixtures(((j, fam, cls) for j, (fam, cls) in enumerate(instances)),

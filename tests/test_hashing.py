@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -202,19 +203,18 @@ def test_floor_law_sandwich_property():
             assert exact_m - Fraction(1, p) <= got <= exact_m
 
 
-def _compact(marginal: float, p: int, q: md.PolyHash, n: int) -> md.CompactClassifier:
-    labels = np.ones(n, dtype=np.int8) if marginal >= 1 else -np.ones(n, dtype=np.int8)
+def _compact(marginal: float, q: md.PolyHash, n: int) -> md.CompactClassifier:
     # a two-hypothesis class whose mixture marginal is exactly `marginal` everywhere
     cls = md.HypothesisClass([np.ones(n), -np.ones(n)])
     F = md.RandomizedClassifier(cls, (0, 1), np.array([marginal, 1.0 - marginal]))
-    return md.CompactClassifier(q, (), (), F, n, p)
+    return md.CompactClassifier(q, (), (), F)
 
 
 def test_compact_evaluate_extreme_marginals():
     rng = np.random.default_rng(7)
     q = md.sample_hash(11, 2, rng)
-    assert np.all(_compact(1.0, 11, q, 8).label_vector() == 1)
-    assert np.all(_compact(0.0, 11, q, 8).label_vector() == -1)
+    assert np.all(_compact(1.0, q, 8).label_vector() == 1)
+    assert np.all(_compact(0.0, q, 8).label_vector() == -1)
 
 
 def test_compact_evaluate_matches_floor_law_frequency():
@@ -236,11 +236,26 @@ def test_compact_evaluate_pure_and_total():
     cls = md.HypothesisClass([np.where(rng.random(n) < 0.5, 1, -1) for _ in range(3)])
     F = md.RandomizedClassifier(cls, (0, 1, 2), np.array([0.2, 0.5, 0.3]))
     q = md.sample_hash(md.next_prime(n + 1), 4, rng)
-    clf = md.CompactClassifier(q, [5, 9], [1, -1], F, n, q.prime)
+    clf = md.CompactClassifier(q, [5, 9], [1, -1], F)
     first = clf.label_vector().tolist()
-    second = md.CompactClassifier(q, [5, 9], [1, -1], F, n, q.prime).label_vector().tolist()
+    second = md.CompactClassifier(q, [5, 9], [1, -1], F).label_vector().tolist()
     assert first == second and len(first) == n
     assert first[5] == 1 and first[9] == -1
+
+
+def test_compact_classifier_derives_its_domain_and_range():
+    # the range is the hash's prime and the domain the mixture's class width;
+    # fields that could hold only those values are gone
+    assert [f.name for f in dataclasses.fields(md.CompactClassifier)] == [
+        "hash", "t_points", "t_labels", "f_rand"]
+    assert [f.name for f in dataclasses.fields(md.DerandResult)] == ["classifier", "table"]
+    cls = md.HypothesisClass([np.ones(6), -np.ones(6)])
+    F = md.RandomizedClassifier(cls, (0, 1), np.array([0.5, 0.5]))
+    assert md.CompactClassifier(md.PolyHash(7, (1, 1)), [5], [1], F).domain_size == 6
+    for prime, points, message in ((5, [], "hash prime must exceed the domain size"),
+                                   (7, [6], "table key 6 outside the domain")):
+        with pytest.raises(ValueError, match=message):
+            md.CompactClassifier(md.PolyHash(prime, (1, 1)), points, [1] * len(points), F)
 
 
 def test_compact_vector_boundary_matches_exact_decision():
@@ -253,7 +268,7 @@ def test_compact_vector_boundary_matches_exact_decision():
     for num in range(p + 1):
         marginal = num / p  # marginal*p is exactly num up to float rounding
         F = md.RandomizedClassifier(cls, (0, 1), np.array([marginal, 1 - marginal]))
-        clf = md.CompactClassifier(q, (), (), F, n, p)
+        clf = md.CompactClassifier(q, (), (), F)
         for x in range(n):
             want = 1 if Fraction(_horner(q.coefficients, x, p) + 1) <= Fraction(marginal) * p else -1
             assert clf.label_vector()[x] == want
@@ -435,7 +450,7 @@ def _constant_hash_classifier(p: int, q0: int, marginal: float, n: int = 3):
     """q(x) = q0 at every point and mixture marginal `marginal` everywhere."""
     cls = md.HypothesisClass([np.ones(n), -np.ones(n)])
     F = md.RandomizedClassifier(cls, (0, 1), np.array([marginal, 1.0 - marginal]))
-    return md.CompactClassifier(md.PolyHash(p, (q0, 0)), (), (), F, n, p)
+    return md.CompactClassifier(md.PolyHash(p, (q0, 0)), (), (), F)
 
 
 def _fraction_rule(q_value: int, marginal: float, p: int) -> int:

@@ -1,10 +1,11 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 import multidist as md
-from multidist.learner import _mixture
+from multidist.learner import _mixture, rolling_mixtures
 from multidist.metrics import plus_rows
 
 
@@ -139,13 +140,13 @@ def test_hedge_realizable_instance():
     masses /= masses.sum(axis=1, keepdims=True)
     fam = md.DistributionFamily(masses, np.ones((3, 10)))
     cls = md.HypothesisClass([np.where(rng.random(10) < 0.5, 1, -1), np.ones(10)])
-    F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.1, 0.1)
+    F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.1)
     assert md.randomized_worst_case_error(F, fam) <= 0.1
 
 
 def test_hedge_gap_example_near_uniform():
     fam, cls, _ = md.gen_gap_example(4)
-    F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.2, 0.1)
+    F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.2)
     err = md.randomized_worst_case_error(F, fam)
     opt, _ = md.opt_bruteforce(cls, fam)
     assert opt == 1.0
@@ -159,7 +160,7 @@ def test_hedge_contract_on_random_instances():
     for seed in range(20):
         fam, cls = md.gen_random_label_consistent(
             md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=seed))
-        F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, eps, 0.1)
+        F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, eps)
         opt, _ = md.opt_bruteforce(cls, fam)
         assert md.randomized_worst_case_error(F, fam) <= opt + eps
 
@@ -167,7 +168,7 @@ def test_hedge_contract_on_random_instances():
 def test_hedge_weights_stay_on_simplex():
     fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=20, k=5, seed=3))
     trace = []
-    md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.3, 0.1, trace=trace)
+    md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.3, trace=trace)
     assert len(trace) >= 1
     for row in trace:
         w = np.array(row.weights)
@@ -178,7 +179,7 @@ def test_hedge_weights_stay_on_simplex():
 def test_hedge_no_regret_sanity():
     fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=30, k=6, seed=9))
     trace = []
-    F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.2, 0.1, trace=trace)
+    F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.2, trace=trace)
     opt, _ = md.opt_bruteforce(cls, fam)
     rounds = len(trace)
     avg_play = np.mean([
@@ -197,7 +198,7 @@ def test_hedge_monotone_under_class_superset():
     opt_small, _ = md.opt_bruteforce(cls, fam)
     opt_big, _ = md.opt_bruteforce(bigger, fam)
     assert opt_big <= opt_small
-    F = md.hedge_learn(md.SampleOracle.exact_mode(fam), bigger, eps, 0.1)
+    F = md.hedge_learn(md.SampleOracle.exact_mode(fam), bigger, eps)
     assert md.randomized_worst_case_error(F, fam) <= opt_big + eps
 
 
@@ -205,7 +206,7 @@ def test_hedge_returns_merged_uniform_average():
     fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=15, k=3, seed=5))
     cfg = md.HedgeConfig(rounds=40)
     trace = []
-    F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.3, 0.1, cfg, trace=trace)
+    F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.3, cfg=cfg, trace=trace)
     counts = {}
     for row in trace:
         counts[row.hypothesis_index] = counts.get(row.hypothesis_index, 0) + 1
@@ -218,8 +219,8 @@ def test_hedge_returns_merged_uniform_average():
 def test_hedge_exact_mode_deterministic():
     fam, cls = md.gen_random_label_consistent(md.GenSpec(seed=8))
     oracle = md.SampleOracle.exact_mode(fam)
-    F1 = md.hedge_learn(oracle, cls, 0.2, 0.1)
-    F2 = md.hedge_learn(oracle, cls, 0.2, 0.1)
+    F1 = md.hedge_learn(oracle, cls, 0.2)
+    F2 = md.hedge_learn(oracle, cls, 0.2)
     assert F1.support == F2.support
     assert np.array_equal(F1.weights, F2.weights)
 
@@ -230,7 +231,7 @@ def test_hedge_sampling_mode_deterministic_given_seed():
     runs = []
     for _ in range(2):
         oracle = md.SampleOracle.sampling_mode(fam, np.random.default_rng(77))
-        runs.append(md.hedge_learn(oracle, cls, 0.3, 0.1, cfg))
+        runs.append(md.hedge_learn(oracle, cls, 0.3, cfg=cfg))
     assert runs[0].support == runs[1].support
     assert np.array_equal(runs[0].weights, runs[1].weights)
 
@@ -242,7 +243,7 @@ def test_hedge_sampling_mode_learns_realizable():
     fam = md.DistributionFamily(masses, np.ones((3, 8)))
     cls = md.HypothesisClass([np.where(rng.random(8) < 0.5, 1, -1), np.ones(8)])
     oracle = md.SampleOracle.sampling_mode(fam, np.random.default_rng(16))
-    F = md.hedge_learn(oracle, cls, 0.2, 0.1, md.HedgeConfig(erm_sample_size=100))
+    F = md.hedge_learn(oracle, cls, 0.2, cfg=md.HedgeConfig(erm_sample_size=100))
     assert md.randomized_worst_case_error(F, fam) <= 0.2
 
 
@@ -273,7 +274,7 @@ def test_bad_masses_are_rejected_before_any_draw(mass):
             oracle.draw_family(10, rng)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         md.hedge_learn(md.SampleOracle.sampling_mode(fam, rng), md.HypothesisClass(
-            [[1, 1, 1]]), 0.3, 0.1)
+            [[1, 1, 1]]), 0.3)
     assert rng.bit_generator.state == state
 
 
@@ -299,8 +300,28 @@ def test_exact_oracle_requires_caller_rng():
 
 
 def test_hedge_rejects_bad_precision():
+    # rolling_mixtures once ran at -0.2 and 1.5, divided by zero at 0, and
+    # failed converting NaN rounds to an integer
     fam, cls, _ = md.gen_gap_example(3)
-    with pytest.raises(ValueError):
-        md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.0, 0.1)
-    with pytest.raises(ValueError):
-        md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.1, 1.5)
+    oracles = (md.SampleOracle.exact_mode(fam),
+               md.SampleOracle.sampling_mode(fam, np.random.default_rng(0)))
+    for eps in (0.0, math.nan, -0.2, 1.5):
+        message = f"eps must lie in \\(0, 1\\), got {eps!r}"
+        with pytest.raises(ValueError, match=message):
+            md.HedgeConfig().resolve(6, eps)
+        with pytest.raises(ValueError, match=message):
+            next(rolling_mixtures([(None, fam, cls)], eps))
+        for oracle in oracles:
+            with pytest.raises(ValueError, match=message):
+                md.hedge_learn(oracle, cls, eps)
+
+
+def test_hedge_learn_takes_no_delta():
+    # Hedge's rounds and rate depend on k and eps alone; cfg and trace are
+    # keyword-only, so a delta left in a call is not read as the config
+    fam, cls, _ = md.gen_gap_example(3)
+    params = inspect.signature(md.hedge_learn).parameters
+    assert list(params) == ["oracle", "cls", "eps", "cfg", "trace"]
+    assert params["cfg"].kind == params["trace"].kind == inspect.Parameter.KEYWORD_ONLY
+    with pytest.raises(TypeError):
+        md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.2, 0.1)

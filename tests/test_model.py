@@ -297,14 +297,14 @@ def test_compact_classifier_round_trip(tmp_path):
     cls = md.HypothesisClass([np.where(rng.random(n) < 0.5, 1, -1) for _ in range(4)])
     f_rand = md.RandomizedClassifier(cls, (0, 2, 3), np.array([0.5, 0.25, 0.25]))
     q = md.sample_hash(md.next_prime(n + 1), 4, rng)
-    clf = md.CompactClassifier(q, [3, 17, 9999], [-1, 1, 1], f_rand, n, q.prime)
+    clf = md.CompactClassifier(q, [3, 17, 9999], [-1, 1, 1], f_rand)
     path = tmp_path / "clf.json"
     serialize.save_classifier(path, clf)
     clf2 = serialize.load_classifier(path, cls)
     assert clf2.hash == clf.hash
     assert np.array_equal(clf2.t_points, clf.t_points)
     assert np.array_equal(clf2.t_labels, clf.t_labels)
-    assert clf2.range_size == clf.range_size
+    assert clf2.domain_size == clf.domain_size == n
     assert np.array_equal(clf.label_vector(), clf2.label_vector())
 
 

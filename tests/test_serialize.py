@@ -90,7 +90,7 @@ def classifiers(draw):
     table = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from([-1, 1])))
     points = sorted(table)
     return md.CompactClassifier(md.PolyHash(p, tuple(coeffs)), points,
-                                [table[x] for x in points], f_rand, n, p), cls
+                                [table[x] for x in points], f_rand), cls
 
 
 def _same(a, b) -> bool:
@@ -117,7 +117,7 @@ def _classifier_values(clf):
     if isinstance(clf, md.ExplicitClassifier):
         return clf.labels
     return (clf.hash.prime, clf.hash.coefficients, clf.t_points, clf.t_labels, clf.domain_size,
-            clf.range_size, _mixture_values(clf.f_rand))
+            _mixture_values(clf.f_rand))
 
 
 def _instance_values(loaded):

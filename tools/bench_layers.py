@@ -21,6 +21,12 @@ spread between interpreters of one tree. The layers:
 - hedge_sampling: sampling-mode hedge_learn at the cli_wide learn shape
   (n = 1000, k = 24, |H| = 128, seed 5; eps 0.6, so 71 rounds of 200 draws
   per member);
+- hedge_exact_c06: exact-mode hedge_learn at the C06 shape (n = 40, k = 6,
+  |H| = 16, seed 5) and a C06 trial's learner precision, eps 0.075 (2549
+  rounds);
+- hedge_stack_advance_32: one HedgeStack.advance step (ceil(2549 / 32) = 80
+  rounds) of a full stack of STACK_RUNS = 32 runs, on the error matrices of
+  the C06-shape instances of seeds 0..31, as a campaign worker plays it;
 - draw_family_24x1000x5000 and draw_family_6x40x5000: one exact-mode
   draw_family of 5000 draws per member, the bias-table draw of derand on the
   cli_wide instance and of a C06 campaign trial;
@@ -37,7 +43,8 @@ spread between interpreters of one tree. The layers:
 - error_matrix_masked_2x24x1000: error_matrix of two rows, that labeling
   and the class's mean labeling, over a random 90% of the points (the
   outside-T rounding deviation of a derand report);
-- build_parser: cli.build_parser, once per call of cli.main;
+- build_parser: the build of cli.build_parser, which cli.main caches per
+  process;
 - build_bias_table_24x1000x5000 and build_bias_table_6x40x5000: an exact-mode
   build_bias_table of 5000 draws per member on the cli_wide and C06
   instances above (eps 0.6, delta 0.2 as derand on the cli_wide benchmark
@@ -45,13 +52,24 @@ spread between interpreters of one tree. The layers:
   trial);
 - compact_label_vector_24x1000: a fresh copy of the compact classifier that
   derand --rounding hash makes from a three-hypothesis mixture on the
-  cli_wide instance (m = 5000), constructed and labelled over the domain.
+  cli_wide instance (m = 5000), constructed and labelled over the domain;
+- round_outside_t_24x1000: explicit rounding of the exact-mode Hedge
+  mixture at eps 0.3 (derand's learner at eps 0.6) on the cli_wide instance,
+  outside its bias table above;
+- opt_bruteforce_128x24x1000: opt_bruteforce of the cli_wide class with no
+  precomputed error matrix;
+- run_trial_c06: one run_trial at the C06 campaign's derandomization
+  config, from the exact-mode mixture and error matrix of hedge_exact_c06.
+
+hedge_learn is called with a delta of 0.1 on trees whose hedge_learn takes
+one, so every layer runs on the trees before and after delta was dropped.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import platform
@@ -72,7 +90,8 @@ REPS = {"eval_block": 40, "eval_one_poly": 100, "tail_check": 5, "bruteforce_min
         "reduction_family": 200, "error_matrix_128x24x1000": 30, "error_matrix_16x6x40": 500,
         "error_matrix_1x24x1000": 300, "error_matrix_masked_2x24x1000": 300, "build_parser": 100,
         "build_bias_table_24x1000x5000": 30, "build_bias_table_6x40x5000": 200,
-        "compact_label_vector_24x1000": 100}
+        "compact_label_vector_24x1000": 100, "hedge_exact_c06": 15, "hedge_stack_advance_32": 100,
+        "round_outside_t_24x1000": 300, "opt_bruteforce_128x24x1000": 30, "run_trial_c06": 200}
 
 
 def time_layers(src: str) -> dict:
@@ -83,6 +102,13 @@ def time_layers(src: str) -> dict:
     import multidist as md
     from multidist import cli, serialize
     from multidist.hashing import coefficient_matrix_eval
+    from multidist.learner import STACK_RUNS, HedgeStack
+
+    # hedge_learn's positional delta, on a tree whose hedge_learn takes one
+    delta = (0.1,) if "delta" in inspect.signature(md.hedge_learn).parameters else ()
+
+    def hedge(oracle, cls, eps):
+        return md.hedge_learn(oracle, cls, eps, *delta)
 
     coeffs = np.random.default_rng(0).integers(0, 67, size=(4096, 4))
     keys = np.arange(64)
@@ -109,14 +135,26 @@ def time_layers(src: str) -> dict:
     compact = md.derandomize(md.SampleOracle.exact_mode(wide_fam), wide_mixture,
                              dataclasses.replace(wide_table_cfg, rounding="hash"),
                              np.random.default_rng(4)).classifier
+    c06_oracle = md.SampleOracle.exact_mode(c06_fam)
+    c06_mixture = hedge(c06_oracle, c06_cls, 0.075)
+    c06_errors = md.error_matrix(c06_plus, c06_fam)
+    rounds, eta = md.HedgeConfig().resolve(6, 0.075)
+    step = -(-rounds // STACK_RUNS)
+    stack = HedgeStack(STACK_RUNS, 16, 6, eta, STACK_RUNS * step)
+    for seed in range(STACK_RUNS):
+        fam, cls = md.gen_random_label_consistent(dataclasses.replace(c06_spec, seed=seed))
+        stack.load(seed, md.error_matrix((cls.label_matrix == 1).astype(np.float64), fam))
+    wide_oracle = md.SampleOracle.exact_mode(wide_fam)
+    wide_learned = hedge(wide_oracle, wide_cls, 0.3)
+    wide_table = md.build_bias_table(wide_oracle, wide_table_cfg, np.random.default_rng(5))
     calls = {
         "eval_block": lambda: coefficient_matrix_eval(coeffs, keys, 67),
         "eval_one_poly": lambda: coefficient_matrix_eval(one_poly, domain, 1009),
         "tail_check": lambda: md.empirical_tail_bound_check(tail),
         "bruteforce_min_discrepancy": lambda: md.bruteforce_min_discrepancy(matrix),
         "min_deterministic_error": lambda: md.min_deterministic_error(family),
-        "hedge_sampling": lambda: md.hedge_learn(
-            md.SampleOracle.sampling_mode(wide_fam, np.random.default_rng(7)), wide_cls, 0.6, 0.1),
+        "hedge_sampling": lambda: hedge(
+            md.SampleOracle.sampling_mode(wide_fam, np.random.default_rng(7)), wide_cls, 0.6),
         "draw_family_24x1000x5000": lambda: md.SampleOracle.exact_mode(wide_fam).draw_family(
             5000, draw_rng),
         "draw_family_6x40x5000": lambda: md.SampleOracle.exact_mode(c06_fam).draw_family(
@@ -128,13 +166,21 @@ def time_layers(src: str) -> dict:
         "error_matrix_16x6x40": lambda: md.error_matrix(c06_plus, c06_fam),
         "error_matrix_1x24x1000": lambda: md.error_matrix(wide_plus[:1], wide_fam),
         "error_matrix_masked_2x24x1000": lambda: md.error_matrix(two_rows, wide_fam, outside),
-        "build_parser": cli.build_parser,
+        # the parser's build, not the per-process cache in front of it
+        "build_parser": getattr(cli.build_parser, "__wrapped__", cli.build_parser),
         "build_bias_table_24x1000x5000": lambda: md.build_bias_table(
             md.SampleOracle.exact_mode(wide_fam), wide_table_cfg, draw_rng),
         "build_bias_table_6x40x5000": lambda: md.build_bias_table(
             md.SampleOracle.exact_mode(c06_fam), c06_table_cfg, draw_rng),
         # a copy, since a classifier caches its label vector
         "compact_label_vector_24x1000": lambda: dataclasses.replace(compact).label_vector(),
+        "hedge_exact_c06": lambda: hedge(c06_oracle, c06_cls, 0.075),
+        "hedge_stack_advance_32": lambda: stack.advance(step),
+        "round_outside_t_24x1000": lambda: md.round_outside_t(wide_learned, wide_table, 1000,
+                                                              draw_rng),
+        "opt_bruteforce_128x24x1000": lambda: md.opt_bruteforce(wide_cls, wide_fam),
+        "run_trial_c06": lambda: md.run_trial(c06_fam, c06_cls, c06_mixture, c06_errors,
+                                              c06_table_cfg, 606),
     }
     out = {}
     for name, call in calls.items():
