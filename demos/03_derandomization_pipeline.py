@@ -45,7 +45,7 @@ t_terms = md.error_matrix(plus, fam, inside)
 o_terms = md.error_matrix(plus, fam, ~inside)
 print("per-distribution error = pinned-points term + rounded-points term:")
 for i in range(fam.k):
-    print(f"  D_{i}: {det.per_distribution[i]:.4f} = {t_terms[i]:.4f} + {o_terms[i]:.4f}")
+    print(f"  D_{i}: {det.error[i]:.4f} = {t_terms[i]:.4f} + {o_terms[i]:.4f}")
 
 # a short campaign: how often do the guarantees hold across fresh instances?
 print("\n200-trial campaign on fresh instances (this takes a few seconds)...")

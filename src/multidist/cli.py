@@ -40,8 +40,10 @@ from .harness import (
     PREDICATE_CONDITIONAL,
     PREDICATE_OPT,
     CampaignConfig,
+    record_columns,
     run_campaign,
     run_trial_detailed,
+    write_records_csv,
     write_trials_csv,
 )
 from .hashing import (
@@ -59,7 +61,6 @@ from .learner import (
     rolling_mixtures,
 )
 from .metrics import (
-    ErrorReport,
     error_matrix,
     opt_bruteforce,
     randomized_per_distribution,
@@ -136,15 +137,7 @@ def cmd_learn(args) -> int:
     print(f"mixture over {len(f_rand.support)} hypotheses; "
           f"worst-case expected error {errs.max():.6f} (OPT {opt:.6f})")
     if trace is not None:
-        with open(args.trace, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "hypothesis_index"]
-                            + [f"error_{i}" for i in range(fam.k)]
-                            + [f"weight_{i}" for i in range(fam.k)])
-            for row in trace:
-                writer.writerow([row.round_index, row.hypothesis_index]
-                                + [repr(v) for v in row.per_distribution_errors]
-                                + [repr(v) for v in row.weights])
+        write_records_csv(args.trace, trace)
         print(f"wrote per-round trace to {args.trace}")
     return 0
 
@@ -171,12 +164,11 @@ def cmd_eval(args) -> int:
     fam, cls, _ = serialize.load_instance(args.instance)
     clf = serialize.load_classifier(args.classifier, cls)
     report = worst_case_error(clf, fam)
-    row = report.csv_row(args.instance, args.classifier)
     if args.output:
+        header, cells = record_columns(report)
         with open(args.output, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(ErrorReport.csv_header(fam.k))
-            writer.writerow(row)
+            csv.writer(fh).writerows([["instance_id", "classifier_id", *header],
+                                      [args.instance, args.classifier, *cells]])
         print(f"wrote error report to {args.output}")
     print(f"worst_case={report.worst_case:.6f} argmax_index={report.argmax_index}")
     return 0

@@ -360,6 +360,12 @@ def distinguisher(matrix: BinaryMatrix, labels, eps) -> Verdict:
     return Verdict.HIGH_DISCREPANCY
 
 
+def _opt_prime(opt_prime) -> Fraction:
+    if not 0 < (q := Fraction(opt_prime)) <= Fraction(1, 2):
+        raise ValueError("opt_prime must lie in (0, 1/2]")
+    return q
+
+
 def dummy_point_variant(rf: ReductionFamily, opt_prime) -> DistributionFamily:
     """Extend the family with a sure-label point so that the best achievable
     error drops to about opt_prime.
@@ -369,9 +375,7 @@ def dummy_point_variant(rf: ReductionFamily, opt_prime) -> DistributionFamily:
     rescaled to 2*opt_prime/m_i. opt_prime must lie in (0, 1/2]; at 1/2 the
     original family reappears with a zero-mass extra point.
     """
-    q = Fraction(opt_prime)
-    if not Fraction(0) < q <= Fraction(1, 2):
-        raise ValueError("opt_prime must lie in (0, 1/2]")
+    q = _opt_prime(opt_prime)
     n = rf.n
     scale = np.array([float(2 * q / int(m)) for m in rf.matrix.row_ones])
     mass = np.hstack([rf.matrix.entries * scale[:, None], np.full((n, 1), float(1 - 2 * q))])
@@ -382,11 +386,7 @@ def dummy_point_variant(rf: ReductionFamily, opt_prime) -> DistributionFamily:
 
 def dummy_min_deterministic_error(rf: ReductionFamily, opt_prime) -> Fraction:
     """Exact min over all 2^(n+1) labelings of the dummy-point family's
-    worst-case error. Labeling the dummy -1 costs 1 - 2*opt_prime everywhere,
-    so the minimum is min(that + ..., 2*opt_prime * base minimum)."""
-    q = Fraction(opt_prime)
-    base = min_deterministic_error(rf)
-    with_plus = 2 * q * base
-    # dummy labeled -1: every member pays 1 - 2q, plus the rescaled base error
-    with_minus = (1 - 2 * q) + with_plus
-    return min(with_plus, with_minus)
+    worst-case error: 2*opt_prime times the base minimum, reached with the
+    dummy labeled +1. Labeling it -1 adds 1 - 2*opt_prime >= 0 to every
+    member's error, so it never does better. opt_prime must lie in (0, 1/2]."""
+    return 2 * _opt_prime(opt_prime) * min_deterministic_error(rf)

@@ -65,18 +65,30 @@ class TrialReport:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} = {v} outside [0, 1]")
 
-    CSV_FIELDS = (
-        "trial_id", "seed", "opt", "randomized_error", "deterministic_error",
-        "table_size", "heavy_covered", "rounding_deviation", "wall_time",
-    )
 
-    def csv_row(self) -> list[str]:
-        return [
-            str(self.trial_id), str(self.seed), repr(self.opt),
-            repr(self.randomized_error), repr(self.deterministic_error),
-            str(self.table_size), str(int(self.heavy_covered)),
-            repr(self.rounding_deviation), repr(self.wall_time),
-        ]
+# the trials.csv header, also written for a campaign with no reports
+TrialReport.CSV_FIELDS = tuple(f.name for f in dataclasses.fields(TrialReport))
+
+
+def _cell(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer, np.bool_)):  # a bool is 0 or 1
+        return str(int(value))
+    raise TypeError(f"no CSV cell for a {type(value).__name__}")
+
+
+def record_columns(record) -> tuple[list[str], list[str]]:
+    """The CSV header and cells of a frozen record: a column per dataclass field
+    in order, a tuple field x as x_0, x_1, ...; a bool is 0 or 1, an integer
+    decimal, a float (numpy scalars too) the repr of the Python float."""
+    header, cells = [], []
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        many = isinstance(value, tuple)
+        header += [f"{f.name}_{i}" for i in range(len(value))] if many else [f.name]
+        cells += map(_cell, value if many else (value,))
+    return header, cells
 
 
 def rounding_deviation(f_hat, f_rand, fam: DistributionFamily, table: BiasTable) -> float:
@@ -171,22 +183,17 @@ class PredicateSummary:
 
 @dataclass(frozen=True)
 class CampaignSummary:
+    """A campaign's outcome; its fields, in order, are summary.json's keys."""
+
     trials: int
     errors: int
     partial: bool
-    predicates: tuple[PredicateSummary, ...]
-    config_echo: dict
     passed: bool
+    predicates: tuple[PredicateSummary, ...]
+    config: dict
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "errors": self.errors,
-            "partial": self.partial,
-            "passed": self.passed,
-            "predicates": [dataclasses.asdict(p) for p in self.predicates],
-            "config": self.config_echo,
-        }
+        return dataclasses.asdict(self)
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
@@ -331,8 +338,9 @@ def run_campaign(cfg: CampaignConfig, trials: int, parallelism: int = 1,
         trials=trials,
         errors=len(errors),
         partial=bool(errors),
+        passed=not errors and all_met,
         predicates=tuple(summaries),
-        config_echo={
+        config={
             "gen_spec": dataclasses.asdict(cfg.gen_spec),
             "hedge": dataclasses.asdict(cfg.hedge),
             "derand": dataclasses.asdict(cfg.derand),
@@ -341,7 +349,6 @@ def run_campaign(cfg: CampaignConfig, trials: int, parallelism: int = 1,
             "parallelism": parallelism,
             "measure_time": measure_time,
         },
-        passed=not errors and all_met,
     )
 
     if out_dir is not None:
@@ -355,9 +362,12 @@ def run_campaign(cfg: CampaignConfig, trials: int, parallelism: int = 1,
     return summary, reports
 
 
-def write_trials_csv(path, reports) -> None:
+def write_records_csv(path, records, header=()) -> None:
+    """One row per record, under the first one's header (header if there are none)."""
+    rows = [record_columns(r) for r in records]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TrialReport.CSV_FIELDS)
-        for r in reports:
-            writer.writerow(r.csv_row())
+        csv.writer(fh).writerows([rows[0][0] if rows else header, *(cells for _, cells in rows)])
+
+
+def write_trials_csv(path, reports) -> None:
+    write_records_csv(path, reports, TrialReport.CSV_FIELDS)

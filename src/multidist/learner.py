@@ -197,23 +197,28 @@ def _signs(plus: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SampleOracle:
     """Access to a distribution family, either with known masses ("exact") or
-    through i.i.d. draws only ("sampling").
+    through i.i.d. draws only ("sampling"); it is exact iff it has no rng.
 
     A sampling oracle owns its rng stream and must not be shared across
     concurrent callers; exact-mode draws consume the rng passed by the caller.
     """
 
     family: DistributionFamily
-    exact: bool
     rng: np.random.Generator | None = None
+
+    @property
+    def exact(self) -> bool:
+        return self.rng is None
 
     @classmethod
     def exact_mode(cls, family: DistributionFamily) -> "SampleOracle":
-        return cls(family, exact=True, rng=None)
+        return cls(family)
 
     @classmethod
     def sampling_mode(cls, family: DistributionFamily, rng: np.random.Generator) -> "SampleOracle":
-        return cls(family, exact=False, rng=rng)
+        if rng is None:
+            raise ValueError("a sampling oracle needs an rng of its own")
+        return cls(family, rng)
 
     def _stream(self, rng: np.random.Generator | None) -> np.random.Generator:
         if not self.exact:
@@ -321,10 +326,10 @@ def erm(cls: HypothesisClass, data: LabeledDistribution | EmpiricalSample) -> in
 class HedgeRound:
     """One row of the optional per-round trace."""
 
-    round_index: int
+    round: int
     hypothesis_index: int
-    per_distribution_errors: tuple[float, ...]
-    weights: tuple[float, ...]
+    error: tuple[float, ...]
+    weight: tuple[float, ...]
 
 
 # Draws per block of sampling-mode Hedge rounds, which take their k * m draws

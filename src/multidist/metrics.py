@@ -123,7 +123,7 @@ def error_matrix(plus: np.ndarray,
 class ErrorReport:
     """Per-member errors plus their maximum (lowest index on ties)."""
 
-    per_distribution: tuple[float, ...]
+    error: tuple[float, ...]
     worst_case: float
     argmax_index: int
 
@@ -132,21 +132,6 @@ class ErrorReport:
         errors = tuple(float(e) for e in errors)
         idx = int(np.argmax(errors))
         return cls(errors, errors[idx], idx)
-
-    def csv_row(self, instance_id: str, classifier_id: str) -> list[str]:
-        return (
-            [instance_id, classifier_id]
-            + [repr(e) for e in self.per_distribution]
-            + [repr(self.worst_case), str(self.argmax_index)]
-        )
-
-    @staticmethod
-    def csv_header(k: int) -> list[str]:
-        return (
-            ["instance_id", "classifier_id"]
-            + [f"error_{i}" for i in range(k)]
-            + ["worst_case", "argmax_index"]
-        )
 
 
 def worst_case_error(f, fam: DistributionFamily) -> ErrorReport:

@@ -47,6 +47,12 @@ def _field(doc: dict, key: str, what: str, kind: type | None = None):
     return doc[key]
 
 
+def _known_fields(doc: dict, known, what: str) -> None:
+    # a misspelt optional key would otherwise be read as absent
+    if unknown := set(doc) - set(known):
+        raise ValueError(f"{what} has unknown fields {sorted(unknown)}")
+
+
 # the JSON values each GenSpec field annotation accepts (bool never counts)
 _GEN_SPEC_TYPES = {"int": int, "float": (int, float), "str": str}
 
@@ -55,9 +61,7 @@ def _gen_spec_from_dict(doc) -> GenSpec:
     if not isinstance(doc, dict):
         raise ValueError(f"gen_spec must be a JSON object, got {type(doc).__name__}")
     types = {f.name: f.type for f in dataclasses.fields(GenSpec)}
-    unknown = set(doc) - set(types)
-    if unknown:
-        raise ValueError(f"gen_spec has unknown fields {sorted(unknown)}")
+    _known_fields(doc, types, "gen_spec")
     for key, value in doc.items():
         if isinstance(value, bool) or not isinstance(value, _GEN_SPEC_TYPES[types[key]]):
             raise ValueError(f"gen_spec field {key!r} must be {types[key]}, got {value!r}")
@@ -87,6 +91,8 @@ def instance_to_dict(fam: DistributionFamily, cls: HypothesisClass,
 
 def instance_from_dict(doc: dict) -> tuple[DistributionFamily, HypothesisClass, GenSpec | None]:
     n = require_integer(_field(doc, "domain_size", "instance"), "instance field 'domain_size'")
+    _known_fields(doc, ("domain_size", "shared_label_one_prob", "distributions", "hypotheses",
+                        "vc_dim", "gen_spec"), "instance")
     shared = None
     if "shared_label_one_prob" in doc:
         # read once, and given as that one array to every member without one
@@ -95,6 +101,7 @@ def instance_from_dict(doc: dict) -> tuple[DistributionFamily, HypothesisClass, 
     masses, etas = [], []
     for entry in _field(doc, "distributions", "instance", list):
         masses.append(_field(entry, "mass", "distribution entry", list))
+        _known_fields(entry, ("mass", "label_one_prob"), "distribution entry")
         eta = (_field(entry, "label_one_prob", "distribution entry", list)
                if "label_one_prob" in entry else shared)
         if eta is None:

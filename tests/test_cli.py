@@ -337,13 +337,41 @@ def test_bad_files_name_the_missing_or_unknown_key(tmp_path, capsys):
     no_hyps.write_text(json.dumps({k: v for k, v in doc.items() if k != "hypotheses"}))
     bogus_spec = tmp_path / "bogus_spec.json"
     bogus_spec.write_text(json.dumps({**doc, "gen_spec": {**doc["gen_spec"], "bogus": 1}}))
+    bogus_top = tmp_path / "bogus_top.json"
+    bogus_top.write_text(json.dumps({**doc, "vc_dimension": 2}))
+    # a misspelt label_one_prob once loaded as the shared vector in its place
+    misspelt = tmp_path / "misspelt.json"
+    member = {**doc["distributions"][0], "label_one_prb": [0.0] * 10}
+    misspelt.write_text(json.dumps({**doc, "distributions": [member, *doc["distributions"][1:]]}))
     capsys.readouterr()
     for classifier, instance, message in (
             (clf, no_hyps, "instance lacks the 'hypotheses' field"),
             (no_kind, inst, "classifier lacks the 'kind' field"),
-            (clf, bogus_spec, "gen_spec has unknown fields ['bogus']")):
+            (clf, bogus_spec, "gen_spec has unknown fields ['bogus']"),
+            (clf, bogus_top, "instance has unknown fields ['vc_dimension']"),
+            (clf, misspelt, "distribution entry has unknown fields ['label_one_prb']")):
         assert main(["eval", str(classifier), str(instance)]) == 2
         assert f"multidist: error: {message}" in capsys.readouterr().err
+
+
+def test_every_written_instance_file_loads(tmp_path):
+    # the files gen and disc reduce write hold only the keys the loader knows
+    written = []
+    for kind in ("random_label_consistent", "bayes_in_class", "gap_example",
+                 "heavy_point_probe"):
+        written.append(tmp_path / f"{kind}.json")
+        assert main(["gen", "--kind", kind, "--domain-size", "12", "-k", "3",
+                     "--heavy-count", "2", "-o", str(written[-1])]) == 0
+    mat = tmp_path / "m.txt"
+    assert main(["disc", "gen", "--n", "6", "-o", str(mat)]) == 0
+    written.append(tmp_path / "reduced.json")
+    assert main(["disc", "reduce", str(mat), "-o", str(written[-1])]) == 0
+    for inst in written:
+        doc = json.loads(inst.read_text())
+        clf = tmp_path / "clf.json"
+        serialize.save_classifier(clf, md.ExplicitClassifier(doc["hypotheses"][0]))
+        assert main(["eval", str(clf), str(inst)]) == 0
+    assert "label_one_prob" in json.loads(written[-1].read_text())["distributions"][0]
 
 
 def test_classifier_files_reject_non_integer_values(tmp_path, capsys):

@@ -356,7 +356,7 @@ def test_error_decomposition_is_exact():
     o_terms = md.error_matrix(plus, fam, ~inside)
     report = md.worst_case_error(result.classifier, fam)
     for i in range(fam.k):
-        assert t_terms[i] + o_terms[i] == pytest.approx(report.per_distribution[i], abs=1e-12)
+        assert t_terms[i] + o_terms[i] == pytest.approx(report.error[i], abs=1e-12)
 
 
 def test_table_term_attains_pointwise_minimum_when_signs_correct():

@@ -443,6 +443,18 @@ def test_dummy_point_minimum_error_by_bruteforce():
     assert best == got
 
 
+def test_dummy_minimum_labels_the_dummy_plus_and_checks_opt_prime():
+    rf = md.ReductionFamily(md.BinaryMatrix(np.eye(4, dtype=np.int8)))
+    base = md.min_deterministic_error(rf)
+    for q in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)):
+        # the dummy labeled -1 pays 1 - 2q more in every member
+        assert md.dummy_min_deterministic_error(rf, q) == min(2 * q * base,
+                                                              1 - 2 * q + 2 * q * base)
+    for q in (0, Fraction(3, 4)):
+        with pytest.raises(ValueError, match="opt_prime must lie in"):
+            md.dummy_min_deterministic_error(rf, q)
+
+
 def test_dummy_point_minus_label_costs_everywhere():
     rng = np.random.default_rng(14)
     A, _ = md.planted_zero_matrix(6, 0.5, rng)
@@ -470,7 +482,7 @@ def test_dummy_point_float_family_matches_exact_errors():
     fam = md.dummy_point_variant(rf, q)
     v = np.append(random_labels(rng, 6), 1).astype(np.int8)
     exact = dummy_member_errors(rf, q, v)
-    got = md.worst_case_error(v, fam).per_distribution
+    got = md.worst_case_error(v, fam).error
     assert got == pytest.approx([float(e) for e in exact], abs=1e-12)
 
 

@@ -510,9 +510,9 @@ def test_lean_rounds_match_the_former_rounds(shape, eps, fields, seed, sampling,
     assert np.array_equal(F.weights, weights)
     assert len(trace) == len(rows)
     for t, (got, (h, errs, w)) in enumerate(zip(trace, rows)):
-        assert (got.round_index, got.hypothesis_index) == (t, h)
-        assert np.array_equal(got.per_distribution_errors, errs)
-        assert np.array_equal(got.weights, w)
+        assert (got.round, got.hypothesis_index) == (t, h)
+        assert np.array_equal(got.error, errs)
+        assert np.array_equal(got.weight, w)
     if doubled:
         assert max(support) < len(cls) // 2
     if sampling:

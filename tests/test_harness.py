@@ -11,7 +11,9 @@ from multidist.harness import (
     PREDICATE_CONDITIONAL,
     PREDICATE_OPT,
     heavy_coverage,
+    record_columns,
     rounding_deviation,
+    write_records_csv,
     write_trials_csv,
 )
 from multidist.metrics import plus_rows
@@ -37,7 +39,7 @@ def test_masked_terms_partition_total_error():
     mask[[1, 4, 7]] = True
     inside = md.error_matrix(plus_rows(h), fam, mask)
     outside = md.error_matrix(plus_rows(h), fam, ~mask)
-    total = md.worst_case_error(h, fam).per_distribution
+    total = md.worst_case_error(h, fam).error
     assert (inside + outside).tolist() == pytest.approx(total, abs=1e-14)
 
 
@@ -75,7 +77,8 @@ def test_heavy_coverage_flag():
 
 def test_trial_report_validation_and_row():
     rep = md.TrialReport(3, 7, 0.5, 0.4, 0.45, 10, True, 0.02, 0.0)
-    row = rep.csv_row()
+    header, row = record_columns(rep)
+    assert header == list(md.TrialReport.CSV_FIELDS)
     assert row[0] == "3" and row[6] == "1"
     with pytest.raises(ValueError):
         md.TrialReport(0, 0, 1.5, 0.4, 0.4, 0, True, 0.0, 0.0)
@@ -182,11 +185,43 @@ def test_campaign_requirement_failure_fails_campaign():
 
 
 def test_write_trials_csv_round_trip(tmp_path):
-    reports = [md.TrialReport(0, 1, 0.3, 0.2, 0.25, 4, True, 0.01, 0.0)]
-    path = tmp_path / "t.csv"
-    write_trials_csv(path, reports)
-    rows = list(csv.reader(path.open()))
-    assert rows[1][2] == repr(0.3)
+    # every report record, numpy scalars among its values, by one cell rule
+    # (under numpy 2, repr(np.float64(0.1)) is 'np.float64(0.1)')
+    third = 1 / 3
+    records = {
+        "trial": (md.TrialReport(0, np.int64(1), 0.3, np.float64(0.1), 0.25, 4, np.bool_(True),
+                                 third, 1e-300), write_trials_csv,
+                  ["trial_id", "seed", "opt", "randomized_error", "deterministic_error",
+                   "table_size", "heavy_covered", "rounding_deviation", "wall_time"]),
+        "hedge_round": (learner.HedgeRound(np.int64(2), 5, (np.float64(0.1), third),
+                                           (0.5, 0.5)), write_records_csv,
+                        ["round", "hypothesis_index", "error_0", "error_1",
+                         "weight_0", "weight_1"]),
+        "error_report": (md.ErrorReport.from_errors([0.1, np.float64(third), 0.2]),
+                         write_records_csv,
+                         ["error_0", "error_1", "error_2", "worst_case", "argmax_index"]),
+    }
+    for name, (record, write, want_header) in records.items():
+        path = tmp_path / f"{name}.csv"
+        write(path, [record, record])
+        header, *rows = list(csv.reader(path.open()))
+        assert header == want_header and len(rows) == 2
+        values = []
+        for f in dataclasses.fields(record):
+            value = getattr(record, f.name)
+            values += value if isinstance(value, tuple) else [value]
+        for cell, value in zip(rows[0], values, strict=True):
+            if isinstance(value, (bool, np.bool_)):
+                assert cell == ("1" if value else "0")
+            elif isinstance(value, (int, np.integer)):
+                assert cell == str(int(value))
+            else:
+                assert float(cell) == value and cell == repr(float(value))
+    assert list(csv.reader((tmp_path / "trial.csv").open()))[1][:4] == ["0", "1", "0.3", "0.1"]
+    write_trials_csv(tmp_path / "none.csv", [])
+    assert (tmp_path / "none.csv").read_text().strip() == ",".join(md.TrialReport.CSV_FIELDS)
+    with pytest.raises(TypeError, match="str"):
+        record_columns(learner.HedgeRound("2", 5, (), ()))
 
 
 def test_a_failed_generation_is_reported_for_its_own_trial(tmp_path, monkeypatch):

@@ -171,7 +171,7 @@ def test_hedge_weights_stay_on_simplex():
     md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.3, trace=trace)
     assert len(trace) >= 1
     for row in trace:
-        w = np.array(row.weights)
+        w = np.array(row.weight)
         assert abs(w.sum() - 1.0) <= 1e-12
         assert np.all(w >= 0)
 
@@ -183,7 +183,7 @@ def test_hedge_no_regret_sanity():
     opt, _ = md.opt_bruteforce(cls, fam)
     rounds = len(trace)
     avg_play = np.mean([
-        np.dot(row.weights, row.per_distribution_errors) for row in trace
+        np.dot(row.weight, row.error) for row in trace
     ])
     assert avg_play <= opt + 3.0 * math.sqrt(math.log(fam.k) / rounds)
 
@@ -223,6 +223,14 @@ def test_hedge_exact_mode_deterministic():
     F2 = md.hedge_learn(oracle, cls, 0.2)
     assert F1.support == F2.support
     assert np.array_equal(F1.weights, F2.weights)
+
+
+def test_an_oracle_is_exact_when_it_has_no_stream_of_its_own():
+    fam, _ = md.gen_random_label_consistent(md.GenSpec(domain_size=12, k=3, seed=6))
+    assert md.SampleOracle.exact_mode(fam).exact
+    assert not md.SampleOracle.sampling_mode(fam, np.random.default_rng(0)).exact
+    with pytest.raises(ValueError, match="needs an rng"):
+        md.SampleOracle.sampling_mode(fam, None)
 
 
 def test_hedge_sampling_mode_deterministic_given_seed():

@@ -35,8 +35,8 @@ def random_family(rng, n=9, k=3, shared=True):
 def test_error_point_mass_examples():
     fam, cls, _ = md.gen_gap_example(4)
     # h_i on its own point-mass distribution errs surely; on others never
-    assert md.worst_case_error(cls.label_matrix[0], fam).per_distribution == (1.0, 0.0, 0.0, 0.0)
-    assert md.worst_case_error(cls.label_matrix[1], fam).per_distribution[0] == 0.0
+    assert md.worst_case_error(cls.label_matrix[0], fam).error == (1.0, 0.0, 0.0, 0.0)
+    assert md.worst_case_error(cls.label_matrix[1], fam).error[0] == 0.0
 
 
 def test_error_half_labels_give_half():
@@ -51,7 +51,7 @@ def test_error_matches_independent_oracle():
     for _ in range(25):
         fam = random_family(rng, shared=False)
         labels = np.where(rng.random(9) < 0.5, 1, -1).astype(np.int8)
-        errors = md.worst_case_error(md.ExplicitClassifier(labels), fam).per_distribution
+        errors = md.worst_case_error(md.ExplicitClassifier(labels), fam).error
         for e, member in zip(errors, members(fam)):
             assert e == pytest.approx(oracle_error(labels, member), abs=1e-14)
 
@@ -79,8 +79,8 @@ def test_worst_case_matches_oracle_on_random_instance():
     labels = np.where(rng.random(7) < 0.5, 1, -1).astype(np.int8)
     report = md.worst_case_error(md.ExplicitClassifier(labels), fam)
     direct = [oracle_error(labels, m) for m in members(fam)]
-    assert list(report.per_distribution) == pytest.approx(direct, abs=1e-14)
-    assert report.worst_case == max(report.per_distribution)
+    assert list(report.error) == pytest.approx(direct, abs=1e-14)
+    assert report.worst_case == max(report.error)
     assert report.argmax_index == int(np.argmax(direct))
 
 
@@ -279,7 +279,7 @@ def test_bayes_labeling_is_optimal_for_single_distribution():
 def test_bayes_labeling_attains_pointwise_floor_per_member():
     rng = np.random.default_rng(13)
     fam = random_family(rng, n=10, k=4)
-    errors = md.worst_case_error(md.bayes_labels(fam), fam).per_distribution
+    errors = md.worst_case_error(md.bayes_labels(fam), fam).error
     eta = fam.shared_label_one_prob
     for e, mass in zip(errors, fam.mass_matrix):
         floor = float((mass * np.minimum(eta, 1.0 - eta)).sum())

@@ -3,8 +3,9 @@
     python3 tools/bench_layers.py --parent ../parent-checkout -o BENCH_REV.json
 
 Each round runs one fresh interpreter per tree, alternating which tree goes
-first, and each interpreter reports the median time of every layer below over
-a few repetitions. The file written holds, per layer, the median over the
+first, with glibc's mmap threshold fixed at 128 KiB (MALLOC_MMAP_THRESHOLD_),
+and each interpreter reports the median time of every layer below over a few
+repetitions. The file written holds, per layer, the median over the
 rounds for each tree ("parent" is the tree given by --parent, "change" the
 tree holding this script), the first and third quartiles of those rounds, and
 the ratio of the medians. A ratio whose quartile ranges overlap is within the
@@ -195,9 +196,17 @@ def time_layers(src: str) -> dict:
     return out
 
 
+# glibc's mmap threshold, fixed in every timing interpreter: left dynamic, it
+# rises with the first large blocks an interpreter frees, so whether a layer's
+# arrays of 128 KiB and more come from fresh pages or reused heap differs
+# between interpreters of identical code
+MMAP_THRESHOLD = 131072
+
+
 def run_child(tree: Path) -> dict:
     result = subprocess.run([sys.executable, __file__, "--child", str(tree / "src")],
-                            capture_output=True, text=True, check=True)
+                            capture_output=True, text=True, check=True,
+                            env={**os.environ, "MALLOC_MMAP_THRESHOLD_": str(MMAP_THRESHOLD)})
     return json.loads(result.stdout.splitlines()[-1])
 
 
@@ -226,7 +235,8 @@ def main(argv=None) -> int:
         layers[name] = row
     report = {
         "how": f"median and quartiles over {ROUNDS} interpreters per tree, alternating "
-               "which runs first; each interpreter reports the median of its repetitions",
+               "which runs first; each interpreter reports the median of its repetitions "
+               f"and runs with MALLOC_MMAP_THRESHOLD_={MMAP_THRESHOLD}",
         "repetitions": REPS,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
                    f"Python {platform.python_version()}, numpy {np.__version__}",
