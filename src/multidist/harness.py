@@ -157,7 +157,8 @@ class CampaignConfig:
     """A campaign: fresh instances from gen_spec (seeded per trial), one
     pipeline run each, and the two acceptance predicates evaluated per trial.
 
-    required_fractions maps predicate name -> minimum success fraction; unmet
+    required_fractions maps predicate name (PREDICATE_OPT or
+    PREDICATE_CONDITIONAL) -> minimum success fraction in [0, 1]; unmet
     requirements flip the campaign's passed flag (and the CLI's exit code).
     """
 
@@ -167,6 +168,15 @@ class CampaignConfig:
                                         m_override=5000)
     master_seed: int = 0
     required_fractions: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # checked before any trial: an unknown name would be ignored, and a
+        # fraction above 1 or NaN would fail the campaign only after every trial
+        for name, frac in self.required_fractions.items():
+            if name not in (PREDICATE_OPT, PREDICATE_CONDITIONAL):
+                raise ValueError(f"unknown predicate {name!r} in required_fractions")
+            if not 0.0 <= frac <= 1.0:
+                raise ValueError(f"required fraction for {name} must lie in [0, 1], got {frac!r}")
 
 
 @dataclass(frozen=True)

@@ -354,10 +354,15 @@ class RandomizedClassifier:
             raise ValueError("support and weights lengths differ")
         if np.any(self.weights < 0):
             raise ValueError("weights must be nonnegative")
+        seen = set()
         for i in self.support:
             if not 0 <= i < len(self.hypothesis_class):
                 raise ValueError(f"support index {i} outside hypothesis class "
                                  f"of {len(self.hypothesis_class)}")
+            # a repeat would split one hypothesis's weight over two entries
+            if i in seen:
+                raise ValueError(f"support index {i} is repeated")
+            seen.add(i)
 
     @property
     def domain_size(self) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 from orjson import loads as orjson_loads
@@ -31,41 +32,42 @@ from .model import (
 from .discrepancy import BinaryMatrix
 
 
-_JSON_NAMES = {list: "list", dict: "object"}
+def _json_kind(kind: type, kind_name: str):
+    """The check that a value is a JSON kind_name, which Python reads as a kind."""
+    def check(value, name: str):
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be {kind_name}, got {type(value).__name__}")
+        return value
+    return check
 
 
-def _field(doc: dict, key: str, what: str, kind: type | None = None):
-    """doc[key], or a ValueError that names the missing key, or the key
-    whose value is not of the JSON kind given (list or dict)."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    if key not in doc:
-        raise ValueError(f"{what} lacks the {key!r} field")
-    if kind is not None and not isinstance(doc[key], kind):
-        raise ValueError(f"{what} field {key!r} must be a {_JSON_NAMES[kind]}, "
-                         f"got {type(doc[key]).__name__}")
-    return doc[key]
+_list, _object = _json_kind(list, "a list"), _json_kind(dict, "a JSON object")
 
 
-def _known_fields(doc: dict, known, what: str) -> None:
-    # a misspelt optional key would otherwise be read as absent
-    if unknown := set(doc) - set(known):
+def _fields(doc, what: str, required: dict, optional: dict = {}) -> dict:
+    """doc's values by key, each through its key's check `(value, field name) -> value`;
+    a missing required key, or a key of neither (a misspelt optional one), is a ValueError."""
+    _object(doc, what)
+    if missing := [key for key in required if key not in doc]:
+        raise ValueError(f"{what} lacks the {missing[0]!r} field")
+    checks = {**required, **optional}
+    if unknown := set(doc) - set(checks):
         raise ValueError(f"{what} has unknown fields {sorted(unknown)}")
+    return {key: checks[key](value, f"{what} field {key!r}") for key, value in doc.items()}
 
 
-# the JSON values each GenSpec field annotation accepts (bool never counts)
-_GEN_SPEC_TYPES = {"int": int, "float": (int, float), "str": str}
+def _annotated(kind: type):
+    """The check of a GenSpec field of type kind; an int counts as a float, a bool as neither."""
+    accepted = (int, float) if kind is float else kind
+    def check(value, name: str):
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+        return value
+    return check
 
 
-def _gen_spec_from_dict(doc) -> GenSpec:
-    if not isinstance(doc, dict):
-        raise ValueError(f"gen_spec must be a JSON object, got {type(doc).__name__}")
-    types = {f.name: f.type for f in dataclasses.fields(GenSpec)}
-    _known_fields(doc, types, "gen_spec")
-    for key, value in doc.items():
-        if isinstance(value, bool) or not isinstance(value, _GEN_SPEC_TYPES[types[key]]):
-            raise ValueError(f"gen_spec field {key!r} must be {types[key]}, got {value!r}")
-    return GenSpec(**doc)
+# every field required: a missing one would load as the generator's default
+_GEN_SPEC_FIELDS = {name: _annotated(kind) for name, kind in get_type_hints(GenSpec).items()}
 
 
 def instance_to_dict(fam: DistributionFamily, cls: HypothesisClass,
@@ -90,23 +92,21 @@ def instance_to_dict(fam: DistributionFamily, cls: HypothesisClass,
 
 
 def instance_from_dict(doc: dict) -> tuple[DistributionFamily, HypothesisClass, GenSpec | None]:
-    n = require_integer(_field(doc, "domain_size", "instance"), "instance field 'domain_size'")
-    _known_fields(doc, ("domain_size", "shared_label_one_prob", "distributions", "hypotheses",
-                        "vc_dim", "gen_spec"), "instance")
-    shared = None
-    if "shared_label_one_prob" in doc:
-        # read once, and given as that one array to every member without one
-        shared = _frozen_float_array(_field(doc, "shared_label_one_prob", "instance", list),
-                                     "shared_label_one_prob")
+    doc = _fields(doc, "instance",
+                  {"domain_size": require_integer, "distributions": _list, "hypotheses": _list},
+                  # read once, and given as that one array to every member without one
+                  {"shared_label_one_prob": lambda v, name: _frozen_float_array(
+                      _list(v, name), "shared_label_one_prob"),
+                   "vc_dim": lambda v, name: None if v is None else require_integer(v, name),
+                   "gen_spec": lambda v, _: GenSpec(**_fields(v, "gen_spec", _GEN_SPEC_FIELDS))})
+    n = doc["domain_size"]
     masses, etas = [], []
-    for entry in _field(doc, "distributions", "instance", list):
-        masses.append(_field(entry, "mass", "distribution entry", list))
-        _known_fields(entry, ("mass", "label_one_prob"), "distribution entry")
-        eta = (_field(entry, "label_one_prob", "distribution entry", list)
-               if "label_one_prob" in entry else shared)
-        if eta is None:
+    for entry in doc["distributions"]:
+        entry = _fields(entry, "distribution entry", {"mass": _list}, {"label_one_prob": _list})
+        masses.append(entry["mass"])
+        etas.append(entry.get("label_one_prob", doc.get("shared_label_one_prob")))
+        if etas[-1] is None:
             raise ValueError("distribution entry lacks label_one_prob and no shared vector given")
-        etas.append(eta)
     fam = DistributionFamily(masses, etas)
     if fam.domain_size != n:
         # every row has the family's width, so row 0 is the first wrong one
@@ -115,15 +115,11 @@ def instance_from_dict(doc: dict) -> tuple[DistributionFamily, HypothesisClass, 
     if not report.ok:
         raise ValueError("invalid instance: " + "; ".join(
             f"{v.location}: {v.message}" for v in report.violations))
-    vc_dim = doc.get("vc_dim")
-    if vc_dim is not None:
-        vc_dim = require_integer(vc_dim, "instance field 'vc_dim'")
-    cls = HypothesisClass(_field(doc, "hypotheses", "instance", list), vc_dim=vc_dim)
+    cls = HypothesisClass(doc["hypotheses"], vc_dim=doc.get("vc_dim"))
     if cls.domain_size != n:
         # every row has the class's width, so row 0 is the first wrong one
         raise ValueError(f"hypothesis row 0 has {cls.domain_size} labels, expected domain_size {n}")
-    spec = _gen_spec_from_dict(doc["gen_spec"]) if "gen_spec" in doc else None
-    return fam, cls, spec
+    return fam, cls, doc.get("gen_spec")
 
 
 def _read_json(path):
@@ -149,8 +145,8 @@ def randomized_to_dict(f_rand: RandomizedClassifier) -> dict:
 
 
 def randomized_from_dict(doc: dict, cls: HypothesisClass) -> RandomizedClassifier:
-    f_rand = RandomizedClassifier(cls, tuple(_field(doc, "support_indices", "mixture", list)),
-                                  _field(doc, "weights", "mixture", list))
+    doc = _fields(doc, "mixture", {"support_indices": _list, "weights": _list})
+    f_rand = RandomizedClassifier(cls, tuple(doc["support_indices"]), doc["weights"])
     require_unit_weights(f_rand)
     return f_rand
 
@@ -180,46 +176,49 @@ def classifier_to_dict(clf) -> dict:
     raise TypeError(f"cannot serialize classifier of type {type(clf).__name__}")
 
 
+# each classifier kind's keys besides "kind", with the check of each key's value
+_CLASSIFIER_FIELDS = {
+    "explicit": {"labels": _list},
+    "compact": {"prime": require_integer, "degree_r": require_integer, "coefficients": _list,
+                "range_size": require_integer, "domain_size": require_integer,
+                "t_table": _list, "randomized": _object},
+}
+
+
 def classifier_from_dict(doc: dict, cls: HypothesisClass | None = None):
-    def field(key, kind=None):
-        return _field(doc, key, "classifier", kind)
-
-    def integer(key):
-        return require_integer(field(key), f"classifier field {key!r}")
-
-    kind = field("kind")
+    kind = _object(doc, "classifier").get("kind")
+    # tested as a string first, since a kind such as [1] cannot be a dict key; with
+    # no kind, the table of that one key names it as missing
+    if "kind" in doc and not (isinstance(kind, str) and kind in _CLASSIFIER_FIELDS):
+        raise ValueError(f"unknown classifier kind {kind!r}")
+    doc = _fields(doc, "classifier", {"kind": lambda v, _: v, **_CLASSIFIER_FIELDS.get(kind, {})})
     if kind == "explicit":
-        return ExplicitClassifier(field("labels", list))
-    if kind == "compact":
-        if cls is None:
-            raise ValueError("loading a compact classifier needs the hypothesis class")
-        coeffs = field("coefficients", list)
-        if len(coeffs) != integer("degree_r"):
-            raise ValueError("degree_r does not match the coefficient count")
-        q = PolyHash(integer("prime"),
-                     tuple(require_integer(c, "hash coefficient") for c in coeffs))
-        f_rand = randomized_from_dict(field("randomized", dict), cls)
-        table = []
-        for i, entry in enumerate(field("t_table", list)):
-            if not (isinstance(entry, list) and len(entry) == 2):
-                # named by index and type: the repr of a deeply nested entry recurses
-                what = (f"a list of {len(entry)}" if isinstance(entry, list)
-                        else f"a {type(entry).__name__}")
-                raise ValueError(f"t_table entries must be [point, label] pairs, "
-                                 f"entry {i} is {what}")
-            table.append((require_integer(entry[0], "t_table point"),
-                          require_integer(entry[1], "t_table label")))
-        # entries may come in any order; a repeated point is rejected
-        table.sort()
-        # written for the file's readers, and checked against what the classifier derives
-        domain_size, range_size = integer("domain_size"), integer("range_size")
-        if range_size != q.prime:
-            raise ValueError("range_size must equal the hash prime")
-        if domain_size != f_rand.domain_size:
-            raise ValueError(f"domain size mismatch: classifier domain_size {domain_size}, "
-                             f"mixture class width {f_rand.domain_size}")
-        return CompactClassifier(q, [x for x, _ in table], [lab for _, lab in table], f_rand)
-    raise ValueError(f"unknown classifier kind {kind!r}")
+        return ExplicitClassifier(doc["labels"])
+    if cls is None:
+        raise ValueError("loading a compact classifier needs the hypothesis class")
+    if len(doc["coefficients"]) != doc["degree_r"]:
+        raise ValueError("degree_r does not match the coefficient count")
+    q = PolyHash(doc["prime"], tuple(doc["coefficients"]))
+    f_rand = randomized_from_dict(doc["randomized"], cls)
+    table = []
+    for i, entry in enumerate(doc["t_table"]):
+        if not (isinstance(entry, list) and len(entry) == 2):
+            # named by index and type: the repr of a deeply nested entry recurses
+            what = (f"a list of {len(entry)}" if isinstance(entry, list)
+                    else f"a {type(entry).__name__}")
+            raise ValueError(f"t_table entries must be [point, label] pairs, "
+                             f"entry {i} is {what}")
+        table.append((require_integer(entry[0], "t_table point"),
+                      require_integer(entry[1], "t_table label")))
+    # entries may come in any order; a repeated point is rejected
+    table.sort()
+    # written for the file's readers, and checked against what the classifier derives
+    if doc["range_size"] != q.prime:
+        raise ValueError("range_size must equal the hash prime")
+    if doc["domain_size"] != f_rand.domain_size:
+        raise ValueError(f"domain size mismatch: classifier domain_size {doc['domain_size']}, "
+                         f"mixture class width {f_rand.domain_size}")
+    return CompactClassifier(q, [x for x, _ in table], [lab for _, lab in table], f_rand)
 
 
 def save_classifier(path, clf) -> None:

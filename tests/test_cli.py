@@ -112,13 +112,29 @@ def test_trial_campaign_cli(tmp_path):
     assert stanza["trials"] == 4
 
 
-def test_trial_campaign_cli_fails_on_unmet_requirement(tmp_path):
-    rc = main(["trial", "--domain-size", "15", "-k", "2", "--hypotheses", "4",
-               "--trials", "2", "--eps", "0.2", "--delta", "0.2",
-               "--mode", "calibrated", "--m-override", "500",
-               "--seed", "6", "--no-timing", "--outdir", str(tmp_path),
-               "--require-opt-frac", "1.1"])
+def test_trial_campaign_cli_fails_on_unmet_requirement(tmp_path, capsys):
+    # a 10-draw table rounds one of these three trials too far from its mixture
+    rc = main(["trial", "--domain-size", "20", "-k", "3", "--hypotheses", "8",
+               "--trials", "3", "--eps", "0.2", "--delta", "0.2",
+               "--mode", "calibrated", "--m-override", "10",
+               "--seed", "3", "--no-timing", "--outdir", str(tmp_path),
+               "--require-cond-frac", "1.0"])
     assert rc == 1
+    assert ('CAMPAIGN FAILED {"failed_predicates": ["er_le_randomized_plus_half_eps"]'
+            in capsys.readouterr().out)
+
+
+def test_trial_rejects_required_fractions_outside_the_unit_interval(tmp_path, capsys):
+    # 1.5 and nan ran every trial and then failed the campaign; -0.2 passed it
+    for flag, value in (("--require-opt-frac", "1.5"), ("--require-opt-frac", "nan"),
+                        ("--require-cond-frac", "-0.2")):
+        rc = main(["trial", "--trials", "2", "--eps", "0.2", "--delta", "0.2",
+                   "--mode", "calibrated", "--m-override", "400", "--no-timing",
+                   "--outdir", str(tmp_path), flag, value])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "must lie in [0, 1], got" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_hashcheck_cli():
@@ -194,7 +210,8 @@ def test_eval_rejects_classifier_of_other_domain_size(tmp_path, capsys):
 
 
 def test_eval_rejects_support_index_outside_the_class(tmp_path, capsys):
-    # an IndexError here once ended eval in a traceback and exit 1
+    # an IndexError here once ended eval in a traceback and exit 1; a repeated
+    # index once loaded as two entries of one hypothesis
     inst = tmp_path / "inst.json"
     main(["gen", "--domain-size", "15", "-k", "2", "--hypotheses", "3",
           "--seed", "3", "-o", str(inst)])
@@ -203,13 +220,18 @@ def test_eval_rejects_support_index_outside_the_class(tmp_path, capsys):
                  "--mode", "calibrated", "--m-override", "800",
                  "--rounding", "hash", "--seed", "4", "-o", str(clf)]) == 0
     doc = json.loads(clf.read_text())
-    support = doc["randomized"]["support_indices"]
-    doc["randomized"]["support_indices"] = [99] + support[1:]
-    clf.write_text(json.dumps(doc))
+    support, weights = doc["randomized"]["support_indices"], doc["randomized"]["weights"]
     capsys.readouterr()
-    assert main(["eval", str(clf), str(inst)]) == 2
-    assert capsys.readouterr().err.startswith(
-        "multidist: error: support index 99 outside hypothesis class of 3")
+    for bad, message in (
+            ({"support_indices": [99] + support[1:], "weights": weights},
+             "support index 99 outside hypothesis class of 3"),
+            # the first entry's weight split over two entries of its index
+            ({"support_indices": support[:1] + support,
+              "weights": [weights[0] / 2] * 2 + weights[1:]},
+             f"support index {support[0]} is repeated")):
+        clf.write_text(json.dumps({**doc, "randomized": bad}))
+        assert main(["eval", str(clf), str(inst)]) == 2
+        assert capsys.readouterr().err.startswith(f"multidist: error: {message}")
 
 
 def test_eval_rejects_classifier_with_unnormalized_mixture(tmp_path, capsys):
@@ -343,13 +365,28 @@ def test_bad_files_name_the_missing_or_unknown_key(tmp_path, capsys):
     misspelt = tmp_path / "misspelt.json"
     member = {**doc["distributions"][0], "label_one_prb": [0.0] * 10}
     misspelt.write_text(json.dumps({**doc, "distributions": [member, *doc["distributions"][1:]]}))
+    # stray keys in classifier files, and in a compact one's mixture, once loaded
+    labls = tmp_path / "labls.json"
+    labls.write_text(json.dumps({**json.loads(clf.read_text()), "labls": [1] * 10}))
+    compact = tmp_path / "compact.json"
+    assert main(["derand", str(inst), "--eps", "0.3", "--delta", "0.3", "--mode", "calibrated",
+                 "--m-override", "200", "--rounding", "hash", "-o", str(compact)]) == 0
+    compact_doc = json.loads(compact.read_text())
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps({**compact_doc, "extra": 1}))
+    weigths = tmp_path / "weigths.json"
+    weigths.write_text(json.dumps({**compact_doc, "randomized": {**compact_doc["randomized"],
+                                                                 "weigths": [1.0]}}))
     capsys.readouterr()
     for classifier, instance, message in (
             (clf, no_hyps, "instance lacks the 'hypotheses' field"),
             (no_kind, inst, "classifier lacks the 'kind' field"),
             (clf, bogus_spec, "gen_spec has unknown fields ['bogus']"),
             (clf, bogus_top, "instance has unknown fields ['vc_dimension']"),
-            (clf, misspelt, "distribution entry has unknown fields ['label_one_prb']")):
+            (clf, misspelt, "distribution entry has unknown fields ['label_one_prb']"),
+            (labls, inst, "classifier has unknown fields ['labls']"),
+            (extra, inst, "classifier has unknown fields ['extra']"),
+            (weigths, inst, "mixture has unknown fields ['weigths']")):
         assert main(["eval", str(classifier), str(instance)]) == 2
         assert f"multidist: error: {message}" in capsys.readouterr().err
 

@@ -178,10 +178,25 @@ def test_campaign_records_errors_and_flags_partial(tmp_path):
 
 
 def test_campaign_requirement_failure_fails_campaign():
-    cfg = dataclasses.replace(small_campaign(seed=4),
-                              required_fractions={PREDICATE_OPT: 1.1})  # unattainable
+    # a 10-draw table rounds one of these three trials too far from its mixture
+    cfg = dataclasses.replace(small_campaign(seed=3, m_override=10),
+                              required_fractions={PREDICATE_CONDITIONAL: 1.0})
     summary, _ = md.run_campaign(cfg, trials=3, measure_time=False)
+    assert [p.met for p in summary.predicates] == [None, False]
     assert not summary.passed
+
+
+def test_campaign_requirements_name_a_predicate_and_a_fraction():
+    # each of these was read as no requirement, or failed the campaign only
+    # after every trial had run
+    for required, message in (({"er_le_opt": 0.99}, "unknown predicate 'er_le_opt'"),
+                              ({PREDICATE_OPT: 1.1}, "must lie in \\[0, 1\\], got 1.1"),
+                              ({PREDICATE_CONDITIONAL: -0.2}, "got -0.2"),
+                              ({PREDICATE_OPT: float("nan")}, "got nan")):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(small_campaign(), required_fractions=required)
+    for frac in (0.0, 1.0):
+        dataclasses.replace(small_campaign(), required_fractions={PREDICATE_OPT: frac})
 
 
 def test_write_trials_csv_round_trip(tmp_path):

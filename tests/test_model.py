@@ -195,6 +195,9 @@ def test_randomized_classifier_structural_checks():
         with pytest.raises(ValueError, match="support index must be an integer"):
             md.RandomizedClassifier(cls, (bad,), np.array([1.0]))
     assert md.RandomizedClassifier(cls, (1.0, np.int64(0)), np.array([0.5, 0.5])).support == (1, 0)
+    # one index twice: mixture files, a compact classifier's mixture and API callers
+    with pytest.raises(ValueError, match="support index 1 is repeated"):
+        md.RandomizedClassifier(cls, (1, 0, 1.0), np.array([0.25, 0.5, 0.25]))
 
 
 def test_label_consistency_shared_vector():

@@ -1,11 +1,16 @@
 """Parse parity: every file the package writes loads, through orjson, to the
 same arrays and values as the standard library's json.loads, bit for bit.
-json.loads is the reference here; the package reads with orjson only."""
+json.loads is the reference here; the package reads with orjson only.
+
+Closed schemas: a written file with one key renamed, dropped or added, one
+list entry repeated or one value of another JSON type either fails to load
+with a ValueError or is exactly the file that its loaded objects write."""
 
 import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -175,3 +180,117 @@ def test_classifier_files_load_as_json_loads_reads_them(tmp_path, clf_cls):
     assert type(got) is type(ref)
     assert _same(_classifier_values(got), _classifier_values(ref))
     assert _same(_classifier_values(got), _classifier_values(clf))
+
+
+def test_mixture_files_name_a_stray_key_or_a_repeated_index():
+    cls = md.HypothesisClass(np.ones((3, 4)))
+    for doc, message in (
+            ({"support_indices": [0], "weights": [1.0], "weigths": [0.5]},
+             r"mixture has unknown fields \['weigths'\]"),
+            ({"support_indices": [0, 0], "weights": [0.5, 0.5]}, "support index 0 is repeated")):
+        with pytest.raises(ValueError, match=message):
+            serialize.randomized_from_dict(doc, cls)
+
+
+def test_a_null_vc_dim_loads_as_an_unknown_one():
+    fam = md.DistributionFamily([[1.0]], [[0.5]])
+    doc = serialize.instance_to_dict(fam, md.HypothesisClass([[1]], vc_dim=3))
+    assert serialize.instance_from_dict({**doc, "vc_dim": None})[1].vc_dim is None
+
+
+@st.composite
+def files(draw):
+    """(a valid file's JSON document, its reader, the writer of what the reader
+    returns): instances, mixtures, and explicit and compact classifiers."""
+    kind = draw(st.sampled_from(["instance", "mixture", "classifier"]))
+    if kind == "instance":
+        return (serialize.instance_to_dict(*draw(instances())), serialize.instance_from_dict,
+                lambda loaded: serialize.instance_to_dict(*loaded))
+    if kind == "mixture":
+        f_rand = draw(mixtures())
+        return (serialize.randomized_to_dict(f_rand),
+                lambda doc: serialize.randomized_from_dict(doc, f_rand.hypothesis_class),
+                serialize.randomized_to_dict)
+    clf, cls = draw(classifiers())
+    return (serialize.classifier_to_dict(clf),
+            lambda doc: serialize.classifier_from_dict(doc, cls), serialize.classifier_to_dict)
+
+
+def _nodes(node, path=()):
+    """(path, value) of every JSON value in node, node itself first."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _nodes(child, path + (key,))
+
+
+# one value of each JSON type but null, which only vc_dim admits
+JSON_VALUES = {"number": 0, "string": "0", "bool": True, "array": [], "object": {}}
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool):
+        return "bool"
+    return {int: "number", float: "number", str: "string", list: "array",
+            dict: "object"}[type(value)]
+
+
+@st.composite
+def mutations(draw, doc):
+    """doc with one key renamed, dropped or added, one list entry repeated, or
+    one value swapped for a value of another JSON type."""
+    doc = json.loads(json.dumps(doc))
+    nodes = list(_nodes(doc))
+    objects = [node for _, node in nodes if isinstance(node, dict)]
+    lists = [node for _, node in nodes if isinstance(node, list) and node]
+    how = draw(st.sampled_from(["rename", "drop", "add", "repeat", "swap"]))
+    if how in ("rename", "drop"):
+        node = draw(st.sampled_from([node for node in objects if node]))
+        key = draw(st.sampled_from(sorted(node)))
+        value = node.pop(key)
+        if how == "rename":
+            node[key + "_"] = value
+    elif how == "add":
+        draw(st.sampled_from(objects))["extra"] = 0
+    elif how == "repeat":
+        node = draw(st.sampled_from(lists))
+        i = draw(st.integers(0, len(node) - 1))
+        node.insert(i, json.loads(json.dumps(node[i])))
+    else:
+        path, value = draw(st.sampled_from(nodes))
+        other = draw(st.sampled_from([v for t, v in JSON_VALUES.items()
+                                      if t != _json_type(value)]))
+        if not path:
+            return other
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = other
+    return doc
+
+
+def _json_equal(a, b) -> bool:
+    """Equal JSON values: numbers by value, a bool only to a bool, arrays and
+    objects entry by entry."""
+    if _json_type(a) != _json_type(b):
+        return False
+    if isinstance(a, list):
+        return len(a) == len(b) and all(_json_equal(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_json_equal(a[key], b[key]) for key in a)
+    return a == b
+
+
+@settings(max_examples=200, deadline=None)
+@given(files(), st.data())
+def test_a_mutated_file_fails_or_is_the_file_its_objects_write(file, data):
+    # so a loader ignores no key, fills in no default and converts no value:
+    # a stray or misspelt key, a repeated support index or t_table point, a
+    # missing gen_spec field or a value of the wrong JSON type is a ValueError
+    doc, read, write = file
+    mutated = data.draw(mutations(doc))
+    try:
+        loaded = read(mutated)
+    except ValueError:
+        return
+    assert _json_equal(write(loaded), mutated)

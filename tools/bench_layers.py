@@ -32,6 +32,9 @@ spread between interpreters of one tree. The layers:
   draw_family of 5000 draws per member, the bias-table draw of derand on the
   cli_wide instance and of a C06 campaign trial;
 - load_instance: serialize.load_instance of the cli_wide instance file;
+- load_classifier_24x1000: serialize.load_classifier of the compact
+  classifier file that derand --rounding hash writes for that instance, at
+  the cli_wide derand flags (the file cli_wide's eval reads every op);
 - generate_c06: md.generate at the C06 campaign spec (n = 40, k = 6,
   |H| = 16, seed 5);
 - reduction_family: a fresh ReductionFamily(matrix).family of the n = 18
@@ -69,8 +72,10 @@ one, so every layer runs on the trees before and after delta was dropped.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import inspect
+import io
 import json
 import os
 import platform
@@ -87,8 +92,9 @@ ROUNDS = 11
 # repetitions per layer within one interpreter
 REPS = {"eval_block": 40, "eval_one_poly": 100, "tail_check": 5, "bruteforce_min_discrepancy": 15,
         "min_deterministic_error": 15, "hedge_sampling": 15, "draw_family_24x1000x5000": 30,
-        "draw_family_6x40x5000": 200, "load_instance": 15, "generate_c06": 200,
-        "reduction_family": 200, "error_matrix_128x24x1000": 30, "error_matrix_16x6x40": 500,
+        "draw_family_6x40x5000": 200, "load_instance": 15, "load_classifier_24x1000": 100,
+        "generate_c06": 200, "reduction_family": 200, "error_matrix_128x24x1000": 30,
+        "error_matrix_16x6x40": 500,
         "error_matrix_1x24x1000": 300, "error_matrix_masked_2x24x1000": 300, "build_parser": 100,
         "build_bias_table_24x1000x5000": 30, "build_bias_table_6x40x5000": 200,
         "compact_label_vector_24x1000": 100, "hedge_exact_c06": 15, "hedge_stack_advance_32": 100,
@@ -129,6 +135,11 @@ def time_layers(src: str) -> dict:
     tmp = tempfile.TemporaryDirectory()
     instance = Path(tmp.name) / "inst.json"
     serialize.save_instance(instance, wide_fam, wide_cls)
+    classifier = Path(tmp.name) / "clf.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["derand", str(instance), "--rounding", "hash", "--mode", "calibrated",
+                  "--m-override", "5000", "--eps", "0.6", "--delta", "0.2", "--seed", "1",
+                  "-o", str(classifier)])
     draw_rng = np.random.default_rng(2)
     wide_table_cfg = md.DerandConfig(eps=0.6, delta=0.2, mode="calibrated", m_override=5000)
     c06_table_cfg = md.DerandConfig(eps=0.15, delta=0.15, mode="calibrated", m_override=5000)
@@ -161,6 +172,7 @@ def time_layers(src: str) -> dict:
         "draw_family_6x40x5000": lambda: md.SampleOracle.exact_mode(c06_fam).draw_family(
             5000, draw_rng),
         "load_instance": lambda: serialize.load_instance(instance),
+        "load_classifier_24x1000": lambda: serialize.load_classifier(classifier, wide_cls),
         "generate_c06": lambda: md.generate(c06_spec),
         "reduction_family": lambda: md.ReductionFamily(matrix).family,
         "error_matrix_128x24x1000": lambda: md.error_matrix(wide_plus, wide_fam),
