@@ -145,6 +145,17 @@ def is_positive_real(value) -> bool:
             and math.isfinite(value) and value > 0)
 
 
+def shown(value) -> str:
+    """value for an error message: its repr, but a list or dict named by its
+    JSON type, since the repr of a deeply nested value read from a file
+    recurses past Python's limit."""
+    if isinstance(value, list):
+        return "a list"
+    if isinstance(value, dict):
+        return "a JSON object"
+    return repr(value)
+
+
 def require_integer(value, name: str) -> int:
     """value as an int: an integer, or a float with an integral value below
     2^53 in magnitude. Any other value (2.7, True, "3", 1e30) is a ValueError
@@ -157,7 +168,7 @@ def require_integer(value, name: str) -> int:
     if (isinstance(value, (float, np.floating)) and abs(value) < 2.0 ** 53
             and value == int(value)):
         return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+    raise ValueError(f"{name} must be an integer, got {shown(value)}")
 
 
 def check_eps_delta(eps: float, delta: float) -> None:
@@ -175,7 +186,7 @@ def integer_array(values, name: str) -> np.ndarray:
     if arr.dtype == object:
         bad = next((v for v in arr.flat if not is_integer(v)), None)
         if bad is not None:
-            raise ValueError(f"{name} must be integers, got {bad!r}")
+            raise ValueError(f"{name} must be integers, got {shown(bad)}")
     elif arr.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers, got an array of {arr.dtype}")
     return arr

@@ -3,14 +3,17 @@
 Instances and classifiers are JSON (numbers as decimal text, arrays in domain
 index order), written by `json` with indent=1 and read by orjson, which
 parses a float to the same double as `json` and rejects NaN and Infinity
-literals. Matrices use a plain text format: first line n, then n lines of n
-characters from {0,1}.
+literals. An instance file's label matrix is read straight from its bytes
+when they prove it a rectangular matrix of 1 and -1 (`_label_route`); any
+other file is read as a whole by orjson. Matrices use a plain text format:
+first line n, then n lines of n characters from {0,1}.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 from typing import get_type_hints
 
@@ -27,6 +30,7 @@ from .model import (
     _frozen_float_array,
     require_integer,
     require_unit_weights,
+    shown,
     validate_family,
 )
 from .discrepancy import BinaryMatrix
@@ -61,7 +65,7 @@ def _annotated(kind: type):
     accepted = (int, float) if kind is float else kind
     def check(value, name: str):
         if isinstance(value, bool) or not isinstance(value, accepted):
-            raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+            raise ValueError(f"{name} must be {kind.__name__}, got {shown(value)}")
         return value
     return check
 
@@ -92,6 +96,12 @@ def instance_to_dict(fam: DistributionFamily, cls: HypothesisClass,
 
 
 def instance_from_dict(doc: dict) -> tuple[DistributionFamily, HypothesisClass, GenSpec | None]:
+    return _instance(doc, None)
+
+
+def _instance(doc, labels: np.ndarray | None):
+    """The instance in doc; labels, when given, is the label matrix that
+    `_label_route` read from the file in place of doc's "hypotheses", then []."""
     doc = _fields(doc, "instance",
                   {"domain_size": require_integer, "distributions": _list, "hypotheses": _list},
                   # read once, and given as that one array to every member without one
@@ -115,7 +125,8 @@ def instance_from_dict(doc: dict) -> tuple[DistributionFamily, HypothesisClass, 
     if not report.ok:
         raise ValueError("invalid instance: " + "; ".join(
             f"{v.location}: {v.message}" for v in report.violations))
-    cls = HypothesisClass(doc["hypotheses"], vc_dim=doc.get("vc_dim"))
+    cls = HypothesisClass(doc["hypotheses"] if labels is None else labels,
+                          vc_dim=doc.get("vc_dim"))
     if cls.domain_size != n:
         # every row has the class's width, so row 0 is the first wrong one
         raise ValueError(f"hypothesis row 0 has {cls.domain_size} labels, expected domain_size {n}")
@@ -133,8 +144,86 @@ def save_instance(path, fam: DistributionFamily, cls: HypothesisClass,
     Path(path).write_text(json.dumps(instance_to_dict(fam, cls, gen_spec), indent=1))
 
 
+_JSON_SPACE = b" \t\n\r"
+_LABELS_KEY = b'"hypotheses"'
+_LABELS_OPEN = re.compile(rb"[ \t\n\r]*:[ \t\n\r]*\[")
+_LABELS_CLOSE = re.compile(rb"\][ \t\n\r]*\]")
+
+
+def _label_rows(raw: bytes) -> tuple[int, int, bytes] | None:
+    """(rows, columns, raw less its JSON space) when raw is a list of rows of
+    1 and -1 that orjson would read as such, else None: each "-" must be
+    followed by "1", and with its JSON space and dashes removed raw must be
+    the all-ones matrix [[1,...,1],...,[1,...,1]]."""
+    chars = np.frombuffer(raw, np.uint8)
+    # raw ends in "]", so its last byte is no dash
+    if np.any((chars[:-1] == ord("-")) & (chars[1:] != ord("1"))):
+        return None
+    signed = raw.translate(None, _JSON_SPACE)
+    ones = signed.translate(None, b"-")
+    cols, odd = divmod(ones.find(b"]") - 1, 2)
+    rows, rest = divmod(len(ones) - 1, 2 * cols + 2) if cols > 0 else (0, 1)
+    if odd or rest or rows < 1:
+        return None
+    row = b"[" + b"1," * (cols - 1) + b"1]"
+    if ones != b"[" + (row + b",") * (rows - 1) + row + b"]":
+        return None
+    return rows, cols, signed
+
+
+def _label_route(data: bytes) -> tuple[dict, np.ndarray] | None:
+    """(the file's JSON object with its "hypotheses" list read as [], that
+    list as an int8 matrix), when the bytes prove the list a rectangular
+    matrix of 1 and -1 (`_label_rows`); else None, and the caller reads the
+    file as a whole.
+
+    Taken only if the key's text occurs once and no string holds an escape,
+    so that the top-level "hypotheses" can be no other key. The list runs
+    from the "[" after the key and its ":" to the first "]", JSON space, "]".
+    A label is -1 where a dash comes before its "1". Nothing here raises: a
+    file the route does not prove goes through orjson whole, with every
+    message unchanged."""
+    at = data.find(_LABELS_KEY)
+    opened = _LABELS_OPEN.match(data, at + len(_LABELS_KEY)) if at >= 0 else None
+    if not opened or b"\\" in data:
+        return None
+    start = opened.end() - 1
+    # the first row on its own first, which tells most lists of other entries
+    # (floats, bools) at the cost of one row
+    first = data.find(b"]", start) + 1
+    if not first or not _label_rows(data[start:first] + b"]"):
+        return None
+    closed = _LABELS_CLOSE.search(data, first - 1)
+    if not closed:
+        return None
+    end = closed.end()
+    proven = _label_rows(data[start:end])
+    # a proven list holds no quote, so the key can occur again only after it
+    if not proven or data.find(_LABELS_KEY, end) >= 0:
+        return None
+    rows, cols, signed = proven
+    try:
+        doc = orjson_loads(data[:start] + b"[]" + data[end:])
+    except ValueError:
+        return None
+    if not (isinstance(doc, dict) and doc.get("hypotheses") == []):
+        return None
+    # the j-th dash of signed comes before the "1" at position dash - j of
+    # signed less its dashes, and the "1" at position i there is entry
+    # (i - 2) // 2 of a (rows, cols + 1) grid whose last column stands for
+    # each row's closing "],"
+    dashes = np.flatnonzero(np.frombuffer(signed, np.uint8) == ord("-"))
+    dashes -= np.arange(2, dashes.size + 2)
+    grid = np.ones(rows * (cols + 1), np.int8)
+    grid[dashes >> 1] = -1
+    return doc, grid.reshape(rows, cols + 1)[:, :cols]
+
+
 def load_instance(path) -> tuple[DistributionFamily, HypothesisClass, GenSpec | None]:
-    return instance_from_dict(_read_json(path))
+    data = Path(path).read_bytes()
+    if routed := _label_route(data):
+        return _instance(*routed)
+    return instance_from_dict(orjson_loads(data))
 
 
 def randomized_to_dict(f_rand: RandomizedClassifier) -> dict:
@@ -190,7 +279,7 @@ def classifier_from_dict(doc: dict, cls: HypothesisClass | None = None):
     # tested as a string first, since a kind such as [1] cannot be a dict key; with
     # no kind, the table of that one key names it as missing
     if "kind" in doc and not (isinstance(kind, str) and kind in _CLASSIFIER_FIELDS):
-        raise ValueError(f"unknown classifier kind {kind!r}")
+        raise ValueError(f"unknown classifier kind {shown(kind)}")
     doc = _fields(doc, "classifier", {"kind": lambda v, _: v, **_CLASSIFIER_FIELDS.get(kind, {})})
     if kind == "explicit":
         return ExplicitClassifier(doc["labels"])

@@ -411,6 +411,29 @@ def test_every_written_instance_file_loads(tmp_path):
     assert "label_one_prob" in json.loads(written[-1].read_text())["distributions"][0]
 
 
+def test_every_written_instance_file_takes_the_label_route(tmp_path):
+    # a writer change that the byte route no longer proves would still load,
+    # through orjson, only slower; this names it
+    argvs = {kind: ["gen", "--kind", kind, "--domain-size", "12", "-k", "3",
+                    "--heavy-count", "2"]
+             for kind in ("random_label_consistent", "bayes_in_class", "gap_example",
+                          "heavy_point_probe")}
+    argvs["cli_wide"] = ["gen", "--domain-size", "1000", "-k", "24", "--hypotheses", "128",
+                         "--seed", "5"]
+    mat = tmp_path / "m.txt"
+    assert main(["disc", "gen", "--n", "6", "-o", str(mat)]) == 0
+    argvs["reduction"] = ["disc", "reduce", str(mat)]
+    for name, argv in argvs.items():
+        path = tmp_path / f"{name}.json"
+        assert main([*argv, "-o", str(path)]) == 0
+        data = path.read_bytes()
+        assert serialize._label_route(data) is not None, name
+        loaded = serialize.load_instance(path)
+        ref = serialize.instance_from_dict(json.loads(data))
+        assert loaded[1].label_matrix.tobytes() == ref[1].label_matrix.tobytes()
+        assert loaded[1].label_matrix.shape == ref[1].label_matrix.shape
+
+
 def test_classifier_files_reject_non_integer_values(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     main(["gen", "--domain-size", "15", "-k", "2", "--hypotheses", "4",
@@ -579,14 +602,17 @@ def test_deeply_nested_files_exit_2_in_every_verb(tmp_path, capsys):
     depth = 100_000
     deep = "[" * depth + "]" * depth
 
-    def with_deep(doc, *keys):
-        """doc's text with the value at the key path replaced by `deep`."""
+    # an object this deep is within what orjson 3.8 parses without crashing
+    deep_object = '{"a": ' * 5000 + "0" + "}" * 5000
+
+    def with_deep(doc, *keys, value=deep):
+        """doc's text with the value at the key path replaced by value."""
         doc = json.loads(json.dumps(doc))
         node = doc
         for key in keys[:-1]:
             node = node[key]
         node[keys[-1]] = "DEEP"
-        return json.dumps(doc).replace('"DEEP"', deep)
+        return json.dumps(doc).replace('"DEEP"', value)
 
     bad_inst, bad_clf = tmp_path / "bad_inst.json", tmp_path / "bad_clf.json"
     out = str(tmp_path / "out")
@@ -598,7 +624,12 @@ def test_deeply_nested_files_exit_2_in_every_verb(tmp_path, capsys):
             (deep, "instance must be a JSON object, got list"),
             (with_deep(doc, "hypotheses", 0), "hypothesis row 0 must be a flat list of labels"),
             (with_deep(doc, "distributions", 0, "mass"),
-             "mass row 0 must be a flat list of numbers")):
+             "mass row 0 must be a flat list of numbers"),
+            # the repr of a deep scalar field in its message recursed too
+            (with_deep(doc, "vc_dim"), "instance field 'vc_dim' must be an integer, got a list"),
+            (with_deep(doc, "domain_size", value=deep_object),
+             "instance field 'domain_size' must be an integer, got a JSON object"),
+            (with_deep(doc, "gen_spec", "seed"), "gen_spec field 'seed' must be int, got a list")):
         bad_inst.write_text(text)
         for argv in verbs:
             assert main(argv) == 2
@@ -607,7 +638,11 @@ def test_deeply_nested_files_exit_2_in_every_verb(tmp_path, capsys):
     for text, message in (
             (deep, "classifier must be a JSON object, got list"),
             (with_deep(clf_doc, "t_table", 0),
-             "t_table entries must be [point, label] pairs, entry 0 is a list of 1")):
+             "t_table entries must be [point, label] pairs, entry 0 is a list of 1"),
+            (with_deep(clf_doc, "t_table", 0, 0), "t_table point must be an integer, got a list"),
+            (with_deep(clf_doc, "kind"), "unknown classifier kind a list"),
+            (with_deep(clf_doc, "kind", value=deep_object),
+             "unknown classifier kind a JSON object")):
         bad_clf.write_text(text)
         assert main(["eval", str(bad_clf), str(inst)]) == 2
         err = capsys.readouterr().err

@@ -2,12 +2,18 @@
 same arrays and values as the standard library's json.loads, bit for bit.
 json.loads is the reference here; the package reads with orjson only.
 
+The label route: an instance file's "hypotheses" list, read from the file's
+bytes, gives the matrix or the error that orjson and HypothesisClass give.
+
 Closed schemas: a written file with one key renamed, dropped or added, one
 list entry repeated or one value of another JSON type either fails to load
 with a ValueError or is exactly the file that its loaded objects write."""
 
+import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +22,7 @@ from hypothesis import strategies as st
 
 import multidist as md
 from multidist import serialize
+from orjson import loads as orjson_loads
 
 HALF = 0.5
 EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
@@ -140,6 +147,7 @@ PARITY = settings(max_examples=150, deadline=None,
 def test_instance_files_load_as_json_loads_reads_them(tmp_path, inst):
     path = tmp_path / "inst.json"
     serialize.save_instance(path, *inst)
+    assert serialize._label_route(path.read_bytes()) is not None
     ref = serialize.instance_from_dict(json.loads(path.read_text()))
     got = serialize.load_instance(path)
     assert _same(_instance_values(got), _instance_values(ref))
@@ -182,6 +190,101 @@ def test_classifier_files_load_as_json_loads_reads_them(tmp_path, clf_cls):
     assert _same(_classifier_values(got), _classifier_values(clf))
 
 
+# entries that orjson and HypothesisClass read as no label of 1 or -1, or not at all
+NEAR_LABELS = ["true", "false", "0", "2", "1.0", "1e0", "+1", "11", "--1", "- 1", "-\n1", "-0",
+               "null", '"1"', "[1]", "[]"]
+# bytes below 0x20 that are no JSON space
+CONTROL_BYTES = ["\x00", "\x0b", "\x0c", "\x1f"]
+SPACE = st.text(alphabet=" \t\n\r", max_size=3)
+
+
+@st.composite
+def label_lists(draw, rows, cols, how):
+    """(the text of a list of rows of 1 and -1 with any JSON space, including
+    none, around its entries, whether it is still one after the change `how`)"""
+    grid = [[draw(st.sampled_from(["1", "-1"])) for _ in range(cols)] for _ in range(rows)]
+    r = draw(st.integers(0, rows - 1))
+    if how == "entry":
+        grid[r][draw(st.integers(0, cols - 1))] = draw(st.sampled_from(NEAR_LABELS))
+    elif how == "ragged":
+        grid[r] = grid[r][:-1] if cols > 1 else grid[r] + ["1"]
+
+    def join(items):
+        return "[" + ",".join(draw(SPACE) + item + draw(SPACE) for item in items) + "]"
+
+    texts = [join(row) for row in grid]
+    if how == "nested":
+        texts[r] = join([texts[r]])
+    text = {"[]": "[]", "[[]]": "[[]]"}.get(how) or join(texts)
+    if how == "control":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(CONTROL_BYTES)) + text[at:]
+    return text, how == "valid" or (how == "ragged" and rows == 1)
+
+
+def _instance_text(cols, members) -> str:
+    """An instance file of one member on cols points: its other keys, then
+    members, each a (key text, value text) pair."""
+    head = [("domain_size", str(cols)),
+            ("distributions", json.dumps([{"mass": [1.0] + [0.0] * (cols - 1)}])),
+            ("shared_label_one_prob", json.dumps([0.5] * cols))]
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in head + members) + "}"
+
+
+def _agrees(path) -> bool:
+    """load_instance gives the values, or the ValueError message, that
+    orjson.loads and instance_from_dict give."""
+    def outcome(load):
+        try:
+            return "ok", _instance_values(load())
+        except ValueError as exc:
+            return "error", str(exc)
+    return _same(outcome(lambda: serialize.load_instance(path)),
+                 outcome(lambda: serialize.instance_from_dict(orjson_loads(path.read_bytes()))))
+
+
+ROUTE = settings(max_examples=200, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@ROUTE
+@given(st.integers(1, 4), st.integers(1, 5),
+       st.sampled_from(["valid", "entry", "ragged", "nested", "[]", "[[]]", "control"]), st.data())
+def test_the_label_route_reads_a_list_as_orjson_and_the_class_do(tmp_path, rows, cols, how,
+                                                                  data):
+    span, matrix = data.draw(label_lists(rows, cols, how))
+    path = tmp_path / "inst.json"
+    path.write_text(_instance_text(cols, [("hypotheses", span)]))
+    assert (serialize._label_route(path.read_bytes()) is not None) == matrix
+    assert _agrees(path)
+
+
+@ROUTE
+@given(st.integers(1, 4), st.integers(1, 5),
+       st.sampled_from(["string", "nested", "twice", "escaped before", "escaped after"]),
+       st.data())
+def test_the_label_route_reads_only_the_top_level_key(tmp_path, rows, cols, placement, data):
+    # the key's text also in a string or a nested object, the key twice, or
+    # \u-escaped before or after the real one; orjson keeps a repeated key's
+    # last value, which an empty list would let the route take for its own
+    span, _ = data.draw(label_lists(rows, cols, "valid"))
+    other = data.draw(st.one_of(st.just("[]"), label_lists(rows, cols, "valid").map(
+        lambda drawn: drawn[0])))
+    members = [("hypotheses", span)]
+    if placement == "string":
+        members.append(("gen_spec", json.dumps(dataclasses.asdict(
+            md.GenSpec(kind="hypotheses", domain_size=cols, k=1)))))
+    elif placement == "nested":
+        members.append(("gen_spec", json.dumps({"hypotheses": [[1]]})))
+    elif placement == "twice":
+        members.insert(data.draw(st.integers(0, 1)), ("hypotheses", other))
+    else:
+        members.insert(placement == "escaped after", ("\\u0068ypotheses", other))
+    path = tmp_path / "inst.json"
+    path.write_text(_instance_text(cols, members))
+    assert _agrees(path)
+
+
 def test_mixture_files_name_a_stray_key_or_a_repeated_index():
     cls = md.HypothesisClass(np.ones((3, 4)))
     for doc, message in (
@@ -198,13 +301,24 @@ def test_a_null_vc_dim_loads_as_an_unknown_one():
     assert serialize.instance_from_dict({**doc, "vc_dim": None})[1].vc_dim is None
 
 
+def _load_instance_text(text: str):
+    """load_instance of a file holding text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        path.write_text(text)
+        return serialize.load_instance(path)
+
+
 @st.composite
 def files(draw):
     """(a valid file's JSON document, its reader, the writer of what the reader
     returns): instances, mixtures, and explicit and compact classifiers."""
     kind = draw(st.sampled_from(["instance", "mixture", "classifier"]))
     if kind == "instance":
-        return (serialize.instance_to_dict(*draw(instances())), serialize.instance_from_dict,
+        # read from the file's bytes, so that the label route is under test too
+        indent = draw(st.sampled_from([None, 1]))
+        return (serialize.instance_to_dict(*draw(instances())),
+                lambda doc: _load_instance_text(json.dumps(doc, indent=indent)),
                 lambda loaded: serialize.instance_to_dict(*loaded))
     if kind == "mixture":
         f_rand = draw(mixtures())

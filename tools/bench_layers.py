@@ -32,6 +32,9 @@ spread between interpreters of one tree. The layers:
   draw_family of 5000 draws per member, the bias-table draw of derand on the
   cli_wide instance and of a C06 campaign trial;
 - load_instance: serialize.load_instance of the cli_wide instance file;
+- load_instance_deferred: serialize.load_instance of that file with every
+  label written as 1.0, which the loader's label route cannot prove and
+  leaves to orjson (the cost of a failed scan on top of a whole parse);
 - load_classifier_24x1000: serialize.load_classifier of the compact
   classifier file that derand --rounding hash writes for that instance, at
   the cli_wide derand flags (the file cli_wide's eval reads every op);
@@ -92,7 +95,8 @@ ROUNDS = 11
 # repetitions per layer within one interpreter
 REPS = {"eval_block": 40, "eval_one_poly": 100, "tail_check": 5, "bruteforce_min_discrepancy": 15,
         "min_deterministic_error": 15, "hedge_sampling": 15, "draw_family_24x1000x5000": 30,
-        "draw_family_6x40x5000": 200, "load_instance": 15, "load_classifier_24x1000": 100,
+        "draw_family_6x40x5000": 200, "load_instance": 15, "load_instance_deferred": 15,
+        "load_classifier_24x1000": 100,
         "generate_c06": 200, "reduction_family": 200, "error_matrix_128x24x1000": 30,
         "error_matrix_16x6x40": 500,
         "error_matrix_1x24x1000": 300, "error_matrix_masked_2x24x1000": 300, "build_parser": 100,
@@ -135,6 +139,10 @@ def time_layers(src: str) -> dict:
     tmp = tempfile.TemporaryDirectory()
     instance = Path(tmp.name) / "inst.json"
     serialize.save_instance(instance, wide_fam, wide_cls)
+    float_labels = Path(tmp.name) / "inst_float_labels.json"
+    doc = json.loads(instance.read_text())
+    doc["hypotheses"] = [[float(v) for v in row] for row in doc["hypotheses"]]
+    float_labels.write_text(json.dumps(doc, indent=1))
     classifier = Path(tmp.name) / "clf.json"
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["derand", str(instance), "--rounding", "hash", "--mode", "calibrated",
@@ -172,6 +180,7 @@ def time_layers(src: str) -> dict:
         "draw_family_6x40x5000": lambda: md.SampleOracle.exact_mode(c06_fam).draw_family(
             5000, draw_rng),
         "load_instance": lambda: serialize.load_instance(instance),
+        "load_instance_deferred": lambda: serialize.load_instance(float_labels),
         "load_classifier_24x1000": lambda: serialize.load_classifier(classifier, wide_cls),
         "generate_c06": lambda: md.generate(c06_spec),
         "reduction_family": lambda: md.ReductionFamily(matrix).family,

@@ -17,6 +17,10 @@ or exits 1 listing each that differs or exists in one tree only. The suite:
 - on a gen --domain-size 1000 -k 24 --hypotheses 128 instance: learn, exact
   and --sampling, with --trace; derand, explicit and --rounding hash, with
   the report row less its wall_time column; eval of both classifiers;
+- eval of the explicit classifier on that instance rewritten three ways, stdout:
+  with compact separators (the loader's label route reads it), with every
+  label written as 1.0 (the route defers and orjson reads it as a whole) and
+  with one label written as true (rejected, exit 2);
 - learn --sampling --trace --rounds 57 --erm-samples 37 (rounds that are not
   a whole number of draw blocks) on a C06-shape gen instance and on a gen
   --kind heavy_point_probe --heavy-count 2 instance, whose members other
@@ -34,6 +38,7 @@ import argparse
 import contextlib
 import csv
 import io
+import json
 import os
 import runpy
 import subprocess
@@ -104,6 +109,19 @@ def run_suite(tree: Path) -> None:
                 csv.writer(fh).writerows([row[i] for i in keep] for row in rows)
         verb(f"eval_{rounding}", "eval", f"clf_{rounding}.json", "inst.json",
              "-o", f"eval_{rounding}.csv")
+    doc = json.loads(Path("inst.json").read_text())
+    labels = doc["hypotheses"]
+    for name, text in (
+            ("compact", json.dumps(doc, separators=(",", ":"))),
+            ("float_labels", json.dumps(
+                {**doc, "hypotheses": [[float(v) for v in row] for row in labels]}, indent=1)),
+            ("bool_label", json.dumps(
+                {**doc, "hypotheses": [[True] + labels[0][1:]] + labels[1:]}, indent=1))):
+        # the rewritten file is this script's, not the tree's: only the eval is compared
+        rewritten = Path(f"inst_{name}.json")
+        rewritten.write_text(text)
+        verb(f"eval_inst_{name}", "eval", "clf_explicit.json", str(rewritten))
+        rewritten.unlink()
     verb("gen_gap", "gen", "--kind", "gap_example", "-k", "5", "-o", "gap.json")
     verb("gen_bayes", "gen", "--kind", "bayes_in_class", "--seed", "4", "-o", "bayes.json")
     verb("hashcheck", "hashcheck")
