@@ -220,7 +220,7 @@ def cmd_trial(args) -> int:
     out = _out_dir(args.outdir)
     summary, _ = run_campaign(cfg, args.trials, parallelism=args.parallelism,
                               out_dir=out, measure_time=not args.no_timing)
-    print(json.dumps(summary.to_dict(), indent=1))
+    print(serialize._json_text(summary.to_dict()))
     if not summary.passed:
         failure = {
             "failed_predicates": [p.name for p in summary.predicates if p.met is False],

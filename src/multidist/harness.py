@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import math
 import multiprocessing
 import time
@@ -40,6 +39,7 @@ from .metrics import (
 from .learner import HedgeConfig, SampleOracle, rolling_mixtures
 from .derand import BiasTable, DerandConfig, derandomize
 from .instances import GenSpec, generate
+from .serialize import _json_text
 
 PREDICATE_OPT = "er_le_opt_plus_eps"
 PREDICATE_CONDITIONAL = "er_le_randomized_plus_half_eps"
@@ -368,7 +368,7 @@ def run_campaign(cfg: CampaignConfig, trials: int, parallelism: int = 1,
         stanza = summary.to_dict()
         if errors:
             stanza["trial_errors"] = [{"trial_id": i, "error": e} for i, e in errors]
-        (out_dir / "summary.json").write_text(json.dumps(stanza, indent=1))
+        (out_dir / "summary.json").write_text(_json_text(stanza))
     return summary, reports
 
 

@@ -1,12 +1,14 @@
 """Instance, classifier, and matrix file formats.
 
 Instances and classifiers are JSON (numbers as decimal text, arrays in domain
-index order), written by `json` with indent=1 and read by orjson, which
+index order), written by `_json_text`, which gives the bytes of
+`json.dumps(doc, indent=1)` from json's C encoder, and read by orjson, which
 parses a float to the same double as `json` and rejects NaN and Infinity
-literals. An instance file's label matrix is read straight from its bytes
-when they prove it a rectangular matrix of 1 and -1 (`_label_route`); any
-other file is read as a whole by orjson. Matrices use a plain text format:
-first line n, then n lines of n characters from {0,1}.
+literals. A file nested deeper than `MAX_JSON_DEPTH` is rejected before
+orjson parses it. An instance file's label matrix is read straight from its
+bytes when they prove it a rectangular matrix of 1 and -1 (`_label_route`);
+any other file is read as a whole by orjson. Matrices use a plain text
+format: first line n, then n lines of n characters from {0,1}.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+from itertools import chain
 from pathlib import Path
 from typing import get_type_hints
 
@@ -133,15 +136,120 @@ def _instance(doc, labels: np.ndarray | None):
     return fam, cls, doc.get("gen_spec")
 
 
-def _read_json(path):
-    """The JSON value in the file; malformed JSON is an orjson.JSONDecodeError,
+# the deepest JSON nesting a reader parses: orjson 3.8 overflows the C stack,
+# and the interpreter dies with no message, on objects about 60,000 deep and
+# arrays about 200,000 deep; the package's files nest at most 4 deep
+MAX_JSON_DEPTH = 10_000
+# every byte but the quote and the four brackets
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'"[]{}')))
+_ESCAPE = re.compile(rb"\\.", re.DOTALL)
+# the change in depth at each byte
+_DEPTH_STEP = np.zeros(256, np.int64)
+_DEPTH_STEP[list(b"[{")], _DEPTH_STEP[list(b"]}")] = 1, -1
+
+
+def _nesting(data: bytes) -> int:
+    """The deepest nesting of arrays and objects in data, brackets inside
+    strings aside. Exact for JSON, and for any prefix of data that is JSON
+    text so far, which is all that a parser reading data from its start
+    descends into before it fails."""
+    # each escape removed, so that every quote left opens or closes a string
+    chars = np.frombuffer(_ESCAPE.sub(b"", data).translate(None, _NOT_STRUCTURE), np.uint8)
+    in_string = np.logical_xor.accumulate(chars == ord('"'))
+    return int(np.cumsum(_DEPTH_STEP[chars] * ~in_string).max(initial=0))
+
+
+def _parse(data: bytes):
+    """orjson.loads(data), when data nests at most MAX_JSON_DEPTH deep; else a
+    ValueError naming the depth. Malformed JSON is an orjson.JSONDecodeError,
     which is a ValueError."""
-    return orjson_loads(Path(path).read_bytes())
+    # no more openings than the limit bound the depth, so most files are not
+    # scanned; numpy counts a byte about four times as fast as bytes.count
+    chars = np.frombuffer(data, np.uint8)
+    if np.count_nonzero(chars == ord("[")) + np.count_nonzero(chars == ord("{")) > MAX_JSON_DEPTH:
+        if (depth := _nesting(data)) > MAX_JSON_DEPTH:
+            raise ValueError(f"JSON nested {depth} levels deep; at most {MAX_JSON_DEPTH} are read")
+    return orjson_loads(data)
+
+
+def _read_json(path):
+    """The JSON value in the file (`_parse`)."""
+    return _parse(Path(path).read_bytes())
+
+
+# one call of json's C encoder: compact, and NaN or Infinity is a ValueError
+_compact = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+# the types whose C-encoder text holds no comma or bracket
+_NUMBER_TYPES = frozenset({int, float, bool, type(None)})
+_ROW_TYPES = frozenset({list, tuple})
+# the text of each int in a label matrix: joined from these, such a matrix is
+# written in about half the time the encoder takes
+_LABEL_TEXT = {label: str(label) for label in (-1, 0, 1)}
+
+
+def _joined_labels(rows, sep: str, boundary: str) -> str | None:
+    """The texts of rows' entries joined by sep within a row and by boundary
+    between rows, when every entry is a key of _LABEL_TEXT; else None."""
+    try:
+        return boundary.join([sep.join(map(_LABEL_TEXT.__getitem__, row)) for row in rows])
+    except KeyError:
+        return None
+
+
+def _write(value, newline: str, out: list) -> None:
+    """Append to out the text that json.dumps(..., indent=1) gives value on a
+    line that newline (a line break and that line's indent) starts. A list of
+    numbers, bools and None (by exact type), and a list of nonempty such
+    lists, each take one compact C-encoder call, laid out by replacing its
+    commas and row boundaries: the text of no such value holds either. A
+    matrix of the ints -1, 0 and 1 is joined from their texts instead."""
+    inner = newline + " "
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        out.append("{")
+        for i, (key, item) in enumerate(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
+            out.append(("," if i else "") + inner + _compact(key) + ": ")
+            _write(item, inner, out)
+        out.append(newline + "}")
+    elif not isinstance(value, (list, tuple)):
+        out.append(_compact(value))
+    elif not value:
+        out.append("[]")
+    elif (types := set(map(type, value))) <= _NUMBER_TYPES:
+        out.append("[" + inner + _compact(value)[1:-1].replace(",", "," + inner) + newline + "]")
+    elif (types <= _ROW_TYPES and all(value)
+          and (entries := set(map(type, chain.from_iterable(value)))) <= _NUMBER_TYPES):
+        deeper = inner + " "
+        boundary = inner + "]," + inner + "[" + deeper
+        rows = _joined_labels(value, "," + deeper, boundary) if entries == {int} else None
+        if rows is None:
+            rows = _compact(value)[2:-2].replace(",", "," + deeper).replace(
+                "]," + deeper + "[", boundary)
+        out.append("[" + inner + "[" + deeper + rows + inner + "]" + newline + "]")
+    else:
+        out.append("[")
+        for i, item in enumerate(value):
+            out.append(("," if i else "") + inner)
+            _write(item, inner, out)
+        out.append(newline + "]")
+
+
+def _json_text(doc) -> str:
+    """json.dumps(doc, indent=1), except that NaN and Infinity are a
+    ValueError, as the readers reject them, and a key that is not a string is
+    a TypeError."""
+    out: list = []
+    _write(doc, "\n", out)
+    return "".join(out)
 
 
 def save_instance(path, fam: DistributionFamily, cls: HypothesisClass,
                   gen_spec: GenSpec | None = None) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(fam, cls, gen_spec), indent=1))
+    Path(path).write_text(_json_text(instance_to_dict(fam, cls, gen_spec)))
 
 
 _JSON_SPACE = b" \t\n\r"
@@ -203,7 +311,7 @@ def _label_route(data: bytes) -> tuple[dict, np.ndarray] | None:
         return None
     rows, cols, signed = proven
     try:
-        doc = orjson_loads(data[:start] + b"[]" + data[end:])
+        doc = _parse(data[:start] + b"[]" + data[end:])
     except ValueError:
         return None
     if not (isinstance(doc, dict) and doc.get("hypotheses") == []):
@@ -223,7 +331,7 @@ def load_instance(path) -> tuple[DistributionFamily, HypothesisClass, GenSpec | 
     data = Path(path).read_bytes()
     if routed := _label_route(data):
         return _instance(*routed)
-    return instance_from_dict(orjson_loads(data))
+    return instance_from_dict(_parse(data))
 
 
 def randomized_to_dict(f_rand: RandomizedClassifier) -> dict:
@@ -241,7 +349,7 @@ def randomized_from_dict(doc: dict, cls: HypothesisClass) -> RandomizedClassifie
 
 
 def save_randomized(path, f_rand: RandomizedClassifier) -> None:
-    Path(path).write_text(json.dumps(randomized_to_dict(f_rand), indent=1))
+    Path(path).write_text(_json_text(randomized_to_dict(f_rand)))
 
 
 def load_randomized(path, cls: HypothesisClass) -> RandomizedClassifier:
@@ -311,7 +419,7 @@ def classifier_from_dict(doc: dict, cls: HypothesisClass | None = None):
 
 
 def save_classifier(path, clf) -> None:
-    Path(path).write_text(json.dumps(classifier_to_dict(clf), indent=1))
+    Path(path).write_text(_json_text(classifier_to_dict(clf)))
 
 
 def load_classifier(path, cls: HypothesisClass | None = None):

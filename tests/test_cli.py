@@ -599,11 +599,11 @@ def test_deeply_nested_files_exit_2_in_every_verb(tmp_path, capsys):
                  "--mode", "calibrated", "--m-override", "800",
                  "--rounding", "hash", "--seed", "4", "-o", str(clf)]) == 0
     doc, clf_doc = json.loads(inst.read_text()), json.loads(clf.read_text())
-    depth = 100_000
+    # far deeper than the interpreter's recursion limit, and within the
+    # nesting the readers parse (deeper files: test_too_deeply_nested_files_exit_2)
+    depth = 5000
     deep = "[" * depth + "]" * depth
-
-    # an object this deep is within what orjson 3.8 parses without crashing
-    deep_object = '{"a": ' * 5000 + "0" + "}" * 5000
+    deep_object = '{"a": ' * depth + "0" + "}" * depth
 
     def with_deep(doc, *keys, value=deep):
         """doc's text with the value at the key path replaced by value."""
@@ -648,6 +648,29 @@ def test_deeply_nested_files_exit_2_in_every_verb(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("multidist: error: ") and message in err
     assert not Path(out).exists()
+
+
+def test_too_deeply_nested_files_exit_2(tmp_path):
+    # orjson overflowed the C stack on these, and the process died with exit
+    # 139 and no message; a fresh process keeps a regression from killing the suite
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--domain-size", "15", "-k", "2", "--hypotheses", "4",
+                 "--seed", "3", "-o", str(inst)]) == 0
+    doc = json.loads(inst.read_text())
+    deep = tmp_path / "deep.json"
+    for text, depth in (
+            ('{"a": ' * 100_000 + "0" + "}" * 100_000, 100_000),
+            ("[" * 200_000 + "]" * 200_000, 200_000),
+            # beside a label matrix that the label route reads from the bytes
+            (json.dumps({**doc, "vc_dim": "DEEP"}).replace('"DEEP"', "[" * 100_000 + "]" * 100_000),
+             100_001)):
+        deep.write_text(text)
+        for argv in (["learn", str(deep), "--eps", "0.3", "-o", str(tmp_path / "mix.json")],
+                     ["eval", str(deep), str(inst)]):
+            result = run_cli_process(argv)
+            assert result.returncode == 2, result.stderr
+            assert result.stderr == (f"multidist: error: JSON nested {depth} levels deep; "
+                                     f"at most {serialize.MAX_JSON_DEPTH} are read\n")
 
 
 def test_unreadable_files_exit_2(tmp_path, capsys, monkeypatch):

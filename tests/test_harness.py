@@ -177,6 +177,22 @@ def test_campaign_records_errors_and_flags_partial(tmp_path):
     assert len(stanza["trial_errors"]) == 3
 
 
+def test_summary_files_are_the_text_of_json_dumps_indent_1(tmp_path):
+    failing = md.CampaignConfig(
+        gen_spec=md.GenSpec(kind="heavy_point_probe", domain_size=20, k=2, heavy_count=2,
+                            heavy_beta=0.01, heavy_mass=0.05, eps=0.3, delta=0.3, seed=0),
+        derand=md.DerandConfig(eps=0.3, delta=0.3, mode="calibrated", m_override=100))
+    for cfg, trials in ((small_campaign(seed=2), 4), (failing, 2)):
+        summary, _ = md.run_campaign(cfg, trials=trials, out_dir=tmp_path, measure_time=False)
+        text = (tmp_path / "summary.json").read_text()
+        stanza = summary.to_dict()
+        # the error messages, which the campaign does not return, as written
+        if summary.errors:
+            stanza["trial_errors"] = json.loads(text)["trial_errors"]
+        assert text == json.dumps(stanza, indent=1)
+    assert len(stanza["trial_errors"]) == 2
+
+
 def test_campaign_requirement_failure_fails_campaign():
     # a 10-draw table rounds one of these three trials too far from its mixture
     cfg = dataclasses.replace(small_campaign(seed=3, m_override=10),

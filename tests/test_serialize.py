@@ -7,7 +7,13 @@ bytes, gives the matrix or the error that orjson and HypothesisClass give.
 
 Closed schemas: a written file with one key renamed, dropped or added, one
 list entry repeated or one value of another JSON type either fails to load
-with a ValueError or is exactly the file that its loaded objects write."""
+with a ValueError or is exactly the file that its loaded objects write.
+
+The writer: `_json_text` gives the text of json.dumps(doc, indent=1), and
+every file the package writes is that text of its document.
+
+Nesting: the readers reject a file nested deeper than MAX_JSON_DEPTH, which
+`_nesting` measures as json.loads would nest it."""
 
 import dataclasses
 import json
@@ -408,3 +414,115 @@ def test_a_mutated_file_fails_or_is_the_file_its_objects_write(file, data):
     except ValueError:
         return
     assert _json_equal(write(loaded), mutated)
+
+
+class _Float(float):
+    """A float subclass: json writes its value, and the writer's number
+    routes, which check exact types, leave it to the recursive path."""
+
+
+# every type json writes bare, with the values whose text is a near miss of
+# another route's: exponents, -0.0, the smallest subnormal, ints past 64 bits
+NUMBERS = st.one_of(
+    st.integers(), st.integers(-2**100, 2**100), st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([True, False, None, -0.0, 1e-05, 1e16, 5e-324, 2**64, -2**70, 0.1]))
+# keys and strings with quotes, brackets, commas, escapes and non-ASCII text
+TEXT = st.one_of(st.text(max_size=4), st.sampled_from(
+    ['a"b', "\\", "\n", "[1,2]", "],[", "\u00e9", "\u00e9t\u00e9", "\U0001f600", "\x00", ""]))
+ENTRIES = st.one_of(NUMBERS, NUMBERS, TEXT,
+                    st.floats(allow_nan=False, allow_infinity=False).map(_Float))
+# number rows, empty ones included, and near misses: a string or a float subclass among them
+ROWS = st.one_of(st.lists(NUMBERS, max_size=4), st.lists(ENTRIES, max_size=4))
+JSON_DOCS = st.recursive(
+    st.one_of(ENTRIES, ROWS, ROWS.map(tuple), st.lists(ROWS, max_size=4),
+              st.lists(st.lists(NUMBERS, min_size=1, max_size=4), min_size=1, max_size=4),
+              # label matrices, and near misses: an int that is no label, a bool
+              st.lists(st.lists(st.sampled_from([-1, 0, 1, 1, -1, 2, True]), min_size=1,
+                                max_size=4), min_size=1, max_size=4),
+              st.lists(st.one_of(ROWS, ROWS.map(tuple), ENTRIES), max_size=4)),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=3).map(tuple),
+                               st.dictionaries(TEXT, children, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_DOCS)
+def test_the_writer_gives_the_text_of_json_dumps_indent_1(doc):
+    assert serialize._json_text(doc) == json.dumps(doc, indent=1)
+
+
+def test_every_writer_writes_the_text_of_json_dumps_indent_1(tmp_path):
+    wide_spec = md.GenSpec(domain_size=1000, k=24, hypothesis_count=128, seed=5)
+    wide_fam, wide_cls = md.gen_random_label_consistent(wide_spec)
+    # one label vector per member, and a -0.0 beside 0.0
+    own_labels = md.DistributionFamily([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]],
+                                       [[0.0, 1.0], [-0.0, 0.3], [0.1, 5e-324]])
+    mixture = md.RandomizedClassifier(wide_cls, (0, 1, 2), [0.5, 0.3, 0.2])
+    compact = md.derandomize(md.SampleOracle.exact_mode(wide_fam), mixture,
+                             md.DerandConfig(eps=0.6, delta=0.2, mode="calibrated",
+                                             m_override=5000, rounding="hash"),
+                             np.random.default_rng(4)).classifier
+    assert len(compact.t_points) > 0
+    path = tmp_path / "file.json"
+    for save, to_dict, args in (
+            (serialize.save_instance, serialize.instance_to_dict,
+             (wide_fam, wide_cls, wide_spec)),
+            (serialize.save_instance, serialize.instance_to_dict,
+             (own_labels, md.HypothesisClass([[1, -1], [-1, -1]], vc_dim=1))),
+            (serialize.save_randomized, serialize.randomized_to_dict, (mixture,)),
+            (serialize.save_classifier, serialize.classifier_to_dict,
+             (md.ExplicitClassifier(wide_cls.label_matrix[3]),)),
+            (serialize.save_classifier, serialize.classifier_to_dict, (compact,))):
+        save(path, *args)
+        assert path.read_text() == json.dumps(to_dict(*args), indent=1)
+    doc = serialize.instance_to_dict(own_labels, md.HypothesisClass([[1, -1]]))
+    assert "shared_label_one_prob" not in doc
+    assert "shared_label_one_prob" in serialize.instance_to_dict(wide_fam, wide_cls)
+
+
+def test_the_writer_rejects_nan_and_infinity_before_opening_a_file(tmp_path, monkeypatch):
+    # the readers reject these literals, so a file holding one could not be read back
+    for bad in (math.nan, math.inf, -math.inf):
+        for doc in ({"weights": [0.5, bad]}, [[1.0], [bad]], {"x": bad}, [_Float(bad)],
+                    [[1.0], ["a", bad]]):
+            with pytest.raises(ValueError, match="Out of range float values"):
+                serialize._json_text(doc)
+        monkeypatch.setattr(serialize, "classifier_to_dict", lambda clf: {"labels": [bad]})
+        path = tmp_path / "clf.json"
+        with pytest.raises(ValueError):
+            serialize.save_classifier(path, md.ExplicitClassifier([1]))
+        assert not path.exists()
+    with pytest.raises(TypeError, match="keys must be str, got int"):
+        serialize._json_text({1: 2})
+
+
+def _depth(value) -> int:
+    """How deep value nests lists and dicts."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return 1 + max(map(_depth, value), default=0)
+    return 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_DOCS, st.sampled_from([None, 1]), st.booleans())
+def test_the_nesting_of_a_file_is_how_deep_json_loads_nests_it(doc, indent, ascii_only):
+    # \u escapes, or non-ASCII text as UTF-8 bytes
+    text = json.dumps(doc, indent=indent, ensure_ascii=ascii_only)
+    assert serialize._nesting(text.encode()) == _depth(json.loads(text))
+
+
+def test_readers_parse_up_to_the_depth_limit_only():
+    limit = serialize.MAX_JSON_DEPTH
+    deepest = serialize._parse(b"[" * limit + b"]" * limit)
+    for _ in range(limit - 1):
+        deepest, = deepest
+    assert deepest == []
+    with pytest.raises(ValueError, match=f"JSON nested {limit + 1} levels deep; at most {limit}"):
+        serialize._parse(b"[" * (limit + 1) + b"]" * (limit + 1))
+    # more brackets than the limit, few of them nested: the count is no bound,
+    # and the scan reads the depth
+    assert serialize._parse(json.dumps([[1]] * (limit + 1)).encode()) == [[1]] * (limit + 1)
+    assert serialize._parse(json.dumps(["[{" * limit, "\\", "[" * limit]).encode())[1] == "\\"

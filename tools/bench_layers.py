@@ -38,6 +38,10 @@ spread between interpreters of one tree. The layers:
 - load_classifier_24x1000: serialize.load_classifier of the compact
   classifier file that derand --rounding hash writes for that instance, at
   the cli_wide derand flags (the file cli_wide's eval reads every op);
+- save_instance_24x1000: serialize.save_instance of the cli_wide instance
+  (the file cli_wide's set-up writes, and gen and disc reduce write);
+- save_classifier_24x1000: serialize.save_classifier of that compact
+  classifier (the file derand -o writes every cli_wide op);
 - generate_c06: md.generate at the C06 campaign spec (n = 40, k = 6,
   |H| = 16, seed 5);
 - reduction_family: a fresh ReductionFamily(matrix).family of the n = 18
@@ -96,7 +100,8 @@ ROUNDS = 11
 REPS = {"eval_block": 40, "eval_one_poly": 100, "tail_check": 5, "bruteforce_min_discrepancy": 15,
         "min_deterministic_error": 15, "hedge_sampling": 15, "draw_family_24x1000x5000": 30,
         "draw_family_6x40x5000": 200, "load_instance": 15, "load_instance_deferred": 15,
-        "load_classifier_24x1000": 100,
+        "load_classifier_24x1000": 100, "save_instance_24x1000": 10,
+        "save_classifier_24x1000": 100,
         "generate_c06": 200, "reduction_family": 200, "error_matrix_128x24x1000": 30,
         "error_matrix_16x6x40": 500,
         "error_matrix_1x24x1000": 300, "error_matrix_masked_2x24x1000": 300, "build_parser": 100,
@@ -148,6 +153,8 @@ def time_layers(src: str) -> dict:
         cli.main(["derand", str(instance), "--rounding", "hash", "--mode", "calibrated",
                   "--m-override", "5000", "--eps", "0.6", "--delta", "0.2", "--seed", "1",
                   "-o", str(classifier)])
+    saved = Path(tmp.name) / "saved.json"
+    loaded_classifier = serialize.load_classifier(classifier, wide_cls)
     draw_rng = np.random.default_rng(2)
     wide_table_cfg = md.DerandConfig(eps=0.6, delta=0.2, mode="calibrated", m_override=5000)
     c06_table_cfg = md.DerandConfig(eps=0.15, delta=0.15, mode="calibrated", m_override=5000)
@@ -182,6 +189,8 @@ def time_layers(src: str) -> dict:
         "load_instance": lambda: serialize.load_instance(instance),
         "load_instance_deferred": lambda: serialize.load_instance(float_labels),
         "load_classifier_24x1000": lambda: serialize.load_classifier(classifier, wide_cls),
+        "save_instance_24x1000": lambda: serialize.save_instance(saved, wide_fam, wide_cls),
+        "save_classifier_24x1000": lambda: serialize.save_classifier(saved, loaded_classifier),
         "generate_c06": lambda: md.generate(c06_spec),
         "reduction_family": lambda: md.ReductionFamily(matrix).family,
         "error_matrix_128x24x1000": lambda: md.error_matrix(wide_plus, wide_fam),
