@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import serialize
+from . import hashing, serialize
 from .derand import DerandConfig
 from .discrepancy import (
     ReductionFamily,
@@ -246,14 +246,17 @@ def cmd_hashcheck(args) -> int:
                 failures.append(f"pairwise independence broken at keys ({x1},{x2})")
     print(f"pairwise independence p=5: {'ok' if not failures else 'FAILED'}")
 
-    # marginal rounding law at p=7
+    # marginal rounding law at p=7, streamed in blocks as the tail check is
     law_fail = 0
     rng = np.random.default_rng(args.seed)
+    block = hashing.TAIL_BLOCK_VALUES
     for marginal in (0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0):
-        p7 = 7
-        coeffs = rng.integers(0, p7, size=(args.draws, 2))
-        vals = coefficient_matrix_eval(coeffs, np.array([3]), p7)[:, 0]
-        plus = np.mean(_plus_decision_vector(vals, np.full(args.draws, marginal), p7))
+        p7, plus = 7, 0
+        for start in range(0, args.draws, block):
+            b = min(block, args.draws - start)
+            vals = coefficient_matrix_eval(rng.integers(0, p7, size=(b, 2)), np.array([3]), p7)
+            plus += np.count_nonzero(_plus_decision_vector(vals[:, 0], np.full(b, marginal), p7))
+        plus /= args.draws
         want = float(plus_probability(marginal, p7))
         sigma = max((want * (1 - want) / args.draws) ** 0.5, 1e-12)
         if abs(plus - want) > 3 * sigma + 1e-12:

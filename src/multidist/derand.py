@@ -32,7 +32,7 @@ from .model import (
     require_label_consistent,
     require_unit_weights,
 )
-from .learner import SampleOracle, _tally
+from .learner import SampleOracle
 from .hashing import CompactClassifier, choose_hash_params, sample_hash
 
 
@@ -135,16 +135,15 @@ def build_bias_table(oracle: SampleOracle, cfg: DerandConfig,
     Points already in the table are skipped in later member iterations. Even
     with an exact-mode oracle this procedure samples — the table's guarantees
     are statements about its sampling randomness, so reading the masses would
-    test nothing. All members are drawn in one call, as cells and +1 flags,
-    which uses the stream as k consecutive per-member draws would: rng's for
-    an exact-mode oracle, which needs it, and the oracle's own otherwise.
+    test nothing. The draws are tallied by SampleOracle._tallies, in bounded
+    blocks, using the stream as k consecutive per-member draws would: rng's
+    for an exact-mode oracle, which needs it, and the oracle's own otherwise.
     """
     fam = oracle.family
     if oracle.exact:
         require_label_consistent(fam)
-    k, n = fam.k, fam.domain_size
-    ln_gamma = math.log(cfg.gamma(k))
-    counts, pos = _tally(*oracle._draw_cells(cfg.sample_size(k), rng=rng), k, n)
+    ln_gamma = math.log(cfg.gamma(fam.k))
+    counts, pos = next(oracle._tallies(cfg.sample_size(fam.k), rng=rng))
     drawn = np.maximum(counts, 1)  # a cell with no draws gets rho 0, which never passes
     rho = (2.0 * pos - counts) / drawn
     passing = np.abs(rho) > cfg.threshold_scale * np.sqrt(ln_gamma / drawn)

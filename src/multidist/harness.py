@@ -315,13 +315,15 @@ def run_campaign(cfg: CampaignConfig, trials: int, parallelism: int = 1,
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     job = (cfg, trials, measure_time)
-    if parallelism == 1:
+    # under fork the pool starts every worker at once, wanted or not
+    workers = min(parallelism, trials)
+    if workers == 1:
         shares = [_campaign_worker(job)]
     else:
         counter = multiprocessing.Value("q", 0)
-        with ProcessPoolExecutor(max_workers=parallelism, initializer=_share_next_trial,
+        with ProcessPoolExecutor(max_workers=workers, initializer=_share_next_trial,
                                  initargs=(counter,)) as pool:
-            shares = list(pool.map(_campaign_worker, [job] * parallelism))
+            shares = list(pool.map(_campaign_worker, [job] * workers))
     results = sorted((r for share in shares for r in share), key=lambda r: r[0])
 
     reports = [r for _, r, err in results if r is not None]

@@ -122,44 +122,29 @@ def _bucket_table(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cum, guide
 
 
-def _draw(table: tuple[np.ndarray, np.ndarray], label_one_prob: np.ndarray, size: int,
-          rng: np.random.Generator, rounds: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """size i.i.d. draws from each of r members, in each of `rounds` rounds,
-    given the members' _bucket_table and (r, n) label probabilities:
-    (rounds, r, size) cells, the draw's point x of member i as the flat index
-    i * n + x into (r, n) arrays, and (rounds, r, size) booleans, True where
-    the conditional label coin gives +1.
-
-    A point is #{cum <= u} for its uniform u, clipped to n - 1, as
-    np.searchsorted(cum, u, side="right") gives it: read from the bucket
-    index, decided by one comparison for a key in a bucket with one
-    cumulative mass inside, or, for a key in a bucket with several (under
-    one key in 100 on the benchmark's instances), searched on the member's
-    own row of cum * G with u * G.
-
-    One rng.random((rounds, r, 2, size)) call fills round 0's member 0's
-    point uniforms, then its label uniforms, then member 1's, and so on:
-    the stream is used exactly as rounds * r consecutive pairs of
-    rng.random(size) calls use it.
-    """
+def _lookup(table: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
+    """The cells i * n + x, in u's shape, of the uniforms u (any strides),
+    whose rows along axis -2 are keys of the r members of a _bucket_table:
+    x = #{cum <= u} clipped to n - 1, as searchsorted "right" gives it. u is
+    scaled by G in place. A key is read from the bucket index, decided by one
+    comparison, or (in a bucket with several cumulative masses inside)
+    searched on its member's row of cum * G."""
     scaled_cum, guide = table
     r, n = scaled_cum.shape
-    u = rng.random((rounds, r, 2, size))
-    scaled = u[:, :, 0]
-    scaled *= guide.shape[1] - 1
-    keys = scaled.astype(np.intp)
+    size = u.shape[-1]
+    u *= guide.shape[1] - 1
+    keys = u.astype(np.intp)
     keys += np.arange(r)[:, None] * guide.shape[1]
     xs = guide.take(keys)
-    # the cells overwrite the keys, so that besides u (16 bytes a draw) the
-    # call holds at most two arrays of 8 bytes a draw and the narrow xs
+    # the cells overwrite the keys, so that the call holds at most two
+    # arrays of 8 bytes a draw and the narrow xs
     cells = np.add(xs, np.arange(r)[:, None] * n, out=keys)
     missed = np.flatnonzero(xs < 0)
     if missed.size:
-        # draw f is row f // size of the (rounds * r, size) keys, of member
-        # row % r, and its key is u.flat[f + row * size]
+        # draw f is row f // size of the (... * r, size) keys, of member row % r
         row = missed // size
         first = row % r * n
-        scaled = u.take(missed + row * size)
+        scaled = u.flat[missed]
         found = ~xs.take(missed).astype(np.intp)
         several = np.flatnonzero(found == n - 1)
         found += scaled_cum.take(first + found) <= scaled
@@ -175,7 +160,18 @@ def _draw(table: tuple[np.ndarray, np.ndarray], label_one_prob: np.ndarray, size
             np.minimum(found, n - 1, out=found)
         found += first
         cells.put(missed, found)
-    del xs
+    return cells
+
+
+def _draw(table: tuple[np.ndarray, np.ndarray], label_one_prob: np.ndarray, size: int,
+          rng: np.random.Generator, rounds: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """size i.i.d. draws from each of r members given as their _bucket_table
+    and (r, n) label probabilities, in each of `rounds` rounds: (rounds, r,
+    size) cells from _lookup, and booleans, True where the label is +1. One
+    rng.random((rounds, r, 2, size)) call gives member 0's point uniforms,
+    then its label uniforms, then member 1's, as 2 * rounds * r calls would."""
+    u = rng.random((rounds, len(label_one_prob), 2, size))
+    cells = _lookup(table, u[:, :, 0])
     return cells, u[:, :, 1] < label_one_prob.take(cells)
 
 
@@ -187,11 +183,6 @@ def _tally(cells: np.ndarray, plus: np.ndarray, k: int, n: int) -> tuple[np.ndar
     counts = np.bincount(cells, minlength=k * n).astype(np.float64)
     pos = np.bincount(cells, weights=plus.ravel(), minlength=k * n)
     return counts.reshape(k, n), pos.reshape(k, n)
-
-
-def _signs(plus: np.ndarray) -> np.ndarray:
-    """+1 where plus is True and -1 elsewhere, as int8."""
-    return plus.view(np.int8) * np.int8(2) - np.int8(1)
 
 
 @dataclass(frozen=True)
@@ -236,27 +227,45 @@ class SampleOracle:
         fam = self.family
         cells, plus = _draw(_bucket_table(fam.mass_matrix[member_index][None]),
                             fam.label_prob_matrix[member_index][None], size, self._stream(rng))
-        return cells[0, 0].astype(np.int64), _signs(plus[0, 0])
+        return cells[0, 0].astype(np.int64), plus[0, 0].view(np.int8) * np.int8(2) - np.int8(1)
 
-    def _draw_cells(self, size: int, rng: np.random.Generator | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw size i.i.d. (x, y) pairs from every member, as _draw gives
-        them: (k, size) cells i * n + x with row i from member i, and
-        (k, size) booleans, True where y = +1."""
+    def _tallies(self, size: int, rounds: int = 1, rng: np.random.Generator | None = None):
+        """Yield each of `rounds` rounds' (k, n) point and +1 counts, as
+        floats, of size i.i.d. draws from every member, using the stream as
+        rounds * k consecutive draw(i, size, rng) calls would. No array holds
+        more than BLOCK_DRAWS draws but the points of a member larger than a
+        block: blocks are whole rounds if one fits, else whole members of a
+        round (a row slice of the bucket table), and a larger member takes
+        two passes, its points in blocks, kept in the narrowest unsigned
+        dtype, then its labels. Summed block tallies are exact integers."""
         fam = self.family
-        cells, plus = _draw(_bucket_table(fam.mass_matrix), fam.label_prob_matrix, size,
-                            self._stream(rng))
-        return cells[0], plus[0]
-
-    def draw_family(self, size: int, rng: np.random.Generator | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw size i.i.d. (x, y) pairs from every member, as (k, size)
-        arrays with row i from member i. The stream is used exactly as the k
-        calls draw(0, size, rng), ..., draw(k - 1, size, rng) use it, and
-        row i equals what call i returns."""
-        xs, plus = self._draw_cells(size, rng)
-        xs -= np.arange(self.family.k)[:, None] * self.family.domain_size
-        return xs, _signs(plus)
+        rng = self._stream(rng)
+        k, n = fam.k, fam.domain_size
+        cum, guide = table = _bucket_table(fam.mass_matrix)
+        eta = fam.label_prob_matrix
+        if k * size <= BLOCK_DRAWS:
+            block = BLOCK_DRAWS // (k * size)
+            for start in range(0, rounds, block):
+                for cells, plus in zip(*_draw(table, eta, size, rng, min(block, rounds - start))):
+                    yield _tally(cells, plus, k, n)
+            return
+        group = max(1, BLOCK_DRAWS // size)  # members a block holds
+        for _ in range(rounds):
+            counts, pos = np.zeros((2, k, n))
+            for a in range(0, k, group):
+                rows = slice(a, a + group)
+                if size <= BLOCK_DRAWS:
+                    cells, plus = _draw((cum[rows], guide[rows]), eta[rows], size, rng)
+                    counts[rows], pos[rows] = _tally(cells, plus, len(eta[rows]), n)
+                    continue
+                xs = np.empty(size, dtype=np.min_scalar_type(n - 1))
+                for start in range(0, size, BLOCK_DRAWS):
+                    u = rng.random((1, min(BLOCK_DRAWS, size - start)))
+                    xs[start:start + BLOCK_DRAWS] = _lookup((cum[rows], guide[rows]), u)
+                for x in np.split(xs, range(BLOCK_DRAWS, size, BLOCK_DRAWS)):
+                    counts[a] += np.bincount(x, minlength=n)
+                    pos[a] += np.bincount(x, rng.random(len(x)) < eta[a].take(x), n)
+            yield counts, pos
 
 
 @dataclass(frozen=True)
@@ -295,30 +304,25 @@ class HedgeConfig:
         return rounds, eta
 
 
-def _mixture(mass: np.ndarray, label_one_prob: np.ndarray, w: np.ndarray) -> LabeledDistribution:
+def _mixture(mass: np.ndarray, label_one_prob: np.ndarray,
+             w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The w-weighted mixture of the members given as (k, n) mass and label
-    probability arrays, as a labeled distribution. Its error against any h
+    probability arrays, as its (mass, eta) vectors. Its error against any h
     equals sum_i w_i er_{D_i}(h)."""
     mix = w @ mass
     numer = w @ (mass * label_one_prob)
     eta = np.divide(numer, mix, out=np.full(mass.shape[1], 0.5), where=mix > 0)
-    return LabeledDistribution(mix / mix.sum(), eta)
+    return mix / mix.sum(), eta
 
 
-def erm(cls: HypothesisClass, data: LabeledDistribution | EmpiricalSample) -> int:
-    """Exhaustive empirical/exact risk minimizer; lowest index on ties.
-
-    Accepts a labeled distribution (exact risk) or a sample (0-1 loss on the
-    empirical measure — identical by construction).
-    """
-    if isinstance(data, EmpiricalSample):
-        if len(data) == 0:
-            raise ValueError("erm needs a nonempty sample")
-        data = data.to_distribution()
-    if data.domain_size != cls.domain_size:
+def erm(cls: HypothesisClass, dist: tuple[np.ndarray, np.ndarray]) -> int:
+    """Exhaustive risk minimizer on the distribution given as its (mass, eta)
+    vectors, an empirical measure's included; lowest index on ties."""
+    mass, eta = (np.asarray(a, dtype=np.float64) for a in dist)
+    if mass.shape != (cls.domain_size,) or eta.shape != mass.shape:
         raise ValueError("domain size mismatch between class and data")
     # err(h) = 0.5 - 0.5 * sum_x mass[x] * h(x) * (2 eta[x] - 1); argmin err = argmax score
-    score = cls.float_label_matrix @ (data.mass * (2.0 * data.label_one_prob - 1.0))
+    score = cls.float_label_matrix @ (mass * (2.0 * eta - 1.0))
     return int(np.argmax(score))
 
 
@@ -332,11 +336,11 @@ class HedgeRound:
     weight: tuple[float, ...]
 
 
-# Draws per block of sampling-mode Hedge rounds, which take their k * m draws
-# a round from one _draw call: the calls' fixed costs and the searches of
-# keys in buckets with several cumulative masses are paid once per block,
-# and the call's arrays (at most about 34 bytes a draw) stay near 1 MB. On the
-# cli_wide learn shape (6 rounds a block), 2^14 and 2^16 were no faster.
+# Most draws a block of SampleOracle._tallies holds: a _draw call's fixed
+# costs and the searches of keys in buckets with several cumulative masses
+# are paid once per block, and its arrays (at most about 34 bytes a draw)
+# stay near 1 MB. On the cli_wide learn shape (6 rounds a block), 2^14 and
+# 2^16 were no faster.
 BLOCK_DRAWS = 1 << 15
 
 # Most runs one rolling_mixtures stack holds at once. Past a few dozen runs a
@@ -492,10 +496,9 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, *,
 
     In exact mode the procedure is deterministic: the |H| x k error matrix E
     is computed once and rolling_mixtures runs it in a stack of one. In sampling
-    mode each round draws cfg.erm_sample_size fresh samples per member from
-    the oracle's stream (a block of rounds at a time, using the stream as
-    each round's k consecutive draw calls would), and both the ERM and the
-    weight update use the resulting empirical measures.
+    mode each round tallies cfg.erm_sample_size fresh draws per member from
+    the oracle's stream (SampleOracle._tallies, one round at a time), and
+    both the ERM and the weight update use the resulting empirical measures.
     """
     cfg = cfg or HedgeConfig()
     fam = oracle.family
@@ -506,17 +509,10 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, *,
     rounds, eta = cfg.resolve(k, eps)
     plus = plus_rows(cls.label_matrix)
     m = cfg.erm_sample_size
-    table = _bucket_table(fam.mass_matrix)
-    block = max(1, BLOCK_DRAWS // (k * m))
     w = np.full(k, 1.0 / k)
     chosen = np.empty(rounds, dtype=np.intp)
     emp_mass, emp_eta = np.empty((2, k, n))
-    for t in range(rounds):
-        if t % block == 0:
-            cells, positive = _draw(table, fam.label_prob_matrix, m, oracle.rng,
-                                    min(block, rounds - t))
-        # m fresh draws per member, tallied into (k, n) point and +1 counts
-        counts, pos = _tally(cells[t % block], positive[t % block], k, n)
+    for t, (counts, pos) in enumerate(oracle._tallies(m, rounds)):
         np.divide(counts, m, out=emp_mass)
         # a point without draws has emp_mass +0.0, which zeroes every term its
         # eta enters, so 0 / 1 there gives the bits a masked 0.5 would
@@ -530,4 +526,3 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, *,
         np.multiply(w, np.exp(eta * errs), out=w)
         np.divide(w, np.add.reduce(w), out=w)
     return uniform_mixture(cls, chosen)
-

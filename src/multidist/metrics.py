@@ -15,7 +15,6 @@ import numpy as np
 from .model import (
     DistributionFamily,
     HypothesisClass,
-    LabeledDistribution,
     RandomizedClassifier,
     check_eps_delta,
     plus_rows,
@@ -47,7 +46,7 @@ BUDGET = 1 << 15
 
 
 def error_matrix(plus: np.ndarray,
-                 fam: DistributionFamily | LabeledDistribution | tuple[np.ndarray, np.ndarray],
+                 fam: DistributionFamily | tuple[np.ndarray, np.ndarray],
                  mask: np.ndarray | None = None) -> np.ndarray:
     """Exact errors of labelings on every member: the (r, k) core of every
     error in the package.
@@ -57,8 +56,7 @@ def error_matrix(plus: np.ndarray,
     is sum_x D_i(x) * (plus_j(x) (1 - eta_i(x)) + (1 - plus_j(x)) eta_i(x)),
     summed over the points where mask, a boolean vector of length n, is True
     when one is given. A one-dimensional plus gives a (k,) vector. The
-    members are a family, a single distribution (a one-member family), or a
-    pair (mass, eta) of (k, n) arrays.
+    members are a family or a pair (mass, eta) of (k, n) arrays.
 
     With fewer labelings than members (r < k), each step takes one labeling
     against every member, in two (k, n) work buffers. Otherwise each step
@@ -72,8 +70,6 @@ def error_matrix(plus: np.ndarray,
     plus = np.asarray(plus, dtype=np.float64)
     if isinstance(fam, DistributionFamily):
         mass, eta = fam.mass_matrix, fam.label_prob_matrix
-    elif isinstance(fam, LabeledDistribution):
-        mass, eta = fam.mass[None], fam.label_one_prob[None]
     else:
         mass, eta = (np.asarray(a, dtype=np.float64) for a in fam)
         if mass.ndim != 2 or mass.shape != eta.shape:
@@ -172,10 +168,13 @@ def support_worst_case(f_rand: RandomizedClassifier, fam: DistributionFamily) ->
     return float(error_matrix(plus_rows(f_rand.support_label_matrix), fam).max())
 
 
-def exceedance_probability(f_rand: RandomizedClassifier, dist: LabeledDistribution, level: float) -> float:
-    """Pr over a single draw f~F that er_D(f) >= level."""
+def exceedance_probability(f_rand: RandomizedClassifier, member: tuple[np.ndarray, np.ndarray],
+                           level: float) -> float:
+    """Pr over a single draw f~F that er_D(f) >= level, for the member D
+    given as its (mass, eta) rows."""
     require_unit_weights(f_rand)
-    errs = error_matrix(plus_rows(f_rand.support_label_matrix), dist)[:, 0]
+    rows = tuple(np.asarray(a, dtype=np.float64)[None] for a in member)
+    errs = error_matrix(plus_rows(f_rand.support_label_matrix), rows)[:, 0]
     return float(f_rand.weights[errs >= level].sum())
 
 

@@ -76,7 +76,7 @@ def test_c01_gap_example():
     fam, cls, F = md.gen_gap_example(8)
     rand_err = md.randomized_worst_case_error(F, fam)
     support = md.support_worst_case(F, fam)
-    exceed = [md.exceedance_probability(F, md.LabeledDistribution(mass, eta), 1.0)
+    exceed = [md.exceedance_probability(F, (mass, eta), 1.0)
               for mass, eta in zip(fam.mass_matrix, fam.label_prob_matrix)]
     ok = (abs(rand_err - 0.125) <= 1e-12 and support == 1.0
           and all(e == 0.125 for e in exceed))

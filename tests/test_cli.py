@@ -141,6 +141,42 @@ def test_hashcheck_cli():
     assert main(["hashcheck", "--draws", "20000", "--seed", "0"]) == 0
 
 
+def test_hashcheck_streams_its_rounding_law_in_blocks(monkeypatch, capsys):
+    # the law's draws in blocks of 7 and in one block give the same
+    # decisions, the decisions of one (draws, 2) call, and the same stdout
+    from multidist import hashing
+    from multidist.hashing import _plus_decision_vector, coefficient_matrix_eval
+
+    calls = []
+
+    def recorded(q_values, marginals, p):
+        out = _plus_decision_vector(q_values, marginals, p)
+        calls.append((float(marginals[0]), out))
+        return out
+
+    monkeypatch.setattr(cli, "_plus_decision_vector", recorded)
+
+    def law():
+        calls.clear()
+        assert main(["hashcheck", "--draws", "2001", "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        decisions = {}
+        for marginal, chunk in calls:
+            decisions.setdefault(marginal, []).append(chunk)
+        return out, len(calls), {m: np.concatenate(c) for m, c in decisions.items()}
+
+    out, one, decisions = law()
+    monkeypatch.setattr(hashing, "TAIL_BLOCK_VALUES", 7)
+    small_out, blocks, small_decisions = law()
+    assert (one, blocks) == (5, 5 * 286)
+    assert small_out == out and "rounding law p=7: ok" in out
+    rng = np.random.default_rng(3)
+    for marginal, got in decisions.items():
+        vals = coefficient_matrix_eval(rng.integers(0, 7, size=(2001, 2)), np.array([3]), 7)
+        want = _plus_decision_vector(vals[:, 0], np.full(2001, marginal), 7)
+        assert np.array_equal(got, want) and np.array_equal(small_decisions[marginal], want)
+
+
 def test_hashcheck_rejects_bad_tail_config_before_any_check(capsys):
     for flags, message in ((["--draws", "0"], "draws >= 1"),
                            (["--r", "3", "--draws", "1000"], "got 3"),

@@ -10,30 +10,30 @@ from multidist.metrics import plus_rows
 from helpers import learned
 
 
-class FixedDraws:
-    """A one-member sampling-oracle stand-in whose draws are fixed arrays, so
-    a test sets every point's label counts."""
+class FixedTallies:
+    """A one-member sampling-oracle stand-in whose one round of tallies is
+    fixed, so a test sets every point's label counts."""
 
     exact = False
 
-    def __init__(self, xs, ys, n):
+    def __init__(self, counts, pos):
+        n = len(counts)
         self.family = md.DistributionFamily([np.full(n, 1.0 / n)], [np.full(n, 0.5)])
-        self.xs, self.ys = xs, ys
+        self.counts, self.pos = counts, pos
 
-    def _draw_cells(self, size, rng=None):
-        assert size == len(self.xs)
-        return self.xs[None], self.ys[None] == 1
+    def _tallies(self, size, rounds=1, rng=None):
+        assert (size, rounds) == (self.counts.sum(), 1)
+        yield self.counts[None], self.pos[None]
 
 
 def table_of(counts, gamma, scale=1.0):
     """The bias table when point x gets counts[x] = (#+1, #-1) draws, at the
     given gamma (k = 1, eps = delta = 1/2)."""
-    xs = np.repeat(np.arange(len(counts)), [p + q for p, q in counts])
-    ys = np.concatenate([[1] * p + [-1] * q for p, q in counts]).astype(np.int8)
+    pos, neg = np.array(counts, dtype=np.float64).T
     cfg = md.DerandConfig(eps=0.5, delta=0.5, c_const=gamma / 4.0, mode="calibrated",
-                          m_override=len(xs), threshold_scale=scale)
+                          m_override=int((pos + neg).sum()), threshold_scale=scale)
     assert cfg.gamma(1) == gamma
-    return md.build_bias_table(FixedDraws(xs, ys, len(counts)), cfg)
+    return md.build_bias_table(FixedTallies(pos + neg, pos), cfg)
 
 
 def test_empirical_rho_examples():

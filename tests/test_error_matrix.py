@@ -3,6 +3,7 @@ Hedge rounds, the bucket-table draws and the one-pass bias table against the
 per-member loops they replaced, which stay here as references."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multidist as md
-from multidist.learner import (BLOCK_DRAWS, HedgeStack, _bucket_table, _draw,
+from multidist import learner
+from multidist.learner import (BLOCK_DRAWS, HedgeStack, _bucket_table, _draw, _tally,
                                rolling_mixtures)
 from multidist.metrics import BUDGET, plus_rows
 
@@ -19,10 +21,9 @@ unit = st.floats(0.0, 1.0, allow_nan=False)
 
 
 def members(fam):
-    """The family's rows, one labeled distribution per member, for the
+    """The family's rows, one (mass, eta) row pair per member, for the
     per-member references below."""
-    return [md.LabeledDistribution(mass, eta)
-            for mass, eta in zip(fam.mass_matrix, fam.label_prob_matrix)]
+    return list(zip(fam.mass_matrix, fam.label_prob_matrix))
 
 
 @st.composite
@@ -47,11 +48,11 @@ def fraction_errors(plus, fam, mask):
     points = range(fam.domain_size) if mask is None else np.nonzero(mask)[0]
     out = np.empty((plus.shape[0], fam.k))
     for j, row in enumerate(plus):
-        for i, m in enumerate(members(fam)):
+        for i, (mass, etas) in enumerate(members(fam)):
             total = Fraction(0)
             for x in points:
-                p, eta = Fraction(row[x]), Fraction(m.label_one_prob[x])
-                total += Fraction(m.mass[x]) * (p * (1 - eta) + (1 - p) * eta)
+                p, eta = Fraction(row[x]), Fraction(etas[x])
+                total += Fraction(mass[x]) * (p * (1 - eta) + (1 - p) * eta)
             out[j, i] = float(total)
     return out
 
@@ -72,11 +73,13 @@ def test_error_matrix_equals_exact_fraction_sums(problem):
 def test_error_matrix_shapes_and_domain_check():
     fam = md.DistributionFamily([[0.5, 0.5], [1.0, 0.0]], [[1.0, 0.0], [0.3, 0.3]])
     assert md.error_matrix(np.array([1.0, 0.0]), fam).tolist() == [0.0, 1.0 - 0.3]
-    assert md.error_matrix(np.array([[1.0, 0.0]]), members(fam)[1]).tolist() == [[1.0 - 0.3]]
+    one = (fam.mass_matrix[1:], fam.label_prob_matrix[1:])
+    assert md.error_matrix(np.array([[1.0, 0.0]]), one).tolist() == [[1.0 - 0.3]]
     with pytest.raises(ValueError, match="domain size mismatch"):
         md.error_matrix(np.ones(3), fam)
-    with pytest.raises(ValueError, match="two \\(k, n\\) arrays of one shape"):
-        md.error_matrix(np.ones(2), (fam.mass_matrix, fam.label_prob_matrix[0]))
+    for rows in ((fam.mass_matrix, fam.label_prob_matrix[0]), members(fam)[1]):
+        with pytest.raises(ValueError, match="two \\(k, n\\) arrays of one shape"):
+            md.error_matrix(np.ones(2), rows)
 
 
 def test_error_matrix_rejects_a_mask_that_is_not_a_boolean_vector_of_length_n():
@@ -157,8 +160,8 @@ def test_error_matrix_at_the_cli_wide_shape_is_bitwise_the_entry_loop():
 
 def loop_error_terms(labels, member):
     """The former per-point error mass of one labeling on one member."""
-    eta = member.label_one_prob
-    return member.mass * np.where(labels == -1, eta, 1.0 - eta)
+    mass, eta = member
+    return mass * np.where(labels == -1, eta, 1.0 - eta)
 
 
 def loop_error_table(cls, fam, mask=None):
@@ -169,11 +172,11 @@ def loop_error_table(cls, fam, mask=None):
 
 
 def loop_mixture(fam, w):
-    """The former mixture of a family's members as a labeled distribution."""
+    """The former mixture of a family's members, as its (mass, eta) vectors."""
     mass = w @ fam.mass_matrix
     numer = w @ (fam.mass_matrix * fam.label_prob_matrix)
     eta = np.divide(numer, mass, out=np.full(fam.domain_size, 0.5), where=mass > 0)
-    return md.LabeledDistribution(mass / mass.sum(), eta)
+    return mass / mass.sum(), eta
 
 
 def loop_hedge(fam, cls, eps):
@@ -234,23 +237,24 @@ def test_ties_go_to_the_lowest_index():
 def loop_draw(member, size, rng):
     """The former per-member draw: inverse CDF over a fresh cumsum, then one
     label coin per draw."""
-    xs = np.searchsorted(np.cumsum(member.mass), rng.random(size), side="right")
-    np.clip(xs, 0, member.domain_size - 1, out=xs)
-    return xs, np.where(rng.random(size) < member.label_one_prob[xs], 1, -1).astype(np.int8)
+    mass, eta = member
+    xs = np.searchsorted(np.cumsum(mass), rng.random(size), side="right")
+    np.clip(xs, 0, len(mass) - 1, out=xs)
+    return xs, np.where(rng.random(size) < eta[xs], 1, -1).astype(np.int8)
 
 
 def test_oracle_draw_matches_the_former_draw():
     fam, _ = md.gen_random_label_consistent(md.GenSpec(**CLI_WIDE, seed=9))
     # masses summing to a little under 1, so some uniforms land past the last
     # cumulative mass and are clipped to the last point
-    short = md.LabeledDistribution([0.25, 0.25, 0.5 - 1e-3], [0.1, 0.9, 0.5])
+    short = np.array([0.25, 0.25, 0.5 - 1e-3]), np.array([0.1, 0.9, 0.5])
     cases = [(fam, i, member) for i, member in enumerate(members(fam)[:3])]
-    cases.append((md.DistributionFamily([short.mass], [short.label_one_prob]), 0, short))
+    cases.append((md.DistributionFamily([short[0]], [short[1]]), 0, short))
     for seed, (family, i, member) in enumerate(cases):
         got = md.SampleOracle.exact_mode(family).draw(i, 5000, np.random.default_rng(seed))
         want = loop_draw(member, 5000, np.random.default_rng(seed))
         assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
-    assert np.any(np.random.default_rng(seed).random(5000) >= np.cumsum(short.mass)[-1])
+    assert np.any(np.random.default_rng(seed).random(5000) >= np.cumsum(short[0])[-1])
 
 
 class FixedUniforms:
@@ -383,6 +387,88 @@ def test_block_draws_are_the_per_round_draws(shape):
         assert rng.bit_generator.state == per_round.bit_generator.state
 
 
+@st.composite
+def tally_problems(draw):
+    """A family, a block size and a per-member size on either side of a round
+    boundary (k * size against the block), a member boundary (size against
+    the block) or a boundary of a member's own blocks (size against twice the
+    block), or any size up to three blocks; one to three rounds; either
+    oracle mode; and a PCG64 or an MT19937 stream."""
+    k, n = draw(st.integers(1, 5)), draw(st.integers(1, 30))
+    block = draw(st.integers(1, 150))
+    target = draw(st.sampled_from([block // k, block, 2 * block, None]))
+    if target is None:
+        size = draw(st.integers(1, 3 * block))
+    else:
+        size = max(1, target + draw(st.integers(-1, 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mass = rng.dirichlet(np.ones(n), size=k) * (rng.random((k, n)) < 0.8)
+    fam = md.DistributionFamily(mass, rng.random((k, n)))
+    bits = draw(st.sampled_from([np.random.PCG64, np.random.MT19937]))
+    return (fam, block, size, draw(st.integers(1, 3)), draw(st.booleans()), bits,
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tally_problems())
+def test_tallies_are_bitwise_those_of_one_draw_call(problem):
+    fam, block, size, rounds, sampling, bits, seed = problem
+    k, n = fam.k, fam.domain_size
+    rng, ref = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
+    cells, plus = _draw(_bucket_table(fam.mass_matrix), fam.label_prob_matrix, size, ref, rounds)
+    with mock.patch.object(learner, "BLOCK_DRAWS", block):
+        if sampling:
+            got = list(md.SampleOracle.sampling_mode(fam, rng)._tallies(size, rounds))
+        else:
+            got = list(md.SampleOracle.exact_mode(fam)._tallies(size, rounds, rng))
+    assert len(got) == rounds
+    for (counts, pos), t in zip(got, range(rounds)):
+        want_counts, want_pos = _tally(cells[t], plus[t], k, n)
+        assert counts.shape == pos.shape == (k, n)
+        assert counts.tobytes() == want_counts.tobytes() and pos.tobytes() == want_pos.tobytes()
+    # an MT19937 state holds an array, so the streams are compared going on
+    assert rng.bit_generator.random_raw(4).tolist() == ref.bit_generator.random_raw(4).tolist()
+
+
+class BoundedRng:
+    """A Generator stand-in that fails if one call asks for more than
+    2 * BLOCK_DRAWS values."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, shape):
+        assert np.prod(shape) <= 2 * learner.BLOCK_DRAWS, shape
+        return self.rng.random(shape)
+
+
+# per-member sizes at C06's k = 6 that just overfill half a block in each way
+# a block is cut: a round, a member, and a member of 3.5 blocks (two passes)
+BLOCK_SIZES = {"rounds": lambda block: block // 12 + 1, "members": lambda block: block // 2 + 1,
+               "two passes": lambda block: 7 * block // 2}
+
+
+@pytest.mark.parametrize("cut", list(BLOCK_SIZES))
+@pytest.mark.parametrize("block", [BLOCK_DRAWS, 64])
+def test_no_draw_call_takes_more_than_two_blocks(block, cut, monkeypatch):
+    fam, cls = md.gen_random_label_consistent(md.GenSpec(**C06, seed=4))
+    m = BLOCK_SIZES[cut](block)
+    cfg = md.DerandConfig(eps=0.15, delta=0.15, mode="calibrated", m_override=m)
+    hedge_cfg = md.HedgeConfig(rounds=3, erm_sample_size=m)
+    want_table = md.build_bias_table(md.SampleOracle.exact_mode(fam), cfg,
+                                     np.random.default_rng(1))
+    want_mixture = md.hedge_learn(md.SampleOracle.sampling_mode(fam, np.random.default_rng(2)),
+                                  cls, 0.3, cfg=hedge_cfg)
+    monkeypatch.setattr(learner, "BLOCK_DRAWS", block)
+    table = md.build_bias_table(md.SampleOracle.exact_mode(fam), cfg, BoundedRng(1))
+    for name in ("points", "labels", "members", "rho", "counts"):
+        assert np.array_equal(getattr(table, name), getattr(want_table, name))
+    mixture = md.hedge_learn(md.SampleOracle.sampling_mode(fam, BoundedRng(2)), cls, 0.3,
+                             cfg=hedge_cfg)
+    assert mixture.support == want_mixture.support
+    assert np.array_equal(mixture.weights, want_mixture.weights)
+
+
 def loop_bias_table(fam, cfg, rng):
     """The former build_bias_table: one loop_draw per member, each member's
     tallies on their own; point -> (label, member, rho, count), in member
@@ -448,8 +534,8 @@ def round_hedge(fam, cls, eps, cfg, rng=None):
                 md.EmpiricalSample(*loop_draw(m, cfg.erm_sample_size, rng),
                                    fam.domain_size).to_distribution()
                 for m in members(fam)]
-            emp = md.DistributionFamily([m.mass for m in empirical],
-                                        [m.label_one_prob for m in empirical])
+            empirical = [(m.mass, m.label_one_prob) for m in empirical]
+            emp = md.DistributionFamily(*zip(*empirical))
             h = md.erm(cls, loop_mixture(emp, w))
             errs = np.array([loop_error_terms(cls.label_matrix[h], m).sum()
                              for m in empirical])

@@ -314,6 +314,39 @@ def test_pooled_workers_match_one_process_and_share_a_learning_error(tmp_path):
     assert summary.errors == 5 and reports == []
 
 
+def test_a_campaign_starts_no_more_workers_than_trials(monkeypatch):
+    # under fork the pool starts all of its workers at the first submit; a
+    # recording stand-in runs the jobs in this process and starts none
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            harness._next_trial = None
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(harness, "_next_trial", None)
+    cfg = small_campaign(seed=9)
+    _, serial = md.run_campaign(cfg, trials=3, measure_time=False)
+    for parallelism, trials, workers in ((5000, 3, [3]), (2, 3, [2]), (5000, 1, [])):
+        started.clear()
+        summary, reports = md.run_campaign(cfg, trials=trials, parallelism=parallelism,
+                                           measure_time=False)
+        assert started == workers
+        assert reports == serial[:trials]
+        assert summary.config["parallelism"] == parallelism
+        assert harness._next_trial is None
+
+
 def test_a_trial_checks_label_consistency_once(tmp_path, monkeypatch):
     # the bias table and heavy_mask both require a label-consistent family;
     # the family computes its verdict once and both read it

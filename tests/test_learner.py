@@ -40,9 +40,10 @@ def test_draw_label_frequency_matches_eta():
 
 
 def test_erm_picks_zero_error_hypothesis():
-    mixture = md.LabeledDistribution([0.5, 0.5], [1.0, 1.0])
     cls = md.HypothesisClass([[-1, 1], [1, 1]])
-    assert md.erm(cls, mixture) == 1
+    assert md.erm(cls, ([0.5, 0.5], [1.0, 1.0])) == 1
+    with pytest.raises(ValueError, match="domain size mismatch"):
+        md.erm(cls, ([0.5, 0.5, 0.0], [1.0, 1.0, 1.0]))
 
 
 def test_erm_gap_example_tie_breaks_low():
@@ -60,19 +61,20 @@ def test_erm_matches_enumeration_oracle():
         mass = rng.random(n)
         mass /= mass.sum()
         eta = rng.random(n)
-        mixture = md.LabeledDistribution(mass, eta)
         cls = md.HypothesisClass([np.where(rng.random(n) < 0.5, 1, -1) for _ in range(8)])
-        errors = md.error_matrix(plus_rows(cls.label_matrix), mixture)[:, 0]
-        assert md.erm(cls, mixture) == int(np.argmin(errors))
+        errors = md.error_matrix(plus_rows(cls.label_matrix), (mass[None], eta[None]))[:, 0]
+        assert md.erm(cls, (mass, eta)) == int(np.argmin(errors))
 
 
 def test_erm_empirical_sample_equals_empirical_distribution():
     rng = np.random.default_rng(4)
     xs = rng.integers(0, 5, size=100)
     ys = np.where(rng.random(100) < 0.5, 1, -1).astype(np.int8)
-    sample = md.EmpiricalSample(xs, ys, 5)
+    empirical = md.EmpiricalSample(xs, ys, 5).to_distribution()
     cls = md.HypothesisClass([np.where(rng.random(5) < 0.5, 1, -1) for _ in range(6)])
-    assert md.erm(cls, sample) == md.erm(cls, sample.to_distribution())
+    # the 0-1 loss on the sample itself, lowest index on ties
+    mistakes = (cls.label_matrix[:, xs] != ys).sum(axis=1)
+    assert md.erm(cls, (empirical.mass, empirical.label_one_prob)) == int(np.argmin(mistakes))
 
 
 def test_empirical_sample_rejects_points_outside_the_domain():
@@ -92,11 +94,10 @@ def test_empirical_sample_rejects_non_integer_points_and_labels():
     assert md.EmpiricalSample([2.0, 0.0], [1, -1], 5).xs.tolist() == [2, 0]
 
 
-def test_erm_rejects_empty_sample():
+def test_an_empty_sample_has_no_empirical_distribution():
     sample = md.EmpiricalSample(np.array([], dtype=int), np.array([], dtype=np.int8), 3)
-    cls = md.HypothesisClass([[1, 1, 1]])
-    with pytest.raises(ValueError):
-        md.erm(cls, sample)
+    with pytest.raises(ValueError, match="empty sample"):
+        sample.to_distribution()
 
 
 def test_mixture_error_is_weighted_member_error():
@@ -107,9 +108,11 @@ def test_mixture_error_is_weighted_member_error():
     w = rng.random(3)
     w /= w.sum()
     mixture = _mixture(fam.mass_matrix, fam.label_prob_matrix, w)
+    assert [a.shape for a in mixture] == [(6,), (6,)]
     plus = plus_rows(np.where(rng.random(6) < 0.5, 1, -1))
     direct = w @ md.error_matrix(plus, fam)
-    assert md.error_matrix(plus, mixture)[0] == pytest.approx(direct, abs=1e-13)
+    rows = tuple(a[None] for a in mixture)
+    assert md.error_matrix(plus, rows)[0] == pytest.approx(direct, abs=1e-13)
 
 
 def test_hedge_config_defaults():
@@ -279,25 +282,28 @@ def test_bad_masses_are_rejected_before_any_draw(mass):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             oracle.draw(1, 10, rng)
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            oracle.draw_family(10, rng)
+            next(oracle._tallies(10, rng=rng))
     with pytest.raises(ValueError, match="finite and nonnegative"):
         md.hedge_learn(md.SampleOracle.sampling_mode(fam, rng), md.HypothesisClass(
             [[1, 1, 1]]), 0.3)
     assert rng.bit_generator.state == state
 
 
-def test_draw_family_rows_are_consecutive_member_draws():
+def test_tallies_are_those_of_consecutive_member_draws():
     fam, _ = md.gen_random_label_consistent(md.GenSpec(domain_size=12, k=3, seed=5))
     for oracle, rng in ((md.SampleOracle.exact_mode(fam), np.random.default_rng(1)),
                         (md.SampleOracle.sampling_mode(fam, np.random.default_rng(1)), None)):
-        xs, ys = oracle.draw_family(40, rng)
+        tallies = list(oracle._tallies(40, 2, rng))
         replay = np.random.default_rng(1)
-        for i in range(fam.k):
-            want = md.SampleOracle.exact_mode(fam).draw(i, 40, replay)
-            assert np.array_equal(xs[i], want[0]) and np.array_equal(ys[i], want[1])
-            assert ys.dtype == want[1].dtype
+        assert len(tallies) == 2
+        for counts, pos in tallies:
+            for i in range(fam.k):
+                xs, ys = md.SampleOracle.exact_mode(fam).draw(i, 40, replay)
+                assert np.array_equal(counts[i], np.bincount(xs, minlength=12))
+                assert np.array_equal(pos[i], np.bincount(xs[ys == 1], minlength=12))
+        assert (oracle.rng or rng).bit_generator.state == replay.bit_generator.state
     with pytest.raises(ValueError, match="caller's rng"):
-        md.SampleOracle.exact_mode(fam).draw_family(5)
+        next(md.SampleOracle.exact_mode(fam)._tallies(5))
 
 
 def test_exact_oracle_requires_caller_rng():

@@ -150,8 +150,10 @@ def test_support_dominates_mixture_property():
 def test_exceedance_probability_gap():
     fam, cls, F = md.gen_gap_example(8)
     for mass, eta in members(fam):
-        member = md.LabeledDistribution(mass, eta)
-        assert md.exceedance_probability(F, member, 1.0) == pytest.approx(0.125, abs=1e-15)
+        assert md.exceedance_probability(F, (mass, eta), 1.0) == pytest.approx(0.125, abs=1e-15)
+    # one member's rows, not the family's matrices
+    with pytest.raises(ValueError, match="two \\(k, n\\) arrays of one shape"):
+        md.exceedance_probability(F, (fam.mass_matrix, fam.label_prob_matrix), 1.0)
 
 
 def test_opt_gap_example_is_one():

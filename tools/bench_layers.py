@@ -28,9 +28,12 @@ spread between interpreters of one tree. The layers:
 - hedge_stack_advance_32: one HedgeStack.advance step (ceil(2549 / 32) = 80
   rounds) of a full stack of STACK_RUNS = 32 runs, on the error matrices of
   the C06-shape instances of seeds 0..31, as a campaign worker plays it;
-- draw_family_24x1000x5000 and draw_family_6x40x5000: one exact-mode
-  draw_family of 5000 draws per member, the bias-table draw of derand on the
-  cli_wide instance and of a C06 campaign trial;
+- draw_family_24x1000x5000 and draw_family_6x40x5000: one exact-mode round
+  of SampleOracle._tallies, 5000 draws per member tallied into (k, n)
+  counts, the bias-table draws of derand on the cli_wide instance (in member
+  blocks) and of a C06 campaign trial (in one block); on a tree from before
+  _tallies, draw_family's one all-members call, tallied (the names are
+  draw_family's, which these layers timed until it was removed);
 - load_instance: serialize.load_instance of the cli_wide instance file;
 - load_instance_deferred: serialize.load_instance of that file with every
   label written as 1.0, which the loader's label route cannot prove and
@@ -116,7 +119,7 @@ def time_layers(src: str) -> dict:
     import numpy as np
 
     import multidist as md
-    from multidist import cli, serialize
+    from multidist import cli, learner, serialize
     from multidist.hashing import coefficient_matrix_eval
     from multidist.learner import STACK_RUNS, HedgeStack
 
@@ -171,6 +174,13 @@ def time_layers(src: str) -> dict:
     for seed in range(STACK_RUNS):
         fam, cls = md.gen_random_label_consistent(dataclasses.replace(c06_spec, seed=seed))
         stack.load(seed, md.error_matrix((cls.label_matrix == 1).astype(np.float64), fam))
+
+    def tallies(fam):
+        oracle = md.SampleOracle.exact_mode(fam)
+        if hasattr(oracle, "_tallies"):
+            return next(oracle._tallies(5000, rng=draw_rng))
+        return learner._tally(*oracle._draw_cells(5000, draw_rng), fam.k, fam.domain_size)
+
     wide_oracle = md.SampleOracle.exact_mode(wide_fam)
     wide_learned = hedge(wide_oracle, wide_cls, 0.3)
     wide_table = md.build_bias_table(wide_oracle, wide_table_cfg, np.random.default_rng(5))
@@ -182,10 +192,8 @@ def time_layers(src: str) -> dict:
         "min_deterministic_error": lambda: md.min_deterministic_error(family),
         "hedge_sampling": lambda: hedge(
             md.SampleOracle.sampling_mode(wide_fam, np.random.default_rng(7)), wide_cls, 0.6),
-        "draw_family_24x1000x5000": lambda: md.SampleOracle.exact_mode(wide_fam).draw_family(
-            5000, draw_rng),
-        "draw_family_6x40x5000": lambda: md.SampleOracle.exact_mode(c06_fam).draw_family(
-            5000, draw_rng),
+        "draw_family_24x1000x5000": lambda: tallies(wide_fam),
+        "draw_family_6x40x5000": lambda: tallies(c06_fam),
         "load_instance": lambda: serialize.load_instance(instance),
         "load_instance_deferred": lambda: serialize.load_instance(float_labels),
         "load_classifier_24x1000": lambda: serialize.load_classifier(classifier, wide_cls),
