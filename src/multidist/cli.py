@@ -238,11 +238,10 @@ def cmd_hashcheck(args) -> int:
     # exhaustive pairwise independence at p=5 (all coefficient pairs, all key pairs)
     p = 5
     coeffs = np.array([(a0, a1) for a0 in range(p) for a1 in range(p)], dtype=np.int64)
+    vals = coefficient_matrix_eval(coeffs, np.arange(p), p).tolist()
     for x1 in range(p):
         for x2 in range(x1 + 1, p):
-            vals = coefficient_matrix_eval(coeffs, np.array([x1, x2]), p)
-            pairs = {(int(a), int(b)) for a, b in vals}
-            if len(pairs) != p * p:
+            if len({(row[x1], row[x2]) for row in vals}) != p * p:
                 failures.append(f"pairwise independence broken at keys ({x1},{x2})")
     print(f"pairwise independence p=5: {'ok' if not failures else 'FAILED'}")
 

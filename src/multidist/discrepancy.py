@@ -29,10 +29,12 @@ from .model import (
     DistributionFamily,
     _frozen_label_array,
     integer_array,
-    require_integer,
 )
 
 BRUTEFORCE_LIMIT = 20
+# Colorings per block of the exhaustive scan, rounded down to a power of two;
+# the block size changes no result, only the scan's memory and speed.
+SCAN_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -175,15 +177,15 @@ def _colorings_block(n: int, start: int, stop: int) -> np.ndarray:
 _SCAN_DTYPES = (np.int8, np.int16, np.int32, np.int64)
 
 
-def _min_scaled_imbalance(scaled: np.ndarray, block: int) -> tuple[int, np.ndarray]:
+def _min_scaled_imbalance(scaled: np.ndarray) -> tuple[int, np.ndarray]:
     """min over colorings z with z[0] = -1 of max_i |scaled_i . z|, and the
     lexicographically first minimizer; stops at the first 0 found.
 
     The rows of scaled are matrix rows times a positive integer row scale, so
     |scaled_i . z| = scale_i * |a_i . z| exactly. Colorings are scanned in
-    blocks of 2^b codes (2^b <= block) that share their high coordinates, so
-    each block's products are the products of the b low coordinates, built
-    once, plus one column for the high ones.
+    blocks of 2^b codes (2^b <= SCAN_BLOCK) that share their high
+    coordinates, so each block's products are the products of the b low
+    coordinates, built once, plus one column for the high ones.
 
     The low products are built by sign doubling: from one zero column, each
     low coordinate j, last to first, turns the w columns built so far into
@@ -215,14 +217,11 @@ def _min_scaled_imbalance(scaled: np.ndarray, block: int) -> tuple[int, np.ndarr
     n = scaled.shape[0]
     if n > BRUTEFORCE_LIMIT:
         raise ValueError(f"brute force limited to n <= {BRUTEFORCE_LIMIT}, got {n}")
-    block = require_integer(block, "block")
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
     cap = max(sum(map(abs, row)) for row in scaled.tolist())
     dtype = next((dt for dt in _SCAN_DTYPES if np.iinfo(dt).max >= cap), None)
     if dtype is None:
         raise ValueError(f"row sums of |scaled| reach {cap}, past int64")
-    b = min(n - 1, block.bit_length() - 1)
+    b = min(n - 1, SCAN_BLOCK.bit_length() - 1)
     low = np.zeros((n, 1 << b), dtype=dtype)
     for j in range(n - 1, n - 1 - b, -1):
         width = 1 << (n - 1 - j)
@@ -242,8 +241,7 @@ def _min_scaled_imbalance(scaled: np.ndarray, block: int) -> tuple[int, np.ndarr
     return best, _colorings_block(n, best_code, best_code + 1)[:, 0]
 
 
-def bruteforce_min_discrepancy(matrix: BinaryMatrix,
-                               block: int = 1 << 14) -> tuple[Coloring, int, float]:
+def bruteforce_min_discrepancy(matrix: BinaryMatrix) -> tuple[Coloring, int, float]:
     """Exhaustive coloring minimizing the max row imbalance |Az|_inf.
 
     Negating a coloring never changes the norms, so only the 2^(n-1) colorings
@@ -253,17 +251,17 @@ def bruteforce_min_discrepancy(matrix: BinaryMatrix,
     pins down. Returns (coloring, inf_norm, two_norm).
 
     The scan (_min_scaled_imbalance) runs in int8: every |a_i . z| and every
-    partial sum is at most cap = max_i m_i <= n <= 20 < 2^7. At n = 18 and
-    the default block it takes about 1 ms.
+    partial sum is at most cap = max_i m_i <= n <= 20 < 2^7. At n = 18 it
+    takes about 1 ms.
     """
     a = matrix.entries.astype(np.int64)
-    best_inf, best_z = _min_scaled_imbalance(a, block)
+    best_inf, best_z = _min_scaled_imbalance(a)
     az_best = a @ best_z
     two_norm = math.sqrt(float(az_best @ az_best))
     return Coloring(best_z.astype(np.int8)), best_inf, two_norm
 
 
-def min_deterministic_error(rf: ReductionFamily, block: int = 1 << 14) -> Fraction:
+def min_deterministic_error(rf: ReductionFamily) -> Fraction:
     """Exact min over all 2^n labelings of the worst-case error; equals
     1/2 + min_z max_i |a_i . z| / (2 m_i).
 
@@ -273,13 +271,12 @@ def min_deterministic_error(rf: ReductionFamily, block: int = 1 << 14) -> Fracti
     Row i is scaled by lcm(m) / m_i, so the scan's cap is lcm(m) <=
     lcm(1..20) = 232792560 < 2^31: it runs in int8 while lcm(m) <= 127 (every
     m_i in {1, 2, 4}, say), int16 while lcm(m) <= 32767, and int32 beyond;
-    see _min_scaled_imbalance for the table. At n = 18 and the default block
-    it takes about 1.5 ms.
+    see _min_scaled_imbalance for the table. At n = 18 it takes about 1.5 ms.
     """
     m = [int(v) for v in rf.matrix.row_ones]
     l = 2 * math.lcm(*m)
     row_scale = np.array([l // (2 * mi) for mi in m], dtype=np.int64)
-    best, _ = _min_scaled_imbalance(rf.matrix.entries.astype(np.int64) * row_scale[:, None], block)
+    best, _ = _min_scaled_imbalance(rf.matrix.entries.astype(np.int64) * row_scale[:, None])
     return Fraction(1, 2) + Fraction(best, l)
 
 

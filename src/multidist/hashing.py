@@ -391,11 +391,12 @@ def empirical_tail_bound_check(cfg: TailCheckConfig) -> TailCheckReport:
     compare against the limited-independence tail bound (or plain Hoeffding in
     independent mode, as a harness cross-check).
 
-    The draws stream in blocks of about TAIL_BLOCK_VALUES hash values, each
-    reduced at once to its per-draw counts Z, so memory stays bounded
-    whatever the number of draws. A block's counts are sums along its keys
-    axis, which the evaluator lays out as the outer one, in the narrowest
-    unsigned dtype that holds n.
+    The draws stream in blocks of about TAIL_BLOCK_VALUES hash values. A
+    block's counts Z are sums along its keys axis (the evaluator's outer one)
+    in the narrowest unsigned dtype that holds n, tallied into a histogram of
+    the n + 1 values Z takes, so memory is O(n + block) whatever the number
+    of draws. A row's frequency sums the bins k with |k - mu| >= T, exactly
+    as one Z per draw would give it: the same float64 k - mu, one division.
 
     Each indicator has exactly known mean threshold/p, so mu and sigma^2 are
     exact. A row fails only if the observed frequency exceeds the bound by
@@ -413,19 +414,20 @@ def empirical_tail_bound_check(cfg: TailCheckConfig) -> TailCheckReport:
     keys = np.arange(cfg.n)
     count_dtype = np.min_scalar_type(cfg.n)  # a count is at most n
     block = max(1, TAIL_BLOCK_VALUES // cfg.n)
-    z = np.empty(cfg.draws, dtype=np.int64)
+    counts = np.zeros(cfg.n + 1, dtype=np.int64)
     for start in range(0, cfg.draws, block):
         b = min(block, cfg.draws - start)
         if cfg.independent:
             values = rng.integers(0, p, size=(b, cfg.n))
         else:
             values = coefficient_matrix_eval(rng.integers(0, p, size=(b, cfg.r)), keys, p)
-        z[start : start + b] = np.add.reduce(np.less(values.T, thr).view(np.uint8), axis=0,
-                                             dtype=count_dtype)
+        z = np.add.reduce(np.less(values.T, thr).view(np.uint8), axis=0, dtype=count_dtype)
+        counts += np.bincount(z, minlength=cfg.n + 1)
 
+    deviation = np.abs(np.arange(cfg.n + 1) - mean)
     rows = []
     for t in cfg.t_values:
-        observed = float(np.mean(np.abs(z - mean) >= t))
+        observed = int(counts[deviation >= t].sum()) / cfg.draws
         if cfg.independent:
             bound = standard_hoeffding_bound(t, cfg.n)
         else:

@@ -59,10 +59,11 @@ class GenSpec:
         # an instance file's integers must fit in 64 bits to load again
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
-        for name in ("det_fraction", "fair_fraction"):
+        # NaN fails every comparison, so this also rejects it
+        for name in ("det_fraction", "fair_fraction", "heavy_mass"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+                raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.det_fraction + self.fair_fraction > 1.0 + 1e-12:
             raise ValueError("det_fraction + fair_fraction must not exceed 1")
         if not 0.0 <= self.det_beta_lo <= self.det_beta_hi <= 0.5:

@@ -137,6 +137,17 @@ def test_trial_rejects_required_fractions_outside_the_unit_interval(tmp_path, ca
     assert not list(tmp_path.iterdir())
 
 
+def test_gen_rejects_a_non_finite_heavy_mass(tmp_path, capsys):
+    # nan once reached the JSON writer, whose error named no flag
+    for value in ("nan", "inf", "-inf"):
+        rc = main(["gen", "--kind", "heavy_point_probe", f"--heavy-mass={value}",
+                   "-o", str(tmp_path / "inst.json")])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "heavy_mass must lie in [0, 1], got" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_hashcheck_cli():
     assert main(["hashcheck", "--draws", "20000", "--seed", "0"]) == 0
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import multidist as md
+from multidist import discrepancy
 from multidist.discrepancy import _colorings_block, _min_scaled_imbalance
 
 
@@ -189,33 +190,19 @@ def test_bruteforce_returns_lex_smallest_minimizer():
 
 
 
-def test_oracles_agree_across_block_sizes():
+def test_oracles_agree_across_block_sizes(monkeypatch):
     # blocks of 1, 3 and 5 (scanned as 1, 2 and 4 colorings) split the 64
     # colorings of n = 7 into many blocks; the minimizer must not depend on it
     rng = np.random.default_rng(11)
-    for _ in range(5):
-        matrix = random_matrix(rng, 7)
-        rf = md.ReductionFamily(matrix)
-        zc, inf_n, two_n = md.bruteforce_min_discrepancy(matrix)
-        for block in (1, 3, 5):
-            zb, inf_b, two_b = md.bruteforce_min_discrepancy(matrix, block=block)
+    families = [md.ReductionFamily(random_matrix(rng, 7)) for _ in range(5)]
+    want = [(md.bruteforce_min_discrepancy(rf.matrix), md.min_deterministic_error(rf))
+            for rf in families]
+    for block in (1, 3, 5):
+        monkeypatch.setattr(discrepancy, "SCAN_BLOCK", block)
+        for rf, ((zc, inf_n, two_n), error) in zip(families, want):
+            zb, inf_b, two_b = md.bruteforce_min_discrepancy(rf.matrix)
             assert (zb.z.tolist(), inf_b, two_b) == (zc.z.tolist(), inf_n, two_n)
-            assert md.min_deterministic_error(rf, block=block) == md.min_deterministic_error(rf)
-
-
-def test_oracles_reject_a_non_integer_block():
-    # int() would run 2.7 as 2 and True as 1
-    matrix = md.BinaryMatrix(np.eye(4, dtype=np.int8))
-    rf = md.ReductionFamily(matrix)
-    for block in (2.7, True, "4", float("nan")):
-        with pytest.raises(ValueError, match="block must be an integer"):
-            md.bruteforce_min_discrepancy(matrix, block=block)
-        with pytest.raises(ValueError, match="block must be an integer"):
-            md.min_deterministic_error(rf, block=block)
-    for block in (0, -3):
-        with pytest.raises(ValueError, match="block must be >= 1"):
-            md.bruteforce_min_discrepancy(matrix, block=block)
-    assert md.bruteforce_min_discrepancy(matrix, block=4.0)[1] == 1
+            assert md.min_deterministic_error(rf) == error
 
 
 def lex_scan(scaled):
@@ -258,23 +245,25 @@ def scan_inputs(draw):
 @given(scan_inputs())
 def test_narrow_scan_equals_a_lex_order_product_scan(inputs):
     matrix, block = inputs
-    # unit scale: the discrepancy oracle
-    best, best_z = lex_scan(matrix.entries)
-    got_z, got_inf, got_two = md.bruteforce_min_discrepancy(matrix, block=block)
-    assert (got_inf, got_z.z.tolist()) == (best, best_z)
-    az = matrix.entries.astype(int) @ np.array(best_z)
-    assert got_two == math.sqrt(float(az @ az))
-    # lcm scale: the deterministic-error oracle
-    scaled, denom = lcm_scaled(matrix)
-    best, best_z = lex_scan(scaled)
-    value, z = _min_scaled_imbalance(scaled, block)
-    assert (value, z.tolist()) == (best, best_z)
-    assert md.min_deterministic_error(md.ReductionFamily(matrix), block=block) == \
-        Fraction(1, 2) + Fraction(best, denom)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(discrepancy, "SCAN_BLOCK", block)
+        # unit scale: the discrepancy oracle
+        best, best_z = lex_scan(matrix.entries)
+        got_z, got_inf, got_two = md.bruteforce_min_discrepancy(matrix)
+        assert (got_inf, got_z.z.tolist()) == (best, best_z)
+        az = matrix.entries.astype(int) @ np.array(best_z)
+        assert got_two == math.sqrt(float(az @ az))
+        # lcm scale: the deterministic-error oracle
+        scaled, denom = lcm_scaled(matrix)
+        best, best_z = lex_scan(scaled)
+        value, z = _min_scaled_imbalance(scaled)
+        assert (value, z.tolist()) == (best, best_z)
+        assert md.min_deterministic_error(md.ReductionFamily(matrix)) == \
+            Fraction(1, 2) + Fraction(best, denom)
 
 
 @pytest.mark.parametrize("cap", [2**7 - 1, 2**7, 2**15 - 1, 2**15, 2**31 - 1, 2**31])
-def test_narrow_scan_at_each_side_of_a_dtype_switch(cap):
+def test_narrow_scan_at_each_side_of_a_dtype_switch(cap, monkeypatch):
     # row 0 reaches +-cap at the first coloring and is 0 or 1 elsewhere, so a
     # dtype one step too narrow wraps cap to its minimum, whose abs stays
     # negative, and the first coloring would look best
@@ -282,11 +271,12 @@ def test_narrow_scan_at_each_side_of_a_dtype_switch(cap):
     scaled = np.array([[a, cap - a, 0], [0, 0, 1], [1, 0, 0]], dtype=np.int64)
     for sign in (1, -1):
         for block in (1, 2, 4):
-            value, z = _min_scaled_imbalance(sign * scaled, block)
+            monkeypatch.setattr(discrepancy, "SCAN_BLOCK", block)
+            value, z = _min_scaled_imbalance(sign * scaled)
             assert (value, z.tolist()) == lex_scan(sign * scaled) == (1, [-1, 1, -1])
     # past int64 the scan refuses rather than wraps
     with pytest.raises(ValueError, match="past int64"):
-        _min_scaled_imbalance(np.array([[2**62, 2**62], [1, 0]], dtype=np.int64), 4)
+        _min_scaled_imbalance(np.array([[2**62, 2**62], [1, 0]], dtype=np.int64))
 
 
 def int64_scan(scaled, block):
@@ -311,14 +301,14 @@ def int64_scan(scaled, block):
 def test_narrow_scan_matches_the_int64_scan_at_n18():
     for seed in range(10):
         matrix = md.planted_high_discrepancy_matrix(18, np.random.default_rng([1818, seed]))
-        best, best_z = int64_scan(matrix.entries.astype(np.int64), 1 << 14)
+        best, best_z = int64_scan(matrix.entries.astype(np.int64), discrepancy.SCAN_BLOCK)
         got_z, got_inf, got_two = md.bruteforce_min_discrepancy(matrix)
         assert got_inf == best >= 2 and np.array_equal(got_z.z, best_z)
         az = matrix.entries.astype(np.int64) @ best_z
         assert got_two == math.sqrt(float(az @ az))
         scaled, denom = lcm_scaled(matrix)
-        best, best_z = int64_scan(scaled, 1 << 14)
-        value, z = _min_scaled_imbalance(scaled, 1 << 14)
+        best, best_z = int64_scan(scaled, discrepancy.SCAN_BLOCK)
+        value, z = _min_scaled_imbalance(scaled)
         assert value == best and z.dtype == best_z.dtype and np.array_equal(z, best_z)
         assert md.min_deterministic_error(md.ReductionFamily(matrix)) == \
             Fraction(1, 2) + Fraction(best, denom) == 1

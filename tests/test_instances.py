@@ -135,6 +135,10 @@ def test_gen_spec_validation():
     # numpy once failed to broadcast deep in gen_heavy_point_probe instead
     with pytest.raises(ValueError, match="heavy_count must be nonnegative, got -1"):
         md.GenSpec(kind="heavy_point_probe", heavy_count=-1)
+    # a NaN heavy_mass once made every member-0 mass NaN (1 - nan * 0)
+    for mass in (float("nan"), float("inf"), -0.1, 1.5):
+        with pytest.raises(ValueError, match=r"heavy_mass must lie in \[0, 1\], got"):
+            md.generate(md.GenSpec(kind="heavy_point_probe", heavy_mass=mass))
 
 
 def scalar_bias_profile_eta(spec, rng):

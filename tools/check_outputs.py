@@ -27,7 +27,9 @@ or exits 1 listing each that differs or exists in one tree only. The suite:
   than the first put zero mass on the heavy points;
 - gen --kind gap_example -k 5 and gen --kind bayes_in_class, the instance
   files;
-- hashcheck, stdout;
+- hashcheck, stdout, at its defaults and at --n 256 --r 6 --draws 70001
+  --seed 5 (the first n counted in uint16, p = 257 evaluated in int32, and
+  a last block of draws that is partial);
 - disc gen (planted zero, n = 12), then solve, reduce and distinguish (with
   the planted coloring) on that matrix.
 """
@@ -125,6 +127,8 @@ def run_suite(tree: Path) -> None:
     verb("gen_gap", "gen", "--kind", "gap_example", "-k", "5", "-o", "gap.json")
     verb("gen_bayes", "gen", "--kind", "bayes_in_class", "--seed", "4", "-o", "bayes.json")
     verb("hashcheck", "hashcheck")
+    verb("hashcheck_n256", "hashcheck", "--n", "256", "--r", "6", "--draws", "70001",
+         "--seed", "5")
     planted = verb("disc_gen", "disc", "gen", "--n", "12", "--planted", "zero", "--seed", "2",
                    "-o", "A.txt")
     # a tree that prints no planted coloring still runs distinguish; disc_gen.out
