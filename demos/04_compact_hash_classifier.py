@@ -14,7 +14,7 @@ import numpy as np
 
 import multidist as md
 from multidist import serialize
-from multidist.hashing import _plus_decision_vector, coefficient_matrix_eval
+from multidist.hashing import _plus_thresholds, coefficient_matrix_eval
 
 eps = delta = 0.15
 spec = md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=5)
@@ -49,7 +49,7 @@ rng = np.random.default_rng(0)
 draws = 50_000
 coeffs = rng.integers(0, p, size=(draws, r))
 q_vals = coefficient_matrix_eval(coeffs, np.array([x]), p)[:, 0]
-hits = int(_plus_decision_vector(q_vals, np.full(draws, marginal), p).sum())
+hits = int(np.count_nonzero(q_vals < _plus_thresholds([marginal], p)[0]))
 law = md.plus_probability(marginal, p)
 print(f"rounding law at point {x}: marginal {marginal:.6f}")
 print(f"  empirical Pr[+1] over {draws} hash draws: {hits / draws:.6f}")

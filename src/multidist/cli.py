@@ -48,10 +48,9 @@ from .harness import (
 )
 from .hashing import (
     TailCheckConfig,
-    _plus_decision_vector,
+    _plus_thresholds,
     coefficient_matrix_eval,
     empirical_tail_bound_check,
-    plus_probability,
 )
 from .instances import GenSpec, generate
 from .learner import (
@@ -245,18 +244,20 @@ def cmd_hashcheck(args) -> int:
                 failures.append(f"pairwise independence broken at keys ({x1},{x2})")
     print(f"pairwise independence p=5: {'ok' if not failures else 'FAILED'}")
 
-    # marginal rounding law at p=7, streamed in blocks as the tail check is
+    # marginal rounding law at p=7, streamed in blocks as the tail check is:
+    # +1 iff q < T = floor(marginal * 7), so Pr[+1] = T / 7
     law_fail = 0
     rng = np.random.default_rng(args.seed)
     block = hashing.TAIL_BLOCK_VALUES
-    for marginal in (0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0):
-        p7, plus = 7, 0
+    marginals, p7 = (0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0), 7
+    for marginal, threshold in zip(marginals, _plus_thresholds(marginals, p7).tolist()):
+        plus = 0
         for start in range(0, args.draws, block):
             b = min(block, args.draws - start)
             vals = coefficient_matrix_eval(rng.integers(0, p7, size=(b, 2)), np.array([3]), p7)
-            plus += np.count_nonzero(_plus_decision_vector(vals[:, 0], np.full(b, marginal), p7))
+            plus += np.count_nonzero(vals[:, 0] < threshold)
         plus /= args.draws
-        want = float(plus_probability(marginal, p7))
+        want = threshold / p7
         sigma = max((want * (1 - want) / args.draws) ** 0.5, 1e-12)
         if abs(plus - want) > 3 * sigma + 1e-12:
             law_fail += 1

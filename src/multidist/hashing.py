@@ -5,13 +5,14 @@ A random degree-(r-1) polynomial q(x) = sum_i alpha_i x^i mod p with i.i.d.
 uniform coefficients maps any r distinct keys to jointly uniform values in
 [0, p): an r-wise independent hash. The compact classifier stores only the
 polynomial, a small table of fixed labels, and a hypothesis mixture F; at a
-point x outside the table it outputs +1 iff q(x) <= Pr_{f~F}[f(x)=1] * p - 1,
+point x outside the table it outputs +1 iff q(x) < floor(Pr_{f~F}[f(x)=1] * p),
 which makes Pr over the hash choice of a +1 equal to floor(marginal * p) / p.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -213,33 +214,22 @@ def plus_probability(marginal: float, p: int) -> Fraction:
     The float marginal is taken at face value (every float is a rational), so
     the law is bit-exact for the marginals the mixture actually produces.
     """
-    scaled = Fraction(marginal) * p
-    return Fraction(math.floor(scaled), p)
+    return Fraction(int(_plus_thresholds([marginal], p)[0]), p)
 
 
-def _plus_decision_vector(q_values: np.ndarray, marginals: np.ndarray, p: int) -> np.ndarray:
-    """The rounding decision q(x) + 1 <= marginal * p, exact for every prime
-    below PRIME_LIMIT: floats decide, and comparisons in a window around the
-    boundary are redone in exact rational arithmetic.
-
-    Why the window |lhs - rhs| <= p * 2^-50 suffices, with u = 2^-53 the unit
-    roundoff: the float sides lhs = fl(fl(q) + 1) and rhs = fl(marginal * fl(p))
-    each pass through two roundings to nearest, so each is within a relative
-    2u + u^2 of its exact value, A = q + 1 <= p or B = marginal * p. Where the
-    float and the exact comparisons disagree, lhs - rhs and A - B do not have
-    the same strict sign, so |lhs - rhs| <= |lhs - A| + |rhs - B|, and B is
-    below p(1 + 5u) (either B < A, or B is within rounding of rhs < lhs). The
-    sum is then below 4.01 u p < p * 2^-50. For p <= 2^53 the argument is
-    simpler: q + 1 and p are floats, so lhs = A exactly, and round-to-nearest
-    is monotone, so a wrong float answer needs rhs == lhs. Above 2^53,
-    fl(q) + 1 is no longer exact, so the window has to grow with p.
+def _plus_thresholds(marginals, p: int) -> np.ndarray:
+    """T = floor(m * p), exactly, for each marginal m: the hash rounding labels
+    a point +1 iff q(x) < T, since for an integer q, q + 1 <= m * p iff
+    q < floor(m * p). Each distinct marginal is one integer division of its
+    exact ratio num / den. T fits int64 for |m| < 2 at every prime below
+    PRIME_LIMIT; any other marginal, NaN and infinities included, is an error.
     """
-    lhs = q_values.astype(np.float64) + 1.0
-    rhs = marginals * float(p)
-    out = lhs <= rhs
-    for idx in np.nonzero(np.abs(lhs - rhs) <= p * 2.0**-50)[0]:
-        out[idx] = Fraction(int(q_values[idx]) + 1) <= Fraction(float(marginals[idx])) * p
-    return out
+    values, inverse = np.unique(np.asarray(marginals, dtype=np.float64), return_inverse=True)
+    if (bad := values[~(np.abs(values) < 2.0)]).size:
+        raise ValueError(f"marginals must be finite and lie in (-2, 2), got {bad[0]}")
+    p = operator.index(p)  # a Python int: num * p must not wrap
+    ratios = map(float.as_integer_ratio, values.tolist())
+    return np.array([num * p // den for num, den in ratios], dtype=np.int64)[inverse]
 
 
 @dataclass(frozen=True)
@@ -247,8 +237,9 @@ class CompactClassifier:
     """Deterministic classifier stored as (hash, override table, mixture).
 
     Points t_points (distinct, ascending) carry fixed labels t_labels; any
-    other point is labeled +1 iff q(x) + 1 <= Pr_{f~F}[f(x)=1] * p for the
-    hash's prime p, evaluated exactly. The domain is the mixture's class's.
+    other point is labeled +1 iff q(x) < floor(Pr_{f~F}[f(x)=1] * p) for the
+    hash's prime p, one exact integer comparison. The domain is the mixture's
+    class's.
     """
 
     hash: PolyHash
@@ -273,7 +264,7 @@ class CompactClassifier:
     def _label_vector(self) -> np.ndarray:
         q_vals = coefficient_matrix_eval([self.hash.coefficients], np.arange(self.domain_size),
                                          self.hash.prime)[0]
-        plus = _plus_decision_vector(q_vals, self.f_rand.marginals, self.hash.prime)
+        plus = q_vals < _plus_thresholds(self.f_rand.marginals, self.hash.prime)
         labels = np.where(plus, 1, -1).astype(np.int8)
         labels[self.t_points] = self.t_labels
         labels.flags.writeable = False

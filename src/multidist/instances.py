@@ -68,8 +68,10 @@ class GenSpec:
             raise ValueError("det_fraction + fair_fraction must not exceed 1")
         if not 0.0 <= self.det_beta_lo <= self.det_beta_hi <= 0.5:
             raise ValueError("det beta range must satisfy 0 <= lo <= hi <= 1/2")
-        if not 0.0 <= self.fair_beta_max <= 0.5:
-            raise ValueError("fair_beta_max must lie in [0, 1/2]")
+        for name in ("fair_beta_max", "light_beta_max", "heavy_beta"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 0.5:
+                raise ValueError(f"{name} must lie in [0, 1/2], got {v}")
 
 
 def _random_mass(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:

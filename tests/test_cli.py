@@ -148,44 +148,54 @@ def test_gen_rejects_a_non_finite_heavy_mass(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_gen_rejects_a_heavy_beta_outside_half_the_unit_interval(tmp_path, capsys):
+    # nan once reached the JSON writer, whose error named no flag; 0.9 was
+    # written into the spec of a kind that ignores it
+    for kind in ("heavy_point_probe", "random_label_consistent"):
+        for value in ("nan", "inf", "-0.1", "0.9"):
+            rc = main(["gen", "--kind", kind, f"--heavy-beta={value}",
+                       "-o", str(tmp_path / "inst.json")])
+            assert rc == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "heavy_beta must lie in [0, 1/2], got" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_hashcheck_cli():
     assert main(["hashcheck", "--draws", "20000", "--seed", "0"]) == 0
 
 
 def test_hashcheck_streams_its_rounding_law_in_blocks(monkeypatch, capsys):
-    # the law's draws in blocks of 7 and in one block give the same
-    # decisions, the decisions of one (draws, 2) call, and the same stdout
+    # the law's draws in blocks of 7 and in one block give the same hash
+    # values, the values of one (draws, 2) call, and the same stdout
     from multidist import hashing
-    from multidist.hashing import _plus_decision_vector, coefficient_matrix_eval
+    from multidist.hashing import coefficient_matrix_eval
 
     calls = []
 
-    def recorded(q_values, marginals, p):
-        out = _plus_decision_vector(q_values, marginals, p)
-        calls.append((float(marginals[0]), out))
+    def recorded(coeffs, xs, p):
+        out = coefficient_matrix_eval(coeffs, xs, p)
+        if p == 7:  # the law's blocks, not the pairwise check at p = 5
+            calls.append(out[:, 0])
         return out
 
-    monkeypatch.setattr(cli, "_plus_decision_vector", recorded)
+    monkeypatch.setattr(cli, "coefficient_matrix_eval", recorded)
 
     def law():
         calls.clear()
         assert main(["hashcheck", "--draws", "2001", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        decisions = {}
-        for marginal, chunk in calls:
-            decisions.setdefault(marginal, []).append(chunk)
-        return out, len(calls), {m: np.concatenate(c) for m, c in decisions.items()}
+        # five marginals, each drawing 2001 values in order
+        return capsys.readouterr().out, len(calls), np.concatenate(calls).reshape(5, 2001)
 
-    out, one, decisions = law()
+    out, one, values = law()
     monkeypatch.setattr(hashing, "TAIL_BLOCK_VALUES", 7)
-    small_out, blocks, small_decisions = law()
+    small_out, blocks, small_values = law()
     assert (one, blocks) == (5, 5 * 286)
     assert small_out == out and "rounding law p=7: ok" in out
     rng = np.random.default_rng(3)
-    for marginal, got in decisions.items():
-        vals = coefficient_matrix_eval(rng.integers(0, 7, size=(2001, 2)), np.array([3]), 7)
-        want = _plus_decision_vector(vals[:, 0], np.full(2001, marginal), 7)
-        assert np.array_equal(got, want) and np.array_equal(small_decisions[marginal], want)
+    for got, small in zip(values, small_values):
+        want = coefficient_matrix_eval(rng.integers(0, 7, size=(2001, 2)), np.array([3]), 7)[:, 0]
+        assert np.array_equal(got, want) and np.array_equal(small, want)
 
 
 def test_hashcheck_rejects_bad_tail_config_before_any_check(capsys):

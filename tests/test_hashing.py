@@ -16,6 +16,7 @@ from multidist.hashing import (
     TAIL_BLOCK_VALUES,
     TailCheckReport,
     TailCheckRow,
+    _plus_thresholds,
     coefficient_matrix_eval,
     limited_independence_tail_bound,
     standard_hoeffding_bound,
@@ -483,6 +484,36 @@ def test_label_vector_exact_at_float_tie_above_2_53():
     clf = _constant_hash_classifier(p, q0, marginal)
     assert _fraction_rule(q0, float(clf.f_rand.marginals[0]), p) == -1
     assert clf.label_vector().tolist() == [-1, -1, -1]
+
+
+# 0.0, -0.0, the least subnormal, the largest subnormal, 1.0 and the float after it
+EDGE_MARGINALS = (0.0, -0.0, 5e-324, 2.0**-1022 - 5e-324, 1.0, math.nextafter(1.0, 2.0))
+
+
+def _boundary_marginals(p: int):
+    """k / p as a float, or the float one step below or above it."""
+    return st.tuples(st.integers(0, p), st.sampled_from([-math.inf, None, math.inf])).map(
+        lambda kd: kd[0] / p if kd[1] is None else math.nextafter(kd[0] / p, kd[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), primes | _primes_of_bits(53, 61))
+def test_plus_thresholds_are_exact_floors(data, p):
+    marginals = data.draw(st.lists(
+        st.sampled_from(EDGE_MARGINALS) | _boundary_marginals(p) | st.floats(0.0, 1.0),
+        min_size=1, max_size=20))
+    got = _plus_thresholds(marginals, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == [math.floor(Fraction(m) * p) for m in marginals]
+    assert md.plus_probability(marginals[0], p) == Fraction(int(got[0]), p)
+
+
+def test_plus_thresholds_reject_marginals_outside_minus_two_two():
+    for bad in (math.nan, math.inf, -math.inf, 2.0, -2.0, 1e300):
+        with pytest.raises(ValueError, match="marginals must be finite and lie in"):
+            _plus_thresholds([0.5, bad, 0.25], 7)
+        with pytest.raises(ValueError, match="marginals must be finite and lie in"):
+            md.plus_probability(bad, 7)
 
 
 def test_choose_hash_params_examples():

@@ -139,6 +139,11 @@ def test_gen_spec_validation():
     for mass in (float("nan"), float("inf"), -0.1, 1.5):
         with pytest.raises(ValueError, match=r"heavy_mass must lie in \[0, 1\], got"):
             md.generate(md.GenSpec(kind="heavy_point_probe", heavy_mass=mass))
+    # a NaN light_beta_max once raised numpy's OverflowError in rng.uniform
+    for name in ("fair_beta_max", "light_beta_max", "heavy_beta"):
+        for beta in (float("nan"), float("inf"), -0.1, 0.6):
+            with pytest.raises(ValueError, match=rf"{name} must lie in \[0, 1/2\], got"):
+                md.generate(md.GenSpec(kind="heavy_point_probe", **{name: beta}))
 
 
 def scalar_bias_profile_eta(spec, rng):

@@ -31,9 +31,8 @@ spread between interpreters of one tree. The layers:
 - draw_family_24x1000x5000 and draw_family_6x40x5000: one exact-mode round
   of SampleOracle._tallies, 5000 draws per member tallied into (k, n)
   counts, the bias-table draws of derand on the cli_wide instance (in member
-  blocks) and of a C06 campaign trial (in one block); on a tree from before
-  _tallies, draw_family's one all-members call, tallied (the names are
-  draw_family's, which these layers timed until it was removed);
+  blocks) and of a C06 campaign trial (in one block); the names are
+  draw_family's, which these layers timed until it was removed;
 - load_instance: serialize.load_instance of the cli_wide instance file;
 - load_instance_deferred: serialize.load_instance of that file with every
   label written as 1.0, which the loader's label route cannot prove and
@@ -74,9 +73,6 @@ spread between interpreters of one tree. The layers:
   precomputed error matrix;
 - run_trial_c06: one run_trial at the C06 campaign's derandomization
   config, from the exact-mode mixture and error matrix of hedge_exact_c06.
-
-hedge_learn is called with a delta of 0.1 on trees whose hedge_learn takes
-one, so every layer runs on the trees before and after delta was dropped.
 """
 
 from __future__ import annotations
@@ -84,7 +80,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import inspect
 import io
 import json
 import os
@@ -119,15 +114,9 @@ def time_layers(src: str) -> dict:
     import numpy as np
 
     import multidist as md
-    from multidist import cli, learner, serialize
+    from multidist import cli, serialize
     from multidist.hashing import coefficient_matrix_eval
     from multidist.learner import STACK_RUNS, HedgeStack
-
-    # hedge_learn's positional delta, on a tree whose hedge_learn takes one
-    delta = (0.1,) if "delta" in inspect.signature(md.hedge_learn).parameters else ()
-
-    def hedge(oracle, cls, eps):
-        return md.hedge_learn(oracle, cls, eps, *delta)
 
     coeffs = np.random.default_rng(0).integers(0, 67, size=(4096, 4))
     keys = np.arange(64)
@@ -166,7 +155,7 @@ def time_layers(src: str) -> dict:
                              dataclasses.replace(wide_table_cfg, rounding="hash"),
                              np.random.default_rng(4)).classifier
     c06_oracle = md.SampleOracle.exact_mode(c06_fam)
-    c06_mixture = hedge(c06_oracle, c06_cls, 0.075)
+    c06_mixture = md.hedge_learn(c06_oracle, c06_cls, 0.075)
     c06_errors = md.error_matrix(c06_plus, c06_fam)
     rounds, eta = md.HedgeConfig().resolve(6, 0.075)
     step = -(-rounds // STACK_RUNS)
@@ -176,13 +165,10 @@ def time_layers(src: str) -> dict:
         stack.load(seed, md.error_matrix((cls.label_matrix == 1).astype(np.float64), fam))
 
     def tallies(fam):
-        oracle = md.SampleOracle.exact_mode(fam)
-        if hasattr(oracle, "_tallies"):
-            return next(oracle._tallies(5000, rng=draw_rng))
-        return learner._tally(*oracle._draw_cells(5000, draw_rng), fam.k, fam.domain_size)
+        return next(md.SampleOracle.exact_mode(fam)._tallies(5000, rng=draw_rng))
 
     wide_oracle = md.SampleOracle.exact_mode(wide_fam)
-    wide_learned = hedge(wide_oracle, wide_cls, 0.3)
+    wide_learned = md.hedge_learn(wide_oracle, wide_cls, 0.3)
     wide_table = md.build_bias_table(wide_oracle, wide_table_cfg, np.random.default_rng(5))
     calls = {
         "eval_block": lambda: coefficient_matrix_eval(coeffs, keys, 67),
@@ -190,7 +176,7 @@ def time_layers(src: str) -> dict:
         "tail_check": lambda: md.empirical_tail_bound_check(tail),
         "bruteforce_min_discrepancy": lambda: md.bruteforce_min_discrepancy(matrix),
         "min_deterministic_error": lambda: md.min_deterministic_error(family),
-        "hedge_sampling": lambda: hedge(
+        "hedge_sampling": lambda: md.hedge_learn(
             md.SampleOracle.sampling_mode(wide_fam, np.random.default_rng(7)), wide_cls, 0.6),
         "draw_family_24x1000x5000": lambda: tallies(wide_fam),
         "draw_family_6x40x5000": lambda: tallies(c06_fam),
@@ -213,7 +199,7 @@ def time_layers(src: str) -> dict:
             md.SampleOracle.exact_mode(c06_fam), c06_table_cfg, draw_rng),
         # a copy, since a classifier caches its label vector
         "compact_label_vector_24x1000": lambda: dataclasses.replace(compact).label_vector(),
-        "hedge_exact_c06": lambda: hedge(c06_oracle, c06_cls, 0.075),
+        "hedge_exact_c06": lambda: md.hedge_learn(c06_oracle, c06_cls, 0.075),
         "hedge_stack_advance_32": lambda: stack.advance(step),
         "round_outside_t_24x1000": lambda: md.round_outside_t(wide_learned, wide_table, 1000,
                                                               draw_rng),

@@ -21,6 +21,9 @@ or exits 1 listing each that differs or exists in one tree only. The suite:
   with compact separators (the loader's label route reads it), with every
   label written as 1.0 (the route defers and orjson reads it as a whole) and
   with one label written as true (rejected, exit 2);
+- eval, stdout and CSV, of the hash classifier rewritten with prime and
+  range_size next_prime(2^54 + 1), where the evaluator works in Python
+  integers and fl(q) + 1 is not exact;
 - learn --sampling --trace --rounds 57 --erm-samples 37 (rounds that are not
   a whole number of draw blocks) on a C06-shape gen instance and on a gen
   --kind heavy_point_probe --heavy-count 2 instance, whose members other
@@ -54,6 +57,8 @@ DEMOS = ("01_mixture_vs_single_classifier", "02_hardness_from_discrepancy",
 C06 = ["--domain-size", "40", "-k", "6", "--hypotheses", "16", "--eps", "0.15",
        "--delta", "0.15", "--mode", "calibrated", "--m-override", "5000", "--seed", "606",
        "--no-timing"]
+# next_prime(2**54 + 1)
+BIG_PRIME = 18014398509482143
 DERAND = ["--mode", "calibrated", "--m-override", "5000", "--eps", "0.6", "--delta", "0.2",
           "--seed", "7"]
 
@@ -111,6 +116,14 @@ def run_suite(tree: Path) -> None:
                 csv.writer(fh).writerows([row[i] for i in keep] for row in rows)
         verb(f"eval_{rounding}", "eval", f"clf_{rounding}.json", "inst.json",
              "-o", f"eval_{rounding}.csv")
+    # the hash classifier with its prime moved above 2^53, where hash values
+    # are evaluated in Python integers and q + 1 is not always a float
+    clf = json.loads(Path("clf_hash.json").read_text())
+    big_prime = Path("clf_hash_big_prime.json")
+    big_prime.write_text(json.dumps({**clf, "prime": BIG_PRIME, "range_size": BIG_PRIME}))
+    verb("eval_hash_big_prime", "eval", str(big_prime), "inst.json",
+         "-o", "eval_hash_big_prime.csv")
+    big_prime.unlink()
     doc = json.loads(Path("inst.json").read_text())
     labels = doc["hypotheses"]
     for name, text in (
