@@ -75,10 +75,22 @@ def _out_dir(path_arg: str | None) -> Path:
     return p
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds its generators from integers >= 0 only, so
+    a negative seed is refused here, before any work, by the flag's name."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _add_hedge_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rounds", type=int, default=None, help="Hedge rounds (default from k, eps)")
     p.add_argument("--eta", type=float, default=None, help="Hedge learning rate (default from rounds)")
-    p.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
+    p.add_argument("--seed", type=_seed, default=0, help="master seed for all randomness")
 
 
 def _add_derand_flags(p: argparse.ArgumentParser) -> None:
@@ -244,7 +256,8 @@ def cmd_hashcheck(args) -> int:
                 failures.append(f"pairwise independence broken at keys ({x1},{x2})")
     print(f"pairwise independence p=5: {'ok' if not failures else 'FAILED'}")
 
-    # marginal rounding law at p=7, streamed in blocks as the tail check is:
+    # marginal rounding law at p=7, its draws streamed in blocks of
+    # TAIL_BLOCK_VALUES, as the tail check streams its own:
     # +1 iff q < T = floor(marginal * 7), so Pr[+1] = T / 7
     law_fail = 0
     rng = np.random.default_rng(args.seed)
@@ -307,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="precision the probe's heavy/light split targets")
     p.add_argument("--delta", type=float, default=0.2,
                    help="confidence the probe's heavy/light split targets")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    p.add_argument("--seed", type=_seed, default=0, help="generator seed")
     p.add_argument("-o", "--output", required=True, help="instance file to write")
 
     p = sub.add_parser("learn", help="run the Hedge learner")
@@ -340,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--planted", choices=["zero", "high"], default="zero",
                    help="plant a balanced coloring or an unbalanceable gadget")
     g.add_argument("--density", type=float, default=0.5, help="target row density")
-    g.add_argument("--seed", type=int, default=0, help="generator seed")
+    g.add_argument("--seed", type=_seed, default=0, help="generator seed")
     g.add_argument("-o", "--output", required=True, help="matrix file to write")
     s = dsub.add_parser("solve", help="brute-force minimum discrepancy")
     s.add_argument("matrix", help="matrix file")
@@ -379,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=64, help="indicator count for the tail check")
     p.add_argument("--r", type=int, default=4, help="hash degree for the tail check")
     p.add_argument("--draws", type=int, default=100_000, help="Monte-Carlo draws")
-    p.add_argument("--seed", type=int, default=0, help="rng seed")
+    p.add_argument("--seed", type=_seed, default=0, help="rng seed")
 
     return parser
 

@@ -23,12 +23,16 @@ from .model import (RandomizedClassifier, check_eps_delta, frozen_pins, integer_
                     is_positive_real, require_integer)
 
 PRIME_LIMIT = 1 << 62
-# Hash values per block of the tail check, small enough to stay in cache: 512 KiB
-# in int16 (the default prime while n <= 180), 1 MiB in int32, 2 MiB in int64.
-# The evaluator holds two such arrays, the key-major sum and the buffer for its
-# quotients and products, and the count one byte per value for the mask
-# q(x) < threshold.
+# Values per block of the tail check, small enough to stay in cache. In hash
+# mode a block holds the differences of every run of keys for each of its
+# draws, r values per run and draw: 256 KiB in uint8 (the default prime while
+# n <= 126), 512 KiB in uint16. In independent mode it holds n hash values per
+# draw, in int64.
 TAIL_BLOCK_VALUES = 1 << 18
+# Most consecutive keys in one run of the hash-mode tail check: a block takes
+# at most this many Python steps, whatever n is. Fewer keys per run means more
+# runs, so more seeds to evaluate; more means more steps on narrower arrays.
+TAIL_RUN_KEYS = 64
 # Witnesses making Miller-Rabin deterministic for all n < 3.3e24 (covers 64-bit).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -178,9 +182,10 @@ def coefficient_matrix_eval(coeffs, xs, p: int) -> np.ndarray:
                          f"got shape {coeffs.shape}")
     if xs.ndim != 1:
         raise ValueError(f"keys must be a 1-D array, got shape {xs.shape}")
-    if np.any((coeffs < 0) | (coeffs >= p)):
+    # min and max: two passes, and no mask to allocate
+    if coeffs.size and (coeffs.min() < 0 or coeffs.max() >= p):
         raise ValueError(f"coefficients outside [0, {p})")
-    if np.any((xs < 0) | (xs >= p)):
+    if xs.size and (xs.min() < 0 or xs.max() >= p):
         raise ValueError(f"keys outside [0, {p})")
     dtype = next((dt for dt in _EVAL_DTYPES if np.iinfo(dt).max >= p * (p - 1) + (p - 1)),
                  object)
@@ -206,6 +211,72 @@ def coefficient_matrix_eval(coeffs, xs, p: int) -> np.ndarray:
         bound += (p - 1) ** 2
     _reduce(acc, p, quot)
     return acc.T.astype(np.int64) if dtype is object else acc.T
+
+
+# The dtypes of the forward-difference count, narrowest first: each holds
+# 2p - 1, a sum of two residues, up to its last prime.
+_DIFFERENCE_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+def _difference_counts(rng: np.random.Generator, cfg: "TailCheckConfig") -> np.ndarray:
+    """The tail check's hash-mode histogram: how many of cfg.draws hashes,
+    drawn from rng as one (draws, r) call would draw them, give each count
+    Z = #{x < n : q(x) < threshold}.
+
+    The keys split into ceil(n / TAIL_RUN_KEYS) runs of consecutive keys,
+    their lengths at most one apart. q is evaluated only at each run's first
+    r keys, taken mod p since q(x) = q(x mod p); a difference triangle turns
+    those seeds into the forward differences D_j = Delta^j q, j < r, at the
+    run's first key. One step then tests q(x) = D_0 < threshold for every run
+    and draw at once and moves each run to its next key,
+    D_j <- D_j + D_{j+1} for j < r - 1: Delta^r q = 0 for a polynomial of
+    degree r - 1 over any ring, so D_{r-1} stays fixed.
+
+    A sum s of two residues is reduced as min(s, s - p), and a difference
+    d = a - b as min(d, d + p), in the narrowest unsigned dtype that holds
+    2p - 1. When s < p, s - p wraps to a value above s; otherwise it is the
+    residue. When a < b, d wraps to a value above p and d + p wraps back to
+    the residue; otherwise d is the residue and d + p is not. So the count
+    takes additions and comparisons only, one byte per value up to p = 127.
+
+    A block holds about TAIL_BLOCK_VALUES differences (r per run and draw);
+    its coefficients are drawn and seeded in quarters of it.
+    """
+    n, r, p, thr = cfg.n, cfg.r, cfg.prime, cfg.threshold
+    runs = -(-n // TAIL_RUN_KEYS)
+    base, extra = divmod(n, runs)  # the first `extra` runs hold base + 1 keys
+    steps = base + (extra > 0)
+    starts = np.arange(runs) * base + np.minimum(np.arange(runs), extra)
+    seed_keys = ((starts[:, None] + np.arange(r)) % p).ravel()  # run-major
+    dtype = next(dt for dt in _DIFFERENCE_DTYPES if np.iinfo(dt).max >= 2 * p - 1)
+    count_dtype = np.min_scalar_type(n)  # a count is at most n
+    block = max(1, TAIL_BLOCK_VALUES // (r * runs))
+    seed_block = max(1, block // 4)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for start in range(0, cfg.draws, block):
+        b = min(block, cfg.draws - start)
+        diffs = np.empty((r, runs, b), dtype=dtype)  # diffs[j, run, draw] = D_j
+        for lo in range(0, b, seed_block):
+            hi = min(b, lo + seed_block)
+            seeds = coefficient_matrix_eval(rng.integers(0, p, size=(hi - lo, r)), seed_keys, p)
+            diffs[:, :, lo:hi] = seeds.reshape(hi - lo, runs, r).transpose(2, 1, 0)
+        for level in range(1, r):  # D_i <- D_i - D_{i-1} for i >= level, all at once
+            diff = np.subtract(diffs[level:], diffs[level - 1:-1])
+            np.minimum(diff, diff + p, out=diffs[level:])
+        run_counts = np.zeros((runs, b), dtype=np.min_scalar_type(steps))
+        below = np.empty((runs, b), dtype=bool)
+        total = np.empty((r - 1, runs, b), dtype=dtype)
+        for step in range(steps):
+            live = runs if step < base else extra  # the runs that hold key start + step
+            np.less(diffs[0, :live], thr, out=below[:live])
+            run_counts[:live] += below[:live].view(np.uint8)
+            if step + 1 < steps:
+                np.add(diffs[:-1], diffs[1:], out=total)
+                np.subtract(total, p, out=diffs[:-1])
+                np.minimum(diffs[:-1], total, out=diffs[:-1])
+        z = np.add.reduce(run_counts, axis=0, dtype=count_dtype)
+        counts += np.bincount(z, minlength=n + 1)
+    return counts
 
 
 def plus_probability(marginal: float, p: int) -> Fraction:
@@ -325,10 +396,11 @@ class TailCheckConfig:
     seed: int = 0
 
     def resolved(self) -> "TailCheckConfig":
-        """This config with its defaults filled in and its integer fields as
-        ints (67.0 is 67); raises ValueError on a config the check cannot run,
-        such as a threshold of 33.5, n=True or a t value of 0 or NaN, before
-        any work is done."""
+        """This config with its defaults filled in, its integer fields as ints
+        (67.0 is 67) and its t values as a tuple, so it hashes; raises
+        ValueError on a config the check cannot run, such as a threshold of
+        33.5, n=True, a negative seed or a t value of 0 or NaN, before any
+        work is done."""
         n = require_integer(self.n, "tail-check n")
         r = require_integer(self.r, "tail-check degree r")
         draws = require_integer(self.draws, "tail-check draws")
@@ -337,6 +409,8 @@ class TailCheckConfig:
             raise ValueError(f"tail check needs n >= 1 keys, got {n}")
         if draws < 1:
             raise ValueError(f"tail check needs draws >= 1, got {draws}")
+        if seed < 0:
+            raise ValueError(f"tail-check seed must be >= 0, got {seed}")
         if not self.independent and (r < 2 or r % 2 != 0):
             raise ValueError(f"tail-check degree r must be an even integer >= 2, got {r}")
         p = (require_integer(self.prime, "tail-check prime") if self.prime is not None
@@ -349,7 +423,7 @@ class TailCheckConfig:
             raise ValueError("prime must exceed the number of keys")
         if not 0 <= thr <= p:
             raise ValueError(f"threshold {thr} outside [0, {p}]")
-        ts = self.t_values or tuple(c * math.sqrt(n) for c in (0.5, 1.0, 2.0))
+        ts = tuple(self.t_values) or tuple(c * math.sqrt(n) for c in (0.5, 1.0, 2.0))
         for t in ts:
             if not is_positive_real(t):
                 raise ValueError(f"tail-check t values must be finite positive numbers, got {t!r}")
@@ -382,9 +456,10 @@ def empirical_tail_bound_check(cfg: TailCheckConfig) -> TailCheckReport:
     compare against the limited-independence tail bound (or plain Hoeffding in
     independent mode, as a harness cross-check).
 
-    The draws stream in blocks of about TAIL_BLOCK_VALUES hash values. A
-    block's counts Z are sums along its keys axis (the evaluator's outer one)
-    in the narrowest unsigned dtype that holds n, tallied into a histogram of
+    The draws stream in blocks of about TAIL_BLOCK_VALUES values: in hash
+    mode, forward differences along runs of keys (_difference_counts); in
+    independent mode, the hash values themselves. A block's counts Z, in the
+    narrowest unsigned dtype that holds n, are tallied into a histogram of
     the n + 1 values Z takes, so memory is O(n + block) whatever the number
     of draws. A row's frequency sums the bins k with |k - mu| >= T, exactly
     as one Z per draw would give it: the same float64 k - mu, one division.
@@ -402,18 +477,16 @@ def empirical_tail_bound_check(cfg: TailCheckConfig) -> TailCheckReport:
 
     # Chunked int64 draws continue the generator's stream exactly, so the
     # blocks see the same values as one (draws, r) or (draws, n) call would.
-    keys = np.arange(cfg.n)
-    count_dtype = np.min_scalar_type(cfg.n)  # a count is at most n
-    block = max(1, TAIL_BLOCK_VALUES // cfg.n)
-    counts = np.zeros(cfg.n + 1, dtype=np.int64)
-    for start in range(0, cfg.draws, block):
-        b = min(block, cfg.draws - start)
-        if cfg.independent:
-            values = rng.integers(0, p, size=(b, cfg.n))
-        else:
-            values = coefficient_matrix_eval(rng.integers(0, p, size=(b, cfg.r)), keys, p)
-        z = np.add.reduce(np.less(values.T, thr).view(np.uint8), axis=0, dtype=count_dtype)
-        counts += np.bincount(z, minlength=cfg.n + 1)
+    if cfg.independent:
+        count_dtype = np.min_scalar_type(cfg.n)  # a count is at most n
+        block = max(1, TAIL_BLOCK_VALUES // cfg.n)
+        counts = np.zeros(cfg.n + 1, dtype=np.int64)
+        for start in range(0, cfg.draws, block):
+            values = rng.integers(0, p, size=(min(block, cfg.draws - start), cfg.n))
+            z = np.add.reduce(np.less(values.T, thr).view(np.uint8), axis=0, dtype=count_dtype)
+            counts += np.bincount(z, minlength=cfg.n + 1)
+    else:
+        counts = _difference_counts(rng, cfg)
 
     deviation = np.abs(np.arange(cfg.n + 1) - mean)
     rows = []

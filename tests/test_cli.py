@@ -208,6 +208,32 @@ def test_hashcheck_rejects_bad_tail_config_before_any_check(capsys):
         assert err.startswith("multidist: error: ") and message in err
 
 
+def test_every_verb_rejects_a_negative_seed_by_its_flag_before_any_work(tmp_path, capsys):
+    # numpy refuses a negative seed, so each verb refuses it first, naming the
+    # flag, before it prints or writes anything; exact-mode learn, which
+    # draws nothing, refuses it too
+    inst, out = str(tmp_path / "inst.json"), str(tmp_path / "out.json")
+    derand = ["--eps", "0.3", "--delta", "0.3", "--mode", "calibrated", "--m-override", "500"]
+    for argv in (["hashcheck"],
+                 ["learn", inst, "--eps", "0.3", "-o", out],
+                 ["learn", inst, "--sampling", "--eps", "0.3", "-o", out],
+                 ["derand", inst, *derand, "-o", out],
+                 ["trial", "--trials", "2", *derand, "--outdir", str(tmp_path)],
+                 ["gen", "-o", inst],
+                 ["disc", "gen", "-o", str(tmp_path / "A.txt")]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-1"])
+        assert exc.value.code == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert "argument --seed: must be a non-negative integer, got -1" in err
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(SystemExit):
+        main(["hashcheck", "--seed", "x"])
+    assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
+    assert main(["hashcheck", "--draws", "2000", "--seed", "0"]) == 0
+
+
 def test_trial_outdir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("MULTIDIST_OUTDIR", str(tmp_path / "envout"))
     rc = main(["trial", "--domain-size", "15", "-k", "2", "--hypotheses", "4",

@@ -14,6 +14,7 @@ import multidist as md
 from multidist.hashing import (
     PRIME_LIMIT,
     TAIL_BLOCK_VALUES,
+    TAIL_RUN_KEYS,
     TailCheckReport,
     TailCheckRow,
     _plus_thresholds,
@@ -767,6 +768,74 @@ def test_streamed_tail_check_counts_reach_n_at_the_count_dtype_switch(n, thresho
                              seed=n)
     assert cfg.resolved().prime == 257
     assert md.empirical_tail_bound_check(cfg) == _one_shot_report(cfg)
+
+
+# primes at each end of the difference count's unsigned dtypes, each of which
+# must hold 2p - 1: uint8 up to 127, uint16 from 131 to 32749, uint32 from
+# 32771 to 2^31 - 1, uint64 from 2147483659, and one near 2^61
+DIFFERENCE_BAND_PRIMES = (2, 67, 127, 131, 257, 32749, 32771, 2**31 - 1, 2147483659,
+                          md.next_prime(2**61))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(DIFFERENCE_BAND_PRIMES), st.sampled_from([2, 4, 6, 8]),
+       st.sampled_from([1, 40, 300, TAIL_BLOCK_VALUES]))
+def test_difference_counts_match_the_one_shot_oracle(data, p, r, block_values):
+    # n = 1, n < r and n = p - 1 (seed keys past p wrap to 0, 1, ...), and n
+    # across several runs of nearly equal length; small blocks give partial
+    # last blocks; the t values are every deviation |z - mean| a count z can
+    # reach, so equal reports mean equal histograms of the deviations
+    edges = [1, min(r - 1, p - 1)] + ([p - 1] if p < 300 else [])
+    n = data.draw(st.sampled_from(edges) | st.integers(1, min(p - 1, 3 * TAIL_RUN_KEYS + 5)))
+    threshold = data.draw(st.sampled_from([0, p]) | st.integers(0, p))
+    draws = data.draw(st.integers(1, 40))
+    mean = n * threshold / p
+    ts = tuple(sorted({abs(z - mean) for z in range(n + 1)} - {0.0}))
+    cfg = md.TailCheckConfig(n=n, r=r, draws=draws, t_values=ts or (1.0,), prime=p,
+                             threshold=threshold, seed=data.draw(st.integers(0, 2**32)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(md.hashing, "TAIL_BLOCK_VALUES", block_values)
+        report = md.empirical_tail_bound_check(cfg)
+    assert report == _one_shot_report(cfg)
+
+
+def test_wide_shallow_tail_check_seeds_each_run_not_each_key(monkeypatch):
+    # 20,000 keys at 20 draws are one block: its seeds are the first r keys
+    # of each of ceil(n / TAIL_RUN_KEYS) runs, so the count takes at most
+    # TAIL_RUN_KEYS steps, not n
+    n, r, draws = 20_000, 4, 20
+    cfg = md.TailCheckConfig(n=n, r=r, draws=draws, seed=11)
+    calls = []
+
+    def recorded(coeffs, xs, p):
+        calls.append((len(coeffs), len(xs)))
+        return coefficient_matrix_eval(coeffs, xs, p)
+
+    monkeypatch.setattr(md.hashing, "coefficient_matrix_eval", recorded)
+    report = md.empirical_tail_bound_check(cfg)
+    monkeypatch.undo()
+    assert report == _one_shot_report(cfg)
+    assert calls and all(keys == math.ceil(n / TAIL_RUN_KEYS) * r for _, keys in calls)
+    assert sum(rows for rows, _ in calls) == draws
+
+
+def test_resolved_tail_config_is_hashable_with_its_t_values_as_a_tuple():
+    listed = md.TailCheckConfig(n=16, draws=100, t_values=[2.0])
+    resolved = listed.resolved()
+    assert resolved.t_values == (2.0,)
+    assert hash(resolved) == hash(md.TailCheckConfig(n=16, draws=100, t_values=(2.0,)).resolved())
+    assert md.empirical_tail_bound_check(listed).config == resolved
+
+
+def test_tail_check_rejects_a_negative_seed_before_any_work(monkeypatch):
+    def no_evaluation(*args):
+        raise AssertionError("the hashes were evaluated before the config was checked")
+
+    monkeypatch.setattr(md.hashing, "coefficient_matrix_eval", no_evaluation)
+    for independent in (False, True):
+        cfg = md.TailCheckConfig(n=16, draws=100, independent=independent, seed=-1)
+        with pytest.raises(ValueError, match="tail-check seed must be >= 0, got -1"):
+            md.empirical_tail_bound_check(cfg)
 
 
 def test_tail_check_memory_does_not_grow_with_draws():

@@ -12,7 +12,8 @@ the ratio of the medians. A ratio whose quartile ranges overlap is within the
 spread between interpreters of one tree. The layers:
 
 - eval_block: coefficient_matrix_eval on a (4096, 4) block of coefficients at
-  the 64 keys 0..63, p = 67 (one block of the default tail check);
+  the 64 keys 0..63, p = 67 (the default tail check's keys; the check itself
+  now evaluates each hash only at the first r keys of each run of keys);
 - eval_one_poly: coefficient_matrix_eval on one polynomial with r = 14 at the
   1000 keys 0..999, p = 1009 (the hash that derand --rounding hash draws
   for the cli_wide benchmark instance, labelled by its compact classifier);

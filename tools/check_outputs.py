@@ -5,10 +5,11 @@
 Each tree runs the suite below in one fresh interpreter, with that tree's src
 first on PYTHONPATH, in an empty work directory of its own, so every output
 path is the same relative path in both runs (eval.csv's path columns match).
-Every file the suite leaves is then compared byte for byte; a command's
-stdout and stderr, followed by its exit code, are kept as <name>.out. The
-script prints the outputs it compared and exits 0 when all are identical,
-or exits 1 listing each that differs or exists in one tree only. The suite:
+Every file the suite leaves, 57 in all, is then compared byte for byte; a
+command's stdout and stderr, followed by its exit code, are kept as
+<name>.out. The script prints the outputs it compared and exits 0 when all
+are identical, or exits 1 listing each that differs or exists in one tree
+only. The suite:
 
 - demos 01-05, stdout;
 - trial: a 200-trial C06 campaign (n = 40, k = 6, |H| = 16, calibrated
@@ -30,9 +31,11 @@ or exits 1 listing each that differs or exists in one tree only. The suite:
   than the first put zero mass on the heavy points;
 - gen --kind gap_example -k 5 and gen --kind bayes_in_class, the instance
   files;
-- hashcheck, stdout, at its defaults and at --n 256 --r 6 --draws 70001
-  --seed 5 (the first n counted in uint16, p = 257 evaluated in int32, and
-  a last block of draws that is partial);
+- hashcheck, stdout, at its defaults; at --n 256 --r 6 --draws 70001
+  --seed 5 (the first n counted in uint16, p = 257 past the uint8
+  differences, and a last block of draws that is partial); and at --n 3000
+  --r 4 --draws 40 --seed 7 (p = 3001, differences in uint16, over 47 runs
+  of 64 and 63 keys);
 - disc gen (planted zero, n = 12), then solve, reduce and distinguish (with
   the planted coloring) on that matrix.
 """
@@ -142,6 +145,8 @@ def run_suite(tree: Path) -> None:
     verb("hashcheck", "hashcheck")
     verb("hashcheck_n256", "hashcheck", "--n", "256", "--r", "6", "--draws", "70001",
          "--seed", "5")
+    verb("hashcheck_n3000", "hashcheck", "--n", "3000", "--r", "4", "--draws", "40",
+         "--seed", "7")
     planted = verb("disc_gen", "disc", "gen", "--n", "12", "--planted", "zero", "--seed", "2",
                    "-o", "A.txt")
     # a tree that prints no planted coloring still runs distinguish; disc_gen.out
