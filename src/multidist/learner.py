@@ -294,6 +294,10 @@ class HedgeConfig:
             raise ValueError("rounds must be >= 1")
         if self.eta is not None and not is_positive_real(self.eta):
             raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
+        # errors lie in [0, 1], so a round's weight sum is at most k e^eta
+        eta_max = math.log(np.finfo(np.float64).max / k)
+        if self.eta is not None and self.eta > eta_max:
+            raise ValueError(f"eta must be at most ln(DBL_MAX / k) = {eta_max!r}, got {self.eta!r}")
         if self.erm_sample_size < 1:
             raise ValueError("erm_sample_size must be >= 1")
         # k = 1 would give eta = 0; ln 2 keeps eta positive and is otherwise
@@ -348,18 +352,19 @@ BLOCK_DRAWS = 1 << 15
 # the first run leaves) grows with it.
 STACK_RUNS = 32
 
+# Most rounds of choices HedgeStack.advance holds before one bincount into counts.
+CHOICE_BLOCK = 256
+
 
 class HedgeStack:
     """Exact-mode Hedge runs in the S slots of one (S, |H|, k) stack of error
     matrices, all with the same eta, advanced together one round at a time.
 
     load() starts a run in a slot at uniform weights, advance() plays rounds
-    on the first `active` slots, and choices() reads back a slot's chosen
-    indices over a span of rounds. Each round best-responds with
-    argmin_h (E_s @ w_s)[h] (ties to the lowest index, as erm breaks them),
-    multiplies w_s by row h of the precomputed exp(eta * E_s) and
-    renormalizes. The choices of the last `horizon` rounds are kept, in the
-    smallest unsigned dtype that holds |H| - 1.
+    on the first `active` slots, and counts[s, h] is how often slot s's run
+    has chosen h. Each round best-responds with argmin_h (E_s @ w_s)[h] (ties
+    to the lowest index, as erm breaks them), multiplies w_s by row h of the
+    precomputed exp(eta * E_s) and renormalizes. No array grows with T.
 
     Every operation acts on each slot's own rows in the order a one-run loop
     uses, so a run's weights and choices depend neither on the other slots
@@ -367,70 +372,61 @@ class HedgeStack:
     per-run loop.
     """
 
-    def __init__(self, slots: int, hypotheses: int, k: int, eta: float, horizon: int):
-        self.eta, self.horizon, self.rounds = eta, horizon, 0
+    def __init__(self, slots: int, hypotheses: int, k: int, eta: float):
+        self.eta = eta
         self.errors = np.zeros((slots, hypotheses, k))
         # row s * |H| + h is np.exp(eta * errors[s, h]) element for element
         self._factors = np.ones((slots * hypotheses, k))
         self.weights = np.full((slots, k), 1.0 / k)
+        self.counts = np.zeros((slots, hypotheses), dtype=np.intp)
         self._scores = np.empty((slots, hypotheses, 1))
         self._best = np.empty(slots, dtype=np.intp)
         self._offsets = np.arange(slots) * hypotheses
-        self._rows = np.empty(slots, dtype=np.intp)
+        self._rows = np.empty((CHOICE_BLOCK, slots), dtype=np.intp)
         self._factor = np.empty((slots, k))
         self._total = np.empty((slots, 1))
-        self.chosen = np.zeros((horizon, slots), dtype=np.min_scalar_type(hypotheses - 1))
 
     def load(self, slot: int, errors: np.ndarray) -> None:
         """Start a run on the (|H|, k) error matrix in the given slot."""
-        H = self.errors.shape[1]
+        H, k = self.errors.shape[1:]
+        if errors.shape != (H, k):
+            raise ValueError(f"error matrix of shape {errors.shape}, not the stack's {(H, k)}")
         self.errors[slot] = errors
         np.exp(self.eta * errors, out=self._factors[slot * H:(slot + 1) * H])
-        self.weights[slot] = 1.0 / errors.shape[1]
+        self.weights[slot] = 1.0 / k
+        self.counts[slot] = 0
 
-    def advance(self, rounds: int, active: int | None = None,
-                weights_log: list | None = None) -> None:
-        """Play rounds on the first `active` slots (all by default). With
-        weights_log given, each round appends a copy of the (active, k)
-        weights it starts from."""
+    def advance(self, rounds: int, active: int | None = None, log: list | None = None) -> None:
+        """Play rounds on the first `active` slots (all by default); each round
+        appends its (active,) choices and (active, k) starting weights to log, if given."""
         n = len(self.weights) if active is None else active
         errors, w, scores = self.errors[:n], self.weights[:n], self._scores[:n]
         w_column, flat_scores, factors = w[:, :, None], scores[:, :, 0], self._factors
-        best, offsets, rows = self._best[:n], self._offsets[:n], self._rows[:n]
+        best, offsets = self._best[:n], self._offsets[:n]
         factor, total = self._factor[:n], self._total[:n]
+        tally = self.counts[:n].reshape(-1)
         while rounds > 0:
-            start = self.rounds % self.horizon
-            stop = min(self.horizon, start + rounds)
+            block = self._rows[:rounds, :n]
             # Call set-up, not arithmetic, is the cost on these small arrays,
             # so every call writes into a preallocated buffer.
-            for choice in self.chosen[start:stop, :n]:
+            for rows in block:
                 np.matmul(errors, w_column, scores)
                 flat_scores.argmin(1, best)
-                choice[...] = best
                 np.add(best, offsets, rows)
                 factors.take(rows, 0, factor, "clip")
-                if weights_log is not None:
-                    weights_log.append(w.copy())
+                if log is not None:
+                    log.append((best.copy(), w.copy()))
                 np.multiply(w, factor, w)
                 np.add.reduce(w, 1, None, total, True)
                 np.divide(w, total, w)
-            rounds -= stop - start
-            self.rounds += stop - start
-
-    def choices(self, slot: int, first: int, rounds: int) -> np.ndarray:
-        """The slot's choices in rounds first, ..., first + rounds - 1, all
-        played and still within the last `horizon` rounds."""
-        if not first + rounds <= self.rounds <= first + self.horizon:
-            raise ValueError("those rounds are not played yet, or have left the horizon")
-        return self.chosen[np.arange(first, first + rounds) % self.horizon, slot]
+            tally += np.bincount(block.reshape(-1), minlength=tally.size)
+            rounds -= len(block)
 
 
-def uniform_mixture(cls: HypothesisClass, chosen: np.ndarray) -> RandomizedClassifier:
-    """The uniform mixture over one run's chosen hypothesis indices, with
-    duplicate choices merged by summing their weights."""
-    picks = np.bincount(chosen, minlength=len(cls))
+def uniform_mixture(cls: HypothesisClass, picks: np.ndarray) -> RandomizedClassifier:
+    """The uniform mixture over one run's choices, given as picks[h] = times h was chosen."""
     support = np.flatnonzero(picks)
-    return RandomizedClassifier(cls, tuple(support.tolist()), picks[support] / len(chosen))
+    return RandomizedClassifier(cls, tuple(support.tolist()), picks[support] / picks.sum())
 
 
 def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None,
@@ -440,14 +436,14 @@ def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None,
     and eta resolved from (k, eps). Yields (key, family, class, mixture,
     errors, seconds) as runs finish, in the order the items came: errors is
     the run's (|H|, k) error matrix, and seconds is the learning time since
-    the previous yield. The items must share k and |H|.
+    the previous yield. Items not sharing k and |H| are a ValueError.
 
     The stack holds at most `runs` runs (STACK_RUNS by default). Each step
     takes the next item into the stack and plays ceil(T / slots) rounds, so
-    that a run has had its T rounds after `slots` steps: once the stack is
-    full, one mixture comes out for each item taken in, and learning costs
-    the same at every step instead of arriving in one block before the first
-    mixture. Only the items in the stack are held in memory. With trace
+    that a run has had its T rounds in `slots` steps; its last step is split
+    at its T-th round, where its mixture is read. Once the stack is full, one
+    mixture comes out for each item taken in, and learning costs the same at
+    every step. Only the items in the stack are held in memory. With trace
     given, each of the first run's rounds appends its HedgeRound.
     """
     cfg = cfg or HedgeConfig()
@@ -459,32 +455,36 @@ def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None,
     rounds, eta = cfg.resolve(item[1].k, eps)
     step = -(-rounds // (runs or STACK_RUNS))
     slots = -(-rounds // step)
-    stack = HedgeStack(slots, len(item[2]), item[1].k, eta, slots * step)
-    weights_log = None if trace is None else []
-    queue, loads, spent = deque(), 0, 0.0  # queue: (slot, first round, item)
+    # run j enters slot j % slots at step j and leaves `last` rounds into step j + slots - 1
+    last = rounds - (slots - 1) * step
+    stack = HedgeStack(slots, len(item[2]), item[1].k, eta)
+    log = None if trace is None else []
+    queue, loads, steps, spent = deque(), 0, 0, 0.0
     while item is not None or queue:
         if item is not None:
-            slot = loads % slots
-            stack.load(slot, error_matrix(plus_rows(item[2].label_matrix), item[1]))
-            queue.append((slot, stack.rounds, item))
+            stack.load(loads % slots, error_matrix(plus_rows(item[2].label_matrix), item[1]))
+            queue.append(item)
             loads += 1
-        stack.advance(step, min(loads, slots), weights_log)
-        finished = stack.rounds - queue[0][1] >= rounds
+        active = min(loads, slots)
+        finished = steps >= slots - 1
+        stack.advance(last if finished else step, active, log)
         if finished:
-            slot, first, (key, fam, cls) = queue.popleft()
-            chosen = stack.choices(slot, first, rounds)
+            slot = (steps + 1) % slots
+            key, fam, cls = queue.popleft()
             errors = stack.errors[slot].copy()
-            if weights_log is not None:
-                trace.extend(HedgeRound(t, int(h), tuple(errors[h].tolist()),
+            if log is not None:
+                trace.extend(HedgeRound(t, int(h[slot]), tuple(errors[h[slot]].tolist()),
                                         tuple(w[slot].tolist()))
-                             for t, (h, w) in enumerate(zip(chosen, weights_log)))
-                weights_log = None
-            mixture = uniform_mixture(cls, chosen)
+                             for t, (h, w) in enumerate(log))
+                log = None
+            mixture = uniform_mixture(cls, stack.counts[slot])
+            stack.advance(step - last, active)
         spent += time.perf_counter() - t0
         if finished:
             yield key, fam, cls, mixture, errors, spent
             spent = 0.0
         item = next(items, None)
+        steps += 1
         t0 = time.perf_counter()
 
 
@@ -510,7 +510,7 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, *,
     plus = plus_rows(cls.label_matrix)
     m = cfg.erm_sample_size
     w = np.full(k, 1.0 / k)
-    chosen = np.empty(rounds, dtype=np.intp)
+    picks = np.zeros(len(cls), dtype=np.intp)
     emp_mass, emp_eta = np.empty((2, k, n))
     for t, (counts, pos) in enumerate(oracle._tallies(m, rounds)):
         np.divide(counts, m, out=emp_mass)
@@ -520,9 +520,9 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, *,
         np.divide(pos, counts, out=emp_eta)
         h_idx = erm(cls, _mixture(emp_mass, emp_eta, w))
         errs = error_matrix(plus[h_idx], (emp_mass, emp_eta))
-        chosen[t] = h_idx
+        picks[h_idx] += 1
         if trace is not None:
             trace.append(HedgeRound(t, h_idx, tuple(errs.tolist()), tuple(w.tolist())))
         np.multiply(w, np.exp(eta * errs), out=w)
         np.divide(w, np.add.reduce(w), out=w)
-    return uniform_mixture(cls, chosen)
+    return uniform_mixture(cls, picks)

@@ -2,6 +2,7 @@ import argparse
 import csv
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -352,6 +353,27 @@ def test_learn_and_derand_reject_non_finite_constants(tmp_path, capsys):
         assert captured.err.startswith("multidist: error: ")
         assert f"{message} must be finite and positive" in captured.err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_learn_rejects_an_eta_whose_weights_overflow(tmp_path, capsys):
+    # --eta 1e308 once overflowed np.exp, turned the weights into NaN and
+    # exited 0 with a mixture worse than OPT
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--domain-size", "15", "-k", "2", "--hypotheses", "4",
+                 "--seed", "3", "-o", str(inst)]) == 0
+    out = tmp_path / "out.json"
+    learn = ["learn", str(inst), "--eps", "0.3", "-o", str(out)]
+    just_above = math.nextafter(math.log(sys.float_info.max / 2), math.inf)
+    for eta in ("1e308", repr(just_above)):
+        capsys.readouterr()
+        for sampling in ([], ["--sampling"]):
+            assert main(learn + ["--eta", eta, *sampling]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("multidist: error: eta must be at most ln(DBL_MAX / k)")
+    assert not out.exists()
+    assert main(learn + ["--eta", "700"]) == 0
+    worst = float(capsys.readouterr().out.split("worst-case expected error ")[1].split()[0])
+    assert 0.0 <= worst <= 1.0
 
 
 def test_verbs_take_no_flag_that_changes_nothing(tmp_path, capsys):

@@ -2,6 +2,7 @@
 Hedge rounds, the bucket-table draws and the one-pass bias table against the
 per-member loops they replaced, which stay here as references."""
 
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -605,20 +606,27 @@ def test_lean_rounds_match_the_former_rounds(shape, eps, fields, seed, sampling,
         assert oracle.rng.bit_generator.state == replay.bit_generator.state
 
 
-def exact_hedge(errors, rounds, eta, weights_log=None):
-    """B exact-Hedge runs on a (B, |H|, k) stack, all started together:
-    the (rounds, B) choices, and each round's (B, k) weights in weights_log."""
+def exact_hedge(errors, rounds, eta):
+    """B exact-Hedge runs on a (B, |H|, k) stack, all started together: the
+    (rounds, B) choices and each round's (B, k) weights, from the stack's
+    log, after checking the stack's counts against the logged choices."""
     B, H, k = errors.shape
-    stack = HedgeStack(B, H, k, eta, rounds)
+    stack = HedgeStack(B, H, k, eta)
     for b in range(B):
         stack.load(b, errors[b])
-    stack.advance(rounds, weights_log=weights_log)
-    return stack.chosen
+    log = []
+    stack.advance(rounds, log=log)
+    chosen = np.array([h for h, _ in log])
+    for b in range(B):
+        assert np.array_equal(stack.counts[b], np.bincount(chosen[:, b], minlength=H))
+    return chosen, [w for _, w in log]
 
 
+# choice blocks of 7 rounds split the tallies inside a step and inside a
+# leaving run's last rounds
+CHOICE_BLOCKS = (learner.CHOICE_BLOCK, 7)
 # (|H|, k, B): the C06 campaign stack, wider classes and more members, one
-# member, one hypothesis, and |H| = 256 and 257 on either side of the
-# uint8/uint16 choice dtype
+# member, one hypothesis, and |H| = 256 and 257
 STACKS = [(16, 6, 50), (128, 24, 8), (64, 16, 16), (4, 2, 20), (7, 1, 5), (256, 50, 4),
           (257, 3, 4), (1, 3, 4)]
 BLAS_MESSAGE = ("with this numpy/BLAS build a stacked matmul is not bitwise equal to np.dot, "
@@ -628,7 +636,7 @@ LOOP_MESSAGE = ("the stacked exact-Hedge loop is not bit for bit the one-run loo
 
 
 @pytest.mark.parametrize("H,k,B", STACKS, ids=[f"H{h}-k{k}-B{b}" for h, k, b in STACKS])
-def test_stacked_exact_hedge_is_bitwise_the_one_run_loop(H, k, B):
+def test_stacked_exact_hedge_is_bitwise_the_one_run_loop(H, k, B, monkeypatch):
     eps = 0.075 if (H, k) == (16, 6) else 0.3
     cfg = md.HedgeConfig()
     rounds, eta = cfg.resolve(k, eps)
@@ -637,65 +645,104 @@ def test_stacked_exact_hedge_is_bitwise_the_one_run_loop(H, k, B):
                  for seed in range(B)]
     errors = np.stack([md.error_matrix(plus_rows(cls.label_matrix), fam)
                        for fam, cls in instances])
-    log = []
-    chosen = exact_hedge(errors, rounds, eta, log)
-    assert chosen.shape == (rounds, B) and len(log) == rounds
-    assert chosen.dtype == (np.uint8 if H <= 256 else np.uint16)
-    # the product itself, on the weights of the first rounds: a stacked
-    # matmul that differs from np.dot in the last bit can flip a near-tie
-    for w in log[:50]:
-        stacked = np.matmul(errors, w[:, :, None])[:, :, 0]
-        assert all(np.array_equal(stacked[b], np.dot(errors[b], w[b])) for b in range(B)), \
-            BLAS_MESSAGE
-    for b, (fam, cls) in enumerate(instances):
-        _, _, rows = round_hedge(fam, cls, eps, cfg)
-        alone_log = []
-        alone = exact_hedge(errors[b:b + 1], rounds, eta, alone_log)
-        for got, got_log in ((chosen[:, b], [w[b] for w in log]),
-                             (alone[:, 0], [w[0] for w in alone_log])):
-            assert np.array_equal(got, [h for h, _, _ in rows]), LOOP_MESSAGE
-            assert all(np.array_equal(w, want) for w, (_, _, want) in zip(got_log, rows)), \
-                LOOP_MESSAGE
+    reference = [round_hedge(fam, cls, eps, cfg)[2] for fam, cls in instances]
+    for block in CHOICE_BLOCKS:
+        monkeypatch.setattr(learner, "CHOICE_BLOCK", block)
+        chosen, log = exact_hedge(errors, rounds, eta)
+        assert chosen.shape == (rounds, B) and len(log) == rounds
+        # the product itself, on the weights of the first rounds: a stacked
+        # matmul that differs from np.dot in the last bit can flip a near-tie
+        for w in log[:50]:
+            stacked = np.matmul(errors, w[:, :, None])[:, :, 0]
+            assert all(np.array_equal(stacked[b], np.dot(errors[b], w[b])) for b in range(B)), \
+                BLAS_MESSAGE
+        for b, rows in enumerate(reference):
+            alone, alone_log = exact_hedge(errors[b:b + 1], rounds, eta)
+            for got, got_log in ((chosen[:, b], [w[b] for w in log]),
+                                 (alone[:, 0], [w[0] for w in alone_log])):
+                assert np.array_equal(got, [h for h, _, _ in rows]), LOOP_MESSAGE
+                assert all(np.array_equal(w, want) for w, (_, _, want) in zip(got_log, rows)), \
+                    LOOP_MESSAGE
 
 
 @pytest.mark.parametrize("H,k,B", [(16, 6, 5), (257, 3, 3)], ids=["H16-k6-B5", "H257-k3-B3"])
-def test_runs_entering_a_stack_late_are_bitwise_runs_alone(H, k, B):
+def test_runs_entering_a_stack_late_are_bitwise_runs_alone(H, k, B, monkeypatch):
     # 3 * B runs through B slots, each entering `step` rounds after the one
-    # before, so slots are reused and the choice ring wraps
+    # before, so slots are reused; each leaves after `last` rounds of its
+    # B-th step, its T-th round, as in rolling_mixtures
     cfg = md.HedgeConfig()
     rounds, eta = cfg.resolve(k, 0.3)
     step = -(-rounds // B)
+    last = rounds - (B - 1) * step
+    assert 0 < last <= step
     errors = [md.error_matrix(plus_rows(cls.label_matrix), fam) for fam, cls in
               (md.gen_random_label_consistent(md.GenSpec(domain_size=30, k=k,
                                                          hypothesis_count=H, seed=seed))
                for seed in range(3 * B))]
-    stack = HedgeStack(B, H, k, eta, B * step)
-    for j, e in enumerate(errors):
-        stack.load(j % B, e)
-        stack.advance(step)
-        if j >= B - 1:
-            first = (j - B + 1) * step
-            alone = exact_hedge(errors[j - B + 1][None], rounds, eta)[:, 0]
-            assert np.array_equal(stack.choices((j + 1) % B, first, rounds), alone), LOOP_MESSAGE
-    with pytest.raises(ValueError, match="horizon"):
-        stack.choices(0, 0, rounds)
+    for block in CHOICE_BLOCKS:
+        monkeypatch.setattr(learner, "CHOICE_BLOCK", block)
+        stack = HedgeStack(B, H, k, eta)
+        log = []
+        for j, e in enumerate(errors):
+            stack.load(j % B, e)
+            if j < B - 1:
+                stack.advance(step, log=log)
+                continue
+            stack.advance(last, log=log)
+            slot, first = (j + 1) % B, (j - B + 1) * step
+            alone = exact_hedge(errors[j - B + 1][None], rounds, eta)[0][:, 0]
+            assert np.array_equal([h[slot] for h, _ in log[first:]], alone), LOOP_MESSAGE
+            assert np.array_equal(stack.counts[slot], np.bincount(alone, minlength=H))
+            stack.advance(step - last, log=log)
 
 
-def test_rolling_mixtures_are_hedge_learn_alone():
+def test_rolling_mixtures_are_hedge_learn_alone(monkeypatch):
     cfg = md.HedgeConfig()
     instances = [md.gen_random_label_consistent(md.GenSpec(domain_size=40, k=6, seed=seed))
                  for seed in range(9)]
     want = [md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.2, cfg=cfg)
             for fam, cls in instances]
-    for runs in (1, 4, 32):
-        got = list(rolling_mixtures(((j, fam, cls) for j, (fam, cls) in enumerate(instances)),
-                                    0.2, cfg, runs))
-        assert [key for key, *_ in got] == list(range(9))
-        assert all(seconds >= 0.0 for *_, seconds in got)
-        for (_, fam, cls, F, errors, _), G in zip(got, want):
-            assert F.support == G.support and np.array_equal(F.weights, G.weights)
-            assert np.array_equal(errors, md.error_matrix(plus_rows(cls.label_matrix), fam))
+    for block in CHOICE_BLOCKS:
+        monkeypatch.setattr(learner, "CHOICE_BLOCK", block)
+        for runs in (1, 4, 32):
+            got = list(rolling_mixtures(((j, fam, cls) for j, (fam, cls) in enumerate(instances)),
+                                        0.2, cfg, runs))
+            assert [key for key, *_ in got] == list(range(9))
+            assert all(seconds >= 0.0 for *_, seconds in got)
+            for (_, fam, cls, F, errors, _), G in zip(got, want):
+                assert F.support == G.support and np.array_equal(F.weights, G.weights)
+                assert np.array_equal(errors, md.error_matrix(plus_rows(cls.label_matrix), fam))
     assert list(rolling_mixtures([], 0.2, cfg)) == []
+
+
+def test_an_error_matrix_of_another_shape_is_rejected():
+    (fam6, cls6), (fam1, cls1) = (
+        md.gen_random_label_consistent(md.GenSpec(domain_size=12, k=k, hypothesis_count=4,
+                                                  seed=3)) for k in (6, 1))
+    stack = HedgeStack(2, 4, 6, 0.5)
+    with pytest.raises(ValueError, match=r"\(4, 1\).*\(4, 6\)"):
+        stack.load(0, md.error_matrix(plus_rows(cls1.label_matrix), fam1))
+    # a k = 1 item after a k = 6 one was once broadcast across the six members
+    items = [(0, fam6, cls6), (1, fam1, cls1)]
+    with pytest.raises(ValueError, match=r"\(4, 1\).*\(4, 6\)"):
+        list(rolling_mixtures(items, 0.3, md.HedgeConfig(), 4))
+
+
+def test_exact_hedge_memory_does_not_grow_with_the_rounds():
+    fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=12, k=2, hypothesis_count=4,
+                                                         seed=1))
+    oracle = md.SampleOracle.exact_mode(fam)
+
+    def peak(rounds):
+        tracemalloc.start()
+        try:
+            md.hedge_learn(oracle, cls, 0.3, cfg=md.HedgeConfig(rounds=rounds))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2_000)  # warm caches and imports
+    assert peak(50_000) - peak(2_000) <= 64 * 1024
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -124,6 +125,12 @@ def test_hedge_config_defaults():
         md.HedgeConfig(rounds=0).resolve(6, 0.15)
     for eta in (-1.0, 0.0, math.nan, math.inf, True, np.True_):
         with pytest.raises(ValueError, match="eta must be finite and positive"):
+            md.HedgeConfig(eta=eta).resolve(6, 0.15)
+    # past ln(DBL_MAX / k) a round's weight sum, at most k e^eta, can overflow
+    bound = math.log(sys.float_info.max / 6)
+    assert md.HedgeConfig(eta=bound).resolve(6, 0.15)[1] == bound
+    for eta in (math.nextafter(bound, math.inf), 800.0, 1e308):
+        with pytest.raises(ValueError, match=r"eta must be at most ln\(DBL_MAX / k\)"):
             md.HedgeConfig(eta=eta).resolve(6, 0.15)
     # a bool would run as 1 round or 1 sample, and a fraction would fail deep
     # in the sampling rounds; an integral float names its integer

@@ -160,7 +160,7 @@ def time_layers(src: str) -> dict:
     c06_errors = md.error_matrix(c06_plus, c06_fam)
     rounds, eta = md.HedgeConfig().resolve(6, 0.075)
     step = -(-rounds // STACK_RUNS)
-    stack = HedgeStack(STACK_RUNS, 16, 6, eta, STACK_RUNS * step)
+    stack = HedgeStack(STACK_RUNS, 16, 6, eta)
     for seed in range(STACK_RUNS):
         fam, cls = md.gen_random_label_consistent(dataclasses.replace(c06_spec, seed=seed))
         stack.load(seed, md.error_matrix((cls.label_matrix == 1).astype(np.float64), fam))

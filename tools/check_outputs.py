@@ -5,7 +5,7 @@
 Each tree runs the suite below in one fresh interpreter, with that tree's src
 first on PYTHONPATH, in an empty work directory of its own, so every output
 path is the same relative path in both runs (eval.csv's path columns match).
-Every file the suite leaves, 57 in all, is then compared byte for byte; a
+Every file the suite leaves, 60 in all, is then compared byte for byte; a
 command's stdout and stderr, followed by its exit code, are kept as
 <name>.out. The script prints the outputs it compared and exits 0 when all
 are identical, or exits 1 listing each that differs or exists in one tree
@@ -29,6 +29,8 @@ only. The suite:
   a whole number of draw blocks) on a C06-shape gen instance and on a gen
   --kind heavy_point_probe --heavy-count 2 instance, whose members other
   than the first put zero mass on the heavy points;
+- learn --trace --rounds 600, exact, on that C06-shape instance: a stack of
+  one whose choices are tallied in blocks of 256 rounds, the last partial;
 - gen --kind gap_example -k 5 and gen --kind bayes_in_class, the instance
   files;
 - hashcheck, stdout, at its defaults; at --n 256 --r 6 --draws 70001
@@ -107,6 +109,8 @@ def run_suite(tree: Path) -> None:
         verb(f"learn_{name}_sampling", "learn", f"{name}.json", "--sampling", "--eps", "0.3",
              "--rounds", "57", "--erm-samples", "37", "--seed", "7",
              "--trace", f"learn_{name}_sampling_trace.csv", "-o", f"mix_{name}_sampling.json")
+    verb("learn_c06_exact", "learn", "c06.json", "--eps", "0.3", "--rounds", "600",
+         "--trace", "learn_c06_exact_trace.csv", "-o", "mix_c06_exact.json")
     for rounding in ("explicit", "hash"):
         report = Path(f"derand_{rounding}_row.csv")
         verb(f"derand_{rounding}", "derand", "inst.json", "--rounding", rounding, *DERAND,
