@@ -12,7 +12,6 @@ from .model import (
     RandomizedClassifier,
     ExplicitClassifier,
     LabelConsistencyError,
-    validate_family,
     full_labeling_class,
 )
 from .metrics import (

@@ -19,13 +19,15 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from . import hashing, serialize
+from . import serialize
 from .derand import DerandConfig
 from .discrepancy import (
     ReductionFamily,
@@ -256,23 +258,17 @@ def cmd_hashcheck(args) -> int:
                 failures.append(f"pairwise independence broken at keys ({x1},{x2})")
     print(f"pairwise independence p=5: {'ok' if not failures else 'FAILED'}")
 
-    # marginal rounding law at p=7, its draws streamed in blocks of
-    # TAIL_BLOCK_VALUES, as the tail check streams its own:
-    # +1 iff q < T = floor(marginal * 7), so Pr[+1] = T / 7
+    # marginal rounding law at p=7, exactly: a point is +1 iff q < T, T =
+    # floor(marginal * 7) of the marginal's exact ratio, and at key 3 the 49
+    # coefficient pairs give each q in [0, 7) seven times, so exactly 7T of
+    # them label it +1
     law_fail = 0
-    rng = np.random.default_rng(args.seed)
-    block = hashing.TAIL_BLOCK_VALUES
-    marginals, p7 = (0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0), 7
+    p7 = 7
+    pairs = np.array([(a0, a1) for a0 in range(p7) for a1 in range(p7)], dtype=np.int64)
+    q = coefficient_matrix_eval(pairs, np.array([3]), p7)[:, 0]
+    marginals = (0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0)
     for marginal, threshold in zip(marginals, _plus_thresholds(marginals, p7).tolist()):
-        plus = 0
-        for start in range(0, args.draws, block):
-            b = min(block, args.draws - start)
-            vals = coefficient_matrix_eval(rng.integers(0, p7, size=(b, 2)), np.array([3]), p7)
-            plus += np.count_nonzero(vals[:, 0] < threshold)
-        plus /= args.draws
-        want = threshold / p7
-        sigma = max((want * (1 - want) / args.draws) ** 0.5, 1e-12)
-        if abs(plus - want) > 3 * sigma + 1e-12:
+        if np.count_nonzero(q < threshold) != p7 * math.floor(Fraction(marginal) * p7):
             law_fail += 1
             failures.append(f"rounding law off at marginal {marginal}")
     print(f"rounding law p=7: {'ok' if law_fail == 0 else 'FAILED'}")

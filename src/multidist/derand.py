@@ -30,7 +30,6 @@ from .model import (
     is_positive_real,
     require_integer,
     require_label_consistent,
-    require_unit_weights,
 )
 from .learner import SampleOracle
 from .hashing import CompactClassifier, choose_hash_params, sample_hash
@@ -161,7 +160,6 @@ def round_outside_t(f_rand: RandomizedClassifier, table: BiasTable, domain_size:
     """Full label vector: table labels where fixed, and one independent draw
     from the mixture per remaining point (a fresh draw per point, never one
     shared hypothesis)."""
-    require_unit_weights(f_rand)
     labels = np.empty(domain_size, dtype=np.int8)
     labels[table.points] = table.labels
     idx_outside = np.delete(np.arange(domain_size), table.points)

@@ -75,28 +75,22 @@ def _bucket_table(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     >= 8n. The index is held in the narrowest signed integer type that holds
     -n (int16 up to n = 32768).
 
-    G is a power of two, so u * G and cum * G are exact (a cumulative mass
-    past the largest float / G becomes inf, still above every key), and a
-    key u lies in bucket j = floor(u * G) iff j/G <= u < (j + 1)/G. A key's
-    answer is #{cum * G <= u * G}, clipped to n - 1 (masses may sum short of
-    1). Where no cum * G lies strictly inside (j, j + 1), every key in bucket
-    j has the answer #{cum * G <= j}, clipped, and the index holds it. Where
-    exactly one does, it is the row's entry b = #{cum * G <= j}, a key's
-    answer is b + (cum * G[b] <= u * G), and the index holds ~b; b = n - 1
-    would clip both answers to n - 1, so the index holds n - 1 there. Where
-    two or more do, the index holds ~(n - 1), and such keys are searched.
-
-    Masses that are negative or do not sum to a finite number would make the
-    cumulative mass non-monotone, so they are a ValueError.
+    G is a power of two, so u * G and cum * G are exact, and a key u lies in
+    bucket j = floor(u * G) iff j/G <= u < (j + 1)/G. A key's answer is
+    #{cum * G <= u * G}, clipped to n - 1 (a family's masses may sum a little
+    short of 1). Where no cum * G lies strictly inside (j, j + 1), every key
+    in bucket j has the answer #{cum * G <= j}, clipped, and the index holds
+    it. Where exactly one does, it is the row's entry b = #{cum * G <= j}, a
+    key's answer is b + (cum * G[b] <= u * G), and the index holds ~b; b =
+    n - 1 would clip both answers to n - 1, so the index holds n - 1 there.
+    Where two or more do, the index holds ~(n - 1), and such keys are
+    searched. A family's masses are nonnegative, so each row of cum is
+    sorted.
     """
     r, n = mass.shape
     G = 1 << (8 * n - 1).bit_length()
-    # an overflowing sum is rejected below, and an overflowing cum * G is inf
-    with np.errstate(over="ignore"):
-        cum = np.cumsum(mass, axis=1)
-        if not (np.all(mass >= 0.0) and np.all(np.isfinite(cum[:, -1]))):
-            raise ValueError("masses must be finite and nonnegative to be sampled")
-        cum *= G
+    cum = np.cumsum(mass, axis=1)
+    cum *= G
     ceil = np.minimum(np.ceil(cum), G).astype(np.intp)
     # strictly inside bucket ceil - 1: cum * G on a bucket edge equals ceil,
     # and one past every bucket exceeds it

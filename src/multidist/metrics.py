@@ -19,7 +19,6 @@ from .model import (
     check_eps_delta,
     plus_rows,
     require_label_consistent,
-    require_unit_weights,
     _frozen_label_array,
 )
 
@@ -151,7 +150,6 @@ def randomized_per_distribution(f_rand: RandomizedClassifier, fam: DistributionF
     errors, if the caller has it, is the class's (|H|, k) error matrix on
     fam; its support rows are the ones error_matrix gives the support alone.
     """
-    require_unit_weights(f_rand)
     if errors is None:
         return f_rand.weights @ error_matrix(plus_rows(f_rand.support_label_matrix), fam)
     errors = _class_errors(errors, f_rand.hypothesis_class, fam)
@@ -172,7 +170,6 @@ def exceedance_probability(f_rand: RandomizedClassifier, member: tuple[np.ndarra
                            level: float) -> float:
     """Pr over a single draw f~F that er_D(f) >= level, for the member D
     given as its (mass, eta) rows."""
-    require_unit_weights(f_rand)
     rows = tuple(np.asarray(a, dtype=np.float64)[None] for a in member)
     errs = error_matrix(plus_rows(f_rand.support_label_matrix), rows)[:, 0]
     return float(f_rand.weights[errs >= level].sum())

@@ -2,11 +2,10 @@
 classes and classifiers.
 
 All types are immutable after construction (arrays are frozen read-only) and
-safe to share across threads. Constructors enforce structural sanity (shapes,
-value domains that would make an object meaningless); numeric invariants such
-as mass normalization are checked by :func:`validate_family`, which reports
-violations instead of raising so that deliberately broken inputs can be
-inspected.
+safe to share across threads. Each constructor is the one check of its
+object's invariants: a family's members are probability distributions with
+label probabilities in [0, 1], and a mixture's weights are nonnegative and sum
+to 1, so no object that breaks them can be built.
 """
 
 from __future__ import annotations
@@ -238,13 +237,49 @@ class LabeledDistribution:
         return self.mass.shape[0]
 
 
+class _InvalidFamily(ValueError):
+    """Raised by DistributionFamily for rows that are not distributions; its
+    message names every offending member and point."""
+
+
+def _family_violations(masses: np.ndarray, etas: np.ndarray) -> list[str]:
+    """"member i[, point x]: message" for every way a row of masses misses a
+    probability distribution, or a row of label probabilities leaves [0, 1]."""
+    # one pass over the matrices picks the rows to report on (a NaN fails
+    # every comparison); each sum of a C-contiguous row is the row's own sum,
+    # and an overflowing one is inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        totals = masses.sum(axis=1)
+        ok = ((masses >= 0.0).all(axis=1) & (np.abs(totals - 1.0) <= MASS_TOL)
+              & ((etas >= 0.0) & (etas <= 1.0)).all(axis=1))
+    issues = []
+    for i in np.flatnonzero(~ok):
+        mass, eta = masses[i], etas[i]
+        if np.any(~np.isfinite(mass)):
+            issues.append(f"member {i}: non-finite mass entries")
+            continue
+        issues += [f"member {i}, point {x}: negative mass {mass[x]}"
+                   for x in np.flatnonzero(mass < 0)]
+        if abs(totals[i] - 1.0) > MASS_TOL:
+            issues.append(f"member {i}: mass sum {float(totals[i])!r} != 1")
+        if np.any(~np.isfinite(eta)):
+            issues.append(f"member {i}: non-finite label_one_prob entries")
+            continue
+        issues += [f"member {i}, point {x}: label_one_prob {eta[x]} outside [0, 1]"
+                   for x in np.flatnonzero((eta < 0.0) | (eta > 1.0))]
+    return issues
+
+
 @dataclass(frozen=True)
 class DistributionFamily:
     """k labeled distributions over one domain of n points, the dense indices
     0..n-1, as two (k, n) matrices: row i of mass_matrix holds member i's
     point masses, row i of label_prob_matrix its conditional probabilities of
     label +1. Both are read-only, C-contiguous float64 copies made when the
-    family is built."""
+    family is built. Every row of masses must be nonnegative and sum to 1
+    within MASS_TOL, and every label probability must lie in [0, 1]; a
+    family that breaks this is a ValueError naming every offending member
+    and point."""
 
     mass_matrix: np.ndarray
     label_prob_matrix: np.ndarray
@@ -257,6 +292,8 @@ class DistributionFamily:
         if mass.size == 0:
             raise ValueError(f"a distribution family needs at least one member and one point, "
                              f"got shape {mass.shape}")
+        if issues := _family_violations(mass, eta):
+            raise _InvalidFamily("; ".join(issues))
         object.__setattr__(self, "mass_matrix", mass)
         object.__setattr__(self, "label_prob_matrix", eta)
 
@@ -317,8 +354,10 @@ class HypothesisClass:
 
     def __post_init__(self):
         object.__setattr__(self, "label_matrix", _frozen_label_matrix(self.label_matrix))
-        if self.vc_dim is not None and self.vc_dim < 0:
-            raise ValueError("vc_dim must be nonnegative")
+        if self.vc_dim is not None:
+            object.__setattr__(self, "vc_dim", require_integer(self.vc_dim, "vc_dim"))
+            if self.vc_dim < 0:
+                raise ValueError("vc_dim must be nonnegative")
 
     def __len__(self) -> int:
         return self.label_matrix.shape[0]
@@ -347,8 +386,9 @@ def full_labeling_class(n: int) -> HypothesisClass:
 class RandomizedClassifier:
     """A finitely supported mixture over a hypothesis class.
 
-    support holds indices into hypothesis_class; weights are nonnegative and
-    are expected to sum to 1 (checked by consumers that rely on it).
+    support holds distinct indices into hypothesis_class; weights are
+    nonnegative and sum to 1 within WEIGHT_TOL, checked when the mixture is
+    built.
     """
 
     hypothesis_class: HypothesisClass
@@ -374,13 +414,13 @@ class RandomizedClassifier:
             if i in seen:
                 raise ValueError(f"support index {i} is repeated")
             seen.add(i)
+        total = float(self.weights.sum())
+        if not abs(total - 1.0) <= WEIGHT_TOL:
+            raise ValueError(f"mixture weights sum to {total!r}, expected 1")
 
     @property
     def domain_size(self) -> int:
         return self.hypothesis_class.domain_size
-
-    def weight_sum_ok(self) -> bool:
-        return abs(float(self.weights.sum()) - 1.0) <= WEIGHT_TOL
 
     @cached_property
     def support_label_matrix(self) -> np.ndarray:
@@ -413,59 +453,6 @@ class ExplicitClassifier:
 
     def label_vector(self) -> np.ndarray:
         return self.labels
-
-
-@dataclass(frozen=True)
-class ValidationIssue:
-    location: str
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[ValidationIssue, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_family(fam: DistributionFamily, tol: float = MASS_TOL) -> ValidationReport:
-    """Check mass normalization and probability ranges for every member.
-
-    Returns a report listing all violations with their member/point indices;
-    the report is empty iff the family satisfies the numeric invariants.
-    """
-    masses, etas = fam.mass_matrix, fam.label_prob_matrix
-    # one pass over the matrices picks the rows to report on (a NaN fails
-    # every comparison); each sum of a C-contiguous row is the row's own sum
-    with np.errstate(invalid="ignore", over="ignore"):
-        ok = ((masses >= 0.0).all(axis=1) & (np.abs(masses.sum(axis=1) - 1.0) <= tol)
-              & ((etas >= 0.0) & (etas <= 1.0)).all(axis=1))
-    issues: list[ValidationIssue] = []
-    for i in np.nonzero(~ok)[0]:
-        mass, eta = masses[i], etas[i]
-        if np.any(~np.isfinite(mass)):
-            issues.append(ValidationIssue(f"member {i}", "non-finite mass entries"))
-            continue
-        for x in np.nonzero(mass < 0)[0]:
-            issues.append(ValidationIssue(f"member {i}, point {x}", f"negative mass {mass[x]}"))
-        total = float(mass.sum())
-        if abs(total - 1.0) > tol:
-            issues.append(ValidationIssue(f"member {i}", f"mass sum {total!r} != 1"))
-        if np.any(~np.isfinite(eta)):
-            issues.append(ValidationIssue(f"member {i}", "non-finite label_one_prob entries"))
-            continue
-        for x in np.nonzero((eta < 0.0) | (eta > 1.0))[0]:
-            issues.append(ValidationIssue(f"member {i}, point {x}",
-                                          f"label_one_prob {eta[x]} outside [0, 1]"))
-    return ValidationReport(tuple(issues))
-
-
-def require_unit_weights(f_rand: RandomizedClassifier) -> None:
-    """A ValueError unless the mixture's weights sum to 1 within WEIGHT_TOL."""
-    if not f_rand.weight_sum_ok():
-        raise ValueError(f"mixture weights sum to {float(f_rand.weights.sum())!r}, expected 1")
 
 
 def require_label_consistent(fam: DistributionFamily) -> None:

@@ -31,10 +31,9 @@ from .model import (
     HypothesisClass,
     RandomizedClassifier,
     _frozen_float_array,
+    _InvalidFamily,
     require_integer,
-    require_unit_weights,
     shown,
-    validate_family,
 )
 from .discrepancy import BinaryMatrix
 
@@ -120,14 +119,15 @@ def _instance(doc, labels: np.ndarray | None):
         etas.append(entry.get("label_one_prob", doc.get("shared_label_one_prob")))
         if etas[-1] is None:
             raise ValueError("distribution entry lacks label_one_prob and no shared vector given")
-    fam = DistributionFamily(masses, etas)
-    if fam.domain_size != n:
-        # every row has the family's width, so row 0 is the first wrong one
-        raise ValueError(f"mass row 0 has {fam.domain_size} numbers, expected domain_size {n}")
-    report = validate_family(fam)
-    if not report.ok:
-        raise ValueError("invalid instance: " + "; ".join(
-            f"{v.location}: {v.message}" for v in report.violations))
+    try:
+        fam, invalid = DistributionFamily(masses, etas), None
+    except _InvalidFamily as exc:  # raised only once the rows' shapes passed
+        fam, invalid = None, exc
+    # every row has row 0's width, so row 0 is the first wrong one
+    if (width := len(masses[0])) != n:
+        raise ValueError(f"mass row 0 has {width} numbers, expected domain_size {n}")
+    if invalid:
+        raise ValueError(f"invalid instance: {invalid}")
     cls = HypothesisClass(doc["hypotheses"] if labels is None else labels,
                           vc_dim=doc.get("vc_dim"))
     if cls.domain_size != n:
@@ -343,9 +343,7 @@ def randomized_to_dict(f_rand: RandomizedClassifier) -> dict:
 
 def randomized_from_dict(doc: dict, cls: HypothesisClass) -> RandomizedClassifier:
     doc = _fields(doc, "mixture", {"support_indices": _list, "weights": _list})
-    f_rand = RandomizedClassifier(cls, tuple(doc["support_indices"]), doc["weights"])
-    require_unit_weights(f_rand)
-    return f_rand
+    return RandomizedClassifier(cls, tuple(doc["support_indices"]), doc["weights"])
 
 
 def save_randomized(path, f_rand: RandomizedClassifier) -> None:

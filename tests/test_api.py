@@ -23,7 +23,7 @@ PUBLIC_NAMES = [
     "planted_high_discrepancy_matrix", "planted_zero_matrix", "plus_probability",
     "randomized_per_distribution", "randomized_worst_case_error", "round_outside_t",
     "row_identity_errors", "run_campaign", "run_trial", "sample_hash",
-    "support_worst_case", "trial_seed", "validate_family", "wilson_interval",
+    "support_worst_case", "trial_seed", "wilson_interval",
     "worst_case_error",
 ]
 

@@ -36,7 +36,7 @@ def test_gen_learn_derand_eval_pipeline(tmp_path):
                  "--trace", str(trace), "-o", str(mix)]) == 0
     fam, cls, _ = serialize.load_instance(inst)
     F = serialize.load_randomized(mix, cls)
-    assert F.weight_sum_ok()
+    assert abs(F.weights.sum() - 1.0) <= md.model.WEIGHT_TOL
     rows = list(csv.reader(trace.open()))
     assert rows[0][0] == "round" and len(rows) > 1
 
@@ -166,37 +166,39 @@ def test_hashcheck_cli():
     assert main(["hashcheck", "--draws", "20000", "--seed", "0"]) == 0
 
 
-def test_hashcheck_streams_its_rounding_law_in_blocks(monkeypatch, capsys):
-    # the law's draws in blocks of 7 and in one block give the same hash
-    # values, the values of one (draws, 2) call, and the same stdout
-    from multidist import hashing
-    from multidist.hashing import coefficient_matrix_eval
+def test_hashcheck_counts_its_rounding_law_exactly(monkeypatch, capsys):
+    # one evaluation of all 49 coefficient pairs at key 3, where each hash
+    # value comes up 7 times, so exactly 7T pairs fall below a threshold T
+    from multidist.hashing import _plus_thresholds, coefficient_matrix_eval
 
     calls = []
 
     def recorded(coeffs, xs, p):
         out = coefficient_matrix_eval(coeffs, xs, p)
-        if p == 7:  # the law's blocks, not the pairwise check at p = 5
-            calls.append(out[:, 0])
+        if p == 7:  # the law, not the pairwise check at p = 5
+            calls.append((coeffs.tolist(), xs.tolist(), out[:, 0]))
         return out
 
     monkeypatch.setattr(cli, "coefficient_matrix_eval", recorded)
+    assert main(["hashcheck", "--draws", "2000", "--seed", "3"]) == 0
+    assert "rounding law p=7: ok" in capsys.readouterr().out
+    [(coeffs, keys, q)] = calls
+    assert sorted(map(tuple, coeffs)) == [(a0, a1) for a0 in range(7) for a1 in range(7)]
+    assert keys == [3] and np.bincount(q, minlength=7).tolist() == [7] * 7
+    thresholds = _plus_thresholds([0.0, 1 / 3, 0.5, 2 / 3, 1.0], 7).tolist()
+    assert thresholds == [0, 2, 3, 4, 7]
+    assert [np.count_nonzero(q < t) for t in thresholds] == [0, 14, 21, 28, 49]
 
-    def law():
-        calls.clear()
-        assert main(["hashcheck", "--draws", "2001", "--seed", "3"]) == 0
-        # five marginals, each drawing 2001 values in order
-        return capsys.readouterr().out, len(calls), np.concatenate(calls).reshape(5, 2001)
 
-    out, one, values = law()
-    monkeypatch.setattr(hashing, "TAIL_BLOCK_VALUES", 7)
-    small_out, blocks, small_values = law()
-    assert (one, blocks) == (5, 5 * 286)
-    assert small_out == out and "rounding law p=7: ok" in out
-    rng = np.random.default_rng(3)
-    for got, small in zip(values, small_values):
-        want = coefficient_matrix_eval(rng.integers(0, 7, size=(2001, 2)), np.array([3]), 7)[:, 0]
-        assert np.array_equal(got, want) and np.array_equal(small, want)
+def test_hashcheck_fails_a_rounding_law_off_by_one(monkeypatch, capsys):
+    # thresholds one above floor(marginal * 7) label 7 pairs too many +1
+    from multidist.hashing import _plus_thresholds
+
+    monkeypatch.setattr(cli, "_plus_thresholds", lambda m, p: _plus_thresholds(m, p) + 1)
+    assert main(["hashcheck", "--draws", "2000", "--seed", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "rounding law p=7: FAILED" in out
+    assert "rounding law off at marginal 0.0" in out.splitlines()[-1]
 
 
 def test_hashcheck_rejects_bad_tail_config_before_any_check(capsys):

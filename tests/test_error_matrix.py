@@ -29,12 +29,13 @@ def members(fam):
 
 @st.composite
 def error_problems(draw):
+    """Labelings, (k, n) member arrays whose masses need not sum to 1, and a
+    mask or None."""
     n = draw(st.integers(1, 8))
     k = draw(st.integers(1, 4))
     r = draw(st.integers(1, 5))
-    rows = [(draw(st.lists(unit, min_size=n, max_size=n)),
-             draw(st.lists(unit, min_size=n, max_size=n))) for _ in range(k)]
-    fam = md.DistributionFamily(*zip(*rows))
+    mass, eta = (np.array([draw(st.lists(unit, min_size=n, max_size=n)) for _ in range(k)])
+                 for _ in range(2))
     if draw(st.booleans()):
         plus = np.array(draw(st.lists(st.lists(st.sampled_from([0.0, 1.0]), min_size=n,
                                                 max_size=n), min_size=r, max_size=r)))
@@ -42,14 +43,15 @@ def error_problems(draw):
         plus = np.array(draw(st.lists(st.lists(unit, min_size=n, max_size=n),
                                       min_size=r, max_size=r)))
     mask = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n).map(np.array))
-    return plus, fam, mask
+    return plus, (mass, eta), mask
 
 
-def fraction_errors(plus, fam, mask):
-    points = range(fam.domain_size) if mask is None else np.nonzero(mask)[0]
-    out = np.empty((plus.shape[0], fam.k))
+def fraction_errors(plus, members, mask):
+    mass_rows, eta_rows = members
+    points = range(mass_rows.shape[1]) if mask is None else np.nonzero(mask)[0]
+    out = np.empty((plus.shape[0], mass_rows.shape[0]))
     for j, row in enumerate(plus):
-        for i, (mass, etas) in enumerate(members(fam)):
+        for i, (mass, etas) in enumerate(zip(mass_rows, eta_rows)):
             total = Fraction(0)
             for x in points:
                 p, eta = Fraction(row[x]), Fraction(etas[x])
@@ -61,14 +63,17 @@ def fraction_errors(plus, fam, mask):
 @settings(max_examples=200, deadline=None)
 @given(error_problems())
 def test_error_matrix_equals_exact_fraction_sums(problem):
-    plus, fam, mask = problem
-    got = md.error_matrix(plus, fam, mask)
-    assert got.shape == (plus.shape[0], fam.k)
-    assert np.allclose(got, fraction_errors(plus, fam, mask), rtol=0.0, atol=1e-12)
-    # the same members as (k, n) arrays, and one labeling at a time
-    assert np.array_equal(md.error_matrix(plus, (fam.mass_matrix, fam.label_prob_matrix), mask),
-                          got)
-    assert np.array_equal(np.array([md.error_matrix(row, fam, mask) for row in plus]), got)
+    plus, (mass, eta), mask = problem
+    got = md.error_matrix(plus, (mass, eta), mask)
+    assert got.shape == (plus.shape[0], mass.shape[0])
+    assert np.allclose(got, fraction_errors(plus, (mass, eta), mask), rtol=0.0, atol=1e-12)
+    # one labeling at a time
+    assert np.array_equal(np.array([md.error_matrix(row, (mass, eta), mask) for row in plus]), got)
+    # the same members as a family, once each row is made a distribution
+    if np.all(mass.sum(axis=1) > 0):
+        fam = md.DistributionFamily(mass / mass.sum(axis=1, keepdims=True), eta)
+        assert np.array_equal(md.error_matrix(plus, fam, mask), md.error_matrix(
+            plus, (fam.mass_matrix, fam.label_prob_matrix), mask))
 
 
 def test_error_matrix_shapes_and_domain_check():
@@ -246,16 +251,19 @@ def loop_draw(member, size, rng):
 
 def test_oracle_draw_matches_the_former_draw():
     fam, _ = md.gen_random_label_consistent(md.GenSpec(**CLI_WIDE, seed=9))
-    # masses summing to a little under 1, so some uniforms land past the last
-    # cumulative mass and are clipped to the last point
-    short = np.array([0.25, 0.25, 0.5 - 1e-3]), np.array([0.1, 0.9, 0.5])
-    cases = [(fam, i, member) for i, member in enumerate(members(fam)[:3])]
-    cases.append((md.DistributionFamily([short[0]], [short[1]]), 0, short))
-    for seed, (family, i, member) in enumerate(cases):
-        got = md.SampleOracle.exact_mode(family).draw(i, 5000, np.random.default_rng(seed))
+    for seed, (i, member) in enumerate(list(enumerate(members(fam)))[:3]):
+        got = md.SampleOracle.exact_mode(fam).draw(i, 5000, np.random.default_rng(seed))
         want = loop_draw(member, 5000, np.random.default_rng(seed))
         assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
-    assert np.any(np.random.default_rng(seed).random(5000) >= np.cumsum(short[0])[-1])
+    # masses summing to a little under 1, which no family holds, through the
+    # oracle's own table and draw: some uniforms land past the last
+    # cumulative mass and are clipped to the last point
+    short = np.array([0.25, 0.25, 0.5 - 1e-3]), np.array([0.1, 0.9, 0.5])
+    cells, plus = _draw(_bucket_table(short[0][None]), short[1][None], 5000,
+                        np.random.default_rng(3))
+    xs, ys = loop_draw(short, 5000, np.random.default_rng(3))
+    assert np.array_equal(cells[0, 0], xs) and np.array_equal(np.where(plus[0, 0], 1, -1), ys)
+    assert np.any(np.random.default_rng(3).random(5000) >= np.cumsum(short[0])[-1])
 
 
 class FixedUniforms:
@@ -403,8 +411,11 @@ def tally_problems(draw):
     else:
         size = max(1, target + draw(st.integers(-1, 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # rows with zero masses, made distributions again; a row that lost every
+    # point keeps the first
     mass = rng.dirichlet(np.ones(n), size=k) * (rng.random((k, n)) < 0.8)
-    fam = md.DistributionFamily(mass, rng.random((k, n)))
+    mass[mass.sum(axis=1) == 0, 0] = 1.0
+    fam = md.DistributionFamily(mass / mass.sum(axis=1, keepdims=True), rng.random((k, n)))
     bits = draw(st.sampled_from([np.random.PCG64, np.random.MT19937]))
     return (fam, block, size, draw(st.integers(1, 3)), draw(st.booleans()), bits,
             draw(st.integers(0, 2**32 - 1)))

@@ -4,9 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multidist as md
-from multidist.learner import _mixture, rolling_mixtures
+from multidist.learner import _mixture, rolling_mixtures, uniform_mixture
 from multidist.metrics import plus_rows
 
 
@@ -275,25 +277,51 @@ def test_sampling_oracle_draws_from_its_own_stream():
     assert np.array_equal(xs, xs_b) and np.array_equal(ys, ys_b)
 
 
+FULL_16 = md.full_labeling_class(16)
+
+
+@st.composite
+def pick_counts(draw):
+    """picks[h] for the 2^16 hypotheses of full_labeling_class(16): a support
+    of 1 to 2^16 hypotheses, each chosen 1 to 2^50 times, in all fewer than
+    2^63 times (the intp counts' range), as random, equal or extreme counts."""
+    size = draw(st.sampled_from([1, 2, 3, 1 << 13, 1 << 16]) | st.integers(1, 1 << 16))
+    top = min(1 << 50, (2**63 - 1) // size)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "equal", "extreme"]))
+    if kind == "random":
+        counts = rng.integers(1, top, size, endpoint=True)
+    elif kind == "equal":
+        counts = np.full(size, draw(st.sampled_from([1, 3, top])))
+    else:
+        counts = np.where(rng.random(size) < 0.5, 1, top)
+    picks = np.zeros(len(FULL_16), dtype=np.intp)
+    picks[np.sort(rng.choice(len(FULL_16), size, replace=False))] = counts
+    return picks
+
+
+@settings(max_examples=100, deadline=None)
+@given(pick_counts())
+def test_uniform_mixtures_always_pass_the_weight_check(picks):
+    # each quotient c / sum(picks) rounds within 2^-53 relative, so the
+    # weights sum to 1 far inside WEIGHT_TOL, and a learned mixture is always
+    # one that can be built
+    f_rand = uniform_mixture(FULL_16, picks)
+    assert f_rand.support == tuple(np.flatnonzero(picks).tolist())
+    assert abs(float(f_rand.weights.sum()) - 1.0) <= 1e-13
+
+
 @pytest.mark.parametrize("mass", [[0.25, math.nan, 0.5], [0.25, math.inf, 0.5],
                                   [0.25, -0.25, 0.5], [1e308, 1e308, 0.0]])
 def test_bad_masses_are_rejected_before_any_draw(mass):
-    # built directly, so no constructor or validate_family stands in the way;
-    # the last masses are finite but their sum is not
-    fam = md.DistributionFamily([[0.5, 0.25, 0.25], mass], [[0.5] * 3] * 2)
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        one_member(mass, [0.5] * 3).draw(0, 10, rng)
-    for oracle in (md.SampleOracle.exact_mode(fam), md.SampleOracle.sampling_mode(fam, rng)):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            oracle.draw(1, 10, rng)
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            next(oracle._tallies(10, rng=rng))
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        md.hedge_learn(md.SampleOracle.sampling_mode(fam, rng), md.HypothesisClass(
-            [[1, 1, 1]]), 0.3)
-    assert rng.bit_generator.state == state
+    # no family, and so no oracle, holds masses that cannot be sampled; the
+    # last masses are finite but their sum is not
+    for i, build in ((1, lambda: md.DistributionFamily([[0.5, 0.25, 0.25], mass],
+                                                       [[0.5] * 3] * 2)),
+                     (0, lambda: one_member(mass, [0.5] * 3))):
+        kinds = ", point 1: negative mass|: non-finite mass entries|: mass sum inf"
+        with pytest.raises(ValueError, match=rf"^member {i}({kinds})"):
+            build()
 
 
 def test_tallies_are_those_of_consecutive_member_draws():

@@ -117,11 +117,11 @@ def test_randomized_error_two_point_brute_force():
 
 
 def test_randomized_error_rejects_bad_weights():
+    # a mixture whose weights miss a unit sum cannot be built, so no error
+    # is ever taken of it
     cls = md.HypothesisClass([[1]])
-    F = md.RandomizedClassifier(cls, (0,), np.array([0.5]))
-    fam = md.DistributionFamily([[1.0]], [[1.0]])
-    with pytest.raises(ValueError):
-        md.randomized_worst_case_error(F, fam)
+    with pytest.raises(ValueError, match="mixture weights sum to 0.5, expected 1"):
+        md.RandomizedClassifier(cls, (0,), np.array([0.5]))
 
 
 def test_randomized_error_linear_in_weights():

@@ -19,50 +19,57 @@ def test_domain_requires_positive_size():
     assert (fam.k, fam.domain_size) == (2, 3)
 
 
+def family_message(mass, eta):
+    """The message of the ValueError that building the family (mass, eta)
+    raises, or None when it builds."""
+    try:
+        md.DistributionFamily(mass, eta)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def test_validate_uniform_family_ok():
-    fam = md.DistributionFamily([[0.25] * 4], [[1.0] * 4])
-    report = md.validate_family(fam)
-    assert report.ok and not report.violations
+    assert family_message([[0.25] * 4], [[1.0] * 4]) is None
 
 
 def test_validate_reports_mass_sum_violation():
-    fam = md.DistributionFamily([[0.5, 0.6]], [[1.0, 1.0]])
-    report = md.validate_family(fam)
-    assert not report.ok
-    assert any("mass sum" in issue.message for issue in report.violations)
+    mass, eta = np.array([[0.5, 0.6]]), np.array([[1.0, 1.0]])
+    assert family_message(mass, eta) == "; ".join(loop_validation(mass, eta))
+    assert family_message(mass, eta) == "member 0: mass sum 1.1 != 1"
 
 
 def test_validate_reports_probability_range_violation():
-    fam = md.DistributionFamily([[0.5, 0.5]], [[0.3, 1.2]])
-    report = md.validate_family(fam)
-    assert not report.ok
-    assert any("point 1" in issue.location for issue in report.violations)
+    mass, eta = np.array([[0.5, 0.5]]), np.array([[0.3, 1.2]])
+    assert family_message(mass, eta) == "; ".join(loop_validation(mass, eta))
+    assert family_message(mass, eta) == "member 0, point 1: label_one_prob 1.2 outside [0, 1]"
 
 
 def test_validate_reports_negative_mass_with_index():
-    fam = md.DistributionFamily([[-0.1, 1.1]], [[0.5, 0.5]])
-    assert any("point 0" in i.location for i in md.validate_family(fam).violations)
+    mass, eta = np.array([[-0.1, 1.1]]), np.array([[0.5, 0.5]])
+    assert family_message(mass, eta) == "; ".join(loop_validation(mass, eta))
+    assert family_message(mass, eta) == "member 0, point 0: negative mass -0.1"
 
 
-def loop_validation(mass, eta, tol):
-    """The former validate_family, one member at a time, as (location,
-    message) pairs."""
+def loop_validation(mass, eta):
+    """The check of a family's rows, one member at a time, as "location:
+    message" texts in the order the family's constructor names them."""
     out = []
     for i in range(mass.shape[0]):
         m, e = mass[i].copy(), eta[i].copy()
         if np.any(~np.isfinite(m)):
-            out.append((f"member {i}", "non-finite mass entries"))
+            out.append(f"member {i}: non-finite mass entries")
             continue
         for x in np.nonzero(m < 0)[0]:
-            out.append((f"member {i}, point {x}", f"negative mass {m[x]}"))
+            out.append(f"member {i}, point {x}: negative mass {m[x]}")
         total = float(m.sum())
-        if abs(total - 1.0) > tol:
-            out.append((f"member {i}", f"mass sum {total!r} != 1"))
+        if abs(total - 1.0) > md.model.MASS_TOL:
+            out.append(f"member {i}: mass sum {total!r} != 1")
         if np.any(~np.isfinite(e)):
-            out.append((f"member {i}", "non-finite label_one_prob entries"))
+            out.append(f"member {i}: non-finite label_one_prob entries")
             continue
         for x in np.nonzero((e < 0.0) | (e > 1.0))[0]:
-            out.append((f"member {i}, point {x}", f"label_one_prob {e[x]} outside [0, 1]"))
+            out.append(f"member {i}, point {x}: label_one_prob {e[x]} outside [0, 1]")
     return out
 
 
@@ -85,16 +92,17 @@ def planted_families(draw):
             mass[i] *= draw(st.sampled_from([1.0 + 1e-13, 1.0 - 1e-11, 0.5, 3.0]))
         else:
             (mass if kind == "mass" else eta)[i, x] = draw(special)
-    return mass, eta, draw(st.sampled_from([md.model.MASS_TOL, 1e-9, 0.0]))
+    return mass, eta
 
 
 @settings(max_examples=300, deadline=None)
 @given(planted_families())
 def test_validate_family_reports_as_the_member_loop(case):
-    mass, eta, tol = case
-    report = md.validate_family(md.DistributionFamily(mass, eta), tol)
-    assert [(v.location, v.message) for v in report.violations] == loop_validation(mass, eta, tol)
-    assert report.ok == (not loop_validation(mass, eta, tol))
+    # the constructor names every violation the member loop finds, and
+    # builds the family iff it finds none
+    mass, eta = case
+    issues = loop_validation(mass, eta)
+    assert family_message(mass, eta) == ("; ".join(issues) if issues else None)
 
 
 def test_hypothesis_rejects_non_sign_labels():
@@ -143,6 +151,13 @@ def test_hypothesis_class_checks_its_matrix_once():
         cls.label_matrix[0, 0] = -1
     with pytest.raises(ValueError, match="vc_dim must be nonnegative"):
         md.HypothesisClass(labels, vc_dim=-1)
+    # vc_dim is an integer: 2.5 and True were kept as they were, "3" failed
+    # its comparison with a TypeError
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="vc_dim must be an integer"):
+            md.HypothesisClass(labels, vc_dim=bad)
+    assert md.HypothesisClass(labels, vc_dim=np.int64(2)).vc_dim == 2
+    assert md.HypothesisClass(labels, vc_dim=2.0).vc_dim == 2
 
 
 def test_family_rejects_mismatched_domain():
@@ -188,7 +203,12 @@ def test_randomized_classifier_structural_checks():
     with pytest.raises(ValueError, match="support index 5 outside hypothesis class of 2"):
         md.RandomizedClassifier(cls, (5,), np.array([1.0]))
     f = md.RandomizedClassifier(cls, (0, 1), np.array([0.25, 0.75]))
-    assert f.weight_sum_ok()
+    # the weights sum to 1 within WEIGHT_TOL; a NaN sum is no sum
+    for weights, total in (([0.5], "0.5"), ([0.25, 0.75 + 1e-11], "1.00000000001"),
+                           ([np.nan], "nan")):
+        with pytest.raises(ValueError, match=f"mixture weights sum to {total}, expected 1"):
+            md.RandomizedClassifier(cls, tuple(range(len(weights))), weights)
+    md.RandomizedClassifier(cls, (0, 1), [0.25, 0.75 + 1e-13])
     assert f.marginals.tolist() == [0.25, 1.0]
     # support indices are integers: int() would truncate these silently
     for bad in (0.9, True, "1"):

@@ -5,7 +5,7 @@
 Each tree runs the suite below in one fresh interpreter, with that tree's src
 first on PYTHONPATH, in an empty work directory of its own, so every output
 path is the same relative path in both runs (eval.csv's path columns match).
-Every file the suite leaves, 60 in all, is then compared byte for byte; a
+Every file the suite leaves, 62 in all, is then compared byte for byte; a
 command's stdout and stderr, followed by its exit code, are kept as
 <name>.out. The script prints the outputs it compared and exits 0 when all
 are identical, or exits 1 listing each that differs or exists in one tree
@@ -18,10 +18,13 @@ only. The suite:
 - on a gen --domain-size 1000 -k 24 --hypotheses 128 instance: learn, exact
   and --sampling, with --trace; derand, explicit and --rounding hash, with
   the report row less its wall_time column; eval of both classifiers;
-- eval of the explicit classifier on that instance rewritten three ways, stdout:
+- eval of the explicit classifier on that instance rewritten five ways, stdout:
   with compact separators (the loader's label route reads it), with every
-  label written as 1.0 (the route defers and orjson reads it as a whole) and
-  with one label written as true (rejected, exit 2);
+  label written as 1.0 (the route defers and orjson reads it as a whole),
+  with one label written as true (rejected, exit 2), with member 1's masses
+  times 0.9 (rejected as an invalid instance naming member 1, exit 2) and
+  with every mass row and the shared label vector cut to 999 entries (the
+  domain_size message wins over the invalid masses, exit 2);
 - eval, stdout and CSV, of the hash classifier rewritten with prime and
   range_size next_prime(2^54 + 1), where the evaluator works in Python
   integers and fl(q) + 1 is not exact;
@@ -132,13 +135,19 @@ def run_suite(tree: Path) -> None:
          "-o", "eval_hash_big_prime.csv")
     big_prime.unlink()
     doc = json.loads(Path("inst.json").read_text())
-    labels = doc["hypotheses"]
+    labels, members = doc["hypotheses"], doc["distributions"]
     for name, text in (
             ("compact", json.dumps(doc, separators=(",", ":"))),
             ("float_labels", json.dumps(
                 {**doc, "hypotheses": [[float(v) for v in row] for row in labels]}, indent=1)),
             ("bool_label", json.dumps(
-                {**doc, "hypotheses": [[True] + labels[0][1:]] + labels[1:]}, indent=1))):
+                {**doc, "hypotheses": [[True] + labels[0][1:]] + labels[1:]}, indent=1)),
+            ("scaled_mass", json.dumps(
+                {**doc, "distributions": [members[0], {**members[1], "mass": [
+                    m * 0.9 for m in members[1]["mass"]]}, *members[2:]]}, indent=1)),
+            ("cut_rows", json.dumps(
+                {**doc, "distributions": [{**d, "mass": d["mass"][:999]} for d in members],
+                 "shared_label_one_prob": doc["shared_label_one_prob"][:999]}, indent=1))):
         # the rewritten file is this script's, not the tree's: only the eval is compared
         rewritten = Path(f"inst_{name}.json")
         rewritten.write_text(text)
