@@ -26,10 +26,9 @@ print(f"worst-case error of every single support member  : {single_err:.4f}")
 print(f"gap factor: {single_err / rand_err:.0f}x\n")
 
 # per distribution, a single draw is terrible with probability exactly 1/k
+exceedance = md.exceedance_probability(mixture, fam, 1.0)
 for i in (0, k - 1):
-    member = fam.mass_matrix[i], fam.label_prob_matrix[i]
-    p = md.exceedance_probability(mixture, member, 1.0)
-    print(f"Pr over one draw that the error on distribution {i} equals 1 : {p:.4f}")
+    print(f"Pr over one draw that the error on distribution {i} equals 1 : {exceedance[i]:.4f}")
 
 # the only generic single-draw guarantee is Markov + union bound:
 # with probability 1/2, error <= 2k * (mixture guarantee) on every distribution

@@ -70,7 +70,7 @@ n_small = 10
 A_small, _ = md.planted_zero_matrix(n_small, density=0.5, rng=rng)
 rf_small = md.ReductionFamily(A_small)
 full_cls = md.full_labeling_class(n_small)
-F = md.hedge_learn(md.SampleOracle.exact_mode(rf_small.family), full_cls, 0.1)
+F = md.hedge_learn(md.SampleOracle(rf_small.family), full_cls, 0.1)
 rand_err = md.randomized_worst_case_error(F, rf_small.family)
 print(f"  mixture over all {len(full_cls)} labelings: worst-case expected error "
       f"{rand_err:.4f} (best deterministic: 0.5)")

@@ -26,10 +26,9 @@ print(f"instance: |X|={fam.domain_size}, k={fam.k}, |H|={len(cls)}")
 print(f"brute-force OPT = {opt:.4f} (hypothesis {opt_idx})\n")
 
 # the black-box learner runs at eps/2; its mixture is the input
-oracle = md.SampleOracle.exact_mode(fam)
 cfg = md.DerandConfig(eps=eps, delta=delta, mode="calibrated", m_override=5000)
-f_rand = md.hedge_learn(oracle, cls, cfg.learner_eps())
-result = md.derandomize(oracle, f_rand, cfg, np.random.default_rng(11))
+f_rand = md.hedge_learn(md.SampleOracle(fam), cls, cfg.learner_eps())
+result = md.derandomize(fam, f_rand, cfg, np.random.default_rng(11))
 
 rand_err = md.randomized_worst_case_error(f_rand, fam)
 det = md.worst_case_error(result.classifier, fam)

@@ -19,7 +19,6 @@ from multidist.hashing import _plus_thresholds, coefficient_matrix_eval
 eps = delta = 0.15
 spec = md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=5)
 fam, cls = md.gen_random_label_consistent(spec)
-oracle = md.SampleOracle.exact_mode(fam)
 
 r, p = md.choose_hash_params(fam.k, eps, delta, fam.domain_size)
 print(f"hash parameters for k={fam.k}, eps={eps}, delta={delta}, |X|={fam.domain_size}:")
@@ -28,8 +27,8 @@ print(f"  prime p = {p} (exceeds the domain and both range-size floors)\n")
 
 cfg = md.DerandConfig(eps=eps, delta=delta, mode="calibrated", m_override=5000,
                       rounding="hash")
-f_rand = md.hedge_learn(oracle, cls, cfg.learner_eps())
-result = md.derandomize(oracle, f_rand, cfg, np.random.default_rng(3))
+f_rand = md.hedge_learn(md.SampleOracle(fam), cls, cfg.learner_eps())
+result = md.derandomize(fam, f_rand, cfg, np.random.default_rng(3))
 clf = result.classifier
 print(f"compact classifier: polynomial of {clf.hash.degree_r} coefficients mod {clf.hash.prime}, "
       f"table of {len(clf.t_points)} pinned labels, mixture of {len(clf.f_rand.support)} hypotheses")

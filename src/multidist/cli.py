@@ -137,7 +137,7 @@ def cmd_learn(args) -> int:
     cfg = dataclasses.replace(_hedge_cfg(args), erm_sample_size=args.erm_samples)
     trace = [] if args.trace else None
     if args.sampling:
-        oracle = SampleOracle.sampling_mode(fam, np.random.default_rng(args.seed))
+        oracle = SampleOracle(fam, np.random.default_rng(args.seed))
         f_rand = hedge_learn(oracle, cls, args.eps, cfg=cfg, trace=trace)
         errors = error_matrix(plus_rows(cls.label_matrix), fam)
     else:

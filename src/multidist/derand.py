@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    DistributionFamily,
     ExplicitClassifier,
     RandomizedClassifier,
     check_eps_delta,
@@ -31,7 +32,7 @@ from .model import (
     require_integer,
     require_label_consistent,
 )
-from .learner import SampleOracle
+from .learner import _tallies
 from .hashing import CompactClassifier, choose_hash_params, sample_hash
 
 
@@ -126,23 +127,20 @@ class BiasTable:
         return len(self.points)
 
 
-def build_bias_table(oracle: SampleOracle, cfg: DerandConfig,
-                     rng: np.random.Generator | None = None) -> BiasTable:
+def build_bias_table(fam: DistributionFamily, cfg: DerandConfig,
+                     rng: np.random.Generator) -> BiasTable:
     """Sample each member in order and collect points whose label skew clears
-    the threshold.
+    the threshold; fam must be label-consistent.
 
-    Points already in the table are skipped in later member iterations. Even
-    with an exact-mode oracle this procedure samples — the table's guarantees
-    are statements about its sampling randomness, so reading the masses would
-    test nothing. The draws are tallied by SampleOracle._tallies, in bounded
-    blocks, using the stream as k consecutive per-member draws would: rng's
-    for an exact-mode oracle, which needs it, and the oracle's own otherwise.
+    Points already in the table are skipped in later member iterations. The
+    masses are known, yet the table samples: its guarantees are statements
+    about its sampling randomness, so reading the masses would test nothing.
+    The draws are tallied by learner._tallies, in bounded blocks, using rng
+    as k consecutive per-member draws would.
     """
-    fam = oracle.family
-    if oracle.exact:
-        require_label_consistent(fam)
+    require_label_consistent(fam)
     ln_gamma = math.log(cfg.gamma(fam.k))
-    counts, pos = next(oracle._tallies(cfg.sample_size(fam.k), rng=rng))
+    counts, pos = next(_tallies(fam, cfg.sample_size(fam.k), rng))
     drawn = np.maximum(counts, 1)  # a cell with no draws gets rho 0, which never passes
     rho = (2.0 * pos - counts) / drawn
     passing = np.abs(rho) > cfg.threshold_scale * np.sqrt(ln_gamma / drawn)
@@ -178,25 +176,26 @@ class DerandResult:
     table: BiasTable
 
 
-def derandomize(oracle: SampleOracle, f_rand: RandomizedClassifier, cfg: DerandConfig,
+def derandomize(fam: DistributionFamily, f_rand: RandomizedClassifier, cfg: DerandConfig,
                 rng: np.random.Generator) -> DerandResult:
-    """Round the mixture f_rand to one deterministic classifier
+    """Round the mixture f_rand to one deterministic classifier of fam
     (ExplicitClassifier or CompactClassifier per cfg.rounding), returned with
     the bias table behind it.
 
     f_rand is the black-box learner's mixture, learned at
     cfg.learner_eps() before any table samples are drawn, so it never
     sees them; the table sampling and the rounding consume two streams
-    spawned from rng.
+    spawned from rng. Hash parameters are chosen before any draw, so an eps
+    that needs a prime past 2^62 fails at once.
     """
-    fam = oracle.family
+    if cfg.rounding == "hash":
+        r, p = choose_hash_params(fam.k, cfg.eps, cfg.delta, fam.domain_size, cfg.c_prime)
     table_rng, round_rng = rng.spawn(2)
-    table = build_bias_table(oracle, cfg, table_rng)
+    table = build_bias_table(fam, cfg, table_rng)
 
     if cfg.rounding == "explicit":
         labels = round_outside_t(f_rand, table, fam.domain_size, round_rng)
         return DerandResult(ExplicitClassifier(labels), table)
 
-    r, p = choose_hash_params(fam.k, cfg.eps, cfg.delta, fam.domain_size, cfg.c_prime)
     q = sample_hash(p, r, round_rng)
     return DerandResult(CompactClassifier(q, table.points, table.labels, f_rand), table)

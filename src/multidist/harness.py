@@ -36,7 +36,7 @@ from .metrics import (
     randomized_per_distribution,
     worst_case_error,
 )
-from .learner import HedgeConfig, SampleOracle, rolling_mixtures
+from .learner import HedgeConfig, rolling_mixtures
 from .derand import BiasTable, DerandConfig, derandomize
 from .instances import GenSpec, generate
 from .serialize import _json_text
@@ -120,16 +120,15 @@ def run_trial_detailed(fam: DistributionFamily, cls: HypothesisClass,
     caller, deterministic given the seed; returns the report together with
     the derandomization result.
 
-    The bias table and rounding consume streams derived from the trial seed
-    (exact-mode oracle). errors is the class's (|H|, k) error matrix on fam,
+    The bias table and rounding consume streams derived from the trial
+    seed. errors is the class's (|H|, k) error matrix on fam,
     error_matrix(plus_rows(cls.label_matrix), fam), which the exact-mode
     learner has computed; OPT and the mixture's errors are read from it.
     """
     t0 = time.perf_counter() if measure_time else 0.0
-    oracle = SampleOracle.exact_mode(fam)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
-    result = derandomize(oracle, f_rand, derand_cfg, rng)
+    result = derandomize(fam, f_rand, derand_cfg, rng)
     f_hat, table = result.classifier, result.table
 
     opt, _ = opt_bruteforce(cls, fam, errors)
@@ -177,6 +176,8 @@ class CampaignConfig:
                 raise ValueError(f"unknown predicate {name!r} in required_fractions")
             if not 0.0 <= frac <= 1.0:
                 raise ValueError(f"required fraction for {name} must lie in [0, 1], got {frac!r}")
+        # Hedge settings that no trial could learn with, such as rounds 0
+        self.hedge.resolve(self.gen_spec.k, self.derand.learner_eps())
 
 
 @dataclass(frozen=True)

@@ -364,7 +364,10 @@ def choose_hash_params(k: int, eps: float, delta: float, domain_size: int,
         math.ceil(eps**-3 * log_term),
         math.ceil(4.0 * alpha**2 / eps) + 1,
     )
-    return r, next_prime(lower)
+    try:
+        return r, next_prime(lower)
+    except OverflowError:
+        raise ValueError(f"eps = {eps!r} needs a hash prime above 2^62") from None
 
 
 def standard_hoeffding_bound(t: float, n: int) -> float:

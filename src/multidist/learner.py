@@ -179,14 +179,49 @@ def _tally(cells: np.ndarray, plus: np.ndarray, k: int, n: int) -> tuple[np.ndar
     return counts.reshape(k, n), pos.reshape(k, n)
 
 
+def _tallies(fam: DistributionFamily, size: int, rng: np.random.Generator, rounds: int = 1):
+    """Yield each of `rounds` rounds' (k, n) point and +1 counts, as floats,
+    of size i.i.d. draws from every member of fam, using rng as rounds * k
+    consecutive SampleOracle.draw(i, size, rng) calls would. No array holds
+    more than BLOCK_DRAWS draws but the points of a member larger than a
+    block: blocks are whole rounds if one fits, else whole members of a round
+    (a row slice of the bucket table), and a larger member takes two passes,
+    its points in blocks, kept in the narrowest unsigned dtype, then its
+    labels. Summed block tallies are exact integers."""
+    k, n = fam.k, fam.domain_size
+    cum, guide = table = _bucket_table(fam.mass_matrix)
+    eta = fam.label_prob_matrix
+    if k * size <= BLOCK_DRAWS:
+        block = BLOCK_DRAWS // (k * size)
+        for start in range(0, rounds, block):
+            for cells, plus in zip(*_draw(table, eta, size, rng, min(block, rounds - start))):
+                yield _tally(cells, plus, k, n)
+        return
+    group = max(1, BLOCK_DRAWS // size)  # members a block holds
+    for _ in range(rounds):
+        counts, pos = np.zeros((2, k, n))
+        for a in range(0, k, group):
+            rows = slice(a, a + group)
+            if size <= BLOCK_DRAWS:
+                cells, plus = _draw((cum[rows], guide[rows]), eta[rows], size, rng)
+                counts[rows], pos[rows] = _tally(cells, plus, len(eta[rows]), n)
+                continue
+            xs = np.empty(size, dtype=np.min_scalar_type(n - 1))
+            for start in range(0, size, BLOCK_DRAWS):
+                u = rng.random((1, min(BLOCK_DRAWS, size - start)))
+                xs[start:start + BLOCK_DRAWS] = _lookup((cum[rows], guide[rows]), u)
+            for x in np.split(xs, range(BLOCK_DRAWS, size, BLOCK_DRAWS)):
+                counts[a] += np.bincount(x, minlength=n)
+                pos[a] += np.bincount(x, rng.random(len(x)) < eta[a].take(x), n)
+        yield counts, pos
+
+
 @dataclass(frozen=True)
 class SampleOracle:
-    """Access to a distribution family, either with known masses ("exact") or
-    through i.i.d. draws only ("sampling"); it is exact iff it has no rng.
-
-    A sampling oracle owns its rng stream and must not be shared across
-    concurrent callers; exact-mode draws consume the rng passed by the caller.
-    """
+    """hedge_learn's access to a distribution family: with known masses
+    ("exact"), or through i.i.d. draws from a stream of its own
+    ("sampling"); it is exact iff it has no rng. A sampling oracle must not
+    be shared across concurrent callers."""
 
     family: DistributionFamily
     rng: np.random.Generator | None = None
@@ -195,71 +230,20 @@ class SampleOracle:
     def exact(self) -> bool:
         return self.rng is None
 
-    @classmethod
-    def exact_mode(cls, family: DistributionFamily) -> "SampleOracle":
-        return cls(family)
-
-    @classmethod
-    def sampling_mode(cls, family: DistributionFamily, rng: np.random.Generator) -> "SampleOracle":
-        if rng is None:
-            raise ValueError("a sampling oracle needs an rng of its own")
-        return cls(family, rng)
-
-    def _stream(self, rng: np.random.Generator | None) -> np.random.Generator:
-        if not self.exact:
-            return self.rng
-        if rng is None:
-            raise ValueError("exact-mode draws need the caller's rng")
-        return rng
-
     def draw(self, member_index: int, size: int,
              rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Draw i.i.d. (x, y) pairs from one member. A sampling oracle always
         uses its own stream; an exact oracle synthesizes draws from the known
         masses with the caller's rng: inverse-CDF over the member's masses,
         then a conditional label coin per draw."""
+        if self.rng is not None:
+            rng = self.rng
+        elif rng is None:
+            raise ValueError("exact-mode draws need the caller's rng")
         fam = self.family
         cells, plus = _draw(_bucket_table(fam.mass_matrix[member_index][None]),
-                            fam.label_prob_matrix[member_index][None], size, self._stream(rng))
+                            fam.label_prob_matrix[member_index][None], size, rng)
         return cells[0, 0].astype(np.int64), plus[0, 0].view(np.int8) * np.int8(2) - np.int8(1)
-
-    def _tallies(self, size: int, rounds: int = 1, rng: np.random.Generator | None = None):
-        """Yield each of `rounds` rounds' (k, n) point and +1 counts, as
-        floats, of size i.i.d. draws from every member, using the stream as
-        rounds * k consecutive draw(i, size, rng) calls would. No array holds
-        more than BLOCK_DRAWS draws but the points of a member larger than a
-        block: blocks are whole rounds if one fits, else whole members of a
-        round (a row slice of the bucket table), and a larger member takes
-        two passes, its points in blocks, kept in the narrowest unsigned
-        dtype, then its labels. Summed block tallies are exact integers."""
-        fam = self.family
-        rng = self._stream(rng)
-        k, n = fam.k, fam.domain_size
-        cum, guide = table = _bucket_table(fam.mass_matrix)
-        eta = fam.label_prob_matrix
-        if k * size <= BLOCK_DRAWS:
-            block = BLOCK_DRAWS // (k * size)
-            for start in range(0, rounds, block):
-                for cells, plus in zip(*_draw(table, eta, size, rng, min(block, rounds - start))):
-                    yield _tally(cells, plus, k, n)
-            return
-        group = max(1, BLOCK_DRAWS // size)  # members a block holds
-        for _ in range(rounds):
-            counts, pos = np.zeros((2, k, n))
-            for a in range(0, k, group):
-                rows = slice(a, a + group)
-                if size <= BLOCK_DRAWS:
-                    cells, plus = _draw((cum[rows], guide[rows]), eta[rows], size, rng)
-                    counts[rows], pos[rows] = _tally(cells, plus, len(eta[rows]), n)
-                    continue
-                xs = np.empty(size, dtype=np.min_scalar_type(n - 1))
-                for start in range(0, size, BLOCK_DRAWS):
-                    u = rng.random((1, min(BLOCK_DRAWS, size - start)))
-                    xs[start:start + BLOCK_DRAWS] = _lookup((cum[rows], guide[rows]), u)
-                for x in np.split(xs, range(BLOCK_DRAWS, size, BLOCK_DRAWS)):
-                    counts[a] += np.bincount(x, minlength=n)
-                    pos[a] += np.bincount(x, rng.random(len(x)) < eta[a].take(x), n)
-            yield counts, pos
 
 
 @dataclass(frozen=True)
@@ -334,11 +318,11 @@ class HedgeRound:
     weight: tuple[float, ...]
 
 
-# Most draws a block of SampleOracle._tallies holds: a _draw call's fixed
-# costs and the searches of keys in buckets with several cumulative masses
-# are paid once per block, and its arrays (at most about 34 bytes a draw)
-# stay near 1 MB. On the cli_wide learn shape (6 rounds a block), 2^14 and
-# 2^16 were no faster.
+# Most draws a block of _tallies holds: a _draw call's fixed costs and the
+# searches of keys in buckets with several cumulative masses are paid once
+# per block, and its arrays (at most about 34 bytes a draw) stay near 1 MB.
+# On the cli_wide learn shape (6 rounds a block), 2^14 and 2^16 were no
+# faster.
 BLOCK_DRAWS = 1 << 15
 
 # Most runs one rolling_mixtures stack holds at once. Past a few dozen runs a
@@ -491,8 +475,8 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, *,
     In exact mode the procedure is deterministic: the |H| x k error matrix E
     is computed once and rolling_mixtures runs it in a stack of one. In sampling
     mode each round tallies cfg.erm_sample_size fresh draws per member from
-    the oracle's stream (SampleOracle._tallies, one round at a time), and
-    both the ERM and the weight update use the resulting empirical measures.
+    the oracle's stream (_tallies, one round at a time), and both the ERM
+    and the weight update use the resulting empirical measures.
     """
     cfg = cfg or HedgeConfig()
     fam = oracle.family
@@ -506,7 +490,7 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, *,
     w = np.full(k, 1.0 / k)
     picks = np.zeros(len(cls), dtype=np.intp)
     emp_mass, emp_eta = np.empty((2, k, n))
-    for t, (counts, pos) in enumerate(oracle._tallies(m, rounds)):
+    for t, (counts, pos) in enumerate(_tallies(fam, m, oracle.rng, rounds)):
         np.divide(counts, m, out=emp_mass)
         # a point without draws has emp_mass +0.0, which zeroes every term its
         # eta enters, so 0 / 1 there gives the bits a masked 0.5 would

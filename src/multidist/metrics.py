@@ -166,13 +166,13 @@ def support_worst_case(f_rand: RandomizedClassifier, fam: DistributionFamily) ->
     return float(error_matrix(plus_rows(f_rand.support_label_matrix), fam).max())
 
 
-def exceedance_probability(f_rand: RandomizedClassifier, member: tuple[np.ndarray, np.ndarray],
-                           level: float) -> float:
-    """Pr over a single draw f~F that er_D(f) >= level, for the member D
-    given as its (mass, eta) rows."""
-    rows = tuple(np.asarray(a, dtype=np.float64)[None] for a in member)
-    errs = error_matrix(plus_rows(f_rand.support_label_matrix), rows)[:, 0]
-    return float(f_rand.weights[errs >= level].sum())
+def exceedance_probability(f_rand: RandomizedClassifier, fam: DistributionFamily,
+                           level: float) -> np.ndarray:
+    """Pr over a single draw f~F that er_{D_i}(f) >= level, for every member
+    i of fam: the weights of the support rows whose error on D_i is at or
+    above level, summed."""
+    errs = error_matrix(plus_rows(f_rand.support_label_matrix), fam)
+    return np.array([f_rand.weights[hit].sum() for hit in (errs >= level).T])
 
 
 def opt_bruteforce(cls: HypothesisClass, fam: DistributionFamily,

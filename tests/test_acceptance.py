@@ -76,8 +76,7 @@ def test_c01_gap_example():
     fam, cls, F = md.gen_gap_example(8)
     rand_err = md.randomized_worst_case_error(F, fam)
     support = md.support_worst_case(F, fam)
-    exceed = [md.exceedance_probability(F, (mass, eta), 1.0)
-              for mass, eta in zip(fam.mass_matrix, fam.label_prob_matrix)]
+    exceed = md.exceedance_probability(F, fam, 1.0).tolist()
     ok = (abs(rand_err - 0.125) <= 1e-12 and support == 1.0
           and all(e == 0.125 for e in exceed))
     _report("C01", "mixture-vs-single gap at k=8", ok,
@@ -156,7 +155,7 @@ def test_c05_hedge_contract():
     for seed in range(50):
         fam, cls = md.gen_random_label_consistent(
             md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=seed))
-        F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, eps)
+        F = md.hedge_learn(md.SampleOracle(fam), cls, eps)
         opt, _ = md.opt_bruteforce(cls, fam)
         if md.randomized_worst_case_error(F, fam) <= opt + eps:
             wins += 1
@@ -194,10 +193,9 @@ def test_c07_heavy_point_coverage():
     assert heavy.tolist() == [0, 1, 2]
     beta_sign = np.where(fam.shared_label_one_prob - 0.5 >= 0, 1, -1)
     cfg = md.DerandConfig(eps=eps, delta=delta, c_const=4.0, mode="theory")
-    oracle = md.SampleOracle.exact_mode(fam)
     runs, hits = 500, 0
     for run in range(runs):
-        table = md.build_bias_table(oracle, cfg, np.random.default_rng(run))
+        table = md.build_bias_table(fam, cfg, np.random.default_rng(run))
         pinned = np.zeros(fam.domain_size, dtype=np.int8)  # 0 off the table
         pinned[table.points] = table.labels
         if np.all(pinned[heavy] == beta_sign[heavy]):
@@ -218,13 +216,12 @@ def test_c08_light_rounding_deviation():
     assert np.all(np.abs(fam.shared_label_one_prob - 0.5) <= 0.05)
     rng_h = np.random.default_rng(8080)
     cls = md.HypothesisClass([np.where(rng_h.random(30) < 0.5, 1, -1) for _ in range(8)])
-    oracle = md.SampleOracle.exact_mode(fam)
-    F = md.hedge_learn(oracle, cls, eps / 2)
+    F = md.hedge_learn(md.SampleOracle(fam), cls, eps / 2)
     cfg = md.DerandConfig(eps=eps, delta=delta, mode="calibrated", m_override=2500)
     runs, hits = 500, 0
     for run in range(runs):
         rng = np.random.default_rng(run)
-        table = md.build_bias_table(oracle, cfg, rng)
+        table = md.build_bias_table(fam, cfg, rng)
         labels = md.round_outside_t(F, table, 30, rng)
         dev = rounding_deviation(md.ExplicitClassifier(labels), F, fam, table)
         if dev <= eps / 2:

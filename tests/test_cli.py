@@ -138,6 +138,36 @@ def test_trial_rejects_required_fractions_outside_the_unit_interval(tmp_path, ca
     assert not list(tmp_path.iterdir())
 
 
+def test_trial_rejects_hedge_flags_no_trial_could_learn_with(tmp_path, capsys):
+    # each ran every trial into the same ValueError and exited 1 with
+    # CAMPAIGN FAILED; at k = 6, ln(DBL_MAX / 6) is about 707.99
+    trial = ["trial", "--trials", "2", "--eps", "0.2", "--delta", "0.2", "--mode",
+             "calibrated", "--m-override", "400", "--no-timing", "--outdir", str(tmp_path)]
+    for flag, message in (("--rounds=0", "rounds must be >= 1"),
+                          ("--eta=-1", "eta must be finite and positive, got -1.0"),
+                          ("--eta=800", "eta must be at most ln(DBL_MAX / k) = 707.")):
+        assert main(trial + [flag]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"multidist: error: {message}")
+        assert not (tmp_path / "trials.csv").exists()
+    assert main(trial + ["--eta=700"]) == 0
+    assert (tmp_path / "trials.csv").exists()
+
+
+def test_derand_rejects_an_eps_past_the_hash_prime_limit(tmp_path, capsys):
+    # it died with OverflowError: prime search capped at 2^62, exit 1
+    inst, out = tmp_path / "inst.json", tmp_path / "clf.json"
+    assert main(["gen", "--seed", "6", "-o", str(inst)]) == 0
+    capsys.readouterr()
+    assert main(["derand", str(inst), "--rounding", "hash", "--eps", "1e-6", "--delta", "0.2",
+                 "--mode", "calibrated", "--m-override", "10", "--rounds", "1",
+                 "-o", str(out)]) == 2
+    out_text, err = capsys.readouterr()
+    assert out_text == ""
+    assert err == "multidist: error: eps = 1e-06 needs a hash prime above 2^62\n"
+    assert not out.exists()
+
+
 def test_gen_rejects_a_non_finite_heavy_mass(tmp_path, capsys):
     # nan once reached the JSON writer, whose error named no flag
     for value in ("nan", "inf", "-inf"):

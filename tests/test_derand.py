@@ -5,35 +5,31 @@ import pytest
 from scipy.stats import binom
 
 import multidist as md
+from multidist import derand
 from multidist.metrics import plus_rows
 
 from helpers import learned
 
 
-class FixedTallies:
-    """A one-member sampling-oracle stand-in whose one round of tallies is
-    fixed, so a test sets every point's label counts."""
-
-    exact = False
-
-    def __init__(self, counts, pos):
-        n = len(counts)
-        self.family = md.DistributionFamily([np.full(n, 1.0 / n)], [np.full(n, 0.5)])
-        self.counts, self.pos = counts, pos
-
-    def _tallies(self, size, rounds=1, rng=None):
-        assert (size, rounds) == (self.counts.sum(), 1)
-        yield self.counts[None], self.pos[None]
-
-
 def table_of(counts, gamma, scale=1.0):
     """The bias table when point x gets counts[x] = (#+1, #-1) draws, at the
-    given gamma (k = 1, eps = delta = 1/2)."""
+    given gamma (k = 1, eps = delta = 1/2): the table's one round of tallies
+    is fixed to those counts."""
     pos, neg = np.array(counts, dtype=np.float64).T
+    n = len(pos)
+    fam = md.DistributionFamily([np.full(n, 1.0 / n)], [np.full(n, 0.5)])
     cfg = md.DerandConfig(eps=0.5, delta=0.5, c_const=gamma / 4.0, mode="calibrated",
                           m_override=int((pos + neg).sum()), threshold_scale=scale)
     assert cfg.gamma(1) == gamma
-    return md.build_bias_table(FixedTallies(pos + neg, pos), cfg)
+    rng = np.random.default_rng(0)
+
+    def fixed_tallies(family, size, stream, rounds=1):
+        assert family is fam and stream is rng and (size, rounds) == ((pos + neg).sum(), 1)
+        yield (pos + neg)[None], pos[None]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(derand, "_tallies", fixed_tallies)
+        return md.build_bias_table(fam, cfg, rng)
 
 
 def test_empirical_rho_examples():
@@ -148,8 +144,7 @@ def test_table_collects_sure_labels():
     # in the table with label +1
     fam = md.DistributionFamily([[0.4, 0.3, 0.2, 0.1]], [[1.0, 1.0, 1.0, 1.0]])
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=4000)
-    table = md.build_bias_table(md.SampleOracle.exact_mode(fam), cfg,
-                                np.random.default_rng(0))
+    table = md.build_bias_table(fam, cfg, np.random.default_rng(0))
     assert len(table) == 4
     assert table.labels.tolist() == [1, 1, 1, 1]
 
@@ -164,12 +159,12 @@ def test_table_insertion_rate_matches_binomial_tail():
     fam = md.DistributionFamily([np.full(d, 1.0 / d)], [np.full(d, 0.5)])
     cfg = md.DerandConfig(eps=0.3, delta=0.3, mode="calibrated", m_override=m)
     gamma = cfg.gamma(1)
-    oracle = md.SampleOracle.exact_mode(fam)
+    oracle = md.SampleOracle(fam)
 
     by_count: dict[int, list[int]] = {}
     for run in range(runs):
         rng = np.random.default_rng(1000 + run)
-        table = md.build_bias_table(oracle, cfg, rng)
+        table = md.build_bias_table(fam, cfg, rng)
         # replay the identical draw stream to recover every point's count
         replay = np.random.default_rng(1000 + run)
         xs, _ = oracle.draw(0, m, replay)
@@ -201,11 +196,10 @@ def test_table_heavy_point_nearly_always_caught():
     fam = md.DistributionFamily([[1.0, 0.0]], [[0.9, 0.5]])
     cfg = md.DerandConfig(eps=0.1, delta=0.1, c_const=4.0, mode="theory")
     assert md.heavy_mask(fam, 0.1, 0.1)[0]
-    oracle = md.SampleOracle.exact_mode(fam)
     hits = 0
     runs = 300
     for run in range(runs):
-        table = md.build_bias_table(oracle, cfg, np.random.default_rng(run))
+        table = md.build_bias_table(fam, cfg, np.random.default_rng(run))
         if table.labels[table.points == 0].tolist() == [1]:
             hits += 1
     assert hits / runs >= 1.0 - 0.1 / 4 - 0.05
@@ -218,17 +212,23 @@ def test_table_skips_points_in_earlier_iterations():
         [[0.95, 0.5]] * 2,
     )
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=2000)
-    table = md.build_bias_table(md.SampleOracle.exact_mode(fam), cfg,
-                                np.random.default_rng(3))
+    table = md.build_bias_table(fam, cfg, np.random.default_rng(3))
     assert table.members[table.points == 0].tolist() == [0]
 
 
-def test_table_rejects_inconsistent_family_in_exact_mode():
-    rf = md.ReductionFamily(md.BinaryMatrix(np.array([[1, 1], [1, 1]])))
+def test_table_rejects_inconsistent_family():
+    # reduction families (what disc reduce writes) are never label-consistent;
+    # a one-point family whose members disagree on its label law is not either
+    families = [md.ReductionFamily(md.BinaryMatrix(a)).family
+                for a in (np.array([[1, 1], [1, 1]]), np.array([[1, 0], [0, 1]]))]
+    families.append(md.ReductionFamily(
+        md.planted_zero_matrix(6, 0.5, np.random.default_rng(1))[0]).family)
+    families.append(md.DistributionFamily([[1.0], [1.0]], [[0.9], [0.8]]))
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=100)
-    with pytest.raises(md.LabelConsistencyError):
-        md.build_bias_table(md.SampleOracle.exact_mode(rf.family), cfg,
-                            np.random.default_rng(0))
+    for fam in families:
+        assert not fam.label_consistent
+        with pytest.raises(md.LabelConsistencyError):
+            md.build_bias_table(fam, cfg, np.random.default_rng(0))
 
 
 def test_round_outside_t_singleton_copies_hypothesis():
@@ -301,8 +301,7 @@ def _small_instance(seed=0):
 def _derandomized(fam, cls, cfg, seed):
     """Learn the mixture, then derandomize it with streams from seed."""
     f_rand, _ = learned(fam, cls, cfg)
-    return md.derandomize(md.SampleOracle.exact_mode(fam), f_rand, cfg,
-                          np.random.default_rng(seed))
+    return md.derandomize(fam, f_rand, cfg, np.random.default_rng(seed))
 
 
 def test_derandomize_deterministic_given_seed():
@@ -311,6 +310,24 @@ def test_derandomize_deterministic_given_seed():
     a = _derandomized(fam, cls, cfg, 99).classifier
     b = _derandomized(fam, cls, cfg, 99).classifier
     assert np.array_equal(a.labels, b.labels)
+
+
+@pytest.mark.parametrize("rounding", ["explicit", "hash"])
+def test_derandomize_is_a_function_of_its_arguments(rounding):
+    # the table is drawn from the first stream spawned from rng, so equal
+    # seeds give equal tables and labels, and another seed another table
+    fam, cls = _small_instance(8)
+    cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=300,
+                          rounding=rounding)
+    f_rand, _ = learned(fam, cls, cfg)
+    a, b, other = (md.derandomize(fam, f_rand, cfg, np.random.default_rng(seed))
+                   for seed in (5, 5, 6))
+    want = md.build_bias_table(fam, cfg, np.random.default_rng(5).spawn(2)[0])
+    for name in ("points", "labels", "members", "rho", "counts"):
+        assert np.array_equal(getattr(a.table, name), getattr(want, name))
+        assert np.array_equal(getattr(b.table, name), getattr(want, name))
+    assert np.array_equal(a.classifier.label_vector(), b.classifier.label_vector())
+    assert not np.array_equal(other.table.counts, want.counts)
 
 
 def test_derandomize_hash_mode_returns_compact():
@@ -333,15 +350,7 @@ def test_derandomize_rejects_inconsistent_family():
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=100)
     f_rand = md.RandomizedClassifier(md.full_labeling_class(2), (0,), [1.0])
     with pytest.raises(md.LabelConsistencyError):
-        md.derandomize(md.SampleOracle.exact_mode(rf.family), f_rand, cfg,
-                       np.random.default_rng(0))
-
-
-def test_exact_oracle_table_needs_the_callers_rng():
-    fam, _ = _small_instance(4)
-    cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=100)
-    with pytest.raises(ValueError, match="exact-mode draws need the caller's rng"):
-        md.build_bias_table(md.SampleOracle.exact_mode(fam), cfg)
+        md.derandomize(rf.family, f_rand, cfg, np.random.default_rng(0))
 
 
 def test_error_decomposition_is_exact():

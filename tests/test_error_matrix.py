@@ -215,7 +215,7 @@ def test_error_matrix_and_hedge_match_the_loops(shape, eps, seed):
     mask = np.random.default_rng(seed).random(fam.domain_size) < 0.5
     assert np.array_equal(md.error_matrix(plus, fam, mask), loop_error_table(cls, fam, mask))
 
-    F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, eps)
+    F = md.hedge_learn(md.SampleOracle(fam), cls, eps)
     support, weights = loop_hedge(fam, cls, eps)
     assert F.support == support
     assert np.array_equal(F.weights, weights)
@@ -227,7 +227,7 @@ def test_ties_go_to_the_lowest_index():
                                                          hypothesis_count=5, seed=8))
     doubled = md.HypothesisClass(np.vstack([cls.label_matrix] * 2))
     assert md.opt_bruteforce(doubled, fam) == md.opt_bruteforce(cls, fam)
-    oracle = md.SampleOracle.exact_mode(fam)
+    oracle = md.SampleOracle(fam)
     F = md.hedge_learn(oracle, doubled, 0.2)
     F_once = md.hedge_learn(oracle, cls, 0.2)
     assert F.support == F_once.support and np.array_equal(F.weights, F_once.weights)
@@ -235,7 +235,7 @@ def test_ties_go_to_the_lowest_index():
     # gap example: under uniform weights every h_i errs 1/k; the first round takes h_0
     gap_fam, gap_cls, _ = md.gen_gap_example(4)
     trace = []
-    md.hedge_learn(md.SampleOracle.exact_mode(gap_fam), gap_cls, 0.5, trace=trace)
+    md.hedge_learn(md.SampleOracle(gap_fam), gap_cls, 0.5, trace=trace)
     assert trace[0].hypothesis_index == 0
     assert md.opt_bruteforce(gap_cls, gap_fam) == (1.0, 0)
 
@@ -252,7 +252,7 @@ def loop_draw(member, size, rng):
 def test_oracle_draw_matches_the_former_draw():
     fam, _ = md.gen_random_label_consistent(md.GenSpec(**CLI_WIDE, seed=9))
     for seed, (i, member) in enumerate(list(enumerate(members(fam)))[:3]):
-        got = md.SampleOracle.exact_mode(fam).draw(i, 5000, np.random.default_rng(seed))
+        got = md.SampleOracle(fam).draw(i, 5000, np.random.default_rng(seed))
         want = loop_draw(member, 5000, np.random.default_rng(seed))
         assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
     # masses summing to a little under 1, which no family holds, through the
@@ -401,8 +401,8 @@ def tally_problems(draw):
     """A family, a block size and a per-member size on either side of a round
     boundary (k * size against the block), a member boundary (size against
     the block) or a boundary of a member's own blocks (size against twice the
-    block), or any size up to three blocks; one to three rounds; either
-    oracle mode; and a PCG64 or an MT19937 stream."""
+    block), or any size up to three blocks; one to three rounds; and a PCG64
+    or an MT19937 stream."""
     k, n = draw(st.integers(1, 5)), draw(st.integers(1, 30))
     block = draw(st.integers(1, 150))
     target = draw(st.sampled_from([block // k, block, 2 * block, None]))
@@ -417,22 +417,18 @@ def tally_problems(draw):
     mass[mass.sum(axis=1) == 0, 0] = 1.0
     fam = md.DistributionFamily(mass / mass.sum(axis=1, keepdims=True), rng.random((k, n)))
     bits = draw(st.sampled_from([np.random.PCG64, np.random.MT19937]))
-    return (fam, block, size, draw(st.integers(1, 3)), draw(st.booleans()), bits,
-            draw(st.integers(0, 2**32 - 1)))
+    return fam, block, size, draw(st.integers(1, 3)), bits, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(tally_problems())
 def test_tallies_are_bitwise_those_of_one_draw_call(problem):
-    fam, block, size, rounds, sampling, bits, seed = problem
+    fam, block, size, rounds, bits, seed = problem
     k, n = fam.k, fam.domain_size
     rng, ref = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
     cells, plus = _draw(_bucket_table(fam.mass_matrix), fam.label_prob_matrix, size, ref, rounds)
     with mock.patch.object(learner, "BLOCK_DRAWS", block):
-        if sampling:
-            got = list(md.SampleOracle.sampling_mode(fam, rng)._tallies(size, rounds))
-        else:
-            got = list(md.SampleOracle.exact_mode(fam)._tallies(size, rounds, rng))
+        got = list(learner._tallies(fam, size, rng, rounds))
     assert len(got) == rounds
     for (counts, pos), t in zip(got, range(rounds)):
         want_counts, want_pos = _tally(cells[t], plus[t], k, n)
@@ -467,15 +463,14 @@ def test_no_draw_call_takes_more_than_two_blocks(block, cut, monkeypatch):
     m = BLOCK_SIZES[cut](block)
     cfg = md.DerandConfig(eps=0.15, delta=0.15, mode="calibrated", m_override=m)
     hedge_cfg = md.HedgeConfig(rounds=3, erm_sample_size=m)
-    want_table = md.build_bias_table(md.SampleOracle.exact_mode(fam), cfg,
-                                     np.random.default_rng(1))
-    want_mixture = md.hedge_learn(md.SampleOracle.sampling_mode(fam, np.random.default_rng(2)),
+    want_table = md.build_bias_table(fam, cfg, np.random.default_rng(1))
+    want_mixture = md.hedge_learn(md.SampleOracle(fam, np.random.default_rng(2)),
                                   cls, 0.3, cfg=hedge_cfg)
     monkeypatch.setattr(learner, "BLOCK_DRAWS", block)
-    table = md.build_bias_table(md.SampleOracle.exact_mode(fam), cfg, BoundedRng(1))
+    table = md.build_bias_table(fam, cfg, BoundedRng(1))
     for name in ("points", "labels", "members", "rho", "counts"):
         assert np.array_equal(getattr(table, name), getattr(want_table, name))
-    mixture = md.hedge_learn(md.SampleOracle.sampling_mode(fam, BoundedRng(2)), cls, 0.3,
+    mixture = md.hedge_learn(md.SampleOracle(fam, BoundedRng(2)), cls, 0.3,
                              cfg=hedge_cfg)
     assert mixture.support == want_mixture.support
     assert np.array_equal(mixture.weights, want_mixture.weights)
@@ -501,8 +496,7 @@ def loop_bias_table(fam, cfg, rng):
     return entries
 
 
-@pytest.mark.parametrize("sampling", [False, True])
-def test_one_pass_bias_table_is_the_member_loop(sampling):
+def test_one_pass_bias_table_is_the_member_loop():
     cases = [(md.GenSpec(**C06, seed=s), 5000, 1.0) for s in range(3)]
     cases += [(md.GenSpec(**CLI_WIDE, seed=3), 500, 0.3),
               (md.GenSpec(kind="heavy_point_probe", domain_size=60, k=4, seed=4), 2000, 1.0)]
@@ -511,11 +505,7 @@ def test_one_pass_bias_table_is_the_member_loop(sampling):
         cfg = md.DerandConfig(eps=0.15, delta=0.15, mode="calibrated", m_override=m,
                               threshold_scale=scale)
         rng = np.random.default_rng(seed)
-        if sampling:
-            oracle = md.SampleOracle.sampling_mode(fam, rng)
-            table = md.build_bias_table(oracle, cfg)
-        else:
-            table = md.build_bias_table(md.SampleOracle.exact_mode(fam), cfg, rng)
+        table = md.build_bias_table(fam, cfg, rng)
         ref_rng = np.random.default_rng(seed)
         want = loop_bias_table(fam, cfg, ref_rng)
         assert len(want) > 0
@@ -595,11 +585,11 @@ def test_lean_rounds_match_the_former_rounds(shape, eps, fields, seed, sampling,
         cls = md.HypothesisClass(np.vstack([cls.label_matrix] * 2))
     cfg = md.HedgeConfig(**fields)
     if sampling:
-        oracle = md.SampleOracle.sampling_mode(fam, np.random.default_rng(seed))
+        oracle = md.SampleOracle(fam, np.random.default_rng(seed))
         replay = np.random.default_rng(seed)
         want = round_hedge(fam, cls, eps, cfg, replay)
     else:
-        oracle = md.SampleOracle.exact_mode(fam)
+        oracle = md.SampleOracle(fam)
         want = round_hedge(fam, cls, eps, cfg)
     trace = []
     F = md.hedge_learn(oracle, cls, eps, cfg=cfg, trace=trace)
@@ -711,7 +701,7 @@ def test_rolling_mixtures_are_hedge_learn_alone(monkeypatch):
     cfg = md.HedgeConfig()
     instances = [md.gen_random_label_consistent(md.GenSpec(domain_size=40, k=6, seed=seed))
                  for seed in range(9)]
-    want = [md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.2, cfg=cfg)
+    want = [md.hedge_learn(md.SampleOracle(fam), cls, 0.2, cfg=cfg)
             for fam, cls in instances]
     for block in CHOICE_BLOCKS:
         monkeypatch.setattr(learner, "CHOICE_BLOCK", block)
@@ -742,7 +732,7 @@ def test_an_error_matrix_of_another_shape_is_rejected():
 def test_exact_hedge_memory_does_not_grow_with_the_rounds():
     fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=12, k=2, hypothesis_count=4,
                                                          seed=1))
-    oracle = md.SampleOracle.exact_mode(fam)
+    oracle = md.SampleOracle(fam)
 
     def peak(rounds):
         tracemalloc.start()

@@ -277,13 +277,34 @@ def test_a_failed_generation_is_reported_for_its_own_trial(tmp_path, monkeypatch
     assert (tmp_path / "broken/trials.csv").read_text().splitlines() == whole[:3] + whole[4:]
 
 
-def test_a_learning_error_is_every_trial_error(tmp_path):
-    cfg = dataclasses.replace(small_campaign(seed=6), hedge=md.HedgeConfig(rounds=0))
-    summary, reports = md.run_campaign(cfg, trials=3, out_dir=tmp_path, measure_time=False)
+def break_hedge(monkeypatch):
+    """Make every Hedge step raise, in this process and in workers forked from it."""
+    def advance(self, *args, **kwargs):
+        raise ValueError("hedge broke")
+
+    monkeypatch.setattr(learner.HedgeStack, "advance", advance)
+
+
+def test_a_learning_error_is_every_trial_error(tmp_path, monkeypatch):
+    break_hedge(monkeypatch)
+    summary, reports = md.run_campaign(small_campaign(seed=6), trials=3, out_dir=tmp_path,
+                                       measure_time=False)
     assert summary.errors == 3 and reports == []
     errors = json.loads((tmp_path / "summary.json").read_text())["trial_errors"]
-    assert errors == [{"trial_id": i, "error": "ValueError: rounds must be >= 1"}
-                      for i in range(3)]
+    assert errors == [{"trial_id": i, "error": "ValueError: hedge broke"} for i in range(3)]
+
+
+def test_a_campaign_rejects_hedge_settings_every_trial_would_reject():
+    # each ran every trial into the same error; the default k is 6, and
+    # ln(DBL_MAX / 6) is about 707.99
+    spec = md.GenSpec()
+    for hedge, message in ((md.HedgeConfig(rounds=0), "rounds must be >= 1"),
+                           (md.HedgeConfig(eta=-1.0), "eta must be finite and positive"),
+                           (md.HedgeConfig(eta=800.0), "eta must be at most ln\\(DBL_MAX / k\\)"),
+                           (md.HedgeConfig(erm_sample_size=0), "erm_sample_size must be >= 1")):
+        with pytest.raises(ValueError, match=message):
+            md.CampaignConfig(gen_spec=spec, hedge=hedge)
+    assert md.CampaignConfig(gen_spec=spec, hedge=md.HedgeConfig(eta=700.0)).hedge.eta == 700.0
 
 
 def test_campaign_through_a_small_rolling_stack_matches_a_wide_one(tmp_path, monkeypatch):
@@ -302,16 +323,19 @@ def test_campaign_through_a_small_rolling_stack_matches_a_wide_one(tmp_path, mon
     assert [dataclasses.replace(r, wall_time=0.0) for r in timed] == wide
 
 
-def test_pooled_workers_match_one_process_and_share_a_learning_error(tmp_path):
+def test_pooled_workers_match_one_process_and_share_a_learning_error(tmp_path, monkeypatch):
     cfg = small_campaign(seed=8)
     _, serial = md.run_campaign(cfg, trials=9, out_dir=tmp_path / "p1", measure_time=False)
     _, pooled = md.run_campaign(cfg, trials=9, parallelism=3, out_dir=tmp_path / "p3",
                                 measure_time=False)
     assert pooled == serial
     assert (tmp_path / "p3/trials.csv").read_bytes() == (tmp_path / "p1/trials.csv").read_bytes()
-    broken = dataclasses.replace(cfg, hedge=md.HedgeConfig(rounds=0))
-    summary, reports = md.run_campaign(broken, trials=5, parallelism=2, measure_time=False)
+    break_hedge(monkeypatch)
+    summary, reports = md.run_campaign(cfg, trials=5, parallelism=2, out_dir=tmp_path / "broken",
+                                       measure_time=False)
     assert summary.errors == 5 and reports == []
+    errors = json.loads((tmp_path / "broken/summary.json").read_text())["trial_errors"]
+    assert errors == [{"trial_id": i, "error": "ValueError: hedge broke"} for i in range(5)]
 
 
 def test_a_campaign_starts_no_more_workers_than_trials(monkeypatch):

@@ -528,6 +528,15 @@ def test_choose_hash_params_examples():
     assert p == 5077 and sympy.isprime(5077)
 
 
+def test_choose_hash_params_rejects_an_eps_past_the_prime_limit():
+    # eps^-3 ln(4k/delta) passes 2^62 just below eps = 1e-6 at k = 6, delta = 0.2;
+    # the prime search's OverflowError was a traceback
+    with pytest.raises(ValueError, match=r"^eps = 1e-06 needs a hash prime above 2\^62$"):
+        md.choose_hash_params(6, 1e-6, 0.2, 40)
+    _, p = md.choose_hash_params(6, 1.1e-6, 0.2, 40)
+    assert p < 2**62 and md.is_prime(p)
+
+
 def test_choose_hash_params_prime_exceeds_all_bounds():
     for (k, eps, delta, n) in [(2, 0.3, 0.2, 17), (8, 0.05, 0.01, 1000), (3, 0.9, 0.9, 5)]:
         r, p = md.choose_hash_params(k, eps, delta, n)

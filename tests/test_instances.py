@@ -64,8 +64,7 @@ def test_gap_example_quantities():
     fam, cls, F = md.gen_gap_example(8)
     assert md.randomized_worst_case_error(F, fam) == pytest.approx(1 / 8, abs=1e-15)
     assert md.support_worst_case(F, fam) == 1.0
-    for mass, eta in zip(fam.mass_matrix, fam.label_prob_matrix):
-        assert md.exceedance_probability(F, (mass, eta), 1.0) == pytest.approx(1 / 8, abs=1e-15)
+    assert md.exceedance_probability(F, fam, 1.0) == pytest.approx([1 / 8] * 8, abs=1e-15)
     with pytest.raises(ValueError):
         md.gen_gap_example(1)
 

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multidist as md
-from multidist.learner import _mixture, rolling_mixtures, uniform_mixture
+from multidist.learner import _mixture, _tallies, rolling_mixtures, uniform_mixture
 from multidist.metrics import plus_rows
 
 
 def one_member(mass, label_one_prob) -> md.SampleOracle:
     """An exact-mode oracle over the one-member family (mass, label_one_prob)."""
-    return md.SampleOracle.exact_mode(md.DistributionFamily([mass], [label_one_prob]))
+    return md.SampleOracle(md.DistributionFamily([mass], [label_one_prob]))
 
 
 def test_draw_point_mass_always_hits():
@@ -152,13 +152,13 @@ def test_hedge_realizable_instance():
     masses /= masses.sum(axis=1, keepdims=True)
     fam = md.DistributionFamily(masses, np.ones((3, 10)))
     cls = md.HypothesisClass([np.where(rng.random(10) < 0.5, 1, -1), np.ones(10)])
-    F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.1)
+    F = md.hedge_learn(md.SampleOracle(fam), cls, 0.1)
     assert md.randomized_worst_case_error(F, fam) <= 0.1
 
 
 def test_hedge_gap_example_near_uniform():
     fam, cls, _ = md.gen_gap_example(4)
-    F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.2)
+    F = md.hedge_learn(md.SampleOracle(fam), cls, 0.2)
     err = md.randomized_worst_case_error(F, fam)
     opt, _ = md.opt_bruteforce(cls, fam)
     assert opt == 1.0
@@ -172,7 +172,7 @@ def test_hedge_contract_on_random_instances():
     for seed in range(20):
         fam, cls = md.gen_random_label_consistent(
             md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=seed))
-        F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, eps)
+        F = md.hedge_learn(md.SampleOracle(fam), cls, eps)
         opt, _ = md.opt_bruteforce(cls, fam)
         assert md.randomized_worst_case_error(F, fam) <= opt + eps
 
@@ -180,7 +180,7 @@ def test_hedge_contract_on_random_instances():
 def test_hedge_weights_stay_on_simplex():
     fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=20, k=5, seed=3))
     trace = []
-    md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.3, trace=trace)
+    md.hedge_learn(md.SampleOracle(fam), cls, 0.3, trace=trace)
     assert len(trace) >= 1
     for row in trace:
         w = np.array(row.weight)
@@ -191,7 +191,7 @@ def test_hedge_weights_stay_on_simplex():
 def test_hedge_no_regret_sanity():
     fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=30, k=6, seed=9))
     trace = []
-    F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.2, trace=trace)
+    F = md.hedge_learn(md.SampleOracle(fam), cls, 0.2, trace=trace)
     opt, _ = md.opt_bruteforce(cls, fam)
     rounds = len(trace)
     avg_play = np.mean([
@@ -210,7 +210,7 @@ def test_hedge_monotone_under_class_superset():
     opt_small, _ = md.opt_bruteforce(cls, fam)
     opt_big, _ = md.opt_bruteforce(bigger, fam)
     assert opt_big <= opt_small
-    F = md.hedge_learn(md.SampleOracle.exact_mode(fam), bigger, eps)
+    F = md.hedge_learn(md.SampleOracle(fam), bigger, eps)
     assert md.randomized_worst_case_error(F, fam) <= opt_big + eps
 
 
@@ -218,7 +218,7 @@ def test_hedge_returns_merged_uniform_average():
     fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=15, k=3, seed=5))
     cfg = md.HedgeConfig(rounds=40)
     trace = []
-    F = md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.3, cfg=cfg, trace=trace)
+    F = md.hedge_learn(md.SampleOracle(fam), cls, 0.3, cfg=cfg, trace=trace)
     counts = {}
     for row in trace:
         counts[row.hypothesis_index] = counts.get(row.hypothesis_index, 0) + 1
@@ -230,7 +230,7 @@ def test_hedge_returns_merged_uniform_average():
 
 def test_hedge_exact_mode_deterministic():
     fam, cls = md.gen_random_label_consistent(md.GenSpec(seed=8))
-    oracle = md.SampleOracle.exact_mode(fam)
+    oracle = md.SampleOracle(fam)
     F1 = md.hedge_learn(oracle, cls, 0.2)
     F2 = md.hedge_learn(oracle, cls, 0.2)
     assert F1.support == F2.support
@@ -239,10 +239,8 @@ def test_hedge_exact_mode_deterministic():
 
 def test_an_oracle_is_exact_when_it_has_no_stream_of_its_own():
     fam, _ = md.gen_random_label_consistent(md.GenSpec(domain_size=12, k=3, seed=6))
-    assert md.SampleOracle.exact_mode(fam).exact
-    assert not md.SampleOracle.sampling_mode(fam, np.random.default_rng(0)).exact
-    with pytest.raises(ValueError, match="needs an rng"):
-        md.SampleOracle.sampling_mode(fam, None)
+    assert md.SampleOracle(fam).exact
+    assert not md.SampleOracle(fam, np.random.default_rng(0)).exact
 
 
 def test_hedge_sampling_mode_deterministic_given_seed():
@@ -250,7 +248,7 @@ def test_hedge_sampling_mode_deterministic_given_seed():
     cfg = md.HedgeConfig(rounds=30, erm_sample_size=50)
     runs = []
     for _ in range(2):
-        oracle = md.SampleOracle.sampling_mode(fam, np.random.default_rng(77))
+        oracle = md.SampleOracle(fam, np.random.default_rng(77))
         runs.append(md.hedge_learn(oracle, cls, 0.3, cfg=cfg))
     assert runs[0].support == runs[1].support
     assert np.array_equal(runs[0].weights, runs[1].weights)
@@ -262,15 +260,15 @@ def test_hedge_sampling_mode_learns_realizable():
     masses /= masses.sum(axis=1, keepdims=True)
     fam = md.DistributionFamily(masses, np.ones((3, 8)))
     cls = md.HypothesisClass([np.where(rng.random(8) < 0.5, 1, -1), np.ones(8)])
-    oracle = md.SampleOracle.sampling_mode(fam, np.random.default_rng(16))
+    oracle = md.SampleOracle(fam, np.random.default_rng(16))
     F = md.hedge_learn(oracle, cls, 0.2, cfg=md.HedgeConfig(erm_sample_size=100))
     assert md.randomized_worst_case_error(F, fam) <= 0.2
 
 
 def test_sampling_oracle_draws_from_its_own_stream():
     fam, _ = md.gen_random_label_consistent(md.GenSpec(domain_size=12, k=2, seed=4))
-    a = md.SampleOracle.sampling_mode(fam, np.random.default_rng(0))
-    b = md.SampleOracle.sampling_mode(fam, np.random.default_rng(0))
+    a = md.SampleOracle(fam, np.random.default_rng(0))
+    b = md.SampleOracle(fam, np.random.default_rng(0))
     xs, ys = a.draw(1, 50)
     # the caller's rng is ignored
     xs_b, ys_b = b.draw(1, 50, rng=np.random.default_rng(99))
@@ -326,24 +324,21 @@ def test_bad_masses_are_rejected_before_any_draw(mass):
 
 def test_tallies_are_those_of_consecutive_member_draws():
     fam, _ = md.gen_random_label_consistent(md.GenSpec(domain_size=12, k=3, seed=5))
-    for oracle, rng in ((md.SampleOracle.exact_mode(fam), np.random.default_rng(1)),
-                        (md.SampleOracle.sampling_mode(fam, np.random.default_rng(1)), None)):
-        tallies = list(oracle._tallies(40, 2, rng))
-        replay = np.random.default_rng(1)
-        assert len(tallies) == 2
-        for counts, pos in tallies:
-            for i in range(fam.k):
-                xs, ys = md.SampleOracle.exact_mode(fam).draw(i, 40, replay)
-                assert np.array_equal(counts[i], np.bincount(xs, minlength=12))
-                assert np.array_equal(pos[i], np.bincount(xs[ys == 1], minlength=12))
-        assert (oracle.rng or rng).bit_generator.state == replay.bit_generator.state
-    with pytest.raises(ValueError, match="caller's rng"):
-        next(md.SampleOracle.exact_mode(fam)._tallies(5))
+    rng = np.random.default_rng(1)
+    tallies = list(_tallies(fam, 40, rng, 2))
+    replay = np.random.default_rng(1)
+    assert len(tallies) == 2
+    for counts, pos in tallies:
+        for i in range(fam.k):
+            xs, ys = md.SampleOracle(fam).draw(i, 40, replay)
+            assert np.array_equal(counts[i], np.bincount(xs, minlength=12))
+            assert np.array_equal(pos[i], np.bincount(xs[ys == 1], minlength=12))
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_exact_oracle_requires_caller_rng():
     fam, _, _ = md.gen_gap_example(3)
-    oracle = md.SampleOracle.exact_mode(fam)
+    oracle = md.SampleOracle(fam)
     with pytest.raises(ValueError):
         oracle.draw(0, 5)
 
@@ -352,8 +347,8 @@ def test_hedge_rejects_bad_precision():
     # rolling_mixtures once ran at -0.2 and 1.5, divided by zero at 0, and
     # failed converting NaN rounds to an integer
     fam, cls, _ = md.gen_gap_example(3)
-    oracles = (md.SampleOracle.exact_mode(fam),
-               md.SampleOracle.sampling_mode(fam, np.random.default_rng(0)))
+    oracles = (md.SampleOracle(fam),
+               md.SampleOracle(fam, np.random.default_rng(0)))
     for eps in (0.0, math.nan, -0.2, 1.5):
         message = f"eps must lie in \\(0, 1\\), got {eps!r}"
         with pytest.raises(ValueError, match=message):
@@ -373,4 +368,4 @@ def test_hedge_learn_takes_no_delta():
     assert list(params) == ["oracle", "cls", "eps", "cfg", "trace"]
     assert params["cfg"].kind == params["trace"].kind == inspect.Parameter.KEYWORD_ONLY
     with pytest.raises(TypeError):
-        md.hedge_learn(md.SampleOracle.exact_mode(fam), cls, 0.2, 0.1)
+        md.hedge_learn(md.SampleOracle(fam), cls, 0.2, 0.1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import multidist as md
+from multidist.metrics import plus_rows
 
 
 def oracle_error(labels, member):
@@ -149,11 +150,28 @@ def test_support_dominates_mixture_property():
 
 def test_exceedance_probability_gap():
     fam, cls, F = md.gen_gap_example(8)
-    for mass, eta in members(fam):
-        assert md.exceedance_probability(F, (mass, eta), 1.0) == pytest.approx(0.125, abs=1e-15)
-    # one member's rows, not the family's matrices
-    with pytest.raises(ValueError, match="two \\(k, n\\) arrays of one shape"):
-        md.exceedance_probability(F, (fam.mass_matrix, fam.label_prob_matrix), 1.0)
+    got = md.exceedance_probability(F, fam, 1.0)
+    assert got.shape == (8,)
+    assert np.all(np.abs(got - 0.125) <= 1e-15)
+
+
+def test_exceedance_probability_is_the_member_by_member_sum():
+    # entry i is bitwise the former one-member form: the weights of the
+    # support rows whose error on member i alone is at or above level, summed
+    rng = np.random.default_rng(31)
+    for trial in range(20):
+        fam = random_family(rng, n=7, k=4, shared=trial % 2 == 0)
+        cls = md.HypothesisClass(np.where(rng.random((12, 7)) < 0.5, 1, -1))
+        support = tuple(np.sort(rng.choice(12, 6, replace=False)).tolist())
+        w = rng.random(6)
+        F = md.RandomizedClassifier(cls, support, w / w.sum())
+        plus = plus_rows(F.support_label_matrix)
+        errors = md.error_matrix(plus, fam)
+        for level in (0.0, *errors.ravel().tolist(), 1.0):
+            got = md.exceedance_probability(F, fam, level)
+            want = [F.weights[md.error_matrix(plus, (mass[None], eta[None]))[:, 0] >= level].sum()
+                    for mass, eta in members(fam)]
+            assert got.tolist() == want
 
 
 def test_opt_gap_example_is_one():

@@ -459,7 +459,7 @@ def test_every_writer_writes_the_text_of_json_dumps_indent_1(tmp_path):
     own_labels = md.DistributionFamily([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]],
                                        [[0.0, 1.0], [-0.0, 0.3], [0.1, 5e-324]])
     mixture = md.RandomizedClassifier(wide_cls, (0, 1, 2), [0.5, 0.3, 0.2])
-    compact = md.derandomize(md.SampleOracle.exact_mode(wide_fam), mixture,
+    compact = md.derandomize(wide_fam, mixture,
                              md.DerandConfig(eps=0.6, delta=0.2, mode="calibrated",
                                              m_override=5000, rounding="hash"),
                              np.random.default_rng(4)).classifier

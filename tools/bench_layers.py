@@ -9,7 +9,9 @@ repetitions. The file written holds, per layer, the median over the
 rounds for each tree ("parent" is the tree given by --parent, "change" the
 tree holding this script), the first and third quartiles of those rounds, and
 the ratio of the medians. A ratio whose quartile ranges overlap is within the
-spread between interpreters of one tree. The layers:
+spread between interpreters of one tree. Both trees must take the family, not
+a SampleOracle, in build_bias_table and derandomize, and have the module
+function learner._tallies. The layers:
 
 - eval_block: coefficient_matrix_eval on a (4096, 4) block of coefficients at
   the 64 keys 0..63, p = 67 (the default tail check's keys; the check itself
@@ -29,11 +31,11 @@ spread between interpreters of one tree. The layers:
 - hedge_stack_advance_32: one HedgeStack.advance step (ceil(2549 / 32) = 80
   rounds) of a full stack of STACK_RUNS = 32 runs, on the error matrices of
   the C06-shape instances of seeds 0..31, as a campaign worker plays it;
-- draw_family_24x1000x5000 and draw_family_6x40x5000: one exact-mode round
-  of SampleOracle._tallies, 5000 draws per member tallied into (k, n)
-  counts, the bias-table draws of derand on the cli_wide instance (in member
-  blocks) and of a C06 campaign trial (in one block); the names are
-  draw_family's, which these layers timed until it was removed;
+- draw_family_24x1000x5000 and draw_family_6x40x5000: one round of
+  learner._tallies, 5000 draws per member tallied into (k, n) counts, the
+  bias-table draws of derand on the cli_wide instance (in member blocks)
+  and of a C06 campaign trial (in one block); the names are draw_family's,
+  which these layers timed until it was removed;
 - load_instance: serialize.load_instance of the cli_wide instance file;
 - load_instance_deferred: serialize.load_instance of that file with every
   label written as 1.0, which the loader's label route cannot prove and
@@ -59,7 +61,7 @@ spread between interpreters of one tree. The layers:
   outside-T rounding deviation of a derand report);
 - build_parser: the build of cli.build_parser, which cli.main caches per
   process;
-- build_bias_table_24x1000x5000 and build_bias_table_6x40x5000: an exact-mode
+- build_bias_table_24x1000x5000 and build_bias_table_6x40x5000: a
   build_bias_table of 5000 draws per member on the cli_wide and C06
   instances above (eps 0.6, delta 0.2 as derand on the cli_wide benchmark
   instance, about 440 points pinned; eps = delta = 0.15 as a C06 campaign
@@ -117,7 +119,7 @@ def time_layers(src: str) -> dict:
     import multidist as md
     from multidist import cli, serialize
     from multidist.hashing import coefficient_matrix_eval
-    from multidist.learner import STACK_RUNS, HedgeStack
+    from multidist.learner import STACK_RUNS, HedgeStack, _tallies
 
     coeffs = np.random.default_rng(0).integers(0, 67, size=(4096, 4))
     keys = np.arange(64)
@@ -152,10 +154,10 @@ def time_layers(src: str) -> dict:
     wide_table_cfg = md.DerandConfig(eps=0.6, delta=0.2, mode="calibrated", m_override=5000)
     c06_table_cfg = md.DerandConfig(eps=0.15, delta=0.15, mode="calibrated", m_override=5000)
     wide_mixture = md.RandomizedClassifier(wide_cls, (0, 1, 2), [0.5, 0.3, 0.2])
-    compact = md.derandomize(md.SampleOracle.exact_mode(wide_fam), wide_mixture,
+    compact = md.derandomize(wide_fam, wide_mixture,
                              dataclasses.replace(wide_table_cfg, rounding="hash"),
                              np.random.default_rng(4)).classifier
-    c06_oracle = md.SampleOracle.exact_mode(c06_fam)
+    c06_oracle = md.SampleOracle(c06_fam)
     c06_mixture = md.hedge_learn(c06_oracle, c06_cls, 0.075)
     c06_errors = md.error_matrix(c06_plus, c06_fam)
     rounds, eta = md.HedgeConfig().resolve(6, 0.075)
@@ -166,11 +168,10 @@ def time_layers(src: str) -> dict:
         stack.load(seed, md.error_matrix((cls.label_matrix == 1).astype(np.float64), fam))
 
     def tallies(fam):
-        return next(md.SampleOracle.exact_mode(fam)._tallies(5000, rng=draw_rng))
+        return next(_tallies(fam, 5000, draw_rng))
 
-    wide_oracle = md.SampleOracle.exact_mode(wide_fam)
-    wide_learned = md.hedge_learn(wide_oracle, wide_cls, 0.3)
-    wide_table = md.build_bias_table(wide_oracle, wide_table_cfg, np.random.default_rng(5))
+    wide_learned = md.hedge_learn(md.SampleOracle(wide_fam), wide_cls, 0.3)
+    wide_table = md.build_bias_table(wide_fam, wide_table_cfg, np.random.default_rng(5))
     calls = {
         "eval_block": lambda: coefficient_matrix_eval(coeffs, keys, 67),
         "eval_one_poly": lambda: coefficient_matrix_eval(one_poly, domain, 1009),
@@ -178,7 +179,7 @@ def time_layers(src: str) -> dict:
         "bruteforce_min_discrepancy": lambda: md.bruteforce_min_discrepancy(matrix),
         "min_deterministic_error": lambda: md.min_deterministic_error(family),
         "hedge_sampling": lambda: md.hedge_learn(
-            md.SampleOracle.sampling_mode(wide_fam, np.random.default_rng(7)), wide_cls, 0.6),
+            md.SampleOracle(wide_fam, np.random.default_rng(7)), wide_cls, 0.6),
         "draw_family_24x1000x5000": lambda: tallies(wide_fam),
         "draw_family_6x40x5000": lambda: tallies(c06_fam),
         "load_instance": lambda: serialize.load_instance(instance),
@@ -195,9 +196,9 @@ def time_layers(src: str) -> dict:
         # the parser's build, not the per-process cache in front of it
         "build_parser": getattr(cli.build_parser, "__wrapped__", cli.build_parser),
         "build_bias_table_24x1000x5000": lambda: md.build_bias_table(
-            md.SampleOracle.exact_mode(wide_fam), wide_table_cfg, draw_rng),
+            wide_fam, wide_table_cfg, draw_rng),
         "build_bias_table_6x40x5000": lambda: md.build_bias_table(
-            md.SampleOracle.exact_mode(c06_fam), c06_table_cfg, draw_rng),
+            c06_fam, c06_table_cfg, draw_rng),
         # a copy, since a classifier caches its label vector
         "compact_label_vector_24x1000": lambda: dataclasses.replace(compact).label_vector(),
         "hedge_exact_c06": lambda: md.hedge_learn(c06_oracle, c06_cls, 0.075),
