@@ -2,9 +2,11 @@
 
 Instances and classifiers are JSON (numbers as decimal text, arrays in domain
 index order), written by `_json_text`, which gives the bytes of
-`json.dumps(doc, indent=1)` from json's C encoder, and read by orjson, which
-parses a float to the same double as `json` and rejects NaN and Infinity
-literals. A file nested deeper than `MAX_JSON_DEPTH` is rejected before
+`json.dumps(doc, indent=1)`: orjson writes the numbers, `float.__repr__` each
+nonzero float of magnitude outside [1e-4, 1e16), and json's C encoder
+everything else and whatever orjson cannot write exactly. They are read by
+orjson, which parses a float to the same double as `json` and rejects NaN and
+Infinity literals. A file nested deeper than `MAX_JSON_DEPTH` is rejected before
 orjson parses it. An instance file's label matrix is read straight from its
 bytes when they prove it a rectangular matrix of 1 and -1 (`_label_route`);
 any other file is read as a whole by orjson. Matrices use a plain text
@@ -21,7 +23,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
-from orjson import loads as orjson_loads
+from orjson import dumps as orjson_dumps, loads as orjson_loads
 
 from .hashing import CompactClassifier, PolyHash
 from .instances import GenSpec
@@ -177,32 +179,52 @@ def _read_json(path):
     return _parse(Path(path).read_bytes())
 
 
-# one call of json's C encoder: compact, and NaN or Infinity is a ValueError
+# json's C encoder, compact: it writes keys, single values and what orjson
+# cannot write exactly, and NaN or Infinity is a ValueError
 _compact = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
-# the types whose C-encoder text holds no comma or bracket
+# the types whose text holds no comma or bracket
 _NUMBER_TYPES = frozenset({int, float, bool, type(None)})
 _ROW_TYPES = frozenset({list, tuple})
-# the text of each int in a label matrix: joined from these, such a matrix is
-# written in about half the time the encoder takes
-_LABEL_TEXT = {label: str(label) for label in (-1, 0, 1)}
+# orjson writes a finite float with float.__repr__'s digits, and in its notation
+# too when the float is 0.0, -0.0 or of magnitude in [_BAND_LOW, _BAND_HIGH)
+_BAND_LOW, _BAND_HIGH = 1e-4, 1e16
 
 
-def _joined_labels(rows, sep: str, boundary: str) -> str | None:
-    """The texts of rows' entries joined by sep within a row and by boundary
-    between rows, when every entry is a key of _LABEL_TEXT; else None."""
+def _numbers(value, types: set) -> str:
+    """_compact(value), for a list of numbers, bools and None (by exact type)
+    or a list of nonempty such lists, whose entries' types are in types.
+    orjson writes it, and float.__repr__ each float outside orjson's band.
+    NaN, Infinity and an int beyond 64 bits, which orjson writes as null or
+    rejects, leave value to json's encoder, with its text or ValueError."""
     try:
-        return boundary.join([sep.join(map(_LABEL_TEXT.__getitem__, row)) for row in rows])
-    except KeyError:
-        return None
+        text = orjson_dumps(value).decode()
+    except TypeError:  # an int beyond 64 bits
+        return _compact(value)
+    if float not in types:
+        return text
+    entries = list(chain.from_iterable(value)) if type(value[0]) in _ROW_TYPES else value
+    floats = np.array(entries, dtype=float)  # a None reads as NaN
+    if not np.isfinite(floats).all():
+        return _compact(value)
+    size = np.abs(floats)
+    outside = np.flatnonzero((size != 0) & ((size < _BAND_LOW) | (size >= _BAND_HIGH)))
+    if not outside.size:
+        return text
+    # text's i-th comma-separated token is entry i's text, with any brackets
+    # that open or close its row
+    tokens = text.split(",")
+    for i in outside.tolist():
+        if type(entry := entries[i]) is float:  # an int's text is the same in both
+            tokens[i] = tokens[i].replace(tokens[i].strip("[]"), float.__repr__(entry))
+    return ",".join(tokens)
 
 
 def _write(value, newline: str, out: list) -> None:
     """Append to out the text that json.dumps(..., indent=1) gives value on a
     line that newline (a line break and that line's indent) starts. A list of
     numbers, bools and None (by exact type), and a list of nonempty such
-    lists, each take one compact C-encoder call, laid out by replacing its
-    commas and row boundaries: the text of no such value holds either. A
-    matrix of the ints -1, 0 and 1 is joined from their texts instead."""
+    lists, each take one `_numbers` call, laid out by replacing its commas
+    and row boundaries: the text of no such value holds either."""
     inner = newline + " "
     if isinstance(value, dict):
         if not value:
@@ -220,15 +242,13 @@ def _write(value, newline: str, out: list) -> None:
     elif not value:
         out.append("[]")
     elif (types := set(map(type, value))) <= _NUMBER_TYPES:
-        out.append("[" + inner + _compact(value)[1:-1].replace(",", "," + inner) + newline + "]")
+        out.append("[" + inner + _numbers(value, types)[1:-1].replace(",", "," + inner)
+                   + newline + "]")
     elif (types <= _ROW_TYPES and all(value)
           and (entries := set(map(type, chain.from_iterable(value)))) <= _NUMBER_TYPES):
         deeper = inner + " "
-        boundary = inner + "]," + inner + "[" + deeper
-        rows = _joined_labels(value, "," + deeper, boundary) if entries == {int} else None
-        if rows is None:
-            rows = _compact(value)[2:-2].replace(",", "," + deeper).replace(
-                "]," + deeper + "[", boundary)
+        rows = _numbers(value, entries)[2:-2].replace(",", "," + deeper).replace(
+            "]," + deeper + "[", inner + "]," + inner + "[" + deeper)
         out.append("[" + inner + "[" + deeper + rows + inner + "]" + newline + "]")
     else:
         out.append("[")

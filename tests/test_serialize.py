@@ -18,6 +18,7 @@ Nesting: the readers reject a file nested deeper than MAX_JSON_DEPTH, which
 import dataclasses
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -452,6 +453,40 @@ def test_the_writer_gives_the_text_of_json_dumps_indent_1(doc):
     assert serialize._json_text(doc) == json.dumps(doc, indent=1)
 
 
+def _neighbours(value: float, steps: int = 3) -> list[float]:
+    """value and the steps doubles on either side of it, in both signs."""
+    near = [value]
+    for toward in (0.0, math.inf):
+        x = value
+        for _ in range(steps):
+            near.append(x := math.nextafter(x, toward))
+    return near + [-x for x in near]
+
+
+def test_the_writer_writes_json_dumps_text_for_bulk_floats_and_band_edges():
+    # orjson writes a float's digits; the writer keeps its text only inside
+    # [1e-4, 1e16), so a change to orjson's float text fails here, not in a file
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False)
+    anywhere = bits.view(np.float64)
+    # sign and mantissa from random bits, the exponent inside the band or next to it
+    exponents = rng.integers(1023 - 15, 1023 + 56, bits.size, dtype=np.uint64)
+    sign_and_mantissa = bits & np.uint64(0x800F_FFFF_FFFF_FFFF)
+    in_band = (sign_and_mantissa | exponents << np.uint64(52)).view(np.float64)
+    floats = np.concatenate([anywhere, in_band])
+    floats = floats[np.isfinite(floats)].tolist()
+    edges = [x for edge in (1e-5, 1e-4, 1e16) for x in _neighbours(edge)]
+    edges += [5e-324, -5e-324, sys.float_info.max, -sys.float_info.max, 0.0, -0.0]
+    assert len(floats) > 199_000 and 1e-4 in edges and math.nextafter(1e16, 0.0) in edges
+    # ints orjson writes, beside floats too, and ints beyond 64 bits, which it rejects
+    ints, beyond = [2**63, -2**63, 2**63 - 1, 10**16], [2**64, -2**63 - 1]
+    for doc in (floats, {"rows": [floats[i:i + 1000] for i in range(0, len(floats), 1000)]},
+                edges, [edges, edges[::-1], [1.5]], ints + edges, [ints, edges[::-1] + ints],
+                ints + beyond, [ints + edges, beyond], [True, None, 1e-5, 2, 1e16],
+                [edges[:3], [None, 1e-5], [False, 2**64, 1e-5]]):
+        assert serialize._json_text(doc) == json.dumps(doc, indent=1)
+
+
 def test_every_writer_writes_the_text_of_json_dumps_indent_1(tmp_path):
     wide_spec = md.GenSpec(domain_size=1000, k=24, hypothesis_count=128, seed=5)
     wide_fam, wide_cls = md.gen_random_label_consistent(wide_spec)
@@ -483,9 +518,12 @@ def test_every_writer_writes_the_text_of_json_dumps_indent_1(tmp_path):
 
 def test_the_writer_rejects_nan_and_infinity_before_opening_a_file(tmp_path, monkeypatch):
     # the readers reject these literals, so a file holding one could not be read back
+    floats = np.random.default_rng(7).uniform(1e-6, 1.0, 1000).tolist()
     for bad in (math.nan, math.inf, -math.inf):
+        # one after 1000 floats, and one inside a float row of a matrix
         for doc in ({"weights": [0.5, bad]}, [[1.0], [bad]], {"x": bad}, [_Float(bad)],
-                    [[1.0], ["a", bad]]):
+                    [[1.0], ["a", bad]], floats + [bad],
+                    {"mass": [floats[:500], floats[500:] + [bad], floats[:10]]}):
             with pytest.raises(ValueError, match="Out of range float values"):
                 serialize._json_text(doc)
         monkeypatch.setattr(serialize, "classifier_to_dict", lambda clf: {"labels": [bad]})
