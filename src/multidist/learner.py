@@ -299,7 +299,9 @@ def _mixture(mass: np.ndarray, label_one_prob: np.ndarray,
 
 def erm(cls: HypothesisClass, dist: tuple[np.ndarray, np.ndarray]) -> int:
     """Exhaustive risk minimizer on the distribution given as its (mass, eta)
-    vectors, an empirical measure's included; lowest index on ties."""
+    vectors, an empirical measure's included; lowest index on ties. The
+    vectors are not checked to be a distribution: this is the array core
+    that sampling-mode Hedge calls on its empirical measures."""
     mass, eta = (np.asarray(a, dtype=np.float64) for a in dist)
     if mass.shape != (cls.domain_size,) or eta.shape != mass.shape:
         raise ValueError("domain size mismatch between class and data")

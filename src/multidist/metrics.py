@@ -55,7 +55,10 @@ def error_matrix(plus: np.ndarray,
     is sum_x D_i(x) * (plus_j(x) (1 - eta_i(x)) + (1 - plus_j(x)) eta_i(x)),
     summed over the points where mask, a boolean vector of length n, is True
     when one is given. A one-dimensional plus gives a (k,) vector. The
-    members are a family or a pair (mass, eta) of (k, n) arrays.
+    members are a family or a pair (mass, eta) of (k, n) arrays. The pair
+    form is an unchecked array core, for the empirical measures of
+    sampling-mode Hedge; the functions below that report errors take only a
+    family, whose masses and label probabilities its constructor checked.
 
     With fewer labelings than members (r < k), each step takes one labeling
     against every member, in two (k, n) work buffers. Otherwise each step
@@ -129,8 +132,16 @@ class ErrorReport:
         return cls(errors, errors[idx], idx)
 
 
+def _family(fam) -> DistributionFamily:
+    """fam, which must be a DistributionFamily: a (mass, eta) pair of arrays
+    is not checked to hold distributions, so its errors could exceed 1."""
+    if not isinstance(fam, DistributionFamily):
+        raise TypeError(f"fam must be a DistributionFamily, got {type(fam).__name__}")
+    return fam
+
+
 def worst_case_error(f, fam: DistributionFamily) -> ErrorReport:
-    return ErrorReport.from_errors(error_matrix(plus_rows(label_vector_of(f)), fam))
+    return ErrorReport.from_errors(error_matrix(plus_rows(label_vector_of(f)), _family(fam)))
 
 
 def _class_errors(errors, cls: HypothesisClass, fam: DistributionFamily) -> np.ndarray:
@@ -150,6 +161,7 @@ def randomized_per_distribution(f_rand: RandomizedClassifier, fam: DistributionF
     errors, if the caller has it, is the class's (|H|, k) error matrix on
     fam; its support rows are the ones error_matrix gives the support alone.
     """
+    fam = _family(fam)
     if errors is None:
         return f_rand.weights @ error_matrix(plus_rows(f_rand.support_label_matrix), fam)
     errors = _class_errors(errors, f_rand.hypothesis_class, fam)
@@ -163,7 +175,7 @@ def randomized_worst_case_error(f_rand: RandomizedClassifier, fam: DistributionF
 def support_worst_case(f_rand: RandomizedClassifier, fam: DistributionFamily) -> float:
     """max over f in the support of worst_case_error(f) — what a single
     unlucky draw from the mixture can cost."""
-    return float(error_matrix(plus_rows(f_rand.support_label_matrix), fam).max())
+    return float(error_matrix(plus_rows(f_rand.support_label_matrix), _family(fam)).max())
 
 
 def exceedance_probability(f_rand: RandomizedClassifier, fam: DistributionFamily,
@@ -171,7 +183,7 @@ def exceedance_probability(f_rand: RandomizedClassifier, fam: DistributionFamily
     """Pr over a single draw f~F that er_{D_i}(f) >= level, for every member
     i of fam: the weights of the support rows whose error on D_i is at or
     above level, summed."""
-    errs = error_matrix(plus_rows(f_rand.support_label_matrix), fam)
+    errs = error_matrix(plus_rows(f_rand.support_label_matrix), _family(fam))
     return np.array([f_rand.weights[hit].sum() for hit in (errs >= level).T])
 
 
@@ -180,6 +192,7 @@ def opt_bruteforce(cls: HypothesisClass, fam: DistributionFamily,
     """Exhaustive min over the class of the worst-case error; lowest index on
     ties. errors, if the caller has it, is the class's (|H|, k) error matrix
     on fam."""
+    fam = _family(fam)
     if errors is None:
         errors = error_matrix(plus_rows(cls.label_matrix), fam)
     else:

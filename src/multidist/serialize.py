@@ -347,11 +347,26 @@ def _label_route(data: bytes) -> tuple[dict, np.ndarray] | None:
     return doc, grid.reshape(rows, cols + 1)[:, :cols]
 
 
+# (the bytes of the last instance file parsed, the triple they gave), or None
+_last_instance: tuple[bytes, tuple] | None = None
+
+
 def load_instance(path) -> tuple[DistributionFamily, HypothesisClass, GenSpec | None]:
+    """The instance in the file. A file whose bytes equal those of the last
+    one parsed returns that parse's objects, which are immutable, so each
+    file's bytes are parsed once while a process loads it again and again.
+    The bytes are compared, not the path: a rewritten file is parsed again,
+    and a file that fails to load is not kept."""
+    global _last_instance
     data = Path(path).read_bytes()
-    if routed := _label_route(data):
-        return _instance(*routed)
-    return instance_from_dict(_parse(data))
+    if (kept := _last_instance) is not None and kept[0] == data:
+        return kept[1]
+    # the old file dropped first, so that it and the new one are never both held
+    kept = _last_instance = None
+    routed = _label_route(data)
+    loaded = _instance(*routed) if routed else instance_from_dict(_parse(data))
+    _last_instance = data, loaded
+    return loaded
 
 
 def randomized_to_dict(f_rand: RandomizedClassifier) -> dict:

@@ -233,6 +233,23 @@ def test_an_error_matrix_of_the_wrong_shape_is_rejected():
             md.randomized_per_distribution(F, fam, bad)
 
 
+def test_error_reports_take_only_a_checked_family():
+    # an unchecked (mass, eta) pair with masses summing to 1.1 and a label
+    # probability of 1.5 gave an error of 1.15 and an OPT of -0.05
+    pair = (np.array([[0.5, 0.6]]), np.array([[0.5, 1.5]]))
+    cls = md.HypothesisClass([[1, -1], [-1, 1]])
+    F = md.RandomizedClassifier(cls, (0,), [1.0])
+    for report in (lambda fam: md.worst_case_error(cls.label_matrix[0], fam),
+                   lambda fam: md.randomized_per_distribution(F, fam),
+                   lambda fam: md.randomized_worst_case_error(F, fam),
+                   lambda fam: md.support_worst_case(F, fam),
+                   lambda fam: md.exceedance_probability(F, fam, 0.5),
+                   lambda fam: md.opt_bruteforce(cls, fam)):
+        with pytest.raises(TypeError, match="fam must be a DistributionFamily, got tuple"):
+            report(pair)
+        report(md.DistributionFamily([[0.5, 0.5]], [[0.5, 1.0]]))
+
+
 def test_bias_values():
     # biases 1/2, 0 and 0.3 under masses 1/4, 1/4 and 1/2 give beta^2 * mass
     # 0.0625, 0 and 0.045, so the mask follows a threshold between them

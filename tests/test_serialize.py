@@ -13,11 +13,15 @@ The writer: `_json_text` gives the text of json.dumps(doc, indent=1), and
 every file the package writes is that text of its document.
 
 Nesting: the readers reject a file nested deeper than MAX_JSON_DEPTH, which
-`_nesting` measures as json.loads would nest it."""
+`_nesting` measures as json.loads would nest it.
+
+The kept instance: load_instance parses a file's bytes once while they are
+the last it parsed, whatever the path, and keeps no file that fails."""
 
 import dataclasses
 import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -564,3 +568,72 @@ def test_readers_parse_up_to_the_depth_limit_only():
     # and the scan reads the depth
     assert serialize._parse(json.dumps([[1]] * (limit + 1)).encode()) == [[1]] * (limit + 1)
     assert serialize._parse(json.dumps(["[{" * limit, "\\", "[" * limit]).encode())[1] == "\\"
+
+
+def _instance_file(path, seed: int, **doc_changes) -> bytes:
+    """Write an n=30, k=3, |H|=4 instance of the seed to path, with doc_changes
+    made to its document, and return the file's bytes."""
+    fam, cls, _ = md.generate(md.GenSpec(domain_size=30, k=3, hypothesis_count=4, seed=seed))
+    doc = serialize.instance_to_dict(fam, cls)
+    path.write_text(json.dumps({**doc, **doc_changes}, indent=1))
+    return path.read_bytes()
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The files' bytes, one entry per parse that load_instance starts (each
+    tries the label route first), with no file kept from an earlier test."""
+    monkeypatch.setattr(serialize, "_last_instance", None)
+    started, route = [], serialize._label_route
+    monkeypatch.setattr(serialize, "_label_route", lambda data: started.append(data) or route(data))
+    return started
+
+
+def test_a_file_loaded_again_gives_the_same_objects_from_one_parse(tmp_path, parses):
+    path, copy = tmp_path / "inst.json", tmp_path / "copy.json"
+    copy.write_bytes(_instance_file(path, 1))
+    first = serialize.load_instance(path)
+    # the bytes are what is compared, so a copy at another path is the same file
+    for again in (serialize.load_instance(path), serialize.load_instance(copy)):
+        assert all(a is b for a, b in zip(again, first, strict=True))
+    assert len(parses) == 1
+
+
+def test_a_same_length_rewrite_in_place_loads_the_new_values(tmp_path, parses):
+    path = tmp_path / "inst.json"
+    old = _instance_file(path, 2)
+    fam = serialize.load_instance(path)[0]
+    members, stat = json.loads(old)["distributions"], path.stat()
+    new = _instance_file(path, 2, distributions=[members[1], members[0], *members[2:]])
+    # the same size and modification time: only the bytes tell the files apart
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert len(new) == len(old) and new != old
+    swapped = serialize.load_instance(path)[0]
+    assert np.array_equal(swapped.mass_matrix, fam.mass_matrix[[1, 0, 2]])
+    assert len(parses) == 2
+
+
+def test_a_rejected_file_is_parsed_and_rejected_on_every_load(tmp_path, parses):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    _instance_file(good, 3)
+    _instance_file(bad, 3, domain_size=29)
+    serialize.load_instance(good)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as failed:
+            serialize.load_instance(bad)
+        messages.append(str(failed.value))
+        assert serialize._last_instance is None
+    assert messages == ["mass row 0 has 30 numbers, expected domain_size 29"] * 2
+    assert len(parses) == 3
+
+
+def test_only_the_last_file_parsed_is_kept(tmp_path, parses):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    _instance_file(a, 4)
+    # every label a float, which the label route leaves to orjson
+    labels = [[float(v) for v in row] for row in json.loads(_instance_file(b, 5))["hypotheses"]]
+    _instance_file(b, 5, hypotheses=labels)
+    for path in (a, b, a):
+        serialize.load_instance(path)
+    assert parses == [a.read_bytes(), b.read_bytes(), a.read_bytes()]

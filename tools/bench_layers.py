@@ -36,10 +36,15 @@ function learner._tallies. The layers:
   bias-table draws of derand on the cli_wide instance (in member blocks)
   and of a C06 campaign trial (in one block); the names are draw_family's,
   which these layers timed until it was removed;
-- load_instance: serialize.load_instance of the cli_wide instance file;
-- load_instance_deferred: serialize.load_instance of that file with every
-  label written as 1.0, which the loader's label route cannot prove and
-  leaves to orjson (the cost of a failed scan on top of a whole parse);
+- load_instance: serialize.load_instance of the cli_wide instance file,
+  parsed: the file the loader keeps from its last parse is dropped before
+  each call;
+- load_instance_deferred: the same of that file with every label written as
+  1.0, which the loader's label route cannot prove and leaves to orjson (the
+  cost of a failed scan on top of a whole parse);
+- load_instance_again: serialize.load_instance of the cli_wide instance file
+  that the call before loaded, which the loader reads and compares with the
+  bytes it kept (a tree without the kept file parses it again);
 - load_classifier_24x1000: serialize.load_classifier of the compact
   classifier file that derand --rounding hash writes for that instance, at
   the cli_wide derand flags (the file cli_wide's eval reads every op);
@@ -101,6 +106,7 @@ ROUNDS = 11
 REPS = {"eval_block": 40, "eval_one_poly": 100, "tail_check": 5, "bruteforce_min_discrepancy": 15,
         "min_deterministic_error": 15, "hedge_sampling": 15, "draw_family_24x1000x5000": 30,
         "draw_family_6x40x5000": 200, "load_instance": 15, "load_instance_deferred": 15,
+        "load_instance_again": 15,
         "load_classifier_24x1000": 100, "save_instance_24x1000": 10,
         "save_classifier_24x1000": 100,
         "generate_c06": 200, "reduction_family": 200, "error_matrix_128x24x1000": 30,
@@ -170,6 +176,10 @@ def time_layers(src: str) -> dict:
     def tallies(fam):
         return next(_tallies(fam, 5000, draw_rng))
 
+    def parsed(path):
+        serialize._last_instance = None  # no file kept from the call before
+        return serialize.load_instance(path)
+
     wide_learned = md.hedge_learn(md.SampleOracle(wide_fam), wide_cls, 0.3)
     wide_table = md.build_bias_table(wide_fam, wide_table_cfg, np.random.default_rng(5))
     calls = {
@@ -182,8 +192,9 @@ def time_layers(src: str) -> dict:
             md.SampleOracle(wide_fam, np.random.default_rng(7)), wide_cls, 0.6),
         "draw_family_24x1000x5000": lambda: tallies(wide_fam),
         "draw_family_6x40x5000": lambda: tallies(c06_fam),
-        "load_instance": lambda: serialize.load_instance(instance),
-        "load_instance_deferred": lambda: serialize.load_instance(float_labels),
+        "load_instance": lambda: parsed(instance),
+        "load_instance_deferred": lambda: parsed(float_labels),
+        "load_instance_again": lambda: serialize.load_instance(instance),
         "load_classifier_24x1000": lambda: serialize.load_classifier(classifier, wide_cls),
         "save_instance_24x1000": lambda: serialize.save_instance(saved, wide_fam, wide_cls),
         "save_classifier_24x1000": lambda: serialize.save_classifier(saved, loaded_classifier),

@@ -5,7 +5,7 @@
 Each tree runs the suite below in one fresh interpreter, with that tree's src
 first on PYTHONPATH, in an empty work directory of its own, so every output
 path is the same relative path in both runs (eval.csv's path columns match).
-Every file the suite leaves, 62 in all, is then compared byte for byte; a
+Every file the suite leaves, 64 in all, is then compared byte for byte; a
 command's stdout and stderr, followed by its exit code, are kept as
 <name>.out. The script prints the outputs it compared and exits 0 when all
 are identical, or exits 1 listing each that differs or exists in one tree
@@ -28,6 +28,11 @@ only. The suite:
 - eval, stdout and CSV, of the hash classifier rewritten with prime and
   range_size next_prime(2^54 + 1), where the evaluator works in Python
   integers and fl(q) + 1 is not exact;
+- eval of the explicit classifier, stdout and CSV, on inst.json rewritten in
+  place with members 0 and 1 swapped, the same number of bytes, after the
+  evals above loaded it in the same process (then the file is restored); the
+  CSV's per-member errors show the swap, which the printed worst case does
+  not;
 - learn --sampling --trace --rounds 57 --erm-samples 37 (rounds that are not
   a whole number of draw blocks) on a C06-shape gen instance and on a gen
   --kind heavy_point_probe --heavy-count 2 instance, whose members other
@@ -134,8 +139,17 @@ def run_suite(tree: Path) -> None:
     verb("eval_hash_big_prime", "eval", str(big_prime), "inst.json",
          "-o", "eval_hash_big_prime.csv")
     big_prime.unlink()
-    doc = json.loads(Path("inst.json").read_text())
+    instance = Path("inst.json")
+    doc = json.loads(instance.read_text())
     labels, members = doc["hypotheses"], doc["distributions"]
+    # the file this process last loaded, rewritten at its path and length:
+    # the loader must read the new members, not the old file's
+    original = instance.read_bytes()
+    instance.write_text(json.dumps(
+        {**doc, "distributions": [members[1], members[0], *members[2:]]}, indent=1))
+    verb("eval_inst_swapped_in_place", "eval", "clf_explicit.json", str(instance),
+         "-o", "eval_inst_swapped_in_place.csv")
+    instance.write_bytes(original)
     for name, text in (
             ("compact", json.dumps(doc, separators=(",", ":"))),
             ("float_labels", json.dumps(
