@@ -6,7 +6,6 @@ binary-matrix hard-instance machinery with exact rational accounting.
 """
 
 from .model import (
-    LabeledDistribution,
     DistributionFamily,
     HypothesisClass,
     RandomizedClassifier,
@@ -29,9 +28,7 @@ from .metrics import (
 )
 from .learner import (
     SampleOracle,
-    EmpiricalSample,
     HedgeConfig,
-    erm,
     hedge_learn,
 )
 from .derand import (

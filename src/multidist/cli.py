@@ -44,7 +44,7 @@ from .harness import (
     CampaignConfig,
     record_columns,
     run_campaign,
-    run_trial_detailed,
+    run_trial,
     write_records_csv,
     write_trials_csv,
 )
@@ -161,7 +161,7 @@ def cmd_derand(args) -> int:
     # exact-mode Hedge, as hedge_learn runs it, keeping the error matrix
     _, _, _, f_rand, errors, learning = next(rolling_mixtures(
         [(None, fam, cls)], derand_cfg.learner_eps(), _hedge_cfg(args), 1))
-    report, result = run_trial_detailed(fam, cls, f_rand, errors, derand_cfg, args.seed)
+    report, result = run_trial(fam, cls, f_rand, errors, derand_cfg, args.seed)
     report = dataclasses.replace(report, wall_time=report.wall_time + learning)
     serialize.save_classifier(args.output, result.classifier)
     if args.report:

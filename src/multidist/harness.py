@@ -29,6 +29,7 @@ import numpy as np
 
 from .model import DistributionFamily, HypothesisClass, RandomizedClassifier, plus_rows
 from .metrics import (
+    bayes_labels,
     error_matrix,
     heavy_mask,
     label_vector_of,
@@ -37,7 +38,7 @@ from .metrics import (
     worst_case_error,
 )
 from .learner import HedgeConfig, rolling_mixtures
-from .derand import BiasTable, DerandConfig, derandomize
+from .derand import BiasTable, DerandConfig, DerandResult, derandomize
 from .instances import GenSpec, generate
 from .serialize import _json_text
 
@@ -108,14 +109,12 @@ def heavy_coverage(table: BiasTable, fam: DistributionFamily, eps: float, delta:
     mask = heavy_mask(fam, eps, delta, variant, c_prime)
     pinned = np.zeros(fam.domain_size, dtype=np.int8)  # 0 off the table
     pinned[table.points] = table.labels
-    want = np.where(fam.shared_label_one_prob[mask] >= 0.5, 1, -1)
-    return bool(np.all(pinned[mask] == want))
+    return bool(np.all(pinned[mask] == bayes_labels(fam)[mask]))
 
 
-def run_trial_detailed(fam: DistributionFamily, cls: HypothesisClass,
-                       f_rand: RandomizedClassifier, errors: np.ndarray,
-                       derand_cfg: DerandConfig, seed: int, trial_id: int = 0,
-                       measure_time: bool = True):
+def run_trial(fam: DistributionFamily, cls: HypothesisClass, f_rand: RandomizedClassifier,
+              errors: np.ndarray, derand_cfg: DerandConfig, seed: int, trial_id: int = 0,
+              measure_time: bool = True) -> tuple[TrialReport, DerandResult]:
     """One derandomization of the mixture f_rand, learned on fam by the
     caller, deterministic given the seed; returns the report together with
     the derandomization result.
@@ -141,14 +140,6 @@ def run_trial_detailed(fam: DistributionFamily, cls: HypothesisClass,
     report = TrialReport(trial_id, seed, opt, rand_err, det_err, len(table),
                          covered, deviation, wall)
     return report, result
-
-
-def run_trial(fam: DistributionFamily, cls: HypothesisClass, f_rand: RandomizedClassifier,
-              errors: np.ndarray, derand_cfg: DerandConfig, seed: int, trial_id: int = 0,
-              measure_time: bool = True) -> TrialReport:
-    report, _ = run_trial_detailed(fam, cls, f_rand, errors, derand_cfg, seed, trial_id,
-                                   measure_time)
-    return report
 
 
 @dataclass(frozen=True)
@@ -284,8 +275,8 @@ def _campaign_worker(args) -> list[tuple[int, TrialReport | None, str | None]]:
             learning += spent
             try:
                 # through the module attribute, which a caller may wrap
-                report = run_trial(fam, cls, f_rand, errors, cfg.derand, seed, trial_id=i,
-                                   measure_time=measure_time)
+                report, _ = run_trial(fam, cls, f_rand, errors, cfg.derand, seed, trial_id=i,
+                                      measure_time=measure_time)
                 results.append((i, report, None))
             except Exception as exc:  # recorded, campaign continues
                 results.append(_failed(i, exc))
@@ -336,22 +327,19 @@ def run_campaign(cfg: CampaignConfig, trials: int, parallelism: int = 1,
         PREDICATE_CONDITIONAL: lambda r: r.deterministic_error <= r.randomized_error + eps / 2.0,
     }
     summaries = []
-    all_met = True
     for name, fn in preds.items():
         succ = sum(1 for r in reports if fn(r))
         frac = succ / len(reports) if reports else 0.0
         lo, hi = wilson_interval(succ, len(reports))
         required = cfg.required_fractions.get(name)
         met = None if required is None else frac >= required
-        if met is False:
-            all_met = False
         summaries.append(PredicateSummary(name, succ, len(reports), frac, lo, hi, required, met))
 
     summary = CampaignSummary(
         trials=trials,
         errors=len(errors),
         partial=bool(errors),
-        passed=not errors and all_met,
+        passed=not errors and all(p.met is not False for p in summaries),
         predicates=tuple(summaries),
         config={
             "gen_spec": dataclasses.asdict(cfg.gen_spec),

@@ -16,7 +16,7 @@ from .model import (
     HypothesisClass,
     RandomizedClassifier,
 )
-from .metrics import bayes_labels, heavy_bias_threshold
+from .metrics import _heaviness, bayes_labels, heavy_bias_threshold
 
 
 @dataclass(frozen=True)
@@ -167,9 +167,7 @@ def gen_heavy_point_probe(spec: GenSpec) -> DistributionFamily:
     fam = DistributionFamily(masses, np.broadcast_to(eta, masses.shape))
 
     thresh = heavy_bias_threshold(spec.eps, spec.delta, k, spec.variant, spec.c_prime)
-    beta = eta - 0.5
-    stat = (beta**2)[None, :] * fam.mass_matrix
-    best = stat.max(axis=0)
+    best = _heaviness(fam)
     if np.any(best == thresh):
         raise ValueError("a point sits exactly on the heavy-bias threshold; adjust the spec")
     is_heavy = best > thresh

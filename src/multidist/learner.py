@@ -28,7 +28,7 @@ from .model import (
     plus_rows,
     require_integer,
 )
-from .metrics import error_matrix
+from .metrics import _errors, error_matrix
 
 
 @dataclass(frozen=True)
@@ -499,7 +499,7 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, *,
         np.maximum(counts, 1.0, out=counts)
         np.divide(pos, counts, out=emp_eta)
         h_idx = erm(cls, _mixture(emp_mass, emp_eta, w))
-        errs = error_matrix(plus[h_idx], (emp_mass, emp_eta))
+        errs = _errors(plus[h_idx], emp_mass, emp_eta)
         picks[h_idx] += 1
         if trace is not None:
             trace.append(HedgeRound(t, h_idx, tuple(errs.tolist()), tuple(w.tolist())))

@@ -38,27 +38,42 @@ def label_vector_of(f, domain_size: int | None = None) -> np.ndarray:
     return labels
 
 
-# doubles in each of error_matrix's two work buffers: at 2^15 (256 KB) a
+# doubles in each of _errors's two work buffers: at 2^15 (256 KB) a
 # block of labelings, its complements and both buffers fit a 2 MB L2 together;
 # 2^14 and 2^16 were slower at n = 1000 and n = 5000 in alternating timings
 BUDGET = 1 << 15
 
 
-def error_matrix(plus: np.ndarray,
-                 fam: DistributionFamily | tuple[np.ndarray, np.ndarray],
+def _family(fam) -> DistributionFamily:
+    """fam, which must be a DistributionFamily: a (mass, eta) pair of arrays
+    is not checked to hold distributions, so its errors could exceed 1."""
+    if not isinstance(fam, DistributionFamily):
+        raise TypeError(f"fam must be a DistributionFamily, got {type(fam).__name__}")
+    return fam
+
+
+def error_matrix(plus: np.ndarray, fam: DistributionFamily,
                  mask: np.ndarray | None = None) -> np.ndarray:
-    """Exact errors of labelings on every member: the (r, k) core of every
-    error in the package.
+    """Exact errors of labelings on every member of a family: the (r, k) core
+    of every error in the package.
 
     Each row of the (r, n) array plus is one labeling as Pr[f(x) = +1]: 0/1
     for a deterministic classifier, the marginals for a mixture. Entry (j, i)
     is sum_x D_i(x) * (plus_j(x) (1 - eta_i(x)) + (1 - plus_j(x)) eta_i(x)),
     summed over the points where mask, a boolean vector of length n, is True
-    when one is given. A one-dimensional plus gives a (k,) vector. The
-    members are a family or a pair (mass, eta) of (k, n) arrays. The pair
-    form is an unchecked array core, for the empirical measures of
-    sampling-mode Hedge; the functions below that report errors take only a
-    family, whose masses and label probabilities its constructor checked.
+    when one is given. A one-dimensional plus gives a (k,) vector. fam must
+    be a DistributionFamily, whose constructor checked its masses and label
+    probabilities; anything else is a TypeError.
+    """
+    fam = _family(fam)
+    return _errors(plus, fam.mass_matrix, fam.label_prob_matrix, mask)
+
+
+def _errors(plus: np.ndarray, mass: np.ndarray, eta: np.ndarray,
+            mask: np.ndarray | None = None) -> np.ndarray:
+    """error_matrix on members given as (k, n) float64 arrays of masses and
+    label probabilities, which are not checked to be distributions: the array
+    core, also called on the empirical measures of sampling-mode Hedge.
 
     With fewer labelings than members (r < k), each step takes one labeling
     against every member, in two (k, n) work buffers. Otherwise each step
@@ -70,13 +85,6 @@ def error_matrix(plus: np.ndarray,
     of n (or masked) terms.
     """
     plus = np.asarray(plus, dtype=np.float64)
-    if isinstance(fam, DistributionFamily):
-        mass, eta = fam.mass_matrix, fam.label_prob_matrix
-    else:
-        mass, eta = (np.asarray(a, dtype=np.float64) for a in fam)
-        if mass.ndim != 2 or mass.shape != eta.shape:
-            raise ValueError(f"member arrays must be two (k, n) arrays of one shape, "
-                             f"got {mass.shape} and {eta.shape}")
     k, n = mass.shape
     if plus.shape[-1] != n:
         raise ValueError(f"domain size mismatch: classifier {plus.shape[-1]}, distribution {n}")
@@ -132,23 +140,15 @@ class ErrorReport:
         return cls(errors, errors[idx], idx)
 
 
-def _family(fam) -> DistributionFamily:
-    """fam, which must be a DistributionFamily: a (mass, eta) pair of arrays
-    is not checked to hold distributions, so its errors could exceed 1."""
-    if not isinstance(fam, DistributionFamily):
-        raise TypeError(f"fam must be a DistributionFamily, got {type(fam).__name__}")
-    return fam
-
-
 def worst_case_error(f, fam: DistributionFamily) -> ErrorReport:
-    return ErrorReport.from_errors(error_matrix(plus_rows(label_vector_of(f)), _family(fam)))
+    return ErrorReport.from_errors(error_matrix(plus_rows(label_vector_of(f)), fam))
 
 
 def _class_errors(errors, cls: HypothesisClass, fam: DistributionFamily) -> np.ndarray:
     """errors, checked to have the shape (|H|, k) of the class's error matrix
     on fam; a transposed or foreign matrix would give wrong numbers silently."""
     errors = np.asarray(errors)
-    if errors.shape != (len(cls), fam.k):
+    if errors.shape != (len(cls), _family(fam).k):
         raise ValueError(f"errors must be the class's (|H|, k) = {(len(cls), fam.k)} error "
                          f"matrix, got shape {errors.shape}")
     return errors
@@ -161,7 +161,6 @@ def randomized_per_distribution(f_rand: RandomizedClassifier, fam: DistributionF
     errors, if the caller has it, is the class's (|H|, k) error matrix on
     fam; its support rows are the ones error_matrix gives the support alone.
     """
-    fam = _family(fam)
     if errors is None:
         return f_rand.weights @ error_matrix(plus_rows(f_rand.support_label_matrix), fam)
     errors = _class_errors(errors, f_rand.hypothesis_class, fam)
@@ -175,7 +174,7 @@ def randomized_worst_case_error(f_rand: RandomizedClassifier, fam: DistributionF
 def support_worst_case(f_rand: RandomizedClassifier, fam: DistributionFamily) -> float:
     """max over f in the support of worst_case_error(f) — what a single
     unlucky draw from the mixture can cost."""
-    return float(error_matrix(plus_rows(f_rand.support_label_matrix), _family(fam)).max())
+    return float(error_matrix(plus_rows(f_rand.support_label_matrix), fam).max())
 
 
 def exceedance_probability(f_rand: RandomizedClassifier, fam: DistributionFamily,
@@ -183,7 +182,7 @@ def exceedance_probability(f_rand: RandomizedClassifier, fam: DistributionFamily
     """Pr over a single draw f~F that er_{D_i}(f) >= level, for every member
     i of fam: the weights of the support rows whose error on D_i is at or
     above level, summed."""
-    errs = error_matrix(plus_rows(f_rand.support_label_matrix), _family(fam))
+    errs = error_matrix(plus_rows(f_rand.support_label_matrix), fam)
     return np.array([f_rand.weights[hit].sum() for hit in (errs >= level).T])
 
 
@@ -192,7 +191,6 @@ def opt_bruteforce(cls: HypothesisClass, fam: DistributionFamily,
     """Exhaustive min over the class of the worst-case error; lowest index on
     ties. errors, if the caller has it, is the class's (|H|, k) error matrix
     on fam."""
-    fam = _family(fam)
     if errors is None:
         errors = error_matrix(plus_rows(cls.label_matrix), fam)
     else:
@@ -229,8 +227,12 @@ def heavy_mask(fam: DistributionFamily, eps: float, delta: float, variant: str =
                c_prime: float = 4.0) -> np.ndarray:
     """Boolean mask over the domain: beta_x^2 * D_i(x) strictly above the
     threshold for at least one member i."""
+    return _heaviness(fam) > heavy_bias_threshold(eps, delta, fam.k, variant, c_prime)
+
+
+def _heaviness(fam: DistributionFamily) -> np.ndarray:
+    """max over members i of beta_x^2 * D_i(x) at each point x, where beta_x
+    = eta(x) - 1/2 under the shared conditional of a label-consistent fam."""
     require_label_consistent(fam)
-    thresh = heavy_bias_threshold(eps, delta, fam.k, variant, c_prime)
     beta = fam.shared_label_one_prob - 0.5
-    stat = (beta**2)[None, :] * fam.mass_matrix
-    return np.any(stat > thresh, axis=0)
+    return ((beta**2)[None, :] * fam.mass_matrix).max(axis=0)

@@ -215,7 +215,8 @@ class LabeledDistribution:
     """A distribution over (point, label) pairs on a finite domain.
 
     mass[x] is the probability of drawing x; label_one_prob[x] is the
-    conditional probability that the label is +1 given x.
+    conditional probability that the label is +1 given x. Both are checked
+    as one row of a DistributionFamily is.
     """
 
     mass: np.ndarray
@@ -231,6 +232,8 @@ class LabeledDistribution:
                 f"mass and label_one_prob lengths differ: "
                 f"{self.mass.shape[0]} vs {self.label_one_prob.shape[0]}"
             )
+        if issues := _family_violations(self.mass[None], self.label_one_prob[None]):
+            raise ValueError("; ".join(issues))
 
     @property
     def domain_size(self) -> int:

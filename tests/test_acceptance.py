@@ -288,7 +288,7 @@ def test_c11_rounding_path_equivalence():
     for rounding in ("explicit", "hash"):
         cfg = md.DerandConfig(eps=eps, delta=delta, mode="calibrated", m_override=5000,
                               rounding=rounding)
-        reports = [md.run_trial(fam, cls, f_rand, errors, cfg, seed=s, measure_time=False)
+        reports = [md.run_trial(fam, cls, f_rand, errors, cfg, seed=s, measure_time=False)[0]
                    for s in range(200)]
         errs = np.array([r.deterministic_error for r in reports])
         opt_ok = np.mean([r.deterministic_error <= r.opt + eps for r in reports])

@@ -8,14 +8,14 @@ import multidist as md
 PUBLIC_NAMES = [
     "BiasTable", "BinaryMatrix", "CampaignConfig", "CampaignSummary",
     "Coloring", "CompactClassifier", "DerandConfig", "DerandResult", "DistributionFamily",
-    "EmpiricalSample", "ErrorReport", "ExplicitClassifier", "GenSpec",
+    "ErrorReport", "ExplicitClassifier", "GenSpec",
     "HedgeConfig", "HypothesisClass", "LabelConsistencyError",
-    "LabeledDistribution", "PolyHash", "RandomizedClassifier", "ReductionFamily",
+    "PolyHash", "RandomizedClassifier", "ReductionFamily",
     "SampleOracle", "TailCheckConfig", "TailCheckReport", "TrialReport", "Verdict",
     "bayes_labels", "bruteforce_min_discrepancy", "build_bias_table", "choose_hash_params",
     "coloring_error", "derandomize", "distinguisher",
     "dummy_min_deterministic_error", "dummy_point_variant",
-    "empirical_tail_bound_check", "erm", "error_matrix", "exceedance_probability",
+    "empirical_tail_bound_check", "error_matrix", "exceedance_probability",
     "full_labeling_class", "gen_gap_example", "gen_heavy_point_probe",
     "gen_random_label_consistent", "generate", "heavy_bias_threshold", "heavy_mask",
     "hedge_learn", "is_prime", "min_deterministic_error",

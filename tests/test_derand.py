@@ -399,7 +399,7 @@ def test_rounding_deviation_small_on_light_instance():
     ok = 0
     runs = 120
     for run in range(runs):
-        rep = md.run_trial(fam, cls, f_rand, errors, cfg, seed=run, measure_time=False)
+        rep, _ = md.run_trial(fam, cls, f_rand, errors, cfg, seed=run, measure_time=False)
         if rep.rounding_deviation <= 0.1:
             ok += 1
     assert ok / runs >= 1 - 0.2 / 4 - 0.05
@@ -435,7 +435,7 @@ def test_realizable_instance_reaches_low_error():
     good = 0
     runs = 80
     for run in range(runs):
-        rep = md.run_trial(fam, cls, f_rand, errors, cfg, seed=run, measure_time=False)
+        rep, _ = md.run_trial(fam, cls, f_rand, errors, cfg, seed=run, measure_time=False)
         if rep.deterministic_error <= 0.15:
             good += 1
     assert good / runs >= 1 - 0.15

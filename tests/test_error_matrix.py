@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 import multidist as md
 from multidist import learner
-from multidist.learner import (BLOCK_DRAWS, HedgeStack, _bucket_table, _draw, _tally,
-                               rolling_mixtures)
-from multidist.metrics import BUDGET, plus_rows
+from multidist.learner import (BLOCK_DRAWS, EmpiricalSample, HedgeStack, _bucket_table, _draw,
+                               _tally, erm, rolling_mixtures)
+from multidist.metrics import BUDGET, _errors, plus_rows
 
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
@@ -64,27 +64,28 @@ def fraction_errors(plus, members, mask):
 @given(error_problems())
 def test_error_matrix_equals_exact_fraction_sums(problem):
     plus, (mass, eta), mask = problem
-    got = md.error_matrix(plus, (mass, eta), mask)
+    got = _errors(plus, mass, eta, mask)
     assert got.shape == (plus.shape[0], mass.shape[0])
     assert np.allclose(got, fraction_errors(plus, (mass, eta), mask), rtol=0.0, atol=1e-12)
     # one labeling at a time
-    assert np.array_equal(np.array([md.error_matrix(row, (mass, eta), mask) for row in plus]), got)
+    assert np.array_equal(np.array([_errors(row, mass, eta, mask) for row in plus]), got)
     # the same members as a family, once each row is made a distribution
     if np.all(mass.sum(axis=1) > 0):
         fam = md.DistributionFamily(mass / mass.sum(axis=1, keepdims=True), eta)
-        assert np.array_equal(md.error_matrix(plus, fam, mask), md.error_matrix(
-            plus, (fam.mass_matrix, fam.label_prob_matrix), mask))
+        assert np.array_equal(md.error_matrix(plus, fam, mask), _errors(
+            plus, fam.mass_matrix, fam.label_prob_matrix, mask))
 
 
 def test_error_matrix_shapes_and_domain_check():
     fam = md.DistributionFamily([[0.5, 0.5], [1.0, 0.0]], [[1.0, 0.0], [0.3, 0.3]])
     assert md.error_matrix(np.array([1.0, 0.0]), fam).tolist() == [0.0, 1.0 - 0.3]
     one = (fam.mass_matrix[1:], fam.label_prob_matrix[1:])
-    assert md.error_matrix(np.array([[1.0, 0.0]]), one).tolist() == [[1.0 - 0.3]]
+    assert _errors(np.array([[1.0, 0.0]]), *one).tolist() == [[1.0 - 0.3]]
     with pytest.raises(ValueError, match="domain size mismatch"):
         md.error_matrix(np.ones(3), fam)
-    for rows in ((fam.mass_matrix, fam.label_prob_matrix[0]), members(fam)[1]):
-        with pytest.raises(ValueError, match="two \\(k, n\\) arrays of one shape"):
+    # members as arrays, of one shape or not, are no family
+    for rows in (one, (fam.mass_matrix, fam.label_prob_matrix[0]), members(fam)[1]):
+        with pytest.raises(TypeError, match="fam must be a DistributionFamily, got tuple"):
             md.error_matrix(np.ones(2), rows)
 
 
@@ -149,8 +150,7 @@ def blocked_problems(draw):
 @given(blocked_problems())
 def test_blocked_error_matrix_is_bitwise_the_entry_loop(problem):
     plus, (mass, eta), mask = problem
-    assert np.array_equal(md.error_matrix(plus, (mass, eta), mask),
-                          entry_loop(plus, mass, eta, mask))
+    assert np.array_equal(_errors(plus, mass, eta, mask), entry_loop(plus, mass, eta, mask))
 
 
 def test_error_matrix_at_the_cli_wide_shape_is_bitwise_the_entry_loop():
@@ -193,7 +193,7 @@ def loop_hedge(fam, cls, eps):
     w = np.full(fam.k, 1.0 / fam.k)
     counts = {}
     for _ in range(rounds):
-        h = md.erm(cls, loop_mixture(fam, w))
+        h = erm(cls, loop_mixture(fam, w))
         counts[h] = counts.get(h, 0) + 1
         w = w * np.exp(eta * table[h])
         w = w / w.sum()
@@ -533,12 +533,12 @@ def round_hedge(fam, cls, eps, cfg, rng=None):
             errs = table[h]
         else:
             empirical = [
-                md.EmpiricalSample(*loop_draw(m, cfg.erm_sample_size, rng),
-                                   fam.domain_size).to_distribution()
+                EmpiricalSample(*loop_draw(m, cfg.erm_sample_size, rng),
+                                fam.domain_size).to_distribution()
                 for m in members(fam)]
             empirical = [(m.mass, m.label_one_prob) for m in empirical]
             emp = md.DistributionFamily(*zip(*empirical))
-            h = md.erm(cls, loop_mixture(emp, w))
+            h = erm(cls, loop_mixture(emp, w))
             errs = np.array([loop_error_terms(cls.label_matrix[h], m).sum()
                              for m in empirical])
         counts[h] = counts.get(h, 0) + 1

@@ -89,11 +89,24 @@ def test_run_trial_deterministic():
                                                          hypothesis_count=8, seed=5))
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=1000)
     f_rand, errors = learned(fam, cls, cfg)
-    a = md.run_trial(fam, cls, f_rand, errors, cfg, seed=42, measure_time=False)
-    b = md.run_trial(fam, cls, f_rand, errors, cfg, seed=42, measure_time=False)
+    a, _ = md.run_trial(fam, cls, f_rand, errors, cfg, seed=42, measure_time=False)
+    b, _ = md.run_trial(fam, cls, f_rand, errors, cfg, seed=42, measure_time=False)
     assert a == b
-    c = md.run_trial(fam, cls, f_rand, errors, cfg, seed=43, measure_time=False)
+    c, _ = md.run_trial(fam, cls, f_rand, errors, cfg, seed=43, measure_time=False)
     assert c.seed != a.seed
+
+
+def test_run_trial_reports_the_classifier_and_table_it_returns():
+    cfg = md.DerandConfig(eps=0.15, delta=0.15, mode="calibrated", m_override=5000)
+    for seed in range(6):
+        fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=40, k=6,
+                                                             hypothesis_count=16, seed=seed))
+        f_rand, errors = learned(fam, cls, cfg)
+        report, result = md.run_trial(fam, cls, f_rand, errors, cfg, seed=seed,
+                                      measure_time=False)
+        assert md.worst_case_error(result.classifier, fam).worst_case == \
+            report.deterministic_error
+        assert len(result.table) == report.table_size
 
 
 def test_campaign_trials_match_opt_and_mixture_errors_computed_afresh(tmp_path):
@@ -111,7 +124,7 @@ def test_campaign_trials_match_opt_and_mixture_errors_computed_afresh(tmp_path):
         assert r.opt == md.opt_bruteforce(cls, fam)[0]
         assert r.randomized_error == float(md.randomized_per_distribution(F, fam).max())
         rows.append(md.run_trial(fam, cls, F, errors, cfg.derand, r.seed, trial_id=r.trial_id,
-                                 measure_time=False))
+                                 measure_time=False)[0])
     write_trials_csv(tmp_path / "afresh.csv", rows)
     assert (tmp_path / "afresh.csv").read_bytes() == (tmp_path / "trials.csv").read_bytes()
 

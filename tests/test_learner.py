@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multidist as md
-from multidist.learner import _mixture, _tallies, rolling_mixtures, uniform_mixture
+from multidist.learner import (EmpiricalSample, _mixture, _tallies, erm, rolling_mixtures,
+                               uniform_mixture)
 from multidist.metrics import plus_rows
 
 
@@ -44,9 +45,9 @@ def test_draw_label_frequency_matches_eta():
 
 def test_erm_picks_zero_error_hypothesis():
     cls = md.HypothesisClass([[-1, 1], [1, 1]])
-    assert md.erm(cls, ([0.5, 0.5], [1.0, 1.0])) == 1
+    assert erm(cls, ([0.5, 0.5], [1.0, 1.0])) == 1
     with pytest.raises(ValueError, match="domain size mismatch"):
-        md.erm(cls, ([0.5, 0.5, 0.0], [1.0, 1.0, 1.0]))
+        erm(cls, ([0.5, 0.5, 0.0], [1.0, 1.0, 1.0]))
 
 
 def test_erm_gap_example_tie_breaks_low():
@@ -54,7 +55,7 @@ def test_erm_gap_example_tie_breaks_low():
     w = np.full(4, 0.25)
     mixture = _mixture(fam.mass_matrix, fam.label_prob_matrix, w)
     # every h_i has mixture error 1/k; lowest index wins
-    assert md.erm(cls, mixture) == 0
+    assert erm(cls, mixture) == 0
 
 
 def test_erm_matches_enumeration_oracle():
@@ -65,40 +66,52 @@ def test_erm_matches_enumeration_oracle():
         mass /= mass.sum()
         eta = rng.random(n)
         cls = md.HypothesisClass([np.where(rng.random(n) < 0.5, 1, -1) for _ in range(8)])
-        errors = md.error_matrix(plus_rows(cls.label_matrix), (mass[None], eta[None]))[:, 0]
-        assert md.erm(cls, (mass, eta)) == int(np.argmin(errors))
+        errors = md.error_matrix(plus_rows(cls.label_matrix),
+                                 md.DistributionFamily([mass], [eta]))[:, 0]
+        assert erm(cls, (mass, eta)) == int(np.argmin(errors))
 
 
 def test_erm_empirical_sample_equals_empirical_distribution():
     rng = np.random.default_rng(4)
     xs = rng.integers(0, 5, size=100)
     ys = np.where(rng.random(100) < 0.5, 1, -1).astype(np.int8)
-    empirical = md.EmpiricalSample(xs, ys, 5).to_distribution()
+    empirical = EmpiricalSample(xs, ys, 5).to_distribution()
     cls = md.HypothesisClass([np.where(rng.random(5) < 0.5, 1, -1) for _ in range(6)])
     # the 0-1 loss on the sample itself, lowest index on ties
     mistakes = (cls.label_matrix[:, xs] != ys).sum(axis=1)
-    assert md.erm(cls, (empirical.mass, empirical.label_one_prob)) == int(np.argmin(mistakes))
+    assert erm(cls, (empirical.mass, empirical.label_one_prob)) == int(np.argmin(mistakes))
 
 
 def test_empirical_sample_rejects_points_outside_the_domain():
     for point in (5, 7, -1):
         with pytest.raises(ValueError, match=r"sample points must lie in \[0, 5\)"):
-            md.EmpiricalSample([0, point], [1, 1], 5)
-    assert md.EmpiricalSample([0, 4], [1, -1], 5).to_distribution().mass.tolist() == [
+            EmpiricalSample([0, point], [1, 1], 5)
+    assert EmpiricalSample([0, 4], [1, -1], 5).to_distribution().mass.tolist() == [
         0.5, 0.0, 0.0, 0.0, 0.5]
 
 
 def test_empirical_sample_rejects_non_integer_points_and_labels():
     for xs in ([2.7, 0.2], [np.nan, 1], [np.inf, 1]):
         with pytest.raises(ValueError, match="sample points must be integers"):
-            md.EmpiricalSample(xs, [1, 1], 5)
+            EmpiricalSample(xs, [1, 1], 5)
     with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
-        md.EmpiricalSample([0, 1], [1.5, -1], 5)
-    assert md.EmpiricalSample([2.0, 0.0], [1, -1], 5).xs.tolist() == [2, 0]
+        EmpiricalSample([0, 1], [1.5, -1], 5)
+    assert EmpiricalSample([2.0, 0.0], [1, -1], 5).xs.tolist() == [2, 0]
+
+
+@pytest.mark.parametrize("draws", [1, 100_000])
+def test_empirical_distributions_pass_the_family_row_check(draws):
+    rng = np.random.default_rng(draws)
+    for n in (1, 5, 1000):
+        xs = rng.integers(0, n, size=draws)
+        ys = np.where(rng.random(draws) < 0.3, 1, -1)
+        dist = EmpiricalSample(xs, ys, n).to_distribution()
+        assert np.array_equal(dist.mass, np.bincount(xs, minlength=n) / draws)
+        assert abs(dist.mass.sum() - 1.0) <= 1e-12
 
 
 def test_an_empty_sample_has_no_empirical_distribution():
-    sample = md.EmpiricalSample(np.array([], dtype=int), np.array([], dtype=np.int8), 3)
+    sample = EmpiricalSample(np.array([], dtype=int), np.array([], dtype=np.int8), 3)
     with pytest.raises(ValueError, match="empty sample"):
         sample.to_distribution()
 
@@ -114,8 +127,8 @@ def test_mixture_error_is_weighted_member_error():
     assert [a.shape for a in mixture] == [(6,), (6,)]
     plus = plus_rows(np.where(rng.random(6) < 0.5, 1, -1))
     direct = w @ md.error_matrix(plus, fam)
-    rows = tuple(a[None] for a in mixture)
-    assert md.error_matrix(plus, rows)[0] == pytest.approx(direct, abs=1e-13)
+    one = md.DistributionFamily(*(a[None] for a in mixture))
+    assert md.error_matrix(plus, one)[0] == pytest.approx(direct, abs=1e-13)
 
 
 def test_hedge_config_defaults():

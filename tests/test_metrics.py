@@ -169,7 +169,8 @@ def test_exceedance_probability_is_the_member_by_member_sum():
         errors = md.error_matrix(plus, fam)
         for level in (0.0, *errors.ravel().tolist(), 1.0):
             got = md.exceedance_probability(F, fam, level)
-            want = [F.weights[md.error_matrix(plus, (mass[None], eta[None]))[:, 0] >= level].sum()
+            want = [F.weights[md.error_matrix(plus, md.DistributionFamily([mass], [eta]))[:, 0]
+                              >= level].sum()
                     for mass, eta in members(fam)]
             assert got.tolist() == want
 
@@ -239,7 +240,11 @@ def test_error_reports_take_only_a_checked_family():
     pair = (np.array([[0.5, 0.6]]), np.array([[0.5, 1.5]]))
     cls = md.HypothesisClass([[1, -1], [-1, 1]])
     F = md.RandomizedClassifier(cls, (0,), [1.0])
-    for report in (lambda fam: md.worst_case_error(cls.label_matrix[0], fam),
+    errors = np.zeros((2, 1))
+    for report in (lambda fam: md.error_matrix(np.array([1.0, 0.0]), fam),
+                   lambda fam: md.worst_case_error(cls.label_matrix[0], fam),
+                   lambda fam: md.randomized_per_distribution(F, fam, errors),
+                   lambda fam: md.opt_bruteforce(cls, fam, errors),
                    lambda fam: md.randomized_per_distribution(F, fam),
                    lambda fam: md.randomized_worst_case_error(F, fam),
                    lambda fam: md.support_worst_case(F, fam),

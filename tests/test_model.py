@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import multidist as md
 from multidist import serialize
+from multidist.model import LabeledDistribution
 
 
 def test_domain_requires_positive_size():
@@ -174,13 +175,23 @@ def test_family_rejects_mismatched_domain():
             md.DistributionFamily(rows, [[0.5, 0.5]] * len(rows))
 
 
+def test_labeled_distribution_is_checked_as_a_family_row():
+    # masses summing to 1.1 and a label probability of 1.5 used to build
+    with pytest.raises(ValueError, match=re.escape(
+            "mass sum 1.1 != 1; member 0, point 1: label_one_prob 1.5 outside [0, 1]")):
+        LabeledDistribution([0.5, 0.6], [0.5, 1.5])
+    with pytest.raises(ValueError, match=re.escape("point 0: negative mass -0.5")):
+        LabeledDistribution([-0.5, 1.5], [0.5, 0.5])
+    assert LabeledDistribution([0.25, 0.75], [0.0, 1.0]).domain_size == 2
+
+
 def test_float_entries_must_be_numbers():
     # np.asarray would read True as 1.0 and "0.5" as 0.5, in a list or an array
     bad = ([1.0, True], [np.False_, 1.0], ["0.5", 0.5], np.array([True, False]),
            np.array(["0.5", "0.5"]), np.array([0.5, True], dtype=object))
     for values in bad:
         with pytest.raises(ValueError, match="mass must hold numbers, got (bool|str)"):
-            md.LabeledDistribution(values, [0.5, 0.5])
+            LabeledDistribution(values, [0.5, 0.5])
         with pytest.raises(ValueError, match="mass must hold numbers, got (bool|str)"):
             md.DistributionFamily([[0.5, 0.5], values], [[0.5, 0.5]] * 2)
         with pytest.raises(ValueError, match="label_one_prob must hold numbers, got (bool|str)"):

@@ -48,6 +48,14 @@ only. The suite:
   of 64 and 63 keys);
 - disc gen (planted zero, n = 12), then solve, reduce and distinguish (with
   the planted coloring) on that matrix.
+
+Where the one-entry paths run: every output goes through error_matrix;
+demos 01-05 call the package's public names, demo 04 unpacking run_trial's
+(report, result) pair; derand_* goes through run_trial; learn_*_sampling
+through _errors, the array core of sampling-mode Hedge; gen_heavy through
+_heaviness, which heavy_mask also reads; trial_p1 and trial_p2 through
+heavy_coverage's bayes_labels signs (the heavy_covered column) and the
+summary's passed flag, derived from the predicate summaries.
 """
 
 from __future__ import annotations
