@@ -55,14 +55,12 @@ print(f"  empirical Pr[+1] over {draws} hash draws: {hits / draws:.6f}")
 print(f"  exact law floor(m*p)/p              : {float(law):.6f}")
 
 # both rounding styles keep the same guarantee and essentially the same error;
-# each trial derandomizes the one mixture learned above, and reads OPT and
-# the mixture's errors from the class's (|H|, k) error matrix
-errors = md.error_matrix((cls.label_matrix == 1).astype(float), fam)
+# each trial derandomizes the one mixture learned above
 errs = {}
 for rounding in ("explicit", "hash"):
     cfg_r = md.DerandConfig(eps=eps, delta=delta, mode="calibrated", m_override=5000,
                             rounding=rounding)
-    runs = [md.run_trial(fam, cls, f_rand, errors, cfg_r, seed=s, measure_time=False)
+    runs = [md.run_trial(fam, cls, f_rand, cfg_r, seed=s, measure_time=False)
             for s in range(60)]
     errs[rounding] = np.mean([t.deterministic_error for t, _ in runs])
 print(f"\nmean worst-case error over 60 seeds: explicit {errs['explicit']:.4f}, "

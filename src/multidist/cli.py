@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,15 +60,13 @@ from .learner import (
     HedgeConfig,
     SampleOracle,
     hedge_learn,
-    rolling_mixtures,
 )
 from .metrics import (
-    error_matrix,
     opt_bruteforce,
     randomized_per_distribution,
     worst_case_error,
 )
-from .model import full_labeling_class, plus_rows
+from .model import full_labeling_class
 
 
 def _out_dir(path_arg: str | None) -> Path:
@@ -136,17 +135,11 @@ def cmd_learn(args) -> int:
     fam, cls, _ = serialize.load_instance(args.instance)
     cfg = dataclasses.replace(_hedge_cfg(args), erm_sample_size=args.erm_samples)
     trace = [] if args.trace else None
-    if args.sampling:
-        oracle = SampleOracle(fam, np.random.default_rng(args.seed))
-        f_rand = hedge_learn(oracle, cls, args.eps, cfg=cfg, trace=trace)
-        errors = error_matrix(plus_rows(cls.label_matrix), fam)
-    else:
-        # exact-mode Hedge, as hedge_learn runs it, keeping the error matrix
-        _, _, _, f_rand, errors, _ = next(rolling_mixtures(
-            [(None, fam, cls)], args.eps, cfg, 1, trace))
+    oracle = SampleOracle(fam, np.random.default_rng(args.seed) if args.sampling else None)
+    f_rand = hedge_learn(oracle, cls, args.eps, cfg=cfg, trace=trace)
     serialize.save_randomized(args.output, f_rand)
-    errs = randomized_per_distribution(f_rand, fam, errors)
-    opt, _ = opt_bruteforce(cls, fam, errors)
+    errs = randomized_per_distribution(f_rand, fam)
+    opt, _ = opt_bruteforce(cls, fam)
     print(f"mixture over {len(f_rand.support)} hypotheses; "
           f"worst-case expected error {errs.max():.6f} (OPT {opt:.6f})")
     if trace is not None:
@@ -158,10 +151,10 @@ def cmd_learn(args) -> int:
 def cmd_derand(args) -> int:
     fam, cls, _ = serialize.load_instance(args.instance)
     derand_cfg = _derand_cfg(args)
-    # exact-mode Hedge, as hedge_learn runs it, keeping the error matrix
-    _, _, _, f_rand, errors, learning = next(rolling_mixtures(
-        [(None, fam, cls)], derand_cfg.learner_eps(), _hedge_cfg(args), 1))
-    report, result = run_trial(fam, cls, f_rand, errors, derand_cfg, args.seed)
+    t0 = time.perf_counter()
+    f_rand = hedge_learn(SampleOracle(fam), cls, derand_cfg.learner_eps(), cfg=_hedge_cfg(args))
+    learning = time.perf_counter() - t0
+    report, result = run_trial(fam, cls, f_rand, derand_cfg, args.seed)
     report = dataclasses.replace(report, wall_time=report.wall_time + learning)
     serialize.save_classifier(args.output, result.classifier)
     if args.report:

@@ -113,16 +113,15 @@ def heavy_coverage(table: BiasTable, fam: DistributionFamily, eps: float, delta:
 
 
 def run_trial(fam: DistributionFamily, cls: HypothesisClass, f_rand: RandomizedClassifier,
-              errors: np.ndarray, derand_cfg: DerandConfig, seed: int, trial_id: int = 0,
+              derand_cfg: DerandConfig, seed: int, trial_id: int = 0,
               measure_time: bool = True) -> tuple[TrialReport, DerandResult]:
     """One derandomization of the mixture f_rand, learned on fam by the
     caller, deterministic given the seed; returns the report together with
     the derandomization result.
 
     The bias table and rounding consume streams derived from the trial
-    seed. errors is the class's (|H|, k) error matrix on fam,
-    error_matrix(plus_rows(cls.label_matrix), fam), which the exact-mode
-    learner has computed; OPT and the mixture's errors are read from it.
+    seed. OPT and the mixture's errors are read from class_errors(cls, fam),
+    which the exact-mode learner has loaded.
     """
     t0 = time.perf_counter() if measure_time else 0.0
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -130,8 +129,8 @@ def run_trial(fam: DistributionFamily, cls: HypothesisClass, f_rand: RandomizedC
     result = derandomize(fam, f_rand, derand_cfg, rng)
     f_hat, table = result.classifier, result.table
 
-    opt, _ = opt_bruteforce(cls, fam, errors)
-    rand_err = float(randomized_per_distribution(f_rand, fam, errors).max())
+    opt, _ = opt_bruteforce(cls, fam)
+    rand_err = float(randomized_per_distribution(f_rand, fam).max())
     det_err = worst_case_error(f_hat, fam).worst_case
     covered = heavy_coverage(table, fam, derand_cfg.eps, derand_cfg.delta,
                              derand_cfg.rounding, derand_cfg.c_prime)
@@ -270,12 +269,12 @@ def _campaign_worker(args) -> list[tuple[int, TrialReport | None, str | None]]:
     learning = 0.0
     try:
         # a spec gives every instance the same k and |H|, so they share a stack
-        for (i, seed), fam, cls, f_rand, errors, spent in rolling_mixtures(
+        for (i, seed), fam, cls, f_rand, spent in rolling_mixtures(
                 instances(), cfg.derand.learner_eps(), cfg.hedge):
             learning += spent
             try:
                 # through the module attribute, which a caller may wrap
-                report, _ = run_trial(fam, cls, f_rand, errors, cfg.derand, seed, trial_id=i,
+                report, _ = run_trial(fam, cls, f_rand, cfg.derand, seed, trial_id=i,
                                       measure_time=measure_time)
                 results.append((i, report, None))
             except Exception as exc:  # recorded, campaign continues

@@ -28,7 +28,7 @@ from .model import (
     plus_rows,
     require_integer,
 )
-from .metrics import _errors, error_matrix
+from .metrics import _errors, class_errors
 
 
 @dataclass(frozen=True)
@@ -414,9 +414,9 @@ def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None,
     """The exact-mode Hedge mixture of each (key, family, class) item, learned
     in one HedgeStack that runs enter and leave at staggered rounds, with T
     and eta resolved from (k, eps). Yields (key, family, class, mixture,
-    errors, seconds) as runs finish, in the order the items came: errors is
-    the run's (|H|, k) error matrix, and seconds is the learning time since
-    the previous yield. Items not sharing k and |H| are a ValueError.
+    seconds) as runs finish, in the order the items came: seconds is the
+    learning time since the previous yield. A run loads its class_errors
+    matrix. Items not sharing k and |H| are a ValueError.
 
     The stack holds at most `runs` runs (STACK_RUNS by default). Each step
     takes the next item into the stack and plays ceil(T / slots) rounds, so
@@ -442,7 +442,7 @@ def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None,
     queue, loads, steps, spent = deque(), 0, 0, 0.0
     while item is not None or queue:
         if item is not None:
-            stack.load(loads % slots, error_matrix(plus_rows(item[2].label_matrix), item[1]))
+            stack.load(loads % slots, class_errors(item[2], item[1]))
             queue.append(item)
             loads += 1
         active = min(loads, slots)
@@ -451,8 +451,8 @@ def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None,
         if finished:
             slot = (steps + 1) % slots
             key, fam, cls = queue.popleft()
-            errors = stack.errors[slot].copy()
             if log is not None:
+                errors = stack.errors[slot]
                 trace.extend(HedgeRound(t, int(h[slot]), tuple(errors[h[slot]].tolist()),
                                         tuple(w[slot].tolist()))
                              for t, (h, w) in enumerate(log))
@@ -461,7 +461,7 @@ def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None,
             stack.advance(step - last, active)
         spent += time.perf_counter() - t0
         if finished:
-            yield key, fam, cls, mixture, errors, spent
+            yield key, fam, cls, mixture, spent
             spent = 0.0
         item = next(items, None)
         steps += 1
@@ -474,8 +474,8 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, *,
     """Run Hedge for T rounds and return the uniform mixture over the chosen
     hypotheses (duplicate choices merged by summing weights).
 
-    In exact mode the procedure is deterministic: the |H| x k error matrix E
-    is computed once and rolling_mixtures runs it in a stack of one. In sampling
+    In exact mode the procedure is deterministic: rolling_mixtures runs the
+    |H| x k matrix class_errors(cls, family) in a stack of one. In sampling
     mode each round tallies cfg.erm_sample_size fresh draws per member from
     the oracle's stream (_tallies, one round at a time), and both the ERM
     and the weight update use the resulting empirical measures.

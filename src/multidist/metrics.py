@@ -144,27 +144,28 @@ def worst_case_error(f, fam: DistributionFamily) -> ErrorReport:
     return ErrorReport.from_errors(error_matrix(plus_rows(label_vector_of(f)), fam))
 
 
-def _class_errors(errors, cls: HypothesisClass, fam: DistributionFamily) -> np.ndarray:
-    """errors, checked to have the shape (|H|, k) of the class's error matrix
-    on fam; a transposed or foreign matrix would give wrong numbers silently."""
-    errors = np.asarray(errors)
-    if errors.shape != (len(cls), _family(fam).k):
-        raise ValueError(f"errors must be the class's (|H|, k) = {(len(cls), fam.k)} error "
-                         f"matrix, got shape {errors.shape}")
-    return errors
+def class_errors(cls: HypothesisClass, fam: DistributionFamily) -> np.ndarray:
+    """The class's (|H|, k) error matrix on fam, error_matrix(plus_rows(
+    cls.label_matrix), fam), read-only: the matrix that exact Hedge loads and
+    OPT and a mixture's errors are read from.
 
-
-def randomized_per_distribution(f_rand: RandomizedClassifier, fam: DistributionFamily,
-                                errors: np.ndarray | None = None) -> np.ndarray:
-    """E_{f~F}[er_{D_i}(f)] for every member i, by linearity of expectation.
-
-    errors, if the caller has it, is the class's (|H|, k) error matrix on
-    fam; its support rows are the ones error_matrix gives the support alone.
+    The matrix of the last class asked, the same object, is kept on the
+    family, as cached_property keeps label_consistent, so these three callers
+    share one computation on one family.
     """
-    if errors is None:
-        return f_rand.weights @ error_matrix(plus_rows(f_rand.support_label_matrix), fam)
-    errors = _class_errors(errors, f_rand.hypothesis_class, fam)
-    return f_rand.weights @ errors[list(f_rand.support)]
+    kept = vars(_family(fam)).get("_class_error_entry")
+    if kept is None or kept[0] is not cls:
+        matrix = error_matrix(plus_rows(cls.label_matrix), fam)
+        matrix.flags.writeable = False
+        kept = vars(fam)["_class_error_entry"] = (cls, matrix)
+    return kept[1]
+
+
+def randomized_per_distribution(f_rand: RandomizedClassifier,
+                                fam: DistributionFamily) -> np.ndarray:
+    """E_{f~F}[er_{D_i}(f)] for every member i, by linearity of expectation:
+    the mixture's weights times its support's rows of class_errors."""
+    return f_rand.weights @ class_errors(f_rand.hypothesis_class, fam)[list(f_rand.support)]
 
 
 def randomized_worst_case_error(f_rand: RandomizedClassifier, fam: DistributionFamily) -> float:
@@ -186,16 +187,10 @@ def exceedance_probability(f_rand: RandomizedClassifier, fam: DistributionFamily
     return np.array([f_rand.weights[hit].sum() for hit in (errs >= level).T])
 
 
-def opt_bruteforce(cls: HypothesisClass, fam: DistributionFamily,
-                   errors: np.ndarray | None = None) -> tuple[float, int]:
-    """Exhaustive min over the class of the worst-case error; lowest index on
-    ties. errors, if the caller has it, is the class's (|H|, k) error matrix
-    on fam."""
-    if errors is None:
-        errors = error_matrix(plus_rows(cls.label_matrix), fam)
-    else:
-        errors = _class_errors(errors, cls, fam)
-    worst = errors.max(axis=1)
+def opt_bruteforce(cls: HypothesisClass, fam: DistributionFamily) -> tuple[float, int]:
+    """Exhaustive min over the class of the worst-case error, read from
+    class_errors; lowest index on ties."""
+    worst = class_errors(cls, fam).max(axis=1)
     idx = int(np.argmin(worst))
     return float(worst[idx]), idx
 

@@ -283,12 +283,12 @@ def test_c11_rounding_path_equivalence():
         md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=1111))
     eps, delta = 0.15, 0.15
     # exact Hedge is deterministic: one mixture serves all 400 trials
-    f_rand, errors = learned(fam, cls, md.DerandConfig(eps=eps, delta=delta))
+    f_rand = learned(fam, cls, md.DerandConfig(eps=eps, delta=delta))
     results = {}
     for rounding in ("explicit", "hash"):
         cfg = md.DerandConfig(eps=eps, delta=delta, mode="calibrated", m_override=5000,
                               rounding=rounding)
-        reports = [md.run_trial(fam, cls, f_rand, errors, cfg, seed=s, measure_time=False)[0]
+        reports = [md.run_trial(fam, cls, f_rand, cfg, seed=s, measure_time=False)[0]
                    for s in range(200)]
         errs = np.array([r.deterministic_error for r in reports])
         opt_ok = np.mean([r.deterministic_error <= r.opt + eps for r in reports])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import multidist as md
-from multidist import cli, serialize
+from multidist import cli, metrics, serialize
 from multidist.cli import main
 
 
@@ -876,3 +876,24 @@ def test_one_process_runs_verbs_as_fresh_processes_do(tmp_path, capsys, monkeypa
     assert names == ["clf.json", "eval.csv", "inst.json", "mix.json", "mix2.json", "trace.csv"]
     for name in names:
         assert (one / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_learn_then_derand_computes_the_class_error_matrix_once(tmp_path, monkeypatch):
+    # learn --sampling needs the matrix for its OPT line and derand's exact
+    # Hedge loads it; on one instance file in one process it is computed once
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--domain-size", "40", "-k", "4", "--hypotheses", "12",
+                 "--seed", "3", "-o", str(inst)]) == 0
+    monkeypatch.setattr(serialize, "_last_instance", None)
+    full, errors = [], metrics._errors
+
+    def counted(plus, *args, **kwargs):
+        full.append(np.ndim(plus) == 2 and len(plus) == 12)
+        return errors(plus, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_errors", counted)
+    assert main(["learn", str(inst), "--sampling", "--eps", "0.3", "--seed", "1",
+                 "-o", str(tmp_path / "mix.json")]) == 0
+    assert main(["derand", str(inst), "--eps", "0.4", "--delta", "0.3", "--mode", "calibrated",
+                 "--m-override", "500", "--seed", "2", "-o", str(tmp_path / "clf.json")]) == 0
+    assert sum(full) == 1

@@ -300,7 +300,7 @@ def _small_instance(seed=0):
 
 def _derandomized(fam, cls, cfg, seed):
     """Learn the mixture, then derandomize it with streams from seed."""
-    f_rand, _ = learned(fam, cls, cfg)
+    f_rand = learned(fam, cls, cfg)
     return md.derandomize(fam, f_rand, cfg, np.random.default_rng(seed))
 
 
@@ -319,7 +319,7 @@ def test_derandomize_is_a_function_of_its_arguments(rounding):
     fam, cls = _small_instance(8)
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=300,
                           rounding=rounding)
-    f_rand, _ = learned(fam, cls, cfg)
+    f_rand = learned(fam, cls, cfg)
     a, b, other = (md.derandomize(fam, f_rand, cfg, np.random.default_rng(seed))
                    for seed in (5, 5, 6))
     want = md.build_bias_table(fam, cfg, np.random.default_rng(5).spawn(2)[0])
@@ -395,11 +395,11 @@ def test_rounding_deviation_small_on_light_instance():
     cls = md.HypothesisClass([np.where(np.random.default_rng(s).random(30) < 0.5, 1, -1)
                               for s in range(6)])
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=2000)
-    f_rand, errors = learned(fam, cls, cfg)
+    f_rand = learned(fam, cls, cfg)
     ok = 0
     runs = 120
     for run in range(runs):
-        rep, _ = md.run_trial(fam, cls, f_rand, errors, cfg, seed=run, measure_time=False)
+        rep, _ = md.run_trial(fam, cls, f_rand, cfg, seed=run, measure_time=False)
         if rep.rounding_deviation <= 0.1:
             ok += 1
     assert ok / runs >= 1 - 0.2 / 4 - 0.05
@@ -431,11 +431,11 @@ def test_realizable_instance_reaches_low_error():
     opt, _ = md.opt_bruteforce(cls, fam)
     assert opt == 0.0
     cfg = md.DerandConfig(eps=0.15, delta=0.15, mode="calibrated", m_override=3000)
-    f_rand, errors = learned(fam, cls, cfg)
+    f_rand = learned(fam, cls, cfg)
     good = 0
     runs = 80
     for run in range(runs):
-        rep, _ = md.run_trial(fam, cls, f_rand, errors, cfg, seed=run, measure_time=False)
+        rep, _ = md.run_trial(fam, cls, f_rand, cfg, seed=run, measure_time=False)
         if rep.deterministic_error <= 0.15:
             good += 1
     assert good / runs >= 1 - 0.15

@@ -15,7 +15,7 @@ import multidist as md
 from multidist import learner
 from multidist.learner import (BLOCK_DRAWS, EmpiricalSample, HedgeStack, _bucket_table, _draw,
                                _tally, erm, rolling_mixtures)
-from multidist.metrics import BUDGET, _errors, plus_rows
+from multidist.metrics import BUDGET, _errors, class_errors, plus_rows
 
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
@@ -710,9 +710,11 @@ def test_rolling_mixtures_are_hedge_learn_alone(monkeypatch):
                                         0.2, cfg, runs))
             assert [key for key, *_ in got] == list(range(9))
             assert all(seconds >= 0.0 for *_, seconds in got)
-            for (_, fam, cls, F, errors, _), G in zip(got, want):
+            for (j, fam, cls, F, _), G in zip(got, want):
+                assert fam is instances[j][0] and cls is instances[j][1]
                 assert F.support == G.support and np.array_equal(F.weights, G.weights)
-                assert np.array_equal(errors, md.error_matrix(plus_rows(cls.label_matrix), fam))
+                assert np.array_equal(class_errors(cls, fam),
+                                      md.error_matrix(plus_rows(cls.label_matrix), fam))
     assert list(rolling_mixtures([], 0.2, cfg)) == []
 
 

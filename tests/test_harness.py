@@ -88,11 +88,11 @@ def test_run_trial_deterministic():
     fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=20, k=3,
                                                          hypothesis_count=8, seed=5))
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=1000)
-    f_rand, errors = learned(fam, cls, cfg)
-    a, _ = md.run_trial(fam, cls, f_rand, errors, cfg, seed=42, measure_time=False)
-    b, _ = md.run_trial(fam, cls, f_rand, errors, cfg, seed=42, measure_time=False)
+    f_rand = learned(fam, cls, cfg)
+    a, _ = md.run_trial(fam, cls, f_rand, cfg, seed=42, measure_time=False)
+    b, _ = md.run_trial(fam, cls, f_rand, cfg, seed=42, measure_time=False)
     assert a == b
-    c, _ = md.run_trial(fam, cls, f_rand, errors, cfg, seed=43, measure_time=False)
+    c, _ = md.run_trial(fam, cls, f_rand, cfg, seed=43, measure_time=False)
     assert c.seed != a.seed
 
 
@@ -101,9 +101,8 @@ def test_run_trial_reports_the_classifier_and_table_it_returns():
     for seed in range(6):
         fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=40, k=6,
                                                              hypothesis_count=16, seed=seed))
-        f_rand, errors = learned(fam, cls, cfg)
-        report, result = md.run_trial(fam, cls, f_rand, errors, cfg, seed=seed,
-                                      measure_time=False)
+        f_rand = learned(fam, cls, cfg)
+        report, result = md.run_trial(fam, cls, f_rand, cfg, seed=seed, measure_time=False)
         assert md.worst_case_error(result.classifier, fam).worst_case == \
             report.deterministic_error
         assert len(result.table) == report.table_size
@@ -120,10 +119,10 @@ def test_campaign_trials_match_opt_and_mixture_errors_computed_afresh(tmp_path):
     rows = []
     for r in reports:
         fam, cls, _ = md.generate(dataclasses.replace(cfg.gen_spec, seed=r.seed ^ 0x5EED))
-        F, errors = learned(fam, cls, cfg.derand, cfg.hedge)
+        F = learned(fam, cls, cfg.derand, cfg.hedge)
         assert r.opt == md.opt_bruteforce(cls, fam)[0]
         assert r.randomized_error == float(md.randomized_per_distribution(F, fam).max())
-        rows.append(md.run_trial(fam, cls, F, errors, cfg.derand, r.seed, trial_id=r.trial_id,
+        rows.append(md.run_trial(fam, cls, F, cfg.derand, r.seed, trial_id=r.trial_id,
                                  measure_time=False)[0])
     write_trials_csv(tmp_path / "afresh.csv", rows)
     assert (tmp_path / "afresh.csv").read_bytes() == (tmp_path / "trials.csv").read_bytes()

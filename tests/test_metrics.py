@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import multidist as md
-from multidist.metrics import plus_rows
+from multidist.metrics import class_errors, plus_rows
 
 
 def oracle_error(labels, member):
@@ -209,29 +209,34 @@ def test_the_class_error_matrix_gives_opt_and_mixture_errors_bitwise():
     rng = np.random.default_rng(52)
     fam = random_family(rng, n=30, k=5, shared=False)
     cls = md.HypothesisClass([np.where(rng.random(30) < 0.5, 1, -1) for _ in range(12)])
-    errors = md.error_matrix((cls.label_matrix == 1).astype(np.float64), fam)
-    assert md.opt_bruteforce(cls, fam, errors) == md.opt_bruteforce(cls, fam)
+    errors = class_errors(cls, fam)
+    worst = errors.max(axis=1)
+    assert md.opt_bruteforce(cls, fam) == (float(worst.min()), int(np.argmin(worst)))
     for size in (1, 3, 5, 9, 12):
         support = tuple(sorted(rng.choice(12, size, replace=False).tolist()))
         weights = rng.random(size)
         F = md.RandomizedClassifier(cls, support, weights / weights.sum())
-        want = md.randomized_per_distribution(F, fam)
-        assert np.array_equal(md.randomized_per_distribution(F, fam, errors), want)
+        own = md.error_matrix(plus_rows(cls.label_matrix[list(support)]), fam)
+        assert np.array_equal(errors[list(support)], own)
+        assert np.array_equal(md.randomized_per_distribution(F, fam), F.weights @ own)
 
 
-def test_an_error_matrix_of_the_wrong_shape_is_rejected():
-    # a transposed (k, |H|) matrix once named a hypothesis outside the class
-    # as OPT's and gave |H| "per-distribution" errors for k members
-    rng = np.random.default_rng(53)
-    fam = random_family(rng, n=10, k=6, shared=False)
-    cls = md.HypothesisClass([np.where(rng.random(10) < 0.5, 1, -1) for _ in range(4)])
-    errors = md.error_matrix((cls.label_matrix == 1).astype(np.float64), fam)
-    F = md.RandomizedClassifier(cls, (0, 3), [0.5, 0.5])
-    for bad in (errors.T, errors[:3], errors[:, :5], errors[None], errors[0]):
-        with pytest.raises(ValueError, match=r"\(\|H\|, k\) = \(4, 6\)"):
-            md.opt_bruteforce(cls, fam, bad)
-        with pytest.raises(ValueError, match=r"\(\|H\|, k\) = \(4, 6\)"):
-            md.randomized_per_distribution(F, fam, bad)
+def test_class_errors_keeps_the_last_class_matrix_on_the_family():
+    rng = np.random.default_rng(54)
+    fam = random_family(rng, n=20, k=4, shared=False)
+    first, second = (md.HypothesisClass([np.where(rng.random(20) < 0.5, 1, -1)
+                                         for _ in range(size)]) for size in (6, 7))
+    errors = class_errors(first, fam)
+    assert class_errors(first, fam) is errors
+    assert not errors.flags.writeable
+    want = md.error_matrix(plus_rows(first.label_matrix), fam)
+    assert errors.tobytes() == want.tobytes()
+    other = class_errors(second, fam)
+    assert other.shape == (7, 4)
+    assert other.tobytes() == md.error_matrix(plus_rows(second.label_matrix), fam).tobytes()
+    # the entry now holds the second class, so the first is computed again
+    again = class_errors(first, fam)
+    assert again is not errors and again.tobytes() == want.tobytes()
 
 
 def test_error_reports_take_only_a_checked_family():
@@ -240,11 +245,9 @@ def test_error_reports_take_only_a_checked_family():
     pair = (np.array([[0.5, 0.6]]), np.array([[0.5, 1.5]]))
     cls = md.HypothesisClass([[1, -1], [-1, 1]])
     F = md.RandomizedClassifier(cls, (0,), [1.0])
-    errors = np.zeros((2, 1))
     for report in (lambda fam: md.error_matrix(np.array([1.0, 0.0]), fam),
                    lambda fam: md.worst_case_error(cls.label_matrix[0], fam),
-                   lambda fam: md.randomized_per_distribution(F, fam, errors),
-                   lambda fam: md.opt_bruteforce(cls, fam, errors),
+                   lambda fam: class_errors(cls, fam),
                    lambda fam: md.randomized_per_distribution(F, fam),
                    lambda fam: md.randomized_worst_case_error(F, fam),
                    lambda fam: md.support_worst_case(F, fam),

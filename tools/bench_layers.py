@@ -10,8 +10,8 @@ rounds for each tree ("parent" is the tree given by --parent, "change" the
 tree holding this script), the first and third quartiles of those rounds, and
 the ratio of the medians. A ratio whose quartile ranges overlap is within the
 spread between interpreters of one tree. Both trees must take the family, not
-a SampleOracle, in build_bias_table and derandomize, and have the module
-function learner._tallies. The layers:
+a SampleOracle, in build_bias_table and derandomize, take no error matrix
+in run_trial, and have the module function learner._tallies. The layers:
 
 - eval_block: coefficient_matrix_eval on a (4096, 4) block of coefficients at
   the 64 keys 0..63, p = 67 (the default tail check's keys; the check itself
@@ -27,7 +27,8 @@ function learner._tallies. The layers:
   per member);
 - hedge_exact_c06: exact-mode hedge_learn at the C06 shape (n = 40, k = 6,
   |H| = 16, seed 5) and a C06 trial's learner precision, eps 0.075 (2549
-  rounds);
+  rounds), with the class error matrix the family keeps dropped before each
+  call;
 - hedge_stack_advance_32: one HedgeStack.advance step (ceil(2549 / 32) = 80
   rounds) of a full stack of STACK_RUNS = 32 runs, on the error matrices of
   the C06-shape instances of seeds 0..31, as a campaign worker plays it;
@@ -77,10 +78,11 @@ function learner._tallies. The layers:
 - round_outside_t_24x1000: explicit rounding of the exact-mode Hedge
   mixture at eps 0.3 (derand's learner at eps 0.6) on the cli_wide instance,
   outside its bias table above;
-- opt_bruteforce_128x24x1000: opt_bruteforce of the cli_wide class with no
-  precomputed error matrix;
+- opt_bruteforce_128x24x1000: opt_bruteforce of the cli_wide class, with
+  the class error matrix the family keeps dropped before each call;
 - run_trial_c06: one run_trial at the C06 campaign's derandomization
-  config, from the exact-mode mixture and error matrix of hedge_exact_c06.
+  config, from the exact-mode mixture of hedge_exact_c06, reading the class
+  error matrix that its learner left on the family.
 """
 
 from __future__ import annotations
@@ -165,7 +167,6 @@ def time_layers(src: str) -> dict:
                              np.random.default_rng(4)).classifier
     c06_oracle = md.SampleOracle(c06_fam)
     c06_mixture = md.hedge_learn(c06_oracle, c06_cls, 0.075)
-    c06_errors = md.error_matrix(c06_plus, c06_fam)
     rounds, eta = md.HedgeConfig().resolve(6, 0.075)
     step = -(-rounds // STACK_RUNS)
     stack = HedgeStack(STACK_RUNS, 16, 6, eta)
@@ -179,6 +180,10 @@ def time_layers(src: str) -> dict:
     def parsed(path):
         serialize._last_instance = None  # no file kept from the call before
         return serialize.load_instance(path)
+
+    def afresh(fam, call, *args):
+        vars(fam).pop("_class_error_entry", None)  # no class error matrix kept from the call before
+        return call(*args)
 
     wide_learned = md.hedge_learn(md.SampleOracle(wide_fam), wide_cls, 0.3)
     wide_table = md.build_bias_table(wide_fam, wide_table_cfg, np.random.default_rng(5))
@@ -212,13 +217,13 @@ def time_layers(src: str) -> dict:
             c06_fam, c06_table_cfg, draw_rng),
         # a copy, since a classifier caches its label vector
         "compact_label_vector_24x1000": lambda: dataclasses.replace(compact).label_vector(),
-        "hedge_exact_c06": lambda: md.hedge_learn(c06_oracle, c06_cls, 0.075),
+        "hedge_exact_c06": lambda: afresh(c06_fam, md.hedge_learn, c06_oracle, c06_cls, 0.075),
         "hedge_stack_advance_32": lambda: stack.advance(step),
         "round_outside_t_24x1000": lambda: md.round_outside_t(wide_learned, wide_table, 1000,
                                                               draw_rng),
-        "opt_bruteforce_128x24x1000": lambda: md.opt_bruteforce(wide_cls, wide_fam),
-        "run_trial_c06": lambda: md.run_trial(c06_fam, c06_cls, c06_mixture, c06_errors,
-                                              c06_table_cfg, 606),
+        "opt_bruteforce_128x24x1000": lambda: afresh(wide_fam, md.opt_bruteforce, wide_cls,
+                                                     wide_fam),
+        "run_trial_c06": lambda: md.run_trial(c06_fam, c06_cls, c06_mixture, c06_table_cfg, 606),
     }
     out = {}
     for name, call in calls.items():

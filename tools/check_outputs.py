@@ -51,7 +51,12 @@ only. The suite:
 
 Where the one-entry paths run: every output goes through error_matrix;
 demos 01-05 call the package's public names, demo 04 unpacking run_trial's
-(report, result) pair; derand_* goes through run_trial; learn_*_sampling
+(report, result) pair; derand_* goes through run_trial; the suite runs in
+one interpreter, so learn_exact and learn_sampling share one class error
+matrix, the one metrics.class_errors keeps on the family of the instance
+file the loader kept, and derand_explicit and derand_hash share another
+(learn_c06_* and learn_heavy_* load other files between them); trial_p*
+reads the matrix its Hedge stack loaded; learn_*_sampling
 through _errors, the array core of sampling-mode Hedge; gen_heavy through
 _heaviness, which heavy_mask also reads; trial_p1 and trial_p2 through
 heavy_coverage's bayes_labels signs (the heavy_covered column) and the
