@@ -138,8 +138,8 @@ def cmd_learn(args) -> int:
     oracle = SampleOracle(fam, np.random.default_rng(args.seed) if args.sampling else None)
     f_rand = hedge_learn(oracle, cls, args.eps, cfg=cfg, trace=trace)
     serialize.save_randomized(args.output, f_rand)
-    errs = randomized_per_distribution(f_rand, fam)
     opt, _ = opt_bruteforce(cls, fam)
+    errs = randomized_per_distribution(f_rand, fam)
     print(f"mixture over {len(f_rand.support)} hypotheses; "
           f"worst-case expected error {errs.max():.6f} (OPT {opt:.6f})")
     if trace is not None:

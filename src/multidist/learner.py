@@ -116,6 +116,19 @@ def _bucket_table(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cum, guide
 
 
+def _family_table(fam: DistributionFamily) -> tuple[np.ndarray, np.ndarray]:
+    """fam's _bucket_table, read-only: built on first use and kept on the
+    family, as class_errors keeps the class matrix, so that the draws of
+    sampling-mode Hedge and of a bias table on one family share one build."""
+    table = vars(fam).get("_bucket_table")
+    if table is None:
+        table = _bucket_table(fam.mass_matrix)
+        for array in table:
+            array.flags.writeable = False
+        vars(fam)["_bucket_table"] = table
+    return table
+
+
 def _lookup(table: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
     """The cells i * n + x, in u's shape, of the uniforms u (any strides),
     whose rows along axis -2 are keys of the r members of a _bucket_table:
@@ -182,14 +195,15 @@ def _tally(cells: np.ndarray, plus: np.ndarray, k: int, n: int) -> tuple[np.ndar
 def _tallies(fam: DistributionFamily, size: int, rng: np.random.Generator, rounds: int = 1):
     """Yield each of `rounds` rounds' (k, n) point and +1 counts, as floats,
     of size i.i.d. draws from every member of fam, using rng as rounds * k
-    consecutive SampleOracle.draw(i, size, rng) calls would. No array holds
-    more than BLOCK_DRAWS draws but the points of a member larger than a
-    block: blocks are whole rounds if one fits, else whole members of a round
-    (a row slice of the bucket table), and a larger member takes two passes,
-    its points in blocks, kept in the narrowest unsigned dtype, then its
-    labels. Summed block tallies are exact integers."""
+    consecutive SampleOracle.draw(i, size, rng) calls would, through the
+    bucket table fam keeps (_family_table). No array holds more than
+    BLOCK_DRAWS draws but the points of a member larger than a block: blocks
+    are whole rounds if one fits, else whole members of a round (a row slice
+    of the bucket table), and a larger member takes two passes, its points
+    in blocks, kept in the narrowest unsigned dtype, then its labels. Summed
+    block tallies are exact integers."""
     k, n = fam.k, fam.domain_size
-    cum, guide = table = _bucket_table(fam.mass_matrix)
+    cum, guide = table = _family_table(fam)
     eta = fam.label_prob_matrix
     if k * size <= BLOCK_DRAWS:
         block = BLOCK_DRAWS // (k * size)

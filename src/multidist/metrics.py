@@ -3,6 +3,10 @@
 Everything here is a closed-form expectation over known masses; nothing
 samples. er_D(f) = Pr_{(x,y)~D}[f(x) != y] = sum_x D(x) * (eta(x) if f(x) = -1
 else 1 - eta(x)) with eta(x) = Pr[y = +1 | x].
+
+A labeling p in {+0.0, 1.0} has the error term d * |p - eta|, which is the
+blend d * (p (1 - eta) + (1 - p) eta) bit for bit when eta lies in [0, 1]
+(see _errors); the marginals of a mixture take the blend.
 """
 
 from __future__ import annotations
@@ -38,10 +42,12 @@ def label_vector_of(f, domain_size: int | None = None) -> np.ndarray:
     return labels
 
 
-# doubles in each of _errors's two work buffers: at 2^15 (256 KB) a
+# doubles in each of _errors's work buffers: at 2^15 (256 KB) a
 # block of labelings, its complements and both buffers fit a 2 MB L2 together;
 # 2^14 and 2^16 were slower at n = 1000 and n = 5000 in alternating timings
 BUDGET = 1 << 15
+# the bits of 1.0; a labeling's entries are these or +0.0's, all zero
+_ONE_BITS = np.float64(1.0).view(np.uint64)
 
 
 def _family(fam) -> DistributionFamily:
@@ -64,9 +70,20 @@ def error_matrix(plus: np.ndarray, fam: DistributionFamily,
     when one is given. A one-dimensional plus gives a (k,) vector. fam must
     be a DistributionFamily, whose constructor checked its masses and label
     probabilities; anything else is a TypeError.
+
+    When every row is a labeling, each entry +0.0 or 1.0, the term is taken
+    as D_i(x) |plus_j(x) - eta_i(x)|, which gives the blend's bits; a call
+    with any other row, such as a mixture's marginals, takes the blend.
     """
     fam = _family(fam)
     return _errors(plus, fam.mass_matrix, fam.label_prob_matrix, mask)
+
+
+def _labelings(rows: np.ndarray) -> bool:
+    """True iff every entry of the float64 rows is 1.0 or +0.0, by its bits:
+    a -0.0 entry makes no labeling."""
+    bits = rows.view(np.uint64)
+    return bool(((bits == 0) | (bits == _ONE_BITS)).all())
 
 
 def _errors(plus: np.ndarray, mass: np.ndarray, eta: np.ndarray,
@@ -76,13 +93,24 @@ def _errors(plus: np.ndarray, mass: np.ndarray, eta: np.ndarray,
     core, also called on the empirical measures of sampling-mode Hedge.
 
     With fewer labelings than members (r < k), each step takes one labeling
-    against every member, in two (k, n) work buffers. Otherwise each step
-    takes one member against a block of at most B = max(1, BUDGET // n)
-    labelings (BUDGET = 2^15 doubles), in two (B, n) work buffers, and a
-    block meets every member before the next block starts, so that its rows
-    stay in cache. Each entry takes the same operations in every order:
-    every term is the same product, and each entry sums one contiguous row
-    of n (or masked) terms.
+    against every member, in (k, n) work buffers. Otherwise each step takes
+    one member against a block of at most B = max(1, BUDGET // n) labelings
+    (BUDGET = 2^15 doubles), in (B, n) work buffers, and a block meets every
+    member before the next block starts, so that its rows stay in cache.
+    Each entry takes the same operations in every order: every term is the
+    same product, and each entry sums one contiguous row of n (or masked)
+    terms.
+
+    A call whose rows are all labelings, every entry 1.0 or +0.0 (sign bit
+    clear, as plus_rows gives them), takes each term as d * |p - eta| in one
+    work buffer. For eta in [0, 1], -0.0 included, as every caller's are,
+    that is the blend d * (p (1 - eta) + (1 - p) eta) bit for bit: at p = 1.0
+    the blend adds a zero, 0.0 * eta, to 1 - eta = |1 - eta|; at p = +0.0 it
+    adds +0.0 * (1 - eta) = +0.0 to eta, which is |0.0 - eta| = eta, and
+    turns eta = -0.0 into +0.0, as the absolute value does. A -0.0 entry is
+    no labeling: at p = eta = -0.0 the blend gives -0.0 + -0.0 = -0.0 where
+    |p - eta| is +0.0. A call with any other row takes the blend, in two
+    work buffers.
     """
     plus = np.asarray(plus, dtype=np.float64)
     k, n = mass.shape
@@ -95,27 +123,32 @@ def _errors(plus: np.ndarray, mass: np.ndarray, eta: np.ndarray,
                              f"got {mask.dtype} of shape {mask.shape}")
     rows = plus.reshape(-1, n)
     r = rows.shape[0]
-    eta_minus = 1.0 - eta
+    labelings = _labelings(rows)
+    # the blend's complements; labelings need none
+    comp, eta_minus = (None, None) if labelings else (1.0 - rows, 1.0 - eta)
     out = np.empty((r, k))
     if r < k:  # one labeling against every member per step
         width = k
-        steps = ((out[j], rows[j], 1.0 - rows[j], mass, eta, eta_minus) for j in range(r))
+        steps = ((out[j], j, slice(None)) for j in range(r))
     else:  # a block of labelings against one member per step
         width = min(r, max(1, BUDGET // n))
-        blocks = ((out[s:s + width], rows[s:s + width], 1.0 - rows[s:s + width])
-                  for s in range(0, r, width))
-        steps = ((dest[:, i], p, q, mass[i], eta[i], eta_minus[i])
-                 for dest, p, q in blocks for i in range(k))
+        steps = ((out[s:s + width, i], slice(s, s + width), i)
+                 for s in range(0, r, width) for i in range(k))
     # in-place buffers: per-step temporaries of this size would each cost
     # fresh pages from the allocator
-    terms, tmp = buffers = np.empty((2, width, n))
-    for dest, p, q, d, e, e_minus in steps:
-        if len(dest) < len(terms):  # a ragged last block: the leading rows
-            terms, tmp = buffers[:, :len(dest)]
-        np.multiply(p, e_minus, out=terms)
-        np.multiply(q, e, out=tmp)
-        np.add(terms, tmp, out=terms)
-        np.multiply(d, terms, out=terms)
+    buffers = np.empty((1 if labelings else 2, width, n))
+    for dest, j, i in steps:
+        if len(dest) < buffers.shape[1]:  # a ragged last block: the leading rows
+            buffers = buffers[:, :len(dest)]
+        terms = buffers[0]
+        if labelings:
+            np.subtract(rows[j], eta[i], out=terms)
+            np.absolute(terms, out=terms)
+        else:
+            np.multiply(rows[j], eta_minus[i], out=terms)
+            np.multiply(comp[j], eta[i], out=buffers[1])
+            np.add(terms, buffers[1], out=terms)
+        np.multiply(mass[i], terms, out=terms)
         if mask is None:
             terms.sum(axis=-1, out=dest)
         else:
@@ -153,19 +186,30 @@ def class_errors(cls: HypothesisClass, fam: DistributionFamily) -> np.ndarray:
     family, as cached_property keeps label_consistent, so these three callers
     share one computation on one family.
     """
-    kept = vars(_family(fam)).get("_class_error_entry")
-    if kept is None or kept[0] is not cls:
+    matrix = _kept_class_errors(cls, fam)
+    if matrix is None:
         matrix = error_matrix(plus_rows(cls.label_matrix), fam)
         matrix.flags.writeable = False
-        kept = vars(fam)["_class_error_entry"] = (cls, matrix)
-    return kept[1]
+        vars(fam)["_class_error_entry"] = (cls, matrix)
+    return matrix
+
+
+def _kept_class_errors(cls: HypothesisClass, fam: DistributionFamily) -> np.ndarray | None:
+    """The class error matrix of cls that fam keeps, or None."""
+    kept = vars(_family(fam)).get("_class_error_entry")
+    return kept[1] if kept is not None and kept[0] is cls else None
 
 
 def randomized_per_distribution(f_rand: RandomizedClassifier,
                                 fam: DistributionFamily) -> np.ndarray:
     """E_{f~F}[er_{D_i}(f)] for every member i, by linearity of expectation:
-    the mixture's weights times its support's rows of class_errors."""
-    return f_rand.weights @ class_errors(f_rand.hypothesis_class, fam)[list(f_rand.support)]
+    the mixture's weights times its support's error rows, read from
+    class_errors where fam keeps its class's matrix, else computed for the
+    support alone, to the same bits."""
+    matrix = _kept_class_errors(f_rand.hypothesis_class, fam)
+    rows = (error_matrix(plus_rows(f_rand.support_label_matrix), fam) if matrix is None
+            else matrix[list(f_rand.support)])
+    return f_rand.weights @ rows
 
 
 def randomized_worst_case_error(f_rand: RandomizedClassifier, fam: DistributionFamily) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import multidist as md
-from multidist import cli, metrics, serialize
+from multidist import cli, learner, metrics, serialize
 from multidist.cli import main
 
 
@@ -897,3 +897,35 @@ def test_learn_then_derand_computes_the_class_error_matrix_once(tmp_path, monkey
     assert main(["derand", str(inst), "--eps", "0.4", "--delta", "0.3", "--mode", "calibrated",
                  "--m-override", "500", "--seed", "2", "-o", str(tmp_path / "clf.json")]) == 0
     assert sum(full) == 1
+
+
+def test_learn_then_derand_builds_the_bucket_table_once(tmp_path, monkeypatch):
+    # learn --sampling's draws and derand's bias table draw from the family
+    # the loader keeps, which keeps one read-only bucket table
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--domain-size", "40", "-k", "4", "--hypotheses", "12",
+                 "--seed", "3", "-o", str(inst)]) == 0
+    monkeypatch.setattr(serialize, "_last_instance", None)
+    built, build = [], learner._bucket_table
+
+    def counted(mass):
+        built.append(mass.shape)
+        return build(mass)
+
+    monkeypatch.setattr(learner, "_bucket_table", counted)
+    assert main(["learn", str(inst), "--sampling", "--eps", "0.3", "--seed", "1",
+                 "-o", str(tmp_path / "mix.json")]) == 0
+    assert main(["derand", str(inst), "--eps", "0.4", "--delta", "0.3", "--mode", "calibrated",
+                 "--m-override", "500", "--seed", "2", "-o", str(tmp_path / "clf.json")]) == 0
+    assert built == [(4, 40)]
+    fam, _, _ = serialize.load_instance(inst)
+    table = learner._family_table(fam)
+    assert len(built) == 1 and table is vars(fam)["_bucket_table"]
+    assert not any(array.flags.writeable for array in table)
+    with pytest.raises(ValueError, match="read-only"):
+        table[1][0, 0] = 0
+    # an equal family is another object, with a table of its own
+    other = md.DistributionFamily(fam.mass_matrix, fam.label_prob_matrix)
+    own = learner._family_table(other)
+    assert len(built) == 2 and own is not table
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(own, table))

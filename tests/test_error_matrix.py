@@ -15,7 +15,7 @@ import multidist as md
 from multidist import learner
 from multidist.learner import (BLOCK_DRAWS, EmpiricalSample, HedgeStack, _bucket_table, _draw,
                                _tally, erm, rolling_mixtures)
-from multidist.metrics import BUDGET, _errors, class_errors, plus_rows
+from multidist.metrics import BUDGET, _errors, _labelings, class_errors, plus_rows
 
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
@@ -116,12 +116,25 @@ def entry_loop(plus, mass, eta, mask=None):
     return out
 
 
+def same_bits(got, want):
+    """True iff two float64 arrays have one shape and the same bits: unlike
+    np.array_equal, -0.0 and +0.0 differ."""
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# the edge values drawn into eta: both zeros, one and the least subnormal
+EDGE_ETA = np.array([-0.0, 0.0, 1.0, 5e-324])
+
+
 @st.composite
 def blocked_problems(draw):
     """An error-matrix problem with fewer labelings than members, with at
     least as many in one block of the budget, or in several blocks (the last
-    one ragged when the block size does not divide r); 0/1 or fractional
-    labelings, with or without a mask."""
+    one ragged when the block size does not divide r); with or without a
+    mask. The rows are labelings of +0.0 and 1.0, labelings that also hold
+    -0.0 entries (no labelings to the kernel, which must take the blend),
+    fractional rows, or labelings with a last fractional row. Masses hold
+    some +0.0 and -0.0 entries and eta some EDGE_ETA entries."""
     steps = draw(st.sampled_from(["r < k", "one block", "several blocks"]))
     if steps == "r < k":
         k = draw(st.integers(2, 6))
@@ -138,10 +151,19 @@ def blocked_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mass = rng.random((k, n))
     mass /= mass.sum(axis=1, keepdims=True)
+    zeros = rng.random((k, n)) < 0.1
+    mass[zeros] = rng.choice([-0.0, 0.0], size=zeros.sum())
     eta = rng.random((k, n))
+    edges = rng.random((k, n)) < 0.2
+    eta[edges] = rng.choice(EDGE_ETA, size=edges.sum())
     plus = rng.random((r, n))
-    if draw(st.booleans()):
-        plus = (plus < 0.5).astype(np.float64)
+    rows = draw(st.sampled_from(["labelings", "signed labelings", "fractional", "mixed"]))
+    if rows != "fractional":
+        marginals, plus = plus, (plus < 0.5).astype(np.float64)
+        if rows == "signed labelings":
+            plus[(plus == 0.0) & (rng.random((r, n)) < 0.5)] = -0.0
+        elif rows == "mixed":
+            plus[-1] = marginals[-1]
     mask = rng.random(n) < 0.6 if draw(st.booleans()) else None
     return plus, (mass, eta), mask
 
@@ -150,7 +172,21 @@ def blocked_problems(draw):
 @given(blocked_problems())
 def test_blocked_error_matrix_is_bitwise_the_entry_loop(problem):
     plus, (mass, eta), mask = problem
-    assert np.array_equal(_errors(plus, mass, eta, mask), entry_loop(plus, mass, eta, mask))
+    assert same_bits(_errors(plus, mass, eta, mask), entry_loop(plus, mass, eta, mask))
+
+
+def test_a_call_with_a_negative_zero_or_fractional_row_takes_the_blend():
+    # p = eta = -0.0 is the one entry where the blend's term, -0.0 + -0.0,
+    # and |p - eta| = +0.0 differ in sign (a row sum, which starts at +0.0,
+    # hides it); at p = +0.0 both terms are +0.0
+    p, eta = np.float64(-0.0), np.float64(-0.0)
+    assert np.signbit(p * (1.0 - eta) + (1.0 - p) * eta) and not np.signbit(abs(p - eta))
+    assert not np.signbit(0.0 * (1.0 - eta) + (1.0 - 0.0) * eta)
+    assert _labelings(np.array([[1.0, 0.0], [0.0, 0.0]])) and _labelings(plus_rows([1, -1]))
+    # a -0.0 entry, and a mixture's marginals beside a labeling as in
+    # rounding_deviation, make the whole call take the blend
+    for rows in ([[1.0, -0.0]], [[1.0, 0.0], [-0.0, 1.0]], [[1.0, 0.0], [0.25, 1.0]]):
+        assert not _labelings(np.array(rows))
 
 
 def test_error_matrix_at_the_cli_wide_shape_is_bitwise_the_entry_loop():
@@ -160,8 +196,10 @@ def test_error_matrix_at_the_cli_wide_shape_is_bitwise_the_entry_loop():
     plus = plus_rows(cls.label_matrix)
     mixture = np.random.default_rng(5).dirichlet(np.ones(128)) @ plus
     mask = np.random.default_rng(6).random(1000) < 0.5
-    for rows, keep in ((plus, None), (plus, mask), (mixture[None], mask)):
-        assert np.array_equal(md.error_matrix(rows, fam, keep), entry_loop(rows, mass, eta, keep))
+    # the last rows are rounding_deviation's: a labeling and a mixture's marginals
+    for rows, keep in ((plus, None), (plus, mask), (mixture[None], mask),
+                       (np.stack([plus[0], mixture]), mask)):
+        assert same_bits(md.error_matrix(rows, fam, keep), entry_loop(rows, mass, eta, keep))
 
 
 def loop_error_terms(labels, member):

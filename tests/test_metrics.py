@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import multidist as md
+from multidist import metrics
 from multidist.metrics import class_errors, plus_rows
 
 
@@ -237,6 +238,25 @@ def test_class_errors_keeps_the_last_class_matrix_on_the_family():
     # the entry now holds the second class, so the first is computed again
     again = class_errors(first, fam)
     assert again is not errors and again.tobytes() == want.tobytes()
+
+
+def test_mixture_errors_on_a_fresh_family_compute_only_the_support_rows(monkeypatch):
+    # reading the whole class's matrix for a 3-hypothesis mixture made one
+    # call on a fresh n=1000, k=24, |H|=128 family about 40 times slower
+    rng = np.random.default_rng(36)
+    fam = random_family(rng, n=30, k=5, shared=False)
+    cls = md.HypothesisClass([np.where(rng.random(30) < 0.5, 1, -1) for _ in range(12)])
+    F = md.RandomizedClassifier(cls, (2, 7, 9), [0.5, 0.3, 0.2])
+    rows, errors = [], metrics._errors
+    monkeypatch.setattr(metrics, "_errors", lambda plus, *args: rows.append(len(plus))
+                        or errors(plus, *args))
+    fresh = md.randomized_per_distribution(F, fam)
+    assert rows == [3] and "_class_error_entry" not in vars(fam)
+    class_errors(cls, fam)
+    assert rows == [3, 12]
+    # the kept matrix's rows give the same bits, and are read, not computed
+    kept = md.randomized_per_distribution(F, fam)
+    assert rows == [3, 12] and fresh.tobytes() == kept.tobytes()
 
 
 def test_error_reports_take_only_a_checked_family():

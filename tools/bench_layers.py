@@ -24,7 +24,8 @@ in run_trial, and have the module function learner._tallies. The layers:
   high-discrepancy n = 18 matrix (no early exit);
 - hedge_sampling: sampling-mode hedge_learn at the cli_wide learn shape
   (n = 1000, k = 24, |H| = 128, seed 5; eps 0.6, so 71 rounds of 200 draws
-  per member);
+  per member), with the bucket table the family keeps dropped before each
+  call;
 - hedge_exact_c06: exact-mode hedge_learn at the C06 shape (n = 40, k = 6,
   |H| = 16, seed 5) and a C06 trial's learner precision, eps 0.075 (2549
   rounds), with the class error matrix the family keeps dropped before each
@@ -35,8 +36,9 @@ in run_trial, and have the module function learner._tallies. The layers:
 - draw_family_24x1000x5000 and draw_family_6x40x5000: one round of
   learner._tallies, 5000 draws per member tallied into (k, n) counts, the
   bias-table draws of derand on the cli_wide instance (in member blocks)
-  and of a C06 campaign trial (in one block); the names are draw_family's,
-  which these layers timed until it was removed;
+  and of a C06 campaign trial (in one block), with the family's kept bucket
+  table dropped before each call; the names are draw_family's, which these
+  layers timed until it was removed;
 - load_instance: serialize.load_instance of the cli_wide instance file,
   parsed: the file the loader keeps from its last parse is dropped before
   each call;
@@ -71,7 +73,7 @@ in run_trial, and have the module function learner._tallies. The layers:
   build_bias_table of 5000 draws per member on the cli_wide and C06
   instances above (eps 0.6, delta 0.2 as derand on the cli_wide benchmark
   instance, about 440 points pinned; eps = delta = 0.15 as a C06 campaign
-  trial);
+  trial), with the family's kept bucket table dropped before each call;
 - compact_label_vector_24x1000: a fresh copy of the compact classifier that
   derand --rounding hash makes from a three-hypothesis mixture on the
   cli_wide instance (m = 5000), constructed and labelled over the domain;
@@ -82,7 +84,9 @@ in run_trial, and have the module function learner._tallies. The layers:
   the class error matrix the family keeps dropped before each call;
 - run_trial_c06: one run_trial at the C06 campaign's derandomization
   config, from the exact-mode mixture of hedge_exact_c06, reading the class
-  error matrix that its learner left on the family.
+  error matrix that its learner left on the family; the family's kept bucket
+  table is dropped before each call, since a campaign trial's family is
+  fresh.
 """
 
 from __future__ import annotations
@@ -181,8 +185,10 @@ def time_layers(src: str) -> dict:
         serialize._last_instance = None  # no file kept from the call before
         return serialize.load_instance(path)
 
-    def afresh(fam, call, *args):
-        vars(fam).pop("_class_error_entry", None)  # no class error matrix kept from the call before
+    def afresh(entry, fam, call, *args):
+        # no class error matrix ("_class_error_entry") or bucket table
+        # ("_bucket_table") kept on fam from the call before
+        vars(fam).pop(entry, None)
         return call(*args)
 
     wide_learned = md.hedge_learn(md.SampleOracle(wide_fam), wide_cls, 0.3)
@@ -193,10 +199,11 @@ def time_layers(src: str) -> dict:
         "tail_check": lambda: md.empirical_tail_bound_check(tail),
         "bruteforce_min_discrepancy": lambda: md.bruteforce_min_discrepancy(matrix),
         "min_deterministic_error": lambda: md.min_deterministic_error(family),
-        "hedge_sampling": lambda: md.hedge_learn(
-            md.SampleOracle(wide_fam, np.random.default_rng(7)), wide_cls, 0.6),
-        "draw_family_24x1000x5000": lambda: tallies(wide_fam),
-        "draw_family_6x40x5000": lambda: tallies(c06_fam),
+        "hedge_sampling": lambda: afresh("_bucket_table", wide_fam, md.hedge_learn,
+                                         md.SampleOracle(wide_fam, np.random.default_rng(7)),
+                                         wide_cls, 0.6),
+        "draw_family_24x1000x5000": lambda: afresh("_bucket_table", wide_fam, tallies, wide_fam),
+        "draw_family_6x40x5000": lambda: afresh("_bucket_table", c06_fam, tallies, c06_fam),
         "load_instance": lambda: parsed(instance),
         "load_instance_deferred": lambda: parsed(float_labels),
         "load_instance_again": lambda: serialize.load_instance(instance),
@@ -211,19 +218,21 @@ def time_layers(src: str) -> dict:
         "error_matrix_masked_2x24x1000": lambda: md.error_matrix(two_rows, wide_fam, outside),
         # the parser's build, not the per-process cache in front of it
         "build_parser": getattr(cli.build_parser, "__wrapped__", cli.build_parser),
-        "build_bias_table_24x1000x5000": lambda: md.build_bias_table(
-            wide_fam, wide_table_cfg, draw_rng),
-        "build_bias_table_6x40x5000": lambda: md.build_bias_table(
-            c06_fam, c06_table_cfg, draw_rng),
+        "build_bias_table_24x1000x5000": lambda: afresh(
+            "_bucket_table", wide_fam, md.build_bias_table, wide_fam, wide_table_cfg, draw_rng),
+        "build_bias_table_6x40x5000": lambda: afresh(
+            "_bucket_table", c06_fam, md.build_bias_table, c06_fam, c06_table_cfg, draw_rng),
         # a copy, since a classifier caches its label vector
         "compact_label_vector_24x1000": lambda: dataclasses.replace(compact).label_vector(),
-        "hedge_exact_c06": lambda: afresh(c06_fam, md.hedge_learn, c06_oracle, c06_cls, 0.075),
+        "hedge_exact_c06": lambda: afresh("_class_error_entry", c06_fam, md.hedge_learn,
+                                          c06_oracle, c06_cls, 0.075),
         "hedge_stack_advance_32": lambda: stack.advance(step),
         "round_outside_t_24x1000": lambda: md.round_outside_t(wide_learned, wide_table, 1000,
                                                               draw_rng),
-        "opt_bruteforce_128x24x1000": lambda: afresh(wide_fam, md.opt_bruteforce, wide_cls,
-                                                     wide_fam),
-        "run_trial_c06": lambda: md.run_trial(c06_fam, c06_cls, c06_mixture, c06_table_cfg, 606),
+        "opt_bruteforce_128x24x1000": lambda: afresh("_class_error_entry", wide_fam,
+                                                     md.opt_bruteforce, wide_cls, wide_fam),
+        "run_trial_c06": lambda: afresh("_bucket_table", c06_fam, md.run_trial, c06_fam,
+                                        c06_cls, c06_mixture, c06_table_cfg, 606),
     }
     out = {}
     for name, call in calls.items():

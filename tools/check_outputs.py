@@ -1,15 +1,20 @@
-"""Check that two source trees give byte-identical outputs on one fixed suite.
+"""Check a tree's outputs on one fixed suite against committed digests or another tree.
 
+    python3 tools/check_outputs.py --check
+    python3 tools/check_outputs.py --write
     python3 tools/check_outputs.py --parent ../parent-checkout
 
-Each tree runs the suite below in one fresh interpreter, with that tree's src
+A tree runs the suite below in one fresh interpreter, with that tree's src
 first on PYTHONPATH, in an empty work directory of its own, so every output
-path is the same relative path in both runs (eval.csv's path columns match).
-Every file the suite leaves, 64 in all, is then compared byte for byte; a
-command's stdout and stderr, followed by its exit code, are kept as
-<name>.out. The script prints the outputs it compared and exits 0 when all
-are identical, or exits 1 listing each that differs or exists in one tree
-only. The suite:
+path is the same relative path in every run (eval.csv's path columns match).
+It leaves 64 files; a command's stdout and stderr, followed by its exit code,
+are kept as <name>.out. --check runs the suite on the tree holding this
+script and compares the SHA-256 digest of each file with tools/outputs.sha256,
+one "name digest" line per output; --write writes that file from the same
+run. --parent runs the suite on both trees and compares each file byte for
+byte. The script prints the outputs it compared and exits 0 when all are
+identical, or exits 1 listing each that differs or exists on one side only.
+The suite:
 
 - demos 01-05, stdout;
 - trial: a 200-trial C06 campaign (n = 40, k = 6, |H| = 16, calibrated
@@ -68,6 +73,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -78,6 +84,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = ROOT / "tools" / "outputs.sha256"
 DEMOS = ("01_mixture_vs_single_classifier", "02_hardness_from_discrepancy",
          "03_derandomization_pipeline", "04_compact_hash_classifier", "05_tail_bound_check")
 C06 = ["--domain-size", "40", "-k", "6", "--hypotheses", "16", "--eps", "0.15",
@@ -199,11 +206,14 @@ def run_suite(tree: Path) -> None:
          "--eps", "0.144")
 
 
-def run_child(tree: Path, work: Path) -> None:
+def suite_outputs(tree: Path, work: Path) -> dict[str, bytes]:
+    """Every file the suite leaves when tree runs it in work, by relative path."""
     work.mkdir()
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     subprocess.run([sys.executable, __file__, "--child", str(tree)], cwd=work, env=env,
                    check=True)
+    return {f.relative_to(work).as_posix(): f.read_bytes()
+            for f in sorted(work.rglob("*")) if f.is_file()}
 
 
 def first_difference(a: bytes, b: bytes) -> str:
@@ -214,23 +224,14 @@ def first_difference(a: bytes, b: bytes) -> str:
     return f"{len(lines_a)} vs {len(lines_b)} lines"
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--parent", type=Path, required=True,
-                   help="root of the source tree to compare against")
-    args = p.parse_args(argv)
-    trees = {"change": ROOT, "parent": args.parent.resolve()}
-    with tempfile.TemporaryDirectory() as tmp:
-        files = {}
-        for side, tree in trees.items():
-            run_child(tree, Path(tmp) / side)
-            files[side] = {f.relative_to(Path(tmp) / side).as_posix(): f.read_bytes()
-                           for f in sorted((Path(tmp) / side).rglob("*")) if f.is_file()}
+def compare(got: dict, want: dict, sides: tuple[str, str], differs) -> int:
+    """Print each output's status, got against want; differs(a, b) describes
+    a difference. 0 when every output is in both and identical, else 1."""
     status = {}
-    for name in sorted(set(files["change"]) | set(files["parent"])):
-        a, b = files["change"].get(name), files["parent"].get(name)
-        status[name] = ("only in parent" if a is None else "only in change" if b is None
-                        else None if a == b else f"differs at {first_difference(a, b)}")
+    for name in sorted(set(got) | set(want)):
+        a, b = got.get(name), want.get(name)
+        status[name] = (f"only in {sides[1]}" if a is None else f"only in {sides[0]}"
+                        if b is None else None if a == b else differs(a, b))
         print(f"{'DIFFERS' if status[name] else 'same   '} {name}")
     differ = [f"{name}: {problem}" for name, problem in status.items() if problem]
     if differ:
@@ -240,8 +241,33 @@ def main(argv=None) -> int:
     return 0
 
 
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--check", action="store_true",
+                      help=f"compare this tree's outputs with the digests in {MANIFEST.name}")
+    mode.add_argument("--write", action="store_true",
+                      help=f"write this tree's output digests to {MANIFEST.name}")
+    mode.add_argument("--parent", type=Path,
+                      help="root of the source tree to compare against")
+    args = p.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = suite_outputs(ROOT, Path(tmp) / "change")
+        if args.parent:
+            parent = suite_outputs(args.parent.resolve(), Path(tmp) / "parent")
+            return compare(files, parent, ("change", "parent"),
+                           lambda a, b: f"differs at {first_difference(a, b)}")
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    if args.write:
+        MANIFEST.write_text("".join(f"{name} {digest}\n" for name, digest in digests.items()))
+        print(f"wrote {len(digests)} digests to {MANIFEST}")
+        return 0
+    want = dict(line.split(" ") for line in MANIFEST.read_text().splitlines())
+    return compare(digests, want, ("this tree", MANIFEST.name), lambda a, b: "differs")
+
+
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--child"]:  # one suite interpreter, started by run_child
+    if sys.argv[1:2] == ["--child"]:  # one suite interpreter, started by suite_outputs
         run_suite(Path(sys.argv[2]))
     else:
         sys.exit(main())
