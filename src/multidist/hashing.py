@@ -135,25 +135,18 @@ def coefficient_matrix_eval(coeffs, xs, p: int) -> np.ndarray:
     term first) at many integer keys in [0, p): returns the (n_polys, n_keys)
     values in the working dtype below, or int64 past int64.
 
-    Key-major in the power basis, with lazy reduction. First the (r, n_keys)
-    table of x^i mod p: each row is the previous one times x, reduced at
-    once, so its products are at most (p - 1)^2. Then the sum
-    acc (n_keys, n_polys) = sum_i (x^i mod p)[:, None] * c_i, a term at a
-    time. Invariant: every entry of acc lies in [0, bound]. bound is p - 1
-    after the constant term and after each reduction (coefficients and keys
-    are checked to lie in [0, p) before any cast), and a term adds at most
-    (p - 1)^2 to it. acc is reduced mod p only before a term that would take
-    bound past `cap`, and once at the end. Every reduction is
-    a -= a // p * p: for a >= 0 and p > 0, a // p * p <= a, so it cannot
-    overflow, and a - (a // p) * p = a mod p. Why the sum is exact: no entry
-    ever exceeds `cap`, so every product and sum is computed without
-    overflow, and reducing a partial sum mod p leaves its residue unchanged,
-    so reducing before some terms instead of all of them leaves the final
-    residue unchanged.
+    Key-major Horner with lazy reduction: acc (n_keys, n_polys) starts as
+    the top coefficients, and each step is acc = acc * x + c_i. Every entry
+    of acc lies in [0, bound]: bound is p - 1 at the start and after a
+    reduction (coefficients and keys are checked to lie in [0, p) before
+    any cast), and a step takes it to bound * top + (p - 1), top being the
+    largest key. acc is reduced, a -= a // p * p (a // p * p <= a for
+    a >= 0, so this cannot overflow), only before a step that would take
+    bound past `cap`, and once at the end; a step from a reduced acc
+    reaches at most (p - 1)^2 + (p - 1) = p(p - 1) <= cap. So no value
+    overflows, and reducing before some steps, not all, keeps the residue.
 
-    The sum runs in the narrowest signed dtype whose maximum, `cap`, is at
-    least p(p - 1) + (p - 1) = p^2 - 1. A term needs less: a reduced acc
-    plus one product is at most (p - 1) + (p - 1)^2 = p(p - 1) <= p^2 - 1.
+    The dtype is the narrowest whose maximum, `cap`, is at least p^2 - 1:
 
     ========  ===================  ========
     dtype     primes               cap
@@ -164,15 +157,12 @@ def coefficient_matrix_eval(coeffs, xs, p: int) -> np.ndarray:
     object    larger p             p(p - 1)
     ========  ===================  ========
 
-    3037000493 is the largest prime with p(p - 1) < 2^63. At p = 67 and
-    r = 4 the int16 sum reaches at most 66 + 3 * 66^2 = 13134, so it reduces
-    once, at the end. Above int64 the sum runs on Python integers, which
-    cannot overflow; there `cap` is p(p - 1), so it reduces before every
-    other term and the integers stay small. Floor division is what makes the
-    narrow dtypes pay: numpy divides by a scalar with a precomputed
-    multiplier (libdivide), while its remainder has no such path. acc is
-    key-major so that each term scales a contiguous row of coefficients by
-    one power; the result is its transpose, a view.
+    3037000493 is the largest prime with p(p - 1) < 2^63; above it the
+    steps run on Python integers, with cap p(p - 1) to keep them small. At
+    the tail check's seeds (keys 0..3, p = 67, r = 4) the steps reach at
+    most 264, 858 and 2640, so it reduces once. numpy divides by a scalar
+    with a precomputed multiplier (libdivide) and has no such path for its
+    remainder, hence floor division. The result is acc's transpose, a view.
     """
     p = require_integer(p, "modulus")
     coeffs = integer_array(coeffs, "coefficients")
@@ -185,30 +175,23 @@ def coefficient_matrix_eval(coeffs, xs, p: int) -> np.ndarray:
     # min and max: two passes, and no mask to allocate
     if coeffs.size and (coeffs.min() < 0 or coeffs.max() >= p):
         raise ValueError(f"coefficients outside [0, {p})")
-    if xs.size and (xs.min() < 0 or xs.max() >= p):
+    top = int(xs.max()) if xs.size else 0
+    if xs.size and (xs.min() < 0 or top >= p):
         raise ValueError(f"keys outside [0, {p})")
-    dtype = next((dt for dt in _EVAL_DTYPES if np.iinfo(dt).max >= p * (p - 1) + (p - 1)),
-                 object)
+    dtype = next((dt for dt in _EVAL_DTYPES if np.iinfo(dt).max >= p * p - 1), object)
     cap = p * (p - 1) if dtype is object else int(np.iinfo(dtype).max)
     terms = np.ascontiguousarray(coeffs.T, dtype=dtype)  # row i holds every c_i
-    xs = xs.astype(dtype)
-    powers = np.empty((terms.shape[0], xs.shape[0]), dtype=dtype)
-    powers[0] = 1
-    row_quot = np.empty_like(xs)
-    for i in range(1, terms.shape[0]):
-        np.multiply(powers[i - 1], xs, out=powers[i])
-        _reduce(powers[i], p, row_quot)
-    acc = np.empty((xs.shape[0], terms.shape[1]), dtype=dtype)
-    quot = np.empty_like(acc)  # also holds each term's product
-    acc[...] = terms[0]
+    column = xs.astype(dtype)[:, None]
+    acc = np.tile(terms[-1], (xs.shape[0], 1))
+    quot = np.empty_like(acc)
     bound = p - 1
-    for i in range(1, terms.shape[0]):
-        if bound + (p - 1) ** 2 > cap:
+    for c in terms[-2::-1]:
+        if bound * top + (p - 1) > cap:
             _reduce(acc, p, quot)
             bound = p - 1
-        np.multiply(powers[i][:, None], terms[i], out=quot)
-        acc += quot
-        bound += (p - 1) ** 2
+        acc *= column
+        acc += c
+        bound = bound * top + (p - 1)
     _reduce(acc, p, quot)
     return acc.T.astype(np.int64) if dtype is object else acc.T
 

@@ -7,7 +7,8 @@ yields a bit-identical instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -15,6 +16,7 @@ from .model import (
     DistributionFamily,
     HypothesisClass,
     RandomizedClassifier,
+    shown,
 )
 from .metrics import _heaviness, bayes_labels, heavy_bias_threshold
 
@@ -28,7 +30,8 @@ class GenSpec:
     "gap_example", or "heavy_point_probe". The bias profile splits the domain
     into near-deterministic points (|bias| drawn from det_beta range),
     near-fair points (|bias| <= fair_beta_max), and a remainder with moderate
-    label noise.
+    label noise. An int field takes an integer (a numpy one is kept as a Python
+    int), a float field an int or a float, and neither a bool; a str field a str.
     """
 
     kind: str = "random_label_consistent"
@@ -52,6 +55,12 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name, (kind, accepted) in _GEN_SPEC_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ValueError(f"gen_spec field {name!r} must be {kind}, got {shown(value)}")
+            if kind == "int" and type(value) is not int:
+                object.__setattr__(self, name, int(value))
         if self.domain_size < 1 or self.k < 1 or self.hypothesis_count < 1:
             raise ValueError("counts must be positive")
         if self.heavy_count < 0:
@@ -59,6 +68,8 @@ class GenSpec:
         # an instance file's integers must fit in 64 bits to load again
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
+        if max(self.domain_size, self.k, self.hypothesis_count, self.heavy_count) >= 2**64:
+            raise ValueError("counts must lie below 2^64")
         # NaN fails every comparison, so this also rejects it
         for name in ("det_fraction", "fair_fraction", "heavy_mass"):
             v = getattr(self, name)
@@ -72,6 +83,14 @@ class GenSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 0.5:
                 raise ValueError(f"{name} must lie in [0, 1/2], got {v}")
+        for name in ("eps", "delta", "c_prime"):  # no reader takes json's NaN or Infinity
+            if not math.isfinite(v := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {v}")
+
+
+# each GenSpec field's type name and the types it takes, read once rather than per spec
+_GEN_SPEC_TYPES = {f.name: (f.type, {"int": (int, np.integer), "float": (int, float),
+                                     "str": str}[f.type]) for f in fields(GenSpec)}
 
 
 def _random_mass(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:

@@ -12,6 +12,7 @@ the best single hypothesis's worst-case error in exact mode.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from collections import deque
@@ -197,11 +198,11 @@ def _tallies(fam: DistributionFamily, size: int, rng: np.random.Generator, round
     of size i.i.d. draws from every member of fam, using rng as rounds * k
     consecutive SampleOracle.draw(i, size, rng) calls would, through the
     bucket table fam keeps (_family_table). No array holds more than
-    BLOCK_DRAWS draws but the points of a member larger than a block: blocks
-    are whole rounds if one fits, else whole members of a round (a row slice
-    of the bucket table), and a larger member takes two passes, its points
-    in blocks, kept in the narrowest unsigned dtype, then its labels. Summed
-    block tallies are exact integers."""
+    BLOCK_DRAWS draws: blocks are whole rounds if one fits, else whole
+    members of a round (a row slice of the bucket table), else a member's
+    draws in blocks, its labels read from a copy of rng advanced past its
+    size point uniforms, whose state rng then takes. Summed block tallies
+    are exact integers."""
     k, n = fam.k, fam.domain_size
     cum, guide = table = _family_table(fam)
     eta = fam.label_prob_matrix
@@ -220,13 +221,17 @@ def _tallies(fam: DistributionFamily, size: int, rng: np.random.Generator, round
                 cells, plus = _draw((cum[rows], guide[rows]), eta[rows], size, rng)
                 counts[rows], pos[rows] = _tally(cells, plus, len(eta[rows]), n)
                 continue
-            xs = np.empty(size, dtype=np.min_scalar_type(n - 1))
+            # one buffer takes the skipped, point and label uniforms in turn
+            u = np.empty((1, BLOCK_DRAWS))
+            labels = copy.deepcopy(rng)
             for start in range(0, size, BLOCK_DRAWS):
-                u = rng.random((1, min(BLOCK_DRAWS, size - start)))
-                xs[start:start + BLOCK_DRAWS] = _lookup((cum[rows], guide[rows]), u)
-            for x in np.split(xs, range(BLOCK_DRAWS, size, BLOCK_DRAWS)):
+                labels.random(out=u[:, :min(BLOCK_DRAWS, size - start)])
+            for start in range(0, size, BLOCK_DRAWS):
+                points = rng.random(out=u[:, :min(BLOCK_DRAWS, size - start)])
+                x = _lookup((cum[rows], guide[rows]), points)[0]  # one member: cells are points
                 counts[a] += np.bincount(x, minlength=n)
-                pos[a] += np.bincount(x, rng.random(len(x)) < eta[a].take(x), n)
+                pos[a] += np.bincount(x, labels.random(out=points[0]) < eta[a].take(x), n)
+            rng.bit_generator.state = labels.bit_generator.state
         yield counts, pos
 
 

@@ -200,16 +200,19 @@ def _kept_class_errors(cls: HypothesisClass, fam: DistributionFamily) -> np.ndar
     return kept[1] if kept is not None and kept[0] is cls else None
 
 
+def _support_errors(f_rand: RandomizedClassifier, fam: DistributionFamily) -> np.ndarray:
+    """The mixture's (|support|, k) error rows: read from class_errors where fam
+    keeps its class's matrix, else computed for the support alone, to the same bits."""
+    matrix = _kept_class_errors(f_rand.hypothesis_class, fam)
+    return (error_matrix(plus_rows(f_rand.support_label_matrix), fam) if matrix is None
+            else matrix[list(f_rand.support)])
+
+
 def randomized_per_distribution(f_rand: RandomizedClassifier,
                                 fam: DistributionFamily) -> np.ndarray:
     """E_{f~F}[er_{D_i}(f)] for every member i, by linearity of expectation:
-    the mixture's weights times its support's error rows, read from
-    class_errors where fam keeps its class's matrix, else computed for the
-    support alone, to the same bits."""
-    matrix = _kept_class_errors(f_rand.hypothesis_class, fam)
-    rows = (error_matrix(plus_rows(f_rand.support_label_matrix), fam) if matrix is None
-            else matrix[list(f_rand.support)])
-    return f_rand.weights @ rows
+    the mixture's weights times its support's error rows."""
+    return f_rand.weights @ _support_errors(f_rand, fam)
 
 
 def randomized_worst_case_error(f_rand: RandomizedClassifier, fam: DistributionFamily) -> float:
@@ -219,7 +222,7 @@ def randomized_worst_case_error(f_rand: RandomizedClassifier, fam: DistributionF
 def support_worst_case(f_rand: RandomizedClassifier, fam: DistributionFamily) -> float:
     """max over f in the support of worst_case_error(f) — what a single
     unlucky draw from the mixture can cost."""
-    return float(error_matrix(plus_rows(f_rand.support_label_matrix), fam).max())
+    return float(_support_errors(f_rand, fam).max())
 
 
 def exceedance_probability(f_rand: RandomizedClassifier, fam: DistributionFamily,
@@ -227,7 +230,7 @@ def exceedance_probability(f_rand: RandomizedClassifier, fam: DistributionFamily
     """Pr over a single draw f~F that er_{D_i}(f) >= level, for every member
     i of fam: the weights of the support rows whose error on D_i is at or
     above level, summed."""
-    errs = error_matrix(plus_rows(f_rand.support_label_matrix), fam)
+    errs = _support_errors(f_rand, fam)
     return np.array([f_rand.weights[hit].sum() for hit in (errs >= level).T])
 
 

@@ -20,7 +20,6 @@ import json
 import re
 from itertools import chain
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 from orjson import dumps as orjson_dumps, loads as orjson_loads
@@ -64,18 +63,8 @@ def _fields(doc, what: str, required: dict, optional: dict = {}) -> dict:
     return {key: checks[key](value, f"{what} field {key!r}") for key, value in doc.items()}
 
 
-def _annotated(kind: type):
-    """The check of a GenSpec field of type kind; an int counts as a float, a bool as neither."""
-    accepted = (int, float) if kind is float else kind
-    def check(value, name: str):
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise ValueError(f"{name} must be {kind.__name__}, got {shown(value)}")
-        return value
-    return check
-
-
-# every field required: a missing one would load as the generator's default
-_GEN_SPEC_FIELDS = {name: _annotated(kind) for name, kind in get_type_hints(GenSpec).items()}
+# every field required, a missing one would load as the default; GenSpec checks the types
+_GEN_SPEC_FIELDS = {field.name: lambda value, _: value for field in dataclasses.fields(GenSpec)}
 
 
 def instance_to_dict(fam: DistributionFamily, cls: HypothesisClass,

@@ -483,13 +483,18 @@ class BoundedRng:
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
 
-    def random(self, shape):
-        assert np.prod(shape) <= 2 * learner.BLOCK_DRAWS, shape
-        return self.rng.random(shape)
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
+
+    def random(self, shape=None, out=None):
+        assert np.prod(shape if out is None else out.shape) <= 2 * learner.BLOCK_DRAWS, shape
+        return self.rng.random(shape, out=out)
 
 
 # per-member sizes at C06's k = 6 that just overfill half a block in each way
-# a block is cut: a round, a member, and a member of 3.5 blocks (two passes)
+# a block is cut: a round, a member, and a member of 3.5 blocks (blocks of
+# one member's draws)
 BLOCK_SIZES = {"rounds": lambda block: block // 12 + 1, "members": lambda block: block // 2 + 1,
                "two passes": lambda block: 7 * block // 2}
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multidist as md
+from multidist import hashing
 from multidist.hashing import (
     PRIME_LIMIT,
     TAIL_BLOCK_VALUES,
@@ -343,42 +344,64 @@ def _cap(p: int) -> int:
     return p * (p - 1) if p > SPLIT_PRIMES[0] else int(np.iinfo(_result_dtype(p)).max)
 
 
-def _terms_per_reduction(p: int) -> int:
-    """How many terms the evaluator adds to a reduced sum before it reduces
-    again: the most k with (p - 1) + k (p - 1)^2 <= cap."""
-    return (_cap(p) - (p - 1)) // (p - 1) ** 2
+def _step_bounds(p: int, top: int) -> list[int]:
+    """The bounds of the evaluator's Horner steps from a reduced acc at keys
+    up to top: p - 1, then b * top + (p - 1) for as long as that stays
+    within the cap, so the step after the last one reduces first."""
+    bounds = [p - 1]
+    while bounds[-1] * top + (p - 1) <= _cap(p):
+        bounds.append(bounds[-1] * top + (p - 1))
+    return bounds
 
 
-def _keys_with_heavy_powers(p: int, run: int, count: int = 3) -> list[int]:
-    """The keys x whose powers x, x^2, ..., x^run mod p sum to the most,
-    searched over all of [0, p) for p <= 4096 and over 4096 seeded draws
-    above: with every coefficient p - 1, they bring a sum of `run` terms
-    closest to its bound."""
-    candidates = (range(p) if p <= 4096
-                  else np.random.default_rng(p).integers(0, p, size=4096).tolist())
-    return sorted(candidates, key=lambda x: sum(pow(x, i, p) for i in range(1, run + 1)))[-count:]
+def _recording_reduce(monkeypatch) -> list[int]:
+    """Patch hashing._reduce to record the largest entry of each acc it
+    reduces; returns the list it records into."""
+    seen = []
+    reduce = hashing._reduce
+
+    def recording(acc, p, quot):
+        seen.append(int(acc.max()))
+        reduce(acc, p, quot)
+
+    monkeypatch.setattr(hashing, "_reduce", recording)
+    return seen
 
 
 @pytest.mark.parametrize("p", (67, *DTYPE_SPLIT_PRIMES))
-def test_lazy_reduction_exact_where_consecutive_powers_are_heavy(p):
-    # the key p - 1 has powers 1, p - 1, 1, ..., so a run of terms never
-    # nears its bound; these keys make each of the first k + 1 terms nearly
-    # (p - 1)^2, where k terms are what the schedule adds between reductions
-    k = _terms_per_reduction(p)
-    keys = _keys_with_heavy_powers(p, min(k + 1, 40))
+def test_lazy_reduction_exact_where_consecutive_powers_are_heavy(p, monkeypatch):
+    # with every coefficient p - 1 at the largest key x = p - 1, an unreduced
+    # acc after j steps is (p - 1)(1 + x + ... + x^j), its heaviest value, so
+    # each step from the top coefficient reaches its bound exactly; the
+    # schedule must reduce there, where one more unreduced step would pass
+    # the cap, and not before
+    bounds = _step_bounds(p, p - 1)
+    assert bounds[-1] * (p - 1) + (p - 1) > _cap(p)
+    seen = _recording_reduce(monkeypatch)
+    keys = [p - 1, p - 2, 1, 0]
     for r in range(1, 41):
+        seen.clear()
         coeffs = [[p - 1] * r, [p - 1] * (r - 1) + [1]]
         got = coefficient_matrix_eval(coeffs, keys, p)
         assert got.dtype == _result_dtype(p)
         assert got.tolist() == [[_horner(row, x, p) for x in keys] for row in coeffs], (p, r)
-    # where one reduction is all that stands between a term and an overflow,
-    # the first k + 1 terms overflow at some key: a schedule one term too
-    # lazy fails here. At 67 (k = 7) the heaviest eight powers sum to 376,
-    # and 66 * (1 + 376) < 2^15, so one term too lazy is still exact there;
-    # at the looser primes no r up to 40 nears the cap.
-    if k == 1 and p <= SPLIT_PRIMES[0]:
-        heaviest = max((p - 1) * (1 + x + pow(x, 2, p)) for x in keys)
-        assert heaviest > _cap(p)
+        # r - 1 steps: one reduction before each step that would pass the cap, one at the end
+        assert len(seen) == 1 + max(0, (r - 2) // (len(bounds) - 1))
+        assert seen[0] == bounds[min(r, len(bounds)) - 1], (p, r)
+
+
+def test_evaluator_reduces_once_at_the_tail_check_seed_shape(monkeypatch):
+    # the default tail check seeds each hash at the keys 0..3 with p = 67:
+    # from 66 the steps reach at most 66 * 3 + 66 = 264, then 858, then
+    # 2640, within int16, so one reduction at the end suffices (a power
+    # table made four)
+    seen = _recording_reduce(monkeypatch)
+    coeffs = np.random.default_rng(0).integers(0, 67, size=(16384, 4))
+    got = coefficient_matrix_eval(coeffs, np.arange(4), 67)
+    assert len(seen) == 1
+    assert got.dtype == np.int16
+    want = [[_horner(row, x, 67) for x in range(4)] for row in coeffs[:50]]
+    assert got[:50].tolist() == want
 
 
 def test_split_primes_straddle_int64_products():

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,3 +198,22 @@ def test_bias_profile_draws_match_the_scalar_loop_bitwise(spec):
     want = scalar_bias_profile_eta(spec, ref)
     assert eta.tobytes() == want.tobytes()
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_gen_spec_checks_its_field_types():
+    # GenSpec(seed=True) once generated with seed 1 and saved a file its
+    # loader rejected, and a float domain size failed deep in numpy
+    for name, value, shown in (("seed", True, "True"), ("domain_size", 2.5, "2.5"),
+                               ("k", 2.0, "2.0"), ("hypothesis_count", "3", "'3'"),
+                               ("heavy_count", np.float64(1.0), "np.float64(1.0)"),
+                               ("eps", True, "True"), ("delta", "0.2", "'0.2'"),
+                               ("kind", 3, "3"), ("variant", None, "None")):
+        kind = md.GenSpec.__annotations__[name]
+        with pytest.raises(ValueError,
+                           match=re.escape(f"gen_spec field {name!r} must be {kind}, got {shown}")):
+            md.GenSpec(**{name: value})
+    spec = md.GenSpec(seed=np.int64(3), k=np.uint8(4), eps=1, delta=np.float64(0.25))
+    assert type(spec.seed) is int and type(spec.k) is int
+    assert (spec.seed, spec.k, spec.eps, spec.delta) == (3, 4, 1, 0.25)
+    # a campaign's per-trial replace checks the same way
+    assert type(dataclasses.replace(spec, seed=np.uint64(7)).seed) is int

@@ -1,6 +1,7 @@
 import inspect
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multidist as md
+from multidist import learner
 from multidist.learner import (EmpiricalSample, _mixture, _tallies, erm, rolling_mixtures,
                                uniform_mixture)
 from multidist.metrics import plus_rows
@@ -347,6 +349,50 @@ def test_tallies_are_those_of_consecutive_member_draws():
             assert np.array_equal(counts[i], np.bincount(xs, minlength=12))
             assert np.array_equal(pos[i], np.bincount(xs[ys == 1], minlength=12))
     assert rng.bit_generator.state == replay.bit_generator.state
+
+
+def _keep_the_points_tallies(fam, size, rng):
+    """One round of _tallies for members larger than a block, as two passes
+    over the stream: every point of a member in one array, then its labels."""
+    k, n = fam.k, fam.domain_size
+    counts, pos = np.zeros((2, k, n))
+    for i in range(k):
+        xs = np.minimum(np.searchsorted(np.cumsum(fam.mass_matrix[i]), rng.random(size), "right"),
+                        n - 1)
+        counts[i] = np.bincount(xs, minlength=n)
+        pos[i] = np.bincount(xs, rng.random(size) < fam.label_prob_matrix[i][xs], n)
+    return counts, pos
+
+
+@pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937, np.random.Philox,
+                                  np.random.SFC64])
+def test_tallies_of_a_member_larger_than_a_block_keep_no_points(bits, monkeypatch):
+    fam, _ = md.gen_random_label_consistent(md.GenSpec(domain_size=12, k=3, seed=5))
+    monkeypatch.setattr(learner, "BLOCK_DRAWS", 64)
+    for size in (65, 128, 129, 500):
+        rng, ref = np.random.Generator(bits(size)), np.random.Generator(bits(size))
+        counts, pos = next(_tallies(fam, size, rng))
+        want_counts, want_pos = _keep_the_points_tallies(fam, size, ref)
+        assert counts.tobytes() == want_counts.tobytes() and pos.tobytes() == want_pos.tobytes()
+        # the stream goes on where the two passes left it
+        assert rng.bit_generator.random_raw(4).tolist() == ref.bit_generator.random_raw(4).tolist()
+
+
+def test_tallies_memory_does_not_grow_with_the_draws():
+    fam, _ = md.gen_random_label_consistent(md.GenSpec(seed=4))  # the C06 shape
+    block = learner.BLOCK_DRAWS
+
+    def peak(size):
+        tracemalloc.start()
+        next(_tallies(fam, size, np.random.default_rng(1)))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return peak
+
+    peak(block + 1)  # the family keeps its bucket table from here on
+    # a round of 20 blocks a member takes what one of two blocks takes; one
+    # keeping a member's points would take about 20 * block bytes more
+    assert peak(20 * block) <= peak(2 * block + 1) + 4096
 
 
 def test_exact_oracle_requires_caller_rng():

@@ -259,6 +259,31 @@ def test_mixture_errors_on_a_fresh_family_compute_only_the_support_rows(monkeypa
     assert rows == [3, 12] and fresh.tobytes() == kept.tobytes()
 
 
+def test_mixture_reports_read_the_kept_matrix_to_the_same_bits(monkeypatch):
+    # support_worst_case and exceedance_probability computed the support's
+    # rows even where the family kept its class's matrix
+    rng = np.random.default_rng(38)
+    fam = random_family(rng, n=30, k=5, shared=False)
+    cls = md.HypothesisClass([np.where(rng.random(30) < 0.5, 1, -1) for _ in range(12)])
+    F = md.RandomizedClassifier(cls, (2, 7, 9), [0.5, 0.3, 0.2])
+    level = float(np.median(class_errors(cls, fam)[list(F.support)]))
+    vars(fam).pop("_class_error_entry")
+
+    def reports():
+        return [np.asarray(md.randomized_per_distribution(F, fam)).tobytes(),
+                np.float64(md.support_worst_case(F, fam)).tobytes(),
+                md.exceedance_probability(F, fam, level).tobytes()]
+
+    rows, errors = [], metrics._errors
+    monkeypatch.setattr(metrics, "_errors", lambda plus, *args: rows.append(len(plus))
+                        or errors(plus, *args))
+    fresh = reports()
+    assert rows == [3, 3, 3]
+    class_errors(cls, fam)
+    rows.clear()
+    assert reports() == fresh and rows == []
+
+
 def test_error_reports_take_only_a_checked_family():
     # an unchecked (mass, eta) pair with masses summing to 1.1 and a label
     # probability of 1.5 gave an error of 1.15 and an OPT of -0.05

@@ -637,3 +637,29 @@ def test_only_the_last_file_parsed_is_kept(tmp_path, parses):
     for path in (a, b, a):
         serialize.load_instance(path)
     assert parses == [a.read_bytes(), b.read_bytes(), a.read_bytes()]
+
+
+# values a GenSpec field may be handed: bools, None, numpy numbers, integral
+# and fractional floats, non-finite ones, ints past 64 bits, and strings
+SPEC_VALUES = st.one_of(
+    st.integers(-2, 2**66), st.floats(-1, 10), st.text(max_size=3),
+    st.sampled_from([True, False, None, 0.0, 0.5, 3.0, math.nan, math.inf, 2**64 - 1, 2**64,
+                     "explicit", "hash", "gap_example"]),
+    st.integers(0, 2**63 - 1).map(np.int64), st.integers(0, 2**64 - 1).map(np.uint64),
+    st.floats(0, 1).map(np.float64), st.sampled_from([np.bool_(True), np.float32(0.5)]))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.dictionaries(st.sampled_from([f.name for f in dataclasses.fields(md.GenSpec)]),
+                       SPEC_VALUES, max_size=4))
+def test_a_gen_spec_that_builds_saves_a_file_that_loads(fields):
+    try:
+        spec = md.GenSpec(**fields)
+    except ValueError:
+        return
+    fam, cls, _ = md.generate(md.GenSpec(domain_size=3, k=2, hypothesis_count=2))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        serialize.save_instance(path, fam, cls, spec)
+        serialize._last_instance = None
+        assert serialize.load_instance(path)[2] == spec

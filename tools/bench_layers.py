@@ -13,9 +13,9 @@ spread between interpreters of one tree. Both trees must take the family, not
 a SampleOracle, in build_bias_table and derandomize, take no error matrix
 in run_trial, and have the module function learner._tallies. The layers:
 
-- eval_block: coefficient_matrix_eval on a (4096, 4) block of coefficients at
-  the 64 keys 0..63, p = 67 (the default tail check's keys; the check itself
-  now evaluates each hash only at the first r keys of each run of keys);
+- eval_block: coefficient_matrix_eval on a (16384, 4) block of coefficients
+  at the keys 0..3, p = 67 (the seed call of the default tail check, which
+  evaluates each hash only at the first r keys of each run of keys);
 - eval_one_poly: coefficient_matrix_eval on one polynomial with r = 14 at the
   1000 keys 0..999, p = 1009 (the hash that derand --rounding hash draws
   for the cli_wide benchmark instance, labelled by its compact classifier);
@@ -39,6 +39,8 @@ in run_trial, and have the module function learner._tallies. The layers:
   and of a C06 campaign trial (in one block), with the family's kept bucket
   table dropped before each call; the names are draw_family's, which these
   layers timed until it was removed;
+- draw_family_6x40x1000000: the same at the C06 shape with 1,000,000 draws
+  per member, each member larger than a block;
 - load_instance: serialize.load_instance of the cli_wide instance file,
   parsed: the file the loader keeps from its last parse is dropped before
   each call;
@@ -111,8 +113,8 @@ ROUNDS = 11
 # repetitions per layer within one interpreter
 REPS = {"eval_block": 40, "eval_one_poly": 100, "tail_check": 5, "bruteforce_min_discrepancy": 15,
         "min_deterministic_error": 15, "hedge_sampling": 15, "draw_family_24x1000x5000": 30,
-        "draw_family_6x40x5000": 200, "load_instance": 15, "load_instance_deferred": 15,
-        "load_instance_again": 15,
+        "draw_family_6x40x5000": 200, "draw_family_6x40x1000000": 5, "load_instance": 15,
+        "load_instance_deferred": 15, "load_instance_again": 15,
         "load_classifier_24x1000": 100, "save_instance_24x1000": 10,
         "save_classifier_24x1000": 100,
         "generate_c06": 200, "reduction_family": 200, "error_matrix_128x24x1000": 30,
@@ -133,8 +135,8 @@ def time_layers(src: str) -> dict:
     from multidist.hashing import coefficient_matrix_eval
     from multidist.learner import STACK_RUNS, HedgeStack, _tallies
 
-    coeffs = np.random.default_rng(0).integers(0, 67, size=(4096, 4))
-    keys = np.arange(64)
+    coeffs = np.random.default_rng(0).integers(0, 67, size=(16384, 4))
+    keys = np.arange(4)
     one_poly = np.random.default_rng(1).integers(0, 1009, size=(1, 14))
     domain = np.arange(1000)
     matrix = md.planted_high_discrepancy_matrix(18, np.random.default_rng([1, 0]))
@@ -178,8 +180,8 @@ def time_layers(src: str) -> dict:
         fam, cls = md.gen_random_label_consistent(dataclasses.replace(c06_spec, seed=seed))
         stack.load(seed, md.error_matrix((cls.label_matrix == 1).astype(np.float64), fam))
 
-    def tallies(fam):
-        return next(_tallies(fam, 5000, draw_rng))
+    def tallies(fam, size=5000):
+        return next(_tallies(fam, size, draw_rng))
 
     def parsed(path):
         serialize._last_instance = None  # no file kept from the call before
@@ -204,6 +206,8 @@ def time_layers(src: str) -> dict:
                                          wide_cls, 0.6),
         "draw_family_24x1000x5000": lambda: afresh("_bucket_table", wide_fam, tallies, wide_fam),
         "draw_family_6x40x5000": lambda: afresh("_bucket_table", c06_fam, tallies, c06_fam),
+        "draw_family_6x40x1000000": lambda: afresh("_bucket_table", c06_fam, tallies, c06_fam,
+                                                   1_000_000),
         "load_instance": lambda: parsed(instance),
         "load_instance_deferred": lambda: parsed(float_labels),
         "load_instance_again": lambda: serialize.load_instance(instance),
