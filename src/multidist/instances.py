@@ -31,7 +31,8 @@ class GenSpec:
     into near-deterministic points (|bias| drawn from det_beta range),
     near-fair points (|bias| <= fair_beta_max), and a remainder with moderate
     label noise. An int field takes an integer (a numpy one is kept as a Python
-    int), a float field an int or a float, and neither a bool; a str field a str.
+    int), a float field an int or a float, and neither a bool; a str field a str
+    that encodes as UTF-8 (no lone surrogate).
     """
 
     kind: str = "random_label_consistent"
@@ -61,6 +62,13 @@ class GenSpec:
                 raise ValueError(f"gen_spec field {name!r} must be {kind}, got {shown(value)}")
             if kind == "int" and type(value) is not int:
                 object.__setattr__(self, name, int(value))
+            if kind == "str":
+                # json writes a lone surrogate as a \u escape, which orjson rejects
+                try:
+                    value.encode()
+                except UnicodeEncodeError:
+                    raise ValueError(f"gen_spec field {name!r} must be UTF-8 text, "
+                                     f"got {shown(value)}") from None
         if self.domain_size < 1 or self.k < 1 or self.hypothesis_count < 1:
             raise ValueError("counts must be positive")
         if self.heavy_count < 0:

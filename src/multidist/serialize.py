@@ -2,9 +2,11 @@
 
 Instances and classifiers are JSON (numbers as decimal text, arrays in domain
 index order), written by `_json_text`, which gives the bytes of
-`json.dumps(doc, indent=1)`: orjson writes the numbers, `float.__repr__` each
-nonzero float of magnitude outside [1e-4, 1e16), and json's C encoder
-everything else and whatever orjson cannot write exactly. They are read by
+`json.dumps(doc, indent=1)` with each ndarray in doc written as its
+`.tolist()`. The save functions build their documents from the arrays the
+objects hold: orjson writes each array in one call, `float.__repr__` each
+nonzero float of magnitude outside [1e-4, 1e16), and json's C encoder keys,
+single values and each item of a list. They are read by
 orjson, which parses a float to the same double as `json` and rejects NaN and
 Infinity literals. A file nested deeper than `MAX_JSON_DEPTH` is rejected before
 orjson parses it. An instance file's label matrix is read straight from its
@@ -18,11 +20,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
-from orjson import dumps as orjson_dumps, loads as orjson_loads
+from orjson import OPT_SERIALIZE_NUMPY, dumps as orjson_dumps, loads as orjson_loads
 
 from .hashing import CompactClassifier, PolyHash
 from .instances import GenSpec
@@ -67,12 +68,22 @@ def _fields(doc, what: str, required: dict, optional: dict = {}) -> dict:
 _GEN_SPEC_FIELDS = {field.name: lambda value, _: value for field in dataclasses.fields(GenSpec)}
 
 
-def instance_to_dict(fam: DistributionFamily, cls: HypothesisClass,
-                     gen_spec: GenSpec | None = None) -> dict:
+def _listed(doc):
+    """doc with each ndarray in it, through dicts and lists, as its .tolist()."""
+    if isinstance(doc, dict):
+        return {key: _listed(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_listed(value) for value in doc]
+    return doc.tolist() if isinstance(doc, np.ndarray) else doc
+
+
+def _instance_doc(fam: DistributionFamily, cls: HypothesisClass,
+                  gen_spec: GenSpec | None) -> dict:
+    """The instance file's document, each vector and matrix in it an ndarray."""
     # rows compared bit for bit, so a -0.0 is not written as another row's 0.0
     bits = fam.label_prob_matrix.view(np.uint64)
     shared = bool(np.all(bits == bits[0]))
-    masses, etas = fam.mass_matrix.tolist(), fam.label_prob_matrix.tolist()
+    masses, etas = fam.mass_matrix, fam.label_prob_matrix
     doc: dict = {"domain_size": fam.domain_size}
     if shared:
         doc["shared_label_one_prob"] = etas[0]
@@ -80,12 +91,17 @@ def instance_to_dict(fam: DistributionFamily, cls: HypothesisClass,
     else:
         doc["distributions"] = [{"mass": mass, "label_one_prob": eta}
                                 for mass, eta in zip(masses, etas)]
-    doc["hypotheses"] = cls.label_matrix.tolist()
+    doc["hypotheses"] = cls.label_matrix
     if cls.vc_dim is not None:
         doc["vc_dim"] = cls.vc_dim
     if gen_spec is not None:
         doc["gen_spec"] = dataclasses.asdict(gen_spec)
     return doc
+
+
+def instance_to_dict(fam: DistributionFamily, cls: HypothesisClass,
+                     gen_spec: GenSpec | None = None) -> dict:
+    return _listed(_instance_doc(fam, cls, gen_spec))
 
 
 def instance_from_dict(doc: dict) -> tuple[DistributionFamily, HypothesisClass, GenSpec | None]:
@@ -168,52 +184,60 @@ def _read_json(path):
     return _parse(Path(path).read_bytes())
 
 
-# json's C encoder, compact: it writes keys, single values and what orjson
-# cannot write exactly, and NaN or Infinity is a ValueError
+# json's C encoder, compact: it writes keys and single values, and NaN or
+# Infinity is a ValueError
 _compact = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
-# the types whose text holds no comma or bracket
-_NUMBER_TYPES = frozenset({int, float, bool, type(None)})
-_ROW_TYPES = frozenset({list, tuple})
 # orjson writes a finite float with float.__repr__'s digits, and in its notation
 # too when the float is 0.0, -0.0 or of magnitude in [_BAND_LOW, _BAND_HIGH)
 _BAND_LOW, _BAND_HIGH = 1e-4, 1e16
 
 
-def _numbers(value, types: set) -> str:
-    """_compact(value), for a list of numbers, bools and None (by exact type)
-    or a list of nonempty such lists, whose entries' types are in types.
-    orjson writes it, and float.__repr__ each float outside orjson's band.
-    NaN, Infinity and an int beyond 64 bits, which orjson writes as null or
-    rejects, leave value to json's encoder, with its text or ValueError."""
-    try:
-        text = orjson_dumps(value).decode()
-    except TypeError:  # an int beyond 64 bits
-        return _compact(value)
-    if float not in types:
-        return text
-    entries = list(chain.from_iterable(value)) if type(value[0]) in _ROW_TYPES else value
-    floats = np.array(entries, dtype=float)  # a None reads as NaN
-    if not np.isfinite(floats).all():
-        return _compact(value)
-    size = np.abs(floats)
-    outside = np.flatnonzero((size != 0) & ((size < _BAND_LOW) | (size >= _BAND_HIGH)))
-    if not outside.size:
-        return text
-    # text's i-th comma-separated token is entry i's text, with any brackets
-    # that open or close its row
-    tokens = text.split(",")
-    for i in outside.tolist():
-        if type(entry := entries[i]) is float:  # an int's text is the same in both
-            tokens[i] = tokens[i].replace(tokens[i].strip("[]"), float.__repr__(entry))
-    return ",".join(tokens)
+def _array(value: np.ndarray, newline: str, out: list) -> None:
+    """Append to out the text that json.dumps(value.tolist(), indent=1) gives a
+    nonempty float64 or integer array of one or two dimensions on a line that
+    newline starts. One orjson call writes the entries, and float.__repr__
+    each nonzero float outside orjson's band; the commas and row boundaries
+    are laid out by one replace, or by one join per row once a float's text
+    was replaced. NaN or Infinity is json's ValueError, raised before orjson
+    writes anything."""
+    if value.ndim not in (1, 2) or (value.dtype != np.float64 and value.dtype.kind not in "iu"):
+        raise TypeError(f"arrays are written from one or two axes of float64 or integer "
+                        f"entries, got {value.ndim} axes of {value.dtype}")
+    matrix = np.ascontiguousarray(value if value.ndim == 2 else value[None])
+    flat, outside = matrix.ravel(), ()
+    if value.dtype.kind == "f":
+        if not (finite := np.isfinite(flat)).all():
+            _compact(float(flat[~finite][0]))  # json's ValueError
+        size = np.abs(flat)
+        outside = np.flatnonzero((size != 0) & ((size < _BAND_LOW) | (size >= _BAND_HIGH)))
+    inner = newline + " "
+    deepest = inner + " " if value.ndim == 2 else inner
+    comma, width = "," + deepest, matrix.shape[1]
+    if len(outside):
+        # the i-th comma-separated token of the entries' text is entry i's text
+        entries = orjson_dumps(flat, option=OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+        for i, entry in zip(outside.tolist(), flat[outside].tolist()):
+            entries[i] = float.__repr__(entry)
+        rows = [comma.join(entries[i:i + width]) for i in range(0, len(entries), width)]
+    else:
+        # laid out before the text is decoded: bytes.replace is the faster
+        text = orjson_dumps(matrix, option=OPT_SERIALIZE_NUMPY)[2:-2]
+        rows = text.replace(b",", comma.encode()).decode().split("]" + comma + "[")
+    # the brackets appended apart: adding them to the rows' text would copy it
+    if value.ndim == 1:
+        out += ("[" + inner, rows[0], newline + "]")
+    else:
+        out += ("[" + inner + "[" + deepest, (inner + "]," + inner + "[" + deepest).join(rows),
+                inner + "]" + newline + "]")
 
 
 def _write(value, newline: str, out: list) -> None:
     """Append to out the text that json.dumps(..., indent=1) gives value on a
-    line that newline (a line break and that line's indent) starts. A list of
-    numbers, bools and None (by exact type), and a list of nonempty such
-    lists, each take one `_numbers` call, laid out by replacing its commas
-    and row boundaries: the text of no such value holds either."""
+    line that newline (a line break and that line's indent) starts, with each
+    ndarray in value written as its .tolist() would be: one `_array` call
+    each, or the list of an empty one. A list takes one call per item."""
+    if isinstance(value, np.ndarray) and not value.size:
+        value = value.tolist()
     inner = newline + " "
     if isinstance(value, dict):
         if not value:
@@ -226,19 +250,12 @@ def _write(value, newline: str, out: list) -> None:
             out.append(("," if i else "") + inner + _compact(key) + ": ")
             _write(item, inner, out)
         out.append(newline + "}")
+    elif isinstance(value, np.ndarray):
+        _array(value, newline, out)
     elif not isinstance(value, (list, tuple)):
         out.append(_compact(value))
     elif not value:
         out.append("[]")
-    elif (types := set(map(type, value))) <= _NUMBER_TYPES:
-        out.append("[" + inner + _numbers(value, types)[1:-1].replace(",", "," + inner)
-                   + newline + "]")
-    elif (types <= _ROW_TYPES and all(value)
-          and (entries := set(map(type, chain.from_iterable(value)))) <= _NUMBER_TYPES):
-        deeper = inner + " "
-        rows = _numbers(value, entries)[2:-2].replace(",", "," + deeper).replace(
-            "]," + deeper + "[", inner + "]," + inner + "[" + deeper)
-        out.append("[" + inner + "[" + deeper + rows + inner + "]" + newline + "]")
     else:
         out.append("[")
         for i, item in enumerate(value):
@@ -248,9 +265,9 @@ def _write(value, newline: str, out: list) -> None:
 
 
 def _json_text(doc) -> str:
-    """json.dumps(doc, indent=1), except that NaN and Infinity are a
-    ValueError, as the readers reject them, and a key that is not a string is
-    a TypeError."""
+    """json.dumps(doc, indent=1), with each ndarray in doc written as its
+    .tolist(), except that NaN and Infinity are a ValueError, as the readers
+    reject them, and a key that is not a string is a TypeError."""
     out: list = []
     _write(doc, "\n", out)
     return "".join(out)
@@ -258,7 +275,7 @@ def _json_text(doc) -> str:
 
 def save_instance(path, fam: DistributionFamily, cls: HypothesisClass,
                   gen_spec: GenSpec | None = None) -> None:
-    Path(path).write_text(_json_text(instance_to_dict(fam, cls, gen_spec)))
+    Path(path).write_text(_json_text(_instance_doc(fam, cls, gen_spec)))
 
 
 _JSON_SPACE = b" \t\n\r"
@@ -358,11 +375,12 @@ def load_instance(path) -> tuple[DistributionFamily, HypothesisClass, GenSpec | 
     return loaded
 
 
+def _randomized_doc(f_rand: RandomizedClassifier) -> dict:
+    return {"support_indices": list(f_rand.support), "weights": f_rand.weights}
+
+
 def randomized_to_dict(f_rand: RandomizedClassifier) -> dict:
-    return {
-        "support_indices": list(f_rand.support),
-        "weights": f_rand.weights.tolist(),
-    }
+    return _listed(_randomized_doc(f_rand))
 
 
 def randomized_from_dict(doc: dict, cls: HypothesisClass) -> RandomizedClassifier:
@@ -371,16 +389,16 @@ def randomized_from_dict(doc: dict, cls: HypothesisClass) -> RandomizedClassifie
 
 
 def save_randomized(path, f_rand: RandomizedClassifier) -> None:
-    Path(path).write_text(_json_text(randomized_to_dict(f_rand)))
+    Path(path).write_text(_json_text(_randomized_doc(f_rand)))
 
 
 def load_randomized(path, cls: HypothesisClass) -> RandomizedClassifier:
     return randomized_from_dict(_read_json(path), cls)
 
 
-def classifier_to_dict(clf) -> dict:
+def _classifier_doc(clf) -> dict:
     if isinstance(clf, ExplicitClassifier):
-        return {"kind": "explicit", "labels": clf.labels.tolist()}
+        return {"kind": "explicit", "labels": clf.labels}
     if isinstance(clf, CompactClassifier):
         return {
             "kind": "compact",
@@ -389,10 +407,14 @@ def classifier_to_dict(clf) -> dict:
             "coefficients": list(clf.hash.coefficients),
             "range_size": clf.hash.prime,
             "domain_size": clf.domain_size,
-            "t_table": np.column_stack([clf.t_points, clf.t_labels]).tolist(),
-            "randomized": randomized_to_dict(clf.f_rand),
+            "t_table": np.column_stack([clf.t_points, clf.t_labels]),
+            "randomized": _randomized_doc(clf.f_rand),
         }
     raise TypeError(f"cannot serialize classifier of type {type(clf).__name__}")
+
+
+def classifier_to_dict(clf) -> dict:
+    return _listed(_classifier_doc(clf))
 
 
 # each classifier kind's keys besides "kind", with the check of each key's value
@@ -441,7 +463,7 @@ def classifier_from_dict(doc: dict, cls: HypothesisClass | None = None):
 
 
 def save_classifier(path, clf) -> None:
-    Path(path).write_text(_json_text(classifier_to_dict(clf)))
+    Path(path).write_text(_json_text(_classifier_doc(clf)))
 
 
 def load_classifier(path, cls: HypothesisClass | None = None):

@@ -212,6 +212,13 @@ def test_gen_spec_checks_its_field_types():
         with pytest.raises(ValueError,
                            match=re.escape(f"gen_spec field {name!r} must be {kind}, got {shown}")):
             md.GenSpec(**{name: value})
+    # json writes a lone surrogate as a \u escape, which the loader rejects
+    for text in ("\ud800", "ok\udfff", "\ud83d\ude00"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"gen_spec field 'variant' must be UTF-8 text, got {text!r}")):
+            md.GenSpec(variant=text)
+    for text in ("\U0001f600", "\u00e9t\u00e9", ""):
+        assert md.GenSpec(variant=text).variant == text
     spec = md.GenSpec(seed=np.int64(3), k=np.uint8(4), eps=1, delta=np.float64(0.25))
     assert type(spec.seed) is int and type(spec.k) is int
     assert (spec.seed, spec.k, spec.eps, spec.delta) == (3, 4, 1, 0.25)

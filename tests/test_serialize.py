@@ -9,8 +9,9 @@ Closed schemas: a written file with one key renamed, dropped or added, one
 list entry repeated or one value of another JSON type either fails to load
 with a ValueError or is exactly the file that its loaded objects write.
 
-The writer: `_json_text` gives the text of json.dumps(doc, indent=1), and
-every file the package writes is that text of its document.
+The writer: `_json_text` gives the text of json.dumps(doc, indent=1), with
+each ndarray in doc written as its .tolist(), and every file the package
+writes is that text of its document.
 
 Nesting: the readers reject a file nested deeper than MAX_JSON_DEPTH, which
 `_nesting` measures as json.loads would nest it.
@@ -30,6 +31,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import multidist as md
 from multidist import serialize
@@ -489,6 +491,52 @@ def test_the_writer_writes_json_dumps_text_for_bulk_floats_and_band_edges():
                 ints + beyond, [ints + edges, beyond], [True, None, 1e-5, 2, 1e16],
                 [edges[:3], [None, 1e-5], [False, 2**64, 1e-5]]):
         assert serialize._json_text(doc) == json.dumps(doc, indent=1)
+    # the same floats as arrays, the only documents whose floats orjson writes
+    bulk = np.array(floats)
+    for doc in (bulk, bulk[: bulk.size // 1000 * 1000].reshape(-1, 1000), bulk[::-7],
+                {"rows": [bulk[i:i + 1000] for i in range(0, bulk.size, 1000)]},
+                np.array(edges), np.array([edges, edges[::-1]]), np.array(edges)[::2],
+                [np.array(ints[1:]), np.array(edges[::-1])], np.array(ints[:1], np.uint64)):
+        assert serialize._json_text(doc) == json.dumps(serialize._listed(doc), indent=1)
+
+
+# doubles from random bit patterns (subnormals included), -0.0, the band's
+# edges and their neighbours, and now and then NaN or an infinity
+ARRAY_FLOATS = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+    st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.max]
+                                 + [x for edge in (1e-5, 1e-4, 1e16) for x in _neighbours(edge)]))
+
+
+@st.composite
+def number_arrays(draw):
+    """A float64, int8 or int64 array of one or two dimensions, a side of
+    length 0 allowed, as drawn or as a view that is not C-contiguous."""
+    dtype = draw(st.sampled_from([np.float64, np.int8, np.int64]))
+    shape = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6)
+    array = draw(hnp.arrays(dtype, shape, elements=ARRAY_FLOATS if dtype is np.float64 else None))
+    view = draw(st.sampled_from(["as drawn", "every other column", "reversed", "transposed"]))
+    return {"as drawn": array, "every other column": array[..., ::2],
+            "reversed": array[::-1], "transposed": array.T}[view]
+
+
+ARRAY_DOCS = st.one_of(
+    number_arrays(), st.just(np.zeros((0,))), st.just(np.zeros((0, 2), np.int8)),
+    st.lists(number_arrays(), max_size=3), st.dictionaries(TEXT, number_arrays(), max_size=3),
+    st.dictionaries(TEXT, st.lists(st.one_of(number_arrays(), NUMBERS), max_size=3), max_size=2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ARRAY_DOCS)
+def test_the_writer_writes_an_array_as_json_dumps_writes_its_list(doc):
+    listed = serialize._listed(doc)
+    try:
+        want = json.dumps(listed, indent=1, allow_nan=False)
+    except ValueError:  # NaN or an infinity
+        with pytest.raises(ValueError, match="Out of range float values"):
+            serialize._json_text(doc)
+        return
+    assert serialize._json_text(doc) == want
 
 
 def test_every_writer_writes_the_text_of_json_dumps_indent_1(tmp_path):
@@ -502,7 +550,12 @@ def test_every_writer_writes_the_text_of_json_dumps_indent_1(tmp_path):
                              md.DerandConfig(eps=0.6, delta=0.2, mode="calibrated",
                                              m_override=5000, rounding="hash"),
                              np.random.default_rng(4)).classifier
-    assert len(compact.t_points) > 0
+    # one draw per member: no skew clears the threshold, so the table is empty
+    empty_table = md.derandomize(wide_fam, mixture,
+                                 md.DerandConfig(eps=0.6, delta=0.2, mode="calibrated",
+                                                 m_override=1, rounding="hash"),
+                                 np.random.default_rng(4)).classifier
+    assert len(compact.t_points) > 0 and len(empty_table.t_points) == 0
     path = tmp_path / "file.json"
     for save, to_dict, args in (
             (serialize.save_instance, serialize.instance_to_dict,
@@ -512,7 +565,8 @@ def test_every_writer_writes_the_text_of_json_dumps_indent_1(tmp_path):
             (serialize.save_randomized, serialize.randomized_to_dict, (mixture,)),
             (serialize.save_classifier, serialize.classifier_to_dict,
              (md.ExplicitClassifier(wide_cls.label_matrix[3]),)),
-            (serialize.save_classifier, serialize.classifier_to_dict, (compact,))):
+            (serialize.save_classifier, serialize.classifier_to_dict, (compact,)),
+            (serialize.save_classifier, serialize.classifier_to_dict, (empty_table,))):
         save(path, *args)
         assert path.read_text() == json.dumps(to_dict(*args), indent=1)
     doc = serialize.instance_to_dict(own_labels, md.HypothesisClass([[1, -1]]))
@@ -527,10 +581,13 @@ def test_the_writer_rejects_nan_and_infinity_before_opening_a_file(tmp_path, mon
         # one after 1000 floats, and one inside a float row of a matrix
         for doc in ({"weights": [0.5, bad]}, [[1.0], [bad]], {"x": bad}, [_Float(bad)],
                     [[1.0], ["a", bad]], floats + [bad],
-                    {"mass": [floats[:500], floats[500:] + [bad], floats[:10]]}):
+                    {"mass": [floats[:500], floats[500:] + [bad], floats[:10]]},
+                    np.array(floats + [bad]), np.array([floats[:2], [1.0, bad]]),
+                    {"mass": [np.array(floats), np.array(floats[:10] + [bad])]}):
             with pytest.raises(ValueError, match="Out of range float values"):
                 serialize._json_text(doc)
-        monkeypatch.setattr(serialize, "classifier_to_dict", lambda clf: {"labels": [bad]})
+        monkeypatch.setattr(serialize, "_classifier_doc",
+                            lambda clf: {"labels": np.array(floats + [bad])})
         path = tmp_path / "clf.json"
         with pytest.raises(ValueError):
             serialize.save_classifier(path, md.ExplicitClassifier([1]))
@@ -640,11 +697,13 @@ def test_only_the_last_file_parsed_is_kept(tmp_path, parses):
 
 
 # values a GenSpec field may be handed: bools, None, numpy numbers, integral
-# and fractional floats, non-finite ones, ints past 64 bits, and strings
+# and fractional floats, non-finite ones, ints past 64 bits, and strings, lone
+# surrogates and a surrogate pair's two halves among them
 SPEC_VALUES = st.one_of(
-    st.integers(-2, 2**66), st.floats(-1, 10), st.text(max_size=3),
+    st.integers(-2, 2**66), st.floats(-1, 10),
+    st.text(st.characters(blacklist_categories=()), max_size=3),
     st.sampled_from([True, False, None, 0.0, 0.5, 3.0, math.nan, math.inf, 2**64 - 1, 2**64,
-                     "explicit", "hash", "gap_example"]),
+                     "explicit", "hash", "gap_example", "\ud800", "\ud83d\ude00", "\U0001f600"]),
     st.integers(0, 2**63 - 1).map(np.int64), st.integers(0, 2**64 - 1).map(np.uint64),
     st.floats(0, 1).map(np.float64), st.sampled_from([np.bool_(True), np.float32(0.5)]))
 

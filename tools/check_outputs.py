@@ -7,7 +7,7 @@
 A tree runs the suite below in one fresh interpreter, with that tree's src
 first on PYTHONPATH, in an empty work directory of its own, so every output
 path is the same relative path in every run (eval.csv's path columns match).
-It leaves 64 files; a command's stdout and stderr, followed by its exit code,
+It leaves 66 files; a command's stdout and stderr, followed by its exit code,
 are kept as <name>.out. --check runs the suite on the tree holding this
 script and compares the SHA-256 digest of each file with tools/outputs.sha256,
 one "name digest" line per output; --write writes that file from the same
@@ -23,6 +23,8 @@ The suite:
 - on a gen --domain-size 1000 -k 24 --hypotheses 128 instance: learn, exact
   and --sampling, with --trace; derand, explicit and --rounding hash, with
   the report row less its wall_time column; eval of both classifiers;
+  derand --rounding hash --m-override 1, one draw per member, whose
+  compact classifier has an empty t_table;
 - eval of the explicit classifier on that instance rewritten five ways, stdout:
   with compact separators (the loader's label route reads it), with every
   label written as 1.0 (the route defers and orjson reads it as a whole),
@@ -53,6 +55,14 @@ The suite:
   of 64 and 63 keys);
 - disc gen (planted zero, n = 12), then solve, reduce and distinguish (with
   the planted coloring) on that matrix.
+
+Where the writer's array path runs: every instance file (inst.json, c06.json,
+heavy.json, gap.json, bayes.json, reduction.json) writes its masses, label
+vectors and label matrix from arrays, every mixture file (mix_*.json) its
+weights, clf_explicit.json its labels, clf_hash.json its t_table and
+weights, and clf_empty_table.json its weights, its t_table being an array of
+shape (0, 2), written as its empty list; the summaries and the other lists in
+those files take the per-item path.
 
 Where the one-entry paths run: every output goes through error_matrix;
 demos 01-05 call the package's public names, demo 04 unpacking run_trial's
@@ -151,6 +161,10 @@ def run_suite(tree: Path) -> None:
                 csv.writer(fh).writerows([row[i] for i in keep] for row in rows)
         verb(f"eval_{rounding}", "eval", f"clf_{rounding}.json", "inst.json",
              "-o", f"eval_{rounding}.csv")
+    # one draw per member: no skew clears the threshold, and t_table is empty
+    verb("derand_empty_table", "derand", "inst.json", "--rounding", "hash", "--mode",
+         "calibrated", "--m-override", "1", "--eps", "0.6", "--delta", "0.2",
+         "-o", "clf_empty_table.json")
     # the hash classifier with its prime moved above 2^53, where hash values
     # are evaluated in Python integers and q + 1 is not always a float
     clf = json.loads(Path("clf_hash.json").read_text())
