@@ -79,7 +79,7 @@ above = 0
 excess = []
 trials = 200
 for _ in range(trials):
-    labels = md.round_outside_t(F, md.BiasTable(), n_small, round_rng)
+    labels = md.round_outside_t(F, md.BiasTable(), round_rng)
     err = md.coloring_error(labels, rf_small)
     above += err > Fraction(1, 2)
     excess.append(float(err) - 0.5)

@@ -52,6 +52,7 @@ from .harness import (
 from .hashing import (
     TailCheckConfig,
     _plus_thresholds,
+    choose_hash_params,
     coefficient_matrix_eval,
     empirical_tail_bound_check,
 )
@@ -151,6 +152,9 @@ def cmd_learn(args) -> int:
 def cmd_derand(args) -> int:
     fam, cls, _ = serialize.load_instance(args.instance)
     derand_cfg = _derand_cfg(args)
+    if derand_cfg.rounding == "hash":  # before learning, endless at a tiny eps
+        choose_hash_params(fam.k, derand_cfg.eps, derand_cfg.delta, fam.domain_size,
+                           derand_cfg.c_prime)
     t0 = time.perf_counter()
     f_rand = hedge_learn(SampleOracle(fam), cls, derand_cfg.learner_eps(), cfg=_hedge_cfg(args))
     learning = time.perf_counter() - t0

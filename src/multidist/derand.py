@@ -153,14 +153,14 @@ def build_bias_table(fam: DistributionFamily, cfg: DerandConfig,
     return BiasTable(points, np.where(r >= 0, 1, -1), members, r, counts[members, points])
 
 
-def round_outside_t(f_rand: RandomizedClassifier, table: BiasTable, domain_size: int,
+def round_outside_t(f_rand: RandomizedClassifier, table: BiasTable,
                     rng: np.random.Generator) -> np.ndarray:
-    """Full label vector: table labels where fixed, and one independent draw
-    from the mixture per remaining point (a fresh draw per point, never one
-    shared hypothesis)."""
-    labels = np.empty(domain_size, dtype=np.int8)
+    """Full label vector over the mixture's domain: table labels where fixed,
+    and one independent draw from the mixture per remaining point (a fresh
+    draw per point, never one shared hypothesis)."""
+    labels = np.empty(f_rand.domain_size, dtype=np.int8)
     labels[table.points] = table.labels
-    idx_outside = np.delete(np.arange(domain_size), table.points)
+    idx_outside = np.delete(np.arange(f_rand.domain_size), table.points)
     picks = np.searchsorted(np.cumsum(f_rand.weights), rng.random(idx_outside.size), side="right")
     np.clip(picks, 0, len(f_rand.support) - 1, out=picks)
     labels[idx_outside] = f_rand.support_label_matrix[picks, idx_outside]
@@ -185,16 +185,20 @@ def derandomize(fam: DistributionFamily, f_rand: RandomizedClassifier, cfg: Dera
     f_rand is the black-box learner's mixture, learned at
     cfg.learner_eps() before any table samples are drawn, so it never
     sees them; the table sampling and the rounding consume two streams
-    spawned from rng. Hash parameters are chosen before any draw, so an eps
-    that needs a prime past 2^62 fails at once.
+    spawned from rng. The domains are compared and the hash parameters chosen
+    before any draw, so a mixture over another domain, or an eps that needs a
+    prime past 2^62, fails at once.
     """
+    if f_rand.domain_size != fam.domain_size:
+        raise ValueError(f"domain size mismatch: mixture {f_rand.domain_size}, "
+                         f"family {fam.domain_size}")
     if cfg.rounding == "hash":
         r, p = choose_hash_params(fam.k, cfg.eps, cfg.delta, fam.domain_size, cfg.c_prime)
     table_rng, round_rng = rng.spawn(2)
     table = build_bias_table(fam, cfg, table_rng)
 
     if cfg.rounding == "explicit":
-        labels = round_outside_t(f_rand, table, fam.domain_size, round_rng)
+        labels = round_outside_t(f_rand, table, round_rng)
         return DerandResult(ExplicitClassifier(labels), table)
 
     q = sample_hash(p, r, round_rng)

@@ -34,11 +34,12 @@ from .metrics import (
     heavy_mask,
     label_vector_of,
     opt_bruteforce,
-    randomized_per_distribution,
+    randomized_worst_case_error,
     worst_case_error,
 )
 from .learner import HedgeConfig, rolling_mixtures
 from .derand import BiasTable, DerandConfig, DerandResult, derandomize
+from .hashing import choose_hash_params
 from .instances import GenSpec, generate
 from .serialize import _json_text
 
@@ -130,7 +131,7 @@ def run_trial(fam: DistributionFamily, cls: HypothesisClass, f_rand: RandomizedC
     f_hat, table = result.classifier, result.table
 
     opt, _ = opt_bruteforce(cls, fam)
-    rand_err = float(randomized_per_distribution(f_rand, fam).max())
+    rand_err = randomized_worst_case_error(f_rand, fam)
     det_err = worst_case_error(f_hat, fam).worst_case
     covered = heavy_coverage(table, fam, derand_cfg.eps, derand_cfg.delta,
                              derand_cfg.rounding, derand_cfg.c_prime)
@@ -168,6 +169,11 @@ class CampaignConfig:
                 raise ValueError(f"required fraction for {name} must lie in [0, 1], got {frac!r}")
         # Hedge settings that no trial could learn with, such as rounds 0
         self.hedge.resolve(self.gen_spec.k, self.derand.learner_eps())
+        # and hash parameters no trial could round with, which it found only after learning
+        spec, derand = self.gen_spec, self.derand
+        if derand.rounding == "hash":
+            n = spec.k if spec.kind == "gap_example" else spec.domain_size
+            choose_hash_params(spec.k, derand.eps, derand.delta, n, derand.c_prime)
 
 
 @dataclass(frozen=True)

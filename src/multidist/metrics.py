@@ -4,9 +4,9 @@ Everything here is a closed-form expectation over known masses; nothing
 samples. er_D(f) = Pr_{(x,y)~D}[f(x) != y] = sum_x D(x) * (eta(x) if f(x) = -1
 else 1 - eta(x)) with eta(x) = Pr[y = +1 | x].
 
-A labeling p in {+0.0, 1.0} has the error term d * |p - eta|, which is the
-blend d * (p (1 - eta) + (1 - p) eta) bit for bit when eta lies in [0, 1]
-(see _errors); the marginals of a mixture take the blend.
+A labeling is a boolean row, True where the label is +1 (plus_rows), and
+takes the error term d * |p - eta|; any other row, such as a mixture's
+marginals, takes the blend d * (p (1 - eta) + (1 - p) eta).
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ def label_vector_of(f, domain_size: int | None = None) -> np.ndarray:
 # block of labelings, its complements and both buffers fit a 2 MB L2 together;
 # 2^14 and 2^16 were slower at n = 1000 and n = 5000 in alternating timings
 BUDGET = 1 << 15
-# the bits of 1.0; a labeling's entries are these or +0.0's, all zero
-_ONE_BITS = np.float64(1.0).view(np.uint64)
 
 
 def _family(fam) -> DistributionFamily:
@@ -63,27 +61,16 @@ def error_matrix(plus: np.ndarray, fam: DistributionFamily,
     """Exact errors of labelings on every member of a family: the (r, k) core
     of every error in the package.
 
-    Each row of the (r, n) array plus is one labeling as Pr[f(x) = +1]: 0/1
-    for a deterministic classifier, the marginals for a mixture. Entry (j, i)
-    is sum_x D_i(x) * (plus_j(x) (1 - eta_i(x)) + (1 - plus_j(x)) eta_i(x)),
+    Each row of the (r, n) array plus is one labeling as Pr[f(x) = +1]: a
+    boolean row for a deterministic classifier, the marginals for a mixture.
+    Entry (j, i) is sum_x D_i(x) * (plus_j(x) (1 - eta_i(x)) + (1 - plus_j(x)) eta_i(x)),
     summed over the points where mask, a boolean vector of length n, is True
     when one is given. A one-dimensional plus gives a (k,) vector. fam must
     be a DistributionFamily, whose constructor checked its masses and label
     probabilities; anything else is a TypeError.
-
-    When every row is a labeling, each entry +0.0 or 1.0, the term is taken
-    as D_i(x) |plus_j(x) - eta_i(x)|, which gives the blend's bits; a call
-    with any other row, such as a mixture's marginals, takes the blend.
     """
     fam = _family(fam)
     return _errors(plus, fam.mass_matrix, fam.label_prob_matrix, mask)
-
-
-def _labelings(rows: np.ndarray) -> bool:
-    """True iff every entry of the float64 rows is 1.0 or +0.0, by its bits:
-    a -0.0 entry makes no labeling."""
-    bits = rows.view(np.uint64)
-    return bool(((bits == 0) | (bits == _ONE_BITS)).all())
 
 
 def _errors(plus: np.ndarray, mass: np.ndarray, eta: np.ndarray,
@@ -101,18 +88,12 @@ def _errors(plus: np.ndarray, mass: np.ndarray, eta: np.ndarray,
     same product, and each entry sums one contiguous row of n (or masked)
     terms.
 
-    A call whose rows are all labelings, every entry 1.0 or +0.0 (sign bit
-    clear, as plus_rows gives them), takes each term as d * |p - eta| in one
-    work buffer. For eta in [0, 1], -0.0 included, as every caller's are,
-    that is the blend d * (p (1 - eta) + (1 - p) eta) bit for bit: at p = 1.0
-    the blend adds a zero, 0.0 * eta, to 1 - eta = |1 - eta|; at p = +0.0 it
-    adds +0.0 * (1 - eta) = +0.0 to eta, which is |0.0 - eta| = eta, and
-    turns eta = -0.0 into +0.0, as the absolute value does. A -0.0 entry is
-    no labeling: at p = eta = -0.0 the blend gives -0.0 + -0.0 = -0.0 where
-    |p - eta| is +0.0. A call with any other row takes the blend, in two
-    work buffers.
+    Boolean rows, which hold exactly 0 or 1, take each term as d * |p - eta|
+    in one work buffer; rows of any other dtype take the blend, in two.
     """
-    plus = np.asarray(plus, dtype=np.float64)
+    plus = np.asarray(plus)
+    labelings = plus.dtype == bool
+    plus = plus.astype(np.float64, copy=False)
     k, n = mass.shape
     if plus.shape[-1] != n:
         raise ValueError(f"domain size mismatch: classifier {plus.shape[-1]}, distribution {n}")
@@ -123,7 +104,6 @@ def _errors(plus: np.ndarray, mass: np.ndarray, eta: np.ndarray,
                              f"got {mask.dtype} of shape {mask.shape}")
     rows = plus.reshape(-1, n)
     r = rows.shape[0]
-    labelings = _labelings(rows)
     # the blend's complements; labelings need none
     comp, eta_minus = (None, None) if labelings else (1.0 - rows, 1.0 - eta)
     out = np.empty((r, k))
@@ -229,7 +209,9 @@ def exceedance_probability(f_rand: RandomizedClassifier, fam: DistributionFamily
                            level: float) -> np.ndarray:
     """Pr over a single draw f~F that er_{D_i}(f) >= level, for every member
     i of fam: the weights of the support rows whose error on D_i is at or
-    above level, summed."""
+    above level, summed. A NaN level, which no error reaches, is a ValueError."""
+    if math.isnan(level):
+        raise ValueError("level must be a number, got nan")
     errs = _support_errors(f_rand, fam)
     return np.array([f_rand.weights[hit].sum() for hit in (errs >= level).T])
 

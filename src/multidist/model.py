@@ -127,8 +127,9 @@ def _frozen_label_matrix(rows) -> np.ndarray:
 
 
 def plus_rows(labels) -> np.ndarray:
-    """Pr[f(x) = +1] of +-1 labels: 1.0 where the label is +1, 0.0 elsewhere."""
-    return (np.asarray(labels) == 1).astype(np.float64)
+    """Pr[f(x) = +1] of +-1 labels as boolean rows: True where the label is
+    +1. error_matrix reads a boolean row as a labeling."""
+    return np.asarray(labels) == 1
 
 
 def is_integer(value) -> bool:

@@ -222,7 +222,7 @@ def test_c08_light_rounding_deviation():
     for run in range(runs):
         rng = np.random.default_rng(run)
         table = md.build_bias_table(fam, cfg, rng)
-        labels = md.round_outside_t(F, table, 30, rng)
+        labels = md.round_outside_t(F, table, rng)
         dev = rounding_deviation(md.ExplicitClassifier(labels), F, fam, table)
         if dev <= eps / 2:
             hits += 1

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import multidist as md
-from multidist import cli, learner, metrics, serialize
+from multidist import cli, harness, learner, metrics, serialize
 from multidist.cli import main
 
 
@@ -166,6 +166,30 @@ def test_derand_rejects_an_eps_past_the_hash_prime_limit(tmp_path, capsys):
     assert out_text == ""
     assert err == "multidist: error: eps = 1e-06 needs a hash prime above 2^62\n"
     assert not out.exists()
+
+
+def test_derand_and_trial_check_the_hash_parameters_before_learning(tmp_path, capsys,
+                                                                    monkeypatch):
+    # both hung in exact Hedge at eps/2, about 10^19 rounds, before rounding
+    # found that eps 1e-9 needs a prime past 2^62
+    def unreachable(*args, **kwargs):
+        raise AssertionError("learned before checking the hash parameters")
+
+    monkeypatch.setattr(cli, "hedge_learn", unreachable)
+    monkeypatch.setattr(harness, "rolling_mixtures", unreachable)
+    inst, out = tmp_path / "inst.json", tmp_path / "clf.json"
+    assert main(["gen", "--seed", "6", "-o", str(inst)]) == 0
+    capsys.readouterr()
+    flags = ["--rounding", "hash", "--eps", "1e-9", "--delta", "0.2", "--mode", "calibrated",
+             "--m-override", "10"]
+    for argv in (["derand", str(inst), *flags, "-o", str(out)],
+                 ["trial", "--trials", "2", *flags, "--no-timing", "--outdir",
+                  str(tmp_path / "campaign")]):
+        assert main(argv) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err == "multidist: error: eps = 1e-09 needs a hash prime above 2^62\n"
+    assert not out.exists() and not (tmp_path / "campaign").exists()
 
 
 def test_gen_rejects_a_non_finite_heavy_mass(tmp_path, capsys):

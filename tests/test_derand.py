@@ -234,7 +234,7 @@ def test_table_rejects_inconsistent_family():
 def test_round_outside_t_singleton_copies_hypothesis():
     cls = md.HypothesisClass([[1, -1, 1, -1]])
     F = md.RandomizedClassifier(cls, (0,), np.array([1.0]))
-    labels = md.round_outside_t(F, md.BiasTable(), 4, np.random.default_rng(0))
+    labels = md.round_outside_t(F, md.BiasTable(), np.random.default_rng(0))
     assert labels.tolist() == [1, -1, 1, -1]
 
 
@@ -242,7 +242,7 @@ def test_round_outside_t_respects_table():
     cls = md.HypothesisClass([[1, 1, 1]])
     F = md.RandomizedClassifier(cls, (0,), np.array([1.0]))
     table = md.BiasTable([1], [-1], [0], [-1.0], [10])
-    labels = md.round_outside_t(F, table, 3, np.random.default_rng(0))
+    labels = md.round_outside_t(F, table, np.random.default_rng(0))
     assert labels.tolist() == [1, -1, 1]
 
 
@@ -250,7 +250,7 @@ def test_round_outside_t_balanced_mixture_frequency():
     n = 10_000
     cls = md.HypothesisClass([np.ones(n), -np.ones(n)])
     F = md.RandomizedClassifier(cls, (0, 1), np.array([0.5, 0.5]))
-    labels = md.round_outside_t(F, md.BiasTable(), n, np.random.default_rng(5))
+    labels = md.round_outside_t(F, md.BiasTable(), np.random.default_rng(5))
     assert abs(np.mean(labels == 1) - 0.5) < 0.02
 
 
@@ -261,7 +261,7 @@ def test_round_outside_t_gap_marginal_frequency():
     minus_counts = np.zeros(k)
     reps = 12_500  # k points per rep -> 1e5 observations
     for _ in range(reps):
-        labels = md.round_outside_t(F, md.BiasTable(), k, rng)
+        labels = md.round_outside_t(F, md.BiasTable(), rng)
         minus_counts += labels == -1
     freq = minus_counts / reps
     sigma = math.sqrt((1 / k) * (1 - 1 / k) / reps)
@@ -286,7 +286,7 @@ def test_rounding_unbiasedness_of_outside_term():
     acc = np.zeros(fam.k)
     per_run = np.zeros((reps, fam.k))
     for i in range(reps):
-        labels = md.round_outside_t(F, table, 12, rng)
+        labels = md.round_outside_t(F, table, rng)
         per_run[i] = md.error_matrix(plus_rows(labels), fam, outside)
     mean = per_run.mean(axis=0)
     sem = per_run.std(axis=0, ddof=1) / math.sqrt(reps)
@@ -343,6 +343,25 @@ def test_derandomize_hash_mode_returns_compact():
     assert clf.hash.prime > fam.domain_size
     # evaluation total over the domain
     assert set(np.unique(clf.label_vector())) <= {-1, 1}
+
+
+@pytest.mark.parametrize("rounding", ["explicit", "hash"])
+@pytest.mark.parametrize("width", [10, 6])
+def test_derandomize_rejects_a_mixture_over_another_domain(rounding, width):
+    # an 8-point family, a mixture over 10 or 6 points: the error names both
+    # sizes before rng is spawned from or drawn from
+    fam, _ = md.gen_random_label_consistent(
+        md.GenSpec(domain_size=8, k=3, hypothesis_count=4, seed=3))
+    labels = np.where(np.random.default_rng(2).random((4, width)) < 0.5, 1, -1)
+    f_rand = md.RandomizedClassifier(md.HypothesisClass(labels), (0, 1), np.array([0.5, 0.5]))
+    cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=100,
+                          rounding=rounding)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"domain size mismatch: mixture {width}, family 8"):
+        md.derandomize(fam, f_rand, cfg, rng)
+    assert rng.bit_generator.state == state
+    assert rng.bit_generator.seed_seq.n_children_spawned == 0
 
 
 def test_derandomize_rejects_inconsistent_family():

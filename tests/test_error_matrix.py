@@ -15,7 +15,7 @@ import multidist as md
 from multidist import learner
 from multidist.learner import (BLOCK_DRAWS, EmpiricalSample, HedgeStack, _bucket_table, _draw,
                                _tally, erm, rolling_mixtures)
-from multidist.metrics import BUDGET, _errors, _labelings, class_errors, plus_rows
+from multidist.metrics import BUDGET, _errors, class_errors, plus_rows
 
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
@@ -131,10 +131,11 @@ def blocked_problems(draw):
     """An error-matrix problem with fewer labelings than members, with at
     least as many in one block of the budget, or in several blocks (the last
     one ragged when the block size does not divide r); with or without a
-    mask. The rows are labelings of +0.0 and 1.0, labelings that also hold
-    -0.0 entries (no labelings to the kernel, which must take the blend),
-    fractional rows, or labelings with a last fractional row. Masses hold
-    some +0.0 and -0.0 entries and eta some EDGE_ETA entries."""
+    mask. The rows are boolean labelings (the kernel's |p - eta| path),
+    float labelings of +0.0 and 1.0, float labelings that also hold -0.0
+    entries, fractional rows, or float labelings with a last fractional row
+    (all of which take the blend). Masses hold some +0.0 and -0.0 entries and
+    eta some EDGE_ETA entries."""
     steps = draw(st.sampled_from(["r < k", "one block", "several blocks"]))
     if steps == "r < k":
         k = draw(st.integers(2, 6))
@@ -157,8 +158,11 @@ def blocked_problems(draw):
     edges = rng.random((k, n)) < 0.2
     eta[edges] = rng.choice(EDGE_ETA, size=edges.sum())
     plus = rng.random((r, n))
-    rows = draw(st.sampled_from(["labelings", "signed labelings", "fractional", "mixed"]))
-    if rows != "fractional":
+    rows = draw(st.sampled_from(["boolean", "labelings", "signed labelings", "fractional",
+                                 "mixed"]))
+    if rows == "boolean":
+        plus = plus < 0.5
+    elif rows != "fractional":
         marginals, plus = plus, (plus < 0.5).astype(np.float64)
         if rows == "signed labelings":
             plus[(plus == 0.0) & (rng.random((r, n)) < 0.5)] = -0.0
@@ -175,18 +179,30 @@ def test_blocked_error_matrix_is_bitwise_the_entry_loop(problem):
     assert same_bits(_errors(plus, mass, eta, mask), entry_loop(plus, mass, eta, mask))
 
 
-def test_a_call_with_a_negative_zero_or_fractional_row_takes_the_blend():
-    # p = eta = -0.0 is the one entry where the blend's term, -0.0 + -0.0,
-    # and |p - eta| = +0.0 differ in sign (a row sum, which starts at +0.0,
-    # hides it); at p = +0.0 both terms are +0.0
-    p, eta = np.float64(-0.0), np.float64(-0.0)
-    assert np.signbit(p * (1.0 - eta) + (1.0 - p) * eta) and not np.signbit(abs(p - eta))
-    assert not np.signbit(0.0 * (1.0 - eta) + (1.0 - 0.0) * eta)
-    assert _labelings(np.array([[1.0, 0.0], [0.0, 0.0]])) and _labelings(plus_rows([1, -1]))
-    # a -0.0 entry, and a mixture's marginals beside a labeling as in
-    # rounding_deviation, make the whole call take the blend
-    for rows in ([[1.0, -0.0]], [[1.0, 0.0], [-0.0, 1.0]], [[1.0, 0.0], [0.25, 1.0]]):
-        assert not _labelings(np.array(rows))
+def test_boolean_rows_take_the_absolute_value_and_any_other_rows_the_blend():
+    assert plus_rows([1, -1, 1]).tolist() == [True, False, True]
+    assert plus_rows(np.array([[1, -1]], dtype=np.int8)).dtype == bool
+    # eta = 2, which no family holds, tells the two terms apart: at p = 1,
+    # |p - eta| is 1 and the blend p (1 - eta) + (1 - p) eta is -1
+    mass, eta = np.ones((1, 1)), np.full((1, 1), 2.0)
+    assert _errors(np.array([True]), mass, eta).tolist() == [1.0]
+    for row in ([1.0], [1], np.array([1], dtype=np.int8), np.array([1.0], dtype=np.float32)):
+        assert _errors(np.asarray(row), mass, eta).tolist() == [-1.0]
+    # with eta in [0, 1] both paths are the entry loop bit for bit: boolean
+    # rows, float 0/1 rows, rows holding -0.0 (where p = eta = -0.0 gives the
+    # blend's term -0.0 and |p - eta| +0.0) and fractional rows
+    p, e = np.float64(-0.0), np.float64(-0.0)
+    assert np.signbit(p * (1.0 - e) + (1.0 - p) * e) and not np.signbit(abs(p - e))
+    mass = np.array([[0.25, 0.25, 0.25, 0.25], [0.5, 0.0, -0.0, 0.5]])
+    eta = np.array([EDGE_ETA, [0.3, -0.0, 1.0, 0.7]])
+    for rows in (np.array([[True, False, True, False], [False] * 4]),
+                 np.array([[1.0, 0.0, 1.0, 0.0], [0.0] * 4]),
+                 np.array([[1.0, -0.0, 1.0, -0.0], [-0.0] * 4]),
+                 np.array([[1.0, 0.0, 0.25, 0.5], [0.75, -0.0, 1.0, 0.125]])):
+        for keep in (None, np.array([True, False, True, True])):
+            assert same_bits(_errors(rows, mass, eta, keep), entry_loop(rows, mass, eta, keep))
+            assert same_bits(_errors(rows[0], mass, eta, keep),
+                             entry_loop(rows[:1], mass, eta, keep)[0])
 
 
 def test_error_matrix_at_the_cli_wide_shape_is_bitwise_the_entry_loop():

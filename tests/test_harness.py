@@ -319,6 +319,23 @@ def test_a_campaign_rejects_hedge_settings_every_trial_would_reject():
     assert md.CampaignConfig(gen_spec=spec, hedge=md.HedgeConfig(eta=700.0)).hedge.eta == 700.0
 
 
+def test_a_campaign_rejects_hash_parameters_every_trial_would_reject():
+    # eps 1e-9 needs a prime past 2^62; a trial found out only after exact
+    # Hedge at eps/2, about 10^19 rounds
+    hash_cfg = md.DerandConfig(eps=1e-9, delta=0.2, mode="calibrated", m_override=10,
+                               rounding="hash")
+    with pytest.raises(ValueError, match="eps = 1e-09 needs a hash prime above 2\\^62"):
+        md.CampaignConfig(gen_spec=md.GenSpec(), derand=hash_cfg)
+    # the prime must exceed the domain of the instances the spec generates: a
+    # gap example has k points, whatever its spec's domain_size
+    coarse = dataclasses.replace(hash_cfg, eps=0.2)
+    gap = md.GenSpec(kind="gap_example", domain_size=2**63, k=4)
+    assert md.CampaignConfig(gen_spec=gap, derand=coarse).gen_spec is gap
+    with pytest.raises(ValueError, match="needs a hash prime above 2\\^62"):
+        md.CampaignConfig(gen_spec=dataclasses.replace(gap, kind="bayes_in_class"), derand=coarse)
+    assert md.CampaignConfig(gen_spec=md.GenSpec(), derand=coarse).derand is coarse
+
+
 def test_campaign_through_a_small_rolling_stack_matches_a_wide_one(tmp_path, monkeypatch):
     cfg = small_campaign(seed=7)
     monkeypatch.setattr(learner, "STACK_RUNS", 64)

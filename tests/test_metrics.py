@@ -156,6 +156,17 @@ def test_exceedance_probability_gap():
     assert np.all(np.abs(got - 0.125) <= 1e-15)
 
 
+def test_exceedance_probability_rejects_a_nan_level():
+    # nan gave all zeros, as if no draw could reach it
+    fam, cls, F = md.gen_gap_example(8)
+    for level in (math.nan, np.float64("nan")):
+        with pytest.raises(ValueError, match="level must be a number, got nan"):
+            md.exceedance_probability(F, fam, level)
+    assert md.exceedance_probability(F, fam, math.inf).tolist() == [0.0] * 8
+    assert md.exceedance_probability(F, fam, -math.inf).tolist() == [F.weights.sum()] * 8
+    assert F.weights.sum() == 1.0
+
+
 def test_exceedance_probability_is_the_member_by_member_sum():
     # entry i is bitwise the former one-member form: the weights of the
     # support rows whose error on member i alone is at or above level, summed

@@ -11,7 +11,9 @@ tree holding this script), the first and third quartiles of those rounds, and
 the ratio of the medians. A ratio whose quartile ranges overlap is within the
 spread between interpreters of one tree. Both trees must take the family, not
 a SampleOracle, in build_bias_table and derandomize, take no error matrix
-in run_trial, and have the module function learner._tallies. The layers:
+in run_trial and no domain size in round_outside_t, and have the module
+function learner._tallies, so a tree whose round_outside_t takes a domain
+size cannot be timed. The layers:
 
 - eval_block: coefficient_matrix_eval on a (16384, 4) block of coefficients
   at the keys 0..3, p = 67 (the seed call of the default tail check, which
@@ -231,8 +233,7 @@ def time_layers(src: str) -> dict:
         "hedge_exact_c06": lambda: afresh("_class_error_entry", c06_fam, md.hedge_learn,
                                           c06_oracle, c06_cls, 0.075),
         "hedge_stack_advance_32": lambda: stack.advance(step),
-        "round_outside_t_24x1000": lambda: md.round_outside_t(wide_learned, wide_table, 1000,
-                                                              draw_rng),
+        "round_outside_t_24x1000": lambda: md.round_outside_t(wide_learned, wide_table, draw_rng),
         "opt_bruteforce_128x24x1000": lambda: afresh("_class_error_entry", wide_fam,
                                                      md.opt_bruteforce, wide_cls, wide_fam),
         "run_trial_c06": lambda: afresh("_bucket_table", c06_fam, md.run_trial, c06_fam,
