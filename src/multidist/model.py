@@ -78,6 +78,8 @@ def _frozen_float_array(values, name: str, ndim: int = 1) -> np.ndarray:
         if ndim == 2:
             _check_row_widths(values, name, "numbers")
         raise ValueError(f"{name} must hold numbers: {exc}") from None
+    if ndim == 2 and arr.shape == (0,):  # a list of no rows: no row gives a width
+        arr = arr.reshape(0, 0)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {('one', 'two')[ndim - 1]}-dimensional, "
                          f"got shape {arr.shape}")

@@ -1,18 +1,21 @@
-"""Instance, classifier, and matrix file formats.
+"""Instance, mixture, classifier, and matrix file formats.
 
-Instances and classifiers are JSON (numbers as decimal text, arrays in domain
-index order), written by `_json_text`, which gives the bytes of
-`json.dumps(doc, indent=1)` with each ndarray in doc written as its
-`.tolist()`. The save functions build their documents from the arrays the
-objects hold: orjson writes each array in one call, `float.__repr__` each
-nonzero float of magnitude outside [1e-4, 1e16), and json's C encoder keys,
-single values and each item of a list. They are read by
-orjson, which parses a float to the same double as `json` and rejects NaN and
-Infinity literals. A file nested deeper than `MAX_JSON_DEPTH` is rejected before
-orjson parses it. An instance file's label matrix is read straight from its
-bytes when they prove it a rectangular matrix of 1 and -1 (`_label_route`);
-any other file is read as a whole by orjson. Matrices use a plain text
-format: first line n, then n lines of n characters from {0,1}.
+Each file kind has one save and one load. Instances, mixtures and classifiers
+are JSON (numbers as decimal text, arrays in domain index order); each of
+these kinds also has one document builder (`_instance_doc`, `_randomized_doc`,
+`_classifier_doc`), which puts in the arrays the objects hold, and one reader
+of a parsed document (`_instance`, `_randomized`, `_classifier`). A document
+is written by `_json_text`, which gives the bytes of `json.dumps(doc,
+indent=1)` with each ndarray in doc written as its `.tolist()`: orjson writes
+each array in one call, `float.__repr__` each nonzero float of magnitude
+outside [1e-4, 1e16), and json's C encoder keys, single values and each item
+of a list. The files are read by orjson, which parses a float to the same
+double as `json` and rejects NaN and Infinity literals. A file nested deeper
+than `MAX_JSON_DEPTH` is rejected before orjson parses it. An instance
+file's label matrix is read straight from its bytes when they prove it a
+rectangular matrix of 1 and -1 (`_label_route`); any other file is read as a
+whole by orjson. Matrices use a plain text format: first line n, then n lines
+of n characters from {0,1}.
 """
 
 from __future__ import annotations
@@ -68,15 +71,6 @@ def _fields(doc, what: str, required: dict, optional: dict = {}) -> dict:
 _GEN_SPEC_FIELDS = {field.name: lambda value, _: value for field in dataclasses.fields(GenSpec)}
 
 
-def _listed(doc):
-    """doc with each ndarray in it, through dicts and lists, as its .tolist()."""
-    if isinstance(doc, dict):
-        return {key: _listed(value) for key, value in doc.items()}
-    if isinstance(doc, list):
-        return [_listed(value) for value in doc]
-    return doc.tolist() if isinstance(doc, np.ndarray) else doc
-
-
 def _instance_doc(fam: DistributionFamily, cls: HypothesisClass,
                   gen_spec: GenSpec | None) -> dict:
     """The instance file's document, each vector and matrix in it an ndarray."""
@@ -97,15 +91,6 @@ def _instance_doc(fam: DistributionFamily, cls: HypothesisClass,
     if gen_spec is not None:
         doc["gen_spec"] = dataclasses.asdict(gen_spec)
     return doc
-
-
-def instance_to_dict(fam: DistributionFamily, cls: HypothesisClass,
-                     gen_spec: GenSpec | None = None) -> dict:
-    return _listed(_instance_doc(fam, cls, gen_spec))
-
-
-def instance_from_dict(doc: dict) -> tuple[DistributionFamily, HypothesisClass, GenSpec | None]:
-    return _instance(doc, None)
 
 
 def _instance(doc, labels: np.ndarray | None):
@@ -370,7 +355,7 @@ def load_instance(path) -> tuple[DistributionFamily, HypothesisClass, GenSpec | 
     # the old file dropped first, so that it and the new one are never both held
     kept = _last_instance = None
     routed = _label_route(data)
-    loaded = _instance(*routed) if routed else instance_from_dict(_parse(data))
+    loaded = _instance(*routed) if routed else _instance(_parse(data), None)
     _last_instance = data, loaded
     return loaded
 
@@ -379,11 +364,7 @@ def _randomized_doc(f_rand: RandomizedClassifier) -> dict:
     return {"support_indices": list(f_rand.support), "weights": f_rand.weights}
 
 
-def randomized_to_dict(f_rand: RandomizedClassifier) -> dict:
-    return _listed(_randomized_doc(f_rand))
-
-
-def randomized_from_dict(doc: dict, cls: HypothesisClass) -> RandomizedClassifier:
+def _randomized(doc, cls: HypothesisClass) -> RandomizedClassifier:
     doc = _fields(doc, "mixture", {"support_indices": _list, "weights": _list})
     return RandomizedClassifier(cls, tuple(doc["support_indices"]), doc["weights"])
 
@@ -393,7 +374,7 @@ def save_randomized(path, f_rand: RandomizedClassifier) -> None:
 
 
 def load_randomized(path, cls: HypothesisClass) -> RandomizedClassifier:
-    return randomized_from_dict(_read_json(path), cls)
+    return _randomized(_read_json(path), cls)
 
 
 def _classifier_doc(clf) -> dict:
@@ -413,10 +394,6 @@ def _classifier_doc(clf) -> dict:
     raise TypeError(f"cannot serialize classifier of type {type(clf).__name__}")
 
 
-def classifier_to_dict(clf) -> dict:
-    return _listed(_classifier_doc(clf))
-
-
 # each classifier kind's keys besides "kind", with the check of each key's value
 _CLASSIFIER_FIELDS = {
     "explicit": {"labels": _list},
@@ -426,7 +403,8 @@ _CLASSIFIER_FIELDS = {
 }
 
 
-def classifier_from_dict(doc: dict, cls: HypothesisClass | None = None):
+def _classifier(doc, cls: HypothesisClass | None):
+    """The classifier in doc; a compact one's mixture is over cls."""
     kind = _object(doc, "classifier").get("kind")
     # tested as a string first, since a kind such as [1] cannot be a dict key; with
     # no kind, the table of that one key names it as missing
@@ -440,7 +418,7 @@ def classifier_from_dict(doc: dict, cls: HypothesisClass | None = None):
     if len(doc["coefficients"]) != doc["degree_r"]:
         raise ValueError("degree_r does not match the coefficient count")
     q = PolyHash(doc["prime"], tuple(doc["coefficients"]))
-    f_rand = randomized_from_dict(doc["randomized"], cls)
+    f_rand = _randomized(doc["randomized"], cls)
     table = []
     for i, entry in enumerate(doc["t_table"]):
         if not (isinstance(entry, list) and len(entry) == 2):
@@ -467,7 +445,7 @@ def save_classifier(path, clf) -> None:
 
 
 def load_classifier(path, cls: HypothesisClass | None = None):
-    return classifier_from_dict(_read_json(path), cls)
+    return _classifier(_read_json(path), cls)
 
 
 def save_matrix(path, matrix: BinaryMatrix) -> None:

@@ -590,7 +590,7 @@ def test_every_written_instance_file_takes_the_label_route(tmp_path):
         data = path.read_bytes()
         assert serialize._label_route(data) is not None, name
         loaded = serialize.load_instance(path)
-        ref = serialize.instance_from_dict(json.loads(data))
+        ref = serialize._instance(json.loads(data), None)
         assert loaded[1].label_matrix.tobytes() == ref[1].label_matrix.tobytes()
         assert loaded[1].label_matrix.shape == ref[1].label_matrix.shape
 
@@ -680,6 +680,8 @@ def test_instance_files_check_json_value_types(tmp_path, capsys):
             (dict(vc_dim="2"), "instance field 'vc_dim' must be an integer"),
             (dict(vc_dim=10**30), "instance field 'vc_dim' must be an integer, got 1e+30"),
             (dict(distributions={}), "instance field 'distributions' must be a list"),
+            (dict(distributions=[]), "a distribution family needs at least one member and one "
+                                     "point, got shape (0, 0)"),
             (dict(distributions=[mass]), "distribution entry must be a JSON object, got list"),
             (dict(distributions=[{"mass": {}}]),
              "distribution entry field 'mass' must be a list, got dict"),

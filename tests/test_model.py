@@ -7,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multidist as md
+from helpers import listed
 from multidist import serialize
 from multidist.model import LabeledDistribution
 
 
 def test_domain_requires_positive_size():
-    # a family needs a member and a point; k and n are its matrices' shape
-    for shape in ((0, 3), (2, 0)):
+    # a family needs a member and a point; k and n are its matrices' shape,
+    # and an empty list is a family of no members, not a one-axis matrix
+    for rows in (np.zeros((0, 3)), np.zeros((2, 0)), []):
         with pytest.raises(ValueError, match="needs at least one member and one point"):
-            md.DistributionFamily(np.zeros(shape), np.zeros(shape))
+            md.DistributionFamily(rows, rows)
     fam = md.DistributionFamily([[0.5, 0.5, 0.0]] * 2, [[0.5] * 3] * 2)
     assert (fam.k, fam.domain_size) == (2, 3)
 
@@ -375,7 +377,7 @@ def test_matrix_header_must_be_decimal_digits(tmp_path):
 
 def test_load_instance_rejects_invalid_family(tmp_path):
     fam = md.DistributionFamily([[0.5, 0.5], [0.25, 0.75]], [[0.2, 0.4], [0.2, 0.4]])
-    doc = serialize.instance_to_dict(fam, md.HypothesisClass([[1, -1]]))
+    doc = listed(serialize._instance_doc(fam, md.HypothesisClass([[1, -1]]), None))
     doc["distributions"][0]["mass"] = [0.5, 0.4]
     doc["distributions"][1]["mass"] = [-0.25, 1.25]
     path = tmp_path / "bad.json"

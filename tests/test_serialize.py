@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import multidist as md
+from helpers import listed
 from multidist import serialize
 from orjson import loads as orjson_loads
 
@@ -161,7 +162,7 @@ def test_instance_files_load_as_json_loads_reads_them(tmp_path, inst):
     path = tmp_path / "inst.json"
     serialize.save_instance(path, *inst)
     assert serialize._label_route(path.read_bytes()) is not None
-    ref = serialize.instance_from_dict(json.loads(path.read_text()))
+    ref = serialize._instance(json.loads(path.read_text()), None)
     got = serialize.load_instance(path)
     assert _same(_instance_values(got), _instance_values(ref))
     assert _same(_instance_values(got), _instance_values(inst))
@@ -184,7 +185,7 @@ def test_mixture_files_load_as_json_loads_reads_them(tmp_path, f_rand):
     path = tmp_path / "mix.json"
     serialize.save_randomized(path, f_rand)
     cls = f_rand.hypothesis_class
-    ref = serialize.randomized_from_dict(json.loads(path.read_text()), cls)
+    ref = serialize._randomized(json.loads(path.read_text()), cls)
     got = serialize.load_randomized(path, cls)
     assert _same(_mixture_values(got), _mixture_values(ref))
     assert _same(_mixture_values(got), _mixture_values(f_rand))
@@ -196,7 +197,7 @@ def test_classifier_files_load_as_json_loads_reads_them(tmp_path, clf_cls):
     clf, cls = clf_cls
     path = tmp_path / "clf.json"
     serialize.save_classifier(path, clf)
-    ref = serialize.classifier_from_dict(json.loads(path.read_text()), cls)
+    ref = serialize._classifier(json.loads(path.read_text()), cls)
     got = serialize.load_classifier(path, cls)
     assert type(got) is type(ref)
     assert _same(_classifier_values(got), _classifier_values(ref))
@@ -246,14 +247,14 @@ def _instance_text(cols, members) -> str:
 
 def _agrees(path) -> bool:
     """load_instance gives the values, or the ValueError message, that
-    orjson.loads and instance_from_dict give."""
+    orjson.loads and _instance give."""
     def outcome(load):
         try:
             return "ok", _instance_values(load())
         except ValueError as exc:
             return "error", str(exc)
     return _same(outcome(lambda: serialize.load_instance(path)),
-                 outcome(lambda: serialize.instance_from_dict(orjson_loads(path.read_bytes()))))
+                 outcome(lambda: serialize._instance(orjson_loads(path.read_bytes()), None)))
 
 
 ROUTE = settings(max_examples=200, deadline=None,
@@ -305,13 +306,13 @@ def test_mixture_files_name_a_stray_key_or_a_repeated_index():
              r"mixture has unknown fields \['weigths'\]"),
             ({"support_indices": [0, 0], "weights": [0.5, 0.5]}, "support index 0 is repeated")):
         with pytest.raises(ValueError, match=message):
-            serialize.randomized_from_dict(doc, cls)
+            serialize._randomized(doc, cls)
 
 
 def test_a_null_vc_dim_loads_as_an_unknown_one():
     fam = md.DistributionFamily([[1.0]], [[0.5]])
-    doc = serialize.instance_to_dict(fam, md.HypothesisClass([[1]], vc_dim=3))
-    assert serialize.instance_from_dict({**doc, "vc_dim": None})[1].vc_dim is None
+    doc = listed(serialize._instance_doc(fam, md.HypothesisClass([[1]], vc_dim=3), None))
+    assert serialize._instance({**doc, "vc_dim": None}, None)[1].vc_dim is None
 
 
 def _load_instance_text(text: str):
@@ -330,17 +331,18 @@ def files(draw):
     if kind == "instance":
         # read from the file's bytes, so that the label route is under test too
         indent = draw(st.sampled_from([None, 1]))
-        return (serialize.instance_to_dict(*draw(instances())),
+        return (listed(serialize._instance_doc(*draw(instances()))),
                 lambda doc: _load_instance_text(json.dumps(doc, indent=indent)),
-                lambda loaded: serialize.instance_to_dict(*loaded))
+                lambda loaded: listed(serialize._instance_doc(*loaded)))
     if kind == "mixture":
         f_rand = draw(mixtures())
-        return (serialize.randomized_to_dict(f_rand),
-                lambda doc: serialize.randomized_from_dict(doc, f_rand.hypothesis_class),
-                serialize.randomized_to_dict)
+        return (listed(serialize._randomized_doc(f_rand)),
+                lambda doc: serialize._randomized(doc, f_rand.hypothesis_class),
+                lambda loaded: listed(serialize._randomized_doc(loaded)))
     clf, cls = draw(classifiers())
-    return (serialize.classifier_to_dict(clf),
-            lambda doc: serialize.classifier_from_dict(doc, cls), serialize.classifier_to_dict)
+    return (listed(serialize._classifier_doc(clf)),
+            lambda doc: serialize._classifier(doc, cls),
+            lambda loaded: listed(serialize._classifier_doc(loaded)))
 
 
 def _nodes(node, path=()):
@@ -497,7 +499,7 @@ def test_the_writer_writes_json_dumps_text_for_bulk_floats_and_band_edges():
                 {"rows": [bulk[i:i + 1000] for i in range(0, bulk.size, 1000)]},
                 np.array(edges), np.array([edges, edges[::-1]]), np.array(edges)[::2],
                 [np.array(ints[1:]), np.array(edges[::-1])], np.array(ints[:1], np.uint64)):
-        assert serialize._json_text(doc) == json.dumps(serialize._listed(doc), indent=1)
+        assert serialize._json_text(doc) == json.dumps(listed(doc), indent=1)
 
 
 # doubles from random bit patterns (subnormals included), -0.0, the band's
@@ -529,9 +531,8 @@ ARRAY_DOCS = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(ARRAY_DOCS)
 def test_the_writer_writes_an_array_as_json_dumps_writes_its_list(doc):
-    listed = serialize._listed(doc)
     try:
-        want = json.dumps(listed, indent=1, allow_nan=False)
+        want = json.dumps(listed(doc), indent=1, allow_nan=False)
     except ValueError:  # NaN or an infinity
         with pytest.raises(ValueError, match="Out of range float values"):
             serialize._json_text(doc)
@@ -557,21 +558,21 @@ def test_every_writer_writes_the_text_of_json_dumps_indent_1(tmp_path):
                                  np.random.default_rng(4)).classifier
     assert len(compact.t_points) > 0 and len(empty_table.t_points) == 0
     path = tmp_path / "file.json"
-    for save, to_dict, args in (
-            (serialize.save_instance, serialize.instance_to_dict,
+    for save, build, args in (
+            (serialize.save_instance, serialize._instance_doc,
              (wide_fam, wide_cls, wide_spec)),
-            (serialize.save_instance, serialize.instance_to_dict,
-             (own_labels, md.HypothesisClass([[1, -1], [-1, -1]], vc_dim=1))),
-            (serialize.save_randomized, serialize.randomized_to_dict, (mixture,)),
-            (serialize.save_classifier, serialize.classifier_to_dict,
+            (serialize.save_instance, serialize._instance_doc,
+             (own_labels, md.HypothesisClass([[1, -1], [-1, -1]], vc_dim=1), None)),
+            (serialize.save_randomized, serialize._randomized_doc, (mixture,)),
+            (serialize.save_classifier, serialize._classifier_doc,
              (md.ExplicitClassifier(wide_cls.label_matrix[3]),)),
-            (serialize.save_classifier, serialize.classifier_to_dict, (compact,)),
-            (serialize.save_classifier, serialize.classifier_to_dict, (empty_table,))):
+            (serialize.save_classifier, serialize._classifier_doc, (compact,)),
+            (serialize.save_classifier, serialize._classifier_doc, (empty_table,))):
         save(path, *args)
-        assert path.read_text() == json.dumps(to_dict(*args), indent=1)
-    doc = serialize.instance_to_dict(own_labels, md.HypothesisClass([[1, -1]]))
+        assert path.read_text() == json.dumps(listed(build(*args)), indent=1)
+    doc = serialize._instance_doc(own_labels, md.HypothesisClass([[1, -1]]), None)
     assert "shared_label_one_prob" not in doc
-    assert "shared_label_one_prob" in serialize.instance_to_dict(wide_fam, wide_cls)
+    assert "shared_label_one_prob" in serialize._instance_doc(wide_fam, wide_cls, None)
 
 
 def test_the_writer_rejects_nan_and_infinity_before_opening_a_file(tmp_path, monkeypatch):
@@ -631,7 +632,7 @@ def _instance_file(path, seed: int, **doc_changes) -> bytes:
     """Write an n=30, k=3, |H|=4 instance of the seed to path, with doc_changes
     made to its document, and return the file's bytes."""
     fam, cls, _ = md.generate(md.GenSpec(domain_size=30, k=3, hypothesis_count=4, seed=seed))
-    doc = serialize.instance_to_dict(fam, cls)
+    doc = listed(serialize._instance_doc(fam, cls, None))
     path.write_text(json.dumps({**doc, **doc_changes}, indent=1))
     return path.read_bytes()
 

@@ -7,7 +7,7 @@
 A tree runs the suite below in one fresh interpreter, with that tree's src
 first on PYTHONPATH, in an empty work directory of its own, so every output
 path is the same relative path in every run (eval.csv's path columns match).
-It leaves 66 files; a command's stdout and stderr, followed by its exit code,
+It leaves 76 files; a command's stdout and stderr, followed by its exit code,
 are kept as <name>.out. --check runs the suite on the tree holding this
 script and compares the SHA-256 digest of each file with tools/outputs.sha256,
 one "name digest" line per output; --write writes that file from the same
@@ -46,6 +46,12 @@ The suite:
   than the first put zero mass on the heavy points;
 - learn --trace --rounds 600, exact, on that C06-shape instance: a stack of
   one whose choices are tallied in blocks of 256 rounds, the last partial;
+- derand of that C06-shape instance at the default --mode theory, eps 0.3 and
+  delta 0.2, explicit and --rounding hash, with the report row less its
+  wall_time column; eval of both classifiers. The paper's sample size is
+  m = 1,596 draws per member for explicit rounding and 38,237 for hash
+  rounding, more than a block of BLOCK_DRAWS = 32,768: the hash run tallies
+  each member in blocks, keeping none of its points;
 - gen --kind gap_example -k 5 and gen --kind bayes_in_class, the instance
   files;
 - hashcheck, stdout, at its defaults; at --n 256 --r 6 --draws 70001
@@ -59,8 +65,9 @@ The suite:
 Where the writer's array path runs: every instance file (inst.json, c06.json,
 heavy.json, gap.json, bayes.json, reduction.json) writes its masses, label
 vectors and label matrix from arrays, every mixture file (mix_*.json) its
-weights, clf_explicit.json its labels, clf_hash.json its t_table and
-weights, and clf_empty_table.json its weights, its t_table being an array of
+weights, clf_explicit.json and clf_c06_theory_explicit.json their labels,
+clf_hash.json and clf_c06_theory_hash.json their t_tables and weights, and
+clf_empty_table.json its weights, its t_table being an array of
 shape (0, 2), written as its empty list; the summaries and the other lists in
 those files take the per-item path.
 
@@ -70,8 +77,8 @@ demos 01-05 call the package's public names, demo 04 unpacking run_trial's
 one interpreter, so learn_exact and learn_sampling share one class error
 matrix, the one metrics.class_errors keeps on the family of the instance
 file the loader kept, and derand_explicit and derand_hash share another
-(learn_c06_* and learn_heavy_* load other files between them); trial_p*
-reads the matrix its Hedge stack loaded; learn_*_sampling
+(learn_c06_*, learn_heavy_* and the c06_theory runs load other files between
+them); trial_p* reads the matrix its Hedge stack loaded; learn_*_sampling
 through _errors, the array core of sampling-mode Hedge; gen_heavy through
 _heaviness, which heavy_mask also reads; trial_p1 and trial_p2 through
 heavy_coverage's bayes_labels signs (the heavy_covered column) and the
@@ -131,6 +138,19 @@ def run_suite(tree: Path) -> None:
         runpy.run_path(str(tree / "demos" / f"{name}.py"), run_name="__main__")
         return 0
 
+    def derand_and_eval(name: str, instance: str, *argv: str) -> None:
+        """derand, its report row less wall_time, then eval of its classifier."""
+        report = Path(f"derand_{name}_row.csv")
+        verb(f"derand_{name}", "derand", instance, *argv, "--report", str(report),
+             "-o", f"clf_{name}.json")
+        if report.exists():
+            with report.open(newline="") as fh:
+                rows = list(csv.reader(fh))
+            keep = [i for i, col in enumerate(rows[0]) if col != "wall_time"]
+            with report.open("w", newline="") as fh:
+                csv.writer(fh).writerows([row[i] for i in keep] for row in rows)
+        verb(f"eval_{name}", "eval", f"clf_{name}.json", instance, "-o", f"eval_{name}.csv")
+
     for name in DEMOS:
         record(f"demo_{name[:2]}", lambda: demo(name))
     for par in ("1", "2"):
@@ -150,17 +170,10 @@ def run_suite(tree: Path) -> None:
     verb("learn_c06_exact", "learn", "c06.json", "--eps", "0.3", "--rounds", "600",
          "--trace", "learn_c06_exact_trace.csv", "-o", "mix_c06_exact.json")
     for rounding in ("explicit", "hash"):
-        report = Path(f"derand_{rounding}_row.csv")
-        verb(f"derand_{rounding}", "derand", "inst.json", "--rounding", rounding, *DERAND,
-             "--report", str(report), "-o", f"clf_{rounding}.json")
-        if report.exists():
-            with report.open(newline="") as fh:
-                rows = list(csv.reader(fh))
-            keep = [i for i, col in enumerate(rows[0]) if col != "wall_time"]
-            with report.open("w", newline="") as fh:
-                csv.writer(fh).writerows([row[i] for i in keep] for row in rows)
-        verb(f"eval_{rounding}", "eval", f"clf_{rounding}.json", "inst.json",
-             "-o", f"eval_{rounding}.csv")
+        derand_and_eval(f"c06_theory_{rounding}", "c06.json", "--rounding", rounding,
+                        "--eps", "0.3", "--delta", "0.2")
+    for rounding in ("explicit", "hash"):
+        derand_and_eval(rounding, "inst.json", "--rounding", rounding, *DERAND)
     # one draw per member: no skew clears the threshold, and t_table is empty
     verb("derand_empty_table", "derand", "inst.json", "--rounding", "hash", "--mode",
          "calibrated", "--m-override", "1", "--eps", "0.6", "--delta", "0.2",
