@@ -14,7 +14,7 @@ import numpy as np
 import multidist as md
 
 k = 8
-fam, cls, mixture = md.gen_gap_example(k)
+fam, cls, mixture = md.generate(md.GenSpec(kind="gap_example", k=k))
 
 print(f"domain of {k} points, {k} point-mass distributions, {k} hypotheses")
 print(f"hypothesis i labels point i with -1 and everything else +1\n")

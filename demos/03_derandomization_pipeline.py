@@ -18,7 +18,7 @@ import multidist as md
 eps = delta = 0.15
 
 spec = md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=7)
-fam, cls = md.gen_random_label_consistent(spec)
+fam, cls, _ = md.generate(spec)
 assert fam.label_consistent
 
 opt, opt_idx = md.opt_bruteforce(cls, fam)

@@ -18,7 +18,7 @@ from multidist.hashing import _plus_thresholds, coefficient_matrix_eval
 
 eps = delta = 0.15
 spec = md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=5)
-fam, cls = md.gen_random_label_consistent(spec)
+fam, cls, _ = md.generate(spec)
 
 r, p = md.choose_hash_params(fam.k, eps, delta, fam.domain_size)
 print(f"hash parameters for k={fam.k}, eps={eps}, delta={delta}, |X|={fam.domain_size}:")

@@ -18,13 +18,9 @@ from .metrics import (
     error_matrix,
     worst_case_error,
     randomized_worst_case_error,
-    randomized_per_distribution,
     support_worst_case,
     exceedance_probability,
     opt_bruteforce,
-    bayes_labels,
-    heavy_bias_threshold,
-    heavy_mask,
 )
 from .learner import (
     SampleOracle,
@@ -42,9 +38,6 @@ from .derand import (
 from .hashing import (
     PolyHash,
     CompactClassifier,
-    is_prime,
-    next_prime,
-    sample_hash,
     plus_probability,
     choose_hash_params,
     TailCheckConfig,
@@ -68,9 +61,6 @@ from .discrepancy import (
 )
 from .instances import (
     GenSpec,
-    gen_random_label_consistent,
-    gen_gap_example,
-    gen_heavy_point_probe,
     generate,
 )
 from .harness import (
@@ -79,8 +69,6 @@ from .harness import (
     CampaignSummary,
     run_trial,
     run_campaign,
-    trial_seed,
-    wilson_interval,
 )
 
 __version__ = "0.1.0"

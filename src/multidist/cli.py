@@ -67,7 +67,7 @@ from .metrics import (
     randomized_per_distribution,
     worst_case_error,
 )
-from .model import full_labeling_class
+from .model import full_labeling_class, require_label_consistent
 
 
 def _out_dir(path_arg: str | None) -> Path:
@@ -155,6 +155,7 @@ def cmd_derand(args) -> int:
     if derand_cfg.rounding == "hash":  # before learning, endless at a tiny eps
         choose_hash_params(fam.k, derand_cfg.eps, derand_cfg.delta, fam.domain_size,
                            derand_cfg.c_prime)
+    require_label_consistent(fam)  # the bias table's check, made before learning
     t0 = time.perf_counter()
     f_rand = hedge_learn(SampleOracle(fam), cls, derand_cfg.learner_eps(), cfg=_hedge_cfg(args))
     learning = time.perf_counter() - t0

@@ -109,16 +109,10 @@ def _frozen_label_array(values, name: str) -> np.ndarray:
 
 
 def _frozen_label_matrix(rows) -> np.ndarray:
-    message = "hypothesis label entries must be exactly -1 or +1"
-    kinds = _entry_types(rows)
-    if kinds & {bool, np.bool_}:
-        raise ValueError(message)
+    if _entry_types(rows) & {bool, np.bool_}:
+        raise ValueError("hypothesis label entries must be exactly -1 or +1")
     try:
-        # Python ints outside int8 raise OverflowError; any other entry is
-        # read as it is and checked before its cast
-        arr = np.array(rows, dtype=np.int8) if kinds == {int} else np.asarray(rows)
-    except OverflowError:
-        raise ValueError(message) from None
+        arr = np.asarray(rows)
     except ValueError:  # ragged
         _check_row_widths(rows, "hypothesis", "labels")
         raise

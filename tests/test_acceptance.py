@@ -17,6 +17,8 @@ import numpy as np
 import multidist as md
 from multidist.harness import PREDICATE_CONDITIONAL, PREDICATE_OPT, rounding_deviation
 from multidist.hashing import coefficient_matrix_eval
+from multidist.instances import gen_gap_example, gen_heavy_point_probe, gen_random_label_consistent
+from multidist.metrics import heavy_mask
 
 from helpers import learned
 
@@ -73,7 +75,7 @@ def _definition_min_worst_error(matrix):
 
 def test_c01_gap_example():
     t0 = time.perf_counter()
-    fam, cls, F = md.gen_gap_example(8)
+    fam, cls, F = gen_gap_example(8)
     rand_err = md.randomized_worst_case_error(F, fam)
     support = md.support_worst_case(F, fam)
     exceed = md.exceedance_probability(F, fam, 1.0).tolist()
@@ -153,7 +155,7 @@ def test_c05_hedge_contract():
     eps = 0.15
     wins = 0
     for seed in range(50):
-        fam, cls = md.gen_random_label_consistent(
+        fam, cls = gen_random_label_consistent(
             md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=seed))
         F = md.hedge_learn(md.SampleOracle(fam), cls, eps)
         opt, _ = md.opt_bruteforce(cls, fam)
@@ -188,8 +190,8 @@ def test_c07_heavy_point_coverage():
     spec = md.GenSpec(kind="heavy_point_probe", domain_size=25, k=2, heavy_count=3,
                       heavy_beta=0.4, heavy_mass=0.25, light_beta_max=0.02,
                       eps=eps, delta=delta, seed=707)
-    fam = md.gen_heavy_point_probe(spec)
-    heavy = np.nonzero(md.heavy_mask(fam, eps, delta))[0]
+    fam = gen_heavy_point_probe(spec)
+    heavy = np.nonzero(heavy_mask(fam, eps, delta))[0]
     assert heavy.tolist() == [0, 1, 2]
     beta_sign = np.where(fam.shared_label_one_prob - 0.5 >= 0, 1, -1)
     cfg = md.DerandConfig(eps=eps, delta=delta, c_const=4.0, mode="theory")
@@ -211,8 +213,8 @@ def test_c08_light_rounding_deviation():
     eps = delta = 0.2
     spec = md.GenSpec(kind="heavy_point_probe", domain_size=30, k=3, heavy_count=0,
                       light_beta_max=0.05, eps=eps, delta=delta, seed=808)
-    fam = md.gen_heavy_point_probe(spec)
-    assert not md.heavy_mask(fam, eps, delta).any()
+    fam = gen_heavy_point_probe(spec)
+    assert not heavy_mask(fam, eps, delta).any()
     assert np.all(np.abs(fam.shared_label_one_prob - 0.5) <= 0.05)
     rng_h = np.random.default_rng(8080)
     cls = md.HypothesisClass([np.where(rng_h.random(30) < 0.5, 1, -1) for _ in range(8)])
@@ -279,7 +281,7 @@ def test_c10_limited_independence_tail():
 
 def test_c11_rounding_path_equivalence():
     t0 = time.perf_counter()
-    fam, cls = md.gen_random_label_consistent(
+    fam, cls = gen_random_label_consistent(
         md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=1111))
     eps, delta = 0.15, 0.15
     # exact Hedge is deterministic: one mixture serves all 400 trials

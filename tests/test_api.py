@@ -1,6 +1,7 @@
 """The public names of the package, pinned so that any growth or shrinkage of
-the API shows up as a reviewed diff of this list; the serializer's public
-functions; and the package names that perfbench's tracer hooks or selects."""
+the API shows up as a reviewed diff of this list; the helpers that stay in
+their modules; the serializer's public functions; and the package names that
+perfbench's tracer hooks or selects."""
 
 import ast
 import importlib
@@ -14,25 +15,21 @@ from multidist import serialize
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
+# the pipeline's steps: each name that the demos, the README, tools/ or
+# perfbench reach through the package root, and each type such a name
+# takes, returns or raises
 PUBLIC_NAMES = [
-    "BiasTable", "BinaryMatrix", "CampaignConfig", "CampaignSummary",
-    "Coloring", "CompactClassifier", "DerandConfig", "DerandResult", "DistributionFamily",
-    "ErrorReport", "ExplicitClassifier", "GenSpec",
-    "HedgeConfig", "HypothesisClass", "LabelConsistencyError",
-    "PolyHash", "RandomizedClassifier", "ReductionFamily",
-    "SampleOracle", "TailCheckConfig", "TailCheckReport", "TrialReport", "Verdict",
-    "bayes_labels", "bruteforce_min_discrepancy", "build_bias_table", "choose_hash_params",
-    "coloring_error", "derandomize", "distinguisher",
-    "dummy_min_deterministic_error", "dummy_point_variant",
-    "empirical_tail_bound_check", "error_matrix", "exceedance_probability",
-    "full_labeling_class", "gen_gap_example", "gen_heavy_point_probe",
-    "gen_random_label_consistent", "generate", "heavy_bias_threshold", "heavy_mask",
-    "hedge_learn", "is_prime", "min_deterministic_error",
-    "next_prime", "opt_bruteforce",
-    "planted_high_discrepancy_matrix", "planted_zero_matrix", "plus_probability",
-    "randomized_per_distribution", "randomized_worst_case_error", "round_outside_t",
-    "row_identity_errors", "run_campaign", "run_trial", "sample_hash",
-    "support_worst_case", "trial_seed", "wilson_interval",
+    "BiasTable", "BinaryMatrix", "CampaignConfig", "CampaignSummary", "Coloring",
+    "CompactClassifier", "DerandConfig", "DerandResult", "DistributionFamily", "ErrorReport",
+    "ExplicitClassifier", "GenSpec", "HedgeConfig", "HypothesisClass", "LabelConsistencyError",
+    "PolyHash", "RandomizedClassifier", "ReductionFamily", "SampleOracle", "TailCheckConfig",
+    "TailCheckReport", "TrialReport", "Verdict", "bruteforce_min_discrepancy",
+    "build_bias_table", "choose_hash_params", "coloring_error", "derandomize", "distinguisher",
+    "dummy_min_deterministic_error", "dummy_point_variant", "empirical_tail_bound_check",
+    "error_matrix", "exceedance_probability", "full_labeling_class", "generate", "hedge_learn",
+    "min_deterministic_error", "opt_bruteforce", "planted_high_discrepancy_matrix",
+    "planted_zero_matrix", "plus_probability", "randomized_worst_case_error", "round_outside_t",
+    "row_identity_errors", "run_campaign", "run_trial", "support_worst_case",
     "worst_case_error",
 ]
 
@@ -43,6 +40,25 @@ def test_public_names_are_pinned():
     names = [n for n in dir(md)
              if not n.startswith("_") and not isinstance(getattr(md, n), types.ModuleType)]
     assert sorted(names) == PUBLIC_NAMES
+
+
+# helpers that the pipeline's steps call: each is a public function of its
+# module, so the tracer wraps it, and no root name
+MODULE_HELPERS = {
+    "hashing": ["is_prime", "next_prime", "sample_hash"],
+    "harness": ["trial_seed", "wilson_interval"],
+    "metrics": ["heavy_bias_threshold", "heavy_mask", "bayes_labels",
+                "randomized_per_distribution"],
+    "instances": ["gen_random_label_consistent", "gen_gap_example", "gen_heavy_point_probe"],
+}
+
+
+def test_helpers_are_public_functions_of_their_modules_not_of_the_root():
+    for layer, helpers in MODULE_HELPERS.items():
+        traced = _traced_functions(layer)
+        for name in helpers:
+            assert f"{layer}.{name}" in traced
+            assert not hasattr(md, name), name
 
 
 # one save and one load per file kind, and the hash dump demo 04 prints

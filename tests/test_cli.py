@@ -192,6 +192,31 @@ def test_derand_and_trial_check_the_hash_parameters_before_learning(tmp_path, ca
     assert not out.exists() and not (tmp_path / "campaign").exists()
 
 
+def test_derand_checks_label_consistency_before_learning(tmp_path, capsys, monkeypatch):
+    # it learned first, 0.73 s at eps 0.02, and only the bias table rejected
+    # the family
+    def unreachable(*args, **kwargs):
+        raise AssertionError("learned before checking label consistency")
+
+    monkeypatch.setattr(cli, "hedge_learn", unreachable)
+    inst, out = tmp_path / "inst.json", tmp_path / "clf.json"
+    assert main(["gen", "--seed", "6", "-o", str(inst)]) == 0
+    capsys.readouterr()
+    doc = json.loads(inst.read_text())
+    doc["distributions"][1]["label_one_prob"] = [1 - p for p in doc["shared_label_one_prob"]]
+    inst.write_text(json.dumps(doc))
+    # a file that fails both checks reports the hash parameters, checked first
+    for flags, message in (
+            (["--eps", "0.02"], "operation requires a label-consistent family (all members "
+                                "must share the conditional label law on shared support)"),
+            (["--rounding", "hash", "--eps", "1e-9"], "eps = 1e-09 needs a hash prime above 2^62")):
+        assert main(["derand", str(inst), *flags, "--delta", "0.2", "-o", str(out)]) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err == f"multidist: error: {message}\n"
+    assert not out.exists()
+
+
 def test_gen_rejects_a_non_finite_heavy_mass(tmp_path, capsys):
     # nan once reached the JSON writer, whose error named no flag
     for value in ("nan", "inf", "-inf"):

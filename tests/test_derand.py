@@ -6,7 +6,8 @@ from scipy.stats import binom
 
 import multidist as md
 from multidist import derand
-from multidist.metrics import plus_rows
+from multidist.instances import gen_gap_example, gen_heavy_point_probe, gen_random_label_consistent
+from multidist.metrics import heavy_mask, plus_rows
 
 from helpers import learned
 
@@ -195,7 +196,7 @@ def test_table_heavy_point_nearly_always_caught():
     # least 1 - delta/4 of runs; here it is essentially always
     fam = md.DistributionFamily([[1.0, 0.0]], [[0.9, 0.5]])
     cfg = md.DerandConfig(eps=0.1, delta=0.1, c_const=4.0, mode="theory")
-    assert md.heavy_mask(fam, 0.1, 0.1)[0]
+    assert heavy_mask(fam, 0.1, 0.1)[0]
     hits = 0
     runs = 300
     for run in range(runs):
@@ -256,7 +257,7 @@ def test_round_outside_t_balanced_mixture_frequency():
 
 def test_round_outside_t_gap_marginal_frequency():
     k = 8
-    fam, cls, F = md.gen_gap_example(k)
+    fam, cls, F = gen_gap_example(k)
     rng = np.random.default_rng(9)
     minus_counts = np.zeros(k)
     reps = 12_500  # k points per rep -> 1e5 observations
@@ -272,8 +273,8 @@ def test_rounding_unbiasedness_of_outside_term():
     # for fixed T, the rounded classifier's outside-T error term averages to
     # the mixture's outside-T term
     rng = np.random.default_rng(12)
-    fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=12, k=3,
-                                                         hypothesis_count=6, seed=2))
+    fam, cls = gen_random_label_consistent(md.GenSpec(domain_size=12, k=3,
+                                                      hypothesis_count=6, seed=2))
     w = rng.random(4)
     w /= w.sum()
     F = md.RandomizedClassifier(cls, (0, 2, 3, 5), w)
@@ -294,7 +295,7 @@ def test_rounding_unbiasedness_of_outside_term():
 
 
 def _small_instance(seed=0):
-    return md.gen_random_label_consistent(
+    return gen_random_label_consistent(
         md.GenSpec(domain_size=20, k=3, hypothesis_count=8, seed=seed))
 
 
@@ -350,7 +351,7 @@ def test_derandomize_hash_mode_returns_compact():
 def test_derandomize_rejects_a_mixture_over_another_domain(rounding, width):
     # an 8-point family, a mixture over 10 or 6 points: the error names both
     # sizes before rng is spawned from or drawn from
-    fam, _ = md.gen_random_label_consistent(
+    fam, _ = gen_random_label_consistent(
         md.GenSpec(domain_size=8, k=3, hypothesis_count=4, seed=3))
     labels = np.where(np.random.default_rng(2).random((4, width)) < 0.5, 1, -1)
     f_rand = md.RandomizedClassifier(md.HypothesisClass(labels), (0, 1), np.array([0.5, 0.5]))
@@ -410,7 +411,7 @@ def test_rounding_deviation_small_on_light_instance():
     # all-light family: outside-T rounding deviation <= eps/2 almost always
     spec = md.GenSpec(kind="heavy_point_probe", domain_size=30, k=3, heavy_count=0,
                       light_beta_max=0.05, eps=0.2, delta=0.2, seed=21)
-    fam = md.gen_heavy_point_probe(spec)
+    fam = gen_heavy_point_probe(spec)
     cls = md.HypothesisClass([np.where(np.random.default_rng(s).random(30) < 0.5, 1, -1)
                               for s in range(6)])
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=2000)
@@ -427,7 +428,7 @@ def test_rounding_deviation_small_on_light_instance():
 def test_derandomize_gap_family_trivially_meets_contract():
     # point-mass members: each table iteration samples a single point; the
     # guarantee er <= OPT + eps holds trivially because OPT = 1 here
-    fam, cls, _ = md.gen_gap_example(5)
+    fam, cls, _ = gen_gap_example(5)
     assert fam.label_consistent
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=500)
     clf = _derandomized(fam, cls, cfg, 1).classifier

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 import multidist as md
 from multidist import learner
+from multidist.instances import gen_gap_example, gen_random_label_consistent
 from multidist.learner import (BLOCK_DRAWS, EmpiricalSample, HedgeStack, _bucket_table, _draw,
                                _tally, erm, rolling_mixtures)
-from multidist.metrics import BUDGET, _errors, class_errors, plus_rows
+from multidist.metrics import BUDGET, _errors, class_errors, plus_rows, randomized_per_distribution
 
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
@@ -206,7 +207,7 @@ def test_boolean_rows_take_the_absolute_value_and_any_other_rows_the_blend():
 
 
 def test_error_matrix_at_the_cli_wide_shape_is_bitwise_the_entry_loop():
-    fam, cls = md.gen_random_label_consistent(
+    fam, cls = gen_random_label_consistent(
         md.GenSpec(domain_size=1000, k=24, hypothesis_count=128, seed=5))
     mass, eta = fam.mass_matrix, fam.label_prob_matrix
     plus = plus_rows(cls.label_matrix)
@@ -262,7 +263,7 @@ CASES = ([(dict(domain_size=40, k=6, hypothesis_count=16), 0.075, seed) for seed
 
 @pytest.mark.parametrize("shape,eps,seed", CASES)
 def test_error_matrix_and_hedge_match_the_loops(shape, eps, seed):
-    fam, cls = md.gen_random_label_consistent(md.GenSpec(**shape, seed=seed))
+    fam, cls = gen_random_label_consistent(md.GenSpec(**shape, seed=seed))
     plus = plus_rows(cls.label_matrix)
     table = loop_error_table(cls, fam)
     assert np.array_equal(md.error_matrix(plus, fam), table)
@@ -273,12 +274,12 @@ def test_error_matrix_and_hedge_match_the_loops(shape, eps, seed):
     support, weights = loop_hedge(fam, cls, eps)
     assert F.support == support
     assert np.array_equal(F.weights, weights)
-    assert np.array_equal(md.randomized_per_distribution(F, fam), weights @ table[list(support)])
+    assert np.array_equal(randomized_per_distribution(F, fam), weights @ table[list(support)])
 
 
 def test_ties_go_to_the_lowest_index():
-    fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=12, k=3,
-                                                         hypothesis_count=5, seed=8))
+    fam, cls = gen_random_label_consistent(md.GenSpec(domain_size=12, k=3,
+                                                      hypothesis_count=5, seed=8))
     doubled = md.HypothesisClass(np.vstack([cls.label_matrix] * 2))
     assert md.opt_bruteforce(doubled, fam) == md.opt_bruteforce(cls, fam)
     oracle = md.SampleOracle(fam)
@@ -287,7 +288,7 @@ def test_ties_go_to_the_lowest_index():
     assert F.support == F_once.support and np.array_equal(F.weights, F_once.weights)
 
     # gap example: under uniform weights every h_i errs 1/k; the first round takes h_0
-    gap_fam, gap_cls, _ = md.gen_gap_example(4)
+    gap_fam, gap_cls, _ = gen_gap_example(4)
     trace = []
     md.hedge_learn(md.SampleOracle(gap_fam), gap_cls, 0.5, trace=trace)
     assert trace[0].hypothesis_index == 0
@@ -304,7 +305,7 @@ def loop_draw(member, size, rng):
 
 
 def test_oracle_draw_matches_the_former_draw():
-    fam, _ = md.gen_random_label_consistent(md.GenSpec(**CLI_WIDE, seed=9))
+    fam, _ = gen_random_label_consistent(md.GenSpec(**CLI_WIDE, seed=9))
     for seed, (i, member) in enumerate(list(enumerate(members(fam)))[:3]):
         got = md.SampleOracle(fam).draw(i, 5000, np.random.default_rng(seed))
         want = loop_draw(member, 5000, np.random.default_rng(seed))
@@ -435,7 +436,7 @@ def block_of(shape, m=200):
 
 @pytest.mark.parametrize("shape", [C06, CLI_WIDE], ids=["C06", "cli_wide"])
 def test_block_draws_are_the_per_round_draws(shape):
-    fam, _ = md.gen_random_label_consistent(md.GenSpec(**shape, seed=3))
+    fam, _ = gen_random_label_consistent(md.GenSpec(**shape, seed=3))
     table = _bucket_table(fam.mass_matrix)
     probs = fam.label_prob_matrix
     block = block_of(shape)
@@ -518,7 +519,7 @@ BLOCK_SIZES = {"rounds": lambda block: block // 12 + 1, "members": lambda block:
 @pytest.mark.parametrize("cut", list(BLOCK_SIZES))
 @pytest.mark.parametrize("block", [BLOCK_DRAWS, 64])
 def test_no_draw_call_takes_more_than_two_blocks(block, cut, monkeypatch):
-    fam, cls = md.gen_random_label_consistent(md.GenSpec(**C06, seed=4))
+    fam, cls = gen_random_label_consistent(md.GenSpec(**C06, seed=4))
     m = BLOCK_SIZES[cut](block)
     cfg = md.DerandConfig(eps=0.15, delta=0.15, mode="calibrated", m_override=m)
     hedge_cfg = md.HedgeConfig(rounds=3, erm_sample_size=m)
@@ -639,7 +640,7 @@ def lean_id(case):
 @pytest.mark.parametrize("shape,eps,fields,seed,sampling,doubled", LEAN_CASES,
                          ids=[lean_id(case) for case in LEAN_CASES])
 def test_lean_rounds_match_the_former_rounds(shape, eps, fields, seed, sampling, doubled):
-    fam, cls = md.gen_random_label_consistent(md.GenSpec(**shape, seed=seed))
+    fam, cls = gen_random_label_consistent(md.GenSpec(**shape, seed=seed))
     if doubled:
         cls = md.HypothesisClass(np.vstack([cls.label_matrix] * 2))
     cfg = md.HedgeConfig(**fields)
@@ -700,8 +701,8 @@ def test_stacked_exact_hedge_is_bitwise_the_one_run_loop(H, k, B, monkeypatch):
     eps = 0.075 if (H, k) == (16, 6) else 0.3
     cfg = md.HedgeConfig()
     rounds, eta = cfg.resolve(k, eps)
-    instances = [md.gen_random_label_consistent(md.GenSpec(domain_size=30, k=k,
-                                                           hypothesis_count=H, seed=seed))
+    instances = [gen_random_label_consistent(md.GenSpec(domain_size=30, k=k,
+                                                        hypothesis_count=H, seed=seed))
                  for seed in range(B)]
     errors = np.stack([md.error_matrix(plus_rows(cls.label_matrix), fam)
                        for fam, cls in instances])
@@ -736,8 +737,8 @@ def test_runs_entering_a_stack_late_are_bitwise_runs_alone(H, k, B, monkeypatch)
     last = rounds - (B - 1) * step
     assert 0 < last <= step
     errors = [md.error_matrix(plus_rows(cls.label_matrix), fam) for fam, cls in
-              (md.gen_random_label_consistent(md.GenSpec(domain_size=30, k=k,
-                                                         hypothesis_count=H, seed=seed))
+              (gen_random_label_consistent(md.GenSpec(domain_size=30, k=k,
+                                                      hypothesis_count=H, seed=seed))
                for seed in range(3 * B))]
     for block in CHOICE_BLOCKS:
         monkeypatch.setattr(learner, "CHOICE_BLOCK", block)
@@ -758,7 +759,7 @@ def test_runs_entering_a_stack_late_are_bitwise_runs_alone(H, k, B, monkeypatch)
 
 def test_rolling_mixtures_are_hedge_learn_alone(monkeypatch):
     cfg = md.HedgeConfig()
-    instances = [md.gen_random_label_consistent(md.GenSpec(domain_size=40, k=6, seed=seed))
+    instances = [gen_random_label_consistent(md.GenSpec(domain_size=40, k=6, seed=seed))
                  for seed in range(9)]
     want = [md.hedge_learn(md.SampleOracle(fam), cls, 0.2, cfg=cfg)
             for fam, cls in instances]
@@ -779,8 +780,8 @@ def test_rolling_mixtures_are_hedge_learn_alone(monkeypatch):
 
 def test_an_error_matrix_of_another_shape_is_rejected():
     (fam6, cls6), (fam1, cls1) = (
-        md.gen_random_label_consistent(md.GenSpec(domain_size=12, k=k, hypothesis_count=4,
-                                                  seed=3)) for k in (6, 1))
+        gen_random_label_consistent(md.GenSpec(domain_size=12, k=k, hypothesis_count=4,
+                                               seed=3)) for k in (6, 1))
     stack = HedgeStack(2, 4, 6, 0.5)
     with pytest.raises(ValueError, match=r"\(4, 1\).*\(4, 6\)"):
         stack.load(0, md.error_matrix(plus_rows(cls1.label_matrix), fam1))
@@ -791,8 +792,8 @@ def test_an_error_matrix_of_another_shape_is_rejected():
 
 
 def test_exact_hedge_memory_does_not_grow_with_the_rounds():
-    fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=12, k=2, hypothesis_count=4,
-                                                         seed=1))
+    fam, cls = gen_random_label_consistent(md.GenSpec(domain_size=12, k=2, hypothesis_count=4,
+                                                      seed=1))
     oracle = md.SampleOracle(fam)
 
     def peak(rounds):

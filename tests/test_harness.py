@@ -13,10 +13,13 @@ from multidist.harness import (
     heavy_coverage,
     record_columns,
     rounding_deviation,
+    trial_seed,
+    wilson_interval,
     write_records_csv,
     write_trials_csv,
 )
-from multidist.metrics import plus_rows
+from multidist.instances import gen_random_label_consistent
+from multidist.metrics import heavy_mask, plus_rows, randomized_per_distribution
 
 from helpers import learned
 
@@ -33,7 +36,7 @@ def small_campaign(seed=0, **derand_kwargs):
 
 
 def test_masked_terms_partition_total_error():
-    fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=10, k=3, seed=1))
+    fam, cls = gen_random_label_consistent(md.GenSpec(domain_size=10, k=3, seed=1))
     h = cls.label_matrix[0]
     mask = np.zeros(10, dtype=bool)
     mask[[1, 4, 7]] = True
@@ -44,8 +47,8 @@ def test_masked_terms_partition_total_error():
 
 
 def test_randomized_masked_terms_match_weighted_average():
-    fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=8, k=2,
-                                                         hypothesis_count=4, seed=2))
+    fam, cls = gen_random_label_consistent(md.GenSpec(domain_size=8, k=2,
+                                                      hypothesis_count=4, seed=2))
     w = np.array([0.4, 0.6])
     F = md.RandomizedClassifier(cls, (0, 1), w)
     mask = np.array([True] * 4 + [False] * 4)
@@ -57,8 +60,8 @@ def test_randomized_masked_terms_match_weighted_average():
 
 def test_rounding_deviation_zero_for_exact_marginal_copy():
     # singleton mixture: rounding copies the hypothesis, deviation is exactly 0
-    fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=8, k=2,
-                                                         hypothesis_count=3, seed=3))
+    fam, cls = gen_random_label_consistent(md.GenSpec(domain_size=8, k=2,
+                                                      hypothesis_count=3, seed=3))
     F = md.RandomizedClassifier(cls, (1,), np.array([1.0]))
     f_hat = md.ExplicitClassifier(cls.label_matrix[1])
     assert rounding_deviation(f_hat, F, fam, md.BiasTable()) == 0.0
@@ -66,7 +69,7 @@ def test_rounding_deviation_zero_for_exact_marginal_copy():
 
 def test_heavy_coverage_flag():
     fam = md.DistributionFamily([[0.9, 0.1]], [[0.9, 0.5]])
-    assert md.heavy_mask(fam, 0.1, 0.1).tolist() == [True, False]
+    assert heavy_mask(fam, 0.1, 0.1).tolist() == [True, False]
     good = md.BiasTable([0], [1], [0], [0.8], [50])
     bad_sign = md.BiasTable([0], [-1], [0], [-0.8], [50])
     empty = md.BiasTable()
@@ -85,8 +88,8 @@ def test_trial_report_validation_and_row():
 
 
 def test_run_trial_deterministic():
-    fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=20, k=3,
-                                                         hypothesis_count=8, seed=5))
+    fam, cls = gen_random_label_consistent(md.GenSpec(domain_size=20, k=3,
+                                                      hypothesis_count=8, seed=5))
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=1000)
     f_rand = learned(fam, cls, cfg)
     a, _ = md.run_trial(fam, cls, f_rand, cfg, seed=42, measure_time=False)
@@ -99,8 +102,8 @@ def test_run_trial_deterministic():
 def test_run_trial_reports_the_classifier_and_table_it_returns():
     cfg = md.DerandConfig(eps=0.15, delta=0.15, mode="calibrated", m_override=5000)
     for seed in range(6):
-        fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=40, k=6,
-                                                             hypothesis_count=16, seed=seed))
+        fam, cls = gen_random_label_consistent(md.GenSpec(domain_size=40, k=6,
+                                                          hypothesis_count=16, seed=seed))
         f_rand = learned(fam, cls, cfg)
         report, result = md.run_trial(fam, cls, f_rand, cfg, seed=seed, measure_time=False)
         assert md.worst_case_error(result.classifier, fam).worst_case == \
@@ -121,7 +124,7 @@ def test_campaign_trials_match_opt_and_mixture_errors_computed_afresh(tmp_path):
         fam, cls, _ = md.generate(dataclasses.replace(cfg.gen_spec, seed=r.seed ^ 0x5EED))
         F = learned(fam, cls, cfg.derand, cfg.hedge)
         assert r.opt == md.opt_bruteforce(cls, fam)[0]
-        assert r.randomized_error == float(md.randomized_per_distribution(F, fam).max())
+        assert r.randomized_error == float(randomized_per_distribution(F, fam).max())
         rows.append(md.run_trial(fam, cls, F, cfg.derand, r.seed, trial_id=r.trial_id,
                                  measure_time=False)[0])
     write_trials_csv(tmp_path / "afresh.csv", rows)
@@ -130,14 +133,14 @@ def test_campaign_trials_match_opt_and_mixture_errors_computed_afresh(tmp_path):
 
 def test_wilson_interval_contains_point_estimate():
     for succ, n in [(0, 10), (5, 10), (10, 10), (199, 200)]:
-        lo, hi = md.wilson_interval(succ, n)
+        lo, hi = wilson_interval(succ, n)
         assert lo <= succ / n <= hi
         assert 0.0 <= lo <= hi <= 1.0
 
 
 def test_trial_seed_stable():
-    assert md.trial_seed(0, 0) == md.trial_seed(0, 0)
-    assert md.trial_seed(0, 1) != md.trial_seed(0, 2)
+    assert trial_seed(0, 0) == trial_seed(0, 0)
+    assert trial_seed(0, 1) != trial_seed(0, 2)
 
 
 def test_campaign_serial_runs_and_passes(tmp_path):
@@ -270,7 +273,7 @@ def test_write_trials_csv_round_trip(tmp_path):
 def test_a_failed_generation_is_reported_for_its_own_trial(tmp_path, monkeypatch):
     cfg = small_campaign(seed=5)
     md.run_campaign(cfg, trials=5, out_dir=tmp_path / "whole", measure_time=False)
-    broken_seed = md.trial_seed(cfg.master_seed, 2) ^ 0x5EED
+    broken_seed = trial_seed(cfg.master_seed, 2) ^ 0x5EED
     generate = harness.generate
 
     def failing_generate(spec):

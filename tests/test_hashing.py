@@ -20,9 +20,13 @@ from multidist.hashing import (
     TailCheckRow,
     _plus_thresholds,
     coefficient_matrix_eval,
+    is_prime,
     limited_independence_tail_bound,
+    next_prime,
+    sample_hash,
     standard_hoeffding_bound,
 )
+from multidist.instances import gen_gap_example
 
 
 def _horner(coeffs, x: int, p: int) -> int:
@@ -40,27 +44,27 @@ def _eval(q: md.PolyHash, x: int) -> int:
 
 def test_is_prime_against_sympy():
     for n in range(2000):
-        assert md.is_prime(n) == sympy.isprime(n), n
+        assert is_prime(n) == sympy.isprime(n), n
     rng = np.random.default_rng(0)
     for n in rng.integers(1, 2**61, size=200):
-        assert md.is_prime(int(n)) == sympy.isprime(int(n)), n
+        assert is_prime(int(n)) == sympy.isprime(int(n)), n
 
 
 def test_next_prime_examples():
-    assert md.next_prime(10) == 11
-    assert md.next_prime(11) == 11
-    assert md.next_prime(10**6) == 1000003
+    assert next_prime(10) == 11
+    assert next_prime(11) == 11
+    assert next_prime(10**6) == 1000003
     assert sympy.isprime(1000003)
     with pytest.raises(ValueError):
-        md.next_prime(0)
+        next_prime(0)
     with pytest.raises(OverflowError):
-        md.next_prime(2**63)
+        next_prime(2**63)
 
 
 def test_next_prime_matches_sympy_on_random_inputs():
     rng = np.random.default_rng(1)
     for n in rng.integers(2, 10**7, size=50):
-        assert md.next_prime(int(n)) == int(sympy.nextprime(int(n) - 1))
+        assert next_prime(int(n)) == int(sympy.nextprime(int(n) - 1))
 
 
 def test_polyhash_validation():
@@ -81,24 +85,24 @@ def test_polyhash_validation():
         with pytest.raises(ValueError, match="hash prime must be an integer"):
             md.PolyHash(prime, (1, 2))
         with pytest.raises(ValueError, match="hash prime must be an integer"):
-            md.sample_hash(prime, 4, rng)
+            sample_hash(prime, 4, rng)
     for r in (4.5, True, "4"):
         with pytest.raises(ValueError, match="hash degree r must be an integer"):
-            md.sample_hash(67, r, rng)
+            sample_hash(67, r, rng)
     # an integral float is the integer it names, and draws the same hash
     q = md.PolyHash(67.0, (2.0, np.int64(3)))
     assert q == md.PolyHash(67, (2, 3))
     assert type(q.prime) is int and all(type(c) is int for c in q.coefficients)
-    assert (md.sample_hash(67.0, 4.0, np.random.default_rng(3))
-            == md.sample_hash(67, 4, np.random.default_rng(3)))
+    assert (sample_hash(67.0, 4.0, np.random.default_rng(3))
+            == sample_hash(67, 4, np.random.default_rng(3)))
 
 
 def test_sample_hash_requires_even_degree():
     rng = np.random.default_rng(2)
     with pytest.raises(ValueError):
-        md.sample_hash(5, 3, rng)
+        sample_hash(5, 3, rng)
     with pytest.raises(ValueError):
-        md.sample_hash(5, 1, rng)
+        sample_hash(5, 1, rng)
     q = md.PolyHash(5, (3,))
     assert q.degree_r == 1  # a constant polynomial
     assert all(_eval(q, x) == q.coefficients[0] for x in range(5))
@@ -109,7 +113,7 @@ def test_sample_hash_coefficient_uniformity():
     p, r, draws = 101, 4, 10_000
     counts = np.zeros((r, p))
     for _ in range(draws):
-        q = md.sample_hash(p, r, rng)
+        q = sample_hash(p, r, rng)
         for i, c in enumerate(q.coefficients):
             counts[i, c] += 1
     freq = counts / draws
@@ -127,7 +131,7 @@ def test_eval_hash_bounds():
     with pytest.raises(ValueError):
         _eval(q, 7)
     # both arithmetic paths, negative keys, and a bad key among good ones
-    for p in (7, md.next_prime(2**40)):
+    for p in (7, next_prime(2**40)):
         for key in (-1, p):
             with pytest.raises(ValueError, match="outside"):
                 coefficient_matrix_eval([[1, 1]], [0, key], p)
@@ -150,7 +154,7 @@ def test_eval_hash_against_bigint_oracle():
 
 def test_eval_hash_vector_matches_scalar():
     rng = np.random.default_rng(5)
-    q = md.sample_hash(211, 6, rng)
+    q = sample_hash(211, 6, rng)
     xs = rng.integers(0, 211, size=100)
     vec = coefficient_matrix_eval([q.coefficients], xs, q.prime)[0]
     assert vec.tolist() == [_horner(q.coefficients, int(x), q.prime) for x in xs]
@@ -183,7 +187,7 @@ def test_threewise_independence_exhaustive_p7():
 
 
 def test_marginal_one_probability():
-    fam, cls, F = md.gen_gap_example(5)
+    fam, cls, F = gen_gap_example(5)
     for j in range(5):
         assert F.marginals[j] == pytest.approx(1 - 1 / 5, abs=1e-15)
     single = md.RandomizedClassifier(cls, (2,), np.array([1.0]))
@@ -216,7 +220,7 @@ def _compact(marginal: float, q: md.PolyHash, n: int) -> md.CompactClassifier:
 
 def test_compact_evaluate_extreme_marginals():
     rng = np.random.default_rng(7)
-    q = md.sample_hash(11, 2, rng)
+    q = sample_hash(11, 2, rng)
     assert np.all(_compact(1.0, q, 8).label_vector() == 1)
     assert np.all(_compact(0.0, q, 8).label_vector() == -1)
 
@@ -239,7 +243,7 @@ def test_compact_evaluate_pure_and_total():
     n = 200
     cls = md.HypothesisClass([np.where(rng.random(n) < 0.5, 1, -1) for _ in range(3)])
     F = md.RandomizedClassifier(cls, (0, 1, 2), np.array([0.2, 0.5, 0.3]))
-    q = md.sample_hash(md.next_prime(n + 1), 4, rng)
+    q = sample_hash(next_prime(n + 1), 4, rng)
     clf = md.CompactClassifier(q, [5, 9], [1, -1], F)
     first = clf.label_vector().tolist()
     second = md.CompactClassifier(q, [5, 9], [1, -1], F).label_vector().tolist()
@@ -283,7 +287,7 @@ def _primes_of_bits(lo: int, hi: int):
     prime after a number of that length (2^62 - 57 is the last prime below
     PRIME_LIMIT)."""
     return st.integers(lo, hi).flatmap(lambda b: st.integers(1 << b, (1 << (b + 1)) - 1)).map(
-        lambda n: md.next_prime(min(n, PRIME_LIMIT - 57)))
+        lambda n: next_prime(min(n, PRIME_LIMIT - 57)))
 
 
 primes = _primes_of_bits(1, 61)
@@ -421,7 +425,7 @@ def test_split_primes_straddle_each_dtype():
 
 
 def test_evaluator_rejects_unreduced_coefficients():
-    for p in (7, md.next_prime(2**40)):
+    for p in (7, next_prime(2**40)):
         for coeffs in ([[p + 2, 1]], [[1, p]], [[-1, 1]], [[1, 2], [3, p + 2]]):
             with pytest.raises(ValueError, match="coefficients outside"):
                 coefficient_matrix_eval(coeffs, [0, 1], p)
@@ -436,7 +440,7 @@ def test_evaluator_rejects_unreduced_coefficients():
 
 def test_evaluator_rejects_non_integer_keys_and_coefficients():
     # a cast would evaluate key 2.7 as 2, coefficient 1.5 as 1 and True as 1
-    for p in (7, 67, md.next_prime(2**40)):
+    for p in (7, 67, next_prime(2**40)):
         for keys in ([2.7], [0, 2.0], [True], [0, True], np.array([2.0]), np.array([True, False]),
                      ["3"]):
             with pytest.raises(ValueError, match="keys must be integers"):
@@ -465,7 +469,7 @@ def test_evaluator_rejects_coefficients_not_2d_with_a_column():
 
 def test_evaluator_exact_where_int64_products_overflow():
     # (p - 1)^2 is about 2^80 here: int64 Horner wraps without an error
-    p = md.next_prime(2**40)
+    p = next_prime(2**40)
     x = 2**30 + 7
     coeffs = np.random.default_rng(10).integers(0, p, size=(50, 4))
     got = coefficient_matrix_eval(coeffs, [x], p)[:, 0]
@@ -501,7 +505,7 @@ def test_label_vector_matches_fraction_rule(p, marginal, step):
 def test_label_vector_exact_at_float_tie_above_2_53():
     # q0 = 2^53 + 81 sits halfway between floats, so fl(fl(q0) + 1) = q0 - 1,
     # while m * p = q0 + 1/2 rounds up to q0 + 1: floats say +1, the rule -1
-    p = md.next_prime(2**54 + 1)
+    p = next_prime(2**54 + 1)
     q0 = 9007199254741073
     marginal = 0.5 + 2.0**-53  # the float after 0.5
     assert abs(Fraction(marginal) * p - q0 - Fraction(1, 2)) < Fraction(1, 100)
@@ -545,7 +549,7 @@ def test_choose_hash_params_examples():
     assert r == 12  # smallest even integer >= 2 ln(160) ~ 10.15
     # large domain dominates
     _, p = md.choose_hash_params(2, 0.5, 0.5, 10**6)
-    assert p == md.next_prime(10**6 + 1)
+    assert p == next_prime(10**6 + 1)
     # eps^-3 term dominates: ceil(1000 ln 160) = 5076 -> prime 5077
     _, p = md.choose_hash_params(4, 0.1, 0.1, 40)
     assert p == 5077 and sympy.isprime(5077)
@@ -557,7 +561,7 @@ def test_choose_hash_params_rejects_an_eps_past_the_prime_limit():
     with pytest.raises(ValueError, match=r"^eps = 1e-06 needs a hash prime above 2\^62$"):
         md.choose_hash_params(6, 1e-6, 0.2, 40)
     _, p = md.choose_hash_params(6, 1.1e-6, 0.2, 40)
-    assert p < 2**62 and md.is_prime(p)
+    assert p < 2**62 and is_prime(p)
 
 
 def test_choose_hash_params_prime_exceeds_all_bounds():
@@ -569,7 +573,7 @@ def test_choose_hash_params_prime_exceeds_all_bounds():
         assert p > n
         assert p >= eps**-3 * log_term
         assert p > 4 * alpha**2 / eps
-        assert md.is_prime(p)
+        assert is_prime(p)
 
 
 def test_tail_bound_formula():
@@ -778,7 +782,7 @@ def test_tail_check_counts_match_python_int_horner(prime):
     (64, 5000, 46349),          # int64 evaluation
     (64, 5000, 2**40 + 15),
     (2**18 + 3, 3, None),       # more keys than a block holds: one draw per block
-    (16, 700, md.next_prime(2**32)),  # Python-integer evaluation
+    (16, 700, next_prime(2**32)),  # Python-integer evaluation
     (255, 3000, None),          # the last n counted in uint8
     (256, 3000, None),          # the first n counted in uint16
 ])
@@ -806,7 +810,7 @@ def test_streamed_tail_check_counts_reach_n_at_the_count_dtype_switch(n, thresho
 # must hold 2p - 1: uint8 up to 127, uint16 from 131 to 32749, uint32 from
 # 32771 to 2^31 - 1, uint64 from 2147483659, and one near 2^61
 DIFFERENCE_BAND_PRIMES = (2, 67, 127, 131, 257, 32749, 32771, 2**31 - 1, 2147483659,
-                          md.next_prime(2**61))
+                          next_prime(2**61))
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multidist as md
-from multidist.instances import _bias_profile_eta
+from multidist.instances import (_bias_profile_eta, gen_gap_example, gen_heavy_point_probe,
+                                 gen_random_label_consistent)
+from multidist.metrics import bayes_labels, heavy_mask
 
 
 def test_generators_are_deterministic():
     spec = md.GenSpec(domain_size=18, k=4, hypothesis_count=7, seed=123)
-    fam1, cls1 = md.gen_random_label_consistent(spec)
-    fam2, cls2 = md.gen_random_label_consistent(spec)
+    fam1, cls1 = gen_random_label_consistent(spec)
+    fam2, cls2 = gen_random_label_consistent(spec)
     assert np.array_equal(fam1.mass_matrix, fam2.mass_matrix)
     assert np.array_equal(fam1.label_prob_matrix, fam2.label_prob_matrix)
     assert np.array_equal(cls1.label_matrix, cls2.label_matrix)
@@ -31,7 +33,7 @@ def test_generated_masses_are_per_member_draws_bitwise():
     rng = np.random.default_rng(spec.seed)
     eta = _bias_profile_eta(spec, rng)
     want = np.array([member_mass(rng, 37) for _ in range(5)])
-    fam, _ = md.gen_random_label_consistent(spec)
+    fam, _ = gen_random_label_consistent(spec)
     assert fam.mass_matrix.tobytes() == want.tobytes()
     assert fam.label_prob_matrix.tobytes() == np.array([eta] * 5).tobytes()
 
@@ -44,13 +46,13 @@ def test_generated_masses_are_per_member_draws_bitwise():
     want[0, 2:] = member_mass(rng, 28) * (1.0 - 0.3 * 2)
     for i in range(1, 4):
         want[i, 2:] = member_mass(rng, 28)
-    assert md.gen_heavy_point_probe(spec).mass_matrix.tobytes() == want.tobytes()
+    assert gen_heavy_point_probe(spec).mass_matrix.tobytes() == want.tobytes()
 
 
 def test_random_instances_are_valid_and_consistent():
     for seed in range(5):
         # built, so its rows are distributions
-        fam, cls = md.gen_random_label_consistent(md.GenSpec(seed=seed))
+        fam, cls = gen_random_label_consistent(md.GenSpec(seed=seed))
         assert fam.label_consistent
         assert len(cls) == 16
 
@@ -58,22 +60,22 @@ def test_random_instances_are_valid_and_consistent():
 def test_bayes_in_class_appends_bayes_hypothesis():
     spec = md.GenSpec(kind="bayes_in_class", domain_size=10, k=2,
                       hypothesis_count=4, seed=1)
-    fam, cls = md.gen_random_label_consistent(spec)
+    fam, cls = gen_random_label_consistent(spec)
     assert len(cls) == 5
-    assert np.array_equal(cls.label_matrix[-1], md.bayes_labels(fam))
+    assert np.array_equal(cls.label_matrix[-1], bayes_labels(fam))
 
 
 def test_gap_example_quantities():
-    fam, cls, F = md.gen_gap_example(8)
+    fam, cls, F = gen_gap_example(8)
     assert md.randomized_worst_case_error(F, fam) == pytest.approx(1 / 8, abs=1e-15)
     assert md.support_worst_case(F, fam) == 1.0
     assert md.exceedance_probability(F, fam, 1.0) == pytest.approx([1 / 8] * 8, abs=1e-15)
     with pytest.raises(ValueError):
-        md.gen_gap_example(1)
+        gen_gap_example(1)
 
 
 def test_gap_example_hardness_is_about_the_class():
-    fam, cls, _ = md.gen_gap_example(5)
+    fam, cls, _ = gen_gap_example(5)
     opt, _ = md.opt_bruteforce(cls, fam)
     assert opt == 1.0
     # over all labelings, constant +1 is perfect
@@ -86,9 +88,9 @@ def test_heavy_probe_separates_points():
     spec = md.GenSpec(kind="heavy_point_probe", domain_size=25, k=2, heavy_count=3,
                       heavy_beta=0.4, heavy_mass=0.25, light_beta_max=0.05,
                       eps=0.1, delta=0.1, seed=4)
-    fam = md.gen_heavy_point_probe(spec)  # built, so its rows are distributions
+    fam = gen_heavy_point_probe(spec)  # built, so its rows are distributions
     assert fam.label_consistent
-    mask = md.heavy_mask(fam, 0.1, 0.1)
+    mask = heavy_mask(fam, 0.1, 0.1)
     assert mask[:3].all() and not mask[3:].any()
     # bias signs alternate
     assert fam.shared_label_one_prob[0] > 0.5 > fam.shared_label_one_prob[1]
@@ -97,8 +99,8 @@ def test_heavy_probe_separates_points():
 def test_heavy_probe_all_fair_has_no_heavy_points():
     spec = md.GenSpec(kind="heavy_point_probe", domain_size=20, k=3, heavy_count=0,
                       light_beta_max=0.0, eps=0.2, delta=0.2, seed=5)
-    fam = md.gen_heavy_point_probe(spec)
-    assert not md.heavy_mask(fam, 0.2, 0.2).any()
+    fam = gen_heavy_point_probe(spec)
+    assert not heavy_mask(fam, 0.2, 0.2).any()
     assert np.all(fam.label_prob_matrix == 0.5)
 
 
@@ -106,15 +108,15 @@ def test_heavy_probe_rejects_non_separating_spec():
     spec = md.GenSpec(kind="heavy_point_probe", domain_size=20, k=2, heavy_count=2,
                       heavy_beta=0.01, heavy_mass=0.05, eps=0.3, delta=0.3, seed=6)
     with pytest.raises(ValueError):
-        md.gen_heavy_point_probe(spec)
+        gen_heavy_point_probe(spec)
 
 
 def test_heavy_probe_hash_variant_threshold_used():
     spec = md.GenSpec(kind="heavy_point_probe", domain_size=25, k=2, heavy_count=2,
                       heavy_beta=0.45, heavy_mass=0.3, light_beta_max=0.02,
                       eps=0.15, delta=0.15, variant="hash", seed=7)
-    fam = md.gen_heavy_point_probe(spec)
-    mask = md.heavy_mask(fam, 0.15, 0.15, variant="hash")
+    fam = gen_heavy_point_probe(spec)
+    mask = heavy_mask(fam, 0.15, 0.15, variant="hash")
     assert mask[:2].all() and not mask[2:].any()
 
 

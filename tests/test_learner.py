@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import multidist as md
 from multidist import learner
+from multidist.instances import gen_gap_example, gen_random_label_consistent
 from multidist.learner import (EmpiricalSample, _mixture, _tallies, erm, rolling_mixtures,
                                uniform_mixture)
 from multidist.metrics import plus_rows
@@ -53,7 +54,7 @@ def test_erm_picks_zero_error_hypothesis():
 
 
 def test_erm_gap_example_tie_breaks_low():
-    fam, cls, _ = md.gen_gap_example(4)
+    fam, cls, _ = gen_gap_example(4)
     w = np.full(4, 0.25)
     mixture = _mixture(fam.mass_matrix, fam.label_prob_matrix, w)
     # every h_i has mixture error 1/k; lowest index wins
@@ -172,7 +173,7 @@ def test_hedge_realizable_instance():
 
 
 def test_hedge_gap_example_near_uniform():
-    fam, cls, _ = md.gen_gap_example(4)
+    fam, cls, _ = gen_gap_example(4)
     F = md.hedge_learn(md.SampleOracle(fam), cls, 0.2)
     err = md.randomized_worst_case_error(F, fam)
     opt, _ = md.opt_bruteforce(cls, fam)
@@ -185,7 +186,7 @@ def test_hedge_contract_on_random_instances():
     # 20 seeded instances at |X|=40, k=6, |H|=16, eps=0.15, exact mode
     eps = 0.15
     for seed in range(20):
-        fam, cls = md.gen_random_label_consistent(
+        fam, cls = gen_random_label_consistent(
             md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=seed))
         F = md.hedge_learn(md.SampleOracle(fam), cls, eps)
         opt, _ = md.opt_bruteforce(cls, fam)
@@ -193,7 +194,7 @@ def test_hedge_contract_on_random_instances():
 
 
 def test_hedge_weights_stay_on_simplex():
-    fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=20, k=5, seed=3))
+    fam, cls = gen_random_label_consistent(md.GenSpec(domain_size=20, k=5, seed=3))
     trace = []
     md.hedge_learn(md.SampleOracle(fam), cls, 0.3, trace=trace)
     assert len(trace) >= 1
@@ -204,7 +205,7 @@ def test_hedge_weights_stay_on_simplex():
 
 
 def test_hedge_no_regret_sanity():
-    fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=30, k=6, seed=9))
+    fam, cls = gen_random_label_consistent(md.GenSpec(domain_size=30, k=6, seed=9))
     trace = []
     F = md.hedge_learn(md.SampleOracle(fam), cls, 0.2, trace=trace)
     opt, _ = md.opt_bruteforce(cls, fam)
@@ -217,8 +218,8 @@ def test_hedge_no_regret_sanity():
 
 def test_hedge_monotone_under_class_superset():
     eps = 0.2
-    fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=25, k=4,
-                                                         hypothesis_count=8, seed=14))
+    fam, cls = gen_random_label_consistent(md.GenSpec(domain_size=25, k=4,
+                                                      hypothesis_count=8, seed=14))
     rng = np.random.default_rng(100)
     extra = [np.where(rng.random(25) < 0.5, 1, -1) for _ in range(4)]
     bigger = md.HypothesisClass(np.vstack([cls.label_matrix, *extra]))
@@ -230,7 +231,7 @@ def test_hedge_monotone_under_class_superset():
 
 
 def test_hedge_returns_merged_uniform_average():
-    fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=15, k=3, seed=5))
+    fam, cls = gen_random_label_consistent(md.GenSpec(domain_size=15, k=3, seed=5))
     cfg = md.HedgeConfig(rounds=40)
     trace = []
     F = md.hedge_learn(md.SampleOracle(fam), cls, 0.3, cfg=cfg, trace=trace)
@@ -244,7 +245,7 @@ def test_hedge_returns_merged_uniform_average():
 
 
 def test_hedge_exact_mode_deterministic():
-    fam, cls = md.gen_random_label_consistent(md.GenSpec(seed=8))
+    fam, cls = gen_random_label_consistent(md.GenSpec(seed=8))
     oracle = md.SampleOracle(fam)
     F1 = md.hedge_learn(oracle, cls, 0.2)
     F2 = md.hedge_learn(oracle, cls, 0.2)
@@ -253,13 +254,13 @@ def test_hedge_exact_mode_deterministic():
 
 
 def test_an_oracle_is_exact_when_it_has_no_stream_of_its_own():
-    fam, _ = md.gen_random_label_consistent(md.GenSpec(domain_size=12, k=3, seed=6))
+    fam, _ = gen_random_label_consistent(md.GenSpec(domain_size=12, k=3, seed=6))
     assert md.SampleOracle(fam).exact
     assert not md.SampleOracle(fam, np.random.default_rng(0)).exact
 
 
 def test_hedge_sampling_mode_deterministic_given_seed():
-    fam, cls = md.gen_random_label_consistent(md.GenSpec(domain_size=12, k=3, seed=6))
+    fam, cls = gen_random_label_consistent(md.GenSpec(domain_size=12, k=3, seed=6))
     cfg = md.HedgeConfig(rounds=30, erm_sample_size=50)
     runs = []
     for _ in range(2):
@@ -281,7 +282,7 @@ def test_hedge_sampling_mode_learns_realizable():
 
 
 def test_sampling_oracle_draws_from_its_own_stream():
-    fam, _ = md.gen_random_label_consistent(md.GenSpec(domain_size=12, k=2, seed=4))
+    fam, _ = gen_random_label_consistent(md.GenSpec(domain_size=12, k=2, seed=4))
     a = md.SampleOracle(fam, np.random.default_rng(0))
     b = md.SampleOracle(fam, np.random.default_rng(0))
     xs, ys = a.draw(1, 50)
@@ -338,7 +339,7 @@ def test_bad_masses_are_rejected_before_any_draw(mass):
 
 
 def test_tallies_are_those_of_consecutive_member_draws():
-    fam, _ = md.gen_random_label_consistent(md.GenSpec(domain_size=12, k=3, seed=5))
+    fam, _ = gen_random_label_consistent(md.GenSpec(domain_size=12, k=3, seed=5))
     rng = np.random.default_rng(1)
     tallies = list(_tallies(fam, 40, rng, 2))
     replay = np.random.default_rng(1)
@@ -367,7 +368,7 @@ def _keep_the_points_tallies(fam, size, rng):
 @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937, np.random.Philox,
                                   np.random.SFC64])
 def test_tallies_of_a_member_larger_than_a_block_keep_no_points(bits, monkeypatch):
-    fam, _ = md.gen_random_label_consistent(md.GenSpec(domain_size=12, k=3, seed=5))
+    fam, _ = gen_random_label_consistent(md.GenSpec(domain_size=12, k=3, seed=5))
     monkeypatch.setattr(learner, "BLOCK_DRAWS", 64)
     for size in (65, 128, 129, 500):
         rng, ref = np.random.Generator(bits(size)), np.random.Generator(bits(size))
@@ -379,7 +380,7 @@ def test_tallies_of_a_member_larger_than_a_block_keep_no_points(bits, monkeypatc
 
 
 def test_tallies_memory_does_not_grow_with_the_draws():
-    fam, _ = md.gen_random_label_consistent(md.GenSpec(seed=4))  # the C06 shape
+    fam, _ = gen_random_label_consistent(md.GenSpec(seed=4))  # the C06 shape
     block = learner.BLOCK_DRAWS
 
     def peak(size):
@@ -396,7 +397,7 @@ def test_tallies_memory_does_not_grow_with_the_draws():
 
 
 def test_exact_oracle_requires_caller_rng():
-    fam, _, _ = md.gen_gap_example(3)
+    fam, _, _ = gen_gap_example(3)
     oracle = md.SampleOracle(fam)
     with pytest.raises(ValueError):
         oracle.draw(0, 5)
@@ -405,7 +406,7 @@ def test_exact_oracle_requires_caller_rng():
 def test_hedge_rejects_bad_precision():
     # rolling_mixtures once ran at -0.2 and 1.5, divided by zero at 0, and
     # failed converting NaN rounds to an integer
-    fam, cls, _ = md.gen_gap_example(3)
+    fam, cls, _ = gen_gap_example(3)
     oracles = (md.SampleOracle(fam),
                md.SampleOracle(fam, np.random.default_rng(0)))
     for eps in (0.0, math.nan, -0.2, 1.5):
@@ -422,7 +423,7 @@ def test_hedge_rejects_bad_precision():
 def test_hedge_learn_takes_no_delta():
     # Hedge's rounds and rate depend on k and eps alone; cfg and trace are
     # keyword-only, so a delta left in a call is not read as the config
-    fam, cls, _ = md.gen_gap_example(3)
+    fam, cls, _ = gen_gap_example(3)
     params = inspect.signature(md.hedge_learn).parameters
     assert list(params) == ["oracle", "cls", "eps", "cfg", "trace"]
     assert params["cfg"].kind == params["trace"].kind == inspect.Parameter.KEYWORD_ONLY

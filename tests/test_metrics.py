@@ -5,7 +5,9 @@ import pytest
 
 import multidist as md
 from multidist import metrics
-from multidist.metrics import class_errors, plus_rows
+from multidist.instances import gen_gap_example, gen_random_label_consistent
+from multidist.metrics import (bayes_labels, class_errors, heavy_bias_threshold, heavy_mask,
+                               plus_rows, randomized_per_distribution)
 
 
 def oracle_error(labels, member):
@@ -35,7 +37,7 @@ def random_family(rng, n=9, k=3, shared=True):
 
 
 def test_error_point_mass_examples():
-    fam, cls, _ = md.gen_gap_example(4)
+    fam, cls, _ = gen_gap_example(4)
     # h_i on its own point-mass distribution errs surely; on others never
     assert md.worst_case_error(cls.label_matrix[0], fam).error == (1.0, 0.0, 0.0, 0.0)
     assert md.worst_case_error(cls.label_matrix[1], fam).error[0] == 0.0
@@ -65,7 +67,7 @@ def test_error_domain_mismatch():
 
 
 def test_worst_case_gap_example():
-    fam, cls, _ = md.gen_gap_example(5)
+    fam, cls, _ = gen_gap_example(5)
     for h in cls.label_matrix:
         assert md.worst_case_error(h, fam).worst_case == 1.0
 
@@ -92,7 +94,7 @@ def test_error_report_tie_breaks_to_lowest_index():
 
 
 def test_randomized_error_gap_example():
-    fam, cls, F = md.gen_gap_example(6)
+    fam, cls, F = gen_gap_example(6)
     assert md.randomized_worst_case_error(F, fam) == pytest.approx(1.0 / 6.0, abs=1e-15)
     assert md.support_worst_case(F, fam) == 1.0
 
@@ -135,7 +137,7 @@ def test_randomized_error_linear_in_weights():
     w = rng.random(5)
     w /= w.sum()
     F = md.RandomizedClassifier(cls, tuple(range(5)), w)
-    assert md.randomized_per_distribution(F, fam) == pytest.approx(w @ err_matrix, abs=1e-13)
+    assert randomized_per_distribution(F, fam) == pytest.approx(w @ err_matrix, abs=1e-13)
 
 
 def test_support_dominates_mixture_property():
@@ -150,7 +152,7 @@ def test_support_dominates_mixture_property():
 
 
 def test_exceedance_probability_gap():
-    fam, cls, F = md.gen_gap_example(8)
+    fam, cls, F = gen_gap_example(8)
     got = md.exceedance_probability(F, fam, 1.0)
     assert got.shape == (8,)
     assert np.all(np.abs(got - 0.125) <= 1e-15)
@@ -158,7 +160,7 @@ def test_exceedance_probability_gap():
 
 def test_exceedance_probability_rejects_a_nan_level():
     # nan gave all zeros, as if no draw could reach it
-    fam, cls, F = md.gen_gap_example(8)
+    fam, cls, F = gen_gap_example(8)
     for level in (math.nan, np.float64("nan")):
         with pytest.raises(ValueError, match="level must be a number, got nan"):
             md.exceedance_probability(F, fam, level)
@@ -188,14 +190,14 @@ def test_exceedance_probability_is_the_member_by_member_sum():
 
 
 def test_opt_gap_example_is_one():
-    fam, cls, _ = md.gen_gap_example(4)
+    fam, cls, _ = gen_gap_example(4)
     opt, idx = md.opt_bruteforce(cls, fam)
     assert opt == 1.0 and idx == 0
 
 
 def test_opt_bayes_in_class_attains_bayes():
     spec = md.GenSpec(kind="bayes_in_class", domain_size=10, k=1, hypothesis_count=5, seed=2)
-    fam, cls = md.gen_random_label_consistent(spec)
+    fam, cls = gen_random_label_consistent(spec)
     eta = fam.label_prob_matrix[0]
     bayes_err = float((fam.mass_matrix[0] * np.minimum(eta, 1.0 - eta)).sum())
     opt, _ = md.opt_bruteforce(cls, fam)
@@ -230,7 +232,7 @@ def test_the_class_error_matrix_gives_opt_and_mixture_errors_bitwise():
         F = md.RandomizedClassifier(cls, support, weights / weights.sum())
         own = md.error_matrix(plus_rows(cls.label_matrix[list(support)]), fam)
         assert np.array_equal(errors[list(support)], own)
-        assert np.array_equal(md.randomized_per_distribution(F, fam), F.weights @ own)
+        assert np.array_equal(randomized_per_distribution(F, fam), F.weights @ own)
 
 
 def test_class_errors_keeps_the_last_class_matrix_on_the_family():
@@ -261,12 +263,12 @@ def test_mixture_errors_on_a_fresh_family_compute_only_the_support_rows(monkeypa
     rows, errors = [], metrics._errors
     monkeypatch.setattr(metrics, "_errors", lambda plus, *args: rows.append(len(plus))
                         or errors(plus, *args))
-    fresh = md.randomized_per_distribution(F, fam)
+    fresh = randomized_per_distribution(F, fam)
     assert rows == [3] and "_class_error_entry" not in vars(fam)
     class_errors(cls, fam)
     assert rows == [3, 12]
     # the kept matrix's rows give the same bits, and are read, not computed
-    kept = md.randomized_per_distribution(F, fam)
+    kept = randomized_per_distribution(F, fam)
     assert rows == [3, 12] and fresh.tobytes() == kept.tobytes()
 
 
@@ -281,7 +283,7 @@ def test_mixture_reports_read_the_kept_matrix_to_the_same_bits(monkeypatch):
     vars(fam).pop("_class_error_entry")
 
     def reports():
-        return [np.asarray(md.randomized_per_distribution(F, fam)).tobytes(),
+        return [np.asarray(randomized_per_distribution(F, fam)).tobytes(),
                 np.float64(md.support_worst_case(F, fam)).tobytes(),
                 md.exceedance_probability(F, fam, level).tobytes()]
 
@@ -304,7 +306,7 @@ def test_error_reports_take_only_a_checked_family():
     for report in (lambda fam: md.error_matrix(np.array([1.0, 0.0]), fam),
                    lambda fam: md.worst_case_error(cls.label_matrix[0], fam),
                    lambda fam: class_errors(cls, fam),
-                   lambda fam: md.randomized_per_distribution(F, fam),
+                   lambda fam: randomized_per_distribution(F, fam),
                    lambda fam: md.randomized_worst_case_error(F, fam),
                    lambda fam: md.support_worst_case(F, fam),
                    lambda fam: md.exceedance_probability(F, fam, 0.5),
@@ -318,21 +320,21 @@ def test_bias_values():
     # biases 1/2, 0 and 0.3 under masses 1/4, 1/4 and 1/2 give beta^2 * mass
     # 0.0625, 0 and 0.045, so the mask follows a threshold between them
     fam = md.DistributionFamily([[0.25, 0.25, 0.5]], [[1.0, 0.5, 0.8]])
-    assert 0.045 < md.heavy_bias_threshold(0.9, 0.1, 1, "hash", c_prime=1.0) < 0.0625
-    assert md.heavy_mask(fam, 0.9, 0.1, "hash", c_prime=1.0).tolist() == [True, False, False]
-    assert md.heavy_mask(fam, 0.9, 0.1, "hash", c_prime=4.0).tolist() == [True, False, True]
+    assert 0.045 < heavy_bias_threshold(0.9, 0.1, 1, "hash", c_prime=1.0) < 0.0625
+    assert heavy_mask(fam, 0.9, 0.1, "hash", c_prime=1.0).tolist() == [True, False, False]
+    assert heavy_mask(fam, 0.9, 0.1, "hash", c_prime=4.0).tolist() == [True, False, True]
 
 
 def test_bias_rejects_inconsistent_family():
     A = md.BinaryMatrix(np.array([[1, 1], [1, 0]]))
     rf = md.ReductionFamily(A)
     with pytest.raises(md.LabelConsistencyError):
-        md.heavy_mask(rf.family, 0.1, 0.1)
+        heavy_mask(rf.family, 0.1, 0.1)
 
 
 def test_heavy_bias_zero_bias_never_heavy():
     fam = md.DistributionFamily([[1.0]], [[0.5]])
-    assert not md.heavy_mask(fam, 0.1, 0.1)[0]
+    assert not heavy_mask(fam, 0.1, 0.1)[0]
 
 
 def test_heavy_bias_derived_example():
@@ -340,21 +342,21 @@ def test_heavy_bias_derived_example():
     fam = md.DistributionFamily([[1.0]], [[1.0]])
     rhs = 0.1**2 / (8.0 * math.log(4 * 1 / 0.1))
     assert 0.25 > rhs
-    assert md.heavy_mask(fam, 0.1, 0.1)[0]
+    assert heavy_mask(fam, 0.1, 0.1)[0]
 
 
 def test_heavy_bias_boundary_is_strict():
     # mass chosen so beta^2 * mass equals the threshold bit-exactly
-    thresh = md.heavy_bias_threshold(0.1, 0.1, 1)
+    thresh = heavy_bias_threshold(0.1, 0.1, 1)
     mass = thresh * 4.0  # beta = 1/2 -> beta^2 = 0.25, exact in floats
     fam = md.DistributionFamily([[mass, 1.0 - mass]], [[1.0, 0.5]])
     assert (0.5**2) * fam.mass_matrix[0, 0] == thresh
-    assert not md.heavy_mask(fam, 0.1, 0.1)[0]
+    assert not heavy_mask(fam, 0.1, 0.1)[0]
 
 
 def test_heavy_bias_hash_variant_threshold():
-    explicit = md.heavy_bias_threshold(0.1, 0.1, 4, "explicit")
-    hashed = md.heavy_bias_threshold(0.1, 0.1, 4, "hash", c_prime=4.0)
+    explicit = heavy_bias_threshold(0.1, 0.1, 4, "explicit")
+    hashed = heavy_bias_threshold(0.1, 0.1, 4, "hash", c_prime=4.0)
     log_term = math.log(160.0)
     assert explicit == pytest.approx(0.01 / (8 * log_term), rel=1e-15)
     assert hashed == pytest.approx(0.01 / (4.0 * log_term**2), rel=1e-15)
@@ -367,7 +369,7 @@ def test_bayes_labeling_is_optimal_for_single_distribution():
     mass /= mass.sum()
     eta = rng.random(n)
     fam = md.DistributionFamily([mass], [eta])
-    bayes = md.bayes_labels(fam)
+    bayes = bayes_labels(fam)
     bayes_err = md.worst_case_error(bayes, fam).worst_case
     # enumerate all 2^n labelings
     best = min(
@@ -380,7 +382,7 @@ def test_bayes_labeling_is_optimal_for_single_distribution():
 def test_bayes_labeling_attains_pointwise_floor_per_member():
     rng = np.random.default_rng(13)
     fam = random_family(rng, n=10, k=4)
-    errors = md.worst_case_error(md.bayes_labels(fam), fam).error
+    errors = md.worst_case_error(bayes_labels(fam), fam).error
     eta = fam.shared_label_one_prob
     for e, mass in zip(errors, fam.mass_matrix):
         floor = float((mass * np.minimum(eta, 1.0 - eta)).sum())
@@ -395,7 +397,7 @@ def test_shattering_full_class():
 
 
 def test_gap_class_shatters_no_pair():
-    _, cls, _ = md.gen_gap_example(5)
+    _, cls, _ = gen_gap_example(5)
     # no hypothesis assigns -1 to two points, so (-1, -1) is never realized
     for i in range(5):
         for j in range(i + 1, 5):

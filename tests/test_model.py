@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 import multidist as md
 from helpers import listed
 from multidist import serialize
+from multidist.hashing import next_prime, sample_hash
+from multidist.instances import gen_random_label_consistent
 from multidist.model import LabeledDistribution
 
 
@@ -294,7 +296,7 @@ def test_types_are_immutable():
 
 def test_instance_round_trip_bit_exact(tmp_path):
     spec = md.GenSpec(domain_size=15, k=4, hypothesis_count=6, seed=11)
-    fam, cls = md.gen_random_label_consistent(spec)
+    fam, cls = gen_random_label_consistent(spec)
     path = tmp_path / "inst.json"
     serialize.save_instance(path, fam, cls, spec)
     fam2, cls2, spec2 = serialize.load_instance(path)
@@ -332,7 +334,7 @@ def test_compact_classifier_round_trip(tmp_path):
     n = 10_000
     cls = md.HypothesisClass([np.where(rng.random(n) < 0.5, 1, -1) for _ in range(4)])
     f_rand = md.RandomizedClassifier(cls, (0, 2, 3), np.array([0.5, 0.25, 0.25]))
-    q = md.sample_hash(md.next_prime(n + 1), 4, rng)
+    q = sample_hash(next_prime(n + 1), 4, rng)
     clf = md.CompactClassifier(q, [3, 17, 9999], [-1, 1, 1], f_rand)
     path = tmp_path / "clf.json"
     serialize.save_classifier(path, clf)

@@ -36,6 +36,7 @@ from hypothesis.extra import numpy as hnp
 import multidist as md
 from helpers import listed
 from multidist import serialize
+from multidist.instances import gen_random_label_consistent
 from orjson import loads as orjson_loads
 
 HALF = 0.5
@@ -542,7 +543,7 @@ def test_the_writer_writes_an_array_as_json_dumps_writes_its_list(doc):
 
 def test_every_writer_writes_the_text_of_json_dumps_indent_1(tmp_path):
     wide_spec = md.GenSpec(domain_size=1000, k=24, hypothesis_count=128, seed=5)
-    wide_fam, wide_cls = md.gen_random_label_consistent(wide_spec)
+    wide_fam, wide_cls = gen_random_label_consistent(wide_spec)
     # one label vector per member, and a -0.0 beside 0.0
     own_labels = md.DistributionFamily([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]],
                                        [[0.0, 1.0], [-0.0, 0.3], [0.1, 5e-324]])

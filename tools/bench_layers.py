@@ -144,10 +144,10 @@ def time_layers(src: str) -> dict:
     matrix = md.planted_high_discrepancy_matrix(18, np.random.default_rng([1, 0]))
     family = md.ReductionFamily(matrix)
     tail = md.TailCheckConfig(n=64, r=4, draws=100_000, seed=1)
-    wide_fam, wide_cls = md.gen_random_label_consistent(
+    wide_fam, wide_cls, _ = md.generate(
         md.GenSpec(domain_size=1000, k=24, hypothesis_count=128, seed=5))
     c06_spec = md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=5)
-    c06_fam, c06_cls = md.gen_random_label_consistent(c06_spec)
+    c06_fam, c06_cls, _ = md.generate(c06_spec)
     wide_plus = (wide_cls.label_matrix == 1).astype(np.float64)
     c06_plus = (c06_cls.label_matrix == 1).astype(np.float64)
     two_rows = np.stack([wide_plus[0], wide_plus.mean(axis=0)])
@@ -179,7 +179,7 @@ def time_layers(src: str) -> dict:
     step = -(-rounds // STACK_RUNS)
     stack = HedgeStack(STACK_RUNS, 16, 6, eta)
     for seed in range(STACK_RUNS):
-        fam, cls = md.gen_random_label_consistent(dataclasses.replace(c06_spec, seed=seed))
+        fam, cls, _ = md.generate(dataclasses.replace(c06_spec, seed=seed))
         stack.load(seed, md.error_matrix((cls.label_matrix == 1).astype(np.float64), fam))
 
     def tallies(fam, size=5000):

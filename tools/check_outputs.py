@@ -7,7 +7,7 @@
 A tree runs the suite below in one fresh interpreter, with that tree's src
 first on PYTHONPATH, in an empty work directory of its own, so every output
 path is the same relative path in every run (eval.csv's path columns match).
-It leaves 76 files; a command's stdout and stderr, followed by its exit code,
+It leaves 77 files; a command's stdout and stderr, followed by its exit code,
 are kept as <name>.out. --check runs the suite on the tree holding this
 script and compares the SHA-256 digest of each file with tools/outputs.sha256,
 one "name digest" line per output; --write writes that file from the same
@@ -32,6 +32,9 @@ The suite:
   times 0.9 (rejected as an invalid instance naming member 1, exit 2) and
   with every mass row and the shared label vector cut to 999 entries (the
   domain_size message wins over the invalid masses, exit 2);
+- derand, stdout, on that instance rewritten with member 1's label_one_prob
+  one minus the shared vector: rejected as not label-consistent, exit 2,
+  before it learns, with no classifier written;
 - eval, stdout and CSV, of the hash classifier rewritten with prime and
   range_size next_prime(2^54 + 1), where the evaluator works in Python
   integers and fl(q) + 1 is not exact;
@@ -214,6 +217,13 @@ def run_suite(tree: Path) -> None:
         rewritten.write_text(text)
         verb(f"eval_inst_{name}", "eval", "clf_explicit.json", str(rewritten))
         rewritten.unlink()
+    flipped = [1 - p for p in doc["shared_label_one_prob"]]
+    inconsistent = Path("inst_inconsistent.json")
+    inconsistent.write_text(json.dumps({**doc, "distributions": [
+        members[0], {**members[1], "label_one_prob": flipped}, *members[2:]]}, indent=1))
+    verb("derand_inst_inconsistent", "derand", str(inconsistent), *DERAND,
+         "-o", "clf_inst_inconsistent.json")
+    inconsistent.unlink()
     verb("gen_gap", "gen", "--kind", "gap_example", "-k", "5", "-o", "gap.json")
     verb("gen_bayes", "gen", "--kind", "bayes_in_class", "--seed", "4", "-o", "bayes.json")
     verb("hashcheck", "hashcheck")
