@@ -152,10 +152,12 @@ def cmd_learn(args) -> int:
 def cmd_derand(args) -> int:
     fam, cls, _ = serialize.load_instance(args.instance)
     derand_cfg = _derand_cfg(args)
-    if derand_cfg.rounding == "hash":  # before learning, endless at a tiny eps
+    # the bias table's checks, made before learning, which is endless at a tiny eps
+    if derand_cfg.rounding == "hash":
         choose_hash_params(fam.k, derand_cfg.eps, derand_cfg.delta, fam.domain_size,
                            derand_cfg.c_prime)
-    require_label_consistent(fam)  # the bias table's check, made before learning
+    derand_cfg.sample_size(fam.k)
+    require_label_consistent(fam)
     t0 = time.perf_counter()
     f_rand = hedge_learn(SampleOracle(fam), cls, derand_cfg.learner_eps(), cfg=_hedge_cfg(args))
     learning = time.perf_counter() - t0

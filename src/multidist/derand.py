@@ -32,7 +32,7 @@ from .model import (
     require_integer,
     require_label_consistent,
 )
-from .learner import _tallies
+from .learner import DRAWS_LIMIT, _tallies
 from .hashing import CompactClassifier, choose_hash_params, sample_hash
 
 
@@ -45,7 +45,8 @@ class DerandConfig:
     c_prime * ln(gamma) factor for hash rounding). Only calibrated mode takes
     m_override (its m) and threshold_scale, because the "large enough"
     constants make theory-mode m impractical for tight eps at desk scale, and
-    only hash rounding takes a c_prime other than 4.0.
+    only hash rounding takes a c_prime other than 4.0. m, derived or given,
+    is at most DRAWS_LIMIT.
     """
 
     eps: float
@@ -72,6 +73,9 @@ class DerandConfig:
         if self.mode == "calibrated":
             if self.m_override is None or self.m_override < 1:
                 raise ValueError("calibrated mode needs a positive m_override")
+            if self.m_override > DRAWS_LIMIT:
+                raise ValueError(f"m_override must be at most DRAWS_LIMIT = 2^53, "
+                                 f"got {self.m_override}")
         elif self.m_override is not None or self.threshold_scale != 1.0:
             raise ValueError("m_override and threshold_scale apply only in calibrated mode")
         if self.rounding != "hash" and self.c_prime != 4.0:
@@ -86,12 +90,19 @@ class DerandConfig:
         return self.c_const * k / (self.eps * self.delta)
 
     def sample_size(self, k: int) -> int:
+        """m, the table's draws per member, for k members: at most DRAWS_LIMIT."""
         if self.mode == "calibrated":
             return self.m_override
-        ln_gamma = math.log(self.gamma(k))
-        m = self.c_const * ln_gamma**2 / self.eps**2
-        if self.rounding == "hash":
-            m *= self.c_prime * ln_gamma
+        try:
+            ln_gamma = math.log(self.gamma(k))
+            m = self.c_const * ln_gamma**2 / self.eps**2
+            if self.rounding == "hash":
+                m *= self.c_prime * ln_gamma
+        except ZeroDivisionError:  # eps * delta or eps**2 is 0.0
+            m = math.inf
+        if m > DRAWS_LIMIT:
+            raise ValueError(f"eps = {self.eps!r} needs {m:.3g} table draws per member at "
+                             f"k = {k}, more than DRAWS_LIMIT = 2^53")
         return math.ceil(m)
 
     def learner_eps(self) -> float:

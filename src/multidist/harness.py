@@ -19,9 +19,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -167,13 +165,15 @@ class CampaignConfig:
                 raise ValueError(f"unknown predicate {name!r} in required_fractions")
             if not 0.0 <= frac <= 1.0:
                 raise ValueError(f"required fraction for {name} must lie in [0, 1], got {frac!r}")
-        # Hedge settings that no trial could learn with, such as rounds 0
-        self.hedge.resolve(self.gen_spec.k, self.derand.learner_eps())
-        # and hash parameters no trial could round with, which it found only after learning
+        # hash parameters no trial could round with, which it found only after
+        # learning; then Hedge settings no trial could learn with, such as
+        # rounds 0, and table sizes past DRAWS_LIMIT
         spec, derand = self.gen_spec, self.derand
         if derand.rounding == "hash":
             n = spec.k if spec.kind == "gap_example" else spec.domain_size
             choose_hash_params(spec.k, derand.eps, derand.delta, n, derand.c_prime)
+        self.hedge.resolve(spec.k, derand.learner_eps())
+        derand.sample_size(spec.k)
 
 
 @dataclass(frozen=True)
@@ -231,6 +231,18 @@ _next_trial = None
 def _share_next_trial(counter) -> None:
     global _next_trial
     _next_trial = counter
+
+
+def _trial_pool(workers: int):
+    """A process pool of `workers` campaign workers that share one next-trial
+    counter. The pool's modules are imported here, by the first parallel
+    campaign of a process, so that a serial campaign and every other verb
+    start without them."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers, initializer=_share_next_trial,
+                               initargs=(multiprocessing.Value("q", 0),))
 
 
 def _pulled_trials(trials: int):
@@ -317,9 +329,7 @@ def run_campaign(cfg: CampaignConfig, trials: int, parallelism: int = 1,
     if workers == 1:
         shares = [_campaign_worker(job)]
     else:
-        counter = multiprocessing.Value("q", 0)
-        with ProcessPoolExecutor(max_workers=workers, initializer=_share_next_trial,
-                                 initargs=(counter,)) as pool:
+        with _trial_pool(workers) as pool:
             shares = list(pool.map(_campaign_worker, [job] * workers))
     results = sorted((r for share in shares for r in share), key=lambda r: r[0])
 

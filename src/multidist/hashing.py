@@ -342,12 +342,12 @@ def choose_hash_params(k: int, eps: float, delta: float, domain_size: int,
     log_term = math.log(4.0 * k / delta)
     r = max(2, 2 * math.ceil(log_term))  # smallest even integer >= 2*log_term
     alpha = 2.0 * eps / (log_term * math.sqrt(c_prime))
-    lower = max(
-        domain_size + 1,
-        math.ceil(eps**-3 * log_term),
-        math.ceil(4.0 * alpha**2 / eps) + 1,
-    )
-    try:
+    try:  # eps**-3 overflows below about 1e-103, next_prime past PRIME_LIMIT
+        lower = max(
+            domain_size + 1,
+            math.ceil(eps**-3 * log_term),
+            math.ceil(4.0 * alpha**2 / eps) + 1,
+        )
         return r, next_prime(lower)
     except OverflowError:
         raise ValueError(f"eps = {eps!r} needs a hash prime above 2^62") from None

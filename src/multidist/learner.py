@@ -265,6 +265,16 @@ class SampleOracle:
         return cells[0, 0].astype(np.int64), plus[0, 0].view(np.int8) * np.int8(2) - np.int8(1)
 
 
+# Most Hedge rounds one run may play, derived or given: HedgeStack.counts and
+# sampling Hedge's picks count a run's choices of each hypothesis in intp.
+ROUNDS_LIMIT = int(np.iinfo(np.intp).max)
+
+# Most draws of one member that _tallies counts at once (a table's m, a
+# sampling round's erm_sample_size): its counts are float64, whose integers
+# are exact up to 2^53.
+DRAWS_LIMIT = 1 << 53
+
+
 @dataclass(frozen=True)
 class HedgeConfig:
     """Knobs for the Hedge learner. rounds/eta default from (k, eps):
@@ -284,7 +294,9 @@ class HedgeConfig:
                            require_integer(self.erm_sample_size, "erm_sample_size"))
 
     def resolve(self, k: int, eps: float) -> tuple[int, float]:
-        """(T, eta) for k members at precision eps, which must lie in (0, 1)."""
+        """(T, eta) for k members at precision eps, which must lie in (0, 1);
+        T, derived or given, is at most ROUNDS_LIMIT, and erm_sample_size at
+        most DRAWS_LIMIT."""
         if not 0.0 < eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
         if self.rounds is not None and self.rounds < 1:
@@ -297,10 +309,24 @@ class HedgeConfig:
             raise ValueError(f"eta must be at most ln(DBL_MAX / k) = {eta_max!r}, got {self.eta!r}")
         if self.erm_sample_size < 1:
             raise ValueError("erm_sample_size must be >= 1")
+        if self.erm_sample_size > DRAWS_LIMIT:
+            raise ValueError(f"erm_sample_size must be at most DRAWS_LIMIT = 2^53, "
+                             f"got {self.erm_sample_size}")
         # k = 1 would give eta = 0; ln 2 keeps eta positive and is otherwise
         # irrelevant (a single weight renormalizes to 1 whatever eta is)
         log_k = math.log(max(k, 2))
-        rounds = self.rounds if self.rounds is not None else max(1, math.ceil(8.0 * log_k / eps**2))
+        rounds = self.rounds
+        if rounds is None:
+            # eps**2 is 0.0 below about 1.5e-162
+            needed = 8.0 * log_k / eps**2 if eps**2 else math.inf
+            if needed > ROUNDS_LIMIT:
+                raise ValueError(
+                    f"Hedge at eps = {eps!r} needs {needed:.3g} rounds at k = {k}, more than "
+                    f"ROUNDS_LIMIT = {ROUNDS_LIMIT}; its eps must be at least about "
+                    f"{math.sqrt(8.0 * log_k / ROUNDS_LIMIT):.3g}")
+            rounds = max(1, math.ceil(needed))
+        elif rounds > ROUNDS_LIMIT:
+            raise ValueError(f"rounds must be at most ROUNDS_LIMIT = {ROUNDS_LIMIT}, got {rounds}")
         eta = self.eta if self.eta is not None else math.sqrt(8.0 * log_k / rounds)
         return rounds, eta
 
@@ -360,10 +386,11 @@ class HedgeStack:
     matrices, all with the same eta, advanced together one round at a time.
 
     load() starts a run in a slot at uniform weights, advance() plays rounds
-    on the first `active` slots, and counts[s, h] is how often slot s's run
-    has chosen h. Each round best-responds with argmin_h (E_s @ w_s)[h] (ties
-    to the lowest index, as erm breaks them), multiplies w_s by row h of the
-    precomputed exp(eta * E_s) and renormalizes. No array grows with T.
+    on the first `active` slots, gather() moves runs to the first slots, and
+    counts[s, h] is how often slot s's run has chosen h. Each round
+    best-responds with argmin_h (E_s @ w_s)[h] (ties to the lowest index, as
+    erm breaks them), multiplies w_s by row h of the precomputed
+    exp(eta * E_s) and renormalizes. No array grows with T.
 
     Every operation acts on each slot's own rows in the order a one-run loop
     uses, so a run's weights and choices depend neither on the other slots
@@ -394,6 +421,13 @@ class HedgeStack:
         np.exp(self.eta * errors, out=self._factors[slot * H:(slot + 1) * H])
         self.weights[slot] = 1.0 / k
         self.counts[slot] = 0
+
+    def gather(self, slots) -> None:
+        """Move the runs in the given slots, in that order, to the first len(slots) slots."""
+        H = self.errors.shape[1]
+        factors = self._factors.reshape(len(self.errors), H, -1)
+        for array in (self.errors, factors, self.weights, self.counts):
+            array[:len(slots)] = array[slots]
 
     def advance(self, rounds: int, active: int | None = None, log: list | None = None) -> None:
         """Play rounds on the first `active` slots (all by default); each round
@@ -442,7 +476,9 @@ def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None,
     that a run has had its T rounds in `slots` steps; its last step is split
     at its T-th round, where its mixture is read. Once the stack is full, one
     mixture comes out for each item taken in, and learning costs the same at
-    every step. Only the items in the stack are held in memory. With trace
+    every step. When the items run out, the runs left move to the first
+    slots, youngest first, so that each step plays only the runs still in
+    the stack. Only the items in the stack are held in memory. With trace
     given, each of the first run's rounds appends its HedgeRound.
     """
     cfg = cfg or HedgeConfig()
@@ -457,32 +493,44 @@ def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None,
     # run j enters slot j % slots at step j and leaves `last` rounds into step j + slots - 1
     last = rounds - (slots - 1) * step
     stack = HedgeStack(slots, len(item[2]), item[1].k, eta)
+    # the first run's (choice, weights) of each round, while it is in the stack
     log = None if trace is None else []
+    # the (slot, item) of each run in the stack, oldest first
     queue, loads, steps, spent = deque(), 0, 0, 0.0
     while item is not None or queue:
         if item is not None:
             stack.load(loads % slots, class_errors(item[2], item[1]))
-            queue.append(item)
+            queue.append((loads % slots, item))
             loads += 1
-        active = min(loads, slots)
+        # the runs in the stack hold the first len(queue) slots: in load order
+        # while items come (every slot once the stack is full), youngest first after
+        active = len(queue)
         finished = steps >= slots - 1
-        stack.advance(last if finished else step, active, log)
+        played = None if log is None else []
+        stack.advance(last if finished else step, active, played)
+        if log is not None:
+            first = queue[0][0]
+            log += [(h[first], w[first]) for h, w in played]
         if finished:
-            slot = (steps + 1) % slots
-            key, fam, cls = queue.popleft()
+            slot, (key, fam, cls) = queue.popleft()
             if log is not None:
                 errors = stack.errors[slot]
-                trace.extend(HedgeRound(t, int(h[slot]), tuple(errors[h[slot]].tolist()),
-                                        tuple(w[slot].tolist()))
+                trace.extend(HedgeRound(t, int(h), tuple(errors[h].tolist()), tuple(w.tolist()))
                              for t, (h, w) in enumerate(log))
                 log = None
             mixture = uniform_mixture(cls, stack.counts[slot])
-            stack.advance(step - last, active)
+            # a run that leaves while items remain gives its slot to the next
+            # item; after, the runs left are the first len(queue) slots
+            stack.advance(step - last, active if item is not None else len(queue))
         spent += time.perf_counter() - t0
         if finished:
             yield key, fam, cls, mixture, spent
             spent = 0.0
-        item = next(items, None)
+        if item is not None:
+            item = next(items, None)
+            if item is None:  # youngest first, so that the leaving run is the last
+                stack.gather([s for s, _ in reversed(queue)])
+                queue = deque((len(queue) - 1 - p, it) for p, (_, it) in enumerate(queue))
         steps += 1
         t0 = time.perf_counter()
 

@@ -1,12 +1,16 @@
 """The public names of the package, pinned so that any growth or shrinkage of
 the API shows up as a reviewed diff of this list; the helpers that stay in
-their modules; the serializer's public functions; and the package names that
-perfbench's tracer hooks or selects."""
+their modules; the serializer's public functions; the package names that
+perfbench's tracer hooks or selects; and the modules that importing the
+package leaves out."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -135,3 +139,18 @@ def test_every_name_the_tracer_hooks_or_selects_exists():
     for prefix in prefixes:
         assert any(name.startswith(prefix)
                    for name in _traced_functions(prefix.split(".")[0])), prefix
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # only a parallel campaign needs the pool, and its modules (about 30 with
+    # what they import) were a seventh of every CLI verb's import time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pool_modules = ["concurrent.futures", "multiprocessing", "subprocess", "socket"]
+    probe = ("import sys\n"
+             "import multidist, multidist.cli, multidist.serialize\n"
+             f"print([m for m in {pool_modules!r} if m in sys.modules])")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            timeout=60, env=env, check=True)
+    assert result.stdout == "[]\n"

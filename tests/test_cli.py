@@ -192,6 +192,42 @@ def test_derand_and_trial_check_the_hash_parameters_before_learning(tmp_path, ca
     assert not out.exists() and not (tmp_path / "campaign").exists()
 
 
+def test_a_tiny_eps_exits_2_before_learning(tmp_path, capsys, monkeypatch):
+    # each died with a ZeroDivisionError or OverflowError traceback, exit 1,
+    # but the last two, which learned until stopped: 5.7e19 rounds, and
+    # 5.7e15 before 1.75e17 table draws per member; exact and sampling Hedge
+    # check their rounds before they play one
+    def unreachable(*args, **kwargs):
+        raise AssertionError("learned before checking the sizes")
+
+    monkeypatch.setattr(learner, "HedgeStack", unreachable)
+    monkeypatch.setattr(learner, "_tallies", unreachable)
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    assert main(["gen", "--seed", "6", "-o", str(inst)]) == 0
+    capsys.readouterr()
+    rounds = ("Hedge at eps = {} needs {} rounds at k = 6, more than ROUNDS_LIMIT = "
+              "9223372036854775807; its eps must be at least about 1.25e-09")
+    derand = ["derand", str(inst), "--delta", "0.2", "-o", str(out)]
+    for argv, message in (
+            (["learn", str(inst), "--eps", "1e-200", "-o", str(out)],
+             rounds.format("1e-200", "inf")),
+            (["learn", str(inst), "--eps", "1e-200", "--sampling", "-o", str(out)],
+             rounds.format("1e-200", "inf")),
+            (["trial", "--eps", "1e-200", "--delta", "0.2", "--outdir", str(tmp_path / "t")],
+             rounds.format("5e-201", "inf")),
+            ([*derand, "--eps", "1e-120", "--rounding", "hash"],
+             "eps = 1e-120 needs a hash prime above 2^62"),
+            ([*derand, "--eps", "1e-9", "--mode", "calibrated", "--m-override", "5"],
+             rounds.format("5e-10", "5.73e+19")),
+            ([*derand, "--eps", "1e-7"], "eps = 1e-07 needs 1.75e+17 table draws per member at "
+                                         "k = 6, more than DRAWS_LIMIT = 2^53")):
+        assert main(argv) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err == f"multidist: error: {message}\n"
+    assert not out.exists() and not (tmp_path / "t").exists()
+
+
 def test_derand_checks_label_consistency_before_learning(tmp_path, capsys, monkeypatch):
     # it learned first, 0.73 s at eps 0.02, and only the bias table rejected
     # the family

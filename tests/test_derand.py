@@ -80,6 +80,40 @@ def test_derand_config_formulas():
     assert hash_cfg.sample_size(k) == math.ceil(4.0 * 4.0 * math.log(gamma) ** 3 / 0.01)
 
 
+def test_table_draws_stop_at_the_exactness_limit():
+    # eps 1e-200 divided by eps**2 = 0.0, and 1e-9 gave 2.6e21 draws per
+    # member, past the 2^53 where the table's float counts stop being exact
+    from multidist.learner import DRAWS_LIMIT
+
+    def calibrated(m):
+        return md.DerandConfig(eps=0.1, delta=0.1, mode="calibrated", m_override=m)
+
+    assert calibrated(DRAWS_LIMIT).sample_size(6) == DRAWS_LIMIT
+    with pytest.raises(ValueError, match=f"^m_override must be at most DRAWS_LIMIT = 2\\^53, "
+                                         f"got {DRAWS_LIMIT + 1}$"):
+        calibrated(DRAWS_LIMIT + 1)
+
+    def fits(eps):
+        try:
+            return md.DerandConfig(eps=eps, delta=0.2).sample_size(6)
+        except ValueError:
+            return None
+
+    # bisect for the least eps whose derived m fits: adjacent floats, m
+    # within a few draws of the limit at the one, past it at the other
+    eps, fit = 1e-300, 1e-3
+    while (mid := (eps + fit) / 2) not in (eps, fit):
+        eps, fit = (eps, mid) if fits(mid) else (mid, fit)
+    assert fit == math.nextafter(eps, 1.0)
+    assert DRAWS_LIMIT - 16 < fits(fit) <= DRAWS_LIMIT
+    for tiny in (eps, 1e-9, 1e-200, 5e-324):
+        with pytest.raises(ValueError, match=f"^eps = {tiny!r} needs .* table draws per member "
+                                             "at k = 6, more than DRAWS_LIMIT = 2\\^53$"):
+            md.DerandConfig(eps=tiny, delta=0.2).sample_size(6)
+    with pytest.raises(ValueError, match="more than DRAWS_LIMIT"):
+        md.DerandConfig(eps=1e-6, delta=0.2, rounding="hash").sample_size(6)
+
+
 def test_derand_config_validation():
     with pytest.raises(ValueError):
         md.DerandConfig(eps=0.0, delta=0.1)

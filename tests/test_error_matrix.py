@@ -778,6 +778,46 @@ def test_rolling_mixtures_are_hedge_learn_alone(monkeypatch):
     assert list(rolling_mixtures([], 0.2, cfg)) == []
 
 
+def test_after_the_last_item_a_stack_plays_only_the_runs_left(monkeypatch):
+    # it kept playing every slot below min(loads, slots) until the last run
+    # left, the slots of runs that had left included; the first run's trace
+    # follows it when the runs left move to the first slots
+    cfg = md.HedgeConfig()
+    instances = [gen_random_label_consistent(md.GenSpec(domain_size=40, k=6, seed=seed))
+                 for seed in range(9)]
+    want = []
+    md.hedge_learn(md.SampleOracle(instances[0][0]), instances[0][1], 0.2, cfg=cfg, trace=want)
+    advance, mixture = HedgeStack.advance, learner.uniform_mixture
+    drained, reads, calls = [], [], []
+
+    def counted_advance(self, rounds, active=None, log=None):
+        if drained:
+            calls.append((active, len(instances) - len(reads)))
+        advance(self, rounds, active, log)
+
+    def counted_mixture(cls, picks):
+        reads.append(cls)
+        return mixture(cls, picks)
+
+    def items():
+        yield from ((j, fam, cls) for j, (fam, cls) in enumerate(instances))
+        drained.append(True)
+
+    monkeypatch.setattr(HedgeStack, "advance", counted_advance)
+    monkeypatch.setattr(learner, "uniform_mixture", counted_mixture)
+    # T = 359: 9 runs through 4 slots of 90 rounds a step leave 3 runs after
+    # the last item, each leaving at a step split in two; through 30 slots of
+    # 12 rounds, all 9 are left, 20 steps before the first leaves
+    for runs, advances in ((4, 3 * 2), (32, 20 + 9 * 2)):
+        drained.clear(), reads.clear(), calls.clear()
+        trace = []
+        got = list(rolling_mixtures(items(), 0.2, cfg, runs, trace))
+        assert [key for key, *_ in got] == list(range(9))
+        assert trace == want
+        assert len(calls) == advances
+        assert all(active == left for active, left in calls)
+
+
 def test_an_error_matrix_of_another_shape_is_rejected():
     (fam6, cls6), (fam1, cls1) = (
         gen_random_label_consistent(md.GenSpec(domain_size=12, k=k, hypothesis_count=4,

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -376,9 +377,9 @@ def test_a_campaign_starts_no_more_workers_than_trials(monkeypatch):
     started = []
 
     class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
-            started.append(max_workers)
-            initializer(*initargs)
+        def __init__(self, workers):
+            started.append(workers)
+            harness._share_next_trial(multiprocessing.Value("q", 0))
 
         def __enter__(self):
             return self
@@ -389,7 +390,7 @@ def test_a_campaign_starts_no_more_workers_than_trials(monkeypatch):
         def map(self, fn, jobs):
             return [fn(job) for job in jobs]
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(harness, "_trial_pool", InProcessPool)
     monkeypatch.setattr(harness, "_next_trial", None)
     cfg = small_campaign(seed=9)
     _, serial = md.run_campaign(cfg, trials=3, measure_time=False)

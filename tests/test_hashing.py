@@ -560,6 +560,10 @@ def test_choose_hash_params_rejects_an_eps_past_the_prime_limit():
     # the prime search's OverflowError was a traceback
     with pytest.raises(ValueError, match=r"^eps = 1e-06 needs a hash prime above 2\^62$"):
         md.choose_hash_params(6, 1e-6, 0.2, 40)
+    # below about 1e-103, eps^-3 itself overflowed a float
+    for eps in (1e-103, 1e-120, 5e-324):
+        with pytest.raises(ValueError, match=f"^eps = {eps!r} needs a hash prime above 2\\^62$"):
+            md.choose_hash_params(6, eps, 0.2, 40)
     _, p = md.choose_hash_params(6, 1.1e-6, 0.2, 40)
     assert p < 2**62 and is_prime(p)
 

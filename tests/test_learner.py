@@ -161,6 +161,41 @@ def test_hedge_config_defaults():
     assert cfg.resolve(6, 0.15)[0] == 12 and type(cfg.erm_sample_size) is int
 
 
+def test_hedge_rounds_and_erm_draws_stop_at_their_exactness_limits():
+    # eps 1e-200 divided by eps**2 = 0.0 and 1e-160 took the ceil of inf;
+    # 5e-10 gave 5.7e19 rounds, past the intp counts of a run's picks
+    from multidist.learner import DRAWS_LIMIT, ROUNDS_LIMIT
+
+    assert ROUNDS_LIMIT == np.iinfo(np.intp).max and DRAWS_LIMIT == 2**53
+    assert md.HedgeConfig(rounds=ROUNDS_LIMIT).resolve(6, 0.15)[0] == ROUNDS_LIMIT
+    with pytest.raises(ValueError, match=f"^rounds must be at most ROUNDS_LIMIT = "
+                                         f"{ROUNDS_LIMIT}, got {ROUNDS_LIMIT + 1}$"):
+        md.HedgeConfig(rounds=ROUNDS_LIMIT + 1).resolve(6, 0.15)
+
+    def fits(eps):
+        try:
+            return md.HedgeConfig().resolve(6, eps)[0]
+        except ValueError:
+            return None
+
+    # bisect for the least eps whose derived T fits: adjacent floats, T
+    # within a few ulps of the limit at the one, past it at the other
+    eps, fit = 1e-300, 1e-3
+    while (mid := (eps + fit) / 2) not in (eps, fit):
+        eps, fit = (eps, mid) if fits(mid) else (mid, fit)
+    assert fit == math.nextafter(eps, 1.0)
+    assert ROUNDS_LIMIT - 2**13 < fits(fit) <= ROUNDS_LIMIT
+    for tiny in (eps, 5e-10, 1e-160, 1e-200, 5e-324):
+        with pytest.raises(ValueError, match=f"^Hedge at eps = {tiny!r} needs .* rounds at "
+                                             f"k = 6, more than ROUNDS_LIMIT = {ROUNDS_LIMIT}; "
+                                             "its eps must be at least about 1.25e-09$"):
+            md.HedgeConfig().resolve(6, tiny)
+    assert md.HedgeConfig(erm_sample_size=DRAWS_LIMIT).resolve(6, 0.15)
+    with pytest.raises(ValueError, match=f"^erm_sample_size must be at most DRAWS_LIMIT = "
+                                         f"2\\^53, got {DRAWS_LIMIT + 1}$"):
+        md.HedgeConfig(erm_sample_size=DRAWS_LIMIT + 1).resolve(6, 0.15)
+
+
 def test_hedge_realizable_instance():
     # constant +1 is perfect; the mixture must be eps-good
     rng = np.random.default_rng(7)

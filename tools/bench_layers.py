@@ -90,7 +90,12 @@ size cannot be timed. The layers:
   config, from the exact-mode mixture of hedge_exact_c06, reading the class
   error matrix that its learner left on the family; the family's kept bucket
   table is dropped before each call, since a campaign trial's family is
-  fresh.
+  fresh;
+- package_import: `import multidist, multidist.cli, multidist.serialize`
+  after numpy, as each CLI process makes it; a module is imported once per
+  interpreter, so it is timed once in each, and the median is over the
+  interpreters (compile both trees with `python3 -m compileall -q src` first,
+  or the first interpreter of each writes the bytecode).
 """
 
 from __future__ import annotations
@@ -124,7 +129,8 @@ REPS = {"eval_block": 40, "eval_one_poly": 100, "tail_check": 5, "bruteforce_min
         "error_matrix_1x24x1000": 300, "error_matrix_masked_2x24x1000": 300, "build_parser": 100,
         "build_bias_table_24x1000x5000": 30, "build_bias_table_6x40x5000": 200,
         "compact_label_vector_24x1000": 100, "hedge_exact_c06": 15, "hedge_stack_advance_32": 100,
-        "round_outside_t_24x1000": 300, "opt_bruteforce_128x24x1000": 30, "run_trial_c06": 200}
+        "round_outside_t_24x1000": 300, "opt_bruteforce_128x24x1000": 30, "run_trial_c06": 200,
+        "package_import": 1}
 
 
 def time_layers(src: str) -> dict:
@@ -132,8 +138,10 @@ def time_layers(src: str) -> dict:
     sys.path.insert(0, src)
     import numpy as np
 
+    start = perf_counter()
     import multidist as md
     from multidist import cli, serialize
+    out = {"package_import": perf_counter() - start}
     from multidist.hashing import coefficient_matrix_eval
     from multidist.learner import STACK_RUNS, HedgeStack, _tallies
 
@@ -239,7 +247,6 @@ def time_layers(src: str) -> dict:
         "run_trial_c06": lambda: afresh("_bucket_table", c06_fam, md.run_trial, c06_fam,
                                         c06_cls, c06_mixture, c06_table_cfg, 606),
     }
-    out = {}
     for name, call in calls.items():
         call()  # warm-up
         times = []
