@@ -56,7 +56,7 @@ from .hashing import (
     coefficient_matrix_eval,
     empirical_tail_bound_check,
 )
-from .instances import GenSpec, generate
+from .instances import GENERATOR_KINDS, GenSpec, generate
 from .learner import (
     HedgeConfig,
     SampleOracle,
@@ -296,9 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write an instance file")
-    p.add_argument("--kind", default="random_label_consistent",
-                   choices=["random_label_consistent", "bayes_in_class", "gap_example",
-                            "heavy_point_probe"], help="generator family")
+    p.add_argument("--kind", default="random_label_consistent", choices=GENERATOR_KINDS,
+                   help="generator family")
     p.add_argument("--domain-size", type=int, default=40, help="number of domain points")
     p.add_argument("-k", type=int, default=6, help="number of distributions")
     p.add_argument("--hypotheses", type=int, default=16, help="random labelings in the class")

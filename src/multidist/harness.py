@@ -25,7 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import DistributionFamily, HypothesisClass, RandomizedClassifier, plus_rows
+from .model import (
+    DistributionFamily,
+    HypothesisClass,
+    RandomizedClassifier,
+    plus_rows,
+    require_integer,
+)
 from .metrics import (
     bayes_labels,
     error_matrix,
@@ -158,8 +164,13 @@ class CampaignConfig:
     required_fractions: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # checked before any trial: an unknown name would be ignored, and a
-        # fraction above 1 or NaN would fail the campaign only after every trial
+        # checked before any trial: a negative seed would fail every trial, a
+        # bool run as 0 or 1; an unknown name would be ignored, and a fraction
+        # above 1 or NaN would fail the campaign only after every trial
+        seed = require_integer(self.master_seed, "master_seed")
+        if seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {seed}")
+        object.__setattr__(self, "master_seed", seed)
         for name, frac in self.required_fractions.items():
             if name not in (PREDICATE_OPT, PREDICATE_CONDITIONAL):
                 raise ValueError(f"unknown predicate {name!r} in required_fractions")
@@ -170,8 +181,7 @@ class CampaignConfig:
         # rounds 0, and table sizes past DRAWS_LIMIT
         spec, derand = self.gen_spec, self.derand
         if derand.rounding == "hash":
-            n = spec.k if spec.kind == "gap_example" else spec.domain_size
-            choose_hash_params(spec.k, derand.eps, derand.delta, n, derand.c_prime)
+            choose_hash_params(spec.k, derand.eps, derand.delta, spec.domain_size, derand.c_prime)
         self.hedge.resolve(spec.k, derand.learner_eps())
         derand.sample_size(spec.k)
 
@@ -319,6 +329,9 @@ def run_campaign(cfg: CampaignConfig, trials: int, parallelism: int = 1,
     partial. Output is sorted by trial id, so content is identical for any
     parallelism.
     """
+    # a bool would run as 0 or 1 and 2.5 fail in range(); both are refused here
+    trials = require_integer(trials, "trials")
+    parallelism = require_integer(parallelism, "parallelism")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if parallelism < 1:

@@ -399,8 +399,13 @@ class TailCheckConfig:
             raise ValueError(f"tail-check seed must be >= 0, got {seed}")
         if not self.independent and (r < 2 or r % 2 != 0):
             raise ValueError(f"tail-check degree r must be an even integer >= 2, got {r}")
-        p = (require_integer(self.prime, "tail-check prime") if self.prime is not None
-             else next_prime(n + 1))
+        if self.prime is not None:
+            p = require_integer(self.prime, "tail-check prime")
+        else:
+            try:  # next_prime overflows past PRIME_LIMIT
+                p = next_prime(n + 1)
+            except OverflowError:
+                raise ValueError(f"tail check with n = {n} keys needs a prime above 2^62") from None
         thr = (require_integer(self.threshold, "tail-check threshold")
                if self.threshold is not None else p // 2)
         if p >= PRIME_LIMIT or not is_prime(p):

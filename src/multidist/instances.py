@@ -21,18 +21,26 @@ from .model import (
 from .metrics import _heaviness, bayes_labels, heavy_bias_threshold
 
 
+GENERATOR_KINDS = ("random_label_consistent", "bayes_in_class", "gap_example",
+                   "heavy_point_probe")
+
+
 @dataclass(frozen=True)
 class GenSpec:
     """Parameters for an instance generator, serializable into instance files.
 
-    kind selects the generator: "random_label_consistent" (or "bayes_in_class"
-    to also append the pointwise-majority labeling to the class),
-    "gap_example", or "heavy_point_probe". The bias profile splits the domain
-    into near-deterministic points (|bias| drawn from det_beta range),
-    near-fair points (|bias| <= fair_beta_max), and a remainder with moderate
-    label noise. An int field takes an integer (a numpy one is kept as a Python
-    int), a float field an int or a float, and neither a bool; a str field a str
-    that encodes as UTF-8 (no lone surrogate).
+    kind selects the generator, one of GENERATOR_KINDS:
+    "random_label_consistent" (or "bayes_in_class" to also append the
+    pointwise-majority labeling to the class, hypothesis_count + 1 in all),
+    "gap_example", or "heavy_point_probe". A spec records its instance's
+    shape: a gap example's domain_size and hypothesis_count are its k, and a
+    probe's hypothesis_count is 1, whatever was given. The bias profile
+    splits the domain into near-deterministic points (|bias| drawn from
+    det_beta range), near-fair points (|bias| <= fair_beta_max), and a
+    remainder with moderate label noise. An int field takes an integer (a
+    numpy one is kept as a Python int), a float field an int or a float, and
+    neither a bool; a str field a str that encodes as UTF-8 (no lone
+    surrogate).
     """
 
     kind: str = "random_label_consistent"
@@ -69,6 +77,13 @@ class GenSpec:
                 except UnicodeEncodeError:
                     raise ValueError(f"gen_spec field {name!r} must be UTF-8 text, "
                                      f"got {shown(value)}") from None
+        if self.kind not in GENERATOR_KINDS:
+            raise ValueError(f"unknown generator kind {self.kind!r}")
+        if self.kind == "gap_example":
+            object.__setattr__(self, "domain_size", self.k)
+            object.__setattr__(self, "hypothesis_count", self.k)
+        elif self.kind == "heavy_point_probe":
+            object.__setattr__(self, "hypothesis_count", 1)
         if self.domain_size < 1 or self.k < 1 or self.hypothesis_count < 1:
             raise ValueError("counts must be positive")
         if self.heavy_count < 0:
@@ -210,13 +225,11 @@ def gen_heavy_point_probe(spec: GenSpec) -> DistributionFamily:
 def generate(spec: GenSpec):
     """Dispatch on spec.kind. Returns (family, hypothesis_class, mixture|None);
     heavy_point_probe instances come with a trivial one-hypothesis class."""
-    if spec.kind in ("random_label_consistent", "bayes_in_class"):
-        fam, cls = gen_random_label_consistent(spec)
-        return fam, cls, None
     if spec.kind == "gap_example":
         return gen_gap_example(spec.k)
     if spec.kind == "heavy_point_probe":
         fam = gen_heavy_point_probe(spec)
         cls = HypothesisClass(np.ones((1, spec.domain_size), dtype=np.int8))
         return fam, cls, None
-    raise ValueError(f"unknown generator kind {spec.kind!r}")
+    fam, cls = gen_random_label_consistent(spec)
+    return fam, cls, None

@@ -462,8 +462,7 @@ def uniform_mixture(cls: HypothesisClass, picks: np.ndarray) -> RandomizedClassi
     return RandomizedClassifier(cls, tuple(support.tolist()), picks[support] / picks.sum())
 
 
-def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None,
-                     runs: int | None = None, trace: list | None = None):
+def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None):
     """The exact-mode Hedge mixture of each (key, family, class) item, learned
     in one HedgeStack that runs enter and leave at staggered rounds, with T
     and eta resolved from (k, eps). Yields (key, family, class, mixture,
@@ -471,15 +470,14 @@ def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None,
     learning time since the previous yield. A run loads its class_errors
     matrix. Items not sharing k and |H| are a ValueError.
 
-    The stack holds at most `runs` runs (STACK_RUNS by default). Each step
-    takes the next item into the stack and plays ceil(T / slots) rounds, so
-    that a run has had its T rounds in `slots` steps; its last step is split
-    at its T-th round, where its mixture is read. Once the stack is full, one
-    mixture comes out for each item taken in, and learning costs the same at
-    every step. When the items run out, the runs left move to the first
-    slots, youngest first, so that each step plays only the runs still in
-    the stack. Only the items in the stack are held in memory. With trace
-    given, each of the first run's rounds appends its HedgeRound.
+    The stack holds at most STACK_RUNS runs. Each step takes the next item
+    into the stack and plays ceil(T / slots) rounds, so that a run has had
+    its T rounds in `slots` steps; its last step is split at its T-th round,
+    where its mixture is read. Once the stack is full, one mixture comes out
+    for each item taken in, and learning costs the same at every step. When
+    the items run out, the runs left move to the first slots, youngest
+    first, so that each step plays only the runs still in the stack. Only
+    the items in the stack are held in memory.
     """
     cfg = cfg or HedgeConfig()
     items = iter(items)
@@ -488,13 +486,11 @@ def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None,
         return
     t0 = time.perf_counter()
     rounds, eta = cfg.resolve(item[1].k, eps)
-    step = -(-rounds // (runs or STACK_RUNS))
+    step = -(-rounds // STACK_RUNS)
     slots = -(-rounds // step)
     # run j enters slot j % slots at step j and leaves `last` rounds into step j + slots - 1
     last = rounds - (slots - 1) * step
     stack = HedgeStack(slots, len(item[2]), item[1].k, eta)
-    # the first run's (choice, weights) of each round, while it is in the stack
-    log = None if trace is None else []
     # the (slot, item) of each run in the stack, oldest first
     queue, loads, steps, spent = deque(), 0, 0, 0.0
     while item is not None or queue:
@@ -506,18 +502,9 @@ def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None,
         # while items come (every slot once the stack is full), youngest first after
         active = len(queue)
         finished = steps >= slots - 1
-        played = None if log is None else []
-        stack.advance(last if finished else step, active, played)
-        if log is not None:
-            first = queue[0][0]
-            log += [(h[first], w[first]) for h, w in played]
+        stack.advance(last if finished else step, active)
         if finished:
             slot, (key, fam, cls) = queue.popleft()
-            if log is not None:
-                errors = stack.errors[slot]
-                trace.extend(HedgeRound(t, int(h), tuple(errors[h].tolist()), tuple(w.tolist()))
-                             for t, (h, w) in enumerate(log))
-                log = None
             mixture = uniform_mixture(cls, stack.counts[slot])
             # a run that leaves while items remain gives its slot to the next
             # item; after, the runs left are the first len(queue) slots
@@ -541,19 +528,27 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, *,
     """Run Hedge for T rounds and return the uniform mixture over the chosen
     hypotheses (duplicate choices merged by summing weights).
 
-    In exact mode the procedure is deterministic: rolling_mixtures runs the
-    |H| x k matrix class_errors(cls, family) in a stack of one. In sampling
+    In exact mode the procedure is deterministic: one run plays the |H| x k
+    matrix class_errors(cls, family) in a HedgeStack of one slot. In sampling
     mode each round tallies cfg.erm_sample_size fresh draws per member from
     the oracle's stream (_tallies, one round at a time), and both the ERM
     and the weight update use the resulting empirical measures.
     """
     cfg = cfg or HedgeConfig()
     fam = oracle.family
-    if oracle.exact:
-        return next(rolling_mixtures([(None, fam, cls)], eps, cfg, 1, trace))[3]
-
     k, n = fam.k, fam.domain_size
     rounds, eta = cfg.resolve(k, eps)
+    if oracle.exact:
+        stack = HedgeStack(1, len(cls), k, eta)
+        stack.load(0, class_errors(cls, fam))
+        log = None if trace is None else []
+        stack.advance(rounds, log=log)
+        if log is not None:
+            errors = stack.errors[0]
+            trace.extend(HedgeRound(t, int(h), tuple(errors[h].tolist()), tuple(w[0].tolist()))
+                         for t, ((h,), w) in enumerate(log))
+        return uniform_mixture(cls, stack.counts[0])
+
     plus = plus_rows(cls.label_matrix)
     m = cfg.erm_sample_size
     w = np.full(k, 1.0 / k)

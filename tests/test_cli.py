@@ -326,6 +326,15 @@ def test_hashcheck_rejects_bad_tail_config_before_any_check(capsys):
         assert err.startswith("multidist: error: ") and message in err
 
 
+def test_hashcheck_names_the_prime_limit_of_the_tail_check(capsys):
+    # next_prime's OverflowError once ended it in a traceback
+    assert main(["hashcheck", "--n", "4611686018427387905", "--draws", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("multidist: error: tail check with n = 4611686018427387905 keys needs a "
+                   "prime above 2^62\n")
+
+
 def test_every_verb_rejects_a_negative_seed_by_its_flag_before_any_work(tmp_path, capsys):
     # numpy refuses a negative seed, so each verb refuses it first, naming the
     # flag, before it prints or writes anything; exact-mode learn, which
@@ -631,6 +640,19 @@ def test_every_written_instance_file_loads(tmp_path):
         serialize.save_classifier(clf, md.ExplicitClassifier(doc["hypotheses"][0]))
         assert main(["eval", str(clf), str(inst)]) == 0
     assert "label_one_prob" in json.loads(written[-1].read_text())["distributions"][0]
+
+
+def test_a_written_spec_states_its_instance_shape(tmp_path):
+    # a gap example's spec once kept the default domain_size and
+    # hypothesis_count, and a probe's the 16 hypotheses of a class of one
+    for argv in (["--kind", "gap_example", "-k", "5", "--domain-size", "40"],
+                 ["--kind", "heavy_point_probe", "--heavy-count", "2"]):
+        path = tmp_path / "inst.json"
+        assert main(["gen", *argv, "-o", str(path)]) == 0
+        fam, cls, spec = serialize.load_instance(path)
+        assert (spec.domain_size, spec.k, spec.hypothesis_count) == \
+            (fam.domain_size, fam.k, len(cls))
+        assert spec == md.GenSpec(**json.loads(path.read_text())["gen_spec"])
 
 
 def test_every_written_instance_file_takes_the_label_route(tmp_path):

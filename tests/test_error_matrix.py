@@ -766,8 +766,9 @@ def test_rolling_mixtures_are_hedge_learn_alone(monkeypatch):
     for block in CHOICE_BLOCKS:
         monkeypatch.setattr(learner, "CHOICE_BLOCK", block)
         for runs in (1, 4, 32):
+            monkeypatch.setattr(learner, "STACK_RUNS", runs)
             got = list(rolling_mixtures(((j, fam, cls) for j, (fam, cls) in enumerate(instances)),
-                                        0.2, cfg, runs))
+                                        0.2, cfg))
             assert [key for key, *_ in got] == list(range(9))
             assert all(seconds >= 0.0 for *_, seconds in got)
             for (j, fam, cls, F, _), G in zip(got, want):
@@ -780,13 +781,10 @@ def test_rolling_mixtures_are_hedge_learn_alone(monkeypatch):
 
 def test_after_the_last_item_a_stack_plays_only_the_runs_left(monkeypatch):
     # it kept playing every slot below min(loads, slots) until the last run
-    # left, the slots of runs that had left included; the first run's trace
-    # follows it when the runs left move to the first slots
+    # left, the slots of runs that had left included
     cfg = md.HedgeConfig()
     instances = [gen_random_label_consistent(md.GenSpec(domain_size=40, k=6, seed=seed))
                  for seed in range(9)]
-    want = []
-    md.hedge_learn(md.SampleOracle(instances[0][0]), instances[0][1], 0.2, cfg=cfg, trace=want)
     advance, mixture = HedgeStack.advance, learner.uniform_mixture
     drained, reads, calls = [], [], []
 
@@ -810,15 +808,14 @@ def test_after_the_last_item_a_stack_plays_only_the_runs_left(monkeypatch):
     # 12 rounds, all 9 are left, 20 steps before the first leaves
     for runs, advances in ((4, 3 * 2), (32, 20 + 9 * 2)):
         drained.clear(), reads.clear(), calls.clear()
-        trace = []
-        got = list(rolling_mixtures(items(), 0.2, cfg, runs, trace))
+        monkeypatch.setattr(learner, "STACK_RUNS", runs)
+        got = list(rolling_mixtures(items(), 0.2, cfg))
         assert [key for key, *_ in got] == list(range(9))
-        assert trace == want
         assert len(calls) == advances
         assert all(active == left for active, left in calls)
 
 
-def test_an_error_matrix_of_another_shape_is_rejected():
+def test_an_error_matrix_of_another_shape_is_rejected(monkeypatch):
     (fam6, cls6), (fam1, cls1) = (
         gen_random_label_consistent(md.GenSpec(domain_size=12, k=k, hypothesis_count=4,
                                                seed=3)) for k in (6, 1))
@@ -827,8 +824,9 @@ def test_an_error_matrix_of_another_shape_is_rejected():
         stack.load(0, md.error_matrix(plus_rows(cls1.label_matrix), fam1))
     # a k = 1 item after a k = 6 one was once broadcast across the six members
     items = [(0, fam6, cls6), (1, fam1, cls1)]
+    monkeypatch.setattr(learner, "STACK_RUNS", 4)
     with pytest.raises(ValueError, match=r"\(4, 1\).*\(4, 6\)"):
-        list(rolling_mixtures(items, 0.3, md.HedgeConfig(), 4))
+        list(rolling_mixtures(items, 0.3, md.HedgeConfig()))
 
 
 def test_exact_hedge_memory_does_not_grow_with_the_rounds():

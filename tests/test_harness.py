@@ -336,8 +336,33 @@ def test_a_campaign_rejects_hash_parameters_every_trial_would_reject():
     gap = md.GenSpec(kind="gap_example", domain_size=2**63, k=4)
     assert md.CampaignConfig(gen_spec=gap, derand=coarse).gen_spec is gap
     with pytest.raises(ValueError, match="needs a hash prime above 2\\^62"):
-        md.CampaignConfig(gen_spec=dataclasses.replace(gap, kind="bayes_in_class"), derand=coarse)
+        md.CampaignConfig(gen_spec=dataclasses.replace(gap, kind="bayes_in_class",
+                                                       domain_size=2**63), derand=coarse)
     assert md.CampaignConfig(gen_spec=md.GenSpec(), derand=coarse).derand is coarse
+
+
+def test_a_campaign_checks_its_kind_seed_and_counts_before_any_trial(monkeypatch):
+    # an unknown kind or a negative seed failed every trial, one error each;
+    # a bool seed or trial count ran as 0 or 1 and was written as true, and
+    # 2.5 trials ended in a TypeError
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "rolling_mixtures", unreachable)
+    with pytest.raises(ValueError, match="unknown generator kind 'nope'"):
+        md.CampaignConfig(gen_spec=md.GenSpec(kind="nope"))
+    for seed, message in ((-1, "master_seed must be >= 0, got -1"),
+                          (True, "master_seed must be an integer, got True"),
+                          (2.5, "master_seed must be an integer, got 2.5")):
+        with pytest.raises(ValueError, match=message):
+            md.CampaignConfig(gen_spec=md.GenSpec(), master_seed=seed)
+    assert type(md.CampaignConfig(gen_spec=md.GenSpec(), master_seed=np.int64(3)).master_seed) \
+        is int
+    cfg = small_campaign()
+    for name in ("trials", "parallelism"):
+        for value in (True, 2.5):
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+                md.run_campaign(cfg, **{"trials": 2, name: value})
 
 
 def test_campaign_through_a_small_rolling_stack_matches_a_wide_one(tmp_path, monkeypatch):

@@ -288,7 +288,7 @@ def test_the_label_route_reads_only_the_top_level_key(tmp_path, rows, cols, plac
     members = [("hypotheses", span)]
     if placement == "string":
         members.append(("gen_spec", json.dumps(dataclasses.asdict(
-            md.GenSpec(kind="hypotheses", domain_size=cols, k=1)))))
+            md.GenSpec(variant="hypotheses", domain_size=cols, k=1)))))
     elif placement == "nested":
         members.append(("gen_spec", json.dumps({"hypotheses": [[1]]})))
     elif placement == "twice":

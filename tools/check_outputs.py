@@ -56,7 +56,9 @@ The suite:
   rounding, more than a block of BLOCK_DRAWS = 32,768: the hash run tallies
   each member in blocks, keeping none of its points;
 - gen --kind gap_example -k 5 and gen --kind bayes_in_class, the instance
-  files;
+  files. A spec records its instance's shape, so gap.json's gen_spec holds
+  domain_size = hypothesis_count = 5, not the flags' defaults 40 and 16, and
+  heavy.json's (the probe above) holds hypothesis_count 1;
 - hashcheck, stdout, at its defaults; at --n 256 --r 6 --draws 70001
   --seed 5 (the first n counted in uint16, p = 257 past the uint8
   differences, and a last block of draws that is partial); and at --n 3000
