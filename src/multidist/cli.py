@@ -245,7 +245,7 @@ def cmd_trial(args) -> int:
 
 
 def cmd_hashcheck(args) -> int:
-    tail_cfg = TailCheckConfig(n=args.n, r=args.r, draws=args.draws, seed=args.seed).resolved()
+    tail_cfg = TailCheckConfig(n=args.n, r=args.r, draws=args.draws, seed=args.seed)
     failures = []
 
     # exhaustive pairwise independence at p=5 (all coefficient pairs, all key pairs)

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import (RandomizedClassifier, check_eps_delta, frozen_pins, integer_array,
-                    is_positive_real, require_integer)
+                    require_integer)
 
 PRIME_LIMIT = 1 << 62
 # Values per block of the tail check, small enough to stay in cache. In hash
@@ -29,6 +29,10 @@ PRIME_LIMIT = 1 << 62
 # n <= 126), 512 KiB in uint16. In independent mode it holds n hash values per
 # draw, in int64.
 TAIL_BLOCK_VALUES = 1 << 18
+# Most keys of the tail check. Its histogram has n + 1 bins and an
+# independent-mode block holds the n values of a draw, so memory grows with
+# n whatever the draws; under this limit the derived prime stays below 2^21.
+TAIL_KEYS_LIMIT = 1 << 20
 # Most consecutive keys in one run of the hash-mode tail check: a block takes
 # at most this many Python steps, whatever n is. Fewer keys per run means more
 # runs, so more seeds to evaluate; more means more steps on narrower arrays.
@@ -262,6 +266,22 @@ def _difference_counts(rng: np.random.Generator, cfg: "TailCheckConfig") -> np.n
     return counts
 
 
+def _independent_counts(rng: np.random.Generator, cfg: "TailCheckConfig") -> np.ndarray:
+    """The tail check's independent-mode histogram: how many of cfg.draws
+    draws of n values uniform in [0, prime), drawn from rng as one (draws, n)
+    call would draw them, give each count Z = #{x < n : value_x < threshold}.
+    A block holds about TAIL_BLOCK_VALUES values, n per draw."""
+    n, p, thr = cfg.n, cfg.prime, cfg.threshold
+    count_dtype = np.min_scalar_type(n)  # a count is at most n
+    block = max(1, TAIL_BLOCK_VALUES // n)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for start in range(0, cfg.draws, block):
+        values = rng.integers(0, p, size=(min(block, cfg.draws - start), n))
+        z = np.add.reduce(np.less(values.T, thr).view(np.uint8), axis=0, dtype=count_dtype)
+        counts += np.bincount(z, minlength=n + 1)
+    return counts
+
+
 def plus_probability(marginal: float, p: int) -> Fraction:
     """Exact law of the hash rounding: floor(marginal * p) / p.
 
@@ -370,55 +390,45 @@ def limited_independence_tail_bound(t: float, r: int, q_cap: float) -> float:
 @dataclass(frozen=True)
 class TailCheckConfig:
     """Monte-Carlo setup for checking the limited-independence tail bound on
-    hash-derived indicators Z_x = 1{q(x) < threshold}."""
+    hash-derived indicators Z_x = 1{q(x) < threshold} over the keys 0..n-1.
+    Integral floats are taken as ints; a config the check cannot run (n=True,
+    2.5 draws, a negative seed, an odd r in hash mode) is a ValueError when
+    built. The prime is the smallest above n, the threshold prime // 2 and
+    the deviations T (0.5, 1, 2) * sqrt(n)."""
 
     n: int = 64
     r: int = 4
     draws: int = 100_000
-    t_values: tuple[float, ...] = ()
-    prime: int | None = None
-    threshold: int | None = None
     independent: bool = False  # fresh randomness per point instead of one hash
     seed: int = 0
 
-    def resolved(self) -> "TailCheckConfig":
-        """This config with its defaults filled in, its integer fields as ints
-        (67.0 is 67) and its t values as a tuple, so it hashes; raises
-        ValueError on a config the check cannot run, such as a threshold of
-        33.5, n=True, a negative seed or a t value of 0 or NaN, before any
-        work is done."""
-        n = require_integer(self.n, "tail-check n")
-        r = require_integer(self.r, "tail-check degree r")
-        draws = require_integer(self.draws, "tail-check draws")
-        seed = require_integer(self.seed, "tail-check seed")
-        if n < 1:
-            raise ValueError(f"tail check needs n >= 1 keys, got {n}")
-        if draws < 1:
-            raise ValueError(f"tail check needs draws >= 1, got {draws}")
-        if seed < 0:
-            raise ValueError(f"tail-check seed must be >= 0, got {seed}")
-        if not self.independent and (r < 2 or r % 2 != 0):
-            raise ValueError(f"tail-check degree r must be an even integer >= 2, got {r}")
-        if self.prime is not None:
-            p = require_integer(self.prime, "tail-check prime")
-        else:
-            try:  # next_prime overflows past PRIME_LIMIT
-                p = next_prime(n + 1)
-            except OverflowError:
-                raise ValueError(f"tail check with n = {n} keys needs a prime above 2^62") from None
-        thr = (require_integer(self.threshold, "tail-check threshold")
-               if self.threshold is not None else p // 2)
-        if p >= PRIME_LIMIT or not is_prime(p):
-            raise ValueError(f"tail-check prime {p} is not a prime below 2^62")
-        if p <= n:
-            raise ValueError("prime must exceed the number of keys")
-        if not 0 <= thr <= p:
-            raise ValueError(f"threshold {thr} outside [0, {p}]")
-        ts = tuple(self.t_values) or tuple(c * math.sqrt(n) for c in (0.5, 1.0, 2.0))
-        for t in ts:
-            if not is_positive_real(t):
-                raise ValueError(f"tail-check t values must be finite positive numbers, got {t!r}")
-        return TailCheckConfig(n, r, draws, ts, p, thr, self.independent, seed)
+    def __post_init__(self):
+        for name, label in (("n", "n"), ("r", "degree r"), ("draws", "draws"), ("seed", "seed")):
+            value = require_integer(getattr(self, name), f"tail-check {label}")
+            object.__setattr__(self, name, value)
+        if self.n < 1:
+            raise ValueError(f"tail check needs n >= 1 keys, got {self.n}")
+        if self.n > TAIL_KEYS_LIMIT:
+            raise ValueError(f"tail check takes at most TAIL_KEYS_LIMIT = 2^20 keys, "
+                             f"got n = {self.n}")
+        if self.draws < 1:
+            raise ValueError(f"tail check needs draws >= 1, got {self.draws}")
+        if self.seed < 0:
+            raise ValueError(f"tail-check seed must be >= 0, got {self.seed}")
+        if not self.independent and (self.r < 2 or self.r % 2 != 0):
+            raise ValueError(f"tail-check degree r must be an even integer >= 2, got {self.r}")
+
+    @cached_property
+    def prime(self) -> int:
+        return next_prime(self.n + 1)
+
+    @property
+    def threshold(self) -> int:
+        return self.prime // 2
+
+    @property
+    def t_values(self) -> tuple[float, ...]:
+        return tuple(c * math.sqrt(self.n) for c in (0.5, 1.0, 2.0))
 
 
 @dataclass(frozen=True)
@@ -449,36 +459,22 @@ def empirical_tail_bound_check(cfg: TailCheckConfig) -> TailCheckReport:
 
     The draws stream in blocks of about TAIL_BLOCK_VALUES values: in hash
     mode, forward differences along runs of keys (_difference_counts); in
-    independent mode, the hash values themselves. A block's counts Z, in the
-    narrowest unsigned dtype that holds n, are tallied into a histogram of
-    the n + 1 values Z takes, so memory is O(n + block) whatever the number
-    of draws. A row's frequency sums the bins k with |k - mu| >= T, exactly
-    as one Z per draw would give it: the same float64 k - mu, one division.
+    independent mode, the values themselves (_independent_counts). A block's
+    counts Z, in the narrowest unsigned dtype that holds n, are tallied into
+    a histogram of the n + 1 values Z takes, so memory is O(n + block)
+    whatever the number of draws. A row's frequency sums the bins k with
+    |k - mu| >= T, exactly as one Z per draw would give it: the same float64
+    k - mu, one division.
 
     Each indicator has exactly known mean threshold/p, so mu and sigma^2 are
     exact. A row fails only if the observed frequency exceeds the bound by
     more than 3 binomial standard errors.
     """
-    cfg = cfg.resolved()
-    p, thr = cfg.prime, cfg.threshold
     rng = np.random.default_rng(cfg.seed)
-    mu_one = thr / p
+    mu_one = cfg.threshold / cfg.prime
     mean = cfg.n * mu_one
     variance = cfg.n * mu_one * (1.0 - mu_one)
-
-    # Chunked int64 draws continue the generator's stream exactly, so the
-    # blocks see the same values as one (draws, r) or (draws, n) call would.
-    if cfg.independent:
-        count_dtype = np.min_scalar_type(cfg.n)  # a count is at most n
-        block = max(1, TAIL_BLOCK_VALUES // cfg.n)
-        counts = np.zeros(cfg.n + 1, dtype=np.int64)
-        for start in range(0, cfg.draws, block):
-            values = rng.integers(0, p, size=(min(block, cfg.draws - start), cfg.n))
-            z = np.add.reduce(np.less(values.T, thr).view(np.uint8), axis=0, dtype=count_dtype)
-            counts += np.bincount(z, minlength=cfg.n + 1)
-    else:
-        counts = _difference_counts(rng, cfg)
-
+    counts = (_independent_counts if cfg.independent else _difference_counts)(rng, cfg)
     deviation = np.abs(np.arange(cfg.n + 1) - mean)
     rows = []
     for t in cfg.t_values:

@@ -88,6 +88,8 @@ class GenSpec:
             raise ValueError("counts must be positive")
         if self.heavy_count < 0:
             raise ValueError(f"heavy_count must be nonnegative, got {self.heavy_count}")
+        if self.kind == "gap_example" and self.k < 2:
+            raise ValueError("the gap example needs k >= 2")
         # an instance file's integers must fit in 64 bits to load again
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
@@ -106,6 +108,13 @@ class GenSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 0.5:
                 raise ValueError(f"{name} must lie in [0, 1/2], got {v}")
+        if self.kind == "heavy_point_probe":
+            if self.heavy_count >= self.domain_size:
+                raise ValueError("a heavy point probe needs at least one light point")
+            if self.heavy_count > 0 and self.heavy_beta <= 0.0:
+                raise ValueError("heavy points need heavy_beta > 0")
+            if self.heavy_count > 0 and self.heavy_mass * self.heavy_count > 1.0:
+                raise ValueError("heavy masses exceed total probability")
         for name in ("eps", "delta", "c_prime"):  # no reader takes json's NaN or Infinity
             if not math.isfinite(v := getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {v}")
@@ -185,15 +194,6 @@ def gen_heavy_point_probe(spec: GenSpec) -> DistributionFamily:
     """
     rng = np.random.default_rng(spec.seed)
     n, k, h = spec.domain_size, spec.k, spec.heavy_count
-    if h > n:
-        raise ValueError("more heavy points than domain points")
-    if h > 0 and spec.heavy_mass * h > 1.0:
-        raise ValueError("heavy masses exceed total probability")
-    if h > 0 and not 0.0 < spec.heavy_beta <= 0.5:
-        raise ValueError("heavy_beta must lie in (0, 1/2]")
-    if h >= n:
-        raise ValueError("need at least one light point")
-
     heavy_points = np.arange(h)
     light_points = np.arange(h, n)
 

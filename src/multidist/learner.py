@@ -253,15 +253,15 @@ class SampleOracle:
              rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Draw i.i.d. (x, y) pairs from one member. A sampling oracle always
         uses its own stream; an exact oracle synthesizes draws from the known
-        masses with the caller's rng: inverse-CDF over the member's masses,
-        then a conditional label coin per draw."""
+        masses with the caller's rng: inverse-CDF over the member's row of the
+        bucket table fam keeps, then a conditional label coin per draw."""
         if self.rng is not None:
             rng = self.rng
         elif rng is None:
             raise ValueError("exact-mode draws need the caller's rng")
         fam = self.family
-        cells, plus = _draw(_bucket_table(fam.mass_matrix[member_index][None]),
-                            fam.label_prob_matrix[member_index][None], size, rng)
+        table = tuple(array[member_index][None] for array in _family_table(fam))
+        cells, plus = _draw(table, fam.label_prob_matrix[member_index][None], size, rng)
         return cells[0, 0].astype(np.int64), plus[0, 0].view(np.int8) * np.int8(2) - np.int8(1)
 
 

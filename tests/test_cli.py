@@ -327,12 +327,14 @@ def test_hashcheck_rejects_bad_tail_config_before_any_check(capsys):
 
 
 def test_hashcheck_names_the_prime_limit_of_the_tail_check(capsys):
-    # next_prime's OverflowError once ended it in a traceback
-    assert main(["hashcheck", "--n", "4611686018427387905", "--draws", "1"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == ("multidist: error: tail check with n = 4611686018427387905 keys needs a "
-                   "prime above 2^62\n")
+    # past 2^62 keys next_prime's OverflowError once ended it in a traceback,
+    # and below it the check allocated a histogram of n + 1 bins
+    for n in ("4611686018427387905", "1048577"):
+        assert main(["hashcheck", "--n", n, "--draws", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("multidist: error: tail check takes at most TAIL_KEYS_LIMIT = 2^20 keys, "
+                       f"got n = {n}\n")
 
 
 def test_every_verb_rejects_a_negative_seed_by_its_flag_before_any_work(tmp_path, capsys):

@@ -310,8 +310,8 @@ def test_oracle_draw_matches_the_former_draw():
         got = md.SampleOracle(fam).draw(i, 5000, np.random.default_rng(seed))
         want = loop_draw(member, 5000, np.random.default_rng(seed))
         assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
-    # masses summing to a little under 1, which no family holds, through the
-    # oracle's own table and draw: some uniforms land past the last
+    # masses summing to a little under 1, which no family holds, through a
+    # one-member table and draw: some uniforms land past the last
     # cumulative mass and are clipped to the last point
     short = np.array([0.25, 0.25, 0.5 - 1e-3]), np.array([0.1, 0.9, 0.5])
     cells, plus = _draw(_bucket_table(short[0][None]), short[1][None], 5000,

@@ -365,6 +365,27 @@ def test_a_campaign_checks_its_kind_seed_and_counts_before_any_trial(monkeypatch
                 md.run_campaign(cfg, **{"trials": 2, name: value})
 
 
+def test_a_campaign_checks_its_spec_shape_before_any_trial(monkeypatch):
+    # the first two specs once built and then failed every trial in their
+    # generators, one error each
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "rolling_mixtures", unreachable)
+    probe = "heavy_point_probe"
+    for fields, message in (
+            ({"kind": "gap_example", "k": 1}, "the gap example needs k >= 2"),
+            ({"kind": probe, "domain_size": 3, "heavy_count": 5}, "at least one light point"),
+            ({"kind": probe, "domain_size": 3, "heavy_count": 3}, "at least one light point"),
+            ({"kind": probe, "heavy_count": 2, "heavy_beta": 0.0}, "heavy_beta > 0"),
+            ({"kind": probe, "heavy_count": 5}, "heavy masses exceed total probability")):
+        with pytest.raises(ValueError, match=message):
+            md.CampaignConfig(gen_spec=md.GenSpec(**fields))
+    # an all-light probe takes any heavy_beta, and the smallest gap is k = 2
+    md.CampaignConfig(gen_spec=md.GenSpec(kind=probe, domain_size=1, heavy_beta=0.0))
+    md.CampaignConfig(gen_spec=md.GenSpec(kind="gap_example", k=2))
+
+
 def test_campaign_through_a_small_rolling_stack_matches_a_wide_one(tmp_path, monkeypatch):
     cfg = small_campaign(seed=7)
     monkeypatch.setattr(learner, "STACK_RUNS", 64)

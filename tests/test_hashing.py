@@ -15,6 +15,7 @@ from multidist import hashing
 from multidist.hashing import (
     PRIME_LIMIT,
     TAIL_BLOCK_VALUES,
+    TAIL_KEYS_LIMIT,
     TAIL_RUN_KEYS,
     TailCheckReport,
     TailCheckRow,
@@ -587,13 +588,6 @@ def test_tail_bound_formula():
         limited_independence_tail_bound(1.0, 3, 4.0)
 
 
-def test_tail_check_impossible_deviation():
-    report = md.empirical_tail_bound_check(md.TailCheckConfig(
-        n=64, r=4, draws=2000, t_values=(64.0,), seed=0))
-    assert report.rows[0].observed == 0.0
-    assert report.rows[0].ok
-
-
 def test_tail_check_hash_mode_within_bound():
     report = md.empirical_tail_bound_check(md.TailCheckConfig(
         n=64, r=4, draws=30_000, seed=1))
@@ -606,7 +600,7 @@ def test_tail_check_hash_mode_within_bound():
 
 
 def exact_z_distribution(cfg: md.TailCheckConfig) -> list[Fraction]:
-    """Pr[Z = z] for z = 0..n, exactly, for the resolved config's indicators
+    """Pr[Z = z] for z = 0..n, exactly, for the config's indicators
     Z_x = 1{q(x) < threshold} over the keys 0..n-1.
 
     Hash mode enumerates every polynomial of degree < r mod p: for each
@@ -651,45 +645,21 @@ def test_tail_check_matches_the_exact_tail(n, r, independent):
         assert abs(row.observed - exact) <= 4 * math.sqrt(exact * (1 - exact) / cfg.draws)
 
 
-def test_tail_check_rejects_composite_prime():
-    with pytest.raises(ValueError, match="65 is not a prime"):
-        md.empirical_tail_bound_check(md.TailCheckConfig(n=16, prime=65, draws=10))
-
-
-def test_tail_check_rejects_prime_at_or_above_limit():
-    assert sympy.isprime(PRIME_LIMIT + 135)
-    with pytest.raises(ValueError, match="not a prime below 2\\^62"):
-        md.empirical_tail_bound_check(md.TailCheckConfig(n=16, prime=PRIME_LIMIT + 135,
-                                                         draws=10))
-
-
-def test_tail_check_rejects_threshold_outside_range():
-    for threshold in (-1, 18):
-        with pytest.raises(ValueError, match="threshold"):
-            md.empirical_tail_bound_check(md.TailCheckConfig(n=16, prime=17, threshold=threshold,
-                                                             draws=10))
-
-
 def test_tail_check_rejects_non_integer_fields():
-    # threshold 33.5 would count q < 33.5, so the true mean is 34 * 64 / 67,
-    # not the reported 64 * 33.5 / 67 = 32.0; n=True would run with one key
-    cases = [("threshold", 33.5, "threshold"), ("n", True, "n"), ("n", 16.5, "n"),
-             ("draws", 10.5, "draws"), ("r", 4.5, "degree r"), ("prime", 67.5, "prime"),
-             ("seed", 0.5, "seed"), ("draws", "10", "draws"), ("threshold", True, "threshold")]
+    # n=True would run with one key
+    cases = [("n", True, "n"), ("n", 16.5, "n"), ("draws", 10.5, "draws"),
+             ("r", 4.5, "degree r"), ("seed", 0.5, "seed"), ("draws", "10", "draws")]
     for field, value, name in cases:
-        cfg = md.TailCheckConfig(**{"n": 64, "draws": 10, field: value})
         with pytest.raises(ValueError, match=f"tail-check {name} must be an integer, got {value!r}"):
-            md.empirical_tail_bound_check(cfg)
+            md.TailCheckConfig(**{"n": 64, "draws": 10, field: value})
 
 
 def test_tail_check_takes_integral_floats_as_ints():
-    as_floats = md.TailCheckConfig(n=64.0, r=4.0, draws=500.0, prime=67.0, threshold=33.0,
-                                   seed=3.0)
-    as_ints = md.TailCheckConfig(n=64, r=4, draws=500, prime=67, threshold=33, seed=3)
-    resolved = as_floats.resolved()
-    assert resolved == as_ints.resolved()
-    assert all(type(v) is int for v in (resolved.n, resolved.r, resolved.draws, resolved.prime,
-                                        resolved.threshold, resolved.seed))
+    as_floats = md.TailCheckConfig(n=64.0, r=4.0, draws=500.0, seed=3.0)
+    as_ints = md.TailCheckConfig(n=64, r=4, draws=500, seed=3)
+    assert as_floats == as_ints
+    assert all(type(v) is int for v in (as_floats.n, as_floats.r, as_floats.draws,
+                                        as_floats.prime, as_floats.threshold, as_floats.seed))
     assert md.empirical_tail_bound_check(as_floats) == md.empirical_tail_bound_check(as_ints)
 
 
@@ -701,21 +671,6 @@ def test_tail_check_rejects_odd_or_zero_degree_before_any_work(monkeypatch):
     for r in (3, 0, -2):
         with pytest.raises(ValueError, match=f"degree r must be an even integer >= 2, got {r}"):
             md.empirical_tail_bound_check(md.TailCheckConfig(n=16, r=r, draws=1000))
-
-
-def test_tail_check_rejects_bad_t_values_before_any_work(monkeypatch):
-    # unchecked, "a" would fail after every draw, NaN would give a row with a
-    # NaN bound, and a t of 0 or below would pass with a bound of inf
-    def no_evaluation(*args):
-        raise AssertionError("the hashes were evaluated before the config was checked")
-
-    monkeypatch.setattr(md.hashing, "coefficient_matrix_eval", no_evaluation)
-    for t in ("a", math.nan, math.inf, -math.inf, -1.0, 0.0, 0, True, np.bool_(True), None, 1j):
-        cfg = md.TailCheckConfig(n=16, draws=1000, t_values=(2.0, t))
-        with pytest.raises(ValueError, match="t values must be finite positive numbers"):
-            md.empirical_tail_bound_check(cfg)
-    resolved = md.TailCheckConfig(n=16, t_values=(3, 2.5, np.float64(4.0), np.int64(5))).resolved()
-    assert resolved.t_values == (3, 2.5, 4.0, 5)
 
 
 def test_tail_check_rejects_no_draws():
@@ -730,8 +685,58 @@ def test_tail_check_rejects_no_keys():
             md.empirical_tail_bound_check(md.TailCheckConfig(n=n, draws=100))
 
 
+def test_tail_config_takes_at_most_tail_keys_limit_keys(monkeypatch):
+    # only built, never run: a check at 2^20 keys would take seconds
+    def no_evaluation(*args):
+        raise AssertionError("the hashes were evaluated to check a config")
+
+    monkeypatch.setattr(md.hashing, "coefficient_matrix_eval", no_evaluation)
+    assert TAIL_KEYS_LIMIT == 2**20
+    cfg = md.TailCheckConfig(n=TAIL_KEYS_LIMIT, draws=1)
+    assert cfg.prime == next_prime(TAIL_KEYS_LIMIT + 1) < 2**21
+    with pytest.raises(ValueError, match=r"at most TAIL_KEYS_LIMIT = 2\^20 keys, got n = 1048577$"):
+        md.TailCheckConfig(n=TAIL_KEYS_LIMIT + 1, draws=1)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Counted:
+    """What the histogram builders read of a TailCheckConfig, at any prime
+    and threshold."""
+
+    n: int
+    r: int
+    draws: int
+    prime: int
+    threshold: int
+    independent: bool = False
+    seed: int = 0
+
+
+def _streamed_counts(cfg) -> np.ndarray:
+    """The histogram the tail check streams for cfg, from its seed."""
+    counts = hashing._independent_counts if cfg.independent else hashing._difference_counts
+    return counts(np.random.default_rng(cfg.seed), cfg)
+
+
+def _one_shot_z(cfg) -> np.ndarray:
+    """Each draw's count Z with every draw in one matrix: one rng call, then
+    the whole (draws, n) matrix of values."""
+    p = cfg.prime
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.independent:
+        values = rng.integers(0, p, size=(cfg.draws, cfg.n))
+    else:
+        values = coefficient_matrix_eval(rng.integers(0, p, size=(cfg.draws, cfg.r)),
+                                         np.arange(cfg.n), p)
+    return (values < cfg.threshold).sum(axis=1)
+
+
+def _one_shot_counts(cfg) -> np.ndarray:
+    return np.bincount(_one_shot_z(cfg), minlength=cfg.n + 1)
+
+
 def _report_from_counts(cfg: md.TailCheckConfig, z: np.ndarray) -> TailCheckReport:
-    """The report of a resolved config from its per-draw counts z."""
+    """The report of a config from its per-draw counts z."""
     mu_one = cfg.threshold / cfg.prime
     mean, variance = cfg.n * mu_one, cfg.n * mu_one * (1.0 - mu_one)
     rows = []
@@ -748,33 +753,19 @@ def _report_from_counts(cfg: md.TailCheckConfig, z: np.ndarray) -> TailCheckRepo
 
 
 def _one_shot_report(cfg: md.TailCheckConfig) -> TailCheckReport:
-    """The tail check with every draw in one matrix: one rng call, the whole
-    (draws, n) matrix of hash values, then the same rows."""
-    cfg = cfg.resolved()
-    p, thr = cfg.prime, cfg.threshold
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.independent:
-        values = rng.integers(0, p, size=(cfg.draws, cfg.n))
-    else:
-        values = coefficient_matrix_eval(rng.integers(0, p, size=(cfg.draws, cfg.r)),
-                                         np.arange(cfg.n), p)
-    return _report_from_counts(cfg, (values < thr).sum(axis=1))
+    """The tail check with every draw in one matrix, then the same rows."""
+    return _report_from_counts(cfg, _one_shot_z(cfg))
 
 
 @pytest.mark.parametrize("prime", [67, 191, 46349])
 def test_tail_check_counts_match_python_int_horner(prime):
-    # the same draws as the check, each hash evaluated in Python integers; the
-    # t values are every deviation |z - mean| the reference reaches, so equal
-    # reports mean equal histograms of the deviations
+    # the same draws as the check, each hash evaluated in Python integers
     n, draws = 16, 400
-    cfg = md.TailCheckConfig(n=n, r=4, draws=draws, prime=prime, seed=prime).resolved()
+    cfg = _Counted(n, 4, draws, prime, prime // 2, seed=prime)
     coeffs = np.random.default_rng(cfg.seed).integers(0, prime, size=(draws, cfg.r)).tolist()
-    z = np.array([sum(_horner(row, x, prime) < cfg.threshold for x in range(n)) for row in coeffs])
-    deviations = tuple(sorted({float(d) for d in np.abs(z - n * cfg.threshold / prime)}))
-    assert len(deviations) > 3
-    cfg = md.TailCheckConfig(n=n, r=4, draws=draws, t_values=deviations, prime=prime,
-                             seed=prime).resolved()
-    assert md.empirical_tail_bound_check(cfg) == _report_from_counts(cfg, z)
+    z = [sum(_horner(row, x, prime) < cfg.threshold for x in range(n)) for row in coeffs]
+    assert len(set(z)) > 3
+    assert np.array_equal(_streamed_counts(cfg), np.bincount(z, minlength=n + 1))
 
 
 @pytest.mark.parametrize("independent", [False, True])
@@ -791,10 +782,15 @@ def test_tail_check_counts_match_python_int_horner(prime):
     (256, 3000, None),          # the first n counted in uint16
 ])
 def test_streamed_tail_check_equals_one_shot(n, draws, prime, independent):
+    # a prime that is not n's, such as 2^40 + 15 at n = 64, is reached
+    # through the histogram builders
     assert TAIL_BLOCK_VALUES == 2**18
-    cfg = md.TailCheckConfig(n=n, r=4, draws=draws, prime=prime, independent=independent,
-                             seed=draws + n)
-    assert md.empirical_tail_bound_check(cfg) == _one_shot_report(cfg)
+    if prime is None:
+        cfg = md.TailCheckConfig(n=n, r=4, draws=draws, independent=independent, seed=draws + n)
+        assert md.empirical_tail_bound_check(cfg) == _one_shot_report(cfg)
+    else:
+        cfg = _Counted(n, 4, draws, prime, prime // 2, independent, seed=draws + n)
+        assert np.array_equal(_streamed_counts(cfg), _one_shot_counts(cfg))
 
 
 @pytest.mark.parametrize("independent", [False, True])
@@ -804,10 +800,9 @@ def test_streamed_tail_check_counts_reach_n_at_the_count_dtype_switch(n, thresho
     # threshold p every count is n, at p - 1 about a third of them at n = 256,
     # so a count type too narrow for n wraps
     assert np.min_scalar_type(255) == np.uint8 and np.min_scalar_type(256) == np.uint16
-    cfg = md.TailCheckConfig(n=n, r=4, draws=3000, threshold=threshold, independent=independent,
-                             seed=n)
-    assert cfg.resolved().prime == 257
-    assert md.empirical_tail_bound_check(cfg) == _one_shot_report(cfg)
+    assert md.TailCheckConfig(n=n).prime == 257
+    cfg = _Counted(n, 4, 3000, 257, threshold, independent, seed=n)
+    assert np.array_equal(_streamed_counts(cfg), _one_shot_counts(cfg))
 
 
 # primes at each end of the difference count's unsigned dtypes, each of which
@@ -823,20 +818,16 @@ DIFFERENCE_BAND_PRIMES = (2, 67, 127, 131, 257, 32749, 32771, 2**31 - 1, 2147483
 def test_difference_counts_match_the_one_shot_oracle(data, p, r, block_values):
     # n = 1, n < r and n = p - 1 (seed keys past p wrap to 0, 1, ...), and n
     # across several runs of nearly equal length; small blocks give partial
-    # last blocks; the t values are every deviation |z - mean| a count z can
-    # reach, so equal reports mean equal histograms of the deviations
+    # last blocks
     edges = [1, min(r - 1, p - 1)] + ([p - 1] if p < 300 else [])
     n = data.draw(st.sampled_from(edges) | st.integers(1, min(p - 1, 3 * TAIL_RUN_KEYS + 5)))
     threshold = data.draw(st.sampled_from([0, p]) | st.integers(0, p))
     draws = data.draw(st.integers(1, 40))
-    mean = n * threshold / p
-    ts = tuple(sorted({abs(z - mean) for z in range(n + 1)} - {0.0}))
-    cfg = md.TailCheckConfig(n=n, r=r, draws=draws, t_values=ts or (1.0,), prime=p,
-                             threshold=threshold, seed=data.draw(st.integers(0, 2**32)))
+    cfg = _Counted(n, r, draws, p, threshold, seed=data.draw(st.integers(0, 2**32)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(md.hashing, "TAIL_BLOCK_VALUES", block_values)
-        report = md.empirical_tail_bound_check(cfg)
-    assert report == _one_shot_report(cfg)
+        counts = _streamed_counts(cfg)
+    assert np.array_equal(counts, _one_shot_counts(cfg))
 
 
 def test_wide_shallow_tail_check_seeds_each_run_not_each_key(monkeypatch):
@@ -860,11 +851,10 @@ def test_wide_shallow_tail_check_seeds_each_run_not_each_key(monkeypatch):
 
 
 def test_resolved_tail_config_is_hashable_with_its_t_values_as_a_tuple():
-    listed = md.TailCheckConfig(n=16, draws=100, t_values=[2.0])
-    resolved = listed.resolved()
-    assert resolved.t_values == (2.0,)
-    assert hash(resolved) == hash(md.TailCheckConfig(n=16, draws=100, t_values=(2.0,)).resolved())
-    assert md.empirical_tail_bound_check(listed).config == resolved
+    cfg = md.TailCheckConfig(n=16, draws=100)
+    assert cfg.t_values == (2.0, 4.0, 8.0)
+    assert hash(cfg) == hash(md.TailCheckConfig(n=16.0, draws=100))
+    assert md.empirical_tail_bound_check(cfg).config is cfg
 
 
 def test_tail_check_rejects_a_negative_seed_before_any_work(monkeypatch):
@@ -873,9 +863,8 @@ def test_tail_check_rejects_a_negative_seed_before_any_work(monkeypatch):
 
     monkeypatch.setattr(md.hashing, "coefficient_matrix_eval", no_evaluation)
     for independent in (False, True):
-        cfg = md.TailCheckConfig(n=16, draws=100, independent=independent, seed=-1)
         with pytest.raises(ValueError, match="tail-check seed must be >= 0, got -1"):
-            md.empirical_tail_bound_check(cfg)
+            md.TailCheckConfig(n=16, draws=100, independent=independent, seed=-1)
 
 
 def test_tail_check_memory_does_not_grow_with_draws():

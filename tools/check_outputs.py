@@ -7,7 +7,7 @@
 A tree runs the suite below in one fresh interpreter, with that tree's src
 first on PYTHONPATH, in an empty work directory of its own, so every output
 path is the same relative path in every run (eval.csv's path columns match).
-It leaves 77 files; a command's stdout and stderr, followed by its exit code,
+It leaves 78 files; a command's stdout and stderr, followed by its exit code,
 are kept as <name>.out. --check runs the suite on the tree holding this
 script and compares the SHA-256 digest of each file with tools/outputs.sha256,
 one "name digest" line per output; --write writes that file from the same
@@ -61,9 +61,10 @@ The suite:
   heavy.json's (the probe above) holds hypothesis_count 1;
 - hashcheck, stdout, at its defaults; at --n 256 --r 6 --draws 70001
   --seed 5 (the first n counted in uint16, p = 257 past the uint8
-  differences, and a last block of draws that is partial); and at --n 3000
+  differences, and a last block of draws that is partial); at --n 3000
   --r 4 --draws 40 --seed 7 (p = 3001, differences in uint16, over 47 runs
-  of 64 and 63 keys);
+  of 64 and 63 keys); and at --n 1048577 --draws 1, one key past
+  TAIL_KEYS_LIMIT, rejected with exit 2 before any check;
 - disc gen (planted zero, n = 12), then solve, reduce and distinguish (with
   the planted coloring) on that matrix.
 
@@ -233,6 +234,7 @@ def run_suite(tree: Path) -> None:
          "--seed", "5")
     verb("hashcheck_n3000", "hashcheck", "--n", "3000", "--r", "4", "--draws", "40",
          "--seed", "7")
+    verb("hashcheck_n1048577", "hashcheck", "--n", "1048577", "--draws", "1")
     planted = verb("disc_gen", "disc", "gen", "--n", "12", "--planted", "zero", "--seed", "2",
                    "-o", "A.txt")
     # a tree that prints no planted coloring still runs distinguish; disc_gen.out
