@@ -20,15 +20,16 @@ eps = delta = 0.15
 spec = md.GenSpec(domain_size=40, k=6, hypothesis_count=16, seed=5)
 fam, cls, _ = md.generate(spec)
 
-r, p = md.choose_hash_params(fam.k, eps, delta, fam.domain_size)
+cfg = md.DerandConfig(eps=eps, delta=delta, mode="calibrated", m_override=5000,
+                      rounding="hash")
+plan = md.RunPlan(fam.k, fam.domain_size, cfg)
+r, p = plan.hash_params
 print(f"hash parameters for k={fam.k}, eps={eps}, delta={delta}, |X|={fam.domain_size}:")
 print(f"  degree r = {r} (smallest even integer >= 2 ln(4k/delta))")
 print(f"  prime p = {p} (exceeds the domain and both range-size floors)\n")
 
-cfg = md.DerandConfig(eps=eps, delta=delta, mode="calibrated", m_override=5000,
-                      rounding="hash")
-f_rand = md.hedge_learn(md.SampleOracle(fam), cls, cfg.learner_eps())
-result = md.derandomize(fam, f_rand, cfg, np.random.default_rng(3))
+f_rand = md.hedge_learn(md.SampleOracle(fam), cls, plan.learner_eps)
+result = md.derandomize(fam, f_rand, plan, np.random.default_rng(3))
 clf = result.classifier
 print(f"compact classifier: polynomial of {clf.hash.degree_r} coefficients mod {clf.hash.prime}, "
       f"table of {len(clf.t_points)} pinned labels, mixture of {len(clf.f_rand.support)} hypotheses")
@@ -60,7 +61,8 @@ errs = {}
 for rounding in ("explicit", "hash"):
     cfg_r = md.DerandConfig(eps=eps, delta=delta, mode="calibrated", m_override=5000,
                             rounding=rounding)
-    runs = [md.run_trial(fam, cls, f_rand, cfg_r, seed=s, measure_time=False)
+    plan_r = md.RunPlan(fam.k, fam.domain_size, cfg_r)
+    runs = [md.run_trial(fam, cls, f_rand, plan_r, seed=s, measure_time=False)
             for s in range(60)]
     errs[rounding] = np.mean([t.deterministic_error for t, _ in runs])
 print(f"\nmean worst-case error over 60 seeds: explicit {errs['explicit']:.4f}, "

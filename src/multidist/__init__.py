@@ -29,6 +29,7 @@ from .learner import (
 )
 from .derand import (
     DerandConfig,
+    RunPlan,
     BiasTable,
     DerandResult,
     build_bias_table,
@@ -39,7 +40,6 @@ from .hashing import (
     PolyHash,
     CompactClassifier,
     plus_probability,
-    choose_hash_params,
     TailCheckConfig,
     TailCheckReport,
     empirical_tail_bound_check,

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .derand import DerandConfig
+from .derand import DerandConfig, RunPlan
 from .discrepancy import (
     ReductionFamily,
     Verdict,
@@ -52,7 +52,6 @@ from .harness import (
 from .hashing import (
     TailCheckConfig,
     _plus_thresholds,
-    choose_hash_params,
     coefficient_matrix_eval,
     empirical_tail_bound_check,
 )
@@ -151,17 +150,12 @@ def cmd_learn(args) -> int:
 
 def cmd_derand(args) -> int:
     fam, cls, _ = serialize.load_instance(args.instance)
-    derand_cfg = _derand_cfg(args)
-    # the bias table's checks, made before learning, which is endless at a tiny eps
-    if derand_cfg.rounding == "hash":
-        choose_hash_params(fam.k, derand_cfg.eps, derand_cfg.delta, fam.domain_size,
-                           derand_cfg.c_prime)
-    derand_cfg.sample_size(fam.k)
+    plan = RunPlan(fam.k, fam.domain_size, _derand_cfg(args), _hedge_cfg(args))
     require_label_consistent(fam)
     t0 = time.perf_counter()
-    f_rand = hedge_learn(SampleOracle(fam), cls, derand_cfg.learner_eps(), cfg=_hedge_cfg(args))
+    f_rand = hedge_learn(SampleOracle(fam), cls, plan.learner_eps, cfg=plan.hedge)
     learning = time.perf_counter() - t0
-    report, result = run_trial(fam, cls, f_rand, derand_cfg, args.seed)
+    report, result = run_trial(fam, cls, f_rand, plan, args.seed)
     report = dataclasses.replace(report, wall_time=report.wall_time + learning)
     serialize.save_classifier(args.output, result.classifier)
     if args.report:

@@ -1,7 +1,7 @@
 """Turning a hypothesis mixture into a single deterministic classifier.
 
 The procedure takes the mixture F that a black-box randomized learner gave
-at precision eps/2 (DerandConfig.learner_eps); its delta/2 is the caller's
+at precision eps/2 (RunPlan.learner_eps); its delta/2 is the caller's
 accounting, which exact-mode Hedge meets with probability 1. Then, sampling
 each distribution in turn, it collects every point whose empirical label
 skew clears a sqrt(ln(gamma)/count) threshold into a table T and pins its
@@ -18,36 +18,25 @@ members.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    DistributionFamily,
-    ExplicitClassifier,
-    RandomizedClassifier,
-    check_eps_delta,
-    frozen_pins,
-    is_positive_real,
-    require_integer,
-    require_label_consistent,
-)
-from .learner import DRAWS_LIMIT, _tallies
+from .model import (DistributionFamily, ExplicitClassifier, RandomizedClassifier, check_eps_delta,
+                    frozen_pins, is_integer, is_positive_real, require_integer,
+                    require_label_consistent)
+from .metrics import heavy_bias_threshold
+from .learner import DRAWS_LIMIT, HedgeConfig, _tallies
 from .hashing import CompactClassifier, choose_hash_params, sample_hash
 
 
 @dataclass(frozen=True)
 class DerandConfig:
-    """Derandomization knobs.
-
-    Theory mode derives gamma = c_const * k / (eps * delta) and a per-member
-    sample count m = ceil(c_const * ln^2(gamma) / eps^2) (times an extra
-    c_prime * ln(gamma) factor for hash rounding). Only calibrated mode takes
-    m_override (its m) and threshold_scale, because the "large enough"
-    constants make theory-mode m impractical for tight eps at desk scale, and
-    only hash rounding takes a c_prime other than 4.0. m, derived or given,
-    is at most DRAWS_LIMIT.
-    """
+    """Derandomization knobs, whose sizes a RunPlan derives. Only calibrated
+    mode takes m_override (its table draws per member) and threshold_scale,
+    because the "large enough" constants make theory-mode m impractical for
+    tight eps at desk scale, and only hash rounding takes a c_prime other
+    than 4.0."""
 
     eps: float
     delta: float
@@ -86,28 +75,57 @@ class DerandConfig:
             raise ValueError(f"c_const must exceed eps * delta so that gamma > 1, "
                              f"got {self.c_const!r}")
 
-    def gamma(self, k: int) -> float:
-        return self.c_const * k / (self.eps * self.delta)
 
-    def sample_size(self, k: int) -> int:
-        """m, the table's draws per member, for k members: at most DRAWS_LIMIT."""
-        if self.mode == "calibrated":
-            return self.m_override
-        try:
-            ln_gamma = math.log(self.gamma(k))
-            m = self.c_const * ln_gamma**2 / self.eps**2
-            if self.rounding == "hash":
-                m *= self.c_prime * ln_gamma
-        except ZeroDivisionError:  # eps * delta or eps**2 is 0.0
-            m = math.inf
-        if m > DRAWS_LIMIT:
-            raise ValueError(f"eps = {self.eps!r} needs {m:.3g} table draws per member at "
-                             f"k = {k}, more than DRAWS_LIMIT = 2^53")
-        return math.ceil(m)
+@dataclass(frozen=True)
+class RunPlan:
+    """The sizes of one derandomization run on k members over domain_size
+    points, derived once and checked in this order when built: the hash
+    parameters (r, p) under hash rounding, Hedge's rounds and rate at the
+    learner's eps (HedgeConfig.resolve), then m, the table's draws per
+    member, at most DRAWS_LIMIT. Theory mode derives m = ceil(c_const *
+    ln^2(gamma) / eps^2), times c_prime * ln(gamma) under hash rounding, with
+    gamma = c_const * k / (eps * delta); calibrated mode takes m_override."""
 
-    def learner_eps(self) -> float:
-        """The precision the learner is run at: half of this configuration's."""
-        return self.eps / 2.0
+    k: int
+    domain_size: int
+    derand: DerandConfig
+    hedge: HedgeConfig = HedgeConfig()
+    learner_eps: float = field(init=False)
+    rounds: int = field(init=False)
+    eta: float = field(init=False)
+    ln_gamma: float = field(init=False)
+    m: int = field(init=False)
+    heavy_threshold: float = field(init=False)
+    hash_params: tuple[int, int] | None = field(init=False)  # (r, p) under hash rounding
+
+    def __post_init__(self):
+        k, n, d = self.k, self.domain_size, self.derand
+        if not all(is_integer(v) and v >= 1 for v in (k, n)):
+            raise ValueError(f"a run plan needs integers k, domain_size >= 1, got {k!r}, {n!r}")
+        hash_params = (choose_hash_params(k, d.eps, d.delta, n, d.c_prime)
+                       if d.rounding == "hash" else None)
+        learner_eps = d.eps / 2.0  # the learner's precision: half of the run's
+        rounds, eta = self.hedge.resolve(k, learner_eps)
+        # eps * delta underflows to 0.0 near 5e-324, and eps**2 below eps = 1.5e-162
+        ln_gamma = math.log(d.c_const * k / (d.eps * d.delta) if d.eps * d.delta else math.inf)
+        m = d.m_override
+        if d.mode == "theory":
+            m = d.c_const * ln_gamma**2 / d.eps**2 if d.eps**2 else math.inf
+            if d.rounding == "hash":
+                m *= d.c_prime * ln_gamma
+            if m > DRAWS_LIMIT:
+                raise ValueError(f"eps = {d.eps!r} needs {m:.3g} table draws per member at "
+                                 f"k = {k}, more than DRAWS_LIMIT = 2^53")
+            m = math.ceil(m)
+        heavy_threshold = heavy_bias_threshold(d.eps, d.delta, k, d.rounding, d.c_prime)
+        vars(self).update(learner_eps=learner_eps, rounds=rounds, eta=eta, ln_gamma=ln_gamma,
+                          m=m, heavy_threshold=heavy_threshold, hash_params=hash_params)
+
+    def check_family(self, fam: DistributionFamily) -> None:
+        """A ValueError unless fam has the plan's k and domain size."""
+        if (fam.k, fam.domain_size) != (self.k, self.domain_size):
+            raise ValueError(f"a family of k = {fam.k} on {fam.domain_size} points, but the plan "
+                             f"is for k = {self.k} on {self.domain_size}")
 
 
 @dataclass(frozen=True)
@@ -138,10 +156,11 @@ class BiasTable:
         return len(self.points)
 
 
-def build_bias_table(fam: DistributionFamily, cfg: DerandConfig,
+def build_bias_table(fam: DistributionFamily, plan: RunPlan,
                      rng: np.random.Generator) -> BiasTable:
-    """Sample each member in order and collect points whose label skew clears
-    the threshold; fam must be label-consistent.
+    """Sample each member plan.m times, in order, and collect points whose
+    label skew clears the plan's threshold; fam must be label-consistent and
+    of the plan's shape.
 
     Points already in the table are skipped in later member iterations. The
     masses are known, yet the table samples: its guarantees are statements
@@ -149,12 +168,12 @@ def build_bias_table(fam: DistributionFamily, cfg: DerandConfig,
     The draws are tallied by learner._tallies, in bounded blocks, using rng
     as k consecutive per-member draws would.
     """
+    plan.check_family(fam)
     require_label_consistent(fam)
-    ln_gamma = math.log(cfg.gamma(fam.k))
-    counts, pos = next(_tallies(fam, cfg.sample_size(fam.k), rng))
+    counts, pos = next(_tallies(fam, plan.m, rng))
     drawn = np.maximum(counts, 1)  # a cell with no draws gets rho 0, which never passes
     rho = (2.0 * pos - counts) / drawn
-    passing = np.abs(rho) > cfg.threshold_scale * np.sqrt(ln_gamma / drawn)
+    passing = np.abs(rho) > plan.derand.threshold_scale * np.sqrt(plan.ln_gamma / drawn)
 
     # a point an earlier member put in the table is skipped (the x in X\T
     # guard), so each point's entry comes from the first member it passes for
@@ -187,30 +206,30 @@ class DerandResult:
     table: BiasTable
 
 
-def derandomize(fam: DistributionFamily, f_rand: RandomizedClassifier, cfg: DerandConfig,
+def derandomize(fam: DistributionFamily, f_rand: RandomizedClassifier, plan: RunPlan,
                 rng: np.random.Generator) -> DerandResult:
     """Round the mixture f_rand to one deterministic classifier of fam
-    (ExplicitClassifier or CompactClassifier per cfg.rounding), returned with
-    the bias table behind it.
+    (ExplicitClassifier, or CompactClassifier with the plan's hash
+    parameters under hash rounding), returned with the bias table behind it.
 
     f_rand is the black-box learner's mixture, learned at
-    cfg.learner_eps() before any table samples are drawn, so it never
+    plan.learner_eps before any table samples are drawn, so it never
     sees them; the table sampling and the rounding consume two streams
-    spawned from rng. The domains are compared and the hash parameters chosen
-    before any draw, so a mixture over another domain, or an eps that needs a
-    prime past 2^62, fails at once.
+    spawned from rng. The mixture's domain and the family's shape are
+    compared with the family's and the plan's before rng is used, so a
+    mismatch fails at once.
     """
     if f_rand.domain_size != fam.domain_size:
         raise ValueError(f"domain size mismatch: mixture {f_rand.domain_size}, "
                          f"family {fam.domain_size}")
-    if cfg.rounding == "hash":
-        r, p = choose_hash_params(fam.k, cfg.eps, cfg.delta, fam.domain_size, cfg.c_prime)
+    plan.check_family(fam)
     table_rng, round_rng = rng.spawn(2)
-    table = build_bias_table(fam, cfg, table_rng)
+    table = build_bias_table(fam, plan, table_rng)
 
-    if cfg.rounding == "explicit":
+    if plan.hash_params is None:
         labels = round_outside_t(f_rand, table, round_rng)
         return DerandResult(ExplicitClassifier(labels), table)
 
+    r, p = plan.hash_params
     q = sample_hash(p, r, round_rng)
     return DerandResult(CompactClassifier(q, table.points, table.labels, f_rand), table)

@@ -32,18 +32,10 @@ from .model import (
     plus_rows,
     require_integer,
 )
-from .metrics import (
-    bayes_labels,
-    error_matrix,
-    heavy_mask,
-    label_vector_of,
-    opt_bruteforce,
-    randomized_worst_case_error,
-    worst_case_error,
-)
+from .metrics import (_heaviness, bayes_labels, error_matrix, label_vector_of, opt_bruteforce,
+                      randomized_worst_case_error, worst_case_error)
 from .learner import HedgeConfig, rolling_mixtures
-from .derand import BiasTable, DerandConfig, DerandResult, derandomize
-from .hashing import choose_hash_params
+from .derand import BiasTable, DerandConfig, DerandResult, RunPlan, derandomize
 from .instances import GenSpec, generate
 from .serialize import _json_text
 
@@ -107,22 +99,21 @@ def rounding_deviation(f_hat, f_rand, fam: DistributionFamily, table: BiasTable)
     return float(np.abs(got - want).max())
 
 
-def heavy_coverage(table: BiasTable, fam: DistributionFamily, eps: float, delta: float,
-                   variant: str, c_prime: float) -> bool:
-    """True iff every heavily biased point is in the table with the sign of
-    its bias (sign of zero taken as +1)."""
-    mask = heavy_mask(fam, eps, delta, variant, c_prime)
+def heavy_coverage(table: BiasTable, fam: DistributionFamily, threshold: float) -> bool:
+    """True iff every point heavier than threshold (a RunPlan's) is in the
+    table with the sign of its bias (sign of zero taken as +1)."""
+    mask = _heaviness(fam) > threshold
     pinned = np.zeros(fam.domain_size, dtype=np.int8)  # 0 off the table
     pinned[table.points] = table.labels
     return bool(np.all(pinned[mask] == bayes_labels(fam)[mask]))
 
 
 def run_trial(fam: DistributionFamily, cls: HypothesisClass, f_rand: RandomizedClassifier,
-              derand_cfg: DerandConfig, seed: int, trial_id: int = 0,
+              plan: RunPlan, seed: int, trial_id: int = 0,
               measure_time: bool = True) -> tuple[TrialReport, DerandResult]:
     """One derandomization of the mixture f_rand, learned on fam by the
-    caller, deterministic given the seed; returns the report together with
-    the derandomization result.
+    caller, by the plan, deterministic given the seed; returns the report
+    together with the derandomization result.
 
     The bias table and rounding consume streams derived from the trial
     seed. OPT and the mixture's errors are read from class_errors(cls, fam),
@@ -131,14 +122,13 @@ def run_trial(fam: DistributionFamily, cls: HypothesisClass, f_rand: RandomizedC
     t0 = time.perf_counter() if measure_time else 0.0
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
-    result = derandomize(fam, f_rand, derand_cfg, rng)
+    result = derandomize(fam, f_rand, plan, rng)
     f_hat, table = result.classifier, result.table
 
     opt, _ = opt_bruteforce(cls, fam)
     rand_err = randomized_worst_case_error(f_rand, fam)
     det_err = worst_case_error(f_hat, fam).worst_case
-    covered = heavy_coverage(table, fam, derand_cfg.eps, derand_cfg.delta,
-                             derand_cfg.rounding, derand_cfg.c_prime)
+    covered = heavy_coverage(table, fam, plan.heavy_threshold)
     deviation = rounding_deviation(f_hat, f_rand, fam, table)
     wall = (time.perf_counter() - t0) if measure_time else 0.0
     report = TrialReport(trial_id, seed, opt, rand_err, det_err, len(table),
@@ -149,7 +139,8 @@ def run_trial(fam: DistributionFamily, cls: HypothesisClass, f_rand: RandomizedC
 @dataclass(frozen=True)
 class CampaignConfig:
     """A campaign: fresh instances from gen_spec (seeded per trial), one
-    pipeline run each, and the two acceptance predicates evaluated per trial.
+    pipeline run each by plan, the RunPlan of the spec's shape, and the two
+    acceptance predicates evaluated per trial.
 
     required_fractions maps predicate name (PREDICATE_OPT or
     PREDICATE_CONDITIONAL) -> minimum success fraction in [0, 1]; unmet
@@ -162,6 +153,7 @@ class CampaignConfig:
                                         m_override=5000)
     master_seed: int = 0
     required_fractions: dict = field(default_factory=dict)
+    plan: RunPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # checked before any trial: a negative seed would fail every trial, a
@@ -176,14 +168,8 @@ class CampaignConfig:
                 raise ValueError(f"unknown predicate {name!r} in required_fractions")
             if not 0.0 <= frac <= 1.0:
                 raise ValueError(f"required fraction for {name} must lie in [0, 1], got {frac!r}")
-        # hash parameters no trial could round with, which it found only after
-        # learning; then Hedge settings no trial could learn with, such as
-        # rounds 0, and table sizes past DRAWS_LIMIT
-        spec, derand = self.gen_spec, self.derand
-        if derand.rounding == "hash":
-            choose_hash_params(spec.k, derand.eps, derand.delta, spec.domain_size, derand.c_prime)
-        self.hedge.resolve(spec.k, derand.learner_eps())
-        derand.sample_size(spec.k)
+        spec = self.gen_spec
+        object.__setattr__(self, "plan", RunPlan(spec.k, spec.domain_size, self.derand, self.hedge))
 
 
 @dataclass(frozen=True)
@@ -298,11 +284,11 @@ def _campaign_worker(args) -> list[tuple[int, TrialReport | None, str | None]]:
     try:
         # a spec gives every instance the same k and |H|, so they share a stack
         for (i, seed), fam, cls, f_rand, spent in rolling_mixtures(
-                instances(), cfg.derand.learner_eps(), cfg.hedge):
+                instances(), cfg.plan.rounds, cfg.plan.eta):
             learning += spent
             try:
                 # through the module attribute, which a caller may wrap
-                report, _ = run_trial(fam, cls, f_rand, cfg.derand, seed, trial_id=i,
+                report, _ = run_trial(fam, cls, f_rand, cfg.plan, seed, trial_id=i,
                                       measure_time=measure_time)
                 results.append((i, report, None))
             except Exception as exc:  # recorded, campaign continues

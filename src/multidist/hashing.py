@@ -392,9 +392,10 @@ class TailCheckConfig:
     """Monte-Carlo setup for checking the limited-independence tail bound on
     hash-derived indicators Z_x = 1{q(x) < threshold} over the keys 0..n-1.
     Integral floats are taken as ints; a config the check cannot run (n=True,
-    2.5 draws, a negative seed, an odd r in hash mode) is a ValueError when
-    built. The prime is the smallest above n, the threshold prime // 2 and
-    the deviations T (0.5, 1, 2) * sqrt(n)."""
+    2.5 draws, a negative seed, an odd r in hash mode, an independent that
+    is not a bool) is a ValueError when built. The prime is the smallest
+    above n, the threshold prime // 2 and the deviations T (0.5, 1, 2) *
+    sqrt(n)."""
 
     n: int = 64
     r: int = 4
@@ -406,6 +407,9 @@ class TailCheckConfig:
         for name, label in (("n", "n"), ("r", "degree r"), ("draws", "draws"), ("seed", "seed")):
             value = require_integer(getattr(self, name), f"tail-check {label}")
             object.__setattr__(self, name, value)
+        if not isinstance(self.independent, (bool, np.bool_)):
+            raise ValueError(f"tail-check independent must be a bool, got {self.independent!r}")
+        object.__setattr__(self, "independent", bool(self.independent))
         if self.n < 1:
             raise ValueError(f"tail check needs n >= 1 keys, got {self.n}")
         if self.n > TAIL_KEYS_LIMIT:

@@ -6,8 +6,9 @@ them, best-responds each round with the exhaustive ERM over the weighted
 mixture, re-weights distributions proportionally to exp(eta * error) so that
 hard distributions gain influence, and returns the uniform mixture over the
 chosen hypotheses. With rounds T = ceil(8 ln(k) / eps^2) and learning rate
-eta = sqrt(8 ln(k) / T), the no-regret bound puts the mixture within eps/4 of
-the best single hypothesis's worst-case error in exact mode.
+eta = sqrt(8 ln(k) / T), the no-regret bound puts the mixture's worst-case
+error in exact mode at most eps/4 above the game value V, the best mixture's
+worst-case error (Freund & Schapire 1999), and so at most OPT + eps/4.
 """
 
 from __future__ import annotations
@@ -462,12 +463,12 @@ def uniform_mixture(cls: HypothesisClass, picks: np.ndarray) -> RandomizedClassi
     return RandomizedClassifier(cls, tuple(support.tolist()), picks[support] / picks.sum())
 
 
-def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None):
+def rolling_mixtures(items, rounds: int, eta: float):
     """The exact-mode Hedge mixture of each (key, family, class) item, learned
-    in one HedgeStack that runs enter and leave at staggered rounds, with T
-    and eta resolved from (k, eps). Yields (key, family, class, mixture,
-    seconds) as runs finish, in the order the items came: seconds is the
-    learning time since the previous yield. A run loads its class_errors
+    in one HedgeStack that runs enter and leave at staggered rounds, with T =
+    rounds and learning rate eta (a RunPlan's). Yields (key, family, class,
+    mixture, seconds) as runs finish, in the order the items came: seconds is
+    the learning time since the previous yield. A run loads its class_errors
     matrix. Items not sharing k and |H| are a ValueError.
 
     The stack holds at most STACK_RUNS runs. Each step takes the next item
@@ -479,13 +480,11 @@ def rolling_mixtures(items, eps: float, cfg: HedgeConfig | None = None):
     first, so that each step plays only the runs still in the stack. Only
     the items in the stack are held in memory.
     """
-    cfg = cfg or HedgeConfig()
     items = iter(items)
     item = next(items, None)
     if item is None:
         return
     t0 = time.perf_counter()
-    rounds, eta = cfg.resolve(item[1].k, eps)
     step = -(-rounds // STACK_RUNS)
     slots = -(-rounds // step)
     # run j enters slot j % slots at step j and leaves `last` rounds into step j + slots - 1

@@ -247,13 +247,6 @@ def heavy_bias_threshold(eps: float, delta: float, k: int, variant: str = "expli
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def heavy_mask(fam: DistributionFamily, eps: float, delta: float, variant: str = "explicit",
-               c_prime: float = 4.0) -> np.ndarray:
-    """Boolean mask over the domain: beta_x^2 * D_i(x) strictly above the
-    threshold for at least one member i."""
-    return _heaviness(fam) > heavy_bias_threshold(eps, delta, fam.k, variant, c_prime)
-
-
 def _heaviness(fam: DistributionFamily) -> np.ndarray:
     """max over members i of beta_x^2 * D_i(x) at each point x, where beta_x
     = eta(x) - 1/2 under the shared conditional of a label-consistent fam."""

@@ -3,12 +3,26 @@
 import numpy as np
 
 import multidist as md
+from multidist.metrics import _heaviness, heavy_bias_threshold
+
+
+def plan_of(fam, cfg, hedge=None):
+    """The RunPlan of derandomization config cfg on fam's shape."""
+    return md.RunPlan(fam.k, fam.domain_size, cfg, hedge or md.HedgeConfig())
 
 
 def learned(fam, cls, cfg, hedge=None):
     """What a trial of derandomization config cfg starts from: the exact-mode
-    Hedge mixture at cfg's learner precision."""
-    return md.hedge_learn(md.SampleOracle(fam), cls, cfg.learner_eps(), cfg=hedge)
+    Hedge mixture at its plan's learner precision."""
+    return md.hedge_learn(md.SampleOracle(fam), cls, plan_of(fam, cfg, hedge).learner_eps,
+                          cfg=hedge)
+
+
+def heavy_mask(fam, eps, delta, variant="explicit", c_prime=4.0):
+    """The points whose beta_x^2 * D_i(x) is strictly above
+    heavy_bias_threshold(eps, delta, fam.k, variant, c_prime) for some member
+    i: the points heavy_coverage requires in the table."""
+    return _heaviness(fam) > heavy_bias_threshold(eps, delta, fam.k, variant, c_prime)
 
 
 def listed(doc):

@@ -18,9 +18,8 @@ import multidist as md
 from multidist.harness import PREDICATE_CONDITIONAL, PREDICATE_OPT, rounding_deviation
 from multidist.hashing import coefficient_matrix_eval
 from multidist.instances import gen_gap_example, gen_heavy_point_probe, gen_random_label_consistent
-from multidist.metrics import heavy_mask
 
-from helpers import learned
+from helpers import heavy_mask, learned, plan_of
 
 
 def _report(cid: str, desc: str, ok: bool, detail: str, elapsed: float, budget: float):
@@ -194,10 +193,10 @@ def test_c07_heavy_point_coverage():
     heavy = np.nonzero(heavy_mask(fam, eps, delta))[0]
     assert heavy.tolist() == [0, 1, 2]
     beta_sign = np.where(fam.shared_label_one_prob - 0.5 >= 0, 1, -1)
-    cfg = md.DerandConfig(eps=eps, delta=delta, c_const=4.0, mode="theory")
+    plan = plan_of(fam, md.DerandConfig(eps=eps, delta=delta, c_const=4.0, mode="theory"))
     runs, hits = 500, 0
     for run in range(runs):
-        table = md.build_bias_table(fam, cfg, np.random.default_rng(run))
+        table = md.build_bias_table(fam, plan, np.random.default_rng(run))
         pinned = np.zeros(fam.domain_size, dtype=np.int8)  # 0 off the table
         pinned[table.points] = table.labels
         if np.all(pinned[heavy] == beta_sign[heavy]):
@@ -219,11 +218,11 @@ def test_c08_light_rounding_deviation():
     rng_h = np.random.default_rng(8080)
     cls = md.HypothesisClass([np.where(rng_h.random(30) < 0.5, 1, -1) for _ in range(8)])
     F = md.hedge_learn(md.SampleOracle(fam), cls, eps / 2)
-    cfg = md.DerandConfig(eps=eps, delta=delta, mode="calibrated", m_override=2500)
+    plan = plan_of(fam, md.DerandConfig(eps=eps, delta=delta, mode="calibrated", m_override=2500))
     runs, hits = 500, 0
     for run in range(runs):
         rng = np.random.default_rng(run)
-        table = md.build_bias_table(fam, cfg, rng)
+        table = md.build_bias_table(fam, plan, rng)
         labels = md.round_outside_t(F, table, rng)
         dev = rounding_deviation(md.ExplicitClassifier(labels), F, fam, table)
         if dev <= eps / 2:
@@ -288,9 +287,9 @@ def test_c11_rounding_path_equivalence():
     f_rand = learned(fam, cls, md.DerandConfig(eps=eps, delta=delta))
     results = {}
     for rounding in ("explicit", "hash"):
-        cfg = md.DerandConfig(eps=eps, delta=delta, mode="calibrated", m_override=5000,
-                              rounding=rounding)
-        reports = [md.run_trial(fam, cls, f_rand, cfg, seed=s, measure_time=False)[0]
+        plan = plan_of(fam, md.DerandConfig(eps=eps, delta=delta, mode="calibrated",
+                                            m_override=5000, rounding=rounding))
+        reports = [md.run_trial(fam, cls, f_rand, plan, seed=s, measure_time=False)[0]
                    for s in range(200)]
         errs = np.array([r.deterministic_error for r in reports])
         opt_ok = np.mean([r.deterministic_error <= r.opt + eps for r in reports])

@@ -26,9 +26,9 @@ PUBLIC_NAMES = [
     "BiasTable", "BinaryMatrix", "CampaignConfig", "CampaignSummary", "Coloring",
     "CompactClassifier", "DerandConfig", "DerandResult", "DistributionFamily", "ErrorReport",
     "ExplicitClassifier", "GenSpec", "HedgeConfig", "HypothesisClass", "LabelConsistencyError",
-    "PolyHash", "RandomizedClassifier", "ReductionFamily", "SampleOracle", "TailCheckConfig",
-    "TailCheckReport", "TrialReport", "Verdict", "bruteforce_min_discrepancy",
-    "build_bias_table", "choose_hash_params", "coloring_error", "derandomize", "distinguisher",
+    "PolyHash", "RandomizedClassifier", "ReductionFamily", "RunPlan", "SampleOracle",
+    "TailCheckConfig", "TailCheckReport", "TrialReport", "Verdict", "bruteforce_min_discrepancy",
+    "build_bias_table", "coloring_error", "derandomize", "distinguisher",
     "dummy_min_deterministic_error", "dummy_point_variant", "empirical_tail_bound_check",
     "error_matrix", "exceedance_probability", "full_labeling_class", "generate", "hedge_learn",
     "min_deterministic_error", "opt_bruteforce", "planted_high_discrepancy_matrix",
@@ -49,10 +49,9 @@ def test_public_names_are_pinned():
 # helpers that the pipeline's steps call: each is a public function of its
 # module, so the tracer wraps it, and no root name
 MODULE_HELPERS = {
-    "hashing": ["is_prime", "next_prime", "sample_hash"],
+    "hashing": ["choose_hash_params", "is_prime", "next_prime", "sample_hash"],
     "harness": ["trial_seed", "wilson_interval"],
-    "metrics": ["heavy_bias_threshold", "heavy_mask", "bayes_labels",
-                "randomized_per_distribution"],
+    "metrics": ["heavy_bias_threshold", "bayes_labels", "randomized_per_distribution"],
     "instances": ["gen_random_label_consistent", "gen_gap_example", "gen_heavy_point_probe"],
 }
 

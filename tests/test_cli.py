@@ -228,6 +228,30 @@ def test_a_tiny_eps_exits_2_before_learning(tmp_path, capsys, monkeypatch):
     assert not out.exists() and not (tmp_path / "t").exists()
 
 
+def test_derand_and_trial_check_the_rounds_before_the_table_draws(tmp_path, capsys,
+                                                                  monkeypatch):
+    # at eps 1e-200 Hedge's rounds and the table's draws are both past their
+    # limits; derand named DRAWS_LIMIT and trial ROUNDS_LIMIT
+    def unreachable(*args, **kwargs):
+        raise AssertionError("learned before checking the sizes")
+
+    monkeypatch.setattr(learner, "HedgeStack", unreachable)
+    monkeypatch.setattr(learner, "_tallies", unreachable)
+    inst, out = tmp_path / "inst.json", tmp_path / "clf.json"
+    assert main(["gen", "--seed", "6", "-o", str(inst)]) == 0
+    capsys.readouterr()
+    flags = ["--eps", "1e-200", "--delta", "0.2"]
+    for argv in (["derand", str(inst), *flags, "-o", str(out)],
+                 ["trial", "--trials", "2", *flags, "--outdir", str(tmp_path / "campaign")]):
+        assert main(argv) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err == ("multidist: error: Hedge at eps = 5e-201 needs inf rounds at k = 6, "
+                       "more than ROUNDS_LIMIT = 9223372036854775807; its eps must be at "
+                       "least about 1.25e-09\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
 def test_derand_checks_label_consistency_before_learning(tmp_path, capsys, monkeypatch):
     # it learned first, 0.73 s at eps 0.02, and only the bias table rejected
     # the family

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,10 @@ from scipy.stats import binom
 import multidist as md
 from multidist import derand
 from multidist.instances import gen_gap_example, gen_heavy_point_probe, gen_random_label_consistent
-from multidist.metrics import heavy_mask, plus_rows
+from multidist.hashing import choose_hash_params
+from multidist.metrics import heavy_bias_threshold, plus_rows
 
-from helpers import learned
+from helpers import heavy_mask, learned, plan_of
 
 
 def table_of(counts, gamma, scale=1.0):
@@ -21,7 +23,8 @@ def table_of(counts, gamma, scale=1.0):
     fam = md.DistributionFamily([np.full(n, 1.0 / n)], [np.full(n, 0.5)])
     cfg = md.DerandConfig(eps=0.5, delta=0.5, c_const=gamma / 4.0, mode="calibrated",
                           m_override=int((pos + neg).sum()), threshold_scale=scale)
-    assert cfg.gamma(1) == gamma
+    plan = plan_of(fam, cfg)
+    assert plan.ln_gamma == math.log(gamma)
     rng = np.random.default_rng(0)
 
     def fixed_tallies(family, size, stream, rounds=1):
@@ -30,7 +33,7 @@ def table_of(counts, gamma, scale=1.0):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(derand, "_tallies", fixed_tallies)
-        return md.build_bias_table(fam, cfg, rng)
+        return md.build_bias_table(fam, plan, rng)
 
 
 def test_empirical_rho_examples():
@@ -67,35 +70,38 @@ def test_threshold_test_rejects_bad_args():
     for c_const in (0.25, 0.1):
         with pytest.raises(ValueError, match="c_const must exceed eps \\* delta"):
             md.DerandConfig(eps=0.5, delta=0.5, c_const=c_const)
-    assert md.DerandConfig(eps=0.5, delta=0.5, c_const=0.26).gamma(1) > 1.0
+    assert md.RunPlan(1, 1, md.DerandConfig(eps=0.5, delta=0.5, c_const=0.26)).ln_gamma > 0.0
 
 
 def test_derand_config_formulas():
     cfg = md.DerandConfig(eps=0.1, delta=0.1, c_const=4.0)
     k = 2
     gamma = 4.0 * k / (0.1 * 0.1)
-    assert cfg.gamma(k) == gamma
-    assert cfg.sample_size(k) == math.ceil(4.0 * math.log(gamma) ** 2 / 0.01)
+    plan = md.RunPlan(k, 10, cfg)
+    assert plan.ln_gamma == math.log(gamma)
+    assert plan.m == math.ceil(4.0 * math.log(gamma) ** 2 / 0.01)
     hash_cfg = md.DerandConfig(eps=0.1, delta=0.1, c_const=4.0, c_prime=4.0, rounding="hash")
-    assert hash_cfg.sample_size(k) == math.ceil(4.0 * 4.0 * math.log(gamma) ** 3 / 0.01)
+    assert md.RunPlan(k, 10, hash_cfg).m == math.ceil(4.0 * 4.0 * math.log(gamma) ** 3 / 0.01)
 
 
 def test_table_draws_stop_at_the_exactness_limit():
     # eps 1e-200 divided by eps**2 = 0.0, and 1e-9 gave 2.6e21 draws per
     # member, past the 2^53 where the table's float counts stop being exact
+    # one round, so that Hedge's rounds, checked first, fit at every eps
     from multidist.learner import DRAWS_LIMIT
+    one_round = md.HedgeConfig(rounds=1)
 
     def calibrated(m):
         return md.DerandConfig(eps=0.1, delta=0.1, mode="calibrated", m_override=m)
 
-    assert calibrated(DRAWS_LIMIT).sample_size(6) == DRAWS_LIMIT
+    assert md.RunPlan(6, 40, calibrated(DRAWS_LIMIT)).m == DRAWS_LIMIT
     with pytest.raises(ValueError, match=f"^m_override must be at most DRAWS_LIMIT = 2\\^53, "
                                          f"got {DRAWS_LIMIT + 1}$"):
         calibrated(DRAWS_LIMIT + 1)
 
     def fits(eps):
         try:
-            return md.DerandConfig(eps=eps, delta=0.2).sample_size(6)
+            return md.RunPlan(6, 40, md.DerandConfig(eps=eps, delta=0.2), one_round).m
         except ValueError:
             return None
 
@@ -106,12 +112,75 @@ def test_table_draws_stop_at_the_exactness_limit():
         eps, fit = (eps, mid) if fits(mid) else (mid, fit)
     assert fit == math.nextafter(eps, 1.0)
     assert DRAWS_LIMIT - 16 < fits(fit) <= DRAWS_LIMIT
-    for tiny in (eps, 1e-9, 1e-200, 5e-324):
+    for tiny in (eps, 1e-9, 1e-200):
         with pytest.raises(ValueError, match=f"^eps = {tiny!r} needs .* table draws per member "
                                              "at k = 6, more than DRAWS_LIMIT = 2\\^53$"):
-            md.DerandConfig(eps=tiny, delta=0.2).sample_size(6)
+            md.RunPlan(6, 40, md.DerandConfig(eps=tiny, delta=0.2), one_round)
+    # half of 5e-324 is 0.0, the learner's eps, which Hedge's check, made
+    # before the table's, refuses
+    with pytest.raises(ValueError, match="^eps must lie in \\(0, 1\\), got 0.0$"):
+        md.RunPlan(6, 40, md.DerandConfig(eps=5e-324, delta=0.2), one_round)
     with pytest.raises(ValueError, match="more than DRAWS_LIMIT"):
-        md.DerandConfig(eps=1e-6, delta=0.2, rounding="hash").sample_size(6)
+        md.RunPlan(6, 40, md.DerandConfig(eps=2e-6, delta=0.2, rounding="hash"), one_round)
+
+
+# each configuration that the output suite, the demos and perfbench run, as
+# (k, domain size, DerandConfig knobs), with the table's m and ln(gamma) that
+# DerandConfig.sample_size and DerandConfig.gamma gave before the plan took
+# their derivation over
+CALIBRATED = dict(mode="calibrated", m_override=5000)
+PLANNED = {
+    "C06 campaign, demo 03": ((6, 40, dict(eps=0.15, delta=0.15, **CALIBRATED)),
+                              5000, 6.972293800119708),
+    "C06 hash campaign, demo 04": ((6, 40, dict(eps=0.15, delta=0.15, rounding="hash",
+                                                **CALIBRATED)), 5000, 6.972293800119708),
+    "cli_wide derand": ((24, 1000, dict(eps=0.6, delta=0.2, rounding="hash", **CALIBRATED)),
+                        5000, 6.684611727667927),
+    "1000-point explicit derand": ((24, 1000, dict(eps=0.6, delta=0.2, **CALIBRATED)),
+                                   5000, 6.684611727667927),
+    "empty table": ((24, 1000, dict(eps=0.6, delta=0.2, rounding="hash", mode="calibrated",
+                                    m_override=1)), 1, 6.684611727667927),
+    "C06 theory explicit": ((6, 40, dict(eps=0.3, delta=0.2)), 1596, 5.991464547107982),
+    "C06 theory hash": ((6, 40, dict(eps=0.3, delta=0.2, rounding="hash")),
+                        38237, 5.991464547107982),
+}
+
+
+@pytest.mark.parametrize("name", list(PLANNED))
+def test_a_plan_holds_what_the_separate_calls_gave(name):
+    (k, n, knobs), m, ln_gamma = PLANNED[name]
+    cfg = md.DerandConfig(**knobs)
+    plan = md.RunPlan(k, n, cfg)
+    assert (plan.k, plan.domain_size, plan.derand, plan.hedge) == (k, n, cfg, md.HedgeConfig())
+    assert plan.learner_eps == cfg.eps / 2.0
+    assert (plan.rounds, plan.eta) == md.HedgeConfig().resolve(k, cfg.eps / 2.0)
+    assert (plan.m, plan.ln_gamma) == (m, ln_gamma) and type(plan.m) is int
+    assert plan.heavy_threshold == heavy_bias_threshold(cfg.eps, cfg.delta, k, cfg.rounding,
+                                                        cfg.c_prime)
+    hashed = cfg.rounding == "hash"
+    assert plan.hash_params == (choose_hash_params(k, cfg.eps, cfg.delta, n, cfg.c_prime)
+                                if hashed else None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.m = 1
+
+
+def test_a_plan_checks_the_hash_parameters_then_the_rounds_then_the_draws():
+    # at eps 1e-200 each of the three is past its limit; cmd_derand checked
+    # the table's draws first and CampaignConfig Hedge's rounds
+    tiny = dict(eps=1e-200, delta=0.2)
+    cases = [(md.DerandConfig(rounding="hash", **tiny), md.HedgeConfig(),
+              "eps = 1e-200 needs a hash prime above 2\\^62"),
+             (md.DerandConfig(**tiny), md.HedgeConfig(),
+              "Hedge at eps = 5e-201 needs inf rounds at k = 6, more than ROUNDS_LIMIT"),
+             (md.DerandConfig(**tiny), md.HedgeConfig(rounds=1),
+              "eps = 1e-200 needs inf table draws per member at k = 6, more than DRAWS_LIMIT")]
+    for cfg, hedge, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            md.RunPlan(6, 40, cfg, hedge)
+    cfg = md.DerandConfig(eps=0.2, delta=0.2)
+    for k, n in ((0, 40), (6, 0), (6.0, 40), (True, 40)):
+        with pytest.raises(ValueError, match="a run plan needs integers k, domain_size >= 1"):
+            md.RunPlan(k, n, cfg)
 
 
 def test_derand_config_validation():
@@ -129,7 +198,7 @@ def test_derand_config_validation():
         with pytest.raises(ValueError, match="m_override must be an integer"):
             md.DerandConfig(eps=0.1, delta=0.1, mode="calibrated", m_override=value)
     cfg = md.DerandConfig(eps=0.1, delta=0.1, mode="calibrated", m_override=50.0)
-    assert cfg.sample_size(3) == 50 and type(cfg.sample_size(3)) is int
+    assert md.RunPlan(3, 10, cfg).m == 50 and type(md.RunPlan(3, 10, cfg).m) is int
     # a bool would run as 1.0, as HedgeConfig's eta would
     for name in ("c_const", "c_prime", "threshold_scale"):
         for value in (0.0, -1.0, math.nan, math.inf, True, np.True_, "4"):
@@ -139,8 +208,8 @@ def test_derand_config_validation():
 
 
 def test_theory_mode_rejects_calibrated_knobs():
-    # theory mode ignored both: sample_size(4) stayed 3590 and the threshold
-    # scale 1.0
+    # theory mode ignored both: the table's m at k = 4 stayed 3590 and the
+    # threshold scale 1.0
     for knobs in (dict(m_override=7, threshold_scale=3.0), dict(m_override=7),
                   dict(threshold_scale=3.0)):
         with pytest.raises(ValueError, match="m_override and threshold_scale apply only "
@@ -150,11 +219,11 @@ def test_theory_mode_rejects_calibrated_knobs():
     with pytest.raises(ValueError, match="threshold_scale must be finite and positive"):
         md.DerandConfig(eps=0.2, delta=0.2, threshold_scale=math.nan)
     cfg = md.DerandConfig(eps=0.2, delta=0.2, threshold_scale=1.0)
-    assert cfg.sample_size(4) == 3590 and cfg.threshold_scale == 1.0
-    # explicit rounding ignored c_prime: sample_size(4) stayed 3590
+    assert md.RunPlan(4, 10, cfg).m == 3590 and cfg.threshold_scale == 1.0
+    # explicit rounding ignored c_prime: the table's m at k = 4 stayed 3590
     with pytest.raises(ValueError, match="c_prime applies only to hash rounding, got 100.0"):
         md.DerandConfig(eps=0.2, delta=0.2, c_prime=100.0)
-    assert md.DerandConfig(eps=0.2, delta=0.2, c_prime=4.0).learner_eps() == 0.1
+    assert md.RunPlan(4, 10, md.DerandConfig(eps=0.2, delta=0.2, c_prime=4.0)).learner_eps == 0.1
     assert md.DerandConfig(eps=0.2, delta=0.2, c_prime=100.0, rounding="hash").c_prime == 100.0
 
 
@@ -179,7 +248,7 @@ def test_table_collects_sure_labels():
     # in the table with label +1
     fam = md.DistributionFamily([[0.4, 0.3, 0.2, 0.1]], [[1.0, 1.0, 1.0, 1.0]])
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=4000)
-    table = md.build_bias_table(fam, cfg, np.random.default_rng(0))
+    table = md.build_bias_table(fam, plan_of(fam, cfg), np.random.default_rng(0))
     assert len(table) == 4
     assert table.labels.tolist() == [1, 1, 1, 1]
 
@@ -193,13 +262,13 @@ def test_table_insertion_rate_matches_binomial_tail():
     runs = 400
     fam = md.DistributionFamily([np.full(d, 1.0 / d)], [np.full(d, 0.5)])
     cfg = md.DerandConfig(eps=0.3, delta=0.3, mode="calibrated", m_override=m)
-    gamma = cfg.gamma(1)
+    plan = plan_of(fam, cfg)
     oracle = md.SampleOracle(fam)
 
     by_count: dict[int, list[int]] = {}
     for run in range(runs):
         rng = np.random.default_rng(1000 + run)
-        table = md.build_bias_table(fam, cfg, rng)
+        table = md.build_bias_table(fam, plan, rng)
         # replay the identical draw stream to recover every point's count
         replay = np.random.default_rng(1000 + run)
         xs, _ = oracle.draw(0, m, replay)
@@ -212,7 +281,7 @@ def test_table_insertion_rate_matches_binomial_tail():
     for n, flags in by_count.items():
         if len(flags) < 120:
             continue
-        thresh = math.sqrt(math.log(gamma) / n)
+        thresh = math.sqrt(plan.ln_gamma / n)
         # insertion iff pos > n(1+t)/2 or pos < n(1-t)/2, pos ~ Bin(n, 1/2)
         hi = math.floor(n * (1 + thresh) / 2)
         lo = math.ceil(n * (1 - thresh) / 2)
@@ -234,7 +303,7 @@ def test_table_heavy_point_nearly_always_caught():
     hits = 0
     runs = 300
     for run in range(runs):
-        table = md.build_bias_table(fam, cfg, np.random.default_rng(run))
+        table = md.build_bias_table(fam, plan_of(fam, cfg), np.random.default_rng(run))
         if table.labels[table.points == 0].tolist() == [1]:
             hits += 1
     assert hits / runs >= 1.0 - 0.1 / 4 - 0.05
@@ -247,7 +316,7 @@ def test_table_skips_points_in_earlier_iterations():
         [[0.95, 0.5]] * 2,
     )
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=2000)
-    table = md.build_bias_table(fam, cfg, np.random.default_rng(3))
+    table = md.build_bias_table(fam, plan_of(fam, cfg), np.random.default_rng(3))
     assert table.members[table.points == 0].tolist() == [0]
 
 
@@ -263,7 +332,7 @@ def test_table_rejects_inconsistent_family():
     for fam in families:
         assert not fam.label_consistent
         with pytest.raises(md.LabelConsistencyError):
-            md.build_bias_table(fam, cfg, np.random.default_rng(0))
+            md.build_bias_table(fam, plan_of(fam, cfg), np.random.default_rng(0))
 
 
 def test_round_outside_t_singleton_copies_hypothesis():
@@ -336,7 +405,7 @@ def _small_instance(seed=0):
 def _derandomized(fam, cls, cfg, seed):
     """Learn the mixture, then derandomize it with streams from seed."""
     f_rand = learned(fam, cls, cfg)
-    return md.derandomize(fam, f_rand, cfg, np.random.default_rng(seed))
+    return md.derandomize(fam, f_rand, plan_of(fam, cfg), np.random.default_rng(seed))
 
 
 def test_derandomize_deterministic_given_seed():
@@ -355,9 +424,10 @@ def test_derandomize_is_a_function_of_its_arguments(rounding):
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=300,
                           rounding=rounding)
     f_rand = learned(fam, cls, cfg)
-    a, b, other = (md.derandomize(fam, f_rand, cfg, np.random.default_rng(seed))
+    plan = plan_of(fam, cfg)
+    a, b, other = (md.derandomize(fam, f_rand, plan, np.random.default_rng(seed))
                    for seed in (5, 5, 6))
-    want = md.build_bias_table(fam, cfg, np.random.default_rng(5).spawn(2)[0])
+    want = md.build_bias_table(fam, plan, np.random.default_rng(5).spawn(2)[0])
     for name in ("points", "labels", "members", "rho", "counts"):
         assert np.array_equal(getattr(a.table, name), getattr(want, name))
         assert np.array_equal(getattr(b.table, name), getattr(want, name))
@@ -394,9 +464,28 @@ def test_derandomize_rejects_a_mixture_over_another_domain(rounding, width):
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=f"domain size mismatch: mixture {width}, family 8"):
-        md.derandomize(fam, f_rand, cfg, rng)
+        md.derandomize(fam, f_rand, plan_of(fam, cfg), rng)
     assert rng.bit_generator.state == state
     assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
+
+@pytest.mark.parametrize("rounding", ["explicit", "hash"])
+def test_derandomize_rejects_a_family_of_another_shape_than_its_plan(rounding):
+    # the table's m, ln(gamma) and hash prime are the plan's, sized for its
+    # k and domain; the error comes before rng is spawned from
+    fam, cls = _small_instance(3)
+    cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=100,
+                          rounding=rounding)
+    f_rand = learned(fam, cls, cfg)
+    for k, n in ((2, 20), (4, 20), (3, 21)):
+        plan = md.RunPlan(k, n, cfg)
+        rng = np.random.default_rng(3)
+        message = f"a family of k = 3 on 20 points, but the plan is for k = {k} on {n}"
+        with pytest.raises(ValueError, match=message):
+            md.derandomize(fam, f_rand, plan, rng)
+        with pytest.raises(ValueError, match=message):
+            md.build_bias_table(fam, plan, rng)
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
 
 
 def test_derandomize_rejects_inconsistent_family():
@@ -404,7 +493,7 @@ def test_derandomize_rejects_inconsistent_family():
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=100)
     f_rand = md.RandomizedClassifier(md.full_labeling_class(2), (0,), [1.0])
     with pytest.raises(md.LabelConsistencyError):
-        md.derandomize(rf.family, f_rand, cfg, np.random.default_rng(0))
+        md.derandomize(rf.family, f_rand, plan_of(rf.family, cfg), np.random.default_rng(0))
 
 
 def test_error_decomposition_is_exact():
@@ -453,7 +542,8 @@ def test_rounding_deviation_small_on_light_instance():
     ok = 0
     runs = 120
     for run in range(runs):
-        rep, _ = md.run_trial(fam, cls, f_rand, cfg, seed=run, measure_time=False)
+        rep, _ = md.run_trial(fam, cls, f_rand, plan_of(fam, cfg), seed=run,
+                              measure_time=False)
         if rep.rounding_deviation <= 0.1:
             ok += 1
     assert ok / runs >= 1 - 0.2 / 4 - 0.05
@@ -489,7 +579,8 @@ def test_realizable_instance_reaches_low_error():
     good = 0
     runs = 80
     for run in range(runs):
-        rep, _ = md.run_trial(fam, cls, f_rand, cfg, seed=run, measure_time=False)
+        rep, _ = md.run_trial(fam, cls, f_rand, plan_of(fam, cfg), seed=run,
+                              measure_time=False)
         if rep.deterministic_error <= 0.15:
             good += 1
     assert good / runs >= 1 - 0.15

@@ -18,6 +18,8 @@ from multidist.learner import (BLOCK_DRAWS, EmpiricalSample, HedgeStack, _bucket
                                _tally, erm, rolling_mixtures)
 from multidist.metrics import BUDGET, _errors, class_errors, plus_rows, randomized_per_distribution
 
+from helpers import plan_of
+
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -523,11 +525,11 @@ def test_no_draw_call_takes_more_than_two_blocks(block, cut, monkeypatch):
     m = BLOCK_SIZES[cut](block)
     cfg = md.DerandConfig(eps=0.15, delta=0.15, mode="calibrated", m_override=m)
     hedge_cfg = md.HedgeConfig(rounds=3, erm_sample_size=m)
-    want_table = md.build_bias_table(fam, cfg, np.random.default_rng(1))
+    want_table = md.build_bias_table(fam, plan_of(fam, cfg), np.random.default_rng(1))
     want_mixture = md.hedge_learn(md.SampleOracle(fam, np.random.default_rng(2)),
                                   cls, 0.3, cfg=hedge_cfg)
     monkeypatch.setattr(learner, "BLOCK_DRAWS", block)
-    table = md.build_bias_table(fam, cfg, BoundedRng(1))
+    table = md.build_bias_table(fam, plan_of(fam, cfg), BoundedRng(1))
     for name in ("points", "labels", "members", "rho", "counts"):
         assert np.array_equal(getattr(table, name), getattr(want_table, name))
     mixture = md.hedge_learn(md.SampleOracle(fam, BoundedRng(2)), cls, 0.3,
@@ -539,9 +541,11 @@ def test_no_draw_call_takes_more_than_two_blocks(block, cut, monkeypatch):
 def loop_bias_table(fam, cfg, rng):
     """The former build_bias_table: one loop_draw per member, each member's
     tallies on their own; point -> (label, member, rho, count), in member
-    order."""
-    n, m = fam.domain_size, cfg.sample_size(fam.k)
-    threshold = cfg.threshold_scale * np.sqrt(np.log(cfg.gamma(fam.k)))
+    order. cfg is calibrated: its m_override is the table's m, and gamma =
+    c_const * k / (eps * delta)."""
+    n, m = fam.domain_size, cfg.m_override
+    gamma = cfg.c_const * fam.k / (cfg.eps * cfg.delta)
+    threshold = cfg.threshold_scale * np.sqrt(np.log(gamma))
     entries = {}
     for i, member in enumerate(members(fam)):
         xs, ys = loop_draw(member, m, rng)
@@ -565,7 +569,7 @@ def test_one_pass_bias_table_is_the_member_loop():
         cfg = md.DerandConfig(eps=0.15, delta=0.15, mode="calibrated", m_override=m,
                               threshold_scale=scale)
         rng = np.random.default_rng(seed)
-        table = md.build_bias_table(fam, cfg, rng)
+        table = md.build_bias_table(fam, plan_of(fam, cfg), rng)
         ref_rng = np.random.default_rng(seed)
         want = loop_bias_table(fam, cfg, ref_rng)
         assert len(want) > 0
@@ -768,7 +772,7 @@ def test_rolling_mixtures_are_hedge_learn_alone(monkeypatch):
         for runs in (1, 4, 32):
             monkeypatch.setattr(learner, "STACK_RUNS", runs)
             got = list(rolling_mixtures(((j, fam, cls) for j, (fam, cls) in enumerate(instances)),
-                                        0.2, cfg))
+                                        *cfg.resolve(6, 0.2)))
             assert [key for key, *_ in got] == list(range(9))
             assert all(seconds >= 0.0 for *_, seconds in got)
             for (j, fam, cls, F, _), G in zip(got, want):
@@ -776,7 +780,7 @@ def test_rolling_mixtures_are_hedge_learn_alone(monkeypatch):
                 assert F.support == G.support and np.array_equal(F.weights, G.weights)
                 assert np.array_equal(class_errors(cls, fam),
                                       md.error_matrix(plus_rows(cls.label_matrix), fam))
-    assert list(rolling_mixtures([], 0.2, cfg)) == []
+    assert list(rolling_mixtures([], *cfg.resolve(6, 0.2))) == []
 
 
 def test_after_the_last_item_a_stack_plays_only_the_runs_left(monkeypatch):
@@ -809,7 +813,7 @@ def test_after_the_last_item_a_stack_plays_only_the_runs_left(monkeypatch):
     for runs, advances in ((4, 3 * 2), (32, 20 + 9 * 2)):
         drained.clear(), reads.clear(), calls.clear()
         monkeypatch.setattr(learner, "STACK_RUNS", runs)
-        got = list(rolling_mixtures(items(), 0.2, cfg))
+        got = list(rolling_mixtures(items(), *cfg.resolve(6, 0.2)))
         assert [key for key, *_ in got] == list(range(9))
         assert len(calls) == advances
         assert all(active == left for active, left in calls)
@@ -826,7 +830,7 @@ def test_an_error_matrix_of_another_shape_is_rejected(monkeypatch):
     items = [(0, fam6, cls6), (1, fam1, cls1)]
     monkeypatch.setattr(learner, "STACK_RUNS", 4)
     with pytest.raises(ValueError, match=r"\(4, 1\).*\(4, 6\)"):
-        list(rolling_mixtures(items, 0.3, md.HedgeConfig()))
+        list(rolling_mixtures(items, *md.HedgeConfig().resolve(6, 0.3)))
 
 
 def test_exact_hedge_memory_does_not_grow_with_the_rounds():

@@ -20,9 +20,9 @@ from multidist.harness import (
     write_trials_csv,
 )
 from multidist.instances import gen_random_label_consistent
-from multidist.metrics import heavy_mask, plus_rows, randomized_per_distribution
+from multidist.metrics import plus_rows, randomized_per_distribution
 
-from helpers import learned
+from helpers import heavy_mask, learned, plan_of
 
 
 def small_campaign(seed=0, **derand_kwargs):
@@ -74,9 +74,10 @@ def test_heavy_coverage_flag():
     good = md.BiasTable([0], [1], [0], [0.8], [50])
     bad_sign = md.BiasTable([0], [-1], [0], [-0.8], [50])
     empty = md.BiasTable()
-    assert heavy_coverage(good, fam, 0.1, 0.1, "explicit", 4.0)
-    assert not heavy_coverage(bad_sign, fam, 0.1, 0.1, "explicit", 4.0)
-    assert not heavy_coverage(empty, fam, 0.1, 0.1, "explicit", 4.0)
+    threshold = plan_of(fam, md.DerandConfig(eps=0.1, delta=0.1)).heavy_threshold
+    assert heavy_coverage(good, fam, threshold)
+    assert not heavy_coverage(bad_sign, fam, threshold)
+    assert not heavy_coverage(empty, fam, threshold)
 
 
 def test_trial_report_validation_and_row():
@@ -92,11 +93,11 @@ def test_run_trial_deterministic():
     fam, cls = gen_random_label_consistent(md.GenSpec(domain_size=20, k=3,
                                                       hypothesis_count=8, seed=5))
     cfg = md.DerandConfig(eps=0.2, delta=0.2, mode="calibrated", m_override=1000)
-    f_rand = learned(fam, cls, cfg)
-    a, _ = md.run_trial(fam, cls, f_rand, cfg, seed=42, measure_time=False)
-    b, _ = md.run_trial(fam, cls, f_rand, cfg, seed=42, measure_time=False)
+    f_rand, plan = learned(fam, cls, cfg), plan_of(fam, cfg)
+    a, _ = md.run_trial(fam, cls, f_rand, plan, seed=42, measure_time=False)
+    b, _ = md.run_trial(fam, cls, f_rand, plan, seed=42, measure_time=False)
     assert a == b
-    c, _ = md.run_trial(fam, cls, f_rand, cfg, seed=43, measure_time=False)
+    c, _ = md.run_trial(fam, cls, f_rand, plan, seed=43, measure_time=False)
     assert c.seed != a.seed
 
 
@@ -106,7 +107,8 @@ def test_run_trial_reports_the_classifier_and_table_it_returns():
         fam, cls = gen_random_label_consistent(md.GenSpec(domain_size=40, k=6,
                                                           hypothesis_count=16, seed=seed))
         f_rand = learned(fam, cls, cfg)
-        report, result = md.run_trial(fam, cls, f_rand, cfg, seed=seed, measure_time=False)
+        report, result = md.run_trial(fam, cls, f_rand, plan_of(fam, cfg), seed=seed,
+                                      measure_time=False)
         assert md.worst_case_error(result.classifier, fam).worst_case == \
             report.deterministic_error
         assert len(result.table) == report.table_size
@@ -126,7 +128,7 @@ def test_campaign_trials_match_opt_and_mixture_errors_computed_afresh(tmp_path):
         F = learned(fam, cls, cfg.derand, cfg.hedge)
         assert r.opt == md.opt_bruteforce(cls, fam)[0]
         assert r.randomized_error == float(randomized_per_distribution(F, fam).max())
-        rows.append(md.run_trial(fam, cls, F, cfg.derand, r.seed, trial_id=r.trial_id,
+        rows.append(md.run_trial(fam, cls, F, cfg.plan, r.seed, trial_id=r.trial_id,
                                  measure_time=False)[0])
     write_trials_csv(tmp_path / "afresh.csv", rows)
     assert (tmp_path / "afresh.csv").read_bytes() == (tmp_path / "trials.csv").read_bytes()
@@ -341,6 +343,25 @@ def test_a_campaign_rejects_hash_parameters_every_trial_would_reject():
     assert md.CampaignConfig(gen_spec=md.GenSpec(), derand=coarse).derand is coarse
 
 
+def test_a_hash_campaign_chooses_its_hash_parameters_once(tmp_path, monkeypatch):
+    # each trial searched for the prime again; the campaign's plan holds it
+    from multidist import derand
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return choose(*args)
+
+    choose = derand.choose_hash_params
+    monkeypatch.setattr(derand, "choose_hash_params", counted)
+    cfg = small_campaign(seed=4, rounding="hash")
+    summary, reports = md.run_campaign(cfg, trials=5, out_dir=tmp_path, measure_time=False)
+    assert summary.errors == 0 and len(reports) == 5
+    assert calls == [(3, 0.2, 0.2, 20, 4.0)]
+    assert cfg.plan.hash_params == choose(3, 0.2, 0.2, 20, 4.0)
+
+
 def test_a_campaign_checks_its_kind_seed_and_counts_before_any_trial(monkeypatch):
     # an unknown kind or a negative seed failed every trial, one error each;
     # a bool seed or trial count ran as 0 or 1 and was written as true, and
@@ -451,7 +472,7 @@ def test_a_campaign_starts_no_more_workers_than_trials(monkeypatch):
 
 
 def test_a_trial_checks_label_consistency_once(tmp_path, monkeypatch):
-    # the bias table and heavy_mask both require a label-consistent family;
+    # the bias table and heavy_coverage both require a label-consistent family;
     # the family computes its verdict once and both read it
     prop = md.DistributionFamily.__dict__["label_consistent"]
     checked = []

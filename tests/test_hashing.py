@@ -20,6 +20,7 @@ from multidist.hashing import (
     TailCheckReport,
     TailCheckRow,
     _plus_thresholds,
+    choose_hash_params,
     coefficient_matrix_eval,
     is_prime,
     limited_independence_tail_bound,
@@ -546,13 +547,13 @@ def test_plus_thresholds_reject_marginals_outside_minus_two_two():
 
 
 def test_choose_hash_params_examples():
-    r, _ = md.choose_hash_params(4, 0.5, 0.1, 10)
+    r, _ = choose_hash_params(4, 0.5, 0.1, 10)
     assert r == 12  # smallest even integer >= 2 ln(160) ~ 10.15
     # large domain dominates
-    _, p = md.choose_hash_params(2, 0.5, 0.5, 10**6)
+    _, p = choose_hash_params(2, 0.5, 0.5, 10**6)
     assert p == next_prime(10**6 + 1)
     # eps^-3 term dominates: ceil(1000 ln 160) = 5076 -> prime 5077
-    _, p = md.choose_hash_params(4, 0.1, 0.1, 40)
+    _, p = choose_hash_params(4, 0.1, 0.1, 40)
     assert p == 5077 and sympy.isprime(5077)
 
 
@@ -560,18 +561,18 @@ def test_choose_hash_params_rejects_an_eps_past_the_prime_limit():
     # eps^-3 ln(4k/delta) passes 2^62 just below eps = 1e-6 at k = 6, delta = 0.2;
     # the prime search's OverflowError was a traceback
     with pytest.raises(ValueError, match=r"^eps = 1e-06 needs a hash prime above 2\^62$"):
-        md.choose_hash_params(6, 1e-6, 0.2, 40)
+        choose_hash_params(6, 1e-6, 0.2, 40)
     # below about 1e-103, eps^-3 itself overflowed a float
     for eps in (1e-103, 1e-120, 5e-324):
         with pytest.raises(ValueError, match=f"^eps = {eps!r} needs a hash prime above 2\\^62$"):
-            md.choose_hash_params(6, eps, 0.2, 40)
-    _, p = md.choose_hash_params(6, 1.1e-6, 0.2, 40)
+            choose_hash_params(6, eps, 0.2, 40)
+    _, p = choose_hash_params(6, 1.1e-6, 0.2, 40)
     assert p < 2**62 and is_prime(p)
 
 
 def test_choose_hash_params_prime_exceeds_all_bounds():
     for (k, eps, delta, n) in [(2, 0.3, 0.2, 17), (8, 0.05, 0.01, 1000), (3, 0.9, 0.9, 5)]:
-        r, p = md.choose_hash_params(k, eps, delta, n)
+        r, p = choose_hash_params(k, eps, delta, n)
         log_term = math.log(4 * k / delta)
         alpha = 2 * eps / (log_term * math.sqrt(4.0))
         assert r % 2 == 0 and r >= 2 * log_term
@@ -652,6 +653,16 @@ def test_tail_check_rejects_non_integer_fields():
     for field, value, name in cases:
         with pytest.raises(ValueError, match=f"tail-check {name} must be an integer, got {value!r}"):
             md.TailCheckConfig(**{"n": 64, "draws": 10, field: value})
+
+
+def test_tail_check_takes_only_a_bool_for_independent():
+    # "no" and 1 once ran in independent mode, and the report kept "no"
+    for value in ("no", 1, 0.0, None):
+        with pytest.raises(ValueError, match=f"^tail-check independent must be a bool, "
+                                             f"got {value!r}$"):
+            md.TailCheckConfig(n=64, draws=1000, independent=value)
+    assert md.TailCheckConfig(n=16, r=3, independent=np.True_).independent is True
+    assert md.TailCheckConfig(n=16, independent=False).independent is False
 
 
 def test_tail_check_takes_integral_floats_as_ints():

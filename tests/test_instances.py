@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 import multidist as md
 from multidist.instances import (_bias_profile_eta, gen_gap_example, gen_heavy_point_probe,
                                  gen_random_label_consistent)
-from multidist.metrics import bayes_labels, heavy_mask
+from multidist.metrics import bayes_labels
+
+from helpers import heavy_mask
 
 
 def test_generators_are_deterministic():

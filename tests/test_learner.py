@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 import multidist as md
 from multidist import learner
 from multidist.instances import gen_gap_example, gen_random_label_consistent
-from multidist.learner import (EmpiricalSample, _mixture, _tallies, erm, rolling_mixtures,
-                               uniform_mixture)
+from multidist.learner import EmpiricalSample, _mixture, _tallies, erm, uniform_mixture
 from multidist.metrics import plus_rows
 
 
@@ -439,8 +438,9 @@ def test_exact_oracle_requires_caller_rng():
 
 
 def test_hedge_rejects_bad_precision():
-    # rolling_mixtures once ran at -0.2 and 1.5, divided by zero at 0, and
-    # failed converting NaN rounds to an integer
+    # the campaign's Hedge once ran at -0.2 and 1.5, divided by zero at 0,
+    # and failed converting NaN rounds to an integer; its rounds and rate
+    # come from resolve, through the campaign's run plan
     fam, cls, _ = gen_gap_example(3)
     oracles = (md.SampleOracle(fam),
                md.SampleOracle(fam, np.random.default_rng(0)))
@@ -448,8 +448,6 @@ def test_hedge_rejects_bad_precision():
         message = f"eps must lie in \\(0, 1\\), got {eps!r}"
         with pytest.raises(ValueError, match=message):
             md.HedgeConfig().resolve(6, eps)
-        with pytest.raises(ValueError, match=message):
-            next(rolling_mixtures([(None, fam, cls)], eps))
         for oracle in oracles:
             with pytest.raises(ValueError, match=message):
                 md.hedge_learn(oracle, cls, eps)

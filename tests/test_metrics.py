@@ -6,8 +6,10 @@ import pytest
 import multidist as md
 from multidist import metrics
 from multidist.instances import gen_gap_example, gen_random_label_consistent
-from multidist.metrics import (bayes_labels, class_errors, heavy_bias_threshold, heavy_mask,
-                               plus_rows, randomized_per_distribution)
+from multidist.metrics import (bayes_labels, class_errors, heavy_bias_threshold, plus_rows,
+                               randomized_per_distribution)
+
+from helpers import heavy_mask
 
 
 def oracle_error(labels, member):

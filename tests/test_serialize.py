@@ -548,15 +548,12 @@ def test_every_writer_writes_the_text_of_json_dumps_indent_1(tmp_path):
     own_labels = md.DistributionFamily([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]],
                                        [[0.0, 1.0], [-0.0, 0.3], [0.1, 5e-324]])
     mixture = md.RandomizedClassifier(wide_cls, (0, 1, 2), [0.5, 0.3, 0.2])
-    compact = md.derandomize(wide_fam, mixture,
-                             md.DerandConfig(eps=0.6, delta=0.2, mode="calibrated",
-                                             m_override=5000, rounding="hash"),
-                             np.random.default_rng(4)).classifier
-    # one draw per member: no skew clears the threshold, so the table is empty
-    empty_table = md.derandomize(wide_fam, mixture,
-                                 md.DerandConfig(eps=0.6, delta=0.2, mode="calibrated",
-                                                 m_override=1, rounding="hash"),
-                                 np.random.default_rng(4)).classifier
+    compact, empty_table = (
+        md.derandomize(wide_fam, mixture, md.RunPlan(24, 1000, md.DerandConfig(
+            eps=0.6, delta=0.2, mode="calibrated", m_override=m, rounding="hash")),
+            np.random.default_rng(4)).classifier
+        # one draw per member: no skew clears the threshold, so the table is empty
+        for m in (5000, 1))
     assert len(compact.t_points) > 0 and len(empty_table.t_points) == 0
     path = tmp_path / "file.json"
     for save, build, args in (

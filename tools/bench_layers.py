@@ -10,10 +10,11 @@ rounds for each tree ("parent" is the tree given by --parent, "change" the
 tree holding this script), the first and third quartiles of those rounds, and
 the ratio of the medians. A ratio whose quartile ranges overlap is within the
 spread between interpreters of one tree. Both trees must take the family, not
-a SampleOracle, in build_bias_table and derandomize, take no error matrix
-in run_trial and no domain size in round_outside_t, and have the module
-function learner._tallies, so a tree whose round_outside_t takes a domain
-size cannot be timed. The layers:
+a SampleOracle, and a RunPlan, not a DerandConfig, in build_bias_table,
+derandomize and run_trial, take no error matrix in run_trial and no domain
+size in round_outside_t, and have the module function learner._tallies, so
+a tree whose round_outside_t takes a domain size cannot be timed. The
+layers:
 
 - eval_block: coefficient_matrix_eval on a (16384, 4) block of coefficients
   at the keys 0..3, p = 67 (the seed call of the default tail check, which
@@ -175,11 +176,13 @@ def time_layers(src: str) -> dict:
     saved = Path(tmp.name) / "saved.json"
     loaded_classifier = serialize.load_classifier(classifier, wide_cls)
     draw_rng = np.random.default_rng(2)
-    wide_table_cfg = md.DerandConfig(eps=0.6, delta=0.2, mode="calibrated", m_override=5000)
-    c06_table_cfg = md.DerandConfig(eps=0.15, delta=0.15, mode="calibrated", m_override=5000)
+    wide_cfg = md.DerandConfig(eps=0.6, delta=0.2, mode="calibrated", m_override=5000)
+    wide_plan = md.RunPlan(24, 1000, wide_cfg)
+    c06_plan = md.RunPlan(6, 40, md.DerandConfig(eps=0.15, delta=0.15, mode="calibrated",
+                                                 m_override=5000))
     wide_mixture = md.RandomizedClassifier(wide_cls, (0, 1, 2), [0.5, 0.3, 0.2])
     compact = md.derandomize(wide_fam, wide_mixture,
-                             dataclasses.replace(wide_table_cfg, rounding="hash"),
+                             md.RunPlan(24, 1000, dataclasses.replace(wide_cfg, rounding="hash")),
                              np.random.default_rng(4)).classifier
     c06_oracle = md.SampleOracle(c06_fam)
     c06_mixture = md.hedge_learn(c06_oracle, c06_cls, 0.075)
@@ -204,7 +207,7 @@ def time_layers(src: str) -> dict:
         return call(*args)
 
     wide_learned = md.hedge_learn(md.SampleOracle(wide_fam), wide_cls, 0.3)
-    wide_table = md.build_bias_table(wide_fam, wide_table_cfg, np.random.default_rng(5))
+    wide_table = md.build_bias_table(wide_fam, wide_plan, np.random.default_rng(5))
     calls = {
         "eval_block": lambda: coefficient_matrix_eval(coeffs, keys, 67),
         "eval_one_poly": lambda: coefficient_matrix_eval(one_poly, domain, 1009),
@@ -233,9 +236,9 @@ def time_layers(src: str) -> dict:
         # the parser's build, not the per-process cache in front of it
         "build_parser": getattr(cli.build_parser, "__wrapped__", cli.build_parser),
         "build_bias_table_24x1000x5000": lambda: afresh(
-            "_bucket_table", wide_fam, md.build_bias_table, wide_fam, wide_table_cfg, draw_rng),
+            "_bucket_table", wide_fam, md.build_bias_table, wide_fam, wide_plan, draw_rng),
         "build_bias_table_6x40x5000": lambda: afresh(
-            "_bucket_table", c06_fam, md.build_bias_table, c06_fam, c06_table_cfg, draw_rng),
+            "_bucket_table", c06_fam, md.build_bias_table, c06_fam, c06_plan, draw_rng),
         # a copy, since a classifier caches its label vector
         "compact_label_vector_24x1000": lambda: dataclasses.replace(compact).label_vector(),
         "hedge_exact_c06": lambda: afresh("_class_error_entry", c06_fam, md.hedge_learn,
@@ -245,7 +248,7 @@ def time_layers(src: str) -> dict:
         "opt_bruteforce_128x24x1000": lambda: afresh("_class_error_entry", wide_fam,
                                                      md.opt_bruteforce, wide_cls, wide_fam),
         "run_trial_c06": lambda: afresh("_bucket_table", c06_fam, md.run_trial, c06_fam,
-                                        c06_cls, c06_mixture, c06_table_cfg, 606),
+                                        c06_cls, c06_mixture, c06_plan, 606),
     }
     for name, call in calls.items():
         call()  # warm-up

@@ -7,7 +7,7 @@
 A tree runs the suite below in one fresh interpreter, with that tree's src
 first on PYTHONPATH, in an empty work directory of its own, so every output
 path is the same relative path in every run (eval.csv's path columns match).
-It leaves 78 files; a command's stdout and stderr, followed by its exit code,
+It leaves 84 files; a command's stdout and stderr, followed by its exit code,
 are kept as <name>.out. --check runs the suite on the tree holding this
 script and compares the SHA-256 digest of each file with tools/outputs.sha256,
 one "name digest" line per output; --write writes that file from the same
@@ -20,6 +20,9 @@ The suite:
 - trial: a 200-trial C06 campaign (n = 40, k = 6, |H| = 16, calibrated
   eps = delta = 0.15, m = 5000, seed 606, --no-timing) at parallelism 1
   and 2: stdout, trials.csv and the summary;
+- trial --rounding hash: a 40-trial campaign of the same C06 flags, whose
+  trials round by one hash degree and prime, (12, 1511), chosen once for the
+  campaign, at parallelism 1 and 2: stdout, trials.csv and the summary;
 - on a gen --domain-size 1000 -k 24 --hypotheses 128 instance: learn, exact
   and --sampling, with --trace; derand, explicit and --rounding hash, with
   the report row less its wall_time column; eval of both classifiers;
@@ -86,8 +89,8 @@ file the loader kept, and derand_explicit and derand_hash share another
 (learn_c06_*, learn_heavy_* and the c06_theory runs load other files between
 them); trial_p* reads the matrix its Hedge stack loaded; learn_*_sampling
 through _errors, the array core of sampling-mode Hedge; gen_heavy through
-_heaviness, which heavy_mask also reads; trial_p1 and trial_p2 through
-heavy_coverage's bayes_labels signs (the heavy_covered column) and the
+_heaviness, which heavy_coverage also reads; trial_p* and trial_hash_p*
+through heavy_coverage's bayes_labels signs (the heavy_covered column) and the
 summary's passed flag, derived from the predicate summaries.
 """
 
@@ -162,6 +165,9 @@ def run_suite(tree: Path) -> None:
     for par in ("1", "2"):
         verb(f"trial_p{par}", "trial", "--trials", "200", "--parallelism", par,
              "--outdir", f"trial_p{par}", *C06)
+    for par in ("1", "2"):
+        verb(f"trial_hash_p{par}", "trial", "--trials", "40", "--parallelism", par,
+             "--rounding", "hash", "--outdir", f"trial_hash_p{par}", *C06)
     verb("gen", "gen", "--domain-size", "1000", "-k", "24", "--hypotheses", "128",
          "--seed", "5", "-o", "inst.json")
     verb("learn_exact", "learn", "inst.json", "--eps", "0.6", "--seed", "7",
