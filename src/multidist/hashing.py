@@ -379,12 +379,16 @@ def standard_hoeffding_bound(t: float, n: int) -> float:
 
 
 def limited_independence_tail_bound(t: float, r: int, q_cap: float) -> float:
-    """(r * Q / (e^(2/3) * T^2))^(r/2) for even r and Q >= max(r, variance)."""
+    """(r * Q / (e^(2/3) * T^2))^(r/2) for even r and Q >= max(r, variance);
+    inf where it passes every float, as it is then vacuous."""
     if r < 2 or r % 2 != 0:
         raise ValueError("the tail bound holds for even r >= 2")
     if t <= 0:
         return math.inf
-    return (r * q_cap / (math.exp(2.0 / 3.0) * t * t)) ** (r / 2)
+    try:
+        return (r * q_cap / (math.exp(2.0 / 3.0) * t * t)) ** (r / 2)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -118,19 +118,6 @@ def _bucket_table(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cum, guide
 
 
-def _family_table(fam: DistributionFamily) -> tuple[np.ndarray, np.ndarray]:
-    """fam's _bucket_table, read-only: built on first use and kept on the
-    family, as class_errors keeps the class matrix, so that the draws of
-    sampling-mode Hedge and of a bias table on one family share one build."""
-    table = vars(fam).get("_bucket_table")
-    if table is None:
-        table = _bucket_table(fam.mass_matrix)
-        for array in table:
-            array.flags.writeable = False
-        vars(fam)["_bucket_table"] = table
-    return table
-
-
 def _lookup(table: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
     """The cells i * n + x, in u's shape, of the uniforms u (any strides),
     whose rows along axis -2 are keys of the r members of a _bucket_table:
@@ -197,15 +184,15 @@ def _tally(cells: np.ndarray, plus: np.ndarray, k: int, n: int) -> tuple[np.ndar
 def _tallies(fam: DistributionFamily, size: int, rng: np.random.Generator, rounds: int = 1):
     """Yield each of `rounds` rounds' (k, n) point and +1 counts, as floats,
     of size i.i.d. draws from every member of fam, using rng as rounds * k
-    consecutive SampleOracle.draw(i, size, rng) calls would, through the
-    bucket table fam keeps (_family_table). No array holds more than
+    consecutive SampleOracle.draw(i, size, rng) calls would, through one
+    _bucket_table of fam built per call. No array holds more than
     BLOCK_DRAWS draws: blocks are whole rounds if one fits, else whole
     members of a round (a row slice of the bucket table), else a member's
     draws in blocks, its labels read from a copy of rng advanced past its
     size point uniforms, whose state rng then takes. Summed block tallies
     are exact integers."""
     k, n = fam.k, fam.domain_size
-    cum, guide = table = _family_table(fam)
+    cum, guide = table = _bucket_table(fam.mass_matrix)
     eta = fam.label_prob_matrix
     if k * size <= BLOCK_DRAWS:
         block = BLOCK_DRAWS // (k * size)
@@ -254,14 +241,14 @@ class SampleOracle:
              rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Draw i.i.d. (x, y) pairs from one member. A sampling oracle always
         uses its own stream; an exact oracle synthesizes draws from the known
-        masses with the caller's rng: inverse-CDF over the member's row of the
-        bucket table fam keeps, then a conditional label coin per draw."""
+        masses with the caller's rng: inverse-CDF over the member's one-row
+        bucket table, then a conditional label coin per draw."""
         if self.rng is not None:
             rng = self.rng
         elif rng is None:
             raise ValueError("exact-mode draws need the caller's rng")
         fam = self.family
-        table = tuple(array[member_index][None] for array in _family_table(fam))
+        table = _bucket_table(fam.mass_matrix[member_index][None])
         cells, plus = _draw(table, fam.label_prob_matrix[member_index][None], size, rng)
         return cells[0, 0].astype(np.int64), plus[0, 0].view(np.int8) * np.int8(2) - np.int8(1)
 
@@ -506,8 +493,11 @@ def rolling_mixtures(items, rounds: int, eta: float):
             slot, (key, fam, cls) = queue.popleft()
             mixture = uniform_mixture(cls, stack.counts[slot])
             # a run that leaves while items remain gives its slot to the next
-            # item; after, the runs left are the first len(queue) slots
-            stack.advance(step - last, active if item is not None else len(queue))
+            # item; after, the runs left are the first len(queue) slots, and
+            # once none is left no round is played
+            left = active if item is not None else len(queue)
+            if left:
+                stack.advance(step - last, left)
         spent += time.perf_counter() - t0
         if finished:
             yield key, fam, cls, mixture, spent

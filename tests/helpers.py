@@ -1,9 +1,10 @@
 """Builders shared by the test modules."""
 
 import numpy as np
+from scipy.optimize import linprog
 
 import multidist as md
-from multidist.metrics import _heaviness, heavy_bias_threshold
+from multidist.metrics import _heaviness, class_errors, heavy_bias_threshold
 
 
 def plan_of(fam, cfg, hedge=None):
@@ -33,3 +34,21 @@ def listed(doc):
     if isinstance(doc, list):
         return [listed(value) for value in doc]
     return doc.tolist() if isinstance(doc, np.ndarray) else doc
+
+
+def game_value(fam, cls):
+    """The game value V of cls on fam, the least worst-case error of any
+    mixture over cls: one LP, minimise t over q in the simplex on cls subject
+    to q . E[:, i] <= t for each member i, E = class_errors(cls, fam). HiGHS
+    solves it to its feasibility tolerance, 1e-7 by default."""
+    errors = class_errors(cls, fam)
+    h, k = errors.shape
+    # variables q_1..q_h, t
+    objective = np.zeros(h + 1)
+    objective[-1] = 1.0
+    rows = np.hstack([errors.T, -np.ones((k, 1))])
+    simplex = np.append(np.ones(h), 0.0)[None]
+    result = linprog(objective, A_ub=rows, b_ub=np.zeros(k), A_eq=simplex, b_eq=[1.0],
+                     bounds=[(0, None)] * h + [(None, None)], method="highs")
+    assert result.status == 0, result.message
+    return float(result.x[-1])

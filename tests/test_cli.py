@@ -305,6 +305,15 @@ def test_hashcheck_cli():
     assert main(["hashcheck", "--draws", "20000", "--seed", "0"]) == 0
 
 
+def test_hashcheck_passes_a_vacuous_tail_bound(capsys):
+    # at r = 200 the bound at T = 0.5 sqrt(64) passes every float; it ended
+    # in an OverflowError traceback and exit 1
+    assert main(["hashcheck", "--n", "64", "--r", "200", "--draws", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "tail T=4.000: observed=0.300000 bound=inf ok" in out.splitlines()
+    assert out.endswith("hashcheck passed\n")
+
+
 def test_hashcheck_counts_its_rounding_law_exactly(monkeypatch, capsys):
     # one evaluation of all 49 coefficient pairs at key 3, where each hash
     # value comes up 7 times, so exactly 7T pairs fall below a threshold T
@@ -1034,9 +1043,10 @@ def test_learn_then_derand_computes_the_class_error_matrix_once(tmp_path, monkey
     assert sum(full) == 1
 
 
-def test_learn_then_derand_builds_the_bucket_table_once(tmp_path, monkeypatch):
-    # learn --sampling's draws and derand's bias table draw from the family
-    # the loader keeps, which keeps one read-only bucket table
+def test_learn_then_derand_keeps_no_bucket_table_on_the_family(tmp_path, monkeypatch):
+    # each _tallies call builds the bucket table it reads: learn --sampling's
+    # draws and derand's bias table build one each on the family the loader
+    # keeps, which keeps class_errors' matrix and no table
     inst = tmp_path / "inst.json"
     assert main(["gen", "--domain-size", "40", "-k", "4", "--hypotheses", "12",
                  "--seed", "3", "-o", str(inst)]) == 0
@@ -1047,20 +1057,12 @@ def test_learn_then_derand_builds_the_bucket_table_once(tmp_path, monkeypatch):
         built.append(mass.shape)
         return build(mass)
 
-    monkeypatch.setattr(learner, "_bucket_table", counted)
+    monkeypatch.setattr("multidist.learner._bucket_table", counted)
     assert main(["learn", str(inst), "--sampling", "--eps", "0.3", "--seed", "1",
                  "-o", str(tmp_path / "mix.json")]) == 0
     assert main(["derand", str(inst), "--eps", "0.4", "--delta", "0.3", "--mode", "calibrated",
                  "--m-override", "500", "--seed", "2", "-o", str(tmp_path / "clf.json")]) == 0
-    assert built == [(4, 40)]
+    assert built == [(4, 40), (4, 40)]
     fam, _, _ = serialize.load_instance(inst)
-    table = learner._family_table(fam)
-    assert len(built) == 1 and table is vars(fam)["_bucket_table"]
-    assert not any(array.flags.writeable for array in table)
-    with pytest.raises(ValueError, match="read-only"):
-        table[1][0, 0] = 0
-    # an equal family is another object, with a table of its own
-    other = md.DistributionFamily(fam.mass_matrix, fam.label_prob_matrix)
-    own = learner._family_table(other)
-    assert len(built) == 2 and own is not table
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(own, table))
+    assert [name for name, value in vars(fam).items()
+            if isinstance(value, tuple)] == ["_class_error_entry"]

@@ -809,14 +809,16 @@ def test_after_the_last_item_a_stack_plays_only_the_runs_left(monkeypatch):
     monkeypatch.setattr(learner, "uniform_mixture", counted_mixture)
     # T = 359: 9 runs through 4 slots of 90 rounds a step leave 3 runs after
     # the last item, each leaving at a step split in two; through 30 slots of
-    # 12 rounds, all 9 are left, 20 steps before the first leaves
-    for runs, advances in ((4, 3 * 2), (32, 20 + 9 * 2)):
+    # 12 rounds, all 9 are left, 20 steps before the first leaves; the last
+    # run's leaving step plays no rounds after it, as no run is left
+    for runs, advances in ((4, 3 * 2 - 1), (32, 20 + 9 * 2 - 1)):
         drained.clear(), reads.clear(), calls.clear()
         monkeypatch.setattr(learner, "STACK_RUNS", runs)
         got = list(rolling_mixtures(items(), *cfg.resolve(6, 0.2)))
         assert [key for key, *_ in got] == list(range(9))
         assert len(calls) == advances
         assert all(active == left for active, left in calls)
+        assert all(active >= 1 for active, _ in calls)
 
 
 def test_an_error_matrix_of_another_shape_is_rejected(monkeypatch):

@@ -589,6 +589,20 @@ def test_tail_bound_formula():
         limited_independence_tail_bound(1.0, 3, 4.0)
 
 
+@pytest.mark.parametrize("n, r", [(64, 200), (256, 234), (4096, 286)])
+def test_a_tail_bound_past_every_float_is_inf(n, r):
+    # at the tail check's smallest deviation, (...) ** (r / 2) once raised
+    # OverflowError from these r; a bound above every float is vacuous
+    cfg = md.TailCheckConfig(n=n, r=r, draws=1)
+    mu = cfg.threshold / cfg.prime
+    t, variance = cfg.t_values[0], n * mu * (1 - mu)
+    assert limited_independence_tail_bound(t, r, max(r, variance)) == math.inf
+    assert math.isfinite(limited_independence_tail_bound(t, r - 2, max(r - 2, variance)))
+    report = md.empirical_tail_bound_check(md.TailCheckConfig(n=n, r=r, draws=10))
+    assert report.rows[0].bound == math.inf and report.rows[0].slack_3sigma == 0.0
+    assert report.ok
+
+
 def test_tail_check_hash_mode_within_bound():
     report = md.empirical_tail_bound_check(md.TailCheckConfig(
         n=64, r=4, draws=30_000, seed=1))

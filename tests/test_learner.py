@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import sys
@@ -11,8 +12,11 @@ from hypothesis import strategies as st
 import multidist as md
 from multidist import learner
 from multidist.instances import gen_gap_example, gen_random_label_consistent
-from multidist.learner import EmpiricalSample, _mixture, _tallies, erm, uniform_mixture
-from multidist.metrics import plus_rows
+from multidist.learner import (EmpiricalSample, _mixture, _tallies, erm, rolling_mixtures,
+                               uniform_mixture)
+from multidist.metrics import class_errors, plus_rows
+
+from helpers import game_value
 
 
 def one_member(mass, label_one_prob) -> md.SampleOracle:
@@ -313,6 +317,46 @@ def test_hedge_sampling_mode_learns_realizable():
     oracle = md.SampleOracle(fam, np.random.default_rng(16))
     F = md.hedge_learn(oracle, cls, 0.2, cfg=md.HedgeConfig(erm_sample_size=100))
     assert md.randomized_worst_case_error(F, fam) <= 0.2
+
+
+# HiGHS's default feasibility tolerance: game_value's V is exact to about this
+TOL = 1e-7
+
+
+@st.composite
+def games(draw):
+    """Three random label-consistent instances of one shape (k from 2 to 8,
+    |H| at most 32, n at most 60), a learner precision eps in [0.05, 0.5] and
+    a seed for weights on the members."""
+    spec = md.GenSpec(domain_size=draw(st.integers(1, 60)), k=draw(st.integers(2, 8)),
+                      hypothesis_count=draw(st.integers(1, 32)),
+                      seed=draw(st.integers(0, 2**32 - 3)))
+    instances = [gen_random_label_consistent(dataclasses.replace(spec, seed=spec.seed + j))
+                 for j in range(3)]
+    return instances, draw(st.floats(0.05, 0.5)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(games())
+def test_exact_hedge_is_within_eps_over_4_of_the_game_value(game):
+    # at the default T and eta the weights player's average regret is at most
+    # sqrt(ln k / (2T)) <= eps/4 and each best response scores at most V, so
+    # the uniform mixture's worst case is at most V + eps/4 (Freund & Schapire
+    # 1999); OPT, the best single hypothesis, can lie further above V
+    instances, eps, seed = game
+    fam, cls = instances[0]
+    values = [game_value(f, c) for f, c in instances]
+    worst = md.randomized_worst_case_error(md.hedge_learn(md.SampleOracle(fam), cls, eps), fam)
+    assert values[0] - TOL <= worst <= values[0] + eps / 4 + TOL
+    rolled = list(rolling_mixtures(((j, f, c) for j, (f, c) in enumerate(instances)),
+                                   *md.HedgeConfig().resolve(fam.k, eps)))
+    assert [key for key, *_ in rolled] == [0, 1, 2]
+    for (_, f, c, mixture, _), value in zip(rolled, values):
+        assert md.randomized_worst_case_error(mixture, f) <= value + eps / 4 + TOL
+        assert value <= md.opt_bruteforce(c, f)[0] + TOL
+    # any weights on the members give a lower bound on V
+    for w in np.random.default_rng(seed).dirichlet(np.ones(fam.k), 8):
+        assert (class_errors(cls, fam) @ w).min() <= values[0] + TOL
 
 
 def test_sampling_oracle_draws_from_its_own_stream():

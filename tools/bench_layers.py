@@ -13,8 +13,10 @@ spread between interpreters of one tree. Both trees must take the family, not
 a SampleOracle, and a RunPlan, not a DerandConfig, in build_bias_table,
 derandomize and run_trial, take no error matrix in run_trial and no domain
 size in round_outside_t, and have the module function learner._tallies, so
-a tree whose round_outside_t takes a domain size cannot be timed. The
-layers:
+a tree whose round_outside_t takes a domain size cannot be timed. Each
+_tallies call builds the bucket table it reads, so the sampler layers and
+run_trial_c06 time one build per call; in a tree whose family keeps its
+table, they time it once. The layers:
 
 - eval_block: coefficient_matrix_eval on a (16384, 4) block of coefficients
   at the keys 0..3, p = 67 (the seed call of the default tail check, which
@@ -27,8 +29,7 @@ layers:
   high-discrepancy n = 18 matrix (no early exit);
 - hedge_sampling: sampling-mode hedge_learn at the cli_wide learn shape
   (n = 1000, k = 24, |H| = 128, seed 5; eps 0.6, so 71 rounds of 200 draws
-  per member), with the bucket table the family keeps dropped before each
-  call;
+  per member);
 - hedge_exact_c06: exact-mode hedge_learn at the C06 shape (n = 40, k = 6,
   |H| = 16, seed 5) and a C06 trial's learner precision, eps 0.075 (2549
   rounds), with the class error matrix the family keeps dropped before each
@@ -39,9 +40,8 @@ layers:
 - draw_family_24x1000x5000 and draw_family_6x40x5000: one round of
   learner._tallies, 5000 draws per member tallied into (k, n) counts, the
   bias-table draws of derand on the cli_wide instance (in member blocks)
-  and of a C06 campaign trial (in one block), with the family's kept bucket
-  table dropped before each call; the names are draw_family's, which these
-  layers timed until it was removed;
+  and of a C06 campaign trial (in one block); the names are draw_family's,
+  which these layers timed until it was removed;
 - draw_family_6x40x1000000: the same at the C06 shape with 1,000,000 draws
   per member, each member larger than a block;
 - load_instance: serialize.load_instance of the cli_wide instance file,
@@ -78,7 +78,7 @@ layers:
   build_bias_table of 5000 draws per member on the cli_wide and C06
   instances above (eps 0.6, delta 0.2 as derand on the cli_wide benchmark
   instance, about 440 points pinned; eps = delta = 0.15 as a C06 campaign
-  trial), with the family's kept bucket table dropped before each call;
+  trial);
 - compact_label_vector_24x1000: a fresh copy of the compact classifier that
   derand --rounding hash makes from a three-hypothesis mixture on the
   cli_wide instance (m = 5000), constructed and labelled over the domain;
@@ -89,9 +89,7 @@ layers:
   the class error matrix the family keeps dropped before each call;
 - run_trial_c06: one run_trial at the C06 campaign's derandomization
   config, from the exact-mode mixture of hedge_exact_c06, reading the class
-  error matrix that its learner left on the family; the family's kept bucket
-  table is dropped before each call, since a campaign trial's family is
-  fresh;
+  error matrix that its learner left on the family;
 - package_import: `import multidist, multidist.cli, multidist.serialize`
   after numpy, as each CLI process makes it; a module is imported once per
   interpreter, so it is timed once in each, and the median is over the
@@ -200,10 +198,9 @@ def time_layers(src: str) -> dict:
         serialize._last_instance = None  # no file kept from the call before
         return serialize.load_instance(path)
 
-    def afresh(entry, fam, call, *args):
-        # no class error matrix ("_class_error_entry") or bucket table
-        # ("_bucket_table") kept on fam from the call before
-        vars(fam).pop(entry, None)
+    def afresh(fam, call, *args):
+        # no class error matrix kept on fam from the call before
+        vars(fam).pop("_class_error_entry", None)
         return call(*args)
 
     wide_learned = md.hedge_learn(md.SampleOracle(wide_fam), wide_cls, 0.3)
@@ -214,13 +211,11 @@ def time_layers(src: str) -> dict:
         "tail_check": lambda: md.empirical_tail_bound_check(tail),
         "bruteforce_min_discrepancy": lambda: md.bruteforce_min_discrepancy(matrix),
         "min_deterministic_error": lambda: md.min_deterministic_error(family),
-        "hedge_sampling": lambda: afresh("_bucket_table", wide_fam, md.hedge_learn,
-                                         md.SampleOracle(wide_fam, np.random.default_rng(7)),
-                                         wide_cls, 0.6),
-        "draw_family_24x1000x5000": lambda: afresh("_bucket_table", wide_fam, tallies, wide_fam),
-        "draw_family_6x40x5000": lambda: afresh("_bucket_table", c06_fam, tallies, c06_fam),
-        "draw_family_6x40x1000000": lambda: afresh("_bucket_table", c06_fam, tallies, c06_fam,
-                                                   1_000_000),
+        "hedge_sampling": lambda: md.hedge_learn(
+            md.SampleOracle(wide_fam, np.random.default_rng(7)), wide_cls, 0.6),
+        "draw_family_24x1000x5000": lambda: tallies(wide_fam),
+        "draw_family_6x40x5000": lambda: tallies(c06_fam),
+        "draw_family_6x40x1000000": lambda: tallies(c06_fam, 1_000_000),
         "load_instance": lambda: parsed(instance),
         "load_instance_deferred": lambda: parsed(float_labels),
         "load_instance_again": lambda: serialize.load_instance(instance),
@@ -235,20 +230,17 @@ def time_layers(src: str) -> dict:
         "error_matrix_masked_2x24x1000": lambda: md.error_matrix(two_rows, wide_fam, outside),
         # the parser's build, not the per-process cache in front of it
         "build_parser": getattr(cli.build_parser, "__wrapped__", cli.build_parser),
-        "build_bias_table_24x1000x5000": lambda: afresh(
-            "_bucket_table", wide_fam, md.build_bias_table, wide_fam, wide_plan, draw_rng),
-        "build_bias_table_6x40x5000": lambda: afresh(
-            "_bucket_table", c06_fam, md.build_bias_table, c06_fam, c06_plan, draw_rng),
+        "build_bias_table_24x1000x5000": lambda: md.build_bias_table(wide_fam, wide_plan,
+                                                                     draw_rng),
+        "build_bias_table_6x40x5000": lambda: md.build_bias_table(c06_fam, c06_plan, draw_rng),
         # a copy, since a classifier caches its label vector
         "compact_label_vector_24x1000": lambda: dataclasses.replace(compact).label_vector(),
-        "hedge_exact_c06": lambda: afresh("_class_error_entry", c06_fam, md.hedge_learn,
-                                          c06_oracle, c06_cls, 0.075),
+        "hedge_exact_c06": lambda: afresh(c06_fam, md.hedge_learn, c06_oracle, c06_cls, 0.075),
         "hedge_stack_advance_32": lambda: stack.advance(step),
         "round_outside_t_24x1000": lambda: md.round_outside_t(wide_learned, wide_table, draw_rng),
-        "opt_bruteforce_128x24x1000": lambda: afresh("_class_error_entry", wide_fam,
-                                                     md.opt_bruteforce, wide_cls, wide_fam),
-        "run_trial_c06": lambda: afresh("_bucket_table", c06_fam, md.run_trial, c06_fam,
-                                        c06_cls, c06_mixture, c06_plan, 606),
+        "opt_bruteforce_128x24x1000": lambda: afresh(wide_fam, md.opt_bruteforce, wide_cls,
+                                                     wide_fam),
+        "run_trial_c06": lambda: md.run_trial(c06_fam, c06_cls, c06_mixture, c06_plan, 606),
     }
     for name, call in calls.items():
         call()  # warm-up

@@ -7,11 +7,11 @@
 A tree runs the suite below in one fresh interpreter, with that tree's src
 first on PYTHONPATH, in an empty work directory of its own, so every output
 path is the same relative path in every run (eval.csv's path columns match).
-It leaves 84 files; a command's stdout and stderr, followed by its exit code,
-are kept as <name>.out. --check runs the suite on the tree holding this
-script and compares the SHA-256 digest of each file with tools/outputs.sha256,
-one "name digest" line per output; --write writes that file from the same
-run. --parent runs the suite on both trees and compares each file byte for
+It leaves 85 files; a command's stdout and stderr, followed by its exit code,
+are kept as <name>.out (a command that raises, as its exception's last line
+and exit 1). --check runs the suite on the tree holding this script and
+compares the SHA-256 digest of each file with tools/outputs.sha256, one
+"name digest" line per output; --write writes that file from the same run. --parent runs the suite on both trees and compares each file byte for
 byte. The script prints the outputs it compared and exits 0 when all are
 identical, or exits 1 listing each that differs or exists on one side only.
 The suite:
@@ -66,8 +66,10 @@ The suite:
   --seed 5 (the first n counted in uint16, p = 257 past the uint8
   differences, and a last block of draws that is partial); at --n 3000
   --r 4 --draws 40 --seed 7 (p = 3001, differences in uint16, over 47 runs
-  of 64 and 63 keys); and at --n 1048577 --draws 1, one key past
-  TAIL_KEYS_LIMIT, rejected with exit 2 before any check;
+  of 64 and 63 keys); at --n 1048577 --draws 1, one key past
+  TAIL_KEYS_LIMIT, rejected with exit 2 before any check; and at --n 64
+  --r 200 --draws 10, whose bound at the smallest deviation passes every
+  float and is printed as inf, a vacuous bound the check passes;
 - disc gen (planted zero, n = 12), then solve, reduce and distinguish (with
   the planted coloring) on that matrix.
 
@@ -137,6 +139,9 @@ def run_suite(tree: Path) -> None:
                 code = call()
             except SystemExit as exc:  # argparse, or a demo's exit
                 code = exc.code
+            except Exception as exc:  # a process of its own ends in a traceback, exit 1
+                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+                code = 1
         Path(f"{name}.out").write_text(f"{out.getvalue()}exit {code}\n")
         return out.getvalue()
 
@@ -241,6 +246,7 @@ def run_suite(tree: Path) -> None:
     verb("hashcheck_n3000", "hashcheck", "--n", "3000", "--r", "4", "--draws", "40",
          "--seed", "7")
     verb("hashcheck_n1048577", "hashcheck", "--n", "1048577", "--draws", "1")
+    verb("hashcheck_r200", "hashcheck", "--n", "64", "--r", "200", "--draws", "10")
     planted = verb("disc_gen", "disc", "gen", "--n", "12", "--planted", "zero", "--seed", "2",
                    "-o", "A.txt")
     # a tree that prints no planted coloring still runs distinguish; disc_gen.out
