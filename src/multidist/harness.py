@@ -6,7 +6,7 @@ All randomness flows from the master seed; per-trial streams are derived from
 (master seed, trial index), so campaign output is independent of worker
 scheduling and can be reproduced exactly.
 
-A campaign's workers take trial indices one at a time from a shared counter.
+A campaign's W workers take every W-th trial index, each from its own first.
 Each worker feeds its instances, as it generates them, through one rolling
 exact-Hedge stack (learner.rolling_mixtures) and finishes each trial with
 run_trial as its mixture comes out, so every trial costs about the same. Each
@@ -218,39 +218,13 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] & 0x7FFFFFFFFFFFFFFF)
 
 
-# In a campaign's worker process: the counter, shared by all of the
-# campaign's workers, that holds the index of the next trial to run. The
-# pool's initializer sets it.
-_next_trial = None
-
-
-def _share_next_trial(counter) -> None:
-    global _next_trial
-    _next_trial = counter
-
-
 def _trial_pool(workers: int):
-    """A process pool of `workers` campaign workers that share one next-trial
-    counter. The pool's modules are imported here, by the first parallel
-    campaign of a process, so that a serial campaign and every other verb
-    start without them."""
-    import multiprocessing
+    """A process pool of `workers` campaign workers. The pool's modules are
+    imported here, by the first parallel campaign of a process, so that a
+    serial campaign and every other verb start without them."""
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=workers, initializer=_share_next_trial,
-                               initargs=(multiprocessing.Value("q", 0),))
-
-
-def _pulled_trials(trials: int):
-    """Trial indices below trials, each taken once from the shared counter,
-    so that a worker on a faster CPU takes more of them."""
-    while True:
-        with _next_trial.get_lock():
-            i = _next_trial.value
-            _next_trial.value = i + 1
-        if i >= trials:
-            return
-        yield i
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _failed(trial_index: int, exc: Exception) -> tuple[int, None, str]:
@@ -258,15 +232,18 @@ def _failed(trial_index: int, exc: Exception) -> tuple[int, None, str]:
 
 
 def _campaign_worker(args) -> list[tuple[int, TrialReport | None, str | None]]:
-    """Run trials until none is left: every trial of a one-process campaign,
-    or those this worker takes from the shared counter. Their mixtures are
-    learned by rolling_mixtures as their instances are generated. Under
-    measure_time a trial's wall_time is its own run_trial time plus an equal
-    share of this worker's learning time. Errors are recorded per trial, and
-    the worker continues past them; a learning error is the error of every
-    trial not yet finished."""
-    cfg, trials, measure_time = args
-    indices = iter(range(trials)) if _next_trial is None else _pulled_trials(trials)
+    """Run trials worker, worker + workers, ... below trials: every trial of
+    a one-process campaign. Their mixtures are learned by rolling_mixtures
+    as their instances are generated. The stack takes a worker's trials in
+    long before their mixtures come out (all of them, in a campaign shorter
+    than the stack), so trials are dealt out, not taken as workers come
+    free, which would split them by the workers' speeds in the stacks' first
+    milliseconds. Under measure_time a trial's wall_time is its own
+    run_trial time plus an equal share of this worker's learning time.
+    Errors are recorded per trial, and the worker continues past them; a
+    learning error is the error of every trial not yet finished."""
+    cfg, trials, measure_time, worker, workers = args
+    indices = iter(range(worker, trials, workers))
     results, taken = [], []
 
     def instances():
@@ -322,14 +299,14 @@ def run_campaign(cfg: CampaignConfig, trials: int, parallelism: int = 1,
         raise ValueError("trials must be >= 1")
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    job = (cfg, trials, measure_time)
     # under fork the pool starts every worker at once, wanted or not
     workers = min(parallelism, trials)
+    jobs = [(cfg, trials, measure_time, w, workers) for w in range(workers)]
     if workers == 1:
-        shares = [_campaign_worker(job)]
+        shares = [_campaign_worker(jobs[0])]
     else:
         with _trial_pool(workers) as pool:
-            shares = list(pool.map(_campaign_worker, [job] * workers))
+            shares = list(pool.map(_campaign_worker, jobs))
     results = sorted((r for share in shares for r in share), key=lambda r: r[0])
 
     reports = [r for _, r, err in results if r is not None]

@@ -360,10 +360,16 @@ class HedgeRound:
 # faster.
 BLOCK_DRAWS = 1 << 15
 
-# Most runs one rolling_mixtures stack holds at once. Past a few dozen runs a
-# round costs little less per run, and the stack's ramp-up (the rounds before
-# the first run leaves) grows with it.
-STACK_RUNS = 32
+# Most bytes the runs of one rolling_mixtures stack hold at once (_run_bytes
+# each). On a 2-core x86_64 host, a stack round cost about 8.5 us of numpy
+# call set-up plus 0.26 us per run at the C06 shape (|H| = 16, k = 6): 0.53 us
+# per run-round at 32 runs, 0.39 at 64, 0.33 at 128 and 0.29 at 256, so a
+# wider stack is cheaper per run. At |H| = 128, k = 24 the cost per run levels
+# off near 0.8-0.95 us from 16 runs, while each run holds a large instance.
+# 4 MiB gives 697 runs at C06 and 7 at n = 1000, k = 24, |H| = 128; at 2 MiB
+# (3 runs) a 140-trial campaign of that shape took 9% longer than through 32
+# runs, at 4 MiB 2%.
+STACK_BYTES = 4 << 20
 
 # Most rounds of choices HedgeStack.advance holds before one bincount into counts.
 CHOICE_BLOCK = 256
@@ -450,6 +456,13 @@ def uniform_mixture(cls: HypothesisClass, picks: np.ndarray) -> RandomizedClassi
     return RandomizedClassifier(cls, tuple(support.tolist()), picks[support] / picks.sum())
 
 
+def _run_bytes(hypotheses: int, k: int, domain_size: int) -> int:
+    """The bytes one run of a rolling_mixtures stack holds: its two (|H|, k)
+    float64 stack rows (errors and factors), its family's (k, n) float64
+    masses and label probabilities, and its class's (|H|, n) int8 labels."""
+    return 16 * hypotheses * k + 16 * k * domain_size + hypotheses * domain_size
+
+
 def rolling_mixtures(items, rounds: int, eta: float):
     """The exact-mode Hedge mixture of each (key, family, class) item, learned
     in one HedgeStack that runs enter and leave at staggered rounds, with T =
@@ -458,25 +471,31 @@ def rolling_mixtures(items, rounds: int, eta: float):
     the learning time since the previous yield. A run loads its class_errors
     matrix. Items not sharing k and |H| are a ValueError.
 
-    The stack holds at most STACK_RUNS runs. Each step takes the next item
+    The stack holds as many runs as fit STACK_BYTES at the first item's
+    shape (_run_bytes each), and at least one. Each step takes the next item
     into the stack and plays ceil(T / slots) rounds, so that a run has had
     its T rounds in `slots` steps; its last step is split at its T-th round,
     where its mixture is read. Once the stack is full, one mixture comes out
     for each item taken in, and learning costs the same at every step. When
-    the items run out, the runs left move to the first slots, youngest
-    first, so that each step plays only the runs still in the stack. Only
-    the items in the stack are held in memory.
+    there are fewer items than slots, the stack never fills, and the first
+    mixture carries the ramp-up: about T stack rounds. When the items run
+    out, the runs left move to the first slots, youngest first, so that each
+    step plays only the runs still in the stack. Only the items in the stack
+    are held in memory: items taken but not yet yielded never outnumber the
+    slots.
     """
     items = iter(items)
     item = next(items, None)
     if item is None:
         return
     t0 = time.perf_counter()
-    step = -(-rounds // STACK_RUNS)
+    _, fam, cls = item
+    runs = max(1, STACK_BYTES // _run_bytes(len(cls), fam.k, fam.domain_size))
+    step = -(-rounds // runs)
     slots = -(-rounds // step)
     # run j enters slot j % slots at step j and leaves `last` rounds into step j + slots - 1
     last = rounds - (slots - 1) * step
-    stack = HedgeStack(slots, len(item[2]), item[1].k, eta)
+    stack = HedgeStack(slots, len(cls), fam.k, eta)
     # the (slot, item) of each run in the stack, oldest first
     queue, loads, steps, spent = deque(), 0, 0, 0.0
     while item is not None or queue:

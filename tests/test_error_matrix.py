@@ -761,16 +761,37 @@ def test_runs_entering_a_stack_late_are_bitwise_runs_alone(H, k, B, monkeypatch)
             stack.advance(step - last, log=log)
 
 
+# bytes of one run at the C06 shape (n = 40, k = 6, |H| = 16)
+C06_RUN = learner._run_bytes(16, 6, 40)
+
+
+def recorded_widths(monkeypatch) -> list:
+    """The slots of each HedgeStack that learner builds from now on."""
+    widths = []
+
+    class Recorded(HedgeStack):
+        def __init__(self, slots, *shape):
+            widths.append(slots)
+            super().__init__(slots, *shape)
+
+    monkeypatch.setattr(learner, "HedgeStack", Recorded)
+    return widths
+
+
 def test_rolling_mixtures_are_hedge_learn_alone(monkeypatch):
     cfg = md.HedgeConfig()
     instances = [gen_random_label_consistent(md.GenSpec(domain_size=40, k=6, seed=seed))
                  for seed in range(9)]
     want = [md.hedge_learn(md.SampleOracle(fam), cls, 0.2, cfg=cfg)
             for fam, cls in instances]
+    # one byte short of a run still holds one; the default budget, 359 slots
+    # of one round at T = 359, is never filled by 9 items
+    budgets = (C06_RUN - 1, 1 * C06_RUN, 4 * C06_RUN, 32 * C06_RUN, learner.STACK_BYTES)
+    widths = recorded_widths(monkeypatch)
     for block in CHOICE_BLOCKS:
         monkeypatch.setattr(learner, "CHOICE_BLOCK", block)
-        for runs in (1, 4, 32):
-            monkeypatch.setattr(learner, "STACK_RUNS", runs)
+        for budget in budgets:
+            monkeypatch.setattr(learner, "STACK_BYTES", budget)
             got = list(rolling_mixtures(((j, fam, cls) for j, (fam, cls) in enumerate(instances)),
                                         *cfg.resolve(6, 0.2)))
             assert [key for key, *_ in got] == list(range(9))
@@ -780,6 +801,7 @@ def test_rolling_mixtures_are_hedge_learn_alone(monkeypatch):
                 assert F.support == G.support and np.array_equal(F.weights, G.weights)
                 assert np.array_equal(class_errors(cls, fam),
                                       md.error_matrix(plus_rows(cls.label_matrix), fam))
+    assert widths == [1, 1, 4, 30, 359] * len(CHOICE_BLOCKS)
     assert list(rolling_mixtures([], *cfg.resolve(6, 0.2))) == []
 
 
@@ -813,12 +835,60 @@ def test_after_the_last_item_a_stack_plays_only_the_runs_left(monkeypatch):
     # run's leaving step plays no rounds after it, as no run is left
     for runs, advances in ((4, 3 * 2 - 1), (32, 20 + 9 * 2 - 1)):
         drained.clear(), reads.clear(), calls.clear()
-        monkeypatch.setattr(learner, "STACK_RUNS", runs)
+        monkeypatch.setattr(learner, "STACK_BYTES", runs * C06_RUN)
         got = list(rolling_mixtures(items(), *cfg.resolve(6, 0.2)))
         assert [key for key, *_ in got] == list(range(9))
         assert len(calls) == advances
         assert all(active == left for active, left in calls)
         assert all(active >= 1 for active, _ in calls)
+
+
+def test_a_stack_holds_the_runs_its_byte_budget_fits(monkeypatch):
+    assert (C06_RUN, learner._run_bytes(128, 24, 1000)) == (6016, 561152)
+    # 697 runs at C06 and 7 at the cli_wide shape
+    assert learner.STACK_BYTES // C06_RUN == 697
+    assert learner.STACK_BYTES // learner._run_bytes(128, 24, 1000) == 7
+    widths, steps = recorded_widths(monkeypatch), []
+    advance = learner.HedgeStack.advance
+
+    def first_step(self, rounds, active=None, log=None):
+        if len(steps) < len(widths):
+            steps.append(rounds)
+        advance(self, rounds, active, log)
+
+    monkeypatch.setattr(learner.HedgeStack, "advance", first_step)
+    # a C06 campaign at eps 0.15: T = 2549, so 638 slots of 4 rounds a step
+    fam, cls = gen_random_label_consistent(md.GenSpec(domain_size=40, k=6, seed=0))
+    plan = plan_of(fam, md.DerandConfig(eps=0.15, delta=0.15, mode="calibrated",
+                                        m_override=5000))
+    assert plan.rounds == 2549
+    list(rolling_mixtures([(0, fam, cls)], plan.rounds, plan.eta))
+    # the cli_wide shape at eps 0.3: T = 283, so 7 slots of 41 rounds
+    fam, cls = gen_random_label_consistent(md.GenSpec(domain_size=1000, k=24,
+                                                      hypothesis_count=128, seed=5))
+    list(rolling_mixtures([(0, fam, cls)], *md.HedgeConfig().resolve(24, 0.3)))
+    assert (widths, steps) == ([638, 7], [4, 41])
+
+
+@pytest.mark.parametrize("runs", [1, 4, None], ids=["1-run", "4-runs", "default"])
+def test_items_taken_but_not_yielded_never_outnumber_the_slots(runs, monkeypatch):
+    # T = 359: 1 slot, 4 slots of 90 rounds, or the default budget's 359 slots of 1
+    if runs is not None:
+        monkeypatch.setattr(learner, "STACK_BYTES", runs * C06_RUN)
+    widths, got, held = recorded_widths(monkeypatch), [], []
+
+    def items():
+        for j in range(400):
+            # the items taken, this one included, less the mixtures yielded
+            held.append(j + 1 - len(got))
+            fam, cls = gen_random_label_consistent(md.GenSpec(domain_size=40, k=6, seed=j))
+            yield j, fam, cls
+
+    for out in rolling_mixtures(items(), *md.HedgeConfig().resolve(6, 0.2)):
+        got.append(out)
+    assert [key for key, *_ in got] == list(range(400))
+    assert widths == [{1: 1, 4: 4, None: 359}[runs]]
+    assert max(held) == widths[0]
 
 
 def test_an_error_matrix_of_another_shape_is_rejected(monkeypatch):
@@ -830,7 +900,7 @@ def test_an_error_matrix_of_another_shape_is_rejected(monkeypatch):
         stack.load(0, md.error_matrix(plus_rows(cls1.label_matrix), fam1))
     # a k = 1 item after a k = 6 one was once broadcast across the six members
     items = [(0, fam6, cls6), (1, fam1, cls1)]
-    monkeypatch.setattr(learner, "STACK_RUNS", 4)
+    monkeypatch.setattr(learner, "STACK_BYTES", 4 * learner._run_bytes(4, 6, 12))
     with pytest.raises(ValueError, match=r"\(4, 1\).*\(4, 6\)"):
         list(rolling_mixtures(items, *md.HedgeConfig().resolve(6, 0.3)))
 

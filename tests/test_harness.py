@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import json
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -409,10 +408,13 @@ def test_a_campaign_checks_its_spec_shape_before_any_trial(monkeypatch):
 
 def test_campaign_through_a_small_rolling_stack_matches_a_wide_one(tmp_path, monkeypatch):
     cfg = small_campaign(seed=7)
-    monkeypatch.setattr(learner, "STACK_RUNS", 64)
+    # bytes of one run at the campaign's shape (n = 20, k = 3, |H| = 8)
+    run = learner._run_bytes(8, 3, 20)
+    default = learner.STACK_BYTES
+    monkeypatch.setattr(learner, "STACK_BYTES", 64 * run)
     _, wide = md.run_campaign(cfg, trials=7, out_dir=tmp_path / "wide", measure_time=False)
     # two slots: each is reused three times, and the choice ring wraps
-    monkeypatch.setattr(learner, "STACK_RUNS", 2)
+    monkeypatch.setattr(learner, "STACK_BYTES", 2 * run)
     _, small = md.run_campaign(cfg, trials=7, out_dir=tmp_path / "small", measure_time=False)
     assert small == wide
     assert (tmp_path / "small/trials.csv").read_bytes() == \
@@ -421,6 +423,12 @@ def test_campaign_through_a_small_rolling_stack_matches_a_wide_one(tmp_path, mon
     _, timed = md.run_campaign(cfg, trials=7, parallelism=2, measure_time=True)
     assert all(r.wall_time > 0.0 for r in timed)
     assert [dataclasses.replace(r, wall_time=0.0) for r in timed] == wide
+    # the default budget: 879 slots of one round, which 7 trials never fill
+    monkeypatch.setattr(learner, "STACK_BYTES", default)
+    for parallelism in (1, 2):
+        _, never_full = md.run_campaign(cfg, trials=7, parallelism=parallelism,
+                                        measure_time=False)
+        assert never_full == wide
 
 
 def test_pooled_workers_match_one_process_and_share_a_learning_error(tmp_path, monkeypatch):
@@ -441,24 +449,24 @@ def test_pooled_workers_match_one_process_and_share_a_learning_error(tmp_path, m
 def test_a_campaign_starts_no_more_workers_than_trials(monkeypatch):
     # under fork the pool starts all of its workers at the first submit; a
     # recording stand-in runs the jobs in this process and starts none
-    started = []
+    started, dealt = [], []
 
     class InProcessPool:
         def __init__(self, workers):
             started.append(workers)
-            harness._share_next_trial(multiprocessing.Value("q", 0))
 
         def __enter__(self):
             return self
 
         def __exit__(self, *exc):
-            harness._next_trial = None
+            pass
 
         def map(self, fn, jobs):
-            return [fn(job) for job in jobs]
+            shares = [fn(job) for job in jobs]
+            dealt.append([[i for i, *_ in share] for share in shares])
+            return shares
 
     monkeypatch.setattr(harness, "_trial_pool", InProcessPool)
-    monkeypatch.setattr(harness, "_next_trial", None)
     cfg = small_campaign(seed=9)
     _, serial = md.run_campaign(cfg, trials=3, measure_time=False)
     for parallelism, trials, workers in ((5000, 3, [3]), (2, 3, [2]), (5000, 1, [])):
@@ -468,7 +476,8 @@ def test_a_campaign_starts_no_more_workers_than_trials(monkeypatch):
         assert started == workers
         assert reports == serial[:trials]
         assert summary.config["parallelism"] == parallelism
-        assert harness._next_trial is None
+    # each worker is dealt every W-th trial, from its own first
+    assert dealt == [[[0], [1], [2]], [[0, 2], [1]]]
 
 
 def test_a_trial_checks_label_consistency_once(tmp_path, monkeypatch):

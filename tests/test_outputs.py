@@ -13,4 +13,4 @@ def test_the_output_suite_matches_the_committed_digests():
     result = subprocess.run([sys.executable, str(ROOT / "tools" / "check_outputs.py"), "--check"],
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stdout[-3000:] + result.stderr[-3000:]
-    assert result.stdout.rstrip().endswith("all 85 outputs byte-identical")
+    assert result.stdout.rstrip().endswith("all 88 outputs byte-identical")

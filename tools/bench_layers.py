@@ -34,9 +34,12 @@ table, they time it once. The layers:
   |H| = 16, seed 5) and a C06 trial's learner precision, eps 0.075 (2549
   rounds), with the class error matrix the family keeps dropped before each
   call;
-- hedge_stack_advance_32: one HedgeStack.advance step (ceil(2549 / 32) = 80
-  rounds) of a full stack of STACK_RUNS = 32 runs, on the error matrices of
-  the C06-shape instances of seeds 0..31, as a campaign worker plays it;
+- hedge_stack_advance_638: one HedgeStack.advance step of a full stack at
+  the width rolling_mixtures gives the C06 shape (STACK_BYTES = 4 MiB of
+  6016-byte runs is 697 runs, so ceil(2549 / 697) = 4 rounds a step and
+  ceil(2549 / 4) = 638 slots), on the error matrices of the C06-shape
+  instances of seeds 0..637, as a campaign worker plays it; the width is
+  built here, so both trees time the same stack;
 - draw_family_24x1000x5000 and draw_family_6x40x5000: one round of
   learner._tallies, 5000 draws per member tallied into (k, n) counts, the
   bias-table draws of derand on the cli_wide instance (in member blocks)
@@ -127,7 +130,7 @@ REPS = {"eval_block": 40, "eval_one_poly": 100, "tail_check": 5, "bruteforce_min
         "error_matrix_16x6x40": 500,
         "error_matrix_1x24x1000": 300, "error_matrix_masked_2x24x1000": 300, "build_parser": 100,
         "build_bias_table_24x1000x5000": 30, "build_bias_table_6x40x5000": 200,
-        "compact_label_vector_24x1000": 100, "hedge_exact_c06": 15, "hedge_stack_advance_32": 100,
+        "compact_label_vector_24x1000": 100, "hedge_exact_c06": 15, "hedge_stack_advance_638": 100,
         "round_outside_t_24x1000": 300, "opt_bruteforce_128x24x1000": 30, "run_trial_c06": 200,
         "package_import": 1}
 
@@ -142,7 +145,7 @@ def time_layers(src: str) -> dict:
     from multidist import cli, serialize
     out = {"package_import": perf_counter() - start}
     from multidist.hashing import coefficient_matrix_eval
-    from multidist.learner import STACK_RUNS, HedgeStack, _tallies
+    from multidist.learner import HedgeStack, _tallies
 
     coeffs = np.random.default_rng(0).integers(0, 67, size=(16384, 4))
     keys = np.arange(4)
@@ -185,9 +188,10 @@ def time_layers(src: str) -> dict:
     c06_oracle = md.SampleOracle(c06_fam)
     c06_mixture = md.hedge_learn(c06_oracle, c06_cls, 0.075)
     rounds, eta = md.HedgeConfig().resolve(6, 0.075)
-    step = -(-rounds // STACK_RUNS)
-    stack = HedgeStack(STACK_RUNS, 16, 6, eta)
-    for seed in range(STACK_RUNS):
+    step = -(-rounds // 697)
+    slots = -(-rounds // step)
+    stack = HedgeStack(slots, 16, 6, eta)
+    for seed in range(slots):
         fam, cls, _ = md.generate(dataclasses.replace(c06_spec, seed=seed))
         stack.load(seed, md.error_matrix((cls.label_matrix == 1).astype(np.float64), fam))
 
@@ -236,7 +240,7 @@ def time_layers(src: str) -> dict:
         # a copy, since a classifier caches its label vector
         "compact_label_vector_24x1000": lambda: dataclasses.replace(compact).label_vector(),
         "hedge_exact_c06": lambda: afresh(c06_fam, md.hedge_learn, c06_oracle, c06_cls, 0.075),
-        "hedge_stack_advance_32": lambda: stack.advance(step),
+        "hedge_stack_advance_638": lambda: stack.advance(step),
         "round_outside_t_24x1000": lambda: md.round_outside_t(wide_learned, wide_table, draw_rng),
         "opt_bruteforce_128x24x1000": lambda: afresh(wide_fam, md.opt_bruteforce, wide_cls,
                                                      wide_fam),

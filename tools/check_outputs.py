@@ -7,7 +7,7 @@
 A tree runs the suite below in one fresh interpreter, with that tree's src
 first on PYTHONPATH, in an empty work directory of its own, so every output
 path is the same relative path in every run (eval.csv's path columns match).
-It leaves 85 files; a command's stdout and stderr, followed by its exit code,
+It leaves 88 files; a command's stdout and stderr, followed by its exit code,
 are kept as <name>.out (a command that raises, as its exception's last line
 and exit 1). --check runs the suite on the tree holding this script and
 compares the SHA-256 digest of each file with tools/outputs.sha256, one
@@ -20,6 +20,9 @@ The suite:
 - trial: a 200-trial C06 campaign (n = 40, k = 6, |H| = 16, calibrated
   eps = delta = 0.15, m = 5000, seed 606, --no-timing) at parallelism 1
   and 2: stdout, trials.csv and the summary;
+- trial: an 800-trial campaign of the same C06 flags at parallelism 1, which
+  fills the rolling Hedge stack (638 slots at this shape): trial_long.out,
+  trial_long/trials.csv and trial_long/summary.json;
 - trial --rounding hash: a 40-trial campaign of the same C06 flags, whose
   trials round by one hash degree and prime, (12, 1511), chosen once for the
   campaign, at parallelism 1 and 2: stdout, trials.csv and the summary;
@@ -170,6 +173,8 @@ def run_suite(tree: Path) -> None:
     for par in ("1", "2"):
         verb(f"trial_p{par}", "trial", "--trials", "200", "--parallelism", par,
              "--outdir", f"trial_p{par}", *C06)
+    verb("trial_long", "trial", "--trials", "800", "--parallelism", "1",
+         "--outdir", "trial_long", *C06)
     for par in ("1", "2"):
         verb(f"trial_hash_p{par}", "trial", "--trials", "40", "--parallelism", par,
              "--rounding", "hash", "--outdir", f"trial_hash_p{par}", *C06)
