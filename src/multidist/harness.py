@@ -7,11 +7,11 @@ All randomness flows from the master seed; per-trial streams are derived from
 scheduling and can be reproduced exactly.
 
 A campaign's W workers take every W-th trial index, each from its own first.
-Each worker feeds its instances, as it generates them, through one rolling
-exact-Hedge stack (learner.rolling_mixtures) and finishes each trial with
-run_trial as its mixture comes out, so every trial costs about the same. Each
-run of the stack is bit for bit the run hedge_learn makes alone, so which
-worker or stack a trial lands in changes no output.
+Each worker learns the mixtures of its instances in lockstep batches of
+exact-Hedge runs (learner.rolling_mixtures), a batch's instances generated
+before its rounds are played, and finishes each trial with run_trial as its
+mixture comes out. Each run of a batch is bit for bit the run hedge_learn
+makes alone, so which worker or batch a trial lands in changes no output.
 """
 
 from __future__ import annotations
@@ -234,12 +234,12 @@ def _failed(trial_index: int, exc: Exception) -> tuple[int, None, str]:
 def _campaign_worker(args) -> list[tuple[int, TrialReport | None, str | None]]:
     """Run trials worker, worker + workers, ... below trials: every trial of
     a one-process campaign. Their mixtures are learned by rolling_mixtures
-    as their instances are generated. The stack takes a worker's trials in
-    long before their mixtures come out (all of them, in a campaign shorter
-    than the stack), so trials are dealt out, not taken as workers come
-    free, which would split them by the workers' speeds in the stacks' first
-    milliseconds. Under measure_time a trial's wall_time is its own
-    run_trial time plus an equal share of this worker's learning time.
+    in batches. A batch takes a worker's trials in long before any of their
+    mixtures comes out (all of them, in a campaign shorter than a batch), so
+    trials are dealt out, not taken as workers come free, which would split
+    them by the workers' speeds in their first batches. Under measure_time a
+    trial's wall_time is its own run_trial time plus an equal share of this
+    worker's learning time.
     Errors are recorded per trial, and the worker continues past them; a
     learning error is the error of every trial not yet finished."""
     cfg, trials, measure_time, worker, workers = args

@@ -27,7 +27,9 @@ PRIME_LIMIT = 1 << 62
 # mode a block holds the differences of every run of keys for each of its
 # draws, r values per run and draw: 256 KiB in uint8 (the default prime while
 # n <= 126), 512 KiB in uint16. In independent mode it holds n hash values per
-# draw, in int64.
+# draw, in int64. A hash-mode config whose one draw would not fit a block, r
+# differences for each of ceil(n / TAIL_RUN_KEYS) runs, is refused: its arrays
+# grow with r.
 TAIL_BLOCK_VALUES = 1 << 18
 # Most keys of the tail check. Its histogram has n + 1 bins and an
 # independent-mode block holds the n values of a draw, so memory grows with
@@ -423,8 +425,16 @@ class TailCheckConfig:
             raise ValueError(f"tail check needs draws >= 1, got {self.draws}")
         if self.seed < 0:
             raise ValueError(f"tail-check seed must be >= 0, got {self.seed}")
-        if not self.independent and (self.r < 2 or self.r % 2 != 0):
-            raise ValueError(f"tail-check degree r must be an even integer >= 2, got {self.r}")
+        if not self.independent:
+            # one draw's differences, r for each run of keys, fit one block
+            limit = TAIL_BLOCK_VALUES // -(-self.n // TAIL_RUN_KEYS)
+            if self.r > limit:
+                raise ValueError(f"tail-check degree r must be at most TAIL_BLOCK_VALUES / "
+                                 f"ceil(n / TAIL_RUN_KEYS) = {limit} at n = {self.n}, "
+                                 f"got {self.r}")
+            if self.r < 2 or self.r % 2 != 0:
+                raise ValueError(f"tail-check degree r must be an even integer >= 2, "
+                                 f"got {self.r}")
 
     @cached_property
     def prime(self) -> int:

@@ -14,9 +14,9 @@ worst-case error (Freund & Schapire 1999), and so at most OPT + eps/4.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -360,13 +360,13 @@ class HedgeRound:
 # faster.
 BLOCK_DRAWS = 1 << 15
 
-# Most bytes the runs of one rolling_mixtures stack hold at once (_run_bytes
+# Most bytes the runs of one rolling_mixtures batch hold at once (_run_bytes
 # each). On a 2-core x86_64 host, a stack round cost about 8.5 us of numpy
 # call set-up plus 0.26 us per run at the C06 shape (|H| = 16, k = 6): 0.53 us
 # per run-round at 32 runs, 0.39 at 64, 0.33 at 128 and 0.29 at 256, so a
 # wider stack is cheaper per run. At |H| = 128, k = 24 the cost per run levels
 # off near 0.8-0.95 us from 16 runs, while each run holds a large instance.
-# 4 MiB gives 697 runs at C06 and 7 at n = 1000, k = 24, |H| = 128; at 2 MiB
+# 4 MiB gives 520 runs at C06 and 7 at n = 1000, k = 24, |H| = 128; at 2 MiB
 # (3 runs) a 140-trial campaign of that shape took 9% longer than through 32
 # runs, at 4 MiB 2%.
 STACK_BYTES = 4 << 20
@@ -380,10 +380,9 @@ class HedgeStack:
     matrices, all with the same eta, advanced together one round at a time.
 
     load() starts a run in a slot at uniform weights, advance() plays rounds
-    on the first `active` slots, gather() moves runs to the first slots, and
-    counts[s, h] is how often slot s's run has chosen h. Each round
-    best-responds with argmin_h (E_s @ w_s)[h] (ties to the lowest index, as
-    erm breaks them), multiplies w_s by row h of the precomputed
+    on every slot, and counts[s, h] is how often slot s's run has chosen h.
+    Each round best-responds with argmin_h (E_s @ w_s)[h] (ties to the lowest
+    index, as erm breaks them), multiplies w_s by row h of the precomputed
     exp(eta * E_s) and renormalizes. No array grows with T.
 
     Every operation acts on each slot's own rows in the order a one-run loop
@@ -416,24 +415,15 @@ class HedgeStack:
         self.weights[slot] = 1.0 / k
         self.counts[slot] = 0
 
-    def gather(self, slots) -> None:
-        """Move the runs in the given slots, in that order, to the first len(slots) slots."""
-        H = self.errors.shape[1]
-        factors = self._factors.reshape(len(self.errors), H, -1)
-        for array in (self.errors, factors, self.weights, self.counts):
-            array[:len(slots)] = array[slots]
-
-    def advance(self, rounds: int, active: int | None = None, log: list | None = None) -> None:
-        """Play rounds on the first `active` slots (all by default); each round
-        appends its (active,) choices and (active, k) starting weights to log, if given."""
-        n = len(self.weights) if active is None else active
-        errors, w, scores = self.errors[:n], self.weights[:n], self._scores[:n]
-        w_column, flat_scores, factors = w[:, :, None], scores[:, :, 0], self._factors
-        best, offsets = self._best[:n], self._offsets[:n]
-        factor, total = self._factor[:n], self._total[:n]
-        tally = self.counts[:n].reshape(-1)
+    def advance(self, rounds: int, log: list | None = None) -> None:
+        """Play rounds on every slot; each round appends its (S,) choices and
+        (S, k) starting weights to log, if given."""
+        errors, w, scores, factors = self.errors, self.weights, self._scores, self._factors
+        w_column, flat_scores = w[:, :, None], scores[:, :, 0]
+        best, offsets, factor, total = self._best, self._offsets, self._factor, self._total
+        tally = self.counts.reshape(-1)
         while rounds > 0:
-            block = self._rows[:rounds, :n]
+            block = self._rows[:rounds]
             # Call set-up, not arithmetic, is the cost on these small arrays,
             # so every call writes into a preallocated buffer.
             for rows in block:
@@ -457,77 +447,52 @@ def uniform_mixture(cls: HypothesisClass, picks: np.ndarray) -> RandomizedClassi
 
 
 def _run_bytes(hypotheses: int, k: int, domain_size: int) -> int:
-    """The bytes one run of a rolling_mixtures stack holds: its two (|H|, k)
-    float64 stack rows (errors and factors), its family's (k, n) float64
-    masses and label probabilities, and its class's (|H|, n) int8 labels."""
-    return 16 * hypotheses * k + 16 * k * domain_size + hypotheses * domain_size
+    """The bytes one run of a rolling_mixtures batch holds: its two (|H|, k)
+    float64 stack rows (errors and factors), its intp column of the stack's
+    CHOICE_BLOCK rounds of choices, its family's (k, n) float64 masses and
+    label probabilities, and its class's (|H|, n) int8 labels."""
+    return 16 * hypotheses * k + 8 * CHOICE_BLOCK + 16 * k * domain_size + hypotheses * domain_size
 
 
 def rolling_mixtures(items, rounds: int, eta: float):
     """The exact-mode Hedge mixture of each (key, family, class) item, learned
-    in one HedgeStack that runs enter and leave at staggered rounds, with T =
-    rounds and learning rate eta (a RunPlan's). Yields (key, family, class,
-    mixture, seconds) as runs finish, in the order the items came: seconds is
-    the learning time since the previous yield. A run loads its class_errors
-    matrix. Items not sharing k and |H| are a ValueError.
+    in lockstep batches, with T = rounds and learning rate eta (a RunPlan's).
+    Yields (key, family, class, mixture, seconds) in the order the items
+    came: seconds is its batch's learning time on the batch's first mixture
+    and 0.0 on the others. A run loads its class_errors matrix. Items not
+    sharing k and |H| are a ValueError.
 
-    The stack holds as many runs as fit STACK_BYTES at the first item's
-    shape (_run_bytes each), and at least one. Each step takes the next item
-    into the stack and plays ceil(T / slots) rounds, so that a run has had
-    its T rounds in `slots` steps; its last step is split at its T-th round,
-    where its mixture is read. Once the stack is full, one mixture comes out
-    for each item taken in, and learning costs the same at every step. When
-    there are fewer items than slots, the stack never fills, and the first
-    mixture carries the ramp-up: about T stack rounds. When the items run
-    out, the runs left move to the first slots, youngest first, so that each
-    step plays only the runs still in the stack. Only the items in the stack
-    are held in memory: items taken but not yet yielded never outnumber the
-    slots.
+    A batch takes as many items as fit STACK_BYTES at the first item's shape
+    (_run_bytes each), and at least one, into a HedgeStack of one slot per
+    item, and plays all T rounds in one advance; after it, stack.weights
+    holds every run's weights at round T. The stack is dropped before the
+    batch's first mixture is yielded, and the batch before the next one is
+    taken, so items taken but not yet yielded never outnumber a batch. With
+    fewer items than a batch holds, every mixture is learned before the
+    first is yielded.
     """
     items = iter(items)
-    item = next(items, None)
-    if item is None:
+    batch = list(itertools.islice(items, 1))
+    if not batch:
         return
-    t0 = time.perf_counter()
-    _, fam, cls = item
-    runs = max(1, STACK_BYTES // _run_bytes(len(cls), fam.k, fam.domain_size))
-    step = -(-rounds // runs)
-    slots = -(-rounds // step)
-    # run j enters slot j % slots at step j and leaves `last` rounds into step j + slots - 1
-    last = rounds - (slots - 1) * step
-    stack = HedgeStack(slots, len(cls), fam.k, eta)
-    # the (slot, item) of each run in the stack, oldest first
-    queue, loads, steps, spent = deque(), 0, 0, 0.0
-    while item is not None or queue:
-        if item is not None:
-            stack.load(loads % slots, class_errors(item[2], item[1]))
-            queue.append((loads % slots, item))
-            loads += 1
-        # the runs in the stack hold the first len(queue) slots: in load order
-        # while items come (every slot once the stack is full), youngest first after
-        active = len(queue)
-        finished = steps >= slots - 1
-        stack.advance(last if finished else step, active)
-        if finished:
-            slot, (key, fam, cls) = queue.popleft()
-            mixture = uniform_mixture(cls, stack.counts[slot])
-            # a run that leaves while items remain gives its slot to the next
-            # item; after, the runs left are the first len(queue) slots, and
-            # once none is left no round is played
-            left = active if item is not None else len(queue)
-            if left:
-                stack.advance(step - last, left)
-        spent += time.perf_counter() - t0
-        if finished:
+    _, fam, cls = batch[0]
+    shape = len(cls), fam.k
+    runs = max(1, STACK_BYTES // _run_bytes(*shape, fam.domain_size))
+    batch += itertools.islice(items, runs - 1)
+    while batch:
+        t0 = time.perf_counter()
+        stack = HedgeStack(len(batch), *shape, eta)
+        for slot, (_, fam, cls) in enumerate(batch):
+            stack.load(slot, class_errors(cls, fam))
+        stack.advance(rounds)
+        mixtures = [uniform_mixture(cls, picks) for (_, _, cls), picks in zip(batch, stack.counts)]
+        del stack  # before the caller's work on the mixtures
+        spent = time.perf_counter() - t0
+        for (key, fam, cls), mixture in zip(batch, mixtures):
             yield key, fam, cls, mixture, spent
             spent = 0.0
-        if item is not None:
-            item = next(items, None)
-            if item is None:  # youngest first, so that the leaving run is the last
-                stack.gather([s for s, _ in reversed(queue)])
-                queue = deque((len(queue) - 1 - p, it) for p, (_, it) in enumerate(queue))
-        steps += 1
-        t0 = time.perf_counter()
+        del batch, mixtures  # before the next batch's items are made
+        batch = list(itertools.islice(items, runs))
 
 
 def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, *,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import multidist as md
-from multidist import cli, harness, learner, metrics, serialize
+from multidist import cli, harness, hashing, learner, metrics, serialize
 from multidist.cli import main
 
 
@@ -368,6 +368,20 @@ def test_hashcheck_names_the_prime_limit_of_the_tail_check(capsys):
         assert out == ""
         assert err == ("multidist: error: tail check takes at most TAIL_KEYS_LIMIT = 2^20 keys, "
                        f"got n = {n}\n")
+
+
+def test_hashcheck_names_the_degree_limit_of_the_tail_check(monkeypatch, capsys):
+    # past it one draw's differences outgrow a block, and memory grew with r
+    def unreachable(*args):
+        raise AssertionError("the tail check ran past its degree limit")
+
+    monkeypatch.setattr(hashing, "_difference_counts", unreachable)
+    for n, r in (("64", "262146"), ("4096", "4098")):
+        assert main(["hashcheck", "--n", n, "--r", r, "--draws", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("multidist: error: tail-check degree r must be at most TAIL_BLOCK_VALUES / "
+                       f"ceil(n / TAIL_RUN_KEYS) = {int(r) - 2} at n = {n}, got {r}\n")
 
 
 def test_every_verb_rejects_a_negative_seed_by_its_flag_before_any_work(tmp_path, capsys):

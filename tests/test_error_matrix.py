@@ -687,8 +687,8 @@ def exact_hedge(errors, rounds, eta):
     return chosen, [w for _, w in log]
 
 
-# choice blocks of 7 rounds split the tallies inside a step and inside a
-# leaving run's last rounds
+# choice blocks of 7 rounds split the tallies of one advance, and of the
+# steps of a staggered schedule
 CHOICE_BLOCKS = (learner.CHOICE_BLOCK, 7)
 # (|H|, k, B): the C06 campaign stack, wider classes and more members, one
 # member, one hypothesis, and |H| = 256 and 257
@@ -734,7 +734,7 @@ def test_stacked_exact_hedge_is_bitwise_the_one_run_loop(H, k, B, monkeypatch):
 def test_runs_entering_a_stack_late_are_bitwise_runs_alone(H, k, B, monkeypatch):
     # 3 * B runs through B slots, each entering `step` rounds after the one
     # before, so slots are reused; each leaves after `last` rounds of its
-    # B-th step, its T-th round, as in rolling_mixtures
+    # B-th step, its T-th round
     cfg = md.HedgeConfig()
     rounds, eta = cfg.resolve(k, 0.3)
     step = -(-rounds // B)
@@ -784,13 +784,14 @@ def test_rolling_mixtures_are_hedge_learn_alone(monkeypatch):
                  for seed in range(9)]
     want = [md.hedge_learn(md.SampleOracle(fam), cls, 0.2, cfg=cfg)
             for fam, cls in instances]
-    # one byte short of a run still holds one; the default budget, 359 slots
-    # of one round at T = 359, is never filled by 9 items
-    budgets = (C06_RUN - 1, 1 * C06_RUN, 4 * C06_RUN, 32 * C06_RUN, learner.STACK_BYTES)
     widths = recorded_widths(monkeypatch)
     for block in CHOICE_BLOCKS:
         monkeypatch.setattr(learner, "CHOICE_BLOCK", block)
-        for budget in budgets:
+        # a run counts its column of choice blocks; one byte short of a run
+        # still holds one, and 32 runs or the default budget take all 9
+        # items in one batch
+        run = learner._run_bytes(16, 6, 40)
+        for budget in (run - 1, run, 4 * run, 32 * run, learner.STACK_BYTES):
             monkeypatch.setattr(learner, "STACK_BYTES", budget)
             got = list(rolling_mixtures(((j, fam, cls) for j, (fam, cls) in enumerate(instances)),
                                         *cfg.resolve(6, 0.2)))
@@ -801,78 +802,71 @@ def test_rolling_mixtures_are_hedge_learn_alone(monkeypatch):
                 assert F.support == G.support and np.array_equal(F.weights, G.weights)
                 assert np.array_equal(class_errors(cls, fam),
                                       md.error_matrix(plus_rows(cls.label_matrix), fam))
-    assert widths == [1, 1, 4, 30, 359] * len(CHOICE_BLOCKS)
+    assert widths == ([1] * 9 + [1] * 9 + [4, 4, 1] + [9] + [9]) * len(CHOICE_BLOCKS)
     assert list(rolling_mixtures([], *cfg.resolve(6, 0.2))) == []
 
 
 def test_after_the_last_item_a_stack_plays_only_the_runs_left(monkeypatch):
-    # it kept playing every slot below min(loads, slots) until the last run
-    # left, the slots of runs that had left included
+    # each batch makes one advance(T), on a stack of its own runs only, after
+    # its last item is taken and before the next batch's first
     cfg = md.HedgeConfig()
+    rounds, eta = cfg.resolve(6, 0.2)
     instances = [gen_random_label_consistent(md.GenSpec(domain_size=40, k=6, seed=seed))
                  for seed in range(9)]
-    advance, mixture = HedgeStack.advance, learner.uniform_mixture
-    drained, reads, calls = [], [], []
+    advance, taken, calls = HedgeStack.advance, [], []
 
-    def counted_advance(self, rounds, active=None, log=None):
-        if drained:
-            calls.append((active, len(instances) - len(reads)))
-        advance(self, rounds, active, log)
-
-    def counted_mixture(cls, picks):
-        reads.append(cls)
-        return mixture(cls, picks)
+    def counted_advance(self, rounds, log=None):
+        calls.append((rounds, len(taken), self.errors.copy()))
+        advance(self, rounds, log)
 
     def items():
-        yield from ((j, fam, cls) for j, (fam, cls) in enumerate(instances))
-        drained.append(True)
+        for j, (fam, cls) in enumerate(instances):
+            taken.append(j)
+            yield j, fam, cls
 
     monkeypatch.setattr(HedgeStack, "advance", counted_advance)
-    monkeypatch.setattr(learner, "uniform_mixture", counted_mixture)
-    # T = 359: 9 runs through 4 slots of 90 rounds a step leave 3 runs after
-    # the last item, each leaving at a step split in two; through 30 slots of
-    # 12 rounds, all 9 are left, 20 steps before the first leaves; the last
-    # run's leaving step plays no rounds after it, as no run is left
-    for runs, advances in ((4, 3 * 2 - 1), (32, 20 + 9 * 2 - 1)):
-        drained.clear(), reads.clear(), calls.clear()
-        monkeypatch.setattr(learner, "STACK_BYTES", runs * C06_RUN)
-        got = list(rolling_mixtures(items(), *cfg.resolve(6, 0.2)))
-        assert [key for key, *_ in got] == list(range(9))
-        assert len(calls) == advances
-        assert all(active == left for active, left in calls)
-        assert all(active >= 1 for active, _ in calls)
+    monkeypatch.setattr(learner, "STACK_BYTES", 4 * C06_RUN)
+    got = list(rolling_mixtures(items(), rounds, eta))
+    assert [key for key, *_ in got] == list(range(9))
+    assert [(t, n, len(e)) for t, n, e in calls] == [(rounds, 4, 4), (rounds, 8, 4),
+                                                     (rounds, 9, 1)]
+    for (_, n, errors), first in zip(calls, (0, 4, 8)):
+        want = [class_errors(cls, fam) for fam, cls in instances[first:n]]
+        assert np.array_equal(errors, np.stack(want))
 
 
 def test_a_stack_holds_the_runs_its_byte_budget_fits(monkeypatch):
-    assert (C06_RUN, learner._run_bytes(128, 24, 1000)) == (6016, 561152)
-    # 697 runs at C06 and 7 at the cli_wide shape
-    assert learner.STACK_BYTES // C06_RUN == 697
+    assert (C06_RUN, learner._run_bytes(128, 24, 1000)) == (8064, 563200)
+    # 520 runs at C06 and 7 at the cli_wide shape
+    assert learner.STACK_BYTES // C06_RUN == 520
     assert learner.STACK_BYTES // learner._run_bytes(128, 24, 1000) == 7
     widths, steps = recorded_widths(monkeypatch), []
     advance = learner.HedgeStack.advance
 
-    def first_step(self, rounds, active=None, log=None):
-        if len(steps) < len(widths):
-            steps.append(rounds)
-        advance(self, rounds, active, log)
+    def recorded_advance(self, rounds, log=None):
+        steps.append(rounds)
+        advance(self, rounds, log)
 
-    monkeypatch.setattr(learner.HedgeStack, "advance", first_step)
-    # a C06 campaign at eps 0.15: T = 2549, so 638 slots of 4 rounds a step
+    monkeypatch.setattr(learner.HedgeStack, "advance", recorded_advance)
+    # a C06 campaign at eps 0.15, T = 2549: 521 items are a batch of 520 and
+    # one of 1, each played in one advance
     fam, cls = gen_random_label_consistent(md.GenSpec(domain_size=40, k=6, seed=0))
     plan = plan_of(fam, md.DerandConfig(eps=0.15, delta=0.15, mode="calibrated",
                                         m_override=5000))
     assert plan.rounds == 2549
-    list(rolling_mixtures([(0, fam, cls)], plan.rounds, plan.eta))
-    # the cli_wide shape at eps 0.3: T = 283, so 7 slots of 41 rounds
+    list(rolling_mixtures([(j, fam, cls) for j in range(521)], plan.rounds, plan.eta))
+    # the cli_wide shape at eps 0.3, T = 283: 8 items are batches of 7 and 1
     fam, cls = gen_random_label_consistent(md.GenSpec(domain_size=1000, k=24,
                                                       hypothesis_count=128, seed=5))
-    list(rolling_mixtures([(0, fam, cls)], *md.HedgeConfig().resolve(24, 0.3)))
-    assert (widths, steps) == ([638, 7], [4, 41])
+    list(rolling_mixtures([(j, fam, cls) for j in range(8)],
+                          *md.HedgeConfig().resolve(24, 0.3)))
+    assert (widths, steps) == ([520, 1, 7, 1], [2549, 2549, 283, 283])
 
 
 @pytest.mark.parametrize("runs", [1, 4, None], ids=["1-run", "4-runs", "default"])
 def test_items_taken_but_not_yielded_never_outnumber_the_slots(runs, monkeypatch):
-    # T = 359: 1 slot, 4 slots of 90 rounds, or the default budget's 359 slots of 1
+    # batches of 1 or 4 runs, or the default budget's 520 runs, of which 400
+    # items fill one batch
     if runs is not None:
         monkeypatch.setattr(learner, "STACK_BYTES", runs * C06_RUN)
     widths, got, held = recorded_widths(monkeypatch), [], []
@@ -887,8 +881,8 @@ def test_items_taken_but_not_yielded_never_outnumber_the_slots(runs, monkeypatch
     for out in rolling_mixtures(items(), *md.HedgeConfig().resolve(6, 0.2)):
         got.append(out)
     assert [key for key, *_ in got] == list(range(400))
-    assert widths == [{1: 1, 4: 4, None: 359}[runs]]
-    assert max(held) == widths[0]
+    assert widths == {1: [1] * 400, 4: [4] * 100, None: [400]}[runs]
+    assert max(held) == max(widths)
 
 
 def test_an_error_matrix_of_another_shape_is_rejected(monkeypatch):
@@ -898,11 +892,14 @@ def test_an_error_matrix_of_another_shape_is_rejected(monkeypatch):
     stack = HedgeStack(2, 4, 6, 0.5)
     with pytest.raises(ValueError, match=r"\(4, 1\).*\(4, 6\)"):
         stack.load(0, md.error_matrix(plus_rows(cls1.label_matrix), fam1))
-    # a k = 1 item after a k = 6 one was once broadcast across the six members
+    # a k = 1 item after a k = 6 one was once broadcast across the six
+    # members; through a 1-run budget it starts the second batch, whose stack
+    # takes the first item's shape too
     items = [(0, fam6, cls6), (1, fam1, cls1)]
-    monkeypatch.setattr(learner, "STACK_BYTES", 4 * learner._run_bytes(4, 6, 12))
-    with pytest.raises(ValueError, match=r"\(4, 1\).*\(4, 6\)"):
-        list(rolling_mixtures(items, *md.HedgeConfig().resolve(6, 0.3)))
+    for runs in (4, 1):
+        monkeypatch.setattr(learner, "STACK_BYTES", runs * learner._run_bytes(4, 6, 12))
+        with pytest.raises(ValueError, match=r"\(4, 1\).*\(4, 6\)"):
+            list(rolling_mixtures(items, *md.HedgeConfig().resolve(6, 0.3)))
 
 
 def test_exact_hedge_memory_does_not_grow_with_the_rounds():

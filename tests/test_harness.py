@@ -413,7 +413,7 @@ def test_campaign_through_a_small_rolling_stack_matches_a_wide_one(tmp_path, mon
     default = learner.STACK_BYTES
     monkeypatch.setattr(learner, "STACK_BYTES", 64 * run)
     _, wide = md.run_campaign(cfg, trials=7, out_dir=tmp_path / "wide", measure_time=False)
-    # two slots: each is reused three times, and the choice ring wraps
+    # batches of two runs: four batches, the last of one
     monkeypatch.setattr(learner, "STACK_BYTES", 2 * run)
     _, small = md.run_campaign(cfg, trials=7, out_dir=tmp_path / "small", measure_time=False)
     assert small == wide
@@ -423,12 +423,28 @@ def test_campaign_through_a_small_rolling_stack_matches_a_wide_one(tmp_path, mon
     _, timed = md.run_campaign(cfg, trials=7, parallelism=2, measure_time=True)
     assert all(r.wall_time > 0.0 for r in timed)
     assert [dataclasses.replace(r, wall_time=0.0) for r in timed] == wide
-    # the default budget: 879 slots of one round, which 7 trials never fill
+    # the default budget: 1180 runs, one batch for the 7 trials
     monkeypatch.setattr(learner, "STACK_BYTES", default)
     for parallelism in (1, 2):
         _, never_full = md.run_campaign(cfg, trials=7, parallelism=parallelism,
                                         measure_time=False)
         assert never_full == wide
+
+
+def test_a_one_trial_c06_campaign_plays_its_rounds_in_one_advance(monkeypatch):
+    # a stack the items never filled was played one step of 4 rounds at a
+    # time until its run left: 638 calls
+    advance, calls = learner.HedgeStack.advance, []
+
+    def counted_advance(self, rounds, log=None):
+        calls.append((len(self.weights), rounds))
+        advance(self, rounds, log)
+
+    monkeypatch.setattr(learner.HedgeStack, "advance", counted_advance)
+    cfg = md.CampaignConfig(gen_spec=md.GenSpec(domain_size=40, k=6, hypothesis_count=16))
+    assert cfg.plan.rounds == 2549
+    summary, _ = md.run_campaign(cfg, trials=1, measure_time=False)
+    assert summary.errors == 0 and calls == [(1, 2549)]
 
 
 def test_pooled_workers_match_one_process_and_share_a_learning_error(tmp_path, monkeypatch):

@@ -723,6 +723,24 @@ def test_tail_config_takes_at_most_tail_keys_limit_keys(monkeypatch):
         md.TailCheckConfig(n=TAIL_KEYS_LIMIT + 1, draws=1)
 
 
+@pytest.mark.parametrize("n, limit", [(64, 2**18), (4096, 4096), (4097, 4032),
+                                      (TAIL_KEYS_LIMIT, 16)])
+def test_tail_config_fits_one_draw_of_differences_in_a_block(n, limit, monkeypatch):
+    # only built, never run: a hash-mode block holds r differences per run of
+    # TAIL_RUN_KEYS keys for each draw, so its arrays grew with r
+    def no_evaluation(*args):
+        raise AssertionError("the hashes were evaluated to check a config")
+
+    monkeypatch.setattr(md.hashing, "coefficient_matrix_eval", no_evaluation)
+    assert limit * -(-n // TAIL_RUN_KEYS) <= TAIL_BLOCK_VALUES
+    assert md.TailCheckConfig(n=n, r=limit, draws=1).r == limit
+    with pytest.raises(ValueError, match=r"degree r must be at most TAIL_BLOCK_VALUES / "
+                       rf"ceil\(n / TAIL_RUN_KEYS\) = {limit} at n = {n}, got {limit + 1}$"):
+        md.TailCheckConfig(n=n, r=limit + 1, draws=1)
+    # fresh values per key take no degree
+    assert md.TailCheckConfig(n=n, r=limit + 1, draws=1, independent=True).r == limit + 1
+
+
 @dataclasses.dataclass(frozen=True)
 class _Counted:
     """What the histogram builders read of a TailCheckConfig, at any prime

@@ -34,12 +34,11 @@ table, they time it once. The layers:
   |H| = 16, seed 5) and a C06 trial's learner precision, eps 0.075 (2549
   rounds), with the class error matrix the family keeps dropped before each
   call;
-- hedge_stack_advance_638: one HedgeStack.advance step of a full stack at
-  the width rolling_mixtures gives the C06 shape (STACK_BYTES = 4 MiB of
-  6016-byte runs is 697 runs, so ceil(2549 / 697) = 4 rounds a step and
-  ceil(2549 / 4) = 638 slots), on the error matrices of the C06-shape
-  instances of seeds 0..637, as a campaign worker plays it; the width is
-  built here, so both trees time the same stack;
+- hedge_stack_round_520: one round of a full C06 batch of rolling_mixtures
+  (STACK_BYTES = 4 MiB of 8064-byte runs is 520 runs), timed as
+  HedgeStack.advance(64) on the error matrices of the C06-shape instances of
+  seeds 0..519 and divided by 64; the width is built here, so both trees
+  time the same stack;
 - draw_family_24x1000x5000 and draw_family_6x40x5000: one round of
   learner._tallies, 5000 draws per member tallied into (k, n) counts, the
   bias-table draws of derand on the cli_wide instance (in member blocks)
@@ -130,7 +129,7 @@ REPS = {"eval_block": 40, "eval_one_poly": 100, "tail_check": 5, "bruteforce_min
         "error_matrix_16x6x40": 500,
         "error_matrix_1x24x1000": 300, "error_matrix_masked_2x24x1000": 300, "build_parser": 100,
         "build_bias_table_24x1000x5000": 30, "build_bias_table_6x40x5000": 200,
-        "compact_label_vector_24x1000": 100, "hedge_exact_c06": 15, "hedge_stack_advance_638": 100,
+        "compact_label_vector_24x1000": 100, "hedge_exact_c06": 15, "hedge_stack_round_520": 30,
         "round_outside_t_24x1000": 300, "opt_bruteforce_128x24x1000": 30, "run_trial_c06": 200,
         "package_import": 1}
 
@@ -187,11 +186,9 @@ def time_layers(src: str) -> dict:
                              np.random.default_rng(4)).classifier
     c06_oracle = md.SampleOracle(c06_fam)
     c06_mixture = md.hedge_learn(c06_oracle, c06_cls, 0.075)
-    rounds, eta = md.HedgeConfig().resolve(6, 0.075)
-    step = -(-rounds // 697)
-    slots = -(-rounds // step)
-    stack = HedgeStack(slots, 16, 6, eta)
-    for seed in range(slots):
+    eta = md.HedgeConfig().resolve(6, 0.075)[1]
+    stack = HedgeStack(520, 16, 6, eta)
+    for seed in range(520):
         fam, cls, _ = md.generate(dataclasses.replace(c06_spec, seed=seed))
         stack.load(seed, md.error_matrix((cls.label_matrix == 1).astype(np.float64), fam))
 
@@ -240,7 +237,7 @@ def time_layers(src: str) -> dict:
         # a copy, since a classifier caches its label vector
         "compact_label_vector_24x1000": lambda: dataclasses.replace(compact).label_vector(),
         "hedge_exact_c06": lambda: afresh(c06_fam, md.hedge_learn, c06_oracle, c06_cls, 0.075),
-        "hedge_stack_advance_638": lambda: stack.advance(step),
+        "hedge_stack_round_520": lambda: stack.advance(64),
         "round_outside_t_24x1000": lambda: md.round_outside_t(wide_learned, wide_table, draw_rng),
         "opt_bruteforce_128x24x1000": lambda: afresh(wide_fam, md.opt_bruteforce, wide_cls,
                                                      wide_fam),
@@ -254,6 +251,7 @@ def time_layers(src: str) -> dict:
             call()
             times.append(perf_counter() - start)
         out[name] = statistics.median(times)
+    out["hedge_stack_round_520"] /= 64
     tmp.cleanup()
     return out
 

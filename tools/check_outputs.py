@@ -20,9 +20,9 @@ The suite:
 - trial: a 200-trial C06 campaign (n = 40, k = 6, |H| = 16, calibrated
   eps = delta = 0.15, m = 5000, seed 606, --no-timing) at parallelism 1
   and 2: stdout, trials.csv and the summary;
-- trial: an 800-trial campaign of the same C06 flags at parallelism 1, which
-  fills the rolling Hedge stack (638 slots at this shape): trial_long.out,
-  trial_long/trials.csv and trial_long/summary.json;
+- trial: an 800-trial campaign of the same C06 flags at parallelism 1, whose
+  mixtures are learned in two batches of rolling_mixtures (520 runs, then
+  280): trial_long.out, trial_long/trials.csv and trial_long/summary.json;
 - trial --rounding hash: a 40-trial campaign of the same C06 flags, whose
   trials round by one hash degree and prime, (12, 1511), chosen once for the
   campaign, at parallelism 1 and 2: stdout, trials.csv and the summary;
