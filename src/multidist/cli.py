@@ -270,7 +270,9 @@ def cmd_hashcheck(args) -> int:
     report = empirical_tail_bound_check(tail_cfg)
     for row in report.rows:
         status = "ok" if row.ok else "VIOLATION"
-        print(f"tail T={row.t:.3f}: observed={row.observed:.6f} bound={row.bound:.6f} {status}")
+        # a large finite bound in fixed point runs to hundreds of digits
+        bound = f"{row.bound:.6e}" if 1e6 <= row.bound < math.inf else f"{row.bound:.6f}"
+        print(f"tail T={row.t:.3f}: observed={row.observed:.6f} bound={bound} {status}")
         if not row.ok:
             failures.append(f"tail bound violated at T={row.t}")
 

@@ -6,11 +6,13 @@ these kinds also has one document builder (`_instance_doc`, `_randomized_doc`,
 `_classifier_doc`), which puts in the arrays the objects hold, and one reader
 of a parsed document (`_instance`, `_randomized`, `_classifier`). A document
 is written by `_json_text`, which gives the bytes of `json.dumps(doc,
-indent=1)` with each ndarray in doc written as its `.tolist()`: orjson writes
-each array in one call, `float.__repr__` each nonzero float of magnitude
-outside [1e-4, 1e16), and json's C encoder keys, single values and each item
-of a list. The files are read by orjson, which parses a float to the same
-double as `json` and rejects NaN and Infinity literals. A file nested deeper
+indent=1)` with each ndarray in doc written as its `.tolist()`: an int8
+array of 1 and -1 (a class's label matrix, an explicit classifier's labels)
+eight labels per lookup of a table of byte texts, orjson each other array in
+one call, `float.__repr__` each nonzero float of magnitude outside [1e-4,
+1e16), and json's C encoder keys, single values and each item of a list.
+The files are read by orjson, which parses a float to the same double as
+`json` and rejects NaN and Infinity literals. A file nested deeper
 than `MAX_JSON_DEPTH` is rejected before orjson parses it. An instance
 file's label matrix is read straight from its bytes when they prove it a
 rectangular matrix of 1 and -1 (`_label_route`); any other file is read as a
@@ -21,6 +23,7 @@ of n characters from {0,1}.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import re
 from pathlib import Path
@@ -177,14 +180,42 @@ _compact = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 _BAND_LOW, _BAND_HIGH = 1e-4, 1e16
 
 
+@functools.cache
+def _label_bytes(comma: str) -> tuple[str, ...]:
+    """The text of each byte value's eight labels, as np.packbits packs them
+    (the first label in the highest bit, 1 where it is set, else -1), each
+    label followed by comma. Built on a separator's first use, not at import."""
+    one, minus = "1" + comma, "-1" + comma
+    return tuple("".join(one if byte >> bit & 1 else minus for bit in range(7, -1, -1))
+                 for byte in range(256))
+
+
+def _label_text(plus: np.ndarray, comma: str, boundary: str) -> str:
+    """The text of a matrix of 1 and -1, plus where it is 1, with comma after
+    each label but a row's last and boundary between rows: one table lookup
+    per eight labels, each row's last lookup cut before its byte's padding
+    labels and final comma."""
+    table = _label_bytes(comma)
+    packed = np.packbits(plus, axis=1)
+    texts = [table[byte] for byte in packed.ravel().tolist()]
+    cut = -plus.shape[1] % 8 * (len("-1") + len(comma)) + len(comma)
+    width = packed.shape[1]
+    for end in range(width - 1, len(texts), width):
+        texts[end] = texts[end][:-cut] + boundary
+    texts[-1] = texts[-1][:-len(boundary)]
+    return "".join(texts)
+
+
 def _array(value: np.ndarray, newline: str, out: list) -> None:
     """Append to out the text that json.dumps(value.tolist(), indent=1) gives a
     nonempty float64 or integer array of one or two dimensions on a line that
-    newline starts. One orjson call writes the entries, and float.__repr__
-    each nonzero float outside orjson's band; the commas and row boundaries
-    are laid out by one replace, or by one join per row once a float's text
-    was replaced. NaN or Infinity is json's ValueError, raised before orjson
-    writes anything."""
+    newline starts. An int8 array whose entries are all 1 or -1 is written
+    from its rows packed eight labels to a byte, each byte's text, separators
+    included, looked up in a table (`_label_text`). Any other array's entries
+    are written by one orjson call, and float.__repr__ each nonzero float
+    outside orjson's band; the commas and row boundaries are laid out by one
+    replace, or by one join per row once a float's text was replaced. NaN or
+    Infinity is json's ValueError, raised before orjson writes anything."""
     if value.ndim not in (1, 2) or (value.dtype != np.float64 and value.dtype.kind not in "iu"):
         raise TypeError(f"arrays are written from one or two axes of float64 or integer "
                         f"entries, got {value.ndim} axes of {value.dtype}")
@@ -198,22 +229,25 @@ def _array(value: np.ndarray, newline: str, out: list) -> None:
     inner = newline + " "
     deepest = inner + " " if value.ndim == 2 else inner
     comma, width = "," + deepest, matrix.shape[1]
-    if len(outside):
+    boundary = inner + "]," + inner + "[" + deepest
+    if value.dtype == np.int8 and ((plus := matrix == 1) | (matrix == -1)).all():
+        body = _label_text(plus, comma, boundary)
+    elif len(outside):
         # the i-th comma-separated token of the entries' text is entry i's text
         entries = orjson_dumps(flat, option=OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
         for i, entry in zip(outside.tolist(), flat[outside].tolist()):
             entries[i] = float.__repr__(entry)
-        rows = [comma.join(entries[i:i + width]) for i in range(0, len(entries), width)]
+        body = boundary.join(comma.join(entries[i:i + width])
+                             for i in range(0, len(entries), width))
     else:
         # laid out before the text is decoded: bytes.replace is the faster
         text = orjson_dumps(matrix, option=OPT_SERIALIZE_NUMPY)[2:-2]
-        rows = text.replace(b",", comma.encode()).decode().split("]" + comma + "[")
-    # the brackets appended apart: adding them to the rows' text would copy it
+        body = boundary.join(text.replace(b",", comma.encode()).decode().split("]" + comma + "["))
+    # the brackets appended apart: adding them to the body would copy it
     if value.ndim == 1:
-        out += ("[" + inner, rows[0], newline + "]")
+        out += ("[" + inner, body, newline + "]")
     else:
-        out += ("[" + inner + "[" + deepest, (inner + "]," + inner + "[" + deepest).join(rows),
-                inner + "]" + newline + "]")
+        out += ("[" + inner + "[" + deepest, body, inner + "]" + newline + "]")
 
 
 def _write(value, newline: str, out: list) -> None:

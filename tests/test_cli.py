@@ -310,7 +310,12 @@ def test_hashcheck_passes_a_vacuous_tail_bound(capsys):
     # in an OverflowError traceback and exit 1
     assert main(["hashcheck", "--n", "64", "--r", "200", "--draws", "10"]) == 0
     out = capsys.readouterr().out
-    assert "tail T=4.000: observed=0.300000 bound=inf ok" in out.splitlines()
+    lines = out.splitlines()
+    assert "tail T=4.000: observed=0.300000 bound=inf ok" in lines
+    # finite bounds of 1e6 and more in exponent notation, not 251 digits of
+    # fixed point; smaller ones keep .6f, which the output digests pin
+    assert "tail T=8.000: observed=0.000000 bound=4.315551e+250 ok" in lines
+    assert "tail T=16.000: observed=0.000000 bound=2.685574e+190 ok" in lines
     assert out.endswith("hashcheck passed\n")
 
 

@@ -513,11 +513,19 @@ ARRAY_FLOATS = st.one_of(
 
 @st.composite
 def number_arrays(draw):
-    """A float64, int8 or int64 array of one or two dimensions, a side of
-    length 0 allowed, as drawn or as a view that is not C-contiguous."""
-    dtype = draw(st.sampled_from([np.float64, np.int8, np.int64]))
-    shape = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6)
-    array = draw(hnp.arrays(dtype, shape, elements=ARRAY_FLOATS if dtype is np.float64 else None))
+    """A float64, int8 or int64 array, or an int8 array of labels (every
+    entry 1 or -1, the writer's table path, rows 1 to 20 wide, most not a
+    whole number of bytes), of one or two dimensions, a side of length 0
+    allowed but for labels, as drawn or as a view that is not C-contiguous."""
+    kind = draw(st.sampled_from(["float64", "int8", "int64", "labels"]))
+    if kind == "labels":
+        shape = hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=20)
+        array = draw(hnp.arrays(np.int8, shape, elements=st.sampled_from([-1, 1])))
+    else:
+        dtype = np.dtype(kind).type
+        shape = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6)
+        array = draw(hnp.arrays(dtype, shape,
+                                elements=ARRAY_FLOATS if dtype is np.float64 else None))
     view = draw(st.sampled_from(["as drawn", "every other column", "reversed", "transposed"]))
     return {"as drawn": array, "every other column": array[..., ::2],
             "reversed": array[::-1], "transposed": array.T}[view]
@@ -544,6 +552,9 @@ def test_the_writer_writes_an_array_as_json_dumps_writes_its_list(doc):
 def test_every_writer_writes_the_text_of_json_dumps_indent_1(tmp_path):
     wide_spec = md.GenSpec(domain_size=1000, k=24, hypothesis_count=128, seed=5)
     wide_fam, wide_cls = gen_random_label_consistent(wide_spec)
+    # rows of 1003 labels: each ends in a byte of three
+    odd_spec = md.GenSpec(domain_size=1003, k=3, hypothesis_count=5, seed=6)
+    odd_fam, odd_cls = gen_random_label_consistent(odd_spec)
     # one label vector per member, and a -0.0 beside 0.0
     own_labels = md.DistributionFamily([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]],
                                        [[0.0, 1.0], [-0.0, 0.3], [0.1, 5e-324]])
@@ -559,11 +570,14 @@ def test_every_writer_writes_the_text_of_json_dumps_indent_1(tmp_path):
     for save, build, args in (
             (serialize.save_instance, serialize._instance_doc,
              (wide_fam, wide_cls, wide_spec)),
+            (serialize.save_instance, serialize._instance_doc, (odd_fam, odd_cls, odd_spec)),
             (serialize.save_instance, serialize._instance_doc,
              (own_labels, md.HypothesisClass([[1, -1], [-1, -1]], vc_dim=1), None)),
             (serialize.save_randomized, serialize._randomized_doc, (mixture,)),
             (serialize.save_classifier, serialize._classifier_doc,
              (md.ExplicitClassifier(wide_cls.label_matrix[3]),)),
+            (serialize.save_classifier, serialize._classifier_doc,
+             (md.ExplicitClassifier(odd_cls.label_matrix[1]),)),
             (serialize.save_classifier, serialize._classifier_doc, (compact,)),
             (serialize.save_classifier, serialize._classifier_doc, (empty_table,))):
         save(path, *args)

@@ -62,6 +62,9 @@ table, they time it once. The layers:
   (the file cli_wide's set-up writes, and gen and disc reduce write);
 - save_classifier_24x1000: serialize.save_classifier of that compact
   classifier (the file derand -o writes every cli_wide op);
+- write_labels_128x1000: serialize._json_text of the cli_wide class's label
+  matrix alone, under the "hypotheses" key as an instance file nests it (the
+  part of save_instance_24x1000 that is not the mass rows);
 - generate_c06: md.generate at the C06 campaign spec (n = 40, k = 6,
   |H| = 16, seed 5);
 - reduction_family: a fresh ReductionFamily(matrix).family of the n = 18
@@ -124,7 +127,7 @@ REPS = {"eval_block": 40, "eval_one_poly": 100, "tail_check": 5, "bruteforce_min
         "draw_family_6x40x5000": 200, "draw_family_6x40x1000000": 5, "load_instance": 15,
         "load_instance_deferred": 15, "load_instance_again": 15,
         "load_classifier_24x1000": 100, "save_instance_24x1000": 10,
-        "save_classifier_24x1000": 100,
+        "save_classifier_24x1000": 100, "write_labels_128x1000": 30,
         "generate_c06": 200, "reduction_family": 200, "error_matrix_128x24x1000": 30,
         "error_matrix_16x6x40": 500,
         "error_matrix_1x24x1000": 300, "error_matrix_masked_2x24x1000": 300, "build_parser": 100,
@@ -223,6 +226,8 @@ def time_layers(src: str) -> dict:
         "load_classifier_24x1000": lambda: serialize.load_classifier(classifier, wide_cls),
         "save_instance_24x1000": lambda: serialize.save_instance(saved, wide_fam, wide_cls),
         "save_classifier_24x1000": lambda: serialize.save_classifier(saved, loaded_classifier),
+        "write_labels_128x1000": lambda: serialize._json_text(
+            {"hypotheses": wide_cls.label_matrix}),
         "generate_c06": lambda: md.generate(c06_spec),
         "reduction_family": lambda: md.ReductionFamily(matrix).family,
         "error_matrix_128x24x1000": lambda: md.error_matrix(wide_plus, wide_fam),

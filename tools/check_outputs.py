@@ -72,7 +72,9 @@ The suite:
   of 64 and 63 keys); at --n 1048577 --draws 1, one key past
   TAIL_KEYS_LIMIT, rejected with exit 2 before any check; and at --n 64
   --r 200 --draws 10, whose bound at the smallest deviation passes every
-  float and is printed as inf, a vacuous bound the check passes;
+  float and is printed as inf, a vacuous bound the check passes, and whose
+  finite bounds at the larger deviations, 1e6 and more, are printed in
+  exponent notation (%.6e, not 250 digits of fixed point);
 - disc gen (planted zero, n = 12), then solve, reduce and distinguish (with
   the planted coloring) on that matrix.
 
@@ -83,7 +85,13 @@ weights, clf_explicit.json and clf_c06_theory_explicit.json their labels,
 clf_hash.json and clf_c06_theory_hash.json their t_tables and weights, and
 clf_empty_table.json its weights, its t_table being an array of
 shape (0, 2), written as its empty list; the summaries and the other lists in
-those files take the per-item path.
+those files take the per-item path. The int8 arrays of 1 and -1 take the
+label path, eight labels per table lookup: every instance file's label
+matrix, in whole bytes in inst.json (width 1000) and c06.json, heavy.json
+and bayes.json (40), with a partial last byte in gap.json (5) and
+reduction.json (12), and the 1-D labels of clf_explicit.json (1000) and
+clf_c06_theory_explicit.json (40); the masses, label vectors, weights and
+t_tables take orjson.
 
 Where the one-entry paths run: every output goes through error_matrix;
 demos 01-05 call the package's public names, demo 04 unpacking run_trial's
