@@ -29,6 +29,12 @@ from .metrics import heavy_bias_threshold
 from .learner import DRAWS_LIMIT, HedgeConfig, _tallies
 from .hashing import CompactClassifier, choose_hash_params, sample_hash
 
+# Most draws one bias table takes, m per member times k: a run's draws are its
+# work, about 25 million a second on a 2-core x86_64 host, so a plan at the
+# limit samples for under a minute. A plan past it is refused when built,
+# before any learning.
+TABLE_DRAWS_LIMIT = 1 << 30
+
 
 @dataclass(frozen=True)
 class DerandConfig:
@@ -82,9 +88,10 @@ class RunPlan:
     points, derived once and checked in this order when built: the hash
     parameters (r, p) under hash rounding, Hedge's rounds and rate at the
     learner's eps (HedgeConfig.resolve), then m, the table's draws per
-    member, at most DRAWS_LIMIT. Theory mode derives m = ceil(c_const *
-    ln^2(gamma) / eps^2), times c_prime * ln(gamma) under hash rounding, with
-    gamma = c_const * k / (eps * delta); calibrated mode takes m_override."""
+    member, at most DRAWS_LIMIT, and its m * k draws in all, at most
+    TABLE_DRAWS_LIMIT. Theory mode derives m = ceil(c_const * ln^2(gamma) /
+    eps^2), times c_prime * ln(gamma) under hash rounding, with gamma =
+    c_const * k / (eps * delta); calibrated mode takes m_override."""
 
     k: int
     domain_size: int
@@ -117,6 +124,10 @@ class RunPlan:
                 raise ValueError(f"eps = {d.eps!r} needs {m:.3g} table draws per member at "
                                  f"k = {k}, more than DRAWS_LIMIT = 2^53")
             m = math.ceil(m)
+        if m * k > TABLE_DRAWS_LIMIT:
+            raise ValueError(f"the bias table needs m * k = {m * k} draws (m = {m} per member at "
+                             f"k = {k}), more than TABLE_DRAWS_LIMIT = 2^30; m must be at most "
+                             f"{TABLE_DRAWS_LIMIT // k} at k = {k}")
         heavy_threshold = heavy_bias_threshold(d.eps, d.delta, k, d.rounding, d.c_prime)
         vars(self).update(learner_eps=learner_eps, rounds=rounds, eta=eta, ln_gamma=ln_gamma,
                           m=m, heavy_threshold=heavy_threshold, hash_params=hash_params)

@@ -238,8 +238,8 @@ def _campaign_worker(args) -> list[tuple[int, TrialReport | None, str | None]]:
     mixtures comes out (all of them, in a campaign shorter than a batch), so
     trials are dealt out, not taken as workers come free, which would split
     them by the workers' speeds in their first batches. Under measure_time a
-    trial's wall_time is its own run_trial time plus an equal share of this
-    worker's learning time.
+    trial's wall_time is its own run_trial time plus its equal share of its
+    batch's learning time.
     Errors are recorded per trial, and the worker continues past them; a
     learning error is the error of every trial not yet finished."""
     cfg, trials, measure_time, worker, workers = args
@@ -257,27 +257,22 @@ def _campaign_worker(args) -> list[tuple[int, TrialReport | None, str | None]]:
                 continue
             yield (i, seed), fam, cls
 
-    learning = 0.0
     try:
         # a spec gives every instance the same k and |H|, so they share a stack
-        for (i, seed), fam, cls, f_rand, spent in rolling_mixtures(
+        for (i, seed), fam, cls, f_rand, share in rolling_mixtures(
                 instances(), cfg.plan.rounds, cfg.plan.eta):
-            learning += spent
             try:
                 # through the module attribute, which a caller may wrap
                 report, _ = run_trial(fam, cls, f_rand, cfg.plan, seed, trial_id=i,
                                       measure_time=measure_time)
+                if measure_time:
+                    report = dataclasses.replace(report, wall_time=report.wall_time + share)
                 results.append((i, report, None))
             except Exception as exc:  # recorded, campaign continues
                 results.append(_failed(i, exc))
     except Exception as exc:  # a learning error, see above
         done = {r[0] for r in results}
         results += [_failed(i, exc) for i in [*taken, *indices] if i not in done]
-    if measure_time:
-        reports = [r for _, r, _ in results if r is not None]
-        share = learning / len(reports) if reports else 0.0
-        results = [(i, r if r is None else dataclasses.replace(r, wall_time=r.wall_time + share),
-                     err) for i, r, err in results]
     return results
 
 

@@ -35,6 +35,11 @@ TAIL_BLOCK_VALUES = 1 << 18
 # independent-mode block holds the n values of a draw, so memory grows with
 # n whatever the draws; under this limit the derived prime stays below 2^21.
 TAIL_KEYS_LIMIT = 1 << 20
+# Most work of one tail check: draws * n * r difference steps in hash mode,
+# draws * n values in independent mode. The check's time grows with it: at
+# the limit, about 7 s in hash mode at r = 4 and 2 min in independent mode on
+# a 2-core x86_64 host. A config past it is refused when built.
+TAIL_WORK_LIMIT = 1 << 34
 # Most consecutive keys in one run of the hash-mode tail check: a block takes
 # at most this many Python steps, whatever n is. Fewer keys per run means more
 # runs, so more seeds to evaluate; more means more steps on narrower arrays.
@@ -399,9 +404,9 @@ class TailCheckConfig:
     hash-derived indicators Z_x = 1{q(x) < threshold} over the keys 0..n-1.
     Integral floats are taken as ints; a config the check cannot run (n=True,
     2.5 draws, a negative seed, an odd r in hash mode, an independent that
-    is not a bool) is a ValueError when built. The prime is the smallest
-    above n, the threshold prime // 2 and the deviations T (0.5, 1, 2) *
-    sqrt(n)."""
+    is not a bool) or whose work passes TAIL_WORK_LIMIT is a ValueError when
+    built. The prime is the smallest above n, the threshold prime // 2 and
+    the deviations T (0.5, 1, 2) * sqrt(n)."""
 
     n: int = 64
     r: int = 4
@@ -435,6 +440,12 @@ class TailCheckConfig:
             if self.r < 2 or self.r % 2 != 0:
                 raise ValueError(f"tail-check degree r must be an even integer >= 2, "
                                  f"got {self.r}")
+        per_draw, name = (self.n, "n") if self.independent else (self.n * self.r, "n * r")
+        if self.draws * per_draw > TAIL_WORK_LIMIT:
+            raise ValueError(f"tail check's draws * {name} must be at most TAIL_WORK_LIMIT = "
+                             f"2^34, got {self.draws * per_draw}; at most "
+                             f"{TAIL_WORK_LIMIT // per_draw} draws at n = {self.n}"
+                             + ("" if self.independent else f", r = {self.r}"))
 
     @cached_property
     def prime(self) -> int:

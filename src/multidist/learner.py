@@ -454,13 +454,14 @@ def _run_bytes(hypotheses: int, k: int, domain_size: int) -> int:
     return 16 * hypotheses * k + 8 * CHOICE_BLOCK + 16 * k * domain_size + hypotheses * domain_size
 
 
-def rolling_mixtures(items, rounds: int, eta: float):
+def rolling_mixtures(items, rounds: int, eta: float, *, log: list | None = None):
     """The exact-mode Hedge mixture of each (key, family, class) item, learned
     in lockstep batches, with T = rounds and learning rate eta (a RunPlan's).
     Yields (key, family, class, mixture, seconds) in the order the items
-    came: seconds is its batch's learning time on the batch's first mixture
-    and 0.0 on the others. A run loads its class_errors matrix. Items not
-    sharing k and |H| are a ValueError.
+    came: seconds is an equal share of its batch's learning time. A run loads
+    its class_errors matrix. Items not sharing k and |H| are a ValueError.
+    Each batch's advance appends its rounds to log, if given (hedge_learn's
+    trace of its one item).
 
     A batch takes as many items as fit STACK_BYTES at the first item's shape
     (_run_bytes each), and at least one, into a HedgeStack of one slot per
@@ -484,13 +485,12 @@ def rolling_mixtures(items, rounds: int, eta: float):
         stack = HedgeStack(len(batch), *shape, eta)
         for slot, (_, fam, cls) in enumerate(batch):
             stack.load(slot, class_errors(cls, fam))
-        stack.advance(rounds)
+        stack.advance(rounds, log=log)
         mixtures = [uniform_mixture(cls, picks) for (_, _, cls), picks in zip(batch, stack.counts)]
         del stack  # before the caller's work on the mixtures
-        spent = time.perf_counter() - t0
+        share = (time.perf_counter() - t0) / len(batch)
         for (key, fam, cls), mixture in zip(batch, mixtures):
-            yield key, fam, cls, mixture, spent
-            spent = 0.0
+            yield key, fam, cls, mixture, share
         del batch, mixtures  # before the next batch's items are made
         batch = list(itertools.islice(items, runs))
 
@@ -502,25 +502,24 @@ def hedge_learn(oracle: SampleOracle, cls: HypothesisClass, eps: float, *,
     hypotheses (duplicate choices merged by summing weights).
 
     In exact mode the procedure is deterministic: one run plays the |H| x k
-    matrix class_errors(cls, family) in a HedgeStack of one slot. In sampling
-    mode each round tallies cfg.erm_sample_size fresh draws per member from
-    the oracle's stream (_tallies, one round at a time), and both the ERM
-    and the weight update use the resulting empirical measures.
+    matrix class_errors(cls, family) as the one item of a rolling_mixtures
+    batch, whose stack's log gives the trace. In sampling mode each round
+    tallies cfg.erm_sample_size fresh draws per member from the oracle's
+    stream (_tallies, one round at a time), and both the ERM and the weight
+    update use the resulting empirical measures.
     """
     cfg = cfg or HedgeConfig()
     fam = oracle.family
     k, n = fam.k, fam.domain_size
     rounds, eta = cfg.resolve(k, eps)
     if oracle.exact:
-        stack = HedgeStack(1, len(cls), k, eta)
-        stack.load(0, class_errors(cls, fam))
         log = None if trace is None else []
-        stack.advance(rounds, log=log)
+        ((*_, mixture, _),) = rolling_mixtures([(None, fam, cls)], rounds, eta, log=log)
         if log is not None:
-            errors = stack.errors[0]
+            errors = class_errors(cls, fam)
             trace.extend(HedgeRound(t, int(h), tuple(errors[h].tolist()), tuple(w[0].tolist()))
                          for t, ((h,), w) in enumerate(log))
-        return uniform_mixture(cls, stack.counts[0])
+        return mixture
 
     plus = plus_rows(cls.label_matrix)
     m = cfg.erm_sample_size

@@ -228,6 +228,29 @@ def test_a_tiny_eps_exits_2_before_learning(tmp_path, capsys, monkeypatch):
     assert not out.exists() and not (tmp_path / "t").exists()
 
 
+def test_derand_and_trial_name_the_work_limit_of_the_table(tmp_path, capsys, monkeypatch):
+    # m = 10^11 draws per member at k = 6 learned, then sampled until stopped
+    def unreachable(*args, **kwargs):
+        raise AssertionError("learned before checking the table's draws")
+
+    monkeypatch.setattr(learner, "HedgeStack", unreachable)
+    monkeypatch.setattr(learner, "_tallies", unreachable)
+    inst, out = tmp_path / "inst.json", tmp_path / "clf.json"
+    assert main(["gen", "--seed", "6", "-o", str(inst)]) == 0
+    capsys.readouterr()
+    flags = ["--mode", "calibrated", "--m-override", "100000000000", "--eps", "0.3",
+             "--delta", "0.2"]
+    for argv in (["derand", str(inst), *flags, "-o", str(out)],
+                 ["trial", "--trials", "2", *flags, "--outdir", str(tmp_path / "campaign")]):
+        assert main(argv) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err == ("multidist: error: the bias table needs m * k = 600000000000 draws "
+                       "(m = 100000000000 per member at k = 6), more than TABLE_DRAWS_LIMIT = "
+                       "2^30; m must be at most 178956970 at k = 6\n")
+    assert not out.exists() and not (tmp_path / "campaign").exists()
+
+
 def test_derand_and_trial_check_the_rounds_before_the_table_draws(tmp_path, capsys,
                                                                   monkeypatch):
     # at eps 1e-200 Hedge's rounds and the table's draws are both past their
@@ -387,6 +410,19 @@ def test_hashcheck_names_the_degree_limit_of_the_tail_check(monkeypatch, capsys)
         assert out == ""
         assert err == ("multidist: error: tail-check degree r must be at most TAIL_BLOCK_VALUES / "
                        f"ceil(n / TAIL_RUN_KEYS) = {int(r) - 2} at n = {n}, got {r}\n")
+
+
+def test_hashcheck_names_the_work_limit_of_the_tail_check(monkeypatch, capsys):
+    # 10^13 draws at n = 64, r = 4 ran until stopped
+    def unreachable(*args):
+        raise AssertionError("the tail check ran past its work limit")
+
+    monkeypatch.setattr(hashing, "_difference_counts", unreachable)
+    assert main(["hashcheck", "--draws", "10000000000000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("multidist: error: tail check's draws * n * r must be at most TAIL_WORK_LIMIT "
+                   "= 2^34, got 2560000000000000; at most 67108864 draws at n = 64, r = 4\n")
 
 
 def test_every_verb_rejects_a_negative_seed_by_its_flag_before_any_work(tmp_path, capsys):

@@ -84,11 +84,13 @@ def test_derand_config_formulas():
     assert md.RunPlan(k, 10, hash_cfg).m == math.ceil(4.0 * 4.0 * math.log(gamma) ** 3 / 0.01)
 
 
-def test_table_draws_stop_at_the_exactness_limit():
+def test_table_draws_stop_at_the_exactness_limit(monkeypatch):
     # eps 1e-200 divided by eps**2 = 0.0, and 1e-9 gave 2.6e21 draws per
     # member, past the 2^53 where the table's float counts stop being exact
-    # one round, so that Hedge's rounds, checked first, fit at every eps
+    # one round, so that Hedge's rounds, checked first, fit at every eps;
+    # the work limit, checked after, is lifted to reach this one
     from multidist.learner import DRAWS_LIMIT
+    monkeypatch.setattr(derand, "TABLE_DRAWS_LIMIT", 6 * DRAWS_LIMIT)
     one_round = md.HedgeConfig(rounds=1)
 
     def calibrated(m):
@@ -122,6 +124,30 @@ def test_table_draws_stop_at_the_exactness_limit():
         md.RunPlan(6, 40, md.DerandConfig(eps=5e-324, delta=0.2), one_round)
     with pytest.raises(ValueError, match="more than DRAWS_LIMIT"):
         md.RunPlan(6, 40, md.DerandConfig(eps=2e-6, delta=0.2, rounding="hash"), one_round)
+
+
+def test_table_draws_stop_at_the_work_limit():
+    # derand at --m-override 100000000000, 6e11 draws, sampled until stopped
+    limit = derand.TABLE_DRAWS_LIMIT
+    assert limit == 2**30
+
+    def calibrated(m, eps=0.3):
+        return md.DerandConfig(eps=eps, delta=0.2, mode="calibrated", m_override=m)
+
+    for k in (1, 6):
+        most = limit // k
+        assert md.RunPlan(k, 40, calibrated(most)).m == most
+        with pytest.raises(ValueError, match=f"^the bias table needs m \\* k = {(most + 1) * k} "
+                                             f"draws \\(m = {most + 1} per member at k = {k}\\), "
+                                             f"more than TABLE_DRAWS_LIMIT = 2\\^30; m must be at "
+                                             f"most {most} at k = {k}$"):
+            md.RunPlan(k, 40, calibrated(most + 1))
+    # theory mode at eps 1e-4 derives 7.8e10 draws per member, under DRAWS_LIMIT
+    with pytest.raises(ValueError, match="^the bias table needs m \\* k = 470254329396 draws"):
+        md.RunPlan(6, 40, md.DerandConfig(eps=1e-4, delta=0.2))
+    # Hedge's rounds are checked first
+    with pytest.raises(ValueError, match="^Hedge at eps = 5e-10 needs .* ROUNDS_LIMIT"):
+        md.RunPlan(6, 40, calibrated(10**11, eps=1e-9))
 
 
 # each configuration that the output suite, the demos and perfbench run, as

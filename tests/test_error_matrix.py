@@ -806,6 +806,42 @@ def test_rolling_mixtures_are_hedge_learn_alone(monkeypatch):
     assert list(rolling_mixtures([], *cfg.resolve(6, 0.2))) == []
 
 
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_exact_hedge_learn_is_one_rolling_mixtures_batch(traced, monkeypatch):
+    # exact hedge_learn played its own one-slot stack beside rolling_mixtures
+    fam, cls = gen_random_label_consistent(md.GenSpec(domain_size=40, k=6, seed=3))
+    cfg = md.HedgeConfig()
+    rounds, eta = cfg.resolve(6, 0.2)
+    rolling, advance = learner.rolling_mixtures, HedgeStack.advance
+    widths, calls, advances = recorded_widths(monkeypatch), [], []
+
+    def recorded_rolling(items, *args, **kwargs):
+        items = list(items)
+        calls.append(([(key, f, c) for key, f, c in items], args))
+        return rolling(items, *args, **kwargs)
+
+    def recorded_advance(self, rounds, log=None):
+        advances.append(rounds)
+        advance(self, rounds, log)
+
+    monkeypatch.setattr(learner, "rolling_mixtures", recorded_rolling)
+    monkeypatch.setattr(HedgeStack, "advance", recorded_advance)
+    trace = [] if traced else None
+    F = md.hedge_learn(md.SampleOracle(fam), cls, 0.2, cfg=cfg, trace=trace)
+    assert len(calls) == 1
+    [(key, f, c)], args = calls[0]
+    assert (key, args) == (None, (rounds, eta)) and f is fam and c is cls
+    assert (widths, advances) == ([1], [rounds])
+    support, weights, rows = round_hedge(fam, cls, 0.2, cfg)
+    assert F.support == support and np.array_equal(F.weights, weights)
+    if not traced:
+        return
+    assert len(trace) == len(rows) == rounds
+    for t, (got, (h, errs, w)) in enumerate(zip(trace, rows)):
+        assert (got.round, got.hypothesis_index) == (t, h)
+        assert np.array_equal(got.error, errs) and np.array_equal(got.weight, w)
+
+
 def test_after_the_last_item_a_stack_plays_only_the_runs_left(monkeypatch):
     # each batch makes one advance(T), on a stack of its own runs only, after
     # its last item is taken and before the next batch's first

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import json
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -419,7 +421,7 @@ def test_campaign_through_a_small_rolling_stack_matches_a_wide_one(tmp_path, mon
     assert small == wide
     assert (tmp_path / "small/trials.csv").read_bytes() == \
         (tmp_path / "wide/trials.csv").read_bytes()
-    # timed, each trial is charged its own run plus a share of its worker's learning
+    # timed, each trial is charged its own run plus a share of its batch's learning
     _, timed = md.run_campaign(cfg, trials=7, parallelism=2, measure_time=True)
     assert all(r.wall_time > 0.0 for r in timed)
     assert [dataclasses.replace(r, wall_time=0.0) for r in timed] == wide
@@ -429,6 +431,33 @@ def test_campaign_through_a_small_rolling_stack_matches_a_wide_one(tmp_path, mon
         _, never_full = md.run_campaign(cfg, trials=7, parallelism=parallelism,
                                         measure_time=False)
         assert never_full == wide
+
+
+def test_a_timed_trial_takes_its_own_time_and_its_batch_share(monkeypatch):
+    # the first mixture of each batch carried the whole batch's learning
+    # time, which the worker then spread over all of its reports: 3 trials
+    # in batches of 2 and 1 each took a third of both batches
+    clock = []
+
+    def fake_perf_counter():
+        # each reading is the next power of two, so every interval is
+        # distinct and every sum and half of them exact
+        clock.append((sys._getframe(1).f_code.co_name, float(2 ** len(clock))))
+        return clock[-1][1]
+
+    monkeypatch.setattr(learner, "STACK_BYTES", 2 * learner._run_bytes(8, 3, 20))
+    monkeypatch.setattr(time, "perf_counter", fake_perf_counter)
+    _, reports = md.run_campaign(small_campaign(seed=7), trials=3, measure_time=True)
+
+    def intervals(caller):
+        readings = [t for name, t in clock if name == caller]
+        return [stop - start for start, stop in zip(readings[::2], readings[1::2])]
+
+    assert sorted({name for name, _ in clock}) == ["rolling_mixtures", "run_trial"]
+    own, batches = intervals("run_trial"), intervals("rolling_mixtures")
+    assert len(own) == 3 and len(batches) == 2
+    shares = [batches[0] / 2, batches[0] / 2, batches[1]]
+    assert [r.wall_time for r in reports] == [o + s for o, s in zip(own, shares)]
 
 
 def test_a_one_trial_c06_campaign_plays_its_rounds_in_one_advance(monkeypatch):

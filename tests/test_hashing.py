@@ -17,6 +17,7 @@ from multidist.hashing import (
     TAIL_BLOCK_VALUES,
     TAIL_KEYS_LIMIT,
     TAIL_RUN_KEYS,
+    TAIL_WORK_LIMIT,
     TailCheckReport,
     TailCheckRow,
     _plus_thresholds,
@@ -739,6 +740,27 @@ def test_tail_config_fits_one_draw_of_differences_in_a_block(n, limit, monkeypat
         md.TailCheckConfig(n=n, r=limit + 1, draws=1)
     # fresh values per key take no degree
     assert md.TailCheckConfig(n=n, r=limit + 1, draws=1, independent=True).r == limit + 1
+
+
+@pytest.mark.parametrize("n, r, independent", [(64, 4, False), (3000, 4, False),
+                                               (TAIL_KEYS_LIMIT, 16, False), (64, 4, True),
+                                               (3000, 4, True)])
+def test_tail_config_bounds_its_work(n, r, independent, monkeypatch):
+    # only built, never run: 10^13 draws at the defaults ran until stopped
+    def no_evaluation(*args):
+        raise AssertionError("the hashes were evaluated to check a config")
+
+    monkeypatch.setattr(md.hashing, "coefficient_matrix_eval", no_evaluation)
+    assert TAIL_WORK_LIMIT == 2**34
+    per_draw, name = (n, "n") if independent else (n * r, "n \\* r")
+    most = TAIL_WORK_LIMIT // per_draw
+    cfg = md.TailCheckConfig(n=n, r=r, draws=most, independent=independent)
+    assert cfg.draws == most
+    degree = "" if independent else f", r = {r}"
+    with pytest.raises(ValueError, match=rf"^tail check's draws \* {name} must be at most "
+                       rf"TAIL_WORK_LIMIT = 2\^34, got {(most + 1) * per_draw}; at most {most} "
+                       rf"draws at n = {n}{degree}$"):
+        md.TailCheckConfig(n=n, r=r, draws=most + 1, independent=independent)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -98,8 +98,8 @@ table, they time it once. The layers:
 - package_import: `import multidist, multidist.cli, multidist.serialize`
   after numpy, as each CLI process makes it; a module is imported once per
   interpreter, so it is timed once in each, and the median is over the
-  interpreters (compile both trees with `python3 -m compileall -q src` first,
-  or the first interpreter of each writes the bytecode).
+  interpreters (main runs `python3 -m compileall -q src` in both trees
+  before the first interpreter, so that none of them writes bytecode).
 """
 
 from __future__ import annotations
@@ -282,6 +282,10 @@ def main(argv=None) -> int:
     p.add_argument("-o", "--out", type=Path, required=True, help="JSON file to write")
     args = p.parse_args(argv)
     trees = {"change": ROOT, "parent": args.parent.resolve()}
+    for tree in trees.values():
+        # an import compiles each module whose .pyc is stale or missing, and
+        # package_import would time it
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
     runs = {side: [] for side in trees}
     for i in range(ROUNDS):
         order = list(trees) if i % 2 == 0 else list(reversed(trees))
